@@ -1,4 +1,4 @@
-"""File access patterns: per-rank extent lists.
+"""File access patterns: per-rank extent lists and the all-ranks table.
 
 A :class:`RankAccess` is a rank's flattened file view for one I/O call —
 sorted, non-overlapping ``(offset, length)`` extents plus an optional
@@ -7,6 +7,17 @@ algorithm spends its time intersecting extents with file-domain windows;
 that operation is vectorised here (``searchsorted`` over prefix sums) so
 benchmark-scale patterns (millions of extents for coll_perf's 3-D strides)
 stay cheap.
+
+An :class:`AccessTable` is the same information for *every* rank of one
+collective step, in CSR form (``offsets``/``lengths`` rank-major,
+``rank_ptr`` delimiting each rank's slice, one global byte ``prefix``).
+It is validated and sorted once in a single vectorised pass, is immutable
+afterwards, and hands out per-rank :class:`RankAccess` objects that are
+zero-copy views of its arrays — so a pattern that repeats (the files of a
+run, the jobs of a fleet) is flattened once, as ROMIO flattens a file view
+once.  :meth:`AccessTable.window_sums` intersects every rank with every
+file-domain window in one pass; it is what the model-fidelity exchange
+builds its per-round send sizes from.
 
 ``merge_extent_arrays`` computes the union coverage of many ranks' extents
 in one vectorised pass — used by the model-fidelity exchange to know which
@@ -18,10 +29,51 @@ two-phase algorithm exchanges in its first step (§II-A).
 
 from __future__ import annotations
 
+import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Mapping, Optional
 
 import numpy as np
+
+
+def _int64_field(owner: str, name: str, values) -> np.ndarray:
+    """``values`` as a 1-D int64 array; floats and other dtypes are refused
+    (an empty array carries no values, so its dtype is not held against it)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise ValueError(f"{owner}: {name} must have an integer dtype, got {arr.dtype}")
+    if arr.ndim != 1:
+        raise ValueError(f"{owner}: {name} must be 1-D, got shape {arr.shape}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _extent_fields(owner: str, offsets, lengths) -> tuple[np.ndarray, np.ndarray]:
+    offsets = _int64_field(owner, "offsets", offsets)
+    lengths = _int64_field(owner, "lengths", lengths)
+    if offsets.shape != lengths.shape:
+        raise ValueError(
+            f"{owner}: offsets/lengths must be equal-length 1-D arrays, "
+            f"got {len(offsets)} and {len(lengths)}"
+        )
+    if len(offsets):
+        if lengths.min() < 0:
+            raise ValueError(f"{owner}: negative extent length {int(lengths.min())}")
+        if offsets.min() < 0:
+            raise ValueError(f"{owner}: negative file offset {int(offsets.min())}")
+    return offsets, lengths
+
+
+def ranks_interleaved(st_offsets: np.ndarray, end_offsets: np.ndarray) -> bool:
+    """ROMIO's check over per-rank ``(st_offset, end_offset)`` (inclusive
+    end; ``end < st`` marks an empty access): does any rank start at or
+    before the furthest end of the ranks ahead of it?"""
+    nonempty = end_offsets >= st_offsets
+    st, end = st_offsets[nonempty], end_offsets[nonempty]
+    if len(st) < 2:
+        return False
+    return bool(np.any(st[1:] <= np.maximum.accumulate(end)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -37,7 +89,13 @@ class WindowSlice:
 
 
 class RankAccess:
-    """One rank's sorted extent list with prefix sums."""
+    """One rank's sorted extent list with prefix sums.
+
+    Built either from raw arrays (validated, sorted and overlap-checked
+    here) or by :meth:`AccessTable.rank` as a view of a table that already
+    did that work for all ranks; ``table``/``rank`` name the owner in the
+    second case and are ``None`` in the first.
+    """
 
     def __init__(
         self,
@@ -45,12 +103,7 @@ class RankAccess:
         lengths: np.ndarray,
         data: Optional[np.ndarray] = None,
     ):
-        offsets = np.asarray(offsets, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if offsets.shape != lengths.shape or offsets.ndim != 1:
-            raise ValueError("offsets/lengths must be equal-length 1-D arrays")
-        if np.any(lengths < 0):
-            raise ValueError("negative extent length")
+        offsets, lengths = _extent_fields("RankAccess", offsets, lengths)
         keep = lengths > 0
         offsets, lengths = offsets[keep], lengths[keep]
         order = np.argsort(offsets, kind="stable")
@@ -58,18 +111,49 @@ class RankAccess:
         self.lengths = lengths[order]
         ends = self.offsets + self.lengths
         if len(self.offsets) > 1 and np.any(self.offsets[1:] < ends[:-1]):
-            raise ValueError("extents overlap")
+            raise ValueError("RankAccess: extents overlap")
         self.ends = ends
         # prefix[i] = bytes in extents [0, i)
         self.prefix = np.concatenate(([0], np.cumsum(self.lengths)))
         self.total_bytes = int(self.prefix[-1])
-        if data is not None:
-            data = np.asarray(data, dtype=np.uint8)
-            if len(data) != self.total_bytes:
-                raise ValueError(
-                    f"payload is {len(data)} bytes, extents describe {self.total_bytes}"
-                )
-        self.data = data
+        self.data = self._checked_payload(data)
+        self.table: Optional[AccessTable] = None
+        self.rank: Optional[int] = None
+
+    @classmethod
+    def _view(cls, table: "AccessTable", rank: int, data) -> "RankAccess":
+        lo, hi = table._ptr[rank], table._ptr[rank + 1]
+        self = cls.__new__(cls)
+        self.offsets = table.offsets[lo:hi]
+        self.lengths = table.lengths[lo:hi]
+        self.total_bytes = table._bytes[rank]
+        self.data = self._checked_payload(data)
+        self.table = table
+        self.rank = rank
+        return self
+
+    # Only views get to the two properties below (the constructor stores
+    # its own arrays): ``ends`` and the rank-relative ``prefix`` are derived
+    # from the table on first use — model-fidelity runs never ask.
+    @cached_property
+    def ends(self) -> np.ndarray:
+        lo, hi = self.table._ptr[self.rank], self.table._ptr[self.rank + 1]
+        return self.table.ends[lo:hi]
+
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        lo, hi = self.table._ptr[self.rank], self.table._ptr[self.rank + 1]
+        return self.table.prefix[lo : hi + 1] - self.table.prefix[lo]
+
+    def _checked_payload(self, data) -> Optional[np.ndarray]:
+        if data is None:
+            return None
+        data = np.asarray(data, dtype=np.uint8)
+        if len(data) != self.total_bytes:
+            raise ValueError(
+                f"payload is {len(data)} bytes, extents describe {self.total_bytes}"
+            )
+        return data
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -101,33 +185,6 @@ class RankAccess:
         head = max(0, lo - int(self.offsets[i]))
         tail = max(0, int(self.ends[j - 1]) - hi)
         return inner - head - tail
-
-    def cum_bytes(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorised: bytes of this access strictly below each position.
-
-        ``bytes_in_window(a, b) == cum_bytes([b]) - cum_bytes([a])``; used to
-        compute every round's per-aggregator send size in one shot.
-        """
-        pos = np.asarray(positions, dtype=np.int64)
-        if self.empty:
-            return np.zeros(pos.shape, dtype=np.int64)
-        k = np.searchsorted(self.offsets, pos, side="right") - 1
-        kc = np.clip(k, 0, None)
-        inside = np.clip(pos - self.offsets[kc], 0, self.lengths[kc])
-        inside[k < 0] = 0
-        return self.prefix[kc] * (k >= 0) + inside
-
-    def cum_counts(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorised: number of extents starting strictly below each position.
-
-        Differences approximate per-window piece counts (boundary pieces are
-        attributed to the window holding their start), which is what the
-        per-piece CPU cost model needs.
-        """
-        pos = np.asarray(positions, dtype=np.int64)
-        if self.empty:
-            return np.zeros(pos.shape, dtype=np.int64)
-        return np.searchsorted(self.offsets, pos, side="left").astype(np.int64)
 
     def slice_window(self, lo: int, hi: int) -> WindowSlice:
         """Sub-extents of this access inside ``[lo, hi)`` with buffer mapping."""
@@ -173,6 +230,256 @@ class RankAccess:
         return cls(z, z)
 
 
+# Ranks are intersected with windows a block at a time so the kernel's
+# scratch stays around a MiB however large the table is: half a MiB of
+# rank-keyed extents, and some eight temporaries with one int64 per rank
+# and window bound (at 2**16 queries those alone added 1 MiB to the peak
+# RSS of an IOR sweep; at 2**14 they vanish in it, at no CPU cost).
+_BLOCK_EXTENTS = 1 << 16
+_BLOCK_QUERIES = 1 << 14
+
+
+class AccessTable:
+    """Every rank's extents for one collective step, in CSR form.
+
+    ``offsets``/``lengths``/``ends`` hold all extents rank-major (rank
+    ``r`` owns ``[rank_ptr[r], rank_ptr[r + 1])``), sorted and disjoint
+    within each rank, zero-length extents dropped; ``prefix[k]`` is the
+    byte count of extents ``[0, k)`` across the whole table.  The arrays
+    are read-only: a table is shared by every file, experiment and fleet
+    job that repeats its pattern.
+    """
+
+    def __init__(self, offsets, lengths, rank_ptr):
+        offsets, lengths = _extent_fields("AccessTable", offsets, lengths)
+        rank_ptr = _int64_field("AccessTable", "rank_ptr", rank_ptr)
+        n = len(offsets)
+        if len(rank_ptr) == 0 or rank_ptr[0] != 0 or rank_ptr[-1] != n:
+            raise ValueError(
+                f"AccessTable: rank_ptr must run from 0 to len(offsets)={n}, "
+                f"got {rank_ptr[:1].tolist()}..{rank_ptr[-1:].tolist()}"
+            )
+        counts = np.diff(rank_ptr)
+        if len(counts) and counts.min() < 0:
+            at = int(np.argmax(counts < 0))
+            raise ValueError(
+                f"AccessTable: rank_ptr must be non-decreasing, got "
+                f"{int(rank_ptr[at])} then {int(rank_ptr[at + 1])} at index {at}"
+            )
+        if not lengths.all():
+            keep = lengths > 0
+            rank_ptr = np.concatenate(([0], np.cumsum(keep)))[rank_ptr]
+            offsets, lengths = offsets[keep], lengths[keep]
+            n = len(offsets)
+        if n > 1:
+            # Neighbouring extents are compared everywhere except across a
+            # rank boundary (different ranks may interleave freely).
+            same_rank = np.ones(n - 1, dtype=bool)
+            edges = rank_ptr[1:-1]
+            same_rank[edges[(edges > 0) & (edges < n)] - 1] = False
+            if np.any((offsets[1:] < offsets[:-1]) & same_rank):
+                owner = np.repeat(np.arange(len(rank_ptr) - 1), np.diff(rank_ptr))
+                order = np.lexsort((offsets, owner))
+                offsets, lengths = offsets[order], lengths[order]
+            clash = (np.diff(offsets) < lengths[:-1]) & same_rank
+            if clash.any():
+                at = int(np.argmax(clash)) + 1
+                rank = int(np.searchsorted(rank_ptr, at, side="right")) - 1
+                raise ValueError(
+                    f"AccessTable: extents overlap in rank {rank} at offset "
+                    f"{int(offsets[at])}"
+                )
+        self._finish(offsets, lengths, rank_ptr)
+
+    def _finish(self, offsets: np.ndarray, lengths: np.ndarray, rank_ptr: np.ndarray):
+        """Derive everything else from int64 arrays already sorted, disjoint
+        within each rank and free of zero-length extents."""
+        n = len(offsets)
+        prefix = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=prefix[1:])
+        self.offsets = offsets.view()
+        self.lengths = lengths.view()
+        self.prefix = prefix
+        self.rank_ptr = rank_ptr.view()
+        for arr in (self.offsets, self.lengths, prefix, self.rank_ptr):
+            arr.flags.writeable = False
+        self.nranks = len(rank_ptr) - 1
+        self.total_bytes = int(prefix[-1])
+        counts = np.diff(rank_ptr)
+        nonempty = counts > 0
+        first, last = rank_ptr[:-1][nonempty], rank_ptr[1:][nonempty] - 1
+        #: ROMIO's per-rank st_offset / end_offset (0 / -1 for an empty rank)
+        self.st_offsets = np.zeros(self.nranks, dtype=np.int64)
+        self.end_offsets = np.full(self.nranks, -1, dtype=np.int64)
+        self.st_offsets[nonempty] = offsets[first]
+        self.end_offsets[nonempty] = offsets[last] + lengths[last] - 1
+        # Sorted and disjoint within a rank: its first extent starts lowest,
+        # its last one ends highest.
+        self.min_st = int(self.st_offsets[nonempty].min()) if n else 0
+        self.max_end = int(self.end_offsets.max()) if n else -1
+        self.max_rank_extents = int(counts.max()) if self.nranks else 0
+        # Python-int twins of rank_ptr and the per-rank byte counts: rank()
+        # runs once per rank per collective call, and list indexing beats
+        # numpy scalars.
+        self._ptr: list[int] = rank_ptr.tolist()
+        self._bytes: list[int] = (prefix[rank_ptr[1:]] - prefix[rank_ptr[:-1]]).tolist()
+        self._views: list[Optional[RankAccess]] = [None] * self.nranks
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """``offsets + lengths``; derived on first use — flow-fidelity
+        windows and the coverage merge read it, the model's sums do not."""
+        ends = self.offsets + self.lengths
+        ends.flags.writeable = False
+        return ends
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def rank(self, rank: int, data: Optional[np.ndarray] = None) -> RankAccess:
+        """Rank ``rank``'s access as a zero-copy view of this table.
+
+        Dataless views are immutable and handed out again on the next call;
+        a payload (checked against the rank's byte count) gets a fresh view.
+        """
+        if not 0 <= rank < self.nranks:
+            raise IndexError(f"AccessTable: rank {rank} outside 0..{self.nranks - 1}")
+        if data is not None:
+            return RankAccess._view(self, rank, data)
+        view = self._views[rank]
+        if view is None:
+            view = self._views[rank] = RankAccess._view(self, rank, None)
+        return view
+
+    @classmethod
+    def gather(cls, accesses: Mapping[int, RankAccess], nranks: int) -> "AccessTable":
+        """The table behind one collective call's per-rank accesses.
+
+        When every rank passed its own view of one table that table is
+        returned as is; otherwise the (already validated) accesses are
+        packed into a fresh table.  A rank absent from ``accesses``
+        contributes like an empty one.
+        """
+        first = accesses.get(0)
+        table = first.table if first is not None else None
+        if (
+            table is not None
+            and table.nranks == nranks == len(accesses)
+            and all(a.table is table and a.rank == r for r, a in accesses.items())
+        ):
+            return table
+        per_rank = [accesses.get(r) for r in range(nranks)]
+        counts = [0 if a is None else len(a.offsets) for a in per_rank]
+        rank_ptr = np.zeros(nranks + 1, dtype=np.int64)
+        np.cumsum(counts, out=rank_ptr[1:])
+        filled = [a for a, c in zip(per_rank, counts) if c]
+        if filled:
+            offsets = np.concatenate([a.offsets for a in filled])
+            lengths = np.concatenate([a.lengths for a in filled])
+        else:
+            offsets = lengths = np.empty(0, dtype=np.int64)
+        self = cls.__new__(cls)
+        self._finish(offsets, lengths, rank_ptr)
+        return self
+
+    @cached_property
+    def interleaved(self) -> bool:
+        """ROMIO's interleaving test over the ranks of this table."""
+        return ranks_interleaved(self.st_offsets, self.end_offsets)
+
+    @cached_property
+    def coverage(self) -> tuple[np.ndarray, np.ndarray]:
+        """Union coverage of all ranks as merged ``(starts, ends)`` runs."""
+        return _merge_runs(self.offsets, self.ends)
+
+    @cached_property
+    def digest(self) -> bytes:
+        """Fingerprint of the pattern up to a common translation of every
+        offset: tables that differ only by a constant file offset (IOR
+        segments, the per-file phases of a run) share it."""
+        h = hashlib.blake2b(digest_size=16)
+        h.update(self.offsets - self.min_st)
+        h.update(np.ascontiguousarray(self.lengths))  # builders broadcast a scalar
+        h.update(self.rank_ptr)
+        return h.digest()
+
+    def window_sums(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Intersect every rank with every window, all at once.
+
+        ``bounds`` is ``(W, K + 1)`` with non-decreasing rows: row ``w``
+        delimits the ``K`` consecutive windows ``[bounds[w, k],
+        bounds[w, k + 1])``.  Returns two ``(nranks, W, K)`` int64 arrays:
+        the bytes of each rank inside each window, and the number of its
+        extents that *start* inside it (a piece straddling a bound counts
+        for the window holding its start — what the per-piece CPU cost
+        model needs).  Pure integer arithmetic, so exact.
+        """
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if bounds.ndim != 2:
+            raise ValueError(
+                f"AccessTable: bounds must be 2-D, got shape {bounds.shape}"
+            )
+        nwin, nb1 = bounds.shape
+        shape = (self.nranks, nwin, max(nb1 - 1, 0))
+        nbytes = np.zeros(shape, dtype=np.int64)
+        starts = np.zeros(shape, dtype=np.int64)
+        if nbytes.size == 0 or len(self.offsets) == 0:
+            return nbytes, starts
+        flat = bounds.ravel()
+        if flat.min() < 0:
+            raise ValueError(f"AccessTable: negative window bound {int(flat.min())}")
+        # One searchsorted serves a whole block of ranks: extents and
+        # queries of the block's i-th rank are shifted by i * stride, which
+        # keeps each rank's keys in a band of their own.
+        stride = max(self.max_end + 1, int(flat.max())) + 1
+        max_ranks = max(1, min((1 << 62) // stride, _BLOCK_QUERIES // len(flat)))
+        ptr = self._ptr
+        r0 = 0
+        while r0 < self.nranks:
+            fits = bisect_right(ptr, ptr[r0] + _BLOCK_EXTENTS, r0 + 1, self.nranks + 1)
+            r1 = min(max(fits - 1, r0 + 1), r0 + max_ranks)
+            lo, hi = ptr[r0], ptr[r1]
+            if hi > lo:
+                first = self.rank_ptr[r0:r1, None]  # (ranks, 1)
+                band = (np.arange(r1 - r0, dtype=np.int64) * stride)[:, None]
+                counts = np.diff(self.rank_ptr[r0 : r1 + 1])
+                keys = self.offsets[lo:hi] + np.repeat(band[:, 0], counts)
+                # extents of the rank starting at or below each bound
+                upto = np.searchsorted(keys, flat + band, side="right") + lo - first
+                has = upto > 0
+                last = np.where(has, first + upto - 1, lo)  # the nearest such extent
+                reach = flat - self.offsets[last]
+                cum = self.prefix[last] - self.prefix[first]
+                cum += np.clip(reach, 0, self.lengths[last])
+                cum[~has] = 0
+                upto -= has & (reach == 0)  # now: extents starting strictly below
+                block = (r1 - r0, nwin, nb1)
+                nbytes[r0:r1] = np.diff(cum.reshape(block), axis=2)
+                starts[r0:r1] = np.diff(upto.reshape(block), axis=2)
+            r0 = r1
+        return nbytes, starts
+
+
+def _merge_runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coalesce non-empty ``[start, end)`` extents, in any order, into
+    sorted runs (overlapping and adjacent extents merge)."""
+    if len(starts) == 0:
+        z = np.empty(0, dtype=np.int64)
+        return z, z
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    running_end = np.maximum.accumulate(ends[order])
+    # A new run begins where the start exceeds every previous end.
+    breaks = np.empty(len(starts), dtype=bool)
+    breaks[0] = True
+    breaks[1:] = starts[1:] > running_end[:-1]
+    # End of each run = max end within the run = running_end at the last
+    # element of the run.
+    idx = np.flatnonzero(breaks)
+    last_of_run = np.concatenate((idx[1:] - 1, [len(starts) - 1]))
+    return starts[breaks], running_end[last_of_run]
+
+
 def merge_extent_arrays(
     offset_arrays: list[np.ndarray], length_arrays: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -188,24 +495,7 @@ def merge_extent_arrays(
     lengths = np.concatenate([np.asarray(a, dtype=np.int64) for a in length_arrays])
     keep = lengths > 0
     starts, lengths = starts[keep], lengths[keep]
-    if len(starts) == 0:
-        z = np.empty(0, dtype=np.int64)
-        return z, z
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    ends = starts + lengths[order]
-    running_end = np.maximum.accumulate(ends)
-    # A new run begins where the start exceeds every previous end.
-    breaks = np.empty(len(starts), dtype=bool)
-    breaks[0] = True
-    breaks[1:] = starts[1:] > running_end[:-1]
-    run_starts = starts[breaks]
-    # End of each run = max end within the run = running_end at the last
-    # element of the run.
-    idx = np.flatnonzero(breaks)
-    last_of_run = np.concatenate((idx[1:] - 1, [len(starts) - 1]))
-    run_ends = running_end[last_of_run]
-    return run_starts, run_ends
+    return _merge_runs(starts, starts + lengths)
 
 
 def coverage_in_window(

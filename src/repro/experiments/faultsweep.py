@@ -36,7 +36,7 @@ from repro.romio.file import MPIIOLayer
 from repro.romio.hints import CACHE_KINDS
 from repro.sim.core import DeadlockError, Interrupt
 from repro.units import KiB
-from repro.workloads import collperf_workload, flashio_workload, ior_workload
+from repro.workloads import small_workload
 from repro.workloads.phases import multi_phase_body
 
 FAULT_BENCHMARKS = ("coll_perf", "flash_io", "ior")
@@ -138,23 +138,8 @@ class FaultExperimentResult:
 # -- workload / config -------------------------------------------------------
 def build_fault_workload(spec: FaultExperimentSpec, nprocs: int):
     """A tiny payload-carrying workload so checksums verify real bytes."""
-    s = max(spec.scale, 0.0)
-    if spec.benchmark == "coll_perf":
-        block = max(8 * KiB, (int(128 * KiB * s) // (2 * KiB)) * 2 * KiB)
-        return collperf_workload(
-            nprocs, block_bytes=block, with_data=True, seed=spec.seed
-        )
-    if spec.benchmark == "flash_io":
-        blocks = max(1, int(round(2 * s)))
-        return flashio_workload(
-            nprocs, blocks_per_proc=blocks, with_data=True, seed=spec.seed
-        )
-    return ior_workload(
-        nprocs,
-        block_bytes=64 * KiB,
-        segments=max(1, int(round(2 * s))),
-        with_data=True,
-        seed=spec.seed,
+    return small_workload(
+        spec.benchmark, nprocs, spec.scale, with_data=True, seed=spec.seed
     )
 
 
@@ -192,12 +177,19 @@ def _file_prefix(spec: FaultExperimentSpec) -> str:
     return f"/global/fault_{spec.benchmark}_{spec.scenario}_{spec.cache_mode}_"
 
 
+# A file is hashed this many bytes at a time: the image is never held whole,
+# so the memory a fault point needs does not grow by two file sizes at the end.
+_CHECKSUM_WINDOW = 1 << 20
+
+
 def _checksums(machine: Machine, paths: list[str]) -> dict[str, str]:
     out = {}
     for path in paths:
         if machine.pfs.exists(path):
-            img = machine.pfs.lookup(path).data_image()
-            out[path] = hashlib.sha256(img.tobytes()).hexdigest()
+            digest = hashlib.sha256()
+            for piece in machine.pfs.lookup(path).image_windows(_CHECKSUM_WINDOW):
+                digest.update(piece)
+            out[path] = digest.hexdigest()
     return out
 
 

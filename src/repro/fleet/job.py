@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.units import KiB
-from repro.workloads import collperf_workload, flashio_workload, ior_workload
+from repro.workloads import small_workload
 
 #: Benchmarks a fleet job may run; "mixed" in a FleetSpec cycles these.
 JOB_BENCHMARKS = ("ior", "coll_perf", "flash_io")
@@ -83,19 +83,7 @@ class FleetJobSpec:
 
 def build_job_workload(job: FleetJobSpec, nprocs: int):
     """The job's per-file recipe (no data payloads; ledgers audit bytes)."""
-    s = max(job.scale, 0.0)
-    if job.benchmark == "coll_perf":
-        block = max(8 * KiB, (int(128 * KiB * s) // (2 * KiB)) * 2 * KiB)
-        return collperf_workload(nprocs, block_bytes=block, seed=job.seed)
-    if job.benchmark == "flash_io":
-        blocks = max(1, int(round(2 * s)))
-        return flashio_workload(nprocs, blocks_per_proc=blocks, seed=job.seed)
-    return ior_workload(
-        nprocs,
-        block_bytes=64 * KiB,
-        segments=max(1, int(round(2 * s))),
-        seed=job.seed,
-    )
+    return small_workload(job.benchmark, nprocs, job.scale)
 
 
 def job_hints(job: FleetJobSpec) -> dict[str, str]:

@@ -34,7 +34,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.access import RankAccess, coverage_in_window
+from repro.access import (
+    AccessTable,
+    RankAccess,
+    coverage_in_window,
+    ranks_interleaved,
+)
 from repro.intervals import IntervalSet
 from repro.mpi.collectives import op_max
 from repro.romio.fd import ADIOFile, CollectiveCallState
@@ -49,16 +54,11 @@ _TAG_DATA = 1 << 20  # below the collective tag range, above user tags
 _LADDER_DONE = -1
 
 
-def is_interleaved(pairs: list[tuple[int, int]]) -> bool:
-    """ROMIO's check: any rank's start before the previous rank's end."""
-    prev_end = None
-    for st, end in pairs:
-        if end < st:
-            continue  # empty access
-        if prev_end is not None and st <= prev_end:
-            return True
-        prev_end = end if prev_end is None else max(prev_end, end)
-    return False
+def is_interleaved(pairs) -> bool:
+    """ROMIO's check over per-rank ``(st_offset, end_offset)`` pairs: any
+    rank's start at or before the previous ranks' furthest end."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return ranks_interleaved(pairs[:, 0], pairs[:, 1])
 
 
 def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
@@ -73,7 +73,7 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
     # ---- step 1: offset exchange -------------------------------------------------
     t0 = prof.mark()
     if fd.exchange_mode == "flow":
-        pairs = yield from comm.allgather(
+        yield from comm.allgather(
             rank, (access.start_offset, access.end_offset), nbytes=16
         )
     else:
@@ -82,23 +82,23 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
             yield comm.timed_event(rank, cost, "offset_exch")
         else:
             yield from comm.timed(rank, cost, "offset_exch")
-        pairs = None  # derived from the shared call state below
     prof.lap("offset_exch", t0)
 
     # Every rank computes identical values from identical inputs (as in
-    # ROMIO); in simulation the shared call state lets the first arriver
-    # compute them once.
-    if call.max_end < call.min_st or pairs is not None:
-        if pairs is None:
-            pairs = [
-                (call.accesses[r].start_offset, call.accesses[r].end_offset)
-                for r in range(comm.size)
-            ]
-        call.interleaved = is_interleaved(pairs)
-        nonempty = [(s, e) for s, e in pairs if e >= s]
-        if nonempty:
-            call.min_st = min(s for s, _ in nonempty)
-            call.max_end = max(e for _, e in nonempty)
+    # ROMIO); in simulation every rank has registered its access by the
+    # time the exchange releases, so the first one through gathers them
+    # into the call's table and reads the offsets off its vectors.
+    if call.table is None:
+        table = call.table = AccessTable.gather(call.accesses, comm.size)
+        profiler = fd.machine.sim.profiler
+        if profiler is not None:
+            shared = table is access.table
+            profiler.count(
+                "access.table_reuse" if shared else "access.table_gather_adhoc"
+            )
+        call.interleaved = table.interleaved
+        call.min_st = table.min_st
+        call.max_end = table.max_end
 
     use_collective = fd.hints.romio_cb_write == "enable" or (
         fd.hints.romio_cb_write == "automatic" and call.interleaved
@@ -155,7 +155,6 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
     prof.lap("post_write", t0)
     # MPI semantics: the call reports this rank's own contribution; ``nbytes``
     # (what this rank wrote as an aggregator) only feeds internal accounting.
-    fd.pfs_file  # keep the handle alive for linters; aggregate is in the FS stats
     return access.total_bytes
 
 
@@ -261,8 +260,9 @@ def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
     """Translation-normalised content key for the per-round model arrays,
     or ``None`` when the pattern is too large to fingerprint cheaply.
 
-    Every input the cached arrays depend on is in the key: the (shifted)
-    per-rank extents and domains, the rank->node map, the aggregator list,
+    Every input the cached arrays depend on is in the key: the table's
+    translation-normalised digest (every rank's shifted extents), the
+    shifted domains, the rank->node map, the aggregator list,
     the collective cost parameters, and the physical node count.  All the
     cached quantities are functions of byte counts inside shifted windows,
     so they are invariant under a common offset translation — patterns
@@ -272,16 +272,8 @@ def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
     comm = fd.comm
     P = comm.size
     base = call.min_st
-    sigs = []
-    for r in range(P):
-        acc = call.accesses.get(r)
-        if acc is None or acc.empty:
-            # An absent access contributes exactly like an empty one.
-            sigs.append(b"")
-            continue
-        if len(acc) > _MODEL_CACHE_EXTENT_CAP:
-            return None
-        sigs.append((acc.offsets - base).tobytes() + acc.lengths.tobytes())
+    if call.table.max_rank_extents > _MODEL_CACHE_EXTENT_CAP:
+        return None
     costs = comm.costs
     return (
         P,
@@ -298,7 +290,7 @@ def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
         tuple(fd.aggregators),
         tuple(comm.rank_to_node),
         tuple((d.start - base, d.end - base, d.aggregator_rank) for d in call.domains),
-        tuple(sigs),
+        call.table.digest,
     )
 
 
@@ -324,7 +316,7 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
                 merged_norm,
             ) = hit
             base = call.min_st
-            call.merged_cov = (merged_norm[0] + base, merged_norm[1])
+            call.merged_cov = (merged_norm[0] + base, merged_norm[1] + base)
             call.prepared = True
             return
         if profiler is not None:
@@ -339,21 +331,12 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
         row = d.start + cb * np.arange(ntimes + 1, dtype=np.int64)
         np.clip(row, d.start, max(d.start, d.end), out=row)
         bounds[i] = row
-    sends = np.zeros((P, naggs, ntimes), dtype=np.int64)
-    pieces = np.zeros((P, naggs, ntimes), dtype=np.int64)
-    flat = bounds.ravel()
-    for r, acc in call.accesses.items():
-        if acc.empty:
-            continue
-        cum = acc.cum_bytes(flat).reshape(naggs, ntimes + 1)
-        sends[r] = np.diff(cum, axis=1)
-        cnt = acc.cum_counts(flat).reshape(naggs, ntimes + 1)
-        pieces[r] = np.diff(cnt, axis=1)
+    sends, pieces = call.table.window_sums(bounds)
     call.sends = sends
     call.recv_bytes = sends.sum(axis=0)  # (naggs, ntimes)
     call.recv_pieces = pieces.sum(axis=0)  # (naggs, ntimes)
 
-    node_of = np.array([comm.node_of(r) for r in range(P)], dtype=np.int64)
+    node_of = np.asarray(comm.rank_to_node, dtype=np.int64)
     agg_node = np.array([comm.node_of(a) for a in fd.aggregators], dtype=np.int64)
     cross = (node_of[:, None] != agg_node[None, :]).astype(np.int64)
     crossed = sends * cross[:, :, None]  # bytes that traverse NICs
@@ -383,7 +366,7 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
         + pack
     )
     call.alltoall_cost = costs.alltoall(P, 16)
-    call.coverage()  # precompute merged extents for aggregator writes
+    call.merged_cov = call.table.coverage  # merged extents for aggregator writes
     if cache is not None:
         if len(cache) >= _MODEL_CACHE_MAX:
             cache.clear()
@@ -395,7 +378,7 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
             call.recv_pieces,
             call.shuffle_durations,
             call.alltoall_cost,
-            (merged[0] - base, merged[1]),
+            (merged[0] - base, merged[1] - base),
         )
     call.prepared = True
 

@@ -7,9 +7,10 @@ Per-rank profilers live here too so the experiment harness can pull the
 phase breakdown after the run.
 
 ``CollectiveCallState`` carries the per-``write_all`` shared scratch space
-(every rank's access pattern, the file domains, the precomputed per-round
-costs).  Ranks proceed through collective calls in lock-step, so call *n*
-of every rank maps to the same state object.
+(every rank's access pattern and the one :class:`~repro.access.AccessTable`
+gathered from them, the file domains, the precomputed per-round costs).
+Ranks proceed through collective calls in lock-step, so call *n* of every
+rank maps to the same state object.
 
 Paper correspondence: §II/§III — the shared descriptor carrying hints,
 file views, and per-file cache state.
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.access import RankAccess, merge_extent_arrays
+from repro.access import AccessTable, RankAccess
 from repro.cache.cachefile import CacheState
 from repro.mpi.comm import Communicator
 from repro.romio.aggregation import FileDomain
@@ -36,6 +37,8 @@ class CollectiveCallState:
 
     index: int
     accesses: dict[int, RankAccess] = field(default_factory=dict)
+    # all ranks' accesses as one table (ext2ph gathers it after step 1)
+    table: Optional[AccessTable] = None
     domains: Optional[list[FileDomain]] = None
     ntimes: int = 0
     # model-fidelity precomputations (filled by ext2ph._prepare_model)
@@ -53,13 +56,6 @@ class CollectiveCallState:
     max_end: int = -1
     interleaved: bool = True
     prepared: bool = False
-
-    def coverage(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.merged_cov is None:
-            offs = [a.offsets for a in self.accesses.values()]
-            lens = [a.lengths for a in self.accesses.values()]
-            self.merged_cov = merge_extent_arrays(offs, lens)
-        return self.merged_cov
 
 
 class ADIOFile:

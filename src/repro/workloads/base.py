@@ -1,5 +1,12 @@
 """Workload step/recipe types shared by all three benchmarks.
 
+A collective step owns one :class:`~repro.access.AccessTable` — the file
+views of *all* its ranks, built once in closed form by the benchmark's
+generator and handed out rank by rank as zero-copy views.  Dataless
+recipes are immutable, so equal shapes share one :class:`Workload` (and
+with it the built tables) across the files of a run, the points of a sweep
+and the jobs of a fleet; see :func:`shared_dataless`.
+
 Paper correspondence: §IV — the common shape of the three evaluated
 benchmarks.
 """
@@ -9,33 +16,60 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.access import RankAccess
+import numpy as np
 
-AccessFn = Callable[[int], RankAccess]
+from repro.access import AccessTable, RankAccess
+
+TableFn = Callable[[], AccessTable]
+PayloadFn = Callable[[int], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class IOStep:
     """One I/O operation inside a file phase.
 
-    ``collective`` steps provide ``access_fn(rank)``; ``rank0`` steps are
-    small independent metadata writes (headers/attributes) from rank 0 only,
-    as HDF5 produces.
+    ``collective`` steps provide ``access_fn(rank)``, a view of the step's
+    table (plus that rank's payload bytes in data-verification runs);
+    ``rank0`` steps are small independent metadata writes
+    (headers/attributes) from rank 0 only, as HDF5 produces.
     """
 
     kind: str  # "collective" | "rank0"
     label: str = ""
-    access_fn: Optional[AccessFn] = None
+    table_fn: Optional[TableFn] = None  # builds the step's table, called once
+    payload_fn: Optional[PayloadFn] = None  # rank -> flat buffer bytes
     offset: int = 0
     nbytes: int = 0
+    _table: Optional[AccessTable] = field(default=None, repr=False)
 
     @staticmethod
-    def collective(access_fn: AccessFn, label: str = "") -> "IOStep":
-        return IOStep(kind="collective", label=label, access_fn=access_fn)
+    def collective(
+        table_fn: TableFn, payload_fn: Optional[PayloadFn] = None, label: str = ""
+    ) -> "IOStep":
+        return IOStep(
+            kind="collective", label=label, table_fn=table_fn, payload_fn=payload_fn
+        )
 
     @staticmethod
     def rank0(offset: int, nbytes: int, label: str = "") -> "IOStep":
         return IOStep(kind="rank0", label=label, offset=offset, nbytes=nbytes)
+
+    def table(self, profiler=None) -> AccessTable:
+        """The step's all-ranks table, built on first use (``profiler``
+        counts the build as ``access.table_build``)."""
+        table = self._table
+        if table is None:
+            table = self._table = self.table_fn()
+            if profiler is not None:
+                profiler.count("access.table_build")
+        return table
+
+    def access_fn(self, rank: int, profiler=None) -> RankAccess:
+        """Rank ``rank``'s access for this step."""
+        table = self.table(profiler)
+        if self.payload_fn is None:
+            return table.rank(rank)
+        return table.rank(rank, self.payload_fn(rank))
 
 
 @dataclass(frozen=True)
@@ -51,3 +85,34 @@ class Workload:
 
     def total_bytes(self) -> int:
         return self.file_size
+
+
+# Dataless recipes never mutate after construction, so one Workload per
+# shape serves every caller in the process: tables are built once per shape
+# instead of once per experiment or fleet job.  The memo is bounded in
+# entries and in table extents (32 bytes each once built: 2**23 extents is
+# 256 MiB); a recipe too large for the budget is rebuilt per caller.
+_DATALESS_MEMO: dict[tuple, tuple[Workload, int]] = {}
+_DATALESS_MEMO_MAX = 16
+_DATALESS_MEMO_EXTENTS = 1 << 23
+
+
+def shared_dataless(
+    shape: tuple, extents: int, build: Callable[[], Workload]
+) -> Workload:
+    """The one shared dataless :class:`Workload` of ``shape`` (benchmark
+    name plus every sizing parameter), built on first request; ``extents``
+    is the size of its tables, all steps and ranks together."""
+    hit = _DATALESS_MEMO.get(shape)
+    if hit is not None:
+        return hit[0]
+    workload = build()
+    if extents <= _DATALESS_MEMO_EXTENTS:
+        held = sum(size for _, size in _DATALESS_MEMO.values())
+        if (
+            len(_DATALESS_MEMO) >= _DATALESS_MEMO_MAX
+            or held + extents > _DATALESS_MEMO_EXTENTS
+        ):
+            _DATALESS_MEMO.clear()
+        _DATALESS_MEMO[shape] = (workload, extents)
+    return workload

@@ -14,10 +14,12 @@ block of a 1024×2048×2048 global array; each rank contributes 128×256 =
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.access import RankAccess
-from repro.workloads.base import IOStep, Workload
+from repro.access import AccessTable
+from repro.workloads.base import IOStep, Workload, shared_dataless
 
 
 def _grid_dims(nprocs: int) -> tuple[int, int, int]:
@@ -55,11 +57,20 @@ def collperf_workload(
     ``with_data`` attaches deterministic payload bytes for verification runs
     (only sensible at test scale).
     """
-    px, py, pz = _grid_dims(nprocs)
-    elems = block_bytes // elem_size
-    if elems * elem_size != block_bytes:
+    if block_bytes % elem_size:
         raise ValueError(f"block_bytes {block_bytes} not a multiple of elem_size")
-    # Choose a block shape bz <= 256 (the contiguous run), then near-square x/y.
+    if with_data:
+        return _build(nprocs, block_bytes, elem_size, seed)
+    bx, by, _ = _block_shape(block_bytes // elem_size)
+    return shared_dataless(
+        ("coll_perf", nprocs, block_bytes, elem_size),
+        nprocs * bx * by,
+        lambda: _build(nprocs, block_bytes, elem_size, None),
+    )
+
+
+def _block_shape(elems: int) -> tuple[int, int, int]:
+    """A rank's block: bz <= 256 (the contiguous run), then near-square x/y."""
     bz = min(256, elems)
     while elems % bz:
         bz //= 2
@@ -67,31 +78,51 @@ def collperf_workload(
     by = int(np.sqrt(rest))
     while rest % by:
         by -= 1
-    bx = rest // by
+    return rest // by, by, bz
+
+
+def _build(
+    nprocs: int, block_bytes: int, elem_size: int, seed: Optional[int]
+) -> Workload:
+    """``seed`` is ``None`` for a dataless recipe."""
+    px, py, pz = _grid_dims(nprocs)
+    bx, by, bz = _block_shape(block_bytes // elem_size)
     NX, NY, NZ = bx * px, by * py, bz * pz
 
-    def access_fn(rank: int) -> RankAccess:
+    def table_fn() -> AccessTable:
         # Process coordinates in the grid (row-major rank ordering).
-        cx = rank // (py * pz)
-        cy = (rank // pz) % py
-        cz = rank % pz
-        x0, y0, z0 = cx * bx, cy * by, cz * bz
-        xs = np.arange(x0, x0 + bx, dtype=np.int64)
-        ys = np.arange(y0, y0 + by, dtype=np.int64)
-        # offset(x, y) = ((x * NY + y) * NZ + z0) * elem_size
-        offs = ((xs[:, None] * NY + ys[None, :]) * NZ + z0) * elem_size
-        offs = offs.ravel()
-        lens = np.full(offs.shape, bz * elem_size, dtype=np.int64)
-        data = None
-        if with_data:
-            rng = np.random.default_rng(seed * 100003 + rank)
-            data = rng.integers(0, 256, size=block_bytes, dtype=np.uint8)
-        return RankAccess(offs, lens, data)
+        ranks = np.arange(nprocs, dtype=np.int64)
+        x0 = (ranks // (py * pz)) * bx
+        y0 = ((ranks // pz) % py) * by
+        z0 = (ranks % pz) * bz
+        xs = x0[:, None, None] + np.arange(bx, dtype=np.int64)[None, :, None]
+        ys = y0[:, None, None] + np.arange(by, dtype=np.int64)[None, None, :]
+        # offset(x, y) = ((x * NY + y) * NZ + z0) * elem_size, ascending in
+        # (x, y) for every rank — the table is born sorted.  Evaluated in
+        # place: at paper scale each temporary would be 128 MiB.
+        offs = np.empty((nprocs, bx, by), dtype=np.int64)
+        np.add(xs * NY, ys, out=offs)
+        offs *= NZ
+        offs += z0[:, None, None]
+        offs *= elem_size
+        return AccessTable(
+            offs.ravel(),
+            np.broadcast_to(np.int64(bz * elem_size), offs.size),
+            np.arange(nprocs + 1, dtype=np.int64) * (bx * by),
+        )
+
+    def payload_fn(rank: int) -> np.ndarray:
+        rng = np.random.default_rng(seed * 100003 + rank)
+        return rng.integers(0, 256, size=block_bytes, dtype=np.uint8)
 
     return Workload(
         name="coll_perf",
         nprocs=nprocs,
-        steps=(IOStep.collective(access_fn, label="3d-array"),),
+        steps=(
+            IOStep.collective(
+                table_fn, payload_fn if seed is not None else None, label="3d-array"
+            ),
+        ),
         bytes_per_rank=block_bytes,
         file_size=block_bytes * nprocs,
         detail={

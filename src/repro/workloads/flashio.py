@@ -18,10 +18,12 @@ Paper correspondence: §IV-C — Flash-IO checkpoint writes (Figs. 7/8).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.access import RankAccess
-from repro.workloads.base import IOStep, Workload
+from repro.access import AccessTable
+from repro.workloads.base import IOStep, Workload, shared_dataless
 
 HEADER_BYTES = 16 * 1024  # HDF5 superblock + tree metadata per dataset
 
@@ -50,31 +52,55 @@ def flashio_workload(
         nvars, esize, zpd = 4, 4, zones_per_dim + 1
     else:
         raise ValueError(f"unknown Flash-IO file kind {kind!r}")
+    shape = (nprocs, blocks_per_proc, kind, nvars, esize, zpd)
+    if with_data:
+        return _build(*shape, seed)
+    # one extent per rank per variable
+    return shared_dataless(
+        ("flash_io", *shape), nprocs * nvars, lambda: _build(*shape, None)
+    )
+
+
+def _build(
+    nprocs: int,
+    blocks_per_proc: int,
+    kind: str,
+    nvars: int,
+    esize: int,
+    zpd: int,
+    seed: Optional[int],
+) -> Workload:
+    """``seed`` is ``None`` for a dataless recipe."""
     zones = zpd**3
     per_proc_per_var = blocks_per_proc * zones * esize
     dataset_bytes = per_proc_per_var * nprocs
+    ranks = np.arange(nprocs, dtype=np.int64)
+
+    def make_step(base_offset: int, var_index: int) -> IOStep:
+        def table_fn() -> AccessTable:
+            return AccessTable(
+                base_offset + ranks * per_proc_per_var,
+                np.broadcast_to(np.int64(per_proc_per_var), nprocs),
+                np.arange(nprocs + 1, dtype=np.int64),
+            )
+
+        def payload_fn(rank: int) -> np.ndarray:
+            rng = np.random.default_rng((seed * 31 + var_index) * 100003 + rank)
+            return rng.integers(0, 256, size=per_proc_per_var, dtype=np.uint8)
+
+        return IOStep.collective(
+            table_fn,
+            payload_fn if seed is not None else None,
+            label=f"unk{var_index:02d}",
+        )
+
     steps: list[IOStep] = []
     file_pos = 0
     for var in range(nvars):
         # HDF5 header / b-tree metadata: a small rank-0 write per dataset.
         steps.append(IOStep.rank0(file_pos, HEADER_BYTES, label=f"hdr{var}"))
         file_pos += HEADER_BYTES
-        base = file_pos
-
-        def make_access(base_offset: int, var_index: int):
-            def access_fn(rank: int) -> RankAccess:
-                offset = base_offset + rank * per_proc_per_var
-                data = None
-                if with_data:
-                    rng = np.random.default_rng(
-                        (seed * 31 + var_index) * 100003 + rank
-                    )
-                    data = rng.integers(0, 256, size=per_proc_per_var, dtype=np.uint8)
-                return RankAccess.contiguous(offset, per_proc_per_var, data)
-
-            return access_fn
-
-        steps.append(IOStep.collective(make_access(base, var), label=f"unk{var:02d}"))
+        steps.append(make_step(file_pos, var))
         file_pos += dataset_bytes
     return Workload(
         name=f"flash_io_{kind}",

@@ -12,18 +12,12 @@ transfers, segmented layout).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.access import RankAccess
-from repro.workloads.base import IOStep, Workload
-
-
-# Dataless IOR patterns are immutable (RankAccess never mutates after
-# construction), so identical shapes share one Workload: the per-rank
-# extent arrays are built once per shape instead of once per experiment —
-# a measurable slice of grid-sweep wall time at 512 ranks.
-_WORKLOAD_CACHE: dict[tuple[int, int, int], Workload] = {}
-_WORKLOAD_CACHE_MAX = 16
+from repro.access import AccessTable
+from repro.workloads.base import IOStep, Workload, shared_dataless
 
 
 def ior_workload(
@@ -36,33 +30,41 @@ def ior_workload(
     """Build the IOR pattern: ``segments`` collective steps of one block each."""
     if block_bytes <= 0 or segments <= 0:
         raise ValueError("block_bytes and segments must be positive")
-    cache_key = None
-    if not with_data:
-        cache_key = (nprocs, block_bytes, segments)
-        cached = _WORKLOAD_CACHE.get(cache_key)
-        if cached is not None:
-            return cached
+    if with_data:
+        return _build(nprocs, block_bytes, segments, seed)
+    return shared_dataless(
+        ("ior", nprocs, block_bytes, segments),
+        nprocs * segments,
+        lambda: _build(nprocs, block_bytes, segments, None),
+    )
+
+
+def _build(
+    nprocs: int, block_bytes: int, segments: int, seed: Optional[int]
+) -> Workload:
+    """``seed`` is ``None`` for a dataless recipe."""
     seg_bytes = nprocs * block_bytes
+    ranks = np.arange(nprocs, dtype=np.int64)
 
     def make_step(segment: int) -> IOStep:
-        accesses: dict[int, RankAccess] = {}
+        def table_fn() -> AccessTable:
+            return AccessTable(
+                segment * seg_bytes + ranks * block_bytes,
+                np.broadcast_to(np.int64(block_bytes), nprocs),
+                np.arange(nprocs + 1, dtype=np.int64),
+            )
 
-        def access_fn(rank: int) -> RankAccess:
-            offset = segment * seg_bytes + rank * block_bytes
-            if with_data:
-                rng = np.random.default_rng((seed * 7 + segment) * 100003 + rank)
-                data = rng.integers(0, 256, size=block_bytes, dtype=np.uint8)
-                return RankAccess.contiguous(offset, block_bytes, data)
-            # Dataless accesses are immutable; one per (segment, rank) —
-            # reused across the files of a phased run.
-            acc = accesses.get(rank)
-            if acc is None:
-                acc = accesses[rank] = RankAccess.contiguous(offset, block_bytes, None)
-            return acc
+        def payload_fn(rank: int) -> np.ndarray:
+            rng = np.random.default_rng((seed * 7 + segment) * 100003 + rank)
+            return rng.integers(0, 256, size=block_bytes, dtype=np.uint8)
 
-        return IOStep.collective(access_fn, label=f"segment{segment}")
+        return IOStep.collective(
+            table_fn,
+            payload_fn if seed is not None else None,
+            label=f"segment{segment}",
+        )
 
-    workload = Workload(
+    return Workload(
         name="ior",
         nprocs=nprocs,
         steps=tuple(make_step(s) for s in range(segments)),
@@ -70,8 +72,3 @@ def ior_workload(
         file_size=seg_bytes * segments,
         detail={"block_bytes": block_bytes, "segments": segments},
     )
-    if cache_key is not None:
-        if len(_WORKLOAD_CACHE) >= _WORKLOAD_CACHE_MAX:
-            _WORKLOAD_CACHE.clear()
-        _WORKLOAD_CACHE[cache_key] = workload
-    return workload

@@ -61,6 +61,7 @@ def multi_phase_body(
     def body(ctx: MPIContext):
         timings: list[PhaseTiming] = []
         prev_handle = None
+        profiler = ctx.sim.profiler
         for k in range(num_files):
             path = f"{file_prefix}{k}"
             if prev_handle is not None:
@@ -77,7 +78,7 @@ def multi_phase_body(
             t0 = ctx.now
             for step in workload.steps:
                 if step.kind == "collective":
-                    acc = step.access_fn(ctx.rank)
+                    acc = step.access_fn(ctx.rank, profiler)
                     yield from fh.write_all(acc)
                 elif step.kind == "rank0":
                     if ctx.rank == 0:

@@ -75,6 +75,11 @@ class TestSinglePoints:
         assert r.recovery_time > 0.0
         assert r.bw_faulted == 0.0  # the faulted job never finished
 
+    def test_checksums_do_not_depend_on_the_hash_window(self, monkeypatch):
+        whole = run_fault_experiment(_spec("baseline")).checksums
+        monkeypatch.setattr(faultsweep, "_CHECKSUM_WINDOW", 4097)
+        assert run_fault_experiment(_spec("baseline")).checksums == whole
+
     def test_point_is_deterministic(self):
         a = run_fault_experiment(_spec("agg_crash"))
         b = run_fault_experiment(_spec("agg_crash"))

@@ -1,0 +1,111 @@
+"""Golden digests: host-side rewrites must not move a single result field.
+
+Each point pins the SHA-256 of its public result (every field except the
+kernel event count, which legitimately differs between data planes) and,
+on the default bulk data plane, the exact event count.  The values were
+recorded at the commit *before* the access-table rewrite (PR 14); a change
+that is meant to be host-only — a new kernel, a memo, a different loop
+order — must reproduce them bit for bit.  A change that is meant to move
+simulated results re-records them and says so.
+
+First instalment of ROADMAP item 1a's golden digests (grid + fleet + fault
+point); the sizes are the ``noncontig_grid4`` / ``faults_payload24`` ones
+of ``benchmarks/e2e``.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro.experiments.faultsweep import fault_matrix_specs, run_fault_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.fleet.runner import FleetSpec, run_fleet
+from repro.units import MiB
+
+# Device-tier switches move timings by design (docs/DEVICES.md).
+pytestmark = pytest.mark.skipif(
+    os.environ.get("REPRO_SSD", "stream") != "stream"
+    or os.environ.get("REPRO_CACHE_KIND", "extent") != "extent",
+    reason="golden digests are recorded on the default device tier",
+)
+
+# The chunked data plane fires more events for the same results; both
+# engines and every fabric allocator fire exactly these.
+BULK = os.environ.get("REPRO_DATAPLANE", "bulk") == "bulk"
+
+
+def digest(fields: dict) -> str:
+    fields = dict(fields)
+    fields.pop("events", None)
+    blob = json.dumps(fields, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+GRID = {
+    # (benchmark, cache mode, scale): (events, digest)
+    ("coll_perf", "disabled", 0.03125): (
+        8474,
+        "1699b6529e27d2dd781f3ba61653bf11a29b3b8d0651fadfe5685e59dd354cff",
+    ),
+    ("coll_perf", "enabled", 0.03125): (
+        7885,
+        "7deeddef1c491237652183bd7ce805e71ba84284b8205f500d63b40607b44d07",
+    ),
+    ("coll_perf", "theoretical", 0.03125): (
+        2901,
+        "025f3f11af8d80e1a29007d5387b0f32344b14f39012ae2e7ae8415c2a08a8ba",
+    ),
+    ("flash_io", "enabled", 0.0125): (
+        6416,
+        "9e69c71f23e281a152a3bf146a17ee764bc490e93829bba3ca6e9b3369ba75fe",
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(GRID), ids=lambda p: f"{p[0]}-{p[1]}")
+def test_grid_point(point):
+    benchmark, mode, scale = point
+    spec = ExperimentSpec(
+        benchmark,
+        aggregators=64,
+        cb_buffer=16 * MiB,
+        cache_mode=mode,
+        num_files=2,
+        scale=scale,
+        seed=2016,
+    )
+    result = run_experiment(spec)
+    events, expected = GRID[point]
+    assert digest(result.to_dict()) == expected
+    if BULK:
+        assert result.events == events
+
+
+# (events, digest of FleetResult.identity())
+FLEET = (6155, "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
+
+
+def test_fleet_of_eight():
+    result = run_fleet(FleetSpec(fleet_size=8, scale=0.03125, seed=2016))
+    events, expected = FLEET
+    assert digest(result.identity()) == expected
+    if BULK:
+        assert result.events == events
+
+
+# flash_io / agg_crash at scale 0.5
+FAULT = (3072, "9208a6cfc7dfca486cdf40635995a601362f3a894746bd4335d5fe953fa03943")
+
+
+def test_flash_io_agg_crash():
+    (spec,) = fault_matrix_specs(
+        benchmarks=("flash_io",), scenarios=("agg_crash",), scale=0.5, seed=2016
+    )
+    result = run_fault_experiment(spec)
+    assert result.crashed and result.recovered and result.integrity_ok
+    events, expected = FAULT
+    assert digest(result.to_dict()) == expected
+    if BULK:
+        assert result.events == events

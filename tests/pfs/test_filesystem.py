@@ -59,3 +59,23 @@ class TestPersistedTracking:
         f.record_write(0, 100, None)
         f.record_write(50, 100, None)
         assert f.persisted.total == 150
+
+
+class TestImageWindows:
+    def test_pieces_concatenate_to_the_image(self, f):
+        rng = np.random.default_rng(7)
+        # overlapping, out-of-order, window-straddling writes and a hole
+        for off, n in [(300, 200), (0, 130), (450, 100), (120, 64), (900, 50)]:
+            f.record_write(off, n, rng.integers(0, 256, n, dtype=np.uint8))
+        img = f.data_image()
+        for window in (1, 64, 100, 128, 949, 950, 4096):
+            pieces = list(f.image_windows(window))
+            assert all(0 < len(p) <= window for p in pieces)
+            assert np.array_equal(np.concatenate(pieces), img)
+
+    def test_virtual_file_is_all_zeros(self, f):
+        f.record_write(0, 10, None)
+        assert [p.tolist() for p in f.image_windows(4)] == [[0] * 4, [0] * 4, [0] * 2]
+
+    def test_empty_file_has_no_pieces(self, f):
+        assert list(f.image_windows(16)) == []

@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="print the N hottest profiler timers (cumulative wall seconds, "
-        "calls, avg) and the N largest counters — the engine's own Amdahl "
-        "table, no cProfile overhead",
+        "calls, avg), the N largest counters and the access-table / model-memo "
+        "hit rates — the engine's own Amdahl table, no cProfile overhead",
     )
     p.add_argument("--trace", default=None, metavar="PATH", help="write a Chrome trace")
     p.add_argument(
@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def print_top(snapshot: dict, n: int) -> None:
-    """The ``--top N`` table: hottest profiler timers, then largest counters.
+    """The ``--top N`` table: hottest profiler timers, largest counters, and
+    the access-table / model-memo hit rates.
 
     Timers are cumulative wall-clock seconds inside instrumented components
     (``fabric.recompute``, ``fabric.fill_solve``, ...) collected by the run's
@@ -138,6 +139,23 @@ def print_top(snapshot: dict, n: int) -> None:
         print("  (no counters bumped in this run)")
     for key, value in crows:
         print(f"  {key:<32} {value:>14,d}")
+    # The host-side memos, always shown (their counts are small and would
+    # rarely make the top N): a collective call either reuses a table some
+    # step already built, or packs ad-hoc accesses into a fresh one.
+    build, reuse, adhoc = (
+        counters.get(f"access.table_{k}", 0) for k in ("build", "reuse", "gather_adhoc")
+    )
+    hit, miss = (counters.get(f"ext2ph.model_cache_{k}", 0) for k in ("hit", "miss"))
+    print("memos:")
+    print(
+        f"  access tables: {build} built, {reuse} calls reused one, {adhoc} gathered "
+        f"ad hoc (reuse share {reuse / max(1, reuse + adhoc):.3f}, "
+        f"{reuse / max(1, build):.1f} calls per build)"
+    )
+    print(
+        f"  ext2ph model memo: {hit} hits, {miss} misses "
+        f"(hit share {hit / max(1, hit + miss):.3f})"
+    )
 
 
 def run_chaos_point(args: argparse.Namespace) -> int:
