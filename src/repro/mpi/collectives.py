@@ -17,12 +17,22 @@ Two interchangeable engines:
 
 Both return identical values; tests assert it.
 
+The model engine also carries the **timed ladder**
+(:meth:`ModelCollectives.timed_ladder`): ranks that take no action inside
+a run of back-to-back pre-costed slots — the two-phase round loop as seen
+by everyone but the receiving aggregators — are counted into every slot
+of the run at once, in batches, and resume on its final release, with
+their per-slot profiler laps reproduced bit for bit by release hooks.
+docs/PERFORMANCE.md ("Plan once, park once") has the argument for why no
+timestamp, lap or event count moves.
+
 Paper correspondence: the collectives the §II-A algorithm leans on
 (alltoall dissemination, allreduce epilogue, barrier-style sync).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -53,26 +63,50 @@ def op_bor(a, b):
     return a | b
 
 
-@dataclass
+def _memoised(method):
+    """Cache a :class:`CollectiveCosts` closed form per argument tuple on
+    the object: every collective of a run asks for the same two or three."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (name, *args)
+        memo = self._memo
+        if key not in memo:
+            memo[key] = method(self, *args)
+        return memo[key]
+
+    return cached
+
+
+@dataclass(frozen=True)
 class CollectiveCosts:
-    """Calibrated latency/bandwidth parameters for the model engine."""
+    """Calibrated latency/bandwidth parameters for the model engine.
+
+    Frozen: a parameter that changed after a closed form was memoised
+    would make the memo lie.
+    """
 
     alpha: float  # per-stage latency (seconds)
     beta_inv: float  # per-byte time on the NIC (1 / bandwidth)
     per_message: float  # CPU cost to post/match one message
     procs_per_node: int = 1
     shm_beta_inv: float = 0.0  # per-byte time of intra-node shared-memory moves
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @_memoised
     def stages(self, nprocs: int) -> int:
         return max(1, math.ceil(math.log2(max(2, nprocs))))
 
     def latency_bound(self, nprocs: int) -> float:
         return self.alpha * self.stages(nprocs)
 
+    @_memoised
     def small_collective(self, nprocs: int, nbytes: int = 8) -> float:
         """Barrier / scalar allreduce: 2·log2(P) latency stages."""
         return 2 * self.latency_bound(nprocs) + nbytes * self.beta_inv * self.stages(nprocs)
 
+    @_memoised
     def alltoall(self, nprocs: int, per_pair_bytes: float) -> float:
         """Pairwise exchange: P-1 rounds; per-node traffic shares the NIC."""
         fan = max(1, nprocs - 1)
@@ -118,12 +152,40 @@ class _Ladder:
     starting phase totals share one running sum (``groups``), so the
     float accumulation sequence ``s0 + d0 + d1 + ...`` matches what each
     member's own ``lap`` calls would have produced.
+
+    ``width`` is how many members the slots were told to expect
+    (``slot.pre``); ``joined`` counts the ones that really came, and the
+    release hooks refuse to go on when the two differ.
     """
 
-    __slots__ = ("base", "t_prev", "phases", "final", "groups", "members", "tail_slot")
+    __slots__ = (
+        "call",
+        "base",
+        "span",
+        "width",
+        "joined",
+        "t_prev",
+        "phases",
+        "final",
+        "groups",
+        "members",
+        "tail_slot",
+    )
 
-    def __init__(self, base: int, now: float, phases: tuple[str, ...]):
+    def __init__(
+        self,
+        call: int,
+        base: int,
+        span: int,
+        width: int,
+        now: float,
+        phases: tuple[str, ...],
+    ):
+        self.call = call
         self.base = base
+        self.span = span  # slots covered, tail included
+        self.width = width
+        self.joined = 0
         self.t_prev = now  # release time of the previous slot (creation = round-0 arrival)
         self.phases = phases
         self.final: Optional[Event] = None
@@ -131,14 +193,23 @@ class _Ladder:
         self.members: dict[tuple, list[dict[str, float]]] = {}
         self.tail_slot: Optional[_Slot] = None
 
-    def join(self, seconds: dict[str, float]) -> None:
-        key = tuple(seconds.get(p, 0.0) for p in self.phases)
-        group = self.groups.get(key)
-        if group is None:
-            self.groups[key] = dict(zip(self.phases, key))
-            self.members[key] = [seconds]
-        else:
-            self.members[key].append(seconds)
+    def join(self, seconds: list[dict[str, float]]) -> None:
+        self.joined += len(seconds)
+        if self.joined > self.width:
+            raise SimError(
+                f"timed ladder of collective call {self.call}: "
+                f"{self.width} members expected, {self.joined} joined"
+            )
+        phases = self.phases
+        members = self.members
+        for totals in seconds:
+            key = tuple([totals.get(p, 0.0) for p in phases])
+            group = members.get(key)
+            if group is None:
+                self.groups[key] = dict(zip(phases, key))
+                members[key] = [totals]
+            else:
+                group.append(totals)
 
 
 class _LadderHook:
@@ -146,7 +217,7 @@ class _LadderHook:
 
     Appended to the slot's shared event at ladder creation — before any
     member's resume callback — so the final slot's write-back lands before
-    members continue into ``post_write``.
+    members continue past the run.
     """
 
     __slots__ = ("model", "ladder", "phase", "final")
@@ -159,6 +230,15 @@ class _LadderHook:
 
     def __call__(self, _event: Event) -> None:
         ladder = self.ladder
+        if ladder.joined != ladder.width:
+            # ``slot.pre`` counts ``width`` ranks into every slot of the run
+            # whether or not they came (every batch joins before the first
+            # slot can release): this slot released without ranks it should
+            # have waited for.
+            raise SimError(
+                f"timed ladder of collective call {ladder.call}: "
+                f"{ladder.width} members expected, {ladder.joined} joined"
+            )
         now = self.model.sim.now
         dt = now - ladder.t_prev
         ladder.t_prev = now
@@ -171,7 +251,7 @@ class _LadderHook:
                 sums = groups[key]
                 for seconds in members:
                     seconds.update(sums)
-            del self.model._ladders[ladder.base]
+            del self.model._ladders[ladder.call]
 
 
 class ModelCollectives:
@@ -225,7 +305,8 @@ class ModelCollectives:
             if len(slot.arrivals) + slot.pre == self.nprocs:
                 self._complete(idx, slot)
             results = yield slot.shared
-            return results[rank]
+            # ``timed:`` slots release with no results (nobody reads them)
+            return None if results is None else results[rank]
         ev = Event(self.sim, name=f"coll:{op_name}[{idx}]r{rank}")
         slot.release[rank] = ev
         if len(slot.arrivals) + slot.pre == self.nprocs:
@@ -272,8 +353,8 @@ class ModelCollectives:
         arrival through :meth:`enter`, but the release event is returned
         for the rank body to ``yield`` directly — no generator frame per
         rank per round, no trampoline resume through ``enter``.  The event
-        value (the results dict in shared-release mode, None per-rank) is
-        discarded by every caller, exactly as ``timed``'s return value is.
+        value (always None) is discarded by every caller, exactly as
+        ``timed``'s return value is.
         """
         op_name = f"timed:{label}"
         idx = self._slot_index[rank]
@@ -332,31 +413,39 @@ class ModelCollectives:
 
     def timed_ladder(
         self,
-        rank: int,
+        call: int,
+        ranks: list[int],
+        seconds: list[dict[str, float]],
         steps: list[tuple[str, float, str]],
         width: int,
-        seconds: dict[str, float],
         tail: Optional[tuple] = None,
     ) -> Event:
-        """Pre-register ``rank`` into its next ``len(steps)`` timed slots.
+        """Pre-register ``ranks`` into their next ``len(steps)`` timed slots.
 
         The fast path for ranks that take *no per-round action* inside a
         run of back-to-back timed collectives (the ext2ph round loop seen
         by non-aggregators): instead of arriving at each of the ``2n``
         slots round by round — one resume + one arrival per slot — the
-        rank is counted into every slot at once and parks on the final
-        slot's shared release event, which this method returns for the
-        caller to ``yield``.
+        ranks are counted into every slot at once and wait on the final
+        slot's shared release event, which this method returns.
 
+        ``call`` numbers the caller's collective call: every batch of one
+        call joins the same ladder, created by the first batch.  ``ranks``
+        and ``seconds`` are parallel — the members of this batch and their
+        profiler phase dicts; release hooks reproduce each member's
+        per-round lap additions bit-for-bit (see :class:`_Ladder`), so
+        phase totals are byte-identical to the round-by-round path.
         ``steps`` is the run's ``(label, duration, phase)`` sequence; the
         durations must equal what the live ranks pass through
         :meth:`timed_event` for the same slots (they are computed from the
-        same shared call state).  ``width`` is the total number of ranks
-        that will take this ladder (all must, and none may also arrive
-        live).  ``seconds`` is the member's profiler phase dict; release
-        hooks reproduce the member's per-round lap additions bit-for-bit
-        (see :class:`_Ladder`), so phase totals are byte-identical to the
-        round-by-round path.
+        same shared call state).  ``width`` is the total number of ranks,
+        over all batches, that will take this ladder (all must, and none
+        may also arrive live): the slots count ``width`` arrivals from the
+        moment the ladder exists, so they complete independently of *when*
+        each batch joins (all must before the first slot releases), and
+        the ladder raises if more come or, at a release, fewer have.
+        Every member must stand at the ladder's first slot; one that does
+        not is refused rather than silently re-based.
 
         Timestamp identity: completion of a slot moves earlier only
         *within* the release instant of the previous slot (pre-counted
@@ -366,37 +455,55 @@ class ModelCollectives:
 
         ``tail`` optionally extends the run with one trailing *value*
         collective ``(op_name, value, extra, phase)`` shared with the
-        live ranks (ext2ph's post-write allreduce): the member's arrival
+        live ranks (ext2ph's post-write allreduce): each member's arrival
         is recorded in the tail slot's ``arrivals`` — NOT pre-counted,
         because value collectives fold ``arrivals[r]`` for every rank —
-        and the ladder parks on the tail's release instead.  Arrival
-        order is irrelevant to the fold (it walks ranks in index order),
-        so members arriving at ladder creation rather than after round
-        ``n`` changes no result.  The tail's release hook writes the
-        member's final phase lap, replacing the member's own post-release
-        lap; callers skip their live-path tail collective when the ladder
+        and the ladder's final event is the tail's release instead.
+        Arrival order is irrelevant to the fold (it walks ranks in index
+        order), so members arriving at ladder creation rather than after
+        round ``n`` changes no result.  The tail's release hook writes the
+        members' final phase lap, replacing their own post-release lap;
+        callers skip their live-path tail collective when the ladder
         covers it.
         """
         if not self.shared_release:  # pragma: no cover - callers gate on it
             raise SimError("timed_ladder requires shared_release collectives")
-        idx = self._slot_index[rank]
-        self._slot_index[rank] = idx + len(steps) + (1 if tail is not None else 0)
-        ladder = self._ladders.get(idx)
+        slot_index = self._slot_index
+        ladder = self._ladders.get(call)
         if ladder is None:
-            ladder = self._create_ladder(idx, steps, width, tail)
+            ladder = self._create_ladder(call, slot_index[ranks[0]], steps, width, tail)
+        base = ladder.base
+        after = base + ladder.span
+        for rank in ranks:
+            if slot_index[rank] != base:
+                raise SimError(
+                    f"timed ladder of collective call {call}: rank {rank} is at "
+                    f"slot {slot_index[rank]}, the ladder starts at slot {base}"
+                )
+            slot_index[rank] = after
         ladder.join(seconds)
         tail_slot = ladder.tail_slot
         if tail_slot is not None:
             _op, value, extra, _phase = tail
-            tail_slot.arrivals[rank] = value
+            tail_slot.arrivals.update(dict.fromkeys(ranks, value))
             for key, val in extra.items():
-                tail_slot.extra.setdefault(key, {})[rank] = val
+                tail_slot.extra.setdefault(key, {}).update(dict.fromkeys(ranks, val))
             # Live ranks cannot have all arrived yet (they are behind the
-            # timed slots this ladder just created), so no completion
-            # check is needed here.
+            # timed slots this ladder created), so no completion check is
+            # needed here.
         return ladder.final
 
-    def _create_ladder(self, base: int, steps, width: int, tail: Optional[tuple]) -> _Ladder:
+    def _create_ladder(
+        self, call: int, base: int, steps, width: int, tail: Optional[tuple]
+    ) -> _Ladder:
+        if not steps or not 0 < width < self.nprocs:
+            # No timed slot, or no live rank left to arrive at the later
+            # ones: nothing would ever complete the run.
+            raise SimError(
+                f"timed ladder of collective call {call}: needs at least one "
+                f"step and 0 < width < {self.nprocs} (got {len(steps)} steps, "
+                f"width {width})"
+            )
         sim = self.sim
         nsteps = len(steps)
         phases: list[str] = []
@@ -405,9 +512,9 @@ class ModelCollectives:
                 phases.append(phase)
         if tail is not None and tail[3] not in phases:
             phases.append(tail[3])
-        ladder = _Ladder(base, sim.now, tuple(phases))
-        self._ladders[base] = ladder
         has_tail = tail is not None
+        ladder = _Ladder(call, base, nsteps + has_tail, width, sim.now, tuple(phases))
+        self._ladders[call] = ladder
         for j, (label, duration, phase) in enumerate(steps):
             op_name = f"timed:{label}"
             idx = base + j
@@ -426,7 +533,7 @@ class ModelCollectives:
                 )
             slot.pre = width
             slot.pre_duration = duration
-            # Before any member resume callback: members yield the final
+            # Before any member resume callback: members wait on the final
             # event only after this loop runs.
             final = j == nsteps - 1 and not has_tail
             slot.shared.callbacks.append(_LadderHook(self, ladder, phase, final))
@@ -498,7 +605,9 @@ class ModelCollectives:
                     duration = slot.pre_duration
             else:
                 duration = float(slot.pre_duration)
-            results = {r: None for r in slot.arrivals}
+            # No caller reads a timed slot's result: the shared release
+            # carries None, per-rank releases one None each.
+            results = None if slot.shared is not None else dict.fromkeys(slot.arrivals)
         elif op == "shuffle":
             out_node: dict[int, float] = {}
             in_node: dict[int, float] = {}

@@ -11,6 +11,7 @@ endpoint the §II-A shuffle runs over.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from repro.mpi import request as req_mod
@@ -57,6 +58,16 @@ class Communicator:
 
     def node_of(self, rank: int) -> int:
         return self.rank_to_node[rank]
+
+    @cached_property
+    def placement(self) -> tuple[int, ...]:
+        """``rank_to_node`` with the nodes renumbered in order of first
+        appearance: what the ranks share, whichever physical nodes they
+        were given.  Anything that depends on the map only through
+        per-node sums (the two-phase model's hot-spot bytes) is the same
+        for two communicators of equal placement."""
+        labels: dict[int, int] = {}
+        return tuple(labels.setdefault(n, len(labels)) for n in self.rank_to_node)
 
     # -- point to point -------------------------------------------------------
     def isend(self, source: int, dest: int, tag: int, payload: Any, nbytes: int) -> Request:
@@ -152,11 +163,11 @@ class Communicator:
             rank, "bcast", (value if rank == root else None), root=root, nbytes=nbytes
         )
 
-    def timed_ladder(self, rank, steps, width, seconds, tail=None):
-        """Pre-register ``rank`` into its next ``len(steps)`` timed slots
+    def timed_ladder(self, call, ranks, seconds, steps, width, tail=None):
+        """Pre-register ``ranks`` into their next ``len(steps)`` timed slots
         (plus an optional trailing value collective) and return the final
         release Event (see ModelCollectives.timed_ladder)."""
-        return self._model.timed_ladder(rank, steps, width, seconds, tail)
+        return self._model.timed_ladder(call, ranks, seconds, steps, width, tail)
 
     def timed_event(self, rank: int, duration: float, label: str = "timed"):
         """Flat variant of :meth:`timed`: returns the release Event to yield

@@ -26,10 +26,32 @@ Both preserve the global synchronisation structure: every round begins with
 an all-ranks collective, so a slow aggregator (device jitter, cache flush
 backlog) stalls everyone — the effect the paper measures as
 ``shuffle_all2all``/``post_write`` cost.
+
+**Plan once, park once** (model fidelity; docs/PERFORMANCE.md has the
+argument and the numbers).  ROMIO derives a call's plan once and every
+process reads it; so here.  The first rank to arrive fills in the call's
+constants (:func:`_open_call`), the first one through the offset exchange
+the table, domains and per-round costs — the latter from a process-wide
+memo keyed by the call's *shape* (:class:`_ModelMemo`), so the files of a
+run, the points of a sweep and the jobs of a fleet share one plan.  Only
+aggregators decide anything per round.  Where the path is certain before
+any offset is known — model collectives on the flat engine, bulk data
+plane, no fault injector, ``romio_cb_write=enable`` — a non-aggregator
+arrives at the offset exchange, adds itself to the call's parked ranks and
+waits on one event for the whole call (:func:`_park`); the exchange's
+release laps, plans and pre-registers all of them at once into the timed
+ladder of :mod:`repro.mpi.collectives`, whose final release resumes them
+where their own resumes would have been.  Ranks that qualify for the
+ladder only once the plan is known (aggregators that receive nothing, and
+non-aggregators of calls that could not park) join it singly.  Everything
+else — ``REPRO_ENGINE=heapq``, the chunked plane, fault machines, flow
+fidelity — walks round by round, and is the oracle the parked path is
+tested against (tests/romio/test_park_once.py).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -44,7 +66,7 @@ from repro.intervals import IntervalSet
 from repro.mpi.collectives import op_max
 from repro.romio.fd import ADIOFile, CollectiveCallState
 from repro.romio.profiling import Profiler
-from repro.sim.core import SimError
+from repro.sim.core import Event, SimError
 
 _TAG_DATA = 1 << 20  # below the collective tag range, above user tags
 
@@ -61,6 +83,11 @@ def is_interleaved(pairs) -> bool:
     return ranks_interleaved(pairs[:, 0], pairs[:, 1])
 
 
+# The ladder's tail: step 5's error allreduce as the live ranks enter it
+# (value, extra) and the phase its release is charged to.
+_POST_WRITE_TAIL = ("allreduce", 0, {"reduce_op": op_max, "nbytes": 4}, "post_write")
+
+
 def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
     """Generator: ``ADIOI_GEN_WriteStridedColl`` for one rank.
 
@@ -69,36 +96,39 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
     comm = fd.comm
     call = fd.call_state(rank)
     call.accesses[rank] = access
+    if not call.opened:
+        _open_call(fd, call)
 
     # ---- step 1: offset exchange -------------------------------------------------
-    t0 = prof.mark()
-    if fd.exchange_mode == "flow":
-        yield from comm.allgather(
-            rank, (access.start_offset, access.end_offset), nbytes=16
-        )
+    if call.park and rank not in fd.agg_index:
+        # Park once: this rank decides nothing in the rest of the call, so
+        # the exchange's release carries it through every round and the
+        # post-write allreduce together with the call's other such ranks.
+        carried = yield _park(fd, call, rank, prof)
+        if carried:
+            return access.total_bytes
+        # Degenerate call (nothing to write, or no ladder to take): the
+        # exchange is behind this rank and lapped; the rest is live.
     else:
-        cost = comm.costs.small_collective(comm.size, 16)
-        if comm.sim.flat:
-            yield comm.timed_event(rank, cost, "offset_exch")
-        else:
-            yield from comm.timed(rank, cost, "offset_exch")
-    prof.lap("offset_exch", t0)
-
-    # Every rank computes identical values from identical inputs (as in
-    # ROMIO); in simulation every rank has registered its access by the
-    # time the exchange releases, so the first one through gathers them
-    # into the call's table and reads the offsets off its vectors.
-    if call.table is None:
-        table = call.table = AccessTable.gather(call.accesses, comm.size)
-        profiler = fd.machine.sim.profiler
-        if profiler is not None:
-            shared = table is access.table
-            profiler.count(
-                "access.table_reuse" if shared else "access.table_gather_adhoc"
+        t0 = prof.mark()
+        if fd.exchange_mode == "flow":
+            yield from comm.allgather(
+                rank, (access.start_offset, access.end_offset), nbytes=16
             )
-        call.interleaved = table.interleaved
-        call.min_st = table.min_st
-        call.max_end = table.max_end
+        elif comm.sim.flat:
+            yield comm.timed_event(rank, call.offset_cost, "offset_exch")
+        else:
+            yield from comm.timed(rank, call.offset_cost, "offset_exch")
+        prof.lap("offset_exch", t0)
+        profiler = comm.sim.profiler
+        if profiler is not None:
+            profiler.count("ext2ph.park_live")
+        # Every rank computes identical values from identical inputs (as in
+        # ROMIO); in simulation every rank has registered its access by the
+        # time the exchange releases, so the first one through gathers them
+        # into the call's table and reads the offsets off its vectors.
+        if call.table is None:
+            _gather_offsets(fd, call)
 
     use_collective = fd.hints.romio_cb_write == "enable" or (
         fd.hints.romio_cb_write == "automatic" and call.interleaved
@@ -113,29 +143,24 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
         return 0
 
     # ---- step 2: file domains ----------------------------------------------------
-    cb = fd.hints.cb_buffer_size
     if call.domains is None:
-        call.domains = fd.driver.partition_domains(fd, call.min_st, call.max_end)
-        call.ntimes = max(
-            (-(-d.size // cb) for d in call.domains if d.size > 0), default=0
-        )
+        _partition(fd, call)
 
     # Aggregators pin their collective buffer for the whole operation
     # (the memory-pressure effect of big cb_buffer_size, paper point (d)).
-    node = fd.machine.nodes[comm.node_of(rank)]
-    pinned = 0
+    node = None
     if fd.is_aggregator(rank):
-        pinned = cb
-        node.pin_memory(pinned)
+        node = fd.machine.nodes[comm.node_of(rank)]
+        node.pin_memory(fd.hints.cb_buffer_size)
 
     try:
         if fd.exchange_mode == "flow":
             nbytes = yield from _rounds_flow(fd, rank, access, call, prof)
         else:
-            nbytes = yield from _rounds_model(fd, rank, access, call, prof)
+            nbytes = yield from _rounds_model(fd, rank, call, prof)
     finally:
-        if pinned:
-            node.unpin_memory(pinned)
+        if node is not None:
+            node.unpin_memory(fd.hints.cb_buffer_size)
 
     if nbytes == _LADDER_DONE:
         # The timed ladder's tail slot already carried this rank through
@@ -156,6 +181,114 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
     # MPI semantics: the call reports this rank's own contribution; ``nbytes``
     # (what this rank wrote as an aggregator) only feeds internal accounting.
     return access.total_bytes
+
+
+def _open_call(fd: ADIOFile, call: CollectiveCallState) -> None:
+    """Fill in the call's constants — the first rank to arrive does it for
+    all: the costs and labels each rank would otherwise recompute, and
+    which of the fast paths the call may take."""
+    call.opened = True
+    if fd.exchange_mode != "model":
+        return
+    comm = fd.comm
+    costs = comm.costs
+    call.offset_cost = costs.small_collective(comm.size, 16)
+    call.alltoall_cost = costs.alltoall(comm.size, 16)
+    call.a2a_label = f"a2a.c{call.index}"
+    call.x_label = f"x.c{call.index}"
+    call.bulk = getattr(fd.machine, "dataplane", "chunked") == "bulk"
+    # The timed ladder needs shared release events yielded bare (flat
+    # engine, model collectives, bulk plane) and no fault injector, which
+    # may interrupt a rank in the middle of the run.
+    call.ladders = (
+        call.bulk
+        and comm.flat_events
+        and getattr(fd.machine, "faults", None) is None
+    )
+    # A non-aggregator may park when it is certain, before any offset is
+    # known, that it will take the collective path and (unless the call
+    # turns out degenerate) the ladder: the hint must not wait for the
+    # interleaving test.
+    call.park = call.ladders and fd.hints.romio_cb_write == "enable"
+
+
+def _park(fd: ADIOFile, call: CollectiveCallState, rank: int, prof: Profiler):
+    """Arrive at the offset exchange and join the call's parked ranks;
+    returns the event they all wait on (its value: carried through the
+    whole call, or released right after the exchange to go on live)."""
+    comm = fd.comm
+    release = comm.timed_event(rank, call.offset_cost, "offset_exch")
+    if call.parked is None:
+        call.parked = Event(comm.sim, name="ext2ph:parked")
+        # Where this rank's own resume would have been queued: the
+        # aggregators that arrived before it run first, as they did.
+        release.callbacks.append(partial(_release_parked, fd, call))
+    call.parked_ranks.append(rank)
+    call.parked_t0.append(prof.mark())
+    call.parked_seconds.append(prof.profile.seconds)
+    return call.parked
+
+
+def _release_parked(fd: ADIOFile, call: CollectiveCallState, _event: Event) -> None:
+    """The offset exchange released: do for every parked rank at once what
+    each would do on its own resume — lap the exchange, derive the plan if
+    no aggregator has yet, and join the timed ladder — then hand them to
+    the ladder's final release."""
+    comm = fd.comm
+    now = comm.sim.now
+    for seconds, t0 in zip(call.parked_seconds, call.parked_t0):
+        seconds["offset_exch"] = seconds.get("offset_exch", 0.0) + (now - t0)
+    if call.table is None:
+        _gather_offsets(fd, call)
+    if call.max_end >= call.min_st:
+        if call.domains is None:
+            _partition(fd, call)
+        if not call.prepared:
+            _prepare_model(fd, call)
+    parked = call.parked
+    profiler = comm.sim.profiler
+    if call.ladder_steps is None:
+        if profiler is not None:
+            profiler.count("ext2ph.park_live", len(call.parked_ranks))
+        parked._fire_inline(False)
+        return
+    if profiler is not None:
+        profiler.count("ext2ph.park_single", len(call.parked_ranks))
+    final = comm.timed_ladder(
+        call.index,
+        call.parked_ranks,
+        call.parked_seconds,
+        call.ladder_steps,
+        call.ladder_width,
+        tail=_POST_WRITE_TAIL,
+    )
+    # After the ladder's final hook (queued at creation, it writes the
+    # members' last laps) and ahead of the live ranks, which reach the
+    # tail only after the last round: where each member's own resume sat.
+    final.callbacks.append(lambda _ev: parked._fire_inline(True))
+
+
+def _gather_offsets(fd: ADIOFile, call: CollectiveCallState) -> None:
+    """Step 1's result: the call's table and the offsets read off it."""
+    table = call.table = AccessTable.gather(call.accesses, fd.comm.size)
+    profiler = fd.machine.sim.profiler
+    if profiler is not None:
+        first = next(iter(call.accesses.values()))
+        profiler.count(
+            "access.table_reuse"
+            if table is first.table
+            else "access.table_gather_adhoc"
+        )
+    call.interleaved = table.interleaved
+    call.min_st = table.min_st
+    call.max_end = table.max_end
+
+
+def _partition(fd: ADIOFile, call: CollectiveCallState) -> None:
+    """Step 2: file domains over the aggregators and the round count."""
+    cb = fd.hints.cb_buffer_size
+    call.domains = fd.driver.partition_domains(fd, call.min_st, call.max_end)
+    call.ntimes = max((-(-d.size // cb) for d in call.domains if d.size > 0), default=0)
 
 
 # ---------------------------------------------------------------------------------
@@ -252,98 +385,142 @@ def _assemble(
 # ---------------------------------------------------------------------------------
 
 
-_MODEL_CACHE_MAX = 64
-_MODEL_CACHE_EXTENT_CAP = 64  # per-rank extents; larger patterns skip the memo
+_MODEL_MEMO_EXTENT_CAP = 64  # per-rank extents; larger patterns skip the memo
 
 
-def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
-    """Translation-normalised content key for the per-round model arrays,
-    or ``None`` when the pattern is too large to fingerprint cheaply.
+class _ModelMemo:
+    """The process-wide memo of per-round model arrays.
 
-    Every input the cached arrays depend on is in the key: the table's
-    translation-normalised digest (every rank's shifted extents), the
-    shifted domains, the rank->node map, the aggregator list,
-    the collective cost parameters, and the physical node count.  All the
-    cached quantities are functions of byte counts inside shifted windows,
-    so they are invariant under a common offset translation — patterns
-    that differ only by a constant file offset (IOR segments, the per-file
-    phases of a run) share one entry, bit for bit.
+    One plan per *shape* of collective call (see :func:`_model_memo_key`):
+    the files of a run, the machines of a sweep and the jobs of a fleet
+    that repeat a shape all read the same arrays, which are therefore
+    read-only.  Bounded by the bytes it holds; the oldest plans go first.
     """
-    comm = fd.comm
-    P = comm.size
-    base = call.min_st
-    if call.table.max_rank_extents > _MODEL_CACHE_EXTENT_CAP:
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0
+        self._plans: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def get(self, key: tuple) -> Optional[tuple[np.ndarray, ...]]:
+        return self._plans.get(key)
+
+    def put(self, key: tuple, plan: tuple[np.ndarray, ...]) -> None:
+        size = sum(a.nbytes for a in plan)
+        if size > self.budget:
+            return
+        for a in plan:
+            a.flags.writeable = False
+        plans = self._plans
+        while self.held + size > self.budget:
+            self.held -= sum(a.nbytes for a in plans.pop(next(iter(plans))))
+        plans[key] = plan
+        self.held += size
+
+    def clear(self) -> None:
+        self._plans.clear()
+        self.held = 0
+
+
+model_memo = _ModelMemo(budget=8 << 20)
+
+
+def _model_memo_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
+    """Content key for the per-round model arrays, or ``None`` when the
+    pattern is too large to fingerprint cheaply.
+
+    Every input the arrays depend on is in the key, in a form that forgets
+    what they do not depend on:
+
+    * the table's translation-normalised digest (every rank's shifted
+      extents) and the shifted domains — all the quantities are functions
+      of byte counts inside shifted windows, so patterns that differ only
+      by a constant file offset (IOR segments, the per-file phases of a
+      run) share one plan, bit for bit;
+    * the rank->node map with nodes renumbered by first appearance
+      (``comm.placement``) — the map enters only through per-node sums
+      that are then maxed over nodes, and each node's sum adds the same
+      ranks in the same (rank) order whatever the node is called, so jobs
+      of one shape placed on different physical nodes share one plan;
+    * the aggregator list and the cost parameters of the shuffle.
+    """
+    if call.table.max_rank_extents > _MODEL_MEMO_EXTENT_CAP:
         return None
-    costs = comm.costs
+    base = call.min_st
+    costs = fd.comm.costs
     return (
-        P,
-        len(fd.aggregators),
         call.ntimes,
         cb,
-        len(fd.machine.nodes),
         costs.alpha,
         costs.beta_inv,
         costs.per_message,
-        costs.procs_per_node,
         costs.shm_beta_inv,
         fd.machine.config.network.piece_overhead,
         tuple(fd.aggregators),
-        tuple(comm.rank_to_node),
+        fd.comm.placement,
         tuple((d.start - base, d.end - base, d.aggregator_rank) for d in call.domains),
         call.table.digest,
     )
 
 
-def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
-    machine = fd.machine
-    key = _model_cache_key(fd, call, cb)
-    cache = None
+def _prepare_model(fd: ADIOFile, call: CollectiveCallState) -> None:
+    """Derive the call's per-round costs (from the memo when the shape has
+    been planned before) and decide whether it takes the timed ladder."""
+    cb = fd.hints.cb_buffer_size
+    key = _model_memo_key(fd, call, cb)
+    plan = None
     if key is not None:
-        cache = getattr(machine, "_ext2ph_model_cache", None)
-        if cache is None:
-            cache = machine._ext2ph_model_cache = {}
-        profiler = machine.sim.profiler
-        hit = cache.get(key)
-        if hit is not None:
-            if profiler is not None:
-                profiler.count("ext2ph.model_cache_hit")
-            (
-                call.sends,
-                call.recv_bytes,
-                call.recv_pieces,
-                call.shuffle_durations,
-                call.alltoall_cost,
-                merged_norm,
-            ) = hit
-            base = call.min_st
-            call.merged_cov = (merged_norm[0] + base, merged_norm[1] + base)
-            call.prepared = True
-            return
+        profiler = fd.comm.sim.profiler
+        plan = model_memo.get(key)
         if profiler is not None:
-            profiler.count("ext2ph.model_cache_miss")
+            profiler.count(
+                "ext2ph.model_cache_miss" if plan is None else "ext2ph.model_cache_hit"
+            )
+    base = call.min_st
+    if plan is None:
+        plan = _solve_model(fd, call, cb)
+        if key is not None:
+            model_memo.put(key, plan)
+    recv_bytes, recv_pieces, durations, cov_starts, cov_ends = plan
+    call.recv_bytes = recv_bytes
+    call.recv_pieces = recv_pieces
+    call.shuffle_durations = durations
+    call.round_durations = durations.tolist()
+    call.merged_cov = (cov_starts + base, cov_ends + base)
+    call.prepared = True
+    _plan_ladder(fd, call)
+
+
+def _solve_model(
+    fd: ADIOFile, call: CollectiveCallState, cb: int
+) -> tuple[np.ndarray, ...]:
+    """One vectorised pass over all rounds: what each aggregator receives
+    (bytes, pieces), how long each round's exchange lasts, and the merged
+    coverage the aggregators write — offsets relative to ``call.min_st``."""
     comm = fd.comm
     P = comm.size
     naggs = len(fd.aggregators)
     ntimes = call.ntimes
-    domains = call.domains
     bounds = np.empty((naggs, ntimes + 1), dtype=np.int64)
-    for i, d in enumerate(domains):
+    for i, d in enumerate(call.domains):
         row = d.start + cb * np.arange(ntimes + 1, dtype=np.int64)
         np.clip(row, d.start, max(d.start, d.end), out=row)
         bounds[i] = row
-    sends, pieces = call.table.window_sums(bounds)
-    call.sends = sends
-    call.recv_bytes = sends.sum(axis=0)  # (naggs, ntimes)
-    call.recv_pieces = pieces.sum(axis=0)  # (naggs, ntimes)
+    sends, pieces = call.table.window_sums(bounds)  # [rank, agg, round]
+    recv_bytes = sends.sum(axis=0)  # (naggs, ntimes)
+    recv_pieces = pieces.sum(axis=0)  # (naggs, ntimes)
 
-    node_of = np.asarray(comm.rank_to_node, dtype=np.int64)
-    agg_node = np.array([comm.node_of(a) for a in fd.aggregators], dtype=np.int64)
+    # Nodes by first appearance among the ranks: the sums below are taken
+    # per node and maxed over nodes, which no renumbering changes.
+    node_of = np.asarray(comm.placement, dtype=np.int64)
+    agg_node = node_of[fd.aggregators]
     cross = (node_of[:, None] != agg_node[None, :]).astype(np.int64)
     crossed = sends * cross[:, :, None]  # bytes that traverse NICs
     local = sends - crossed  # intra-node bytes (shared-memory transport)
-    # Physical node count: a fleet JobView's config is job-sized, but the
-    # node arrays below are indexed by physical node ids.
-    num_nodes = len(fd.machine.nodes)
+    num_nodes = int(node_of.max()) + 1 if P else 0
     out_node = np.zeros((num_nodes, ntimes))
     np.add.at(out_node, node_of, crossed.sum(axis=1))
     in_node = np.zeros((num_nodes, ntimes))
@@ -359,107 +536,95 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
     pack = pieces.sum(axis=1).max(axis=0) * piece_cost if P else np.zeros(ntimes)
     # NIC traffic and shared-memory traffic overlap; the round's exchange
     # lasts as long as the slower of the two at the hottest node.
-    call.shuffle_durations = (
+    durations = (
         costs.alpha
         + np.maximum(hot * costs.beta_inv, loop_hot * costs.shm_beta_inv)
         + msgs * costs.per_message
         + pack
     )
-    call.alltoall_cost = costs.alltoall(P, 16)
-    call.merged_cov = call.table.coverage  # merged extents for aggregator writes
-    if cache is not None:
-        if len(cache) >= _MODEL_CACHE_MAX:
-            cache.clear()
-        merged = call.merged_cov
-        base = call.min_st
-        cache[key] = (
-            call.sends,
-            call.recv_bytes,
-            call.recv_pieces,
-            call.shuffle_durations,
-            call.alltoall_cost,
-            (merged[0] - base, merged[1] - base),
-        )
-    call.prepared = True
+    cov_starts, cov_ends = call.table.coverage  # merged extents for aggregator writes
+    base = call.min_st
+    return recv_bytes, recv_pieces, durations, cov_starts - base, cov_ends - base
 
 
-def _rounds_model(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profiler):
+def _plan_ladder(fd: ADIOFile, call: CollectiveCallState) -> None:
+    """Decide, once per call, whether the ranks that take no per-round
+    action cross the round loop on the timed ladder, and with which steps.
+
+    Members are the non-aggregators plus the aggregators whose domain is
+    empty or receives nothing in any round.  The ladder needs at least one
+    round to cover and at least one live rank to drive its slots.
+    """
+    if call.ntimes <= 0 or not call.ladders:
+        return
+    receives = call.recv_bytes.any(axis=1)
+    call.idle_aggs = frozenset(
+        i for i, d in enumerate(call.domains) if d.size <= 0 or not receives[i]
+    )
+    width = fd.comm.size - len(fd.aggregators) + len(call.idle_aggs)
+    if not 0 < width < fd.comm.size:
+        return
+    call.ladder_width = width
+    a2a = (call.a2a_label, call.alltoall_cost, "shuffle_all2all")
+    steps = call.ladder_steps = []
+    for duration in call.round_durations:
+        steps.append(a2a)
+        steps.append((call.x_label, duration, "comm"))
+
+
+def _rounds_model(fd: ADIOFile, rank: int, call: CollectiveCallState, prof: Profiler):
     comm = fd.comm
-    cb = fd.hints.cb_buffer_size
     if not call.prepared:
-        _prepare_model(fd, call, cb)
-    written = 0
+        _prepare_model(fd, call)
     agg_idx = fd.agg_index.get(rank)
-    domain = call.domains[agg_idx] if agg_idx is not None else None
-    merged = call.merged_cov
-    node = fd.machine.nodes[comm.node_of(rank)]
-    label = f"c{call.index}"
-    sim = fd.machine.sim
-    bulk = getattr(fd.machine, "dataplane", "chunked") == "bulk"
-    piece_overhead = fd.machine.config.network.piece_overhead
-    memcpy_bw = fd.machine.config.ram.memcpy_bw
-    flat = sim.flat  # flat engine: yield the release event, skip timed()'s frame
-    a2a_label = f"a2a.{label}"
-    x_label = f"x.{label}"
 
     # ---- timed-ladder fast path -------------------------------------------------
     # A rank that takes no per-round action (not an aggregator, or an
     # aggregator whose domain is empty / receives nothing in any round)
-    # only marches through the 2·ntimes timed slots.  Pre-register it into
-    # all of them at once and park it on the final release event: one
-    # resume for the whole round loop instead of 2·ntimes.  Release
-    # timestamps, profiler phase totals, and event counts are byte-
-    # identical to the round-by-round path (see timed_ladder); the A/B
-    # harness proves it against the heapq engine, which keeps this loop.
-    if (
-        bulk
-        and comm.flat_events  # flat engine + model collectives + shared release:
-        # the tail slot below is completed by the live ranks' allreduce_event
-        and call.ntimes > 0
-        and getattr(fd.machine, "faults", None) is None
-        and (agg_idx is None or domain.size <= 0 or not call.recv_bytes[agg_idx].any())
-    ):
-        width = call.ladder_width
-        if width is None:
-            idle_aggs = sum(
-                1
-                for i, d in enumerate(call.domains)
-                if d.size <= 0 or not call.recv_bytes[i].any()
-            )
-            width = call.ladder_width = comm.size - len(fd.aggregators) + idle_aggs
-        if 0 < width < comm.size:
-            steps = call.ladder_steps
-            if steps is None:
-                steps = call.ladder_steps = []
-                for r in range(call.ntimes):
-                    steps.append((a2a_label, call.alltoall_cost, "shuffle_all2all"))
-                    steps.append((x_label, float(call.shuffle_durations[r]), "comm"))
-            # The tail extends the ladder through step 5's error allreduce:
-            # the member's arrival value/extra match the live ranks', the
-            # fold walks ranks in index order (arrival order irrelevant),
-            # and the tail hook writes the ``post_write`` lap — so members
-            # park once for the whole call: 2 resumes instead of 3.
-            yield comm.timed_ladder(
-                rank,
-                steps,
-                width,
-                prof.profile.seconds,
-                tail=("allreduce", 0, {"reduce_op": op_max, "nbytes": 4}, "post_write"),
-            )
-            return _LADDER_DONE
+    # only marches through the 2·ntimes timed slots and step 5's error
+    # allreduce.  Pre-register it into all of them at once and park it on
+    # the final release event: one resume for the rest of the call instead
+    # of 2·ntimes + 1.  Release timestamps, profiler phase totals, and
+    # event counts are byte-identical to the round-by-round path (see
+    # timed_ladder); the A/B harness proves it against the heapq engine,
+    # which keeps this loop.  Parked non-aggregators join in one batch
+    # (_release_parked); whoever else qualifies joins here, alone.
+    if call.ladder_steps is not None and (agg_idx is None or agg_idx in call.idle_aggs):
+        yield comm.timed_ladder(
+            call.index,
+            [rank],
+            [prof.profile.seconds],
+            call.ladder_steps,
+            call.ladder_width,
+            tail=_POST_WRITE_TAIL,
+        )
+        return _LADDER_DONE
 
+    written = 0
+    cb = fd.hints.cb_buffer_size
+    domain = call.domains[agg_idx] if agg_idx is not None else None
+    merged = call.merged_cov
+    sim = comm.sim
+    bulk = call.bulk
+    piece_overhead = fd.machine.config.network.piece_overhead
+    memcpy_bw = fd.machine.config.ram.memcpy_bw
+    flat = sim.flat  # flat engine: yield the release event, skip timed()'s frame
+    a2a_label = call.a2a_label
+    x_label = call.x_label
+    alltoall_cost = call.alltoall_cost
+    durations = call.round_durations
     for r in range(call.ntimes):
         t0 = prof.mark()
         if flat:
-            yield comm.timed_event(rank, call.alltoall_cost, a2a_label)
+            yield comm.timed_event(rank, alltoall_cost, a2a_label)
         else:
-            yield from comm.timed(rank, call.alltoall_cost, a2a_label)
+            yield from comm.timed(rank, alltoall_cost, a2a_label)
         prof.lap("shuffle_all2all", t0)
         t0 = prof.mark()
         if flat:
-            yield comm.timed_event(rank, float(call.shuffle_durations[r]), x_label)
+            yield comm.timed_event(rank, durations[r], x_label)
         else:
-            yield from comm.timed(rank, float(call.shuffle_durations[r]), x_label)
+            yield from comm.timed(rank, durations[r], x_label)
         prof.lap("comm", t0)
         if agg_idx is None or domain.size <= 0:
             continue
@@ -478,7 +643,7 @@ def _rounds_model(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profi
             yield sim.at(t_mid + recv / memcpy_bw)
         else:
             yield sim.timeout(npieces * piece_overhead)
-            yield from node.memcpy(recv)
+            yield from fd.machine.nodes[comm.node_of(rank)].memcpy(recv)
         prof.lap("memcpy", t0)
         lo = domain.start + r * cb
         hi = min(domain.end, lo + cb)

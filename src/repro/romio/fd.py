@@ -29,33 +29,58 @@ from repro.mpi.comm import Communicator
 from repro.romio.aggregation import FileDomain
 from repro.romio.hints import Hints
 from repro.romio.profiling import Profiler
+from repro.sim.core import Event
 
 
 @dataclass
 class CollectiveCallState:
-    """Shared scratch for one collective write call (all ranks)."""
+    """Shared scratch for one collective write call (all ranks).
+
+    Everything here is derived once per call and read by every rank: the
+    constants the first rank to arrive fills in, the offsets, domains and
+    per-round model costs the first rank through the offset exchange
+    derives, and the list of ranks that wait out the whole call on one
+    event (see ``ext2ph``, "park once").
+    """
 
     index: int
     accesses: dict[int, RankAccess] = field(default_factory=dict)
+    # per-call constants, set by the first rank to arrive (ext2ph._open_call)
+    opened: bool = False
+    offset_cost: float = 0.0  # the step-1 offset exchange
+    alltoall_cost: float = 0.0  # each round's dissemination alltoall
+    a2a_label: str = ""
+    x_label: str = ""
+    bulk: bool = False  # bulk data plane
+    ladders: bool = False  # the timed ladder is available
+    park: bool = False  # ... and non-aggregators cross the call on one resume
+    # park once: the ranks waiting on ``parked`` since they arrived at the
+    # offset exchange at ``parked_t0``, with their profiler phase dicts
+    parked: Optional[Event] = None
+    parked_ranks: list[int] = field(default_factory=list)
+    parked_t0: list[float] = field(default_factory=list)
+    parked_seconds: list[dict[str, float]] = field(default_factory=list)
     # all ranks' accesses as one table (ext2ph gathers it after step 1)
     table: Optional[AccessTable] = None
-    domains: Optional[list[FileDomain]] = None
-    ntimes: int = 0
-    # model-fidelity precomputations (filled by ext2ph._prepare_model)
-    sends: Optional[np.ndarray] = None  # [rank, agg, round] bytes
-    shuffle_durations: Optional[np.ndarray] = None  # [round]
-    alltoall_cost: float = 0.0
-    recv_bytes: Optional[np.ndarray] = None  # [agg, round]
-    recv_pieces: Optional[np.ndarray] = None  # [agg, round] offset/length pairs
-    merged_cov: Optional[tuple[np.ndarray, np.ndarray]] = None
-    # timed-ladder fast path (ext2ph._rounds_model): member count and the
-    # shared (label, duration, phase) step sequence, computed once per call
-    ladder_width: Optional[int] = None
-    ladder_steps: Optional[list[tuple[str, float, str]]] = None
     min_st: int = 0
     max_end: int = -1
     interleaved: bool = True
+    domains: Optional[list[FileDomain]] = None
+    ntimes: int = 0
+    # model-fidelity precomputations (filled by ext2ph._prepare_model)
     prepared: bool = False
+    shuffle_durations: Optional[np.ndarray] = None  # [round]
+    round_durations: list[float] = field(default_factory=list)  # ... as floats
+    recv_bytes: Optional[np.ndarray] = None  # [agg, round]
+    recv_pieces: Optional[np.ndarray] = None  # [agg, round] offset/length pairs
+    merged_cov: Optional[tuple[np.ndarray, np.ndarray]] = None
+    # timed ladder: the aggregators that receive nothing in any round, the
+    # member count (they plus every non-aggregator) and the shared
+    # (label, duration, phase) step sequence; ``ladder_steps`` stays None
+    # when the call takes no ladder
+    idle_aggs: frozenset[int] = frozenset()
+    ladder_width: int = 0
+    ladder_steps: Optional[list[tuple[str, float, str]]] = None
 
 
 class ADIOFile:

@@ -1,10 +1,14 @@
+import dataclasses
+import math
+
 import pytest
 
 from repro.config import small_testbed
 from repro.machine import Machine
-from repro.mpi.collectives import op_max, op_min
+from repro.mpi.collectives import CollectiveCosts, ModelCollectives, op_max, op_min
 from repro.mpi.process import MPIWorld
-from repro.sim.core import SimError
+from repro.romio.profiling import Profiler
+from repro.sim.core import SimError, create_simulator
 
 
 def run_both_modes(body_factory, num_nodes=4, procs_per_node=2):
@@ -183,3 +187,163 @@ class TestCostModel:
         d1 = costs.shuffle({0: 1e9}, {1: 1e9}, 1)
         d2 = costs.shuffle({0: 0.5e9, 1: 0.5e9}, {2: 0.5e9, 3: 0.5e9}, 1)
         assert d1 > d2  # spreading traffic over NICs halves the hot spot
+
+    def test_memoised_closed_forms_equal_the_formulas(self):
+        costs = CollectiveCosts(
+            alpha=3e-6, beta_inv=1.7e-10, per_message=4e-7, procs_per_node=8
+        )
+        for nprocs in (1, 2, 6, 512):
+            stages = max(1, math.ceil(math.log2(max(2, nprocs))))
+            assert costs.stages(nprocs) == stages
+            for nbytes in (4, 16):
+                expected = 2 * (3e-6 * stages) + nbytes * 1.7e-10 * stages
+                assert costs.small_collective(nprocs, nbytes) == expected
+                assert costs.small_collective(nprocs, nbytes) == expected  # memo
+            fan = max(1, nprocs - 1)
+            expected = 3e-6 * stages + fan * 4e-7 + (16 * fan * 8) * 1.7e-10
+            assert costs.alltoall(nprocs, 16) == expected
+            assert costs.alltoall(nprocs, 16) == expected
+
+    def test_parameters_cannot_change_behind_the_memo(self):
+        costs = CollectiveCosts(alpha=1e-6, beta_inv=1e-9, per_message=1e-7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            costs.alpha = 2e-6
+
+
+# ---------------------------------------------------------------------------
+# The timed ladder: ranks pre-registered into a run of timed slots
+# ---------------------------------------------------------------------------
+
+NPROCS = 6
+LIVE = (0, 1)
+# Irregular durations and think times: their float sums depend on the order
+# of addition, so any re-association in the ladder's bookkeeping shows.
+STEPS = [
+    ("a2a", 0.1, "shuffle_all2all"),
+    ("x", 0.7, "comm"),
+    ("a2a", 0.1, "shuffle_all2all"),
+    ("x", 0.2000000000000003, "comm"),
+    ("a2a", 0.1, "shuffle_all2all"),
+    ("x", 1e-7, "comm"),
+]
+THINK = {0: 0.3, 1: 1.1000000000000001}
+TAIL = ("allreduce", 0, {"reduce_op": op_max, "nbytes": 4}, "post_write")
+STARTING = {
+    2: {"comm": 0.1, "open": 5.0},
+    3: {"comm": 0.1},
+    4: {},
+    5: {"shuffle_all2all": 1e-3, "comm": 7.7, "post_write": 0.30000000000000004},
+}
+
+
+def ladder_model():
+    sim = create_simulator("slotted")
+    costs = CollectiveCosts(alpha=1e-6, beta_inv=1e-9, per_message=1e-7)
+    return sim, ModelCollectives(sim, NPROCS, costs, shared_release=True)
+
+
+def walk(sim, model, rank, prof, tail, think=0.0):
+    """The round-by-round walk the ladder stands in for, laps and all."""
+    for label, duration, phase in STEPS:
+        t0 = prof.mark()
+        yield model.timed_event(rank, duration, label)
+        prof.lap(phase, t0)
+        if think and phase == "comm":
+            yield sim.timeout(think)  # an aggregator's assembly + write
+    if tail:
+        t0 = prof.mark()
+        yield model.enter_event(rank, "allreduce", 0, reduce_op=op_max, nbytes=4)
+        prof.lap("post_write", t0)
+    return sim.now
+
+
+def profilers(sim):
+    out = {r: Profiler(sim, r) for r in range(NPROCS)}
+    for rank, seconds in STARTING.items():
+        out[rank].profile.seconds.update(seconds)
+    return out
+
+
+def run_walked(tail):
+    sim, model = ladder_model()
+    profs = profilers(sim)
+    procs = [
+        sim.process(walk(sim, model, r, profs[r], tail, THINK.get(r, 0.0)))
+        for r in range(NPROCS)
+    ]
+    sim.run()
+    left = {procs[r].value for r in STARTING}  # when the would-be members left
+    assert len(left) == 1
+    return left.pop(), {r: p.profile.seconds for r, p in profs.items()}
+
+
+def run_laddered(batches, tail, width=NPROCS - len(LIVE)):
+    sim, model = ladder_model()
+    profs = profilers(sim)
+    resumed = []
+
+    def members(ranks):
+        yield model.timed_ladder(
+            7,
+            ranks,
+            [profs[r].profile.seconds for r in ranks],
+            STEPS,
+            width,
+            tail=TAIL if tail else None,
+        )
+        resumed.append((sim.now, ranks))
+
+    for r in LIVE:
+        sim.process(walk(sim, model, r, profs[r], tail, THINK[r]))
+    for ranks in batches:
+        sim.process(members(ranks))
+    sim.run()
+    assert [ranks for _, ranks in resumed] == batches
+    left = {t for t, _ in resumed}
+    assert len(left) == 1
+    assert not model._ladders and not model._slots
+    return left.pop(), {r: p.profile.seconds for r, p in profs.items()}
+
+
+class TestTimedLadder:
+    @pytest.mark.parametrize("tail", [True, False], ids=["tail", "no_tail"])
+    @pytest.mark.parametrize(
+        "batches",
+        [[[2, 3, 4, 5]], [[2], [3], [4], [5]], [[4, 2], [5, 3]]],
+        ids=["one_batch", "one_by_one", "two_batches"],
+    )
+    def test_phase_totals_equal_sequential_laps_bit_for_bit(self, batches, tail):
+        """Members with different starting totals, joined in any batching,
+        end with exactly the floats their own ``Profiler.lap`` calls would
+        have accumulated — and leave at the instant they would have."""
+        left, walked = run_walked(tail)
+        assert run_laddered(batches, tail) == (left, walked)
+        assert walked[2]["open"] == 5.0  # phases outside the run are left alone
+        assert walked[2]["comm"] != walked[4]["comm"]
+
+    def test_fewer_members_than_width_is_an_error(self):
+        with pytest.raises(SimError, match=r"call 7: 4 members expected, 3 joined"):
+            run_laddered([[2, 3, 4]], tail=False)
+
+    def test_more_members_than_width_is_an_error(self):
+        with pytest.raises(SimError, match=r"call 7: 3 members expected, 4 joined"):
+            run_laddered([[2, 3, 4], [5]], tail=True, width=3)
+
+    def test_out_of_step_member_is_refused_not_rebased(self):
+        sim, model = ladder_model()
+        model.timed_event(3, 0.1, "a2a")  # rank 3 took the first slot live
+        with pytest.raises(SimError, match=r"call 7: rank 3 is at slot 1, .* slot 0"):
+            model.timed_ladder(7, [2, 3], [{}, {}], STEPS, 4)
+
+    @pytest.mark.parametrize("steps, width", [([], 4), (STEPS, 0), (STEPS, NPROCS)])
+    def test_a_ladder_nobody_could_complete_is_refused(self, steps, width):
+        _, model = ladder_model()
+        with pytest.raises(SimError, match="at least one step and 0 < width < 6"):
+            model.timed_ladder(7, [2], [{}], steps, width)
+
+    def test_timed_slots_release_no_results_dict(self):
+        sim, model = ladder_model()
+        released = [model.timed_event(r, 0.25, "t") for r in range(NPROCS)]
+        sim.run()
+        assert {id(ev) for ev in released} == {id(released[0])}
+        assert released[0].fired and released[0].value is None

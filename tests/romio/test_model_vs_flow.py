@@ -107,7 +107,7 @@ class TestEquivalence:
                 for d in call.domains
             ]
         )
-        _, pieces = call.table.window_sums(bounds)
+        sends, pieces = call.table.window_sums(bounds)
         for r in range(call.ntimes):
             for rank in range(8):
                 offsets = patterns[rank].offsets
@@ -117,11 +117,12 @@ class TestEquivalence:
                     lo = d.start + r * cb
                     hi = min(d.end, lo + cb)
                     ws = patterns[rank].slice_window(lo, hi)
-                    assert call.sends[rank, i, r] == ws.nbytes, (rank, i, r)
+                    assert sends[rank, i, r] == ws.nbytes, (rank, i, r)
                     starting = int(np.count_nonzero((offsets >= lo) & (offsets < hi)))
                     assert pieces[rank, i, r] == starting == ws.count, (rank, i, r)
             received = pieces[:, :, r].sum(axis=0)
             assert call.recv_pieces[:, r].tolist() == received.tolist()
+            assert call.recv_bytes[:, r].tolist() == sends[:, :, r].sum(axis=0).tolist()
 
     def test_flow_and_model_gather_the_same_table(self):
         patterns = self.strided(8)

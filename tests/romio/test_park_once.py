@@ -1,0 +1,332 @@
+"""Park once == round by round.
+
+On the slotted engine a non-aggregator rank crosses a collective write on
+one resume (``ext2ph._park``) and every other rank that takes no per-round
+action joins the timed ladder; the heapq engine keeps the round-by-round
+walk for every rank.  The same job on both must agree on every lap, every
+timestamp and every event count: per-rank ``PhaseTiming``s, per-rank
+profile dicts, the ``events_fired`` count each rank sees at each of its
+calls, and the bytes persisted.
+"""
+
+import os
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.access import AccessTable
+from repro.config import small_testbed
+from repro.faults.spec import FaultSchedule, FaultSpec
+from repro.machine import Machine
+from repro.mpi.process import MPIWorld
+from repro.romio.adio import BeeGFSDriver
+from repro.romio.aggregation import FileDomain
+from repro.romio.file import MPIIOLayer
+from repro.sim.profile import SimProfiler
+from repro.units import KiB
+from repro.workloads.base import IOStep, Workload
+from repro.workloads.flashio import flashio_workload
+from repro.workloads.phases import multi_phase_body
+
+BASE_HINTS = {
+    "cb_buffer_size": "16k",
+    "romio_cb_write": "enable",
+    "striping_unit": "8k",
+    "striping_factor": "2",
+}
+CACHE_HINTS = {
+    "e10_cache": "enable",
+    "e10_cache_flush_flag": "flush_immediate",
+    "e10_cache_discard_flag": "enable",
+}
+
+
+def engine(kind):
+    """``Machine`` reads its engine from the environment; hypothesis forbids
+    the function-scoped ``monkeypatch`` fixture."""
+    return mock.patch.dict(os.environ, {"REPRO_ENGINE": kind})
+
+
+class _TracedStep(IOStep):
+    """A collective step that notes, per rank, the clock and the engine's
+    event count at the moment the rank asks for its access — just before
+    each ``write_all``."""
+
+    def access_fn(self, rank, profiler=None):
+        self.trace.setdefault(rank, []).append((self.sim.now, self.sim.events_fired))
+        return super().access_fn(rank, profiler)
+
+
+def table_of(extents_per_rank):
+    """One table from per-rank ``[(offset, length), ...]`` lists."""
+    counts = [len(e) for e in extents_per_rank]
+    flat = [x for e in extents_per_rank for x in e]
+    offsets = np.array([o for o, _ in flat], dtype=np.int64)
+    lengths = np.array([n for _, n in flat], dtype=np.int64)
+    return AccessTable(offsets, lengths, np.concatenate(([0], np.cumsum(counts))))
+
+
+def strided(nprocs, base=0, block=4 * KiB, reps=4):
+    return [
+        [(base + r * block + k * nprocs * block, block) for k in range(reps)]
+        for r in range(nprocs)
+    ]
+
+
+def workload_of(calls, nprocs):
+    """A recipe with one collective step per entry of ``calls``."""
+    steps = tuple(
+        IOStep.collective(lambda extents=extents: table_of(extents)) for extents in calls
+    )
+    return Workload("case", nprocs, steps, bytes_per_rank=0, file_size=0)
+
+
+class _NoDomains(BeeGFSDriver):
+    """A driver that hands every aggregator an empty domain: ``ntimes`` is 0
+    although the accessed region is not empty."""
+
+    def partition_domains(self, fd, min_st, max_end):
+        return [FileDomain(a, 0, 0) for a in fd.aggregators]
+
+
+def run_job(
+    kind,
+    workload,
+    hints,
+    nodes=4,
+    ppn=2,
+    aggregators=None,
+    driver=None,
+    num_files=1,
+    deferred_close=False,
+):
+    """Run ``workload`` on engine ``kind`` (bulk data plane, whatever the
+    environment says); return everything that must not depend on the
+    engine, plus the run's profiler counters."""
+    with engine(kind):
+        profiler = SimProfiler()
+        machine = Machine(small_testbed(nodes, ppn), profiler=profiler, dataplane="bulk")
+    world = MPIWorld(machine)
+    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
+    if driver is not None:
+        layer.driver = driver
+    trace = {}
+    steps = []
+    for step in workload.steps:
+        if step.kind == "collective":
+            step = _TracedStep(
+                kind="collective", table_fn=step.table_fn, payload_fn=step.payload_fn
+            )
+            step.sim, step.trace = machine.sim, trace
+        steps.append(step)
+    traced = Workload(workload.name, workload.nprocs, tuple(steps), 0, 0)
+    body = multi_phase_body(
+        layer,
+        traced,
+        hints,
+        num_files=num_files,
+        compute_delay=0.5,
+        deferred_close=deferred_close,
+        file_prefix="/g/f",
+    )
+    if aggregators is None:
+        timings = world.run(body)
+    else:  # a placement select_aggregators never produces (it keeps node 0)
+        with mock.patch(
+            "repro.romio.file.select_aggregators", lambda *a, **k: list(aggregators)
+        ):
+            timings = world.run(body)
+    profiles, persisted = {}, {}
+    for path, slots in sorted(layer._open_slots.items()):
+        for gen, fd in enumerate(slots):
+            for rank, prof in fd.profilers.items():
+                profiles[path, gen, rank] = dict(prof.profile.seconds)
+        f = machine.pfs.lookup(path)
+        persisted[path] = (f.persisted.total, list(f.persisted))
+    observed = {
+        "timings": timings,
+        "profiles": profiles,
+        "trace": trace,
+        "persisted": persisted,
+        "end": (machine.sim.now, machine.sim.events_fired),
+    }
+    return observed, profiler.counters
+
+
+def assert_engines_agree(workload, hints, **kwargs):
+    """Run on both engines, compare, and return the slotted run's counters."""
+    slotted, counters = run_job("slotted", workload, hints, **kwargs)
+    heapq, reference = run_job("heapq", workload, hints, **kwargs)
+    assert "ext2ph.park_single" not in reference  # the oracle walks every round
+    for what in slotted:
+        assert slotted[what] == heapq[what], what
+    return counters
+
+
+def hints(**extra):
+    return {**BASE_HINTS, **{k: str(v) for k, v in extra.items()}}
+
+
+# name -> (run_job keyword arguments, calls, hints, rank-calls expected to park)
+CASES = {
+    "plain": ({}, [strided(8)], hints(cb_nodes=2), 6),
+    "rank0_not_an_aggregator": (
+        {"aggregators": [2, 5]},
+        [strided(8), strided(8, base=256 * KiB)],
+        hints(cb_nodes=2),
+        12,
+    ),
+    "ranks_not_divisible_by_aggregators": (
+        {"nodes": 5, "ppn": 2},
+        [strided(10), strided(10, base=512 * KiB, reps=3)],
+        hints(cb_nodes=3),
+        14,
+    ),
+    "idle_aggregators": (  # two 8 KiB stripes, four aggregators
+        {},
+        [[[(r * 2 * KiB, 2 * KiB)] for r in range(8)]],
+        hints(cb_nodes=4),
+        4,
+    ),
+    "ranks_with_empty_accesses": (
+        {},
+        [[e if r % 3 else [] for r, e in enumerate(strided(8))]],
+        hints(cb_nodes=2),
+        6,
+    ),
+    "all_empty_call_between_two_writes": (
+        {},
+        [strided(8), [[] for _ in range(8)], strided(8, base=256 * KiB)],
+        hints(cb_nodes=2),
+        12,  # the empty call's six fall back to the live path
+    ),
+    "no_rounds": ({"driver": _NoDomains()}, [strided(8)], hints(cb_nodes=2), 0),
+    "one_rank_per_node": (
+        {"nodes": 4, "ppn": 1},
+        [strided(4)],
+        hints(cb_nodes=4),
+        0,  # every rank is an aggregator: nobody parks
+    ),
+    "cb_write_automatic": ({}, [strided(8)], hints(cb_nodes=2, romio_cb_write="automatic"), 0),
+    "many_rounds": ({}, [strided(8, block=16 * KiB, reps=6)], hints(cb_nodes=2, cb_buffer_size="8k"), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_case_agrees_on_both_engines(name):
+    kwargs, calls, case_hints, parked = CASES[name]
+    nprocs = kwargs.get("nodes", 4) * kwargs.get("ppn", 2)
+    counters = assert_engines_agree(workload_of(calls, nprocs), case_hints, **kwargs)
+    assert counters.get("ext2ph.park_single", 0) == parked
+    rank_calls = nprocs * len(calls)
+    assert counters.get("ext2ph.park_live", 0) == rank_calls - parked
+
+
+def test_automatic_stays_live_but_still_takes_the_ladder():
+    """``romio_cb_write=automatic`` waits for the interleaving test, so no
+    rank parks — the non-aggregators still join the ladder, one by one."""
+    slotted, _ = run_job(
+        "slotted", workload_of([strided(8)], 8), hints(cb_nodes=2, romio_cb_write="automatic")
+    )
+    parked, _ = run_job("slotted", workload_of([strided(8)], 8), hints(cb_nodes=2))
+    assert slotted == parked
+
+
+def test_deferred_close_with_the_cache():
+    counters = assert_engines_agree(
+        workload_of([strided(8), strided(8, base=256 * KiB)], 8),
+        {**hints(cb_nodes=2), **CACHE_HINTS},
+        num_files=3,
+        deferred_close=True,
+    )
+    assert counters["ext2ph.park_single"] == 3 * 2 * 6
+
+
+@pytest.mark.parametrize("aggregators", [None, [3, 6]], ids=["rank0_aggregates", "rank0_parks"])
+def test_flash_io_shaped_file(aggregators):
+    """24 collective calls with a rank-0 header write before each: rank 0
+    reaches every offset exchange after the others — as an aggregator, or
+    as the last of the parked ranks, with a lap of its own."""
+    workload = flashio_workload(8, blocks_per_proc=1, zones_per_dim=4)
+    assert sum(step.kind == "collective" for step in workload.steps) == 24
+    counters = assert_engines_agree(
+        workload, hints(cb_nodes=2), num_files=2, aggregators=aggregators
+    )
+    assert counters["ext2ph.park_single"] == 2 * 24 * 6
+    assert counters["ext2ph.park_live"] == 2 * 24 * 2
+
+
+@pytest.mark.parametrize(
+    "machine_kwargs",
+    [
+        {"dataplane": "chunked"},
+        {
+            "dataplane": "bulk",
+            "faults": FaultSchedule([FaultSpec("server_stall", start=1e9, duration=1.0)]),
+        },
+    ],
+    ids=["chunked_plane", "fault_injector"],
+)
+def test_machines_that_keep_the_round_by_round_path(machine_kwargs):
+    profiler = SimProfiler()
+    with engine("slotted"):
+        machine = Machine(small_testbed(), profiler=profiler, **machine_kwargs)
+    world = MPIWorld(machine)
+    layer = MPIIOLayer(machine, world.comm, exchange_mode="model")
+    workload = workload_of([strided(8)], 8)
+    world.run(multi_phase_body(layer, workload, hints(cb_nodes=2), num_files=1))
+    assert "ext2ph.park_single" not in profiler.counters
+    assert profiler.counters["ext2ph.park_live"] == 8
+
+
+@st.composite
+def jobs(draw):
+    nodes = draw(st.integers(2, 4))
+    ppn = draw(st.integers(1, 3))
+    nprocs = nodes * ppn
+    ncalls = draw(st.integers(1, 3))
+    block = draw(st.sampled_from([512, 3 * KiB, 8 * KiB]))
+    calls = []
+    base = 0
+    for _ in range(ncalls):
+        slots = draw(st.integers(0, 3))
+        # Each rank owns the cells r, r + P, r + 2P, ... of a grid of
+        # ``block``-sized cells and fills a drawn subset of them: no two
+        # ranks overlap, holes and empty ranks happen.
+        extents = []
+        for r in range(nprocs):
+            picked = draw(st.lists(st.booleans(), min_size=slots, max_size=slots))
+            extents.append(
+                [
+                    (base + (k * nprocs + r) * block, draw(st.integers(1, block)))
+                    for k, take in enumerate(picked)
+                    if take
+                ]
+            )
+        calls.append(extents)
+        base += slots * nprocs * block
+    return {
+        "nodes": nodes,
+        "ppn": ppn,
+        "calls": calls,
+        "cb_nodes": draw(st.integers(1, nodes)),
+        "cb": draw(st.sampled_from(["2k", "16k", "1m"])),
+        "cb_write": draw(st.sampled_from(["enable", "enable", "automatic"])),
+        "files": draw(st.integers(1, 2)),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(job=jobs())
+def test_random_jobs_agree_on_both_engines(job):
+    nprocs = job["nodes"] * job["ppn"]
+    assert_engines_agree(
+        workload_of(job["calls"], nprocs),
+        hints(cb_nodes=job["cb_nodes"], cb_buffer_size=job["cb"], romio_cb_write=job["cb_write"]),
+        nodes=job["nodes"],
+        ppn=job["ppn"],
+        num_files=job["files"],
+    )

@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def print_top(snapshot: dict, n: int) -> None:
-    """The ``--top N`` table: hottest profiler timers, largest counters, and
-    the access-table / model-memo hit rates.
+    """The ``--top N`` table: hottest profiler timers, largest counters, the
+    access-table / model-memo hit rates and the park-once / live shares.
 
     Timers are cumulative wall-clock seconds inside instrumented components
     (``fabric.recompute``, ``fabric.fill_solve``, ...) collected by the run's
@@ -155,6 +155,18 @@ def print_top(snapshot: dict, n: int) -> None:
     print(
         f"  ext2ph model memo: {hit} hits, {miss} misses "
         f"(hit share {hit / max(1, hit + miss):.3f})"
+    )
+    # How the rank-calls of the collective writes crossed them: parked for
+    # the whole call on one resume, or live (aggregators always; everybody
+    # on the heapq engine, the chunked plane, a fault machine, or under
+    # romio_cb_write=automatic/disable) — "why was this point slow" starts
+    # with the share that fell back to the live path.
+    single, live = (counters.get(f"ext2ph.park_{k}", 0) for k in ("single", "live"))
+    print("collective-write rank-calls:")
+    print(
+        f"  {single} parked once, {live} live "
+        f"(parked share {single / max(1, single + live):.3f}, "
+        f"live share {live / max(1, single + live):.3f})"
     )
 
 
