@@ -45,14 +45,16 @@ on the same operands in the same order.
 
 from __future__ import annotations
 
-import itertools
 import os
+from itertools import count
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from repro.sim.core import Event, SimError, Simulator
 
 _EPS = 1e-12
 _INF = float("inf")
+_by_fid = attrgetter("fid")
 
 
 class Link:
@@ -158,7 +160,7 @@ class Fabric:
         self._flows: dict[Flow, None] = {}  # ordered set, see Link.flows
         self._done_to_flow: dict[Event, Flow] = {}  # active flows by done event
         self._weighted = False  # any bundle live since construction?
-        self._fid = itertools.count()
+        self._fid = count()
         self._last_update = 0.0
         self._wake: Optional[Event] = None
         # Links touched since the last recompute, in touch order, plus the
@@ -338,18 +340,21 @@ class Fabric:
         if not seeds:
             self.recomputes_skipped += 1
             return False
+        # Breadth-first over the link-flow graph; ``order`` grows while it
+        # is walked.  Dict membership and in-place list growth only — no
+        # method calls — and the visit order does not matter: the refill
+        # below sorts by fid.
         touched: dict[Flow, None] = {}
-        seen = set(seeds)
-        stack = seeds
-        while stack:
-            link = stack.pop()
+        seen = dict.fromkeys(seeds)
+        order = seeds
+        for link in order:
             for flow in link.flows:
                 if flow not in touched:
                     touched[flow] = None
                     for other in flow.links:
                         if other not in seen:
-                            seen.add(other)
-                            stack.append(other)
+                            seen[other] = None
+                            order += (other,)
         self.recomputes += 1
         self.recompute_flows += len(touched)
         # Refill in ascending-fid order — identical to the full recompute's
@@ -546,10 +551,6 @@ class NaiveFabric(Fabric):
         if soonest is not _INF:
             wake.callbacks.append(self._on_wake)
             wake.succeed(delay=max(1e-9, soonest) if soonest > 0.0 else 0.0)
-
-
-def _by_fid(flow: Flow) -> int:
-    return flow.fid
 
 
 # ``repro.net.fabric_array`` registers the default "array" kernel here on

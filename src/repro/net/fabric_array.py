@@ -18,10 +18,11 @@ while cutting the per-recompute cost three ways:
   the dict implementation, which is why the result is bit-identical.
 
 * **Converged-rate memoization.**  The filled rates are a pure function of
-  the component's *topology signature*: link capacities in first-touch
-  order, per-flow weights, and per-flow tuples of local link ids —
-  encoded as one flat tuple (see ``_fill``) so a cache hit costs one list
-  build, one tuple and one hash.  They do not depend on
+  the component's *topology signature*: per-flow weights and, per link
+  crossing, either the local id of an already-seen link or the capacity
+  of a first-touch link — one flat tuple (see ``_fill``), built by a loop
+  that grows a list in place and makes no calls, because the key build
+  is the whole cost of a cache hit.  They do not depend on
   ``remaining``/``nbytes`` (filling never reads them) or on flow/link
   identity.  The sweep's shuffle waves re-rate the same few shapes
   thousands of times, so a bounded signature→rates cache turns the
@@ -133,18 +134,6 @@ class ArrayFabric(Fabric):
         self._wake_armed = False
         self._wake_gen = 0
         self._wake_pool: list[_WakeCall] = []
-        # Scratch buffers reused across every _fill call (cleared, never
-        # reallocated) so the hot loop itself is allocation-free.
-        self._scratch_flows: list[Flow] = []
-        self._scratch_lids: dict[Link, int] = {}
-        self._scratch_key: list = []
-        self._scratch_caps: list[float] = []
-        self._scratch_weights: list[int] = []
-        self._scratch_flinks: list[list[int]] = []
-        self._scratch_residual: list[float] = []
-        self._scratch_wsums: list[int] = []
-        self._scratch_members: list[list[int]] = []
-        self._scratch_rates: list[float] = []
         self._rate_cache: dict[tuple, tuple[float, ...]] = {}
         self.rate_cache_hits = 0
         self.rate_cache_misses = 0
@@ -208,9 +197,7 @@ class ArrayFabric(Fabric):
         list built here matches the insertion order of the dict
         implementation's ``live`` sets exactly.
         """
-        flow_list = self._scratch_flows
-        flow_list.clear()
-        flow_list.extend(flows)
+        flow_list = list(flows)
         nflows = len(flow_list)
         if not nflows:
             return
@@ -234,40 +221,27 @@ class ArrayFabric(Fabric):
             # A linkless flow is never frozen by the general loop and
             # keeps the 0.0 it was initialized with.
             flow.rate = 0.0 if best_share is _INF else max(best_share, 0.0)
-            flow_list.clear()
             return
-        lids = self._scratch_lids
-        lids.clear()
-        caps = self._scratch_caps
-        caps.clear()
-        weights = self._scratch_weights
-        weights.clear()
-        # One flat signature tuple instead of nested per-flow tuples: per
-        # flow its weight and link count, then per link either the local id
-        # of an already-seen link or a -1 marker followed by the capacity
-        # of a first-touch link (local ids enumerate first-touch order, so
-        # the walk reconstructs the nested form exactly; -1 is never a
-        # valid local id, and every position's role is fixed by the prefix,
-        # so equal keys imply equal topology signatures).  One list build,
-        # one tuple, one hash — the dominant cost of a cache hit.
-        key = self._scratch_key
-        key.clear()
+        # One flat signature: per flow a ``-2`` and its weight, then per link
+        # either the local id of an already-seen link or a ``-1`` followed by
+        # the capacity of a first-touch link.  Local ids enumerate first-touch
+        # order and every position's role is fixed by what precedes it (a
+        # weight follows ``-2``, a capacity follows ``-1``, anything else is
+        # an id >= 0), so equal keys imply equal topology signatures.  The
+        # loop extends the list in place rather than through method calls:
+        # building the key is the whole cost of a cache hit.
+        lids: dict[Link, int] = {}
+        key: list = []
+        nlinks = 0
         for flow in flow_list:
-            weight = flow.weight
-            links = flow.links
-            weights.append(weight)
-            key.append(weight)
-            key.append(len(links))
-            for link in links:
-                li = lids.get(link)
-                if li is None:
-                    lids[link] = len(caps)
-                    key.append(-1)
-                    key.append(link.capacity)
-                    caps.append(link.capacity)
+            key += (-2, flow.weight)
+            for link in flow.links:
+                if link in lids:
+                    key += (lids[link],)
                 else:
-                    key.append(li)
-
+                    lids[link] = nlinks
+                    nlinks += 1
+                    key += (-1, link.capacity)
         sig = tuple(key)
         cached = self._rate_cache.get(sig)
         profiler = self.sim.profiler
@@ -277,8 +251,6 @@ class ArrayFabric(Fabric):
                 profiler.count("fabric.rate_cache_hits")
             for fi, flow in enumerate(flow_list):
                 flow.rate = cached[fi]
-            flow_list.clear()
-            lids.clear()
             return
         self.rate_cache_misses += 1
         t_solve = 0.0
@@ -286,41 +258,23 @@ class ArrayFabric(Fabric):
             profiler.count("fabric.rate_cache_misses")
             t_solve = perf_counter()
 
-        # Miss path only: lower the per-flow local link ids into reused
-        # lists (the hit path never needs them — the walk above already
-        # assigned every local id via ``lids``).
-        flinks = self._scratch_flinks
-        while len(flinks) < nflows:
-            flinks.append([])
-        for fi, flow in enumerate(flow_list):
-            local = flinks[fi]
-            local.clear()
-            for link in flow.links:
-                local.append(lids[link])
-
-        nlinks = len(caps)
-        members = self._scratch_members
-        while len(members) < nlinks:
-            members.append([])
-        for li in range(nlinks):
-            members[li].clear()
-        for fi in range(nflows):
-            for li in flinks[fi]:
+        # Miss path only: lower the component into parallel lists indexed
+        # by local flow/link ids (membership as ascending-``fi`` lists).
+        weights = [flow.weight for flow in flow_list]
+        flinks = [[lids[link] for link in flow.links] for flow in flow_list]
+        members: list[list[int]] = [[] for _ in range(nlinks)]
+        for fi, local in enumerate(flinks):
+            for li in local:
                 members[li].append(fi)
-        residual = self._scratch_residual
-        residual.clear()
-        residual.extend(caps)
-        wsums = self._scratch_wsums
-        wsums.clear()
-        rates = self._scratch_rates
-        rates.clear()
+        residual = [link.capacity for link in lids]
+        wsums = []
         for li in range(nlinks):
             total = 0
             for fi in members[li]:
                 total += weights[fi]
             wsums.append(total)
+        rates = [0.0] * nflows
         frozen = bytearray(nflows)
-        rates.extend([0.0] * nflows)
         remaining = nflows
         while remaining:
             best_li = -1
@@ -362,11 +316,10 @@ class ArrayFabric(Fabric):
                         wsums[li] -= weight
             wsums[best_li] = 0
 
-        frozen_rates = tuple(rates)
         cache = self._rate_cache
         if len(cache) >= _RATE_CACHE_MAX:
             cache.clear()
-        cache[sig] = frozen_rates
+        cache[sig] = tuple(rates)
         if profiler is not None:
             # Miss-path solve time: the table tools/profile_sweep.py --top
             # prints shows this against fabric.recompute, making the
@@ -374,9 +327,6 @@ class ArrayFabric(Fabric):
             profiler.lap("fabric.fill_solve", t_solve)
         for fi, flow in enumerate(flow_list):
             flow.rate = rates[fi]
-        # Drop object references so completed flows/links are collectable.
-        flow_list.clear()
-        lids.clear()
 
 
 FABRIC_KINDS["array"] = ArrayFabric

@@ -6,7 +6,11 @@ Two write paths mirror the two ways ROMIO drives the file system:
   per-target contiguous runs; all RPCs are issued concurrently and the call
   returns when the slowest completes.  Throughput is bounded by the client
   streaming channel, the NICs, each server's ingest stage and its RAID
-  target — all shared max-min fairly.
+  target — all shared max-min fairly.  The RPCs run as one callback chain
+  (``_issue_writes``), not a process per RPC: the caller waits on a single
+  completion event, and only an RPC to a server with a fault injector
+  attached takes the generator ``serve_write`` (counted in
+  ``fallback_rpcs``).
 
 * :meth:`write_sync` — the synchronous independent path used by the cache
   sync thread (a blocking ``pwrite`` loop in one pthread): one outstanding
@@ -14,44 +18,25 @@ Two write paths mirror the two ways ROMIO drives the file system:
   (``sync_client_rtt``) on top of transfer and server time.  This is what
   limits a single flushing aggregator to ≈105 MB/s with 512 KiB chunks.
 
+Every entry point reads its stripe plan (runs, bulk groups, sync RPC split)
+from the process-wide memo in :mod:`repro.pfs.layout`, which also rejects
+a negative ``offset`` or ``nbytes``.
+
 Paper correspondence: §II-B client path; the sync thread (§III-A)
 flushes through exactly this endpoint.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from repro.faults.errors import PFSTimeoutError
 from repro.pfs.filesystem import ParallelFileSystem, PFSFile
-from repro.pfs.layout import StripeChunk
+from repro.pfs.layout import pipelined_plan, sync_plan
 from repro.sim.core import Event, SimError
-
-
-def coalesce_target_runs(chunks: list[StripeChunk]) -> list[list[StripeChunk]]:
-    """Group stripe chunks into per-target runs contiguous in target space.
-
-    Round-robin striping makes successive rows land contiguously on each
-    target, so a large aligned write becomes one streaming RPC per target.
-    """
-    by_target: dict[int, list[StripeChunk]] = {}
-    for ch in chunks:
-        by_target.setdefault(ch.target, []).append(ch)
-    runs: list[list[StripeChunk]] = []
-    for target in sorted(by_target):
-        seq = sorted(by_target[target], key=lambda c: c.target_offset)
-        run = [seq[0]]
-        for ch in seq[1:]:
-            prev = run[-1]
-            if ch.target_offset == prev.target_offset + prev.length:
-                run.append(ch)
-            else:
-                runs.append(run)
-                run = [ch]
-        runs.append(run)
-    return runs
 
 
 class PFSClient:
@@ -69,11 +54,14 @@ class PFSClient:
         self.bytes_written = 0
         self.bytes_read = 0
         self.rpcs = 0
+        # RPCs that took the generator ``serve_write`` because their server
+        # had a fault injector attached when they were issued.
+        self.fallback_rpcs = 0
         # Per-job accounting tag (fleet): threaded into every fabric flow and
         # server RPC this client issues.  None for single-job machines.
         self.tag: Optional[str] = None
         # Bulk data plane: same-size runs to the same server start as one
-        # weighted flow instead of one flow per run (see _group_runs).
+        # weighted flow instead of one flow per run (see pfs.layout).
         self._bulk = getattr(pfs, "dataplane_bulk", False)
 
     # -- metadata ------------------------------------------------------------
@@ -103,112 +91,83 @@ class PFSClient:
         locking: bool = True,
     ):
         """Generator: striped, pipelined write of one contiguous extent."""
-        if nbytes < 0:
-            raise SimError("negative write")
+        shift, nruns, groups = pipelined_plan(
+            f.layout, offset, nbytes, len(self.pfs.servers), self._bulk
+        )
         if nbytes == 0:
             return
-        chunks = list(f.layout.chunks(offset, nbytes))
-        runs = coalesce_target_runs(chunks)
-        cfg = self.pfs.cfg
-        stripes = f.layout.stripes_covered(offset, nbytes)
         # Acquisition happens INSIDE the try so an interrupt that lands
         # mid-loop (aggregator crash) releases exactly the stripes acquired
         # so far instead of leaking them.
         held: list[int] = []
         try:
             if locking:
-                for s in stripes:
+                for s in f.layout.stripes_covered(offset, nbytes):
                     yield from self.pfs.locks.acquire(f.file_id, s, exclusive=True)
                     held.append(s)
-            yield self.sim.timeout(cfg.client_rpc_overhead * len(runs))
-            subprocs = []
-            if self._bulk and len(runs) > 1:
-                for group in self._group_runs(f, runs):
-                    subprocs.append(
-                        self.sim.process(self._rpc_write_group(f, group), name="rpc")
-                    )
-            else:
-                for run in runs:
-                    subprocs.append(self.sim.process(self._rpc_write(f, run), name="rpc"))
-            yield self.sim.all_of(subprocs)
+            yield self.sim.timeout(self.pfs.cfg.client_rpc_overhead * nruns)
+            yield self._issue_writes(shift, nruns, groups)
         finally:
             for s in held:
                 self.pfs.locks.release(f.file_id, s, exclusive=True)
         f.record_write(offset, nbytes, data)
         self.bytes_written += nbytes
 
-    def _group_runs(
-        self, f: PFSFile, runs: list[list[StripeChunk]]
-    ) -> list[list[list[StripeChunk]]]:
-        """Group target runs by (server, byte total), preserving run order.
+    def _issue_writes(self, shift: int, nruns: int, groups: tuple) -> Event:
+        """Issue every RPC of a planned write; the returned event fires
+        inline in the callback of the last transfer or server RPC to finish.
 
-        Runs in one group are indistinguishable transfers (same endpoints,
-        same links, same size), so they may share one weighted flow — the
-        fair-share allocation is bit-identical to separate flows (see
-        :class:`~repro.net.fabric.Flow`), and the per-server order of the
-        serve processes is the run order either way.
+        Per group, after its pipeline-fill latency: one flow of the group's
+        weight and one server RPC per member run, proceeding concurrently
+        (the server writes out data as it arrives), so an RPC costs
+        ~max(network, device) plus the fill — not their sum.  Nothing here
+        belongs to the waiting process: if it is interrupted the chain still
+        runs out, releasing every server worker it took.
         """
-        groups: list[list[list[StripeChunk]]] = []
-        index: dict[tuple[int, int], int] = {}
-        for run in runs:
-            server = self.pfs.server_for(f, run[0].target)
-            total = sum(ch.length for ch in run)
-            key = (server.server_id, total)
-            i = index.get(key)
-            if i is None:
-                index[key] = len(groups)
-                groups.append([run])
-            else:
-                groups[i].append(run)
-        return groups
+        sim = self.sim
+        pfs = self.pfs
+        done = Event(sim, name="write")
+        self.rpcs += nruns
+        pending = nruns + len(groups)
 
-    def _rpc_write_group(self, f: PFSFile, group: list[list[StripeChunk]]):
-        """A bundle of identical write RPCs to one server: one weighted flow
-        plus one server-side service process per member run."""
-        server = self.pfs.server_for(f, group[0][0].target)
-        total = sum(ch.length for ch in group[0])
-        self.rpcs += len(group)
-        fill = min(total, 512 * 1024) / self.pfs.cfg.per_client_max_bw
-        yield self.sim.timeout(fill)
-        waits = [
-            self.pfs.fabric.start_flow(
+        def _child(ev: Event) -> None:
+            nonlocal pending
+            if not ev._ok:
+                if not done._fired:
+                    done._fire_inline(ev._value, ok=False)
+                return
+            pending -= 1
+            if not pending:
+                done._fire_inline()
+
+        def _start(server, total: int, offsets: tuple) -> None:
+            flow = pfs.fabric.start_flow(
                 self.node_id,
                 server.fabric_node,
                 total,
-                extra_links=(self.channel, self.pfs.ingest_link(server.server_id)),
-                weight=len(group),
+                extra_links=(self.channel, pfs.ingest_link(server.server_id)),
+                weight=len(offsets),
                 tag=self.tag,
             )
-        ]
-        for run in group:
-            waits.append(
-                self.sim.process(
-                    server.serve_write(run[0].target_offset, total, tag=self.tag), name="srv-w"
-                )
-            )
-        yield self.sim.all_of(waits)
+            flow.callbacks.append(_child)
+            for t_off in offsets:
+                if server.injector is None:
+                    ev = server.serve_write_event(t_off + shift, total, tag=self.tag)
+                else:
+                    # A stall may be armed on this server: this RPC alone
+                    # takes the generator, which can park behind the gate.
+                    self.fallback_rpcs += 1
+                    ev = sim.process(
+                        server.serve_write(t_off + shift, total, tag=self.tag), name="srv-w"
+                    )
+                ev.callbacks.append(_child)
 
-    def _rpc_write(self, f: PFSFile, run: list[StripeChunk]):
-        """One streaming write RPC: the network transfer and the server's
-        device write proceed concurrently (the server writes out data as it
-        arrives), so a large RPC costs ~max(network, device) plus a small
-        pipeline-fill latency — not their sum."""
-        server = self.pfs.server_for(f, run[0].target)
-        total = sum(ch.length for ch in run)
-        self.rpcs += 1
-        fill = min(total, 512 * 1024) / self.pfs.cfg.per_client_max_bw
-        yield self.sim.timeout(fill)
-        flow = self.pfs.fabric.start_flow(
-            self.node_id,
-            server.fabric_node,
-            total,
-            extra_links=(self.channel, self.pfs.ingest_link(server.server_id)),
-            tag=self.tag,
-        )
-        srv = self.sim.process(
-            server.serve_write(run[0].target_offset, total, tag=self.tag), name="srv-w"
-        )
-        yield self.sim.all_of([flow, srv])
+        for si, total, offsets in groups:
+            sim.call_later(
+                min(total, 512 * 1024) / pfs.cfg.per_client_max_bw,
+                partial(_start, pfs.servers[si], total, offsets),
+            )
+        return done
 
     # -- data: synchronous independent path (the sync thread's loop) ----------------
     def write_sync(
@@ -227,41 +186,30 @@ class PFSClient:
         per-chunk round trips and server overheads for all of them, keeping
         batched simulation cost-faithful.
         """
-        if nbytes <= 0:
+        shift, plan = sync_plan(f.layout, offset, nbytes, len(self.pfs.servers), rpc_count)
+        if nbytes == 0:
             return
-        chunks = list(f.layout.chunks(offset, nbytes))
-        runs = coalesce_target_runs(chunks)
         cfg = self.pfs.cfg
-        n_rpcs = max(rpc_count if rpc_count is not None else len(runs), len(runs))
         stripes = f.layout.stripes_covered(offset, nbytes) if locking else ()
         held: list[int] = []
         try:
             for s in stripes:
                 yield from self.pfs.locks.acquire(f.file_id, s, exclusive=True)
                 held.append(s)
-            remaining_rpcs = n_rpcs
-            for i, run in enumerate(runs):
-                server = self.pfs.server_for(f, run[0].target)
-                total = sum(ch.length for ch in run)
-                # Spread the chunk count over the runs, proportional to bytes.
-                if i == len(runs) - 1:
-                    run_rpcs = remaining_rpcs
-                else:
-                    run_rpcs = max(1, round(n_rpcs * total / nbytes))
-                    run_rpcs = min(run_rpcs, remaining_rpcs - (len(runs) - 1 - i))
-                remaining_rpcs -= run_rpcs
+            for si, t_off, total, run_rpcs in plan:
+                server = self.pfs.servers[si]
                 self.rpcs += run_rpcs
                 yield self.sim.timeout(cfg.sync_client_rtt * run_rpcs)
                 watchdog = self._sync_watchdog()
                 if watchdog is None:
-                    yield from self._sync_rpc(server, run[0].target_offset, total, run_rpcs)
+                    yield from self._sync_rpc(server, t_off + shift, total, run_rpcs)
                 else:
                     # Race the RPC against the client-side watchdog.  On a
                     # timeout the server op is abandoned, not cancelled —
                     # whatever it persists is rewritten identically by the
                     # caller's retry, so the data image stays consistent.
                     op = self.sim.process(
-                        self._sync_rpc(server, run[0].target_offset, total, run_rpcs),
+                        self._sync_rpc(server, t_off + shift, total, run_rpcs),
                         name="sync-rpc",
                     )
                     winner = yield self.sim.any_of([op, self.sim.timeout(watchdog)])
@@ -294,48 +242,36 @@ class PFSClient:
         start, worker grant and jitter draw lands in the same event
         callback as on the generator path.
         """
-        if nbytes <= 0:
+        shift, plan = sync_plan(f.layout, offset, nbytes, len(self.pfs.servers), rpc_count)
+        if nbytes == 0:
             raise SimError("write_sync_flat requires nbytes > 0")
-        chunks = list(f.layout.chunks(offset, nbytes))
-        runs = coalesce_target_runs(chunks)
         cfg = self.pfs.cfg
-        n_rpcs = max(rpc_count if rpc_count is not None else len(runs), len(runs))
-        # Precompute the per-run plan with the exact loop write_sync runs.
-        plan = []
-        remaining_rpcs = n_rpcs
-        for i, run in enumerate(runs):
-            server = self.pfs.server_for(f, run[0].target)
-            total = sum(ch.length for ch in run)
-            if i == len(runs) - 1:
-                run_rpcs = remaining_rpcs
-            else:
-                run_rpcs = max(1, round(n_rpcs * total / nbytes))
-                run_rpcs = min(run_rpcs, remaining_rpcs - (len(runs) - 1 - i))
-            remaining_rpcs -= run_rpcs
-            plan.append((server, run[0].target_offset, total, run_rpcs))
+        servers = self.pfs.servers
         done = Event(self.sim, name="write-sync")
         sim = self.sim
         fabric = self.pfs.fabric
 
         def _start_run(i: int) -> None:
-            _server, _t_off, _total, run_rpcs = plan[i]
+            run_rpcs = plan[i][3]
             self.rpcs += run_rpcs
             sim.call_later(cfg.sync_client_rtt * run_rpcs, lambda: _flow(i))
 
         def _flow(i: int) -> None:
-            server, _t_off, total, _run_rpcs = plan[i]
+            si, _t_off, total, _run_rpcs = plan[i]
             fl = fabric.start_flow(
                 self.node_id,
-                server.fabric_node,
+                servers[si].fabric_node,
                 total,
-                extra_links=(self.channel, self.pfs.ingest_link(server.server_id)),
+                extra_links=(self.channel, self.pfs.ingest_link(si)),
                 tag=self.tag,
             )
             fl.callbacks.append(lambda _ev: _serve(i))
 
         def _serve(i: int) -> None:
-            server, t_off, total, run_rpcs = plan[i]
-            ev = server.serve_write_event(t_off, total, rpc_count=run_rpcs, tag=self.tag)
+            si, t_off, total, run_rpcs = plan[i]
+            ev = servers[si].serve_write_event(
+                t_off + shift, total, rpc_count=run_rpcs, tag=self.tag
+            )
             ev.callbacks.append(lambda _ev: _next(i))
 
         def _next(i: int) -> None:
@@ -372,39 +308,32 @@ class PFSClient:
     # -- reads -----------------------------------------------------------------
     def read(self, f: PFSFile, offset: int, nbytes: int, locking: bool = False):
         """Generator: striped pipelined read; returns data (or None if virtual)."""
-        if nbytes <= 0:
+        shift, nruns, groups = pipelined_plan(
+            f.layout, offset, nbytes, len(self.pfs.servers), self._bulk
+        )
+        if nbytes == 0:
             return None
-        chunks = list(f.layout.chunks(offset, nbytes))
-        runs = coalesce_target_runs(chunks)
-        cfg = self.pfs.cfg
         stripes = f.layout.stripes_covered(offset, nbytes) if locking else ()
         held: list[int] = []
         try:
             for s in stripes:
                 yield from self.pfs.locks.acquire(f.file_id, s, exclusive=False)
                 held.append(s)
-            yield self.sim.timeout(cfg.client_rpc_overhead * len(runs))
-            subprocs = []
-            if self._bulk and len(runs) > 1:
-                for group in self._group_runs(f, runs):
-                    subprocs.append(
-                        self.sim.process(self._rpc_read_group(f, group), name="rpc-r")
-                    )
-            else:
-                for run in runs:
-                    subprocs.append(self.sim.process(self._rpc_read(f, run), name="rpc-r"))
-            yield self.sim.all_of(subprocs)
+            yield self.sim.timeout(self.pfs.cfg.client_rpc_overhead * nruns)
+            yield self.sim.all_of(
+                [self.sim.process(self._rpc_read(shift, *group), name="rpc-r") for group in groups]
+            )
         finally:
             for s in held:
                 self.pfs.locks.release(f.file_id, s, exclusive=False)
         self.bytes_read += nbytes
         return f.read_back(offset, nbytes)
 
-    def _rpc_read_group(self, f: PFSFile, group: list[list[StripeChunk]]):
-        """Read-side counterpart of :meth:`_rpc_write_group`."""
-        server = self.pfs.server_for(f, group[0][0].target)
-        total = sum(ch.length for ch in group[0])
-        self.rpcs += len(group)
+    def _rpc_read(self, shift: int, si: int, total: int, offsets: tuple):
+        """A bundle of identical read RPCs from one server: one weighted flow
+        plus one server-side service process per member run."""
+        server = self.pfs.servers[si]
+        self.rpcs += len(offsets)
         fill = min(total, 512 * 1024) / self.pfs.cfg.per_client_max_bw
         yield self.sim.timeout(fill)
         waits = [
@@ -412,33 +341,13 @@ class PFSClient:
                 server.fabric_node,
                 self.node_id,
                 total,
-                extra_links=(self.channel, self.pfs.ingest_link(server.server_id)),
-                weight=len(group),
+                extra_links=(self.channel, self.pfs.ingest_link(si)),
+                weight=len(offsets),
                 tag=self.tag,
             )
         ]
-        for run in group:
+        for t_off in offsets:
             waits.append(
-                self.sim.process(
-                    server.serve_read(run[0].target_offset, total, tag=self.tag), name="srv-r"
-                )
+                self.sim.process(server.serve_read(t_off + shift, total, tag=self.tag), name="srv-r")
             )
         yield self.sim.all_of(waits)
-
-    def _rpc_read(self, f: PFSFile, run: list[StripeChunk]):
-        server = self.pfs.server_for(f, run[0].target)
-        total = sum(ch.length for ch in run)
-        self.rpcs += 1
-        fill = min(total, 512 * 1024) / self.pfs.cfg.per_client_max_bw
-        yield self.sim.timeout(fill)
-        flow = self.pfs.fabric.start_flow(
-            server.fabric_node,
-            self.node_id,
-            total,
-            extra_links=(self.channel, self.pfs.ingest_link(server.server_id)),
-            tag=self.tag,
-        )
-        srv = self.sim.process(
-            server.serve_read(run[0].target_offset, total, tag=self.tag), name="srv-r"
-        )
-        yield self.sim.all_of([flow, srv])

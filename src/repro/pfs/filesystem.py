@@ -172,10 +172,6 @@ class ParallelFileSystem:
         self.lookup(path)
         del self._files[path]
 
-    def server_for(self, f: PFSFile, target_index: int) -> DataServer:
-        # target index within the layout maps round-robin onto data servers.
-        return self.servers[target_index % len(self.servers)]
-
     # -- aggregate statistics ------------------------------------------------------
     @property
     def bytes_persisted(self) -> int:

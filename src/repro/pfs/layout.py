@@ -6,6 +6,14 @@ functions convert between file offsets and (target, target-local offset)
 and split arbitrary extents into their per-target pieces — the client's RPC
 fan-out and the lock manager's stripe indexing are both built on them.
 
+An extent's RPC plan — its per-target runs, their ``(server, byte total)``
+bulk groups and the sync path's per-run RPC split — depends only on the
+stripe geometry, the offset *within one stripe row* and the length: a later
+row's target offsets are the row-0 offsets plus ``row * stripe_size``.
+:func:`pipelined_plan` and :func:`sync_plan` therefore memoise plans
+process-wide on ints alone (never on a layout or file identity) and hand
+back the row shift; every ``PFSClient`` entry point reads them.
+
 Paper correspondence: §II-B striping (stripe size 4 MB, count 4 in
 §IV-A).
 """
@@ -13,7 +21,10 @@ Paper correspondence: §II-B striping (stripe size 4 MB, count 4 in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
+
+from repro.sim.core import SimError
 
 
 @dataclass(frozen=True)
@@ -80,3 +91,112 @@ class StripeLayout:
 
     def align_up(self, offset: int) -> int:
         return -(-offset // self.stripe_size) * self.stripe_size
+
+
+def coalesce_target_runs(chunks: list[StripeChunk]) -> list[list[StripeChunk]]:
+    """Group stripe chunks into per-target runs contiguous in target space.
+
+    Round-robin striping makes successive rows land contiguously on each
+    target, so a large aligned write becomes one streaming RPC per target.
+    """
+    by_target: dict[int, list[StripeChunk]] = {}
+    for ch in chunks:
+        by_target.setdefault(ch.target, []).append(ch)
+    runs: list[list[StripeChunk]] = []
+    for target in sorted(by_target):
+        seq = sorted(by_target[target], key=lambda c: c.target_offset)
+        run = [seq[0]]
+        for ch in seq[1:]:
+            prev = run[-1]
+            if ch.target_offset == prev.target_offset + prev.length:
+                run.append(ch)
+            else:
+                runs.append(run)
+                run = [ch]
+        runs.append(run)
+    return runs
+
+
+# Plans are a few small int tuples each; the bound only guards against a
+# workload that never repeats an extent shape.
+_PLAN_MEMO_MAX = 4096
+
+
+def _row_runs(
+    stripe_size: int, stripe_count: int, first_target: int, rel: int, nbytes: int, nservers: int
+) -> list[tuple[int, int, int]]:
+    """``(server, row-0 target offset, byte total)`` per target run; a
+    layout's targets map round-robin onto the data servers."""
+    layout = StripeLayout(stripe_size, stripe_count, first_target)
+    return [
+        (run[0].target % nservers, run[0].target_offset, sum(ch.length for ch in run))
+        for run in coalesce_target_runs(list(layout.chunks(rel, nbytes)))
+    ]
+
+
+@lru_cache(maxsize=_PLAN_MEMO_MAX)
+def _pipelined_plan(stripe_size, stripe_count, first_target, rel, nbytes, nservers, bulk):
+    runs = _row_runs(stripe_size, stripe_count, first_target, rel, nbytes, nservers)
+    if not bulk:
+        return len(runs), tuple((server, total, (t_off,)) for server, t_off, total in runs)
+    # Runs of one (server, byte total) are indistinguishable transfers (same
+    # endpoints, links and size), so they share one weighted flow; groups and
+    # their members keep run order.
+    groups: dict[tuple[int, int], list[int]] = {}
+    for server, t_off, total in runs:
+        groups.setdefault((server, total), []).append(t_off)
+    return len(runs), tuple((*key, tuple(offs)) for key, offs in groups.items())
+
+
+@lru_cache(maxsize=_PLAN_MEMO_MAX)
+def _sync_plan(stripe_size, stripe_count, first_target, rel, nbytes, nservers, rpc_count):
+    runs = _row_runs(stripe_size, stripe_count, first_target, rel, nbytes, nservers)
+    n_rpcs = remaining = max(rpc_count, len(runs))
+    plan = []
+    for i, (server, t_off, total) in enumerate(runs):
+        later = len(runs) - 1 - i
+        if later:
+            # Spread the chunk count over the runs, proportional to bytes.
+            run_rpcs = min(max(1, round(n_rpcs * total / nbytes)), remaining - later)
+        else:
+            run_rpcs = remaining
+        remaining -= run_rpcs
+        plan.append((server, t_off, total, run_rpcs))
+    return tuple(plan)
+
+
+def _row_key(layout: StripeLayout, offset: int, nbytes: int) -> tuple[int, tuple]:
+    """Validate an extent and split it into (row shift, memo key prefix)."""
+    if offset < 0:
+        raise SimError(f"offset must be >= 0, got {offset}")
+    if nbytes < 0:
+        raise SimError(f"nbytes must be >= 0, got {nbytes}")
+    size, count = layout.stripe_size, layout.stripe_count
+    row, rel = divmod(offset, size * count)
+    return row * size, (size, count, layout.first_target, rel, nbytes)
+
+
+def pipelined_plan(layout: StripeLayout, offset: int, nbytes: int, nservers: int, bulk: bool):
+    """Plan of a pipelined extent: ``(shift, nruns, groups)``.
+
+    ``groups`` is a tuple of ``(server index, bytes per run, row-0 target
+    offsets)``: one flow of weight ``len(offsets)`` and one server RPC per
+    offset (add ``shift``).  Without ``bulk`` every run is its own group.
+    """
+    shift, key = _row_key(layout, offset, nbytes)
+    return shift, *_pipelined_plan(*key, nservers, bool(bulk))
+
+
+def sync_plan(
+    layout: StripeLayout, offset: int, nbytes: int, nservers: int, rpc_count: int | None
+):
+    """Plan of a synchronous extent: ``(shift, runs)`` with one ``(server
+    index, row-0 target offset, bytes, RPCs charged)`` per target run, the
+    ``rpc_count`` logical RPCs (at least one per run) spread by bytes."""
+    shift, key = _row_key(layout, offset, nbytes)
+    return shift, _sync_plan(*key, nservers, rpc_count or 0)
+
+
+def plan_memo_info() -> dict:
+    """``cache_info()`` of the two plan memos (for profiling tools)."""
+    return {"pipelined": _pipelined_plan.cache_info(), "sync": _sync_plan.cache_info()}

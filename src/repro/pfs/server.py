@@ -210,9 +210,11 @@ class DataServer:
         behind).  Returns an Event fired *inline* in the callback where the
         generator's caller would resume: same worker-grant position, same
         post-grant jitter draw, same absorb/throttle loop, same
-        release-before-resume order.  The RPC completes unconditionally —
-        callers must not be interruptible mid-chain (the sync flat loop is
-        only enabled when no fault schedule exists).
+        release-before-resume order.  The RPC completes unconditionally,
+        whatever becomes of its caller: a waiter interrupted mid-chain
+        (``PFSClient.write`` under an aggregator crash) leaves it to run out
+        and release its worker; the sync flat loop, which records the write
+        from inside its chain, is only enabled when no fault schedule exists.
         """
         done = Event(self.sim, name=f"srv{self.server_id}-w")
         if self.fast_path and self.workers.try_acquire():

@@ -20,6 +20,7 @@ timers behind Figs. 5/6/8/10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Iterator
 
 PHASES = (
@@ -98,21 +99,22 @@ class Profiler:
 
 def aggregate_max(profiles: list[PhaseProfile]) -> PhaseProfile:
     """Per-phase maximum across ranks — the straggler view the paper plots."""
+    tables = [p.seconds for p in profiles]
     out = PhaseProfile()
     for phase in PHASES:
-        worst = max((p.get(phase) for p in profiles), default=0.0)
+        worst = max(map(methodcaller("get", phase, 0.0), tables), default=0.0)
         if worst > 0:
             out.add(phase, worst)
     return out
 
 
 def aggregate_mean(profiles: list[PhaseProfile]) -> PhaseProfile:
-    if not profiles:
-        return PhaseProfile()
     out = PhaseProfile()
+    if not profiles:
+        return out
+    tables = [p.seconds for p in profiles]
     for phase in PHASES:
-        vals = [p.get(phase) for p in profiles]
-        mean = sum(vals) / len(vals)
+        mean = sum(map(methodcaller("get", phase, 0.0), tables)) / len(tables)
         if mean > 0:
             out.add(phase, mean)
     return out

@@ -6,7 +6,10 @@ on the default bulk data plane, the exact event count.  The values were
 recorded at the commit *before* the access-table rewrite (PR 14); a change
 that is meant to be host-only — a new kernel, a memo, a different loop
 order — must reproduce them bit for bit.  A change that is meant to move
-simulated results re-records them and says so.
+simulated results re-records them and says so.  Two event counts (not
+digests) were re-recorded when ``PFSClient.write`` became one callback
+chain (PR 16): ``coll_perf-disabled`` 8474 → 5786, ``fleet_of_eight``
+6155 → 5267.
 
 First instalment of ROADMAP item 1a's golden digests (grid + fleet + fault
 point); the sizes are the ``noncontig_grid4`` / ``faults_payload24`` ones
@@ -46,7 +49,7 @@ def digest(fields: dict) -> str:
 GRID = {
     # (benchmark, cache mode, scale): (events, digest)
     ("coll_perf", "disabled", 0.03125): (
-        8474,
+        5786,
         "1699b6529e27d2dd781f3ba61653bf11a29b3b8d0651fadfe5685e59dd354cff",
     ),
     ("coll_perf", "enabled", 0.03125): (
@@ -84,7 +87,7 @@ def test_grid_point(point):
 
 
 # (events, digest of FleetResult.identity())
-FLEET = (6155, "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
+FLEET = (5267, "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
 
 
 def test_fleet_of_eight():

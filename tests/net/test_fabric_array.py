@@ -19,12 +19,16 @@ from repro.sim.core import SlottedSimulator, Simulator
 from tests.net.test_fabric_incremental import BW, LAT, NODES, churn
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_randomized_differential_three_way(seed):
+@pytest.mark.parametrize(
+    "seed, bundles",
+    [pytest.param(seed, False, id=str(seed)) for seed in (1, 2, 3, 4, 5)]
+    + [pytest.param(seed, True, id=f"{seed}-bundles") for seed in (1, 2, 3)],
+)
+def test_randomized_differential_three_way(seed, bundles):
     """500-step churn: array vs incremental vs naive, bit-for-bit."""
-    arr_done, arr_rates, arr_end = churn(ArrayFabric, seed)
-    inc_done, inc_rates, inc_end = churn(Fabric, seed)
-    ref_done, ref_rates, ref_end = churn(NaiveFabric, seed)
+    arr_done, arr_rates, arr_end = churn(ArrayFabric, seed, bundles=bundles)
+    inc_done, inc_rates, inc_end = churn(Fabric, seed, bundles=bundles)
+    ref_done, ref_rates, ref_end = churn(NaiveFabric, seed, bundles=bundles)
     # Completion timestamps must match exactly (byte-identical clock).
     assert arr_end == inc_end == ref_end
     assert arr_done == inc_done == ref_done

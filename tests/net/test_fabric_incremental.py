@@ -20,12 +20,14 @@ LAT = 0.0005
 NODES = 6
 
 
-def churn(fabric_cls, seed, steps=500):
+def churn(fabric_cls, seed, steps=500, bundles=False):
     """Drive one allocator through a seeded random schedule of flow churn.
 
     Mixes flow starts (with occasional shared auxiliary links), capacity
     changes mid-transfer, rate samples, and clock advances; returns
-    (completion times, sampled rate maps, final sim time).
+    (completion times, sampled rate maps, final sim time).  ``bundles``
+    also starts weighted flows over both auxiliary links at once, the shape
+    of a PFS client's bundled RPCs (channel + server ingest).
     """
     rng = random.Random(seed)
     sim = Simulator()
@@ -41,7 +43,10 @@ def churn(fabric_cls, seed, steps=500):
             dst = rng.randrange(NODES)
             nbytes = rng.choice([1, 7, 100, 1000, 4096, 100000]) * rng.uniform(0.5, 1.5)
             extra = (aux[rng.randrange(2)],) if rng.random() < 0.3 else ()
-            ev = fabric.start_flow(src, dst, nbytes, extra_links=extra)
+            weight = 1
+            if bundles and rng.random() < 0.4:
+                extra, weight = tuple(aux), rng.randint(2, 4)
+            ev = fabric.start_flow(src, dst, nbytes, extra_links=extra, weight=weight)
             idx = started
             started += 1
             ev.callbacks.append(lambda e, i=idx: completions.__setitem__(i, sim.now))

@@ -3,8 +3,7 @@ import pytest
 
 from repro.config import small_testbed
 from repro.machine import Machine
-from repro.pfs.client import coalesce_target_runs
-from repro.pfs.layout import StripeLayout
+from repro.pfs.layout import StripeLayout, coalesce_target_runs
 from repro.units import KiB, MiB
 
 

@@ -36,6 +36,7 @@ events (color-coded in the Chrome trace — faults red, recovery green)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import json
 import os
@@ -47,6 +48,8 @@ from repro.chaos.runner import CHAOS_CACHE_MODES
 from repro.dataplane import DATAPLANE_KINDS
 from repro.experiments.runner import BENCHMARKS, CACHE_MODES, ExperimentSpec
 from repro.net.fabric import FABRIC_KINDS
+from repro.pfs.client import PFSClient
+from repro.pfs.layout import plan_memo_info
 from repro.sim.profile import SimProfiler
 from repro.units import MiB
 
@@ -110,9 +113,36 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def print_top(snapshot: dict, n: int) -> None:
+@contextlib.contextmanager
+def pfs_clients():
+    """Every :class:`PFSClient` a run creates (the runners keep their
+    machines to themselves), to sum the clients' plain RPC counters."""
+    made: list[PFSClient] = []
+    init = PFSClient.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    PFSClient.__init__ = tracked
+    try:
+        yield made
+    finally:
+        PFSClient.__init__ = init
+
+
+def rpc_summary(clients: list[PFSClient]) -> dict:
+    return {
+        "rpcs": sum(c.rpcs for c in clients),
+        "fallback_rpcs": sum(c.fallback_rpcs for c in clients),
+        "plan_memo": {k: v._asdict() for k, v in plan_memo_info().items()},
+    }
+
+
+def print_top(snapshot: dict, n: int, pfs: dict) -> None:
     """The ``--top N`` table: hottest profiler timers, largest counters, the
-    access-table / model-memo hit rates and the park-once / live shares.
+    access-table / model-memo / stripe-plan hit rates, the park-once / live
+    shares and the write RPCs that fell back to the generator server path.
 
     Timers are cumulative wall-clock seconds inside instrumented components
     (``fabric.recompute``, ``fabric.fill_solve``, ...) collected by the run's
@@ -156,6 +186,17 @@ def print_top(snapshot: dict, n: int) -> None:
         f"  ext2ph model memo: {hit} hits, {miss} misses "
         f"(hit share {hit / max(1, hit + miss):.3f})"
     )
+    for name, info in pfs["plan_memo"].items():
+        print(
+            f"  stripe plans ({name}): {info['hits']} hits, {info['misses']} misses, "
+            f"{info['currsize']} of {info['maxsize']} entries"
+        )
+    # A write RPC leaves the callback chain only when its server had a fault
+    # injector attached at issue time (an armed or pending stall).
+    print(
+        f"PFS client RPCs: {pfs['rpcs']} issued; {pfs['fallback_rpcs']} pipelined-write "
+        f"RPCs fell back to the generator serve_write"
+    )
     # How the rank-calls of the collective writes crossed them: parked for
     # the whole call on one resume, or live (aggregators always; everybody
     # on the heapq engine, the chunked plane, a fault machine, or under
@@ -193,7 +234,8 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         if prof is not None:
             prof.enable()
-        result = run_chaos_trial(spec, trace=True, profiler=profiler)
+        with pfs_clients() as clients:
+            result = run_chaos_trial(spec, trace=True, profiler=profiler)
         if prof is not None:
             prof.disable()
         wall = time.perf_counter() - t0
@@ -220,10 +262,11 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         "trace_fault_events": fault_events,
         "trace_recovery_events": recovery_events,
         "profiler": profiler.snapshot(),
+        "pfs": rpc_summary(clients),
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.top:
-        print_top(summary["profiler"], args.top)
+        print_top(summary["profiler"], args.top, summary["pfs"])
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -265,7 +308,8 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         if prof is not None:
             prof.enable()
-        result = run_experiment(spec, profiler=profiler)
+        with pfs_clients() as clients:
+            result = run_experiment(spec, profiler=profiler)
         if prof is not None:
             prof.disable()
         wall = time.perf_counter() - t0
@@ -287,10 +331,11 @@ def main(argv=None) -> int:
         "events_per_sec": result.events / wall if wall else 0.0,
         "bw_gib_s": result.bw / (1 << 30),
         "profiler": profiler.snapshot(),
+        "pfs": rpc_summary(clients),
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.top:
-        print_top(summary["profiler"], args.top)
+        print_top(summary["profiler"], args.top, summary["pfs"])
 
     if args.json:
         with open(args.json, "w") as fh:
