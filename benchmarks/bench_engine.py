@@ -16,7 +16,7 @@ dataplane leg to ``BENCH_dataplane.json``):
 2. **Engine grid A/B** — the IOR grid run under ``REPRO_ENGINE=heapq``
    and the slotted default.  Every :class:`ExperimentResult` field except
    the diagnostic ``events`` count must be **byte-identical**: the slotted
-   engine (calendar queue, pooled events, flattened hot coroutines) must
+   engine (bucketed time spine, pooled events, flattened hot coroutines) must
    be a pure performance transform of the heapq reference.
 
 3. **Engine fault + chaos A/B** — the same byte-identity contract under
@@ -79,25 +79,31 @@ RECORDED_BASELINES = {
     # figure that motivated the slotted scheduler.
     "pr5_full_grid_events_per_sec": 39_431.0,
     # Full-grid slotted throughput at the NVM-device-tier PR (PR 8), from
-    # that revision's committed BENCH_engine.json.  This is the baseline the
-    # array fair-share kernel's >=2.5x events/s target is measured against
-    # (the pr5 figure above predates the slotted engine and is kept only as
-    # provenance).
+    # that revision's committed BENCH_engine.json: 1,346,914 events in
+    # 30.06 s.  The wall is the baseline the array fair-share kernel's >=2.5x
+    # target is measured against; the events/s figure is provenance only —
+    # later PRs fire fewer events for the same 36 points, so a rate per
+    # event no longer compares like with like (the pr5 figure above predates
+    # the slotted engine and is kept for the same reason).
     "pr8_full_grid_events_per_sec": 44_800.8,
+    "pr8_full_grid_wall_s": 30.06,
 }
 
-# Full-mode gate: slotted full-grid events/s must reach this multiple of the
-# pr8 recorded baseline (the array-kernel PR's headline target).
+# Full-mode gate: the slotted engine must run the same 36-point full grid
+# this many times faster (wall) than the pr8 recorded baseline — the
+# array-kernel PR's headline target, restated per grid instead of per event.
 FULL_GRID_SPEEDUP_TARGET = 2.5
 
 BENCH_SCALE = 0.03125
 
-# Quick-grid bulk-dataplane event budget: 245,868 measured since the write
-# RPC path runs as one chain (295,020 at the PR that introduced the fast
-# path), plus ~15% headroom.  CI's bench-smoke fails when the bulk path
-# starts firing more events than this — the regression the fast path exists
-# to prevent.  (The chunked reference fires ~2.13M on the same grid.)
-QUICK_BULK_EVENTS_CEILING = 283_000
+# Quick-grid bulk-dataplane event budget: 226,564 measured since the
+# write-back stages wake waiters in place and drain as one chain (245,868
+# since the write RPC path runs as one chain, 295,020 at the PR that
+# introduced the fast path), plus ~15% headroom.  CI's bench-smoke fails when
+# the bulk path starts firing more events than this — the regression the
+# fast path exists to prevent.  (The chunked reference fires ~2.11M on the
+# same grid.)
+QUICK_BULK_EVENTS_CEILING = 260_000
 
 
 SCHED_HOPS = 4  # same-instant hops per grant — the bulk-dataplane shape
@@ -401,7 +407,7 @@ def main(argv=None) -> int:
     # heapq *reference* ~15-25% while leaving slotted's flat callbacks
     # mostly unchanged, compressing the ratio to ~4.9x on a quiet box.
     # Absolute slotted throughput is now gated separately (the >=2.5x
-    # full-grid events/s bar below), so the ratio bar only needs to catch
+    # full-grid wall bar below), so the ratio bar only needs to catch
     # dispatch regressions, not re-prove the original headline.
     sched_target = 2.5 if quick else 4.5
     print(
@@ -548,17 +554,17 @@ def main(argv=None) -> int:
         "compared_fields": sorted(comparable_dict(eng_results["slotted"][0])),
     }
     if not quick:
-        # The gated ratio: full-grid slotted events/s against the PR-8
-        # recorded baseline (the revision that preceded the array kernel).
+        # The gated ratio: full-grid slotted wall against the PR-8 recorded
+        # baseline (the revision that preceded the array kernel).  Same 36
+        # points on both sides, so the event count cancels out of it.
         vs_pr8 = (
-            eng_stats["slotted"]["events_per_sec"]
-            / RECORDED_BASELINES["pr8_full_grid_events_per_sec"]
+            RECORDED_BASELINES["pr8_full_grid_wall_s"] / eng_stats["slotted"]["wall_s"]
         )
-        report["engine_grid_ab"]["events_per_sec_vs_pr8_recorded"] = vs_pr8
+        report["engine_grid_ab"]["wall_speedup_vs_pr8_recorded"] = vs_pr8
         report["engine_grid_ab"]["full_grid_speedup_target"] = FULL_GRID_SPEEDUP_TARGET
         if vs_pr8 < FULL_GRID_SPEEDUP_TARGET:
             failures.append(
-                f"full-grid slotted events/s only {vs_pr8:.2f}x the pr8 "
+                f"full-grid slotted wall only {vs_pr8:.2f}x faster than the pr8 "
                 f"recorded baseline (< {FULL_GRID_SPEEDUP_TARGET}x target)"
             )
     print(

@@ -4,7 +4,9 @@ A :class:`ChaosTrialSpec` names a workload shape and a seed; the runner
 
 1. draws the fault schedule for the seed (or takes the explicit one a
    shrinker / replay artifact carries),
-2. runs the workload fault-free on a fresh machine for reference checksums,
+2. runs the workload fault-free on a fresh machine for reference checksums
+   (once per workload shape and process: the reference does not depend on
+   the seed, see :data:`repro.experiments.faultsweep.reference_memo`),
 3. runs the *same* workload under the schedule on **both** data planes
    (``bulk`` and ``chunked``), each with an attached
    :class:`~repro.chaos.invariants.InvariantMonitor`, recovering from
@@ -38,7 +40,8 @@ from repro.experiments.faultsweep import (
     FaultExperimentSpec,
     _checksums,
     build_fault_workload,
-    fault_hints_for,
+    fault_free_reference,
+    phase_body,
 )
 from repro.faults import FaultSchedule, FaultSpec, JobAborted
 from repro.faults.errors import FaultError, SyncFailedError
@@ -47,7 +50,6 @@ from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.romio.file import MPIIOLayer
 from repro.sim.core import DeadlockError, Interrupt
-from repro.workloads.phases import multi_phase_body
 
 #: Cache modes cycled across seeds by :func:`chaos_trial_specs`.
 CHAOS_CACHE_MODES = ("enabled", "coherent", "disabled")
@@ -252,8 +254,7 @@ def _run_plane(
     schedule: FaultSchedule,
     kind: Optional[str],
     workload,
-    hints: dict,
-    spec: ChaosTrialSpec,
+    fspec: FaultExperimentSpec,
     prefix: str,
     paths: list[str],
     trace: bool = False,
@@ -275,16 +276,7 @@ def _run_plane(
     monitor = InvariantMonitor(machine)
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
-    deferred = spec.cache_mode != "disabled"
-    body = multi_phase_body(
-        layer,
-        workload,
-        hints,
-        num_files=spec.num_files,
-        compute_delay=spec.compute_delay,
-        deferred_close=deferred,
-        file_prefix=prefix,
-    )
+    body = phase_body(fspec, layer, workload, prefix)
     crashes = 0
     data_loss = False
     attempts = 0
@@ -358,45 +350,27 @@ def run_chaos_trial(
     cfg = resolve_chaos_config(spec, config)
     schedule = schedule_for(spec, cfg)
     fspec = _fault_spec_view(spec, schedule)
-    hints = fault_hints_for(fspec)
     prefix = f"/global/chaos_{spec.benchmark}_{spec.cache_mode}_s{spec.seed}_"
     paths = [f"{prefix}{k}" for k in range(spec.num_files)]
     workload = build_fault_workload(fspec, cfg.num_ranks)
 
-    # Reference: fault-free, default data plane, same invariant audit.
-    ref_machine = Machine(cfg, trace=trace)
-    ref_monitor = InvariantMonitor(ref_machine)
-    ref_world = MPIWorld(ref_machine)
-    ref_layer = MPIIOLayer(
-        ref_machine, ref_world.comm, driver="beegfs", exchange_mode="model"
-    )
-    ref_monitor.watch()
-    ref_world.run(
-        multi_phase_body(
-            ref_layer,
-            workload,
-            hints,
-            num_files=spec.num_files,
-            compute_delay=spec.compute_delay,
-            deferred_close=spec.cache_mode != "disabled",
-            file_prefix=prefix,
-        )
-    )
-    ref_monitor.drain()
-    ref_monitor.check_quiescent()
-    ref_checks = _checksums(ref_machine, paths)
+    # Reference: fault-free, default data plane, same invariant audit —
+    # shared by every seed of this workload shape, unless the trial is traced
+    # or profiled: those simulate the whole trial, whatever ran before.
+    ref_machine = Machine(cfg, trace=trace) if trace or profiler is not None else None
+    ref = fault_free_reference(fspec, cfg, workload, prefix, audit=True, machine=ref_machine)
+    ref_checks = ref.checksums_for(paths)
 
     snaps: dict[str, dict] = {}
     events: dict[str, int] = {}
-    tracers: dict[str, object] = {"ref": ref_machine.tracer}
+    tracers: dict[str, object] = {"ref": ref_machine and ref_machine.tracer}
     for kind in ("bulk", "chunked"):
         snaps[kind], events[kind], m = _run_plane(
             cfg,
             schedule,
             kind,
             workload,
-            hints,
-            spec,
+            fspec,
             prefix,
             paths,
             trace=trace,
@@ -408,7 +382,7 @@ def run_chaos_trial(
     mismatched = sorted(k for k in bulk if bulk[k] != chunked[k])
     planes_match = not mismatched
 
-    violations = [f"ref:{v}" for v in ref_monitor.violations]
+    violations = [f"ref:{v}" for v in ref.violations]
     violations += [f"bulk:{v}" for v in bulk["violations"]]
     violations += [f"chunked:{v}" for v in chunked["violations"]]
 

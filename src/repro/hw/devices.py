@@ -2,7 +2,10 @@
 
 Devices are FIFO servers: requests queue and are served one at a time (the
 RAID group and the SSD both present a single logical stream at this
-granularity).  Service time models distinguish the two device classes the
+granularity) — through the generator :meth:`StorageDevice._io`, or through its
+callback twin :meth:`StorageDevice.io_flat`, which the write-back chains
+(server drain, node page-cache writeback) and the flat read paths run on.
+Service time models distinguish the two device classes the
 paper contrasts:
 
 * :class:`HDDRaidDevice` — a BeeGFS storage target (8+2 RAID6 of SAS
@@ -92,22 +95,13 @@ class StorageDevice:
         return self._io(offset, nbytes, False)
 
     def _io(self, offset: int, nbytes: int, is_write: bool):
-        if self.fast_path and self.injector is None and self.queue.try_acquire():
-            # Bulk fast path: the slot is ours synchronously (same condition
-            # under which request() grants immediately), no fault hook can
-            # fire, so the completion timestamp is determined now.  All
-            # device state (head position, stream table, RNG jitter) is
-            # touched under the slot in grant order, exactly as on the slow
-            # path; the only difference is one fewer kernel event.
-            try:
-                dt = self.service_time(offset, nbytes, is_write)
-                self.busy_time += dt
-                self._account(nbytes, is_write)
-                yield self.sim.timeout(dt)
-            finally:
-                self.queue.release()
-            return
-        yield self.queue.request()
+        # Bulk fast path: a free queue with no injector grants synchronously
+        # (the condition under which request() grants immediately), so the
+        # grant event is skipped.  All device state (head position, stream
+        # table, RNG jitter) is touched under the slot in grant order either
+        # way; the only difference is one fewer kernel event.
+        if not (self.fast_path and self.injector is None and self.queue.try_acquire()):
+            yield self.queue.request()
         try:
             if self.injector is not None and not is_write:
                 # May raise TransientIOError; the finally still releases.
@@ -125,16 +119,17 @@ class StorageDevice:
 
     # flat API -------------------------------------------------------------------
     def io_flat(self, offset: int, nbytes: int, is_write: bool, on_done) -> None:
-        """Flat state-machine variant of :meth:`_io` (``sim.flat`` chains).
+        """Flat state-machine variant of :meth:`_io` (callback chains).
 
-        Caller gates on ``self.injector is None`` (no fault hook to run, so
-        the grant/service/release sequence is fully determined).  Every
-        accounting step — grant, service-time draw, stream-table update,
-        counters, release — runs in the *same event callback* as the
-        generator version would, so the two paths are schedule-identical;
+        Every accounting step — grant, service-time draw, stream-table
+        update, the write-side ``injector.on_device_write`` stretch (it never
+        raises), counters, release — runs in the *same event callback* as
+        the generator version would, so the two paths are schedule-identical;
         ``on_done()`` is invoked where the generator's caller would resume.
+        A *read* under an injector can raise (``on_device_read``) and must
+        take :meth:`_io`: read callers gate on ``self.injector is None``.
         """
-        if self.fast_path and self.queue.try_acquire():
+        if self.fast_path and self.injector is None and self.queue.try_acquire():
             self._io_serve(offset, nbytes, is_write, on_done)
             return
         req = self.queue.request()
@@ -144,8 +139,11 @@ class StorageDevice:
 
     def _io_serve(self, offset: int, nbytes: int, is_write: bool, on_done) -> None:
         dt = self.service_time(offset, nbytes, is_write)
+        if is_write and self.injector is not None:
+            dt += self.injector.on_device_write(self, offset, nbytes, dt)
         self.busy_time += dt
         self._account(nbytes, is_write)
+
         def _served():
             self.queue.release()
             on_done()

@@ -3,9 +3,10 @@
 The piece that matters for the paper is the node's *buffered write path*:
 collective-buffer-sized writes into the local ext4 scratch partition land in
 the page cache at memory-copy speed and are drained to the SSD by a
-writeback daemon, exactly like Linux dirty throttling.  A writer that would
-push dirty bytes past ``dirty_ratio * ram`` blocks until writeback catches
-up, so sustained over-capacity writes degrade to device speed — and short
+writeback chain (one callback per device write while anything is dirty),
+exactly like Linux dirty throttling.  A writer that would push dirty bytes
+past ``dirty_ratio * ram`` waits in a FIFO until a writeback step resumes it,
+so sustained over-capacity writes degrade to device speed — and short
 checkpoint bursts (the paper's workloads) complete at near-memory speed,
 which is where the 10–20× aggregate cache bandwidth comes from.
 
@@ -15,6 +16,7 @@ cache, local SSD).
 
 from __future__ import annotations
 
+from functools import partial
 
 from repro.config import ClusterConfig
 from repro.hw.devices import SSDDevice
@@ -24,7 +26,7 @@ from repro.units import MiB
 
 
 class PageCache:
-    """Dirty-page ledger + writeback daemon for one node's scratch FS."""
+    """Dirty-page ledger + writeback chain for one node's scratch FS."""
 
     def __init__(
         self,
@@ -50,6 +52,7 @@ class PageCache:
         self._throttle_waiters: list[Event] = []
         self._flush_waiters: list[tuple[int, Event]] = []  # (file_id, event)
         self._daemon_running = False
+        self._writing = (0, 0)  # (file_id, bytes) of the writeback step in flight
         self._wb_offset = 0
 
     def buffered_write(self, file_id: int, nbytes: int, offset: int = 0):
@@ -88,23 +91,31 @@ class PageCache:
     def _ensure_daemon(self) -> None:
         if not self._daemon_running and self.dirty > 0:
             self._daemon_running = True
-            self.sim.process(self._writeback(), name="writeback")
+            self.sim.call_soon(self._writeback_step)
 
-    def _writeback(self):
-        while self.dirty > 0:
-            # Pick the file with the most dirty pages (approximates Linux's
-            # per-inode round robin; exactness does not matter for timing).
-            file_id = max(self._dirty_by_file, key=self._dirty_by_file.get)
-            chunk = min(self.writeback_chunk, self._dirty_by_file[file_id])
-            yield from self.device.write(self._pop_extent(file_id, chunk), chunk)
-            self.dirty -= chunk
-            left = self._dirty_by_file[file_id] - chunk
-            if left > 0:
-                self._dirty_by_file[file_id] = left
-            else:
-                del self._dirty_by_file[file_id]
-            self._wake_waiters()
-        self._daemon_running = False
+    def _writeback_step(self) -> None:
+        # Pick the file with the most dirty pages (approximates Linux's
+        # per-inode round robin; exactness does not matter for timing).
+        file_id = max(self._dirty_by_file, key=self._dirty_by_file.get)
+        chunk = min(self.writeback_chunk, self._dirty_by_file[file_id])
+        self._writing = (file_id, chunk)
+        self.device.io_flat(
+            self._pop_extent(file_id, chunk), chunk, True, self._written_back
+        )
+
+    def _written_back(self) -> None:
+        file_id, chunk = self._writing
+        self.dirty -= chunk
+        left = self._dirty_by_file[file_id] - chunk
+        if left > 0:
+            self._dirty_by_file[file_id] = left
+        else:
+            del self._dirty_by_file[file_id]
+        self._wake_waiters()
+        if self.dirty > 0:
+            self._writeback_step()
+        else:
+            self._daemon_running = False
 
     def _pop_extent(self, file_id: int, chunk: int) -> int:
         """Consume ``chunk`` dirty bytes of ``file_id``'s extent FIFO and
@@ -132,8 +143,7 @@ class PageCache:
     def _wake_waiters(self) -> None:
         if self.dirty < self.dirty_limit and self._throttle_waiters:
             waiters, self._throttle_waiters = self._throttle_waiters, []
-            for ev in waiters:
-                ev.succeed()
+            self.sim.call_soon(partial(self._wake_throttled, waiters))
         if self._flush_waiters:
             still = []
             for file_id, ev in self._flush_waiters:
@@ -142,6 +152,18 @@ class PageCache:
                 else:
                     still.append((file_id, ev))
             self._flush_waiters = still
+
+    def _wake_throttled(self, waiters: list[Event]) -> None:
+        """Resume throttled writers in FIFO order while there is room; the
+        unwoken tail goes back behind whoever queued since the step (see
+        ``repro.pfs.server.WriteBackCache._wake``, the same rule)."""
+        woken = 0
+        for ev in waiters:
+            if self.dirty_limit - self.dirty <= 0:
+                self._throttle_waiters += waiters[woken:]
+                return
+            woken += 1
+            ev._fire_inline()
 
 
 class ComputeNode:

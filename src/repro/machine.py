@@ -41,7 +41,7 @@ class Machine:
         dataplane: Optional[str] = None,
     ):
         self.config = config
-        # Engine selection (REPRO_ENGINE): the slotted calendar-queue engine
+        # Engine selection (REPRO_ENGINE): the slotted bucket-and-heap engine
         # by default, the heapq reference for A/B determinism checks — see
         # docs/PERFORMANCE.md ("The slotted scheduler").
         self.sim = create_simulator()

@@ -15,6 +15,7 @@ seek per request — only genuinely random access does.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.config import PFSConfig
@@ -74,12 +75,21 @@ class RaidTarget(StorageDevice):
 class WriteBackCache:
     """Server-side dirty buffer: absorbs acked writes, drains to the target.
 
-    A write RPC completes once its bytes fit under the dirty limit; a single
-    drain daemon streams dirty data to the RAID target in ``drain_chunk``
+    A write RPC completes once its bytes fit under the dirty limit; one
+    drain chain streams dirty data to the RAID target in ``drain_chunk``
     units (the elevator makes the drain effectively sequential).  When the
     cache is full, writers block until the drain frees room — sustained load
     therefore settles to the disk rate while bursts and round-synchronised
     collective patterns are decoupled from disk-arm scheduling.
+
+    Blocked writers wait in one FIFO: a generator waiter (:meth:`absorb`,
+    :meth:`drain_all`) is the ``Event`` it yielded, a flat
+    ``DataServer._serve_write_absorb`` continuation is a bare callable.  A
+    drain step that finds waiters takes the list and schedules one
+    :meth:`_wake`, which resumes them *in place* and in order for as long as
+    there is room, and puts the rest back unwoken — so a waiter that could
+    not have taken a byte is never resumed to find that out
+    (docs/PERFORMANCE.md, "Write-back stages").
     """
 
     def __init__(self, sim: Simulator, target: RaidTarget, limit: int, drain_chunk: int):
@@ -88,9 +98,10 @@ class WriteBackCache:
         self.limit = int(limit)
         self.drain_chunk = int(drain_chunk)
         self.dirty = 0
-        self._waiters: list[Event] = []
+        self._waiters: list = []  # FIFO of Events and flat continuations
         self._daemon_running = False
         self._drain_pos = 0
+        self._draining = 0  # bytes of the drain step in flight
 
     def absorb(self, nbytes: int):
         """Generator: account ``nbytes`` dirty, blocking while over the limit."""
@@ -117,19 +128,44 @@ class WriteBackCache:
     def _ensure_daemon(self) -> None:
         if not self._daemon_running and self.dirty > 0:
             self._daemon_running = True
-            self.sim.process(self._drain(), name="srv-drain")
+            self.sim.call_soon(self._drain_step)
 
-    def _drain(self):
-        while self.dirty > 0:
-            chunk = min(self.drain_chunk, self.dirty)
-            yield from self.target.write(self._drain_pos, chunk)
-            self._drain_pos += chunk
-            self.dirty -= chunk
-            if self._waiters:
-                waiters, self._waiters = self._waiters, []
-                for ev in waiters:
-                    ev.succeed()
-        self._daemon_running = False
+    def _drain_step(self) -> None:
+        self._draining = chunk = min(self.drain_chunk, self.dirty)
+        self.target.io_flat(self._drain_pos, chunk, True, self._drained)
+
+    def _drained(self) -> None:
+        chunk = self._draining
+        self._drain_pos += chunk
+        self.dirty -= chunk
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            self.sim.call_soon(partial(self._wake, waiters))
+        if self.dirty > 0:
+            self._drain_step()
+        else:
+            self._daemon_running = False
+
+    def _wake(self, waiters: list) -> None:
+        """Resume ``waiters`` in FIFO order while the cache has room.
+
+        A resumed waiter that is still short re-queues itself on the (new)
+        ``_waiters`` list; the unwoken tail goes back behind those, which is
+        the order everyone re-queueing for themselves would have produced.
+        A ``drain_all`` waiter takes no room and may be left in the tail:
+        the tail only exists while ``dirty >= limit > 0``, when it would have
+        re-queued anyway.
+        """
+        woken = 0
+        for waiter in waiters:
+            if self.limit - self.dirty <= 0:
+                self._waiters += waiters[woken:]
+                return
+            woken += 1
+            if waiter.__class__ is Event:
+                waiter._fire_inline()
+            else:
+                waiter()
 
 
 class DataServer:
@@ -233,30 +269,21 @@ class DataServer:
         if self.rng is not None and self.cfg.jitter_sigma > 0:
             overhead *= self._draw_rpc_jitter()
         self.sim.call_later(
-            overhead, lambda: self._serve_write_absorb(done, nbytes, rpc_count, tag=tag)
+            overhead,
+            partial(self._serve_write_absorb, done, nbytes, rpc_count, int(nbytes), tag),
         )
 
     def _serve_write_absorb(
-        self,
-        done: Event,
-        nbytes: int,
-        rpc_count: int,
-        remaining: Optional[int] = None,
-        tag: Optional[str] = None,
+        self, done: Event, nbytes: int, rpc_count: int, remaining: int, tag: Optional[str]
     ) -> None:
         # Same loop as WriteBackCache.absorb, continued across throttle waits
-        # via callbacks instead of generator resumes.
+        # by queueing this call's continuation on the cache's waiter FIFO.
         cache = self.cache
-        remaining = int(nbytes) if remaining is None else remaining
         while remaining > 0:
             room = cache.limit - cache.dirty
             if room <= 0:
-                ev = Event(self.sim, name="srvcache-throttle")
-                cache._waiters.append(ev)
-                ev.callbacks.append(
-                    lambda _ev, left=remaining: self._serve_write_absorb(
-                        done, nbytes, rpc_count, left, tag=tag
-                    )
+                cache._waiters.append(
+                    partial(self._serve_write_absorb, done, nbytes, rpc_count, remaining, tag)
                 )
                 return
             chunk = min(remaining, room)

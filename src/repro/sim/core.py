@@ -27,11 +27,12 @@ through :func:`create_simulator`):
   with generator processes everywhere.  Kept as the reference: the A/B
   harness in ``benchmarks/bench_engine.py`` asserts the slotted engine
   reproduces its results to the byte.
-* :class:`SlottedSimulator` (``slotted``, the default) — a calendar-queue
-  scheduler with an O(1) same-instant fast lane (most bulk-dataplane events
-  are zero-delay), pooled/recycled ``Timeout``/``Deadline``/``Event``
-  objects, and ``sim.flat = True``, which switches the hottest process
-  bodies (collective releases, device I/O, the sync-thread flush chain) to
+* :class:`SlottedSimulator` (``slotted``, the default) — exact-timestamp
+  buckets over a heap of the *distinct* future instants, with an O(1)
+  same-instant fast lane (most bulk-dataplane events are zero-delay),
+  pooled/recycled ``Timeout``/``Deadline``/``Event`` objects, and
+  ``sim.flat = True``, which switches the hottest process bodies
+  (collective releases, device I/O, the sync-thread flush chain) to
   flattened state-machine callbacks that bypass generator resume.  The
   firing order is provably identical to the heap's ``(time, seq)`` order:
   the lane is FIFO over events due *now*, and advancing the clock moves one
@@ -43,11 +44,10 @@ equality argument.
 
 from __future__ import annotations
 
-import heapq
 import os
 import sys
-from bisect import insort
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 if sys.implementation.name == "cpython":
@@ -503,8 +503,8 @@ class Simulator:
     """The event loop.  One instance per simulated cluster run.
 
     This is the ``heapq`` engine: a binary heap of ``(time, seq, event)``
-    tuples.  :class:`SlottedSimulator` subclasses it with a calendar-queue
-    event list and object pooling; :func:`create_simulator` picks between
+    tuples.  :class:`SlottedSimulator` subclasses it with a bucketed event
+    list and object pooling; :func:`create_simulator` picks between
     them (``REPRO_ENGINE``).
     """
 
@@ -561,8 +561,7 @@ class Simulator:
         """Run ``fn()`` at the current instant, after everything already
         scheduled for it — the fire-and-forget form of a zero-delay timeout
         with one callback (and dispatched at exactly that lane position)."""
-        t = Timeout(self, 0.0)
-        t.callbacks.append(lambda _ev: fn())
+        self.call_later(0.0, fn)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay``, at the position a timeout scheduled
@@ -595,20 +594,20 @@ class Simulator:
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+        heappush(self._heap, (self.now + delay, self._seq, event))
         if self.profiler is not None:
             self.profiler.heap_sample(len(self._heap))
 
     def _schedule_at(self, event: Event, when: float) -> None:
         """Schedule at an absolute timestamp (no ``now + delay`` rounding)."""
         self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, event))
+        heappush(self._heap, (when, self._seq, event))
         if self.profiler is not None:
             self.profiler.heap_sample(len(self._heap))
 
     def step(self) -> None:
         """Fire the single next event."""
-        when, _, event = heapq.heappop(self._heap)
+        when, _, event = heappop(self._heap)
         if when < self.now:
             raise SimError("event list corrupted: time went backwards")
         self.now = when
@@ -684,128 +683,6 @@ class Simulator:
         return len(self._heap)
 
 
-class CalendarQueue:
-    """A calendar queue over *distinct* float timestamps (Brown 1988).
-
-    The slotted engine stores one entry per distinct future instant (events
-    sharing an instant live in one FIFO bucket beside this spine), so the
-    queue only ever sees strictly increasing pops of unique keys.
-
-    Slots partition time into ``width``-sized days; a timestamp hashes to
-    slot ``int(t / width) % nslots``.  :meth:`pop` scans one *year* (all
-    ``nslots`` days) forward from the last popped instant; because every
-    pending timestamp is >= that instant, the first entry found within its
-    own day is the global minimum.  If a whole year holds nothing (a sparse
-    far-future horizon), a direct min search across all slots is the
-    fallback — correct regardless of calendar tuning.  The slot count grows
-    and shrinks with occupancy (``resizes`` counts them) and the width is
-    re-estimated from the observed inter-event gaps on each resize.
-    """
-
-    __slots__ = (
-        "_slots",
-        "_nslots",
-        "_width",
-        "_floor",
-        "_count",
-        "_stamp",
-        "_peek_slot",
-        "_peek_stamp",
-        "resizes",
-    )
-
-    def __init__(self, nslots: int = 32, width: float = 1.0):
-        self._nslots = nslots
-        self._width = width
-        self._slots: list[list[float]] = [[] for _ in range(nslots)]
-        self._floor = 0.0  # last popped instant; every entry is >= this
-        self._count = 0
-        # peek→pop memo: the run loop's deadline path peeks, checks the
-        # horizon, then immediately pops the same minimum.  ``_stamp``
-        # increments on every mutation; when :meth:`pop` sees the stamp
-        # :meth:`peek` recorded, the located slot is still the minimum and
-        # the second year-scan is skipped.
-        self._stamp = 0
-        self._peek_slot: Optional[list[float]] = None
-        self._peek_stamp = -1
-        self.resizes = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def push(self, t: float) -> None:
-        insort(self._slots[int(t / self._width) % self._nslots], t)
-        self._count += 1
-        self._stamp += 1
-        if self._count > 2 * self._nslots:
-            self._resize(2 * self._nslots)
-
-    def _locate(self) -> Optional[list[float]]:
-        """The slot list whose head is the global minimum, or None."""
-        if not self._count:
-            return None
-        width = self._width
-        nslots = self._nslots
-        slots = self._slots
-        i = int(self._floor / width)
-        for _ in range(nslots):
-            slot = slots[i % nslots]
-            # Same-day test via the same day function used at insertion:
-            # comparing against the boundary product (i+1)*width instead is
-            # NOT equivalent under floating point (the product can round to
-            # a value int(t/width) still maps into day i) and skips days.
-            if slot and int(slot[0] / width) <= i:
-                return slot
-            i += 1
-        # Direct search: nothing due within a year of the floor.
-        best = None
-        for slot in slots:
-            if slot and (best is None or slot[0] < best[0]):
-                best = slot
-        return best
-
-    def peek(self) -> Optional[float]:
-        slot = self._locate()
-        self._peek_slot = slot
-        self._peek_stamp = self._stamp
-        return slot[0] if slot is not None else None
-
-    def pop(self) -> float:
-        if self._peek_stamp == self._stamp:
-            slot = self._peek_slot
-        else:
-            slot = self._locate()
-        if slot is None:
-            raise IndexError("pop from empty CalendarQueue")
-        self._stamp += 1
-        t = slot.pop(0)
-        self._floor = t
-        self._count -= 1
-        if self._nslots > 8 and self._count * 4 < self._nslots:
-            self._resize(self._nslots // 2)
-        return t
-
-    def _resize(self, nslots: int) -> None:
-        items = [t for slot in self._slots for t in slot]
-        items.sort()
-        self.resizes += 1
-        self._stamp += 1
-        self._peek_slot = None  # slot lists are rebuilt below
-        width = self._width
-        if len(items) > 1:
-            gap = (items[-1] - items[0]) / (len(items) - 1)
-            if gap > 0.0:
-                # The classic heuristic: a day holds ~3 events on average.
-                width = gap * 3.0
-        self._nslots = nslots
-        self._width = width
-        slots: list[list[float]] = [[] for _ in range(nslots)]
-        for t in items:  # ascending, so each slot list stays sorted
-            slots[int(t / width) % nslots].append(t)
-        self._slots = slots
-        self._count = len(items)
-
-
 class SlottedSimulator(Simulator):
     """The slotted, allocation-free engine (``REPRO_ENGINE=slotted``).
 
@@ -817,12 +694,14 @@ class SlottedSimulator(Simulator):
       a FIFO deque; scheduling and firing one is O(1) with no comparisons.
       Most events in a bulk-dataplane run are zero-delay (grants, kicks,
       collective releases), so this lane carries the bulk of the traffic.
-    * **Calendar-queue spine.**  Future events land in an exact-timestamp
-      FIFO bucket (``dict``); only *distinct* timestamps enter the
-      :class:`CalendarQueue`.  Advancing the clock pops the nearest
-      timestamp and moves its whole bucket onto the lane — bucket FIFO
-      order is scheduling order, and later same-instant arrivals append
-      behind it, which is exactly the heap's ``(time, seq)`` order.
+    * **Bucketed time spine.**  Future events land in an exact-timestamp
+      FIFO bucket (``dict``); only *distinct* timestamps enter the spine, a
+      ``heapq`` of bare floats (two C calls per instant, and distinct keys
+      have one pop order, so no tie-break is needed).  Advancing the clock
+      pops the nearest timestamp and moves its whole bucket onto the lane —
+      bucket FIFO order is scheduling order, and later same-instant arrivals
+      append behind it, which is exactly the heap engine's ``(time, seq)``
+      order.
     * **Event pooling.**  Fired ``Timeout``/``Deadline``/``Event`` objects
       (exact types only) are recycled through free lists when nothing else
       references them (``sys.getrefcount == 2`` at the recycle point), the
@@ -858,7 +737,7 @@ class SlottedSimulator(Simulator):
         self._heap = None  # poison: any heap-engine codepath fails loudly
         self._lane: deque[Event | _Call] = deque()
         self._buckets: dict[float, list[Event | _Call]] = {}
-        self._times = CalendarQueue()
+        self._times: list[float] = []  # heap of the distinct bucket instants
         self._timeout_pool: list[Timeout] = []
         self._deadline_pool: list[Deadline] = []
         self._event_pool: list[Event] = []
@@ -866,8 +745,7 @@ class SlottedSimulator(Simulator):
         # One-entry interned-timestamp memo: the most recently touched
         # future bucket.  Shuffle waves and fabric wakes schedule dozens of
         # events at one exact instant; the memo turns those repeat appends
-        # into a float compare + list append, skipping the dict probe (and
-        # the CalendarQueue push that a bucket miss would re-check).
+        # into a float compare + list append, skipping the dict probe.
         # Invalidated at every bucket-pop site so a drained instant can
         # never swallow a new append — see step()/run() (KEEP IN SYNC).
         self._memo_when: float = -1.0
@@ -928,11 +806,14 @@ class SlottedSimulator(Simulator):
         self._lane.append(c)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        if delay == 0.0:
+        when = self.now + delay
+        if when <= self.now:
+            if delay < 0.0:
+                raise SimError(f"cannot schedule in the past (delay={delay})")
+            # Zero, or absorbed by the clock's magnitude: due now, so on the
+            # lane (a bucket keyed ``now`` would fire behind the whole lane).
             self.call_soon(fn)
             return
-        if delay < 0.0:
-            raise SimError(f"cannot schedule in the past (delay={delay})")
         pool = self._call_pool
         if pool:
             c = pool.pop()
@@ -943,14 +824,13 @@ class SlottedSimulator(Simulator):
             if self.profiler is not None:
                 self.profiler.count("sim.call_pool_alloc")
         c.fn = fn
-        when = self.now + delay
         if when == self._memo_when:
             self._memo_bucket.append(c)
             return
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = bucket = [c]
-            self._times.push(when)
+            heappush(self._times, when)
         else:
             bucket.append(c)
         self._memo_when = when
@@ -979,7 +859,7 @@ class SlottedSimulator(Simulator):
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = bucket = [event]
-            self._times.push(when)
+            heappush(self._times, when)
         else:
             bucket.append(event)
         self._memo_when = when
@@ -990,7 +870,7 @@ class SlottedSimulator(Simulator):
         """Fire the single next event."""
         lane = self._lane
         if not lane:
-            when = self._times.pop()  # IndexError when truly empty
+            when = heappop(self._times)  # IndexError when truly empty
             if when < self.now:
                 raise SimError("event list corrupted: time went backwards")
             self.now = when
@@ -1070,7 +950,7 @@ class SlottedSimulator(Simulator):
                 if not lane:
                     if not buckets:
                         raise self._deadlock(sentinel)
-                    when = times.pop()
+                    when = heappop(times)
                     if when < self.now:
                         raise SimError("event list corrupted: time went backwards")
                     self.now = when
@@ -1129,11 +1009,9 @@ class SlottedSimulator(Simulator):
         deadline = float("inf") if until is None else float(until)
         while True:
             if not lane:
-                nxt = times.peek()
-                if nxt is None or nxt > deadline:
+                if not times or times[0] > deadline:
                     break
-                times.pop()
-                self.now = nxt
+                self.now = nxt = heappop(times)
                 lane.extend(buckets.pop(nxt))
                 if nxt == self._memo_when:
                     self._memo_when = -1.0

@@ -1,0 +1,221 @@
+"""``PageCache``: throttled writers woken in place, writeback as one chain.
+
+Twin of ``tests/pfs/test_writeback_cache.py``: the oracle is the page cache as
+it was before — a writeback *process* per burst, every throttled writer
+``succeed()``ed at every step (``HerdPageCache``, copied from the last commit
+that had it).  Each write and fsync must return at the same instant, and the
+device must see the same requests at the same instants with the same ``dirty``.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import small_testbed
+from repro.faults.spec import FaultSchedule, FaultSpec
+from repro.hw.devices import SSDDevice
+from repro.hw.node import PageCache
+from repro.machine import Machine
+from repro.sim.core import ENGINE_KINDS, Interrupt, create_simulator
+
+KiB = 1024
+MiB = 1024 * KiB
+
+
+class HerdPageCache(PageCache):
+    """Wake-everyone reference: a process per burst, an event per waiter."""
+
+    def _ensure_daemon(self):
+        if not self._daemon_running and self.dirty > 0:
+            self._daemon_running = True
+            self.sim.process(self._writeback(), name="writeback")
+
+    def _writeback(self):
+        while self.dirty > 0:
+            file_id = max(self._dirty_by_file, key=self._dirty_by_file.get)
+            chunk = min(self.writeback_chunk, self._dirty_by_file[file_id])
+            yield from self.device.write(self._pop_extent(file_id, chunk), chunk)
+            self.dirty -= chunk
+            left = self._dirty_by_file[file_id] - chunk
+            if left > 0:
+                self._dirty_by_file[file_id] = left
+            else:
+                del self._dirty_by_file[file_id]
+            self._wake_waiters()
+        self._daemon_running = False
+
+    def _wake_waiters(self):
+        if self.dirty < self.dirty_limit and self._throttle_waiters:
+            waiters, self._throttle_waiters = self._throttle_waiters, []
+            for ev in waiters:
+                ev.succeed()
+        if self._flush_waiters:
+            still = []
+            for file_id, ev in self._flush_waiters:
+                if self._dirty_by_file.get(file_id, 0) <= 0:
+                    ev.succeed()
+                else:
+                    still.append((file_id, ev))
+            self._flush_waiters = still
+
+
+def observe(sim, cache, log):
+    """Log every device request with the instant and ``dirty`` it saw."""
+    service = cache.device.service_time
+
+    def service_time(offset, nbytes, is_write):
+        dt = service(offset, nbytes, is_write)
+        log.append((sim.now, offset, nbytes, cache.dirty, dt))
+        return dt
+
+    cache.device.service_time = service_time
+
+
+def play(cache_cls, writers, engine, fast_path, dirty_limit, chunk, interrupt=None):
+    """``writers``: ``(start gap, file, nbytes, fsync afterwards)`` each."""
+    sim = create_simulator(engine)
+    # 1 MiB/s device behind a 1 GiB/s memcpy: writeback is the slow side.
+    ssd = SSDDevice(sim, "ssd", write_bw=MiB, read_bw=MiB, latency=1e-4, capacity_bytes=1 << 40)
+    ssd.fast_path = fast_path
+    cache = cache_cls(sim, ssd, memcpy_bw=1024 * MiB, dirty_limit=dirty_limit, writeback_chunk=chunk)
+    log, done = [], {}
+    observe(sim, cache, log)
+
+    def writer(wid, file_id, nbytes, fsync):
+        try:
+            yield from cache.buffered_write(file_id, nbytes, offset=wid * MiB)
+            done[wid, "write"] = sim.now
+            if fsync:
+                yield from cache.fsync(file_id)
+                done[wid, "fsync"] = sim.now
+        except Interrupt:
+            done[wid, "interrupted"] = sim.now
+
+    procs, when = [], 0.0
+    for wid, (gap, file_id, nbytes, fsync) in enumerate(writers):
+        when += gap
+        sim.call_later(
+            when,
+            lambda a=(wid, file_id, nbytes, fsync): procs.append(sim.process(writer(*a))),
+        )
+    if interrupt is not None:
+        at, wid = interrupt
+        sim.call_later(at, lambda: procs[wid].interrupt("gone"))
+    sim.run()
+    assert cache.dirty == 0 and not cache._throttle_waiters and not cache._flush_waiters
+    assert not cache._daemon_running and not cache._dirty_by_file
+    return log, list(done.items()), ssd.bytes_written, sim.now, sim.events_fired
+
+
+def both(writers, **kw):
+    got, want = play(PageCache, writers, **kw), play(HerdPageCache, writers, **kw)
+    assert got[:4] == want[:4]
+    assert got[4] <= want[4]
+    return got, want
+
+
+ENGINES = sorted(ENGINE_KINDS)
+WRITERS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 1e-5, 4e-3, 0.05]),  # a 4 KiB step takes 4 ms
+        st.integers(1, 3),
+        st.sampled_from([1, 3 * KiB, 4 * KiB, 10 * KiB, 40 * KiB]),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    writers=WRITERS,
+    dirty_limit=st.sampled_from([2 * KiB, 8 * KiB, 32 * KiB, 1024 * KiB]),
+    chunk=st.sampled_from([1 * KiB, 4 * KiB, 64 * KiB]),
+    engine=st.sampled_from(ENGINES),
+    fast_path=st.booleans(),
+)
+def test_random_writers_match_the_wake_everyone_cache(
+    writers, dirty_limit, chunk, engine, fast_path
+):
+    both(writers, engine=engine, fast_path=fast_path, dirty_limit=dirty_limit, chunk=chunk)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "grant-events"])
+class TestNamedCases:
+    def test_throttled_burst_fires_fewer_events(self, engine, fast_path):
+        writers = [(0.0, 1 + w % 2, 10 * KiB, w % 3 == 0) for w in range(12)]
+        got, want = both(
+            writers, engine=engine, fast_path=fast_path, dirty_limit=8 * KiB, chunk=4 * KiB
+        )
+        assert got[4] < want[4]
+
+    def test_every_throttled_writer_sees_the_room_before_any_copy_lands(
+        self, engine, fast_path
+    ):
+        """A buffered write adds to ``dirty`` only after its memcpy, so one
+        wake resumes *all* throttled writers — the overshoot Linux's dirty
+        throttling has too, and the reference's."""
+        writers = [(0.0, 1, 8 * KiB, False)] + [(1e-5, 2, 4 * KiB, False)] * 3
+        got, _ = both(
+            writers, engine=engine, fast_path=fast_path, dirty_limit=8 * KiB, chunk=4 * KiB
+        )
+        finished = [t for (_, what), t in got[1] if what == "write"]
+        assert finished[1] == finished[2] == finished[3]  # one wake, three copies
+        # 4 KiB left + three 4 KiB copies = 16 KiB; the next step starts a chunk later.
+        assert max(dirty for _, _, _, dirty, _ in got[0]) == 12 * KiB > 8 * KiB
+
+    def test_interrupted_writer_left_in_the_fifo(self, engine, fast_path):
+        writers = [(0.0, 1, 8 * KiB, False), (1e-5, 2, 4 * KiB, False), (0.0, 3, 4 * KiB, True)]
+        got, _ = both(
+            writers, engine=engine, fast_path=fast_path, dirty_limit=8 * KiB, chunk=4 * KiB,
+            interrupt=(1e-3, 1),
+        )  # fmt: skip
+        done = dict(got[1])
+        assert (1, "interrupted") in done and (1, "write") not in done
+        assert got[2] == 12 * KiB  # the victim's bytes were never copied in
+        assert done[2, "write"] < done[2, "fsync"]
+
+
+def gc_pressure_run(cache_cls):
+    """A real injector stretching node 0's writeback threefold."""
+    schedule = FaultSchedule(
+        faults=(FaultSpec("ssd_gc_pressure", target=0, start=0.0, duration=50.0, factor=3.0),)
+    )
+    cfg = small_testbed()
+    cfg = cfg.scaled(ram=replace(cfg.ram, capacity=64 * MiB))  # dirty limit 12.8 MiB
+    machine = Machine(cfg, faults=schedule)
+    sim, node = machine.sim, machine.nodes[0]
+    old = node.page_cache
+    node.page_cache = cache = cache_cls(
+        sim, node.ssd, old.memcpy_bw, old.dirty_limit, old.writeback_chunk
+    )
+    log, done = [], {}
+    observe(sim, cache, log)
+
+    def writer(wid):
+        yield from cache.buffered_write(wid, 24 * MiB, offset=wid << 30)
+        done[wid] = sim.now
+
+    for wid in range(3):
+        sim.process(writer(wid))
+    sim.run()
+    ssd = node.ssd
+    assert ssd.injector is machine.faults and not ssd.fast_path
+    return log, done, ssd.busy_time, ssd.injected_stall_time, machine.faults.injected, sim.now
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_gc_pressure_stretches_flat_writeback_by_what_the_generator_charged(
+    engine, monkeypatch
+):
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    got, want = gc_pressure_run(PageCache), gc_pressure_run(HerdPageCache)
+    assert got == want
+    log, _, busy, stall, injected, _ = got
+    assert injected == len(log) > 0  # every writeback step was inside the window
+    assert busy == pytest.approx(3 * sum(dt for *_, dt in log), rel=1e-12)
+    assert stall == pytest.approx(busy * 2 / 3, rel=1e-12)

@@ -9,7 +9,11 @@ order — must reproduce them bit for bit.  A change that is meant to move
 simulated results re-records them and says so.  Two event counts (not
 digests) were re-recorded when ``PFSClient.write`` became one callback
 chain (PR 16): ``coll_perf-disabled`` 8474 → 5786, ``fleet_of_eight``
-6155 → 5267.
+6155 → 5267; and all six when the write-back stages began waking waiters in
+place and draining as one callback chain (PR 17): ``coll_perf-disabled``
+5786 → 4678, ``coll_perf-enabled`` 7885 → 7110, ``coll_perf-theoretical``
+2901 → 2837, ``flash_io-enabled`` 6416 → 6113, ``fleet_of_eight`` 5267 →
+4875, ``flash_io/agg_crash`` 3072 → 2808.
 
 First instalment of ROADMAP item 1a's golden digests (grid + fleet + fault
 point); the sizes are the ``noncontig_grid4`` / ``faults_payload24`` ones
@@ -49,19 +53,19 @@ def digest(fields: dict) -> str:
 GRID = {
     # (benchmark, cache mode, scale): (events, digest)
     ("coll_perf", "disabled", 0.03125): (
-        5786,
+        4678,
         "1699b6529e27d2dd781f3ba61653bf11a29b3b8d0651fadfe5685e59dd354cff",
     ),
     ("coll_perf", "enabled", 0.03125): (
-        7885,
+        7110,
         "7deeddef1c491237652183bd7ce805e71ba84284b8205f500d63b40607b44d07",
     ),
     ("coll_perf", "theoretical", 0.03125): (
-        2901,
+        2837,
         "025f3f11af8d80e1a29007d5387b0f32344b14f39012ae2e7ae8415c2a08a8ba",
     ),
     ("flash_io", "enabled", 0.0125): (
-        6416,
+        6113,
         "9e69c71f23e281a152a3bf146a17ee764bc490e93829bba3ca6e9b3369ba75fe",
     ),
 }
@@ -87,7 +91,7 @@ def test_grid_point(point):
 
 
 # (events, digest of FleetResult.identity())
-FLEET = (5267, "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
+FLEET = (4875, "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
 
 
 def test_fleet_of_eight():
@@ -99,7 +103,7 @@ def test_fleet_of_eight():
 
 
 # flash_io / agg_crash at scale 0.5
-FAULT = (3072, "9208a6cfc7dfca486cdf40635995a601362f3a894746bd4335d5fe953fa03943")
+FAULT = (2808, "9208a6cfc7dfca486cdf40635995a601362f3a894746bd4335d5fe953fa03943")
 
 
 def test_flash_io_agg_crash():

@@ -2,18 +2,18 @@
 
 The behavioural tests run against both registered engines (the slotted
 default and the ``heapq`` reference) — the identity contract says any
-observable difference between them is a bug.  The CalendarQueue tests and
-the differential test target the slotted engine's internals directly.
+observable difference between them is a bug.  The differential tests run one
+seeded program on both and compare the full trace, including the schedules
+the slotted engine's time spine is most exposed to (far-future horizons,
+sub-nanosecond gaps).
 """
 
-import heapq
 import random
 
 import pytest
 
 from repro.sim.core import (
     ENGINE_KINDS,
-    CalendarQueue,
     Interrupt,
     SimError,
     create_simulator,
@@ -173,77 +173,6 @@ class TestInterruptRaces:
         assert p.value == "value"
 
 
-class TestCalendarQueue:
-    def test_overflow_grows_and_stays_sorted(self):
-        q = CalendarQueue(nslots=8, width=1.0)
-        times = [float(i) * 0.37 for i in range(1, 200)]
-        rng = random.Random(7)
-        rng.shuffle(times)
-        for t in times:
-            q.push(t)
-        assert q.resizes > 0, "pushing 25x the slot count must trigger growth"
-        popped = [q.pop() for _ in range(len(times))]
-        assert popped == sorted(times)
-        assert len(q) == 0
-
-    def test_shrink_on_drain(self):
-        q = CalendarQueue(nslots=8, width=1.0)
-        for i in range(1, 300):
-            q.push(float(i))
-        grown = q.resizes
-        out = []
-        for _ in range(295):
-            out.append(q.pop())
-        assert q.resizes > grown, "draining must shrink the calendar back"
-        assert out == sorted(out)
-        assert [q.pop() for _ in range(len(q))] == [296.0, 297.0, 298.0, 299.0]
-
-    def test_empty_pop_raises_and_peek_none(self):
-        q = CalendarQueue()
-        assert q.peek() is None
-        with pytest.raises(IndexError):
-            q.pop()
-
-    def test_float_boundary_day_skip_regression(self):
-        """Timestamps that are exact multiples of the slot width: the
-        same-day scan test must use the insertion day function, because
-        the day-boundary product ``(i+1) * width`` can round to a value
-        that ``int(t / width)`` still maps into day ``i`` — which made
-        ``pop`` skip a due day and return an out-of-order minimum."""
-        width = 3.0000000000000005e-06  # the width the bug manifested under
-        q = CalendarQueue(nslots=32, width=width)
-        times = [k * 1e-6 for k in range(1, 65)]  # includes 3.3e-05 == 11*width
-        rng = random.Random(3)
-        rng.shuffle(times)
-        for t in times:
-            q.push(t)
-        assert [q.pop() for _ in range(len(times))] == sorted(times)
-
-    def test_differential_against_heapq_random(self):
-        """Randomized push/pop stream (including sub-microsecond gaps and
-        far-future horizons) mirrored against a binary heap."""
-        rng = random.Random(2016)
-        q = CalendarQueue()
-        shadow: list[float] = []
-        floor = 0.0
-        for _ in range(3000):
-            if shadow and rng.random() < 0.45:
-                want = heapq.heappop(shadow)
-                got = q.pop()
-                assert got == want
-                floor = got
-            else:
-                gap = rng.choice([1e-9, 1e-6, 3.7e-4, 1.0, 900.0]) * (
-                    1 + rng.random()
-                )
-                t = floor + gap
-                if t not in shadow:
-                    q.push(t)
-                    heapq.heappush(shadow, t)
-        while shadow:
-            assert q.pop() == heapq.heappop(shadow)
-
-
 class TestDifferentialEngines:
     def test_500_step_differential(self):
         """One seeded 500-step program — a churn of processes spawning
@@ -297,3 +226,80 @@ class TestDifferentialEngines:
         t_heapq = run("heapq")
         t_slotted = run("slotted")
         assert t_heapq == t_slotted
+
+    def test_far_future_and_subnanosecond_gaps_differential(self):
+        """The schedules the slotted spine is most exposed to: instants a
+        fraction of a nanosecond apart (distinct floats, distinct buckets),
+        exact re-hits of an existing instant through ``at``/``call_later``
+        (same bucket, FIFO), and far-future horizons that leave the spine
+        sparse — mixed in one seeded program, with deadline-bounded runs
+        stopping between and exactly on pending instants."""
+
+        def run(kind):
+            sim = create_simulator(kind)
+            rng = random.Random(1705)
+            trace = []
+            seen = []  # instants already scheduled, to re-hit exactly
+
+            def note(tag):
+                return lambda: trace.append((sim.now, tag))
+
+            def worker(wid):
+                for s in range(60):
+                    roll = rng.random()
+                    if roll < 0.35:
+                        gap = rng.choice([1e-10, 3e-10, 7.5e-10]) * (1 + rng.random())
+                    elif roll < 0.55:
+                        gap = rng.choice([1e-6, 3.7e-4, 1.0])
+                    elif roll < 0.75:
+                        gap = rng.choice([9e2, 4e6, 3e9]) * (1 + rng.random())
+                    else:
+                        gap = 0.0
+                    when = sim.now + gap
+                    if seen and rng.random() < 0.3:
+                        later = [t for t in seen if t >= sim.now]
+                        if later:
+                            when = rng.choice(later)
+                    seen.append(when)
+                    sim.call_later(gap, note(("call", wid, s)))
+                    yield sim.at(when)
+                    trace.append((sim.now, "at", wid, s))
+                return wid
+
+            procs = [sim.process(worker(w)) for w in range(8)]
+            # Deadline-bounded legs: a horizon between instants, one exactly
+            # on a pending instant, then the sentinel form to the end.
+            sim.run(until=5e-10)
+            trace.append(("leg", sim.now, sim.events_fired))
+            pending = sorted(t for t in seen if t > sim.now)
+            if pending:
+                sim.run(until=pending[len(pending) // 2])
+                trace.append(("leg", sim.now, sim.events_fired))
+            sim.run(until=sim.all_of(procs))
+            sim.run()
+            return trace, [p.value for p in procs], sim.now, sim.events_fired
+
+        assert run("heapq") == run("slotted")
+
+    def test_spine_holds_each_distinct_instant_once(self):
+        """Events sharing an instant share one bucket and one spine entry,
+        however they were scheduled; popping an instant removes both."""
+        sim = create_simulator("slotted")
+        fired = []
+        for i in range(5):
+            sim.timeout(2.0).callbacks.append(lambda _ev, i=i: fired.append(("t", i)))
+            sim.call_later(2.0, lambda i=i: fired.append(("c", i)))
+            sim.at(2.0).callbacks.append(lambda _ev, i=i: fired.append(("d", i)))
+        sim.timeout(2.0 + 2e-10)
+        sim.timeout(7e9)
+        assert sorted(sim._times) == [2.0, 2.0 + 2e-10, 7e9]
+        assert sim.pending == 17
+        sim.run(until=2.0)
+        assert fired == [(k, i) for i in range(5) for k in ("t", "c", "d")]
+        assert sim._times[0] == 2.0 + 2e-10 and len(sim._times) == 2
+        sim.run()
+        assert sim.now == 7e9 and not sim._times and not sim._buckets
+
+    def test_step_on_an_empty_slotted_engine_raises_index_error(self):
+        with pytest.raises(IndexError):
+            create_simulator("slotted").step()

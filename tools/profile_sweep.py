@@ -16,14 +16,18 @@ Usage::
         --aggregators 8 --cb-mib 4 --cache-mode disabled --scale 0.01
     PYTHONPATH=src python tools/profile_sweep.py --cprofile 25
     PYTHONPATH=src python tools/profile_sweep.py --top 10
+    PYTHONPATH=src python tools/profile_sweep.py --events 12
     PYTHONPATH=src python tools/profile_sweep.py --trace point.trace.json
     PYTHONPATH=src python tools/profile_sweep.py --fabric naive --json prof.json
 
-Compare ``--fabric naive`` against the default incremental allocator to see
-the recompute work the fast path removes, and ``--dataplane chunked``
-against the default bulk data plane to see the per-chunk event traffic the
-bulk-transfer fast path removes (docs/PERFORMANCE.md walks through both).
-The profiler never changes simulation results — only observes.
+The allocator under profile is the one production runs (``REPRO_FABRIC``,
+default ``array``) unless ``--fabric`` names another: compare ``--fabric
+naive`` against it to see the recompute work the fast path removes, and
+``--dataplane chunked`` against the default bulk data plane to see the
+per-chunk event traffic the bulk-transfer fast path removes
+(docs/PERFORMANCE.md walks through both).  ``--events N`` names the N
+most-fired event kinds — which waits, grants and chain steps the event count
+is made of.  The profiler never changes simulation results — only observes.
 
 ``--chaos-seed N`` profiles a :mod:`repro.chaos` trial instead: the traced
 timeline then carries the injected fault and recovery/replay instant
@@ -41,15 +45,18 @@ import cProfile
 import json
 import os
 import pstats
+import re
 import sys
 import time
+from collections import Counter
 
 from repro.chaos.runner import CHAOS_CACHE_MODES
 from repro.dataplane import DATAPLANE_KINDS
 from repro.experiments.runner import BENCHMARKS, CACHE_MODES, ExperimentSpec
-from repro.net.fabric import FABRIC_KINDS
+from repro.net.fabric import FABRIC_KINDS, default_fabric_kind
 from repro.pfs.client import PFSClient
 from repro.pfs.layout import plan_memo_info
+from repro.sim.core import ENGINE_KINDS, Event, _Call
 from repro.sim.profile import SimProfiler
 from repro.units import MiB
 
@@ -72,9 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.03125)
     p.add_argument(
         "--fabric",
-        default="incremental",
+        default=default_fabric_kind(),
         choices=sorted(FABRIC_KINDS),
-        help="allocator under profile (sets REPRO_FABRIC for the run)",
+        help="allocator under profile (sets REPRO_FABRIC for the run; "
+        "default: the one production runs, %(default)s)",
     )
     p.add_argument(
         "--dataplane",
@@ -97,6 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the N hottest profiler timers (cumulative wall seconds, "
         "calls, avg), the N largest counters and the access-table / model-memo "
         "hit rates — the engine's own Amdahl table, no cProfile overhead",
+    )
+    p.add_argument(
+        "--events",
+        type=int,
+        default=0,
+        metavar="N",
+        help="print the N most-fired event kinds (class : name stem : first "
+        "callback), tallied by stepping the engine from here — slower, same results",
     )
     p.add_argument("--trace", default=None, metavar="PATH", help="write a Chrome trace")
     p.add_argument(
@@ -129,6 +145,80 @@ def pfs_clients():
         yield made
     finally:
         PFSClient.__init__ = init
+
+
+def event_kind(event) -> str:
+    """``class : name stem : first callback`` of an event about to fire.
+
+    The stem is the event's name with its digits dropped (``acquire:srv3.workers``
+    and ``acquire:srv0.workers`` are one kind); the callback is what the fire
+    will run first — the resumed process, the chain step, or nothing.
+    """
+    if event.__class__ is _Call:
+        name, fn = "", event.fn
+    else:
+        name, fn = event.name, (event.callbacks[0] if event.callbacks else None)
+    fn = getattr(fn, "func", fn)  # a partial names the function it binds
+    what = getattr(fn, "__qualname__", "-" if fn is None else type(fn).__name__)
+    return f"{type(event).__name__} : {re.sub(r'[0-9]+', '', name) or '-'} : {what}"
+
+
+def _next_event(sim):
+    """``(when, event)`` the engine fires next, or ``None`` when it is dry."""
+    if sim.kind == "slotted":
+        if sim._lane:
+            return sim.now, sim._lane[0]
+        if sim._times:
+            return sim._times[0], sim._buckets[sim._times[0]][0]
+        return None
+    return (sim._heap[0][0], sim._heap[0][2]) if sim._heap else None
+
+
+@contextlib.contextmanager
+def event_kinds():
+    """Tally every event the engines fire, by :func:`event_kind`.
+
+    Both engines' ``run`` is replaced, for the duration, by the same loop
+    over the public ``step()`` with a look at the head of the event list
+    before each one — the simulator itself carries no hook for this.
+    """
+    tally: Counter = Counter()
+
+    def run(sim, until=None):
+        sentinel = until if isinstance(until, Event) else None
+        deadline = float("inf") if until is None or sentinel is not None else float(until)
+        while sentinel is None or not sentinel._fired:
+            nxt = _next_event(sim)
+            if nxt is None or nxt[0] > deadline:
+                if sentinel is not None:
+                    raise sim._deadlock(sentinel)
+                break
+            tally[event_kind(nxt[1])] += 1
+            sim.step()
+        if sentinel is not None:
+            if sentinel._ok:
+                return sentinel._value
+            raise sentinel._value
+        if until is not None and sim.now < deadline:
+            sim.now = deadline
+        return None
+
+    saved = {cls: cls.run for cls in ENGINE_KINDS.values()}
+    for cls in saved:
+        cls.run = run
+    try:
+        yield tally
+    finally:
+        for cls, original in saved.items():
+            cls.run = original
+
+
+def print_events(tally: Counter, n: int) -> None:
+    total = sum(tally.values())
+    print(f"top {min(n, len(tally))} of {len(tally)} event kinds ({total:,d} events fired):")
+    print(f"  {'count':>9} {'share':>6}  class : name stem : first callback")
+    for kind, count in tally.most_common(n):
+        print(f"  {count:>9,d} {count / max(1, total):>6.1%}  {kind}")
 
 
 def rpc_summary(clients: list[PFSClient]) -> dict:
@@ -211,6 +301,11 @@ def print_top(snapshot: dict, n: int, pfs: dict) -> None:
     )
 
 
+def tallied(args: argparse.Namespace):
+    """The event tally when ``--events`` asks for one, else nothing."""
+    return event_kinds() if args.events else contextlib.nullcontext()
+
+
 def run_chaos_point(args: argparse.Namespace) -> int:
     """Profile one chaos trial; the traced timeline carries fault events."""
     from repro.chaos import ChaosTrialSpec, run_chaos_trial
@@ -234,7 +329,7 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         if prof is not None:
             prof.enable()
-        with pfs_clients() as clients:
+        with pfs_clients() as clients, tallied(args) as tally:
             result = run_chaos_trial(spec, trace=True, profiler=profiler)
         if prof is not None:
             prof.disable()
@@ -264,9 +359,13 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         "profiler": profiler.snapshot(),
         "pfs": rpc_summary(clients),
     }
+    if tally is not None:
+        summary["event_kinds"] = dict(tally.most_common())
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.top:
         print_top(summary["profiler"], args.top, summary["pfs"])
+    if tally is not None:
+        print_events(tally, args.events)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -308,7 +407,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         if prof is not None:
             prof.enable()
-        with pfs_clients() as clients:
+        with pfs_clients() as clients, tallied(args) as tally:
             result = run_experiment(spec, profiler=profiler)
         if prof is not None:
             prof.disable()
@@ -333,9 +432,13 @@ def main(argv=None) -> int:
         "profiler": profiler.snapshot(),
         "pfs": rpc_summary(clients),
     }
+    if tally is not None:
+        summary["event_kinds"] = dict(tally.most_common())
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.top:
         print_top(summary["profiler"], args.top, summary["pfs"])
+    if tally is not None:
+        print_events(tally, args.events)
 
     if args.json:
         with open(args.json, "w") as fh:
