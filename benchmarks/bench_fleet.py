@@ -47,7 +47,7 @@ from repro.fleet.chaos import run_fleet_chaos
 # Reference numbers from the box that recorded benchmarks/baseline_quick.json
 # (events are exact and engine/dataplane-dependent; throughputs are context).
 RECORDED_BASELINES = {
-    "fleet16_slotted_bulk_events": 12670,
+    "fleet16_slotted_bulk_events": 12610,
     "fleet16_slotted_chunked_events": 23452,
     "fleet256_slotted_bulk_wall_s": 7.5,
 }

@@ -351,6 +351,10 @@ class AccessTable:
             view = self._views[rank] = RankAccess._view(self, rank, None)
         return view
 
+    def views(self, ranks) -> dict[int, RankAccess]:
+        """Dataless views by rank: what a class of ranks brings to a call."""
+        return dict(zip(ranks, map(self.rank, ranks)))
+
     @classmethod
     def gather(cls, accesses: Mapping[int, RankAccess], nranks: int) -> "AccessTable":
         """The table behind one collective call's per-rank accesses.

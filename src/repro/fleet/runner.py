@@ -336,7 +336,7 @@ def _job_body(view: JobView, job: FleetJobSpec):
         status, cause = "fault", exc
     else:
         bandwidth = perceived_bandwidth(
-            timings,
+            world.per_rank(timings),
             workload.file_size,
             include_last_phase=job.benchmark == "ior",
         )

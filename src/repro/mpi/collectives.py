@@ -26,6 +26,14 @@ their per-slot profiler laps reproduced bit for bit by release hooks.
 docs/PERFORMANCE.md ("Plan once, park once") has the argument for why no
 timestamp, lap or event count moves.
 
+**Rank classes** (:meth:`ModelCollectives.set_classes`): one rank may
+arrive for a whole class of ranks that only ever follow (the
+non-aggregators of a collective write reach every collective in one
+instant and decide nothing).  Each of its arrivals files an entry for every
+other member (``members[rank]``) and counts their weight, so call sites
+keep passing one rank and a rank on its own is a class of one through the
+same code; where ranks differ a class is refused by name (``alone``).
+
 Paper correspondence: the collectives the §II-A algorithm leans on
 (alltoall dissemination, allreduce epilogue, barrier-style sync).
 """
@@ -193,8 +201,8 @@ class _Ladder:
         self.members: dict[tuple, list[dict[str, float]]] = {}
         self.tail_slot: Optional[_Slot] = None
 
-    def join(self, seconds: list[dict[str, float]]) -> None:
-        self.joined += len(seconds)
+    def join(self, seconds: list[dict[str, float]], weight: int) -> None:
+        self.joined += weight  # ranks; a class shares one of the ``seconds``
         if self.joined > self.width:
             raise SimError(
                 f"timed ladder of collective call {self.call}: "
@@ -280,9 +288,48 @@ class ModelCollectives:
         self.rank_to_node = rank_to_node or list(range(nprocs))
         self.shared_release = shared_release
         self._slot_index = [0] * nprocs
+        # Rank classes: the other ranks each rank's arrivals stand for.
+        self.members: list[tuple[int, ...]] = [()] * nprocs
         self._slots: dict[int, _Slot] = {}
         self._ladders: dict[int, _Ladder] = {}
-        self.invocations = 0
+
+    def set_classes(self, classes) -> None:
+        """Let the first rank of each class in ``classes`` (a partition of
+        ``range(nprocs)``) arrive for all of it.  Members' slot indices do
+        not advance with their representative's: former classes are first
+        brought level with it, which needs every slot settled, and nobody
+        joins a class from a different slot."""
+        if self._slots:
+            raise SimError(f"rank classes cannot change with slot {min(self._slots)} in flight")
+        if not self.shared_release and any(len(ranks) > 1 for ranks in classes):
+            raise SimError("rank classes: per-rank (non-shared) release is per rank")
+        slot_index = self._slot_index
+        for rep, members in enumerate(self.members):
+            for rank in members:
+                slot_index[rank] = slot_index[rep]
+        new: list = [None] * self.nprocs
+        for ranks in classes:
+            for rank in ranks:
+                if not 0 <= rank < self.nprocs or new[rank] is not None:
+                    raise SimError(f"rank classes: rank {rank} is in two classes, or no rank")
+                if slot_index[rank] != slot_index[ranks[0]]:
+                    raise SimError(
+                        f"rank classes: rank {rank} is at slot {slot_index[rank]}, its "
+                        f"representative rank {ranks[0]} at slot {slot_index[ranks[0]]}"
+                    )
+                new[rank] = ()
+            new[ranks[0]] = tuple(ranks[1:])
+        if None in new:
+            raise SimError(f"rank classes: rank {new.index(None)} is in no class")
+        self.members[:] = new  # in place: the communicator shares the list
+
+    def alone(self, rank: int, path: str) -> None:
+        """Refuse ``path``, on which ranks differ, to a rank standing for others."""
+        if self.members[rank]:
+            raise SimError(
+                f"rank {rank} stands for {len(self.members[rank])} more ranks, "
+                f"which may only follow: {path} is per rank"
+            )
 
     def enter(self, rank: int, op_name: str, value: Any = None, **extra):
         """Generator: join this rank's next collective slot and wait for release."""
@@ -299,6 +346,8 @@ class ModelCollectives:
                 f"{op_name!r} but others called {slot.op_name!r}"
             )
         slot.arrivals[rank] = value
+        if self.members[rank]:
+            slot.arrivals.update(dict.fromkeys(self.members[rank], value))
         for key, val in extra.items():
             slot.extra.setdefault(key, {})[rank] = val
         if slot.shared is not None:
@@ -370,6 +419,8 @@ class ModelCollectives:
                 f"{op_name!r} but others called {slot.op_name!r}"
             )
         slot.arrivals[rank] = duration
+        if self.members[rank]:
+            slot.arrivals.update(dict.fromkeys(self.members[rank], duration))
         if slot.shared is not None:
             if len(slot.arrivals) + slot.pre == self.nprocs:
                 self._complete(idx, slot)
@@ -405,6 +456,8 @@ class ModelCollectives:
                 f"{op_name!r} but others called {slot.op_name!r}"
             )
         slot.arrivals[rank] = value
+        if self.members[rank]:
+            slot.arrivals.update(dict.fromkeys(self.members[rank], value))
         for key, val in extra.items():
             slot.extra.setdefault(key, {})[rank] = val
         if len(slot.arrivals) + slot.pre == self.nprocs:
@@ -432,7 +485,9 @@ class ModelCollectives:
         ``call`` numbers the caller's collective call: every batch of one
         call joins the same ladder, created by the first batch.  ``ranks``
         and ``seconds`` are parallel — the members of this batch and their
-        profiler phase dicts; release hooks reproduce each member's
+        profiler phase dicts (a rank that stands for a class brings the
+        class's one dict and the weight of all its ranks, here and in the
+        tail); release hooks reproduce each member's
         per-round lap additions bit-for-bit (see :class:`_Ladder`), so
         phase totals are byte-identical to the round-by-round path.
         ``steps`` is the run's ``(label, duration, phase)`` sequence; the
@@ -474,6 +529,7 @@ class ModelCollectives:
             ladder = self._create_ladder(call, slot_index[ranks[0]], steps, width, tail)
         base = ladder.base
         after = base + ladder.span
+        arriving = ranks  # ... and the ranks they stand for
         for rank in ranks:
             if slot_index[rank] != base:
                 raise SimError(
@@ -481,11 +537,13 @@ class ModelCollectives:
                     f"slot {slot_index[rank]}, the ladder starts at slot {base}"
                 )
             slot_index[rank] = after
-        ladder.join(seconds)
+            if self.members[rank]:
+                arriving = [*arriving, *self.members[rank]]
+        ladder.join(seconds, len(arriving))
         tail_slot = ladder.tail_slot
         if tail_slot is not None:
             _op, value, extra, _phase = tail
-            tail_slot.arrivals.update(dict.fromkeys(ranks, value))
+            tail_slot.arrivals.update(dict.fromkeys(arriving, value))
             for key, val in extra.items():
                 tail_slot.extra.setdefault(key, {}).update(dict.fromkeys(ranks, val))
             # Live ranks cannot have all arrived yet (they are behind the
@@ -561,7 +619,6 @@ class ModelCollectives:
 
     # completion -------------------------------------------------------------
     def _complete(self, idx: int, slot: _Slot) -> None:
-        self.invocations += 1
         op = slot.op_name
         costs = self.costs
         if op == "barrier":

@@ -51,6 +51,9 @@ class Communicator:
             sim, nprocs, costs, transport.rank_to_node, shared_release=shared_release
         )
         self._algo = AlgorithmicCollectives(sim, transport, nprocs, payload_nbytes)
+        #: Rank classes: the other ranks each rank's arrivals stand for
+        #: (``()`` for a rank on its own; see ModelCollectives.set_classes).
+        self.members = self._model.members
 
     @property
     def size(self) -> int:
@@ -68,6 +71,18 @@ class Communicator:
         for two communicators of equal placement."""
         labels: dict[int, int] = {}
         return tuple(labels.setdefault(n, len(labels)) for n in self.rank_to_node)
+
+    def set_classes(self, classes) -> None:
+        """Partition the ranks into classes whose first member arrives at
+        every model collective for all (``MPIWorld.spawn`` runs one process
+        per class)."""
+        if self.collective_mode != "model" and any(len(c) > 1 for c in classes):
+            raise SimError("rank classes need the model collectives")
+        self._model.set_classes(classes)
+
+    def alone(self, rank: int, path: str) -> None:
+        """Raise unless ``rank`` stands for itself only: ``path`` is per rank."""
+        self._model.alone(rank, path)
 
     # -- point to point -------------------------------------------------------
     def isend(self, source: int, dest: int, tag: int, payload: Any, nbytes: int) -> Request:
@@ -129,10 +144,6 @@ class Communicator:
     def timed(self, rank: int, duration: float, label: str = "timed"):
         """Pre-costed synchronisation point (see ModelCollectives.timed)."""
         return self._model.timed(rank, duration, label)
-
-    @property
-    def shared_release(self) -> bool:
-        return self._model.shared_release
 
     @property
     def flat_events(self) -> bool:

@@ -1,9 +1,18 @@
 """SPMD harness: run one generator body per rank on a simulated machine.
 
-``MPIWorld.run(rank_body)`` spawns ``nprocs`` kernel processes, each
-executing ``rank_body(ctx)`` where :class:`MPIContext` exposes the rank id,
-the communicator, the owning compute node and convenience helpers.  The
-return value is the list of per-rank results, in rank order.
+``MPIWorld.run(rank_body)`` runs ``rank_body(ctx)`` for every rank, where
+:class:`MPIContext` exposes the rank id, the communicator, the owning
+compute node and convenience helpers.  The return value is the list of
+per-rank results, in rank order.
+
+**Rank classes.**  A kernel process stands for a *class* of ranks, usually
+of one.  A program whose ranks mostly follow (448 to 504 of the paper's 512
+only arrive at collectives the 8 to 64 aggregators drive) gives its body a
+``rank_classes()`` returning a partition of the ranks: ``spawn`` starts one
+process per class under its first member (``ctx.rank``; all in ``ctx.ranks``),
+the communicator counts the class into every collective that rank arrives
+at, and ``run`` hands the class's result back once per member.  Whatever
+differs from rank to rank refuses a class by name (``Communicator.alone``).
 
 Paper correspondence: stands in for the paper's 512-process MPI launch
 (§IV-A).
@@ -11,7 +20,7 @@ Paper correspondence: stands in for the paper's 512-process MPI launch
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
 from repro.mpi.comm import Communicator
 from repro.mpi.collectives import CollectiveCosts
@@ -22,10 +31,12 @@ RankBody = Callable[["MPIContext"], Generator]
 
 
 class MPIContext:
-    """What a rank body sees: its identity plus the machine around it."""
+    """What a rank body sees: its identity plus the machine around it
+    (``ranks``: the class it runs for; ``rank``: the first, which it passes)."""
 
-    def __init__(self, rank: int, comm: Communicator, machine: Any):
-        self.rank = rank
+    def __init__(self, ranks: tuple[int, ...], comm: Communicator, machine: Any):
+        self.ranks = ranks
+        self.rank = rank = ranks[0]
         self.comm = comm
         self.machine = machine
         self.sim: Simulator = comm.sim
@@ -46,10 +57,6 @@ class MPIContext:
     def compute(self, seconds: float):
         """Emulate a computation phase of fixed duration."""
         yield self.sim.timeout(seconds)
-
-    def is_aggregator_candidate(self) -> bool:
-        """True for the lowest rank on each node (ROMIO's default cb layout)."""
-        return self.rank % self.machine.config.procs_per_node == 0
 
 
 class MPIWorld:
@@ -89,16 +96,20 @@ class MPIWorld:
             shared_release=bulk,
         )
 
-    def contexts(self) -> list[MPIContext]:
-        return [MPIContext(r, self.comm, self.machine) for r in range(self.comm.size)]
-
     def spawn(self, rank_body: RankBody) -> list:
-        """Start every rank; returns the kernel Process handles."""
-        procs = []
-        for ctx in self.contexts():
-            procs.append(
-                self.machine.sim.process(rank_body(ctx), name=f"rank{ctx.rank}")
+        """Start every rank, one kernel process per class the body declares
+        (every rank on its own if none); returns the Process handles."""
+        ask = getattr(rank_body, "rank_classes", None)
+        self.classes = (ask and ask()) or [(r,) for r in range(self.comm.size)]
+        self.comm.set_classes(self.classes)
+        procs = [
+            self.machine.sim.process(
+                rank_body(MPIContext(ranks, self.comm, self.machine)),
+                # "rank1+447": rank 1 and the 447 ranks it stands for
+                name=f"rank{ranks[0]}" + (f"+{len(ranks) - 1}" if len(ranks) > 1 else ""),
             )
+            for ranks in self.classes
+        ]
         inj = getattr(self.machine, "faults", None)
         if inj is not None:
             # Crash faults interrupt exactly these processes.  The scope is
@@ -112,8 +123,16 @@ class MPIWorld:
             )
         return procs
 
-    def run(self, rank_body: RankBody, until: Optional[float] = None) -> list[Any]:
+    def per_rank(self, results: list) -> list:
+        """One entry per rank from one per process of the last ``spawn``."""
+        out = [None] * self.comm.size
+        for ranks, result in zip(self.classes, results):
+            for rank in ranks:
+                out[rank] = result
+        return out
+
+    def run(self, rank_body: RankBody) -> list[Any]:
         """Spawn all ranks, run the simulation to completion, return results."""
         procs = self.spawn(rank_body)
         done = self.machine.sim.all_of(procs)
-        return self.machine.sim.run(until=done)
+        return self.per_rank(self.machine.sim.run(until=done))

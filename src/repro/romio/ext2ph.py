@@ -35,18 +35,21 @@ the table, domains and per-round costs — the latter from a process-wide
 memo keyed by the call's *shape* (:class:`_ModelMemo`), so the files of a
 run, the points of a sweep and the jobs of a fleet share one plan.  Only
 aggregators decide anything per round.  Where the path is certain before
-any offset is known — model collectives on the flat engine, bulk data
-plane, no fault injector, ``romio_cb_write=enable`` — a non-aggregator
-arrives at the offset exchange, adds itself to the call's parked ranks and
-waits on one event for the whole call (:func:`_park`); the exchange's
-release laps, plans and pre-registers all of them at once into the timed
-ladder of :mod:`repro.mpi.collectives`, whose final release resumes them
-where their own resumes would have been.  Ranks that qualify for the
-ladder only once the plan is known (aggregators that receive nothing, and
-non-aggregators of calls that could not park) join it singly.  Everything
-else — ``REPRO_ENGINE=heapq``, the chunked plane, fault machines, flow
-fidelity — walks round by round, and is the oracle the parked path is
-tested against (tests/romio/test_park_once.py).
+any offset is known (:func:`fast_paths`) — model collectives on the flat
+engine, bulk data plane, no fault injector, ``romio_cb_write=enable`` — a
+non-aggregator arrives at the offset exchange, adds itself to the call's
+parked ranks and waits on one event for the whole call (:func:`_park`);
+the exchange's release laps, plans and pre-registers all of them at once
+into the timed ladder of :mod:`repro.mpi.collectives`, whose final release
+resumes them where their own resumes would have been.  "Once" is per
+*class* of ranks: a phased workload runs its non-aggregators as one
+process (``workloads.phases``), which parks one entry that weighs them all.
+Ranks that qualify for the ladder only once the plan is known (aggregators
+that receive nothing, and non-aggregators of calls that could not park)
+join it singly.  Everything else — ``REPRO_ENGINE=heapq``, the chunked
+plane, fault machines, flow fidelity — walks round by round, one process
+per rank, and is the oracle the parked path is tested against
+(tests/romio/test_park_once.py, tests/mpi/test_rank_classes.py).
 """
 
 from __future__ import annotations
@@ -94,8 +97,20 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
     Returns the number of bytes this rank contributed.
     """
     comm = fd.comm
-    call = fd.call_state(rank)
+    call = fd.call_state()
     call.accesses[rank] = access
+    members = comm.members[rank]
+    weight = 1
+    if members:
+        weight += len(members)
+        # A class that only follows; each member would bring its own view.
+        if fd.is_aggregator(rank):
+            comm.alone(rank, "an aggregator's part in write_all")
+        if fd.exchange_mode == "flow":
+            comm.alone(rank, "the flow-fidelity allgather of offsets")
+        if access.table is None or access.data is not None:
+            comm.alone(rank, "a write_all access that is not a dataless table view")
+        call.accesses.update(access.table.views(members))
     if not call.opened:
         _open_call(fd, call)
 
@@ -122,7 +137,7 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
         prof.lap("offset_exch", t0)
         profiler = comm.sim.profiler
         if profiler is not None:
-            profiler.count("ext2ph.park_live")
+            profiler.count("ext2ph.park_live", weight)
         # Every rank computes identical values from identical inputs (as in
         # ROMIO); in simulation every rank has registered its access by the
         # time the exchange releases, so the first one through gathers them
@@ -136,6 +151,8 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
     if not use_collective:
         from repro.romio import datasieve  # local import to avoid a cycle
 
+        if members:
+            comm.alone(rank, f"data sieving (romio_cb_write={fd.hints.romio_cb_write})")
         nbytes = yield from datasieve.write_strided(fd, rank, access, prof)
         return nbytes
 
@@ -183,33 +200,40 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
     return access.total_bytes
 
 
+def fast_paths(machine, comm, exchange_mode: str, hints) -> tuple[bool, bool, bool]:
+    """``(bulk, ladders, park)``: the fast paths a file's collective writes
+    may take.  Known before any call is made, so a program can ask up front
+    (``workloads.phases`` runs ranks that park on every call as one process)."""
+    if exchange_mode != "model":
+        return False, False, False
+    bulk = getattr(machine, "dataplane", "chunked") == "bulk"
+    # The timed ladder needs shared release events yielded bare (flat
+    # engine, model collectives, bulk plane) and no fault injector, which
+    # may interrupt a rank in the middle of the run.
+    ladders = bulk and comm.flat_events and getattr(machine, "faults", None) is None
+    # A non-aggregator may park when it is certain, before any offset is
+    # known, that it will take the collective path and (unless the call
+    # turns out degenerate) the ladder: the hint must not wait for the
+    # interleaving test.
+    return bulk, ladders, ladders and hints.romio_cb_write == "enable"
+
+
 def _open_call(fd: ADIOFile, call: CollectiveCallState) -> None:
     """Fill in the call's constants — the first rank to arrive does it for
     all: the costs and labels each rank would otherwise recompute, and
     which of the fast paths the call may take."""
     call.opened = True
+    comm = fd.comm
+    call.bulk, call.ladders, call.park = fast_paths(
+        fd.machine, comm, fd.exchange_mode, fd.hints
+    )
     if fd.exchange_mode != "model":
         return
-    comm = fd.comm
     costs = comm.costs
     call.offset_cost = costs.small_collective(comm.size, 16)
     call.alltoall_cost = costs.alltoall(comm.size, 16)
     call.a2a_label = f"a2a.c{call.index}"
     call.x_label = f"x.c{call.index}"
-    call.bulk = getattr(fd.machine, "dataplane", "chunked") == "bulk"
-    # The timed ladder needs shared release events yielded bare (flat
-    # engine, model collectives, bulk plane) and no fault injector, which
-    # may interrupt a rank in the middle of the run.
-    call.ladders = (
-        call.bulk
-        and comm.flat_events
-        and getattr(fd.machine, "faults", None) is None
-    )
-    # A non-aggregator may park when it is certain, before any offset is
-    # known, that it will take the collective path and (unless the call
-    # turns out degenerate) the ladder: the hint must not wait for the
-    # interleaving test.
-    call.park = call.ladders and fd.hints.romio_cb_write == "enable"
 
 
 def _park(fd: ADIOFile, call: CollectiveCallState, rank: int, prof: Profiler):
@@ -246,14 +270,14 @@ def _release_parked(fd: ADIOFile, call: CollectiveCallState, _event: Event) -> N
         if not call.prepared:
             _prepare_model(fd, call)
     parked = call.parked
+    carried = call.ladder_steps is not None
     profiler = comm.sim.profiler
-    if call.ladder_steps is None:
-        if profiler is not None:
-            profiler.count("ext2ph.park_live", len(call.parked_ranks))
+    if profiler is not None:  # counts ranks, not the processes standing for them
+        ranks = sum([1 + len(comm.members[r]) for r in call.parked_ranks])
+        profiler.count("ext2ph.park_single" if carried else "ext2ph.park_live", ranks)
+    if not carried:
         parked._fire_inline(False)
         return
-    if profiler is not None:
-        profiler.count("ext2ph.park_single", len(call.parked_ranks))
     final = comm.timed_ladder(
         call.index,
         call.parked_ranks,

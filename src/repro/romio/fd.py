@@ -3,14 +3,16 @@
 Mirrors ROMIO's ``ADIO_File``: the global file handle, the parsed hints,
 the aggregator list, the driver, and — new in the paper's implementation —
 the per-aggregator ``cache_fd`` (here a :class:`~repro.cache.CacheState`).
-Per-rank profilers live here too so the experiment harness can pull the
-phase breakdown after the run.
+The profilers live here too — one per class of ranks (a rank on its own
+is a class of one), filed under every member's rank — so the experiment
+harness can pull the phase breakdown after the run.
 
 ``CollectiveCallState`` carries the per-``write_all`` shared scratch space
 (every rank's access pattern and the one :class:`~repro.access.AccessTable`
 gathered from them, the file domains, the precomputed per-round costs).
-Ranks proceed through collective calls in lock-step, so call *n* of every
-rank maps to the same state object.
+Ranks proceed through collective calls in lock-step — no rank starts call
+*n + 1* before every rank has arrived at call *n*'s offset exchange — so
+the state a rank joins is the newest one until all ranks have.
 
 Paper correspondence: §II/§III — the shared descriptor carrying hints,
 file views, and per-file cache state.
@@ -106,15 +108,17 @@ class ADIOFile:
         self.aggregators = aggregators
         self.agg_index = {a: i for i, a in enumerate(aggregators)}
         self.exchange_mode = exchange_mode
-        self.profilers: dict[int, Profiler] = {
-            r: Profiler(machine.sim, r) for r in range(comm.size)
-        }
+        # In rank order; the ranks of a class lap in lock-step, into one.
+        self.profilers: dict[int, Profiler] = dict.fromkeys(range(comm.size))
+        for rank, members in enumerate(comm.members):
+            if self.profilers[rank] is None:
+                self.profilers[rank] = prof = Profiler(machine.sim, rank)
+                if members:
+                    self.profilers.update(dict.fromkeys(members, prof))
+        self.opened = 0  # ranks that have joined the collective open, by weight
         self.cache_states: dict[int, Optional[CacheState]] = {}
-        self.cache_enabled_effective = hints.cache_enabled
         self._calls: list[CollectiveCallState] = []
-        self._call_index: dict[int, int] = {}  # rank -> next call number
         self.open_error: Optional[str] = None
-        self.closed_ranks: set[int] = set()
         # Tri-state crash-recovery snapshot: None until the first rank of the
         # collective open checks the recovery registry; then a bool shared by
         # every rank so the recovery barrier is symmetric.
@@ -129,14 +133,10 @@ class ADIOFile:
     def cache_state(self, rank: int) -> Optional[CacheState]:
         return self.cache_states.get(rank)
 
-    def call_state(self, rank: int) -> CollectiveCallState:
-        """This rank's next collective-call slot (created on first arrival)."""
-        idx = self._call_index.get(rank, 0)
-        self._call_index[rank] = idx + 1
-        while len(self._calls) <= idx:
-            self._calls.append(CollectiveCallState(index=len(self._calls)))
-        return self._calls[idx]
-
-    @property
-    def node_of_rank(self):
-        return self.comm.node_of
+    def call_state(self) -> CollectiveCallState:
+        """The collective call a rank arriving now joins: the newest one,
+        until every rank has registered its access with it."""
+        calls = self._calls
+        if not calls or len(calls[-1].accesses) == self.comm.nprocs:
+            calls.append(CollectiveCallState(index=len(calls)))
+        return calls[-1]

@@ -39,22 +39,22 @@ class MPIIOLayer:
             raise SimError(f"unknown exchange mode {exchange_mode!r}")
         self.exchange_mode = exchange_mode
         self._open_slots: dict[str, list[ADIOFile]] = {}
-        self._open_counts: dict[tuple[str, int], int] = {}
+
+    def aggregators(self, hints: Hints) -> list[int]:
+        """The aggregator ranks of a file opened with ``hints``."""
+        cfg = self.machine.config
+        return select_aggregators(
+            cfg.num_nodes, cfg.procs_per_node, hints.cb_nodes, spread=hints.cb_config_spread
+        )
 
     # -- collective open ----------------------------------------------------------
     def open(self, rank: int, path: str, info: Optional[Mapping[str, Any]] = None):
         """Generator: ``MPI_File_open`` (collective).  Returns a handle."""
-        gen = self._open_counts.get((path, rank), 0)
-        self._open_counts[(path, rank)] = gen + 1
+        # The open is collective: nobody opens ``path`` again before every
+        # rank has joined its newest descriptor.
         slots = self._open_slots.setdefault(path, [])
-        if len(slots) <= gen:
+        if not slots or slots[-1].opened == self.comm.nprocs:
             hints = Hints.from_info(info)
-            aggregators = select_aggregators(
-                self.machine.config.num_nodes,
-                self.machine.config.procs_per_node,
-                hints.cb_nodes,
-                spread=hints.cb_config_spread,
-            )
             slots.append(
                 ADIOFile(
                     self.machine,
@@ -63,11 +63,12 @@ class MPIIOLayer:
                     hints,
                     self.driver,
                     pfs_file=None,
-                    aggregators=aggregators,
+                    aggregators=self.aggregators(hints),
                     exchange_mode=self.exchange_mode,
                 )
             )
-        fd = slots[gen]
+        fd = slots[-1]
+        fd.opened += 1 + len(self.comm.members[rank])
         prof = fd.profiler(rank)
         t0 = prof.mark()
         if rank == 0:
@@ -81,14 +82,10 @@ class MPIIOLayer:
                     stripe_count=fd.hints.striping_factor,
                 )
             fd.pfs_file = pfs_file
-            if self.comm.flat_events:
-                yield self.comm.bcast_event(rank, True, root=0, nbytes=64)
-            else:
-                yield from self.comm.bcast(rank, True, root=0, nbytes=64)
-        elif self.comm.flat_events:
-            yield self.comm.bcast_event(rank, None, root=0, nbytes=64)
+        if self.comm.flat_events:  # only the root's value travels
+            yield self.comm.bcast_event(rank, True, root=0, nbytes=64)
         else:
-            yield from self.comm.bcast(rank, None, root=0, nbytes=64)
+            yield from self.comm.bcast(rank, True, root=0, nbytes=64)
         if fd.pfs_file is None:  # pragma: no cover - bcast ordering guard
             raise SimError("collective open: file handle missing after bcast")
         cache_wait = self.driver.open_cache(fd, rank)
@@ -102,6 +99,8 @@ class MPIIOLayer:
             # itself empties the registry.
             fd.recovery_needed = recovery is not None and recovery.has_orphans(path)
         if fd.recovery_needed:
+            if self.comm.members[rank]:
+                self.comm.alone(rank, "recovery.replay")
             yield from recovery.replay(fd, rank)
             yield from self.comm.barrier(rank)
         prof.lap("open", t0)
@@ -141,14 +140,14 @@ class MPIFileHandle:
 
     def write_at(self, offset: int, nbytes: int, data: Optional[np.ndarray] = None):
         """Independent contiguous write, ``MPI_File_write_at`` (generator)."""
-        self._check_open()
+        self._check_open(alone="write_at")
         return datasieve.write_contig_independent(
             self.fd, self.rank, offset, nbytes, data, self.prof
         )
 
     def write_strided(self, access: RankAccess):
         """Independent strided write, data sieving (generator)."""
-        self._check_open()
+        self._check_open(alone="write_strided")
         return datasieve.write_strided(self.fd, self.rank, access, self.prof)
 
     # -- reads -----------------------------------------------------------------------
@@ -163,7 +162,7 @@ class MPIFileHandle:
         modelled; with ``e10_cache=coherent``, reads block on extents still
         in transit.
         """
-        self._check_open()
+        self._check_open(alone="read_all")
         prof = self.prof
         t0 = prof.mark()
         flat_events = self.fd.comm.flat_events
@@ -181,14 +180,14 @@ class MPIFileHandle:
 
     def read_strided(self, access: RankAccess):
         """Independent strided read, data sieving (generator)."""
-        self._check_open()
+        self._check_open(alone="read_strided")
         return datasieve.read_strided(self.fd, self.rank, access, self.prof)
 
     def read_at(self, offset: int, nbytes: int):
         """Generator: independent read — always from the global file (reads
         from the cache are unsupported, paper Section III-B).  In coherent
         mode the read blocks on stripes whose data is still in transit."""
-        self._check_open()
+        self._check_open(alone="read_at")
         client = self.layer.machine.pfs_client(self.rank)
         coherent = self.fd.hints.cache_coherent
         data = yield from client.read(self.fd.pfs_file, offset, nbytes, locking=coherent)
@@ -236,8 +235,10 @@ class MPIFileHandle:
         phase = "not_hidden_sync" if self.fd.hints.cache_enabled else "close"
         prof.lap(phase, t0)
         self.closed = True
-        self.fd.closed_ranks.add(self.rank)
 
-    def _check_open(self) -> None:
+    def _check_open(self, alone: Optional[str] = None) -> None:
+        # ``alone``: an operation of one rank's own, refused to a class
         if self.closed:
             raise SimError(f"rank {self.rank}: operation on closed file {self.fd.path}")
+        if alone is not None and self.fd.comm.members[self.rank]:
+            self.fd.comm.alone(self.rank, alone)

@@ -12,6 +12,15 @@ phases.  Two workflows:
 The driver records per-rank, per-phase timings that feed Equations (1)/(2)
 (:mod:`repro.analysis.bandwidth`).
 
+Only rank 0 and the aggregators decide or write anything here.  Where it
+is certain before the run that every other rank will park on each
+collective write (``ext2ph.fast_paths``) and no step carries payload, the
+body declares those ranks one *class* (``body.rank_classes``):
+``MPIWorld.spawn`` runs them as one process that opens, writes, computes
+and closes once for all of them.  The same body serves a class and a rank
+on its own; results are identical, only the event count drops
+(docs/PERFORMANCE.md, "Rank classes").
+
 Paper correspondence: Fig. 3 — the write/compute/write workflow whose
 overlap the cache exploits; drives every §IV measurement.
 """
@@ -22,6 +31,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.mpi.process import MPIContext
+from repro.romio.ext2ph import fast_paths
+from repro.romio.hints import Hints
 from repro.workloads.base import Workload
 
 
@@ -124,4 +135,21 @@ def multi_phase_body(
             timings[-1].close_wait += ctx.now - t0
         return timings
 
+    def rank_classes():
+        """The ranks that are neither rank 0 nor an aggregator as one class,
+        if all they will ever do is follow (else None: no classes)."""
+        comm, parsed = layer.comm, Hints.from_info(hints)
+        leaders = {0, *layer.aggregators(parsed)}
+        followers = tuple(r for r in range(comm.size) if r not in leaders)
+        if (
+            len(followers) < 2
+            or wrapper is not None
+            or not fast_paths(layer.machine, comm, layer.exchange_mode, parsed)[2]
+            or any(step.payload_fn is not None for step in workload.steps)
+        ):
+            return None
+        # In order of first members: the class stands where its first would.
+        return sorted([followers, *[(r,) for r in leaders]])
+
+    body.rank_classes = rank_classes
     return body

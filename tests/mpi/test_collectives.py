@@ -347,3 +347,150 @@ class TestTimedLadder:
         sim.run()
         assert {id(ev) for ev in released} == {id(released[0])}
         assert released[0].fired and released[0].value is None
+
+
+# ---------------------------------------------------------------------------
+# Rank classes: one rank arrives for all the ranks that only follow it
+# ---------------------------------------------------------------------------
+
+CLASSES = [(0,), (1,), (2, 3, 4, 5)]  # ranks 0 and 1 lead, the rest follow
+SINGLES = [(r,) for r in range(NPROCS)]
+
+
+def program(sim, model, rank, prof, out):
+    """Every entry point a follower arrives through, one after another;
+    ``out`` gets the release instant of each and what it released with."""
+    follows = rank not in LIVE
+    ev = model.enter_event(rank, "barrier")
+    yield ev
+    out.append((sim.now, sorted(ev.value)))  # a results entry for every rank
+    ev = model.enter_event(rank, "bcast", "v" if rank == 0 else None, root=0, nbytes=64)
+    yield ev
+    out.append((sim.now, sorted(ev.value.items())))
+    total = yield from model.allreduce(rank, 1 if follows else 10 * (rank + 1))
+    out.append((sim.now, total))
+    yield from model.timed(rank, 0.125, "gen")
+    out.append(sim.now)
+    yield model.timed_event(rank, 0.25, "flat")
+    out.append(sim.now)
+    if follows:
+        yield model.timed_ladder(
+            7, [rank], [prof.profile.seconds], STEPS, NPROCS - len(LIVE), tail=TAIL
+        )
+    else:
+        yield from walk(sim, model, rank, prof, True, THINK[rank])
+    out.append(sim.now)
+
+
+def run_program(classes):
+    sim, model = ladder_model()
+    model.set_classes(classes)
+    outs = {ranks: [] for ranks in classes}
+    profs = {ranks: Profiler(sim, ranks[0]) for ranks in classes}
+    for ranks in classes:
+        sim.process(program(sim, model, ranks[0], profs[ranks], outs[ranks]))
+    sim.run()
+    assert not model._slots and not model._ladders
+    per_rank = {r: (outs[ranks], profs[ranks].profile.seconds) for ranks in classes for r in ranks}
+    return per_rank, sim.now, sim.events_fired
+
+
+class TestRankClasses:
+    def test_a_class_arrives_for_every_member(self):
+        """Barrier, bcast, allreduce, timed (generator and flat), ladder and
+        tail: same release instants, same results — with an entry for every
+        member — and same laps as when every rank arrives for itself."""
+        alone, end, events = run_program(SINGLES)
+        classed, class_end, class_events = run_program(CLASSES)
+        assert classed == alone and class_end == end
+        assert alone[2][0][0][1] == list(range(NPROCS))
+        assert alone[2][0][2][1] == 10 + 20 + 4
+        assert events - class_events == 3 * 2  # three processes' init and completion
+
+    def test_a_slot_waits_for_the_weight_of_all_ranks(self):
+        sim, model = ladder_model()
+        model.set_classes(CLASSES)
+        release = model.enter_event(2, "barrier")
+        model.enter_event(0, "barrier")
+        assert len(model._slots[0].arrivals) == 5 and not release.triggered
+        model.enter_event(1, "barrier")
+        assert release.triggered and not model._slots
+
+    def test_mismatch_names_the_representative(self):
+        sim, model = ladder_model()
+        model.set_classes(CLASSES)
+        model.enter_event(0, "barrier")
+        with pytest.raises(SimError, match=r"slot 0: rank 2 called 'allreduce' .* 'barrier'"):
+            model.enter_event(2, "allreduce", 0, reduce_op=op_max, nbytes=4)
+
+    def test_ladder_width_counts_members(self):
+        sim, model = ladder_model()
+        model.set_classes(CLASSES)
+        with pytest.raises(SimError, match=r"call 7: 3 members expected, 4 joined"):
+            model.timed_ladder(7, [2], [{}], STEPS, 3)
+        sim, model = ladder_model()
+        model.set_classes([(0,), (1,), (2,), (3, 4, 5)])
+        for rank in LIVE:
+            sim.process(walk(sim, model, rank, Profiler(sim, rank), False, THINK[rank]))
+        model.timed_ladder(7, [3], [{}], STEPS, 4)  # rank 2 never comes
+        with pytest.raises(SimError, match=r"call 7: 4 members expected, 3 joined"):
+            sim.run()
+
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            ([(0,), (1,), (2, 3, 4)], "rank classes: rank 5 is in no class"),
+            ([(0, 1), (1, 2), (3, 4, 5)], "rank classes: rank 1 is in two classes"),
+            ([(0,), (1,), (2, 3, 4, 5, 6)], "rank classes: rank 6 is in two classes, or no rank"),
+        ],
+        ids=["no_class", "two_classes", "no_rank"],
+    )
+    def test_only_a_partition_of_the_ranks_is_accepted(self, classes, message):
+        _, model = ladder_model()
+        with pytest.raises(SimError, match=message):
+            model.set_classes(classes)
+        assert model.members == [()] * NPROCS  # untouched
+
+    def test_nobody_joins_a_class_from_another_slot(self):
+        sim, model = ladder_model()
+        for rank in range(NPROCS):
+            if rank != 4:
+                model.enter_event(rank, "barrier")
+        with pytest.raises(SimError, match="cannot change with slot 0 in flight"):
+            model.set_classes(CLASSES)
+        model._slots.clear()  # as if rank 4 had left the communicator for good
+        with pytest.raises(
+            SimError, match="rank 4 is at slot 0, its representative rank 2 at slot 1"
+        ):
+            model.set_classes(CLASSES)
+
+    def test_former_members_are_brought_level_first(self):
+        sim, model = ladder_model()
+        model.set_classes(CLASSES)
+        for rank in (0, 1, 2):
+            model.enter_event(rank, "barrier")
+        sim.run()
+        assert model._slot_index == [1, 1, 1, 0, 0, 0]
+        model.set_classes([(0, 3), (1, 4), (2, 5)])
+        assert model._slot_index == [1] * NPROCS
+        assert model.members == [(3,), (4,), (5,), (), (), ()]
+
+    def test_classes_need_shared_release_and_the_model_engine(self):
+        sim = create_simulator("slotted")
+        costs = CollectiveCosts(alpha=1e-6, beta_inv=1e-9, per_message=1e-7)
+        model = ModelCollectives(sim, NPROCS, costs, shared_release=False)
+        with pytest.raises(SimError, match=r"per-rank \(non-shared\) release is per rank"):
+            model.set_classes(CLASSES)
+        model.set_classes(SINGLES)
+        world = MPIWorld(Machine(small_testbed(), dataplane="bulk"), collective_mode="algorithmic")
+        with pytest.raises(SimError, match="rank classes need the model collectives"):
+            world.comm.set_classes([(0, 1), (2, 3), (4, 5), (6, 7)])
+
+    def test_alone_names_rank_and_path(self):
+        _, model = ladder_model()
+        model.set_classes(CLASSES)
+        model.alone(1, "anything")
+        with pytest.raises(
+            SimError, match="rank 2 stands for 3 more ranks, which may only follow: x is per rank"
+        ):
+            model.alone(2, "x")

@@ -13,15 +13,35 @@ class TestMPIWorld:
     def test_contexts(self):
         machine = Machine(small_testbed(4, 2))
         world = MPIWorld(machine)
-        ctxs = world.contexts()
+
+        def body(ctx):
+            yield ctx.sim.timeout(0.0)
+            return ctx
+
+        ctxs = world.run(body)
         assert [c.rank for c in ctxs] == list(range(8))
+        assert [c.ranks for c in ctxs] == [(r,) for r in range(8)]
         assert ctxs[5].node is machine.nodes[2]
         assert ctxs[0].nprocs == 8
 
-    def test_aggregator_candidate(self):
-        world = MPIWorld(Machine(small_testbed(4, 2)))
-        flags = [c.is_aggregator_candidate() for c in world.contexts()]
-        assert flags == [True, False] * 4
+    def test_one_process_per_declared_class(self):
+        machine = Machine(small_testbed(4, 2), dataplane="bulk")  # shared releases
+        world = MPIWorld(machine)
+
+        def body(ctx):
+            yield from ctx.compute(1.0)
+            return ctx
+
+        body.rank_classes = lambda: [(0,), (1, 3, 5, 7), (2,), (4,), (6,)]
+        procs = world.spawn(body)
+        assert [p.name for p in procs] == ["rank0", "rank1+3", "rank2", "rank4", "rank6"]
+        assert world.comm.members == [(), (3, 5, 7), (), (), (), (), (), ()]
+        ctxs = world.per_rank(machine.sim.run(until=machine.sim.all_of(procs)))
+        assert [c.rank for c in ctxs] == [0, 1, 2, 1, 4, 1, 6, 1]
+        assert ctxs[3] is ctxs[1] and ctxs[1].ranks == (1, 3, 5, 7)
+        # one compute timeout for the class: 5 x (init + timeout + completion),
+        # and the all_of
+        assert machine.sim.events_fired == 5 * 3 + 1
 
     def test_run_returns_in_rank_order(self):
         world = MPIWorld(Machine(small_testbed(2, 2)))

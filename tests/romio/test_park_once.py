@@ -1,14 +1,19 @@
 """Park once == round by round.
 
-On the slotted engine a non-aggregator rank crosses a collective write on
-one resume (``ext2ph._park``) and every other rank that takes no per-round
-action joins the timed ladder; the heapq engine keeps the round-by-round
-walk for every rank.  The same job on both must agree on every lap, every
-timestamp and every event count: per-rank ``PhaseTiming``s, per-rank
-profile dicts, the ``events_fired`` count each rank sees at each of its
-calls, and the bytes persisted.
+On the slotted engine the non-aggregator ranks run as one process (a rank
+class, ``tests/mpi/test_rank_classes.py``) that crosses a collective write
+on one resume (``ext2ph._park``), and every other rank that takes no
+per-round action joins the timed ladder; the heapq engine keeps one process
+per rank and the round-by-round walk for every one of them.  The same job
+on both must agree on every lap and every timestamp: per-rank
+``PhaseTiming``s, per-rank profile dicts, the clock at each rank's calls
+(a class's members all stand where their representative does), and the
+bytes persisted.  Event counts differ by exactly the events of the
+processes the class saves: per member but the first, an init kick, a
+completion and one timeout per compute phase.
 """
 
+import contextlib
 import os
 from unittest import mock
 
@@ -20,8 +25,10 @@ from hypothesis import strategies as st
 from repro.access import AccessTable
 from repro.config import small_testbed
 from repro.faults.spec import FaultSchedule, FaultSpec
+from repro.fleet import JobView
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
+from repro.mpiwrap import MPIWrap, WrapConfig
 from repro.romio.adio import BeeGFSDriver
 from repro.romio.aggregation import FileDomain
 from repro.romio.file import MPIIOLayer
@@ -51,12 +58,12 @@ def engine(kind):
 
 
 class _TracedStep(IOStep):
-    """A collective step that notes, per rank, the clock and the engine's
-    event count at the moment the rank asks for its access — just before
-    each ``write_all``."""
+    """A collective step that notes, per rank, the clock at the moment the
+    rank (for a class: its representative) asks for its access — just
+    before each ``write_all``."""
 
     def access_fn(self, rank, profiler=None):
-        self.trace.setdefault(rank, []).append((self.sim.now, self.sim.events_fired))
+        self.trace.setdefault(rank, []).append(self.sim.now)
         return super().access_fn(rank, profiler)
 
 
@@ -102,15 +109,32 @@ def run_job(
     driver=None,
     num_files=1,
     deferred_close=False,
+    exchange="model",
+    placement=None,
+    wrap=None,
+    classes=None,
+    **machine_kwargs,
 ):
-    """Run ``workload`` on engine ``kind`` (bulk data plane, whatever the
-    environment says); return everything that must not depend on the
-    engine, plus the run's profiler counters."""
+    """Run ``workload`` on engine ``kind`` (bulk data plane unless told
+    otherwise, whatever the environment says); return everything that must
+    not depend on the engine or on how many processes stood for the ranks,
+    the run's profiler counters, and the events it fired for which classes.
+
+    ``placement`` runs it as a fleet job on those nodes of a larger machine,
+    ``wrap`` through an ``MPIWrap`` configured by that text, ``classes``
+    under a partition no program would declare."""
+    machine_kwargs.setdefault("dataplane", "bulk")
     with engine(kind):
         profiler = SimProfiler()
-        machine = Machine(small_testbed(nodes, ppn), profiler=profiler, dataplane="bulk")
-    world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
+        machine = target = Machine(
+            small_testbed(nodes if placement is None else max(placement) + 1, ppn),
+            profiler=profiler,
+            **machine_kwargs,
+        )
+    if placement is not None:
+        target = JobView(machine, 3, placement)
+    world = MPIWorld(target)
+    layer = MPIIOLayer(target, world.comm, driver="beegfs", exchange_mode=exchange)
     if driver is not None:
         layer.driver = driver
     trace = {}
@@ -131,17 +155,21 @@ def run_job(
         compute_delay=0.5,
         deferred_close=deferred_close,
         file_prefix="/g/f",
+        wrapper=None if wrap is None else MPIWrap(layer, WrapConfig.parse(wrap)),
     )
-    if aggregators is None:
-        timings = world.run(body)
-    else:  # a placement select_aggregators never produces (it keeps node 0)
-        with mock.patch(
+    if classes is not None:
+        body.rank_classes = lambda: classes
+    patched = contextlib.nullcontext()
+    if aggregators is not None:  # a placement select_aggregators never produces (it keeps node 0)
+        patched = mock.patch(
             "repro.romio.file.select_aggregators", lambda *a, **k: list(aggregators)
-        ):
-            timings = world.run(body)
+        )
+    with patched:
+        timings = world.run(body)
     profiles, persisted = {}, {}
     for path, slots in sorted(layer._open_slots.items()):
         for gen, fd in enumerate(slots):
+            assert list(fd.profilers) == list(range(world.comm.size))  # rank order
             for rank, prof in fd.profilers.items():
                 profiles[path, gen, rank] = dict(prof.profile.seconds)
         f = machine.pfs.lookup(path)
@@ -149,20 +177,30 @@ def run_job(
     observed = {
         "timings": timings,
         "profiles": profiles,
-        "trace": trace,
+        # every member of a class stood where its representative did
+        "trace": {r: trace.get(ranks[0], []) for ranks in world.classes for r in ranks},
         "persisted": persisted,
-        "end": (machine.sim.now, machine.sim.events_fired),
+        "end": machine.sim.now,
+        "peak_pinned": [n.peak_pinned_bytes for n in machine.nodes],
     }
-    return observed, profiler.counters
+    return observed, profiler.counters, (machine.sim.events_fired, world.classes)
 
 
-def assert_engines_agree(workload, hints, **kwargs):
+def assert_engines_agree(workload, hints, num_files=1, **kwargs):
     """Run on both engines, compare, and return the slotted run's counters."""
-    slotted, counters = run_job("slotted", workload, hints, **kwargs)
-    heapq, reference = run_job("heapq", workload, hints, **kwargs)
-    assert "ext2ph.park_single" not in reference  # the oracle walks every round
+    slotted, counters, (events, classes) = run_job(
+        "slotted", workload, hints, num_files=num_files, **kwargs
+    )
+    heapq, reference, (ref_events, singles) = run_job(
+        "heapq", workload, hints, num_files=num_files, **kwargs
+    )
+    # the oracle: every rank a process of its own ...
+    assert singles == [(r,) for r in range(workload.nprocs)]
+    assert "ext2ph.park_single" not in reference  # ... that walks every round
     for what in slotted:
         assert slotted[what] == heapq[what], what
+    # init kick + completion + one compute timeout between files, per process
+    assert ref_events - events == (len(singles) - len(classes)) * (2 + num_files - 1)
     return counters
 
 
@@ -228,11 +266,12 @@ def test_case_agrees_on_both_engines(name):
 def test_automatic_stays_live_but_still_takes_the_ladder():
     """``romio_cb_write=automatic`` waits for the interleaving test, so no
     rank parks — the non-aggregators still join the ladder, one by one."""
-    slotted, _ = run_job(
+    slotted, _, (_, singles) = run_job(
         "slotted", workload_of([strided(8)], 8), hints(cb_nodes=2, romio_cb_write="automatic")
     )
-    parked, _ = run_job("slotted", workload_of([strided(8)], 8), hints(cb_nodes=2))
+    parked, _, (_, classes) = run_job("slotted", workload_of([strided(8)], 8), hints(cb_nodes=2))
     assert slotted == parked
+    assert (len(singles), len(classes)) == (8, 3)  # no class either, under ``automatic``
 
 
 def test_deferred_close_with_the_cache():

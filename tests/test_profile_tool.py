@@ -46,3 +46,42 @@ def test_event_kinds_account_for_every_event_and_move_nothing(
     assert all(kind.count(" : ") == 2 for kind in tally["event_kinds"])
     out = capsys.readouterr().out
     assert f"event kinds ({tally['events_fired']:,d} events fired)" in out
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_KINDS))
+def test_resumes_add_up_and_move_nothing(tool, engine, tmp_path, monkeypatch, capsys):
+    """``--resumes``: every process kind with its processes and the ranks
+    each stands for; ``--num-files`` sizes the run.  The park counters keep
+    counting ranks, however few processes stand for them."""
+    from repro.sim.core import Process
+
+    monkeypatch.setenv("REPRO_ENGINE", engine)
+    resume = Process._resume
+    point = ["--aggregators", "8", "--scale", "0.005", "--num-files", "2"]
+    assert tool.main(point + ["--json", str(tmp_path / "plain.json")]) == 0
+    assert tool.main(point + ["--resumes", "3", "--json", str(tmp_path / "tally.json")]) == 0
+    assert Process._resume is resume  # restored
+    plain = json.loads((tmp_path / "plain.json").read_text())
+    tally = json.loads((tmp_path / "tally.json").read_text())
+    assert plain["spec"]["num_files"] == tally["spec"]["num_files"] == 2
+    assert "process_resumes" not in plain
+    assert tally["events_fired"] == plain["events_fired"]
+    assert tally["bw_gib_s"] == plain["bw_gib_s"]
+    kinds = tally["process_resumes"]
+    # Every rank is behind exactly one process: 8 aggregators (rank 0 among
+    # them) and one class of 504 where classes form, else 512 of one rank.
+    ranked = {kind: row["processes"] for kind, row in kinds.items() if kind.startswith("rank")}
+    assert sum(n * int(kind.rpartition(" x")[2]) for kind, n in ranked.items()) == 512
+    if engine == "slotted":
+        assert ranked == {"rank x1": 8, "rank+ x504": 1}
+        assert kinds["rank+ x504"]["resumes"] < kinds["rank x1"]["resumes"] / 8
+    else:
+        assert ranked == {"rank x1": 512}
+    out = capsys.readouterr().out
+    total = sum(row["resumes"] for row in kinds.values())
+    assert f"of {len(kinds)} process kinds ({total:,d} resumes)" in out
+    assert all(row["resumes"] >= row["processes"] >= 1 for row in kinds.values())
+    counters = tally["profiler"]["counters"]
+    parked, live = counters.get("ext2ph.park_single", 0), counters["ext2ph.park_live"]
+    assert parked + live == 512 * 2  # one collective call a file, counted in ranks
+    assert parked == (504 * 2 if engine == "slotted" else 0)

@@ -17,6 +17,9 @@ Usage::
     PYTHONPATH=src python tools/profile_sweep.py --cprofile 25
     PYTHONPATH=src python tools/profile_sweep.py --top 10
     PYTHONPATH=src python tools/profile_sweep.py --events 12
+    PYTHONPATH=src python tools/profile_sweep.py --resumes 8
+    PYTHONPATH=src python tools/profile_sweep.py --aggregators 8 --cb-mib 16 \\
+        --cache-mode disabled --scale 0.125 --num-files 3   # an ior_grid6 unit
     PYTHONPATH=src python tools/profile_sweep.py --trace point.trace.json
     PYTHONPATH=src python tools/profile_sweep.py --fabric naive --json prof.json
 
@@ -27,7 +30,13 @@ naive`` against it to see the recompute work the fast path removes, and
 per-chunk event traffic the bulk-transfer fast path removes
 (docs/PERFORMANCE.md walks through both).  ``--events N`` names the N
 most-fired event kinds — which waits, grants and chain steps the event count
-is made of.  The profiler never changes simulation results — only observes.
+is made of; ``--resumes N`` names who was resumed — process resumes by name
+stem, with the number of processes behind each stem and of ranks each stands
+for (``rank1+447`` is rank 1 and the 447 ranks that follow with it).  One
+shared release is one event however many processes it resumes, so only the
+second table shows a cost that grows with ranks.  ``--num-files`` sizes the
+run like a benchmark unit (``ior_grid6`` runs 3 files, ``noncontig_grid4``
+2).  The profiler never changes simulation results — only observes.
 
 ``--chaos-seed N`` profiles a :mod:`repro.chaos` trial instead: the traced
 timeline then carries the injected fault and recovery/replay instant
@@ -42,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import cProfile
+import functools
 import json
 import os
 import pstats
@@ -56,7 +66,7 @@ from repro.experiments.runner import BENCHMARKS, CACHE_MODES, ExperimentSpec
 from repro.net.fabric import FABRIC_KINDS, default_fabric_kind
 from repro.pfs.client import PFSClient
 from repro.pfs.layout import plan_memo_info
-from repro.sim.core import ENGINE_KINDS, Event, _Call
+from repro.sim.core import ENGINE_KINDS, Event, Process, _Call
 from repro.sim.profile import SimProfiler
 from repro.units import MiB
 
@@ -77,6 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
         % ("/".join(CACHE_MODES), "/".join(CHAOS_CACHE_MODES)),
     )
     p.add_argument("--scale", type=float, default=0.03125)
+    p.add_argument(
+        "--num-files",
+        type=int,
+        default=None,
+        metavar="N",
+        help="files (I/O phases) of the run; default: the spec's own "
+        "(4 for a sweep point, 2 for a chaos trial)",
+    )
     p.add_argument(
         "--fabric",
         default=default_fabric_kind(),
@@ -113,6 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="print the N most-fired event kinds (class : name stem : first "
         "callback), tallied by stepping the engine from here — slower, same results",
+    )
+    p.add_argument(
+        "--resumes",
+        type=int,
+        default=0,
+        metavar="N",
+        help="print the N most-resumed process kinds (name stem, processes, "
+        "ranks each stands for), tallied by wrapping Process._resume from here",
     )
     p.add_argument("--trace", default=None, metavar="PATH", help="write a Chrome trace")
     p.add_argument(
@@ -221,6 +247,52 @@ def print_events(tally: Counter, n: int) -> None:
         print(f"  {count:>9,d} {count / max(1, total):>6.1%}  {kind}")
 
 
+@functools.lru_cache(maxsize=None)
+def resume_kind(name: str) -> str:
+    """``name stem x ranks stood for`` of a process: a class of ranks runs
+    as one process named ``rank<first>+<others>``, anything else stands for
+    itself."""
+    stood_for = re.fullmatch(r"rank[0-9]+\+([0-9]+)", name)
+    ranks = 1 + int(stood_for.group(1)) if stood_for else 1
+    return f"{re.sub(r'[0-9]+', '', name)} x{ranks}"
+
+
+@contextlib.contextmanager
+def process_resumes():
+    """Tally every process resume as :func:`resume_kind` -> ``[resumes,
+    processes]``.
+
+    ``Process._resume`` is wrapped for the duration — every wait a process
+    makes registers the method afresh, so nothing in ``src`` needs a hook.
+    """
+    tally: dict[str, list] = {}
+    seen: set[Process] = set()  # kept alive: an id could come round again
+    resume = Process._resume
+
+    def counted(proc, event):
+        row = tally.setdefault(resume_kind(proc.name), [0, 0])
+        row[0] += 1
+        if proc not in seen:
+            seen.add(proc)
+            row[1] += 1
+        resume(proc, event)
+
+    Process._resume = counted
+    try:
+        yield tally
+    finally:
+        Process._resume = resume
+
+
+def print_resumes(tally: dict, n: int) -> None:
+    total = sum(resumes for resumes, _ in tally.values())
+    rows = sorted(tally.items(), key=lambda kv: kv[1][0], reverse=True)
+    print(f"top {min(n, len(rows))} of {len(rows)} process kinds ({total:,d} resumes):")
+    print(f"  {'resumes':>9} {'share':>6} {'processes':>9}  name stem x ranks each stands for")
+    for kind, (resumes, processes) in rows[:n]:
+        print(f"  {resumes:>9,d} {resumes / max(1, total):>6.1%} {processes:>9,d}  {kind}")
+
+
 def rpc_summary(clients: list[PFSClient]) -> dict:
     return {
         "rpcs": sum(c.rpcs for c in clients),
@@ -306,6 +378,32 @@ def tallied(args: argparse.Namespace):
     return event_kinds() if args.events else contextlib.nullcontext()
 
 
+def resumed(args: argparse.Namespace):
+    """The resume tally when ``--resumes`` asks for one, else nothing."""
+    return process_resumes() if args.resumes else contextlib.nullcontext()
+
+
+def report(args: argparse.Namespace, summary: dict, tally, resumes) -> None:
+    """The summary JSON, then the tables that were asked for."""
+    if tally is not None:
+        summary["event_kinds"] = dict(tally.most_common())
+    if resumes is not None:
+        summary["process_resumes"] = {
+            kind: {"resumes": r, "processes": p} for kind, (r, p) in resumes.items()
+        }
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    if args.top:
+        print_top(summary["profiler"], args.top, summary["pfs"])
+    if tally is not None:
+        print_events(tally, args.events)
+    if resumes is not None:
+        print_resumes(resumes, args.resumes)
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+        print(f"wrote {args.json}", file=sys.stderr)
+
+
 def run_chaos_point(args: argparse.Namespace) -> int:
     """Profile one chaos trial; the traced timeline carries fault events."""
     from repro.chaos import ChaosTrialSpec, run_chaos_trial
@@ -322,6 +420,7 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         benchmark=args.benchmark,
         cache_mode=args.cache_mode,
         scale=args.scale,
+        **({} if args.num_files is None else {"num_files": args.num_files}),
     )
     os.environ["REPRO_FABRIC"] = args.fabric
     try:
@@ -329,7 +428,7 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         if prof is not None:
             prof.enable()
-        with pfs_clients() as clients, tallied(args) as tally:
+        with pfs_clients() as clients, tallied(args) as tally, resumed(args) as resumes:
             result = run_chaos_trial(spec, trace=True, profiler=profiler)
         if prof is not None:
             prof.disable()
@@ -359,17 +458,7 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         "profiler": profiler.snapshot(),
         "pfs": rpc_summary(clients),
     }
-    if tally is not None:
-        summary["event_kinds"] = dict(tally.most_common())
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if args.top:
-        print_top(summary["profiler"], args.top, summary["pfs"])
-    if tally is not None:
-        print_events(tally, args.events)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
+    report(args, summary, tally, resumes)
     if args.trace:
         tracer.write_chrome_trace(args.trace, profiler=profiler)
         print(f"wrote {args.trace}", file=sys.stderr)
@@ -394,6 +483,7 @@ def main(argv=None) -> int:
         cb_buffer=args.cb_mib * MiB,
         cache_mode=args.cache_mode,
         scale=args.scale,
+        **({} if args.num_files is None else {"num_files": args.num_files}),
     )
     profiler = SimProfiler()
     os.environ["REPRO_FABRIC"] = args.fabric
@@ -407,7 +497,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         if prof is not None:
             prof.enable()
-        with pfs_clients() as clients, tallied(args) as tally:
+        with pfs_clients() as clients, tallied(args) as tally, resumed(args) as resumes:
             result = run_experiment(spec, profiler=profiler)
         if prof is not None:
             prof.disable()
@@ -422,6 +512,7 @@ def main(argv=None) -> int:
             "label": spec.label,
             "cache_mode": spec.cache_mode,
             "scale": spec.scale,
+            "num_files": spec.num_files,
             "fabric": args.fabric,
             "dataplane": args.dataplane,
         },
@@ -432,18 +523,7 @@ def main(argv=None) -> int:
         "profiler": profiler.snapshot(),
         "pfs": rpc_summary(clients),
     }
-    if tally is not None:
-        summary["event_kinds"] = dict(tally.most_common())
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if args.top:
-        print_top(summary["profiler"], args.top, summary["pfs"])
-    if tally is not None:
-        print_events(tally, args.events)
-
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
+    report(args, summary, tally, resumes)
     if args.trace:
         # The run's Tracer was off (benchmarks pay nothing for tracing), so
         # the export carries the profiler counters; pass --trace together
