@@ -9,19 +9,18 @@ benchmark-scale patterns (millions of extents for coll_perf's 3-D strides)
 stay cheap.
 
 An :class:`AccessTable` is the same information for *every* rank of one
-collective step, in CSR form (``offsets``/``lengths`` rank-major,
-``rank_ptr`` delimiting each rank's slice, one global byte ``prefix``).
-It is validated and sorted once in a single vectorised pass, is immutable
-afterwards, and hands out per-rank :class:`RankAccess` objects that are
-zero-copy views of its arrays — so a pattern that repeats (the files of a
-run, the jobs of a fleet) is flattened once, as ROMIO flattens a file view
-once.  :meth:`AccessTable.window_sums` intersects every rank with every
-file-domain window in one pass; it is what the model-fidelity exchange
-builds its per-round send sizes from.
-
-``merge_extent_arrays`` computes the union coverage of many ranks' extents
-in one vectorised pass — used by the model-fidelity exchange to know which
-byte ranges an aggregator must write per round.
+collective step, immutable and shared by whatever repeats the pattern (the
+files of a run, the jobs of a fleet).  A regular pattern stays a descriptor
+(:meth:`AccessTable.strided`: a base per rank and ``(count, stride)``
+levels, as an MPI derived datatype — never flattened unless something reads
+the extents); anything else is CSR arrays (``offsets``/``lengths``
+rank-major, ``rank_ptr`` delimiting each rank's slice, one global byte
+``prefix``), validated and sorted in one vectorised pass.  Either hands out
+per-rank :class:`RankAccess` views.  :meth:`AccessTable.window_sums`
+intersects every rank with every file-domain window in one pass and
+:attr:`AccessTable.coverage` is the union of all ranks' extents — what the
+model-fidelity exchange builds its per-round send sizes and the
+aggregators' write lists from; both are closed forms on a descriptor.
 
 Paper correspondence: these are the offset/length lists the extended
 two-phase algorithm exchanges in its first step (§II-A).
@@ -47,6 +46,11 @@ def _int64_field(owner: str, name: str, values) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{owner}: {name} must be 1-D, got shape {arr.shape}")
     return arr.astype(np.int64, copy=False)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _extent_fields(owner: str, offsets, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -122,28 +126,30 @@ class RankAccess:
 
     @classmethod
     def _view(cls, table: "AccessTable", rank: int, data) -> "RankAccess":
-        lo, hi = table._ptr[rank], table._ptr[rank + 1]
         self = cls.__new__(cls)
-        self.offsets = table.offsets[lo:hi]
-        self.lengths = table.lengths[lo:hi]
         self.total_bytes = table._bytes[rank]
         self.data = self._checked_payload(data)
         self.table = table
         self.rank = rank
         return self
 
-    # Only views get to the two properties below (the constructor stores
-    # its own arrays): ``ends`` and the rank-relative ``prefix`` are derived
-    # from the table on first use — model-fidelity runs never ask.
+    # Only views get to the four properties below (the constructor stores its
+    # own arrays): cut from the table on first use — model-fidelity runs never ask.
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return self.table._rank_array(self.rank, "offsets")
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return self.table._rank_array(self.rank, "lengths")
+
     @cached_property
     def ends(self) -> np.ndarray:
-        lo, hi = self.table._ptr[self.rank], self.table._ptr[self.rank + 1]
-        return self.table.ends[lo:hi]
+        return self.table._rank_array(self.rank, "ends")
 
     @cached_property
     def prefix(self) -> np.ndarray:
-        lo, hi = self.table._ptr[self.rank], self.table._ptr[self.rank + 1]
-        return self.table.prefix[lo : hi + 1] - self.table.prefix[lo]
+        return self.table._rank_array(self.rank, "prefix")
 
     def _checked_payload(self, data) -> Optional[np.ndarray]:
         if data is None:
@@ -240,15 +246,21 @@ _BLOCK_QUERIES = 1 << 14
 
 
 class AccessTable:
-    """Every rank's extents for one collective step, in CSR form.
+    """Every rank's extents for one collective step.
 
-    ``offsets``/``lengths``/``ends`` hold all extents rank-major (rank
-    ``r`` owns ``[rank_ptr[r], rank_ptr[r + 1])``), sorted and disjoint
-    within each rank, zero-length extents dropped; ``prefix[k]`` is the
-    byte count of extents ``[0, k)`` across the whole table.  The arrays
-    are read-only: a table is shared by every file, experiment and fleet
-    job that repeats its pattern.
+    ``AccessTable(offsets, lengths, rank_ptr)`` is the CSR form, for any
+    pattern: ``offsets``/``lengths``/``ends`` hold all extents rank-major
+    (rank ``r`` owns ``[rank_ptr[r], rank_ptr[r + 1])``), sorted and
+    disjoint within each rank, zero-length extents dropped; ``prefix[k]``
+    is the byte count of extents ``[0, k)`` across the whole table.
+    :meth:`strided` is the structured form: it holds a descriptor and
+    builds those arrays (and a view's own) only when something reads them,
+    which the model-fidelity path never does.  All arrays are read-only:
+    every file, experiment and fleet job repeating a pattern shares one table.
     """
+
+    #: ``((count, stride), ...)`` of a structured table, ``None`` for CSR
+    levels: Optional[tuple[tuple[int, int], ...]] = None
 
     def __init__(self, offsets, lengths, rank_ptr):
         offsets, lengths = _extent_fields("AccessTable", offsets, lengths)
@@ -297,12 +309,10 @@ class AccessTable:
         n = len(offsets)
         prefix = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=prefix[1:])
-        self.offsets = offsets.view()
-        self.lengths = lengths.view()
-        self.prefix = prefix
-        self.rank_ptr = rank_ptr.view()
-        for arr in (self.offsets, self.lengths, prefix, self.rank_ptr):
-            arr.flags.writeable = False
+        self.offsets = _frozen(offsets.view())
+        self.lengths = _frozen(lengths.view())
+        self.prefix = _frozen(prefix)
+        self.rank_ptr = _frozen(rank_ptr.view())
         self.nranks = len(rank_ptr) - 1
         self.total_bytes = int(prefix[-1])
         counts = np.diff(rank_ptr)
@@ -325,16 +335,97 @@ class AccessTable:
         self._bytes: list[int] = (prefix[rank_ptr[1:]] - prefix[rank_ptr[:-1]]).tolist()
         self._views: list[Optional[RankAccess]] = [None] * self.nranks
 
+    @classmethod
+    def strided(cls, bases, levels, length: int) -> "AccessTable":
+        """One strided file view for all ranks: rank ``r``'s extent
+        ``(i_1..i_k)`` starts at ``bases[r] + sum(i_j * stride_j)`` and is
+        ``length`` bytes; ``levels`` is ``((count, stride), ...)``, outermost
+        first.  A stride may not be smaller than the bytes one item of its
+        level spans — that is what keeps a rank's extents sorted and
+        disjoint, which the array constructor checks extent by extent."""
+        owner = "AccessTable.strided"
+        bases = _frozen(_int64_field(owner, "bases", bases).view())
+        if len(bases) and bases.min() < 0:
+            raise ValueError(f"{owner}: negative base {int(bases.min())}")
+        if length <= 0:
+            raise ValueError(f"{owner}: length must be positive, got {length}")
+        levels = tuple((int(count), int(stride)) for count, stride in levels)
+        span, per_rank = int(length), 1
+        for depth in reversed(range(len(levels))):
+            count, stride = levels[depth]
+            if count <= 0:
+                raise ValueError(f"{owner}: level {depth} count {count} <= 0")
+            if stride < span:
+                raise ValueError(
+                    f"{owner}: level {depth} stride {stride} is smaller than "
+                    f"the {span} bytes one of its items spans"
+                )
+            span += (count - 1) * stride
+            per_rank *= count
+        self = cls.__new__(cls)
+        self._bases, self.levels, self._length = bases, levels, int(length)
+        self.nranks = n = len(bases)
+        self.total_bytes = n * per_rank * self._length
+        self.st_offsets = bases
+        self.end_offsets = _frozen(bases + (span - 1))
+        self.min_st = int(bases.min()) if n else 0
+        self.max_end = int(bases.max()) + span - 1 if n else -1
+        self.max_rank_extents = per_rank if n else 0
+        self._ptr = list(range(0, n * per_rank + 1, per_rank))
+        self._bytes = [per_rank * self._length] * n
+        self._views = [None] * n
+        return self
+
+    # Only a structured table gets to the four array properties below (the
+    # array constructor stores its own): they flatten the descriptor.
+    @cached_property
+    def _lattice(self) -> np.ndarray:
+        """One rank's extent starts relative to its base, ascending."""
+        lattice = np.zeros(1, dtype=np.int64)
+        for count, stride in self.levels:
+            steps = np.arange(count, dtype=np.int64) * stride
+            lattice = (lattice[:, None] + steps).ravel()
+        return lattice
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return _frozen((self._bases[:, None] + self._lattice).ravel())
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return np.broadcast_to(np.int64(self._length), len(self))
+
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        return _frozen(np.arange(len(self) + 1, dtype=np.int64) * self._length)
+
+    @cached_property
+    def rank_ptr(self) -> np.ndarray:
+        return _frozen(np.array(self._ptr, dtype=np.int64))
+
     @cached_property
     def ends(self) -> np.ndarray:
         """``offsets + lengths``; derived on first use — flow-fidelity
-        windows and the coverage merge read it, the model's sums do not."""
-        ends = self.offsets + self.lengths
-        ends.flags.writeable = False
-        return ends
+        windows and the CSR coverage merge read it, the model's sums do not."""
+        return _frozen(self.offsets + self.lengths)
+
+    def _rank_array(self, rank: int, name: str) -> np.ndarray:
+        """Rank ``rank``'s ``offsets``/``lengths``/``ends``/``prefix``: a
+        slice of the CSR arrays, or ``base + lattice`` of a descriptor."""
+        lo, hi = self._ptr[rank], self._ptr[rank + 1]
+        if self.levels is None:
+            if name == "prefix":
+                return self.prefix[lo : hi + 1] - self.prefix[lo]
+            return getattr(self, name)[lo:hi]
+        if name == "lengths":
+            return np.broadcast_to(np.int64(self._length), hi - lo)
+        if name == "prefix":
+            return _frozen(np.arange(hi - lo + 1, dtype=np.int64) * self._length)
+        start = self._bases[rank] + (self._length if name == "ends" else 0)
+        return _frozen(start + self._lattice)
 
     def __len__(self) -> int:
-        return len(self.offsets)
+        return self._ptr[-1]
 
     def rank(self, rank: int, data: Optional[np.ndarray] = None) -> RankAccess:
         """Rank ``rank``'s access as a zero-copy view of this table.
@@ -394,16 +485,32 @@ class AccessTable:
     @cached_property
     def coverage(self) -> tuple[np.ndarray, np.ndarray]:
         """Union coverage of all ranks as merged ``(starts, ends)`` runs."""
-        return _merge_runs(self.offsets, self.ends)
+        if self.levels is None:
+            return _merge_runs(self.offsets, self.ends)
+        # Shifting distributes over union: merge the ranks' first extents,
+        # then level by level the ``count`` shifted copies of what is merged
+        # so far (innermost first: where runs touch and coalesce).  Sorts
+        # count x runs items per level — the whole table only if it must.
+        starts, ends = _merge_runs(self._bases, self._bases + self._length)
+        for count, stride in reversed(self.levels):
+            by = (np.arange(count, dtype=np.int64) * stride)[:, None]
+            starts, ends = _merge_runs((starts + by).ravel(), (ends + by).ravel())
+        return starts, ends
 
     @cached_property
     def digest(self) -> bytes:
         """Fingerprint of the pattern up to a common translation of every
         offset: tables that differ only by a constant file offset (IOR
-        segments, the per-file phases of a run) share it."""
+        segments, the per-file phases of a run) share it.  A memo key, not
+        an identity: a descriptor hashes as a descriptor, so a CSR table of
+        the same extents has another digest."""
         h = hashlib.blake2b(digest_size=16)
+        if self.levels is not None:
+            h.update(repr((self.levels, self._length)).encode())
+            h.update(self._bases - self.min_st)
+            return h.digest()
         h.update(self.offsets - self.min_st)
-        h.update(np.ascontiguousarray(self.lengths))  # builders broadcast a scalar
+        h.update(np.ascontiguousarray(self.lengths))  # may be a broadcast scalar
         h.update(self.rank_ptr)
         return h.digest()
 
@@ -427,11 +534,35 @@ class AccessTable:
         shape = (self.nranks, nwin, max(nb1 - 1, 0))
         nbytes = np.zeros(shape, dtype=np.int64)
         starts = np.zeros(shape, dtype=np.int64)
-        if nbytes.size == 0 or len(self.offsets) == 0:
+        if nbytes.size == 0 or len(self) == 0:
             return nbytes, starts
         flat = bounds.ravel()
         if flat.min() < 0:
             raise ValueError(f"AccessTable: negative window bound {int(flat.min())}")
+        if (bounds[:, 1:] < bounds[:, :-1]).any():
+            w, k = np.argwhere(bounds[:, 1:] < bounds[:, :-1])[0].tolist()
+            raise ValueError(
+                f"AccessTable: bounds row {w} decreases from {bounds[w, k]} "
+                f"to {bounds[w, k + 1]}"
+            )
+        if self.levels is not None:
+            # Closed form: peel one level per step off ``bound - base``.  The
+            # items below the one holding the bound lie wholly below it (an
+            # item spans at most its stride), those above wholly above.
+            step, block = max(1, _BLOCK_QUERIES // len(flat)), (-1, nwin, nb1)
+            for r0 in range(0, self.nranks, step):
+                rem = flat - self._bases[r0 : r0 + step, None]
+                upto, sub = 0, self.max_rank_extents  # extents starting below
+                for count, stride in self.levels:
+                    sub //= count
+                    i = np.clip(rem // stride, 0, count - 1)
+                    rem -= i * stride
+                    upto = upto + i * sub
+                cum = upto * self._length + np.clip(rem, 0, self._length)
+                cum, upto = cum.reshape(block), (upto + (rem > 0)).reshape(block)
+                nbytes[r0 : r0 + step] = cum[:, :, 1:] - cum[:, :, :-1]
+                starts[r0 : r0 + step] = upto[:, :, 1:] - upto[:, :, :-1]
+            return nbytes, starts
         # One searchsorted serves a whole block of ranks: extents and
         # queries of the block's i-th rank are shifted by i * stride, which
         # keeps each rank's keys in a band of their own.

@@ -454,7 +454,7 @@ model_memo = _ModelMemo(budget=8 << 20)
 
 def _model_memo_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
     """Content key for the per-round model arrays, or ``None`` when the
-    pattern is too large to fingerprint cheaply.
+    pattern is a CSR table too large to fingerprint cheaply.
 
     Every input the arrays depend on is in the key, in a form that forgets
     what they do not depend on:
@@ -471,8 +471,9 @@ def _model_memo_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
       of one shape placed on different physical nodes share one plan;
     * the aggregator list and the cost parameters of the shuffle.
     """
-    if call.table.max_rank_extents > _MODEL_MEMO_EXTENT_CAP:
-        return None
+    table = call.table
+    if table.levels is None and table.max_rank_extents > _MODEL_MEMO_EXTENT_CAP:
+        return None  # a descriptor fingerprints in O(ranks) whatever it describes
     base = call.min_st
     costs = fd.comm.costs
     return (
@@ -526,13 +527,11 @@ def _solve_model(
     coverage the aggregators write — offsets relative to ``call.min_st``."""
     comm = fd.comm
     P = comm.size
-    naggs = len(fd.aggregators)
     ntimes = call.ntimes
-    bounds = np.empty((naggs, ntimes + 1), dtype=np.int64)
-    for i, d in enumerate(call.domains):
-        row = d.start + cb * np.arange(ntimes + 1, dtype=np.int64)
-        np.clip(row, d.start, max(d.start, d.end), out=row)
-        bounds[i] = row
+    # Row i: aggregator i's domain in rounds of cb bytes, cut at its end.
+    lo = np.array([d.start for d in call.domains], dtype=np.int64)[:, None]
+    hi = np.array([max(d.start, d.end) for d in call.domains], dtype=np.int64)[:, None]
+    bounds = np.minimum(lo + cb * np.arange(ntimes + 1, dtype=np.int64), hi)
     sends, pieces = call.table.window_sums(bounds)  # [rank, agg, round]
     recv_bytes = sends.sum(axis=0)  # (naggs, ntimes)
     recv_pieces = pieces.sum(axis=0)  # (naggs, ntimes)

@@ -1,8 +1,8 @@
 """Workload step/recipe types shared by all three benchmarks.
 
 A collective step owns one :class:`~repro.access.AccessTable` — the file
-views of *all* its ranks, built once in closed form by the benchmark's
-generator and handed out rank by rank as zero-copy views.  Dataless
+views of *all* its ranks, written down once as a strided descriptor by the
+benchmark's generator and handed out rank by rank as views.  Dataless
 recipes are immutable, so equal shapes share one :class:`Workload` (and
 with it the built tables) across the files of a run, the points of a sweep
 and the jobs of a fleet; see :func:`shared_dataless`.
@@ -90,29 +90,28 @@ class Workload:
 # Dataless recipes never mutate after construction, so one Workload per
 # shape serves every caller in the process: tables are built once per shape
 # instead of once per experiment or fleet job.  The memo is bounded in
-# entries and in table extents (32 bytes each once built: 2**23 extents is
-# 256 MiB); a recipe too large for the budget is rebuilt per caller.
+# entries and in the int64s the tables hold (a base per rank and step, as
+# built — one that something flattens outgrows its share until the memo is
+# next cleared); a recipe too large for the budget is rebuilt per caller.
 _DATALESS_MEMO: dict[tuple, tuple[Workload, int]] = {}
 _DATALESS_MEMO_MAX = 16
-_DATALESS_MEMO_EXTENTS = 1 << 23
+_DATALESS_MEMO_HELD = 1 << 23
 
 
-def shared_dataless(
-    shape: tuple, extents: int, build: Callable[[], Workload]
-) -> Workload:
+def shared_dataless(shape: tuple, held: int, build: Callable[[], Workload]) -> Workload:
     """The one shared dataless :class:`Workload` of ``shape`` (benchmark
-    name plus every sizing parameter), built on first request; ``extents``
-    is the size of its tables, all steps and ranks together."""
+    name plus every sizing parameter), built on first request; ``held`` is
+    the int64s its tables hold, all steps together."""
     hit = _DATALESS_MEMO.get(shape)
     if hit is not None:
         return hit[0]
     workload = build()
-    if extents <= _DATALESS_MEMO_EXTENTS:
-        held = sum(size for _, size in _DATALESS_MEMO.values())
+    if held <= _DATALESS_MEMO_HELD:
+        total = sum(size for _, size in _DATALESS_MEMO.values())
         if (
             len(_DATALESS_MEMO) >= _DATALESS_MEMO_MAX
-            or held + extents > _DATALESS_MEMO_EXTENTS
+            or total + held > _DATALESS_MEMO_HELD
         ):
             _DATALESS_MEMO.clear()
-        _DATALESS_MEMO[shape] = (workload, extents)
+        _DATALESS_MEMO[shape] = (workload, held)
     return workload

@@ -9,7 +9,8 @@ classic "small I/O problem" pattern of Section I.
 The paper's configuration: 512 processes (8×8×8 grid), 64 MB block per
 process, 32 GB file.  With 8-byte elements that is a 128×256×256-element
 block of a 1024×2048×2048 global array; each rank contributes 128×256 =
-32768 extents of 2 KB.
+32768 extents of 2 KB — described, as the MPI subarray type describes them,
+by a base and two ``(count, stride)`` levels, never listed.
 """
 
 from __future__ import annotations
@@ -61,10 +62,9 @@ def collperf_workload(
         raise ValueError(f"block_bytes {block_bytes} not a multiple of elem_size")
     if with_data:
         return _build(nprocs, block_bytes, elem_size, seed)
-    bx, by, _ = _block_shape(block_bytes // elem_size)
     return shared_dataless(
         ("coll_perf", nprocs, block_bytes, elem_size),
-        nprocs * bx * by,
+        nprocs,
         lambda: _build(nprocs, block_bytes, elem_size, None),
     )
 
@@ -90,25 +90,16 @@ def _build(
     NX, NY, NZ = bx * px, by * py, bz * pz
 
     def table_fn() -> AccessTable:
-        # Process coordinates in the grid (row-major rank ordering).
+        # Process coordinates in the grid (row-major rank ordering); a
+        # rank's view is bx planes of by runs of bz elements.
         ranks = np.arange(nprocs, dtype=np.int64)
         x0 = (ranks // (py * pz)) * bx
         y0 = ((ranks // pz) % py) * by
         z0 = (ranks % pz) * bz
-        xs = x0[:, None, None] + np.arange(bx, dtype=np.int64)[None, :, None]
-        ys = y0[:, None, None] + np.arange(by, dtype=np.int64)[None, None, :]
-        # offset(x, y) = ((x * NY + y) * NZ + z0) * elem_size, ascending in
-        # (x, y) for every rank — the table is born sorted.  Evaluated in
-        # place: at paper scale each temporary would be 128 MiB.
-        offs = np.empty((nprocs, bx, by), dtype=np.int64)
-        np.add(xs * NY, ys, out=offs)
-        offs *= NZ
-        offs += z0[:, None, None]
-        offs *= elem_size
-        return AccessTable(
-            offs.ravel(),
-            np.broadcast_to(np.int64(bz * elem_size), offs.size),
-            np.arange(nprocs + 1, dtype=np.int64) * (bx * by),
+        return AccessTable.strided(
+            ((x0 * NY + y0) * NZ + z0) * elem_size,
+            ((bx, NY * NZ * elem_size), (by, NZ * elem_size)),
+            bz * elem_size,
         )
 
     def payload_fn(rank: int) -> np.ndarray:

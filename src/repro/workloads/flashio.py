@@ -4,10 +4,11 @@ The checkpoint file (HDF5 in the original) stores each of the 24 unknowns
 as a separate dataset of shape ``[total_blocks, nzb, nyb, nxb]`` written
 with one collective call per variable; process *p* owns blocks
 ``[p*blocks_per_proc, (p+1)*blocks_per_proc)``, so each rank's piece of a
-dataset is one contiguous extent in rank order.  The paper's configuration:
-16 zones per direction, 80 blocks/process, 24 double-precision unknowns —
-768 KiB per process per block and a checkpoint slightly over 30 GB, plus a
-small HDF5 header/attribute region written by rank 0 per dataset.
+dataset is one contiguous extent in rank order (a structured table of bases
+with no stride level).  The paper's configuration: 16 zones per direction,
+80 blocks/process, 24 double-precision unknowns — 768 KiB per process per
+block and a checkpoint slightly over 30 GB, plus a small HDF5
+header/attribute region written by rank 0 per dataset.
 
 The two plot files (with and without corner data) store a subset of
 variables in single precision; the checkpoint dominates the I/O time, as in
@@ -55,7 +56,7 @@ def flashio_workload(
     shape = (nprocs, blocks_per_proc, kind, nvars, esize, zpd)
     if with_data:
         return _build(*shape, seed)
-    # one extent per rank per variable
+    # one base per rank per variable
     return shared_dataless(
         ("flash_io", *shape), nprocs * nvars, lambda: _build(*shape, None)
     )
@@ -78,10 +79,8 @@ def _build(
 
     def make_step(base_offset: int, var_index: int) -> IOStep:
         def table_fn() -> AccessTable:
-            return AccessTable(
-                base_offset + ranks * per_proc_per_var,
-                np.broadcast_to(np.int64(per_proc_per_var), nprocs),
-                np.arange(nprocs + 1, dtype=np.int64),
+            return AccessTable.strided(
+                base_offset + ranks * per_proc_per_var, (), per_proc_per_var
             )
 
         def payload_fn(rank: int) -> np.ndarray:

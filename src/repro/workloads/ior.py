@@ -2,7 +2,8 @@
 
 The paper's configuration: each of the 512 ranks writes one 8 MB block per
 segment for 8 segments — a 32 GB shared file.  IOR issues one collective
-write per segment; within a segment the blocks are laid out in rank order:
+write per segment; within a segment the blocks are laid out in rank order
+(one extent a rank: a structured table of bases with no stride level):
 
     offset(rank, segment) = segment * (nprocs * block) + rank * block
 
@@ -48,10 +49,8 @@ def _build(
 
     def make_step(segment: int) -> IOStep:
         def table_fn() -> AccessTable:
-            return AccessTable(
-                segment * seg_bytes + ranks * block_bytes,
-                np.broadcast_to(np.int64(block_bytes), nprocs),
-                np.arange(nprocs + 1, dtype=np.int64),
+            return AccessTable.strided(
+                segment * seg_bytes + ranks * block_bytes, (), block_bytes
             )
 
         def payload_fn(rank: int) -> np.ndarray:

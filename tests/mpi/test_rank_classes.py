@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import small_testbed
-from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.experiments.runner import ExperimentSpec, build_workload, run_experiment
 from repro.faults.spec import FaultSchedule
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
@@ -32,6 +32,7 @@ from repro.romio.file import MPIIOLayer
 from repro.romio.hints import Hints
 from repro.sim.core import SimError
 from repro.units import KiB, MiB
+from repro.workloads import base as workloads_base
 from repro.workloads.base import IOStep, Workload
 from repro.workloads.flashio import flashio_workload
 from repro.workloads.phases import multi_phase_body
@@ -200,6 +201,22 @@ def test_a_grid_point_at_512_ranks(aggregators, processes):
     saved = results["heapq"].pop("events") - results["slotted"].pop("events")
     assert saved == (512 - processes) * 3  # init, one compute timeout, completion
     assert results["slotted"] == results["heapq"]
+
+
+def test_a_class_run_flattens_no_table(monkeypatch):
+    """The class registers its members' views by rank and nobody reads one:
+    neither the table nor any of its 512 views ever builds an array."""
+    monkeypatch.setattr(workloads_base, "_DATALESS_MEMO", {})
+    spec = ExperimentSpec("coll_perf", 8, 8 * MiB, "enabled", num_files=2, scale=0.001)
+    bulk = mock.patch.dict(os.environ, {"REPRO_DATAPLANE": "bulk"})
+    with engine("slotted"), bulk, spawned() as counts:
+        run_experiment(spec)
+    assert counts == [9]
+    table = build_workload(spec, 512).steps[0].table()  # the recipe the run shared
+    arrays = {"offsets", "lengths", "prefix", "ends", "rank_ptr"}
+    assert table.levels is not None and not arrays & set(vars(table))
+    assert all(view is not None for view in table._views)  # every rank took part
+    assert not any(arrays & set(vars(view)) for view in table._views)
 
 
 GATES = {

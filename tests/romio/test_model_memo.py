@@ -13,13 +13,14 @@ import pytest
 
 from repro.access import AccessTable
 from repro.config import small_testbed
+from repro.experiments.runner import CACHE_MODES, ExperimentSpec, run_experiment
 from repro.fleet.view import JobView
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.romio import ext2ph
 from repro.romio.file import MPIIOLayer
 from repro.sim.profile import SimProfiler
-from repro.units import KiB
+from repro.units import KiB, MiB
 
 HINTS = {
     "cb_nodes": "2",
@@ -170,3 +171,29 @@ class TestBounds:
         assert len(ext2ph.model_memo) == 0
         assert not any(k.startswith("ext2ph.model_cache") for k in counters)
         assert call.prepared and call.recv_bytes.flags.writeable
+
+    def test_a_descriptor_over_the_extent_cap_enters_the_memo(self):
+        """The cap bounds what fingerprinting a CSR table costs; a descriptor
+        fingerprints in O(ranks), and plans what its flattened twin plans."""
+        reps = ext2ph._MODEL_MEMO_EXTENT_CAP + 1
+        nprocs = machine_of().config.num_ranks
+        flat, _ = write_once(machine_of(), table=strided_table(nprocs, 512, reps))
+        table = AccessTable.strided(np.arange(nprocs) * 512, ((reps, nprocs * 512),), 512)
+        first, counters = write_once(machine_of(), table=table)
+        assert counters["ext2ph.model_cache_miss"] == 1 and len(ext2ph.model_memo) == 1
+        again, counters = write_once(machine_of(), table=table)
+        assert counters["ext2ph.model_cache_hit"] == 1
+        assert_same_plan(first, again, identical=True)
+        assert_same_plan(first, flat, identical=False)
+        assert "offsets" not in vars(table)
+
+    def test_coll_perf_over_three_modes_and_two_files_is_one_plan(self):
+        """1,024 extents a rank: never entered the memo while it was CSR."""
+        profiler = SimProfiler()
+        for mode in CACHE_MODES:
+            spec = ExperimentSpec("coll_perf", 64, 16 * MiB, mode, num_files=2, scale=0.03125)
+            run_experiment(spec, profiler=profiler)
+        counters = profiler.counters
+        assert counters["ext2ph.model_cache_miss"] == 1
+        assert counters["ext2ph.model_cache_hit"] == 5
+        assert len(ext2ph.model_memo) == 1

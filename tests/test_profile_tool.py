@@ -85,3 +85,39 @@ def test_resumes_add_up_and_move_nothing(tool, engine, tmp_path, monkeypatch, ca
     parked, live = counters.get("ext2ph.park_single", 0), counters["ext2ph.park_live"]
     assert parked + live == 512 * 2  # one collective call a file, counted in ranks
     assert parked == (504 * 2 if engine == "slotted" else 0)
+
+
+def test_tables_lists_what_each_table_holds_and_moves_nothing(tool, tmp_path, capsys):
+    """``--tables``: the ``noncontig_grid4`` coll_perf point plans both files
+    from one descriptor — 524,288 extents described, a few KiB held, never
+    flattened — and a Flash-IO point from 24 one-extent-per-rank ones."""
+    from repro.romio import ext2ph
+
+    ext2ph.model_memo.clear()
+    prepare = ext2ph._prepare_model
+    point = ["--benchmark", "coll_perf", "--cb-mib", "16", "--num-files", "2"]
+    assert tool.main(point + ["--json", str(tmp_path / "plain.json")]) == 0
+    ext2ph.model_memo.clear()
+    assert tool.main(point + ["--tables", "--json", str(tmp_path / "tables.json")]) == 0
+    assert ext2ph._prepare_model is prepare  # restored
+    plain = json.loads((tmp_path / "plain.json").read_text())
+    listed = json.loads((tmp_path / "tables.json").read_text())
+    assert "access_tables" not in plain
+    assert listed["events_fired"] == plain["events_fired"]
+    assert listed["bw_gib_s"] == plain["bw_gib_s"]
+    plain["profiler"]["counters"].pop("access.table_build", None)  # whoever ran first
+    assert listed["profiler"]["counters"] == plain["profiler"]["counters"]
+    (row,) = listed["access_tables"]
+    assert row["form"] == "strided 2 levels"
+    assert (row["ranks"], row["extents"]) == (512, 524_288)
+    assert row["held_bytes"] < 64 * 1024 and row["flattened"] is False
+    assert (row["memo_hits"], row["memo_misses"], row["memo_skips"]) == (1, 1, 0)
+    out = capsys.readouterr().out
+    assert "1 distinct access tables" in out
+    assert "strided 2 levels     512     524,288" in out
+
+    flash = ["--benchmark", "flash_io", "--scale", "0.0125", "--num-files", "2"]
+    assert tool.main(flash + ["--tables", "--json", str(tmp_path / "flash.json")]) == 0
+    rows = json.loads((tmp_path / "flash.json").read_text())["access_tables"]
+    assert len(rows) == 24 and {row["form"] for row in rows} == {"strided 0 levels"}
+    assert all(row["extents"] == 512 and not row["flattened"] for row in rows)

@@ -1,11 +1,13 @@
 """Workload pattern invariants: exact tiling, no overlap, paper geometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.access import merge_extent_arrays
 from repro.units import KiB, MiB
-from repro.workloads import collperf_workload, flashio_workload, ior_workload
+from repro.workloads import base, collperf_workload, flashio_workload, ior_workload
 
 
 def assert_tiles_exactly(workload, nprocs):
@@ -33,6 +35,30 @@ class TestCollPerf:
         acc = wl.steps[0].access_fn(0)
         assert len(acc) == 128 * 256  # extents per rank
         assert int(acc.lengths[0]) == 256 * 8  # 2 KiB contiguous runs
+
+    def test_paper_geometry_stays_a_descriptor(self, monkeypatch):
+        """What a model-fidelity run asks of the 16.7 M-extent table — built,
+        merged and intersected with 64 aggregators x 32 rounds of 16 MiB —
+        never flattens it (the CSR form is 323 MiB before the merge sorts)."""
+        monkeypatch.setattr(base, "_DATALESS_MEMO", {})  # built here, traced here
+        tracemalloc.start()
+        try:
+            table = collperf_workload(512, block_bytes=64 * MiB).steps[0].table()
+            assert len(table) == 512 * 128 * 256 and table.max_rank_extents == 128 * 256
+            starts, ends = table.coverage
+            assert (starts.tolist(), ends.tolist()) == ([0], [32 * 1024 * MiB])
+            domains = np.arange(64, dtype=np.int64)[:, None] * (512 * MiB)
+            bounds = domains + np.arange(33, dtype=np.int64) * (16 * MiB)
+            nbytes, pieces = table.window_sums(bounds)
+            assert nbytes.shape == (512, 64, 32)
+            assert (int(nbytes.sum()), int(pieces.sum())) == (32 * 1024 * MiB, len(table))
+            assert int(nbytes[0].sum()) == 64 * MiB
+            del nbytes, pieces
+            table.digest, table.interleaved, table.views(range(512))
+            assert not {"offsets", "prefix", "ends"} & set(vars(table))
+            assert tracemalloc.get_traced_memory()[0] < MiB  # all that is held
+        finally:
+            tracemalloc.stop()
 
     def test_tiles_exactly_small(self):
         wl = collperf_workload(8, block_bytes=64 * KiB)

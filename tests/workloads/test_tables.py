@@ -1,10 +1,12 @@
-"""The closed-form table builders against the per-rank formulas they replaced.
+"""The closed-form table builders against the formulas they replaced.
 
-Each oracle below is the benchmark's layout written for one rank at a time
-and pushed through the public ``RankAccess`` constructor (which validates,
-sorts and prefix-sums on its own); ``step.access_fn(rank)`` — a zero-copy
+Each per-rank oracle below is the benchmark's layout written for one rank
+at a time and pushed through the public ``RankAccess`` constructor (which
+validates, sorts and prefix-sums on its own); ``step.access_fn(rank)`` — a
 view of the step's all-ranks table — must agree field by field, payload
-bytes included.
+bytes included.  Each table oracle is the flattened array construction a
+builder used before its table became a descriptor
+(``AccessTable.strided``), kept here as the reference for the whole table.
 """
 
 import numpy as np
@@ -110,6 +112,91 @@ class TestViewsEqualPerRankConstructor:
         assert np.array_equal(view.prefix, ref.prefix)
 
 
+def ior_table_oracle(nprocs, block, segment):
+    ranks = np.arange(nprocs, dtype=np.int64)
+    return AccessTable(
+        segment * nprocs * block + ranks * block,
+        np.broadcast_to(np.int64(block), nprocs),
+        np.arange(nprocs + 1, dtype=np.int64),
+    )
+
+
+def flashio_table_oracle(nprocs, per_proc, var):
+    base_offset = (var + 1) * HEADER_BYTES + var * per_proc * nprocs
+    return AccessTable(
+        base_offset + np.arange(nprocs, dtype=np.int64) * per_proc,
+        np.broadcast_to(np.int64(per_proc), nprocs),
+        np.arange(nprocs + 1, dtype=np.int64),
+    )
+
+
+def collperf_table_oracle(wl):
+    nprocs = wl.nprocs
+    _, py, pz = wl.detail["grid"]
+    bx, by, bz = wl.detail["block"]
+    _, NY, NZ = wl.detail["array"]
+    ranks = np.arange(nprocs, dtype=np.int64)
+    x0 = (ranks // (py * pz)) * bx
+    y0 = ((ranks // pz) % py) * by
+    z0 = (ranks % pz) * bz
+    xs = x0[:, None, None] + np.arange(bx, dtype=np.int64)[None, :, None]
+    ys = y0[:, None, None] + np.arange(by, dtype=np.int64)[None, None, :]
+    offs = ((xs * NY + ys) * NZ + z0[:, None, None]) * wl.detail["elem_size"]
+    return AccessTable(
+        offs.ravel(),
+        np.broadcast_to(np.int64(bz * wl.detail["elem_size"]), offs.size),
+        np.arange(nprocs + 1, dtype=np.int64) * (bx * by),
+    )
+
+
+def assert_same_table(table, oracle):
+    assert table.levels is not None and oracle.levels is None
+    windows = np.linspace(0, oracle.max_end + 1, 3 * 8).astype(np.int64).reshape(3, 8)
+    for got, want in zip(table.window_sums(windows), oracle.window_sums(windows)):
+        assert np.array_equal(got, want)
+    for got, want in zip(table.coverage, oracle.coverage):
+        assert np.array_equal(got, want)
+    assert table.interleaved == oracle.interleaved
+    assert (table.min_st, table.max_end) == (oracle.min_st, oracle.max_end)
+    assert "offsets" not in vars(table)  # none of the above flattened it
+    for name in ("st_offsets", "end_offsets", "offsets", "lengths", "prefix", "rank_ptr"):
+        assert np.array_equal(getattr(table, name), getattr(oracle, name)), name
+
+
+class TestTablesEqualTheirFormerArrayConstruction:
+    @pytest.mark.parametrize("nprocs", [1, 8, 12])
+    def test_ior(self, nprocs):
+        wl = ior_workload(nprocs, block_bytes=4 * KiB, segments=3)
+        for segment, step in enumerate(wl.steps):
+            assert_same_table(step.table(), ior_table_oracle(nprocs, 4 * KiB, segment))
+
+    @pytest.mark.parametrize("nprocs", [1, 8, 12])
+    def test_flashio(self, nprocs):
+        wl = flashio_workload(nprocs, blocks_per_proc=1, zones_per_dim=4, num_unknowns=3)
+        collective = [s for s in wl.steps if s.kind == "collective"]
+        for var, step in enumerate(collective):
+            assert_same_table(step.table(), flashio_table_oracle(nprocs, 4**3 * 8, var))
+
+    @pytest.mark.parametrize(
+        "nprocs, block_bytes, grid",
+        [
+            (1, 32 * KiB, (1, 1, 1)),
+            (2, 16 * KiB, (2, 1, 1)),  # pz == 1: a rank's runs touch end to end
+            (6, 32 * KiB, (3, 2, 1)),
+            (12, 8 * KiB, (3, 2, 2)),  # not a cube
+            (12, 24, (3, 2, 2)),  # a one-run block: both levels have count 1
+            (64, 32 * KiB, (4, 4, 4)),
+        ],
+    )
+    def test_collperf(self, nprocs, block_bytes, grid):
+        wl = collperf_workload(nprocs, block_bytes=block_bytes)
+        assert wl.detail["grid"] == grid
+        table = wl.steps[0].table()
+        assert_same_table(table, collperf_table_oracle(wl))
+        if grid[2] == 1:
+            assert table.levels[1][1] == table.rank(0).lengths[0]  # stride == run
+
+
 class TestSharedDatalessMemo:
     def test_equal_shapes_share_one_workload_and_table(self):
         for build in (
@@ -143,10 +230,18 @@ class TestSharedDatalessMemo:
         with pytest.raises(ValueError, match="unknown benchmark 'hacc'"):
             small_workload("hacc", 8, 1.0)
 
+    def test_paper_scale_coll_perf_is_budgeted_by_what_it_holds(self):
+        """16.7 M extents described, 512 int64s held: used to be over the
+        budget and rebuilt for every caller."""
+        assert 512 * 128 * 256 > base._DATALESS_MEMO_HELD
+        first = collperf_workload(512)
+        assert collperf_workload(512) is first
+        assert base._DATALESS_MEMO[("coll_perf", 512, 64 * 1024 * KiB, 8)][1] == 512
+
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(base, "_DATALESS_MEMO", {})
         monkeypatch.setattr(base, "_DATALESS_MEMO_MAX", 2)
-        monkeypatch.setattr(base, "_DATALESS_MEMO_EXTENTS", 100)
+        monkeypatch.setattr(base, "_DATALESS_MEMO_HELD", 100)
         builds = []
 
         def make(tag):

@@ -18,6 +18,7 @@ Usage::
     PYTHONPATH=src python tools/profile_sweep.py --top 10
     PYTHONPATH=src python tools/profile_sweep.py --events 12
     PYTHONPATH=src python tools/profile_sweep.py --resumes 8
+    PYTHONPATH=src python tools/profile_sweep.py --benchmark coll_perf --tables
     PYTHONPATH=src python tools/profile_sweep.py --aggregators 8 --cb-mib 16 \\
         --cache-mode disabled --scale 0.125 --num-files 3   # an ior_grid6 unit
     PYTHONPATH=src python tools/profile_sweep.py --trace point.trace.json
@@ -34,7 +35,11 @@ is made of; ``--resumes N`` names who was resumed — process resumes by name
 stem, with the number of processes behind each stem and of ranks each stands
 for (``rank1+447`` is rank 1 and the 447 ranks that follow with it).  One
 shared release is one event however many processes it resumes, so only the
-second table shows a cost that grows with ranks.  ``--num-files`` sizes the
+second table shows a cost that grows with ranks.  ``--tables`` lists every
+distinct access table the point's collective writes planned from: whether it
+is a descriptor (``strided k levels``) or CSR arrays, the extents it
+describes against the bytes it holds, whether anything flattened it, and how
+its calls fared in the two-phase model memo.  ``--num-files`` sizes the
 run like a benchmark unit (``ior_grid6`` runs 3 files, ``noncontig_grid4``
 2).  The profiler never changes simulation results — only observes.
 
@@ -59,6 +64,8 @@ import re
 import sys
 import time
 from collections import Counter
+
+import numpy as np
 
 from repro.chaos.runner import CHAOS_CACHE_MODES
 from repro.dataplane import DATAPLANE_KINDS
@@ -139,6 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="print the N most-resumed process kinds (name stem, processes, "
         "ranks each stands for), tallied by wrapping Process._resume from here",
+    )
+    p.add_argument(
+        "--tables",
+        action="store_true",
+        help="print one line per distinct access table the collective writes planned "
+        "from (form, ranks, extents described, bytes held, flattened or not, model-memo "
+        "hits/misses/skips), read off the tables by wrapping ext2ph._prepare_model from here",
     )
     p.add_argument("--trace", default=None, metavar="PATH", help="write a Chrome trace")
     p.add_argument(
@@ -293,6 +307,89 @@ def print_resumes(tally: dict, n: int) -> None:
         print(f"  {resumes:>9,d} {resumes / max(1, total):>6.1%} {processes:>9,d}  {kind}")
 
 
+def held_bytes(table) -> int:
+    """Bytes behind a table: its arrays and those its views built for
+    themselves (each owning array once — a slice counts as what it is cut
+    from, a broadcast as the scalar it repeats) plus its per-rank lists.
+    The view objects themselves, some 200 bytes a rank, are not counted."""
+    owners: dict[int, int] = {}
+
+    def add(value) -> None:
+        if isinstance(value, tuple):
+            for item in value:
+                add(item)
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value.nbytes
+        elif isinstance(value, list):
+            owners[id(value)] = sys.getsizeof(value)
+
+    for holder in (table, *table._views):
+        if holder is not None:  # not its truth value: len() reads a view's extents
+            for value in vars(holder).values():
+                add(value)
+    return sum(owners.values())
+
+
+@contextlib.contextmanager
+def access_tables():
+    """Every distinct table the run's collective writes planned from, as
+    ``id -> [table, memo hits, misses, skips]``.
+
+    ``ext2ph._prepare_model`` — where a call meets the model memo — is
+    wrapped for the duration and asks ``model_memo`` what it is about to be
+    asked; a skip is a call whose pattern is kept out of the memo (a CSR
+    table over the per-rank extent cap).  Nothing in ``src`` carries a hook.
+    """
+    from repro.romio import ext2ph
+
+    seen: dict[int, list] = {}  # holds the tables: an id could come round again
+    prepare = ext2ph._prepare_model
+
+    def tracked(fd, call):
+        row = seen.setdefault(id(call.table), [call.table, 0, 0, 0])
+        key = ext2ph._model_memo_key(fd, call, fd.hints.cb_buffer_size)
+        if key is None:
+            row[3] += 1
+        else:
+            row[1 if ext2ph.model_memo.get(key) is not None else 2] += 1
+        prepare(fd, call)
+
+    ext2ph._prepare_model = tracked
+    try:
+        yield seen
+    finally:
+        ext2ph._prepare_model = prepare
+
+
+def table_rows(seen: dict) -> list[dict]:
+    return [
+        {
+            "form": "csr" if t.levels is None else f"strided {len(t.levels)} levels",
+            "ranks": t.nranks,
+            "extents": len(t),
+            "held_bytes": held_bytes(t),
+            "flattened": t.levels is None or "offsets" in vars(t),
+            "memo_hits": hits,
+            "memo_misses": misses,
+            "memo_skips": skips,
+        }
+        for t, hits, misses, skips in seen.values()
+    ]
+
+
+def print_tables(rows: list[dict]) -> None:
+    print(f"{len(rows)} distinct access tables (model memo: calls that hit/missed/skipped it):")
+    print(f"  {'form':<17} {'ranks':>6} {'extents':>11} {'held_bytes':>11} flattened  memo h/m/s")
+    for row in rows:
+        print(
+            f"  {row['form']:<17} {row['ranks']:>6,d} {row['extents']:>11,d} "
+            f"{row['held_bytes']:>11,d} {'yes' if row['flattened'] else 'no':<9}  "
+            f"{row['memo_hits']}/{row['memo_misses']}/{row['memo_skips']}"
+        )
+
+
 def rpc_summary(clients: list[PFSClient]) -> dict:
     return {
         "rpcs": sum(c.rpcs for c in clients),
@@ -383,10 +480,17 @@ def resumed(args: argparse.Namespace):
     return process_resumes() if args.resumes else contextlib.nullcontext()
 
 
-def report(args: argparse.Namespace, summary: dict, tally, resumes) -> None:
+def listed(args: argparse.Namespace):
+    """The access tables when ``--tables`` asks for them, else nothing."""
+    return access_tables() if args.tables else contextlib.nullcontext()
+
+
+def report(args: argparse.Namespace, summary: dict, tally, resumes, tables) -> None:
     """The summary JSON, then the tables that were asked for."""
     if tally is not None:
         summary["event_kinds"] = dict(tally.most_common())
+    if tables is not None:
+        summary["access_tables"] = table_rows(tables)
     if resumes is not None:
         summary["process_resumes"] = {
             kind: {"resumes": r, "processes": p} for kind, (r, p) in resumes.items()
@@ -398,6 +502,8 @@ def report(args: argparse.Namespace, summary: dict, tally, resumes) -> None:
         print_events(tally, args.events)
     if resumes is not None:
         print_resumes(resumes, args.resumes)
+    if tables is not None:
+        print_tables(summary["access_tables"])
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -429,7 +535,8 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         if prof is not None:
             prof.enable()
         with pfs_clients() as clients, tallied(args) as tally, resumed(args) as resumes:
-            result = run_chaos_trial(spec, trace=True, profiler=profiler)
+            with listed(args) as tables:
+                result = run_chaos_trial(spec, trace=True, profiler=profiler)
         if prof is not None:
             prof.disable()
         wall = time.perf_counter() - t0
@@ -458,7 +565,7 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         "profiler": profiler.snapshot(),
         "pfs": rpc_summary(clients),
     }
-    report(args, summary, tally, resumes)
+    report(args, summary, tally, resumes, tables)
     if args.trace:
         tracer.write_chrome_trace(args.trace, profiler=profiler)
         print(f"wrote {args.trace}", file=sys.stderr)
@@ -498,7 +605,8 @@ def main(argv=None) -> int:
         if prof is not None:
             prof.enable()
         with pfs_clients() as clients, tallied(args) as tally, resumed(args) as resumes:
-            result = run_experiment(spec, profiler=profiler)
+            with listed(args) as tables:
+                result = run_experiment(spec, profiler=profiler)
         if prof is not None:
             prof.disable()
         wall = time.perf_counter() - t0
@@ -523,7 +631,7 @@ def main(argv=None) -> int:
         "profiler": profiler.snapshot(),
         "pfs": rpc_summary(clients),
     }
-    report(args, summary, tally, resumes)
+    report(args, summary, tally, resumes, tables)
     if args.trace:
         # The run's Tracer was off (benchmarks pay nothing for tracing), so
         # the export carries the profiler counters; pass --trace together
