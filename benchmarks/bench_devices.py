@@ -14,13 +14,14 @@ Writes a machine-readable report to ``BENCH_devices.json``:
    byte-identical.  The FTL tier is strictly opt-in; this is the gate that
    keeps the default results comparable with every pre-FTL baseline.
 
-3. **FTL dataplane A/B** — the grid under ``REPRO_SSD=ftl`` for
-   ``REPRO_DATAPLANE=bulk`` vs ``chunked``: byte-identical excluding event
-   counts.  The FTL runs synchronously inside ``service_time``, so the
-   bulk fast path must see the same GC stalls the chunked reference does.
+3. **FTL stack A/B** — the grid under ``REPRO_SSD=ftl`` on the production
+   stack vs the reference stack (``run_experiment(reference=True)``):
+   byte-identical excluding event counts.  The FTL runs synchronously
+   inside ``service_time``, so production's fused device operations must
+   see the same GC stalls the reference's per-chunk ones do.
 
-4. **NVMM dataplane A/B** — the cache-enabled grid under
-   ``REPRO_CACHE_KIND=nvmm`` for both dataplanes, same contract, plus the
+4. **NVMM stack A/B** — the cache-enabled grid under
+   ``REPRO_CACHE_KIND=nvmm`` on both stacks, same contract, plus the
    extent-vs-NVMM bandwidth comparison for the report.
 
 Exit status is non-zero on any A/B divergence or missed aging target;
@@ -100,11 +101,11 @@ def grid_specs(quick: bool) -> list[ExperimentSpec]:
     ]
 
 
-def run_grid(specs, env: dict[str, str]) -> list[dict]:
+def run_grid(specs, env: dict[str, str], reference: bool = False) -> list[dict]:
     saved = {k: os.environ.get(k) for k in env}
     os.environ.update(env)
     try:
-        return [run_experiment(spec).to_dict() for spec in specs]
+        return [run_experiment(spec, reference=reference).to_dict() for spec in specs]
     finally:
         for k, v in saved.items():
             if v is None:
@@ -160,27 +161,26 @@ def main(argv=None) -> int:
         failures.append("REPRO_SSD=stream diverged from the unset default")
     print(f"stream identity: {'ok' if stream_ok else 'DIVERGED'}")
 
-    # -- 3/4. tier dataplane A/B -------------------------------------------------
+    # -- 3/4. tier stack A/B -------------------------------------------------------
     tiers = {}
     for name, env in (
         ("ftl", {"REPRO_SSD": "ftl"}),
         ("nvmm", {"REPRO_CACHE_KIND": "nvmm"}),
     ):
-        bulk = run_grid(specs, {**env, "REPRO_DATAPLANE": "bulk"})
-        chunked = run_grid(specs, {**env, "REPRO_DATAPLANE": "chunked"})
-        identical = without_events(bulk) == without_events(chunked)
+        production = run_grid(specs, env)
+        reference = run_grid(specs, env, reference=True)
+        identical = without_events(production) == without_events(reference)
         if not identical:
-            failures.append(f"{name}: bulk vs chunked diverged beyond event counts")
-        events_bulk = sum(r["events"] for r in bulk)
-        events_chunked = sum(r["events"] for r in chunked)
+            failures.append(f"{name}: the stacks diverged beyond event counts")
         tiers[name] = {
             "byte_identical_excluding_events": identical,
-            "events_bulk": events_bulk,
-            "events_chunked": events_chunked,
+            "events_production": sum(r["events"] for r in production),
+            "events_reference": sum(r["events"] for r in reference),
         }
         print(
-            f"{name} dataplane A/B: {'ok' if identical else 'DIVERGED'} "
-            f"(events {events_bulk} bulk / {events_chunked} chunked)"
+            f"{name} stack A/B: {'ok' if identical else 'DIVERGED'} "
+            f"(events {tiers[name]['events_production']} production / "
+            f"{tiers[name]['events_reference']} reference)"
         )
 
     # Extent-vs-NVMM perceived bandwidth on the cache-enabled points, for
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         "mode": "quick" if quick else "full",
         "flash_aging": aging,
         "stream_identity": {"ok": stream_ok, "points": len(specs)},
-        "tier_dataplane_ab": tiers,
+        "tier_stack_ab": tiers,
         "tier_bandwidth": tier_bw,
         "failures": failures,
         "ok": not failures,

@@ -1,44 +1,40 @@
-"""Engine A/B benchmark: scheduler, allocator and dataplane, with receipts.
+"""Stack A/B benchmark: production vs reference, with receipts.
 
-Writes a machine-readable report to ``BENCH_engine.json`` (and the
-dataplane leg to ``BENCH_dataplane.json``):
+Writes a machine-readable report to ``BENCH_engine.json`` (and the grid
+leg's event contract to ``BENCH_dataplane.json``):
 
 1. **Scheduler microbenchmark** — grant/hop dispatch churn (a timer grant
-   followed by a burst of same-instant hops, the bulk-dataplane shape) run
-   on both event engines: ``REPRO_ENGINE=heapq`` dispatches through depth-5
-   generator stacks (the legacy process model), the slotted engine through
-   flat state-machine callbacks on ``call_soon``/``call_later``.  Both
-   sides execute the *same simulated schedule*; the report records
-   events/s for each and enforces the >=5x dispatch-throughput target
-   under ``--full`` (>=2.5x under ``--quick``, generous for shared
-   runners) and that the simulated end times agree to the last bit.
+   followed by a burst of same-instant hops, the production shape) run on
+   both event engines, constructed directly: the heapq ``Simulator``
+   dispatches through depth-5 generator stacks (the legacy process model),
+   the ``SlottedSimulator`` through flat state-machine callbacks on
+   ``call_soon``/``call_later``.  Both sides execute the *same simulated
+   schedule*; the report records events/s for each and enforces the
+   dispatch-throughput target (>=4.5x under ``--full``, >=2.5x under
+   ``--quick``, generous for shared runners) and that the simulated end
+   times agree to the last bit.
 
-2. **Engine grid A/B** — the IOR grid run under ``REPRO_ENGINE=heapq``
-   and the slotted default.  Every :class:`ExperimentResult` field except
-   the diagnostic ``events`` count must be **byte-identical**: the slotted
-   engine (bucketed time spine, pooled events, flattened hot coroutines) must
-   be a pure performance transform of the heapq reference.
+2. **Fabric microbenchmark** — the funnel pattern under both fair-share
+   allocators, constructed directly: ``NaiveFabric`` (the oracle) vs
+   ``Fabric`` (incremental recompute, array kernel, rate memo).
 
-3. **Engine fault + chaos A/B** — the same byte-identity contract under
+3. **Stack grid A/B** — the IOR grid on the production stack and on the
+   reference stack (``run_experiment(reference=True)``: heapq engine, naive
+   fabric, every grant/release/chunk its own event, per-rank collective
+   release, generator sync threads, one process per rank).  Every
+   :class:`ExperimentResult` field except the diagnostic ``events`` count
+   must be **byte-identical**: production must be a pure performance
+   transform of the reference.  ``BENCH_dataplane.json`` records the event
+   side of it: the >=2x events reduction is enforced in every mode, a
+   >=1.1x wall speedup only under ``--full``; ``--quick`` additionally
+   enforces an absolute event-count ceiling on the production grid.
+
+4. **Stack fault + chaos A/B** — the same byte-identity contract under
    injected fault schedules (:mod:`repro.experiments.faultsweep`
-   scenarios) and under a window of randomized chaos seeds
-   (:mod:`repro.chaos`), where recovery, retry and invariant machinery
+   scenarios, each on both stacks) and under a window of randomized chaos
+   seeds (:mod:`repro.chaos`: every trial runs both stacks itself and
+   reports ``stacks_match``), where recovery, retry and invariant machinery
    exercise interrupt/abandon paths the clean grid never hits.
-
-4. **Fabric microbenchmark + grid A/B** — the funnel pattern and the IOR
-   grid under all three fair-share allocators (``REPRO_FABRIC=naive`` vs
-   ``incremental`` vs the default ``array`` kernel), plus fault-schedule
-   and chaos-seed A/B legs across the allocators: the flat-array kernel
-   with converged-rate memoization must be byte-identical everywhere the
-   incremental allocator is.
-
-5. **Dataplane A/B** — the grid under ``REPRO_DATAPLANE=bulk`` vs
-   ``chunked``, written to ``BENCH_dataplane.json``.  Byte-identity and
-   the >=2x events reduction are enforced in every mode; a >=1.1x wall
-   speedup only under ``--full`` (the slotted scheduler sped the
-   event-dense chunked reference most, shrinking bulk's wall edge);
-   ``--quick`` additionally enforces an absolute event-count ceiling on
-   the bulk grid.
 
 The exit status is non-zero on any A/B divergence or missed target, so
 CI's ``bench-smoke`` job (``--quick``) doubles as a determinism gate;
@@ -55,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -63,8 +58,8 @@ from repro.chaos import ChaosTrialSpec, run_chaos_trial
 from repro.experiments.faultsweep import fault_matrix_specs, run_fault_experiment
 from repro.experiments.figures import QUICK_AGGREGATORS, QUICK_CB_SIZES
 from repro.experiments.runner import CACHE_MODES, ExperimentSpec, run_experiment
-from repro.net.fabric import FABRIC_KINDS
-from repro.sim.core import Simulator, create_simulator
+from repro.net.fabric import Fabric, NaiveFabric
+from repro.sim.core import Simulator, SlottedSimulator
 from repro.sim.profile import SimProfiler
 from repro.units import MiB
 
@@ -96,18 +91,18 @@ FULL_GRID_SPEEDUP_TARGET = 2.5
 
 BENCH_SCALE = 0.03125
 
-# Quick-grid bulk-dataplane event budget: 212,314 measured since the ranks
+# Quick-grid production event budget: 212,314 measured since the ranks
 # that only follow run as one process (226,564 since the write-back stages
 # wake waiters in place and drain as one chain, 245,868 since the write RPC
 # path runs as one chain, 295,020 at the PR that introduced the fast path),
 # plus ~15% headroom.  CI's bench-smoke fails when
-# the bulk path starts firing more events than this — the regression the
-# fast path exists to prevent.  (The chunked reference fires ~2.11M on the
+# production starts firing more events than this — the regression the
+# fast paths exist to prevent.  (The reference stack fires ~2.11M on the
 # same grid.)
 QUICK_BULK_EVENTS_CEILING = 244_000
 
 
-SCHED_HOPS = 4  # same-instant hops per grant — the bulk-dataplane shape
+SCHED_HOPS = 4  # same-instant hops per grant — the production shape
 
 
 class _FlatChain:
@@ -154,8 +149,8 @@ def scheduler_microbench(kind: str, chains=64, rounds=2500):
     fires ``2 * chains`` extra events (one boot kick and one process
     completion per chain) — a fixed additive term, not per-round churn.
     """
-    sim = create_simulator(kind)
-    if sim.flat:
+    sim = {"heapq": Simulator, "slotted": SlottedSimulator}[kind]()
+    if kind == "slotted":
         t0 = time.perf_counter()
         for c in range(chains):
             _FlatChain(sim, c, rounds)
@@ -200,61 +195,43 @@ def scheduler_microbench(kind: str, chains=64, rounds=2500):
     }
 
 
-def fault_result_dict(result) -> dict:
-    """A fault/chaos result as compared A/B: drop diagnostic event counts."""
-    d = result.to_dict()
-    d.pop("events", None)
-    d.pop("events_bulk", None)
-    d.pop("events_chunked", None)
-    return d
+STACKS = ("reference", "production")
 
 
-def fault_ab(scenarios, scale: float, env_var: str, kinds: tuple[str, ...]):
-    """Fault-schedule A/B: each scenario under every ``kind`` of ``env_var``
-    (engines or fabric allocators), full results (bandwidths, recovery
-    accounting, checksums, invariant reports) compared byte-for-byte
-    excluding the event counts."""
+def fault_ab(scenarios, scale: float):
+    """Fault-schedule A/B: each scenario on both stacks, full results
+    (bandwidths, recovery accounting, checksums, invariant reports) compared
+    byte-for-byte excluding the event count."""
     specs = [s for s in fault_matrix_specs(scale=scale) if s.scenario in scenarios]
     mismatches = []
     for spec in specs:
-        per_kind = {}
-        for kind in kinds:
-            os.environ[env_var] = kind
-            try:
-                per_kind[kind] = fault_result_dict(run_fault_experiment(spec))
-            finally:
-                os.environ.pop(env_var, None)
-        if any(per_kind[k] != per_kind[kinds[0]] for k in kinds[1:]):
+        reference, production = (
+            comparable_dict(run_fault_experiment(spec, reference=stack == "reference"))
+            for stack in STACKS
+        )
+        if reference != production:
             mismatches.append(spec.scenario)
     return {
         "scenarios": list(scenarios),
-        "kinds": list(kinds),
+        "kinds": list(STACKS),
         "scale": scale,
         "byte_identical_excluding_events": not mismatches,
         "mismatches": mismatches,
     }
 
 
-def chaos_ab(seeds, scale: float, env_var: str, kinds: tuple[str, ...]):
-    """Chaos-seed-window A/B: randomized fault schedules (each trial runs
-    its reference plus both dataplanes with the invariant monitor attached)
-    under every ``kind`` of ``env_var``; outcomes must agree byte-for-byte
-    excluding the per-plane event counts."""
+def chaos_ab(seeds, scale: float):
+    """Chaos-seed window: randomized fault schedules; each trial runs its
+    fault-free twin plus both stacks with the invariant monitor attached and
+    must find them in agreement on every simulated quantity."""
     mismatches = []
     for seed in seeds:
-        spec = ChaosTrialSpec(seed=seed, scale=scale)
-        per_kind = {}
-        for kind in kinds:
-            os.environ[env_var] = kind
-            try:
-                per_kind[kind] = fault_result_dict(run_chaos_trial(spec))
-            finally:
-                os.environ.pop(env_var, None)
-        if any(per_kind[k] != per_kind[kinds[0]] for k in kinds[1:]):
+        result = run_chaos_trial(ChaosTrialSpec(seed=seed, scale=scale))
+        if not (result.ok and result.stacks_match):
             mismatches.append(seed)
     return {
         "seeds": list(seeds),
-        "kinds": list(kinds),
+        "kinds": list(STACKS),
         "scale": scale,
         "byte_identical_excluding_events": not mismatches,
         "mismatches": mismatches,
@@ -264,7 +241,9 @@ def chaos_ab(seeds, scale: float, env_var: str, kinds: tuple[str, ...]):
 def fabric_microbench(kind: str, nodes=64, aggs=8, waves=30, ranks=512):
     """Shuffle waves into few aggregators — the fabric-bound hot path."""
     sim = Simulator()
-    fabric = FABRIC_KINDS[kind](sim, num_nodes=nodes, nic_bw=1e9, latency=1e-6)
+    fabric = {"naive": NaiveFabric, "array": Fabric}[kind](
+        sim, num_nodes=nodes, nic_bw=1e9, latency=1e-6
+    )
     t0 = time.perf_counter()
     for _ in range(waves):
         for r in range(ranks):
@@ -303,20 +282,15 @@ def comparable_dict(result) -> dict:
     return d
 
 
-def run_point(spec, env_var: str, kind: str):
-    """One timed point under one ``env_var`` setting.  No profiler: timing
-    must not skew."""
-    os.environ[env_var] = kind
-    try:
-        t0 = time.perf_counter()
-        result = run_experiment(spec)
-        return result, time.perf_counter() - t0
-    finally:
-        os.environ.pop(env_var, None)
+def run_point(spec, stack: str):
+    """One timed point on one stack.  No profiler: timing must not skew."""
+    t0 = time.perf_counter()
+    result = run_experiment(spec, reference=stack == "reference")
+    return result, time.perf_counter() - t0
 
 
-def run_grid_interleaved(specs, env_var: str, kinds: tuple[str, ...], passes: int = 1):
-    """Time every ``kind`` point by point, rotating which goes first.
+def run_grid_interleaved(specs, kinds: tuple[str, ...] = STACKS, passes: int = 1):
+    """Time every stack point by point, rotating which goes first.
 
     The timings of a point land adjacent in wall-clock time (and the
     first-runner advantage, if any, rotates), so machine noise — which
@@ -338,7 +312,7 @@ def run_grid_interleaved(specs, env_var: str, kinds: tuple[str, ...], passes: in
         for i, spec in enumerate(specs):
             order = kinds[i % n :] + kinds[: i % n]
             for kind in order:
-                result, wall = run_point(spec, env_var, kind)
+                result, wall = run_point(spec, kind)
                 results[kind].append(result)
                 pass_walls[kind] += wall
         for kind in kinds:
@@ -357,14 +331,10 @@ def run_grid_interleaved(specs, env_var: str, kinds: tuple[str, ...], passes: in
     return results, stats
 
 
-def profile_point(kind: str, spec):
+def profile_point(stack: str, spec):
     """One untimed instrumented run — recompute totals for the report."""
-    os.environ["REPRO_FABRIC"] = kind
-    try:
-        profiler = SimProfiler()
-        run_experiment(spec, profiler=profiler)
-    finally:
-        os.environ.pop("REPRO_FABRIC", None)
+    profiler = SimProfiler()
+    run_experiment(spec, profiler=profiler, reference=stack == "reference")
     return profiler.snapshot()
 
 
@@ -389,7 +359,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out-dataplane",
         default="BENCH_dataplane.json",
-        help="dataplane A/B report path (default: %(default)s)",
+        help="the grid leg's event-contract report path (default: %(default)s)",
     )
     args = parser.parse_args(argv)
     quick = args.quick or not args.full
@@ -446,138 +416,124 @@ def main(argv=None) -> int:
 
     waves = 6 if quick else 30
     print(f"fabric microbench: {waves} shuffle waves, 512 flows/wave ...", flush=True)
-    micro = {k: fabric_microbench(k, waves=waves) for k in ("naive", "incremental", "array")}
-    micro_speedup = micro["naive"]["wall_s"] / micro["incremental"]["wall_s"]
-    micro_array_speedup = micro["incremental"]["wall_s"] / micro["array"]["wall_s"]
-    ends_match = (
-        micro["naive"]["sim_end"]
-        == micro["incremental"]["sim_end"]
-        == micro["array"]["sim_end"]
-    )
+    micro = {k: fabric_microbench(k, waves=waves) for k in ("naive", "array")}
+    micro_speedup = micro["naive"]["wall_s"] / micro["array"]["wall_s"]
     report["fabric_microbench"] = {
         **micro,
         "speedup": micro_speedup,
-        "array_speedup_vs_incremental": micro_array_speedup,
-        "sim_end_identical": ends_match,
+        "sim_end_identical": micro["naive"]["sim_end"] == micro["array"]["sim_end"],
     }
     if not report["fabric_microbench"]["sim_end_identical"]:
         failures.append("microbench simulated end times diverged")
     if not quick and micro_speedup < 3.0:
         failures.append(f"microbench speedup {micro_speedup:.2f}x < 3x target")
     print(
-        f"  naive {micro['naive']['wall_s']:.2f}s vs incremental "
-        f"{micro['incremental']['wall_s']:.2f}s vs array "
-        f"{micro['array']['wall_s']:.2f}s -> {micro_speedup:.2f}x incremental, "
-        f"{micro_array_speedup:.2f}x array-vs-incremental",
+        f"  naive {micro['naive']['wall_s']:.2f}s vs array "
+        f"{micro['array']['wall_s']:.2f}s -> {micro_speedup:.2f}x",
         flush=True,
     )
 
+    # -- stack grid A/B: the reference stack vs what production runs ----------
+    # Full mode times three interleaved passes and keeps the best: the
+    # production events/s here is the gated headline number, and best-of-3
+    # keeps a runner noise phase (single-core boxes drift +-10% for minutes
+    # at a time) from sinking it (identity is checked on every pass).
     specs = grid_specs(quick)
-    fabric_kinds = ("naive", "incremental", "array")
-    print(f"grid A/B: {len(specs)} IOR points x {len(fabric_kinds)} allocators ...", flush=True)
-    grid_results, grid_stats = run_grid_interleaved(specs, "REPRO_FABRIC", fabric_kinds)
-    naive_results, naive_stats = grid_results["naive"], grid_stats["naive"]
-    inc_results, inc_stats = grid_results["incremental"], grid_stats["incremental"]
-    array_results, array_stats = grid_results["array"], grid_stats["array"]
+    passes = 1 if quick else 3
+    print(
+        f"stack grid A/B: {len(specs)} IOR points x 2 stacks"
+        f"{f' x {passes} passes' if passes > 1 else ''} ...",
+        flush=True,
+    )
+    results, stats = run_grid_interleaved(specs, passes=passes)
+    ref_stats, prod_stats = stats["reference"], stats["production"]
     mismatches = [
         spec.label + "/" + spec.cache_mode
-        for spec, a, b, c in zip(specs, naive_results, inc_results, array_results)
-        if not (comparable_dict(a) == comparable_dict(b) == comparable_dict(c))
+        for spec, a, b in zip(specs, results["reference"], results["production"])
+        if comparable_dict(a) != comparable_dict(b)
     ]
     if mismatches:
-        failures.append(f"grid A/B diverged at: {', '.join(mismatches)}")
-    grid_speedup = naive_stats["wall_s"] / inc_stats["wall_s"]
+        failures.append(f"stack grid A/B diverged at: {', '.join(mismatches)}")
+    speedup = ref_stats["wall_s"] / prod_stats["wall_s"]
     report["grid_ab"] = {
-        "naive": naive_stats,
-        "incremental": inc_stats,
-        "array": array_stats,
-        "speedup_vs_naive": grid_speedup,
-        "array_speedup_vs_incremental": inc_stats["wall_s"] / array_stats["wall_s"],
+        "reference": ref_stats,
+        "production": prod_stats,
+        "speedup_vs_reference": speedup,
         "byte_identical_excluding_events": not mismatches,
-        "compared_fields": sorted(comparable_dict(inc_results[0])),
+        "compared_fields": sorted(comparable_dict(results["production"][0])),
     }
     # Recompute accounting from the most fabric-heavy point, measured in a
     # separate instrumented pass so the timing above stays unperturbed.
     heavy = max(specs, key=lambda s: (s.cache_mode == "enabled", s.aggregators))
     report["profiled_point"] = {
         "label": f"{heavy.label}/{heavy.cache_mode}",
-        "naive": profile_point("naive", heavy),
-        "incremental": profile_point("incremental", heavy),
-        "array": profile_point("array", heavy),
+        **{stack: profile_point(stack, heavy) for stack in STACKS},
     }
     if not quick:
         report["grid_ab"]["speedup_vs_pr1_recorded"] = (
-            RECORDED_BASELINES["pr1_recorded_s"] / array_stats["wall_s"]
+            RECORDED_BASELINES["pr1_recorded_s"] / prod_stats["wall_s"]
         )
         report["grid_ab"]["speedup_vs_pristine_head"] = (
-            RECORDED_BASELINES["pristine_head_measured_s"] / array_stats["wall_s"]
+            RECORDED_BASELINES["pristine_head_measured_s"] / prod_stats["wall_s"]
         )
-    print(
-        f"  naive {naive_stats['wall_s']:.1f}s vs incremental "
-        f"{inc_stats['wall_s']:.1f}s vs array {array_stats['wall_s']:.1f}s, "
-        f"identical={not mismatches}",
-        flush=True,
-    )
-
-    # -- engine grid A/B: heapq reference vs slotted default ------------------
-    # Full mode times three interleaved passes and keeps the best: the
-    # slotted events/s here is the gated headline number, and best-of-3
-    # keeps a runner noise phase (single-core boxes drift +-10% for minutes
-    # at a time) from sinking it (identity is checked on every pass).
-    eng_passes = 1 if quick else 3
-    print(
-        f"engine grid A/B: {len(specs)} IOR points x 2 engines"
-        f"{f' x {eng_passes} passes' if eng_passes > 1 else ''} ...",
-        flush=True,
-    )
-    eng_results, eng_stats = run_grid_interleaved(
-        specs, "REPRO_ENGINE", ("heapq", "slotted"), passes=eng_passes
-    )
-    eng_mismatches = [
-        spec.label + "/" + spec.cache_mode
-        for spec, a, b in zip(specs, eng_results["heapq"], eng_results["slotted"])
-        if comparable_dict(a) != comparable_dict(b)
-    ]
-    if eng_mismatches:
-        failures.append(f"engine grid A/B diverged at: {', '.join(eng_mismatches)}")
-    eng_speedup = eng_stats["heapq"]["wall_s"] / eng_stats["slotted"]["wall_s"]
-    report["engine_grid_ab"] = {
-        "heapq": eng_stats["heapq"],
-        "slotted": eng_stats["slotted"],
-        "speedup_vs_heapq": eng_speedup,
-        # Observed, not contractual, and false by design since rank classes:
-        # the slotted engine runs the ranks that only follow as one process
-        # (an init kick, a completion and one timeout per compute phase
-        # fewer per follower), heapq runs every rank.  Everything else
-        # still fires one dispatch per generator-path event.
-        "events_identical": (
-            eng_stats["heapq"]["events_fired"] == eng_stats["slotted"]["events_fired"]
-        ),
-        "byte_identical_excluding_events": not eng_mismatches,
-        "compared_fields": sorted(comparable_dict(eng_results["slotted"][0])),
-    }
-    if not quick:
-        # The gated ratio: full-grid slotted wall against the PR-8 recorded
-        # baseline (the revision that preceded the array kernel).  Same 36
-        # points on both sides, so the event count cancels out of it.
-        vs_pr8 = (
-            RECORDED_BASELINES["pr8_full_grid_wall_s"] / eng_stats["slotted"]["wall_s"]
-        )
-        report["engine_grid_ab"]["wall_speedup_vs_pr8_recorded"] = vs_pr8
-        report["engine_grid_ab"]["full_grid_speedup_target"] = FULL_GRID_SPEEDUP_TARGET
+        # The gated ratio: full-grid production wall against the PR-8
+        # recorded baseline (the revision that preceded the array kernel).
+        # Same 36 points on both sides, so the event count cancels out of it.
+        vs_pr8 = RECORDED_BASELINES["pr8_full_grid_wall_s"] / prod_stats["wall_s"]
+        report["grid_ab"]["wall_speedup_vs_pr8_recorded"] = vs_pr8
+        report["grid_ab"]["full_grid_speedup_target"] = FULL_GRID_SPEEDUP_TARGET
         if vs_pr8 < FULL_GRID_SPEEDUP_TARGET:
             failures.append(
-                f"full-grid slotted wall only {vs_pr8:.2f}x faster than the pr8 "
+                f"full-grid production wall only {vs_pr8:.2f}x faster than the pr8 "
                 f"recorded baseline (< {FULL_GRID_SPEEDUP_TARGET}x target)"
             )
     print(
-        f"  heapq {eng_stats['heapq']['wall_s']:.1f}s vs slotted "
-        f"{eng_stats['slotted']['wall_s']:.1f}s -> {eng_speedup:.2f}x, "
-        f"identical={not eng_mismatches}",
+        f"  reference {ref_stats['wall_s']:.1f}s vs production "
+        f"{prod_stats['wall_s']:.1f}s -> {speedup:.2f}x, identical={not mismatches}",
         flush=True,
     )
 
-    # -- engine A/B under fault schedules and a chaos-seed window -------------
+    # The grid leg's event contract: every simulated quantity byte-identical
+    # (above), and the diagnostic event count must drop.
+    dp_failures = []
+    events_reduction = (
+        ref_stats["events_fired"] / prod_stats["events_fired"]
+        if prod_stats["events_fired"]
+        else 0.0
+    )
+    if events_reduction < 2.0:
+        dp_failures.append(f"events reduction {events_reduction:.2f}x < 2x target")
+    # The 1.5x wall target from the dataplane PR predates the slotted
+    # scheduler; the contract is the >=2x events reduction above, the wall
+    # edge a bonus gated loosely.
+    if not quick and speedup < 1.1:
+        dp_failures.append(f"production wall speedup {speedup:.2f}x < 1.1x target")
+    if quick and prod_stats["events_fired"] > QUICK_BULK_EVENTS_CEILING:
+        dp_failures.append(
+            f"quick-grid production events {prod_stats['events_fired']} > "
+            f"ceiling {QUICK_BULK_EVENTS_CEILING}"
+        )
+    dataplane_report = {
+        "scale": BENCH_SCALE,
+        "mode": "quick" if quick else "full",
+        "grid_ab": {
+            "reference": ref_stats,
+            "production": prod_stats,
+            "speedup_vs_reference": speedup,
+            "events_reduction_vs_reference": events_reduction,
+            "byte_identical_excluding_events": not mismatches,
+        },
+        "quick_bulk_events_ceiling": QUICK_BULK_EVENTS_CEILING,
+        "ok": not (dp_failures or mismatches),
+        "failures": dp_failures,
+    }
+    with open(args.out_dataplane, "w") as fh:
+        json.dump(dataplane_report, fh, indent=2, sort_keys=True)
+    print(f"wrote {args.out_dataplane}")
+    print(f"  {events_reduction:.2f}x fewer events on production", flush=True)
+    failures.extend(dp_failures)
+
+    # -- stack A/B under fault schedules and a chaos-seed window --------------
     if quick:
         scenarios = ("baseline", "ssd_flaky")
     else:
@@ -589,124 +545,26 @@ def main(argv=None) -> int:
             "ssd_loss",
             "agg_crash",
         )
-    print(f"engine fault A/B: {len(scenarios)} scenarios x 2 engines ...", flush=True)
-    report["engine_fault_ab"] = fault_ab(
-        scenarios, 0.125, "REPRO_ENGINE", ("heapq", "slotted")
-    )
-    if not report["engine_fault_ab"]["byte_identical_excluding_events"]:
+    print(f"stack fault A/B: {len(scenarios)} scenarios x 2 stacks ...", flush=True)
+    report["fault_ab"] = fault_ab(scenarios, 0.125)
+    if not report["fault_ab"]["byte_identical_excluding_events"]:
         failures.append(
-            "engine fault A/B diverged at: "
-            + ", ".join(report["engine_fault_ab"]["mismatches"])
+            "stack fault A/B diverged at: "
+            + ", ".join(report["fault_ab"]["mismatches"])
         )
     chaos_seeds = range(2) if quick else range(8)
-    print(f"engine chaos A/B: {len(chaos_seeds)} seeds x 2 engines ...", flush=True)
-    report["engine_chaos_ab"] = chaos_ab(
-        chaos_seeds, 0.125, "REPRO_ENGINE", ("heapq", "slotted")
-    )
-    if not report["engine_chaos_ab"]["byte_identical_excluding_events"]:
+    print(f"stack chaos A/B: {len(chaos_seeds)} seeds x 2 stacks ...", flush=True)
+    report["chaos_ab"] = chaos_ab(chaos_seeds, 0.125)
+    if not report["chaos_ab"]["byte_identical_excluding_events"]:
         failures.append(
-            "engine chaos A/B diverged at seeds: "
-            + ", ".join(str(s) for s in report["engine_chaos_ab"]["mismatches"])
+            "stack chaos A/B diverged at seeds: "
+            + ", ".join(str(s) for s in report["chaos_ab"]["mismatches"])
         )
     print(
-        f"  fault identical={report['engine_fault_ab']['byte_identical_excluding_events']}, "
-        f"chaos identical={report['engine_chaos_ab']['byte_identical_excluding_events']}",
+        f"  fault identical={report['fault_ab']['byte_identical_excluding_events']}, "
+        f"chaos identical={report['chaos_ab']['byte_identical_excluding_events']}",
         flush=True,
     )
-
-    # -- fabric A/B under the same fault schedules and chaos seeds ------------
-    # The array kernel must match the incremental (and naive) allocators on
-    # the recovery/retry/interrupt paths the clean grid never exercises.
-    print(
-        f"fabric fault A/B: {len(scenarios)} scenarios x 3 allocators ...", flush=True
-    )
-    report["fabric_fault_ab"] = fault_ab(
-        scenarios, 0.125, "REPRO_FABRIC", fabric_kinds
-    )
-    if not report["fabric_fault_ab"]["byte_identical_excluding_events"]:
-        failures.append(
-            "fabric fault A/B diverged at: "
-            + ", ".join(report["fabric_fault_ab"]["mismatches"])
-        )
-    print(f"fabric chaos A/B: {len(chaos_seeds)} seeds x 3 allocators ...", flush=True)
-    report["fabric_chaos_ab"] = chaos_ab(
-        chaos_seeds, 0.125, "REPRO_FABRIC", fabric_kinds
-    )
-    if not report["fabric_chaos_ab"]["byte_identical_excluding_events"]:
-        failures.append(
-            "fabric chaos A/B diverged at seeds: "
-            + ", ".join(str(s) for s in report["fabric_chaos_ab"]["mismatches"])
-        )
-    print(
-        f"  fault identical={report['fabric_fault_ab']['byte_identical_excluding_events']}, "
-        f"chaos identical={report['fabric_chaos_ab']['byte_identical_excluding_events']}",
-        flush=True,
-    )
-
-    # Dataplane A/B: the bulk-transfer fast path against the per-chunk
-    # reference (REPRO_DATAPLANE), same grid, default allocator.  Same
-    # contract as the fabric A/B — every simulated quantity byte-identical,
-    # only the diagnostic event count may (must, here) drop.
-    print(f"dataplane A/B: {len(specs)} IOR points x 2 dataplanes ...", flush=True)
-    dp_failures = []
-    dp_results, dp_stats = run_grid_interleaved(
-        specs, "REPRO_DATAPLANE", ("chunked", "bulk")
-    )
-    chunked_stats, bulk_stats = dp_stats["chunked"], dp_stats["bulk"]
-    dp_mismatches = [
-        spec.label + "/" + spec.cache_mode
-        for spec, a, b in zip(specs, dp_results["chunked"], dp_results["bulk"])
-        if comparable_dict(a) != comparable_dict(b)
-    ]
-    if dp_mismatches:
-        dp_failures.append(f"dataplane A/B diverged at: {', '.join(dp_mismatches)}")
-    dp_speedup = chunked_stats["wall_s"] / bulk_stats["wall_s"]
-    events_reduction = (
-        chunked_stats["events_fired"] / bulk_stats["events_fired"]
-        if bulk_stats["events_fired"]
-        else 0.0
-    )
-    if events_reduction < 2.0:
-        dp_failures.append(
-            f"dataplane events reduction {events_reduction:.2f}x < 2x target"
-        )
-    # The 1.5x wall target from the dataplane PR predates the slotted
-    # scheduler, which collapsed per-event dispatch cost and sped the
-    # event-dense chunked reference far more than bulk (full grid 45.7s
-    # -> ~31s chunked vs 28.8s -> ~27s bulk).  Bulk's contract is the
-    # >=2x events reduction above; the wall edge is now a modest bonus.
-    if not quick and dp_speedup < 1.1:
-        dp_failures.append(f"dataplane wall speedup {dp_speedup:.2f}x < 1.1x target")
-    if quick and bulk_stats["events_fired"] > QUICK_BULK_EVENTS_CEILING:
-        dp_failures.append(
-            f"quick-grid bulk events {bulk_stats['events_fired']} > "
-            f"ceiling {QUICK_BULK_EVENTS_CEILING}"
-        )
-    dataplane_report = {
-        "scale": BENCH_SCALE,
-        "mode": "quick" if quick else "full",
-        "grid_ab": {
-            "chunked": chunked_stats,
-            "bulk": bulk_stats,
-            "speedup_vs_chunked": dp_speedup,
-            "events_reduction_vs_chunked": events_reduction,
-            "byte_identical_excluding_events": not dp_mismatches,
-            "compared_fields": sorted(comparable_dict(dp_results["bulk"][0])),
-        },
-        "quick_bulk_events_ceiling": QUICK_BULK_EVENTS_CEILING,
-        "ok": not dp_failures,
-        "failures": dp_failures,
-    }
-    with open(args.out_dataplane, "w") as fh:
-        json.dump(dataplane_report, fh, indent=2, sort_keys=True)
-    print(f"wrote {args.out_dataplane}")
-    print(
-        f"  chunked {chunked_stats['wall_s']:.1f}s vs bulk "
-        f"{bulk_stats['wall_s']:.1f}s -> {dp_speedup:.2f}x wall, "
-        f"{events_reduction:.2f}x fewer events, identical={not dp_mismatches}",
-        flush=True,
-    )
-    failures.extend(dp_failures)
 
     report["ok"] = not failures
     report["failures"] = failures

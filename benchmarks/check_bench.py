@@ -6,8 +6,8 @@ written reports into a *regression* gate against numbers committed in
 ``benchmarks/baseline_quick.json``:
 
 * **events-fired counts, exactly** — the simulation is deterministic, so
-  the quick grid fires a bit-reproducible number of events per engine,
-  allocator and dataplane.  Any drift means the simulated schedule changed
+  the quick grid fires a bit-reproducible number of events per stack
+  (production, reference).  Any drift means the simulated schedule changed
   and the baseline must be re-recorded deliberately in the same PR.
 * **events/s, with generous floors** — shared CI runners are slow and
   noisy, so throughput floors sit ~5x below the reference box; they catch
@@ -48,7 +48,6 @@ def check_events_exact(baseline: dict, reports: dict, failures: list[str]) -> No
     """Exact events-fired comparison for every section/kind in the baseline."""
     sections = {
         "scheduler_microbench": ("engine", "scheduler_microbench"),
-        "engine_grid_ab": ("engine", "engine_grid_ab"),
         "grid_ab": ("engine", "grid_ab"),
         "dataplane_grid_ab": ("dataplane", "grid_ab"),
         "fleet_grid_ab": ("fleet", "fleet_grid_ab"),
@@ -88,13 +87,6 @@ def check_throughput_floors(
                 failures.append(
                     f"scheduler_microbench ratio {ratio:.2f}x < floor {ratio_min}x"
                 )
-        eng = reports["engine"].get("engine_grid_ab", {})
-        for kind, floor in floors.get("engine_grid_ab", {}).items():
-            got = eng.get(kind, {}).get("events_per_sec", 0.0)
-            if got < floor:
-                failures.append(
-                    f"engine_grid_ab.{kind}: {got:.0f} ev/s < floor {floor}"
-                )
         grid = reports["engine"].get("grid_ab", {})
         for kind, floor in floors.get("grid_ab", {}).items():
             got = grid.get(kind, {}).get("events_per_sec", 0.0)
@@ -110,7 +102,7 @@ def check_throughput_floors(
                 )
         if not grid.get("byte_identical", False):
             failures.append(
-                "fleet_grid_ab: engine x dataplane identities diverge "
+                "fleet_grid_ab: the stacks' identities diverge "
                 f"({', '.join(grid.get('mismatches', ['?']))})"
             )
 
@@ -162,17 +154,17 @@ def check_device_tier(baseline: dict, reports: dict, failures: list[str]) -> Non
         failures.append(
             f"flash_aging: WA {aging.get('write_amplification')} < floor {wa_min}"
         )
-    tiers = report.get("tier_dataplane_ab", {})
+    tiers = report.get("tier_stack_ab", {})
     for key, expected in section["events_fired"].items():
-        tier, _, plane = key.rpartition("_")
-        got = tiers.get(tier, {}).get(f"events_{plane}")
+        tier, _, stack = key.rpartition("_")
+        got = tiers.get(tier, {}).get(f"events_{stack}")
         if got != expected:
             failures.append(
                 f"device_tier.{key}: events_fired {got} != baseline {expected}"
             )
     for tier, stats in tiers.items():
         if not stats.get("byte_identical_excluding_events", False):
-            failures.append(f"device_tier.{tier}: dataplane A/B diverged")
+            failures.append(f"device_tier.{tier}: stack A/B diverged")
     if not report.get("stream_identity", {}).get("ok", False):
         failures.append("device_tier: REPRO_SSD=stream identity broken")
 
@@ -200,7 +192,7 @@ def check_recovery_slos(baseline: dict, reports: dict, failures: list[str]) -> N
         return
     if not crash.get("byte_identical", False):
         failures.append(
-            "fleet_crash: engine x dataplane identities diverge "
+            "fleet_crash: the stacks' identities diverge "
             f"({', '.join(crash.get('mismatches', ['?']))})"
         )
     for kind, point in sorted(crash.items()):

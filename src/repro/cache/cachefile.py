@@ -192,7 +192,7 @@ class CacheState:
         return (yield from self.localfs.read(self.local_file, pos, blen))
 
     def read_back_event(self, pos: int, blen: int):
-        """Flat variant of :meth:`read_back` (``sim.flat`` chains)."""
+        """Flat variant of :meth:`read_back` (production callback chains)."""
         if self.wal is not None:
             return self.wal.read_event(pos, blen)
         return self.localfs.read_event(self.local_file, pos, blen)

@@ -172,7 +172,7 @@ class NVMMWriteLog:
         return self.gather(pos, blen)
 
     def read_event(self, pos: int, blen: int) -> Event:
-        """Flat variant of :meth:`read` for ``sim.flat`` chains (caller
+        """Flat variant of :meth:`read` for the production callback chains (caller
         gates on the device being injector-free, as with
         :meth:`~repro.localfs.ext4.LocalFileSystem.read_event`)."""
         done = Event(self.sim, name="wal-read")

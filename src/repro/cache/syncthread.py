@@ -75,23 +75,13 @@ class SyncThread:
         # retry/requeue, so the getattr lookup is hoisted out of the hot path.
         self._stats = getattr(machine, "cache_stats", None)
         self._io_stats = getattr(machine, "io_stats", None)
-        # Bulk data plane, scoped to this thread's node: the fast flush loop
-        # is valid whenever no FaultError can reach it — either no injector
-        # at all, or one whose fault sources (SSD read errors, sync RPC
-        # watchdog) cannot fire on this node (see sync_faults_possible).
+        # Flat service loop (production stack): the read/write chain runs
+        # as event callbacks instead of nested generator frames.  Requires
+        # no fault schedule at all — a flat chain cannot be interrupted
+        # mid-flight, and serve_write_event needs every server injector-free.
         inj = getattr(machine, "faults", None)
-        self._bulk = getattr(machine, "dataplane", "chunked") == "bulk" and (
-            inj is None
-            or not inj.sync_faults_possible(machine.node_of_rank(rank))
-        )
-        # Flat service loop (slotted engine): the read/write chain runs as
-        # event callbacks instead of nested generator frames.  Requires the
-        # bulk fast loop AND no fault schedule at all — a flat chain cannot
-        # be interrupted mid-flight, and serve_write_event needs every
-        # server injector-free (sync_faults_possible only covers this node).
-        self._flat = self.sim.flat and self._bulk and inj is None
-        body = self._run_flat() if self._flat else self._run()
-        self._proc = self.sim.process(body, name=f"syncthread.r{rank}")
+        self._flat = not machine.reference and inj is None
+        self._proc = self.sim.process(self._run(), name=f"syncthread.r{rank}")
         if inj is not None:
             inj.register_daemon(
                 self._proc, job_tag=getattr(machine, "job_label", None)
@@ -115,33 +105,18 @@ class SyncThread:
 
     # -- the thread body ---------------------------------------------------------
     def _run(self):
-        try:
-            while True:
-                req: SyncRequest = yield self.queue.get()
-                if req.shutdown or req.grequest is None:
-                    return
-                if self._bulk:
-                    yield from self._service_fast(req)
-                else:
-                    yield from self._service(req)
-        except Interrupt:
-            # The job was torn down (aggregator crash).  The cache file and
-            # its journal survive; recovery replays unflushed extents on the
-            # next open.  Returning cleanly parks this daemon.
-            return
-
-    def _run_flat(self):
-        """Flat-engine thread body: one shallow generator whose yields are
-        the composite Events of the flattened localfs/PFS fast paths
-        (:meth:`LocalFileSystem.read_event`, :meth:`PFSClient.write_sync_flat`)
+        """One flush loop for both stacks.  Flat, a chunk's yields are the
+        composite Events of the flattened localfs/PFS fast paths
+        (:meth:`CacheState.read_back_event`, :meth:`PFSClient.write_sync_flat`)
         — two process resumes per batch instead of a resume per frame of
-        the read/write generator stack.  Same reads, writes, journal marks
-        and counters as :meth:`_service_fast`, in the same event-callback
-        positions (the flat helpers fire inline where the generator's
-        caller would resume)."""
+        the read/write generator stack, which is what runs otherwise; same
+        reads, writes, journal marks and counters in the same
+        event-callback positions (the flat helpers fire inline where the
+        generator's caller would resume)."""
         cfg = self.machine.config
         chunk = self.policy.sync_chunk
         batch_chunks = max(1, cfg.flush_batch_chunks)
+        flat = self._flat
         try:
             while True:
                 req: SyncRequest = yield self.queue.get()
@@ -150,14 +125,43 @@ class SyncThread:
                 t0 = self.sim.now
                 pos = req.offset
                 end = req.offset + req.nbytes
+                attempts = 0
                 try:
                     while pos < end:
                         blen = min(chunk * batch_chunks, end - pos)
                         nchunks = math.ceil(blen / chunk)
-                        data = yield self.cache_state.read_back_event(pos, blen)
-                        yield self.client.write_sync_flat(
-                            self.global_file, pos, blen, data=data, rpc_count=nchunks
-                        )
+                        try:
+                            if flat:
+                                data = yield self.cache_state.read_back_event(pos, blen)
+                                yield self.client.write_sync_flat(
+                                    self.global_file,
+                                    pos,
+                                    blen,
+                                    data=data,
+                                    rpc_count=nchunks,
+                                )
+                            else:
+                                data = yield from self.cache_state.read_back(pos, blen)
+                                yield from self.client.write_sync(
+                                    self.global_file,
+                                    pos,
+                                    blen,
+                                    data=data,
+                                    rpc_count=nchunks,
+                                )
+                        except FaultError:
+                            attempts += 1
+                            self.retries += 1
+                            self._stat("retries")
+                            if attempts <= self.policy.sync_retry_limit:
+                                backoff = self.policy.sync_backoff_base * (
+                                    self.policy.sync_backoff_factor ** (attempts - 1)
+                                )
+                                yield self.sim.timeout(backoff)
+                                continue
+                            self._give_up(req, pos, end)
+                            break
+                        attempts = 0
                         self.cache_state.mark_synced(pos, blen)
                         self.bytes_synced += blen
                         if self._io_stats is not None:
@@ -165,86 +169,17 @@ class SyncThread:
                         pos += blen
                 finally:
                     self.busy_time += self.sim.now - t0
+                if pos < end:
+                    continue  # given up: re-queued, or failed
                 self.requests_done += 1
                 for stripe in req.stripes:
                     self.cache_state.release_stripe(stripe)
                 req.grequest.complete()
         except Interrupt:
+            # The job was torn down (aggregator crash).  The cache file and
+            # its journal survive; recovery replays unflushed extents on the
+            # next open.  Returning cleanly parks this daemon.
             return
-
-    def _service(self, req: SyncRequest):
-        cfg = self.machine.config
-        chunk = self.policy.sync_chunk
-        batch_chunks = max(1, cfg.flush_batch_chunks)
-        t0 = self.sim.now
-        pos = req.offset
-        end = req.offset + req.nbytes
-        attempts = 0
-        try:
-            while pos < end:
-                blen = min(chunk * batch_chunks, end - pos)
-                nchunks = math.ceil(blen / chunk)
-                try:
-                    data = yield from self.cache_state.read_back(pos, blen)
-                    yield from self.client.write_sync(
-                        self.global_file, pos, blen, data=data, rpc_count=nchunks
-                    )
-                except FaultError:
-                    attempts += 1
-                    self.retries += 1
-                    self._stat("retries")
-                    if attempts <= self.policy.sync_retry_limit:
-                        backoff = self.policy.sync_backoff_base * (
-                            self.policy.sync_backoff_factor ** (attempts - 1)
-                        )
-                        yield self.sim.timeout(backoff)
-                        continue
-                    self._give_up(req, pos, end)
-                    return
-                attempts = 0
-                self.cache_state.mark_synced(pos, blen)
-                self.bytes_synced += blen
-                if self._io_stats is not None:
-                    self._io_stats["bytes_flushed"] += blen
-                pos += blen
-        finally:
-            self.busy_time += self.sim.now - t0
-        self.requests_done += 1
-        for stripe in req.stripes:
-            self.cache_state.release_stripe(stripe)
-        if req.grequest is not None:
-            req.grequest.complete()
-
-    def _service_fast(self, req: SyncRequest):
-        """The no-fault flush loop: identical reads, writes, journal marks
-        and counter updates as :meth:`_service`, minus the try/except
-        retry scaffolding that can never trigger without an injector."""
-        cfg = self.machine.config
-        chunk = self.policy.sync_chunk
-        batch_chunks = max(1, cfg.flush_batch_chunks)
-        t0 = self.sim.now
-        pos = req.offset
-        end = req.offset + req.nbytes
-        try:
-            while pos < end:
-                blen = min(chunk * batch_chunks, end - pos)
-                nchunks = math.ceil(blen / chunk)
-                data = yield from self.cache_state.read_back(pos, blen)
-                yield from self.client.write_sync(
-                    self.global_file, pos, blen, data=data, rpc_count=nchunks
-                )
-                self.cache_state.mark_synced(pos, blen)
-                self.bytes_synced += blen
-                if self._io_stats is not None:
-                    self._io_stats["bytes_flushed"] += blen
-                pos += blen
-        finally:
-            self.busy_time += self.sim.now - t0
-        self.requests_done += 1
-        for stripe in req.stripes:
-            self.cache_state.release_stripe(stripe)
-        if req.grequest is not None:
-            req.grequest.complete()
 
     def _give_up(self, req: SyncRequest, pos: int, end: int) -> None:
         """Retries exhausted for the chunk at ``pos``: re-queue the remainder

@@ -7,9 +7,10 @@ but survivable — :class:`~repro.faults.FaultSchedule`\\ s (including cascades:
 a second crash landing during recovery replay), an
 :class:`~repro.chaos.invariants.InvariantMonitor` checks global invariants
 (byte conservation, journal/lock coherence, a no-progress watchdog) on every
-run, each trial executes on **both** data planes and must agree on every
-simulated quantity, and a failing schedule is greedily shrunk to a minimal
-replayable JSON artifact (``python -m repro.chaos.replay <artifact>``).
+run, each trial executes on **both** stacks (production and reference) and
+must agree on every simulated quantity, and a failing schedule is greedily
+shrunk to a minimal replayable JSON artifact
+(``python -m repro.chaos.replay <artifact>``).
 
 Paper correspondence: none — robustness harness for the §III cache
 extensions (see DESIGN.md §9).

@@ -5,7 +5,7 @@ from a :class:`random.Random` stream: every window is bounded (the retry /
 re-queue budget of the sync path can usually outlast it), error rates stay
 below 1.0, and trigger times are drawn from continuous distributions — so a
 fault firing at exactly the same instant as an in-flight device operation
-is measure-zero, which is what keeps bulk-vs-chunked runs byte-identical
+is measure-zero, which is what keeps production and reference-stack runs byte-identical
 under the same schedule.
 
 Crashes are *event-anchored* rather than clock-driven: an

@@ -257,7 +257,7 @@ class InvariantMonitor:
         """Stable name for a PFS file id in violation messages.
 
         File ids come from a process-global counter, so the raw id differs
-        between the two data-plane runs of one trial (and between replays);
+        between the two stacks' runs of one trial (and between replays);
         the path is deterministic.
         """
         for path, f in self.machine.pfs._files.items():

@@ -6,7 +6,7 @@ Usage::
 
 Loads the artifact written by the chaos sweep (or
 :func:`repro.chaos.shrink.write_repro_artifact`), re-runs the pinned trial
-spec — same workload, same explicit fault schedule, both data planes — and
+spec — same workload, same explicit fault schedule, both stacks — and
 reports the outcome.  Exit status is **1 while the recorded failure still
 reproduces** and 0 once the trial passes, so the artifact doubles as a
 regression test for the fix.
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     result = run_chaos_trial(spec)
     print(
         f"outcome={result.outcome} integrity={'ok' if result.integrity_ok else 'FAIL'} "
-        f"planes={'match' if result.planes_match else 'MISMATCH:' + ','.join(result.mismatched)} "
+        f"stacks={'match' if result.stacks_match else 'MISMATCH:' + ','.join(result.mismatched)} "
         f"violations={len(result.violations)}"
     )
     for v in result.violations:

@@ -1,4 +1,4 @@
-"""Chaos trials: one seeded schedule, both data planes, full invariant audit.
+"""Chaos trials: one seeded schedule, both stacks, full invariant audit.
 
 A :class:`ChaosTrialSpec` names a workload shape and a seed; the runner
 
@@ -7,14 +7,14 @@ A :class:`ChaosTrialSpec` names a workload shape and a seed; the runner
 2. runs the workload fault-free on a fresh machine for reference checksums
    (once per workload shape and process: the reference does not depend on
    the seed, see :data:`repro.experiments.faultsweep.reference_memo`),
-3. runs the *same* workload under the schedule on **both** data planes
-   (``bulk`` and ``chunked``), each with an attached
+3. runs the *same* workload under the schedule on **both** stacks
+   (production and ``Machine(reference=True)``), each with an attached
    :class:`~repro.chaos.invariants.InvariantMonitor`, recovering from
    injected crashes (repeatedly — cascades can kill the recovery job too)
    until the job converges or the attempt budget runs out,
 4. drains each machine to quiescence, audits the conservation / coherence
    invariants, and
-5. asserts the two planes agree on *every* simulated quantity (only the
+5. asserts the two stacks agree on *every* simulated quantity (only the
    diagnostic event counts may differ) and that the persisted files are
    byte-identical to the reference (unless the schedule legitimately forced
    data loss, which the ledger still has to account for).
@@ -120,16 +120,16 @@ class ChaosTrialSpec:
 
 @dataclass
 class ChaosTrialResult:
-    """Outcome of one chaos trial (both planes merged; they must agree)."""
+    """Outcome of one chaos trial (both stacks merged; they must agree)."""
 
     spec: ChaosTrialSpec
     schedule: dict  # the schedule actually run, serialized
     outcome: str  # survived | crash_recovered | data_loss | unrecovered | deadlock
     integrity_ok: bool  # persisted bytes match the fault-free reference
-    planes_match: bool  # bulk and chunked agree on every simulated quantity
-    mismatched: list  # snapshot keys where the planes disagreed
-    violations: list  # invariant violations, tagged ref:/bulk:/chunked:
-    crashes: int  # crash interrupts observed (bulk plane)
+    stacks_match: bool  # production and reference agree on every simulated quantity
+    mismatched: list  # snapshot keys where the stacks disagreed
+    violations: list  # invariant violations, tagged ref:/production:/reference:
+    crashes: int  # crash interrupts observed (production stack)
     recovery_attempts: int
     bytes_replayed: int
     files_recovered: int
@@ -140,15 +140,15 @@ class ChaosTrialResult:
     faults_injected: int
     io_stats: dict = field(default_factory=dict)
     checksums: dict = field(default_factory=dict)
-    events_bulk: int = 0
-    events_chunked: int = 0
+    events_production: int = 0
+    events_reference: int = 0
 
     @property
     def ok(self) -> bool:
         """Did this trial uphold every property the harness asserts?"""
         return (
             self.integrity_ok
-            and self.planes_match
+            and self.stacks_match
             and not self.violations
             and self.outcome not in ("unrecovered", "deadlock")
         )
@@ -221,7 +221,7 @@ def _fault_spec_view(spec: ChaosTrialSpec, schedule: FaultSchedule) -> FaultExpe
     )
 
 
-# -- one plane ----------------------------------------------------------------
+# -- one stack ----------------------------------------------------------------
 def _run_phase(world: MPIWorld, body) -> str:
     """Run one job phase; classify how it ended.
 
@@ -249,10 +249,10 @@ def _run_phase(world: MPIWorld, body) -> str:
     return status
 
 
-def _run_plane(
+def _run_stack(
     cfg: ClusterConfig,
     schedule: FaultSchedule,
-    kind: Optional[str],
+    reference: bool,
     workload,
     fspec: FaultExperimentSpec,
     prefix: str,
@@ -260,10 +260,10 @@ def _run_plane(
     trace: bool = False,
     profiler=None,
 ) -> tuple[dict, int, object]:
-    """One full faulted job (+ recoveries) on one data plane.
+    """One full faulted job (+ recoveries) on one stack.
 
     Returns ``(snapshot, events_fired, machine)`` — the snapshot holds every
-    simulated quantity the planes must agree on; the diagnostic event count
+    simulated quantity the stacks must agree on; the diagnostic event count
     stays outside it.
     """
     machine = Machine(
@@ -271,7 +271,7 @@ def _run_plane(
         trace=trace,
         faults=schedule if schedule else None,
         profiler=profiler,
-        dataplane=kind,
+        reference=reference,
     )
     monitor = InvariantMonitor(machine)
     world = MPIWorld(machine)
@@ -354,7 +354,7 @@ def run_chaos_trial(
     paths = [f"{prefix}{k}" for k in range(spec.num_files)]
     workload = build_fault_workload(fspec, cfg.num_ranks)
 
-    # Reference: fault-free, default data plane, same invariant audit —
+    # Fault-free twin: production stack, same invariant audit —
     # shared by every seed of this workload shape, unless the trial is traced
     # or profiled: those simulate the whole trial, whatever ran before.
     ref_machine = Machine(cfg, trace=trace) if trace or profiler is not None else None
@@ -364,35 +364,34 @@ def run_chaos_trial(
     snaps: dict[str, dict] = {}
     events: dict[str, int] = {}
     tracers: dict[str, object] = {"ref": ref_machine and ref_machine.tracer}
-    for kind in ("bulk", "chunked"):
-        snaps[kind], events[kind], m = _run_plane(
+    for kind in ("production", "reference"):
+        snaps[kind], events[kind], m = _run_stack(
             cfg,
             schedule,
-            kind,
+            kind == "reference",
             workload,
             fspec,
             prefix,
             paths,
             trace=trace,
-            profiler=profiler if kind == "bulk" else None,
+            profiler=profiler if kind == "production" else None,
         )
         tracers[kind] = m.tracer
 
-    bulk, chunked = snaps["bulk"], snaps["chunked"]
-    mismatched = sorted(k for k in bulk if bulk[k] != chunked[k])
-    planes_match = not mismatched
+    prod, refstack = snaps["production"], snaps["reference"]
+    mismatched = sorted(k for k in prod if prod[k] != refstack[k])
 
     violations = [f"ref:{v}" for v in ref.violations]
-    violations += [f"bulk:{v}" for v in bulk["violations"]]
-    violations += [f"chunked:{v}" for v in chunked["violations"]]
+    violations += [f"production:{v}" for v in prod["violations"]]
+    violations += [f"reference:{v}" for v in refstack["violations"]]
 
-    if bulk["deadlock"] or chunked["deadlock"]:
+    if prod["deadlock"] or refstack["deadlock"]:
         outcome = "deadlock"
-    elif bulk["unrecovered"] or chunked["unrecovered"]:
+    elif prod["unrecovered"] or refstack["unrecovered"]:
         outcome = "unrecovered"
-    elif bulk["data_loss"] or chunked["data_loss"]:
+    elif prod["data_loss"] or refstack["data_loss"]:
         outcome = "data_loss"
-    elif bulk["crashes"]:
+    elif prod["crashes"]:
         outcome = "crash_recovered"
     else:
         outcome = "survived"
@@ -411,22 +410,22 @@ def run_chaos_trial(
         schedule=schedule.to_dict(),
         outcome=outcome,
         integrity_ok=integrity_ok,
-        planes_match=planes_match,
+        stacks_match=not mismatched,
         mismatched=mismatched,
         violations=violations,
-        crashes=bulk["crashes"],
-        recovery_attempts=bulk["recovery_attempts"],
-        bytes_replayed=bulk["recovery"]["bytes_replayed"],
-        files_recovered=bulk["recovery"]["files_recovered"],
-        retries=bulk["cache_stats"].get("retries", 0),
-        requeues=bulk["cache_stats"].get("requeues", 0),
-        sync_failures=bulk["cache_stats"].get("sync_failures", 0),
-        degraded=bulk["cache_stats"].get("degraded", 0),
-        faults_injected=bulk["faults_injected"],
-        io_stats=bulk["io_stats"],
-        checksums=bulk["checksums"],
-        events_bulk=events["bulk"],
-        events_chunked=events["chunked"],
+        crashes=prod["crashes"],
+        recovery_attempts=prod["recovery_attempts"],
+        bytes_replayed=prod["recovery"]["bytes_replayed"],
+        files_recovered=prod["recovery"]["files_recovered"],
+        retries=prod["cache_stats"].get("retries", 0),
+        requeues=prod["cache_stats"].get("requeues", 0),
+        sync_failures=prod["cache_stats"].get("sync_failures", 0),
+        degraded=prod["cache_stats"].get("degraded", 0),
+        faults_injected=prod["faults_injected"],
+        io_stats=prod["io_stats"],
+        checksums=prod["checksums"],
+        events_production=events["production"],
+        events_reference=events["reference"],
     )
     if trace:
         # Diagnostic side channel for tools/profile_sweep.py --chaos-seed;
@@ -474,7 +473,7 @@ def chaos_trial_specs(
 def render_chaos_table(results: list[ChaosTrialResult]) -> str:
     header = (
         f"{'seed':>6} {'cache':<9} {'kind':<7} {'flush':<15} {'faults':>6} "
-        f"{'outcome':<15} {'ok':<3} {'planes':<6} {'viol':>4} "
+        f"{'outcome':<15} {'ok':<3} {'stacks':<6} {'viol':>4} "
         f"{'replayed':>9} {'retry':>5}"
     )
     lines = [header, "-" * len(header)]
@@ -483,7 +482,7 @@ def render_chaos_table(results: list[ChaosTrialResult]) -> str:
             f"{r.spec.seed:>6} {r.spec.cache_mode:<9} "
             f"{r.spec.cache_kind:<7} {r.spec.flush_flag:<15} "
             f"{len(r.schedule.get('faults', ())):>6} {r.outcome:<15} "
-            f"{'y' if r.ok else 'N':<3} {'y' if r.planes_match else 'N':<6} "
+            f"{'y' if r.ok else 'N':<3} {'y' if r.stacks_match else 'N':<6} "
             f"{len(r.violations):>4} {r.bytes_replayed:>9} {r.retries:>5}"
         )
     return "\n".join(lines)

@@ -29,7 +29,8 @@ from typing import Callable, Optional
 from repro.experiments.resultcache import config_fingerprint
 from repro.faults.spec import FaultSchedule
 
-ARTIFACT_VERSION = 1
+# v2: the stored result's fields compare stacks (``stacks_match``, ...).
+ARTIFACT_VERSION = 2
 
 
 def shrink_schedule(

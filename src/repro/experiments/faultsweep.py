@@ -278,6 +278,7 @@ def fault_free_reference(
     prefix: str,
     audit: bool = False,
     machine: Optional[Machine] = None,
+    reference: bool = False,
 ) -> FaultFreeReference:
     """The same point, fault-free, on an identical fresh cluster.
 
@@ -286,14 +287,16 @@ def fault_free_reference(
     and plain references are memoised apart.  A caller that passes its own
     fresh ``machine`` wants the run itself (a traced or profiled trial):
     the reference is then always simulated, on that machine, and not kept.
+    ``reference`` builds the machine as the reference *stack*
+    (:class:`~repro.machine.Machine`), memoised apart as well.
     """
     key = None
     if machine is None:
-        key = (reference_key(spec, cfg), audit)
+        key = (reference_key(spec, cfg), audit, reference)
         ref = reference_memo.get(key)
         if ref is not None:
             return ref
-        machine = Machine(cfg)
+        machine = Machine(cfg, reference=reference)
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
     monitor = None
@@ -322,13 +325,17 @@ def fault_free_reference(
 
 # -- the point runner --------------------------------------------------------
 def run_fault_experiment(
-    spec: FaultExperimentSpec, config: Optional[ClusterConfig] = None
+    spec: FaultExperimentSpec,
+    config: Optional[ClusterConfig] = None,
+    reference: bool = False,
 ) -> FaultExperimentResult:
+    """One fault point: the fault-free twin, then the faulted run (+ recovery),
+    both on the production stack, or both on the reference stack."""
     cfg = resolve_fault_config(spec, config)
     prefix = _file_prefix(spec)
     paths = [f"{prefix}{k}" for k in range(spec.num_files)]
     workload = build_fault_workload(spec, cfg.num_ranks)
-    ref = fault_free_reference(spec, cfg, workload, prefix)
+    ref = fault_free_reference(spec, cfg, workload, prefix, reference=reference)
 
     # Faulted run.  Validate the schedule against the actual cluster shape
     # before any machine is built — a bad target fails fast as ValueError.
@@ -340,7 +347,7 @@ def run_fault_experiment(
     )
     from repro.chaos.invariants import InvariantMonitor  # circular at top
 
-    machine = Machine(cfg, faults=schedule if schedule else None)
+    machine = Machine(cfg, faults=schedule if schedule else None, reference=reference)
     monitor = InvariantMonitor(machine)
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")

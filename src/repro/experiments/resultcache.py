@@ -43,7 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # select different device models without touching spec or config, so the
 # environment defaults must be baked into the address or an ftl-mode run
 # would alias a stream-mode entry.
-CACHE_SCHEMA_VERSION = 3
+# v4: fleet results carry one ``stack`` diagnostic (was ``engine`` +
+# ``dataplane``) and chaos results compare stacks, not planes
+# (``stacks_match``, ``events_production``/``events_reference``).
+CACHE_SCHEMA_VERSION = 4
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 

@@ -181,15 +181,22 @@ def run_experiment(
     spec: ExperimentSpec,
     config: Optional[ClusterConfig] = None,
     profiler=None,
+    reference: bool = False,
 ) -> ExperimentResult:
     """Simulate one measurement point.
 
     ``profiler`` (a :class:`~repro.sim.profile.SimProfiler`) attaches
     engine instrumentation to the run — used by ``tools/profile_sweep.py``;
-    it does not change the simulation or its result.
+    it does not change the simulation or its result.  ``reference`` runs
+    the point on the reference stack (see :class:`~repro.machine.Machine`):
+    the same result except for the diagnostic ``events``.  Only the
+    uncached entry points take it — :func:`run_experiment_cached` and the
+    sweep runner always simulate production, because the result cache's
+    keys do not name the stack and would serve one stack's ``events`` count
+    to a caller of the other.
     """
     cfg = resolve_config(spec, config)
-    machine = Machine(cfg, profiler=profiler)
+    machine = Machine(cfg, profiler=profiler, reference=reference)
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
     workload = build_workload(spec, cfg.num_ranks)

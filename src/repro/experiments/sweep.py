@@ -27,8 +27,8 @@ reference — and upholds every global invariant::
     python -m repro.experiments.sweep --faults --jobs 2 --no-cache
 
 ``--chaos`` runs seeded *randomized* fault schedules instead
-(:mod:`repro.chaos`): each seed draws a schedule, runs it on both data
-planes under the invariant monitor, and the first failing seed is greedily
+(:mod:`repro.chaos`): each seed draws a schedule, runs it on both stacks
+under the invariant monitor, and the first failing seed is greedily
 shrunk to a minimal replayable JSON artifact before the sweep exits
 non-zero::
 
@@ -419,7 +419,7 @@ def run_chaos(args: argparse.Namespace, runner: SweepRunner) -> int:
         print(
             f"CHAOS FAILURE: seed {r.spec.seed} ({r.spec.cache_mode}/"
             f"{r.spec.flush_flag}): outcome={r.outcome} "
-            f"planes_match={r.planes_match} violations={len(r.violations)}",
+            f"stacks_match={r.stacks_match} violations={len(r.violations)}",
             file=sys.stderr,
         )
         for v in r.violations[:10]:
@@ -430,7 +430,7 @@ def run_chaos(args: argparse.Namespace, runner: SweepRunner) -> int:
     spec = first.spec
     reason = (
         "; ".join(first.violations[:3])
-        or ("plane mismatch: " + ",".join(first.mismatched))
+        or ("stack mismatch: " + ",".join(first.mismatched))
         or first.outcome
     )
     schedule = chaos.runner.schedule_for(spec, chaos.runner.resolve_chaos_config(spec))

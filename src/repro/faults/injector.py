@@ -107,7 +107,7 @@ class FaultInjector:
         for spec in self.schedule.faults:
             self._validate_target(spec, cfg)
             state = _FaultState(spec)
-            # Scoped bulk-dataplane fallback: attaching the injector to a
+            # Scoped fast-path fallback: attaching the injector to a
             # component is what routes its operations onto the reference
             # per-chunk path (the serve/_io fast paths bail on a non-None
             # injector).  Only the targeted SSD/server loses the fast path;
@@ -228,16 +228,6 @@ class FaultInjector:
         """Drop a job's crash scope on teardown (its arrival index survives,
         so ``job_index`` addressing stays stable for later specs)."""
         self._jobs.pop(job_tag, None)
-
-    def sync_faults_possible(self, node_id: int) -> bool:
-        """Can a :class:`FaultError` reach a sync thread on ``node_id``?
-
-        True when this node's SSD reads can fault or the sync RPC watchdog is
-        armed (machine-wide).  Sync threads elsewhere keep the bulk flush
-        loop: no exception source exists on their path, so dropping the
-        retry scaffolding cannot change semantics.
-        """
-        return self.sync_rpc_timeout > 0 or node_id in self._ssd_read
 
     def register_daemon(self, proc: Process, job_tag: Optional[str] = None) -> None:
         """Register a background process (sync thread) that must be torn down

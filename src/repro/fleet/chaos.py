@@ -129,7 +129,7 @@ def run_fleet_chaos(
     crash_probability: float = 0.35,
     max_restarts: int = 2,
     row_cache=None,
-    dataplane: Optional[str] = None,
+    reference: bool = False,
 ) -> FleetChaosResult:
     """Run one fleet chaos trial; violations make ``result.ok`` false.
 
@@ -172,7 +172,7 @@ def run_fleet_chaos(
     fleet = run_fleet(
         spec,
         config=cfg,
-        dataplane=dataplane,
+        reference=reference,
         faults=schedule,
         row_cache=row_cache,
         on_complete=on_complete,

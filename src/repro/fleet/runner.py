@@ -22,9 +22,9 @@ every completed job's row on disk; the fleet-level aggregate is cached by
 the sweep runner like any other measurement point.
 
 Determinism: one fleet point is one deterministic simulation — the
-timeline is byte-identical across engines (``REPRO_ENGINE``) and data
-planes (``REPRO_DATAPLANE``); only the diagnostic ``events`` count differs,
-and :meth:`FleetResult.identity` excludes it.
+timeline is byte-identical on the production and the reference stack
+(``run_fleet(reference=True)``); only the diagnostic ``events`` count
+differs, and :meth:`FleetResult.identity` excludes it.
 
 Paper correspondence: none (fleet extension); generalises the §IV
 single-job measurements to a multi-tenant cluster.
@@ -224,10 +224,9 @@ class FleetResult:
     summary: dict = field(default_factory=dict)  # summarize_jobs output
     backfilled: int = 0  # jobs started past a blocked FIFO head
     streamed_rows: int = 0  # per-job rows written to the row cache
-    # Diagnostics — engine/data-plane dependent, excluded from identity().
+    # Diagnostics — stack dependent, excluded from identity().
     events: int = 0
-    dataplane: str = ""
-    engine: str = ""
+    stack: str = ""  # "production" | "reference"
 
     def identity(self) -> dict:
         """The determinism contract: everything but the diagnostics."""
@@ -244,8 +243,7 @@ class FleetResult:
         d.update(
             streamed_rows=self.streamed_rows,
             events=self.events,
-            dataplane=self.dataplane,
-            engine=self.engine,
+            stack=self.stack,
         )
         return d
 
@@ -358,10 +356,10 @@ def _job_body(view: JobView, job: FleetJobSpec):
 
 
 def _solo_reference(
-    job: FleetJobSpec, config: ClusterConfig, dataplane: Optional[str]
+    job: FleetJobSpec, config: ClusterConfig, reference: bool
 ) -> tuple[float, float]:
     """(wall, bandwidth) of the job alone on a fresh identical cluster."""
-    machine = Machine(config, dataplane=dataplane)
+    machine = Machine(config, reference=reference)
     view = JobView(machine, job.job_id, tuple(range(job.nodes)), label="solo")
     out: dict[str, float] = {}
 
@@ -379,7 +377,7 @@ def _solo_reference(
 def run_fleet(
     spec: FleetSpec,
     config: Optional[ClusterConfig] = None,
-    dataplane: Optional[str] = None,
+    reference: bool = False,
     trace: bool = False,
     faults: Optional[FaultSchedule] = None,
     row_cache: Optional[ResultCache] = None,
@@ -388,6 +386,8 @@ def run_fleet(
 ) -> FleetResult:
     """Run one fleet point to completion and return its result.
 
+    ``reference`` runs the point (and its solo references) on the reference
+    stack (see :class:`~repro.machine.Machine`): same ``identity()``.
     ``row_cache`` streams each :class:`FleetJobResult` to disk the moment
     its job completes; ``on_complete(job, view, row)`` additionally exposes
     the job's :class:`JobView` to callers that audit per-job state, and
@@ -410,9 +410,9 @@ def run_fleet(
     solo: dict[tuple, tuple[float, float]] = {}
     for job in jobs:
         if job.shape_key not in solo:
-            solo[job.shape_key] = _solo_reference(job, cfg, dataplane)
+            solo[job.shape_key] = _solo_reference(job, cfg, reference)
 
-    machine = Machine(cfg, trace=trace, faults=faults, dataplane=dataplane)
+    machine = Machine(cfg, trace=trace, faults=faults, reference=reference)
     if on_machine is not None:
         on_machine(machine)
     sim = machine.sim
@@ -424,11 +424,7 @@ def run_fleet(
     # left behind.
     views: dict[int, JobView] = {}
     lifecycle: dict[int, dict] = {}
-    result = FleetResult(
-        spec=spec,
-        dataplane=machine.dataplane,
-        engine=os.environ.get("REPRO_ENGINE", "slotted"),
-    )
+    result = FleetResult(spec=spec, stack="reference" if reference else "production")
     fleet_done = Event(sim, name="fleet.done")
     row_key_extra = {}
     if faults is not None:

@@ -63,10 +63,10 @@ class StorageDevice:
         self.read_only = False  # device failed into its end-of-life RO mode
         self.io_errors_injected = 0
         self.injected_stall_time = 0.0  # ssd_gc_pressure windows (injected)
-        # Bulk data-plane flag (set by Machine under REPRO_DATAPLANE=bulk):
-        # when the queue is free and no injector is attached, an op's
-        # duration is fully determined at issue time, so it is charged as a
-        # single timeout instead of a grant-event round trip.
+        # Fast-path flag (set by a production Machine): when the queue is
+        # free and no injector is attached, an op's duration is fully
+        # determined at issue time, so it is charged as a single timeout
+        # instead of a grant-event round trip.
         self.fast_path = False
 
     # subclass hooks -----------------------------------------------------------

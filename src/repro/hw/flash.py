@@ -15,13 +15,13 @@ module adds the realistic tier:
   triggered them, so write amplification shows up as *service time* where
   the cache layer can feel it.  All FTL bookkeeping runs synchronously in
   :meth:`service_time` — no extra simulator events — so the device drops
-  into the bulk/flat fast paths unchanged.
+  into the production fast paths unchanged.
 
 * :class:`NVMMDevice` — DIMM-attached persistent memory (the
   ``cache_kind=nvmm`` write-ahead-log medium): load/store bandwidth with a
   per-record persistence-barrier cost, no pages, no GC.
 
-Device selection follows the :mod:`repro.dataplane` idiom: ``REPRO_SSD``
+Device selection: ``REPRO_SSD``
 picks ``stream`` (default, byte-identical to the pre-FTL model) or ``ftl``;
 an explicit ``ClusterConfig.ssd_kind`` wins over the environment.
 

@@ -198,7 +198,7 @@ class LocalFileSystem:
         return self._gather(f, offset, nbytes)
 
     def read_event(self, f: LocalFile, offset: int, nbytes: int) -> Event:
-        """Flat variant of :meth:`read` for ``sim.flat`` chains.
+        """Flat variant of :meth:`read` for the production callback chains.
 
         Returns an Event whose value is the requested bytes, fired inline in
         the callback of the last underlying wait — exactly where the

@@ -7,28 +7,45 @@ system.  Experiments construct a Machine from a
 :class:`~repro.config.ClusterConfig`, then an :class:`~repro.mpi.MPIWorld`
 on top, then run rank bodies.
 
+**The stack and its reference.**  ``Machine(config)`` builds the production
+stack — what the benchmark measures: the slotted engine, the array fabric
+kernel, fused device operations, coalesced flows, shared collective
+releases, callback-chain sync threads and one process per rank *class*.
+``Machine(config, reference=True)`` builds the original stack as a unit —
+the heapq :class:`~repro.sim.core.Simulator`,
+:class:`~repro.net.fabric.NaiveFabric`, every grant/release/chunk its own
+event, per-rank collective release, generator sync threads, one process per
+rank — and must agree with production on every simulated quantity; only the
+diagnostic ``events`` count may differ (tier-1 asserts it in
+``tests/integration/test_golden_digests.py``).  ``machine.reference`` is the
+one fact every layer reads; a :class:`~repro.faults.spec.FaultSchedule`
+additionally clears ``fast_path`` on just the components it targets
+(:class:`~repro.faults.injector.FaultInjector`).
+
 Paper correspondence: §IV-A — the assembled DEEP-ER SDV testbed as one
 object.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 from repro.config import ClusterConfig
-from repro.dataplane import DATAPLANE_KINDS, default_dataplane_kind
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import CacheRecoveryRegistry
 from repro.faults.spec import FaultSchedule
 from repro.hw.node import ComputeNode
 from repro.localfs.ext4 import LocalFileSystem
-from repro.net.fabric import create_fabric
+from repro.net.fabric import Fabric, NaiveFabric
 from repro.pfs.client import PFSClient
 from repro.pfs.filesystem import ParallelFileSystem
-from repro.sim.core import create_simulator
+from repro.sim.core import SimError, Simulator, SlottedSimulator
 from repro.sim.profile import SimProfiler
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
+
+_RETIRED_ENV = ("REPRO_ENGINE", "REPRO_FABRIC", "REPRO_DATAPLANE")
 
 
 class Machine:
@@ -38,23 +55,26 @@ class Machine:
         trace: bool = False,
         faults: Optional[FaultSchedule] = None,
         profiler: Optional[SimProfiler] = None,
-        dataplane: Optional[str] = None,
+        reference: bool = False,
     ):
+        for name in _RETIRED_ENV:
+            if name in os.environ:
+                # An old A/B script must not go silently green on production.
+                raise SimError(
+                    f"{name}={os.environ[name]!r} is set, but {name} was "
+                    "retired in PR 22: pass `reference=True` for the original "
+                    "stack (heapq engine, naive fabric, chunked data plane)"
+                )
         self.config = config
-        # Engine selection (REPRO_ENGINE): the slotted bucket-and-heap engine
-        # by default, the heapq reference for A/B determinism checks — see
-        # docs/PERFORMANCE.md ("The slotted scheduler").
-        self.sim = create_simulator()
+        #: The one implementation choice: the original stack as a unit
+        #: (module docstring), or what the benchmark measures.
+        self.reference = reference
+        self.sim = Simulator() if reference else SlottedSimulator()
         self.sim.profiler = profiler
         self.rng = RngStreams(config.seed)
         self.tracer = Tracer(enabled=trace)
         endpoints = ParallelFileSystem.fabric_endpoints(config)
-        # Allocator selection (REPRO_FABRIC): the flat-array max-min kernel
-        # with converged-rate memoization by default (array), the incremental
-        # dirty-component allocator and the naive full-recompute reference
-        # kept for A/B determinism checks — see docs/PERFORMANCE.md
-        # ("Array fair-share kernel").
-        self.fabric = create_fabric(
+        self.fabric = (NaiveFabric if reference else Fabric)(
             self.sim,
             num_nodes=endpoints,
             nic_bw=config.network.nic_bw,
@@ -84,25 +104,19 @@ class Machine:
             "bytes_discarded": 0,  # cached under flush_never (never persisted)
             "bytes_lost": 0,  # reported lost via SyncFailedError
         }
-        # Data-plane selection: explicit argument, else REPRO_DATAPLANE
-        # (default bulk).  Fault schedules no longer force chunked
-        # machine-wide: the injector scopes the fallback to the components
-        # it actually targets (see FaultInjector._wire), so everything else
-        # keeps the fused/coalesced fast path even in faulted runs.
-        if dataplane is not None and dataplane not in DATAPLANE_KINDS:
-            raise ValueError(
-                f"unknown dataplane {dataplane!r} (expected one of {DATAPLANE_KINDS})"
-            )
-        self.dataplane = dataplane if dataplane is not None else default_dataplane_kind()
-        bulk = self.dataplane == "bulk"
+        # Fault schedules do not turn the fast paths off machine-wide: the
+        # injector scopes the fallback to the components it actually targets
+        # (see FaultInjector._wire), so everything else keeps the
+        # fused/coalesced fast path even in faulted runs.
+        fast = not reference
         for node in self.nodes:
-            node.ssd.fast_path = bulk
-            node.nvmm.fast_path = bulk
+            node.ssd.fast_path = fast
+            node.nvmm.fast_path = fast
             node.ssd.tracer = self.tracer  # FTL GC records (no-op untraced)
         for server in self.pfs.servers:
-            server.fast_path = bulk
-            server.target.fast_path = bulk
-        self.pfs.dataplane_bulk = bulk
+            server.fast_path = fast
+            server.target.fast_path = fast
+        self.pfs.fast_path = fast
         self.faults = FaultInjector(self, faults) if faults else None
         # Multi-job runs (repro.fleet) wrap this machine in per-job views
         # that override job_label and node_of_rank; single-job code paths

@@ -265,7 +265,7 @@ class _LadderHook:
 class ModelCollectives:
     """Arrival-synchronised collectives with analytic durations.
 
-    ``shared_release`` (bulk data plane) releases every rank through one
+    ``shared_release`` (the production stack) releases every rank through one
     shared event instead of one event per rank.  Per-rank release events are
     scheduled back-to-back in arrival order by :meth:`_complete`, so they
     fire consecutively with nothing interleaved; the shared event resumes
@@ -331,12 +331,17 @@ class ModelCollectives:
                 f"which may only follow: {path} is per rank"
             )
 
-    def enter(self, rank: int, op_name: str, value: Any = None, **extra):
-        """Generator: join this rank's next collective slot and wait for release."""
+    def arrive(self, rank: int, op_name: str, value: Any = None, **extra) -> Event:
+        """Join this rank's next collective slot and return the event that
+        releases it — the slot's shared one, or this rank's own — for the
+        rank body to ``yield``.  The event's value is the collective's
+        results by rank (None for ``timed:`` slots: nobody reads them);
+        :meth:`enter` picks this rank's."""
         idx = self._slot_index[rank]
         self._slot_index[rank] += 1
-        slot = self._slots.get(idx)
-        if slot is None:
+        try:  # a subscript, not ``.get``: all but the first arrival call nothing
+            slot = self._slots[idx]
+        except KeyError:
             slot = self._slots[idx] = _Slot(op_name=op_name)
             if self.shared_release:
                 slot.shared = Event(self.sim, name=f"coll:{op_name}[{idx}]")
@@ -348,27 +353,29 @@ class ModelCollectives:
         slot.arrivals[rank] = value
         if self.members[rank]:
             slot.arrivals.update(dict.fromkeys(self.members[rank], value))
-        for key, val in extra.items():
-            slot.extra.setdefault(key, {})[rank] = val
-        if slot.shared is not None:
-            if len(slot.arrivals) + slot.pre == self.nprocs:
-                self._complete(idx, slot)
-            results = yield slot.shared
-            # ``timed:`` slots release with no results (nobody reads them)
-            return None if results is None else results[rank]
-        ev = Event(self.sim, name=f"coll:{op_name}[{idx}]r{rank}")
-        slot.release[rank] = ev
+        if extra:  # not on the timed hot path
+            for key, val in extra.items():
+                slot.extra.setdefault(key, {})[rank] = val
+        release = slot.shared
+        if release is None:
+            release = slot.release[rank] = Event(
+                self.sim, name=f"coll:{op_name}[{idx}]r{rank}"
+            )
         if len(slot.arrivals) + slot.pre == self.nprocs:
             self._complete(idx, slot)
-        result = yield ev
-        return result
+        return release
+
+    def enter(self, rank: int, op_name: str, value: Any = None, **extra):
+        """Generator: :meth:`arrive`, wait for release, return this rank's result."""
+        results = yield self.arrive(rank, op_name, value, **extra)
+        return None if results is None else results[rank]
 
     # individual operations -------------------------------------------------
     def barrier(self, rank: int):
         return self.enter(rank, "barrier")
 
     def allreduce(self, rank: int, value: Any, op: Op = op_sum, nbytes: int = 8):
-        return self.enter(rank, "allreduce", value, op={rank: None}, reduce_op=op, nbytes=nbytes)
+        return self.enter(rank, "allreduce", value, reduce_op=op, nbytes=nbytes)
 
     def allgather(self, rank: int, value: Any, nbytes: int = 8):
         return self.enter(rank, "allgather", value, nbytes=nbytes)
@@ -389,80 +396,13 @@ class ModelCollectives:
         """
         return self.enter(rank, "shuffle", out_bytes, msgs=msg_count)
 
-    def timed(self, rank: int, duration: float, label: str = "timed"):
+    def timed(self, rank: int, duration: float, label: str = "timed") -> Event:
         """A pre-costed synchronisation: all ranks arrive, all are released
         ``max(duration)`` after the last arrival.  Used when the exchange
-        cost has been computed centrally (vectorised over rounds)."""
-        return self.enter(rank, f"timed:{label}", duration)
-
-    def timed_event(self, rank: int, duration: float, label: str = "timed") -> Event:
-        """Flat fast path for :meth:`timed` (``sim.flat`` call sites).
-
-        Identical slot bookkeeping and release scheduling as routing the
-        arrival through :meth:`enter`, but the release event is returned
-        for the rank body to ``yield`` directly — no generator frame per
-        rank per round, no trampoline resume through ``enter``.  The event
-        value (always None) is discarded by every caller, exactly as
-        ``timed``'s return value is.
-        """
-        op_name = f"timed:{label}"
-        idx = self._slot_index[rank]
-        self._slot_index[rank] += 1
-        slot = self._slots.get(idx)
-        if slot is None:
-            slot = self._slots[idx] = _Slot(op_name=op_name)
-            if self.shared_release:
-                slot.shared = Event(self.sim, name=f"coll:{op_name}[{idx}]")
-        if slot.op_name != op_name:
-            raise SimError(
-                f"collective mismatch at slot {idx}: rank {rank} called "
-                f"{op_name!r} but others called {slot.op_name!r}"
-            )
-        slot.arrivals[rank] = duration
-        if self.members[rank]:
-            slot.arrivals.update(dict.fromkeys(self.members[rank], duration))
-        if slot.shared is not None:
-            if len(slot.arrivals) + slot.pre == self.nprocs:
-                self._complete(idx, slot)
-            return slot.shared
-        # Pooled on the slotted engine; the plain op_name (no per-rank
-        # f-string) keeps the hot per-rank release path allocation-free.
-        ev = self.sim.event(op_name)
-        slot.release[rank] = ev
-        if len(slot.arrivals) + slot.pre == self.nprocs:
-            self._complete(idx, slot)
-        return ev
-
-    def enter_event(self, rank: int, op_name: str, value: Any = None, **extra) -> Event:
-        """Flat fast path for :meth:`enter`: identical arrival bookkeeping,
-        but the shared release event is *returned* for the rank body to
-        ``yield`` directly — no generator frame per rank per collective.
-
-        Only valid with ``shared_release``, and only for call sites that
-        discard the collective's result: the event's value is the whole
-        results dict, not this rank's entry.
-        """
-        if not self.shared_release:  # pragma: no cover - callers gate on it
-            raise SimError("enter_event requires shared_release collectives")
-        idx = self._slot_index[rank]
-        self._slot_index[rank] += 1
-        slot = self._slots.get(idx)
-        if slot is None:
-            slot = self._slots[idx] = _Slot(op_name=op_name)
-            slot.shared = Event(self.sim, name=f"coll:{op_name}[{idx}]")
-        if slot.op_name != op_name:
-            raise SimError(
-                f"collective mismatch at slot {idx}: rank {rank} called "
-                f"{op_name!r} but others called {slot.op_name!r}"
-            )
-        slot.arrivals[rank] = value
-        if self.members[rank]:
-            slot.arrivals.update(dict.fromkeys(self.members[rank], value))
-        for key, val in extra.items():
-            slot.extra.setdefault(key, {})[rank] = val
-        if len(slot.arrivals) + slot.pre == self.nprocs:
-            self._complete(idx, slot)
-        return slot.shared
+        cost has been computed centrally (vectorised over rounds).  There is
+        no result to pick, so this returns the release event itself for the
+        rank body to ``yield`` — no generator frame per rank per round."""
+        return self.arrive(rank, f"timed:{label}", duration)
 
     def timed_ladder(
         self,
@@ -492,7 +432,7 @@ class ModelCollectives:
         phase totals are byte-identical to the round-by-round path.
         ``steps`` is the run's ``(label, duration, phase)`` sequence; the
         durations must equal what the live ranks pass through
-        :meth:`timed_event` for the same slots (they are computed from the
+        :meth:`timed` for the same slots (they are computed from the
         same shared call state).  ``width`` is the total number of ranks,
         over all batches, that will take this ladder (all must, and none
         may also arrive live): the slots count ``width`` arrivals from the
@@ -662,9 +602,7 @@ class ModelCollectives:
                     duration = slot.pre_duration
             else:
                 duration = float(slot.pre_duration)
-            # No caller reads a timed slot's result: the shared release
-            # carries None, per-rank releases one None each.
-            results = None if slot.shared is not None else dict.fromkeys(slot.arrivals)
+            results = None  # no caller reads a timed slot's result
         elif op == "shuffle":
             out_node: dict[int, float] = {}
             in_node: dict[int, float] = {}
@@ -691,8 +629,8 @@ class ModelCollectives:
         if slot.shared is not None:
             slot.shared.succeed(results, delay=duration)
         else:
-            for r, ev in slot.release.items():
-                ev.succeed(results[r], delay=duration)
+            for ev in slot.release.values():
+                ev.succeed(results, delay=duration)
         del self._slots[idx]
 
 

@@ -111,7 +111,8 @@ class Communicator:
     # -- collectives ------------------------------------------------------------
     # Each wrapper returns the engine's generator directly (callers drive it
     # with ``yield from``) instead of re-yielding through a one-level
-    # trampoline frame — same values, one less generator per call.
+    # trampoline frame — same values, one less generator per call.  The
+    # model-only ``timed`` has no result and returns its release event.
     def barrier(self, rank: int):
         if self.collective_mode == "model":
             return self._model.barrier(rank)
@@ -142,49 +143,16 @@ class Communicator:
         return self._model.shuffle(rank, out_bytes, msg_count)
 
     def timed(self, rank: int, duration: float, label: str = "timed"):
-        """Pre-costed synchronisation point (see ModelCollectives.timed)."""
-        return self._model.timed(rank, duration, label)
-
-    @property
-    def flat_events(self) -> bool:
-        """True when collectives can be yielded as bare release events.
-
-        Call sites that discard a collective's result use this to pick the
-        ``*_event`` fast path (``yield comm.barrier_event(rank)``) instead
-        of driving a generator (``yield from comm.barrier(rank)``): same
-        slot bookkeeping, same release event, same timestamps — one less
-        generator frame per rank per collective.
-        """
-        return (
-            self.sim.flat
-            and self.collective_mode == "model"
-            and self._model.shared_release
-        )
-
-    def barrier_event(self, rank: int):
-        return self._model.enter_event(rank, "barrier")
-
-    def allreduce_event(self, rank: int, value: Any, op: Op = op_sum, nbytes: int = 8):
-        return self._model.enter_event(
-            rank, "allreduce", value, reduce_op=op, nbytes=nbytes
-        )
-
-    def bcast_event(self, rank: int, value: Any, root: int = 0, nbytes: int = 8):
-        return self._model.enter_event(
-            rank, "bcast", (value if rank == root else None), root=root, nbytes=nbytes
-        )
+        """Pre-costed synchronisation point: the release Event, to ``yield``
+        (see ModelCollectives.timed; arrives directly — this is the round
+        loop's hot call)."""
+        return self._model.arrive(rank, f"timed:{label}", duration)
 
     def timed_ladder(self, call, ranks, seconds, steps, width, tail=None):
         """Pre-register ``ranks`` into their next ``len(steps)`` timed slots
         (plus an optional trailing value collective) and return the final
         release Event (see ModelCollectives.timed_ladder)."""
         return self._model.timed_ladder(call, ranks, seconds, steps, width, tail)
-
-    def timed_event(self, rank: int, duration: float, label: str = "timed"):
-        """Flat variant of :meth:`timed`: returns the release Event to yield
-        directly (see ModelCollectives.timed_event).  ``sim.flat`` call
-        sites use this to skip one generator frame per rank per round."""
-        return self._model.timed_event(rank, duration, label)
 
     @property
     def costs(self) -> CollectiveCosts:

@@ -72,13 +72,13 @@ class MPIWorld:
         if node_of is None:
             node_of = lambda r: r // cfg.procs_per_node  # noqa: E731
         rank_to_node = [node_of(r) for r in range(nprocs)]
-        bulk = getattr(machine, "dataplane", "chunked") == "bulk"
+        fast = not machine.reference
         self.transport = Transport(
             machine.sim,
             machine.fabric,
             rank_to_node,
             cfg.network.per_message_overhead,
-            coalesce=bulk,
+            coalesce=fast,
         )
         costs = CollectiveCosts(
             alpha=cfg.network.alpha_collective,
@@ -93,7 +93,7 @@ class MPIWorld:
             nprocs,
             costs,
             collective_mode=collective_mode,
-            shared_release=bulk,
+            shared_release=fast,
         )
 
     def spawn(self, rank_body: RankBody) -> list:

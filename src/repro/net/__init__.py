@@ -1,11 +1,9 @@
 """Interconnect model: NIC-contended flows and rank-to-rank messaging (paper §IV testbed)."""
 
 from repro.net.fabric import Fabric, Flow, Link, NaiveFabric, create_fabric
-from repro.net.fabric_array import ArrayFabric  # registers FABRIC_KINDS["array"]
 from repro.net.message import Mailbox, Message, Transport
 
 __all__ = [
-    "ArrayFabric",
     "Fabric",
     "Flow",
     "Link",

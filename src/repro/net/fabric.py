@@ -13,24 +13,54 @@ funnelling into few aggregator NICs.
 Intra-node transfers bypass the NIC links and move at the (higher) memory
 copy bandwidth.
 
-Three allocators implement the same model (see docs/PERFORMANCE.md):
+Two allocators implement the same model (see docs/PERFORMANCE.md):
 
-* :class:`repro.net.fabric_array.ArrayFabric` (``REPRO_FABRIC=array``, the
-  default) runs the incremental dirty-component scheme below but lowers the
-  filling loop onto flat arrays, memoizes converged rate vectors by
-  component topology signature, and replaces the flush/wake Events with
-  pooled callables on the engine's ``call_soon``/``call_later`` fast path.
-* :class:`Fabric` (``REPRO_FABRIC=incremental``) recomputes **incrementally**: only the
-  connected component of the link–flow graph actually touched by an
-  arrival, departure, or capacity change is re-rated; flows whose
-  bottleneck structure is disjoint keep their frozen rates.  Same-timestamp
-  arrivals (a collective shuffle wave starts dozens of flows at ``sim.now``)
-  are coalesced into one recompute via a zero-delay flush event.
-* :class:`NaiveFabric` is the original full-recompute reference, selected
-  with ``REPRO_FABRIC=naive`` (see :func:`create_fabric`).  The two are
-  byte-identical — same rates, same completion timestamps — which
-  ``benchmarks/bench_engine.py`` asserts on the full IOR sweep grid and
-  ``tests/net/test_fabric_incremental.py`` asserts on randomized churn.
+* :class:`Fabric` — what every production machine runs — recomputes
+  **incrementally**: only the connected component of the link–flow graph
+  actually touched by an arrival, departure, or capacity change is re-rated;
+  flows whose bottleneck structure is disjoint keep their frozen rates.
+  Same-timestamp arrivals (a collective shuffle wave starts dozens of flows
+  at ``sim.now``) are coalesced into one recompute by a zero-delay flush.
+  The filling loop itself is the *array kernel*:
+
+  * **Flat arrays instead of dict churn.**  ``_fill`` lowers the touched
+    component into parallel lists indexed by local flow/link ids
+    (capacities, integer weight sums, membership as ascending-``fi`` int
+    lists) and runs progressive filling over those, with lazy freezing (a
+    byte flag per flow, a weight-sum decrement per link) instead of
+    per-round dict removals.  The scan order, tie-breaks, and every float
+    operation — shares, the ``max(best_share, 0.0)`` clamp, the
+    per-bundle-member clamped residual subtractions — are performed on the
+    same operands in the same order as :meth:`NaiveFabric._fill`, which is
+    why the result is bit-identical.
+  * **Converged-rate memoization.**  The filled rates are a pure function
+    of the component's *topology signature*: per-flow weights and, per link
+    crossing, either the local id of an already-seen link or the capacity
+    of a first-touch link — one flat tuple (see ``_fill``), built by a loop
+    that grows a list in place and makes no calls, because the key build
+    is the whole cost of a cache hit.  They do not depend on
+    ``remaining``/``nbytes`` (filling never reads them) or on flow/link
+    identity.  The sweep's shuffle waves re-rate the same few shapes
+    thousands of times, so a bounded signature→rates cache turns the
+    filling loop into a key build + dict hit (``rate_cache_hits`` /
+    ``rate_cache_misses`` counters; surfaced via ``SimProfiler`` as
+    ``fabric.rate_cache_hits``/``..._misses`` when profiling).
+    Single-flow components — a third of all fills on cache-enabled sweep
+    points — bypass the signature and cache entirely: their fill is a
+    closed-form min over the flow's own links.
+  * **Pooled flush/wake callables.**  The coalesced flush and the wake
+    re-arm are pooled callable objects scheduled via
+    ``sim.call_soon``/``sim.call_later`` — the slotted engine's ``_Call``
+    fast path — invalidated by a generation stamp carried *on the armed
+    object* (a stamp on the fabric alone would let a superseded-but-pending
+    callable pass the check once re-armed).
+
+* :class:`NaiveFabric` is the original full-recompute allocator, the
+  fabric of the reference stack (``Machine(reference=True)``) and the
+  oracle: every change re-runs the readable dict filling loop over all
+  active flows.  The two are byte-identical — same rates, same completion
+  timestamps — which ``tests/net`` asserts on randomized churn and the
+  two-stack golden digests on whole runs.
 
 Why the incremental result is *exactly* (bit-for-bit) the full result:
 progressive filling only ever moves capacity between a flow and the links
@@ -45,9 +75,9 @@ on the same operands in the same order.
 
 from __future__ import annotations
 
-import os
 from itertools import count
 from operator import attrgetter
+from time import perf_counter
 from typing import Iterable, Optional
 
 from repro.sim.core import Event, SimError, Simulator
@@ -55,6 +85,11 @@ from repro.sim.core import Event, SimError, Simulator
 _EPS = 1e-12
 _INF = float("inf")
 _by_fid = attrgetter("fid")
+
+# Bounded memo: signatures are small tuples but unbounded churn (chaos
+# schedules mutate capacities) could grow the table; wholesale clear is
+# cheap and keeps the common steady-state shapes hot.
+_RATE_CACHE_MAX = 4096
 
 
 class Link:
@@ -120,12 +155,58 @@ class Flow:
         self.threshold = max(1e-6, _EPS * self.nbytes)
 
 
+class _FlushCall:
+    """Pooled zero-delay flush callback, validity-checked by generation.
+
+    The generation stamp lives on this object, not (only) on the fabric:
+    each arm pops a *fresh* object from the pool, so a pending-but-stale
+    callable can never be confused with the currently armed one.
+    """
+
+    __slots__ = ("fabric", "gen")
+
+    def __init__(self, fabric: "Fabric"):
+        self.fabric = fabric
+        self.gen = -1
+
+    def __call__(self) -> None:
+        fabric = self.fabric
+        pool = fabric._flush_pool
+        if len(pool) < 8:
+            # Recycle first: at most one queue entry references this object,
+            # and ``self.gen`` is read before any re-arm can repurpose it.
+            pool.append(self)
+        if self.gen == fabric._flush_gen and fabric._flush_armed:
+            fabric._flush_armed = False
+            fabric._flush()
+
+
+class _WakeCall:
+    """Pooled wake-up callback; same generation scheme as :class:`_FlushCall`."""
+
+    __slots__ = ("fabric", "gen")
+
+    def __init__(self, fabric: "Fabric"):
+        self.fabric = fabric
+        self.gen = -1
+
+    def __call__(self) -> None:
+        fabric = self.fabric
+        pool = fabric._wake_pool
+        if len(pool) < 8:
+            pool.append(self)
+        if self.gen == fabric._wake_gen and fabric._wake_armed:
+            fabric._wake_armed = False
+            fabric._wake_body()
+
+
 class Fabric:
     """The cluster interconnect: per-node NIC in/out links plus loopback.
 
-    This is the **incremental** allocator.  Rates live on the flows and stay
-    frozen until a change touches their connected component; the per-change
-    work is proportional to the touched component, not to the whole fabric.
+    This is the production allocator (incremental recompute, array kernel).
+    Rates live on the flows and stay frozen until a change touches their
+    connected component; the per-change work is proportional to the touched
+    component, not to the whole fabric.
     Counters (always on — plain int bumps) feed the benchmark harness:
 
     * ``recomputes`` / ``recompute_flows`` — filling passes run and flows
@@ -137,9 +218,9 @@ class Fabric:
       same-timestamp flush instead of triggering their own recompute.
     * ``wake_events`` — wake events actually armed (regression guard for
       the alloc-on-every-change churn this class replaced).
+    * ``rate_cache_hits`` / ``rate_cache_misses`` — multi-flow fills served
+      from / added to the signature→rates memo.
     """
-
-    kind = "incremental"
 
     def __init__(
         self,
@@ -162,12 +243,17 @@ class Fabric:
         self._weighted = False  # any bundle live since construction?
         self._fid = count()
         self._last_update = 0.0
-        self._wake: Optional[Event] = None
-        # Links touched since the last recompute, in touch order, plus the
-        # zero-delay event that will apply them (identity-checked like the
-        # wake event so a superseded flush is a no-op).
+        # Links touched since the last recompute, in touch order, applied by
+        # one zero-delay flush; flush and wake are pooled callables, each
+        # armed object stamped with the generation that makes it current.
         self._dirty: dict[Link, None] = {}
-        self._flush_event: Optional[Event] = None
+        self._flush_armed = False
+        self._flush_gen = 0
+        self._flush_pool: list[_FlushCall] = []
+        self._wake_armed = False
+        self._wake_gen = 0
+        self._wake_pool: list[_WakeCall] = []
+        self._rate_cache: dict[tuple, tuple[float, ...]] = {}
         self.bytes_moved = 0.0
         # Per-tag byte accounting (fleet: one tag per job).  Untagged flows
         # — the entire single-job world — never touch this dict.
@@ -177,6 +263,8 @@ class Fabric:
         self.recomputes_skipped = 0
         self.batched_starts = 0
         self.wake_events = 0
+        self.rate_cache_hits = 0
+        self.rate_cache_misses = 0
 
     # -- public API -----------------------------------------------------------
     def make_link(self, name: str, capacity: float) -> Link:
@@ -284,30 +372,30 @@ class Fabric:
     def _change(self, links: Iterable[Link]) -> None:
         """A topology change touched ``links``: coalesce into one flush.
 
-        All deferral stays within the current timestamp — the flush event
-        has zero delay, so it fires before the clock can advance — which is
+        All deferral stays within the current timestamp — the flush has
+        zero delay, so it fires before the clock can advance — which is
         why batching cannot alter any simulated timestamp: the rates in
         effect over every interval of positive length are unchanged.
         """
-        if self._flush_event is not None:
+        if self._flush_armed:
             self.batched_starts += 1
+        dirty = self._dirty
         for link in links:
-            self._dirty[link] = None
-        if self._flush_event is None:
-            flush = self.sim.event(name="fabric-flush")
-            flush.callbacks.append(self._on_flush)
-            flush.succeed()
-            self._flush_event = flush
-
-    def _on_flush(self, event: Event) -> None:
-        if event is not self._flush_event:
-            return  # superseded by an eager flush (flow_rates, wake)
-        self._flush_event = None
-        self._flush()
+            dirty[link] = None
+        if not self._flush_armed:
+            pool = self._flush_pool
+            call = pool.pop() if pool else _FlushCall(self)
+            call.gen = self._flush_gen
+            self._flush_armed = True
+            self.sim.call_soon(call)
 
     def _force_flush(self) -> None:
-        """Apply pending changes now; the armed flush event becomes a no-op."""
-        self._flush_event = None
+        """Apply pending changes now; the armed flush becomes a no-op."""
+        if self._flush_armed:
+            # Invalidate the pending callable: bump the generation so it
+            # fails its stamp check when it eventually drains.
+            self._flush_armed = False
+            self._flush_gen += 1
         self._flush()
 
     def _flush(self) -> None:
@@ -369,6 +457,242 @@ class Fabric:
             profiler.count("fabric.recompute_flows", len(touched))
         return True
 
+    # -- wake arming (pooled-callable wake) -------------------------------------
+    def _arm_wake(self) -> None:
+        """Arm a wake-up at the next flow completion (none when nothing
+        can complete: ``soonest == inf``)."""
+        # Invalidate any previously armed wake-up unconditionally.
+        self._wake_gen += 1
+        soonest = _INF
+        for flow in self._flows:
+            if flow.remaining <= flow.threshold:
+                soonest = 0.0
+                break
+            rate = flow.rate
+            if rate > _EPS:
+                t = flow.remaining / rate
+                if t < soonest:
+                    soonest = t
+        if soonest is _INF:
+            self._wake_armed = False
+            return
+        pool = self._wake_pool
+        call = pool.pop() if pool else _WakeCall(self)
+        call.gen = self._wake_gen
+        self._wake_armed = True
+        self.wake_events += 1
+        # Floor at one nanosecond so a pathological rate can never stall
+        # the simulation clock (livelock guard); delay-0 wakes land in the
+        # same same-instant lane slot an Event ``succeed()`` would.
+        self.sim.call_later(max(1e-9, soonest) if soonest > 0.0 else 0.0, call)
+
+    # -- the array kernel -------------------------------------------------------
+    def _fill(self, flows: Iterable[Flow]) -> None:
+        """Progressive filling over flat arrays, memoized by topology signature.
+
+        ``flows`` arrives in ascending-``fid`` order (component refills are
+        sorted; ``self._flows`` iterates in creation order), so local flow
+        ids ``fi`` enumerate ascending ``fid`` and every per-link member
+        list built here matches the insertion order of the dict
+        implementation's (:meth:`NaiveFabric._fill`) ``live`` sets exactly.
+        """
+        flow_list = list(flows)
+        nflows = len(flow_list)
+        if not nflows:
+            return
+        if nflows == 1:
+            # Single-flow component — point-to-point RPC traffic between
+            # otherwise idle endpoints, about a third of all fills on
+            # cache-enabled sweep points.  Progressive filling reduces to
+            # the minimum capacity/weight share over the flow's own links:
+            # the same divisions on the same operands in the same scan
+            # order (first-touch == flow.links order), the same first-wins
+            # tie-break and the same final clamp as the general loop, so
+            # the result is bit-identical and the signature build and
+            # cache are skipped outright.
+            flow = flow_list[0]
+            weight = flow.weight
+            best_share = _INF
+            for link in flow.links:
+                share = link.capacity / weight
+                if share < best_share:
+                    best_share = share
+            # A linkless flow is never frozen by the general loop and
+            # keeps the 0.0 it was initialized with.
+            flow.rate = 0.0 if best_share is _INF else max(best_share, 0.0)
+            return
+        # One flat signature: per flow a ``-2`` and its weight, then per link
+        # either the local id of an already-seen link or a ``-1`` followed by
+        # the capacity of a first-touch link.  Local ids enumerate first-touch
+        # order and every position's role is fixed by what precedes it (a
+        # weight follows ``-2``, a capacity follows ``-1``, anything else is
+        # an id >= 0), so equal keys imply equal topology signatures.  The
+        # loop extends the list in place rather than through method calls:
+        # building the key is the whole cost of a cache hit.
+        lids: dict[Link, int] = {}
+        key: list = []
+        nlinks = 0
+        for flow in flow_list:
+            key += (-2, flow.weight)
+            for link in flow.links:
+                if link in lids:
+                    key += (lids[link],)
+                else:
+                    lids[link] = nlinks
+                    nlinks += 1
+                    key += (-1, link.capacity)
+        sig = tuple(key)
+        cached = self._rate_cache.get(sig)
+        profiler = self.sim.profiler
+        if cached is not None:
+            self.rate_cache_hits += 1
+            if profiler is not None:
+                profiler.count("fabric.rate_cache_hits")
+            for fi, flow in enumerate(flow_list):
+                flow.rate = cached[fi]
+            return
+        self.rate_cache_misses += 1
+        t_solve = 0.0
+        if profiler is not None:
+            profiler.count("fabric.rate_cache_misses")
+            t_solve = perf_counter()
+
+        # Miss path only: lower the component into parallel lists indexed
+        # by local flow/link ids (membership as ascending-``fi`` lists).
+        weights = [flow.weight for flow in flow_list]
+        flinks = [[lids[link] for link in flow.links] for flow in flow_list]
+        members: list[list[int]] = [[] for _ in range(nlinks)]
+        for fi, local in enumerate(flinks):
+            for li in local:
+                members[li].append(fi)
+        residual = [link.capacity for link in lids]
+        wsums = []
+        for li in range(nlinks):
+            total = 0
+            for fi in members[li]:
+                total += weights[fi]
+            wsums.append(total)
+        rates = [0.0] * nflows
+        frozen = bytearray(nflows)
+        remaining = nflows
+        while remaining:
+            best_li = -1
+            best_share = _INF
+            for li in range(nlinks):
+                wsum = wsums[li]
+                if not wsum:
+                    continue
+                # Integer weight sum == len(members) when all weights are 1,
+                # so the division matches both of the dict loop's divisor branches.
+                share = residual[li] / wsum
+                if share < best_share:
+                    best_share = share
+                    best_li = li
+            if best_li < 0:
+                break
+            # Clamp accumulated float drift, verbatim from the dict loop
+            # (max returns its *first* argument on ties, so -0.0 survives
+            # exactly as it does there).
+            best_share = max(best_share, 0.0)
+            for fi in members[best_li]:
+                if frozen[fi]:
+                    continue
+                frozen[fi] = 1
+                remaining -= 1
+                rates[fi] = best_share
+                weight = weights[fi]
+                for li in flinks[fi]:
+                    if li != best_li:
+                        if weight == 1:
+                            residual[li] = max(0.0, residual[li] - best_share)
+                        else:
+                            # One clamped subtraction per bundle member,
+                            # exactly as the dict implementation does.
+                            r = residual[li]
+                            for _ in range(weight):
+                                r = max(0.0, r - best_share)
+                            residual[li] = r
+                        wsums[li] -= weight
+            wsums[best_li] = 0
+
+        cache = self._rate_cache
+        if len(cache) >= _RATE_CACHE_MAX:
+            cache.clear()
+        cache[sig] = tuple(rates)
+        if profiler is not None:
+            # Miss-path solve time: the table tools/profile_sweep.py --top
+            # prints shows this against fabric.recompute, making the
+            # memoization win (recompute mostly = cache hits) measurable.
+            profiler.lap("fabric.fill_solve", t_solve)
+        for fi, flow in enumerate(flow_list):
+            flow.rate = rates[fi]
+
+    def _wake_body(self) -> None:
+        """Deliver completions at the wake instant (validity already checked)."""
+        self._advance()
+        finished = [f for f in self._flows if f.remaining <= f.threshold]
+        for flow in finished:
+            self._flows.pop(flow, None)
+            self._done_to_flow.pop(flow.done, None)
+            for link in flow.links:
+                link.flows.pop(flow, None)
+        for flow in finished:
+            # Completion is delivered after the propagation latency.
+            flow.done.succeed(delay=self.latency)
+        self._departures(finished)
+
+    def _departures(self, finished: list[Flow]) -> None:
+        """Re-rate after completions, folding in any pending batched changes."""
+        if not self._flows:
+            self._dirty.clear()
+            return
+        for flow in finished:
+            for link in flow.links:
+                self._dirty[link] = None
+        dirty, self._dirty = self._dirty, {}
+        self._recompute_touched(dirty)
+        # The wake just fired (or is now stale), so always re-arm — even if
+        # the recompute was skipped, surviving flows still need a wake-up.
+        self._arm_wake()
+
+
+class NaiveFabric(Fabric):
+    """The original full-recompute allocator: the reference stack's fabric.
+
+    Every arrival, departure, and capacity change advances the clock and
+    re-runs progressive filling — the readable dict loop below — over **all**
+    active flows, O(links × flows) per filling pass, and allocates a fresh
+    wake Event.  ``Machine(reference=True)`` builds it; tier-1 runs it
+    against :class:`Fabric` to prove the production allocator changes no
+    simulated timestamp.
+    """
+
+    _wake: Optional[Event] = None  # the armed wake; a superseded one is ignored
+
+    def _change(self, links: Iterable[Link]) -> None:
+        self._advance()
+        self._recompute()
+        self._arm_wake()
+
+    def _force_flush(self) -> None:  # nothing is ever deferred
+        pass
+
+    def _recompute(self) -> None:
+        self.recomputes += 1
+        self.recompute_flows += len(self._flows)
+        profiler = self.sim.profiler
+        if profiler is None:
+            self._fill(self._flows)
+        else:
+            with profiler.timer("fabric.recompute"):
+                self._fill(self._flows)
+            profiler.count("fabric.recompute_flows", len(self._flows))
+
+    def _departures(self, finished: list[Flow]) -> None:
+        if self._flows:
+            self._recompute()
+            self._arm_wake()
+
     def _fill(self, flows: Iterable[Flow]) -> None:
         """Max-min fair allocation of ``flows`` by progressive filling.
 
@@ -425,121 +749,14 @@ class Fabric:
             live[best_link].clear()
 
     def _arm_wake(self) -> None:
-        """Arm a wake-up at the next flow completion.
-
-        When nothing can complete (``soonest == inf``) no event is armed at
-        all: any previously armed wake is invalidated by dropping the
-        reference (it fires, fails the identity check in :meth:`_on_wake`,
-        and is ignored), instead of allocating a replacement event per
-        change as the original implementation did.
-        """
+        # Faithful to the original: allocate a fresh wake event on *every*
+        # change, even when no flow can complete (soonest == inf) and the
+        # event will never be scheduled.  :meth:`Fabric._arm_wake` fixes
+        # this churn; the reference keeps it so the regression test can
+        # count the difference.
         soonest = _INF
         for flow in self._flows:
             if flow.remaining <= flow.threshold:
-                soonest = 0.0
-                break
-            if flow.rate > _EPS:
-                t = flow.remaining / flow.rate
-                if t < soonest:
-                    soonest = t
-        if soonest is _INF:
-            self._wake = None
-            return
-        # Invalidate any previously armed wake-up (identity check below).
-        wake = self.sim.event(name="fabric-wake")
-        wake.callbacks.append(self._on_wake)
-        self._wake = wake
-        self.wake_events += 1
-        # Floor at one nanosecond so a pathological rate can never stall
-        # the simulation clock (livelock guard).
-        wake.succeed(delay=max(1e-9, soonest) if soonest > 0.0 else 0.0)
-
-    @staticmethod
-    def _finish_threshold(flow: Flow) -> float:
-        # Sub-byte residue: done for all practical purposes.  Kept for
-        # callers/tests; the hot loops read the precomputed ``flow.threshold``.
-        return flow.threshold
-
-    def _on_wake(self, event: Event) -> None:
-        if event is not self._wake:
-            return  # superseded by a newer reschedule
-        self._wake = None
-        self._wake_body()
-
-    def _wake_body(self) -> None:
-        """Deliver completions at the wake instant (validity already checked)."""
-        self._advance()
-        finished = [f for f in self._flows if f.remaining <= f.threshold]
-        for flow in finished:
-            self._flows.pop(flow, None)
-            self._done_to_flow.pop(flow.done, None)
-            for link in flow.links:
-                link.flows.pop(flow, None)
-        for flow in finished:
-            # Completion is delivered after the propagation latency.
-            flow.done.succeed(delay=self.latency)
-        self._departures(finished)
-
-    def _departures(self, finished: list[Flow]) -> None:
-        """Re-rate after completions, folding in any pending batched changes."""
-        if not self._flows:
-            self._dirty.clear()
-            return
-        for flow in finished:
-            for link in flow.links:
-                self._dirty[link] = None
-        dirty, self._dirty = self._dirty, {}
-        self._recompute_touched(dirty)
-        # The wake just fired (or is now stale), so always re-arm — even if
-        # the recompute was skipped, surviving flows still need a wake-up.
-        self._arm_wake()
-
-
-class NaiveFabric(Fabric):
-    """The original full-recompute allocator, kept as the reference.
-
-    Every arrival, departure, and capacity change advances the clock and
-    re-runs progressive filling over **all** active flows — O(links × flows)
-    per filling pass.  Selected with ``REPRO_FABRIC=naive``; the benchmark
-    harness runs it A/B against :class:`Fabric` to prove the incremental
-    allocator changes no simulated timestamp.
-    """
-
-    kind = "naive"
-
-    def _change(self, links: Iterable[Link]) -> None:
-        self._advance()
-        self._recompute()
-        self._arm_wake()
-
-    def _force_flush(self) -> None:  # nothing is ever deferred
-        pass
-
-    def _recompute(self) -> None:
-        self.recomputes += 1
-        self.recompute_flows += len(self._flows)
-        profiler = self.sim.profiler
-        if profiler is None:
-            self._fill(self._flows)
-        else:
-            with profiler.timer("fabric.recompute"):
-                self._fill(self._flows)
-            profiler.count("fabric.recompute_flows", len(self._flows))
-
-    def _departures(self, finished: list[Flow]) -> None:
-        if self._flows:
-            self._recompute()
-            self._arm_wake()
-
-    def _arm_wake(self) -> None:
-        # Faithful to the original: allocate a fresh wake event on *every*
-        # change, even when no flow can complete (soonest == inf) and the
-        # event will never be scheduled.  The default allocator's
-        # :meth:`Fabric._arm_wake` fixes this churn; the reference keeps it
-        # so the regression test can count the difference.
-        soonest = _INF
-        for flow in self._flows:
-            if flow.remaining <= self._finish_threshold(flow):
                 soonest = 0.0
             elif flow.rate > _EPS:
                 t = flow.remaining / flow.rate
@@ -552,17 +769,11 @@ class NaiveFabric(Fabric):
             wake.callbacks.append(self._on_wake)
             wake.succeed(delay=max(1e-9, soonest) if soonest > 0.0 else 0.0)
 
-
-# ``repro.net.fabric_array`` registers the default "array" kernel here on
-# import; ``repro/net/__init__.py`` imports it right after this module, so
-# every package-level import route sees all three allocators.  (Registration
-# lives there rather than here to keep the import acyclic.)
-FABRIC_KINDS = {"incremental": Fabric, "naive": NaiveFabric}
-
-
-def default_fabric_kind() -> str:
-    """Allocator selection: ``REPRO_FABRIC`` env var, default array."""
-    return os.environ.get("REPRO_FABRIC", "array")
+    def _on_wake(self, event: Event) -> None:
+        if event is not self._wake:
+            return  # superseded by a newer reschedule
+        self._wake = None
+        self._wake_body()
 
 
 def create_fabric(
@@ -571,15 +782,6 @@ def create_fabric(
     nic_bw: float,
     latency: float,
     loopback_bw: Optional[float] = None,
-    kind: Optional[str] = None,
 ) -> Fabric:
-    """Build the allocator named by ``kind`` (default: ``REPRO_FABRIC``)."""
-    kind = default_fabric_kind() if kind is None else kind
-    try:
-        cls = FABRIC_KINDS[kind]
-    except KeyError:
-        raise SimError(
-            f"unknown fabric allocator {kind!r} (expected one of "
-            f"{sorted(FABRIC_KINDS)})"
-        ) from None
-    return cls(sim, num_nodes, nic_bw, latency, loopback_bw)
+    """The production allocator."""
+    return Fabric(sim, num_nodes, nic_bw, latency, loopback_bw)

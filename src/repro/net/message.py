@@ -81,7 +81,7 @@ def _by_msg_seq(member: tuple[Message, Event]) -> int:
 class Transport:
     """Moves messages between ranks over the fabric.
 
-    With ``coalesce`` (bulk data plane) same-instant sends between the same
+    With ``coalesce`` (the production stack) same-instant sends between the same
     node pair with the same byte count join one weighted fabric flow (see
     :meth:`~repro.net.fabric.Fabric.grow_flow`) instead of each starting
     their own.  Identical flows complete at the same timestamp either way.

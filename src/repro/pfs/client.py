@@ -60,9 +60,9 @@ class PFSClient:
         # Per-job accounting tag (fleet): threaded into every fabric flow and
         # server RPC this client issues.  None for single-job machines.
         self.tag: Optional[str] = None
-        # Bulk data plane: same-size runs to the same server start as one
+        # Production stack: same-size runs to the same server start as one
         # weighted flow instead of one flow per run (see pfs.layout).
-        self._bulk = getattr(pfs, "dataplane_bulk", False)
+        self._bulk = pfs.fast_path
 
     # -- metadata ------------------------------------------------------------
     def create(self, path: str, stripe_size=None, stripe_count=None):
@@ -232,7 +232,7 @@ class PFSClient:
         data: Optional[np.ndarray] = None,
         rpc_count: Optional[int] = None,
     ) -> Event:
-        """Flat variant of :meth:`write_sync` for ``sim.flat`` chains.
+        """Flat variant of :meth:`write_sync` for the production callback chains.
 
         No locking, no watchdog: the caller (the sync thread's flat loop)
         only enables this when no fault schedule exists, which also

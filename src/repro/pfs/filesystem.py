@@ -119,9 +119,9 @@ class ParallelFileSystem:
         ]
         self.mds = MetadataServer(sim, base + self.cfg.num_data_servers, self.cfg)
         self.locks = LockManager(sim, self.cfg.lock_rpc_time)
-        # Bulk data plane (set by Machine, consulted by PFSClient): clients
+        # Set by a production Machine, consulted by PFSClient: clients
         # coalesce identical same-server runs into weighted flows.
-        self.dataplane_bulk = False
+        self.fast_path = False
         self._files: dict[str, PFSFile] = {}
         self._ingest_links = [
             fabric.make_link(f"srv{i}.ingest", self.cfg.server_ingest_bw)

@@ -196,7 +196,7 @@ class DataServer:
         self.rpcs_by_tag: dict[str, int] = {}
         self.bytes_by_tag: dict[str, int] = {}
         self.injector = None  # set by repro.faults when a stall targets us
-        self.fast_path = False  # bulk data plane: skip free-worker grant events
+        self.fast_path = False  # production stack: skip free-worker grant events
         self._rpc_jitter = None  # cached draw callable (lazy: rng may be swapped)
 
     def _draw_rpc_jitter(self) -> float:
@@ -240,7 +240,7 @@ class DataServer:
     def serve_write_event(
         self, target_offset: int, nbytes: int, rpc_count: int = 1, tag: Optional[str] = None
     ) -> Event:
-        """Flat variant of :meth:`serve_write` for ``sim.flat`` chains.
+        """Flat variant of :meth:`serve_write` for the production callback chains.
 
         Caller gates on ``self.injector is None`` (no stall gate to park
         behind).  Returns an Event fired *inline* in the callback where the

@@ -35,8 +35,8 @@ the table, domains and per-round costs — the latter from a process-wide
 memo keyed by the call's *shape* (:class:`_ModelMemo`), so the files of a
 run, the points of a sweep and the jobs of a fleet share one plan.  Only
 aggregators decide anything per round.  Where the path is certain before
-any offset is known (:func:`fast_paths`) — model collectives on the flat
-engine, bulk data plane, no fault injector, ``romio_cb_write=enable`` — a
+any offset is known (:func:`fast_paths`) — model collectives on the
+production stack, no fault injector, ``romio_cb_write=enable`` — a
 non-aggregator arrives at the offset exchange, adds itself to the call's
 parked ranks and waits on one event for the whole call (:func:`_park`);
 the exchange's release laps, plans and pre-registers all of them at once
@@ -46,9 +46,10 @@ resumes them where their own resumes would have been.  "Once" is per
 process (``workloads.phases``), which parks one entry that weighs them all.
 Ranks that qualify for the ladder only once the plan is known (aggregators
 that receive nothing, and non-aggregators of calls that could not park)
-join it singly.  Everything else — ``REPRO_ENGINE=heapq``, the chunked
-plane, fault machines, flow fidelity — walks round by round, one process
-per rank, and is the oracle the parked path is tested against
+join it singly.  Everything else — the reference stack
+(``Machine(reference=True)``), fault machines, flow fidelity — walks round
+by round, one process per rank, and is the oracle the parked path is tested
+against
 (tests/romio/test_park_once.py, tests/mpi/test_rank_classes.py).
 """
 
@@ -130,10 +131,8 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
             yield from comm.allgather(
                 rank, (access.start_offset, access.end_offset), nbytes=16
             )
-        elif comm.sim.flat:
-            yield comm.timed_event(rank, call.offset_cost, "offset_exch")
         else:
-            yield from comm.timed(rank, call.offset_cost, "offset_exch")
+            yield comm.timed(rank, call.offset_cost, "offset_exch")
         prof.lap("offset_exch", t0)
         profiler = comm.sim.profiler
         if profiler is not None:
@@ -190,10 +189,7 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
 
     # ---- step 5: post-write error exchange ----------------------------------------
     t0 = prof.mark()
-    if comm.flat_events:
-        yield comm.allreduce_event(rank, 0, op_max, nbytes=4)
-    else:
-        yield from comm.allreduce(rank, 0, op_max, nbytes=4)
+    yield from comm.allreduce(rank, 0, op_max, nbytes=4)
     prof.lap("post_write", t0)
     # MPI semantics: the call reports this rank's own contribution; ``nbytes``
     # (what this rank wrote as an aggregator) only feeds internal accounting.
@@ -206,11 +202,15 @@ def fast_paths(machine, comm, exchange_mode: str, hints) -> tuple[bool, bool, bo
     (``workloads.phases`` runs ranks that park on every call as one process)."""
     if exchange_mode != "model":
         return False, False, False
-    bulk = getattr(machine, "dataplane", "chunked") == "bulk"
-    # The timed ladder needs shared release events yielded bare (flat
-    # engine, model collectives, bulk plane) and no fault injector, which
-    # may interrupt a rank in the middle of the run.
-    ladders = bulk and comm.flat_events and getattr(machine, "faults", None) is None
+    bulk = not machine.reference
+    # The timed ladder needs the shared release events of the production
+    # stack's model collectives and no fault injector, which may interrupt a
+    # rank in the middle of the run.
+    ladders = (
+        bulk
+        and comm.collective_mode == "model"
+        and getattr(machine, "faults", None) is None
+    )
     # A non-aggregator may park when it is certain, before any offset is
     # known, that it will take the collective path and (unless the call
     # turns out degenerate) the ladder: the hint must not wait for the
@@ -241,7 +241,7 @@ def _park(fd: ADIOFile, call: CollectiveCallState, rank: int, prof: Profiler):
     returns the event they all wait on (its value: carried through the
     whole call, or released right after the exchange to go on live)."""
     comm = fd.comm
-    release = comm.timed_event(rank, call.offset_cost, "offset_exch")
+    release = comm.timed(rank, call.offset_cost, "offset_exch")
     if call.parked is None:
         call.parked = Event(comm.sim, name="ext2ph:parked")
         # Where this rank's own resume would have been queued: the
@@ -609,8 +609,8 @@ def _rounds_model(fd: ADIOFile, rank: int, call: CollectiveCallState, prof: Prof
     # the final release event: one resume for the rest of the call instead
     # of 2·ntimes + 1.  Release timestamps, profiler phase totals, and
     # event counts are byte-identical to the round-by-round path (see
-    # timed_ladder); the A/B harness proves it against the heapq engine,
-    # which keeps this loop.  Parked non-aggregators join in one batch
+    # timed_ladder); tier-1 proves it against the reference stack, which
+    # keeps this loop.  Parked non-aggregators join in one batch
     # (_release_parked); whoever else qualifies joins here, alone.
     if call.ladder_steps is not None and (agg_idx is None or agg_idx in call.idle_aggs):
         yield comm.timed_ladder(
@@ -631,23 +631,16 @@ def _rounds_model(fd: ADIOFile, rank: int, call: CollectiveCallState, prof: Prof
     bulk = call.bulk
     piece_overhead = fd.machine.config.network.piece_overhead
     memcpy_bw = fd.machine.config.ram.memcpy_bw
-    flat = sim.flat  # flat engine: yield the release event, skip timed()'s frame
     a2a_label = call.a2a_label
     x_label = call.x_label
     alltoall_cost = call.alltoall_cost
     durations = call.round_durations
     for r in range(call.ntimes):
         t0 = prof.mark()
-        if flat:
-            yield comm.timed_event(rank, alltoall_cost, a2a_label)
-        else:
-            yield from comm.timed(rank, alltoall_cost, a2a_label)
+        yield comm.timed(rank, alltoall_cost, a2a_label)
         prof.lap("shuffle_all2all", t0)
         t0 = prof.mark()
-        if flat:
-            yield comm.timed_event(rank, durations[r], x_label)
-        else:
-            yield from comm.timed(rank, durations[r], x_label)
+        yield comm.timed(rank, durations[r], x_label)
         prof.lap("comm", t0)
         if agg_idx is None or domain.size <= 0:
             continue

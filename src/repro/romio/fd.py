@@ -53,7 +53,7 @@ class CollectiveCallState:
     alltoall_cost: float = 0.0  # each round's dissemination alltoall
     a2a_label: str = ""
     x_label: str = ""
-    bulk: bool = False  # bulk data plane
+    bulk: bool = False  # production stack: fused assembly delays
     ladders: bool = False  # the timed ladder is available
     park: bool = False  # ... and non-aggregators cross the call on one resume
     # park once: the ranks waiting on ``parked`` since they arrived at the

@@ -82,10 +82,7 @@ class MPIIOLayer:
                     stripe_count=fd.hints.striping_factor,
                 )
             fd.pfs_file = pfs_file
-        if self.comm.flat_events:  # only the root's value travels
-            yield self.comm.bcast_event(rank, True, root=0, nbytes=64)
-        else:
-            yield from self.comm.bcast(rank, True, root=0, nbytes=64)
+        yield from self.comm.bcast(rank, True, root=0, nbytes=64)
         if fd.pfs_file is None:  # pragma: no cover - bcast ordering guard
             raise SimError("collective open: file handle missing after bcast")
         cache_wait = self.driver.open_cache(fd, rank)
@@ -165,16 +162,9 @@ class MPIFileHandle:
         self._check_open(alone="read_all")
         prof = self.prof
         t0 = prof.mark()
-        flat_events = self.fd.comm.flat_events
-        if flat_events:
-            yield self.fd.comm.barrier_event(self.rank)
-        else:
-            yield from self.fd.comm.barrier(self.rank)
+        yield from self.fd.comm.barrier(self.rank)
         data = yield from datasieve.read_strided(self.fd, self.rank, access, prof)
-        if flat_events:
-            yield self.fd.comm.barrier_event(self.rank)
-        else:
-            yield from self.fd.comm.barrier(self.rank)
+        yield from self.fd.comm.barrier(self.rank)
         prof.lap("other", t0)
         return data
 
@@ -203,10 +193,7 @@ class MPIFileHandle:
         flush_wait = self.fd.driver.flush(self.fd, self.rank)
         if flush_wait is not None:
             yield from flush_wait
-        if self.fd.comm.flat_events:
-            yield self.fd.comm.barrier_event(self.rank)
-        else:
-            yield from self.fd.comm.barrier(self.rank)
+        yield from self.fd.comm.barrier(self.rank)
         prof.lap("not_hidden_sync" if self.fd.hints.cache_enabled else "other", t0)
 
     def close(self):
@@ -228,10 +215,7 @@ class MPIFileHandle:
         if self.rank == 0:
             client = self.layer.machine.pfs_client(0)
             yield from client.close(self.fd.pfs_file)
-        if self.fd.comm.flat_events:
-            yield self.fd.comm.barrier_event(self.rank)
-        else:
-            yield from self.fd.comm.barrier(self.rank)
+        yield from self.fd.comm.barrier(self.rank)
         phase = "not_hidden_sync" if self.fd.hints.cache_enabled else "close"
         prof.lap(phase, t0)
         self.closed = True

@@ -20,23 +20,20 @@ the overwhelmingly common single-waiter case.  An opt-in
 counts events, heap pressure, and kick-pool reuse without costing anything
 when absent.
 
-Two engines implement the same contract (selected by ``REPRO_ENGINE``
-through :func:`create_simulator`):
+Two engines implement the same contract:
 
-* :class:`Simulator` (``heapq``) — the historical binary-heap event list
-  with generator processes everywhere.  Kept as the reference: the A/B
-  harness in ``benchmarks/bench_engine.py`` asserts the slotted engine
-  reproduces its results to the byte.
-* :class:`SlottedSimulator` (``slotted``, the default) — exact-timestamp
-  buckets over a heap of the *distinct* future instants, with an O(1)
-  same-instant fast lane (most bulk-dataplane events are zero-delay),
-  pooled/recycled ``Timeout``/``Deadline``/``Event`` objects, and
-  ``sim.flat = True``, which switches the hottest process bodies
-  (collective releases, device I/O, the sync-thread flush chain) to
-  flattened state-machine callbacks that bypass generator resume.  The
-  firing order is provably identical to the heap's ``(time, seq)`` order:
-  the lane is FIFO over events due *now*, and advancing the clock moves one
-  exact-timestamp bucket (FIFO in scheduling order) onto the lane.
+* :class:`SlottedSimulator` — what every production
+  :class:`~repro.machine.Machine` (and :func:`create_simulator`) builds:
+  exact-timestamp buckets over a heap of the *distinct* future instants,
+  with an O(1) same-instant fast lane (most production events are
+  zero-delay) and pooled/recycled ``Timeout``/``Deadline``/``Event``
+  objects.  The firing order is provably identical to the heap's
+  ``(time, seq)`` order: the lane is FIFO over events due *now*, and
+  advancing the clock moves one exact-timestamp bucket (FIFO in scheduling
+  order) onto the lane.
+* :class:`Simulator` — the historical binary-heap event list.  Kept as
+  the engine of the reference stack (``Machine(reference=True)``), against
+  which tier-1 asserts the production stack to the byte.
 
 See docs/PERFORMANCE.md ("The slotted scheduler") for the design and the
 equality argument.
@@ -44,7 +41,6 @@ equality argument.
 
 from __future__ import annotations
 
-import os
 import sys
 from collections import deque
 from heapq import heappop, heappush
@@ -189,8 +185,9 @@ class Event:
     def _fire_inline(self, value: Any = None, ok: bool = True) -> None:
         """Fire this event synchronously, inside the current callback.
 
-        Flattened state machines (``sim.flat``) use this to resume their
-        waiters at *exactly* the lane position where the generator version
+        Flattened state machines (the production stack's callback chains)
+        use this to resume their waiters at *exactly* the lane position
+        where the generator version
         would have resumed them — i.e. within the callback of the chain's
         final real event, not one zero-delay hop later.  The event never
         enters the event list (it does not count toward ``events_fired``),
@@ -503,9 +500,9 @@ class Simulator:
     """The event loop.  One instance per simulated cluster run.
 
     This is the ``heapq`` engine: a binary heap of ``(time, seq, event)``
-    tuples.  :class:`SlottedSimulator` subclasses it with a bucketed event
-    list and object pooling; :func:`create_simulator` picks between
-    them (``REPRO_ENGINE``).
+    tuples, the reference stack's.  :class:`SlottedSimulator` subclasses it
+    with a bucketed event list and object pooling, and is what
+    :func:`create_simulator` builds.
     """
 
     __slots__ = (
@@ -519,13 +516,8 @@ class Simulator:
         "process_registry",
     )
 
-    #: Engine name as selected by ``REPRO_ENGINE`` / :func:`create_simulator`.
+    #: Engine name, for reports.
     kind = "heapq"
-    #: True when flattened (callback state machine) fast paths should be
-    #: used instead of the equivalent generator processes.  The heapq engine
-    #: keeps the generator paths so an A/B run compares the full legacy
-    #: configuration against the full slotted one.
-    flat = False
 
     # Kicks recycled beyond this depth are simply dropped; the pool only has
     # to absorb the steady-state resume churn, not a worst-case burst.
@@ -684,15 +676,15 @@ class Simulator:
 
 
 class SlottedSimulator(Simulator):
-    """The slotted, allocation-free engine (``REPRO_ENGINE=slotted``).
+    """The slotted, allocation-free engine (the production one).
 
     Three structural changes against the heap engine, none of which alter
-    the firing order (the A/B harness in ``benchmarks/bench_engine.py``
-    enforces byte-identical results):
+    the firing order (``tests/sim/test_engine.py`` and the two-stack golden
+    digests enforce byte-identical results):
 
     * **Same-instant fast lane.**  Events due at the current instant go on
       a FIFO deque; scheduling and firing one is O(1) with no comparisons.
-      Most events in a bulk-dataplane run are zero-delay (grants, kicks,
+      Most events in a production run are zero-delay (grants, kicks,
       collective releases), so this lane carries the bulk of the traffic.
     * **Bucketed time spine.**  Future events land in an exact-timestamp
       FIFO bucket (``dict``); only *distinct* timestamps enter the spine, a
@@ -707,10 +699,6 @@ class SlottedSimulator(Simulator):
       references them (``sys.getrefcount == 2`` at the recycle point), the
       way ``_Kick`` always was.  ``sim.timeout()`` then costs a pop and a
       re-arm instead of an allocation.
-
-    The class also sets ``flat = True``: call sites with flattened
-    state-machine fast paths (collective releases, device I/O, the
-    sync-thread flush chain) switch off their generator bodies.
     """
 
     __slots__ = (
@@ -726,7 +714,6 @@ class SlottedSimulator(Simulator):
     )
 
     kind = "slotted"
-    flat = True
 
     # Each pool is bounded so a teardown burst cannot pin a run's worth of
     # events; steady-state churn fits comfortably.
@@ -1071,31 +1058,6 @@ class SlottedSimulator(Simulator):
         return len(self._lane) + sum(len(b) for b in self._buckets.values())
 
 
-#: Engine registry: ``REPRO_ENGINE`` / :func:`create_simulator` names.
-ENGINE_KINDS: dict[str, type[Simulator]] = {
-    "slotted": SlottedSimulator,
-    "heapq": Simulator,
-}
-
-
-def default_engine_kind() -> str:
-    """Engine selected by ``REPRO_ENGINE`` (default: ``slotted``)."""
-    kind = os.environ.get("REPRO_ENGINE", "slotted")
-    if kind not in ENGINE_KINDS:
-        raise SimError(
-            f"unknown engine {kind!r} in REPRO_ENGINE "
-            f"(expected one of {sorted(ENGINE_KINDS)})"
-        )
-    return kind
-
-
-def create_simulator(kind: Optional[str] = None) -> Simulator:
-    """Build the selected event-loop engine (argument beats environment)."""
-    kind = kind if kind is not None else default_engine_kind()
-    try:
-        cls = ENGINE_KINDS[kind]
-    except KeyError:
-        raise SimError(
-            f"unknown engine {kind!r} (expected one of {sorted(ENGINE_KINDS)})"
-        ) from None
-    return cls()
+def create_simulator() -> SlottedSimulator:
+    """The production event-loop engine."""
+    return SlottedSimulator()

@@ -5,9 +5,33 @@ from __future__ import annotations
 import pytest
 
 from repro.config import small_testbed
+from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.romio.file import MPIIOLayer
+from repro.sim.core import Simulator, SlottedSimulator
+
+#: Both event-loop engines by name, for tests that build one directly (the
+#: reference stack's heapq engine and production's slotted one).
+ENGINES = {"heapq": Simulator, "slotted": SlottedSimulator}
+
+
+def quiet_faults(config) -> FaultSchedule:
+    """A schedule whose windows never open, aimed at every node's cache
+    device and every data server: the injector scopes all of them onto their
+    chunked bodies (``fast_path = False``) and keeps every rank a process
+    that walks round by round, so a *production* machine under it is the
+    path every faulted run takes — and must equal the fault-free one."""
+    far = {"start": 1e9, "duration": 1.0}
+    return FaultSchedule(
+        faults=(
+            *(FaultSpec("ssd_io_error", target=n, **far) for n in range(config.num_nodes)),
+            *(
+                FaultSpec("server_stall", target=s, **far)
+                for s in range(config.pfs.num_data_servers)
+            ),
+        )
+    )
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ an ``aggregator_crash`` addressed by ``job_index`` (nth job to register
 ranks) or ``job`` (label) tears down exactly that job; the fleet's restart
 policy re-queues it pinned to its original nodes, where the replay path
 rewrites its journaled extents; and the per-job recovery SLOs hold.  The
-determinism class extends the engine/dataplane/fabric differential matrix
-of ``test_fleet.py`` to a fleet that crashes and restarts mid-run.
+determinism class extends the two-stack differential of ``test_fleet.py``
+to a fleet that crashes and restarts mid-run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import FaultSchedule, FaultSpec
-from repro.fleet import FleetSpec, run_fleet, run_fleet_chaos
+from repro.fleet import FleetSpec, resolve_fleet_config, run_fleet, run_fleet_chaos
+from tests.conftest import quiet_faults
 
 QUICK = 0.03125  # the CI quick scale used across the benchmark grids
 
@@ -128,7 +129,7 @@ class TestCrashRestartReplay:
 
 class TestCrashDeterminism:
     """One 64-job fleet with two crash+restart jobs, byte-identical under
-    independently varied engine, dataplane and fabric kernel."""
+    the reference stack and with every component on its chunked body."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -141,19 +142,16 @@ class TestCrashDeterminism:
         assert any(r.bytes_replayed > 0 for r in crashed)
         return identity_json(result)
 
-    def test_heapq_engine_matches(self, reference, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heapq")
-        assert identity_json(run_fleet(AB, faults=AB_CRASHES)) == reference
+    def test_heapq_engine_matches(self, reference):
+        """The reference stack: heapq engine, naive fabric, chunked plane."""
+        assert identity_json(run_fleet(AB, faults=AB_CRASHES, reference=True)) == reference
 
     def test_chunked_dataplane_matches(self, reference):
-        assert (
-            identity_json(run_fleet(AB, faults=AB_CRASHES, dataplane="chunked"))
-            == reference
-        )
-
-    def test_incremental_fabric_matches(self, reference, monkeypatch):
-        monkeypatch.setenv("REPRO_FABRIC", "incremental")
-        assert identity_json(run_fleet(AB, faults=AB_CRASHES)) == reference
+        """The crashes plus windows that never open on every device and
+        server: the injector scopes all of them onto their chunked bodies."""
+        quiet = quiet_faults(resolve_fleet_config(AB))
+        scoped = replace(AB_CRASHES, faults=AB_CRASHES.faults + quiet.faults)
+        assert identity_json(run_fleet(AB, faults=scoped)) == reference
 
 
 class TestChaosCrashTrial:

@@ -1,9 +1,10 @@
-"""Fleet runs: end-to-end smoke, determinism across engines/dataplanes/pools,
+"""Fleet runs: end-to-end smoke, determinism across stacks and pools,
 row streaming, and the chaos integration smoke.
 
 The determinism tests extend the differential pattern of
 ``tests/sim/test_engine.py`` to the fleet layer: one seeded fleet executed
-under independently varied engine, dataplane and pool width must produce a
+on the production stack, on the reference stack, with every component
+scoped onto its chunked body and under a worker pool must produce a
 byte-identical :meth:`~repro.fleet.runner.FleetResult.identity`.
 """
 
@@ -25,6 +26,7 @@ from repro.fleet import (
     run_fleet,
     run_fleet_chaos,
 )
+from tests.conftest import quiet_faults
 
 QUICK = 0.03125  # the CI quick scale used across the benchmark grids
 
@@ -78,14 +80,17 @@ class TestFleetDeterminism:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return identity_json(run_fleet(AB))  # slotted engine, bulk dataplane
+        return identity_json(run_fleet(AB))  # the production stack
 
-    def test_heapq_engine_matches(self, reference, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heapq")
-        assert identity_json(run_fleet(AB)) == reference
+    def test_heapq_engine_matches(self, reference):
+        """The reference stack: heapq engine, naive fabric, chunked plane."""
+        assert identity_json(run_fleet(AB, reference=True)) == reference
 
     def test_chunked_dataplane_matches(self, reference):
-        assert identity_json(run_fleet(AB, dataplane="chunked")) == reference
+        """Production with every device and server scoped onto its chunked
+        body by a fault schedule that never fires."""
+        quiet = quiet_faults(resolve_fleet_config(AB))
+        assert identity_json(run_fleet(AB, faults=quiet)) == reference
 
     def test_pool_matches_serial(self, reference):
         runner = SweepRunner(

@@ -18,7 +18,8 @@ from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.hw.devices import SSDDevice
 from repro.hw.node import PageCache
 from repro.machine import Machine
-from repro.sim.core import ENGINE_KINDS, Interrupt, create_simulator
+from repro.sim.core import Interrupt
+from tests.conftest import ENGINES
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -75,7 +76,7 @@ def observe(sim, cache, log):
 
 def play(cache_cls, writers, engine, fast_path, dirty_limit, chunk, interrupt=None):
     """``writers``: ``(start gap, file, nbytes, fsync afterwards)`` each."""
-    sim = create_simulator(engine)
+    sim = ENGINES[engine]()
     # 1 MiB/s device behind a 1 GiB/s memcpy: writeback is the slow side.
     ssd = SSDDevice(sim, "ssd", write_bw=MiB, read_bw=MiB, latency=1e-4, capacity_bytes=1 << 40)
     ssd.fast_path = fast_path
@@ -116,7 +117,6 @@ def both(writers, **kw):
     return got, want
 
 
-ENGINES = sorted(ENGINE_KINDS)
 WRITERS = st.lists(
     st.tuples(
         st.sampled_from([0.0, 0.0, 1e-5, 4e-3, 0.05]),  # a 4 KiB step takes 4 ms
@@ -134,7 +134,7 @@ WRITERS = st.lists(
     writers=WRITERS,
     dirty_limit=st.sampled_from([2 * KiB, 8 * KiB, 32 * KiB, 1024 * KiB]),
     chunk=st.sampled_from([1 * KiB, 4 * KiB, 64 * KiB]),
-    engine=st.sampled_from(ENGINES),
+    engine=st.sampled_from(sorted(ENGINES)),
     fast_path=st.booleans(),
 )
 def test_random_writers_match_the_wake_everyone_cache(
@@ -143,7 +143,7 @@ def test_random_writers_match_the_wake_everyone_cache(
     both(writers, engine=engine, fast_path=fast_path, dirty_limit=dirty_limit, chunk=chunk)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "grant-events"])
 class TestNamedCases:
     def test_throttled_burst_fires_fewer_events(self, engine, fast_path):
@@ -180,14 +180,14 @@ class TestNamedCases:
         assert done[2, "write"] < done[2, "fsync"]
 
 
-def gc_pressure_run(cache_cls):
+def gc_pressure_run(cache_cls, reference):
     """A real injector stretching node 0's writeback threefold."""
     schedule = FaultSchedule(
         faults=(FaultSpec("ssd_gc_pressure", target=0, start=0.0, duration=50.0, factor=3.0),)
     )
     cfg = small_testbed()
     cfg = cfg.scaled(ram=replace(cfg.ram, capacity=64 * MiB))  # dirty limit 12.8 MiB
-    machine = Machine(cfg, faults=schedule)
+    machine = Machine(cfg, faults=schedule, reference=reference)
     sim, node = machine.sim, machine.nodes[0]
     old = node.page_cache
     node.page_cache = cache = cache_cls(
@@ -208,12 +208,12 @@ def gc_pressure_run(cache_cls):
     return log, done, ssd.busy_time, ssd.injected_stall_time, machine.faults.injected, sim.now
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_gc_pressure_stretches_flat_writeback_by_what_the_generator_charged(
-    engine, monkeypatch
+    engine,
 ):
-    monkeypatch.setenv("REPRO_ENGINE", engine)
-    got, want = gc_pressure_run(PageCache), gc_pressure_run(HerdPageCache)
+    reference = engine == "heapq"
+    got, want = gc_pressure_run(PageCache, reference), gc_pressure_run(HerdPageCache, reference)
     assert got == want
     log, _, busy, stall, injected, _ = got
     assert injected == len(log) > 0  # every writeback step was inside the window

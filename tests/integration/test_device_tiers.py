@@ -5,7 +5,7 @@ Three properties anchor the tier design:
 1. **Stream identity** — ``REPRO_SSD`` unset, ``=stream``, and an explicit
    ``ssd_kind="stream"`` all produce byte-identical results: the FTL tier
    is strictly opt-in.
-2. **Engine/dataplane invariance under ftl** — the byte-identity contract
+2. **Stack invariance under ftl** — the byte-identity contract
    (only diagnostic event counts may differ) extends to the new device
    models: the FTL runs synchronously inside ``service_time`` and the WAL
    uses the same generator/flat dual paths as the extent backend.
@@ -26,19 +26,15 @@ from tests.integration.test_end_to_end import CACHE, expected_image, run_workloa
 TINY = dict(scale=0.02, num_files=2, flush_batch_chunks=16)
 
 
-def result_dict(monkeypatch, ssd=None, cache_kind=None, engine=None, dataplane=None):
-    for var, value in (
-        ("REPRO_SSD", ssd),
-        ("REPRO_CACHE_KIND", cache_kind),
-        ("REPRO_ENGINE", engine),
-        ("REPRO_DATAPLANE", dataplane),
-    ):
+def result_dict(monkeypatch, ssd=None, cache_kind=None, reference=False):
+    for var, value in (("REPRO_SSD", ssd), ("REPRO_CACHE_KIND", cache_kind)):
         if value is None:
             monkeypatch.delenv(var, raising=False)
         else:
             monkeypatch.setenv(var, value)
     monkeypatch.setenv("REPRO_CACHE", "0")  # measure, never memoise
-    return run_experiment(ExperimentSpec("ior", cache_mode="enabled", **TINY)).to_dict()
+    spec = ExperimentSpec("ior", cache_mode="enabled", **TINY)
+    return run_experiment(spec, reference=reference).to_dict()
 
 
 class TestStreamIdentity:
@@ -55,26 +51,17 @@ class TestStreamIdentity:
 
 class TestFtlInvariance:
     def test_engines_and_dataplanes_agree_under_ftl(self, monkeypatch):
-        runs = {
-            (engine, plane): result_dict(
-                monkeypatch, ssd="ftl", engine=engine, dataplane=plane
-            )
-            for engine in ("slotted", "heapq")
-            for plane in ("bulk", "chunked")
-        }
-        events = {k: r.pop("events") for k, r in runs.items()}
-        baseline = runs["slotted", "bulk"]
-        for key, r in runs.items():
-            assert r == baseline, f"{key} diverged from (slotted, bulk)"
-        # bulk strictly reduces the event count on both engines
-        assert events["slotted", "bulk"] < events["slotted", "chunked"]
-        assert events["heapq", "bulk"] < events["heapq", "chunked"]
+        production = result_dict(monkeypatch, ssd="ftl")
+        reference = result_dict(monkeypatch, ssd="ftl", reference=True)
+        # the production stack strictly reduces the event count
+        assert production.pop("events") < reference.pop("events")
+        assert production == reference
 
     def test_nvmm_cache_agrees_across_dataplanes(self, monkeypatch):
-        bulk = result_dict(monkeypatch, cache_kind="nvmm", dataplane="bulk")
-        chunked = result_dict(monkeypatch, cache_kind="nvmm", dataplane="chunked")
-        bulk.pop("events"), chunked.pop("events")
-        assert bulk == chunked
+        production = result_dict(monkeypatch, cache_kind="nvmm")
+        reference = result_dict(monkeypatch, cache_kind="nvmm", reference=True)
+        production.pop("events"), reference.pop("events")
+        assert production == reference
 
 
 class TestNvmmTransparency:

@@ -1,10 +1,10 @@
 """Golden digests: host-side rewrites must not move a single result field.
 
 Each point pins the SHA-256 of its public result (every field except the
-kernel event count, which legitimately differs between data planes) and,
-on the default bulk data plane, the exact event count.  The values were
-recorded at the commit *before* the access-table rewrite (PR 14); a change
-that is meant to be host-only — a new kernel, a memo, a different loop
+kernel event count, which legitimately differs between the stacks) and the
+exact event count of each stack.  The values were recorded at the commit
+*before* the access-table rewrite (PR 14); a change that is meant to be
+host-only — a new kernel, a memo, a different loop
 order — must reproduce them bit for bit.  A change that is meant to move
 simulated results re-records them and says so.  Two event counts (not
 digests) were re-recorded when ``PFSClient.write`` became one callback
@@ -23,7 +23,16 @@ machine, which forms no class: still 2808).
 
 First instalment of ROADMAP item 1a's golden digests (grid + fleet + fault
 point); the sizes are the ``noncontig_grid4`` / ``faults_payload24`` ones
-of ``benchmarks/e2e``.
+of ``benchmarks/e2e``, plus (PR 22) three points of its heaviest workload,
+``ior_grid6``.
+
+**Two stacks** (PR 22).  Every case runs twice: on the production stack and
+on the reference stack (``reference=True``: heapq engine, naive fabric,
+every grant, release and chunk an event, per-rank collective release,
+generator sync threads, one process per rank).  The digest is everybody's;
+the event count is recorded per stack — ``(production, reference)`` — and
+the production one is what every row above is about.  This is the
+differential that used to be four CI legs of the whole suite.
 """
 
 import hashlib
@@ -44,14 +53,7 @@ pytestmark = pytest.mark.skipif(
     reason="golden digests are recorded on the default device tier",
 )
 
-# The chunked data plane fires more events for the same results, and so
-# does the heapq engine, which runs every rank as a process of its own: the
-# counts are the default engine's on the bulk plane (every fabric allocator
-# fires exactly these), the digests everybody's.
-COUNTED = (
-    os.environ.get("REPRO_DATAPLANE", "bulk") == "bulk"
-    and os.environ.get("REPRO_ENGINE", "slotted") == "slotted"
-)
+STACKS = (False, True)  # reference=
 
 
 def digest(fields: dict) -> str:
@@ -62,21 +64,21 @@ def digest(fields: dict) -> str:
 
 
 GRID = {
-    # (benchmark, cache mode, scale): (events, digest)
+    # (benchmark, cache mode, scale): ((production, reference) events, digest)
     ("coll_perf", "disabled", 0.03125): (
-        3337,
+        (3337, 11935),
         "1699b6529e27d2dd781f3ba61653bf11a29b3b8d0651fadfe5685e59dd354cff",
     ),
     ("coll_perf", "enabled", 0.03125): (
-        5769,
+        (5769, 14588),
         "7deeddef1c491237652183bd7ce805e71ba84284b8205f500d63b40607b44d07",
     ),
     ("coll_perf", "theoretical", 0.03125): (
-        1496,
+        (1496, 9417),
         "025f3f11af8d80e1a29007d5387b0f32344b14f39012ae2e7ae8415c2a08a8ba",
     ),
     ("flash_io", "enabled", 0.0125): (
-        4772,
+        (4772, 107254),
         "9e69c71f23e281a152a3bf146a17ee764bc490e93829bba3ca6e9b3369ba75fe",
     ),
 }
@@ -94,36 +96,77 @@ def test_grid_point(point):
         scale=scale,
         seed=2016,
     )
-    result = run_experiment(spec)
-    events, expected = GRID[point]
-    assert digest(result.to_dict()) == expected
-    if COUNTED:
+    for reference, events in zip(STACKS, GRID[point][0]):
+        result = run_experiment(spec, reference=reference)
+        assert digest(result.to_dict()) == GRID[point][1]
         assert result.events == events
 
 
-# (events, digest of FleetResult.identity())
-FLEET = (4848, "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
+IOR_GRID6 = {
+    # (aggregators, cache mode) of ``ior_grid6``: 16 MiB buffers, scale
+    # 0.125, 3 files, seed 2016: ((production, reference) events, digest)
+    (8, "enabled"): (
+        (31219, 145527),
+        "7e9b43acb8deb4d10000c95d7f6bc5b58a362c8ca820817792c685c997fb1ecd",
+    ),
+    (64, "enabled"): (
+        (33135, 60396),
+        "1a1a08d73660f715cc5232a43198d9e5f16cd3c198c2f1fa21195ee156c85366",
+    ),
+    (64, "disabled"): (
+        (19464, 46617),
+        "340fc0f1aa4723afb729805fa5844b7b3806cc23424ef4f43560d9af1663dd2d",
+    ),
+    # the other three: the stacks must agree, nothing is pinned
+    (8, "disabled"): None,
+    (8, "theoretical"): None,
+    (64, "theoretical"): None,
+}
+
+
+@pytest.mark.parametrize("point", sorted(IOR_GRID6), ids=lambda p: f"agg{p[0]}-{p[1]}")
+def test_ior_grid6_point(point):
+    aggregators, mode = point
+    spec = ExperimentSpec(
+        "ior",
+        aggregators=aggregators,
+        cb_buffer=16 * MiB,
+        cache_mode=mode,
+        num_files=3,
+        scale=0.125,
+        seed=2016,
+    )
+    production, reference = (run_experiment(spec, reference=r).to_dict() for r in STACKS)
+    events = production.pop("events"), reference.pop("events")
+    assert production == reference
+    assert events[0] < events[1]
+    if IOR_GRID6[point] is not None:
+        assert events == IOR_GRID6[point][0]
+        assert digest(production) == IOR_GRID6[point][1]
+
+
+# ((production, reference) events, digest of FleetResult.identity())
+FLEET = ((4848, 8709), "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
 
 
 def test_fleet_of_eight():
-    result = run_fleet(FleetSpec(fleet_size=8, scale=0.03125, seed=2016))
-    events, expected = FLEET
-    assert digest(result.identity()) == expected
-    if COUNTED:
+    for reference, events in zip(STACKS, FLEET[0]):
+        result = run_fleet(FleetSpec(fleet_size=8, scale=0.03125, seed=2016), reference=reference)
+        assert digest(result.identity()) == FLEET[1]
         assert result.events == events
+        assert result.stack == ("reference" if reference else "production")
 
 
 # flash_io / agg_crash at scale 0.5
-FAULT = (2808, "9208a6cfc7dfca486cdf40635995a601362f3a894746bd4335d5fe953fa03943")
+FAULT = ((2808, 4849), "9208a6cfc7dfca486cdf40635995a601362f3a894746bd4335d5fe953fa03943")
 
 
 def test_flash_io_agg_crash():
     (spec,) = fault_matrix_specs(
         benchmarks=("flash_io",), scenarios=("agg_crash",), scale=0.5, seed=2016
     )
-    result = run_fault_experiment(spec)
-    assert result.crashed and result.recovered and result.integrity_ok
-    events, expected = FAULT
-    assert digest(result.to_dict()) == expected
-    if COUNTED:
+    for reference, events in zip(STACKS, FAULT[0]):
+        result = run_fault_experiment(spec, reference=reference)
+        assert result.crashed and result.recovered and result.integrity_ok
+        assert digest(result.to_dict()) == FAULT[1]
         assert result.events == events

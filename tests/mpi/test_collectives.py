@@ -123,7 +123,7 @@ class TestSynchronisation:
 
         def body(ctx):
             t0 = ctx.now
-            yield from ctx.comm.timed(ctx.rank, 0.25, "phase")
+            yield ctx.comm.timed(ctx.rank, 0.25, "phase")
             return ctx.now - t0
 
         durations = world.run(body)
@@ -237,7 +237,7 @@ STARTING = {
 
 
 def ladder_model():
-    sim = create_simulator("slotted")
+    sim = create_simulator()
     costs = CollectiveCosts(alpha=1e-6, beta_inv=1e-9, per_message=1e-7)
     return sim, ModelCollectives(sim, NPROCS, costs, shared_release=True)
 
@@ -246,13 +246,13 @@ def walk(sim, model, rank, prof, tail, think=0.0):
     """The round-by-round walk the ladder stands in for, laps and all."""
     for label, duration, phase in STEPS:
         t0 = prof.mark()
-        yield model.timed_event(rank, duration, label)
+        yield model.timed(rank, duration, label)
         prof.lap(phase, t0)
         if think and phase == "comm":
             yield sim.timeout(think)  # an aggregator's assembly + write
     if tail:
         t0 = prof.mark()
-        yield model.enter_event(rank, "allreduce", 0, reduce_op=op_max, nbytes=4)
+        yield model.arrive(rank, "allreduce", 0, reduce_op=op_max, nbytes=4)
         prof.lap("post_write", t0)
     return sim.now
 
@@ -331,7 +331,7 @@ class TestTimedLadder:
 
     def test_out_of_step_member_is_refused_not_rebased(self):
         sim, model = ladder_model()
-        model.timed_event(3, 0.1, "a2a")  # rank 3 took the first slot live
+        model.timed(3, 0.1, "a2a")  # rank 3 took the first slot live
         with pytest.raises(SimError, match=r"call 7: rank 3 is at slot 1, .* slot 0"):
             model.timed_ladder(7, [2, 3], [{}, {}], STEPS, 4)
 
@@ -343,7 +343,7 @@ class TestTimedLadder:
 
     def test_timed_slots_release_no_results_dict(self):
         sim, model = ladder_model()
-        released = [model.timed_event(r, 0.25, "t") for r in range(NPROCS)]
+        released = [model.timed(r, 0.25, "t") for r in range(NPROCS)]
         sim.run()
         assert {id(ev) for ev in released} == {id(released[0])}
         assert released[0].fired and released[0].value is None
@@ -361,17 +361,17 @@ def program(sim, model, rank, prof, out):
     """Every entry point a follower arrives through, one after another;
     ``out`` gets the release instant of each and what it released with."""
     follows = rank not in LIVE
-    ev = model.enter_event(rank, "barrier")
+    ev = model.arrive(rank, "barrier")
     yield ev
     out.append((sim.now, sorted(ev.value)))  # a results entry for every rank
-    ev = model.enter_event(rank, "bcast", "v" if rank == 0 else None, root=0, nbytes=64)
+    ev = model.arrive(rank, "bcast", "v" if rank == 0 else None, root=0, nbytes=64)
     yield ev
     out.append((sim.now, sorted(ev.value.items())))
     total = yield from model.allreduce(rank, 1 if follows else 10 * (rank + 1))
     out.append((sim.now, total))
-    yield from model.timed(rank, 0.125, "gen")
+    yield from model.enter(rank, "timed:gen", 0.125)
     out.append(sim.now)
-    yield model.timed_event(rank, 0.25, "flat")
+    yield model.timed(rank, 0.25, "flat")
     out.append(sim.now)
     if follows:
         yield model.timed_ladder(
@@ -410,18 +410,18 @@ class TestRankClasses:
     def test_a_slot_waits_for_the_weight_of_all_ranks(self):
         sim, model = ladder_model()
         model.set_classes(CLASSES)
-        release = model.enter_event(2, "barrier")
-        model.enter_event(0, "barrier")
+        release = model.arrive(2, "barrier")
+        model.arrive(0, "barrier")
         assert len(model._slots[0].arrivals) == 5 and not release.triggered
-        model.enter_event(1, "barrier")
+        model.arrive(1, "barrier")
         assert release.triggered and not model._slots
 
     def test_mismatch_names_the_representative(self):
         sim, model = ladder_model()
         model.set_classes(CLASSES)
-        model.enter_event(0, "barrier")
+        model.arrive(0, "barrier")
         with pytest.raises(SimError, match=r"slot 0: rank 2 called 'allreduce' .* 'barrier'"):
-            model.enter_event(2, "allreduce", 0, reduce_op=op_max, nbytes=4)
+            model.arrive(2, "allreduce", 0, reduce_op=op_max, nbytes=4)
 
     def test_ladder_width_counts_members(self):
         sim, model = ladder_model()
@@ -455,7 +455,7 @@ class TestRankClasses:
         sim, model = ladder_model()
         for rank in range(NPROCS):
             if rank != 4:
-                model.enter_event(rank, "barrier")
+                model.arrive(rank, "barrier")
         with pytest.raises(SimError, match="cannot change with slot 0 in flight"):
             model.set_classes(CLASSES)
         model._slots.clear()  # as if rank 4 had left the communicator for good
@@ -468,7 +468,7 @@ class TestRankClasses:
         sim, model = ladder_model()
         model.set_classes(CLASSES)
         for rank in (0, 1, 2):
-            model.enter_event(rank, "barrier")
+            model.arrive(rank, "barrier")
         sim.run()
         assert model._slot_index == [1, 1, 1, 0, 0, 0]
         model.set_classes([(0, 3), (1, 4), (2, 5)])
@@ -476,13 +476,13 @@ class TestRankClasses:
         assert model.members == [(3,), (4,), (5,), (), (), ()]
 
     def test_classes_need_shared_release_and_the_model_engine(self):
-        sim = create_simulator("slotted")
+        sim = create_simulator()
         costs = CollectiveCosts(alpha=1e-6, beta_inv=1e-9, per_message=1e-7)
         model = ModelCollectives(sim, NPROCS, costs, shared_release=False)
         with pytest.raises(SimError, match=r"per-rank \(non-shared\) release is per rank"):
             model.set_classes(CLASSES)
         model.set_classes(SINGLES)
-        world = MPIWorld(Machine(small_testbed(), dataplane="bulk"), collective_mode="algorithmic")
+        world = MPIWorld(Machine(small_testbed()), collective_mode="algorithmic")
         with pytest.raises(SimError, match="rank classes need the model collectives"):
             world.comm.set_classes([(0, 1), (2, 3), (4, 5), (6, 7)])
 

@@ -25,7 +25,7 @@ class TestMPIWorld:
         assert ctxs[0].nprocs == 8
 
     def test_one_process_per_declared_class(self):
-        machine = Machine(small_testbed(4, 2), dataplane="bulk")  # shared releases
+        machine = Machine(small_testbed(4, 2))  # production: shared releases
         world = MPIWorld(machine)
 
         def body(ctx):

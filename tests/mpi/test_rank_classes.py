@@ -2,20 +2,21 @@
 
 A phased workload runs the ranks that only follow — neither rank 0 nor an
 aggregator — as *one* process where it is certain before the run that they
-would park on every collective write (slotted engine, bulk plane, no fault
-injector, ``romio_cb_write=enable``, model exchange, no wrapper, no
-payload); everywhere else every rank is a process of its own.  The two are
-the same code (a rank on its own is a class of one), selected by the gates
-that already exist, so the oracle for the class path is the same program on
-the heapq engine or the chunked plane: every rank's ``PhaseTiming`` list,
-every rank's phase seconds per file and open generation, the persisted
-intervals, the clock and the pinned-memory peak must agree; only the event
-count may differ.  Class membership must not depend on set order: CI runs
+would park on every collective write (production stack, no fault injector,
+``romio_cb_write=enable``, model exchange, no wrapper, no payload);
+everywhere else every rank is a process of its own.  The two are the same
+code (a rank on its own is a class of one), selected by the gates that
+already exist, so the oracle for the class path is the same program on the
+reference stack (``heapq``: the heapq engine and everything under it) or on
+a production machine whose every device and server a fault schedule that
+never fires has scoped onto its chunked body (``chunked``): every rank's
+``PhaseTiming`` list, every rank's phase seconds per file and open
+generation, the persisted intervals, the clock and the pinned-memory peak
+must agree; only the event count may differ.  Class membership must not depend on set order: CI runs
 this file once more under ``PYTHONHASHSEED=random``.
 """
 
 import contextlib
-import os
 from unittest import mock
 
 import numpy as np
@@ -36,10 +37,10 @@ from repro.workloads import base as workloads_base
 from repro.workloads.base import IOStep, Workload
 from repro.workloads.flashio import flashio_workload
 from repro.workloads.phases import multi_phase_body
+from tests.conftest import quiet_faults
 from tests.romio.test_park_once import (
     CACHE_HINTS,
     _NoDomains,
-    engine,
     hints,
     run_job,
     strided,
@@ -55,13 +56,20 @@ def run_program(kind, workload, info, **kwargs):
     return observed, classes
 
 
+def machine_config(nodes=4, ppn=2, placement=None, **_):
+    """The cluster ``run_job`` builds for these keyword arguments."""
+    return small_testbed(nodes if placement is None else max(placement) + 1, ppn)
+
+
 def assert_classes_equal_ranks(workload, info, processes, oracle="heapq", **kwargs):
-    """The class run (slotted, bulk) against every rank on its own."""
-    classed, classes = run_program("slotted", workload, info, **kwargs)
+    """The class run (production) against every rank on its own."""
+    classed, classes = run_program("production", workload, info, **kwargs)
     if oracle == "chunked":
-        alone, singles = run_program("slotted", workload, info, dataplane="chunked", **kwargs)
+        alone, singles = run_program(
+            "production", workload, info, faults=quiet_faults(machine_config(**kwargs)), **kwargs
+        )
     else:
-        alone, singles = run_program(oracle, workload, info, **kwargs)
+        alone, singles = run_program("reference", workload, info, **kwargs)
     assert singles == [(r,) for r in range(workload.nprocs)]
     assert len(classes) == processes
     assert len(classed["timings"]) == workload.nprocs
@@ -170,12 +178,15 @@ def test_flash_io_shaped_file(aggregators):
 
 
 @contextlib.contextmanager
-def spawned():
-    """How many processes each ``MPIWorld.spawn`` inside started."""
+def spawned(classes=True):
+    """How many processes each ``MPIWorld.spawn`` inside started (without
+    ``classes``: of bodies made to forget the classes they declare)."""
     counts = []
     spawn = MPIWorld.spawn
 
     def counting(world, body):
+        if not classes:
+            body.rank_classes = None
         procs = spawn(world, body)
         counts.append(len(procs))
         return procs
@@ -187,20 +198,21 @@ def spawned():
 @pytest.mark.parametrize("aggregators, processes", [(8, 9), (64, 65)])
 def test_a_grid_point_at_512_ranks(aggregators, processes):
     """``run_experiment``: aggregators + 1 processes for 512 ranks, and the
-    public result equal to the one-process-per-rank engine's but for the
-    event count, which drops by what the saved processes fired."""
+    public result equal to the one-process-per-rank stack's but for the
+    event count, which on the production stack drops by what the saved
+    processes fired."""
     spec = ExperimentSpec(
         "coll_perf", aggregators, 8 * MiB, "enabled", num_files=2, scale=0.001, seed=7
     )
     results = {}
-    bulk = mock.patch.dict(os.environ, {"REPRO_DATAPLANE": "bulk"})
-    for kind in ("slotted", "heapq"):
-        with engine(kind), bulk, spawned() as counts:
-            results[kind] = run_experiment(spec).to_dict()
-        assert counts == [processes if kind == "slotted" else 512]
-    saved = results["heapq"].pop("events") - results["slotted"].pop("events")
+    for kind in ("classes", "alone", "reference"):
+        with spawned(classes=kind == "classes") as counts:
+            results[kind] = run_experiment(spec, reference=kind == "reference").to_dict()
+        assert counts == [processes if kind == "classes" else 512]
+    saved = results["alone"].pop("events") - results["classes"].pop("events")
     assert saved == (512 - processes) * 3  # init, one compute timeout, completion
-    assert results["slotted"] == results["heapq"]
+    del results["reference"]["events"]
+    assert results["classes"] == results["alone"] == results["reference"]
 
 
 def test_a_class_run_flattens_no_table(monkeypatch):
@@ -208,8 +220,7 @@ def test_a_class_run_flattens_no_table(monkeypatch):
     neither the table nor any of its 512 views ever builds an array."""
     monkeypatch.setattr(workloads_base, "_DATALESS_MEMO", {})
     spec = ExperimentSpec("coll_perf", 8, 8 * MiB, "enabled", num_files=2, scale=0.001)
-    bulk = mock.patch.dict(os.environ, {"REPRO_DATAPLANE": "bulk"})
-    with engine("slotted"), bulk, spawned() as counts:
+    with spawned() as counts:
         run_experiment(spec)
     assert counts == [9]
     table = build_workload(spec, 512).steps[0].table()  # the recipe the run shared
@@ -221,8 +232,8 @@ def test_a_class_run_flattens_no_table(monkeypatch):
 
 GATES = {
     "flow_fidelity": {"exchange": "flow"},
-    "chunked_plane": {"dataplane": "chunked"},
-    "heapq_engine": {"kind": "heapq"},
+    "chunked_plane": {"faults": quiet_faults(small_testbed())},
+    "heapq_engine": {"kind": "reference"},
     "fault_machine_with_an_empty_schedule": {"faults": FaultSchedule((), sync_rpc_timeout=30.0)},
     "cb_write_automatic": {"info": hints(cb_nodes=2, romio_cb_write="automatic")},
     "mpiwrap_wrapper": {"wrap": "[/g/*]\ndefer_close = true\n"},
@@ -234,7 +245,7 @@ GATES = {
 def test_gate_keeps_every_rank_a_process(name):
     kwargs = dict(GATES[name])
     nprocs = kwargs.get("nodes", 4) * kwargs.get("ppn", 2)
-    kind = kwargs.pop("kind", "slotted")
+    kind = kwargs.pop("kind", "production")
     info = kwargs.pop("info", hints(cb_nodes=2))
     _, classes = run_program(kind, workload_of([strided(nprocs)], nprocs), info, **kwargs)
     assert classes == [(r,) for r in range(nprocs)]
@@ -248,7 +259,7 @@ def payload_workload(nprocs=8):
 
 
 def test_a_payload_workload_keeps_every_rank_a_process():
-    _, classes = run_program("slotted", payload_workload(), hints(cb_nodes=2))
+    _, classes = run_program("production", payload_workload(), hints(cb_nodes=2))
     assert len(classes) == 8
 
 
@@ -259,9 +270,8 @@ def test_a_payload_workload_keeps_every_rank_a_process():
 FOLLOWERS = [(0,), (1, 3, 5, 6, 7), (2,), (4,)]  # aggregators of cb_nodes=2: 0 and 4
 
 
-def slotted_bulk_cluster(nodes=4, ppn=2):
-    with engine("slotted"):
-        machine = Machine(small_testbed(nodes, ppn), dataplane="bulk")
+def production_cluster(nodes=4, ppn=2):
+    machine = Machine(small_testbed(nodes, ppn))
     world = MPIWorld(machine)
     return machine, world, MPIIOLayer(machine, world.comm, exchange_mode="model")
 
@@ -269,8 +279,8 @@ def slotted_bulk_cluster(nodes=4, ppn=2):
 def test_forced_classes_follow_like_declared_ones():
     """The partition the tests below force, on a program that only follows."""
     workload = workload_of([strided(8)], 8)
-    forced, classes = run_program("slotted", workload, hints(cb_nodes=2), classes=FOLLOWERS)
-    alone, _ = run_program("heapq", workload, hints(cb_nodes=2))
+    forced, classes = run_program("production", workload, hints(cb_nodes=2), classes=FOLLOWERS)
+    alone, _ = run_program("reference", workload, hints(cb_nodes=2))
     assert classes is FOLLOWERS and forced == alone
 
 
@@ -299,12 +309,12 @@ def test_a_class_is_refused_a_per_rank_path(name):
     kwargs, extra, message = REFUSED[name]
     kwargs = {"classes": FOLLOWERS, **kwargs}
     with pytest.raises(SimError, match=message):
-        run_program("slotted", workload_of([strided(8)], 8), hints(cb_nodes=2, **extra), **kwargs)
+        run_program("production", workload_of([strided(8)], 8), hints(cb_nodes=2, **extra), **kwargs)
 
 
 def test_a_class_is_refused_a_payload_carrying_access():
     with pytest.raises(SimError, match="rank 1 .*: a write_all access that is not a dataless"):
-        run_program("slotted", payload_workload(), hints(cb_nodes=2), classes=FOLLOWERS)
+        run_program("production", payload_workload(), hints(cb_nodes=2), classes=FOLLOWERS)
 
 
 @pytest.mark.parametrize(
@@ -319,7 +329,7 @@ def test_a_class_is_refused_a_payload_carrying_access():
     ids=["write_at", "write_strided", "read_all", "read_strided", "read_at"],
 )
 def test_a_class_is_refused_independent_io(operation, request):
-    machine, world, layer = slotted_bulk_cluster()
+    machine, world, layer = production_cluster()
     table = table_of(strided(8))
 
     def body(ctx):
@@ -335,7 +345,7 @@ def test_a_class_is_refused_independent_io(operation, request):
 
 
 def test_a_class_is_refused_recovery_replay():
-    machine, world, layer = slotted_bulk_cluster()
+    machine, world, layer = production_cluster()
     machine.recovery.has_orphans = lambda path: True  # a crashed job's journals
 
     def body(ctx):
@@ -347,8 +357,8 @@ def test_a_class_is_refused_recovery_replay():
 
 
 def test_a_class_is_refused_per_rank_release():
-    """The chunked plane releases every rank through an event of its own."""
-    world = MPIWorld(Machine(small_testbed(), dataplane="chunked"))
+    """The reference stack releases every rank through an event of its own."""
+    world = MPIWorld(Machine(small_testbed(), reference=True))
     with pytest.raises(SimError, match=r"per-rank \(non-shared\) release is per rank"):
         world.comm.set_classes(FOLLOWERS)
     world.comm.set_classes([(r,) for r in range(8)])  # every rank on its own: fine
@@ -357,7 +367,7 @@ def test_a_class_is_refused_per_rank_release():
 def test_a_second_program_with_another_partition_starts_level():
     """Members' slot indices do not advance with their representative's;
     the next spawn brings them level before it regroups the ranks."""
-    machine, world, layer = slotted_bulk_cluster()
+    machine, world, layer = production_cluster()
     workload = workload_of([strided(8)], 8)
     first = multi_phase_body(layer, workload, hints(cb_nodes=2), num_files=2, file_prefix="/g/a")
     world.run(first)
@@ -429,15 +439,15 @@ def test_random_programs(program):
         num_files=program["files"],
         deferred_close=program["cache"],
     )
-    classed, classes = run_program("slotted", program["workload"], info, **kwargs)
-    alone, _ = run_program("heapq", program["workload"], info, **kwargs)
+    classed, classes = run_program("production", program["workload"], info, **kwargs)
+    alone, _ = run_program("reference", program["workload"], info, **kwargs)
     assert classed == alone
     assert sorted(r for ranks in classes for r in ranks) == list(range(nprocs))
     assert [ranks[0] for ranks in classes] == sorted(ranks[0] for ranks in classes)
     # rank 0 and the aggregators on their own, one class for the rest if
     # they are two or more
     (class_of_many,) = [ranks for ranks in classes if len(ranks) > 1] or [()]
-    _, _, layer = slotted_bulk_cluster(program["nodes"], program["ppn"])
+    _, _, layer = production_cluster(program["nodes"], program["ppn"])
     leaders = {0, *layer.aggregators(Hints.from_info(info))}
     followers = tuple(r for r in range(nprocs) if r not in leaders)
     assert class_of_many == (followers if len(followers) > 1 else ())
@@ -445,7 +455,7 @@ def test_random_programs(program):
 
 def test_the_partition_is_in_rank_order_whatever_the_hash_seed():
     """Built from ranges and membership tests only: no set is iterated."""
-    _, _, layer = slotted_bulk_cluster(8, 4)
+    _, _, layer = production_cluster(8, 4)
     body = multi_phase_body(layer, workload_of([strided(32)], 32), hints(cb_nodes=4))
     followers = tuple(r for r in range(32) if r % 8)
     assert body.rank_classes() == [(0,), followers, (8,), (16,), (24,)]

@@ -1,19 +1,21 @@
-"""Differential tests for the array fair-share kernel (``REPRO_FABRIC=array``).
+"""Differential tests for the array fair-share kernel (:class:`Fabric`).
 
-:class:`~repro.net.fabric_array.ArrayFabric` must be *byte-identical* to
-both the incremental allocator and the naive full-recompute reference:
-same rates, same completion timestamps, same wake schedule, under
-arrivals, departures, bundle growth, mid-transfer capacity changes, and
-500-step randomized churn.  The converged-rate memoization must be a pure
-lookup — hits may never change a single float.
+:class:`~repro.net.fabric.Fabric` must be *byte-identical* to the naive
+full-recompute reference: same completion timestamps under arrivals,
+departures, bundle growth, mid-transfer capacity changes, and 500-step
+randomized churn, and on every component it fills exactly (``==``) the rates
+of the readable dict loop (:meth:`NaiveFabric._fill`).  The converged-rate
+memoization must be a pure lookup — hits may never change a single float.
+The wake schedule is pinned to what the Event-based incremental allocator
+this kernel replaced produced (PR 22 deleted it).
 """
 
 import random
 
 import pytest
 
+from repro.net import fabric as fabric_mod
 from repro.net.fabric import Fabric, NaiveFabric
-from repro.net.fabric_array import ArrayFabric
 from repro.sim.core import SlottedSimulator, Simulator
 
 from tests.net.test_fabric_incremental import BW, LAT, NODES, churn
@@ -25,33 +27,52 @@ from tests.net.test_fabric_incremental import BW, LAT, NODES, churn
     + [pytest.param(seed, True, id=f"{seed}-bundles") for seed in (1, 2, 3)],
 )
 def test_randomized_differential_three_way(seed, bundles):
-    """500-step churn: array vs incremental vs naive, bit-for-bit."""
-    arr_done, arr_rates, arr_end = churn(ArrayFabric, seed, bundles=bundles)
-    inc_done, inc_rates, inc_end = churn(Fabric, seed, bundles=bundles)
+    """500-step churn: array vs naive on the clock, and the array kernel vs
+    the dict loop on every component it fills, bit-for-bit."""
+    filled = []
+
+    class Checked(Fabric):
+        def _fill(self, flows):
+            flows = list(flows)
+            super()._fill(flows)
+            got = [flow.rate for flow in flows]
+            NaiveFabric._fill(self, flows)  # the oracle, on the same flow list
+            assert [flow.rate for flow in flows] == got
+            filled.append(len(flows))
+
+    arr_done, arr_rates, arr_end = churn(Checked, seed, bundles=bundles)
     ref_done, ref_rates, ref_end = churn(NaiveFabric, seed, bundles=bundles)
+    assert max(filled) > 2  # the kernel proper ran, not just its one-flow shortcut
     # Completion timestamps must match exactly (byte-identical clock).
-    assert arr_end == inc_end == ref_end
-    assert arr_done == inc_done == ref_done
-    # Sampled rate maps: array vs incremental are *exactly* equal (same
-    # component, same op order); vs naive only approx (different component
+    assert arr_end == ref_end
+    assert arr_done == ref_done
+    # Sampled rate maps vs naive: only approx (a different component
     # decomposition accumulates different-but-negligible float drift).
-    assert len(arr_rates) == len(inc_rates) == len(ref_rates)
-    for got, want in zip(arr_rates, inc_rates):
-        assert got == want
+    assert len(arr_rates) == len(ref_rates)
     for got, want in zip(arr_rates, ref_rates):
         assert got.keys() == want.keys()
         for fid in want:
             assert got[fid] == pytest.approx(want[fid], rel=1e-9, abs=1e-9)
 
 
+# What the Event-based incremental allocator did on this churn, recorded at
+# the commit before PR 22 deleted it: (end, wake_events, recomputes,
+# recompute_flows, recomputes_skipped, batched_starts, events fired).
+INCREMENTAL = {
+    7: (float.fromhex("0x1.9efaeffb77bf7p+7"), 146, 130, 5633, 16, 104, 309),
+    8: (float.fromhex("0x1.4132455419537p+7"), 158, 146, 5766, 12, 87, 321),
+}
+
+
 @pytest.mark.parametrize("seed", [7, 8])
 def test_wake_schedule_identical_to_incremental(seed):
-    """Same churn ⇒ same number of armed wakes and recompute structure."""
-    results = {}
-    for cls in (ArrayFabric, Fabric):
+    """Same churn ⇒ same number of armed wakes and recompute structure, and
+    the pooled flush/wake callables fire event for event what the flush and
+    wake Events did — on either engine."""
+    for sim_cls in (Simulator, SlottedSimulator):
         rng = random.Random(seed)
-        sim = Simulator()
-        fabric = cls(sim, num_nodes=NODES, nic_bw=BW, latency=LAT)
+        sim = sim_cls()
+        fabric = Fabric(sim, num_nodes=NODES, nic_bw=BW, latency=LAT)
         for _ in range(200):
             op = rng.random()
             if op < 0.6:
@@ -61,20 +82,20 @@ def test_wake_schedule_identical_to_incremental(seed):
             else:
                 sim.run(until=sim.now + rng.uniform(0.0, 2.0))
         sim.run()
-        results[cls.kind] = (
+        assert INCREMENTAL[seed] == (
             sim.now,
             fabric.wake_events,
             fabric.recomputes,
             fabric.recompute_flows,
             fabric.recomputes_skipped,
             fabric.batched_starts,
+            sim.events_fired,
         )
-    assert results["array"] == results["incremental"]
 
 
-def _drive_pair(scenario, ref_cls=Fabric, sim_cls=Simulator):
+def _drive_pair(scenario, ref_cls=NaiveFabric, sim_cls=Simulator):
     out = []
-    for cls in (ArrayFabric, ref_cls):
+    for cls in (Fabric, ref_cls):
         sim = sim_cls()
         fabric = cls(sim, num_nodes=6, nic_bw=BW, latency=LAT)
         out.append(scenario(sim, fabric))
@@ -98,8 +119,8 @@ def test_grow_flow_bundles_identical():
         assert not fabric.grow_flow(ev, 1000)  # inactive flow
         return times
 
-    arr, inc = _drive_pair(scenario)
-    assert arr == inc
+    arr, ref = _drive_pair(scenario)
+    assert arr == ref
 
 
 def test_zero_byte_flows_complete_after_latency():
@@ -110,8 +131,8 @@ def test_zero_byte_flows_complete_after_latency():
         sim.run()
         return times
 
-    arr, inc = _drive_pair(scenario)
-    assert arr == inc == {"zero": LAT}
+    arr, ref = _drive_pair(scenario)
+    assert arr == ref == {"zero": LAT}
 
 
 def test_mid_flight_bw_factor_identical():
@@ -127,10 +148,8 @@ def test_mid_flight_bw_factor_identical():
         sim.run()
         return times
 
-    arr, inc = _drive_pair(scenario)
-    assert arr == inc
-    arr_naive, ref = _drive_pair(scenario, ref_cls=NaiveFabric)
-    assert arr_naive == ref
+    arr, ref = _drive_pair(scenario)
+    assert arr == ref
 
 
 def test_array_on_slotted_engine_matches_heapq():
@@ -148,14 +167,14 @@ def test_array_on_slotted_engine_matches_heapq():
 
     slotted = _drive_pair(scenario, sim_cls=SlottedSimulator)
     heapq_ = _drive_pair(scenario, sim_cls=Simulator)
-    assert slotted[0] == slotted[1]  # array == incremental on slotted
+    assert slotted[0] == slotted[1]  # array == naive on slotted
     assert slotted[0] == heapq_[0]  # array: slotted == heapq
 
 
 def test_rate_cache_hits_on_repeated_shapes():
     """Repeated same-shape waves become cache hits; rates stay identical."""
     sim = Simulator()
-    fabric = ArrayFabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
+    fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     reference = None
     for _wave in range(5):
         for i in range(6):
@@ -176,7 +195,7 @@ def test_rate_cache_hits_on_repeated_shapes():
 def test_rate_cache_distinguishes_capacity_changes():
     """A capacity change must change the signature, never reuse stale rates."""
     sim = Simulator()
-    fabric = ArrayFabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
+    fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     fabric.start_flow(0, 1, 1000)
     fabric.start_flow(0, 1, 1000)
     first = fabric.flow_rates()
@@ -191,10 +210,8 @@ def test_rate_cache_distinguishes_capacity_changes():
 
 
 def test_rate_cache_bounded():
-    from repro.net import fabric_array
-
     sim = Simulator()
-    fabric = ArrayFabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
+    fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     for i in range(200):
         # A new capacity each wave forces a new signature.  Two flows per
         # wave: single-flow components bypass the signature cache entirely.
@@ -203,14 +220,14 @@ def test_rate_cache_bounded():
         fabric.start_flow(0, 1, 100)
         fabric.flow_rates()
         sim.run()
-    assert len(fabric._rate_cache) <= fabric_array._RATE_CACHE_MAX
+    assert len(fabric._rate_cache) <= fabric_mod._RATE_CACHE_MAX
     assert fabric.rate_cache_misses >= 200
 
 
 def test_single_flow_fast_path_bypasses_cache():
     """One-flow components solve in closed form without touching the cache."""
     sim = Simulator()
-    fabric = ArrayFabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
+    fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     for i in range(10):
         fabric.start_flow(0, 1 + i % 3, 500)
         rates = list(fabric.flow_rates().values())

@@ -1,19 +1,19 @@
 """Differential and regression tests for the incremental fabric allocator.
 
-The incremental allocator must be *byte-identical* to the naive
-full-recompute reference (``REPRO_FABRIC=naive``): same rates, same
-completion timestamps, under arrivals, departures, mid-transfer capacity
-changes, and randomized churn.  These tests drive both allocators through
-identical seeded schedules and compare.
+:class:`~repro.net.fabric.Fabric` (incremental recompute, array kernel)
+must be *byte-identical* to the naive full-recompute reference
+(:class:`~repro.net.fabric.NaiveFabric`, the reference stack's): same rates,
+same completion timestamps, under arrivals, departures, mid-transfer
+capacity changes, and randomized churn.  These tests drive both allocators
+through identical seeded schedules and compare.
 """
 
 import random
 
 import pytest
 
-from repro.net.fabric import FABRIC_KINDS, Fabric, NaiveFabric, create_fabric
-from repro.net.fabric_array import ArrayFabric
-from repro.sim.core import SimError, Simulator
+from repro.net.fabric import Fabric, NaiveFabric
+from repro.sim.core import Simulator
 
 BW = 1000.0
 LAT = 0.0005
@@ -222,19 +222,6 @@ def test_wake_events_far_fewer_under_batching():
     ref_sim.run()
     assert ref_sim.now == sim.now
     assert fabric.wake_events < ref.wake_events
-
-
-def test_create_fabric_kind_selection(monkeypatch):
-    sim = Simulator()
-    assert type(create_fabric(sim, 2, BW, LAT, kind="naive")) is NaiveFabric
-    assert type(create_fabric(sim, 2, BW, LAT, kind="incremental")) is Fabric
-    monkeypatch.setenv("REPRO_FABRIC", "naive")
-    assert type(create_fabric(sim, 2, BW, LAT)) is NaiveFabric
-    monkeypatch.delenv("REPRO_FABRIC")
-    assert type(create_fabric(sim, 2, BW, LAT)) is ArrayFabric
-    with pytest.raises(SimError):
-        create_fabric(sim, 2, BW, LAT, kind="bogus")
-    assert set(FABRIC_KINDS) == {"array", "incremental", "naive"}
 
 
 def test_flow_rates_flushes_pending_batch():

@@ -14,8 +14,7 @@ hits.
 import random
 from itertools import combinations
 
-from repro.net.fabric import Flow, Link
-from repro.net.fabric_array import ArrayFabric
+from repro.net.fabric import Fabric, Flow, Link
 from repro.sim.core import Simulator
 
 
@@ -45,7 +44,7 @@ class _Spy(dict):
 
 
 def new_key(flow_list):
-    fabric = ArrayFabric(Simulator(), num_nodes=2, nic_bw=1.0, latency=0.0)
+    fabric = Fabric(Simulator(), num_nodes=2, nic_bw=1.0, latency=0.0)
     fabric._rate_cache = spy = _Spy()
     fabric._fill(flow_list)
     return spy.sig

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.config import PFSConfig
 from repro.pfs.server import DataServer, WriteBackCache
-from repro.sim.core import ENGINE_KINDS, Event, Interrupt, create_simulator
+from repro.sim.core import Event, Interrupt
 from repro.sim.rng import RngStreams
+from tests.conftest import ENGINES
 
 KiB = 1024
 
@@ -83,7 +84,7 @@ class Rig:
         self, server_cls, engine="slotted", fast_path=True, limit=64 * KiB,
         drain_chunk=16 * KiB, workers=4, sigma=0.3,
     ):  # fmt: skip
-        self.sim = sim = create_simulator(engine)
+        self.sim = sim = ENGINES[engine]()
         cfg = PFSConfig(
             jitter_sigma=sigma, server_cache_bytes=limit, server_drain_chunk=drain_chunk
         )
@@ -157,7 +158,6 @@ def both(arrivals, **rig):
     return new, old
 
 
-ENGINES = sorted(ENGINE_KINDS)
 # An RPC's overhead is 0.35 ms, a burst's first 16 KiB drain step 6 ms (the
 # seek) and each sequential one 0.27 ms: the gaps put arrivals inside,
 # between and exactly on top of one another.
@@ -176,7 +176,7 @@ ARRIVALS = st.lists(
     limit=st.sampled_from([1, 8 * KiB, 24 * KiB, 64 * KiB, 512 * KiB]),
     drain_chunk=st.sampled_from([1 * KiB, 16 * KiB, 64 * KiB, 1024 * KiB]),
     workers=st.integers(1, 6),
-    engine=st.sampled_from(ENGINES),
+    engine=st.sampled_from(sorted(ENGINES)),
     fast_path=st.booleans(),
 )
 def test_random_streams_match_the_wake_everyone_cache(
@@ -194,7 +194,7 @@ def test_random_streams_match_the_wake_everyone_cache(
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "grant-events"])
 class TestNamedCases:
     def test_saturating_burst_fires_fewer_events(self, engine, fast_path):

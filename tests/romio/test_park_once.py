@@ -1,20 +1,21 @@
 """Park once == round by round.
 
-On the slotted engine the non-aggregator ranks run as one process (a rank
+On the production stack the non-aggregator ranks run as one process (a rank
 class, ``tests/mpi/test_rank_classes.py``) that crosses a collective write
 on one resume (``ext2ph._park``), and every other rank that takes no
-per-round action joins the timed ladder; the heapq engine keeps one process
-per rank and the round-by-round walk for every one of them.  The same job
-on both must agree on every lap and every timestamp: per-rank
-``PhaseTiming``s, per-rank profile dicts, the clock at each rank's calls
-(a class's members all stand where their representative does), and the
-bytes persisted.  Event counts differ by exactly the events of the
-processes the class saves: per member but the first, an init kick, a
-completion and one timeout per compute phase.
+per-round action joins the timed ladder; the reference stack
+(``Machine(reference=True)``: heapq engine, naive fabric, every chunk an
+event) keeps one process per rank and the round-by-round walk for every one
+of them.  The same job on both must agree on every lap and every timestamp:
+per-rank ``PhaseTiming``s, per-rank profile dicts, the clock at each rank's
+calls (a class's members all stand where their representative does), and
+the bytes persisted.  On the production stack itself, event counts differ
+from one process per rank by exactly the events of the processes the class
+saves: per member but the first, an init kick, a completion and one timeout
+per compute phase.
 """
 
 import contextlib
-import os
 from unittest import mock
 
 import numpy as np
@@ -49,12 +50,6 @@ CACHE_HINTS = {
     "e10_cache_flush_flag": "flush_immediate",
     "e10_cache_discard_flag": "enable",
 }
-
-
-def engine(kind):
-    """``Machine`` reads its engine from the environment; hypothesis forbids
-    the function-scoped ``monkeypatch`` fixture."""
-    return mock.patch.dict(os.environ, {"REPRO_ENGINE": kind})
 
 
 class _TracedStep(IOStep):
@@ -115,22 +110,21 @@ def run_job(
     classes=None,
     **machine_kwargs,
 ):
-    """Run ``workload`` on engine ``kind`` (bulk data plane unless told
-    otherwise, whatever the environment says); return everything that must
-    not depend on the engine or on how many processes stood for the ranks,
-    the run's profiler counters, and the events it fired for which classes.
+    """Run ``workload`` on stack ``kind`` (``"production"`` or
+    ``"reference"``); return everything that must not depend on the stack
+    or on how many processes stood for the ranks, the run's profiler
+    counters, and the events it fired for which classes.
 
     ``placement`` runs it as a fleet job on those nodes of a larger machine,
     ``wrap`` through an ``MPIWrap`` configured by that text, ``classes``
     under a partition no program would declare."""
-    machine_kwargs.setdefault("dataplane", "bulk")
-    with engine(kind):
-        profiler = SimProfiler()
-        machine = target = Machine(
-            small_testbed(nodes if placement is None else max(placement) + 1, ppn),
-            profiler=profiler,
-            **machine_kwargs,
-        )
+    profiler = SimProfiler()
+    machine = target = Machine(
+        small_testbed(nodes if placement is None else max(placement) + 1, ppn),
+        profiler=profiler,
+        reference={"production": False, "reference": True}[kind],
+        **machine_kwargs,
+    )
     if placement is not None:
         target = JobView(machine, 3, placement)
     world = MPIWorld(target)
@@ -187,20 +181,27 @@ def run_job(
 
 
 def assert_engines_agree(workload, hints, num_files=1, **kwargs):
-    """Run on both engines, compare, and return the slotted run's counters."""
-    slotted, counters, (events, classes) = run_job(
-        "slotted", workload, hints, num_files=num_files, **kwargs
+    """Run on both stacks (both engines), compare, and return the
+    production run's counters."""
+    production, counters, (events, classes) = run_job(
+        "production", workload, hints, num_files=num_files, **kwargs
     )
-    heapq, reference, (ref_events, singles) = run_job(
-        "heapq", workload, hints, num_files=num_files, **kwargs
+    reference, ref_counters, (_, singles) = run_job(
+        "reference", workload, hints, num_files=num_files, **kwargs
     )
     # the oracle: every rank a process of its own ...
     assert singles == [(r,) for r in range(workload.nprocs)]
-    assert "ext2ph.park_single" not in reference  # ... that walks every round
-    for what in slotted:
-        assert slotted[what] == heapq[what], what
-    # init kick + completion + one compute timeout between files, per process
-    assert ref_events - events == (len(singles) - len(classes)) * (2 + num_files - 1)
+    assert "ext2ph.park_single" not in ref_counters  # ... that walks every round
+    for what in production:
+        assert production[what] == reference[what], what
+    # What the classes save, counted on the production stack (the reference
+    # fires more events for other reasons too): init kick + completion + one
+    # compute timeout between files, per process.
+    alone, _, (alone_events, _) = run_job(
+        "production", workload, hints, num_files=num_files, classes=singles, **kwargs
+    )
+    assert alone == production
+    assert alone_events - events == (len(singles) - len(classes)) * (2 + num_files - 1)
     return counters
 
 
@@ -266,11 +267,11 @@ def test_case_agrees_on_both_engines(name):
 def test_automatic_stays_live_but_still_takes_the_ladder():
     """``romio_cb_write=automatic`` waits for the interleaving test, so no
     rank parks — the non-aggregators still join the ladder, one by one."""
-    slotted, _, (_, singles) = run_job(
-        "slotted", workload_of([strided(8)], 8), hints(cb_nodes=2, romio_cb_write="automatic")
+    live, _, (_, singles) = run_job(
+        "production", workload_of([strided(8)], 8), hints(cb_nodes=2, romio_cb_write="automatic")
     )
-    parked, _, (_, classes) = run_job("slotted", workload_of([strided(8)], 8), hints(cb_nodes=2))
-    assert slotted == parked
+    parked, _, (_, classes) = run_job("production", workload_of([strided(8)], 8), hints(cb_nodes=2))
+    assert live == parked
     assert (len(singles), len(classes)) == (8, 3)  # no class either, under ``automatic``
 
 
@@ -301,18 +302,14 @@ def test_flash_io_shaped_file(aggregators):
 @pytest.mark.parametrize(
     "machine_kwargs",
     [
-        {"dataplane": "chunked"},
-        {
-            "dataplane": "bulk",
-            "faults": FaultSchedule([FaultSpec("server_stall", start=1e9, duration=1.0)]),
-        },
+        {"reference": True},  # the chunked plane lives on in the reference stack
+        {"faults": FaultSchedule([FaultSpec("server_stall", start=1e9, duration=1.0)])},
     ],
     ids=["chunked_plane", "fault_injector"],
 )
 def test_machines_that_keep_the_round_by_round_path(machine_kwargs):
     profiler = SimProfiler()
-    with engine("slotted"):
-        machine = Machine(small_testbed(), profiler=profiler, **machine_kwargs)
+    machine = Machine(small_testbed(), profiler=profiler, **machine_kwargs)
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, exchange_mode="model")
     workload = workload_of([strided(8)], 8)

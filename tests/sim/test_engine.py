@@ -1,7 +1,7 @@
 """Scheduler edge cases: both engines, plus the slotted internals.
 
-The behavioural tests run against both registered engines (the slotted
-default and the ``heapq`` reference) — the identity contract says any
+The behavioural tests run against both engines (production's slotted one
+and the reference stack's ``heapq``) — the identity contract says any
 observable difference between them is a bug.  The differential tests run one
 seeded program on both and compare the full trace, including the schedules
 the slotted engine's time spine is most exposed to (far-future horizons,
@@ -13,37 +13,34 @@ import random
 import pytest
 
 from repro.sim.core import (
-    ENGINE_KINDS,
     Interrupt,
     SimError,
+    Simulator,
+    SlottedSimulator,
     create_simulator,
-    default_engine_kind,
 )
+from tests.conftest import ENGINES
 
 
-@pytest.fixture(params=sorted(ENGINE_KINDS))
+@pytest.fixture(params=sorted(ENGINES))
 def sim(request):
-    return create_simulator(request.param)
+    return ENGINES[request.param]()
 
 
 class TestEngineSelection:
     def test_registry_kinds(self):
-        assert set(ENGINE_KINDS) == {"heapq", "slotted"}
-        for kind, cls in ENGINE_KINDS.items():
-            assert create_simulator(kind).kind == kind
-            assert cls.kind == kind
+        """Each engine names its kind (``tools/profile_sweep.py`` reads it to
+        find the head of the event list)."""
+        assert ENGINES == {"heapq": Simulator, "slotted": SlottedSimulator}
+        for kind, cls in ENGINES.items():
+            assert cls.kind == cls().kind == kind
 
     def test_default_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine_kind() == "slotted"
+        """The default no longer comes from the environment: the factory
+        builds the production engine whatever ``REPRO_ENGINE`` says (what a
+        ``Machine`` does with the variable: tests/test_machine.py)."""
         monkeypatch.setenv("REPRO_ENGINE", "heapq")
-        assert default_engine_kind() == "heapq"
-        assert create_simulator().kind == "heapq"
-
-    def test_unknown_kind_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        with pytest.raises(SimError):
-            create_simulator()
+        assert type(create_simulator()) is SlottedSimulator
 
 
 class TestSameInstantOrdering:
@@ -180,7 +177,7 @@ class TestDifferentialEngines:
         on both engines; the full (time, tag) trace must match exactly."""
 
         def run(kind):
-            sim = create_simulator(kind)
+            sim = ENGINES[kind]()
             rng = random.Random(20160926)
             trace = []
             shared = {}
@@ -236,7 +233,7 @@ class TestDifferentialEngines:
         stopping between and exactly on pending instants."""
 
         def run(kind):
-            sim = create_simulator(kind)
+            sim = ENGINES[kind]()
             rng = random.Random(1705)
             trace = []
             seen = []  # instants already scheduled, to re-hit exactly
@@ -284,7 +281,7 @@ class TestDifferentialEngines:
     def test_spine_holds_each_distinct_instant_once(self):
         """Events sharing an instant share one bucket and one spine entry,
         however they were scheduled; popping an instant removes both."""
-        sim = create_simulator("slotted")
+        sim = SlottedSimulator()
         fired = []
         for i in range(5):
             sim.timeout(2.0).callbacks.append(lambda _ev, i=i: fired.append(("t", i)))
@@ -302,4 +299,4 @@ class TestDifferentialEngines:
 
     def test_step_on_an_empty_slotted_engine_raises_index_error(self):
         with pytest.raises(IndexError):
-            create_simulator("slotted").step()
+            SlottedSimulator().step()

@@ -1,11 +1,12 @@
-"""Bulk-transfer fast path: kind selection, scoped fault fallback, equivalence.
+"""Bulk-transfer fast path: stack selection, scoped fault fallback, equivalence.
 
-The bulk data plane must be invisible in every simulated quantity — only
-the diagnostic event count may change.  Under a fault schedule the
-fallback to the per-chunk reference path is *scoped*: only the components
-an injector is attached to (whose retry/requeue scaffolding faults
-actually exercise) take the chunked path; everything else keeps the fast
-path.
+The production stack's bulk data plane must be invisible in every simulated
+quantity — only the diagnostic event count may change against the reference
+stack (``Machine(reference=True)``), where every grant, release and chunk is
+its own event.  Under a fault schedule the fallback to the per-chunk path is
+*scoped*: only the components an injector is attached to (whose
+retry/requeue scaffolding faults actually exercise) take the chunked path;
+everything else keeps the fast path.
 """
 
 import pytest
@@ -13,51 +14,44 @@ import pytest
 from repro.cache.cachefile import CacheState
 from repro.cache.policy import CachePolicy
 from repro.config import small_testbed
-from repro.dataplane import DATAPLANE_KINDS, default_dataplane_kind
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.faults import FaultSchedule, FaultSpec
 from repro.faults.errors import SyncFailedError
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
+from repro.net.fabric import Fabric
+from repro.sim.core import SimError, SlottedSimulator
 from repro.units import KiB
 
 TINY = dict(scale=0.02, num_files=2, flush_batch_chunks=16)
 
 
 class TestKindSelection:
-    def test_kinds(self):
-        assert DATAPLANE_KINDS == ("bulk", "chunked")
-
-    def test_default_is_bulk(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DATAPLANE", raising=False)
-        assert default_dataplane_kind() == "bulk"
+    def test_default_is_bulk(self):
+        m = Machine(small_testbed())
+        assert not m.reference
+        assert type(m.sim) is SlottedSimulator and type(m.fabric) is Fabric
 
     def test_env_override(self, monkeypatch):
+        """The environment overrides nothing any more, and says so."""
         monkeypatch.setenv("REPRO_DATAPLANE", "chunked")
-        assert default_dataplane_kind() == "chunked"
+        with pytest.raises(SimError, match="REPRO_DATAPLANE.*retired in PR 22.*reference=True"):
+            Machine(small_testbed())
 
-    def test_unknown_kind_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATAPLANE", "turbo")
-        with pytest.raises(ValueError):
-            default_dataplane_kind()
-
-    def test_machine_wires_fast_path_flags(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DATAPLANE", raising=False)
+    def test_machine_wires_fast_path_flags(self):
         m = Machine(small_testbed())
-        assert m.dataplane == "bulk"
-        assert all(node.ssd.fast_path for node in m.nodes)
+        assert all(node.ssd.fast_path and node.nvmm.fast_path for node in m.nodes)
         assert all(s.fast_path and s.target.fast_path for s in m.pfs.servers)
-        assert m.pfs.dataplane_bulk
+        assert m.pfs.fast_path
 
-    def test_faults_scope_chunked_to_targets(self, monkeypatch):
+    def test_faults_scope_chunked_to_targets(self):
         """A fault schedule demotes only the targeted components to chunked."""
-        monkeypatch.setenv("REPRO_DATAPLANE", "bulk")
         sched = FaultSchedule.of(
             FaultSpec("ssd_io_error", target=0, start=5.0, duration=0.1, rate=1.0),
             FaultSpec("server_stall", target=1, start=5.0, duration=0.01),
         )
         m = Machine(small_testbed(), faults=sched)
-        assert m.dataplane == "bulk"
+        assert not m.reference
         # Targeted components: injector attached, fast path off.
         assert m.nodes[0].ssd.injector is m.faults
         assert not m.nodes[0].ssd.fast_path
@@ -71,24 +65,22 @@ class TestKindSelection:
             for s in m.pfs.servers
             if s.server_id != 1
         )
-        assert m.pfs.dataplane_bulk
+        assert m.pfs.fast_path
 
-    def test_explicit_dataplane_argument(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATAPLANE", "bulk")
-        m = Machine(small_testbed(), dataplane="chunked")
-        assert m.dataplane == "chunked"
-        assert not any(node.ssd.fast_path for node in m.nodes)
-        with pytest.raises(ValueError):
-            Machine(small_testbed(), dataplane="turbo")
+    def test_explicit_dataplane_argument(self):
+        """``reference=True`` is the only way left to the chunked plane."""
+        m = Machine(small_testbed(), reference=True)
+        assert m.reference
+        assert not any(node.ssd.fast_path or node.nvmm.fast_path for node in m.nodes)
+        assert not any(s.fast_path or s.target.fast_path for s in m.pfs.servers)
+        assert not m.pfs.fast_path
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("mode", ["enabled", "disabled"])
-    def test_bulk_matches_chunked_excluding_events(self, mode, monkeypatch):
+    def test_bulk_matches_chunked_excluding_events(self, mode):
         spec = ExperimentSpec("ior", cache_mode=mode, **TINY)
-        monkeypatch.setenv("REPRO_DATAPLANE", "chunked")
-        slow = run_experiment(spec)
-        monkeypatch.setenv("REPRO_DATAPLANE", "bulk")
+        slow = run_experiment(spec, reference=True)
         fast = run_experiment(spec)
         a, b = slow.to_dict(), fast.to_dict()
         slow_events, fast_events = a.pop("events"), b.pop("events")
@@ -96,15 +88,14 @@ class TestEquivalence:
         assert fast_events < slow_events
 
 
-def _run_faulted_sync(kind, monkeypatch):
-    """One faulted flush under the requested dataplane; full state snapshot."""
-    monkeypatch.setenv("REPRO_DATAPLANE", kind)
+def _run_faulted_sync(reference):
+    """One faulted flush on the requested stack; full state snapshot."""
     # rate=1.0 inside [0, 10ms): the sync thread's first SSD read-back
     # faults, retries with backoff, and succeeds once the window closes.
     sched = FaultSchedule.of(
         FaultSpec("ssd_io_error", target=0, start=0.0, duration=0.01, rate=1.0)
     )
-    machine = Machine(small_testbed(), faults=sched)
+    machine = Machine(small_testbed(), faults=sched, reference=reference)
     world = MPIWorld(machine)
     policy = CachePolicy(
         enabled=True,
@@ -144,15 +135,15 @@ def _run_faulted_sync(kind, monkeypatch):
 
 
 class TestFaultedSyncIdentical:
-    def test_bulk_request_under_faults_matches_chunked(self, monkeypatch):
-        """With an injector on this node, the sync thread falls back to the
-        chunked service loop: retry counts, requeue counts, journal marks
-        and every simulated quantity come out identical to an explicit
-        chunked run.  Untargeted components keep the fast path, so only
-        the diagnostic event count may (and does) drop.
+    def test_bulk_request_under_faults_matches_chunked(self):
+        """With an injector on the machine, the sync thread runs the
+        generator chain: retry counts, requeue counts, journal marks and
+        every simulated quantity come out identical to the reference
+        stack's.  Untargeted components keep the fast path, so only the
+        diagnostic event count may (and does) drop.
         """
-        asked_bulk = _run_faulted_sync("bulk", monkeypatch)
-        chunked = _run_faulted_sync("chunked", monkeypatch)
+        asked_bulk = _run_faulted_sync(False)
+        chunked = _run_faulted_sync(True)
         bulk_events = asked_bulk.pop("events")
         chunked_events = chunked.pop("events")
         assert asked_bulk == chunked

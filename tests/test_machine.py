@@ -1,7 +1,11 @@
+import pytest
 
 from repro.config import deep_er_testbed, small_testbed
 from repro.machine import Machine
+from repro.mpi.process import MPIWorld
+from repro.net.fabric import NaiveFabric
 from repro.pfs.filesystem import ParallelFileSystem
+from repro.sim.core import SimError, Simulator
 
 
 class TestMachine:
@@ -47,6 +51,31 @@ class TestMachine:
         assert cfg.flush_batch_chunks == 4
         # original defaults untouched (frozen dataclass semantics)
         assert deep_er_testbed().seed == 2016
+
+
+class TestReferenceStack:
+    def test_reference_builds_the_original_stack_as_a_unit(self):
+        """heapq ``Simulator`` + ``NaiveFabric`` + no ``fast_path`` anywhere,
+        per-rank collective release, no coalesced sends."""
+        m = Machine(small_testbed(), reference=True)
+        assert m.reference
+        assert type(m.sim) is Simulator and type(m.fabric) is NaiveFabric
+        devices = [dev for node in m.nodes for dev in (node.ssd, node.nvmm)]
+        devices += [s.target for s in m.pfs.servers]
+        assert not any(x.fast_path for x in [*devices, *m.pfs.servers, m.pfs])
+        world = MPIWorld(m)
+        assert not world.comm._model.shared_release and not world.transport.coalesce
+        assert not m.pfs_client(0)._bulk
+
+    @pytest.mark.parametrize("name", ["REPRO_ENGINE", "REPRO_FABRIC", "REPRO_DATAPLANE"])
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_a_retired_switch_is_refused_by_name(self, name, reference, monkeypatch):
+        """An old A/B script must not go silently green on production —
+        whatever the variable says, even the value that was the default."""
+        monkeypatch.setenv(name, "slotted")
+        message = f"{name}='slotted' is set, but {name} was retired in PR 22: pass `reference=True`"
+        with pytest.raises(SimError, match=message):
+            Machine(small_testbed(), reference=reference)
 
 
 class TestTracer:

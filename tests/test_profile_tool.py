@@ -1,4 +1,4 @@
-"""``tools/profile_sweep.py``: the allocator it profiles, the event-kind tally."""
+"""``tools/profile_sweep.py``: the stack it profiles, the event-kind tally."""
 
 import importlib.util
 import json
@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.net.fabric import default_fabric_kind
-from repro.sim.core import ENGINE_KINDS
+from tests.conftest import ENGINES
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "profile_sweep.py"
 
@@ -20,24 +19,38 @@ def tool():
     return module
 
 
-def test_profiles_the_allocator_production_runs(tool, monkeypatch):
-    monkeypatch.delenv("REPRO_FABRIC", raising=False)
-    assert tool.build_parser().parse_args([]).fabric == default_fabric_kind() == "array"
-    monkeypatch.setenv("REPRO_FABRIC", "incremental")
-    assert tool.build_parser().parse_args([]).fabric == "incremental"
-    assert tool.build_parser().parse_args(["--fabric", "naive"]).fabric == "naive"
+def stack_flags(engine):
+    """``heapq`` is the reference stack's engine, ``slotted`` production's."""
+    return ["--reference"] if engine == "heapq" else []
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_KINDS))
-def test_event_kinds_account_for_every_event_and_move_nothing(
-    tool, engine, tmp_path, monkeypatch, capsys
-):
-    monkeypatch.setenv("REPRO_ENGINE", engine)
-    runs = {cls: cls.run for cls in ENGINE_KINDS.values()}
-    point = ["--aggregators", "8", "--scale", "0.005"]
+def test_profiles_the_allocator_production_runs(tool, tmp_path):
+    """... unless ``--reference`` asks for the other stack; the flag is an
+    argument all the way down, so the caller's environment is left alone."""
+    assert tool.build_parser().parse_args([]).reference is False
+    point = ["--aggregators", "8", "--scale", "0.005", "--json"]
+    for flags, stack in (([], "production"), (["--reference"], "reference")):
+        assert tool.main(point + [str(tmp_path / f"{stack}.json")] + flags) == 0
+    production, reference = (
+        json.loads((tmp_path / f"{stack}.json").read_text())
+        for stack in ("production", "reference")
+    )
+    assert (production["spec"]["stack"], reference["spec"]["stack"]) == ("production", "reference")
+    assert production["bw_gib_s"] == reference["bw_gib_s"]
+    assert production["events_fired"] < reference["events_fired"]
+    counters = production["profiler"]["counters"], reference["profiler"]["counters"]
+    assert "fabric.rate_cache_hits" in counters[0] and "fabric.rate_cache_hits" not in counters[1]
+    with pytest.raises(SystemExit, match="--chaos-seed runs both stacks"):
+        tool.main(["--chaos-seed", "1", "--reference"])
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_event_kinds_account_for_every_event_and_move_nothing(tool, engine, tmp_path, capsys):
+    runs = {cls: cls.run for cls in ENGINES.values()}
+    point = ["--aggregators", "8", "--scale", "0.005"] + stack_flags(engine)
     assert tool.main(point + ["--json", str(tmp_path / "plain.json")]) == 0
     assert tool.main(point + ["--events", "4", "--json", str(tmp_path / "tally.json")]) == 0
-    assert {cls: cls.run for cls in ENGINE_KINDS.values()} == runs  # engines restored
+    assert {cls: cls.run for cls in ENGINES.values()} == runs  # engines restored
     plain = json.loads((tmp_path / "plain.json").read_text())
     tally = json.loads((tmp_path / "tally.json").read_text())
     assert "event_kinds" not in plain
@@ -48,16 +61,15 @@ def test_event_kinds_account_for_every_event_and_move_nothing(
     assert f"event kinds ({tally['events_fired']:,d} events fired)" in out
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_KINDS))
-def test_resumes_add_up_and_move_nothing(tool, engine, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_resumes_add_up_and_move_nothing(tool, engine, tmp_path, capsys):
     """``--resumes``: every process kind with its processes and the ranks
     each stands for; ``--num-files`` sizes the run.  The park counters keep
     counting ranks, however few processes stand for them."""
     from repro.sim.core import Process
 
-    monkeypatch.setenv("REPRO_ENGINE", engine)
     resume = Process._resume
-    point = ["--aggregators", "8", "--scale", "0.005", "--num-files", "2"]
+    point = ["--aggregators", "8", "--scale", "0.005", "--num-files", "2"] + stack_flags(engine)
     assert tool.main(point + ["--json", str(tmp_path / "plain.json")]) == 0
     assert tool.main(point + ["--resumes", "3", "--json", str(tmp_path / "tally.json")]) == 0
     assert Process._resume is resume  # restored

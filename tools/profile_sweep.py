@@ -22,13 +22,12 @@ Usage::
     PYTHONPATH=src python tools/profile_sweep.py --aggregators 8 --cb-mib 16 \\
         --cache-mode disabled --scale 0.125 --num-files 3   # an ior_grid6 unit
     PYTHONPATH=src python tools/profile_sweep.py --trace point.trace.json
-    PYTHONPATH=src python tools/profile_sweep.py --fabric naive --json prof.json
+    PYTHONPATH=src python tools/profile_sweep.py --reference --json prof.json
 
-The allocator under profile is the one production runs (``REPRO_FABRIC``,
-default ``array``) unless ``--fabric`` names another: compare ``--fabric
-naive`` against it to see the recompute work the fast path removes, and
-``--dataplane chunked`` against the default bulk data plane to see the
-per-chunk event traffic the bulk-transfer fast path removes
+The stack under profile is the one production runs unless ``--reference``
+asks for the reference stack (``Machine(reference=True)``: heapq engine,
+naive fabric, every chunk an event): compare the two to see the recompute
+work and the per-chunk event traffic the production fast paths remove
 (docs/PERFORMANCE.md walks through both).  ``--events N`` names the N
 most-fired event kinds — which waits, grants and chain steps the event count
 is made of; ``--resumes N`` names who was resumed — process resumes by name
@@ -58,7 +57,6 @@ import contextlib
 import cProfile
 import functools
 import json
-import os
 import pstats
 import re
 import sys
@@ -68,12 +66,10 @@ from collections import Counter
 import numpy as np
 
 from repro.chaos.runner import CHAOS_CACHE_MODES
-from repro.dataplane import DATAPLANE_KINDS
-from repro.experiments.runner import BENCHMARKS, CACHE_MODES, ExperimentSpec
-from repro.net.fabric import FABRIC_KINDS, default_fabric_kind
+from repro.experiments.runner import BENCHMARKS, CACHE_MODES, ExperimentSpec, run_experiment
 from repro.pfs.client import PFSClient
 from repro.pfs.layout import plan_memo_info
-from repro.sim.core import ENGINE_KINDS, Event, Process, _Call
+from repro.sim.core import Event, Process, Simulator, SlottedSimulator, _Call
 from repro.sim.profile import SimProfiler
 from repro.units import MiB
 
@@ -103,17 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(4 for a sweep point, 2 for a chaos trial)",
     )
     p.add_argument(
-        "--fabric",
-        default=default_fabric_kind(),
-        choices=sorted(FABRIC_KINDS),
-        help="allocator under profile (sets REPRO_FABRIC for the run; "
-        "default: the one production runs, %(default)s)",
-    )
-    p.add_argument(
-        "--dataplane",
-        default="bulk",
-        choices=sorted(DATAPLANE_KINDS),
-        help="data plane under profile (sets REPRO_DATAPLANE for the run)",
+        "--reference",
+        action="store_true",
+        help="profile the reference stack (heapq engine, naive fabric, chunked "
+        "data plane) instead of the one production runs",
     )
     p.add_argument(
         "--cprofile",
@@ -243,7 +232,7 @@ def event_kinds():
             sim.now = deadline
         return None
 
-    saved = {cls: cls.run for cls in ENGINE_KINDS.values()}
+    saved = {cls: cls.run for cls in (Simulator, SlottedSimulator)}
     for cls in saved:
         cls.run = run
     try:
@@ -458,7 +447,7 @@ def print_top(snapshot: dict, n: int, pfs: dict) -> None:
     )
     # How the rank-calls of the collective writes crossed them: parked for
     # the whole call on one resume, or live (aggregators always; everybody
-    # on the heapq engine, the chunked plane, a fault machine, or under
+    # on the reference stack, a fault machine, or under
     # romio_cb_write=automatic/disable) — "why was this point slow" starts
     # with the share that fell back to the live path.
     single, live = (counters.get(f"ext2ph.park_{k}", 0) for k in ("single", "live"))
@@ -514,6 +503,8 @@ def run_chaos_point(args: argparse.Namespace) -> int:
     """Profile one chaos trial; the traced timeline carries fault events."""
     from repro.chaos import ChaosTrialSpec, run_chaos_trial
 
+    if args.reference:
+        raise SystemExit("--chaos-seed runs both stacks; --reference does not apply")
     if args.cache_mode not in CHAOS_CACHE_MODES:
         raise SystemExit(
             f"--chaos-seed supports --cache-mode {'/'.join(CHAOS_CACHE_MODES)}, "
@@ -528,22 +519,18 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         scale=args.scale,
         **({} if args.num_files is None else {"num_files": args.num_files}),
     )
-    os.environ["REPRO_FABRIC"] = args.fabric
-    try:
-        prof = cProfile.Profile() if args.cprofile else None
-        t0 = time.perf_counter()
-        if prof is not None:
-            prof.enable()
-        with pfs_clients() as clients, tallied(args) as tally, resumed(args) as resumes:
-            with listed(args) as tables:
-                result = run_chaos_trial(spec, trace=True, profiler=profiler)
-        if prof is not None:
-            prof.disable()
-        wall = time.perf_counter() - t0
-    finally:
-        os.environ.pop("REPRO_FABRIC", None)
+    prof = cProfile.Profile() if args.cprofile else None
+    t0 = time.perf_counter()
+    if prof is not None:
+        prof.enable()
+    with pfs_clients() as clients, tallied(args) as tally, resumed(args) as resumes:
+        with listed(args) as tables:
+            result = run_chaos_trial(spec, trace=True, profiler=profiler)
+    if prof is not None:
+        prof.disable()
+    wall = time.perf_counter() - t0
 
-    tracer = result.tracers["bulk"]
+    tracer = result.tracers["production"]
     fault_events = sum(1 for _ in tracer.filter(component="faults"))
     recovery_events = sum(1 for _ in tracer.filter(component="recovery"))
     summary = {
@@ -552,14 +539,13 @@ def run_chaos_point(args: argparse.Namespace) -> int:
             "chaos_seed": spec.seed,
             "cache_mode": spec.cache_mode,
             "scale": spec.scale,
-            "fabric": args.fabric,
         },
         "wall_s": wall,
         "outcome": result.outcome,
         "ok": result.ok,
         "violations": result.violations,
-        "events_bulk": result.events_bulk,
-        "events_chunked": result.events_chunked,
+        "events_production": result.events_production,
+        "events_reference": result.events_reference,
         "trace_fault_events": fault_events,
         "trace_recovery_events": recovery_events,
         "profiler": profiler.snapshot(),
@@ -593,26 +579,16 @@ def main(argv=None) -> int:
         **({} if args.num_files is None else {"num_files": args.num_files}),
     )
     profiler = SimProfiler()
-    os.environ["REPRO_FABRIC"] = args.fabric
-    os.environ["REPRO_DATAPLANE"] = args.dataplane
-    try:
-        # Import after REPRO_FABRIC is set, mirroring how sweep workers
-        # inherit the environment; the kind is read per-Machine anyway.
-        from repro.experiments.runner import run_experiment
-
-        prof = cProfile.Profile() if args.cprofile else None
-        t0 = time.perf_counter()
-        if prof is not None:
-            prof.enable()
-        with pfs_clients() as clients, tallied(args) as tally, resumed(args) as resumes:
-            with listed(args) as tables:
-                result = run_experiment(spec, profiler=profiler)
-        if prof is not None:
-            prof.disable()
-        wall = time.perf_counter() - t0
-    finally:
-        os.environ.pop("REPRO_FABRIC", None)
-        os.environ.pop("REPRO_DATAPLANE", None)
+    prof = cProfile.Profile() if args.cprofile else None
+    t0 = time.perf_counter()
+    if prof is not None:
+        prof.enable()
+    with pfs_clients() as clients, tallied(args) as tally, resumed(args) as resumes:
+        with listed(args) as tables:
+            result = run_experiment(spec, profiler=profiler, reference=args.reference)
+    if prof is not None:
+        prof.disable()
+    wall = time.perf_counter() - t0
 
     summary = {
         "spec": {
@@ -621,8 +597,7 @@ def main(argv=None) -> int:
             "cache_mode": spec.cache_mode,
             "scale": spec.scale,
             "num_files": spec.num_files,
-            "fabric": args.fabric,
-            "dataplane": args.dataplane,
+            "stack": "reference" if args.reference else "production",
         },
         "wall_s": wall,
         "events_fired": result.events,
