@@ -47,7 +47,7 @@ from repro.fleet.chaos import run_fleet_chaos
 # Reference numbers from the box that recorded benchmarks/baseline_quick.json
 # (events are exact and stack-dependent; throughputs are context).
 RECORDED_BASELINES = {
-    "fleet16_production_events": 12610,
+    "fleet16_production_events": 12086,
     "fleet16_reference_events": 22334,
     "fleet256_production_wall_s": 7.5,
 }

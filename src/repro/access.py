@@ -442,27 +442,33 @@ class AccessTable:
             view = self._views[rank] = RankAccess._view(self, rank, None)
         return view
 
-    def views(self, ranks) -> dict[int, RankAccess]:
-        """Dataless views by rank: what a class of ranks brings to a call."""
-        return dict(zip(ranks, map(self.rank, ranks)))
-
     @classmethod
-    def gather(cls, accesses: Mapping[int, RankAccess], nranks: int) -> "AccessTable":
-        """The table behind one collective call's per-rank accesses.
+    def gather(
+        cls, accesses: Mapping[int, RankAccess], nranks: int, members=None
+    ) -> "AccessTable":
+        """The table behind one collective call's accesses, by arriving rank.
 
-        When every rank passed its own view of one table that table is
-        returned as is; otherwise the (already validated) accesses are
-        packed into a fresh table.  A rank absent from ``accesses``
-        contributes like an empty one.
+        ``members[rank]`` are the other ranks an arriving rank stands for (a
+        class that only follows: each brings the same table's view of its
+        own).  When all ``nranks`` passed their own view of one table that
+        table is returned as is — one check per arrival, whatever it weighs;
+        otherwise the (already validated) accesses are packed into a fresh
+        table.  A rank absent from ``accesses`` contributes like an empty one.
         """
-        first = accesses.get(0)
-        table = first.table if first is not None else None
+        table = next(iter(accesses.values())).table if accesses else None
+        stood_for = len(accesses)
+        if members is not None:
+            stood_for += sum([len(members[r]) for r in accesses])
         if (
             table is not None
-            and table.nranks == nranks == len(accesses)
-            and all(a.table is table and a.rank == r for r, a in accesses.items())
+            and table.nranks == nranks == stood_for
+            and all([a.table is table and a.rank == r for r, a in accesses.items()])
         ):
             return table
+        if stood_for > len(accesses):
+            accesses = dict(accesses)
+            for rep in list(accesses):
+                accesses.update((r, accesses[rep].table.rank(r)) for r in members[rep])
         per_rank = [accesses.get(r) for r in range(nranks)]
         counts = [0 if a is None else len(a.offsets) for a in per_rank]
         rank_ptr = np.zeros(nranks + 1, dtype=np.int64)

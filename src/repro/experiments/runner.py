@@ -215,7 +215,11 @@ def run_experiment(
         deferred_close=spec.cache_mode != "disabled",
         file_prefix=f"/global/{spec.benchmark}_{spec.label}_{spec.cache_mode}_",
     )
-    timings: list[list[PhaseTiming]] = world.run(body)
+    # One entry per class of ranks (its members share it): every quantity
+    # below is a maximum over ranks, which repeating an entry cannot move.
+    timings: list[list[PhaseTiming]] = machine.sim.run(
+        until=machine.sim.all_of(world.spawn(body))
+    )
     bw = perceived_bandwidth(timings, workload.file_size, include_last_phase=False)
     bw_incl = perceived_bandwidth(timings, workload.file_size, include_last_phase=True)
     parts = []
@@ -227,7 +231,7 @@ def run_experiment(
     for slots in layer._open_slots.values():
         for fd in slots:
             parts.append(
-                breakdown_from_profiles([p.profile for p in fd.profilers.values()])
+                breakdown_from_profiles([p.profile for p in fd.class_profilers])
             )
     return ExperimentResult(
         spec=spec,

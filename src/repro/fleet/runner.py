@@ -334,7 +334,7 @@ def _job_body(view: JobView, job: FleetJobSpec):
         status, cause = "fault", exc
     else:
         bandwidth = perceived_bandwidth(
-            world.per_rank(timings),
+            timings,  # one entry per class of ranks: the maxima are the ranks'
             workload.file_size,
             include_last_phase=job.benchmark == "ior",
         )

@@ -17,22 +17,22 @@ Two interchangeable engines:
 
 Both return identical values; tests assert it.
 
-The model engine also carries the **timed ladder**
-(:meth:`ModelCollectives.timed_ladder`): ranks that take no action inside
-a run of back-to-back pre-costed slots — the two-phase round loop as seen
-by everyone but the receiving aggregators — are counted into every slot
-of the run at once, in batches, and resume on its final release, with
-their per-slot profiler laps reproduced bit for bit by release hooks.
-docs/PERFORMANCE.md ("Plan once, park once") has the argument for why no
-timestamp, lap or event count moves.
-
 **Rank classes** (:meth:`ModelCollectives.set_classes`): one rank may
 arrive for a whole class of ranks that only ever follow (the
 non-aggregators of a collective write reach every collective in one
-instant and decide nothing).  Each of its arrivals files an entry for every
-other member (``members[rank]``) and counts their weight, so call sites
-keep passing one rank and a rank on its own is a class of one through the
-same code; where ranks differ a class is refused by name (``alone``).
+instant and decide nothing).  Each of its arrivals counts the weight of
+all members (``members[rank]``) and, where the collective has per-rank
+values, files an entry for each, so call sites keep passing one rank and a
+rank on its own is a class of one through the same code; where ranks differ
+a class is refused by name (``alone``).
+
+A ``timed:`` slot — a pre-costed synchronisation — files nothing: it keeps
+a count and the longest duration passed.  On the production stack only a
+collective write's offset exchange is one; its rounds run on the call's
+clock (``romio.ext2ph.CallClock``), which :meth:`ModelCollectives.set_classes`
+knows of so that classes cannot change under it.  The timed ladder that
+used to carry ranks through per-round slots is history
+(docs/PERFORMANCE.md, "Plan once, park once").
 
 Paper correspondence: the collectives the §II-A algorithm leans on
 (alltoall dissemination, allreduce epilogue, barrier-style sync).
@@ -139,127 +139,18 @@ class CollectiveCosts:
 @dataclass
 class _Slot:
     op_name: str = ""
-    arrivals: dict[int, Any] = field(default_factory=dict)
+    timed: bool = False  # a ``timed:`` slot: no values, only the longest duration
+    count: int = 0  # ranks arrived, by weight (a class counts all its members)
+    duration: Any = None  # timed: the running maximum, first arrival winning ties
+    arrivals: dict[int, Any] = field(default_factory=dict)  # value slots only
     release: dict[int, Event] = field(default_factory=dict)
     extra: dict[str, Any] = field(default_factory=dict)
-    shared: Optional[Event] = None  # bulk data plane: one release for all ranks
-    # Ladder pre-registration (see ModelCollectives.timed_ladder): ranks
-    # counted as arrived without an entry in ``arrivals``.  ``pre_duration``
-    # is the duration every pre-registered rank would have passed — by
-    # construction identical to what the live arrivals pass.
-    pre: int = 0
-    pre_duration: float = 0.0
+    shared: Optional[Event] = None  # production stack: one release for all ranks
 
 
-class _Ladder:
-    """Bookkeeping for one pre-registered run of timed slots.
-
-    Members (ranks that take no per-round action) are counted into every
-    slot of the run up-front; the ladder reproduces their per-round
-    profiler laps bit-for-bit via release hooks.  Members with identical
-    starting phase totals share one running sum (``groups``), so the
-    float accumulation sequence ``s0 + d0 + d1 + ...`` matches what each
-    member's own ``lap`` calls would have produced.
-
-    ``width`` is how many members the slots were told to expect
-    (``slot.pre``); ``joined`` counts the ones that really came, and the
-    release hooks refuse to go on when the two differ.
-    """
-
-    __slots__ = (
-        "call",
-        "base",
-        "span",
-        "width",
-        "joined",
-        "t_prev",
-        "phases",
-        "final",
-        "groups",
-        "members",
-        "tail_slot",
-    )
-
-    def __init__(
-        self,
-        call: int,
-        base: int,
-        span: int,
-        width: int,
-        now: float,
-        phases: tuple[str, ...],
-    ):
-        self.call = call
-        self.base = base
-        self.span = span  # slots covered, tail included
-        self.width = width
-        self.joined = 0
-        self.t_prev = now  # release time of the previous slot (creation = round-0 arrival)
-        self.phases = phases
-        self.final: Optional[Event] = None
-        self.groups: dict[tuple, dict[str, float]] = {}
-        self.members: dict[tuple, list[dict[str, float]]] = {}
-        self.tail_slot: Optional[_Slot] = None
-
-    def join(self, seconds: list[dict[str, float]], weight: int) -> None:
-        self.joined += weight  # ranks; a class shares one of the ``seconds``
-        if self.joined > self.width:
-            raise SimError(
-                f"timed ladder of collective call {self.call}: "
-                f"{self.width} members expected, {self.joined} joined"
-            )
-        phases = self.phases
-        members = self.members
-        for totals in seconds:
-            key = tuple([totals.get(p, 0.0) for p in phases])
-            group = members.get(key)
-            if group is None:
-                self.groups[key] = dict(zip(phases, key))
-                members[key] = [totals]
-            else:
-                group.append(totals)
-
-
-class _LadderHook:
-    """Per-slot release callback: advances every group's running phase sum.
-
-    Appended to the slot's shared event at ladder creation — before any
-    member's resume callback — so the final slot's write-back lands before
-    members continue past the run.
-    """
-
-    __slots__ = ("model", "ladder", "phase", "final")
-
-    def __init__(self, model: "ModelCollectives", ladder: _Ladder, phase: str, final: bool):
-        self.model = model
-        self.ladder = ladder
-        self.phase = phase
-        self.final = final
-
-    def __call__(self, _event: Event) -> None:
-        ladder = self.ladder
-        if ladder.joined != ladder.width:
-            # ``slot.pre`` counts ``width`` ranks into every slot of the run
-            # whether or not they came (every batch joins before the first
-            # slot can release): this slot released without ranks it should
-            # have waited for.
-            raise SimError(
-                f"timed ladder of collective call {ladder.call}: "
-                f"{ladder.width} members expected, {ladder.joined} joined"
-            )
-        now = self.model.sim.now
-        dt = now - ladder.t_prev
-        ladder.t_prev = now
-        phase = self.phase
-        for sums in ladder.groups.values():
-            sums[phase] = sums[phase] + dt
-        if self.final:
-            groups = ladder.groups
-            for key, members in ladder.members.items():
-                sums = groups[key]
-                for seconds in members:
-                    seconds.update(sums)
-            del self.model._ladders[ladder.call]
+# The collectives whose result differs from rank to rank; every other one
+# releases all ranks with the same object, which the release event carries.
+_PER_RANK = frozenset(("allgather", "alltoall", "shuffle"))
 
 
 class ModelCollectives:
@@ -288,10 +179,14 @@ class ModelCollectives:
         self.rank_to_node = rank_to_node or list(range(nprocs))
         self.shared_release = shared_release
         self._slot_index = [0] * nprocs
-        # Rank classes: the other ranks each rank's arrivals stand for.
+        # Rank classes: the other ranks each rank's arrivals stand for, and
+        # the rank that arrives for each rank (itself, unless it only follows).
         self.members: list[tuple[int, ...]] = [()] * nprocs
+        self.leaders: list[int] = list(range(nprocs))
         self._slots: dict[int, _Slot] = {}
-        self._ladders: dict[int, _Ladder] = {}
+        #: The collective write that runs on its own clock between two slots
+        #: (``romio.ext2ph.CallClock``), if one does: classes stay as they are.
+        self.clock: Any = None
 
     def set_classes(self, classes) -> None:
         """Let the first rank of each class in ``classes`` (a partition of
@@ -301,6 +196,8 @@ class ModelCollectives:
         joins a class from a different slot."""
         if self._slots:
             raise SimError(f"rank classes cannot change with slot {min(self._slots)} in flight")
+        if self.clock is not None:
+            raise SimError(f"rank classes cannot change while {self.clock} runs on its clock")
         if not self.shared_release and any(len(ranks) > 1 for ranks in classes):
             raise SimError("rank classes: per-rank (non-shared) release is per rank")
         slot_index = self._slot_index
@@ -321,7 +218,10 @@ class ModelCollectives:
             new[ranks[0]] = tuple(ranks[1:])
         if None in new:
             raise SimError(f"rank classes: rank {new.index(None)} is in no class")
-        self.members[:] = new  # in place: the communicator shares the list
+        self.members[:] = new  # in place: the communicator shares the lists
+        for ranks in classes:
+            for rank in ranks:
+                self.leaders[rank] = ranks[0]
 
     def alone(self, rank: int, path: str) -> None:
         """Refuse ``path``, on which ranks differ, to a rank standing for others."""
@@ -335,14 +235,15 @@ class ModelCollectives:
         """Join this rank's next collective slot and return the event that
         releases it — the slot's shared one, or this rank's own — for the
         rank body to ``yield``.  The event's value is the collective's
-        results by rank (None for ``timed:`` slots: nobody reads them);
+        result: by rank where ranks differ (``_PER_RANK``), else the one
+        object every rank gets (None for ``timed:`` slots and barriers);
         :meth:`enter` picks this rank's."""
         idx = self._slot_index[rank]
         self._slot_index[rank] += 1
         try:  # a subscript, not ``.get``: all but the first arrival call nothing
             slot = self._slots[idx]
         except KeyError:
-            slot = self._slots[idx] = _Slot(op_name=op_name)
+            slot = self._slots[idx] = _Slot(op_name, op_name.startswith("timed:"))
             if self.shared_release:
                 slot.shared = Event(self.sim, name=f"coll:{op_name}[{idx}]")
         if slot.op_name != op_name:
@@ -350,9 +251,17 @@ class ModelCollectives:
                 f"collective mismatch at slot {idx}: rank {rank} called "
                 f"{op_name!r} but others called {slot.op_name!r}"
             )
-        slot.arrivals[rank] = value
-        if self.members[rank]:
-            slot.arrivals.update(dict.fromkeys(self.members[rank], value))
+        members = self.members[rank]
+        slot.count += 1 + len(members) if members else 1
+        if slot.timed:
+            # Nobody reads a timed slot's arrivals: keep the longest duration
+            # as ranks come (a class passes one for all its members).
+            if slot.duration is None or value > slot.duration:
+                slot.duration = value
+        else:
+            slot.arrivals[rank] = value
+            if members:
+                slot.arrivals.update(dict.fromkeys(members, value))
         if extra:  # not on the timed hot path
             for key, val in extra.items():
                 slot.extra.setdefault(key, {})[rank] = val
@@ -361,14 +270,14 @@ class ModelCollectives:
             release = slot.release[rank] = Event(
                 self.sim, name=f"coll:{op_name}[{idx}]r{rank}"
             )
-        if len(slot.arrivals) + slot.pre == self.nprocs:
+        if slot.count == self.nprocs:
             self._complete(idx, slot)
         return release
 
     def enter(self, rank: int, op_name: str, value: Any = None, **extra):
         """Generator: :meth:`arrive`, wait for release, return this rank's result."""
         results = yield self.arrive(rank, op_name, value, **extra)
-        return None if results is None else results[rank]
+        return results[rank] if op_name in _PER_RANK else results
 
     # individual operations -------------------------------------------------
     def barrier(self, rank: int):
@@ -404,166 +313,13 @@ class ModelCollectives:
         rank body to ``yield`` — no generator frame per rank per round."""
         return self.arrive(rank, f"timed:{label}", duration)
 
-    def timed_ladder(
-        self,
-        call: int,
-        ranks: list[int],
-        seconds: list[dict[str, float]],
-        steps: list[tuple[str, float, str]],
-        width: int,
-        tail: Optional[tuple] = None,
-    ) -> Event:
-        """Pre-register ``ranks`` into their next ``len(steps)`` timed slots.
-
-        The fast path for ranks that take *no per-round action* inside a
-        run of back-to-back timed collectives (the ext2ph round loop seen
-        by non-aggregators): instead of arriving at each of the ``2n``
-        slots round by round — one resume + one arrival per slot — the
-        ranks are counted into every slot at once and wait on the final
-        slot's shared release event, which this method returns.
-
-        ``call`` numbers the caller's collective call: every batch of one
-        call joins the same ladder, created by the first batch.  ``ranks``
-        and ``seconds`` are parallel — the members of this batch and their
-        profiler phase dicts (a rank that stands for a class brings the
-        class's one dict and the weight of all its ranks, here and in the
-        tail); release hooks reproduce each member's
-        per-round lap additions bit-for-bit (see :class:`_Ladder`), so
-        phase totals are byte-identical to the round-by-round path.
-        ``steps`` is the run's ``(label, duration, phase)`` sequence; the
-        durations must equal what the live ranks pass through
-        :meth:`timed` for the same slots (they are computed from the
-        same shared call state).  ``width`` is the total number of ranks,
-        over all batches, that will take this ladder (all must, and none
-        may also arrive live): the slots count ``width`` arrivals from the
-        moment the ladder exists, so they complete independently of *when*
-        each batch joins (all must before the first slot releases), and
-        the ladder raises if more come or, at a release, fewer have.
-        Every member must stand at the ladder's first slot; one that does
-        not is refused rather than silently re-based.
-
-        Timestamp identity: completion of a slot moves earlier only
-        *within* the release instant of the previous slot (pre-counted
-        ranks would have arrived in that same instant, after callbacks
-        that do no scheduling), so all release times — and therefore all
-        durations charged to every rank — are unchanged.
-
-        ``tail`` optionally extends the run with one trailing *value*
-        collective ``(op_name, value, extra, phase)`` shared with the
-        live ranks (ext2ph's post-write allreduce): each member's arrival
-        is recorded in the tail slot's ``arrivals`` — NOT pre-counted,
-        because value collectives fold ``arrivals[r]`` for every rank —
-        and the ladder's final event is the tail's release instead.
-        Arrival order is irrelevant to the fold (it walks ranks in index
-        order), so members arriving at ladder creation rather than after
-        round ``n`` changes no result.  The tail's release hook writes the
-        members' final phase lap, replacing their own post-release lap;
-        callers skip their live-path tail collective when the ladder
-        covers it.
-        """
-        if not self.shared_release:  # pragma: no cover - callers gate on it
-            raise SimError("timed_ladder requires shared_release collectives")
-        slot_index = self._slot_index
-        ladder = self._ladders.get(call)
-        if ladder is None:
-            ladder = self._create_ladder(call, slot_index[ranks[0]], steps, width, tail)
-        base = ladder.base
-        after = base + ladder.span
-        arriving = ranks  # ... and the ranks they stand for
-        for rank in ranks:
-            if slot_index[rank] != base:
-                raise SimError(
-                    f"timed ladder of collective call {call}: rank {rank} is at "
-                    f"slot {slot_index[rank]}, the ladder starts at slot {base}"
-                )
-            slot_index[rank] = after
-            if self.members[rank]:
-                arriving = [*arriving, *self.members[rank]]
-        ladder.join(seconds, len(arriving))
-        tail_slot = ladder.tail_slot
-        if tail_slot is not None:
-            _op, value, extra, _phase = tail
-            tail_slot.arrivals.update(dict.fromkeys(arriving, value))
-            for key, val in extra.items():
-                tail_slot.extra.setdefault(key, {}).update(dict.fromkeys(ranks, val))
-            # Live ranks cannot have all arrived yet (they are behind the
-            # timed slots this ladder created), so no completion check is
-            # needed here.
-        return ladder.final
-
-    def _create_ladder(
-        self, call: int, base: int, steps, width: int, tail: Optional[tuple]
-    ) -> _Ladder:
-        if not steps or not 0 < width < self.nprocs:
-            # No timed slot, or no live rank left to arrive at the later
-            # ones: nothing would ever complete the run.
-            raise SimError(
-                f"timed ladder of collective call {call}: needs at least one "
-                f"step and 0 < width < {self.nprocs} (got {len(steps)} steps, "
-                f"width {width})"
-            )
-        sim = self.sim
-        nsteps = len(steps)
-        phases: list[str] = []
-        for _label, _duration, phase in steps:
-            if phase not in phases:
-                phases.append(phase)
-        if tail is not None and tail[3] not in phases:
-            phases.append(tail[3])
-        has_tail = tail is not None
-        ladder = _Ladder(call, base, nsteps + has_tail, width, sim.now, tuple(phases))
-        self._ladders[call] = ladder
-        for j, (label, duration, phase) in enumerate(steps):
-            op_name = f"timed:{label}"
-            idx = base + j
-            # Slot 0 may already exist (live ranks resumed ahead of the
-            # first member within this instant); later slots cannot — the
-            # lock-step live ranks cannot pass slot 0 before the ladder's
-            # pre-registrations land.
-            slot = self._slots.get(idx)
-            if slot is None:
-                slot = self._slots[idx] = _Slot(op_name=op_name)
-                slot.shared = Event(self.sim, name=f"coll:{op_name}[{idx}]")
-            elif slot.op_name != op_name:
-                raise SimError(
-                    f"collective mismatch at slot {idx}: ladder step "
-                    f"{op_name!r} but others called {slot.op_name!r}"
-                )
-            slot.pre = width
-            slot.pre_duration = duration
-            # Before any member resume callback: members wait on the final
-            # event only after this loop runs.
-            final = j == nsteps - 1 and not has_tail
-            slot.shared.callbacks.append(_LadderHook(self, ladder, phase, final))
-        if has_tail:
-            tail_op, _value, _extra, tail_phase = tail
-            idx = base + nsteps
-            slot = self._slots.get(idx)
-            if slot is None:
-                slot = self._slots[idx] = _Slot(op_name=tail_op)
-                slot.shared = Event(self.sim, name=f"coll:{tail_op}[{idx}]")
-            elif slot.op_name != tail_op:  # pragma: no cover - symmetric callers
-                raise SimError(
-                    f"collective mismatch at slot {idx}: ladder tail "
-                    f"{tail_op!r} but others called {slot.op_name!r}"
-                )
-            slot.shared.callbacks.append(_LadderHook(self, ladder, tail_phase, True))
-            ladder.tail_slot = slot
-            ladder.final = slot.shared
-        else:
-            ladder.final = self._slots[base + nsteps - 1].shared
-        first = self._slots[base]
-        if len(first.arrivals) + first.pre == self.nprocs:
-            self._complete(base, first)
-        return ladder
-
     # completion -------------------------------------------------------------
     def _complete(self, idx: int, slot: _Slot) -> None:
         op = slot.op_name
         costs = self.costs
         if op == "barrier":
             duration = costs.small_collective(self.nprocs)
-            results = {r: None for r in slot.arrivals}
+            results = None
         elif op == "allreduce":
             reduce_op: Op = next(iter(slot.extra["reduce_op"].values()))
             nbytes = next(iter(slot.extra["nbytes"].values()))
@@ -572,7 +328,7 @@ class ModelCollectives:
                 v = slot.arrivals[r]
                 acc = v if acc is None else reduce_op(acc, v)
             duration = costs.small_collective(self.nprocs, nbytes)
-            results = {r: acc for r in slot.arrivals}
+            results = acc
         elif op == "allgather":
             gathered = [slot.arrivals[r] for r in range(self.nprocs)]
             nbytes = next(iter(slot.extra["nbytes"].values()))
@@ -589,19 +345,10 @@ class ModelCollectives:
             roots = slot.extra["root"]
             root = next(iter(roots.values()))
             nbytes = next(iter(slot.extra["nbytes"].values()))
-            value = slot.arrivals[root]
             duration = costs.latency_bound(self.nprocs) + nbytes * costs.beta_inv
-            results = {r: value for r in slot.arrivals}
-        elif op.startswith("timed:"):
-            # Pre-registered ranks pass (by construction) the same duration
-            # as every live arrival, so folding in ``pre_duration`` keeps
-            # the max bit-identical to the all-live path.
-            if slot.arrivals:
-                duration = max(float(v) for v in slot.arrivals.values())
-                if slot.pre and slot.pre_duration > duration:
-                    duration = slot.pre_duration
-            else:
-                duration = float(slot.pre_duration)
+            results = slot.arrivals[root]
+        elif slot.timed:
+            duration = float(slot.duration)
             results = None  # no caller reads a timed slot's result
         elif op == "shuffle":
             out_node: dict[int, float] = {}

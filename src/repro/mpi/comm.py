@@ -54,6 +54,8 @@ class Communicator:
         #: Rank classes: the other ranks each rank's arrivals stand for
         #: (``()`` for a rank on its own; see ModelCollectives.set_classes).
         self.members = self._model.members
+        #: ... and the rank that arrives for each rank (itself, unless it follows)
+        self.leaders = self._model.leaders
 
     @property
     def size(self) -> int:
@@ -148,11 +150,11 @@ class Communicator:
         loop's hot call)."""
         return self._model.arrive(rank, f"timed:{label}", duration)
 
-    def timed_ladder(self, call, ranks, seconds, steps, width, tail=None):
-        """Pre-register ``ranks`` into their next ``len(steps)`` timed slots
-        (plus an optional trailing value collective) and return the final
-        release Event (see ModelCollectives.timed_ladder)."""
-        return self._model.timed_ladder(call, ranks, seconds, steps, width, tail)
+    def hold_classes(self, clock) -> None:
+        """A collective write starts running on its own clock between two
+        slots (``romio.ext2ph.CallClock``; ``None``: it ended): until it has
+        ended, :meth:`set_classes` refuses by its name."""
+        self._model.clock = clock
 
     @property
     def costs(self) -> CollectiveCosts:

@@ -27,35 +27,32 @@ an all-ranks collective, so a slow aggregator (device jitter, cache flush
 backlog) stalls everyone — the effect the paper measures as
 ``shuffle_all2all``/``post_write`` cost.
 
-**Plan once, park once** (model fidelity; docs/PERFORMANCE.md has the
-argument and the numbers).  ROMIO derives a call's plan once and every
-process reads it; so here.  The first rank to arrive fills in the call's
-constants (:func:`_open_call`), the first one through the offset exchange
-the table, domains and per-round costs — the latter from a process-wide
-memo keyed by the call's *shape* (:class:`_ModelMemo`), so the files of a
-run, the points of a sweep and the jobs of a fleet share one plan.  Only
-aggregators decide anything per round.  Where the path is certain before
+**Only writers wake** (model fidelity; docs/PERFORMANCE.md has the argument
+and the numbers — and, under "Plan once, park once", the ladder this
+replaced).  ROMIO derives a call's plan once and every process reads it; so
+here: the first rank to arrive fills in the call's constants
+(:func:`_open_call`), the offset exchange's release the table, domains and
+per-round costs — the latter from a process-wide memo keyed by the call's
+*shape* (:class:`_ModelMemo`), so the files of a run, the points of a sweep
+and the jobs of a fleet share one plan.  Only an aggregator that receives
+bytes in a round decides anything in it.  Where the path is certain before
 any offset is known (:func:`fast_paths`) — model collectives on the
-production stack, no fault injector, ``romio_cb_write=enable`` — a
-non-aggregator arrives at the offset exchange, adds itself to the call's
-parked ranks and waits on one event for the whole call (:func:`_park`);
-the exchange's release laps, plans and pre-registers all of them at once
-into the timed ladder of :mod:`repro.mpi.collectives`, whose final release
-resumes them where their own resumes would have been.  "Once" is per
-*class* of ranks: a phased workload runs its non-aggregators as one
-process (``workloads.phases``), which parks one entry that weighs them all.
-Ranks that qualify for the ladder only once the plan is known (aggregators
-that receive nothing, and non-aggregators of calls that could not park)
-join it singly.  Everything else — the reference stack
-(``Machine(reference=True)``), fault machines, flow fidelity — walks round
-by round, one process per rank, and is the oracle the parked path is tested
-against
-(tests/romio/test_park_once.py, tests/mpi/test_rank_classes.py).
+production stack, no fault injector, ``romio_cb_write=enable`` — every rank
+arrives at the offset exchange once and waits, and the call runs on one
+clock (:class:`CallClock`) that advances round by round in closed form: a
+writer is resumed at the instant its buffer is assembled, writes, reports
+back and waits for its next writing round; every other process is resumed
+once, by the post-write release.  "Process" is a *class* of ranks: a phased
+workload runs its non-aggregators as one (``workloads.phases``), which
+arrives once with the weight of them all.  Everything else — the reference
+stack (``Machine(reference=True)``), fault machines, flow fidelity,
+``romio_cb_write=automatic`` — walks round by round, one process per rank,
+and is the oracle the clock is tested against
+(tests/romio/test_call_clock.py, tests/mpi/test_rank_classes.py).
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -74,11 +71,6 @@ from repro.sim.core import Event, SimError
 
 _TAG_DATA = 1 << 20  # below the collective tag range, above user tags
 
-# Sentinel return from _rounds_model: the timed ladder's tail slot already
-# carried this rank through the step-5 allreduce, so the caller must not
-# arrive at it again.  Real byte counts are never negative.
-_LADDER_DONE = -1
-
 
 def is_interleaved(pairs) -> bool:
     """ROMIO's check over per-rank ``(st_offset, end_offset)`` pairs: any
@@ -87,62 +79,81 @@ def is_interleaved(pairs) -> bool:
     return ranks_interleaved(pairs[:, 0], pairs[:, 1])
 
 
-# The ladder's tail: step 5's error allreduce as the live ranks enter it
-# (value, extra) and the phase its release is charged to.
-_POST_WRITE_TAIL = ("allreduce", 0, {"reduce_op": op_max, "nbytes": 4}, "post_write")
-
-
 def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
-    """Generator: ``ADIOI_GEN_WriteStridedColl`` for one rank.
-
-    Returns the number of bytes this rank contributed.
-    """
+    """``ADIOI_GEN_WriteStridedColl`` for one rank, or the class of ranks it
+    stands for: joins the collective call and returns the generator of its
+    part in it, which returns the bytes the rank contributed."""
     comm = fd.comm
     call = fd.call_state()
-    call.accesses[rank] = access
     members = comm.members[rank]
     weight = 1
     if members:
         weight += len(members)
-        # A class that only follows; each member would bring its own view.
+        # A class that only follows; each member's view is the table's own.
         if fd.is_aggregator(rank):
             comm.alone(rank, "an aggregator's part in write_all")
         if fd.exchange_mode == "flow":
             comm.alone(rank, "the flow-fidelity allgather of offsets")
         if access.table is None or access.data is not None:
             comm.alone(rank, "a write_all access that is not a dataless table view")
-        call.accesses.update(access.table.views(members))
+    if rank in call.accesses:
+        raise SimError(f"{fd.path}: rank {rank} arrives twice at collective call {call.index}")
+    if comm.leaders[rank] != rank:
+        raise SimError(
+            f"{fd.path}: rank {rank} arrives at collective call {call.index} on its own, "
+            f"off the call of rank {comm.leaders[rank]}, which arrives for its class"
+        )
+    call.accesses[rank] = access
+    call.arrived += weight
     if not call.opened:
         _open_call(fd, call)
+    if call.park:
+        return _write_on_clock(fd, rank, access, call, prof)
+    return _write_live(fd, rank, access, call, prof)
 
+
+def _write_on_clock(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profiler):
+    """A process's part in a call that runs on its clock: arrive at the
+    offset exchange, then wake only to write — at the instant each buffer
+    this rank receives is assembled — and once when the call is over."""
+    clock = call.clock
+    r = yield clock.arrive(rank, prof)
+    if r is not None:
+        domain = call.domains[fd.agg_index[rank]]
+        cb = fd.hints.cb_buffer_size
+        starts, ends = call.merged_cov
+        write_contig = fd.driver.write_contig
+        while r is not None:
+            prof.lap("memcpy", clock.t_x[r])
+            lo = domain.start + r * cb
+            hi = min(domain.end, lo + cb)
+            t0 = prof.mark()
+            for s, e in coverage_in_window(starts, ends, lo, hi):
+                yield from write_contig(fd, rank, s, e - s, None)
+            prof.lap("write", t0)
+            r = yield clock.report(rank, r)
+    return access.total_bytes
+
+
+def _write_live(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profiler):
+    """A rank's part in a call it walks step by step, round by round."""
+    comm = fd.comm
     # ---- step 1: offset exchange -------------------------------------------------
-    if call.park and rank not in fd.agg_index:
-        # Park once: this rank decides nothing in the rest of the call, so
-        # the exchange's release carries it through every round and the
-        # post-write allreduce together with the call's other such ranks.
-        carried = yield _park(fd, call, rank, prof)
-        if carried:
-            return access.total_bytes
-        # Degenerate call (nothing to write, or no ladder to take): the
-        # exchange is behind this rank and lapped; the rest is live.
+    t0 = prof.mark()
+    if fd.exchange_mode == "flow":
+        yield from comm.allgather(rank, (access.start_offset, access.end_offset), nbytes=16)
     else:
-        t0 = prof.mark()
-        if fd.exchange_mode == "flow":
-            yield from comm.allgather(
-                rank, (access.start_offset, access.end_offset), nbytes=16
-            )
-        else:
-            yield comm.timed(rank, call.offset_cost, "offset_exch")
-        prof.lap("offset_exch", t0)
-        profiler = comm.sim.profiler
-        if profiler is not None:
-            profiler.count("ext2ph.park_live", weight)
-        # Every rank computes identical values from identical inputs (as in
-        # ROMIO); in simulation every rank has registered its access by the
-        # time the exchange releases, so the first one through gathers them
-        # into the call's table and reads the offsets off its vectors.
-        if call.table is None:
-            _gather_offsets(fd, call)
+        yield comm.timed(rank, call.offset_cost, "offset_exch")
+    prof.lap("offset_exch", t0)
+    profiler = comm.sim.profiler
+    if profiler is not None:
+        profiler.count("ext2ph.park_live", 1 + len(comm.members[rank]))
+    # Every rank computes identical values from identical inputs (as in
+    # ROMIO); in simulation every rank has registered its access by the
+    # time the exchange releases, so the first one through gathers them
+    # into the call's table and reads the offsets off its vectors.
+    if call.table is None:
+        _gather_offsets(fd, call)
 
     use_collective = fd.hints.romio_cb_write == "enable" or (
         fd.hints.romio_cb_write == "automatic" and call.interleaved
@@ -150,8 +161,7 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
     if not use_collective:
         from repro.romio import datasieve  # local import to avoid a cycle
 
-        if members:
-            comm.alone(rank, f"data sieving (romio_cb_write={fd.hints.romio_cb_write})")
+        comm.alone(rank, f"data sieving (romio_cb_write={fd.hints.romio_cb_write})")
         nbytes = yield from datasieve.write_strided(fd, rank, access, prof)
         return nbytes
 
@@ -171,51 +181,41 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
 
     try:
         if fd.exchange_mode == "flow":
-            nbytes = yield from _rounds_flow(fd, rank, access, call, prof)
+            yield from _rounds_flow(fd, rank, access, call, prof)
         else:
-            nbytes = yield from _rounds_model(fd, rank, call, prof)
+            yield from _rounds_model(fd, rank, call, prof)
     finally:
         if node is not None:
             node.unpin_memory(fd.hints.cb_buffer_size)
-
-    if nbytes == _LADDER_DONE:
-        # The timed ladder's tail slot already carried this rank through
-        # the post-write allreduce (and its release hook wrote the
-        # ``post_write`` lap), so step 5 would double-arrive.  Unpinning
-        # above moved from the last-round release to the allreduce release
-        # — pin accounting is stats-only and no pins occur in between, so
-        # ``peak_pinned_bytes`` is unchanged.
-        return access.total_bytes
 
     # ---- step 5: post-write error exchange ----------------------------------------
     t0 = prof.mark()
     yield from comm.allreduce(rank, 0, op_max, nbytes=4)
     prof.lap("post_write", t0)
-    # MPI semantics: the call reports this rank's own contribution; ``nbytes``
-    # (what this rank wrote as an aggregator) only feeds internal accounting.
+    # MPI semantics: the call reports this rank's own contribution; what it
+    # wrote as an aggregator only feeds internal accounting.
     return access.total_bytes
 
 
 def fast_paths(machine, comm, exchange_mode: str, hints) -> tuple[bool, bool, bool]:
-    """``(bulk, ladders, park)``: the fast paths a file's collective writes
+    """``(bulk, shared, clock)``: the fast paths a file's collective writes
     may take.  Known before any call is made, so a program can ask up front
-    (``workloads.phases`` runs ranks that park on every call as one process)."""
+    (``workloads.phases`` runs the ranks that never write in a call on its
+    clock as one process)."""
     if exchange_mode != "model":
         return False, False, False
     bulk = not machine.reference
-    # The timed ladder needs the shared release events of the production
-    # stack's model collectives and no fault injector, which may interrupt a
-    # rank in the middle of the run.
-    ladders = (
+    # A clock needs the shared release events of the production stack's
+    # model collectives and no fault injector, which may interrupt a rank
+    # in the middle of the call.
+    shared = (
         bulk
         and comm.collective_mode == "model"
         and getattr(machine, "faults", None) is None
     )
-    # A non-aggregator may park when it is certain, before any offset is
-    # known, that it will take the collective path and (unless the call
-    # turns out degenerate) the ladder: the hint must not wait for the
-    # interleaving test.
-    return bulk, ladders, ladders and hints.romio_cb_write == "enable"
+    # ... and certainty, before any offset is known, that the call takes
+    # the collective path: the hint must not wait for the interleaving test.
+    return bulk, shared, shared and hints.romio_cb_write == "enable"
 
 
 def _open_call(fd: ADIOFile, call: CollectiveCallState) -> None:
@@ -224,9 +224,7 @@ def _open_call(fd: ADIOFile, call: CollectiveCallState) -> None:
     which of the fast paths the call may take."""
     call.opened = True
     comm = fd.comm
-    call.bulk, call.ladders, call.park = fast_paths(
-        fd.machine, comm, fd.exchange_mode, fd.hints
-    )
+    call.bulk, _, call.park = fast_paths(fd.machine, comm, fd.exchange_mode, fd.hints)
     if fd.exchange_mode != "model":
         return
     costs = comm.costs
@@ -234,67 +232,250 @@ def _open_call(fd: ADIOFile, call: CollectiveCallState) -> None:
     call.alltoall_cost = costs.alltoall(comm.size, 16)
     call.a2a_label = f"a2a.c{call.index}"
     call.x_label = f"x.c{call.index}"
+    if call.park:
+        call.clock = CallClock(fd, call)
 
 
-def _park(fd: ADIOFile, call: CollectiveCallState, rank: int, prof: Profiler):
-    """Arrive at the offset exchange and join the call's parked ranks;
-    returns the event they all wait on (its value: carried through the
-    whole call, or released right after the exchange to go on live)."""
-    comm = fd.comm
-    release = comm.timed(rank, call.offset_cost, "offset_exch")
-    if call.parked is None:
-        call.parked = Event(comm.sim, name="ext2ph:parked")
-        # Where this rank's own resume would have been queued: the
-        # aggregators that arrived before it run first, as they did.
-        release.callbacks.append(partial(_release_parked, fd, call))
-    call.parked_ranks.append(rank)
-    call.parked_t0.append(prof.mark())
-    call.parked_seconds.append(prof.profile.seconds)
-    return call.parked
+class _Waiter:
+    """One process of a call on its clock: the event it waits on, its phase
+    seconds, the rounds lapped into them and the instant it last arrived."""
+
+    __slots__ = ("rank", "wake", "seconds", "lapped", "since")
+
+    def __init__(self, rank: int, wake: Event, seconds: dict[str, float], since: float):
+        self.rank = rank
+        self.wake = wake
+        self.seconds = seconds
+        self.lapped = 0
+        self.since = since
 
 
-def _release_parked(fd: ADIOFile, call: CollectiveCallState, _event: Event) -> None:
-    """The offset exchange released: do for every parked rank at once what
-    each would do on its own resume — lap the exchange, derive the plan if
-    no aggregator has yet, and join the timed ladder — then hand them to
-    the ladder's final release."""
-    comm = fd.comm
-    now = comm.sim.now
-    for seconds, t0 in zip(call.parked_seconds, call.parked_t0):
-        seconds["offset_exch"] = seconds.get("offset_exch", 0.0) + (now - t0)
-    if call.table is None:
+class CallClock:
+    """One collective write call, run in closed form.
+
+    Every process arrives at the offset exchange once and waits
+    (:meth:`arrive`).  The exchange's release (:meth:`_start`) laps everyone,
+    derives the plan and starts the rounds.  A round that starts at ``T`` —
+    the exchange's release, later the instant its predecessor's last writer
+    came back, or that round's ``t_x`` if nobody wrote in it — has
+    ``t_a2a = T + alltoall_cost`` and ``t_x = t_a2a + durations[r]``: the
+    two chained additions its two timed slots make on the live path.  Each
+    aggregator that receives bytes in it is woken at ``(t_x + pieces ·
+    piece_overhead) + bytes / memcpy_bw``, writes, and reports back
+    (:meth:`report`); wake events enter their bucket in the order the live
+    ranks would have created their deadlines — arrival order at the round's
+    first slot: those who did not write in the round before, as they were,
+    then its writers as they came back.  After the last round the
+    post-write release fires ``small_collective(size, 4)`` after the last
+    arrival and resumes everyone else, in the live order: first in arrival
+    order those who never wrote, woken by :meth:`_finish`, then the writers,
+    which have been waiting on the release itself since their last report.
+    Profiler laps are added from the clock's instants in the order each
+    rank's own ``lap`` calls would have added them (:meth:`_lap`).
+    """
+
+    def __init__(self, fd: ADIOFile, call: CollectiveCallState):
+        self.fd = fd
+        self.call = call
+        self.sim = fd.comm.sim
+        self.waiters: list[_Waiter] = []  # every process, in arrival order
+        self.round = -1  # the round being written; -1 before the exchange releases
+        self.t_a2a: list[float] = []  # by round, as far as the clock has come
+        self.t_x: list[float] = []
+        fd.comm.hold_classes(self)
+
+    def __str__(self) -> str:
+        return f"collective call {self.call.index} of {self.fd.path}"
+
+    def arrive(self, rank: int, prof: Profiler) -> Event:
+        """``rank`` (and its class) reaches the offset exchange.  Returns
+        the event it waits on, fired with the round it is to write, or with
+        ``None`` when the call is over."""
+        release = self.fd.comm.timed(rank, self.call.offset_cost, "offset_exch")
+        if not self.waiters:
+            release.callbacks.append(self._start)
+        wake = self.sim.event("write_all:wake")
+        self.waiters.append(_Waiter(rank, wake, prof.profile.seconds, prof.mark()))
+        return wake
+
+    def _start(self, _event: Event) -> None:
+        """The offset exchange released: do once what every rank would do
+        on its own resume, then run the rounds."""
+        fd, call, sim = self.fd, self.call, self.sim
+        comm = fd.comm
+        now = sim.now
+        for w in self.waiters:
+            w.seconds["offset_exch"] = w.seconds.get("offset_exch", 0.0) + (now - w.since)
+            w.since = now
         _gather_offsets(fd, call)
-    if call.max_end >= call.min_st:
-        if call.domains is None:
-            _partition(fd, call)
-        if not call.prepared:
-            _prepare_model(fd, call)
-    parked = call.parked
-    carried = call.ladder_steps is not None
-    profiler = comm.sim.profiler
-    if profiler is not None:  # counts ranks, not the processes standing for them
-        ranks = sum([1 + len(comm.members[r]) for r in call.parked_ranks])
-        profiler.count("ext2ph.park_single" if carried else "ext2ph.park_live", ranks)
-    if not carried:
-        parked._fire_inline(False)
-        return
-    final = comm.timed_ladder(
-        call.index,
-        call.parked_ranks,
-        call.parked_seconds,
-        call.ladder_steps,
-        call.ladder_width,
-        tail=_POST_WRITE_TAIL,
-    )
-    # After the ladder's final hook (queued at creation, it writes the
-    # members' last laps) and ahead of the live ranks, which reach the
-    # tail only after the last round: where each member's own resume sat.
-    final.callbacks.append(lambda _ev: parked._fire_inline(True))
+        profiler = sim.profiler
+        if call.max_end < call.min_st:
+            # Nothing to write: over at the exchange, without a post-write
+            # allreduce — where the live path returns.
+            if profiler is not None:
+                profiler.count("ext2ph.park_single", comm.size)
+            self._close()
+            for w in self.waiters:
+                w.wake._fire_inline(None)
+            return
+        _partition(fd, call)
+        _prepare_model(fd, call)
+        # Aggregators pin their collective buffer for the whole operation
+        # (the memory-pressure effect of big cb_buffer_size, paper point (d)).
+        for a in fd.aggregators:
+            fd.machine.nodes[comm.node_of(a)].pin_memory(fd.hints.cb_buffer_size)
+        # per round: aggregator index -> (pieces, bytes) it receives
+        self.writers: list[dict[int, tuple[int, int]]] = [{} for _ in range(call.ntimes)]
+        self.left: dict[int, int] = {}  # aggregator index -> rounds it has yet to write
+        rounds, aggs = np.nonzero(call.recv_bytes.T)
+        for r, i, pieces, nbytes in zip(
+            rounds.tolist(),
+            aggs.tolist(),
+            call.recv_pieces[aggs, rounds].tolist(),
+            call.recv_bytes[aggs, rounds].tolist(),
+        ):
+            self.writers[r][i] = (pieces, nbytes)
+            self.left[i] = self.left.get(i, 0) + 1
+        if profiler is not None:  # counts ranks, not the processes standing for them
+            if self.left:
+                profiler.count("ext2ph.park_live", len(self.left))
+            profiler.count("ext2ph.park_single", comm.size - len(self.left))
+        # Writers by aggregator index, and in arrival order at the round's
+        # first slot; everyone else wakes once, when the call is over.
+        self.writing: dict[int, _Waiter] = {}
+        self.order: list[int] = []
+        self.idle: list[_Waiter] = []
+        agg_index = fd.agg_index
+        for w in self.waiters:
+            i = agg_index.get(w.rank)
+            if i in self.left:
+                self.writing[i] = w
+                self.order.append(i)
+            else:
+                self.idle.append(w)
+        self.release = sim.event("write_all:post_write")
+        self.release.callbacks.append(self._finish)
+        self.round = 0
+        self._advance(now)
+
+    def _advance(self, start: float) -> None:
+        """Run the rounds from ``self.round`` on, the first starting at
+        ``start``, up to one somebody writes in — whose writers' wake
+        events it schedules — or through the last, to the post-write
+        release."""
+        call, sim = self.call, self.sim
+        alltoall_cost = call.alltoall_cost
+        durations = call.round_durations
+        network, ram = self.fd.machine.config.network, self.fd.machine.config.ram
+        r = self.round
+        while r < call.ntimes:
+            t_a2a = start + alltoall_cost
+            t_x = t_a2a + durations[r]
+            self.t_a2a.append(t_a2a)
+            self.t_x.append(t_x)
+            writers = self.writers[r]
+            if writers:
+                self.round = r
+                self.pending = set(writers)
+                stay = []
+                for i in self.order:
+                    if i not in writers:
+                        stay.append(i)
+                        continue
+                    # Assembly: the per-piece scatter cost, then the
+                    # streaming copy — two hops, added separately (floats
+                    # are not associative), charged as one event.
+                    pieces, nbytes = writers[i]
+                    wake = self.writing[i].wake
+                    wake.adopt(True, r)
+                    sim._schedule_at(
+                        wake, (t_x + pieces * network.piece_overhead) + nbytes / ram.memcpy_bw
+                    )
+                self.order = stay
+                return
+            start = t_x
+            r += 1
+        self.round = r
+        # Step 5, the error allreduce: released this long after the last arrival.
+        self.release.adopt(True, None)
+        sim._schedule_at(
+            self.release, start + self.fd.comm.costs.small_collective(self.fd.comm.size, 4)
+        )
+
+    def report(self, rank: int, r: int) -> Event:
+        """``rank`` has written round ``r``'s buffer.  Returns the event it
+        waits on next: its next writing round's, or the post-write release."""
+        i = self.fd.agg_index.get(rank)
+        if r != self.round or i not in self.pending:
+            raise SimError(
+                f"{self}: rank {rank} reports back from round {r}, which it does "
+                f"not write (the clock is at round {self.round})"
+            )
+        self.pending.remove(i)
+        w = self.writing[i]
+        self._lap(w, r + 1)
+        w.since = now = self.sim.now
+        self.order.append(i)
+        self.left[i] -= 1
+        if self.left[i]:
+            wait = w.wake = self.sim.event("write_all:wake")
+        else:
+            wait = self.release
+        if not self.pending:
+            self.round = r + 1
+            self._advance(now)
+        return wait
+
+    def _lap(self, w: _Waiter, upto: int) -> None:
+        """Add the exchange laps of the rounds below ``upto`` not yet in
+        ``w``'s phase seconds — each round's alltoall since the process
+        arrived at it, then its data exchange — as its own ``lap`` calls
+        would have, one after another."""
+        r = w.lapped
+        if r >= upto:
+            return
+        seconds, since = w.seconds, w.since
+        shuffle = seconds.get("shuffle_all2all", 0.0)
+        comm = seconds.get("comm", 0.0)
+        t_a2a, t_x = self.t_a2a, self.t_x
+        while r < upto:
+            shuffle += t_a2a[r] - since
+            since = t_x[r]
+            comm += since - t_a2a[r]
+            r += 1
+        seconds["shuffle_all2all"] = shuffle
+        seconds["comm"] = comm
+        w.lapped, w.since = r, since
+
+    def _finish(self, _event: Event) -> None:
+        """The post-write release: everybody's remaining laps, then resume
+        those who never wrote; the writers' resumes follow on the release."""
+        fd, call = self.fd, self.call
+        if self.round != call.ntimes:  # not by this clock, then: writers are still out
+            back = len(self.idle) + sum([not rounds for rounds in self.left.values()])
+            raise SimError(
+                f"{self}: the post-write release is reached with {back} of "
+                f"{len(self.waiters)} processes arrived (the clock is at round "
+                f"{self.round} of {call.ntimes})"
+            )
+        now = self.sim.now
+        for w in self.waiters:
+            self._lap(w, call.ntimes)
+            w.seconds["post_write"] = w.seconds.get("post_write", 0.0) + (now - w.since)
+        for a in fd.aggregators:
+            fd.machine.nodes[fd.comm.node_of(a)].unpin_memory(fd.hints.cb_buffer_size)
+        self._close()
+        for w in self.idle:
+            w.wake._fire_inline(None)
+
+    def _close(self) -> None:
+        self.fd.comm.hold_classes(None)
+        self.call.clock = None
 
 
 def _gather_offsets(fd: ADIOFile, call: CollectiveCallState) -> None:
     """Step 1's result: the call's table and the offsets read off it."""
-    table = call.table = AccessTable.gather(call.accesses, fd.comm.size)
+    table = call.table = AccessTable.gather(call.accesses, fd.comm.size, fd.comm.members)
     profiler = fd.machine.sim.profiler
     if profiler is not None:
         first = next(iter(call.accesses.values()))
@@ -493,7 +674,7 @@ def _model_memo_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
 
 def _prepare_model(fd: ADIOFile, call: CollectiveCallState) -> None:
     """Derive the call's per-round costs (from the memo when the shape has
-    been planned before) and decide whether it takes the timed ladder."""
+    been planned before)."""
     cb = fd.hints.cb_buffer_size
     key = _model_memo_key(fd, call, cb)
     plan = None
@@ -516,7 +697,6 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState) -> None:
     call.round_durations = durations.tolist()
     call.merged_cov = (cov_starts + base, cov_ends + base)
     call.prepared = True
-    _plan_ladder(fd, call)
 
 
 def _solve_model(
@@ -570,58 +750,11 @@ def _solve_model(
     return recv_bytes, recv_pieces, durations, cov_starts - base, cov_ends - base
 
 
-def _plan_ladder(fd: ADIOFile, call: CollectiveCallState) -> None:
-    """Decide, once per call, whether the ranks that take no per-round
-    action cross the round loop on the timed ladder, and with which steps.
-
-    Members are the non-aggregators plus the aggregators whose domain is
-    empty or receives nothing in any round.  The ladder needs at least one
-    round to cover and at least one live rank to drive its slots.
-    """
-    if call.ntimes <= 0 or not call.ladders:
-        return
-    receives = call.recv_bytes.any(axis=1)
-    call.idle_aggs = frozenset(
-        i for i, d in enumerate(call.domains) if d.size <= 0 or not receives[i]
-    )
-    width = fd.comm.size - len(fd.aggregators) + len(call.idle_aggs)
-    if not 0 < width < fd.comm.size:
-        return
-    call.ladder_width = width
-    a2a = (call.a2a_label, call.alltoall_cost, "shuffle_all2all")
-    steps = call.ladder_steps = []
-    for duration in call.round_durations:
-        steps.append(a2a)
-        steps.append((call.x_label, duration, "comm"))
-
-
 def _rounds_model(fd: ADIOFile, rank: int, call: CollectiveCallState, prof: Profiler):
     comm = fd.comm
     if not call.prepared:
         _prepare_model(fd, call)
     agg_idx = fd.agg_index.get(rank)
-
-    # ---- timed-ladder fast path -------------------------------------------------
-    # A rank that takes no per-round action (not an aggregator, or an
-    # aggregator whose domain is empty / receives nothing in any round)
-    # only marches through the 2·ntimes timed slots and step 5's error
-    # allreduce.  Pre-register it into all of them at once and park it on
-    # the final release event: one resume for the rest of the call instead
-    # of 2·ntimes + 1.  Release timestamps, profiler phase totals, and
-    # event counts are byte-identical to the round-by-round path (see
-    # timed_ladder); tier-1 proves it against the reference stack, which
-    # keeps this loop.  Parked non-aggregators join in one batch
-    # (_release_parked); whoever else qualifies joins here, alone.
-    if call.ladder_steps is not None and (agg_idx is None or agg_idx in call.idle_aggs):
-        yield comm.timed_ladder(
-            call.index,
-            [rank],
-            [prof.profile.seconds],
-            call.ladder_steps,
-            call.ladder_width,
-            tail=_POST_WRITE_TAIL,
-        )
-        return _LADDER_DONE
 
     written = 0
     cb = fd.hints.cb_buffer_size

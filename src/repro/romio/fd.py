@@ -8,8 +8,10 @@ is a class of one), filed under every member's rank — so the experiment
 harness can pull the phase breakdown after the run.
 
 ``CollectiveCallState`` carries the per-``write_all`` shared scratch space
-(every rank's access pattern and the one :class:`~repro.access.AccessTable`
-gathered from them, the file domains, the precomputed per-round costs).
+(the access each process arrived with — a class's representative brings one
+view and the weight of its members — and the one
+:class:`~repro.access.AccessTable` gathered from them, the file domains, the
+precomputed per-round costs, the clock the call runs on if it has one).
 Ranks proceed through collective calls in lock-step — no rank starts call
 *n + 1* before every rank has arrived at call *n*'s offset exchange — so
 the state a rank joins is the newest one until all ranks have.
@@ -21,7 +23,7 @@ file views, and per-file cache state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from repro.mpi.comm import Communicator
 from repro.romio.aggregation import FileDomain
 from repro.romio.hints import Hints
 from repro.romio.profiling import Profiler
-from repro.sim.core import Event
 
 
 @dataclass
@@ -40,13 +41,14 @@ class CollectiveCallState:
 
     Everything here is derived once per call and read by every rank: the
     constants the first rank to arrive fills in, the offsets, domains and
-    per-round model costs the first rank through the offset exchange
-    derives, and the list of ranks that wait out the whole call on one
-    event (see ``ext2ph``, "park once").
+    per-round model costs derived when the offset exchange releases, and
+    the clock that then runs the call (see ``ext2ph.CallClock``).
     """
 
     index: int
+    # by arriving rank: a class's representative stands for ``arrived`` ranks
     accesses: dict[int, RankAccess] = field(default_factory=dict)
+    arrived: int = 0
     # per-call constants, set by the first rank to arrive (ext2ph._open_call)
     opened: bool = False
     offset_cost: float = 0.0  # the step-1 offset exchange
@@ -54,14 +56,8 @@ class CollectiveCallState:
     a2a_label: str = ""
     x_label: str = ""
     bulk: bool = False  # production stack: fused assembly delays
-    ladders: bool = False  # the timed ladder is available
-    park: bool = False  # ... and non-aggregators cross the call on one resume
-    # park once: the ranks waiting on ``parked`` since they arrived at the
-    # offset exchange at ``parked_t0``, with their profiler phase dicts
-    parked: Optional[Event] = None
-    parked_ranks: list[int] = field(default_factory=list)
-    parked_t0: list[float] = field(default_factory=list)
-    parked_seconds: list[dict[str, float]] = field(default_factory=list)
+    park: bool = False  # ... and the call runs on one clock: only writers wake
+    clock: Optional[Any] = None  # ext2ph.CallClock, while the call runs on it
     # all ranks' accesses as one table (ext2ph gathers it after step 1)
     table: Optional[AccessTable] = None
     min_st: int = 0
@@ -76,13 +72,6 @@ class CollectiveCallState:
     recv_bytes: Optional[np.ndarray] = None  # [agg, round]
     recv_pieces: Optional[np.ndarray] = None  # [agg, round] offset/length pairs
     merged_cov: Optional[tuple[np.ndarray, np.ndarray]] = None
-    # timed ladder: the aggregators that receive nothing in any round, the
-    # member count (they plus every non-aggregator) and the shared
-    # (label, duration, phase) step sequence; ``ladder_steps`` stays None
-    # when the call takes no ladder
-    idle_aggs: frozenset[int] = frozenset()
-    ladder_width: int = 0
-    ladder_steps: Optional[list[tuple[str, float, str]]] = None
 
 
 class ADIOFile:
@@ -108,11 +97,14 @@ class ADIOFile:
         self.aggregators = aggregators
         self.agg_index = {a: i for i, a in enumerate(aggregators)}
         self.exchange_mode = exchange_mode
-        # In rank order; the ranks of a class lap in lock-step, into one.
+        # In rank order; the ranks of a class lap in lock-step, into one
+        # (``class_profilers``: each once, for whoever wants every distinct one).
         self.profilers: dict[int, Profiler] = dict.fromkeys(range(comm.size))
+        self.class_profilers: list[Profiler] = []
         for rank, members in enumerate(comm.members):
             if self.profilers[rank] is None:
                 self.profilers[rank] = prof = Profiler(machine.sim, rank)
+                self.class_profilers.append(prof)
                 if members:
                     self.profilers.update(dict.fromkeys(members, prof))
         self.opened = 0  # ranks that have joined the collective open, by weight
@@ -135,8 +127,8 @@ class ADIOFile:
 
     def call_state(self) -> CollectiveCallState:
         """The collective call a rank arriving now joins: the newest one,
-        until every rank has registered its access with it."""
+        until every rank has arrived at it (by weight)."""
         calls = self._calls
-        if not calls or len(calls[-1].accesses) == self.comm.nprocs:
+        if not calls or calls[-1].arrived == self.comm.nprocs:
             calls.append(CollectiveCallState(index=len(calls)))
         return calls[-1]

@@ -29,7 +29,8 @@ def run(hints):
 
 class TestCollect:
     def test_cached_run_touches_both_tiers(self):
-        machine = run(CACHE)
+        # the SSD-backed cache, whatever REPRO_CACHE_KIND the CI leg sets
+        machine = run(dict(CACHE, e10_cache_kind="extent"))
         stats = collect(machine)
         total = 8 * 8 * KiB
         # cache writes land on node SSDs (via writeback); the flush moves

@@ -17,7 +17,8 @@ SMOKE = FleetSpec(fleet_size=8, num_nodes=8, job_nodes=(1, 2), scale=0.03125)
 
 
 class TestDeviceLedger:
-    def test_cache_enabled_jobs_attribute_ssd_traffic(self):
+    def test_cache_enabled_jobs_attribute_ssd_traffic(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_KIND", "extent")  # not the CI leg's
         result = run_fleet(SMOKE)
         for job in result.jobs:
             if job.status != "ok":

@@ -19,7 +19,15 @@ completion and one timeout per compute phase fewer):
 ``coll_perf-disabled`` 4678 → 3337, ``coll_perf-enabled`` 7110 → 5769,
 ``coll_perf-theoretical`` 2837 → 1496, ``flash_io-enabled`` 6113 → 4772,
 ``fleet_of_eight`` 4875 → 4848 (``flash_io/agg_crash`` runs a fault
-machine, which forms no class: still 2808).
+machine, which forms no class: still 2808); and the production column of
+every fault-free case when a collective write began to run on its clock
+(PR 24; two shared releases a round fewer — ``coll_perf`` runs one round a
+file, Flash-IO 24 one-round calls, IOR 4 or 32): ``coll_perf-disabled``
+3337 → 3333, ``coll_perf-enabled`` 5769 → 5765, ``coll_perf-theoretical``
+1496 → 1492, ``flash_io-enabled`` 4772 → 4676, ``ior agg8-enabled`` 31219 →
+31027, ``agg64-enabled`` 33135 → 33111, ``agg64-disabled`` 19464 → 19440,
+``fleet_of_eight`` 4848 → 4632 (the reference column and
+``flash_io/agg_crash`` keep the round-by-round walk: unchanged).
 
 First instalment of ROADMAP item 1a's golden digests (grid + fleet + fault
 point); the sizes are the ``noncontig_grid4`` / ``faults_payload24`` ones
@@ -66,19 +74,19 @@ def digest(fields: dict) -> str:
 GRID = {
     # (benchmark, cache mode, scale): ((production, reference) events, digest)
     ("coll_perf", "disabled", 0.03125): (
-        (3337, 11935),
+        (3333, 11935),
         "1699b6529e27d2dd781f3ba61653bf11a29b3b8d0651fadfe5685e59dd354cff",
     ),
     ("coll_perf", "enabled", 0.03125): (
-        (5769, 14588),
+        (5765, 14588),
         "7deeddef1c491237652183bd7ce805e71ba84284b8205f500d63b40607b44d07",
     ),
     ("coll_perf", "theoretical", 0.03125): (
-        (1496, 9417),
+        (1492, 9417),
         "025f3f11af8d80e1a29007d5387b0f32344b14f39012ae2e7ae8415c2a08a8ba",
     ),
     ("flash_io", "enabled", 0.0125): (
-        (4772, 107254),
+        (4676, 107254),
         "9e69c71f23e281a152a3bf146a17ee764bc490e93829bba3ca6e9b3369ba75fe",
     ),
 }
@@ -106,15 +114,15 @@ IOR_GRID6 = {
     # (aggregators, cache mode) of ``ior_grid6``: 16 MiB buffers, scale
     # 0.125, 3 files, seed 2016: ((production, reference) events, digest)
     (8, "enabled"): (
-        (31219, 145527),
+        (31027, 145527),
         "7e9b43acb8deb4d10000c95d7f6bc5b58a362c8ca820817792c685c997fb1ecd",
     ),
     (64, "enabled"): (
-        (33135, 60396),
+        (33111, 60396),
         "1a1a08d73660f715cc5232a43198d9e5f16cd3c198c2f1fa21195ee156c85366",
     ),
     (64, "disabled"): (
-        (19464, 46617),
+        (19440, 46617),
         "340fc0f1aa4723afb729805fa5844b7b3806cc23424ef4f43560d9af1663dd2d",
     ),
     # the other three: the stacks must agree, nothing is pinned
@@ -146,7 +154,7 @@ def test_ior_grid6_point(point):
 
 
 # ((production, reference) events, digest of FleetResult.identity())
-FLEET = ((4848, 8709), "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
+FLEET = ((4632, 8709), "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
 
 
 def test_fleet_of_eight():

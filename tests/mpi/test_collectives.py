@@ -211,13 +211,15 @@ class TestCostModel:
 
 
 # ---------------------------------------------------------------------------
-# The timed ladder: ranks pre-registered into a run of timed slots
+# Timed slots, walked round by round (what the reference stack, fault machines
+# and ``romio_cb_write=automatic`` do; on production a collective write runs on
+# its clock instead: tests/romio/test_call_clock.py)
 # ---------------------------------------------------------------------------
 
 NPROCS = 6
 LIVE = (0, 1)
 # Irregular durations and think times: their float sums depend on the order
-# of addition, so any re-association in the ladder's bookkeeping shows.
+# of addition, so any re-association in a lap's bookkeeping shows.
 STEPS = [
     ("a2a", 0.1, "shuffle_all2all"),
     ("x", 0.7, "comm"),
@@ -227,126 +229,92 @@ STEPS = [
     ("x", 1e-7, "comm"),
 ]
 THINK = {0: 0.3, 1: 1.1000000000000001}
-TAIL = ("allreduce", 0, {"reduce_op": op_max, "nbytes": 4}, "post_write")
-STARTING = {
-    2: {"comm": 0.1, "open": 5.0},
-    3: {"comm": 0.1},
-    4: {},
-    5: {"shuffle_all2all": 1e-3, "comm": 7.7, "post_write": 0.30000000000000004},
-}
 
 
-def ladder_model():
+def slot_model():
     sim = create_simulator()
     costs = CollectiveCosts(alpha=1e-6, beta_inv=1e-9, per_message=1e-7)
     return sim, ModelCollectives(sim, NPROCS, costs, shared_release=True)
 
 
-def walk(sim, model, rank, prof, tail, think=0.0):
-    """The round-by-round walk the ladder stands in for, laps and all."""
+def walk(sim, model, rank, prof, think=0.0):
+    """The two-phase round loop as the collectives see it, laps and all."""
     for label, duration, phase in STEPS:
         t0 = prof.mark()
         yield model.timed(rank, duration, label)
         prof.lap(phase, t0)
         if think and phase == "comm":
             yield sim.timeout(think)  # an aggregator's assembly + write
-    if tail:
-        t0 = prof.mark()
-        yield model.arrive(rank, "allreduce", 0, reduce_op=op_max, nbytes=4)
-        prof.lap("post_write", t0)
+    t0 = prof.mark()
+    yield model.arrive(rank, "allreduce", 0, reduce_op=op_max, nbytes=4)
+    prof.lap("post_write", t0)
     return sim.now
 
 
-def profilers(sim):
-    out = {r: Profiler(sim, r) for r in range(NPROCS)}
-    for rank, seconds in STARTING.items():
-        out[rank].profile.seconds.update(seconds)
-    return out
-
-
-def run_walked(tail):
-    sim, model = ladder_model()
-    profs = profilers(sim)
-    procs = [
-        sim.process(walk(sim, model, r, profs[r], tail, THINK.get(r, 0.0)))
-        for r in range(NPROCS)
-    ]
-    sim.run()
-    left = {procs[r].value for r in STARTING}  # when the would-be members left
-    assert len(left) == 1
-    return left.pop(), {r: p.profile.seconds for r, p in profs.items()}
-
-
-def run_laddered(batches, tail, width=NPROCS - len(LIVE)):
-    sim, model = ladder_model()
-    profs = profilers(sim)
-    resumed = []
-
-    def members(ranks):
-        yield model.timed_ladder(
-            7,
-            ranks,
-            [profs[r].profile.seconds for r in ranks],
-            STEPS,
-            width,
-            tail=TAIL if tail else None,
-        )
-        resumed.append((sim.now, ranks))
-
-    for r in LIVE:
-        sim.process(walk(sim, model, r, profs[r], tail, THINK[r]))
-    for ranks in batches:
-        sim.process(members(ranks))
-    sim.run()
-    assert [ranks for _, ranks in resumed] == batches
-    left = {t for t, _ in resumed}
-    assert len(left) == 1
-    assert not model._ladders and not model._slots
-    return left.pop(), {r: p.profile.seconds for r, p in profs.items()}
-
-
 class TestTimedLadder:
-    @pytest.mark.parametrize("tail", [True, False], ids=["tail", "no_tail"])
-    @pytest.mark.parametrize(
-        "batches",
-        [[[2, 3, 4, 5]], [[2], [3], [4], [5]], [[4, 2], [5, 3]]],
-        ids=["one_batch", "one_by_one", "two_batches"],
-    )
-    def test_phase_totals_equal_sequential_laps_bit_for_bit(self, batches, tail):
-        """Members with different starting totals, joined in any batching,
-        end with exactly the floats their own ``Profiler.lap`` calls would
-        have accumulated — and leave at the instant they would have."""
-        left, walked = run_walked(tail)
-        assert run_laddered(batches, tail) == (left, walked)
-        assert walked[2]["open"] == 5.0  # phases outside the run are left alone
-        assert walked[2]["comm"] != walked[4]["comm"]
-
-    def test_fewer_members_than_width_is_an_error(self):
-        with pytest.raises(SimError, match=r"call 7: 4 members expected, 3 joined"):
-            run_laddered([[2, 3, 4]], tail=False)
-
-    def test_more_members_than_width_is_an_error(self):
-        with pytest.raises(SimError, match=r"call 7: 3 members expected, 4 joined"):
-            run_laddered([[2, 3, 4], [5]], tail=True, width=3)
-
-    def test_out_of_step_member_is_refused_not_rebased(self):
-        sim, model = ladder_model()
-        model.timed(3, 0.1, "a2a")  # rank 3 took the first slot live
-        with pytest.raises(SimError, match=r"call 7: rank 3 is at slot 1, .* slot 0"):
-            model.timed_ladder(7, [2, 3], [{}, {}], STEPS, 4)
-
-    @pytest.mark.parametrize("steps, width", [([], 4), (STEPS, 0), (STEPS, NPROCS)])
-    def test_a_ladder_nobody_could_complete_is_refused(self, steps, width):
-        _, model = ladder_model()
-        with pytest.raises(SimError, match="at least one step and 0 < width < 6"):
-            model.timed_ladder(7, [2], [{}], steps, width)
+    """The slots the timed ladder used to pre-register ranks into (the
+    ladder is gone; the name stays with what it leaves in this module)."""
 
     def test_timed_slots_release_no_results_dict(self):
-        sim, model = ladder_model()
+        sim, model = slot_model()
         released = [model.timed(r, 0.25, "t") for r in range(NPROCS)]
         sim.run()
         assert {id(ev) for ev in released} == {id(released[0])}
         assert released[0].fired and released[0].value is None
+
+    def test_a_timed_slot_keeps_its_longest_duration_as_ranks_arrive(self):
+        """No arrival is filed: a count, and the running maximum — the same
+        float the fold over all arrivals gave, the first of equals winning."""
+        sim, model = slot_model()
+        durations = [0.1, 0.30000000000000004, 0.3, 0.30000000000000004, 2, 0.2]
+        for rank, duration in enumerate(durations[:-1]):
+            model.timed(rank, duration, "t")
+        slot = model._slots[0]
+        assert (slot.count, slot.duration, slot.arrivals) == (5, 2, {})
+        release = model.timed(5, durations[-1], "t")
+        sim.run()
+        assert release.fired and sim.now == max(float(d) for d in durations) == 2.0
+        sim, model = slot_model()
+        first, second = 0.5, float("0.5")  # equal, distinguishable by identity
+        model.timed(0, first, "t")
+        model.timed(1, second, "t")
+        assert model._slots[0].duration is first
+
+    @pytest.mark.parametrize(
+        "op, value, extra, result",
+        [
+            ("barrier", None, {}, None),
+            ("allreduce", 3, {"reduce_op": op_max, "nbytes": 4}, 3),
+            ("bcast", "v", {"root": 0, "nbytes": 64}, "v"),
+        ],
+    )
+    def test_one_result_for_all_rides_on_the_release(self, op, value, extra, result):
+        """Where every rank gets the same object no ``{rank: value}`` dict
+        is built: the shared release carries it and ``enter`` returns it."""
+        sim, model = slot_model()
+        got = []
+
+        def body(rank):
+            mine = value if op != "bcast" or rank == 0 else None
+            got.append((yield from model.enter(rank, op, mine, **extra)))
+
+        for rank in range(NPROCS):
+            sim.process(body(rank))
+        sim.run()
+        assert got == [result] * NPROCS
+
+    def test_per_rank_results_are_still_picked_by_rank(self):
+        sim, model = slot_model()
+        got = {}
+
+        def body(rank):
+            got[rank] = yield from model.allgather(rank, rank * rank)
+
+        for rank in range(NPROCS):
+            sim.process(body(rank))
+        sim.run()
+        assert all(got[r] == [0, 1, 4, 9, 16, 25] for r in range(NPROCS))
+        assert len({id(v) for v in got.values()}) == NPROCS  # each its own list
 
 
 # ---------------------------------------------------------------------------
@@ -363,52 +331,50 @@ def program(sim, model, rank, prof, out):
     follows = rank not in LIVE
     ev = model.arrive(rank, "barrier")
     yield ev
-    out.append((sim.now, sorted(ev.value)))  # a results entry for every rank
+    out.append((sim.now, ev.value))
     ev = model.arrive(rank, "bcast", "v" if rank == 0 else None, root=0, nbytes=64)
     yield ev
-    out.append((sim.now, sorted(ev.value.items())))
+    out.append((sim.now, ev.value))
     total = yield from model.allreduce(rank, 1 if follows else 10 * (rank + 1))
     out.append((sim.now, total))
+    gathered = yield from model.allgather(rank, 7 if follows else rank)
+    out.append((sim.now, gathered))
     yield from model.enter(rank, "timed:gen", 0.125)
     out.append(sim.now)
     yield model.timed(rank, 0.25, "flat")
     out.append(sim.now)
-    if follows:
-        yield model.timed_ladder(
-            7, [rank], [prof.profile.seconds], STEPS, NPROCS - len(LIVE), tail=TAIL
-        )
-    else:
-        yield from walk(sim, model, rank, prof, True, THINK[rank])
+    yield from walk(sim, model, rank, prof, THINK.get(rank, 0.0))
     out.append(sim.now)
 
 
 def run_program(classes):
-    sim, model = ladder_model()
+    sim, model = slot_model()
     model.set_classes(classes)
     outs = {ranks: [] for ranks in classes}
     profs = {ranks: Profiler(sim, ranks[0]) for ranks in classes}
     for ranks in classes:
         sim.process(program(sim, model, ranks[0], profs[ranks], outs[ranks]))
     sim.run()
-    assert not model._slots and not model._ladders
+    assert not model._slots
     per_rank = {r: (outs[ranks], profs[ranks].profile.seconds) for ranks in classes for r in ranks}
     return per_rank, sim.now, sim.events_fired
 
 
 class TestRankClasses:
     def test_a_class_arrives_for_every_member(self):
-        """Barrier, bcast, allreduce, timed (generator and flat), ladder and
-        tail: same release instants, same results — with an entry for every
-        member — and same laps as when every rank arrives for itself."""
+        """Barrier, bcast, allreduce, allgather, timed (generator and flat),
+        the round loop and the post-write allreduce: same release instants,
+        same results — the allgather's with an entry for every member — and
+        same laps as when every rank arrives for itself."""
         alone, end, events = run_program(SINGLES)
         classed, class_end, class_events = run_program(CLASSES)
         assert classed == alone and class_end == end
-        assert alone[2][0][0][1] == list(range(NPROCS))
         assert alone[2][0][2][1] == 10 + 20 + 4
+        assert alone[2][0][3][1] == [0, 1, 7, 7, 7, 7]
         assert events - class_events == 3 * 2  # three processes' init and completion
 
     def test_a_slot_waits_for_the_weight_of_all_ranks(self):
-        sim, model = ladder_model()
+        sim, model = slot_model()
         model.set_classes(CLASSES)
         release = model.arrive(2, "barrier")
         model.arrive(0, "barrier")
@@ -417,24 +383,11 @@ class TestRankClasses:
         assert release.triggered and not model._slots
 
     def test_mismatch_names_the_representative(self):
-        sim, model = ladder_model()
+        sim, model = slot_model()
         model.set_classes(CLASSES)
         model.arrive(0, "barrier")
         with pytest.raises(SimError, match=r"slot 0: rank 2 called 'allreduce' .* 'barrier'"):
             model.arrive(2, "allreduce", 0, reduce_op=op_max, nbytes=4)
-
-    def test_ladder_width_counts_members(self):
-        sim, model = ladder_model()
-        model.set_classes(CLASSES)
-        with pytest.raises(SimError, match=r"call 7: 3 members expected, 4 joined"):
-            model.timed_ladder(7, [2], [{}], STEPS, 3)
-        sim, model = ladder_model()
-        model.set_classes([(0,), (1,), (2,), (3, 4, 5)])
-        for rank in LIVE:
-            sim.process(walk(sim, model, rank, Profiler(sim, rank), False, THINK[rank]))
-        model.timed_ladder(7, [3], [{}], STEPS, 4)  # rank 2 never comes
-        with pytest.raises(SimError, match=r"call 7: 4 members expected, 3 joined"):
-            sim.run()
 
     @pytest.mark.parametrize(
         "classes, message",
@@ -446,13 +399,13 @@ class TestRankClasses:
         ids=["no_class", "two_classes", "no_rank"],
     )
     def test_only_a_partition_of_the_ranks_is_accepted(self, classes, message):
-        _, model = ladder_model()
+        _, model = slot_model()
         with pytest.raises(SimError, match=message):
             model.set_classes(classes)
         assert model.members == [()] * NPROCS  # untouched
 
     def test_nobody_joins_a_class_from_another_slot(self):
-        sim, model = ladder_model()
+        sim, model = slot_model()
         for rank in range(NPROCS):
             if rank != 4:
                 model.arrive(rank, "barrier")
@@ -465,7 +418,7 @@ class TestRankClasses:
             model.set_classes(CLASSES)
 
     def test_former_members_are_brought_level_first(self):
-        sim, model = ladder_model()
+        sim, model = slot_model()
         model.set_classes(CLASSES)
         for rank in (0, 1, 2):
             model.arrive(rank, "barrier")
@@ -487,7 +440,7 @@ class TestRankClasses:
             world.comm.set_classes([(0, 1), (2, 3), (4, 5), (6, 7)])
 
     def test_alone_names_rank_and_path(self):
-        _, model = ladder_model()
+        _, model = slot_model()
         model.set_classes(CLASSES)
         model.alone(1, "anything")
         with pytest.raises(

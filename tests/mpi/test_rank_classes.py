@@ -42,6 +42,7 @@ from tests.romio.test_park_once import (
     CACHE_HINTS,
     _NoDomains,
     hints,
+    machine_config,
     run_job,
     strided,
     table_of,
@@ -54,11 +55,6 @@ def run_program(kind, workload, info, **kwargs):
     how many processes ran the program, and the classes they stood for."""
     observed, _counters, (_events, classes) = run_job(kind, workload, info, **kwargs)
     return observed, classes
-
-
-def machine_config(nodes=4, ppn=2, placement=None, **_):
-    """The cluster ``run_job`` builds for these keyword arguments."""
-    return small_testbed(nodes if placement is None else max(placement) + 1, ppn)
 
 
 def assert_classes_equal_ranks(workload, info, processes, oracle="heapq", **kwargs):
@@ -121,7 +117,7 @@ CASES = {
         hints(cb_nodes=4),
         5,
     ),
-    "no_rounds": (  # the class leaves _park with False and walks live
+    "no_rounds": (  # nobody writes: the clock goes straight to the post-write release
         {"driver": _NoDomains()},
         [strided(8)],
         hints(cb_nodes=2),
@@ -216,8 +212,9 @@ def test_a_grid_point_at_512_ranks(aggregators, processes):
 
 
 def test_a_class_run_flattens_no_table(monkeypatch):
-    """The class registers its members' views by rank and nobody reads one:
-    neither the table nor any of its 512 views ever builds an array."""
+    """The class registers its members by table identity and weight: only
+    the nine processes ever ask for a view, and neither the table nor any
+    of those views builds an array."""
     monkeypatch.setattr(workloads_base, "_DATALESS_MEMO", {})
     spec = ExperimentSpec("coll_perf", 8, 8 * MiB, "enabled", num_files=2, scale=0.001)
     with spawned() as counts:
@@ -226,8 +223,9 @@ def test_a_class_run_flattens_no_table(monkeypatch):
     table = build_workload(spec, 512).steps[0].table()  # the recipe the run shared
     arrays = {"offsets", "lengths", "prefix", "ends", "rank_ptr"}
     assert table.levels is not None and not arrays & set(vars(table))
-    assert all(view is not None for view in table._views)  # every rank took part
-    assert not any(arrays & set(vars(view)) for view in table._views)
+    views = [view for view in table._views if view is not None]
+    assert [view.rank for view in views] == [0, 1, *range(64, 512, 64)]  # one a process
+    assert not any(arrays & set(vars(view)) for view in views)
 
 
 GATES = {

@@ -1,9 +1,10 @@
-"""Park once == round by round.
+"""One resume a call == round by round.
 
-On the production stack the non-aggregator ranks run as one process (a rank
-class, ``tests/mpi/test_rank_classes.py``) that crosses a collective write
-on one resume (``ext2ph._park``), and every other rank that takes no
-per-round action joins the timed ladder; the reference stack
+On the production stack a collective write runs on its clock
+(``ext2ph.CallClock``, unit-tested in tests/romio/test_call_clock.py): the
+non-aggregator ranks run as one process (a rank class,
+``tests/mpi/test_rank_classes.py``) and every process that does not write
+crosses the call on one resume; the reference stack
 (``Machine(reference=True)``: heapq engine, naive fabric, every chunk an
 event) keeps one process per rank and the round-by-round walk for every one
 of them.  The same job on both must agree on every lap and every timestamp:
@@ -12,7 +13,9 @@ calls (a class's members all stand where their representative does), and
 the bytes persisted.  On the production stack itself, event counts differ
 from one process per rank by exactly the events of the processes the class
 saves: per member but the first, an init kick, a completion and one timeout
-per compute phase.
+per compute phase.  ``ext2ph.park_single`` counts the ranks that crossed a
+call on one resume (everyone but the aggregators that wrote),
+``ext2ph.park_live`` the rest.
 """
 
 import contextlib
@@ -94,6 +97,11 @@ class _NoDomains(BeeGFSDriver):
         return [FileDomain(a, 0, 0) for a in fd.aggregators]
 
 
+def machine_config(nodes=4, ppn=2, placement=None, **_):
+    """The cluster ``run_job`` builds for these keyword arguments."""
+    return small_testbed(nodes if placement is None else max(placement) + 1, ppn)
+
+
 def run_job(
     kind,
     workload,
@@ -120,7 +128,7 @@ def run_job(
     under a partition no program would declare."""
     profiler = SimProfiler()
     machine = target = Machine(
-        small_testbed(nodes if placement is None else max(placement) + 1, ppn),
+        machine_config(nodes, ppn, placement),
         profiler=profiler,
         reference={"production": False, "reference": True}[kind],
         **machine_kwargs,
@@ -176,6 +184,7 @@ def run_job(
         "persisted": persisted,
         "end": machine.sim.now,
         "peak_pinned": [n.peak_pinned_bytes for n in machine.nodes],
+        "ledgers": (dict(machine.io_stats), dict(machine.cache_stats)),
     }
     return observed, profiler.counters, (machine.sim.events_fired, world.classes)
 
@@ -209,7 +218,7 @@ def hints(**extra):
     return {**BASE_HINTS, **{k: str(v) for k, v in extra.items()}}
 
 
-# name -> (run_job keyword arguments, calls, hints, rank-calls expected to park)
+# name -> (run_job keyword arguments, calls, hints, rank-calls expected to take one resume)
 CASES = {
     "plain": ({}, [strided(8)], hints(cb_nodes=2), 6),
     "rank0_not_an_aggregator": (
@@ -228,7 +237,7 @@ CASES = {
         {},
         [[[(r * 2 * KiB, 2 * KiB)] for r in range(8)]],
         hints(cb_nodes=4),
-        4,
+        6,  # the two idle aggregators too
     ),
     "ranks_with_empty_accesses": (
         {},
@@ -240,14 +249,14 @@ CASES = {
         {},
         [strided(8), [[] for _ in range(8)], strided(8, base=256 * KiB)],
         hints(cb_nodes=2),
-        12,  # the empty call's six fall back to the live path
+        20,  # the empty call is over at the exchange's release, for all eight
     ),
-    "no_rounds": ({"driver": _NoDomains()}, [strided(8)], hints(cb_nodes=2), 0),
+    "no_rounds": ({"driver": _NoDomains()}, [strided(8)], hints(cb_nodes=2), 8),  # nobody writes
     "one_rank_per_node": (
         {"nodes": 4, "ppn": 1},
         [strided(4)],
         hints(cb_nodes=4),
-        0,  # every rank is an aggregator: nobody parks
+        0,  # every rank is an aggregator, and writes
     ),
     "cb_write_automatic": ({}, [strided(8)], hints(cb_nodes=2, romio_cb_write="automatic"), 0),
     "many_rounds": ({}, [strided(8, block=16 * KiB, reps=6)], hints(cb_nodes=2, cb_buffer_size="8k"), 6),
@@ -264,9 +273,9 @@ def test_case_agrees_on_both_engines(name):
     assert counters.get("ext2ph.park_live", 0) == rank_calls - parked
 
 
-def test_automatic_stays_live_but_still_takes_the_ladder():
-    """``romio_cb_write=automatic`` waits for the interleaving test, so no
-    rank parks — the non-aggregators still join the ladder, one by one."""
+def test_automatic_stays_live():
+    """``romio_cb_write=automatic`` waits for the interleaving test: no
+    clock, every rank a process that walks round by round — same result."""
     live, _, (_, singles) = run_job(
         "production", workload_of([strided(8)], 8), hints(cb_nodes=2, romio_cb_write="automatic")
     )
@@ -289,14 +298,15 @@ def test_deferred_close_with_the_cache():
 def test_flash_io_shaped_file(aggregators):
     """24 collective calls with a rank-0 header write before each: rank 0
     reaches every offset exchange after the others — as an aggregator, or
-    as the last of the parked ranks, with a lap of its own."""
+    as the last of those that only wait, with a lap of its own.  One of the
+    two aggregators receives nothing in a call: seven ranks take one resume."""
     workload = flashio_workload(8, blocks_per_proc=1, zones_per_dim=4)
     assert sum(step.kind == "collective" for step in workload.steps) == 24
     counters = assert_engines_agree(
         workload, hints(cb_nodes=2), num_files=2, aggregators=aggregators
     )
-    assert counters["ext2ph.park_single"] == 2 * 24 * 6
-    assert counters["ext2ph.park_live"] == 2 * 24 * 2
+    assert counters["ext2ph.park_single"] == 2 * 24 * 7
+    assert counters["ext2ph.park_live"] == 2 * 24 * 1
 
 
 @pytest.mark.parametrize(

@@ -176,7 +176,8 @@ class TestDiscardFlag:
 
     def test_discard_disable_retains_cache_file(self):
         machine, world, layer = make_cluster()
-        hints = dict(CACHE_HINTS, e10_cache_discard_flag="disable")
+        # a cache *file* is the extent cache's, whatever the CI leg's REPRO_CACHE_KIND
+        hints = dict(CACHE_HINTS, e10_cache_discard_flag="disable", e10_cache_kind="extent")
 
         def body(ctx):
             fh = yield from layer.open(ctx.rank, "/g/t", hints)

@@ -93,10 +93,58 @@ def test_resumes_add_up_and_move_nothing(tool, engine, tmp_path, capsys):
     total = sum(row["resumes"] for row in kinds.values())
     assert f"of {len(kinds)} process kinds ({total:,d} resumes)" in out
     assert all(row["resumes"] >= row["processes"] >= 1 for row in kinds.values())
+    for row in kinds.values():  # every resume waited on something, named
+        assert sum(w["resumes"] for w in row["waited_on"].values()) == row["resumes"]
+        assert all(what.count(" : ") == 1 for what in row["waited_on"])
     counters = tally["profiler"]["counters"]
     parked, live = counters.get("ext2ph.park_single", 0), counters["ext2ph.park_live"]
     assert parked + live == 512 * 2  # one collective call a file, counted in ranks
     assert parked == (504 * 2 if engine == "slotted" else 0)
+
+
+FLASH_IO_POINT = [  # the Flash-IO unit of ``noncontig_grid4``
+    "--benchmark", "flash_io", "--aggregators", "64", "--cb-mib", "16",
+    "--cache-mode", "enabled", "--scale", "0.0125", "--num-files", "2",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_resumes_name_who_wakes_for_what(tool, engine, tmp_path, capsys):
+    """Under every process kind, the event kinds it waited on.  On the
+    production stack a collective write runs on its clock: no rank is resumed
+    by a ``coll:timed:`` slot, the 64 aggregators wake for the rounds they
+    write and once a call, the class of 448 once a call; on the reference
+    stack every rank walks every slot."""
+    out_json = tmp_path / "flash.json"
+    point = FLASH_IO_POINT + stack_flags(engine)
+    assert tool.main(point + ["--resumes", "6", "--json", str(out_json)]) == 0
+    kinds = json.loads(out_json.read_text())["process_resumes"]
+    for row in kinds.values():
+        assert sum(w["resumes"] for w in row["waited_on"].values()) == row["resumes"]
+        assert all(w["inclusive_us"] > 0 for w in row["waited_on"].values())
+    ranks = {kind: row["waited_on"] for kind, row in kinds.items() if kind.startswith("rank")}
+    timed = {
+        what: w["resumes"]
+        for waited in ranks.values()
+        for what, w in waited.items()
+        if "coll:timed:" in what
+    }
+    out = capsys.readouterr().out
+    if engine == "heapq":
+        slots = ("offset_exch", "aa.c", "x.c")  # ``a2a.c7`` without its digits
+        assert set(timed) == {f"Event : coll:timed:{slot}[]r" for slot in slots}
+        return
+    assert not timed
+    calls = 2 * 24
+    assert ranks["rank+ x448"]["Event : write_all:wake"]["resumes"] == calls
+    aggregators = ranks["rank x1"]
+    idle_and_writer_rounds = aggregators["Event : write_all:wake"]["resumes"]
+    last_reports = aggregators["Event : write_all:post_write"]["resumes"]
+    # an aggregator wakes once a call (idle: by its wake event, a writer: by
+    # the post-write release) and once more for every round it writes
+    assert idle_and_writer_rounds == 64 * calls
+    assert 0 < last_reports < 64 * calls
+    assert f"{idle_and_writer_rounds:>9,d}" in out and "Event : write_all:wake" in out
 
 
 def test_tables_lists_what_each_table_holds_and_moves_nothing(tool, tmp_path, capsys):

@@ -54,7 +54,7 @@ class TestCollPerf:
             assert (int(nbytes.sum()), int(pieces.sum())) == (32 * 1024 * MiB, len(table))
             assert int(nbytes[0].sum()) == 64 * MiB
             del nbytes, pieces
-            table.digest, table.interleaved, table.views(range(512))
+            table.digest, table.interleaved, [table.rank(r) for r in range(512)]
             assert not {"offsets", "prefix", "ends"} & set(vars(table))
             assert tracemalloc.get_traced_memory()[0] < MiB  # all that is held
         finally:

@@ -32,9 +32,13 @@ work and the per-chunk event traffic the production fast paths remove
 most-fired event kinds — which waits, grants and chain steps the event count
 is made of; ``--resumes N`` names who was resumed — process resumes by name
 stem, with the number of processes behind each stem and of ranks each stands
-for (``rank1+447`` is rank 1 and the 447 ranks that follow with it).  One
-shared release is one event however many processes it resumes, so only the
-second table shows a cost that grows with ranks.  ``--tables`` lists every
+for (``rank1+447`` is rank 1 and the 447 ranks that follow with it), and
+under each stem what it waited on: the event's class and name stem, how
+often, and the host microseconds those resumes took, everything the process
+went on to do included.  One shared release is one event however many
+processes it resumes, so only the second table shows a cost that grows with
+ranks; on the production stack no rank is resumed by a ``coll:timed:`` slot
+(a collective write runs on its clock: ``write_all:wake``, ``write_all:post_write``).  ``--tables`` lists every
 distinct access table the point's collective writes planned from: whether it
 is a descriptor (``strided k levels``) or CSR arrays, the extents it
 describes against the bytes it holds, whether anything flattened it, and how
@@ -134,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="print the N most-resumed process kinds (name stem, processes, "
-        "ranks each stands for), tallied by wrapping Process._resume from here",
+        "ranks each stands for) and the event kinds each waited on (count, "
+        "inclusive us), tallied by wrapping Process._resume from here",
     )
     p.add_argument(
         "--tables",
@@ -176,6 +181,12 @@ def pfs_clients():
         PFSClient.__init__ = init
 
 
+@functools.lru_cache(maxsize=4096)
+def name_stem(name: str) -> str:
+    """An event or process name with its digits dropped (``-`` if nothing is left)."""
+    return re.sub(r"[0-9]+", "", name) or "-"
+
+
 def event_kind(event) -> str:
     """``class : name stem : first callback`` of an event about to fire.
 
@@ -189,7 +200,7 @@ def event_kind(event) -> str:
         name, fn = event.name, (event.callbacks[0] if event.callbacks else None)
     fn = getattr(fn, "func", fn)  # a partial names the function it binds
     what = getattr(fn, "__qualname__", "-" if fn is None else type(fn).__name__)
-    return f"{type(event).__name__} : {re.sub(r'[0-9]+', '', name) or '-'} : {what}"
+    return f"{type(event).__name__} : {name_stem(name)} : {what}"
 
 
 def _next_event(sim):
@@ -257,13 +268,16 @@ def resume_kind(name: str) -> str:
     itself."""
     stood_for = re.fullmatch(r"rank[0-9]+\+([0-9]+)", name)
     ranks = 1 + int(stood_for.group(1)) if stood_for else 1
-    return f"{re.sub(r'[0-9]+', '', name)} x{ranks}"
+    return f"{name_stem(name)} x{ranks}"
 
 
 @contextlib.contextmanager
 def process_resumes():
     """Tally every process resume as :func:`resume_kind` -> ``[resumes,
-    processes]``.
+    processes, {waited-on event kind: [resumes, inclusive seconds]}]`` —
+    who wakes, for what (the event's class and its name with the digits
+    dropped), and what the wake costs the host, everything the resumed
+    process then does included.
 
     ``Process._resume`` is wrapped for the duration — every wait a process
     makes registers the method afresh, so nothing in ``src`` needs a hook.
@@ -273,12 +287,19 @@ def process_resumes():
     resume = Process._resume
 
     def counted(proc, event):
-        row = tally.setdefault(resume_kind(proc.name), [0, 0])
+        row = tally.setdefault(resume_kind(proc.name), [0, 0, {}])
         row[0] += 1
         if proc not in seen:
             seen.add(proc)
             row[1] += 1
-        resume(proc, event)
+        what = f"{type(event).__name__} : {name_stem(event.name)}"
+        waited = row[2].setdefault(what, [0, 0.0])
+        waited[0] += 1
+        t0 = time.perf_counter()
+        try:
+            resume(proc, event)
+        finally:
+            waited[1] += time.perf_counter() - t0
 
     Process._resume = counted
     try:
@@ -288,12 +309,15 @@ def process_resumes():
 
 
 def print_resumes(tally: dict, n: int) -> None:
-    total = sum(resumes for resumes, _ in tally.values())
+    total = sum(row[0] for row in tally.values())
     rows = sorted(tally.items(), key=lambda kv: kv[1][0], reverse=True)
     print(f"top {min(n, len(rows))} of {len(rows)} process kinds ({total:,d} resumes):")
     print(f"  {'resumes':>9} {'share':>6} {'processes':>9}  name stem x ranks each stands for")
-    for kind, (resumes, processes) in rows[:n]:
+    print(f"  {'':>9} {'':>6} {'incl. us':>9}    ... and the event kinds it waited on")
+    for kind, (resumes, processes, waited) in rows[:n]:
         print(f"  {resumes:>9,d} {resumes / max(1, total):>6.1%} {processes:>9,d}  {kind}")
+        for what, (count, seconds) in sorted(waited.items(), key=lambda kv: -kv[1][0]):
+            print(f"  {count:>9,d} {'':>6} {seconds * 1e6:>9,.0f}    {what}")
 
 
 def held_bytes(table) -> int:
@@ -445,16 +469,16 @@ def print_top(snapshot: dict, n: int, pfs: dict) -> None:
         f"PFS client RPCs: {pfs['rpcs']} issued; {pfs['fallback_rpcs']} pipelined-write "
         f"RPCs fell back to the generator serve_write"
     )
-    # How the rank-calls of the collective writes crossed them: parked for
-    # the whole call on one resume, or live (aggregators always; everybody
-    # on the reference stack, a fault machine, or under
-    # romio_cb_write=automatic/disable) — "why was this point slow" starts
-    # with the share that fell back to the live path.
+    # How the rank-calls of the collective writes crossed them: on one
+    # resume (everyone but the writers of a call that runs on its clock), or
+    # live (the writers; everybody on the reference stack, a fault machine,
+    # or under romio_cb_write=automatic/disable) — "why was this point
+    # slow" starts with the share that fell back to the live path.
     single, live = (counters.get(f"ext2ph.park_{k}", 0) for k in ("single", "live"))
     print("collective-write rank-calls:")
     print(
-        f"  {single} parked once, {live} live "
-        f"(parked share {single / max(1, single + live):.3f}, "
+        f"  {single} on one resume, {live} live "
+        f"(one-resume share {single / max(1, single + live):.3f}, "
         f"live share {live / max(1, single + live):.3f})"
     )
 
@@ -482,7 +506,15 @@ def report(args: argparse.Namespace, summary: dict, tally, resumes, tables) -> N
         summary["access_tables"] = table_rows(tables)
     if resumes is not None:
         summary["process_resumes"] = {
-            kind: {"resumes": r, "processes": p} for kind, (r, p) in resumes.items()
+            kind: {
+                "resumes": r,
+                "processes": p,
+                "waited_on": {
+                    what: {"resumes": n, "inclusive_us": seconds * 1e6}
+                    for what, (n, seconds) in waited.items()
+                },
+            }
+            for kind, (r, p, waited) in resumes.items()
         }
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.top:
