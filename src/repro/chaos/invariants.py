@@ -46,6 +46,46 @@ from repro.sim.core import DeadlockError, describe_blocked
 _WATCHDOG = "invariant-watchdog"
 
 
+def byte_conservation(io: dict, journals=None) -> list[str]:
+    """Byte-conservation violations of one ``io_stats`` ledger (empty = clean).
+
+    Always: application bytes split exactly into cached + direct (inflow).
+    Running (no ``journals``): no byte leaves the cache that never entered
+    it.  Quiescent (the journals registered against the ledger): every
+    cached byte is flushed, replayed, discarded or still journaled, and
+    bytes reported lost are a subset of what the journals still hold.
+    """
+    out: list[str] = []
+    if io["bytes_app"] != io["bytes_cached"] + io["bytes_direct"]:
+        out.append(
+            f"byte conservation (inflow): bytes_app={io['bytes_app']} != "
+            f"bytes_cached={io['bytes_cached']} + bytes_direct={io['bytes_direct']}"
+        )
+    outflow = io["bytes_flushed"] + io["bytes_replayed"] + io["bytes_discarded"]
+    if journals is None:
+        if outflow > io["bytes_cached"]:
+            out.append(
+                f"byte conservation (outflow): flushed+replayed+discarded="
+                f"{outflow} exceeds bytes_cached={io['bytes_cached']}"
+            )
+        return out
+    unflushed = sum(j.unflushed_bytes for j in journals)
+    if io["bytes_cached"] != outflow + unflushed:
+        out.append(
+            f"byte conservation (quiescent): bytes_cached={io['bytes_cached']}"
+            f" != flushed {io['bytes_flushed']} + replayed "
+            f"{io['bytes_replayed']} + discarded {io['bytes_discarded']} + "
+            f"journaled {unflushed}"
+        )
+    if io["bytes_lost"] > unflushed:
+        out.append(
+            f"loss accounting: bytes_lost={io['bytes_lost']} exceeds the "
+            f"{unflushed} bytes still journaled — lost data vanished from "
+            f"the recovery metadata"
+        )
+    return out
+
+
 class InvariantViolation(AssertionError):
     """A global invariant did not hold.  Carries all collected messages."""
 
@@ -148,18 +188,8 @@ class InvariantMonitor:
 
     # -- running invariants (hold at every event boundary) -------------------------
     def check_running(self) -> None:
-        io = self.machine.io_stats
-        if io["bytes_app"] != io["bytes_cached"] + io["bytes_direct"]:
-            self._violate(
-                f"byte conservation (inflow): bytes_app={io['bytes_app']} != "
-                f"bytes_cached={io['bytes_cached']} + bytes_direct={io['bytes_direct']}"
-            )
-        outflow = io["bytes_flushed"] + io["bytes_replayed"] + io["bytes_discarded"]
-        if outflow > io["bytes_cached"]:
-            self._violate(
-                f"byte conservation (outflow): flushed+replayed+discarded="
-                f"{outflow} exceeds bytes_cached={io['bytes_cached']}"
-            )
+        for message in byte_conservation(self.machine.io_stats):
+            self._violate(message)
         for entry in self.machine.pfs.locks.snapshot():
             if entry["writer"] and entry["readers"]:
                 self._violate(
@@ -172,28 +202,9 @@ class InvariantMonitor:
     def check_quiescent(self) -> list[str]:
         """Full conservation + coherence audit; returns all violations."""
         self.check_running()
-        io = self.machine.io_stats
         journals = self.machine.recovery.entries()
-        unflushed = sum(j.unflushed_bytes for j in journals)
-        accounted = (
-            io["bytes_flushed"]
-            + io["bytes_replayed"]
-            + io["bytes_discarded"]
-            + unflushed
-        )
-        if io["bytes_cached"] != accounted:
-            self._violate(
-                f"byte conservation (quiescent): bytes_cached={io['bytes_cached']}"
-                f" != flushed {io['bytes_flushed']} + replayed "
-                f"{io['bytes_replayed']} + discarded {io['bytes_discarded']} + "
-                f"journaled {unflushed}"
-            )
-        if io["bytes_lost"] > unflushed:
-            self._violate(
-                f"loss accounting: bytes_lost={io['bytes_lost']} exceeds the "
-                f"{unflushed} bytes still journaled — lost data vanished from "
-                f"the recovery metadata"
-            )
+        for message in byte_conservation(self.machine.io_stats, journals):
+            self._violate(message)  # inflow repeats check_running: deduplicated
         # WAL coherence (cache_kind=nvmm journals): no record is both torn
         # and durable, and every unflushed byte the journal claims must be
         # reconstructible from durable records — a torn append that somehow

@@ -212,7 +212,7 @@ class ResultCache:
         }
 
 
-def default_cache() -> ResultCache:
+def default_cache(result_cls: Optional[type] = None) -> ResultCache:
     """The process-default cache: ``.repro_cache/`` unless ``REPRO_CACHE=0``."""
     enabled = os.environ.get("REPRO_CACHE", "1") != "0"
-    return ResultCache(enabled=enabled)
+    return ResultCache(enabled=enabled, result_cls=result_cls)

@@ -55,7 +55,7 @@ from repro.experiments.report import (
     render_breakdown_table,
     shape_checks_bandwidth,
 )
-from repro.experiments.resultcache import ResultCache
+from repro.experiments.resultcache import ResultCache, default_cache
 from repro.experiments.runner import BENCHMARKS, default_scale
 from repro.hw import flash
 from repro.romio import hints
@@ -366,7 +366,7 @@ def run_fleet_chaos_sweep(args: argparse.Namespace) -> int:
     elif args.cache_dir:
         row_cache = ResultCache(root=args.cache_dir, result_cls=fleetmod.FleetJobResult)
     else:
-        row_cache = fleetmod.default_row_cache()
+        row_cache = default_cache(result_cls=fleetmod.FleetJobResult)
     for seed in range(args.base_seed, args.base_seed + args.seeds):
         r = fleetmod.run_fleet_chaos(
             fleet_size=8,

@@ -25,7 +25,6 @@ from repro.fleet.runner import (
     FleetResult,
     FleetRowSpec,
     FleetSpec,
-    default_row_cache,
     fleet_job_specs,
     render_fleet_table,
     resolve_fleet_config,
@@ -46,7 +45,6 @@ __all__ = [
     "JobView",
     "arrival_times",
     "build_job_workload",
-    "default_row_cache",
     "evaluate_job_slo",
     "fleet_chaos_schedule",
     "fleet_job_specs",

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.chaos.generate import ChaosConfig, generate_schedule
-from repro.chaos.invariants import InvariantMonitor
+from repro.chaos.invariants import InvariantMonitor, byte_conservation
 from repro.config import ClusterConfig
 from repro.fleet.metrics import evaluate_job_slo
 from repro.fleet.runner import FleetResult, FleetSpec, resolve_fleet_config, run_fleet
@@ -89,34 +89,11 @@ def fleet_chaos_schedule(
 def audit_job_conservation(label: str, io: dict, journals) -> list[str]:
     """Per-job byte-conservation violations (empty list = clean).
 
-    The same equations as the single-job monitor's quiescent audit, applied
-    to one job's private ledger and journal registry.
+    The single-job monitor's quiescent equations
+    (:func:`~repro.chaos.invariants.byte_conservation`), applied to one
+    job's private ledger and journal registry.
     """
-    out: list[str] = []
-    if io["bytes_app"] != io["bytes_cached"] + io["bytes_direct"]:
-        out.append(
-            f"job {label}: inflow: bytes_app={io['bytes_app']} != "
-            f"bytes_cached={io['bytes_cached']} + bytes_direct={io['bytes_direct']}"
-        )
-    unflushed = sum(j.unflushed_bytes for j in journals)
-    accounted = (
-        io["bytes_flushed"]
-        + io["bytes_replayed"]
-        + io["bytes_discarded"]
-        + unflushed
-    )
-    if io["bytes_cached"] != accounted:
-        out.append(
-            f"job {label}: outflow: bytes_cached={io['bytes_cached']} != "
-            f"flushed {io['bytes_flushed']} + replayed {io['bytes_replayed']} + "
-            f"discarded {io['bytes_discarded']} + journaled {unflushed}"
-        )
-    if io["bytes_lost"] > unflushed:
-        out.append(
-            f"job {label}: loss accounting: bytes_lost={io['bytes_lost']} "
-            f"exceeds the {unflushed} bytes still journaled"
-        )
-    return out
+    return [f"job {label}: {m}" for m in byte_conservation(io, journals)]
 
 
 def run_fleet_chaos(
@@ -196,13 +173,6 @@ def run_fleet_chaos(
         if row.first_crash_time > 0:
             crashed_jobs += 1
         restarts += row.restarts
-        if row.status == "failed" and view.io_stats["bytes_lost"] > sum(
-            j.unflushed_bytes for j in view.recovery.entries()
-        ):
-            violations.append(
-                f"job {label}: failed with bytes_lost exceeding its "
-                f"remaining journals"
-            )
     return FleetChaosResult(
         seed=seed,
         fleet=fleet,

@@ -8,9 +8,8 @@ safe to compare byte-for-byte in the determinism tests.
 timeline each :class:`~repro.fleet.runner.FleetJobResult` carries into
 enforced budgets: time-to-restart, journal-replay duration, the
 degraded-bandwidth window, and zero lost bytes for cached writes that
-finished cleanly.  The fleet chaos harness asserts them per completed job,
-and ``check_bench --slo`` gates the bench_fleet crash trial against budgets
-committed in ``benchmarks/baseline_quick.json``.
+finished cleanly.  The fleet chaos harness asserts them per completed job;
+tier-1 holds the seeded 8-job crash trial to tighter measured budgets.
 
 Paper correspondence: the zero-loss SLO *is* the paper's central robustness
 claim (SSD-cached collective writes survive a process crash); the
@@ -26,7 +25,8 @@ from typing import Mapping, Optional, Sequence
 #: Default per-job recovery budgets (simulated seconds / bytes).  Generous
 #: by design — they catch a recovery path that stopped working (a restart
 #: that never comes back, a replay that grinds), not scheduler weather; the
-#: CI gate pins tighter, measured budgets in baseline_quick.json.
+#: seeded crash trial in tests/fleet/test_crash_restart.py pins tighter,
+#: measured budgets.
 DEFAULT_RECOVERY_SLO = {
     "time_to_restart_max": 2.0,  # total crash -> next-incarnation-start
     "replay_duration_max": 1.0,  # total journal-replay time on reopen

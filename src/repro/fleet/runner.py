@@ -32,13 +32,12 @@ single-job measurements to a multi-tenant cluster.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from repro.analysis.bandwidth import perceived_bandwidth
 from repro.config import ClusterConfig, small_testbed
-from repro.experiments.resultcache import ResultCache
+from repro.experiments.resultcache import ResultCache, default_cache
 from repro.faults.errors import FaultError, JobAborted, SyncFailedError
 from repro.faults.spec import FaultSchedule
 from repro.fleet.arrivals import arrival_times
@@ -287,12 +286,6 @@ def resolve_fleet_config(
     return small_testbed(
         num_nodes=spec.num_nodes, procs_per_node=spec.procs_per_node, seed=spec.seed
     )
-
-
-def default_row_cache() -> ResultCache:
-    """Row-stream cache honouring ``REPRO_CACHE``/``REPRO_CACHE_DIR``."""
-    enabled = os.environ.get("REPRO_CACHE", "1") != "0"
-    return ResultCache(enabled=enabled, result_cls=FleetJobResult)
 
 
 # -- job execution -----------------------------------------------------------
@@ -585,7 +578,9 @@ def run_fleet(
 
 def _run_fleet_point(spec: FleetSpec, config: Optional[ClusterConfig] = None):
     """Module-level sweep worker (picklable); streams rows to the cache."""
-    return run_fleet(spec, config=config, row_cache=default_row_cache())
+    return run_fleet(
+        spec, config=config, row_cache=default_cache(result_cls=FleetJobResult)
+    )
 
 
 # -- reporting ---------------------------------------------------------------

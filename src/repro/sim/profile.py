@@ -13,8 +13,8 @@ while the run executes:
 Everything is plain-dict state with no background machinery, so profiling
 a run perturbs it as little as possible — and an *absent* profiler costs a
 single ``is None`` check per instrumentation site.  The collected data
-feeds ``BENCH_engine.json`` (see ``benchmarks/bench_engine.py`` and
-``tools/profile_sweep.py``) and can be merged into the Chrome-trace export
+feeds ``tools/profile_sweep.py`` and ``benchmarks/e2e``'s per-layer
+metrics, and can be merged into the Chrome-trace export
 of :class:`repro.sim.trace.Tracer` for side-by-side visual inspection in
 ``chrome://tracing`` / Perfetto.
 

@@ -1,10 +1,18 @@
-"""Arrival processes and fleet aggregate metrics."""
+"""Arrival processes, fleet aggregate metrics and recovery SLOs."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.fleet import arrival_times, percentile, summarize_jobs
+from repro.fleet import (
+    DEFAULT_RECOVERY_SLO,
+    arrival_times,
+    evaluate_job_slo,
+    percentile,
+    summarize_jobs,
+)
 from repro.fleet.runner import FleetJobResult
 from repro.sim.rng import RngStreams
 
@@ -94,3 +102,55 @@ class TestSummary:
         assert s["wall_p99"] == 3.0  # the failed job's wall is excluded
         # ...but every job (failed or not) waits in the queue.
         assert s["queue_wait_max"] == 5.0
+
+
+
+def crashed_row(**kw):
+    """A cache-enabled row that crashed once and recovered inside budget."""
+    timeline = dict(
+        restarts=1,
+        first_crash_time=0.01,
+        time_to_restart=0.005,
+        replay_duration=0.0095,
+        degraded_window=0.0145,
+        bytes_replayed=131072,
+    )
+    timeline.update(kw)
+    return replace(make_row(0), **timeline)
+
+
+class TestEvaluateJobSlo:
+    def test_recovered_row_within_budget(self):
+        assert evaluate_job_slo(crashed_row()) == []
+
+    @pytest.mark.parametrize(
+        "field", ["time_to_restart", "replay_duration", "degraded_window"]
+    )
+    def test_each_breached_timing_budget_names_itself(self, field):
+        budget = DEFAULT_RECOVERY_SLO[f"{field}_max"]
+        violations = evaluate_job_slo(crashed_row(**{field: 9.9}))
+        assert violations == [f"job 0: {field} 9.900000s > budget {budget}s"]
+
+    def test_crashless_row_skips_the_timing_budgets(self):
+        row = crashed_row(
+            first_crash_time=0.0,
+            time_to_restart=9.9,
+            replay_duration=9.9,
+            degraded_window=9.9,
+        )
+        assert evaluate_job_slo(row) == []
+
+    def test_lost_cached_bytes_fail_the_zero_budget(self):
+        violations = evaluate_job_slo(crashed_row(bytes_lost=4096))
+        assert violations == ["job 0: bytes_lost 4096 > budget 0 for cached writes"]
+
+    def test_failed_row_is_outside_the_zero_loss_budget(self):
+        assert evaluate_job_slo(crashed_row(status="failed", bytes_lost=4096)) == []
+
+    def test_given_budgets_override_only_their_own_defaults(self):
+        row = crashed_row(time_to_restart=0.05, bytes_lost=4096)
+        violations = evaluate_job_slo(row, {"time_to_restart_max": 0.02})
+        assert violations == [
+            "job 0: time_to_restart 0.050000s > budget 0.02s",
+            "job 0: bytes_lost 4096 > budget 0 for cached writes",
+        ]

@@ -82,11 +82,11 @@ class TestFleetDeterminism:
     def reference(self):
         return identity_json(run_fleet(AB))  # the production stack
 
-    def test_heapq_engine_matches(self, reference):
+    def test_reference_stack_matches(self, reference):
         """The reference stack: heapq engine, naive fabric, chunked plane."""
         assert identity_json(run_fleet(AB, reference=True)) == reference
 
-    def test_chunked_dataplane_matches(self, reference):
+    def test_injector_scoped_fallback_matches(self, reference):
         """Production with every device and server scoped onto its chunked
         body by a fault schedule that never fires."""
         quiet = quiet_faults(resolve_fleet_config(AB))

@@ -6,6 +6,9 @@ synchronously (no simulator events needed) with a shrunken geometry so a
 few hundred page writes cycle the whole logical space.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.config import FlashConfig, SSDConfig, small_testbed
@@ -23,6 +26,8 @@ TINY = FlashConfig(
     gc_free_fraction=0.25,
 )
 CAPACITY = 64 * 512  # 64 logical pages -> 8 logical blocks
+
+TOOL = Path(__file__).resolve().parents[2] / "tools" / "generate_experiments_md.py"
 
 
 def make(flash=TINY, capacity=CAPACITY):
@@ -202,3 +207,35 @@ class TestThroughMachine:
         assert dev.gc_stall_time > 0.0
         assert dev.bytes_written == 5 * dev.logical_pages * 512
         check_ftl_consistency(dev)
+
+
+class TestAgingMicrobench:
+    """The seeded aging load EXPERIMENTS.md reports, pinned to exact counters.
+
+    ``tools/generate_experiments_md.py`` owns the helper: a fresh sequential
+    fill, then 4096 seeded random overwrites on the 4 KiB-page / 64-page-block
+    / 4-LUN / 1024-page geometry.  The FTL is deterministic, so every counter
+    is exact.
+    """
+
+    @pytest.fixture(scope="class")
+    def aging(self):
+        spec = importlib.util.spec_from_file_location("generate_experiments_md", TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.AGING_FLASH == FlashConfig(
+            page_size=4096, pages_per_block=64, num_luns=4
+        )
+        assert tool.AGING_CAPACITY == 1024 * 4096
+        return tool.flash_aging_microbench(writes=4096, seed=2016)
+
+    def test_counters_are_exact(self, aging):
+        assert aging["host_pages_programmed"] == 5120  # 1024 fill + 4096 overwrites
+        assert aging["gc_pages_programmed"] == 14877
+        assert aging["gc_runs"] == 294
+        assert aging["blocks_erased"] == 294
+
+    def test_fresh_fill_does_not_amplify_and_steady_overwrite_does(self, aging):
+        assert aging["fresh_fill_wa"] == 1.0
+        assert aging["write_amplification"] >= 1.5
+        assert aging["gc_stall_time_s"] > 0.0

@@ -50,14 +50,14 @@ class TestStreamIdentity:
 
 
 class TestFtlInvariance:
-    def test_engines_and_dataplanes_agree_under_ftl(self, monkeypatch):
+    def test_reference_stack_agrees_under_ftl(self, monkeypatch):
         production = result_dict(monkeypatch, ssd="ftl")
         reference = result_dict(monkeypatch, ssd="ftl", reference=True)
         # the production stack strictly reduces the event count
         assert production.pop("events") < reference.pop("events")
         assert production == reference
 
-    def test_nvmm_cache_agrees_across_dataplanes(self, monkeypatch):
+    def test_nvmm_cache_agrees_with_reference_stack(self, monkeypatch):
         production = result_dict(monkeypatch, cache_kind="nvmm")
         reference = result_dict(monkeypatch, cache_kind="nvmm", reference=True)
         production.pop("events"), reference.pop("events")

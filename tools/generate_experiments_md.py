@@ -11,10 +11,12 @@ regeneration nearly free.
 
 import argparse
 import os
+import random
 import sys
 import time
 
 from repro import fleet
+from repro.config import FlashConfig
 from repro.experiments import faultsweep, figures
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.units import GiB
@@ -26,6 +28,8 @@ from repro.experiments.report import (
 )
 from repro.experiments.resultcache import ResultCache
 from repro.experiments.runner import default_scale
+from repro.hw.flash import FlashSSDDevice
+from repro.sim.core import Simulator
 from repro.units import MiB
 
 PAPER_NOTES = {
@@ -182,11 +186,44 @@ def fleet_section(args, scale) -> list[str]:
         fleet.render_fleet_table(results),
         "```",
         "The fleet timeline is deterministic: the same seed reproduces the "
-        "same per-job rows byte-for-byte under both event engines and both "
-        "data planes (gated in CI by `benchmarks/bench_fleet.py`).\n",
+        "same per-job rows byte-for-byte on the production and the reference "
+        "stack (`tests/fleet/test_fleet.py::TestFleetDeterminism`).\n",
         "",
     ]
     return out
+
+
+#: Shrunken-but-structurally-real geometry for the flash aging microbench:
+#: 4 KiB pages, 64-page blocks, 4 LUNs, 1024 logical pages.  Small enough
+#: that a few thousand writes cycle the partition; the timing constants stay
+#: at their calibrated values.
+AGING_FLASH = FlashConfig(page_size=4096, pages_per_block=64, num_luns=4)
+AGING_CAPACITY = 1024 * 4096
+
+
+def flash_aging_microbench(writes: int, seed: int = 2016) -> dict:
+    """A fresh sequential fill, then seeded random single-page overwrites
+    (the sync thread's worst case); returns the FTL's exact counters."""
+    dev = FlashSSDDevice(
+        Simulator(), "aging", flash=AGING_FLASH, capacity_bytes=AGING_CAPACITY
+    )
+    for page in range(dev.logical_pages):
+        dev.service_time(page * dev.page_size, dev.page_size, True)
+    fresh_wa = dev.write_amplification
+    rng = random.Random(seed)
+    for _ in range(writes):
+        lpn = rng.randrange(dev.logical_pages)
+        dev.service_time(lpn * dev.page_size, dev.page_size, True)
+    return {
+        "writes": writes,
+        "fresh_fill_wa": fresh_wa,
+        "write_amplification": dev.write_amplification,
+        "host_pages_programmed": dev.host_pages_programmed,
+        "gc_pages_programmed": dev.gc_pages_programmed,
+        "gc_runs": dev.gc_runs,
+        "blocks_erased": dev.blocks_erased,
+        "gc_stall_time_s": dev.gc_stall_time,
+    }
 
 
 def device_section(scale) -> list[str]:
@@ -196,12 +233,6 @@ def device_section(scale) -> list[str]:
     tier is selected through the same environment knobs users reach for),
     plus the seeded flash-aging microbench for the FTL's exact counters.
     """
-    try:
-        from benchmarks.bench_devices import flash_aging_microbench
-    except ImportError:  # `python tools/...` puts tools/, not the repo root, first
-        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-        from benchmarks.bench_devices import flash_aging_microbench
-
     spec = ExperimentSpec(
         benchmark="ior", aggregators=64, cache_mode="enabled", scale=scale
     )
@@ -258,7 +289,7 @@ def device_section(scale) -> list[str]:
         f"{aging['write_amplification']:.2f}, {aging['gc_runs']} GC runs, "
         f"{aging['gc_stall_time_s'] * 1e3:.1f} ms stalled; a fresh sequential "
         f"fill stays at WA = {aging['fresh_fill_wa']:.1f}.  Exact counters "
-        "are CI-gated (`benchmarks/check_bench.py --devices`).\n",
+        "are pinned by `tests/hw/test_flash.py::TestAgingMicrobench`.\n",
         "",
     ]
 
