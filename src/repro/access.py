@@ -1,12 +1,12 @@
 """File access patterns: per-rank extent lists and the all-ranks table.
 
 A :class:`RankAccess` is a rank's flattened file view for one I/O call —
-sorted, non-overlapping ``(offset, length)`` extents plus an optional
-payload (the flat memory buffer, for data-verification runs).  The two-phase
-algorithm spends its time intersecting extents with file-domain windows;
-that operation is vectorised here (``searchsorted`` over prefix sums) so
-benchmark-scale patterns (millions of extents for coll_perf's 3-D strides)
-stay cheap.
+sorted, non-overlapping ``(offset, length)`` extents; the bytes they carry
+are a function of the file offset (:mod:`repro.payload`), never a buffer
+held here.  The two-phase algorithm spends its time intersecting extents
+with file-domain windows; that operation is vectorised here
+(``searchsorted`` over prefix sums) so benchmark-scale patterns (millions
+of extents for coll_perf's 3-D strides) stay cheap.
 
 An :class:`AccessTable` is the same information for *every* rank of one
 collective step, immutable and shared by whatever repeats the pattern (the
@@ -101,12 +101,7 @@ class RankAccess:
     second case and are ``None`` in the first.
     """
 
-    def __init__(
-        self,
-        offsets: np.ndarray,
-        lengths: np.ndarray,
-        data: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, offsets: np.ndarray, lengths: np.ndarray):
         offsets, lengths = _extent_fields("RankAccess", offsets, lengths)
         keep = lengths > 0
         offsets, lengths = offsets[keep], lengths[keep]
@@ -120,15 +115,13 @@ class RankAccess:
         # prefix[i] = bytes in extents [0, i)
         self.prefix = np.concatenate(([0], np.cumsum(self.lengths)))
         self.total_bytes = int(self.prefix[-1])
-        self.data = self._checked_payload(data)
         self.table: Optional[AccessTable] = None
         self.rank: Optional[int] = None
 
     @classmethod
-    def _view(cls, table: "AccessTable", rank: int, data) -> "RankAccess":
+    def _view(cls, table: "AccessTable", rank: int) -> "RankAccess":
         self = cls.__new__(cls)
         self.total_bytes = table._bytes[rank]
-        self.data = self._checked_payload(data)
         self.table = table
         self.rank = rank
         return self
@@ -150,16 +143,6 @@ class RankAccess:
     @cached_property
     def prefix(self) -> np.ndarray:
         return self.table._rank_array(self.rank, "prefix")
-
-    def _checked_payload(self, data) -> Optional[np.ndarray]:
-        if data is None:
-            return None
-        data = np.asarray(data, dtype=np.uint8)
-        if len(data) != self.total_bytes:
-            raise ValueError(
-                f"payload is {len(data)} bytes, extents describe {self.total_bytes}"
-            )
-        return data
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -216,19 +199,9 @@ class RankAccess:
         nbytes = int(lens.sum())
         return WindowSlice(offs, lens, nbytes, int(len(offs)), bufs)
 
-    def payload_for(self, ws: WindowSlice) -> Optional[np.ndarray]:
-        """Gather the buffer bytes backing a window slice (None if virtual)."""
-        if self.data is None or ws.nbytes == 0:
-            return None
-        parts = [
-            self.data[int(b) : int(b) + int(l)]
-            for b, l in zip(ws.buffer_starts, ws.lengths)
-        ]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
-
     @classmethod
-    def contiguous(cls, offset: int, nbytes: int, data: Optional[np.ndarray] = None) -> "RankAccess":
-        return cls(np.array([offset]), np.array([nbytes]), data)
+    def contiguous(cls, offset: int, nbytes: int) -> "RankAccess":
+        return cls(np.array([offset]), np.array([nbytes]))
 
     @classmethod
     def empty_access(cls) -> "RankAccess":
@@ -427,19 +400,14 @@ class AccessTable:
     def __len__(self) -> int:
         return self._ptr[-1]
 
-    def rank(self, rank: int, data: Optional[np.ndarray] = None) -> RankAccess:
-        """Rank ``rank``'s access as a zero-copy view of this table.
-
-        Dataless views are immutable and handed out again on the next call;
-        a payload (checked against the rank's byte count) gets a fresh view.
-        """
+    def rank(self, rank: int) -> RankAccess:
+        """Rank ``rank``'s access as a zero-copy view of this table, immutable
+        and handed out again on the next call."""
         if not 0 <= rank < self.nranks:
             raise IndexError(f"AccessTable: rank {rank} outside 0..{self.nranks - 1}")
-        if data is not None:
-            return RankAccess._view(self, rank, data)
         view = self._views[rank]
         if view is None:
-            view = self._views[rank] = RankAccess._view(self, rank, None)
+            view = self._views[rank] = RankAccess._view(self, rank)
         return view
 
     @classmethod
@@ -502,6 +470,13 @@ class AccessTable:
             by = (np.arange(count, dtype=np.int64) * stride)[:, None]
             starts, ends = _merge_runs((starts + by).ravel(), (ends + by).ravel())
         return starts, ends
+
+    @cached_property
+    def coverage_bytes(self) -> int:
+        """Bytes in :attr:`coverage`: what a collective write of this table
+        hands to its aggregators' writes, each byte once."""
+        starts, ends = self.coverage
+        return int((ends - starts).sum())
 
     @cached_property
     def digest(self) -> bytes:

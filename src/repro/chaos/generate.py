@@ -11,8 +11,8 @@ under the same schedule.
 Crashes are *event-anchored* rather than clock-driven: an
 ``aggregator_crash`` arms on ``write_done:<last>`` (all application writes
 acknowledged, flush/close in flight — the window where cached extents are
-guaranteed to be at risk), so the reference checksums remain the correct
-oracle for the recovered file.  With probability ``cascade_probability`` a
+guaranteed to be at risk), so every file the recovery job replays must
+end up whole.  With probability ``cascade_probability`` a
 second crash arms on ``recovery_replay`` — it fires while the *recovery*
 job is replaying the first crash's journals, the nastiest point in the
 state space (partially-replayed journals, revoked-and-reacquired locks).

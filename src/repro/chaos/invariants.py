@@ -33,14 +33,22 @@ the diagnosis to drains and fire-and-forget phases.)
 The monitor only *reads* simulated state — attaching it never changes any
 simulated quantity except the diagnostic event count (watchdog ticks).
 
+**Integrity** (:func:`verify_files`, run once the harness is done): each
+file persists exactly the bytes its workload covers, and whatever bytes it
+stores are the payload function's — checked against the workload's access
+tables, with no fault-free reference run.
+
 Paper correspondence: none (robustness harness, DESIGN.md §9).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Mapping, Optional
+
+import numpy as np
 
 from repro.intervals import IntervalSet
+from repro.payload import payload_bytes
 from repro.sim.core import DeadlockError, describe_blocked
 
 _WATCHDOG = "invariant-watchdog"
@@ -83,6 +91,50 @@ def byte_conservation(io: dict, journals=None) -> list[str]:
             f"{unflushed} bytes still journaled — lost data vanished from "
             f"the recovery metadata"
         )
+    return out
+
+
+def verify_files(
+    pfs, expected: Mapping[str, tuple], key_of: Callable[[str], int]
+) -> list[str]:
+    """Integrity violations of the files ``expected`` names (empty = clean).
+
+    ``expected[path]`` is the ``(starts, ends)`` coverage the file must hold
+    once written (:attr:`repro.workloads.base.Workload.coverage`).  Per
+    file: its persisted runs and size equal that coverage (the first
+    missing and the first extra run are named), and every byte it stores
+    (flow fidelity stores them; model fidelity stores none) equals the
+    payload function of ``key_of(path)`` at its offset (the first bad
+    offset is named).  No reference run is needed: the access tables say
+    where bytes belong and :mod:`repro.payload` what they are.
+    """
+    out: list[str] = []
+    for path, (starts, ends) in expected.items():
+        if not pfs.exists(path):
+            out.append(f"{path}: missing file")
+            continue
+        f = pfs.lookup(path)
+        want = IntervalSet(zip(starts.tolist(), ends.tolist()))
+        if f.persisted != want:
+            pairs = (("missing", want, f.persisted), ("extra", f.persisted, want))
+            for what, have, of in pairs:
+                for s, e in have:
+                    gap = next(iter(of.gaps(s, e)), None)
+                    if gap is not None:
+                        out.append(f"{path}: {what} run [{gap[0]}, {gap[1]})")
+                        break
+        size = int(ends[-1]) if len(ends) else 0
+        if f.size != size:
+            out.append(f"{path}: size {f.size} != {size} covered")
+        if f.extents:
+            key = key_of(path)
+            stored = IntervalSet((off, off + len(arr)) for off, arr in f.extents)
+            for s, e in stored:
+                bad = np.flatnonzero(f.read_back(s, e - s) != payload_bytes(key, s, e - s))
+                if len(bad):
+                    at = s + int(bad[0])
+                    out.append(f"{path}: stored byte at offset {at} is not its payload")
+                    break
     return out
 
 

@@ -30,7 +30,9 @@ from repro.experiments.resultcache import config_fingerprint
 from repro.faults.spec import FaultSchedule
 
 # v2: the stored result's fields compare stacks (``stacks_match``, ...).
-ARTIFACT_VERSION = 2
+# v3: the stored result names integrity violations (``integrity_violations``)
+# in place of per-file checksums.
+ARTIFACT_VERSION = 3
 
 
 def shrink_schedule(

@@ -1,22 +1,23 @@
 """Fault-matrix experiments: Table-II configurations under injected faults.
 
 Each measurement point compares two runs of a small multi-phase workload on
-identical cluster configs: one fault-free (the *reference*) and one under a
-:class:`~repro.faults.FaultSchedule`.  The reference does not depend on the
-scenario, so a process simulates it once per workload shape and recalls it
-for every other scenario of that shape (:data:`reference_memo`); the run
-under the schedule — the ``baseline`` scenario's empty one included — is
-always simulated.  If the faulted job is killed by an
-injected aggregator crash, a follow-up *recovery job* re-opens every file on
-the same machine — the collective open replays orphaned cache extents — and
-the point reports recovery time and bytes replayed.  End-to-end integrity is
-asserted by comparing per-file SHA-256 checksums of the persisted global
-files against the reference run: the recovered (or degraded) job must be
-byte-identical to the fault-free one.
+identical cluster configs: one fault-free (the *reference*, for its
+bandwidth) and one under a :class:`~repro.faults.FaultSchedule`.  The
+reference does not depend on the scenario, so a process simulates it once
+per workload shape and recalls it for every other scenario of that shape
+(:data:`reference_memo`); the run under the schedule — the ``baseline``
+scenario's empty one included — is always simulated.  If the faulted job is
+killed by an injected aggregator crash, a follow-up *recovery job* re-opens
+every file on the same machine — the collective open replays orphaned cache
+extents — and the point reports recovery time and bytes replayed.
+End-to-end integrity is checked against the workload itself
+(:func:`~repro.chaos.invariants.verify_files`): every global file of the
+recovered (or degraded) job must persist exactly the bytes its access
+tables cover, and any bytes it stores must be the payload function's.
 
-Workloads here are deliberately tiny (tens of KiB per rank, payload-carrying
-so checksums are meaningful); the point is correctness under faults, not the
-paper's bandwidth figures.  Results flow through the same
+Workloads here are deliberately tiny (tens of KiB per rank); the point is
+correctness under faults, not the paper's bandwidth figures.  Results flow
+through the same
 :class:`~repro.experiments.parallel.SweepRunner` / result-cache machinery as
 the Table-II sweeps, so fault matrices are cached, deduplicated, and
 byte-identical between serial and ``--jobs N`` execution.
@@ -27,7 +28,6 @@ against injected faults (see DESIGN.md §9).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -37,6 +37,7 @@ from repro.experiments.resultcache import cache_key
 from repro.faults import FaultSchedule, FaultSpec, JobAborted
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
+from repro.payload import payload_key
 from repro.romio.file import MPIIOLayer
 from repro.romio.hints import CACHE_KINDS
 from repro.sim.core import DeadlockError, Interrupt
@@ -104,7 +105,7 @@ class FaultExperimentResult:
     """Outcome of one fault-matrix point."""
 
     spec: FaultExperimentSpec
-    integrity_ok: bool  # faulted/recovered files byte-identical to reference
+    integrity_ok: bool  # faulted/recovered files hold what the workload wrote
     crashed: bool  # the faulted job was killed by an injected crash
     recovered: bool  # a recovery job ran (implies crashed)
     bw_ref: float  # fault-free perceived bandwidth [B/s]
@@ -117,7 +118,7 @@ class FaultExperimentResult:
     sync_failures: int  # sync requests abandoned entirely
     degraded: int  # cache states that fell back to direct writes
     faults_injected: int
-    checksums: dict = field(default_factory=dict)  # per-file hex digests
+    integrity_violations: list = field(default_factory=list)  # from verify_files
     events: int = 0  # kernel events fired in the faulted run
     invariant_violations: list = field(default_factory=list)  # from the monitor
 
@@ -142,10 +143,8 @@ class FaultExperimentResult:
 
 # -- workload / config -------------------------------------------------------
 def build_fault_workload(spec: FaultExperimentSpec, nprocs: int):
-    """A tiny payload-carrying workload so checksums verify real bytes."""
-    return small_workload(
-        spec.benchmark, nprocs, spec.scale, with_data=True, seed=spec.seed
-    )
+    """The point's tiny workload."""
+    return small_workload(spec.benchmark, nprocs, spec.scale)
 
 
 def fault_hints_for(spec: FaultExperimentSpec) -> dict[str, str]:
@@ -182,20 +181,18 @@ def _file_prefix(spec: FaultExperimentSpec) -> str:
     return f"/global/fault_{spec.benchmark}_{spec.scenario}_{spec.cache_mode}_"
 
 
-# A file is hashed this many bytes at a time: the image is never held whole,
-# so the memory a fault point needs does not grow by two file sizes at the end.
-_CHECKSUM_WINDOW = 1 << 20
+def integrity_violations(machine: Machine, workload, paths: list[str]) -> list[str]:
+    """:func:`~repro.chaos.invariants.verify_files` over a run's files: each
+    must hold ``workload``'s coverage, its stored bytes the payload of the
+    machine's seed and its path."""
+    from repro.chaos.invariants import verify_files  # circular at top
 
-
-def _checksums(machine: Machine, paths: list[str]) -> dict[str, str]:
-    out = {}
-    for path in paths:
-        if machine.pfs.exists(path):
-            digest = hashlib.sha256()
-            for piece in machine.pfs.lookup(path).image_windows(_CHECKSUM_WINDOW):
-                digest.update(piece)
-            out[path] = digest.hexdigest()
-    return out
+    seed = machine.config.seed
+    return verify_files(
+        machine.pfs,
+        dict.fromkeys(paths, workload.coverage),
+        lambda path: payload_key(seed, path),
+    )
 
 
 # -- the fault-free reference ------------------------------------------------
@@ -204,12 +201,7 @@ class FaultFreeReference:
     """What a point keeps of its fault-free twin."""
 
     bw: float  # perceived bandwidth [B/s]
-    checksums: tuple  # hex digest per file index; None where no file exists
     violations: tuple = ()  # the invariant monitor's, audited references only
-
-    def checksums_for(self, paths: list[str]) -> dict[str, str]:
-        """The digests keyed by a point's own file names."""
-        return {p: h for p, h in zip(paths, self.checksums) if h is not None}
 
 
 class _ReferenceMemo:
@@ -217,7 +209,7 @@ class _ReferenceMemo:
 
     Every scenario of a fault matrix and every seed of a chaos batch that
     share a workload shape share one reference (:func:`reference_key`); an
-    entry is a float and a few hex strings.
+    entry is a float and the audit's violations.
     """
 
     def __init__(self, maxsize: int):
@@ -311,11 +303,8 @@ def fault_free_reference(
     if monitor is not None:
         monitor.drain()
         monitor.check_quiescent()
-    paths = [f"{prefix}{k}" for k in range(spec.num_files)]
-    checks = _checksums(machine, paths)
     ref = FaultFreeReference(
         bw=perceived_bandwidth(timings, workload.file_size, include_last_phase=True),
-        checksums=tuple(checks.get(p) for p in paths),
         violations=tuple(monitor.violations) if monitor is not None else (),
     )
     if key is not None:
@@ -391,13 +380,12 @@ def run_fault_experiment(
         monitor.record(f"deadlock: {exc}")
     monitor.check_quiescent()
 
-    checks = _checksums(machine, paths)
-    integrity_ok = bool(checks) and checks == ref.checksums_for(paths)
+    integrity = integrity_violations(machine, workload, paths)
     rec_stats = machine.recovery.stats()
     cache_stats = machine.cache_stats
     return FaultExperimentResult(
         spec=spec,
-        integrity_ok=integrity_ok,
+        integrity_ok=not integrity,
         crashed=crashed,
         recovered=recovered,
         bw_ref=ref.bw,
@@ -410,7 +398,7 @@ def run_fault_experiment(
         sync_failures=cache_stats.get("sync_failures", 0),
         degraded=cache_stats.get("degraded", 0),
         faults_injected=machine.faults.injected if machine.faults else 0,
-        checksums=checks,
+        integrity_violations=integrity,
         events=machine.sim.events_fired,
         invariant_violations=list(monitor.violations),
     )

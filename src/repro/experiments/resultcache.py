@@ -46,7 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # v4: fleet results carry one ``stack`` diagnostic (was ``engine`` +
 # ``dataplane``) and chaos results compare stacks, not planes
 # (``stacks_match``, ``events_production``/``events_reference``).
-CACHE_SCHEMA_VERSION = 4
+# v5: fault and chaos results carry ``integrity_violations`` (checked against
+# the access tables) in place of per-file ``checksums``.
+CACHE_SCHEMA_VERSION = 5
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 

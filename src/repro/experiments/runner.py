@@ -99,7 +99,7 @@ class ExperimentResult:
         return cls(**fields)
 
 
-def build_workload(spec: ExperimentSpec, nprocs: int, with_data: bool = False):
+def build_workload(spec: ExperimentSpec, nprocs: int):
     """Build the benchmark recipe at the spec's scale.
 
     Scaling must preserve each pattern's *locality structure* (which ranks
@@ -115,16 +115,11 @@ def build_workload(spec: ExperimentSpec, nprocs: int, with_data: bool = False):
         # Round to a 2 KiB multiple (the z-run granularity) so the block
         # factorises into a whole number of contiguous runs at any scale.
         block = max(64 * KiB, (int(64 * MiB * s) // (2 * KiB)) * 2 * KiB)
-        return collperf_workload(nprocs, block_bytes=block, with_data=with_data)
+        return collperf_workload(nprocs, block_bytes=block)
     if spec.benchmark == "flash_io":
         blocks = max(1, int(round(80 * s)))
-        return flashio_workload(nprocs, blocks_per_proc=blocks, with_data=with_data)
-    return ior_workload(
-        nprocs,
-        block_bytes=8 * MiB,
-        segments=max(1, int(round(8 * s))),
-        with_data=with_data,
-    )
+        return flashio_workload(nprocs, blocks_per_proc=blocks)
+    return ior_workload(nprocs, block_bytes=8 * MiB, segments=max(1, int(round(8 * s))))
 
 
 def hints_for(spec: ExperimentSpec) -> dict[str, str]:

@@ -316,11 +316,11 @@ def run_faults(args: argparse.Namespace, runner: SweepRunner) -> int:
     violated = [r for r in results if r.invariant_violations]
     if bad or unrecovered or violated:
         for r in bad:
-            print(
-                f"INTEGRITY FAILURE: {r.spec.benchmark}/{r.spec.scenario}: "
-                f"persisted data differs from the fault-free reference",
-                file=sys.stderr,
-            )
+            for violation in r.integrity_violations:
+                print(
+                    f"INTEGRITY FAILURE: {r.spec.benchmark}/{r.spec.scenario}: {violation}",
+                    file=sys.stderr,
+                )
         for r in unrecovered:
             print(
                 f"RECOVERY FAILURE: {r.spec.benchmark}/{r.spec.scenario}: "

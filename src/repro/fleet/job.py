@@ -6,9 +6,8 @@ fleet spec by cycling the configured axes (node counts, cache modes,
 benchmarks), so two fleets with the same spec contain byte-identical jobs.
 
 Workload and hint construction mirrors the fault sweep's tiny-but-real
-configurations (:mod:`repro.experiments.faultsweep`), minus the data
-payloads: fleet conservation audits use the per-job byte ledgers, not
-checksums, so carrying real bytes would only slow a 256-job fleet down.
+configurations (:mod:`repro.experiments.faultsweep`); fleet conservation
+audits use the per-job byte ledgers.
 
 Paper correspondence: §IV benchmarks (IOR, coll_perf, Flash-IO) as the job
 mix; Table I/II hints per job.

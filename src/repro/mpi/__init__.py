@@ -11,7 +11,6 @@ synchronisation and shuffle costs come from here.
 """
 
 from repro.mpi.comm import Communicator
-from repro.mpi.datatypes import Datatype, DatatypeError
 from repro.mpi.process import MPIContext, MPIWorld
 from repro.mpi.request import GeneralizedRequest, Request
 
@@ -22,8 +21,6 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "Communicator",
-    "Datatype",
-    "DatatypeError",
     "GeneralizedRequest",
     "MPIContext",
     "MPIWorld",

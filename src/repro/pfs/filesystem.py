@@ -13,7 +13,7 @@ write inefficiency motivates the cache.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,24 +57,6 @@ class PFSFile:
         for off, arr in self.extents:
             img[off : off + len(arr)] = arr
         return img
-
-    def image_windows(self, window: int) -> Iterator[np.ndarray]:
-        """:meth:`data_image` as consecutive pieces of at most ``window``
-        bytes, so a checksum pass need not hold a whole second copy of a
-        large file."""
-        starts = [off for off, _ in self.extents]
-        ends = [off + len(arr) for off, arr in self.extents]
-        first, last = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
-        for lo in range(0, self.size, window):
-            hi = min(lo + window, self.size)
-            piece = np.zeros(hi - lo, dtype=np.uint8)
-            # flatnonzero keeps write order: the last writer still wins
-            for k in np.flatnonzero((first < hi) & (last > lo)).tolist():
-                off = starts[k]
-                a = off if off > lo else lo
-                b = ends[k] if ends[k] < hi else hi
-                piece[a - lo : b - lo] = self.extents[k][1][a - off : b - off]
-            yield piece
 
     def read_back(self, offset: int, nbytes: int) -> Optional[np.ndarray]:
         if not self.extents:

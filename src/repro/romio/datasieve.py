@@ -7,7 +7,9 @@ non-contiguous extents are *sieved*: the rank reads an
 whole window back — one large I/O instead of many tiny ones, at the cost of
 a read-modify-write and exclusive stripe locks over the window (POSIX
 semantics).  Windows whose extents fully cover them (or contain a single
-extent) skip the read.
+extent) skip the read.  At flow fidelity the writes carry the file's
+payload bytes (:mod:`repro.payload`) for the offsets they cover; at model
+fidelity they carry none.
 
 Paper correspondence: §III-B — independent writes against cached files,
 and the sieving fallback for sparse windows.
@@ -15,7 +17,10 @@ and the sieving fallback for sparse windows.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.access import RankAccess
+from repro.payload import payload_bytes
 from repro.romio.fd import ADIOFile
 from repro.romio.profiling import Profiler
 
@@ -26,6 +31,7 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
         return 0
     sieve = fd.hints.ind_wr_buffer_size
     client = fd.machine.pfs_client(rank)
+    key = fd.payload_key if fd.exchange_mode == "flow" else None
     written = 0
     pos = access.start_offset
     end = access.end_offset + 1
@@ -40,12 +46,10 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
         if dense or ws.count == 1:
             # No holes (or one extent): write the covered range(s) directly.
             t0 = prof.mark()
-            for off, length, buf in zip(ws.offsets, ws.lengths, ws.buffer_starts):
-                data = None
-                if access.data is not None:
-                    data = access.data[int(buf) : int(buf) + int(length)]
-                yield from fd.driver.write_contig(fd, rank, int(off), int(length), data)
-                written += int(length)
+            for off, length in zip(ws.offsets.tolist(), ws.lengths.tolist()):
+                data = None if key is None else payload_bytes(key, off, length)
+                yield from fd.driver.write_contig(fd, rank, off, length, data)
+                written += length
             prof.lap("write", t0)
         else:
             # Sieve: read-modify-write the whole window under a write lock.
@@ -60,20 +64,12 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
                     held.append(s)
                 old = yield from client.read(fd.pfs_file, pos, window)
                 merged = None
-                if access.data is not None:
-                    import numpy as np
-
-                    merged = (
-                        old
-                        if old is not None
-                        else np.zeros(window, dtype=np.uint8)
-                    )
-                    payload = access.payload_for(ws)
-                    cursor = 0
-                    for off, length in zip(ws.offsets, ws.lengths):
-                        o, l = int(off), int(length)
-                        merged[o - pos : o - pos + l] = payload[cursor : cursor + l]
-                        cursor += l
+                if key is not None:
+                    merged = old if old is not None else np.zeros(window, dtype=np.uint8)
+                    for off, length in zip(ws.offsets.tolist(), ws.lengths.tolist()):
+                        merged[off - pos : off - pos + length] = payload_bytes(
+                            key, off, length
+                        )
                 yield from client.write(
                     fd.pfs_file, pos, window, data=merged, locking=False
                 )
@@ -113,8 +109,6 @@ def read_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
     """
     if access.empty:
         return None
-    import numpy as np
-
     sieve = fd.hints.ind_wr_buffer_size
     client = fd.machine.pfs_client(rank)
     coherent = fd.hints.cache_coherent

@@ -15,7 +15,8 @@ Port of the algorithm the paper describes in Section II-A, step for step:
 Two exchange fidelities share this control flow:
 
 * ``flow`` — every message is simulated individually and real payload bytes
-  are shuffled and assembled, so the written file is verifiable
+  (:mod:`repro.payload`, generated by each sender for the file offsets it
+  sends) are shuffled and assembled, so the written file is verifiable
   byte-for-byte.  Used at test scale.
 * ``model`` — per-round costs are precomputed vectorised over all rounds
   (per-NIC hot-spot bytes, message counts) and charged through
@@ -25,7 +26,10 @@ Two exchange fidelities share this control flow:
 Both preserve the global synchronisation structure: every round begins with
 an all-ranks collective, so a slow aggregator (device jitter, cache flush
 backlog) stalls everyone — the effect the paper measures as
-``shuffle_all2all``/``post_write`` cost.
+``shuffle_all2all``/``post_write`` cost.  Both count the bytes their
+aggregators hand to ``write_contig``: a call that completes must have handed
+over its table's coverage, each byte once, or it raises
+(:func:`_check_conservation`).
 
 **Only writers wake** (model fidelity; docs/PERFORMANCE.md has the argument
 and the numbers — and, under "Plan once, park once", the ladder this
@@ -65,6 +69,7 @@ from repro.access import (
 )
 from repro.intervals import IntervalSet
 from repro.mpi.collectives import op_max
+from repro.payload import gather_payload
 from repro.romio.fd import ADIOFile, CollectiveCallState
 from repro.romio.profiling import Profiler
 from repro.sim.core import Event, SimError
@@ -94,8 +99,8 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
             comm.alone(rank, "an aggregator's part in write_all")
         if fd.exchange_mode == "flow":
             comm.alone(rank, "the flow-fidelity allgather of offsets")
-        if access.table is None or access.data is not None:
-            comm.alone(rank, "a write_all access that is not a dataless table view")
+        if access.table is None:
+            comm.alone(rank, "a write_all access that is not a table view")
     if rank in call.accesses:
         raise SimError(f"{fd.path}: rank {rank} arrives twice at collective call {call.index}")
     if comm.leaders[rank] != rank:
@@ -130,6 +135,7 @@ def _write_on_clock(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Pro
             t0 = prof.mark()
             for s, e in coverage_in_window(starts, ends, lo, hi):
                 yield from write_contig(fd, rank, s, e - s, None)
+                call.written += e - s
             prof.lap("write", t0)
             r = yield clock.report(rank, r)
     return access.total_bytes
@@ -192,18 +198,19 @@ def _write_live(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profile
     t0 = prof.mark()
     yield from comm.allreduce(rank, 0, op_max, nbytes=4)
     prof.lap("post_write", t0)
+    _check_conservation(fd, call)
     # MPI semantics: the call reports this rank's own contribution; what it
     # wrote as an aggregator only feeds internal accounting.
     return access.total_bytes
 
 
-def fast_paths(machine, comm, exchange_mode: str, hints) -> tuple[bool, bool, bool]:
-    """``(bulk, shared, clock)``: the fast paths a file's collective writes
-    may take.  Known before any call is made, so a program can ask up front
+def fast_paths(machine, comm, exchange_mode: str, hints) -> tuple[bool, bool]:
+    """``(bulk, clock)``: the fast paths a file's collective writes may
+    take.  Known before any call is made, so a program can ask up front
     (``workloads.phases`` runs the ranks that never write in a call on its
     clock as one process)."""
     if exchange_mode != "model":
-        return False, False, False
+        return False, False
     bulk = not machine.reference
     # A clock needs the shared release events of the production stack's
     # model collectives and no fault injector, which may interrupt a rank
@@ -215,7 +222,7 @@ def fast_paths(machine, comm, exchange_mode: str, hints) -> tuple[bool, bool, bo
     )
     # ... and certainty, before any offset is known, that the call takes
     # the collective path: the hint must not wait for the interleaving test.
-    return bulk, shared, shared and hints.romio_cb_write == "enable"
+    return bulk, shared and hints.romio_cb_write == "enable"
 
 
 def _open_call(fd: ADIOFile, call: CollectiveCallState) -> None:
@@ -224,7 +231,7 @@ def _open_call(fd: ADIOFile, call: CollectiveCallState) -> None:
     which of the fast paths the call may take."""
     call.opened = True
     comm = fd.comm
-    call.bulk, _, call.park = fast_paths(fd.machine, comm, fd.exchange_mode, fd.hints)
+    call.bulk, call.park = fast_paths(fd.machine, comm, fd.exchange_mode, fd.hints)
     if fd.exchange_mode != "model":
         return
     costs = comm.costs
@@ -465,6 +472,7 @@ class CallClock:
         for a in fd.aggregators:
             fd.machine.nodes[fd.comm.node_of(a)].unpin_memory(fd.hints.cb_buffer_size)
         self._close()
+        _check_conservation(fd, call)
         for w in self.idle:
             w.wake._fire_inline(None)
 
@@ -489,6 +497,20 @@ def _gather_offsets(fd: ADIOFile, call: CollectiveCallState) -> None:
     call.max_end = table.max_end
 
 
+def _check_conservation(fd: ADIOFile, call: CollectiveCallState) -> None:
+    """A call that completed has handed its aggregators' writes every byte
+    its ranks cover, each once — to the PFS or into the cache, nowhere
+    else.  The expectation is the table's own coverage, not the plan the
+    writes were cut from, so a plan that drops or repeats bytes (a memo
+    restoring coverage wrongly) fails here on any run."""
+    expected = call.table.coverage_bytes
+    if call.written != expected:
+        raise SimError(
+            f"{fd.path}: collective call {call.index} handed {call.written} bytes "
+            f"to write_contig, but its ranks cover {expected}"
+        )
+
+
 def _partition(fd: ADIOFile, call: CollectiveCallState) -> None:
     """Step 2: file domains over the aggregators and the round count."""
     cb = fd.hints.cb_buffer_size
@@ -504,6 +526,7 @@ def _partition(fd: ADIOFile, call: CollectiveCallState) -> None:
 def _rounds_flow(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profiler):
     comm = fd.comm
     cb = fd.hints.cb_buffer_size
+    key = fd.payload_key
     written = 0
     for r in range(call.ntimes):
         # -- dissemination alltoall ------------------------------------------------
@@ -527,7 +550,7 @@ def _rounds_flow(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profil
         # -- data exchange ------------------------------------------------------------
         send_reqs = []
         for dst, ws in slices.items():
-            payload = (ws.offsets, ws.lengths, access.payload_for(ws))
+            payload = (ws.offsets, ws.lengths, gather_payload(key, ws.offsets, ws.lengths))
             send_reqs.append(comm.isend(rank, dst, _TAG_DATA + r, payload, ws.nbytes))
         recv_reqs = []
         if fd.is_aggregator(rank):
@@ -554,22 +577,20 @@ def _rounds_flow(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profil
                 yield from fd.driver.write_contig(fd, rank, s, e - s, data)
                 written += e - s
             prof.lap("write", t0)
+    call.written += written
     return written
 
 
 def _assemble(
-    pieces: list[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
-) -> tuple[list[tuple[int, int]], list[Optional[np.ndarray]]]:
+    pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
     """Merge received (offsets, lengths, payload) pieces into contiguous
-    segments with assembled data (None when any contributor was virtual)."""
+    segments with assembled data."""
     cover = IntervalSet()
     for offs, lens, _ in pieces:
         for o, l in zip(offs, lens):
             cover.add(int(o), int(o) + int(l))
     segments = list(cover)
-    have_data = all(p[2] is not None for p in pieces) and bool(segments)
-    if not have_data:
-        return segments, [None] * len(segments)
     buffers = [np.zeros(e - s, dtype=np.uint8) for s, e in segments]
     for offs, lens, payload in pieces:
         pos = 0
@@ -801,4 +822,5 @@ def _rounds_model(fd: ADIOFile, rank: int, call: CollectiveCallState, prof: Prof
             yield from fd.driver.write_contig(fd, rank, s, e - s, None)
             written += e - s
         prof.lap("write", t0)
+    call.written += written
     return written

@@ -23,6 +23,7 @@ file views, and per-file cache state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from repro.access import AccessTable, RankAccess
 from repro.cache.cachefile import CacheState
 from repro.mpi.comm import Communicator
+from repro.payload import payload_key
 from repro.romio.aggregation import FileDomain
 from repro.romio.hints import Hints
 from repro.romio.profiling import Profiler
@@ -72,6 +74,7 @@ class CollectiveCallState:
     recv_bytes: Optional[np.ndarray] = None  # [agg, round]
     recv_pieces: Optional[np.ndarray] = None  # [agg, round] offset/length pairs
     merged_cov: Optional[tuple[np.ndarray, np.ndarray]] = None
+    written: int = 0  # bytes the aggregators handed to write_contig
 
 
 class ADIOFile:
@@ -115,6 +118,11 @@ class ADIOFile:
         # collective open checks the recovery registry; then a bool shared by
         # every rank so the recovery barrier is symmetric.
         self.recovery_needed: Optional[bool] = None
+
+    @cached_property
+    def payload_key(self) -> int:
+        """The key of this file's payload bytes (:mod:`repro.payload`)."""
+        return payload_key(self.machine.config.seed, self.path)
 
     def is_aggregator(self, rank: int) -> bool:
         return rank in self.agg_index

@@ -15,8 +15,6 @@ by a base and two ``(count, stride)`` levels, never listed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.access import AccessTable
@@ -45,8 +43,6 @@ def collperf_workload(
     nprocs: int,
     block_bytes: int = 64 * 1024 * 1024,
     elem_size: int = 8,
-    with_data: bool = False,
-    seed: int = 0,
 ) -> Workload:
     """Build the coll_perf pattern for ``nprocs`` ranks.
 
@@ -54,18 +50,13 @@ def collperf_workload(
     block shape keeps the innermost run at 256 elements when possible so the
     extent granularity matches the paper's configuration; smaller test
     blocks degrade gracefully to near-cubic shapes.
-
-    ``with_data`` attaches deterministic payload bytes for verification runs
-    (only sensible at test scale).
     """
     if block_bytes % elem_size:
         raise ValueError(f"block_bytes {block_bytes} not a multiple of elem_size")
-    if with_data:
-        return _build(nprocs, block_bytes, elem_size, seed)
     return shared_dataless(
         ("coll_perf", nprocs, block_bytes, elem_size),
         nprocs,
-        lambda: _build(nprocs, block_bytes, elem_size, None),
+        lambda: _build(nprocs, block_bytes, elem_size),
     )
 
 
@@ -81,10 +72,7 @@ def _block_shape(elems: int) -> tuple[int, int, int]:
     return rest // by, by, bz
 
 
-def _build(
-    nprocs: int, block_bytes: int, elem_size: int, seed: Optional[int]
-) -> Workload:
-    """``seed`` is ``None`` for a dataless recipe."""
+def _build(nprocs: int, block_bytes: int, elem_size: int) -> Workload:
     px, py, pz = _grid_dims(nprocs)
     bx, by, bz = _block_shape(block_bytes // elem_size)
     NX, NY, NZ = bx * px, by * py, bz * pz
@@ -102,18 +90,10 @@ def _build(
             bz * elem_size,
         )
 
-    def payload_fn(rank: int) -> np.ndarray:
-        rng = np.random.default_rng(seed * 100003 + rank)
-        return rng.integers(0, 256, size=block_bytes, dtype=np.uint8)
-
     return Workload(
         name="coll_perf",
         nprocs=nprocs,
-        steps=(
-            IOStep.collective(
-                table_fn, payload_fn if seed is not None else None, label="3d-array"
-            ),
-        ),
+        steps=(IOStep.collective(table_fn, label="3d-array"),),
         bytes_per_rank=block_bytes,
         file_size=block_bytes * nprocs,
         detail={

@@ -19,8 +19,6 @@ Paper correspondence: §IV-C — Flash-IO checkpoint writes (Figs. 7/8).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.access import AccessTable
@@ -35,8 +33,6 @@ def flashio_workload(
     zones_per_dim: int = 16,
     num_unknowns: int = 24,
     elem_size: int = 8,
-    with_data: bool = False,
-    seed: int = 0,
     kind: str = "checkpoint",
 ) -> Workload:
     """Build one Flash-IO file recipe.
@@ -54,12 +50,8 @@ def flashio_workload(
     else:
         raise ValueError(f"unknown Flash-IO file kind {kind!r}")
     shape = (nprocs, blocks_per_proc, kind, nvars, esize, zpd)
-    if with_data:
-        return _build(*shape, seed)
     # one base per rank per variable
-    return shared_dataless(
-        ("flash_io", *shape), nprocs * nvars, lambda: _build(*shape, None)
-    )
+    return shared_dataless(("flash_io", *shape), nprocs * nvars, lambda: _build(*shape))
 
 
 def _build(
@@ -69,9 +61,7 @@ def _build(
     nvars: int,
     esize: int,
     zpd: int,
-    seed: Optional[int],
 ) -> Workload:
-    """``seed`` is ``None`` for a dataless recipe."""
     zones = zpd**3
     per_proc_per_var = blocks_per_proc * zones * esize
     dataset_bytes = per_proc_per_var * nprocs
@@ -83,15 +73,7 @@ def _build(
                 base_offset + ranks * per_proc_per_var, (), per_proc_per_var
             )
 
-        def payload_fn(rank: int) -> np.ndarray:
-            rng = np.random.default_rng((seed * 31 + var_index) * 100003 + rank)
-            return rng.integers(0, 256, size=per_proc_per_var, dtype=np.uint8)
-
-        return IOStep.collective(
-            table_fn,
-            payload_fn if seed is not None else None,
-            label=f"unk{var_index:02d}",
-        )
+        return IOStep.collective(table_fn, label=f"unk{var_index:02d}")
 
     steps: list[IOStep] = []
     file_pos = 0

@@ -13,8 +13,6 @@ transfers, segmented layout).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.access import AccessTable
@@ -25,25 +23,18 @@ def ior_workload(
     nprocs: int,
     block_bytes: int = 8 * 1024 * 1024,
     segments: int = 8,
-    with_data: bool = False,
-    seed: int = 0,
 ) -> Workload:
     """Build the IOR pattern: ``segments`` collective steps of one block each."""
     if block_bytes <= 0 or segments <= 0:
         raise ValueError("block_bytes and segments must be positive")
-    if with_data:
-        return _build(nprocs, block_bytes, segments, seed)
     return shared_dataless(
         ("ior", nprocs, block_bytes, segments),
         nprocs * segments,
-        lambda: _build(nprocs, block_bytes, segments, None),
+        lambda: _build(nprocs, block_bytes, segments),
     )
 
 
-def _build(
-    nprocs: int, block_bytes: int, segments: int, seed: Optional[int]
-) -> Workload:
-    """``seed`` is ``None`` for a dataless recipe."""
+def _build(nprocs: int, block_bytes: int, segments: int) -> Workload:
     seg_bytes = nprocs * block_bytes
     ranks = np.arange(nprocs, dtype=np.int64)
 
@@ -53,15 +44,7 @@ def _build(
                 segment * seg_bytes + ranks * block_bytes, (), block_bytes
             )
 
-        def payload_fn(rank: int) -> np.ndarray:
-            rng = np.random.default_rng((seed * 7 + segment) * 100003 + rank)
-            return rng.integers(0, 256, size=block_bytes, dtype=np.uint8)
-
-        return IOStep.collective(
-            table_fn,
-            payload_fn if seed is not None else None,
-            label=f"segment{segment}",
-        )
+        return IOStep.collective(table_fn, label=f"segment{segment}")
 
     return Workload(
         name="ior",

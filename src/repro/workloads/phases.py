@@ -14,12 +14,12 @@ The driver records per-rank, per-phase timings that feed Equations (1)/(2)
 
 Only rank 0 and the aggregators decide or write anything here.  Where it
 is certain before the run that every other rank will park on each
-collective write (``ext2ph.fast_paths``) and no step carries payload, the
-body declares those ranks one *class* (``body.rank_classes``):
-``MPIWorld.spawn`` runs them as one process that opens, writes, computes
-and closes once for all of them.  The same body serves a class and a rank
-on its own; results are identical, only the event count drops
-(docs/PERFORMANCE.md, "Rank classes").
+collective write (``ext2ph.fast_paths``), the body declares those ranks
+one *class* (``body.rank_classes``): ``MPIWorld.spawn`` runs them as one
+process that opens, writes, computes and closes once for all of them.
+The same body serves a class and a rank on its own; results are
+identical, only the event count drops (docs/PERFORMANCE.md, "Rank
+classes").
 
 Paper correspondence: Fig. 3 — the write/compute/write workflow whose
 overlap the cache exploits; drives every §IV measurement.
@@ -144,8 +144,7 @@ def multi_phase_body(
         if (
             len(followers) < 2
             or wrapper is not None
-            or not fast_paths(layer.machine, comm, layer.exchange_mode, parsed)[2]
-            or any(step.payload_fn is not None for step in workload.steps)
+            or not fast_paths(layer.machine, comm, layer.exchange_mode, parsed)[1]
         ):
             return None
         # In order of first members: the class stands where its first would.

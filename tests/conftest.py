@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config import small_testbed
 from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
+from repro.payload import payload_bytes, payload_key
 from repro.romio.file import MPIIOLayer
 from repro.sim.core import Simulator, SlottedSimulator
 
@@ -67,3 +69,19 @@ def make_cluster(num_nodes=4, procs_per_node=2, driver="beegfs", exchange="flow"
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, driver=driver, exchange_mode=exchange)
     return machine, world, layer
+
+
+def file_payload(machine, path: str, offset: int, nbytes: int) -> np.ndarray:
+    """The bytes ``path`` holds at ``[offset, offset + nbytes)`` once written
+    on ``machine`` (the payload function of its seed and the path)."""
+    return payload_bytes(payload_key(machine.config.seed, path), offset, nbytes)
+
+
+def expected_image(machine, path: str, accesses, size: int) -> np.ndarray:
+    """A flat oracle of ``path``: ``size`` zero bytes with the payload
+    written over every extent of ``accesses``."""
+    img = np.zeros(size, dtype=np.uint8)
+    for acc in accesses:
+        for off, length in zip(acc.offsets.tolist(), acc.lengths.tolist()):
+            img[off : off + length] = file_payload(machine, path, off, length)
+    return img

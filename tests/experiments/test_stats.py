@@ -1,5 +1,3 @@
-import numpy as np
-
 from repro.access import RankAccess
 from repro.experiments.stats import collect
 from repro.units import KiB
@@ -19,8 +17,7 @@ def run(hints):
 
     def body(ctx):
         fh = yield from layer.open(ctx.rank, "/g/t", hints)
-        data = np.full(8 * KiB, ctx.rank + 1, dtype=np.uint8)
-        yield from fh.write_all(RankAccess.contiguous(ctx.rank * 8 * KiB, 8 * KiB, data))
+        yield from fh.write_all(RankAccess.contiguous(ctx.rank * 8 * KiB, 8 * KiB))
         yield from fh.close()
 
     world.run(body)

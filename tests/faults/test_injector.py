@@ -11,7 +11,7 @@ from repro.romio.file import MPIIOLayer
 from repro.sim.core import SimError
 from repro.units import KiB
 from repro.workloads import ior_workload
-from tests.integration.test_end_to_end import expected_image
+from tests.integration.test_end_to_end import expected
 
 CACHE_HINTS = {
     "e10_cache": "enable",
@@ -24,12 +24,12 @@ CACHE_HINTS = {
 NOCACHE_HINTS = {k: v for k, v in CACHE_HINTS.items() if not k.startswith("e10")}
 
 
-def run_ior(schedule, hints=CACHE_HINTS, seed=11):
+def run_ior(schedule, hints=CACHE_HINTS):
     """One collective IOR file under a fault schedule; returns (machine, wl)."""
     machine = Machine(small_testbed(), faults=schedule)
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="flow")
-    wl = ior_workload(8, block_bytes=8 * KiB, segments=2, with_data=True, seed=seed)
+    wl = ior_workload(8, block_bytes=8 * KiB, segments=2)
 
     def body(ctx):
         fh = yield from layer.open(ctx.rank, "/g/t", hints)
@@ -98,7 +98,7 @@ class TestSSDIOErrors:
         sched = FaultSchedule.of(FaultSpec("ssd_io_error", target=0, rate=0.3))
         machine, wl = run_ior(sched)
         img = machine.pfs.lookup("/g/t").data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        assert np.array_equal(img, expected(machine, "/g/t", wl))
 
     def test_deterministic_across_machines(self):
         sched = FaultSchedule.of(FaultSpec("ssd_io_error", target=0, rate=0.3))
@@ -117,7 +117,7 @@ class TestDeviceLoss:
         sched = FaultSchedule.of(FaultSpec("ssd_device_loss", target=0, start=5e-4))
         machine, wl = run_ior(sched)
         img = machine.pfs.lookup("/g/t").data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        assert np.array_equal(img, expected(machine, "/g/t", wl))
         assert machine.cache_stats["degraded"] >= 1
         assert machine.nodes[0].ssd.read_only
 
@@ -125,7 +125,7 @@ class TestDeviceLoss:
         sched = FaultSchedule.of(FaultSpec("ssd_device_loss", target=0, start=0.0))
         machine, wl = run_ior(sched)
         img = machine.pfs.lookup("/g/t").data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        assert np.array_equal(img, expected(machine, "/g/t", wl))
 
 
 class TestServerStall:
@@ -138,7 +138,7 @@ class TestServerStall:
         assert stalled.sim.now > baseline.sim.now
         assert stalled.faults.injected > 0
         img = stalled.pfs.lookup("/g/t").data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        assert np.array_equal(img, expected(stalled, "/g/t", wl))
 
     def test_watchdog_converts_stall_to_retries(self):
         sched = FaultSchedule.of(
@@ -147,7 +147,7 @@ class TestServerStall:
         )
         machine, wl = run_ior(sched)
         img = machine.pfs.lookup("/g/t").data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        assert np.array_equal(img, expected(machine, "/g/t", wl))
         assert machine.cache_stats["retries"] > 0
         assert machine.cache_stats["sync_failures"] == 0
 
@@ -161,7 +161,7 @@ class TestLinkDegrade:
         slow, wl = run_ior(sched, hints=NOCACHE_HINTS)
         assert slow.sim.now > baseline.sim.now
         img = slow.pfs.lookup("/g/t").data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        assert np.array_equal(img, expected(slow, "/g/t", wl))
 
     def test_window_restores_capacity(self):
         sched = FaultSchedule.of(
@@ -171,7 +171,7 @@ class TestLinkDegrade:
         # After the window the fabric is back at full NIC rate.
         assert machine.fabric._out[0].capacity == machine.fabric.nic_bw
         img = machine.pfs.lookup("/g/t").data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        assert np.array_equal(img, expected(machine, "/g/t", wl))
 
 
 class TestValidation:

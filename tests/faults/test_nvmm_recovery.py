@@ -15,7 +15,7 @@ from repro.sim.core import Interrupt
 from repro.units import KiB
 from repro.workloads import ior_workload
 from repro.workloads.phases import multi_phase_body
-from tests.integration.test_end_to_end import expected_image
+from tests.integration.test_end_to_end import expected
 
 HINTS = {
     "e10_cache": "enable",
@@ -60,7 +60,7 @@ def phased_body(layer, wl):
 
 
 def make_wl():
-    return ior_workload(8, block_bytes=8 * KiB, segments=2, with_data=True, seed=41)
+    return ior_workload(8, block_bytes=8 * KiB, segments=2)
 
 
 def run_recovery(machine):
@@ -97,9 +97,9 @@ class TestNvmmCrashRecovery:
             world.run(phased_body(layer, wl))
         run_recovery(machine)
         assert machine.recovery.stats()["bytes_replayed"] > 0
-        exp = expected_image(wl, 8)
         for k in range(NUM_FILES):
             img = machine.pfs.lookup(f"{PREFIX}{k}").data_image()
+            exp = expected(machine, f"{PREFIX}{k}", wl)
             assert np.array_equal(img, exp), f"file {k} differs after WAL replay"
         assert not machine.recovery.entries()
         # discard-on-close recovery released every log region
@@ -120,9 +120,9 @@ class TestNvmmCrashRecovery:
         assert journals
         torn = sum(j.wal.torn_records for j in journals)
         run_recovery(machine)
-        exp = expected_image(wl, 8)
         for k in range(NUM_FILES):
             img = machine.pfs.lookup(f"{PREFIX}{k}").data_image()
+            exp = expected(machine, f"{PREFIX}{k}", wl)
             assert np.array_equal(img, exp), f"file {k} differs after torn replay"
         assert torn > 0, "the tear window never fired — schedule too narrow"
 

@@ -12,7 +12,7 @@ from repro.sim.core import Interrupt
 from repro.units import KiB
 from repro.workloads import ior_workload
 from repro.workloads.phases import multi_phase_body
-from tests.integration.test_end_to_end import expected_image
+from tests.integration.test_end_to_end import expected
 
 HINTS = {
     "e10_cache": "enable",
@@ -55,7 +55,7 @@ def phased_body(layer, wl):
 
 
 def make_wl():
-    return ior_workload(8, block_bytes=8 * KiB, segments=2, with_data=True, seed=21)
+    return ior_workload(8, block_bytes=8 * KiB, segments=2)
 
 
 def run_recovery(machine):
@@ -126,10 +126,9 @@ class TestCrash:
         with pytest.raises(Interrupt):
             world.run(phased_body(layer, wl))
         run_recovery(machine)
-        exp = expected_image(wl, 8)
         for k in range(NUM_FILES):
             img = machine.pfs.lookup(f"{PREFIX}{k}").data_image()
-            assert np.array_equal(img, exp)
+            assert np.array_equal(img, expected(machine, f"{PREFIX}{k}", wl))
 
 
 class TestCleanShutdown:

@@ -118,15 +118,6 @@ class TestFaultMatrix:
         assert reference_memo.misses == 2 and slow_bw < fast_bw
         assert run_fault_experiment(spec, slow).bw_ref == slow_bw
 
-    def test_checksums_are_rekeyed_onto_the_points_own_paths(self):
-        base, crash = fault_matrix_specs(scenarios=("baseline", "agg_crash"), scale=0.25)
-        a, b = run_fault_experiment(base), run_fault_experiment(crash)
-        assert reference_memo.hits == 1
-        assert all("_baseline_" in path for path in a.checksums)
-        assert all("_agg_crash_" in path for path in b.checksums)
-        assert list(a.checksums.values()) == list(b.checksums.values())
-        assert b.integrity_ok and b.bw_ref == a.bw_ref
-
 
 class TestChaosTrials:
     def test_seeds_of_one_shape_share_a_reference(self):
@@ -183,7 +174,7 @@ class TestChaosTrials:
 
 class TestBounded:
     def test_oldest_references_go_first(self):
-        ref = FaultFreeReference(bw=1.0, checksums=("00",))
+        ref = FaultFreeReference(bw=1.0)
         for k in range(reference_memo.maxsize + 6):
             reference_memo.put((str(k), False), ref)
         assert len(reference_memo) == reference_memo.maxsize
@@ -194,5 +185,4 @@ class TestBounded:
     def test_an_entry_holds_no_machine(self):
         run_fault_experiment(FaultExperimentSpec("ior", scale=0.25))
         ((_, ref),) = reference_memo._refs.items()
-        assert set(vars(ref)) == {"bw", "checksums", "violations"} and ref.violations == ()
-        assert all(isinstance(h, str) and len(h) == 64 for h in ref.checksums)
+        assert set(vars(ref)) == {"bw", "violations"} and ref.violations == ()

@@ -21,7 +21,7 @@ from repro.hw.flash import FlashSSDDevice
 from repro.units import KiB
 from repro.workloads import ior_workload
 from tests.conftest import make_cluster
-from tests.integration.test_end_to_end import CACHE, expected_image, run_workload
+from tests.integration.test_end_to_end import CACHE, expected, run_workload
 
 TINY = dict(scale=0.02, num_files=2, flush_batch_chunks=16)
 
@@ -66,14 +66,14 @@ class TestFtlInvariance:
 
 class TestNvmmTransparency:
     def test_nvmm_cache_file_identical_to_extent(self):
-        wl = ior_workload(8, block_bytes=8 * KiB, segments=3, with_data=True, seed=31)
-        extent = run_workload(wl, CACHE).data_image()
-        nvmm = run_workload(wl, dict(CACHE, e10_cache_kind="nvmm")).data_image()
-        assert np.array_equal(nvmm, extent)
-        assert np.array_equal(nvmm, expected_image(wl, 8))
+        wl = ior_workload(8, block_bytes=8 * KiB, segments=3)
+        _, extent = run_workload(wl, CACHE)
+        machine, nvmm = run_workload(wl, dict(CACHE, e10_cache_kind="nvmm"))
+        assert np.array_equal(nvmm.data_image(), extent.data_image())
+        assert np.array_equal(nvmm.data_image(), expected(machine, nvmm.path, wl))
 
     def test_nvmm_cache_skips_the_scratch_ssd(self):
-        wl = ior_workload(8, block_bytes=8 * KiB, segments=2, with_data=True, seed=32)
+        wl = ior_workload(8, block_bytes=8 * KiB, segments=2)
         machine, world, layer = make_cluster()
 
         def body(ctx):
@@ -93,7 +93,7 @@ class TestNvmmTransparency:
 
     def test_ftl_machine_runs_cached_workload(self, monkeypatch):
         monkeypatch.setenv("REPRO_SSD", "ftl")
-        wl = ior_workload(8, block_bytes=8 * KiB, segments=2, with_data=True, seed=33)
+        wl = ior_workload(8, block_bytes=8 * KiB, segments=2)
         machine, world, layer = make_cluster()
         assert isinstance(machine.nodes[0].ssd, FlashSSDDevice)
 
@@ -107,7 +107,7 @@ class TestNvmmTransparency:
 
         world.run(body)
         img = machine.pfs.lookup("/g/ftl").data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        assert np.array_equal(img, expected(machine, "/g/ftl", wl))
         aged = [n.ssd for n in machine.nodes if n.ssd.host_pages_programmed]
         assert aged  # the cache writes really went through the FTL
         assert all(d.write_amplification >= 1.0 for d in aged)

@@ -1,29 +1,31 @@
 """Cross-module integration: the same workload written with and without the
 cache must produce byte-identical global files, through every layer (MPI,
-two-phase, cache, sync thread, PFS)."""
+two-phase, cache, sync thread, PFS), and both must equal a flat oracle of
+the payload function over the workload's extents."""
 
 import numpy as np
 
+from repro.chaos.invariants import verify_files
 from repro.mpiwrap.config import WrapConfig
+from repro.payload import payload_key
 from repro.mpiwrap.wrapper import MPIWrap
 from repro.units import KiB
 from repro.workloads import collperf_workload, flashio_workload, ior_workload
 from repro.workloads.phases import multi_phase_body
-from tests.conftest import make_cluster
+from tests.conftest import expected_image, make_cluster
 
 
-def expected_image(workload, nprocs):
-    img = np.zeros(workload.file_size, dtype=np.uint8)
-    for step in workload.steps:
-        if step.kind != "collective":
-            continue
-        for r in range(nprocs):
-            a = step.access_fn(r)
-            pos = 0
-            for off, length in zip(a.offsets, a.lengths):
-                img[off : off + length] = a.data[pos : pos + length]
-                pos += length
-    return img
+def expected(machine, path, workload, nprocs=8):
+    """The file's flat oracle, and no violation from the table-driven check."""
+    key = payload_key(machine.config.seed, path)
+    assert verify_files(machine.pfs, {path: workload.coverage}, lambda _: key) == []
+    accesses = [
+        step.access_fn(r)
+        for step in workload.steps
+        if step.kind == "collective"
+        for r in range(nprocs)
+    ]
+    return expected_image(machine, path, accesses, workload.file_size)
 
 
 def run_workload(workload, hints, nprocs=8):
@@ -39,7 +41,7 @@ def run_workload(workload, hints, nprocs=8):
         yield from fh.close()
 
     world.run(body)
-    return machine.pfs.lookup("/g/t")
+    return machine, machine.pfs.lookup("/g/t")
 
 
 CACHE = {
@@ -57,44 +59,40 @@ class TestCacheTransparency:
     """The cache layer must be completely invisible in the final file."""
 
     def test_collperf(self):
-        wl = collperf_workload(8, block_bytes=32 * KiB, with_data=True, seed=1)
-        with_cache = run_workload(wl, CACHE).data_image()
-        without = run_workload(wl, NOCACHE).data_image()
-        assert np.array_equal(with_cache, without)
-        assert np.array_equal(with_cache, expected_image(wl, 8))
+        wl = collperf_workload(8, block_bytes=32 * KiB)
+        machine, f = run_workload(wl, CACHE)
+        _, without = run_workload(wl, NOCACHE)
+        assert np.array_equal(f.data_image(), without.data_image())
+        assert np.array_equal(f.data_image(), expected(machine, f.path, wl))
 
     def test_ior(self):
-        wl = ior_workload(8, block_bytes=8 * KiB, segments=3, with_data=True, seed=2)
-        with_cache = run_workload(wl, CACHE).data_image()
-        assert np.array_equal(with_cache, expected_image(wl, 8))
+        wl = ior_workload(8, block_bytes=8 * KiB, segments=3)
+        machine, f = run_workload(wl, CACHE)
+        assert np.array_equal(f.data_image(), expected(machine, f.path, wl))
 
     def test_flashio(self):
-        wl = flashio_workload(
-            8, blocks_per_proc=2, zones_per_dim=4, with_data=True, seed=3
-        )
-        f = run_workload(wl, CACHE)
-        img = f.data_image()
-        exp = expected_image(wl, 8)
-        # headers are virtual (no payload) — compare the dataset regions
-        assert np.array_equal(img[: len(exp)], exp)
+        wl = flashio_workload(8, blocks_per_proc=2, zones_per_dim=4)
+        machine, f = run_workload(wl, CACHE)
+        # headers are written without payload: zeros in image and oracle
+        assert np.array_equal(f.data_image(), expected(machine, f.path, wl))
 
     def test_flush_onclose_same_content(self):
-        wl = ior_workload(8, block_bytes=8 * KiB, segments=2, with_data=True, seed=4)
+        wl = ior_workload(8, block_bytes=8 * KiB, segments=2)
         hints = dict(CACHE, e10_cache_flush_flag="flush_onclose")
-        img = run_workload(wl, hints).data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        machine, f = run_workload(wl, hints)
+        assert np.array_equal(f.data_image(), expected(machine, f.path, wl))
 
     def test_coherent_same_content(self):
-        wl = ior_workload(8, block_bytes=8 * KiB, segments=2, with_data=True, seed=5)
+        wl = ior_workload(8, block_bytes=8 * KiB, segments=2)
         hints = dict(CACHE, e10_cache="coherent")
-        img = run_workload(wl, hints).data_image()
-        assert np.array_equal(img, expected_image(wl, 8))
+        machine, f = run_workload(wl, hints)
+        assert np.array_equal(f.data_image(), expected(machine, f.path, wl))
 
 
 class TestPhasedWithWrapper:
     def test_legacy_app_through_mpiwrap(self):
         machine, world, layer = make_cluster()
-        wl = ior_workload(8, block_bytes=4 * KiB, segments=2, with_data=True, seed=6)
+        wl = ior_workload(8, block_bytes=4 * KiB, segments=2)
         config = WrapConfig.parse(
             """
 [/g/out_*]
@@ -112,16 +110,15 @@ defer_close = true
             file_prefix="/g/out_", wrapper=wrap,
         )
         timings = world.run(body)
-        exp = expected_image(wl, 8)
         for k in range(3):
             f = machine.pfs.lookup(f"/g/out_{k}")
-            assert np.array_equal(f.data_image(), exp)
+            assert np.array_equal(f.data_image(), expected(machine, f.path, wl))
         # the wrapper made intermediate closes free
         for per_rank in timings:
             assert per_rank[0].close_wait == 0.0 or per_rank[0].close_wait < 0.6
 
     def test_wrapper_vs_builtin_deferral_equivalent_content(self):
-        wl = ior_workload(8, block_bytes=4 * KiB, segments=2, with_data=True, seed=7)
+        wl = ior_workload(8, block_bytes=4 * KiB, segments=2)
 
         def run(with_wrapper):
             machine, world, layer = make_cluster()

@@ -4,7 +4,7 @@ from repro.access import RankAccess
 from repro.mpiwrap.config import WrapConfig
 from repro.mpiwrap.wrapper import MPIWrap
 from repro.units import KiB
-from tests.conftest import make_cluster
+from tests.conftest import file_payload, make_cluster
 
 CONFIG = WrapConfig.parse(
     """
@@ -18,9 +18,8 @@ defer_close = true
 )
 
 
-def pattern(rank, tag=0):
-    data = np.full(4 * KiB, (rank + 1 + tag) % 251, dtype=np.uint8)
-    return RankAccess.contiguous(rank * 4 * KiB, 4 * KiB, data)
+def pattern(rank):
+    return RankAccess.contiguous(rank * 4 * KiB, 4 * KiB)
 
 
 class TestDeferredClose:
@@ -37,18 +36,16 @@ class TestDeferredClose:
             close_durations.append(ctx.now - t0)
             yield from ctx.compute(2.0)
             fh1 = yield from wrap.file_open(ctx.rank, "/g/ckpt_1")  # closes ckpt_0
-            yield from fh1.write_all(pattern(ctx.rank, tag=10))
+            yield from fh1.write_all(pattern(ctx.rank))
             yield from fh1.close()
             yield from wrap.finalize(ctx.rank)
 
         world.run(body)
         assert all(d == 0.0 for d in close_durations)
         assert wrap.outstanding_count() == 0
-        for k, tag in ((0, 0), (1, 10)):
+        for k in (0, 1):  # two files, two payloads: each holds its own
             f = machine.pfs.lookup(f"/g/ckpt_{k}")
-            img = f.data_image()
-            for r in range(8):
-                assert np.all(img[r * 4 * KiB : (r + 1) * 4 * KiB] == (r + 1 + tag) % 251)
+            assert np.array_equal(f.data_image(), file_payload(machine, f.path, 0, 8 * 4 * KiB))
 
     def test_hints_injected_from_config(self):
         machine, world, layer = make_cluster()

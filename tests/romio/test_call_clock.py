@@ -37,7 +37,7 @@ from tests.conftest import quiet_faults
 from tests.mpi.test_rank_classes import FOLLOWERS, production_cluster
 from tests.romio.test_park_once import (
     CACHE_HINTS,
-    _NoDomains,
+    assert_no_rounds_fails_by_name,
     hints,
     machine_config,
     run_job,
@@ -184,22 +184,24 @@ DEGENERATE = {
         {},
         [strided(8), [[] for _ in range(8)], strided(8, base=256 * KiB)],
     ),
-    # a region, but no domain: no round, the post-write release right away
-    "no_rounds": ({"driver": _NoDomains()}, [strided(8)]),
     "all_empty_only": ({}, [[[] for _ in range(8)]]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(DEGENERATE))
+@pytest.mark.parametrize("name", sorted([*DEGENERATE, "no_rounds"]))
 def test_degenerate_calls_run_on_the_clock_too(name):
     """One rule: a call that may take the clock takes it.  An all-empty
-    call ends where the live path returns, a call without rounds or
-    without writers goes straight to the post-write release."""
+    call ends where the live path returns.  A call over a region but
+    without rounds drops its bytes: the clock refuses it by the name both
+    round-by-round oracles do."""
+    if name == "no_rounds":
+        assert_no_rounds_fails_by_name("clock", "reference", "live", num_files=2)
+        return
     kwargs, calls = DEGENERATE[name]
     counters = assert_clock_equals_live(
         workload_of(calls, 8), hints(cb_nodes=2), processes=3, num_files=2, **kwargs
     )
-    writing = sum(bool(any(call)) for call in calls) if name != "no_rounds" else 0
+    writing = sum(bool(any(call)) for call in calls)
     assert counters.get("ext2ph.park_live", 0) == 2 * 2 * writing
 
 

@@ -2,7 +2,7 @@ import numpy as np
 
 from repro.access import RankAccess
 from repro.units import KiB
-from tests.conftest import make_cluster
+from tests.conftest import expected_image, make_cluster
 
 
 def run_independent(pattern_fn, hints=None, nprocs=(4, 2)):
@@ -20,16 +20,19 @@ def run_independent(pattern_fn, hints=None, nprocs=(4, 2)):
     return machine, machine.pfs.lookup("/g/t"), returns
 
 
+def assert_written(pattern_fn, machine, f):
+    """The file is zeros but for every rank's extents, which hold their payload."""
+    accesses = [pattern_fn(r) for r in range(machine.config.num_ranks)]
+    assert np.array_equal(f.data_image(), expected_image(machine, f.path, accesses, f.size))
+
+
 class TestContiguousFastPath:
     def test_single_extent(self):
         def pattern(rank):
-            data = np.full(KiB, rank + 1, dtype=np.uint8)
-            return RankAccess.contiguous(rank * KiB, KiB, data)
+            return RankAccess.contiguous(rank * KiB, KiB)
 
-        _, f, returns = run_independent(pattern)
-        img = f.data_image()
-        for r in range(8):
-            assert np.all(img[r * KiB : (r + 1) * KiB] == r + 1)
+        machine, f, returns = run_independent(pattern)
+        assert_written(pattern, machine, f)
         assert returns == [KiB] * 8
 
     def test_dense_window_skips_rmw(self):
@@ -37,13 +40,10 @@ class TestContiguousFastPath:
         def pattern(rank):
             offs = np.array([rank * 4 * KiB, rank * 4 * KiB + 2 * KiB])
             lens = np.array([2 * KiB, 2 * KiB])
-            data = np.full(4 * KiB, rank + 1, dtype=np.uint8)
-            return RankAccess(offs, lens, data)
+            return RankAccess(offs, lens)
 
         machine, f, _ = run_independent(pattern)
-        img = f.data_image()
-        for r in range(8):
-            assert np.all(img[r * 4 * KiB : (r + 1) * 4 * KiB] == r + 1)
+        assert_written(pattern, machine, f)
 
 
 class TestSieving:
@@ -52,29 +52,18 @@ class TestSieving:
         # lose any rank's bytes.
         def pattern(rank):
             offs = np.array([rank * KiB + k * 8 * KiB for k in range(4)])
-            lens = np.full(4, KiB)
-            data = np.full(4 * KiB, rank + 1, dtype=np.uint8)
-            return RankAccess(offs, lens, data)
+            return RankAccess(offs, np.full(4, KiB))
 
-        _, f, _ = run_independent(pattern)
-        img = f.data_image()
-        for r in range(8):
-            for k in range(4):
-                seg = img[r * KiB + k * 8 * KiB :][: KiB]
-                assert np.all(seg == r + 1), (r, k)
+        machine, f, _ = run_independent(pattern)
+        assert_written(pattern, machine, f)
 
     def test_small_sieve_buffer_many_windows(self):
         def pattern(rank):
             offs = np.array([rank * KiB + k * 8 * KiB for k in range(4)])
-            lens = np.full(4, KiB)
-            data = np.full(4 * KiB, rank + 1, dtype=np.uint8)
-            return RankAccess(offs, lens, data)
+            return RankAccess(offs, np.full(4, KiB))
 
-        _, f, _ = run_independent(pattern, hints={"ind_wr_buffer_size": "2k"})
-        img = f.data_image()
-        for r in range(8):
-            for k in range(4):
-                assert np.all(img[r * KiB + k * 8 * KiB :][: KiB] == r + 1)
+        machine, f, _ = run_independent(pattern, hints={"ind_wr_buffer_size": "2k"})
+        assert_written(pattern, machine, f)
 
     def test_empty_access_returns_zero(self):
         def pattern(rank):
@@ -87,9 +76,7 @@ class TestSieving:
         def pattern(rank):
             # two extents with a hole inside one 8 KiB sieve window -> RMW
             offs = np.array([rank * 32 * KiB, rank * 32 * KiB + 3 * KiB])
-            lens = np.full(2, KiB)
-            data = np.full(2 * KiB, rank + 1, dtype=np.uint8)
-            return RankAccess(offs, lens, data)
+            return RankAccess(offs, np.full(2, KiB))
 
         machine, _, _ = run_independent(pattern)
         assert machine.pfs.locks.acquires > 0

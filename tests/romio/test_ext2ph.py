@@ -2,7 +2,7 @@
 
 Every test writes real payload bytes through the full stack and verifies
 the final global-file image byte-for-byte against an independently computed
-expectation.
+expectation: zeros, with the payload function over every rank's extents.
 """
 
 import numpy as np
@@ -11,19 +11,7 @@ import pytest
 from repro.access import RankAccess
 from repro.romio.ext2ph import is_interleaved
 from repro.units import KiB
-from tests.conftest import make_cluster
-
-
-def expected_image(patterns, size):
-    img = np.zeros(size, dtype=np.uint8)
-    for acc in patterns:
-        if acc.data is None:
-            continue
-        pos = 0
-        for off, length in zip(acc.offsets, acc.lengths):
-            img[off : off + length] = acc.data[pos : pos + length]
-            pos += length
-    return img
+from tests.conftest import expected_image, file_payload, make_cluster
 
 
 def run_write_all(patterns, hints, num_nodes=4, procs_per_node=2, driver="beegfs"):
@@ -39,14 +27,11 @@ def run_write_all(patterns, hints, num_nodes=4, procs_per_node=2, driver="beegfs
     return machine, machine.pfs.lookup("/g/t")
 
 
-def strided_patterns(nprocs, block=4 * KiB, reps=4, seed=0):
+def strided_patterns(nprocs, block=4 * KiB, reps=4):
     out = []
     for r in range(nprocs):
         offs = np.array([r * block + k * nprocs * block for k in range(reps)])
-        lens = np.full(reps, block)
-        rng = np.random.default_rng(seed * 1000 + r)
-        data = rng.integers(0, 256, size=block * reps, dtype=np.uint8)
-        out.append(RankAccess(offs, lens, data))
+        out.append(RankAccess(offs, np.full(reps, block)))
     return out
 
 
@@ -72,24 +57,19 @@ class TestDataCorrectness:
     @pytest.mark.parametrize("cb", ["8k", "32k", "1m"])
     def test_strided_roundtrip_buffer_sizes(self, cb):
         patterns = strided_patterns(8)
-        _, f = run_write_all(patterns, {"cb_nodes": "2", "cb_buffer_size": cb})
-        img = f.data_image()
-        assert np.array_equal(img, expected_image(patterns, f.size))
+        m, f = run_write_all(patterns, {"cb_nodes": "2", "cb_buffer_size": cb})
+        assert np.array_equal(f.data_image(), expected_image(m, f.path, patterns, f.size))
 
     @pytest.mark.parametrize("nagg", [1, 2, 4])
     def test_strided_roundtrip_aggregator_counts(self, nagg):
-        patterns = strided_patterns(8, seed=nagg)
-        _, f = run_write_all(
-            patterns, {"cb_nodes": str(nagg), "cb_buffer_size": "16k"}
-        )
-        assert np.array_equal(f.data_image(), expected_image(patterns, f.size))
+        patterns = strided_patterns(8)
+        m, f = run_write_all(patterns, {"cb_nodes": str(nagg), "cb_buffer_size": "16k"})
+        assert np.array_equal(f.data_image(), expected_image(m, f.path, patterns, f.size))
 
     def test_ufs_driver_even_domains(self):
-        patterns = strided_patterns(8, seed=7)
-        _, f = run_write_all(
-            patterns, {"cb_nodes": "3", "cb_buffer_size": "8k"}, driver="ufs"
-        )
-        assert np.array_equal(f.data_image(), expected_image(patterns, f.size))
+        patterns = strided_patterns(8)
+        m, f = run_write_all(patterns, {"cb_nodes": "3", "cb_buffer_size": "8k"}, driver="ufs")
+        assert np.array_equal(f.data_image(), expected_image(m, f.path, patterns, f.size))
 
     def test_pattern_with_holes(self):
         # Ranks write disjoint extents leaving gaps; gaps stay zero.
@@ -97,15 +77,15 @@ class TestDataCorrectness:
         for r in range(8):
             offs = np.array([r * 10 * KiB])
             lens = np.array([4 * KiB])  # 6 KiB hole after each block
-            data = np.full(4 * KiB, r + 1, dtype=np.uint8)
-            patterns.append(RankAccess(offs, lens, data))
-        _, f = run_write_all(
+            patterns.append(RankAccess(offs, lens))
+        m, f = run_write_all(
             patterns,
             {"cb_nodes": "2", "cb_buffer_size": "16k", "romio_cb_write": "enable"},
         )
         img = f.data_image()
         for r in range(8):
-            assert np.all(img[r * 10 * KiB : r * 10 * KiB + 4 * KiB] == r + 1)
+            want = file_payload(m, f.path, r * 10 * KiB, 4 * KiB)
+            assert np.array_equal(img[r * 10 * KiB : r * 10 * KiB + 4 * KiB], want)
             if r < 7:
                 assert np.all(img[r * 10 * KiB + 4 * KiB : (r + 1) * 10 * KiB] == 0)
 
@@ -115,29 +95,25 @@ class TestDataCorrectness:
         pos = 0
         for r in range(8):
             length = int(rng.integers(1, 20)) * 512
-            data = rng.integers(0, 256, size=length, dtype=np.uint8)
-            patterns.append(RankAccess(np.array([pos]), np.array([length]), data))
+            patterns.append(RankAccess(np.array([pos]), np.array([length])))
             pos += length
         # rank-ordered contiguous is not interleaved -> force collective
-        _, f = run_write_all(
+        m, f = run_write_all(
             patterns, {"cb_nodes": "4", "cb_buffer_size": "4k", "romio_cb_write": "enable"}
         )
-        assert np.array_equal(f.data_image(), expected_image(patterns, pos))
+        assert np.array_equal(f.data_image(), expected_image(m, f.path, patterns, pos))
 
     def test_some_ranks_empty(self):
         patterns = []
         for r in range(8):
             if r % 2 == 0:
-                data = np.full(KiB, r + 1, dtype=np.uint8)
-                patterns.append(RankAccess(np.array([r * KiB]), np.array([KiB]), data))
+                patterns.append(RankAccess(np.array([r * KiB]), np.array([KiB])))
             else:
                 patterns.append(RankAccess.empty_access())
-        _, f = run_write_all(
+        m, f = run_write_all(
             patterns, {"cb_nodes": "2", "cb_buffer_size": "2k", "romio_cb_write": "enable"}
         )
-        img = f.data_image()
-        for r in range(0, 8, 2):
-            assert np.all(img[r * KiB : (r + 1) * KiB] == r + 1)
+        assert np.array_equal(f.data_image(), expected_image(m, f.path, patterns, f.size))
 
     def test_all_ranks_empty(self):
         patterns = [RankAccess.empty_access() for _ in range(8)]
@@ -161,17 +137,13 @@ class TestDataCorrectness:
             )
             for call in range(3):
                 base = call * 8 * block
-                data = np.full(block, 10 * call + ctx.rank + 1, dtype=np.uint8)
-                acc = RankAccess.contiguous(base + ctx.rank * block, block, data)
+                acc = RankAccess.contiguous(base + ctx.rank * block, block)
                 yield from fh.write_all(acc)
             yield from fh.close()
 
         world.run(body)
         img = machine.pfs.lookup("/g/t").data_image()
-        for call in range(3):
-            for r in range(8):
-                seg = img[call * 8 * block + r * block :][:block]
-                assert np.all(seg == 10 * call + r + 1)
+        assert np.array_equal(img, file_payload(machine, "/g/t", 0, 3 * 8 * block))
 
 
 class TestDecisionLogic:
@@ -181,17 +153,14 @@ class TestDecisionLogic:
 
         def body(ctx):
             fh = yield from layer.open(ctx.rank, "/g/t", {"romio_cb_write": "automatic"})
-            data = np.full(block, ctx.rank + 1, dtype=np.uint8)
-            acc = RankAccess.contiguous(ctx.rank * block, block, data)
+            acc = RankAccess.contiguous(ctx.rank * block, block)
             yield from fh.write_all(acc)
             yield from fh.close()
             return fh
 
         world.run(body)
         f = machine.pfs.lookup("/g/t")
-        img = f.data_image()
-        for r in range(8):
-            assert np.all(img[r * block : (r + 1) * block] == r + 1)
+        assert np.array_equal(f.data_image(), file_payload(machine, "/g/t", 0, 8 * block))
         # independent path: no dissemination alltoall was profiled
         fd = layer._open_slots["/g/t"][0]
         assert all(
@@ -209,7 +178,7 @@ class TestDecisionLogic:
 
         world.run(body)
         f = machine.pfs.lookup("/g/t")
-        assert np.array_equal(f.data_image(), expected_image(patterns, f.size))
+        assert np.array_equal(f.data_image(), expected_image(machine, f.path, patterns, f.size))
 
     def test_memory_pinned_by_aggregators_only(self):
         machine, world, layer = make_cluster()

@@ -4,7 +4,7 @@ import pytest
 from repro.access import RankAccess
 from repro.sim.core import SimError
 from repro.units import KiB
-from tests.conftest import make_cluster
+from tests.conftest import file_payload, make_cluster
 
 
 class TestOpenClose:
@@ -123,13 +123,10 @@ class TestCacheFallback:
                 {"e10_cache": "enable", "e10_cache_flush_flag": "flush_immediate",
                  "cb_nodes": "2", "romio_cb_write": "enable"},
             )
-            data = np.full(16 * KiB, ctx.rank + 1, dtype=np.uint8)
-            acc = RankAccess.contiguous(ctx.rank * 16 * KiB, 16 * KiB, data)
+            acc = RankAccess.contiguous(ctx.rank * 16 * KiB, 16 * KiB)
             yield from fh.write_all(acc)
             yield from fh.close()
 
         world.run(body)
         f = machine.pfs.lookup("/g/t")
-        img = f.data_image()
-        for r in range(8):
-            assert np.all(img[r * 16 * KiB : (r + 1) * 16 * KiB] == r + 1)
+        assert np.array_equal(f.data_image(), file_payload(machine, f.path, 0, 8 * 16 * KiB))

@@ -36,11 +36,13 @@ from repro.mpiwrap import MPIWrap, WrapConfig
 from repro.romio.adio import BeeGFSDriver
 from repro.romio.aggregation import FileDomain
 from repro.romio.file import MPIIOLayer
+from repro.sim.core import SimError
 from repro.sim.profile import SimProfiler
 from repro.units import KiB
 from repro.workloads.base import IOStep, Workload
 from repro.workloads.flashio import flashio_workload
 from repro.workloads.phases import multi_phase_body
+from tests.conftest import quiet_faults
 
 BASE_HINTS = {
     "cb_buffer_size": "16k",
@@ -143,9 +145,7 @@ def run_job(
     steps = []
     for step in workload.steps:
         if step.kind == "collective":
-            step = _TracedStep(
-                kind="collective", table_fn=step.table_fn, payload_fn=step.payload_fn
-            )
+            step = _TracedStep(kind="collective", table_fn=step.table_fn)
             step.sim, step.trace = machine.sim, trace
         steps.append(step)
     traced = Workload(workload.name, workload.nprocs, tuple(steps), 0, 0)
@@ -251,7 +251,6 @@ CASES = {
         hints(cb_nodes=2),
         20,  # the empty call is over at the exchange's release, for all eight
     ),
-    "no_rounds": ({"driver": _NoDomains()}, [strided(8)], hints(cb_nodes=2), 8),  # nobody writes
     "one_rank_per_node": (
         {"nodes": 4, "ppn": 1},
         [strided(4)],
@@ -263,8 +262,32 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def assert_no_rounds_fails_by_name(*legs, **kwargs):
+    """A region but no domain (``_NoDomains``): no round, so nobody writes —
+    the clock goes straight to the post-write release, the walk to its
+    allreduce, and every leg (``"clock"``: production; ``"reference"``;
+    ``"live"``: production under a schedule that never fires) refuses a call
+    that handed none of its bytes on."""
+    message = "/g/f0: collective call 0 handed 0 bytes to write_contig, but its ranks cover 131072"
+    for leg in legs:
+        kind = "reference" if leg == "reference" else "production"
+        extra = {"faults": quiet_faults(machine_config())} if leg == "live" else {}
+        with pytest.raises(SimError, match=message):
+            run_job(
+                kind,
+                workload_of([strided(8)], 8),
+                hints(cb_nodes=2),
+                driver=_NoDomains(),
+                **extra,
+                **kwargs,
+            )
+
+
+@pytest.mark.parametrize("name", sorted([*CASES, "no_rounds"]))
 def test_case_agrees_on_both_engines(name):
+    if name == "no_rounds":  # both stacks refuse it, by the same name
+        assert_no_rounds_fails_by_name("clock", "reference")
+        return
     kwargs, calls, case_hints, parked = CASES[name]
     nprocs = kwargs.get("nodes", 4) * kwargs.get("ppn", 2)
     counters = assert_engines_agree(workload_of(calls, nprocs), case_hints, **kwargs)

@@ -1,9 +1,10 @@
 """Property-based end-to-end verification of the collective write.
 
-Hypothesis generates arbitrary disjoint per-rank extent sets with random
-payloads; the full stack (two-phase exchange, optional cache + sync thread,
-striped PFS) must reproduce the expected file image byte-for-byte under any
-aggregator count / buffer size / hint combination.
+Hypothesis generates arbitrary disjoint per-rank extent sets; the full
+stack (two-phase exchange, optional cache + sync thread,
+striped PFS) must reproduce the expected file image — zeros, with the
+payload function over every extent — byte-for-byte under any aggregator
+count / buffer size / hint combination.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.access import RankAccess
-from tests.conftest import make_cluster
+from tests.conftest import expected_image, make_cluster
 
 NPROCS = 8
 SPACE = 64 * 1024  # file offsets live in [0, 64k)
@@ -19,7 +20,7 @@ SPACE = 64 * 1024  # file offsets live in [0, 64k)
 
 @st.composite
 def rank_patterns(draw):
-    """Disjoint extents across all ranks, some with data, random placement."""
+    """Disjoint extents across all ranks, random placement."""
     n_extents = draw(st.integers(1, 12))
     cells = draw(
         st.lists(
@@ -40,24 +41,10 @@ def rank_patterns(draw):
         if per_rank[r]:
             offs = np.array([p[0] for p in per_rank[r]], dtype=np.int64)
             lens = np.array([p[1] for p in per_rank[r]], dtype=np.int64)
-            data = rng.integers(0, 256, size=int(lens.sum()), dtype=np.uint8)
-            patterns.append(RankAccess(offs, lens, data))
+            patterns.append(RankAccess(offs, lens))
         else:
             patterns.append(RankAccess.empty_access())
     return patterns
-
-
-def expected(patterns):
-    size = max((a.end_offset + 1 for a in patterns if not a.empty), default=0)
-    img = np.zeros(size, dtype=np.uint8)
-    for a in patterns:
-        if a.empty:
-            continue
-        pos = 0
-        for off, length in zip(a.offsets, a.lengths):
-            img[off : off + length] = a.data[pos : pos + length]
-            pos += length
-    return img
 
 
 def run(patterns, hints):
@@ -70,9 +57,8 @@ def run(patterns, hints):
 
     world.run(body)
     f = machine.pfs.lookup("/g/t")
-    img = f.data_image()
-    exp = expected(patterns)
-    return img, exp
+    size = max((a.end_offset + 1 for a in patterns if not a.empty), default=0)
+    return f.data_image(), expected_image(machine, f.path, patterns, size)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 
 from repro.access import RankAccess
+from repro.payload import gather_payload, payload_key
 from repro.units import KiB
 from tests.conftest import make_cluster
 
@@ -13,9 +14,7 @@ def write_then(read_body, write_hints=None):
     patterns = []
     for r in range(8):
         offs = np.array([r * KiB + k * 8 * KiB for k in range(3)])
-        lens = np.full(3, KiB)
-        data = np.full(3 * KiB, r + 1, dtype=np.uint8)
-        patterns.append(RankAccess(offs, lens, data))
+        patterns.append(RankAccess(offs, np.full(3, KiB)))
 
     def body(ctx):
         fh = yield from layer.open(ctx.rank, "/g/t", hints)
@@ -25,7 +24,8 @@ def write_then(read_body, write_hints=None):
         yield from fh.close()
         return result
 
-    return world.run(body), patterns
+    key = payload_key(machine.config.seed, "/g/t")
+    return world.run(body), [gather_payload(key, p.offsets, p.lengths) for p in patterns]
 
 
 class TestReadStrided:
@@ -34,9 +34,9 @@ class TestReadStrided:
             got = yield from fh.read_strided(patterns[ctx.rank])
             return got
 
-        results, patterns = write_then(reader)
+        results, written = write_then(reader)
         for r, got in enumerate(results):
-            assert np.array_equal(got, patterns[r].data)
+            assert np.array_equal(got, written[r])
 
     def test_read_other_ranks_pattern(self):
         def reader(ctx, fh, patterns):
@@ -44,9 +44,9 @@ class TestReadStrided:
             got = yield from fh.read_strided(patterns[peer])
             return (peer, got)
 
-        results, patterns = write_then(reader)
+        results, written = write_then(reader)
         for peer, got in results:
-            assert np.array_equal(got, patterns[peer].data)
+            assert np.array_equal(got, written[peer])
 
     def test_read_with_holes_gathers_correctly(self):
         def reader(ctx, fh, patterns):
@@ -57,11 +57,11 @@ class TestReadStrided:
             got = yield from fh.read_strided(acc)
             return got
 
-        results, _ = write_then(reader)
+        results, written = write_then(reader)
         got = results[0]
-        assert np.all(got[0:KiB] == 1)  # rank 0's first block
-        assert np.all(got[KiB : 2 * KiB] == 3)  # offset 2KiB -> rank 2
-        assert np.all(got[2 * KiB :] == 6)  # offset 5KiB -> rank 5
+        assert np.array_equal(got[0:KiB], written[0][:KiB])  # rank 0's first block
+        assert np.array_equal(got[KiB : 2 * KiB], written[2][:KiB])  # offset 2KiB -> rank 2
+        assert np.array_equal(got[2 * KiB :], written[5][:KiB])  # offset 5KiB -> rank 5
 
     def test_empty_access(self):
         def reader(ctx, fh, patterns):
@@ -83,9 +83,9 @@ class TestReadAll:
             exit_times.append(ctx.now)
             return got
 
-        results, patterns = write_then(reader)
+        results, written = write_then(reader)
         for r, got in enumerate(results):
-            assert np.array_equal(got, patterns[r].data)
+            assert np.array_equal(got, written[r])
         assert max(exit_times) - min(exit_times) < 1e-6
 
     def test_read_all_after_cached_write_sees_persistent_data(self):
@@ -93,7 +93,7 @@ class TestReadAll:
             got = yield from fh.read_all(patterns[ctx.rank])
             return got
 
-        results, patterns = write_then(
+        results, written = write_then(
             reader,
             write_hints={
                 "e10_cache": "enable",
@@ -103,4 +103,4 @@ class TestReadAll:
         )
         # fh.sync() in the driver guarantees global visibility before reads
         for r, got in enumerate(results):
-            assert np.array_equal(got, patterns[r].data)
+            assert np.array_equal(got, written[r])

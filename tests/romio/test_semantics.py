@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.access import RankAccess
 from repro.units import KiB
-from tests.conftest import make_cluster
+from tests.conftest import file_payload, make_cluster
 
 CACHE_HINTS = {
     "e10_cache": "enable",
@@ -20,8 +20,7 @@ CACHE_HINTS = {
 
 
 def rank_pattern(rank, block=4 * KiB):
-    data = np.full(block, rank + 1, dtype=np.uint8)
-    return RankAccess.contiguous(rank * block, block, data)
+    return RankAccess.contiguous(rank * block, block)
 
 
 class TestVisibility:
@@ -54,9 +53,7 @@ class TestVisibility:
         world.run(body)
         f = machine.pfs.lookup("/g/t")
         assert f.persisted.covers(0, 8 * 4 * KiB)
-        img = f.data_image()
-        for r in range(8):
-            assert np.all(img[r * 4 * KiB : (r + 1) * 4 * KiB] == r + 1)
+        assert np.array_equal(f.data_image(), file_payload(machine, f.path, 0, 8 * 4 * KiB))
 
     def test_visible_after_explicit_sync(self):
         machine, world, layer = make_cluster()
@@ -122,7 +119,7 @@ class TestCoherentMode:
         waited, got = read_times[0]
         # The read had to wait for the lock held over the in-transit extent
         # and then saw the persisted (correct) data.
-        assert np.all(got == 1)
+        assert np.array_equal(got, file_payload(machine, "/g/t", 0, 4 * KiB))
         f = machine.pfs.lookup("/g/t")
         assert f.persisted.covers(0, 4 * KiB)
 
@@ -140,9 +137,11 @@ class TestCoherentMode:
 
         world.run(body)
         # Without coherent mode a read racing the flush may observe holes
-        # (stale zeros) — that is the documented MPI-IO default.
+        # (stale zeros) — that is the documented MPI-IO default — but never
+        # bytes that belong elsewhere.
         got = stale[0]
-        assert got is None or not np.all(got == 8) or np.all(got == 8)
+        want = file_payload(machine, "/g/t", 7 * 4 * KiB, 4 * KiB)
+        assert got is None or np.all((got == want) | (got == 0))
 
     def test_coherent_locks_released_after_close(self):
         machine, world, layer = make_cluster()

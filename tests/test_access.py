@@ -11,12 +11,13 @@ from repro.access import (
     merge_extent_arrays,
     ranks_interleaved,
 )
+from repro.payload import gather_payload
 
 
-def access_of(*pairs, data=None):
+def access_of(*pairs):
     offs = np.array([p[0] for p in pairs], dtype=np.int64)
     lens = np.array([p[1] for p in pairs], dtype=np.int64)
-    return RankAccess(offs, lens, data)
+    return RankAccess(offs, lens)
 
 
 class TestConstruction:
@@ -42,10 +43,6 @@ class TestConstruction:
     def test_adjacent_allowed(self):
         a = access_of((0, 10), (10, 10))
         assert a.total_bytes == 20
-
-    def test_payload_length_checked(self):
-        with pytest.raises(ValueError):
-            access_of((0, 10), data=np.zeros(5, dtype=np.uint8))
 
     def test_contiguous_helper(self):
         a = RankAccess.contiguous(100, 50)
@@ -103,10 +100,12 @@ class TestWindows:
         assert ws.nbytes == 0 and ws.count == 0
 
     def test_payload_for(self):
-        data = np.arange(20, dtype=np.uint8)
-        a = access_of((0, 10), (20, 10), data=data)
+        # A window's payload is the rank's flat buffer at ``buffer_starts``.
+        a = access_of((0, 10), (20, 10))
         ws = a.slice_window(5, 25)
-        assert list(a.payload_for(ws)) == [5, 6, 7, 8, 9, 10, 11, 12, 13, 14]
+        flat = gather_payload(7, a.offsets, a.lengths)
+        pieces = [flat[b : b + n] for b, n in zip(ws.buffer_starts, ws.lengths)]
+        assert gather_payload(7, ws.offsets, ws.lengths).tolist() == np.concatenate(pieces).tolist()
 
     def test_cum_bytes_matches_windows(self):
         a = access_of((3, 7), (15, 5), (30, 10))
@@ -223,18 +222,9 @@ class TestTable:
         view = table.rank(0)
         assert np.shares_memory(view.offsets, table.offsets)
         assert np.shares_memory(view.ends, table.ends)
-        assert table.rank(0) is view  # dataless views are handed out again
+        assert table.rank(0) is view  # views are handed out again
         with pytest.raises(ValueError):
             view.offsets[0] = 1
-
-    def test_payload_checked_per_rank(self):
-        table = table_of([[(0, 4)], [(4, 6)]])
-        data = np.arange(6, dtype=np.uint8)
-        view = table.rank(1, data)
-        assert view is not table.rank(1) and view.data.tolist() == data.tolist()
-        assert view.payload_for(view.slice_window(6, 8)).tolist() == [2, 3]
-        with pytest.raises(ValueError, match="payload is 6 bytes, extents describe 4"):
-            table.rank(0, data)
 
     def test_rank_out_of_range(self):
         table = table_of([[(0, 4)]])
@@ -276,9 +266,6 @@ class TestTable:
     def test_gather_shared_table_by_identity(self):
         table = table_of([[(0, 4)], [(4, 4)], []])
         views = {r: table.rank(r) for r in (2, 0, 1)}  # arrival order is free
-        assert AccessTable.gather(views, 3) is table
-        # a payload-carrying view is still a view of the table
-        views[1] = table.rank(1, np.zeros(4, dtype=np.uint8))
         assert AccessTable.gather(views, 3) is table
 
     def test_gather_packs_anything_else(self):

@@ -78,11 +78,6 @@ class TestCollPerf:
         pairs = [(a.start_offset, a.end_offset) for a in accs]
         assert is_interleaved(pairs)
 
-    def test_with_data_deterministic(self):
-        wl1 = collperf_workload(4, block_bytes=16 * KiB, with_data=True, seed=3)
-        wl2 = collperf_workload(4, block_bytes=16 * KiB, with_data=True, seed=3)
-        assert np.array_equal(wl1.steps[0].access_fn(1).data, wl2.steps[0].access_fn(1).data)
-
     def test_invalid_block(self):
         with pytest.raises(ValueError):
             collperf_workload(8, block_bytes=100, elem_size=8)

