@@ -56,7 +56,7 @@ class CacheState:
                 self.local_file = self.localfs.open(cache_name, create=True)
             except OSError as exc:  # pragma: no cover - namespace errors are rare
                 raise CacheOpenError(str(exc)) from exc
-        self.sync_thread = SyncThread(machine, rank, self, global_file, policy)
+        self.sync_thread = SyncThread(machine, rank, self)
         self.pending: list[SyncRequest] = []  # not yet submitted (flush_onclose)
         self.outstanding: list[GeneralizedRequest] = []
         self.cached = IntervalSet()  # extents currently buffered locally
@@ -80,16 +80,13 @@ class CacheState:
                 local_path=cache_name,
                 local_file=self.local_file,
                 file_id=global_file.file_id,
-                sync_chunk=policy.sync_chunk,
-                discard_on_close=policy.discard_on_close,
+                policy=policy,
                 wal=self.wal,
                 cached=self.cached,
                 synced=IntervalSet(),
                 stripe_refs=self._stripe_refs,
             )
-            registry = getattr(machine, "recovery", None)
-            if registry is not None:
-                registry.register(self.journal)
+            machine.recovery.register(self.journal)
 
     # -- space management (ADIOI_Cache_alloc) ----------------------------------
     def allocate(self, offset: int, nbytes: int):
@@ -128,14 +125,13 @@ class CacheState:
             raise
         self.cached.add(offset, offset + nbytes)
         self.bytes_cached += nbytes
-        io_stats = getattr(self.machine, "io_stats", None)
-        if io_stats is not None:
-            io_stats["bytes_cached"] += nbytes
-            if self.policy.flush_never:
-                # These bytes will never be persisted by policy; account the
-                # discard now so conservation closes without waiting for the
-                # unlink.
-                io_stats["bytes_discarded"] += nbytes
+        io_stats = self.machine.io_stats
+        io_stats["bytes_cached"] += nbytes
+        if self.policy.flush_never:
+            # These bytes will never be persisted by policy; account the
+            # discard now so conservation closes without waiting for the
+            # unlink.
+            io_stats["bytes_discarded"] += nbytes
         greq = GeneralizedRequest(self.machine.sim, meta={"offset": offset, "nbytes": nbytes})
         request = SyncRequest(offset, nbytes, greq, stripes=stripes)
         if self.policy.flush_never:
@@ -174,34 +170,14 @@ class CacheState:
                 return
             except TornWriteError:
                 attempts += 1
-                stats = getattr(self.machine, "cache_stats", None)
-                if stats is not None:
-                    stats["wal_torn"] = stats.get("wal_torn", 0) + 1
+                stats = self.machine.cache_stats
+                stats["wal_torn"] = stats.get("wal_torn", 0) + 1
                 if attempts > self.policy.sync_retry_limit:
                     raise
                 backoff = self.policy.sync_backoff_base * (
                     self.policy.sync_backoff_factor ** (attempts - 1)
                 )
                 yield self.machine.sim.timeout(backoff)
-
-    # -- read-back (sync thread / recovery replay) --------------------------------
-    def read_back(self, pos: int, blen: int):
-        """Generator returning cached bytes — WAL or extent file."""
-        if self.wal is not None:
-            return (yield from self.wal.read(pos, blen))
-        return (yield from self.localfs.read(self.local_file, pos, blen))
-
-    def read_back_event(self, pos: int, blen: int):
-        """Flat variant of :meth:`read_back` (production callback chains)."""
-        if self.wal is not None:
-            return self.wal.read_event(pos, blen)
-        return self.localfs.read_event(self.local_file, pos, blen)
-
-    def mark_synced(self, offset: int, nbytes: int) -> None:
-        """Record that ``[offset, offset+nbytes)`` reached the global file —
-        crash recovery skips synced ranges."""
-        if self.journal is not None:
-            self.journal.synced.add(offset, offset + nbytes)
 
     def degrade(self, reason: str) -> None:
         """Enter degraded mode: new writes bypass the cache, in-flight
@@ -210,9 +186,7 @@ class CacheState:
             return
         self.degraded = True
         self.degraded_reason = reason
-        stats = getattr(self.machine, "cache_stats", None)
-        if stats is not None:
-            stats["degraded"] = stats.get("degraded", 0) + 1
+        self.machine.cache_stats["degraded"] += 1
         self.machine.tracer.emit(
             self.machine.sim.now, "cache", "degraded", rank=self.rank, reason=reason
         )
@@ -252,8 +226,6 @@ class CacheState:
                 if self.localfs.exists(self.local_file.path):
                     self.localfs.unlink(self.local_file.path)
         if self.journal is not None:
-            registry = getattr(self.machine, "recovery", None)
-            if registry is not None:
-                registry.unregister(self.journal)
+            self.machine.recovery.unregister(self.journal)
             self.journal = None
         self.closed = True

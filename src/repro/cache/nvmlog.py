@@ -86,7 +86,7 @@ class NVMMWriteLog:
         self.torn_records = 0
         self.bytes_appended = 0  # payload bytes made durable
         self.torn_bytes = 0  # payload bytes lost to torn appends (retried)
-        self._injector = getattr(machine, "faults", None)
+        self._injector = machine.faults
 
     # -- space management ---------------------------------------------------------
     def reserve(self, offset: int, nbytes: int):
@@ -172,15 +172,12 @@ class NVMMWriteLog:
         return self.gather(pos, blen)
 
     def read_event(self, pos: int, blen: int) -> Event:
-        """Flat variant of :meth:`read` for the production callback chains (caller
-        gates on the device being injector-free, as with
+        """Flat variant of :meth:`read` for the production callback chains
+        (injected read errors and abandonment as in
         :meth:`~repro.localfs.ext4.LocalFileSystem.read_event`)."""
         done = Event(self.sim, name="wal-read")
-        self.device.io_flat(
-            pos % max(1, self.device.capacity_bytes),
-            blen,
-            False,
-            lambda: done._fire_inline(self.gather(pos, blen)),
+        self.device.read_flat(
+            pos % max(1, self.device.capacity_bytes), blen, done, lambda: self.gather(pos, blen)
         )
         return done
 

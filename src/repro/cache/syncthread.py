@@ -7,6 +7,11 @@ cache) in ``ind_wr_buffer_size`` chunks and writes each chunk to the global
 file through the *synchronous* independent-write client path, then calls
 ``MPI_Grequest_complete`` on the request's handle.
 
+The loop over an extent — batch, read back, write sync, retry with backoff
+— is :func:`flush`, which crash-recovery replay drives too.  It runs the
+callback-chain twins on production and the generators on
+``Machine(reference=True)``, faults or not: ``machine.reference`` chooses.
+
 ``flush_batch_chunks`` (a simulation fidelity knob, not a semantic one)
 coalesces several chunks into one macro-operation whose cost is the sum of
 the per-chunk costs; 1 reproduces the implementation exactly.
@@ -17,7 +22,7 @@ backoff up to ``policy.sync_retry_limit`` attempts; a chunk that exhausts
 its retries re-queues the *remainder* of its request at the queue tail up
 to ``policy.sync_requeue_limit`` times before the grequest is failed with
 :class:`~repro.faults.errors.SyncFailedError`.  Progress is tracked
-per-chunk through ``cache_state.mark_synced`` so crash recovery replays
+per batch in the cache journal's ``synced`` set, so crash recovery replays
 only genuinely unflushed bytes.
 
 Paper correspondence: §III-A — the background flush that hides sync cost
@@ -27,7 +32,7 @@ behind the next compute phase (Fig. 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.faults.errors import FaultError, SyncFailedError
@@ -42,50 +47,71 @@ class SyncRequest:
 
     offset: int
     nbytes: int
-    grequest: Optional[GeneralizedRequest]
+    grequest: Optional[GeneralizedRequest]  # None: the shutdown sentinel
     stripes: tuple[int, ...] = ()  # stripes to unlock when persisted (coherent)
-
-    shutdown: bool = False
     requeues: int = 0  # times this extent has been re-queued after give-up
 
 
-_SHUTDOWN = SyncRequest(0, 0, None, shutdown=True)
+_SHUTDOWN = SyncRequest(0, 0, None)
+
+
+def flush(machine, client, pfs_file, journal, pos: int, end: int, ledger: str, faulted=None):
+    """Generator: copy ``[pos, end)`` from ``journal``'s cache file to
+    ``pfs_file`` batch by batch — read back, write sync, note the batch in
+    ``journal.synced`` and ``machine.io_stats[ledger]`` — retrying a
+    :class:`FaultError` (``faulted()`` is told) with the journal policy's
+    backoff.  Returns ``(end, None)``, or the position of the batch that
+    spent the retry budget and the error that did."""
+    flat = not machine.reference
+    policy = journal.policy
+    chunk = policy.sync_chunk
+    batch = chunk * max(1, machine.config.flush_batch_chunks)
+    attempts = 0
+    while pos < end:
+        blen = min(batch, end - pos)
+        nchunks = math.ceil(blen / chunk)
+        try:
+            if flat:
+                data = yield journal.read_back_event(pos, blen)
+                yield client.write_sync_flat(pfs_file, pos, blen, data=data, rpc_count=nchunks)
+            else:
+                data = yield from journal.read_back(pos, blen)
+                yield from client.write_sync(pfs_file, pos, blen, data=data, rpc_count=nchunks)
+        except FaultError as exc:
+            attempts += 1
+            if faulted is not None:
+                faulted()
+            if attempts > policy.sync_retry_limit:
+                return pos, exc
+            yield machine.sim.timeout(
+                policy.sync_backoff_base * (policy.sync_backoff_factor ** (attempts - 1))
+            )
+            continue
+        attempts = 0
+        journal.synced.add(pos, pos + blen)
+        machine.io_stats[ledger] += blen
+        pos += blen
+    return pos, None
 
 
 class SyncThread:
     """Background flusher bound to one aggregator's cache file."""
 
-    def __init__(self, machine, rank: int, cache_state, global_file, policy):
+    def __init__(self, machine, rank: int, cache_state):
         self.machine = machine
         self.sim = machine.sim
         self.rank = rank
         self.cache_state = cache_state
-        self.global_file = global_file
-        self.policy = policy
         self.queue = Store(self.sim, name=f"syncq.r{rank}")
         self.client = machine.pfs_client(rank)
-        self.localfs = machine.local_fs_of_rank(rank)
-        self.bytes_synced = 0
         self.requests_done = 0
         self.busy_time = 0.0
         self.retries = 0
         self.requeues = 0
         self.failures = 0
-        # Preresolved machine-wide counter dict (may be None): _stat runs per
-        # retry/requeue, so the getattr lookup is hoisted out of the hot path.
-        self._stats = getattr(machine, "cache_stats", None)
-        self._io_stats = getattr(machine, "io_stats", None)
-        # Flat service loop (production stack): the read/write chain runs
-        # as event callbacks instead of nested generator frames.  Requires
-        # no fault schedule at all — a flat chain cannot be interrupted
-        # mid-flight, and serve_write_event needs every server injector-free.
-        inj = getattr(machine, "faults", None)
-        self._flat = not machine.reference and inj is None
         self._proc = self.sim.process(self._run(), name=f"syncthread.r{rank}")
-        if inj is not None:
-            inj.register_daemon(
-                self._proc, job_tag=getattr(machine, "job_label", None)
-            )
+        if machine.faults is not None:
+            machine.faults.register_daemon(self._proc, job_tag=machine.job_label)
         # Fleet job teardown: a JobView collects its daemons so an aborted
         # job's parked sync threads can be interrupted when its nodes are
         # released (a plain Machine has no such list).
@@ -105,72 +131,26 @@ class SyncThread:
 
     # -- the thread body ---------------------------------------------------------
     def _run(self):
-        """One flush loop for both stacks.  Flat, a chunk's yields are the
-        composite Events of the flattened localfs/PFS fast paths
-        (:meth:`CacheState.read_back_event`, :meth:`PFSClient.write_sync_flat`)
-        — two process resumes per batch instead of a resume per frame of
-        the read/write generator stack, which is what runs otherwise; same
-        reads, writes, journal marks and counters in the same
-        event-callback positions (the flat helpers fire inline where the
-        generator's caller would resume)."""
-        cfg = self.machine.config
-        chunk = self.policy.sync_chunk
-        batch_chunks = max(1, cfg.flush_batch_chunks)
-        flat = self._flat
+        """Take requests off the queue and :func:`flush` each; a request
+        whose flush spent its retry budget is given up (:meth:`_give_up`)."""
         try:
             while True:
                 req: SyncRequest = yield self.queue.get()
-                if req.shutdown or req.grequest is None:
+                if req.grequest is None:
                     return
                 t0 = self.sim.now
-                pos = req.offset
                 end = req.offset + req.nbytes
-                attempts = 0
                 try:
-                    while pos < end:
-                        blen = min(chunk * batch_chunks, end - pos)
-                        nchunks = math.ceil(blen / chunk)
-                        try:
-                            if flat:
-                                data = yield self.cache_state.read_back_event(pos, blen)
-                                yield self.client.write_sync_flat(
-                                    self.global_file,
-                                    pos,
-                                    blen,
-                                    data=data,
-                                    rpc_count=nchunks,
-                                )
-                            else:
-                                data = yield from self.cache_state.read_back(pos, blen)
-                                yield from self.client.write_sync(
-                                    self.global_file,
-                                    pos,
-                                    blen,
-                                    data=data,
-                                    rpc_count=nchunks,
-                                )
-                        except FaultError:
-                            attempts += 1
-                            self.retries += 1
-                            self._stat("retries")
-                            if attempts <= self.policy.sync_retry_limit:
-                                backoff = self.policy.sync_backoff_base * (
-                                    self.policy.sync_backoff_factor ** (attempts - 1)
-                                )
-                                yield self.sim.timeout(backoff)
-                                continue
-                            self._give_up(req, pos, end)
-                            break
-                        attempts = 0
-                        self.cache_state.mark_synced(pos, blen)
-                        self.bytes_synced += blen
-                        if self._io_stats is not None:
-                            self._io_stats["bytes_flushed"] += blen
-                        pos += blen
+                    state = self.cache_state
+                    pos, error = yield from flush(
+                        self.machine, self.client, state.global_file, state.journal,
+                        req.offset, end, "bytes_flushed", self._retried,
+                    )
                 finally:
                     self.busy_time += self.sim.now - t0
-                if pos < end:
-                    continue  # given up: re-queued, or failed
+                if error is not None:
+                    self._give_up(req, pos, end)
+                    continue
                 self.requests_done += 1
                 for stripe in req.stripes:
                     self.cache_state.release_stripe(stripe)
@@ -181,42 +161,34 @@ class SyncThread:
             # next open.  Returning cleanly parks this daemon.
             return
 
+    def _retried(self) -> None:
+        self.retries += 1
+        self._stat("retries")
+
     def _give_up(self, req: SyncRequest, pos: int, end: int) -> None:
         """Retries exhausted for the chunk at ``pos``: re-queue the remainder
         at the tail (later faults may have cleared) or fail the grequest."""
-        if req.requeues < self.policy.sync_requeue_limit:
+        if req.requeues < self.cache_state.policy.sync_requeue_limit:
             self.requeues += 1
             self._stat("requeues")
-            self.queue.put(
-                SyncRequest(
-                    pos,
-                    end - pos,
-                    req.grequest,
-                    stripes=req.stripes,
-                    requeues=req.requeues + 1,
-                )
-            )
+            self.queue.put(replace(req, offset=pos, nbytes=end - pos, requeues=req.requeues + 1))
             return
         self.failures += 1
         self._stat("sync_failures")
-        if self._io_stats is not None:
-            self._io_stats["bytes_lost"] += end - pos
+        self.machine.io_stats["bytes_lost"] += end - pos
         for stripe in req.stripes:
             self.cache_state.release_stripe(stripe)
-        if req.grequest is not None:
-            # Fleet runs label the error with the owning job so a failure in
-            # a multi-job simulation is attributable (job_label is None on a
-            # plain single-job Machine).
-            job = getattr(self.machine, "job_label", None)
-            whose = f"job {job}: " if job is not None else ""
-            req.grequest.fail(
-                SyncFailedError(
-                    f"{whose}sync of [{pos}, {end}) on rank {self.rank} "
-                    f"abandoned after {req.requeues} re-queues"
-                )
+        # Fleet runs label the error with the owning job so a failure in a
+        # multi-job simulation is attributable (job_label is None on a plain
+        # single-job Machine).
+        job = self.machine.job_label
+        whose = f"job {job}: " if job is not None else ""
+        req.grequest.fail(
+            SyncFailedError(
+                f"{whose}sync of [{pos}, {end}) on rank {self.rank} "
+                f"abandoned after {req.requeues} re-queues"
             )
+        )
 
     def _stat(self, key: str) -> None:
-        d = self._stats
-        if d is not None:
-            d[key] = d.get(key, 0) + 1
+        self.machine.cache_stats[key] += 1

@@ -62,12 +62,6 @@ def get_default_runner() -> SweepRunner:
     return _default_runner
 
 
-def set_default_runner(runner: Optional[SweepRunner]) -> None:
-    """Install (or with ``None`` reset) the runner figure calls fall back to."""
-    global _default_runner
-    _default_runner = runner
-
-
 def sweep_labels(aggregators: Sequence[int], cb_sizes: Sequence[int]) -> list[str]:
     return [f"{a}_{cb // MiB}M" for a in aggregators for cb in cb_sizes]
 

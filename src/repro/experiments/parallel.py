@@ -71,9 +71,18 @@ def _run_point(spec: ExperimentSpec, config: Optional[ClusterConfig]):
     return run_experiment(spec, config)
 
 
+def env_jobs() -> Optional[int]:
+    """``REPRO_JOBS``, the worker count the environment asks for (None when
+    unset), which must be a whole number >= 1."""
+    raw = os.environ.get("REPRO_JOBS")
+    if raw is not None and not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"REPRO_JOBS={raw!r}: must be a whole number of workers >= 1")
+    return None if raw is None else int(raw)
+
+
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` env var, default 1 (serial)."""
-    return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+    """Library worker count: ``REPRO_JOBS``, default 1 (serial)."""
+    return env_jobs() or 1
 
 
 class SweepRunner:

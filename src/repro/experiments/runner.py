@@ -12,6 +12,7 @@ reproduces the paper's full 32 GB files.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -36,8 +37,16 @@ PAPER_CB_SIZES = (4 * MiB, 8 * MiB, 16 * MiB, 32 * MiB, 64 * MiB)
 
 
 def default_scale() -> float:
-    """Experiment scale factor; override with REPRO_SCALE (1.0 = paper size)."""
-    return float(os.environ.get("REPRO_SCALE", "0.125"))
+    """Experiment scale factor; override with REPRO_SCALE (1.0 = paper size),
+    which must be a positive number."""
+    raw = os.environ.get("REPRO_SCALE", "0.125")
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = math.nan
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"REPRO_SCALE={raw!r}: must be a positive number (1.0 = paper size)")
+    return scale
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from pathlib import Path
 from repro import chaos
 from repro import fleet as fleetmod
 from repro.experiments import faultsweep, figures
-from repro.experiments.parallel import SweepError, SweepRunner
+from repro.experiments.parallel import SweepError, SweepRunner, env_jobs
 from repro.experiments.report import (
     render_bandwidth_table,
     render_breakdown_table,
@@ -64,10 +64,7 @@ from repro.units import MiB
 
 def default_cli_jobs() -> int:
     """CLI worker default: ``REPRO_JOBS`` wins, else all cores but one."""
-    env = os.environ.get("REPRO_JOBS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, (os.cpu_count() or 1) - 1)
+    return env_jobs() or max(1, (os.cpu_count() or 1) - 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,8 +16,9 @@ calls a narrow hook, so a machine without faults pays one ``is None`` test):
   :class:`~repro.faults.errors.DeviceLostError` (EROFS semantics) while
   reads keep working, which is the realistic SSD end-of-life mode and
   exactly what lets the sync thread drain already-cached extents.
-* :meth:`server_gate` — yielded inside a data server's RPC service while a
-  stall window is open (holding the worker: head-of-line blocking).
+* :meth:`stall_wait` — the stall gate a data server's write RPC passes
+  after its worker grant, holding the worker while a stall window is open
+  (head-of-line blocking); :meth:`server_gate` is its generator form.
 * ``link_degrade`` — scales one fabric endpoint's NIC capacity via
   :meth:`~repro.net.fabric.Fabric.set_node_bw_factor` for the window.
 * ``aggregator_crash`` — interrupts one registered *job scope*'s rank
@@ -43,6 +44,7 @@ Paper correspondence: none (fault-injection extension); targets the
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.faults.errors import JobAborted, TornWriteError, TransientIOError
@@ -107,12 +109,7 @@ class FaultInjector:
         for spec in self.schedule.faults:
             self._validate_target(spec, cfg)
             state = _FaultState(spec)
-            # Scoped fast-path fallback: attaching the injector to a
-            # component is what routes its operations onto the reference
-            # per-chunk path (the serve/_io fast paths bail on a non-None
-            # injector).  Only the targeted SSD/server loses the fast path;
-            # every other component keeps the fused/coalesced plan.  The
-            # fast_path flag is cleared too so the scoping is inspectable.
+            # Attaching the injector arms a component's hooks, nothing more.
             if spec.kind == "ssd_io_error":
                 self._ssd_read.setdefault(spec.target, []).append(state)
                 node = self.machine.nodes[spec.target]
@@ -123,23 +120,18 @@ class FaultInjector:
                 for dev in (node.ssd, node.nvmm):
                     dev.injector = self
                     dev.fault_node = spec.target
-                    dev.fast_path = False
             elif spec.kind == "ssd_gc_pressure":
                 self._gc_pressure.setdefault(spec.target, []).append(state)
                 ssd = self.machine.nodes[spec.target].ssd
                 ssd.injector = self
                 ssd.fault_node = spec.target
-                ssd.fast_path = False
             elif spec.kind == "nvmm_torn_write":
-                # No device flag needed: the write-ahead log consults the
-                # injector directly at append time (see NVMMWriteLog).
+                # The write-ahead log consults the injector directly at
+                # append time (see NVMMWriteLog).
                 self._wal_torn.setdefault(spec.target, []).append(state)
             elif spec.kind == "server_stall":
                 self._stalls.setdefault(spec.target, []).append(state)
-                server = self.machine.pfs.servers[spec.target]
-                server.injector = self
-                server.fast_path = False
-                server.target.fast_path = False
+                self.machine.pfs.servers[spec.target].injector = self
             if spec.on_event:
                 self._by_event.setdefault(spec.on_event, []).append(state)
             elif spec.kind in (
@@ -336,22 +328,19 @@ class FaultInjector:
         # The OS closes a dead process's descriptors; without this the
         # recovery pass could never reclaim a replayed cache file's space.
         # The registry is the *job's* (a fleet job journals privately).
-        recovery = entry.recovery
-        if recovery is None:
-            recovery = getattr(self.machine, "recovery", None)
-        if recovery is not None:
-            for journal in recovery.entries():
-                # Every journal still registered at teardown lost its owner:
-                # mark it orphaned so the next collective open replays it.
-                # (A restart re-registers *live* journals for the same paths
-                # before replay runs; those must never be treated as
-                # recoverable state.)
-                journal.orphaned = True
-                if journal.local_file is None:
-                    continue  # NVMM WAL journal: no descriptor to close
-                fs = self.machine.local_fs[journal.node_id]
-                while journal.local_file.open_count > 0:
-                    fs.close(journal.local_file)
+        recovery = entry.recovery if entry.recovery is not None else self.machine.recovery
+        for journal in recovery.entries():
+            # Every journal still registered at teardown lost its owner:
+            # mark it orphaned so the next collective open replays it.
+            # (A restart re-registers *live* journals for the same paths
+            # before replay runs; those must never be treated as
+            # recoverable state.)
+            journal.orphaned = True
+            if journal.local_file is None:
+                continue  # NVMM WAL journal: no descriptor to close
+            fs = self.machine.local_fs[journal.node_id]
+            while journal.local_file.open_count > 0:
+                fs.close(journal.local_file)
         for proc in entry.daemons:
             proc.interrupt(entry.crashed)
         for proc in entry.ranks:
@@ -426,25 +415,29 @@ class FaultInjector:
         (holding the worker) until every open stall window on this server has
         passed.  An unbounded stall parks the RPC forever."""
         while True:
-            wait = self._stall_remaining(server_id)
+            wait = self.stall_wait(server_id)
             if wait <= 0:
                 return
-            self.injected += 1
-            self._emit("server_stall_block", server=server_id, wait=wait)
-            if wait == float("inf"):
+            if wait == math.inf:
                 yield self.sim.event(name=f"stall-forever.s{server_id}")
                 return  # pragma: no cover - the event never fires
             yield self.sim.timeout(wait)
 
-    def _stall_remaining(self, server_id: int) -> float:
-        now = self.sim.now
+    def stall_wait(self, server_id: int) -> float:
+        """One pass of the stall gate: how long an RPC arriving at it now
+        must wait (0: pass; ``inf``: park for good) — a wait is a delivered
+        stall.  The gate re-checks after every finite wait, a window opened
+        meanwhile included; the flat serve chain loops on this exactly as
+        :meth:`server_gate` does."""
         wait = 0.0
         for state in self._stalls.get(server_id, ()):
-            if not self._window_open(state):
-                continue
-            if state.spec.duration <= 0:
-                return float("inf")
-            wait = max(wait, state.active_at + state.spec.duration - now)
+            if self._window_open(state):
+                duration = state.spec.duration
+                end = state.active_at + duration if duration > 0 else math.inf
+                wait = max(wait, end - self.sim.now)
+        if wait > 0:
+            self.injected += 1
+            self._emit("server_stall_block", server=server_id, wait=wait)
         return wait
 
     def _window_open(self, state: _FaultState) -> bool:

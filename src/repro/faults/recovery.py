@@ -22,10 +22,11 @@ the global file afterwards.  This module implements that recovery path:
 Replay is idempotent by construction: a sync request that was mid-flight at
 crash time may have persisted some chunks already, but rewriting the whole
 extent stores identical bytes, so the recovered global file is byte-identical
-to a fault-free run.  Transient faults that outlive the crash into the
-recovery window (flaky reads, a stalled server tripping the sync-RPC
-watchdog) are retried in place with the sync thread's backoff schedule
-before the error is allowed to abort the recovering rank.
+to a fault-free run.  Replay rewrites through the sync thread's own flush
+loop (:func:`repro.cache.syncthread.flush`), so transient faults that
+outlive the crash into the recovery window (flaky reads, a stalled server
+tripping the sync-RPC watchdog) are retried in place under the cache's
+policy before the error is allowed to abort the recovering rank.
 
 Paper correspondence: none — recovery semantics the paper leaves open
 for its §III cache (journal + replay on next collective open).
@@ -33,19 +34,13 @@ for its §III cache (journal + replay on next collective open).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.faults.errors import FaultError
 from repro.intervals import IntervalSet
 
-#: Retry discipline for replay writes hit by transient faults — the same
-#: schedule as :class:`~repro.cache.policy.CachePolicy`'s sync-thread
-#: defaults (replay has no per-open policy to read them from).
-_RETRY_LIMIT = 4
-_BACKOFF_BASE = 2e-3
-_BACKOFF_FACTOR = 2.0
+if TYPE_CHECKING:
+    from repro.cache.policy import CachePolicy
 
 
 @dataclass
@@ -58,8 +53,7 @@ class CacheJournal:
     local_path: str
     local_file: object  # the LocalFile handle (survives a process crash)
     file_id: int  # PFS file id (for lock revocation)
-    sync_chunk: int  # ind_wr_buffer_size at write time
-    discard_on_close: bool
+    policy: CachePolicy  # the cache's: sync chunk, retry budget, discard flag
     cached: IntervalSet = field(default_factory=IntervalSet)  # shared with CacheState
     synced: IntervalSet = field(default_factory=IntervalSet)
     stripe_refs: dict[int, int] = field(default_factory=dict)  # shared (coherent mode)
@@ -84,6 +78,19 @@ class CacheJournal:
     def unflushed_bytes(self) -> int:
         return sum(e - s for s, e in self.unflushed())
 
+    # -- read-back (the flush loop: sync thread and replay) ----------------------
+    def read_back(self, pos: int, blen: int):
+        """Generator returning the cached bytes of ``[pos, pos+blen)``."""
+        if self.wal is not None:
+            return self.wal.read(pos, blen)
+        return self.local_file.fs.read(self.local_file, pos, blen)
+
+    def read_back_event(self, pos: int, blen: int):
+        """Flat variant of :meth:`read_back` (production callback chains)."""
+        if self.wal is not None:
+            return self.wal.read_event(pos, blen)
+        return self.local_file.fs.read_event(self.local_file, pos, blen)
+
 
 class CacheRecoveryRegistry:
     """Machine-wide directory of live cache journals + the replay pass."""
@@ -91,7 +98,6 @@ class CacheRecoveryRegistry:
     def __init__(self, machine):
         self.machine = machine
         self._journals: list[CacheJournal] = []
-        self.bytes_replayed = 0
         self.extents_replayed = 0
         self.files_recovered = 0
         self.recovery_time = 0.0
@@ -111,8 +117,9 @@ class CacheRecoveryRegistry:
             return list(self._journals)
         return [j for j in self._journals if j.path == path]
 
-    def has_orphans(self, path: str) -> bool:
-        """Does any *orphaned* journal for ``path`` hold unflushed data?"""
+    def has_orphans(self, path: Optional[str] = None) -> bool:
+        """Does any *orphaned* journal (for ``path``, if given) hold
+        unflushed data?"""
         return any(j.orphaned and j.unflushed() for j in self.entries(path))
 
     # -- the replay pass (run during collective open) ------------------------------
@@ -121,10 +128,13 @@ class CacheRecoveryRegistry:
 
         Runs on the lowest rank of each node (the rank that would own the
         node's cache files); other ranks fall straight through and meet the
-        replaying ranks at the barrier the caller places after this.
+        replaying ranks at the barrier the caller places after this.  Each
+        unflushed extent goes through the sync thread's
+        :func:`~repro.cache.syncthread.flush`; a spent retry budget raises.
         """
-        cfg = self.machine.config
-        if rank % cfg.procs_per_node != 0:
+        from repro.cache.syncthread import flush  # local import to avoid a cycle
+
+        if rank % self.machine.config.procs_per_node != 0:
             return
         node_id = self.machine.node_of_rank(rank)
         mine = [
@@ -136,15 +146,10 @@ class CacheRecoveryRegistry:
         t0 = sim.now
         # Cascade hook: faults armed on "recovery_replay" (a second crash
         # landing while the journal is being replayed) trigger from here.
-        injector = getattr(self.machine, "faults", None)
-        if injector is not None:
-            injector.notify(
-                "recovery_replay", job=getattr(self.machine, "job_label", None)
-            )
-        io_stats = getattr(self.machine, "io_stats", None)
+        if self.machine.faults is not None:
+            self.machine.faults.notify("recovery_replay", job=self.machine.job_label)
         client = self.machine.pfs_client(rank)
         localfs = self.machine.local_fs[node_id]
-        batch_chunks = max(1, cfg.flush_batch_chunks)
         for journal in mine:
             self._revoke_locks(journal)
             wal = journal.wal
@@ -152,52 +157,20 @@ class CacheRecoveryRegistry:
             if wal is None:
                 local_file = localfs.open(journal.local_path, create=False)
             try:
-                batch = journal.sync_chunk * batch_chunks
                 for start, end in journal.unflushed():
-                    pos = start
-                    attempts = 0
-                    while pos < end:
-                        blen = min(batch, end - pos)
-                        nchunks = math.ceil(blen / journal.sync_chunk)
-                        try:
-                            if wal is not None:
-                                # WAL replay: assemble from durable records
-                                # (torn records are CRC-skipped by the log).
-                                data = yield from wal.read(pos, blen)
-                            else:
-                                data = yield from localfs.read(local_file, pos, blen)
-                            yield from client.write_sync(
-                                fd.pfs_file, pos, blen, data=data, rpc_count=nchunks
-                            )
-                        except FaultError:
-                            # A transient window (flaky reads, a stalled
-                            # server tripping the RPC watchdog) can outlive
-                            # the crash into recovery.  Retry with the same
-                            # backoff discipline as the sync thread —
-                            # rewriting is idempotent — and only propagate
-                            # once the budget is spent.
-                            attempts += 1
-                            if attempts <= _RETRY_LIMIT:
-                                backoff = _BACKOFF_BASE * (
-                                    _BACKOFF_FACTOR ** (attempts - 1)
-                                )
-                                yield sim.timeout(backoff)
-                                continue
-                            raise
-                        attempts = 0
-                        journal.synced.add(pos, pos + blen)
-                        self.bytes_replayed += blen
-                        if io_stats is not None:
-                            io_stats["bytes_replayed"] += blen
-                        pos += blen
+                    _, error = yield from flush(
+                        self.machine, client, fd.pfs_file, journal, start, end, "bytes_replayed"
+                    )
+                    if error is not None:
+                        raise error
                     self.extents_replayed += 1
             finally:
                 if local_file is not None:
                     localfs.close(local_file)
             if wal is not None:
-                if journal.discard_on_close:
+                if journal.policy.discard_on_close:
                     wal.discard()
-            elif journal.discard_on_close and localfs.writable:
+            elif journal.policy.discard_on_close and localfs.writable:
                 if localfs.exists(journal.local_path):
                     localfs.unlink(journal.local_path)
             self.unregister(journal)
@@ -210,7 +183,7 @@ class CacheRecoveryRegistry:
             path=fd.path,
             node=node_id,
             files=len(mine),
-            bytes=self.bytes_replayed,
+            bytes=self.machine.io_stats["bytes_replayed"],
         )
 
     def _revoke_locks(self, journal: CacheJournal) -> None:
@@ -223,7 +196,7 @@ class CacheRecoveryRegistry:
 
     def stats(self) -> dict[str, float]:
         return {
-            "bytes_replayed": self.bytes_replayed,
+            "bytes_replayed": self.machine.io_stats["bytes_replayed"],
             "extents_replayed": self.extents_replayed,
             "files_recovered": self.files_recovered,
             "recovery_time": self.recovery_time,

@@ -2,11 +2,10 @@
 
 Devices are FIFO servers: requests queue and are served one at a time (the
 RAID group and the SSD both present a single logical stream at this
-granularity) — through the generator :meth:`StorageDevice._io`, or through its
-callback twin :meth:`StorageDevice.io_flat`, which the write-back chains
-(server drain, node page-cache writeback) and the flat read paths run on.
-Service time models distinguish the two device classes the
-paper contrasts:
+granularity) — through the generator :meth:`StorageDevice._io` or its
+callback twins :meth:`~StorageDevice.write_flat` (the write-back drains) and
+:meth:`~StorageDevice.read_flat` (the flat read-back).  Service time models
+distinguish the two device classes the paper contrasts:
 
 * :class:`HDDRaidDevice` — a BeeGFS storage target (8+2 RAID6 of SAS
   drives): a seek penalty is charged whenever a request is not sequential
@@ -24,10 +23,12 @@ scratch partition and the servers' RAID6 SAS targets.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
-from repro.sim.core import Simulator
-from repro.sim.resources import Resource
+from repro.faults.errors import FaultError
+from repro.sim.core import Event, Simulator
+from repro.sim.resources import Resource, abandon_grant, abandon_wait
 from repro.sim.rng import RngStreams
 
 
@@ -64,9 +65,8 @@ class StorageDevice:
         self.io_errors_injected = 0
         self.injected_stall_time = 0.0  # ssd_gc_pressure windows (injected)
         # Fast-path flag (set by a production Machine): when the queue is
-        # free and no injector is attached, an op's duration is fully
-        # determined at issue time, so it is charged as a single timeout
-        # instead of a grant-event round trip.
+        # free, an op is granted in the caller's callback instead of a
+        # grant-event round trip later.
         self.fast_path = False
 
     # subclass hooks -----------------------------------------------------------
@@ -95,12 +95,11 @@ class StorageDevice:
         return self._io(offset, nbytes, False)
 
     def _io(self, offset: int, nbytes: int, is_write: bool):
-        # Bulk fast path: a free queue with no injector grants synchronously
-        # (the condition under which request() grants immediately), so the
-        # grant event is skipped.  All device state (head position, stream
-        # table, RNG jitter) is touched under the slot in grant order either
-        # way; the only difference is one fewer kernel event.
-        if not (self.fast_path and self.injector is None and self.queue.try_acquire()):
+        # Bulk fast path: a free queue grants synchronously, skipping the
+        # grant event.  All device state (head position, stream table, RNG
+        # jitter, the injector's draws) is touched under the slot in grant
+        # order either way.
+        if not (self.fast_path and self.queue.try_acquire()):
             yield self.queue.request()
         try:
             if self.injector is not None and not is_write:
@@ -118,35 +117,66 @@ class StorageDevice:
             self.queue.release()
 
     # flat API -------------------------------------------------------------------
-    def io_flat(self, offset: int, nbytes: int, is_write: bool, on_done) -> None:
-        """Flat state-machine variant of :meth:`_io` (callback chains).
-
-        Every accounting step — grant, service-time draw, stream-table
-        update, the write-side ``injector.on_device_write`` stretch (it never
-        raises), counters, release — runs in the *same event callback* as
-        the generator version would, so the two paths are schedule-identical;
-        ``on_done()`` is invoked where the generator's caller would resume.
-        A *read* under an injector can raise (``on_device_read``) and must
-        take :meth:`_io`: read callers gate on ``self.injector is None``.
-        """
-        if self.fast_path and self.injector is None and self.queue.try_acquire():
-            self._io_serve(offset, nbytes, is_write, on_done)
+    # Callback twins of :meth:`_io`: every accounting step — grant,
+    # service-time draw, stream-table update, the injector's hooks, counters,
+    # release — runs in the *same event callback* as the generator's, so the
+    # two are schedule-identical.
+    def write_flat(self, offset: int, nbytes: int, on_done) -> None:
+        """A write for a chain nothing abandons (the write-back drains):
+        ``on_done()`` is invoked where the generator's caller would resume."""
+        if self.fast_path and self.queue.try_acquire():
+            self._write_serve(offset, nbytes, on_done)
             return
         req = self.queue.request()
-        req.callbacks.append(
-            lambda _ev: self._io_serve(offset, nbytes, is_write, on_done)
-        )
+        req.callbacks.append(lambda _ev: self._write_serve(offset, nbytes, on_done))
 
-    def _io_serve(self, offset: int, nbytes: int, is_write: bool, on_done) -> None:
-        dt = self.service_time(offset, nbytes, is_write)
-        if is_write and self.injector is not None:
+    def _write_serve(self, offset: int, nbytes: int, on_done) -> None:
+        dt = self.service_time(offset, nbytes, True)
+        if self.injector is not None:
+            # GC-pressure windows stretch writes (never raise).
             dt += self.injector.on_device_write(self, offset, nbytes, dt)
         self.busy_time += dt
-        self._account(nbytes, is_write)
+        self._account(nbytes, True)
 
         def _served():
             self.queue.release()
             on_done()
+
+        self.sim.call_later(dt, _served)
+
+    def read_flat(self, offset: int, nbytes: int, done: Event, value) -> None:
+        """The device read of a chain that ``done`` completes: ``done`` fires
+        with ``value()`` where the generator's caller would resume.  An
+        injected read error releases the slot and fails ``done`` (raising
+        out of this call on a synchronous grant, as :meth:`_io` would).
+        Abandoned, a queued request leaves the queue, a slot in service is
+        released where the ``Interrupt`` would reach the ``finally``.
+        """
+        if self.fast_path and self.queue.try_acquire():
+            self._read_serve(offset, nbytes, done, value)
+            return
+        req = self.queue.request()
+        req.callbacks.append(lambda _ev: self._read_serve(offset, nbytes, done, value))
+        done.abandon = partial(abandon_wait, req)
+
+    def _read_serve(self, offset: int, nbytes: int, done: Event, value) -> None:
+        if self.injector is not None:
+            try:
+                self.injector.on_device_read(self, offset, nbytes)
+            except FaultError as exc:
+                self.queue.release()
+                done._fire_inline(exc, ok=False)
+                return
+        dt = self.service_time(offset, nbytes, False)
+        self.busy_time += dt
+        self._account(nbytes, False)
+        done.abandon = partial(abandon_grant, self.queue)
+
+        def _served():
+            if done._triggered:
+                return
+            self.queue.release()
+            done._fire_inline(value())
 
         self.sim.call_later(dt, _served)
 

@@ -99,9 +99,7 @@ class PageCache:
         file_id = max(self._dirty_by_file, key=self._dirty_by_file.get)
         chunk = min(self.writeback_chunk, self._dirty_by_file[file_id])
         self._writing = (file_id, chunk)
-        self.device.io_flat(
-            self._pop_extent(file_id, chunk), chunk, True, self._written_back
-        )
+        self.device.write_flat(self._pop_extent(file_id, chunk), chunk, self._written_back)
 
     def _written_back(self) -> None:
         file_id, chunk = self._writing

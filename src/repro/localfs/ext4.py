@@ -31,7 +31,7 @@ import numpy as np
 from repro.faults.errors import DeviceLostError
 from repro.hw.node import ComputeNode
 from repro.intervals import IntervalSet
-from repro.sim.core import Event, SimError
+from repro.sim.core import Event, SimError, settle
 
 
 class ENOSPC(OSError):
@@ -200,10 +200,10 @@ class LocalFileSystem:
     def read_event(self, f: LocalFile, offset: int, nbytes: int) -> Event:
         """Flat variant of :meth:`read` for the production callback chains.
 
-        Returns an Event whose value is the requested bytes, fired inline in
-        the callback of the last underlying wait — exactly where the
-        generator's caller would resume.  Caller gates on
-        ``node.ssd.injector is None`` and ``nbytes > 0``.
+        Returns an Event whose value is the requested bytes, fired inline
+        exactly where the generator's caller would resume, or failed by an
+        injected SSD read error; abandoned, it takes no further step.
+        Requires ``nbytes > 0``.
         """
         if offset + nbytes > f.size and not f.extents and f.size == 0:
             raise SimError(f"read past EOF of empty file {f.path}")
@@ -214,21 +214,22 @@ class LocalFileSystem:
         if not cached and not uncached:
             raise SimError("read_event requires nbytes > 0")
         done = Event(self.sim, name="lfs-read")
-
-        def _finish():
-            done._fire_inline(self._gather(f, offset, nbytes))
-
         ssd = self.node.ssd
-        if cached:
+        value = lambda: self._gather(f, offset, nbytes)  # noqa: E731
+        if not cached:
+            ssd.read_flat(offset, uncached, done, value)
+            return done
+
+        def _copied():
+            if done._triggered:
+                return
             if uncached:
-                self.sim.call_later(
-                    cached / self.node.config.ram.memcpy_bw,
-                    lambda: ssd.io_flat(offset + cached, uncached, False, _finish),
-                )
+                ssd.read_flat(offset + cached, uncached, done, value)
             else:
-                self.sim.call_later(cached / self.node.config.ram.memcpy_bw, _finish)
-        else:
-            ssd.io_flat(offset + cached, uncached, False, _finish)
+                done._fire_inline(value())
+
+        done.abandon = settle
+        self.sim.call_later(cached / self.node.config.ram.memcpy_bw, _copied)
         return done
 
     def fsync(self, f: LocalFile):

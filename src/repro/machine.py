@@ -18,9 +18,9 @@ event, per-rank collective release, generator sync threads, one process per
 rank — and must agree with production on every simulated quantity; only the
 diagnostic ``events`` count may differ (tier-1 asserts it in
 ``tests/integration/test_golden_digests.py``).  ``machine.reference`` is the
-one fact every layer reads; a :class:`~repro.faults.spec.FaultSchedule`
-additionally clears ``fast_path`` on just the components it targets
-(:class:`~repro.faults.injector.FaultInjector`).
+one fact every layer reads to choose an implementation; a
+:class:`~repro.faults.spec.FaultSchedule` only arms the hooks of the
+components it targets (:class:`~repro.faults.injector.FaultInjector`).
 
 Paper correspondence: §IV-A — the assembled DEEP-ER SDV testbed as one
 object.
@@ -104,10 +104,6 @@ class Machine:
             "bytes_discarded": 0,  # cached under flush_never (never persisted)
             "bytes_lost": 0,  # reported lost via SyncFailedError
         }
-        # Fault schedules do not turn the fast paths off machine-wide: the
-        # injector scopes the fallback to the components it actually targets
-        # (see FaultInjector._wire), so everything else keeps the
-        # fused/coalesced fast path even in faulted runs.
         fast = not reference
         for node in self.nodes:
             node.ssd.fast_path = fast

@@ -63,14 +63,6 @@ def op_min(a, b):
     return a if a <= b else b
 
 
-def op_band(a, b):
-    return a & b
-
-
-def op_bor(a, b):
-    return a | b
-
-
 def _memoised(method):
     """Cache a :class:`CollectiveCosts` closed form per argument tuple on
     the object: every collective of a run asks for the same two or three."""
@@ -125,16 +117,6 @@ class CollectiveCosts:
             + node_bytes * self.beta_inv
         )
 
-    def shuffle(self, out_bytes_per_node: dict[int, float], in_bytes_per_node: dict[int, float], max_msgs: int) -> float:
-        """Bulk data exchange bounded by the hottest NIC in either direction."""
-        hot_out = max(out_bytes_per_node.values(), default=0.0)
-        hot_in = max(in_bytes_per_node.values(), default=0.0)
-        return (
-            self.alpha
-            + max(hot_out, hot_in) * self.beta_inv
-            + max_msgs * self.per_message
-        )
-
 
 @dataclass
 class _Slot:
@@ -150,7 +132,7 @@ class _Slot:
 
 # The collectives whose result differs from rank to rank; every other one
 # releases all ranks with the same object, which the release event carries.
-_PER_RANK = frozenset(("allgather", "alltoall", "shuffle"))
+_PER_RANK = frozenset(("allgather", "alltoall"))
 
 
 class ModelCollectives:
@@ -170,13 +152,11 @@ class ModelCollectives:
         sim: Simulator,
         nprocs: int,
         costs: CollectiveCosts,
-        rank_to_node: Optional[list[int]] = None,
         shared_release: bool = False,
     ):
         self.sim = sim
         self.nprocs = nprocs
         self.costs = costs
-        self.rank_to_node = rank_to_node or list(range(nprocs))
         self.shared_release = shared_release
         self._slot_index = [0] * nprocs
         # Rank classes: the other ranks each rank's arrivals stand for, and
@@ -297,14 +277,6 @@ class ModelCollectives:
     def bcast(self, rank: int, value: Any, root: int = 0, nbytes: int = 8):
         return self.enter(rank, "bcast", (value if rank == root else None), root=root, nbytes=nbytes)
 
-    def shuffle(self, rank: int, out_bytes: dict[int, float], msg_count: int = 0):
-        """The ext2ph data exchange as a pseudo-collective.
-
-        ``out_bytes`` maps destination rank -> bytes this rank sends there.
-        Returns the per-rank inbound byte total (what this rank received).
-        """
-        return self.enter(rank, "shuffle", out_bytes, msgs=msg_count)
-
     def timed(self, rank: int, duration: float, label: str = "timed") -> Event:
         """A pre-costed synchronisation: all ranks arrive, all are released
         ``max(duration)`` after the last arrival.  Used when the exchange
@@ -350,27 +322,6 @@ class ModelCollectives:
         elif slot.timed:
             duration = float(slot.duration)
             results = None  # no caller reads a timed slot's result
-        elif op == "shuffle":
-            out_node: dict[int, float] = {}
-            in_node: dict[int, float] = {}
-            in_rank = {r: 0.0 for r in slot.arrivals}
-            msg_total = 0
-            for src, outs in slot.arrivals.items():
-                src_node = self.rank_to_node[src]
-                for dst, nb in outs.items():
-                    in_rank[dst] += nb
-                    dst_node = self.rank_to_node[dst]
-                    if dst_node != src_node:
-                        out_node[src_node] = out_node.get(src_node, 0.0) + nb
-                        in_node[dst_node] = in_node.get(dst_node, 0.0) + nb
-                    msg_total += 1 if nb > 0 else 0
-            per_rank_msgs = slot.extra.get("msgs", {})
-            max_msgs = max(per_rank_msgs.values(), default=0) or max(
-                (len([b for b in outs.values() if b > 0]) for outs in slot.arrivals.values()),
-                default=0,
-            )
-            duration = costs.shuffle(out_node, in_node, max_msgs)
-            results = in_rank
         else:  # pragma: no cover - guarded by enter()
             raise SimError(f"unknown collective {op!r}")
         if slot.shared is not None:

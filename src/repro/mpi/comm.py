@@ -47,9 +47,7 @@ class Communicator:
         self.nprocs = nprocs
         self.collective_mode = collective_mode
         self.rank_to_node = transport.rank_to_node
-        self._model = ModelCollectives(
-            sim, nprocs, costs, transport.rank_to_node, shared_release=shared_release
-        )
+        self._model = ModelCollectives(sim, nprocs, costs, shared_release=shared_release)
         self._algo = AlgorithmicCollectives(sim, transport, nprocs, payload_nbytes)
         #: Rank classes: the other ranks each rank's arrivals stand for
         #: (``()`` for a rank on its own; see ModelCollectives.set_classes).
@@ -139,10 +137,6 @@ class Communicator:
         if self.collective_mode == "model":
             return self._model.bcast(rank, value, root, nbytes)
         return self._algo.bcast(rank, value, root)
-
-    def shuffle(self, rank: int, out_bytes: dict[int, float], msg_count: int = 0):
-        """Model-engine bulk exchange used by ext2ph's aggregated-flow mode."""
-        return self._model.shuffle(rank, out_bytes, msg_count)
 
     def timed(self, rank: int, duration: float, label: str = "timed"):
         """Pre-costed synchronisation point: the release Event, to ``yield``

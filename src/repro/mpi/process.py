@@ -68,10 +68,7 @@ class MPIWorld:
         nprocs = cfg.num_ranks
         # Rank-to-node placement goes through the machine so a fleet
         # JobView can place a job's ranks on its allocated physical nodes.
-        node_of = getattr(machine, "node_of_rank", None)
-        if node_of is None:
-            node_of = lambda r: r // cfg.procs_per_node  # noqa: E731
-        rank_to_node = [node_of(r) for r in range(nprocs)]
+        rank_to_node = [machine.node_of_rank(r) for r in range(nprocs)]
         fast = not machine.reference
         self.transport = Transport(
             machine.sim,
@@ -110,16 +107,14 @@ class MPIWorld:
             )
             for ranks in self.classes
         ]
-        inj = getattr(self.machine, "faults", None)
-        if inj is not None:
+        machine = self.machine
+        if machine.faults is not None:
             # Crash faults interrupt exactly these processes.  The scope is
             # the machine's job label (a fleet JobView carries one; a plain
             # Machine registers untagged), and the teardown closes journal
             # descriptors through the *job's* recovery registry.
-            inj.register_ranks(
-                procs,
-                job_tag=getattr(self.machine, "job_label", None),
-                recovery=getattr(self.machine, "recovery", None),
+            machine.faults.register_ranks(
+                procs, job_tag=machine.job_label, recovery=machine.recovery
             )
         return procs
 

@@ -8,15 +8,15 @@ Two write paths mirror the two ways ROMIO drives the file system:
   streaming channel, the NICs, each server's ingest stage and its RAID
   target — all shared max-min fairly.  The RPCs run as one callback chain
   (``_issue_writes``), not a process per RPC: the caller waits on a single
-  completion event, and only an RPC to a server with a fault injector
-  attached takes the generator ``serve_write`` (counted in
-  ``fallback_rpcs``).
+  completion event.
 
 * :meth:`write_sync` — the synchronous independent path used by the cache
   sync thread (a blocking ``pwrite`` loop in one pthread): one outstanding
   RPC at a time, each paying the full client/kernel round trip
-  (``sync_client_rtt``) on top of transfer and server time.  This is what
+  (``sync_client_rtt``) on top of transfer and server time, raced against
+  the fault schedule's sync-RPC watchdog when one is armed.  This is what
   limits a single flushing aggregator to ≈105 MB/s with 512 KiB chunks.
+  Production runs its callback-chain twin :meth:`write_sync_flat`.
 
 Every entry point reads its stripe plan (runs, bulk groups, sync RPC split)
 from the process-wide memo in :mod:`repro.pfs.layout`, which also rejects
@@ -36,7 +36,8 @@ import numpy as np
 from repro.faults.errors import PFSTimeoutError
 from repro.pfs.filesystem import ParallelFileSystem, PFSFile
 from repro.pfs.layout import pipelined_plan, sync_plan
-from repro.sim.core import Event, SimError
+from repro.sim.core import Event, SimError, settle
+from repro.sim.resources import abandon_wait
 
 
 class PFSClient:
@@ -54,9 +55,6 @@ class PFSClient:
         self.bytes_written = 0
         self.bytes_read = 0
         self.rpcs = 0
-        # RPCs that took the generator ``serve_write`` because their server
-        # had a fault injector attached when they were issued.
-        self.fallback_rpcs = 0
         # Per-job accounting tag (fleet): threaded into every fabric flow and
         # server RPC this client issues.  None for single-job machines.
         self.tag: Optional[str] = None
@@ -130,12 +128,8 @@ class PFSClient:
         self.rpcs += nruns
         pending = nruns + len(groups)
 
-        def _child(ev: Event) -> None:
+        def _child(_ev: Event) -> None:
             nonlocal pending
-            if not ev._ok:
-                if not done._fired:
-                    done._fire_inline(ev._value, ok=False)
-                return
             pending -= 1
             if not pending:
                 done._fire_inline()
@@ -151,16 +145,9 @@ class PFSClient:
             )
             flow.callbacks.append(_child)
             for t_off in offsets:
-                if server.injector is None:
-                    ev = server.serve_write_event(t_off + shift, total, tag=self.tag)
-                else:
-                    # A stall may be armed on this server: this RPC alone
-                    # takes the generator, which can park behind the gate.
-                    self.fallback_rpcs += 1
-                    ev = sim.process(
-                        server.serve_write(t_off + shift, total, tag=self.tag), name="srv-w"
-                    )
-                ev.callbacks.append(_child)
+                server.serve_write_event(t_off + shift, total, tag=self.tag).callbacks.append(
+                    _child
+                )
 
         for si, total, offsets in groups:
             sim.call_later(
@@ -200,8 +187,8 @@ class PFSClient:
                 server = self.pfs.servers[si]
                 self.rpcs += run_rpcs
                 yield self.sim.timeout(cfg.sync_client_rtt * run_rpcs)
-                watchdog = self._sync_watchdog()
-                if watchdog is None:
+                watchdog = self._watchdog()
+                if not watchdog:
                     yield from self._sync_rpc(server, t_off + shift, total, run_rpcs)
                 else:
                     # Race the RPC against the client-side watchdog.  On a
@@ -214,10 +201,7 @@ class PFSClient:
                     )
                     winner = yield self.sim.any_of([op, self.sim.timeout(watchdog)])
                     if winner is not op:
-                        raise PFSTimeoutError(
-                            f"sync write RPC to server {server.server_id} "
-                            f"exceeded the {watchdog:g}s client timeout"
-                        )
+                        raise self._timeout_error(si)
         finally:
             for s in held:
                 self.pfs.locks.release(f.file_id, s, exclusive=True)
@@ -232,58 +216,16 @@ class PFSClient:
         data: Optional[np.ndarray] = None,
         rpc_count: Optional[int] = None,
     ) -> Event:
-        """Flat variant of :meth:`write_sync` for the production callback chains.
-
-        No locking, no watchdog: the caller (the sync thread's flat loop)
-        only enables this when no fault schedule exists, which also
-        guarantees every server's ``injector`` is None for
-        ``serve_write_event``.  The returned Event fires inline exactly
-        where the generator's caller would resume; every RTT timeout, flow
-        start, worker grant and jitter draw lands in the same event
-        callback as on the generator path.
+        """Flat variant of :meth:`write_sync` (no locking) for the production
+        callback chains: every RTT timeout, flow start, worker grant, stall
+        wait, jitter draw and watchdog race lands in the same event callback
+        as on the generator path, and the returned Event fires inline where
+        the generator's caller would resume (or fails with
+        :class:`PFSTimeoutError`).  Abandoned, the chain takes no later step;
+        a flow already started or a raced RPC runs out, as the generator
+        leaves them, and an unraced server RPC is abandoned with it.
         """
-        shift, plan = sync_plan(f.layout, offset, nbytes, len(self.pfs.servers), rpc_count)
-        if nbytes == 0:
-            raise SimError("write_sync_flat requires nbytes > 0")
-        cfg = self.pfs.cfg
-        servers = self.pfs.servers
-        done = Event(self.sim, name="write-sync")
-        sim = self.sim
-        fabric = self.pfs.fabric
-
-        def _start_run(i: int) -> None:
-            run_rpcs = plan[i][3]
-            self.rpcs += run_rpcs
-            sim.call_later(cfg.sync_client_rtt * run_rpcs, lambda: _flow(i))
-
-        def _flow(i: int) -> None:
-            si, _t_off, total, _run_rpcs = plan[i]
-            fl = fabric.start_flow(
-                self.node_id,
-                servers[si].fabric_node,
-                total,
-                extra_links=(self.channel, self.pfs.ingest_link(si)),
-                tag=self.tag,
-            )
-            fl.callbacks.append(lambda _ev: _serve(i))
-
-        def _serve(i: int) -> None:
-            si, t_off, total, run_rpcs = plan[i]
-            ev = servers[si].serve_write_event(
-                t_off + shift, total, rpc_count=run_rpcs, tag=self.tag
-            )
-            ev.callbacks.append(lambda _ev: _next(i))
-
-        def _next(i: int) -> None:
-            if i + 1 < len(plan):
-                _start_run(i + 1)
-            else:
-                f.record_write(offset, nbytes, data)
-                self.bytes_written += nbytes
-                done._fire_inline()
-
-        _start_run(0)
-        return done
+        return _SyncWrite(self, f, offset, nbytes, data, rpc_count).done
 
     def _sync_rpc(self, server, target_offset: int, total: int, run_rpcs: int):
         """One blocking sync RPC: the transfer and the server's processing,
@@ -297,13 +239,17 @@ class PFSClient:
         )
         yield from server.serve_write(target_offset, total, rpc_count=run_rpcs, tag=self.tag)
 
-    def _sync_watchdog(self) -> Optional[float]:
-        """Client-side RPC timeout for the sync path, when fault injection
-        configured one (``FaultSchedule.sync_rpc_timeout``); else None."""
-        inj = getattr(self.pfs, "injector", None)
-        if inj is not None and inj.sync_rpc_timeout > 0:
-            return inj.sync_rpc_timeout
-        return None
+    def _watchdog(self) -> float:
+        """Client-side RPC timeout for the sync path when fault injection
+        armed one (``FaultSchedule.sync_rpc_timeout``), else 0."""
+        inj = self.pfs.injector  # attached only with the watchdog armed
+        return inj.sync_rpc_timeout if inj is not None else 0.0
+
+    def _timeout_error(self, server_id: int) -> PFSTimeoutError:
+        return PFSTimeoutError(
+            f"sync write RPC to server {server_id} "
+            f"exceeded the {self._watchdog():g}s client timeout"
+        )
 
     # -- reads -----------------------------------------------------------------
     def read(self, f: PFSFile, offset: int, nbytes: int, locking: bool = False):
@@ -351,3 +297,92 @@ class PFSClient:
                 self.sim.process(server.serve_read(t_off + shift, total, tag=self.tag), name="srv-r")
             )
         yield self.sim.all_of(waits)
+
+
+class _SyncWrite:
+    """One :meth:`PFSClient.write_sync_flat` in flight, its runs one at a
+    time.  Only the callbacks it schedules hold it, so it leaves no
+    reference cycle behind once its ``done`` Event fires."""
+
+    def __init__(self, client: PFSClient, f: PFSFile, offset, nbytes, data, rpc_count):
+        self.client, self.f, self.offset, self.nbytes, self.data = client, f, offset, nbytes, data
+        self.shift, self.plan = sync_plan(
+            f.layout, offset, nbytes, len(client.pfs.servers), rpc_count
+        )
+        if nbytes == 0:
+            raise SimError("write_sync_flat requires nbytes > 0")
+        self.done = Event(client.sim, name="write-sync")
+        self.done.abandon = settle  # while no server RPC of ours is waited on
+        self.watchdog = client._watchdog()
+        self.decided: set[int] = set()  # the runs whose race has a winner
+        self._start(0)
+
+    def _start(self, i: int) -> None:
+        client, run_rpcs = self.client, self.plan[i][3]
+        client.rpcs += run_rpcs
+        step = self._race if self.watchdog else self._rpc
+        client.sim.call_later(client.pfs.cfg.sync_client_rtt * run_rpcs, partial(step, i))
+
+    def _rpc(self, i: int, raced: bool = False) -> None:
+        if self.done._triggered and not raced:
+            return
+        client, si = self.client, self.plan[i][0]
+        client.pfs.fabric.start_flow(
+            client.node_id,
+            client.pfs.servers[si].fabric_node,
+            self.plan[i][2],
+            extra_links=(client.channel, client.pfs.ingest_link(si)),
+            tag=client.tag,
+        ).callbacks.append(partial(self._serve, i, raced))
+
+    def _serve(self, i: int, raced: bool, _ev: Event) -> None:
+        done = self.done
+        if done._triggered and not raced:
+            return
+        si, t_off, total, run_rpcs = self.plan[i]
+        ev = self.client.pfs.servers[si].serve_write_event(
+            t_off + self.shift, total, rpc_count=run_rpcs, tag=self.client.tag
+        )
+        if raced:
+            ev.callbacks.append(partial(self._finished, i))
+        else:
+            done.abandon = partial(abandon_wait, ev)
+            ev.callbacks.append(partial(self._next, i))
+
+    def _next(self, i: int, _ev: Optional[Event] = None) -> None:
+        done = self.done
+        if i + 1 < len(self.plan):
+            done.abandon = settle
+            self._start(i + 1)
+        else:
+            done.abandon = None
+            self.f.record_write(self.offset, self.nbytes, self.data)
+            self.client.bytes_written += self.nbytes
+            done._fire_inline()
+
+    # -- the watchdog race (write_sync's ``any_of``), one per run -----------------
+    def _race(self, i: int) -> None:
+        if not self.done._triggered:
+            sim = self.client.sim
+            sim.call_soon(partial(self._rpc, i, True))
+            sim.call_later(self.watchdog, partial(self._decide, i, True))
+
+    def _finished(self, i: int, _ev: Event) -> None:
+        # The raced RPC is served: its process completes one hop later ...
+        self.client.sim.call_soon(partial(self._decide, i, False))
+
+    def _decide(self, i: int, timed_out: bool) -> None:
+        # ... and the race, won by whoever came first, one hop after that.
+        if i not in self.decided:
+            self.decided.add(i)
+            self.client.sim.call_soon(partial(self._decided, i, timed_out))
+
+    def _decided(self, i: int, timed_out: bool) -> None:
+        done = self.done
+        if done._triggered:
+            return
+        if timed_out:
+            done.abandon = None
+            done._fire_inline(self.client._timeout_error(self.plan[i][0]), ok=False)
+        else:
+            self._next(i)

@@ -104,6 +104,8 @@ class ParallelFileSystem:
         # Set by a production Machine, consulted by PFSClient: clients
         # coalesce identical same-server runs into weighted flows.
         self.fast_path = False
+        # Set by repro.faults when a schedule arms the sync-RPC watchdog.
+        self.injector = None
         self._files: dict[str, PFSFile] = {}
         self._ingest_links = [
             fabric.make_link(f"srv{i}.ingest", self.cfg.server_ingest_bw)

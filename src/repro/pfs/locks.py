@@ -82,14 +82,6 @@ class LockManager:
             lock.readers -= 1
         self._wake(lock)
 
-    def try_acquire_now(self, file_id: int, stripe: int, exclusive: bool = True) -> bool:
-        """Immediate non-blocking grant (no RPC charged) — used by tests."""
-        lock = self._slot(file_id, stripe)
-        if self._grantable(lock, exclusive) and not lock.queue:
-            self._grant(lock, exclusive)
-            return True
-        return False
-
     def snapshot(self) -> list[dict]:
         """Every non-idle stripe lock, for invariant checking.
 

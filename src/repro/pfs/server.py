@@ -15,13 +15,14 @@ seek per request — only genuinely random access does.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Optional
 
 from repro.config import PFSConfig
 from repro.hw.devices import StorageDevice
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, abandon_grant, abandon_wait
 from repro.sim.rng import RngStreams
 
 
@@ -132,7 +133,7 @@ class WriteBackCache:
 
     def _drain_step(self) -> None:
         self._draining = chunk = min(self.drain_chunk, self.dirty)
-        self.target.io_flat(self._drain_pos, chunk, True, self._drained)
+        self.target.write_flat(self._drain_pos, chunk, self._drained)
 
     def _drained(self) -> None:
         chunk = self._draining
@@ -220,7 +221,7 @@ class DataServer:
         ``rpc_count > 1`` accounts for a batch of logical RPCs coalesced by
         the caller: per-RPC overhead is charged for each.
         """
-        if not (self.fast_path and self.injector is None and self.workers.try_acquire()):
+        if not (self.fast_path and self.workers.try_acquire()):
             yield self.workers.request()
         try:
             if self.injector is not None:
@@ -242,15 +243,13 @@ class DataServer:
     ) -> Event:
         """Flat variant of :meth:`serve_write` for the production callback chains.
 
-        Caller gates on ``self.injector is None`` (no stall gate to park
-        behind).  Returns an Event fired *inline* in the callback where the
-        generator's caller would resume: same worker-grant position, same
-        post-grant jitter draw, same absorb/throttle loop, same
-        release-before-resume order.  The RPC completes unconditionally,
-        whatever becomes of its caller: a waiter interrupted mid-chain
-        (``PFSClient.write`` under an aggregator crash) leaves it to run out
-        and release its worker; the sync flat loop, which records the write
-        from inside its chain, is only enabled when no fault schedule exists.
+        Returns an Event fired *inline* in the callback where the
+        generator's caller would resume: same worker-grant position, stall
+        gate, post-grant jitter draw, absorb/throttle loop and
+        release-before-resume order.  The RPC runs out whatever becomes of
+        its caller unless the caller abandons it: then a queued worker
+        request leaves the queue, a held worker is released where the
+        generator's ``finally`` would release it, and no later step runs.
         """
         done = Event(self.sim, name=f"srv{self.server_id}-w")
         if self.fast_path and self.workers.try_acquire():
@@ -260,11 +259,23 @@ class DataServer:
             req.callbacks.append(
                 lambda _ev: self._serve_write_overhead(done, nbytes, rpc_count, tag)
             )
+            done.abandon = partial(abandon_wait, req)
         return done
 
     def _serve_write_overhead(
         self, done: Event, nbytes: int, rpc_count: int, tag: Optional[str] = None
     ) -> None:
+        if done._triggered:
+            return
+        done.abandon = partial(abandon_grant, self.workers)
+        if self.injector is not None:
+            wait = self.injector.stall_wait(self.server_id)
+            if wait > 0.0:
+                if wait < math.inf:
+                    self.sim.call_later(
+                        wait, partial(self._serve_write_overhead, done, nbytes, rpc_count, tag)
+                    )
+                return
         overhead = self.cfg.rpc_overhead * max(1, rpc_count)
         if self.rng is not None and self.cfg.jitter_sigma > 0:
             overhead *= self._draw_rpc_jitter()
@@ -278,6 +289,10 @@ class DataServer:
     ) -> None:
         # Same loop as WriteBackCache.absorb, continued across throttle waits
         # by queueing this call's continuation on the cache's waiter FIFO.
+        # An abandoned RPC's continuation, woken, takes no room: the wake
+        # passes over it as over an interrupted generator's event.
+        if done._triggered:
+            return
         cache = self.cache
         while remaining > 0:
             room = cache.limit - cache.dirty
@@ -296,7 +311,7 @@ class DataServer:
         done._fire_inline()
 
     def serve_read(self, target_offset: int, nbytes: int, tag: Optional[str] = None):
-        if not (self.fast_path and self.injector is None and self.workers.try_acquire()):
+        if not (self.fast_path and self.workers.try_acquire()):
             yield self.workers.request()
         try:
             if self.injector is not None:

@@ -78,13 +78,12 @@ class ADIODriver:
         """
         if nbytes <= 0:
             return
-        io_stats = getattr(fd.machine, "io_stats", None)
+        io_stats = fd.machine.io_stats
         state = fd.cache_state(rank)
         if state is not None and not state.degraded:
             try:
                 yield from state.write_through_cache(offset, nbytes, data)
-                if io_stats is not None:
-                    io_stats["bytes_app"] += nbytes
+                io_stats["bytes_app"] += nbytes
                 return
             except OSError as exc:
                 # ENOSPC on the scratch partition or a lost cache device:
@@ -95,9 +94,8 @@ class ADIODriver:
                 state.degrade(str(exc))
         client = fd.machine.pfs_client(rank)
         yield from client.write(fd.pfs_file, offset, nbytes, data=data, locking=self.write_locking(fd))
-        if io_stats is not None:
-            io_stats["bytes_app"] += nbytes
-            io_stats["bytes_direct"] += nbytes
+        io_stats["bytes_app"] += nbytes
+        io_stats["bytes_direct"] += nbytes
 
     def write_locking(self, fd: ADIOFile) -> bool:
         """Whether plain writes take stripe extent locks (POSIX-ish FS: yes)."""

@@ -74,10 +74,9 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
                     fd.pfs_file, pos, window, data=merged, locking=False
                 )
                 written += ws.nbytes
-                io_stats = getattr(fd.machine, "io_stats", None)
-                if io_stats is not None:
-                    io_stats["bytes_app"] += ws.nbytes
-                    io_stats["bytes_direct"] += ws.nbytes
+                io_stats = fd.machine.io_stats
+                io_stats["bytes_app"] += ws.nbytes
+                io_stats["bytes_direct"] += ws.nbytes
             finally:
                 for s in held:
                     fd.machine.pfs.locks.release(fd.pfs_file.file_id, s, exclusive=True)

@@ -88,13 +88,13 @@ class MPIIOLayer:
         cache_wait = self.driver.open_cache(fd, rank)
         if cache_wait is not None:
             yield from cache_wait
-        recovery = getattr(self.machine, "recovery", None)
+        recovery = self.machine.recovery
         if fd.recovery_needed is None:
             # First rank to arrive snapshots whether orphaned cache extents
             # exist for this path; every rank then reuses the snapshot, so
             # the recovery barrier below stays symmetric even though replay
             # itself empties the registry.
-            fd.recovery_needed = recovery is not None and recovery.has_orphans(path)
+            fd.recovery_needed = recovery.has_orphans(path)
         if fd.recovery_needed:
             if self.comm.members[rank]:
                 self.comm.alone(rank, "recovery.replay")

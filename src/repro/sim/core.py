@@ -215,6 +215,22 @@ class Event:
         return f"<{type(self).__name__}{label} {state}>"
 
 
+def abandon(event: Event) -> None:
+    """Give up waiting on ``event`` as :meth:`Process.interrupt` does: run
+    its ``abandon`` hook, at most once."""
+    hook = event.abandon
+    if hook is not None:
+        event.abandon = None
+        hook(event)
+
+
+def settle(event: Event) -> None:
+    """Mark a flat chain's completion ``event`` abandoned: it never fires,
+    and every later step of the chain, reading ``_triggered``, does nothing
+    (what the interrupted generator would not have done)."""
+    event._triggered = True
+
+
 class _Kick(Event):
     """A pooled internal event whose only job is to resume one process.
 
@@ -339,10 +355,7 @@ class Process(Event):
         if target is not None:
             if self._resume in target.callbacks:
                 target.callbacks.remove(self._resume)
-            hook = target.abandon
-            if hook is not None:
-                target.abandon = None
-                hook(target)
+            abandon(target)
         self._target = None
         kick = self.sim._kick("interrupt")
         kick.callbacks.append(lambda ev: self._step(throw=Interrupt(cause)))

@@ -13,7 +13,24 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim.core import Event, SimError, Simulator
+from repro.sim.core import Event, SimError, Simulator, abandon, settle
+
+
+def abandon_wait(stage: Event, done: Event) -> None:
+    """``done``'s ``abandon`` hook while its chain waits on ``stage`` (a
+    :class:`Resource` request, or an inner chain's completion): settle the
+    chain and give ``stage`` up as an interrupted waiter would."""
+    settle(done)
+    stage.callbacks.clear()
+    abandon(stage)
+
+
+def abandon_grant(resource: Resource, done: Event) -> None:
+    """``done``'s ``abandon`` hook while its chain holds a grant of
+    ``resource``: settle the chain and give the grant back at the interrupt
+    kick, where the interrupted generator's ``finally`` would."""
+    settle(done)
+    resource.sim.call_soon(resource.release)
 
 
 class Resource:

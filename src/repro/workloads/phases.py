@@ -97,16 +97,12 @@ def multi_phase_body(
                 else:  # pragma: no cover - recipe construction guards this
                     raise ValueError(f"unknown step kind {step.kind!r}")
             timing.write_time = ctx.now - t0
-            faults = getattr(ctx.machine, "faults", None)
-            if faults is not None:
+            if ctx.machine.faults is not None:
                 # Milestone for event-triggered faults (e.g. an aggregator
                 # crash "just after writing file k").  First arrival fires
                 # untargeted specs; job-addressed specs (fleet crash
                 # routing) only consume their own job's milestone.
-                faults.notify(
-                    f"write_done:{k}",
-                    job=getattr(ctx.machine, "job_label", None),
-                )
+                ctx.machine.faults.notify(f"write_done:{k}", job=ctx.machine.job_label)
             timings.append(timing)
             if wrapper is not None:
                 t0 = ctx.now
@@ -137,7 +133,9 @@ def multi_phase_body(
 
     def rank_classes():
         """The ranks that are neither rank 0 nor an aggregator as one class,
-        if all they will ever do is follow (else None: no classes)."""
+        if all they will ever do is follow (else None: no classes).  A
+        restarted job whose crashed incarnation left journals behind
+        replays them on open, the lowest rank of each node for its node."""
         comm, parsed = layer.comm, Hints.from_info(hints)
         leaders = {0, *layer.aggregators(parsed)}
         followers = tuple(r for r in range(comm.size) if r not in leaders)
@@ -145,6 +143,7 @@ def multi_phase_body(
             len(followers) < 2
             or wrapper is not None
             or not fast_paths(layer.machine, comm, layer.exchange_mode, parsed)[1]
+            or layer.machine.recovery.has_orphans()
         ):
             return None
         # In order of first members: the class stands where its first would.

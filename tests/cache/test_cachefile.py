@@ -54,7 +54,7 @@ class TestWriteThroughCache:
 
         drive(machine, proc())
         assert pfs_file.persisted.covers(0, 64 * KiB)
-        assert state.sync_thread.bytes_synced == 64 * KiB
+        assert machine.io_stats["bytes_flushed"] == 64 * KiB
 
     def test_onclose_defers(self):
         machine, world, layer = make_cluster()

@@ -128,4 +128,4 @@ class TestOverlap:
         node = machine.nodes[0]
         # the sync thread read the cached MiB back (page cache or SSD)
         assert node.ssd.bytes_read >= 0
-        assert state.sync_thread.bytes_synced == MiB
+        assert machine.io_stats["bytes_flushed"] == MiB

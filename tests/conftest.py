@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,10 @@ from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.payload import payload_bytes, payload_key
+from repro.romio import ext2ph
 from repro.romio.file import MPIIOLayer
 from repro.sim.core import Simulator, SlottedSimulator
+from repro.workloads import phases
 
 #: Both event-loop engines by name, for tests that build one directly (the
 #: reference stack's heapq engine and production's slotted one).
@@ -20,10 +25,8 @@ ENGINES = {"heapq": Simulator, "slotted": SlottedSimulator}
 
 def quiet_faults(config) -> FaultSchedule:
     """A schedule whose windows never open, aimed at every node's cache
-    device and every data server: the injector scopes all of them onto their
-    chunked bodies (``fast_path = False``) and keeps every rank a process
-    that walks round by round, so a *production* machine under it is the
-    path every faulted run takes — and must equal the fault-free one."""
+    device and every data server: every fault hook is armed and none fires,
+    so a machine under it must equal the fault-free one."""
     far = {"start": 1e9, "duration": 1.0}
     return FaultSchedule(
         faults=(
@@ -34,6 +37,34 @@ def quiet_faults(config) -> FaultSchedule:
             ),
         )
     )
+
+
+@contextlib.contextmanager
+def walking():
+    """Refuse every collective write its clock, as ``romio_cb_write=automatic``
+    does: ``ext2ph.fast_paths`` (and the name ``workloads.phases`` imported)
+    answers ``clock=False``, so on the production stack every rank is a
+    process of its own that walks each call round by round — the live walk
+    the clock and the rank classes are tested against."""
+    real = ext2ph.fast_paths
+
+    def refused(machine, comm, exchange_mode, hints):
+        return real(machine, comm, exchange_mode, hints)[0], False
+
+    with mock.patch.object(ext2ph, "fast_paths", refused), mock.patch.object(
+        phases, "fast_paths", refused
+    ):
+        yield
+
+
+def grant_events(machine) -> None:
+    """Put every device and data server of a production ``machine`` on its
+    grant-event body (``fast_path = False``: every grant an event, as on the
+    reference stack), its engine, fabric and flat chains left as they are."""
+    for node in machine.nodes:
+        node.ssd.fast_path = node.nvmm.fast_path = False
+    for server in machine.pfs.servers:
+        server.fast_path = server.target.fast_path = False
 
 
 @pytest.fixture

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from repro.experiments.parallel import SweepError, SweepRunner
+from repro.experiments.parallel import SweepError, SweepRunner, default_jobs
 from repro.experiments.resultcache import ResultCache
 from repro.experiments.runner import ExperimentSpec
+from repro.experiments.sweep import default_cli_jobs
 from tests.experiments.test_resultcache import fake_result
 
 TINY = dict(scale=0.02, num_files=2, flush_batch_chunks=16)
@@ -143,3 +144,31 @@ class TestFailureHandling:
         with pytest.raises(SweepError) as err:
             runner.run(SPECS[:2])
         assert len(err.value.failures) >= 1
+
+
+class TestJobsVariable:
+    """``REPRO_JOBS`` is read once (``parallel.env_jobs``) for both
+    defaults: one worker for the library, all cores but one for the CLI."""
+
+    def test_unset_keeps_each_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 6)
+        assert (default_jobs(), default_cli_jobs()) == (1, 5)
+
+    def test_set_wins_for_both(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert (default_jobs(), default_cli_jobs()) == (3, 3)
+
+    @pytest.mark.parametrize("raw", ["two", "1.5", ""])
+    def test_a_value_that_is_no_whole_number_is_refused_by_name(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        for default in (default_jobs, default_cli_jobs):
+            with pytest.raises(ValueError, match=f"REPRO_JOBS={raw!r}: must be a whole number"):
+                default()
+
+    @pytest.mark.parametrize("raw", ["0", "-2"])
+    def test_fewer_than_one_worker_is_refused_by_name(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        for default in (default_jobs, default_cli_jobs):
+            with pytest.raises(ValueError, match=f"REPRO_JOBS={raw!r}: must be a whole number"):
+                default()

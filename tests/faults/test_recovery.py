@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cache.policy import CachePolicy
 from repro.config import small_testbed
 from repro.faults import CacheJournal, FaultSchedule, FaultSpec, JobAborted
 from repro.machine import Machine
@@ -150,8 +151,14 @@ class TestCacheJournal:
             local_path="/scratch/x",
             local_file=None,
             file_id=1,
-            sync_chunk=8,
-            discard_on_close=True,
+            policy=CachePolicy(
+                enabled=True,
+                coherent=False,
+                flush_mode="flush_onclose",
+                discard_on_close=True,
+                cache_path="/scratch",
+                sync_chunk=8,
+            ),
         )
         defaults.update(kw)
         return CacheJournal(**defaults)

@@ -165,7 +165,7 @@ class TestCrashDeterminism:
 
     def test_injector_scoped_fallback_matches(self, reference):
         """The crashes plus windows that never open on every device and
-        server: the injector scopes all of them onto their chunked bodies."""
+        server: hooks armed everywhere, and nothing else changes."""
         quiet = quiet_faults(resolve_fleet_config(AB))
         scoped = replace(AB_CRASHES, faults=AB_CRASHES.faults + quiet.faults)
         assert identity_json(run_fleet(AB, faults=scoped)) == reference

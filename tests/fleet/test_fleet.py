@@ -87,8 +87,8 @@ class TestFleetDeterminism:
         assert identity_json(run_fleet(AB, reference=True)) == reference
 
     def test_injector_scoped_fallback_matches(self, reference):
-        """Production with every device and server scoped onto its chunked
-        body by a fault schedule that never fires."""
+        """Production with every device and server armed by a fault
+        schedule that never fires: armed hooks change nothing."""
         quiet = quiet_faults(resolve_fleet_config(AB))
         assert identity_json(run_fleet(AB, faults=quiet)) == reference
 

@@ -204,7 +204,7 @@ def gc_pressure_run(cache_cls, reference):
         sim.process(writer(wid))
     sim.run()
     ssd = node.ssd
-    assert ssd.injector is machine.faults and not ssd.fast_path
+    assert ssd.injector is machine.faults and ssd.fast_path is not reference
     return log, done, ssd.busy_time, ssd.injected_stall_time, machine.faults.injected, sim.now
 
 

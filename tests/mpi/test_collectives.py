@@ -142,19 +142,6 @@ class TestSynchronisation:
         with pytest.raises(SimError, match="collective mismatch"):
             world.run(body)
 
-    def test_shuffle_returns_inbound_totals(self):
-        machine = Machine(small_testbed(2, 2))
-        world = MPIWorld(machine)
-
-        def body(ctx):
-            out = {0: 100.0} if ctx.rank != 0 else {}
-            inbound = yield from ctx.comm.shuffle(ctx.rank, out, msg_count=1)
-            return inbound
-
-        res = world.run(body)
-        assert res[0] == pytest.approx(300.0)
-        assert res[1] == 0.0
-
     def test_successive_collectives_keep_order(self):
         machine = Machine(small_testbed())
         world = MPIWorld(machine)
@@ -180,13 +167,6 @@ class TestCostModel:
         machine = Machine(small_testbed())
         costs = MPIWorld(machine).comm.costs
         assert costs.small_collective(512) > costs.small_collective(8)
-
-    def test_shuffle_bounded_by_hot_nic(self):
-        machine = Machine(small_testbed())
-        costs = MPIWorld(machine).comm.costs
-        d1 = costs.shuffle({0: 1e9}, {1: 1e9}, 1)
-        d2 = costs.shuffle({0: 0.5e9, 1: 0.5e9}, {2: 0.5e9, 3: 0.5e9}, 1)
-        assert d1 > d2  # spreading traffic over NICs halves the hot spot
 
     def test_memoised_closed_forms_equal_the_formulas(self):
         costs = CollectiveCosts(

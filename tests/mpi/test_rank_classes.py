@@ -2,14 +2,14 @@
 
 A phased workload runs the ranks that only follow — neither rank 0 nor an
 aggregator — as *one* process where it is certain before the run that they
-would park on every collective write (production stack, no fault injector,
-``romio_cb_write=enable``, model exchange, no wrapper, no payload);
-everywhere else every rank is a process of its own.  The two are the same
-code (a rank on its own is a class of one), selected by the gates that
-already exist, so the oracle for the class path is the same program on the
-reference stack (``heapq``: the heapq engine and everything under it) or on
-a production machine whose every device and server a fault schedule that
-never fires has scoped onto its chunked body (``chunked``): every rank's
+would park on every collective write (production stack,
+``romio_cb_write=enable``, model exchange, no wrapper, no journal left to
+replay); everywhere else every rank is a process of its own.  The two are
+the same code (a rank on its own is a class of one), selected by the gates
+that already exist, so the oracle for the class path is the same program on
+the reference stack (``heapq``: the heapq engine and everything under it) or
+on a production machine with the clock refused and every device and server
+granting through events (``chunked``: ``run_job(walk=True)``): every rank's
 ``PhaseTiming`` list, every rank's phase seconds per file and open
 generation, the persisted intervals, the clock and the pinned-memory peak
 must agree; only the event count may differ.  Class membership must not depend on set order: CI runs
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.access import RankAccess
 from repro.config import small_testbed
 from repro.experiments.runner import ExperimentSpec, build_workload, run_experiment
-from repro.faults.spec import FaultSchedule
+from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.romio.file import MPIIOLayer
@@ -37,12 +37,10 @@ from repro.workloads import base as workloads_base
 from repro.workloads.base import IOStep, Workload
 from repro.workloads.flashio import flashio_workload
 from repro.workloads.phases import multi_phase_body
-from tests.conftest import quiet_faults
 from tests.romio.test_park_once import (
     CACHE_HINTS,
     assert_no_rounds_fails_by_name,
     hints,
-    machine_config,
     run_job,
     strided,
     table_of,
@@ -61,9 +59,7 @@ def assert_classes_equal_ranks(workload, info, processes, oracle="heapq", **kwar
     """The class run (production) against every rank on its own."""
     classed, classes = run_program("production", workload, info, **kwargs)
     if oracle == "chunked":
-        alone, singles = run_program(
-            "production", workload, info, faults=quiet_faults(machine_config(**kwargs)), **kwargs
-        )
+        alone, singles = run_program("production", workload, info, walk=True, **kwargs)
     else:
         alone, singles = run_program("reference", workload, info, **kwargs)
     assert singles == [(r,) for r in range(workload.nprocs)]
@@ -228,9 +224,8 @@ def test_a_class_run_flattens_no_table(monkeypatch):
 
 GATES = {
     "flow_fidelity": {"exchange": "flow"},
-    "chunked_plane": {"faults": quiet_faults(small_testbed())},
+    "clock_refused": {"walk": True},
     "heapq_engine": {"kind": "reference"},
-    "fault_machine_with_an_empty_schedule": {"faults": FaultSchedule((), sync_rpc_timeout=30.0)},
     "cb_write_automatic": {"info": hints(cb_nodes=2, romio_cb_write="automatic")},
     "mpiwrap_wrapper": {"wrap": "[/g/*]\ndefer_close = true\n"},
     "fewer_than_two_followers": {"nodes": 3, "ppn": 1, "info": hints(cb_nodes=2)},
@@ -245,6 +240,26 @@ def test_gate_keeps_every_rank_a_process(name):
     info = kwargs.pop("info", hints(cb_nodes=2))
     _, classes = run_program(kind, workload_of([strided(nprocs)], nprocs), info, **kwargs)
     assert classes == [(r,) for r in range(nprocs)]
+
+
+def test_a_fault_schedule_forms_classes_like_any_machine():
+    """Faults are armed, not a gate: the followers of a faulted production
+    machine run as one class, and the program equals the reference's."""
+    workload = workload_of([strided(8), strided(8, base=256 * KiB)], 8)
+    schedule = FaultSchedule((FaultSpec("server_stall", target=1, start=0.0, duration=2e-3),), 30.0)
+    classed, classes = run_program("production", workload, hints(cb_nodes=2), faults=schedule)
+    alone, _ = run_program("reference", workload, hints(cb_nodes=2), faults=schedule)
+    assert len(classes) == 3 and classed == alone
+
+
+def test_journals_left_to_replay_keep_every_rank_a_process():
+    """A restarted job replays its crashed incarnation's journals on open,
+    the lowest rank of each node for its node: no class while any wait."""
+    machine, _, layer = production_cluster()
+    body = multi_phase_body(layer, workload_of([strided(8)], 8), hints(cb_nodes=2))
+    assert body.rank_classes() == [(0,), (1, 2, 3, 5, 6, 7), (4,)]
+    machine.recovery.has_orphans = lambda path=None: True
+    assert body.rank_classes() is None
 
 
 # ---------------------------------------------------------------------------

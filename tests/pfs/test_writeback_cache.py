@@ -248,6 +248,9 @@ class TestNamedCases:
             def __init__(self, sim, until):
                 self.sim, self.until = sim, until
 
+            def stall_wait(self, server_id):
+                return max(0.0, self.until - self.sim.now)
+
             def server_gate(self, server_id):
                 if self.sim.now < self.until:
                     yield self.sim.timeout(self.until - self.sim.now)
@@ -259,7 +262,6 @@ class TestNamedCases:
 
             def arm():
                 rig.server.injector = Stall(rig.sim, until=2e-3)
-                rig.server.fast_path = rig.server.target.fast_path = False
                 for rpc in range(4):
                     rig.generator(("gen", rpc), 24 * KiB)
 

@@ -6,15 +6,17 @@ the rounds advance in closed form, an aggregator is resumed only at the
 instant a buffer it receives is assembled, and everybody else once, by the
 post-write release.  The round-by-round loop the clock stands in for is
 still what the reference stack (``reference=True``: every rank a process,
-per-rank releases) and any fault machine run — here a *production* machine
-under a schedule that never fires (``quiet_faults``) — so the same job on
-all three must agree with ``==`` on every rank's ``PhaseTiming``s, every
+per-rank releases) and ``romio_cb_write=automatic`` run — here also a
+*production* machine with the clock refused (``tests.conftest.walking``,
+``run_job(walk=True)``) — so the same job on all three must agree with
+``==`` on every rank's ``PhaseTiming``s, every
 profiler phase total per file, the instants each rank entered each call, the
 persisted intervals, the pinned-memory peaks, the ledgers and the final
 clock.  Only the event count and the number of process resumes may differ,
 and the latter by exactly the resumes that carried no decision.
 """
 
+import contextlib
 from collections import Counter
 
 import numpy as np
@@ -33,13 +35,12 @@ from repro.units import KiB
 from repro.workloads import collperf_workload, flashio_workload, ior_workload
 from repro.workloads.base import IOStep, Workload
 from repro.workloads.phases import multi_phase_body
-from tests.conftest import quiet_faults
+from tests.conftest import grant_events, walking
 from tests.mpi.test_rank_classes import FOLLOWERS, production_cluster
 from tests.romio.test_park_once import (
     CACHE_HINTS,
     assert_no_rounds_fails_by_name,
     hints,
-    machine_config,
     run_job,
     strided,
     table_of,
@@ -53,7 +54,7 @@ def assert_clock_equals_live(workload, info, processes=None, **kwargs):
     clock, counters, (_, classes) = run_job("production", workload, info, **kwargs)
     oracles = {
         "reference": ("reference", {}),
-        "quiet_faults": ("production", {"faults": quiet_faults(machine_config(**kwargs))}),
+        "walked": ("production", {"walk": True}),
     }
     for name, (kind, extra) in oracles.items():
         live, live_counters, (_, singles) = run_job(kind, workload, info, **extra, **kwargs)
@@ -230,8 +231,10 @@ def test_a_second_program_with_another_class_partition():
     agrees with the oracles."""
     workload = workload_of([windows(8, ROUNDS["one_writer_early_one_late"]), strided(8, base=96 * KiB)], 8)
 
-    def run(**machine_kwargs):
-        machine = Machine(small_testbed(), **machine_kwargs)
+    def run(reference=False, walk=False):
+        machine = Machine(small_testbed(), reference=reference)
+        if walk:
+            grant_events(machine)
         world = MPIWorld(machine)
         layer = MPIIOLayer(machine, world.comm, exchange_mode="model")
         timings, partitions = [], []
@@ -239,7 +242,8 @@ def test_a_second_program_with_another_class_partition():
             body = multi_phase_body(
                 layer, workload, hints(cb_nodes=cb_nodes), num_files=2, compute_delay=0.5, file_prefix=prefix
             )
-            timings.append(world.run(body))
+            with walking() if walk else contextlib.nullcontext():
+                timings.append(world.run(body))
             partitions.append(len(world.classes))
         profiles = {
             (path, rank): dict(prof.profile.seconds)
@@ -251,7 +255,7 @@ def test_a_second_program_with_another_class_partition():
 
     clock, partitions = run()
     assert partitions == [3, 5, 3]
-    for oracle in ({"reference": True}, {"faults": quiet_faults(small_testbed())}):
+    for oracle in ({"reference": True}, {"walk": True}):
         live, singles = run(**oracle)
         assert singles == [8, 8, 8] and live == clock
 
@@ -348,9 +352,7 @@ def test_resume_arithmetic_when_every_aggregator_writes_every_round(monkeypatch)
     workload = ior_workload(8, block_bytes=16 * KiB, segments=2)
     info = hints(cb_nodes=4)
     clock = collective_resumes(monkeypatch, "production", workload, info, num_files=2)
-    live = collective_resumes(
-        monkeypatch, "production", workload, info, num_files=2, faults=quiet_faults(small_testbed())
-    )
+    live = collective_resumes(monkeypatch, "production", workload, info, num_files=2, walk=True)
     aggregators = [f"rank{r}" for r in (0, 2, 4, 6)]
     calls, rounds = 2 * 2, 2
     assert clock == {**{name: calls * (rounds + 1) for name in aggregators}, "rank1+3": calls}
@@ -368,9 +370,7 @@ def test_resume_arithmetic_with_idle_aggregators(monkeypatch):
     workload = flashio_workload(8, blocks_per_proc=1, zones_per_dim=4)
     info = hints(cb_nodes=2)
     clock = collective_resumes(monkeypatch, "production", workload, info)
-    live = collective_resumes(
-        monkeypatch, "production", workload, info, faults=quiet_faults(small_testbed())
-    )
+    live = collective_resumes(monkeypatch, "production", workload, info, walk=True)
     assert clock["rank1+5"] == 24 and clock["rank0"] + clock["rank4"] == 24 * (2 + 1)
     assert live["rank0"] + live["rank4"] == 24 * (4 + 5)
     assert sum(clock.values()) == 24 * 3 + 24  # processes x calls + writer rounds

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.access import AccessTable
 from repro.config import small_testbed
-from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.fleet import JobView
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
@@ -42,7 +41,7 @@ from repro.units import KiB
 from repro.workloads.base import IOStep, Workload
 from repro.workloads.flashio import flashio_workload
 from repro.workloads.phases import multi_phase_body
-from tests.conftest import quiet_faults
+from tests.conftest import grant_events, walking
 
 BASE_HINTS = {
     "cb_buffer_size": "16k",
@@ -118,6 +117,7 @@ def run_job(
     placement=None,
     wrap=None,
     classes=None,
+    walk=False,
     **machine_kwargs,
 ):
     """Run ``workload`` on stack ``kind`` (``"production"`` or
@@ -127,7 +127,9 @@ def run_job(
 
     ``placement`` runs it as a fleet job on those nodes of a larger machine,
     ``wrap`` through an ``MPIWrap`` configured by that text, ``classes``
-    under a partition no program would declare."""
+    under a partition no program would declare, ``walk`` with the clock
+    refused and every device and server granting through events
+    (``tests.conftest.walking``, ``grant_events``)."""
     profiler = SimProfiler()
     machine = target = Machine(
         machine_config(nodes, ppn, placement),
@@ -135,6 +137,8 @@ def run_job(
         reference={"production": False, "reference": True}[kind],
         **machine_kwargs,
     )
+    if walk:
+        grant_events(machine)
     if placement is not None:
         target = JobView(machine, 3, placement)
     world = MPIWorld(target)
@@ -161,12 +165,13 @@ def run_job(
     )
     if classes is not None:
         body.rank_classes = lambda: classes
-    patched = contextlib.nullcontext()
-    if aggregators is not None:  # a placement select_aggregators never produces (it keeps node 0)
-        patched = mock.patch(
-            "repro.romio.file.select_aggregators", lambda *a, **k: list(aggregators)
-        )
-    with patched:
+    with contextlib.ExitStack() as patched:
+        if aggregators is not None:  # a placement select_aggregators never produces (it keeps node 0)
+            patched.enter_context(
+                mock.patch("repro.romio.file.select_aggregators", lambda *a, **k: list(aggregators))
+            )
+        if walk:
+            patched.enter_context(walking())
         timings = world.run(body)
     profiles, persisted = {}, {}
     for path, slots in sorted(layer._open_slots.items()):
@@ -266,19 +271,17 @@ def assert_no_rounds_fails_by_name(*legs, **kwargs):
     """A region but no domain (``_NoDomains``): no round, so nobody writes —
     the clock goes straight to the post-write release, the walk to its
     allreduce, and every leg (``"clock"``: production; ``"reference"``;
-    ``"live"``: production under a schedule that never fires) refuses a call
+    ``"live"``: production walking, ``run_job(walk=True)``) refuses a call
     that handed none of its bytes on."""
     message = "/g/f0: collective call 0 handed 0 bytes to write_contig, but its ranks cover 131072"
     for leg in legs:
-        kind = "reference" if leg == "reference" else "production"
-        extra = {"faults": quiet_faults(machine_config())} if leg == "live" else {}
         with pytest.raises(SimError, match=message):
             run_job(
-                kind,
+                "reference" if leg == "reference" else "production",
                 workload_of([strided(8)], 8),
                 hints(cb_nodes=2),
                 driver=_NoDomains(),
-                **extra,
+                walk=leg == "live",
                 **kwargs,
             )
 
@@ -333,20 +336,18 @@ def test_flash_io_shaped_file(aggregators):
 
 
 @pytest.mark.parametrize(
-    "machine_kwargs",
-    [
-        {"reference": True},  # the chunked plane lives on in the reference stack
-        {"faults": FaultSchedule([FaultSpec("server_stall", start=1e9, duration=1.0)])},
-    ],
-    ids=["chunked_plane", "fault_injector"],
+    "walk",
+    [False, True],  # the chunked plane lives on in the reference stack
+    ids=["chunked_plane", "clock_refused"],
 )
-def test_machines_that_keep_the_round_by_round_path(machine_kwargs):
+def test_machines_that_keep_the_round_by_round_path(walk):
     profiler = SimProfiler()
-    machine = Machine(small_testbed(), profiler=profiler, **machine_kwargs)
+    machine = Machine(small_testbed(), profiler=profiler, reference=not walk)
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, exchange_mode="model")
     workload = workload_of([strided(8)], 8)
-    world.run(multi_phase_body(layer, workload, hints(cb_nodes=2), num_files=1))
+    with walking() if walk else contextlib.nullcontext():
+        world.run(multi_phase_body(layer, workload, hints(cb_nodes=2), num_files=1))
     assert "ext2ph.park_single" not in profiler.counters
     assert profiler.counters["ext2ph.park_live"] == 8
 

@@ -1,12 +1,11 @@
-"""Bulk-transfer fast path: stack selection, scoped fault fallback, equivalence.
+"""Bulk-transfer fast path: stack selection, faults that only arm, equivalence.
 
 The production stack's bulk data plane must be invisible in every simulated
 quantity — only the diagnostic event count may change against the reference
 stack (``Machine(reference=True)``), where every grant, release and chunk is
-its own event.  Under a fault schedule the fallback to the per-chunk path is
-*scoped*: only the components an injector is attached to (whose
-retry/requeue scaffolding faults actually exercise) take the chunked path;
-everything else keeps the fast path.
+its own event.  A fault schedule selects nothing: it attaches its injector's
+hooks to the components it targets, and a faulted production machine keeps
+every fast path.
 """
 
 import pytest
@@ -44,27 +43,21 @@ class TestKindSelection:
         assert all(s.fast_path and s.target.fast_path for s in m.pfs.servers)
         assert m.pfs.fast_path
 
-    def test_faults_scope_chunked_to_targets(self):
-        """A fault schedule demotes only the targeted components to chunked."""
+    def test_faults_arm_their_targets_and_keep_every_fast_path(self):
+        """A fault schedule attaches its injector to the components it
+        targets and changes no implementation choice."""
         sched = FaultSchedule.of(
             FaultSpec("ssd_io_error", target=0, start=5.0, duration=0.1, rate=1.0),
             FaultSpec("server_stall", target=1, start=5.0, duration=0.01),
         )
         m = Machine(small_testbed(), faults=sched)
         assert not m.reference
-        # Targeted components: injector attached, fast path off.
-        assert m.nodes[0].ssd.injector is m.faults
-        assert not m.nodes[0].ssd.fast_path
+        assert m.nodes[0].ssd.injector is m.nodes[0].nvmm.injector is m.faults
         assert m.pfs.servers[1].injector is m.faults
-        assert not m.pfs.servers[1].fast_path
-        assert not m.pfs.servers[1].target.fast_path
-        # Everything else keeps the fused/coalesced plan.
-        assert all(node.ssd.fast_path for node in m.nodes[1:])
-        assert all(
-            s.fast_path and s.target.fast_path
-            for s in m.pfs.servers
-            if s.server_id != 1
-        )
+        assert all(node.ssd.injector is None for node in m.nodes[1:])
+        assert all(s.injector is None for s in m.pfs.servers if s.server_id != 1)
+        assert all(node.ssd.fast_path and node.nvmm.fast_path for node in m.nodes)
+        assert all(s.fast_path and s.target.fast_path for s in m.pfs.servers)
         assert m.pfs.fast_path
 
     def test_explicit_dataplane_argument(self):
@@ -125,7 +118,7 @@ def _run_faulted_sync(reference):
         "retries": thread.retries,
         "requeues": thread.requeues,
         "failures": thread.failures,
-        "bytes_synced": thread.bytes_synced,
+        "bytes_flushed": machine.io_stats["bytes_flushed"],
         "requests_done": thread.requests_done,
         "busy_time": thread.busy_time,
         "journal_synced": list(state.journal.synced),
@@ -136,11 +129,11 @@ def _run_faulted_sync(reference):
 
 class TestFaultedSyncIdentical:
     def test_bulk_request_under_faults_matches_chunked(self):
-        """With an injector on the machine, the sync thread runs the
-        generator chain: retry counts, requeue counts, journal marks and
-        every simulated quantity come out identical to the reference
-        stack's.  Untargeted components keep the fast path, so only the
-        diagnostic event count may (and does) drop.
+        """Under an injected read error the production sync thread stays on
+        its flat chain — the error fails the read-back event where the
+        generator's read raises: retry counts, requeue counts, journal marks
+        and every simulated quantity come out identical to the reference
+        stack's; only the diagnostic event count may (and does) drop.
         """
         asked_bulk = _run_faulted_sync(False)
         chunked = _run_faulted_sync(True)

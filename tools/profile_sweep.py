@@ -406,15 +406,14 @@ def print_tables(rows: list[dict]) -> None:
 def rpc_summary(clients: list[PFSClient]) -> dict:
     return {
         "rpcs": sum(c.rpcs for c in clients),
-        "fallback_rpcs": sum(c.fallback_rpcs for c in clients),
         "plan_memo": {k: v._asdict() for k, v in plan_memo_info().items()},
     }
 
 
 def print_top(snapshot: dict, n: int, pfs: dict) -> None:
     """The ``--top N`` table: hottest profiler timers, largest counters, the
-    access-table / model-memo / stripe-plan hit rates, the park-once / live
-    shares and the write RPCs that fell back to the generator server path.
+    access-table / model-memo / stripe-plan hit rates, the RPC count and the
+    park-once / live shares.
 
     Timers are cumulative wall-clock seconds inside instrumented components
     (``fabric.recompute``, ``fabric.fill_solve``, ...) collected by the run's
@@ -463,16 +462,11 @@ def print_top(snapshot: dict, n: int, pfs: dict) -> None:
             f"  stripe plans ({name}): {info['hits']} hits, {info['misses']} misses, "
             f"{info['currsize']} of {info['maxsize']} entries"
         )
-    # A write RPC leaves the callback chain only when its server had a fault
-    # injector attached at issue time (an armed or pending stall).
-    print(
-        f"PFS client RPCs: {pfs['rpcs']} issued; {pfs['fallback_rpcs']} pipelined-write "
-        f"RPCs fell back to the generator serve_write"
-    )
+    print(f"PFS client RPCs: {pfs['rpcs']} issued")
     # How the rank-calls of the collective writes crossed them: on one
     # resume (everyone but the writers of a call that runs on its clock), or
-    # live (the writers; everybody on the reference stack, a fault machine,
-    # or under romio_cb_write=automatic/disable) — "why was this point
+    # live (the writers; everybody on the reference stack, or under
+    # romio_cb_write=automatic/disable) — "why was this point
     # slow" starts with the share that fell back to the live path.
     single, live = (counters.get(f"ext2ph.park_{k}", 0) for k in ("single", "live"))
     print("collective-write rank-calls:")
