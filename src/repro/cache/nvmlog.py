@@ -163,21 +163,16 @@ class NVMMWriteLog:
         self.bytes_appended += nbytes
 
     # -- read-back (sync thread / recovery replay) --------------------------------
-    def read(self, pos: int, blen: int):
-        """Generator returning bytes for ``[pos, pos+blen)`` (None if no
-        payloads were stored).  One device-speed load; torn records are
-        CRC-skipped."""
-        if blen > 0:
-            yield from self.device.read(pos % max(1, self.device.capacity_bytes), blen)
-        return self.gather(pos, blen)
-
     def read_event(self, pos: int, blen: int) -> Event:
-        """Flat variant of :meth:`read` for the production callback chains
-        (injected read errors and abandonment as in
-        :meth:`~repro.localfs.ext4.LocalFileSystem.read_event`)."""
+        """Read ``[pos, pos+blen)`` back: one device-speed load where the
+        region wraps it to.  The returned Event's value is :meth:`gather`'s
+        (None if no payloads were stored; torn records are CRC-skipped);
+        injected read errors and abandonment as in
+        :meth:`~repro.localfs.ext4.LocalFileSystem.read_event`.  Requires
+        ``blen > 0``."""
         done = Event(self.sim, name="wal-read")
         self.device.read_flat(
-            pos % max(1, self.device.capacity_bytes), blen, done, lambda: self.gather(pos, blen)
+            pos % self.device.capacity_bytes, blen, done, lambda: self.gather(pos, blen)
         )
         return done
 

@@ -6,8 +6,10 @@ Paper correspondence: §III-A hint semantics, Table II configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.romio.hints import Hints
+if TYPE_CHECKING:  # importing repro.romio here would close an import cycle
+    from repro.romio.hints import Hints
 
 
 @dataclass(frozen=True)

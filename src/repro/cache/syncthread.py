@@ -8,9 +8,9 @@ file through the *synchronous* independent-write client path, then calls
 ``MPI_Grequest_complete`` on the request's handle.
 
 The loop over an extent — batch, read back, write sync, retry with backoff
-— is :func:`flush`, which crash-recovery replay drives too.  It runs the
-callback-chain twins on production and the generators on
-``Machine(reference=True)``, faults or not: ``machine.reference`` chooses.
+— is :func:`flush`, which crash-recovery replay drives too.  It takes each
+batch's step from the machine (``machine.flush_batch``): :func:`flush_batch`,
+the callback chains, on production, faults or not.
 
 ``flush_batch_chunks`` (a simulation fidelity knob, not a semantic one)
 coalesces several chunks into one macro-operation whose cost is the sum of
@@ -31,7 +31,6 @@ behind the next compute phase (Fig. 3).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -55,28 +54,30 @@ class SyncRequest:
 _SHUTDOWN = SyncRequest(0, 0, None)
 
 
+def flush_batch(client, pfs_file, journal, pos: int, blen: int, nchunks: int):
+    """Generator: one batch of :func:`flush` — ``[pos, pos + blen)`` read
+    back from ``journal``'s cache, then written to ``pfs_file`` with one
+    synchronous RPC per ``nchunks`` chunk."""
+    data = yield journal.read_back_event(pos, blen)
+    yield client.write_sync_flat(pfs_file, pos, blen, data=data, rpc_count=nchunks)
+
+
 def flush(machine, client, pfs_file, journal, pos: int, end: int, ledger: str, faulted=None):
     """Generator: copy ``[pos, end)`` from ``journal``'s cache file to
-    ``pfs_file`` batch by batch — read back, write sync, note the batch in
-    ``journal.synced`` and ``machine.io_stats[ledger]`` — retrying a
-    :class:`FaultError` (``faulted()`` is told) with the journal policy's
+    ``pfs_file`` batch by batch — ``machine.flush_batch``, then note the
+    batch in ``journal.synced`` and ``machine.io_stats[ledger]`` — retrying
+    a :class:`FaultError` (``faulted()`` is told) with the journal policy's
     backoff.  Returns ``(end, None)``, or the position of the batch that
     spent the retry budget and the error that did."""
-    flat = not machine.reference
+    step = machine.flush_batch
     policy = journal.policy
     chunk = policy.sync_chunk
     batch = chunk * max(1, machine.config.flush_batch_chunks)
     attempts = 0
     while pos < end:
         blen = min(batch, end - pos)
-        nchunks = math.ceil(blen / chunk)
         try:
-            if flat:
-                data = yield journal.read_back_event(pos, blen)
-                yield client.write_sync_flat(pfs_file, pos, blen, data=data, rpc_count=nchunks)
-            else:
-                data = yield from journal.read_back(pos, blen)
-                yield from client.write_sync(pfs_file, pos, blen, data=data, rpc_count=nchunks)
+            yield from step(client, pfs_file, journal, pos, blen, -(-blen // chunk))
         except FaultError as exc:
             attempts += 1
             if faulted is not None:

@@ -12,13 +12,72 @@ compute delay).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field, fields, replace
+from functools import cache
 
 from repro.units import GiB, KiB, MiB, USEC
 
+#: Recognised node-SSD model kinds (``ClusterConfig.ssd_kind``, REPRO_SSD).
+SSD_KINDS = ("stream", "ftl")
+
+
+def is_whole(value) -> bool:
+    """An integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite real number, not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and -math.inf < value < math.inf
+
+
+@cache
+def _domains(cls) -> tuple:
+    """``(field, plain types, test, strict, top, what)`` per number of ``cls``."""
+    out = []
+    for f in fields(cls):
+        if type(f.default) is int:
+            types, test, what = (int,), is_whole, "a whole number"
+            strict = f.name not in cls._zero_ok
+        elif type(f.default) is float:
+            types, test, what = (int, float), is_finite, "a finite number"
+            strict = f.name.endswith("_bw") or f.name in cls._positive
+        else:
+            continue
+        top = 1 if f.name in cls._fractions else math.inf
+        what = f"{what} {'>' if strict else '>='} 0" + (" and <= 1" if top == 1 else "")
+        out.append((f.name, types, test, strict, top, what))
+    return tuple(out)
+
+
+class Checked:
+    """Base of a dataclass whose numbers are checked at construction: a
+    field whose default is an int takes a whole number > 0 (>= 0 if named
+    in ``_zero_ok``), one whose default is a float a finite number >= 0
+    (> 0 for a bandwidth, ``*_bw``, or one named in ``_positive``), and one
+    named in ``_fractions`` is <= 1 too; a ValueError names a bad field.  A
+    plain int or float is checked without a call (NaN fails every test)."""
+
+    _zero_ok: tuple = ()
+    _positive: tuple = ()
+    _fractions: tuple = ()
+
+    def __post_init__(self):
+        values = vars(self)
+        for name, types, test, strict, top, what in _domains(type(self)):
+            value = values[name]
+            if (type(value) in types or test(value)) and (
+                (value > 0 if strict else value >= 0) and value <= top and value < math.inf
+            ):
+                continue
+            raise ValueError(f"{type(self).__name__}.{name}={value!r}: must be {what}")
+
 
 @dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(Checked):
     """Interconnect model parameters (InfiniBand QDR defaults).
 
     ``nic_bw`` is the per-node injection/ejection bandwidth; the switch core
@@ -47,9 +106,11 @@ class NetworkConfig:
     # pieces per aggregator round) stays near its ≈40 GB/s.
     piece_overhead: float = 2e-6
 
+    _zero_ok = ("eager_threshold",)
+
 
 @dataclass(frozen=True)
-class SSDConfig:
+class SSDConfig(Checked):
     """Node-local SATA SSD (80 GB, 30 GB ext4 scratch in the paper)."""
 
     write_bw: float = 0.45 * GiB  # sustained sequential write, SATA-2 era SSD
@@ -59,7 +120,7 @@ class SSDConfig:
 
 
 @dataclass(frozen=True)
-class FlashConfig:
+class FlashConfig(Checked):
     """Flash geometry + FTL knobs for the ``REPRO_SSD=ftl`` device model.
 
     Timing constants follow the NVM characterization of Liu et al.
@@ -90,9 +151,11 @@ class FlashConfig:
     # steady overwrite load produces).
     gc_free_fraction: float = 0.02
 
+    _fractions = ("over_provisioning", "gc_free_fraction")
+
 
 @dataclass(frozen=True)
-class NVMMConfig:
+class NVMMConfig(Checked):
     """Byte-addressable non-volatile memory (the ``cache_kind=nvmm`` tier).
 
     An NVCache-style (arXiv:2105.10397) DIMM-attached persistent memory
@@ -109,9 +172,11 @@ class NVMMConfig:
     capacity: int = 16 * GiB  # the per-node log region
     record_header: int = 64  # WAL header: seq, offset, length, CRC
 
+    _zero_ok = ("record_header",)
+
 
 @dataclass(frozen=True)
-class HDDConfig:
+class HDDConfig(Checked):
     """One BeeGFS storage target: an 8+2 RAID6 group of 2 TB SAS drives."""
 
     stream_bw: float = 0.58 * GiB  # RAID6 group sequential write ≈ 600 MB/s
@@ -121,9 +186,11 @@ class HDDConfig:
     # the previous one on the same target (track-to-track, cache hits).
     sequential_seek_factor: float = 0.04
 
+    _fractions = ("sequential_seek_factor",)
+
 
 @dataclass(frozen=True)
-class RAMConfig:
+class RAMConfig(Checked):
     """Node memory and the page-cache model for the local ext4 scratch FS."""
 
     capacity: int = 32 * GiB
@@ -132,9 +199,12 @@ class RAMConfig:
     # until dirty bytes exceed dirty_ratio * capacity, then at device speed.
     dirty_ratio: float = 0.20
 
+    _positive = ("dirty_ratio",)
+    _fractions = ("dirty_ratio",)
+
 
 @dataclass(frozen=True)
-class PFSConfig:
+class PFSConfig(Checked):
     """BeeGFS-like parallel file system (Section IV-A).
 
     Four data servers gives the ≈2.2 GiB/s aggregate ceiling the paper
@@ -183,7 +253,7 @@ class PFSConfig:
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(Checked):
     """Full machine description plus simulation fidelity knobs."""
 
     num_nodes: int = 64
@@ -206,6 +276,15 @@ class ClusterConfig:
     # slow at 32 GiB scale, so chunks may be coalesced into batches whose
     # duration is computed from the same per-chunk costs.  1 = exact.
     flush_batch_chunks: int = 1
+
+    _zero_ok = ("seed",)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.ssd_kind is not None and self.ssd_kind not in SSD_KINDS:
+            raise ValueError(
+                f"ClusterConfig.ssd_kind={self.ssd_kind!r}: must be one of {SSD_KINDS} or None"
+            )
 
     @property
     def num_ranks(self) -> int:

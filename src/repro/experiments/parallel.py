@@ -12,7 +12,8 @@ Robustness model (CI is the main consumer):
 * identical specs in one sweep are simulated once (figure sweeps share
   points between bandwidth and breakdown tables);
 * points already in the :class:`~repro.experiments.resultcache.ResultCache`
-  are not simulated at all;
+  are not simulated at all, and each fresh point is stored the moment it
+  resolves (atomically), so a sweep cut short keeps what it finished;
 * a point whose worker crashes (or whose pool dies — e.g. the OOM killer
   taking out a worker breaks every pending future) is retried once *inline*
   in the parent process, where a plain exception with a traceback beats a
@@ -142,11 +143,24 @@ class SweepRunner:
         specs: Iterable[ExperimentSpec],
         config: Optional[ClusterConfig] = None,
     ) -> list[ExperimentResult]:
-        """Resolve every spec to a result, preserving input order."""
+        """Resolve every spec to a result, preserving input order.
+
+        A fresh result is stored in the cache the moment it resolves, so a
+        sweep cut short — a worker killed, the pool broken, the sweep itself
+        interrupted — leaves every point it finished cached, and a re-run
+        simulates exactly the rest."""
         specs = list(specs)
         total = len(specs)
         results: list[Optional[ExperimentResult]] = [None] * total
         done = 0
+
+        def resolved(i: int, result: ExperimentResult, source: str) -> None:
+            nonlocal done
+            results[i] = result
+            self.simulated += 1
+            done += 1
+            self.cache.put(specs[i], self.resolver(specs[i], config), result)
+            self._report(done, total, specs[i], source)
 
         # Classify: cache hit, first occurrence (simulate), or duplicate.
         first_of: dict[str, int] = {}
@@ -170,10 +184,7 @@ class SweepRunner:
         if self.jobs == 1 or len(to_run) <= 1:
             for i in to_run:
                 try:
-                    results[i] = self.worker(specs[i], config)
-                    self.simulated += 1
-                    done += 1
-                    self._report(done, total, specs[i], SOURCE_RUN)
+                    resolved(i, self.worker(specs[i], config), SOURCE_RUN)
                 except Exception as err:
                     failures.append((i, err))
         elif to_run:
@@ -187,10 +198,7 @@ class SweepRunner:
                 # future's wait doubles as that point's timeout budget.
                 for i in to_run:
                     try:
-                        results[i] = futures[i].result(timeout=self.timeout)
-                        self.simulated += 1
-                        done += 1
-                        self._report(done, total, specs[i], SOURCE_RUN)
+                        resolved(i, futures[i].result(timeout=self.timeout), SOURCE_RUN)
                     except FuturesTimeoutError as err:
                         futures[i].cancel()
                         hung = True
@@ -208,10 +216,7 @@ class SweepRunner:
         for i, err in failures:
             if self.retries > 0:
                 try:
-                    results[i] = self.worker(specs[i], config)
-                    self.simulated += 1
-                    done += 1
-                    self._report(done, total, specs[i], SOURCE_RETRY)
+                    resolved(i, self.worker(specs[i], config), SOURCE_RETRY)
                     continue
                 except Exception as retry_err:
                     err = retry_err
@@ -219,9 +224,7 @@ class SweepRunner:
         if still_failed:
             raise SweepError(still_failed)
 
-        # Persist fresh results, then satisfy duplicates by reference.
-        for i in to_run:
-            self.cache.put(specs[i], self.resolver(specs[i], config), results[i])
+        # Satisfy duplicates by reference.
         for i, j in dup_of.items():
             results[i] = results[j]
             done += 1

@@ -79,14 +79,9 @@ class CacheJournal:
         return sum(e - s for s, e in self.unflushed())
 
     # -- read-back (the flush loop: sync thread and replay) ----------------------
-    def read_back(self, pos: int, blen: int):
-        """Generator returning the cached bytes of ``[pos, pos+blen)``."""
-        if self.wal is not None:
-            return self.wal.read(pos, blen)
-        return self.local_file.fs.read(self.local_file, pos, blen)
-
     def read_back_event(self, pos: int, blen: int):
-        """Flat variant of :meth:`read_back` (production callback chains)."""
+        """An Event valued with the cached bytes of ``[pos, pos+blen)``,
+        read back from the log or the cache file."""
         if self.wal is not None:
             return self.wal.read_event(pos, blen)
         return self.local_file.fs.read_event(self.local_file, pos, blen)

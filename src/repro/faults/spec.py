@@ -23,6 +23,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro.config import is_finite, is_whole
+
+#: A FaultSpec field's test and what it asks, by the type of its default.
+_TYPES = {
+    int: (is_whole, "a whole number"),
+    float: (is_finite, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
 #: Recognised fault kinds, and which component each targets:
 #:
 #: ``ssd_io_error``      transient read errors on node ``target``'s SSD,
@@ -81,6 +90,10 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
+        for f in dataclasses.fields(self)[1:]:  # every field but kind, by its default's type
+            test, what = _TYPES[type(f.default)]
+            if not test(getattr(self, f.name)):
+                raise ValueError(f"fault {f.name}={getattr(self, f.name)!r}: must be {what}")
         if self.target < 0:
             raise ValueError(f"fault target must be >= 0, got {self.target}")
         if (self.job_index >= 0 or self.job) and self.kind != "aggregator_crash":
@@ -104,6 +117,12 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "FaultSpec":
+        names = [f.name for f in dataclasses.fields(cls)]
+        unknown = [str(key) for key in d if key not in names]
+        if unknown:
+            raise ValueError(f"unknown fault field(s) {unknown}; expected some of {names}")
+        if "kind" not in d:
+            raise ValueError("fault kind: missing")
         return cls(**dict(d))
 
 
@@ -125,8 +144,12 @@ class FaultSchedule:
         # Tolerate lists from callers / JSON round-trips.
         if not isinstance(self.faults, tuple):
             object.__setattr__(self, "faults", tuple(self.faults))
-        if self.sync_rpc_timeout < 0:
-            raise ValueError("sync_rpc_timeout must be >= 0")
+        if not all(isinstance(f, FaultSpec) for f in self.faults):
+            raise ValueError(f"faults={self.faults!r}: must all be FaultSpecs")
+        if not (is_finite(self.sync_rpc_timeout) and self.sync_rpc_timeout >= 0):
+            raise ValueError(
+                f"sync_rpc_timeout={self.sync_rpc_timeout!r}: must be a finite number >= 0"
+            )
 
     def __bool__(self) -> bool:
         return bool(self.faults) or self.sync_rpc_timeout > 0
@@ -258,9 +281,13 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "FaultSchedule":
+        faults = d.get("faults", ())
+        if not isinstance(faults, (list, tuple)) or not all(isinstance(f, Mapping) for f in faults):
+            raise ValueError(f"faults={faults!r}: must be a list of fault mappings")
+        timeout = d.get("sync_rpc_timeout", 0.0)
         return cls(
-            faults=tuple(FaultSpec.from_dict(f) for f in d.get("faults", ())),
-            sync_rpc_timeout=float(d.get("sync_rpc_timeout", 0.0)),
+            faults=tuple(FaultSpec.from_dict(f) for f in faults),
+            sync_rpc_timeout=float(timeout) if is_finite(timeout) else timeout,
         )
 
     @classmethod

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from repro.analysis.bandwidth import perceived_bandwidth
-from repro.config import ClusterConfig, small_testbed
+from repro.config import Checked, ClusterConfig, is_finite, is_whole, small_testbed
 from repro.experiments.resultcache import ResultCache, default_cache
 from repro.faults.errors import FaultError, JobAborted, SyncFailedError
 from repro.faults.spec import FaultSchedule
@@ -59,7 +59,7 @@ from repro.workloads.phases import multi_phase_body
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(Checked):
     """One fleet measurement point (frozen: hashable, cache-keyable).
 
     ``benchmark``/``cache_mode`` may name a single value or ``"mixed"``,
@@ -88,9 +88,11 @@ class FleetSpec:
     max_restarts: int = 2
     restart_backoff: float = 0.005  # base delay [sim s]; doubles per attempt
 
+    _zero_ok = ("seed", "max_restarts")
+    _positive = ("scale",)
+
     def __post_init__(self):
-        if self.fleet_size <= 0:
-            raise ValueError(f"fleet_size={self.fleet_size}: must be positive")
+        super().__post_init__()
         if self.benchmark != "mixed" and self.benchmark not in JOB_BENCHMARKS:
             raise ValueError(
                 f"benchmark={self.benchmark!r}: expected 'mixed' or one of "
@@ -101,23 +103,24 @@ class FleetSpec:
                 f"cache_mode={self.cache_mode!r}: expected 'mixed' or one of "
                 f"{JOB_CACHE_MODES}"
             )
-        if not isinstance(self.job_nodes, tuple):
-            object.__setattr__(self, "job_nodes", tuple(self.job_nodes))
-        if not isinstance(self.arrival_trace, tuple):
-            object.__setattr__(self, "arrival_trace", tuple(self.arrival_trace))
+        if not isinstance(self.backfill, bool):
+            raise ValueError(f"backfill={self.backfill!r}: must be a bool")
+        for name, test, what in (
+            ("job_nodes", is_whole, "whole numbers"),
+            ("arrival_trace", lambda v: is_finite(v) and v >= 0, "finite gaps >= 0"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or not all(test(v) for v in value):
+                raise ValueError(f"{name}={value!r}: must be a sequence of {what}")
+            object.__setattr__(self, name, tuple(value))
         if not self.job_nodes:
             raise ValueError("job_nodes: must name at least one node count")
         for n in self.job_nodes:
             if not 0 < n <= self.num_nodes:
                 raise ValueError(
-                    f"job_nodes entry {n}: outside the {self.num_nodes}-node cluster"
+                    f"job_nodes entry {n}: outside the {self.num_nodes}-node cluster "
+                    f"(num_nodes)"
                 )
-        if self.max_restarts < 0:
-            raise ValueError(f"max_restarts={self.max_restarts}: must be >= 0")
-        if self.restart_backoff < 0:
-            raise ValueError(
-                f"restart_backoff={self.restart_backoff}: must be >= 0"
-            )
 
     @property
     def label(self) -> str:

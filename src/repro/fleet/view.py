@@ -87,6 +87,7 @@ class JobView:
         self.nodes = machine.nodes  # full physical list (indexed by node id)
         self.local_fs = machine.local_fs  # ditto
         self.reference = machine.reference
+        self.flush_batch = machine.flush_batch
         self.faults = machine.faults
         # Job-scoped state.
         self.tracer = _JobTracer(machine.tracer, self.job_label)

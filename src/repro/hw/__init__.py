@@ -4,7 +4,7 @@ Paper correspondence: §IV-A testbed hardware (SSD scratch devices,
 RAID6 server targets, node RAM).
 """
 
-from repro.hw.devices import HDDRaidDevice, SSDDevice, StorageDevice
+from repro.hw.devices import SSDDevice, StorageDevice
 from repro.hw.flash import (
     SSD_KINDS,
     FlashSSDDevice,
@@ -17,7 +17,6 @@ from repro.hw.node import ComputeNode
 __all__ = [
     "ComputeNode",
     "FlashSSDDevice",
-    "HDDRaidDevice",
     "NVMMDevice",
     "SSDDevice",
     "SSD_KINDS",

@@ -1,21 +1,15 @@
 """Block-device service-time models.
 
-Devices are FIFO servers: requests queue and are served one at a time (the
-RAID group and the SSD both present a single logical stream at this
+Devices are FIFO servers: requests queue and are served one at a time (a
+RAID group and an SSD both present a single logical stream at this
 granularity) — through the generator :meth:`StorageDevice._io` or its
 callback twins :meth:`~StorageDevice.write_flat` (the write-back drains) and
-:meth:`~StorageDevice.read_flat` (the flat read-back).  Service time models
-distinguish the two device classes the paper contrasts:
-
-* :class:`HDDRaidDevice` — a BeeGFS storage target (8+2 RAID6 of SAS
-  drives): a seek penalty is charged whenever a request is not sequential
-  with the previous one on this target, plus streaming time at the group
-  bandwidth.  Optional lognormal jitter reproduces the server-side
-  variability that makes one aggregator the straggler (the paper's global
-  synchronisation cost).
-
-* :class:`SSDDevice` — the node-local SATA SSD: constant per-request
-  latency plus streaming time; no seek term, no jitter worth modelling.
+:meth:`~StorageDevice.read_flat` (the flat read-back).  Subclasses supply
+the service time: :class:`SSDDevice` here, the node-local SATA SSD
+(constant per-request latency plus streaming time; no seek term, no jitter
+worth modelling), the FTL and NVMM tiers in :mod:`repro.hw.flash`, and the
+PFS servers' RAID6 targets (:class:`repro.pfs.server.RaidTarget`: seeks,
+stream detection, lognormal jitter).
 
 Paper correspondence: §IV-A device characteristics — the SATA SSD
 scratch partition and the servers' RAID6 SAS targets.
@@ -29,7 +23,6 @@ from typing import Optional
 from repro.faults.errors import FaultError
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import Resource, abandon_grant, abandon_wait
-from repro.sim.rng import RngStreams
 
 
 class StorageDevice:
@@ -64,10 +57,6 @@ class StorageDevice:
         self.read_only = False  # device failed into its end-of-life RO mode
         self.io_errors_injected = 0
         self.injected_stall_time = 0.0  # ssd_gc_pressure windows (injected)
-        # Fast-path flag (set by a production Machine): when the queue is
-        # free, an op is granted in the caller's callback instead of a
-        # grant-event round trip later.
-        self.fast_path = False
 
     # subclass hooks -----------------------------------------------------------
     def service_time(self, offset: int, nbytes: int, is_write: bool) -> float:
@@ -95,11 +84,11 @@ class StorageDevice:
         return self._io(offset, nbytes, False)
 
     def _io(self, offset: int, nbytes: int, is_write: bool):
-        # Bulk fast path: a free queue grants synchronously, skipping the
-        # grant event.  All device state (head position, stream table, RNG
-        # jitter, the injector's draws) is touched under the slot in grant
-        # order either way.
-        if not (self.fast_path and self.queue.try_acquire()):
+        # A free queue may grant synchronously, skipping the grant event
+        # (Resource.try_acquire).  All device state (head position, stream
+        # table, RNG jitter, the injector's draws) is touched under the slot
+        # in grant order either way.
+        if not self.queue.try_acquire():
             yield self.queue.request()
         try:
             if self.injector is not None and not is_write:
@@ -124,7 +113,7 @@ class StorageDevice:
     def write_flat(self, offset: int, nbytes: int, on_done) -> None:
         """A write for a chain nothing abandons (the write-back drains):
         ``on_done()`` is invoked where the generator's caller would resume."""
-        if self.fast_path and self.queue.try_acquire():
+        if self.queue.try_acquire():
             self._write_serve(offset, nbytes, on_done)
             return
         req = self.queue.request()
@@ -152,7 +141,7 @@ class StorageDevice:
         Abandoned, a queued request leaves the queue, a slot in service is
         released where the ``Interrupt`` would reach the ``finally``.
         """
-        if self.fast_path and self.queue.try_acquire():
+        if self.queue.try_acquire():
             self._read_serve(offset, nbytes, done, value)
             return
         req = self.queue.request()
@@ -179,52 +168,6 @@ class StorageDevice:
             done._fire_inline(value())
 
         self.sim.call_later(dt, _served)
-
-
-class HDDRaidDevice(StorageDevice):
-    """One parallel-FS storage target: RAID6 group of spinning drives."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        stream_bw: float,
-        seek_time: float,
-        capacity_bytes: int,
-        sequential_seek_factor: float = 0.04,
-        jitter_sigma: float = 0.0,
-        rng: Optional[RngStreams] = None,
-    ):
-        super().__init__(sim, name, capacity_bytes)
-        self.stream_bw = float(stream_bw)
-        self.seek_time = float(seek_time)
-        self.sequential_seek_factor = float(sequential_seek_factor)
-        self.jitter_sigma = float(jitter_sigma)
-        self.rng = rng
-        self._jitter = None  # cached draw callable (lazy: rng may be swapped)
-        self._head_pos: Optional[int] = None
-        self.seeks = 0
-        self.seeks_by_tag: dict[str, int] = {}
-
-    def service_time(self, offset: int, nbytes: int, is_write: bool) -> float:
-        sequential = self._head_pos is not None and offset == self._head_pos
-        seek = self.seek_time * (self.sequential_seek_factor if sequential else 1.0)
-        if not sequential:
-            self.seeks += 1
-            if self.job_tag is not None:
-                self.seeks_by_tag[self.job_tag] = (
-                    self.seeks_by_tag.get(self.job_tag, 0) + 1
-                )
-        self._head_pos = offset + nbytes
-        base = seek + nbytes / self.stream_bw
-        if self.jitter_sigma > 0.0 and self.rng is not None:
-            jitter = self._jitter
-            if jitter is None:
-                jitter = self._jitter = self.rng.lognormal_fn(
-                    f"{self.name}.jitter", self.jitter_sigma
-                )
-            base *= jitter()
-        return base
 
 
 class SSDDevice(StorageDevice):

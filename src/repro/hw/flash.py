@@ -40,12 +40,9 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.config import ClusterConfig, FlashConfig, NVMMConfig
+from repro.config import SSD_KINDS, ClusterConfig, FlashConfig, NVMMConfig
 from repro.hw.devices import SSDDevice, StorageDevice
 from repro.sim.core import Simulator
-
-#: Recognised node-SSD model kinds (the REPRO_SSD values).
-SSD_KINDS = ("stream", "ftl")
 
 
 def default_ssd_kind() -> str:
@@ -66,8 +63,6 @@ def create_node_ssd(sim: Simulator, node_id: int, config: ClusterConfig) -> Stor
             flash=config.flash,
             capacity_bytes=config.ssd.capacity,
         )
-    if kind != "stream":
-        raise ValueError(f"unknown ssd_kind {kind!r}: expected one of {SSD_KINDS}")
     return SSDDevice(
         sim,
         name=f"ssd{node_id}",

@@ -167,7 +167,7 @@ class PageCache:
 class ComputeNode:
     """One cluster node: id, local SSD, page cache, memory accounting."""
 
-    def __init__(self, sim: Simulator, node_id: int, config: ClusterConfig):
+    def __init__(self, sim: Simulator, node_id: int, config: ClusterConfig, tracer=None):
         self.sim = sim
         self.node_id = node_id
         self.config = config
@@ -175,6 +175,7 @@ class ComputeNode:
         # SSDDevice by default (byte-identical to pre-FTL results), or the
         # page/block/LUN flash model — see repro.hw.flash and docs/DEVICES.md.
         self.ssd = create_node_ssd(sim, node_id, config)
+        self.ssd.tracer = tracer  # FTL GC records (no-op untraced)
         # Byte-addressable NVMM region (the cache_kind=nvmm WAL medium).
         # Constructing it is event-free, so nodes always carry one and the
         # extent-cache default never touches it.

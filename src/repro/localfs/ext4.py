@@ -177,45 +177,31 @@ class LocalFileSystem:
         f.size = max(f.size, end)
         return self.node.page_cache.buffered_write(f.file_id, nbytes, offset=offset)
 
-    def read(self, f: LocalFile, offset: int, nbytes: int):
-        """Generator returning the requested bytes (None for virtual files).
-
-        Dirty pages still in the page cache are served at memory speed; the
-        remainder comes off the SSD.  The split is approximated by the
-        file's current dirty fraction, which is exact for the sync thread's
-        sequential read-back.
-        """
+    def read_split(self, f: LocalFile, offset: int, nbytes: int) -> tuple[int, int]:
+        """``(cached, uncached)``: the bytes of a read served from the page
+        cache at memory speed (the file's dirty fraction of them — exact for
+        the sync thread's sequential read-back) and those off the SSD."""
         if offset + nbytes > f.size and not f.extents and f.size == 0:
             raise SimError(f"read past EOF of empty file {f.path}")
         dirty = self.node.page_cache.dirty_of(f.file_id)
         frac_cached = min(1.0, dirty / max(1, f.space.total or f.size))
         cached = int(nbytes * frac_cached)
-        uncached = nbytes - cached
-        if cached:
-            yield self.sim.timeout(cached / self.node.config.ram.memcpy_bw)
-        if uncached:
-            yield from self.node.ssd.read(offset + cached, uncached)
-        return self._gather(f, offset, nbytes)
+        return cached, nbytes - cached
 
     def read_event(self, f: LocalFile, offset: int, nbytes: int) -> Event:
-        """Flat variant of :meth:`read` for the production callback chains.
+        """Read ``[offset, offset + nbytes)`` (:meth:`read_split`).
 
-        Returns an Event whose value is the requested bytes, fired inline
-        exactly where the generator's caller would resume, or failed by an
-        injected SSD read error; abandoned, it takes no further step.
+        Returns an Event whose value is the requested bytes (None for
+        virtual files), fired inline when the last byte is in, or failed by
+        an injected SSD read error; abandoned, it takes no further step.
         Requires ``nbytes > 0``.
         """
-        if offset + nbytes > f.size and not f.extents and f.size == 0:
-            raise SimError(f"read past EOF of empty file {f.path}")
-        dirty = self.node.page_cache.dirty_of(f.file_id)
-        frac_cached = min(1.0, dirty / max(1, f.space.total or f.size))
-        cached = int(nbytes * frac_cached)
-        uncached = nbytes - cached
+        cached, uncached = self.read_split(f, offset, nbytes)
         if not cached and not uncached:
             raise SimError("read_event requires nbytes > 0")
         done = Event(self.sim, name="lfs-read")
         ssd = self.node.ssd
-        value = lambda: self._gather(f, offset, nbytes)  # noqa: E731
+        value = lambda: self.gather(f, offset, nbytes)  # noqa: E731
         if not cached:
             ssd.read_flat(offset, uncached, done, value)
             return done
@@ -236,7 +222,7 @@ class LocalFileSystem:
         return self.node.page_cache.fsync(f.file_id)
 
     # -- data assembly (verification support) ------------------------------------
-    def _gather(self, f: LocalFile, offset: int, nbytes: int) -> Optional[np.ndarray]:
+    def gather(self, f: LocalFile, offset: int, nbytes: int) -> Optional[np.ndarray]:
         if not f.extents:
             return None
         out = np.zeros(nbytes, dtype=np.uint8)

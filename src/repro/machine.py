@@ -12,13 +12,20 @@ stack — what the benchmark measures: the slotted engine, the array fabric
 kernel, fused device operations, coalesced flows, shared collective
 releases, callback-chain sync threads and one process per rank *class*.
 ``Machine(config, reference=True)`` builds the original stack as a unit —
-the heapq :class:`~repro.sim.core.Simulator`,
-:class:`~repro.net.fabric.NaiveFabric`, every grant/release/chunk its own
-event, per-rank collective release, generator sync threads, one process per
-rank — and must agree with production on every simulated quantity; only the
+the heapq :class:`~repro.sim.core.Simulator` (every grant its own event),
+:class:`~repro.reference.NaiveFabric` (one flow per stripe run), per-rank
+collective release, one process per rank, and sync threads and crash
+replay that flush through :func:`repro.reference.flush_batch`'s generators
+— and must agree with production on every simulated quantity; only the
 diagnostic ``events`` count may differ (tier-1 asserts it in
-``tests/integration/test_golden_digests.py``).  ``machine.reference`` is the
-one fact every layer reads to choose an implementation; a
+``tests/integration/test_golden_digests.py``).  This module is the only one
+that imports :mod:`repro.reference`: it picks the engine, the fabric and
+the flush step (``flush_batch``), and the components take what they need
+from those — a device or server grants inline where the engine allows it
+(``Simulator.inline_grants``), a PFS client bundles runs where the fabric
+does (``Fabric.bundles``).  ``machine.reference`` itself is read only by
+the collective layers that still fork in place (``Transport.coalesce``,
+``ModelCollectives.shared_release``, ``ext2ph.call_paths``).  A
 :class:`~repro.faults.spec.FaultSchedule` only arms the hooks of the
 components it targets (:class:`~repro.faults.injector.FaultInjector`).
 
@@ -31,13 +38,15 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from repro import reference as reference_stack
+from repro.cache.syncthread import flush_batch
 from repro.config import ClusterConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import CacheRecoveryRegistry
 from repro.faults.spec import FaultSchedule
 from repro.hw.node import ComputeNode
 from repro.localfs.ext4 import LocalFileSystem
-from repro.net.fabric import Fabric, NaiveFabric
+from repro.net.fabric import Fabric
 from repro.pfs.client import PFSClient
 from repro.pfs.filesystem import ParallelFileSystem
 from repro.sim.core import SimError, Simulator, SlottedSimulator
@@ -66,22 +75,27 @@ class Machine:
                     "stack (heapq engine, naive fabric, chunked data plane)"
                 )
         self.config = config
-        #: The one implementation choice: the original stack as a unit
-        #: (module docstring), or what the benchmark measures.
+        #: The original stack as a unit (module docstring), or what the
+        #: benchmark measures.
         self.reference = reference
         self.sim = Simulator() if reference else SlottedSimulator()
         self.sim.profiler = profiler
         self.rng = RngStreams(config.seed)
         self.tracer = Tracer(enabled=trace)
         endpoints = ParallelFileSystem.fabric_endpoints(config)
-        self.fabric = (NaiveFabric if reference else Fabric)(
+        self.fabric = (reference_stack.NaiveFabric if reference else Fabric)(
             self.sim,
             num_nodes=endpoints,
             nic_bw=config.network.nic_bw,
             latency=config.network.latency,
             loopback_bw=config.network.shm_bw,
         )
-        self.nodes = [ComputeNode(self.sim, n, config) for n in range(config.num_nodes)]
+        #: One batch of the sync thread's flush (``cache.syncthread.flush``):
+        #: read back, then write sync.
+        self.flush_batch = reference_stack.flush_batch if reference else flush_batch
+        self.nodes = [
+            ComputeNode(self.sim, n, config, tracer=self.tracer) for n in range(config.num_nodes)
+        ]
         self.local_fs = [LocalFileSystem(node) for node in self.nodes]
         self.pfs = ParallelFileSystem(self.sim, config, self.fabric, self.rng)
         self._clients: dict[int, PFSClient] = {}
@@ -104,15 +118,6 @@ class Machine:
             "bytes_discarded": 0,  # cached under flush_never (never persisted)
             "bytes_lost": 0,  # reported lost via SyncFailedError
         }
-        fast = not reference
-        for node in self.nodes:
-            node.ssd.fast_path = fast
-            node.nvmm.fast_path = fast
-            node.ssd.tracer = self.tracer  # FTL GC records (no-op untraced)
-        for server in self.pfs.servers:
-            server.fast_path = fast
-            server.target.fast_path = fast
-        self.pfs.fast_path = fast
         self.faults = FaultInjector(self, faults) if faults else None
         # Multi-job runs (repro.fleet) wrap this machine in per-job views
         # that override job_label and node_of_rank; single-job code paths

@@ -1,6 +1,6 @@
 """Interconnect model: NIC-contended flows and rank-to-rank messaging (paper §IV testbed)."""
 
-from repro.net.fabric import Fabric, Flow, Link, NaiveFabric, create_fabric
+from repro.net.fabric import Fabric, Flow, Link, create_fabric
 from repro.net.message import Mailbox, Message, Transport
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "Link",
     "Mailbox",
     "Message",
-    "NaiveFabric",
     "Transport",
     "create_fabric",
 ]

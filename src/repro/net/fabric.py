@@ -13,54 +13,51 @@ funnelling into few aggregator NICs.
 Intra-node transfers bypass the NIC links and move at the (higher) memory
 copy bandwidth.
 
-Two allocators implement the same model (see docs/PERFORMANCE.md):
+The production allocator, :class:`Fabric` (see docs/PERFORMANCE.md),
+recomputes **incrementally**: only the connected component of the link–flow
+graph actually touched by an arrival, departure, or capacity change is
+re-rated; flows whose bottleneck structure is disjoint keep their frozen
+rates.  Same-timestamp arrivals (a collective shuffle wave starts dozens of
+flows at ``sim.now``) are coalesced into one recompute by a zero-delay
+flush.  The filling loop itself is the *array kernel*:
 
-* :class:`Fabric` — what every production machine runs — recomputes
-  **incrementally**: only the connected component of the link–flow graph
-  actually touched by an arrival, departure, or capacity change is re-rated;
-  flows whose bottleneck structure is disjoint keep their frozen rates.
-  Same-timestamp arrivals (a collective shuffle wave starts dozens of flows
-  at ``sim.now``) are coalesced into one recompute by a zero-delay flush.
-  The filling loop itself is the *array kernel*:
+* **Flat arrays instead of dict churn.**  ``_fill`` lowers the touched
+  component into parallel lists indexed by local flow/link ids
+  (capacities, integer weight sums, membership as ascending-``fi`` int
+  lists) and runs progressive filling over those, with lazy freezing (a
+  byte flag per flow, a weight-sum decrement per link) instead of
+  per-round dict removals.  The scan order, tie-breaks, and every float
+  operation — shares, the ``max(best_share, 0.0)`` clamp, the
+  per-bundle-member clamped residual subtractions — are performed on the
+  same operands in the same order as the readable dict loop of the full
+  recompute (:class:`repro.reference.NaiveFabric`), which is why the
+  result is bit-identical.
+* **Converged-rate memoization.**  The filled rates are a pure function
+  of the component's *topology signature*: per-flow weights and, per link
+  crossing, either the local id of an already-seen link or the capacity
+  of a first-touch link — one flat tuple (see ``_fill``), built by a loop
+  that grows a list in place and makes no calls, because the key build
+  is the whole cost of a cache hit.  They do not depend on
+  ``remaining``/``nbytes`` (filling never reads them) or on flow/link
+  identity.  The sweep's shuffle waves re-rate the same few shapes
+  thousands of times, so a bounded signature→rates cache turns the
+  filling loop into a key build + dict hit (``rate_cache_hits`` /
+  ``rate_cache_misses`` counters; surfaced via ``SimProfiler`` as
+  ``fabric.rate_cache_hits``/``..._misses`` when profiling).
+  Single-flow components — a third of all fills on cache-enabled sweep
+  points — bypass the signature and cache entirely: their fill is a
+  closed-form min over the flow's own links.
+* **Pooled flush/wake callables.**  The coalesced flush and the wake
+  re-arm are pooled callable objects scheduled via
+  ``sim.call_soon``/``sim.call_later`` — the slotted engine's ``_Call``
+  fast path — invalidated by a generation stamp carried *on the armed
+  object* (a stamp on the fabric alone would let a superseded-but-pending
+  callable pass the check once re-armed).
 
-  * **Flat arrays instead of dict churn.**  ``_fill`` lowers the touched
-    component into parallel lists indexed by local flow/link ids
-    (capacities, integer weight sums, membership as ascending-``fi`` int
-    lists) and runs progressive filling over those, with lazy freezing (a
-    byte flag per flow, a weight-sum decrement per link) instead of
-    per-round dict removals.  The scan order, tie-breaks, and every float
-    operation — shares, the ``max(best_share, 0.0)`` clamp, the
-    per-bundle-member clamped residual subtractions — are performed on the
-    same operands in the same order as :meth:`NaiveFabric._fill`, which is
-    why the result is bit-identical.
-  * **Converged-rate memoization.**  The filled rates are a pure function
-    of the component's *topology signature*: per-flow weights and, per link
-    crossing, either the local id of an already-seen link or the capacity
-    of a first-touch link — one flat tuple (see ``_fill``), built by a loop
-    that grows a list in place and makes no calls, because the key build
-    is the whole cost of a cache hit.  They do not depend on
-    ``remaining``/``nbytes`` (filling never reads them) or on flow/link
-    identity.  The sweep's shuffle waves re-rate the same few shapes
-    thousands of times, so a bounded signature→rates cache turns the
-    filling loop into a key build + dict hit (``rate_cache_hits`` /
-    ``rate_cache_misses`` counters; surfaced via ``SimProfiler`` as
-    ``fabric.rate_cache_hits``/``..._misses`` when profiling).
-    Single-flow components — a third of all fills on cache-enabled sweep
-    points — bypass the signature and cache entirely: their fill is a
-    closed-form min over the flow's own links.
-  * **Pooled flush/wake callables.**  The coalesced flush and the wake
-    re-arm are pooled callable objects scheduled via
-    ``sim.call_soon``/``sim.call_later`` — the slotted engine's ``_Call``
-    fast path — invalidated by a generation stamp carried *on the armed
-    object* (a stamp on the fabric alone would let a superseded-but-pending
-    callable pass the check once re-armed).
-
-* :class:`NaiveFabric` is the original full-recompute allocator, the
-  fabric of the reference stack (``Machine(reference=True)``) and the
-  oracle: every change re-runs the readable dict filling loop over all
-  active flows.  The two are byte-identical — same rates, same completion
-  timestamps — which ``tests/net`` asserts on randomized churn and the
-  two-stack golden digests on whole runs.
+The full recompute re-runs the dict filling loop over all active flows on
+every change; the two give the same rates and the same completion
+timestamps, which ``tests/net`` asserts on randomized churn and the
+two-stack golden digests on whole runs.
 
 Why the incremental result is *exactly* (bit-for-bit) the full result:
 progressive filling only ever moves capacity between a flow and the links
@@ -210,7 +207,7 @@ class Fabric:
     Counters (always on — plain int bumps) feed the benchmark harness:
 
     * ``recomputes`` / ``recompute_flows`` — filling passes run and flows
-      re-rated by them (the naive allocator re-rates every active flow on
+      re-rated by them (a full recompute re-rates every active flow on
       every change).
     * ``recomputes_skipped`` — changes proven unable to alter any share
       (e.g. a capacity change on links with no flows).
@@ -221,6 +218,10 @@ class Fabric:
     * ``rate_cache_hits`` / ``rate_cache_misses`` — multi-flow fills served
       from / added to the signature→rates memo.
     """
+
+    #: Whether clients start identical same-server transfers as one
+    #: weighted flow (a bundle, :class:`Flow`) on this allocator.
+    bundles = True
 
     def __init__(
         self,
@@ -240,7 +241,6 @@ class Fabric:
         self._loop = [Link(f"node{n}.loop", self.loopback_bw) for n in range(num_nodes)]
         self._flows: dict[Flow, None] = {}  # ordered set, see Link.flows
         self._done_to_flow: dict[Event, Flow] = {}  # active flows by done event
-        self._weighted = False  # any bundle live since construction?
         self._fid = count()
         self._last_update = 0.0
         # Links touched since the last recompute, in touch order, applied by
@@ -300,8 +300,6 @@ class Fabric:
             links = [self._out[src_node], self._in[dst_node]]
         links.extend(extra_links)
         flow = Flow(next(self._fid), links, nbytes, done, weight=weight, tag=tag)
-        if weight != 1:
-            self._weighted = True
         self._flows[flow] = None
         self._done_to_flow[done] = flow
         for link in links:
@@ -329,7 +327,6 @@ class Fabric:
         if flow is None or flow.nbytes != float(nbytes):
             return False
         flow.weight += 1
-        self._weighted = True
         self.bytes_moved += nbytes
         if flow.tag is not None:
             self.bytes_moved_by_tag[flow.tag] = (
@@ -337,10 +334,6 @@ class Fabric:
             )
         self._change(flow.links)
         return True
-
-    def transfer(self, src_node: int, dst_node: int, nbytes: float):
-        """Process-style helper: ``yield from fabric.transfer(...)``."""
-        yield self.start_flow(src_node, dst_node, nbytes)
 
     def set_node_bw_factor(self, node: int, factor: float) -> None:
         """Scale one endpoint's NIC capacity (both directions) by ``factor``.
@@ -447,7 +440,7 @@ class Fabric:
         self.recompute_flows += len(touched)
         # Refill in ascending-fid order — identical to the full recompute's
         # visit order restricted to this component, so tie-breaks (and hence
-        # every float) match the naive allocator exactly.
+        # every float) match the full recompute exactly.
         profiler = self.sim.profiler
         if profiler is None:
             self._fill(sorted(touched, key=_by_fid))
@@ -493,8 +486,8 @@ class Fabric:
         ``flows`` arrives in ascending-``fid`` order (component refills are
         sorted; ``self._flows`` iterates in creation order), so local flow
         ids ``fi`` enumerate ascending ``fid`` and every per-link member
-        list built here matches the insertion order of the dict
-        implementation's (:meth:`NaiveFabric._fill`) ``live`` sets exactly.
+        list built here matches the insertion order of the full recompute's
+        dict ``live`` sets exactly.
         """
         flow_list = list(flows)
         nflows = len(flow_list)
@@ -582,8 +575,7 @@ class Fabric:
                 wsum = wsums[li]
                 if not wsum:
                     continue
-                # Integer weight sum == len(members) when all weights are 1,
-                # so the division matches both of the dict loop's divisor branches.
+                # The integer weight sum: the dict loop's divisor, exactly.
                 share = residual[li] / wsum
                 if share < best_share:
                     best_share = share
@@ -654,126 +646,6 @@ class Fabric:
         # The wake just fired (or is now stale), so always re-arm — even if
         # the recompute was skipped, surviving flows still need a wake-up.
         self._arm_wake()
-
-
-class NaiveFabric(Fabric):
-    """The original full-recompute allocator: the reference stack's fabric.
-
-    Every arrival, departure, and capacity change advances the clock and
-    re-runs progressive filling — the readable dict loop below — over **all**
-    active flows, O(links × flows) per filling pass, and allocates a fresh
-    wake Event.  ``Machine(reference=True)`` builds it; tier-1 runs it
-    against :class:`Fabric` to prove the production allocator changes no
-    simulated timestamp.
-    """
-
-    _wake: Optional[Event] = None  # the armed wake; a superseded one is ignored
-
-    def _change(self, links: Iterable[Link]) -> None:
-        self._advance()
-        self._recompute()
-        self._arm_wake()
-
-    def _force_flush(self) -> None:  # nothing is ever deferred
-        pass
-
-    def _recompute(self) -> None:
-        self.recomputes += 1
-        self.recompute_flows += len(self._flows)
-        profiler = self.sim.profiler
-        if profiler is None:
-            self._fill(self._flows)
-        else:
-            with profiler.timer("fabric.recompute"):
-                self._fill(self._flows)
-            profiler.count("fabric.recompute_flows", len(self._flows))
-
-    def _departures(self, finished: list[Flow]) -> None:
-        if self._flows:
-            self._recompute()
-            self._arm_wake()
-
-    def _fill(self, flows: Iterable[Flow]) -> None:
-        """Max-min fair allocation of ``flows`` by progressive filling.
-
-        All iteration is over insertion-ordered dicts, so bottleneck
-        tie-breaks (symmetric NICs produce many equal shares) resolve the
-        same way in every process and the allocation is fully deterministic.
-        """
-        unfrozen: dict[Flow, None] = dict.fromkeys(flows)
-        residual = {link: link.capacity for flow in unfrozen for link in flow.links}
-        live = {
-            link: dict.fromkeys(f for f in link.flows if f in unfrozen)
-            for link in residual
-        }
-        weighted = self._weighted
-        while unfrozen:
-            best_link = None
-            best_share = _INF
-            for link, members in live.items():
-                if not members:
-                    continue
-                if weighted:
-                    # Bundle members count individually; both divisors are
-                    # exact ints, so all-weight-1 fabrics divide by the same
-                    # value either way (the flag only skips the summation).
-                    share = residual[link] / sum(f.weight for f in members)
-                else:
-                    share = residual[link] / len(members)
-                if share < best_share:
-                    best_share = share
-                    best_link = link
-            if best_link is None:
-                break
-            # Clamp against accumulated floating-point error: a residual can
-            # drift a few ULPs negative, which would hand out negative rates
-            # and stall the completion clock.
-            best_share = max(best_share, 0.0)
-            for flow in list(live[best_link]):
-                flow.rate = best_share
-                unfrozen.pop(flow, None)
-                for link in flow.links:
-                    if link is not best_link:
-                        if flow.weight == 1:
-                            residual[link] = max(0.0, residual[link] - best_share)
-                        else:
-                            # One clamped subtraction per bundle member —
-                            # exactly what `weight` separate flows would do
-                            # (equal-share subtractions commute, so member
-                            # interleaving cannot matter).
-                            r = residual[link]
-                            for _ in range(flow.weight):
-                                r = max(0.0, r - best_share)
-                            residual[link] = r
-                        live[link].pop(flow, None)
-            live[best_link].clear()
-
-    def _arm_wake(self) -> None:
-        # Faithful to the original: allocate a fresh wake event on *every*
-        # change, even when no flow can complete (soonest == inf) and the
-        # event will never be scheduled.  :meth:`Fabric._arm_wake` fixes
-        # this churn; the reference keeps it so the regression test can
-        # count the difference.
-        soonest = _INF
-        for flow in self._flows:
-            if flow.remaining <= flow.threshold:
-                soonest = 0.0
-            elif flow.rate > _EPS:
-                t = flow.remaining / flow.rate
-                if t < soonest:
-                    soonest = t
-        wake = self.sim.event(name="fabric-wake")
-        self._wake = wake
-        self.wake_events += 1
-        if soonest is not _INF:
-            wake.callbacks.append(self._on_wake)
-            wake.succeed(delay=max(1e-9, soonest) if soonest > 0.0 else 0.0)
-
-    def _on_wake(self, event: Event) -> None:
-        if event is not self._wake:
-            return  # superseded by a newer reschedule
-        self._wake = None
-        self._wake_body()
 
 
 def create_fabric(

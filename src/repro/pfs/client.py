@@ -10,13 +10,13 @@ Two write paths mirror the two ways ROMIO drives the file system:
   (``_issue_writes``), not a process per RPC: the caller waits on a single
   completion event.
 
-* :meth:`write_sync` — the synchronous independent path used by the cache
-  sync thread (a blocking ``pwrite`` loop in one pthread): one outstanding
-  RPC at a time, each paying the full client/kernel round trip
+* :meth:`write_sync_flat` — the synchronous independent path used by the
+  cache sync thread (a blocking ``pwrite`` loop in one pthread): one
+  outstanding RPC at a time, each paying the full client/kernel round trip
   (``sync_client_rtt``) on top of transfer and server time, raced against
   the fault schedule's sync-RPC watchdog when one is armed.  This is what
   limits a single flushing aggregator to ≈105 MB/s with 512 KiB chunks.
-  Production runs its callback-chain twin :meth:`write_sync_flat`.
+  It too is a callback chain; the caller waits on its completion event.
 
 Every entry point reads its stripe plan (runs, bulk groups, sync RPC split)
 from the process-wide memo in :mod:`repro.pfs.layout`, which also rejects
@@ -58,9 +58,10 @@ class PFSClient:
         # Per-job accounting tag (fleet): threaded into every fabric flow and
         # server RPC this client issues.  None for single-job machines.
         self.tag: Optional[str] = None
-        # Production stack: same-size runs to the same server start as one
-        # weighted flow instead of one flow per run (see pfs.layout).
-        self._bulk = pfs.fast_path
+        # Same-size runs to the same server start as one weighted flow
+        # instead of one flow per run (see pfs.layout), where the fabric
+        # bundles them.
+        self._bulk = pfs.fabric.bundles
 
     # -- metadata ------------------------------------------------------------
     def create(self, path: str, stripe_size=None, stripe_count=None):
@@ -157,57 +158,6 @@ class PFSClient:
         return done
 
     # -- data: synchronous independent path (the sync thread's loop) ----------------
-    def write_sync(
-        self,
-        f: PFSFile,
-        offset: int,
-        nbytes: int,
-        data: Optional[np.ndarray] = None,
-        locking: bool = False,
-        rpc_count: Optional[int] = None,
-    ):
-        """Generator: blocking write — one RPC at a time, full RTT each.
-
-        ``rpc_count`` (default: one per target run) lets a caller that has
-        coalesced several logical chunks into this extent charge the
-        per-chunk round trips and server overheads for all of them, keeping
-        batched simulation cost-faithful.
-        """
-        shift, plan = sync_plan(f.layout, offset, nbytes, len(self.pfs.servers), rpc_count)
-        if nbytes == 0:
-            return
-        cfg = self.pfs.cfg
-        stripes = f.layout.stripes_covered(offset, nbytes) if locking else ()
-        held: list[int] = []
-        try:
-            for s in stripes:
-                yield from self.pfs.locks.acquire(f.file_id, s, exclusive=True)
-                held.append(s)
-            for si, t_off, total, run_rpcs in plan:
-                server = self.pfs.servers[si]
-                self.rpcs += run_rpcs
-                yield self.sim.timeout(cfg.sync_client_rtt * run_rpcs)
-                watchdog = self._watchdog()
-                if not watchdog:
-                    yield from self._sync_rpc(server, t_off + shift, total, run_rpcs)
-                else:
-                    # Race the RPC against the client-side watchdog.  On a
-                    # timeout the server op is abandoned, not cancelled —
-                    # whatever it persists is rewritten identically by the
-                    # caller's retry, so the data image stays consistent.
-                    op = self.sim.process(
-                        self._sync_rpc(server, t_off + shift, total, run_rpcs),
-                        name="sync-rpc",
-                    )
-                    winner = yield self.sim.any_of([op, self.sim.timeout(watchdog)])
-                    if winner is not op:
-                        raise self._timeout_error(si)
-        finally:
-            for s in held:
-                self.pfs.locks.release(f.file_id, s, exclusive=True)
-        f.record_write(offset, nbytes, data)
-        self.bytes_written += nbytes
-
     def write_sync_flat(
         self,
         f: PFSFile,
@@ -216,40 +166,22 @@ class PFSClient:
         data: Optional[np.ndarray] = None,
         rpc_count: Optional[int] = None,
     ) -> Event:
-        """Flat variant of :meth:`write_sync` (no locking) for the production
-        callback chains: every RTT timeout, flow start, worker grant, stall
-        wait, jitter draw and watchdog race lands in the same event callback
-        as on the generator path, and the returned Event fires inline where
-        the generator's caller would resume (or fails with
-        :class:`PFSTimeoutError`).  Abandoned, the chain takes no later step;
-        a flow already started or a raced RPC runs out, as the generator
-        leaves them, and an unraced server RPC is abandoned with it.
+        """Blocking write, no locking — one RPC at a time, each after a full
+        RTT, its transfer and the server's processing back to back (no
+        pipelining on the synchronous path).  The returned Event fires
+        inline when the last RPC is served, or fails with
+        :class:`PFSTimeoutError` when an armed watchdog wins a run's race.
+
+        ``rpc_count`` (default: one per target run) lets a caller that has
+        coalesced several logical chunks into this extent charge the
+        per-chunk round trips and server overheads for all of them, keeping
+        batched simulation cost-faithful.  On a timeout the server RPC is
+        abandoned, not cancelled — whatever it persists is rewritten
+        identically by the caller's retry.  Abandoned itself, the chain
+        takes no later step; a flow already started or a raced RPC runs
+        out, and an unraced server RPC is abandoned with it.
         """
         return _SyncWrite(self, f, offset, nbytes, data, rpc_count).done
-
-    def _sync_rpc(self, server, target_offset: int, total: int, run_rpcs: int):
-        """One blocking sync RPC: the transfer and the server's processing,
-        issued back to back (no pipelining on the synchronous path)."""
-        yield self.pfs.fabric.start_flow(
-            self.node_id,
-            server.fabric_node,
-            total,
-            extra_links=(self.channel, self.pfs.ingest_link(server.server_id)),
-            tag=self.tag,
-        )
-        yield from server.serve_write(target_offset, total, rpc_count=run_rpcs, tag=self.tag)
-
-    def _watchdog(self) -> float:
-        """Client-side RPC timeout for the sync path when fault injection
-        armed one (``FaultSchedule.sync_rpc_timeout``), else 0."""
-        inj = self.pfs.injector  # attached only with the watchdog armed
-        return inj.sync_rpc_timeout if inj is not None else 0.0
-
-    def _timeout_error(self, server_id: int) -> PFSTimeoutError:
-        return PFSTimeoutError(
-            f"sync write RPC to server {server_id} "
-            f"exceeded the {self._watchdog():g}s client timeout"
-        )
 
     # -- reads -----------------------------------------------------------------
     def read(self, f: PFSFile, offset: int, nbytes: int, locking: bool = False):
@@ -299,6 +231,13 @@ class PFSClient:
         yield self.sim.all_of(waits)
 
 
+def timeout_error(server_id: int, timeout: float) -> PFSTimeoutError:
+    """What a sync write raises when a run's RPC outlasts the watchdog."""
+    return PFSTimeoutError(
+        f"sync write RPC to server {server_id} exceeded the {timeout:g}s client timeout"
+    )
+
+
 class _SyncWrite:
     """One :meth:`PFSClient.write_sync_flat` in flight, its runs one at a
     time.  Only the callbacks it schedules hold it, so it leaves no
@@ -313,7 +252,8 @@ class _SyncWrite:
             raise SimError("write_sync_flat requires nbytes > 0")
         self.done = Event(client.sim, name="write-sync")
         self.done.abandon = settle  # while no server RPC of ours is waited on
-        self.watchdog = client._watchdog()
+        inj = client.pfs.injector  # attached only with the sync-RPC watchdog armed
+        self.watchdog = inj.sync_rpc_timeout if inj is not None else 0.0
         self.decided: set[int] = set()  # the runs whose race has a winner
         self._start(0)
 
@@ -383,6 +323,6 @@ class _SyncWrite:
             return
         if timed_out:
             done.abandon = None
-            done._fire_inline(self.client._timeout_error(self.plan[i][0]), ok=False)
+            done._fire_inline(timeout_error(self.plan[i][0], self.watchdog), ok=False)
         else:
             self._next(i)

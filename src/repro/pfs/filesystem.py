@@ -101,9 +101,6 @@ class ParallelFileSystem:
         ]
         self.mds = MetadataServer(sim, base + self.cfg.num_data_servers, self.cfg)
         self.locks = LockManager(sim, self.cfg.lock_rpc_time)
-        # Set by a production Machine, consulted by PFSClient: clients
-        # coalesce identical same-server runs into weighted flows.
-        self.fast_path = False
         # Set by repro.faults when a schedule arms the sync-RPC watchdog.
         self.injector = None
         self._files: dict[str, PFSFile] = {}

@@ -83,13 +83,12 @@ class WriteBackCache:
     therefore settles to the disk rate while bursts and round-synchronised
     collective patterns are decoupled from disk-arm scheduling.
 
-    Blocked writers wait in one FIFO: a generator waiter (:meth:`absorb`,
-    :meth:`drain_all`) is the ``Event`` it yielded, a flat
-    ``DataServer._serve_write_absorb`` continuation is a bare callable.  A
-    drain step that finds waiters takes the list and schedules one
-    :meth:`_wake`, which resumes them *in place* and in order for as long as
-    there is room, and puts the rest back unwoken — so a waiter that could
-    not have taken a byte is never resumed to find that out
+    Blocked writers wait in one FIFO: a ``DataServer._serve_write_absorb``
+    continuation is a bare callable, a waiting generator the ``Event`` it
+    yielded.  A drain step that finds waiters takes the list and schedules
+    one :meth:`_wake`, which resumes them *in place* and in order for as
+    long as there is room, and puts the rest back unwoken — so a waiter that
+    could not have taken a byte is never resumed to find that out
     (docs/PERFORMANCE.md, "Write-back stages").
     """
 
@@ -103,28 +102,6 @@ class WriteBackCache:
         self._daemon_running = False
         self._drain_pos = 0
         self._draining = 0  # bytes of the drain step in flight
-
-    def absorb(self, nbytes: int):
-        """Generator: account ``nbytes`` dirty, blocking while over the limit."""
-        remaining = int(nbytes)
-        while remaining > 0:
-            room = self.limit - self.dirty
-            if room <= 0:
-                ev = Event(self.sim, name="srvcache-throttle")
-                self._waiters.append(ev)
-                yield ev
-                continue
-            chunk = min(remaining, room)
-            self.dirty += chunk
-            remaining -= chunk
-            self._ensure_daemon()
-
-    def drain_all(self):
-        """Generator: wait until the cache is empty (used by tests/teardown)."""
-        while self.dirty > 0:
-            ev = Event(self.sim, name="srvcache-drainwait")
-            self._waiters.append(ev)
-            yield ev
 
     def _ensure_daemon(self) -> None:
         if not self._daemon_running and self.dirty > 0:
@@ -153,9 +130,9 @@ class WriteBackCache:
         A resumed waiter that is still short re-queues itself on the (new)
         ``_waiters`` list; the unwoken tail goes back behind those, which is
         the order everyone re-queueing for themselves would have produced.
-        A ``drain_all`` waiter takes no room and may be left in the tail:
-        the tail only exists while ``dirty >= limit > 0``, when it would have
-        re-queued anyway.
+        A waiter for the cache to empty takes no room and may be left in the
+        tail: the tail only exists while ``dirty >= limit > 0``, when it
+        would have re-queued anyway.
         """
         woken = 0
         for waiter in waiters:
@@ -197,7 +174,6 @@ class DataServer:
         self.rpcs_by_tag: dict[str, int] = {}
         self.bytes_by_tag: dict[str, int] = {}
         self.injector = None  # set by repro.faults when a stall targets us
-        self.fast_path = False  # production stack: skip free-worker grant events
         self._rpc_jitter = None  # cached draw callable (lazy: rng may be swapped)
 
     def _draw_rpc_jitter(self) -> float:
@@ -213,46 +189,26 @@ class DataServer:
             self.rpcs_by_tag[tag] = self.rpcs_by_tag.get(tag, 0) + max(1, rpc_count)
             self.bytes_by_tag[tag] = self.bytes_by_tag.get(tag, 0) + int(nbytes)
 
-    def serve_write(
-        self, target_offset: int, nbytes: int, rpc_count: int = 1, tag: Optional[str] = None
-    ):
-        """Generator: process one write RPC — worker, overhead, cache absorb.
-
-        ``rpc_count > 1`` accounts for a batch of logical RPCs coalesced by
-        the caller: per-RPC overhead is charged for each.
-        """
-        if not (self.fast_path and self.workers.try_acquire()):
-            yield self.workers.request()
-        try:
-            if self.injector is not None:
-                # A stalled server parks the RPC while holding the worker:
-                # head-of-line blocking, exactly what a wedged daemon does.
-                yield from self.injector.server_gate(self.server_id)
-            overhead = self.cfg.rpc_overhead * max(1, rpc_count)
-            if self.rng is not None and self.cfg.jitter_sigma > 0:
-                overhead *= self._draw_rpc_jitter()
-            yield self.sim.timeout(overhead)
-            yield from self.cache.absorb(nbytes)
-            self.rpcs_served += max(1, rpc_count)
-            self._account(tag, nbytes, rpc_count)
-        finally:
-            self.workers.release()
-
     def serve_write_event(
         self, target_offset: int, nbytes: int, rpc_count: int = 1, tag: Optional[str] = None
     ) -> Event:
-        """Flat variant of :meth:`serve_write` for the production callback chains.
+        """Process one write RPC — worker, stall gate, overhead, cache
+        absorb — as a callback chain; the returned Event fires *inline* when
+        the worker is released.
 
-        Returns an Event fired *inline* in the callback where the
-        generator's caller would resume: same worker-grant position, stall
-        gate, post-grant jitter draw, absorb/throttle loop and
-        release-before-resume order.  The RPC runs out whatever becomes of
-        its caller unless the caller abandons it: then a queued worker
-        request leaves the queue, a held worker is released where the
-        generator's ``finally`` would release it, and no later step runs.
+        ``rpc_count > 1`` accounts for a batch of logical RPCs coalesced by
+        the caller: per-RPC overhead is charged for each.  Every step lands
+        in the event callback where an RPC written as a generator would take
+        it: the worker grant, the stall gate (a stalled server parks the RPC
+        while holding the worker: head-of-line blocking), the post-grant
+        jitter draw, the absorb/throttle loop and the release before the
+        resume.  The RPC runs out whatever becomes of its caller unless the
+        caller abandons it: then a queued worker request leaves the queue, a
+        held worker is released at the interrupt kick, and no later step
+        runs.
         """
         done = Event(self.sim, name=f"srv{self.server_id}-w")
-        if self.fast_path and self.workers.try_acquire():
+        if self.workers.try_acquire():
             self._serve_write_overhead(done, nbytes, rpc_count, tag)
         else:
             req = self.workers.request()
@@ -287,8 +243,8 @@ class DataServer:
     def _serve_write_absorb(
         self, done: Event, nbytes: int, rpc_count: int, remaining: int, tag: Optional[str]
     ) -> None:
-        # Same loop as WriteBackCache.absorb, continued across throttle waits
-        # by queueing this call's continuation on the cache's waiter FIFO.
+        # Account the RPC's bytes dirty, continued across throttle waits by
+        # queueing this call's continuation on the cache's waiter FIFO.
         # An abandoned RPC's continuation, woken, takes no room: the wake
         # passes over it as over an interrupted generator's event.
         if done._triggered:
@@ -311,7 +267,9 @@ class DataServer:
         done._fire_inline()
 
     def serve_read(self, target_offset: int, nbytes: int, tag: Optional[str] = None):
-        if not (self.fast_path and self.workers.try_acquire()):
+        """Generator: process one read RPC — worker, stall gate, overhead,
+        the target's read."""
+        if not self.workers.try_acquire():
             yield self.workers.request()
         try:
             if self.injector is not None:

@@ -531,6 +531,9 @@ class Simulator:
 
     #: Engine name, for reports.
     kind = "heapq"
+    #: Whether a free Resource may grant in its requester's callback
+    #: (``Resource.try_acquire``); never here: every grant is an event.
+    inline_grants = False
 
     # Kicks recycled beyond this depth are simply dropped; the pool only has
     # to absorb the steady-state resume churn, not a worst-case burst.
@@ -727,6 +730,7 @@ class SlottedSimulator(Simulator):
     )
 
     kind = "slotted"
+    inline_grants = True
 
     # Each pool is bounded so a teardown burst cannot pin a run's worth of
     # events; steady-state churn fits comfortably.

@@ -11,7 +11,7 @@ and §IV-A device models.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Optional
 
 from repro.sim.core import Event, SimError, Simulator, abandon, settle
 
@@ -56,6 +56,8 @@ class Resource:
         self._waiters: deque[Event] = deque()
         self._acq_name = "acquire:" + name  # precomputed: request() is hot
         self._abandon_cb = self._abandon_request  # bound once: request() is hot
+        # The engine decides, once: see Simulator.inline_grants.
+        self.inline_grants = sim.inline_grants
 
     @property
     def in_use(self) -> int:
@@ -94,9 +96,11 @@ class Resource:
         immediately; the only difference is that the caller skips the
         zero-delay grant event and continues in the same simulator turn.
         FIFO fairness is preserved: with waiters present the method always
-        fails, so a fast-path caller can never overtake the queue.
+        fails, so a caller can never overtake the queue.  It always fails on
+        an engine without ``inline_grants`` (the heapq one), whose caller
+        then takes the grant event.
         """
-        if self._in_use < self.capacity and not self._waiters:
+        if self.inline_grants and self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
             return True
         return False
@@ -109,23 +113,6 @@ class Resource:
             nxt.succeed()
         else:
             self._in_use -= 1
-
-    def acquire(self) -> Generator[Event, Any, "Resource"]:
-        """``yield from resource.acquire()`` convenience wrapper."""
-        yield self.request()
-        return self
-
-    def use(self, duration_fn: Callable[[], float]):
-        """Process body: hold the resource for ``duration_fn()`` sim-seconds."""
-
-        def _body():
-            yield self.request()
-            try:
-                yield self.sim.timeout(duration_fn())
-            finally:
-                self.release()
-
-        return _body()
 
 
 class Store:

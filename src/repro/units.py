@@ -11,6 +11,8 @@ in these units).
 
 from __future__ import annotations
 
+import math
+
 # Binary size units (bytes).
 KiB = 1024
 MiB = 1024 * KiB
@@ -70,10 +72,11 @@ def parse_size(value: int | str) -> int:
         scalar = float(num)
     except ValueError as exc:
         raise ValueError(f"malformed size {value!r}") from exc
+    if not scalar < math.inf:  # NaN or infinity
+        raise ValueError(f"not a finite size: {value!r}")
     if scalar < 0:
         raise ValueError(f"negative size: {value!r}")
-    result = int(round(scalar * _SUFFIXES[suffix]))
-    return result
+    return int(round(scalar * _SUFFIXES[suffix]))
 
 
 def fmt_size(nbytes: float) -> str:

@@ -14,7 +14,7 @@ The driver records per-rank, per-phase timings that feed Equations (1)/(2)
 
 Only rank 0 and the aggregators decide or write anything here.  Where it
 is certain before the run that every other rank will park on each
-collective write (``ext2ph.fast_paths``), the body declares those ranks
+collective write (``ext2ph.call_paths``), the body declares those ranks
 one *class* (``body.rank_classes``): ``MPIWorld.spawn`` runs them as one
 process that opens, writes, computes and closes once for all of them.
 The same body serves a class and a rank on its own; results are
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.mpi.process import MPIContext
-from repro.romio.ext2ph import fast_paths
+from repro.romio.ext2ph import call_paths
 from repro.romio.hints import Hints
 from repro.workloads.base import Workload
 
@@ -142,7 +142,7 @@ def multi_phase_body(
         if (
             len(followers) < 2
             or wrapper is not None
-            or not fast_paths(layer.machine, comm, layer.exchange_mode, parsed)[1]
+            or not call_paths(layer.machine, comm, layer.exchange_mode, parsed)[1]
             or layer.machine.recovery.has_orphans()
         ):
             return None

@@ -86,7 +86,7 @@ class TestAppend:
         def proc():
             yield from wal.append(0, 4096, payload(4096, 3))
             t0 = machine.sim.now
-            data = yield from wal.read(0, 4096)
+            data = yield wal.read_event(0, 4096)
             return data, machine.sim.now - t0
 
         data, took = run(machine, proc())

@@ -42,29 +42,29 @@ def quiet_faults(config) -> FaultSchedule:
 @contextlib.contextmanager
 def walking():
     """Refuse every collective write its clock, as ``romio_cb_write=automatic``
-    does: ``ext2ph.fast_paths`` (and the name ``workloads.phases`` imported)
+    does: ``ext2ph.call_paths`` (and the name ``workloads.phases`` imported)
     answers ``clock=False``, so on the production stack every rank is a
     process of its own that walks each call round by round — the live walk
     the clock and the rank classes are tested against."""
-    real = ext2ph.fast_paths
+    real = ext2ph.call_paths
 
     def refused(machine, comm, exchange_mode, hints):
         return real(machine, comm, exchange_mode, hints)[0], False
 
-    with mock.patch.object(ext2ph, "fast_paths", refused), mock.patch.object(
-        phases, "fast_paths", refused
+    with mock.patch.object(ext2ph, "call_paths", refused), mock.patch.object(
+        phases, "call_paths", refused
     ):
         yield
 
 
 def grant_events(machine) -> None:
-    """Put every device and data server of a production ``machine`` on its
-    grant-event body (``fast_path = False``: every grant an event, as on the
-    reference stack), its engine, fabric and flat chains left as they are."""
+    """Put every device and data server of a production ``machine`` on grant
+    events (no inline grants: every grant an event, as on the reference
+    stack's engine), its engine, fabric and flat chains left as they are."""
     for node in machine.nodes:
-        node.ssd.fast_path = node.nvmm.fast_path = False
+        node.ssd.queue.inline_grants = node.nvmm.queue.inline_grants = False
     for server in machine.pfs.servers:
-        server.fast_path = server.target.fast_path = False
+        server.workers.inline_grants = server.target.queue.inline_grants = False
 
 
 @pytest.fixture

@@ -67,7 +67,7 @@ WAITS = {
     ("absorb", "srvcache-throttle"): "absorb throttle",
     ("_io", "acquire"): "device queue",
     ("_io", "timeout"): "device service",
-    ("read", "timeout"): "page-cache copy",
+    ("read_local", "timeout"): "page-cache copy",
     ("flush", "timeout"): "backoff",
     ("_run", "get"): "idle",
 }

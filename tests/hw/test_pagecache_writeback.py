@@ -79,7 +79,7 @@ def play(cache_cls, writers, engine, fast_path, dirty_limit, chunk, interrupt=No
     sim = ENGINES[engine]()
     # 1 MiB/s device behind a 1 GiB/s memcpy: writeback is the slow side.
     ssd = SSDDevice(sim, "ssd", write_bw=MiB, read_bw=MiB, latency=1e-4, capacity_bytes=1 << 40)
-    ssd.fast_path = fast_path
+    ssd.queue.inline_grants = fast_path
     cache = cache_cls(sim, ssd, memcpy_bw=1024 * MiB, dirty_limit=dirty_limit, writeback_chunk=chunk)
     log, done = [], {}
     observe(sim, cache, log)
@@ -204,7 +204,7 @@ def gc_pressure_run(cache_cls, reference):
         sim.process(writer(wid))
     sim.run()
     ssd = node.ssd
-    assert ssd.injector is machine.faults and ssd.fast_path is not reference
+    assert ssd.injector is machine.faults and ssd.queue.inline_grants is not reference
     return log, done, ssd.busy_time, ssd.injected_stall_time, machine.faults.injected, sim.now
 
 

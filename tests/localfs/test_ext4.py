@@ -109,7 +109,7 @@ class TestDataPath:
 
         def proc():
             yield from fs.write(f, 1000, 256, data)
-            got = yield from fs.read(f, 1000, 256)
+            got = yield fs.read_event(f, 1000, 256)
             return got
 
         got = drive(sim, proc())
@@ -122,7 +122,7 @@ class TestDataPath:
 
         def proc():
             yield from fs.write(f, 100, 100, data)
-            got = yield from fs.read(f, 50, 200)
+            got = yield fs.read_event(f, 50, 200)
             return got
 
         got = drive(sim, proc())
@@ -135,7 +135,7 @@ class TestDataPath:
 
         def proc():
             yield from fs.write(f, 0, 1024)  # no payload
-            got = yield from fs.read(f, 0, 1024)
+            got = yield fs.read_event(f, 0, 1024)
             return got
 
         assert drive(sim, proc()) is None
@@ -148,7 +148,7 @@ class TestDataPath:
             yield from fs.write(f, 0, 8 * MiB)
             yield from fs.fsync(f)
             t0 = sim.now
-            yield from fs.read(f, 0, 8 * MiB)
+            yield fs.read_event(f, 0, 8 * MiB)
             return sim.now - t0
 
         dt = drive(sim, proc())

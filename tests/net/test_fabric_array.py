@@ -15,7 +15,8 @@ import random
 import pytest
 
 from repro.net import fabric as fabric_mod
-from repro.net.fabric import Fabric, NaiveFabric
+from repro.net.fabric import Fabric
+from repro.reference import NaiveFabric
 from repro.sim.core import SlottedSimulator, Simulator
 
 from tests.net.test_fabric_incremental import BW, LAT, NODES, churn

@@ -2,7 +2,7 @@
 
 :class:`~repro.net.fabric.Fabric` (incremental recompute, array kernel)
 must be *byte-identical* to the naive full-recompute reference
-(:class:`~repro.net.fabric.NaiveFabric`, the reference stack's): same rates,
+(:class:`~repro.reference.NaiveFabric`, the reference stack's): same rates,
 same completion timestamps, under arrivals, departures, mid-transfer
 capacity changes, and randomized churn.  These tests drive both allocators
 through identical seeded schedules and compare.
@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.net.fabric import Fabric, NaiveFabric
+from repro.net.fabric import Fabric
+from repro.reference import NaiveFabric
 from repro.sim.core import Simulator
 
 BW = 1000.0

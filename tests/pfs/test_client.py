@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.config import small_testbed
 from repro.machine import Machine
 from repro.pfs.layout import StripeLayout, coalesce_target_runs
@@ -108,7 +109,7 @@ class TestWrite:
             yield from client.write(f, 0, 8 * MiB)
             pipelined = machine.sim.now - t0
             t0 = machine.sim.now
-            yield from client.write_sync(f, 8 * MiB, 8 * MiB, rpc_count=16)
+            yield from reference.write_sync(client, f, 8 * MiB, 8 * MiB, rpc_count=16)
             synchronous = machine.sim.now - t0
             return pipelined, synchronous
 
@@ -121,7 +122,7 @@ class TestWrite:
         def proc(count):
             f = yield from client.create(f"/g/n{count}")
             t0 = machine.sim.now
-            yield from client.write_sync(f, 0, MiB, rpc_count=count)
+            yield from reference.write_sync(client, f, 0, MiB, rpc_count=count)
             return machine.sim.now - t0
 
         t_few = drive(machine, proc(1))

@@ -1,8 +1,10 @@
 
+from repro import reference
 from repro.config import PFSConfig
 from repro.pfs.server import DataServer, WriteBackCache, RaidTarget
 from repro.sim.core import Simulator
 from repro.units import MiB
+from tests.pfs.test_writeback_cache import drain_all
 
 
 def make_server(**cfg_overrides):
@@ -18,7 +20,7 @@ class TestWriteBackCache:
         cache = WriteBackCache(sim, target, limit=100 * MiB, drain_chunk=4 * MiB)
 
         def proc():
-            yield from cache.absorb(10 * MiB)
+            yield from reference.absorb(cache, 10 * MiB)
             return sim.now
 
         p = sim.process(proc())
@@ -31,8 +33,8 @@ class TestWriteBackCache:
         cache = WriteBackCache(sim, target, limit=100 * MiB, drain_chunk=4 * MiB)
 
         def proc():
-            yield from cache.absorb(20 * MiB)
-            yield from cache.drain_all()
+            yield from reference.absorb(cache, 20 * MiB)
+            yield from drain_all(cache)
 
         sim.run(until=sim.process(proc()))
         assert cache.dirty == 0
@@ -45,7 +47,7 @@ class TestWriteBackCache:
         cache = WriteBackCache(sim, target, limit=8 * MiB, drain_chunk=4 * MiB)
 
         def proc():
-            yield from cache.absorb(64 * MiB)
+            yield from reference.absorb(cache, 64 * MiB)
             return sim.now
 
         p = sim.process(proc())
@@ -59,7 +61,7 @@ class TestDataServer:
         sim, srv = make_server()
 
         def proc():
-            yield from srv.serve_write(0, 4 * MiB)
+            yield from reference.serve_write(srv, 0, 4 * MiB)
             return sim.now
 
         p = sim.process(proc())
@@ -74,7 +76,7 @@ class TestDataServer:
         def proc():
             pos = 0
             while pos < total:
-                yield from srv.serve_write(pos, 4 * MiB)
+                yield from reference.serve_write(srv, pos, 4 * MiB)
                 pos += 4 * MiB
             return sim.now
 
@@ -88,10 +90,10 @@ class TestDataServer:
 
         def proc():
             t0 = sim.now
-            yield from srv.serve_write(0, MiB, rpc_count=1)
+            yield from reference.serve_write(srv, 0, MiB, rpc_count=1)
             one = sim.now - t0
             t0 = sim.now
-            yield from srv.serve_write(MiB, MiB, rpc_count=10)
+            yield from reference.serve_write(srv, MiB, MiB, rpc_count=10)
             ten = sim.now - t0
             return one, ten
 
@@ -105,7 +107,7 @@ class TestDataServer:
         done = []
 
         def client(i):
-            yield from srv.serve_write(i * MiB, MiB)
+            yield from reference.serve_write(srv, i * MiB, MiB)
             done.append(sim.now)
 
         for i in range(8):
@@ -123,7 +125,7 @@ class TestDataServer:
 
             def proc():
                 for i in range(5):
-                    yield from srv.serve_write(i * MiB, MiB)
+                    yield from reference.serve_write(srv, i * MiB, MiB)
                 return sim.now
 
             p = sim.process(proc())

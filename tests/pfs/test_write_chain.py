@@ -3,7 +3,7 @@
 The chain replaced a process per RPC group and per server RPC.  These tests
 pin what must not have moved: the uncontended closed form, the order in
 which same-instant writers reach each server's worker FIFO and jitter
-stream (against the generator ``serve_write`` as oracle), a stalled
+stream (against the generator ``repro.reference.serve_write`` as oracle), a stalled
 server's RPC waiting out its stall on the chain, and what an interrupted
 waiter leaves behind.
 """
@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import reference
 from repro.config import small_testbed
 from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.machine import Machine
@@ -107,7 +108,7 @@ def same_instant_writers(monkeypatch, generator_serve):
 
         def as_process(self, target_offset, nbytes, rpc_count=1, tag=None):
             return self.sim.process(
-                self.serve_write(target_offset, nbytes, rpc_count, tag), name="srv-w"
+                reference.serve_write(self, target_offset, nbytes, rpc_count, tag), name="srv-w"
             )
 
         monkeypatch.setattr(DataServer, "serve_write_event", as_process)

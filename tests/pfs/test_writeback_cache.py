@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.config import PFSConfig
 from repro.pfs.server import DataServer, WriteBackCache
 from repro.sim.core import Event, Interrupt
@@ -24,6 +25,14 @@ from repro.sim.rng import RngStreams
 from tests.conftest import ENGINES
 
 KiB = 1024
+
+
+def drain_all(cache):
+    """Generator: wait in ``cache``'s FIFO until it is empty."""
+    while cache.dirty > 0:
+        ev = Event(cache.sim, name="srvcache-drainwait")
+        cache._waiters.append(ev)
+        yield ev
 
 
 class HerdCache(WriteBackCache):
@@ -89,7 +98,7 @@ class Rig:
             jitter_sigma=sigma, server_cache_bytes=limit, server_drain_chunk=drain_chunk
         )
         self.server = server = server_cls(sim, 0, 0, cfg, rng=RngStreams(7), num_workers=workers)
-        server.fast_path = server.target.fast_path = fast_path
+        server.workers.inline_grants = server.target.queue.inline_grants = fast_path
         self.cache = server.cache
         self.log: list[tuple] = []  # drain steps and rpc jitter draws, interleaved
         self.done: dict = {}  # rpc id -> completion instant, in completion order
@@ -120,7 +129,7 @@ class Rig:
     def generator(self, rpc, nbytes):
         def body():
             try:
-                yield from self.server.serve_write(0, nbytes)
+                yield from reference.serve_write(self.server, 0, nbytes)
             except Interrupt:
                 self.done[rpc] = ("interrupted", self.sim.now)
                 return
@@ -318,7 +327,7 @@ class TestNamedCases:
             emptied = []
 
             def waiter():
-                yield from rig.cache.drain_all()
+                yield from drain_all(rig.cache)
                 emptied.append((rig.sim.now, rig.cache.dirty))
 
             for rpc in range(3):
@@ -359,7 +368,7 @@ class TestNamedCases:
             rig.on_drain_step = on_step
             rig.barger = Event(rig.sim, name="barger")
             rig.barger.callbacks.append(lambda _ev: rig.done.__setitem__("barger", rig.sim.now))
-            rig.server.workers.try_acquire()  # the worker barge()'s release returns
+            rig.server.workers.request()  # the worker barge()'s release returns
             rig.flat("fill", 32 * KiB)
             rig.flat("first", 16 * KiB)
             rig.flat("second", 16 * KiB)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cache.cachefile import CacheState
 from repro.cache.policy import CachePolicy
+from repro.cache.syncthread import flush_batch
 from repro.config import small_testbed
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.faults import FaultSchedule, FaultSpec
@@ -23,6 +24,12 @@ from repro.sim.core import SimError, SlottedSimulator
 from repro.units import KiB
 
 TINY = dict(scale=0.02, num_files=2, flush_batch_chunks=16)
+
+
+def queues(machine):
+    """Every device queue and server worker pool of ``machine``."""
+    out = [dev.queue for node in machine.nodes for dev in (node.ssd, node.nvmm)]
+    return out + [q for s in machine.pfs.servers for q in (s.workers, s.target.queue)]
 
 
 class TestKindSelection:
@@ -38,10 +45,11 @@ class TestKindSelection:
             Machine(small_testbed())
 
     def test_machine_wires_fast_path_flags(self):
+        """Nothing is wired: every device and server grants inline because
+        the engine does, and clients bundle because the fabric does."""
         m = Machine(small_testbed())
-        assert all(node.ssd.fast_path and node.nvmm.fast_path for node in m.nodes)
-        assert all(s.fast_path and s.target.fast_path for s in m.pfs.servers)
-        assert m.pfs.fast_path
+        assert all(q.inline_grants for q in queues(m))
+        assert m.pfs_client(0)._bulk and m.flush_batch is flush_batch
 
     def test_faults_arm_their_targets_and_keep_every_fast_path(self):
         """A fault schedule attaches its injector to the components it
@@ -56,17 +64,15 @@ class TestKindSelection:
         assert m.pfs.servers[1].injector is m.faults
         assert all(node.ssd.injector is None for node in m.nodes[1:])
         assert all(s.injector is None for s in m.pfs.servers if s.server_id != 1)
-        assert all(node.ssd.fast_path and node.nvmm.fast_path for node in m.nodes)
-        assert all(s.fast_path and s.target.fast_path for s in m.pfs.servers)
-        assert m.pfs.fast_path
+        assert all(q.inline_grants for q in queues(m))
+        assert m.pfs_client(0)._bulk and m.flush_batch is flush_batch
 
     def test_explicit_dataplane_argument(self):
         """``reference=True`` is the only way left to the chunked plane."""
         m = Machine(small_testbed(), reference=True)
         assert m.reference
-        assert not any(node.ssd.fast_path or node.nvmm.fast_path for node in m.nodes)
-        assert not any(s.fast_path or s.target.fast_path for s in m.pfs.servers)
-        assert not m.pfs.fast_path
+        assert not any(q.inline_grants for q in queues(m))
+        assert not m.pfs_client(0)._bulk and m.flush_batch is not flush_batch
 
 
 class TestEquivalence:

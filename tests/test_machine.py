@@ -1,10 +1,11 @@
 import pytest
 
+from repro import reference
 from repro.config import deep_er_testbed, small_testbed
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
-from repro.net.fabric import NaiveFabric
 from repro.pfs.filesystem import ParallelFileSystem
+from repro.reference import NaiveFabric
 from repro.sim.core import SimError, Simulator
 
 
@@ -55,14 +56,15 @@ class TestMachine:
 
 class TestReferenceStack:
     def test_reference_builds_the_original_stack_as_a_unit(self):
-        """heapq ``Simulator`` + ``NaiveFabric`` + no ``fast_path`` anywhere,
-        per-rank collective release, no coalesced sends."""
+        """heapq ``Simulator`` + ``NaiveFabric`` + no inline grant anywhere,
+        per-rank collective release, no coalesced sends, generator flush."""
         m = Machine(small_testbed(), reference=True)
         assert m.reference
         assert type(m.sim) is Simulator and type(m.fabric) is NaiveFabric
-        devices = [dev for node in m.nodes for dev in (node.ssd, node.nvmm)]
-        devices += [s.target for s in m.pfs.servers]
-        assert not any(x.fast_path for x in [*devices, *m.pfs.servers, m.pfs])
+        assert m.flush_batch is reference.flush_batch
+        queues = [dev.queue for node in m.nodes for dev in (node.ssd, node.nvmm)]
+        queues += [q for s in m.pfs.servers for q in (s.workers, s.target.queue)]
+        assert not any(q.inline_grants or q.try_acquire() for q in queues)
         world = MPIWorld(m)
         assert not world.comm._model.shared_release and not world.transport.coalesce
         assert not m.pfs_client(0)._bulk

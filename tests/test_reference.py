@@ -1,0 +1,103 @@
+"""The boundary of the reference stack's own code.
+
+Everything only ``Machine(reference=True)`` runs that the production modules
+do not contain is :mod:`repro.reference`, and :mod:`repro.machine` is the
+only module that imports it; the production modules hold one implementation
+per behaviour and do not know which stack they are on.  Read off the source
+(``ast``), so a forbidden import is caught whether or not it is reached.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).parent
+
+#: Defined in repro.reference and nowhere else (not ``flush_batch``, the
+#: name of production's flat step too, nor ``read_back``, a plain method of
+#: ``PFSFile``: the read-backs are checked class by class below).
+REFERENCE_ONLY = {
+    "NaiveFabric",
+    "read_local",
+    "read_log",
+    "write_sync",
+    "_sync_rpc",
+    "serve_write",
+    "absorb",
+}
+
+
+def modules():
+    """``{dotted name: parsed tree}`` of every module under ``src/repro``."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = ast.parse(path.read_text(), filename=str(path))
+    return out
+
+
+def imports_reference(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "repro.reference" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "repro.reference":
+                return True
+            if node.module == "repro" and any(a.name == "reference" for a in node.names):
+                return True
+    return False
+
+
+def test_only_the_machine_imports_the_reference_module():
+    importers = {name for name, tree in modules().items() if imports_reference(tree)}
+    assert importers == {"repro.machine"}
+
+
+def test_no_production_module_defines_reference_code():
+    for name, tree in modules().items():
+        if name == "repro.reference":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                assert node.name not in REFERENCE_ONLY, (name, node.name, node.lineno)
+
+
+def test_the_read_backs_have_no_generator_read():
+    trees = modules()
+    for module, cls in (
+        ("repro.localfs.ext4", "LocalFileSystem"),
+        ("repro.cache.nvmlog", "NVMMWriteLog"),
+        ("repro.faults.recovery", "CacheJournal"),
+    ):
+        (body,) = [
+            n.body for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name == cls
+        ]
+        methods = {n.name for n in body if isinstance(n, ast.FunctionDef)}
+        assert not methods & {"read", "read_back"}, (cls, methods)
+
+
+def test_the_machine_sets_no_attribute_on_a_component():
+    """``Machine.__init__`` assigns attributes of the machine (and attaches
+    the profiler to its engine) only: each component takes what it needs
+    from the engine and the fabric it is built on, not from flags set after
+    the fact."""
+    (machine,) = [
+        n for n in modules()["repro.machine"].body if isinstance(n, ast.ClassDef)
+    ]
+    (init,) = [n for n in machine.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    for node in ast.walk(init):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            if isinstance(target, ast.Attribute):
+                owner = ast.unparse(target.value)
+                assert owner == "self" or ast.unparse(target) == "self.sim.profiler", owner
