@@ -5,8 +5,9 @@ identical cluster configs: one fault-free (the *reference*, for its
 bandwidth) and one under a :class:`~repro.faults.FaultSchedule`.  The
 reference does not depend on the scenario, so a process simulates it once
 per workload shape and recalls it for every other scenario of that shape
-(:data:`reference_memo`); the run under the schedule — the ``baseline``
-scenario's empty one included — is always simulated.  If the faulted job is
+(:data:`reference_memo`); the run under the schedule is always simulated,
+and a production ``baseline`` run (an empty schedule: the reference's very
+machine) is memoised as the reference when none is.  If the faulted job is
 killed by an injected aggregator crash, a follow-up *recovery job* re-opens
 every file on the same machine — the collective open replays orphaned cache
 extents — and the point reports recovery time and bytes replayed.
@@ -324,16 +325,22 @@ def run_fault_experiment(
     prefix = _file_prefix(spec)
     paths = [f"{prefix}{k}" for k in range(spec.num_files)]
     workload = build_fault_workload(spec, cfg.num_ranks)
-    ref = fault_free_reference(spec, cfg, workload, prefix, reference=reference)
-
-    # Faulted run.  Validate the schedule against the actual cluster shape
-    # before any machine is built — a bad target fails fast as ValueError.
+    # Validate the schedule against the actual cluster shape before any
+    # machine is built — a bad target fails fast as ValueError.
     schedule = FaultSchedule(faults=spec.faults, sync_rpc_timeout=spec.sync_rpc_timeout)
     schedule.validate(
         num_nodes=cfg.num_nodes,
         num_servers=cfg.pfs.num_data_servers,
         num_ranks=cfg.num_ranks,
     )
+    if schedule or reference:
+        ref = fault_free_reference(spec, cfg, workload, prefix, reference=reference)
+    else:
+        # Without faults, the run below is the reference: if none is
+        # memoised, it is not simulated twice.
+        ref_key = (reference_key(spec, cfg), False, False)
+        ref = reference_memo.get(ref_key)
+
     from repro.chaos.invariants import InvariantMonitor  # circular at top
 
     machine = Machine(cfg, faults=schedule if schedule else None, reference=reference)
@@ -352,6 +359,9 @@ def run_fault_experiment(
         if not isinstance(exc.cause, JobAborted):
             raise
         crashed = True
+    if ref is None:
+        ref = FaultFreeReference(bw=bw_faulted)
+        reference_memo.put(ref_key, ref)
 
     if crashed:
         # Recovery job on the *same machine* (the cluster survives; only the

@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.faults.errors import FaultError
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Resource, abandon_grant, abandon_wait
+from repro.sim.resources import Resource, abandon_grant, abandon_queued
 
 
 class StorageDevice:
@@ -116,8 +116,7 @@ class StorageDevice:
         if self.queue.try_acquire():
             self._write_serve(offset, nbytes, on_done)
             return
-        req = self.queue.request()
-        req.callbacks.append(lambda _ev: self._write_serve(offset, nbytes, on_done))
+        self.queue.request_call(partial(self._write_serve, offset, nbytes, on_done))
 
     def _write_serve(self, offset: int, nbytes: int, on_done) -> None:
         dt = self.service_time(offset, nbytes, True)
@@ -144,11 +143,13 @@ class StorageDevice:
         if self.queue.try_acquire():
             self._read_serve(offset, nbytes, done, value)
             return
-        req = self.queue.request()
-        req.callbacks.append(lambda _ev: self._read_serve(offset, nbytes, done, value))
-        done.abandon = partial(abandon_wait, req)
+        granted = partial(self._read_serve, offset, nbytes, done, value)
+        self.queue.request_call(granted)
+        done.abandon = partial(abandon_queued, self.queue, granted)
 
     def _read_serve(self, offset: int, nbytes: int, done: Event, value) -> None:
+        if done._triggered:  # abandoned while queued: the slot went back then
+            return
         if self.injector is not None:
             try:
                 self.injector.on_device_read(self, offset, nbytes)

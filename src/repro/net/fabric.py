@@ -52,7 +52,9 @@ flush.  The filling loop itself is the *array kernel*:
   ``sim.call_soon``/``sim.call_later`` — the slotted engine's ``_Call``
   fast path — invalidated by a generation stamp carried *on the armed
   object* (a stamp on the fabric alone would let a superseded-but-pending
-  callable pass the check once re-armed).
+  callable pass the check once re-armed).  A re-arm cancels the superseded
+  wake (``sim.cancel``); the stamp still stops one already due.  A flow a
+  flat chain starts (``on_done``) completes by a scheduled call, no Event.
 
 The full recompute re-runs the dict filling loop over all active flows on
 every change; the two give the same rates and the same completion
@@ -75,7 +77,7 @@ from __future__ import annotations
 from itertools import count
 from operator import attrgetter
 from time import perf_counter
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.sim.core import Event, SimError, Simulator
 
@@ -115,7 +117,7 @@ class Flow:
     subtracts its share ``weight`` times from crossed residuals, so the
     allocation is bit-identical to ``weight`` separate flows (identical
     flows always freeze in the same filling round, and equal-share clamped
-    subtractions commute).
+    subtractions commute).  ``done`` is the completion Event or callable.
     """
 
     __slots__ = (
@@ -135,7 +137,7 @@ class Flow:
         fid: int,
         links: list[Link],
         nbytes: float,
-        done: Event,
+        done: Event | Callable[[], None],
         weight: int = 1,
         tag: Optional[str] = None,
     ):
@@ -194,6 +196,7 @@ class _WakeCall:
             pool.append(self)
         if self.gen == fabric._wake_gen and fabric._wake_armed:
             fabric._wake_armed = False
+            fabric._wake_handle = None
             fabric._wake_body()
 
 
@@ -253,6 +256,8 @@ class Fabric:
         self._wake_armed = False
         self._wake_gen = 0
         self._wake_pool: list[_WakeCall] = []
+        self._wake_call: Optional[_WakeCall] = None  # the armed one, and
+        self._wake_handle = None  # its cancel handle until it fires
         self._rate_cache: dict[tuple, tuple[float, ...]] = {}
         self.bytes_moved = 0.0
         # Per-tag byte accounting (fleet: one tag per job).  Untagged flows
@@ -279,7 +284,8 @@ class Fabric:
         extra_links: tuple[Link, ...] = (),
         weight: int = 1,
         tag: Optional[str] = None,
-    ) -> Event:
+        on_done: Optional[Callable[[], None]] = None,
+    ) -> Optional[Event]:
         """Begin a transfer; the returned event fires when the last byte lands.
 
         Zero-byte flows complete after just the propagation latency.
@@ -288,20 +294,30 @@ class Fabric:
         and the target server's ingest stage).  ``weight > 1`` starts a
         bundle of that many identical member transfers of ``nbytes`` each
         (see :class:`Flow`); the event fires when the bundle's last byte
-        lands.
+        lands.  A flat chain passes ``on_done`` instead: no Event (None is
+        returned; the flow cannot be grown), and ``on_done()`` runs by
+        ``sim.call_later(latency, on_done)``, in the event's slot.
         """
-        done = self.sim.event(name=f"flow:{src_node}->{dst_node}")
-        if nbytes <= 0:
-            done.succeed(delay=self.latency)
-            return done
+        done = None
+        if on_done is None:
+            done = self.sim.event(name=f"flow:{src_node}->{dst_node}")
+            if nbytes <= 0:
+                done.succeed(delay=self.latency)
+                return done
+        elif nbytes <= 0:
+            self.sim.call_later(self.latency, on_done)
+            return None
         if src_node == dst_node:
             links = [self._loop[src_node]]
         else:
             links = [self._out[src_node], self._in[dst_node]]
         links.extend(extra_links)
-        flow = Flow(next(self._fid), links, nbytes, done, weight=weight, tag=tag)
+        flow = Flow(
+            next(self._fid), links, nbytes, on_done or done, weight=weight, tag=tag
+        )
         self._flows[flow] = None
-        self._done_to_flow[done] = flow
+        if done is not None:
+            self._done_to_flow[done] = flow
         for link in links:
             link.flows[flow] = None
         self.bytes_moved += nbytes * weight
@@ -454,8 +470,15 @@ class Fabric:
     def _arm_wake(self) -> None:
         """Arm a wake-up at the next flow completion (none when nothing
         can complete: ``soonest == inf``)."""
-        # Invalidate any previously armed wake-up unconditionally.
+        # Invalidate any previously armed wake-up unconditionally; cancelled,
+        # its callable will never run and is the one to re-arm.
         self._wake_gen += 1
+        call = None
+        handle = self._wake_handle
+        if handle is not None:
+            self._wake_handle = None
+            if self.sim.cancel(handle):
+                call = self._wake_call
         soonest = _INF
         for flow in self._flows:
             if flow.remaining <= flow.threshold:
@@ -469,15 +492,19 @@ class Fabric:
         if soonest is _INF:
             self._wake_armed = False
             return
-        pool = self._wake_pool
-        call = pool.pop() if pool else _WakeCall(self)
+        if call is None:
+            pool = self._wake_pool
+            call = pool.pop() if pool else _WakeCall(self)
         call.gen = self._wake_gen
         self._wake_armed = True
         self.wake_events += 1
+        self._wake_call = call
         # Floor at one nanosecond so a pathological rate can never stall
         # the simulation clock (livelock guard); delay-0 wakes land in the
         # same same-instant lane slot an Event ``succeed()`` would.
-        self.sim.call_later(max(1e-9, soonest) if soonest > 0.0 else 0.0, call)
+        self._wake_handle = self.sim.call_later(
+            max(1e-9, soonest) if soonest > 0.0 else 0.0, call
+        )
 
     # -- the array kernel -------------------------------------------------------
     def _fill(self, flows: Iterable[Flow]) -> None:
@@ -623,14 +650,18 @@ class Fabric:
         """Deliver completions at the wake instant (validity already checked)."""
         self._advance()
         finished = [f for f in self._flows if f.remaining <= f.threshold]
+        sim, latency = self.sim, self.latency
         for flow in finished:
             self._flows.pop(flow, None)
-            self._done_to_flow.pop(flow.done, None)
             for link in flow.links:
                 link.flows.pop(flow, None)
-        for flow in finished:
             # Completion is delivered after the propagation latency.
-            flow.done.succeed(delay=self.latency)
+            done = flow.done
+            if done.__class__ is Event:
+                self._done_to_flow.pop(done, None)
+                done.succeed(delay=latency)
+            else:
+                sim.call_later(latency, done)
         self._departures(finished)
 
     def _departures(self, finished: list[Flow]) -> None:

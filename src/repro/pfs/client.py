@@ -129,22 +129,22 @@ class PFSClient:
         self.rpcs += nruns
         pending = nruns + len(groups)
 
-        def _child(_ev: Event) -> None:
+        def _child(_ev: Optional[Event] = None) -> None:
             nonlocal pending
             pending -= 1
             if not pending:
                 done._fire_inline()
 
         def _start(server, total: int, offsets: tuple) -> None:
-            flow = pfs.fabric.start_flow(
+            pfs.fabric.start_flow(
                 self.node_id,
                 server.fabric_node,
                 total,
                 extra_links=(self.channel, pfs.ingest_link(server.server_id)),
                 weight=len(offsets),
                 tag=self.tag,
+                on_done=_child,
             )
-            flow.callbacks.append(_child)
             for t_off in offsets:
                 server.serve_write_event(t_off + shift, total, tag=self.tag).callbacks.append(
                     _child
@@ -273,9 +273,10 @@ class _SyncWrite:
             self.plan[i][2],
             extra_links=(client.channel, client.pfs.ingest_link(si)),
             tag=client.tag,
-        ).callbacks.append(partial(self._serve, i, raced))
+            on_done=partial(self._serve, i, raced),
+        )
 
-    def _serve(self, i: int, raced: bool, _ev: Event) -> None:
+    def _serve(self, i: int, raced: bool) -> None:
         done = self.done
         if done._triggered and not raced:
             return

@@ -22,7 +22,7 @@ from typing import Optional
 from repro.config import PFSConfig
 from repro.hw.devices import StorageDevice
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Resource, abandon_grant, abandon_wait
+from repro.sim.resources import Resource, abandon_grant, abandon_queued
 from repro.sim.rng import RngStreams
 
 
@@ -211,11 +211,9 @@ class DataServer:
         if self.workers.try_acquire():
             self._serve_write_overhead(done, nbytes, rpc_count, tag)
         else:
-            req = self.workers.request()
-            req.callbacks.append(
-                lambda _ev: self._serve_write_overhead(done, nbytes, rpc_count, tag)
-            )
-            done.abandon = partial(abandon_wait, req)
+            granted = partial(self._serve_write_overhead, done, nbytes, rpc_count, tag)
+            self.workers.request_call(granted)
+            done.abandon = partial(abandon_queued, self.workers, granted)
         return done
 
     def _serve_write_overhead(

@@ -253,18 +253,20 @@ class _Kick(Event):
 class _Call:
     """A bare scheduled callback — the cheapest thing the engine dispatches.
 
-    No Event identity: no waiters, no payload, no success/failure, no
-    handle ever returned to the caller (so no reference can outlive the
-    fire and the pool needs no refcount guard).  Flattened fast paths use
-    :meth:`Simulator.call_soon` / :meth:`Simulator.call_later` for their
-    internal chain steps — the hops no generator ever awaits — turning a
-    pooled Timeout + callbacks-list dispatch into a single ``fn()``.
+    No Event identity: no waiters, no payload, no success/failure.  Flattened
+    fast paths use :meth:`Simulator.call_soon` / :meth:`Simulator.call_later`
+    for their internal chain steps — the hops no generator ever awaits —
+    turning a pooled Timeout + callbacks-list dispatch into a single
+    ``fn()``.  A future call is its own :meth:`SlottedSimulator.cancel`
+    handle, which its owner drops once it has fired (so the pool needs no
+    refcount guard).
     """
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "when")
 
     def __init__(self) -> None:
         self.fn = None
+        self.when = 0.0
 
 
 class Timeout(Event):
@@ -571,11 +573,19 @@ class Simulator:
         with one callback (and dispatched at exactly that lane position)."""
         self.call_later(0.0, fn)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+    def call_later(self, delay: float, fn: Callable[[], None]) -> Optional[Any]:
         """Run ``fn()`` after ``delay``, at the position a timeout scheduled
-        now for the same instant would fire."""
+        now for the same instant would fire.  Returns a handle for
+        :meth:`cancel` (None where the engine will not cancel the call)."""
         t = Timeout(self, delay)
         t.callbacks.append(lambda _ev: fn())
+        return t
+
+    def cancel(self, handle) -> bool:
+        """Stop a :meth:`call_later` call from running (True: it will not);
+        here it still fires, as a no-op, so the event count stays put."""
+        handle.callbacks.clear()
+        return True
 
     def process(self, gen: ProcGen, name: str = "") -> Process:
         return Process(self, gen, name=name)
@@ -715,6 +725,11 @@ class SlottedSimulator(Simulator):
       references them (``sys.getrefcount == 2`` at the recycle point), the
       way ``_Kick`` always was.  ``sim.timeout()`` then costs a pop and a
       re-arm instead of an allocation.
+
+    What no process waits on is a bare ``_Call`` in the slot its Event would
+    take (flat chain steps, flow completions, queued grants).  A future call
+    can be taken off the event list again (:meth:`cancel`); the loop skips an
+    instant left empty without advancing the clock to it.
     """
 
     __slots__ = (
@@ -809,7 +824,7 @@ class SlottedSimulator(Simulator):
         c.fn = fn
         self._lane.append(c)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+    def call_later(self, delay: float, fn: Callable[[], None]) -> Optional[_Call]:
         when = self.now + delay
         if when <= self.now:
             if delay < 0.0:
@@ -817,7 +832,7 @@ class SlottedSimulator(Simulator):
             # Zero, or absorbed by the clock's magnitude: due now, so on the
             # lane (a bucket keyed ``now`` would fire behind the whole lane).
             self.call_soon(fn)
-            return
+            return None
         pool = self._call_pool
         if pool:
             c = pool.pop()
@@ -828,9 +843,10 @@ class SlottedSimulator(Simulator):
             if self.profiler is not None:
                 self.profiler.count("sim.call_pool_alloc")
         c.fn = fn
+        c.when = when
         if when == self._memo_when:
             self._memo_bucket.append(c)
-            return
+            return c
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = bucket = [c]
@@ -839,6 +855,22 @@ class SlottedSimulator(Simulator):
             bucket.append(c)
         self._memo_when = when
         self._memo_bucket = bucket
+        return c
+
+    def cancel(self, handle: _Call) -> bool:
+        """Take a :meth:`call_later` call off the event list; False, leaving
+        it, once its instant has come (its owner's guard must stop it).  An
+        emptied bucket goes, and the memo with it; its instant stays on the
+        spine for the loop to skip."""
+        bucket = self._buckets.get(handle.when)
+        if bucket is None:
+            return False
+        bucket.remove(handle)
+        if not bucket:
+            del self._buckets[handle.when]
+            if bucket is self._memo_bucket:
+                self._memo_when, self._memo_bucket = -1.0, None
+        return True
 
     # -- scheduling -----------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -875,9 +907,12 @@ class SlottedSimulator(Simulator):
         lane = self._lane
         if not lane:
             when = heappop(self._times)  # IndexError when truly empty
+            while when not in self._buckets:  # an instant cancellation emptied
+                when = heappop(self._times)
             if when < self.now:
                 raise SimError("event list corrupted: time went backwards")
             self.now = when
+            # No local keeps the bucket: the pools' refcount guard would fail.
             lane.extend(self._buckets.pop(when))
             if when == self._memo_when:
                 self._memo_when = -1.0
@@ -955,6 +990,8 @@ class SlottedSimulator(Simulator):
                     if not buckets:
                         raise self._deadlock(sentinel)
                     when = heappop(times)
+                    if when not in buckets:  # an instant cancellation emptied
+                        continue
                     if when < self.now:
                         raise SimError("event list corrupted: time went backwards")
                     self.now = when
@@ -1015,7 +1052,10 @@ class SlottedSimulator(Simulator):
             if not lane:
                 if not times or times[0] > deadline:
                     break
-                self.now = nxt = heappop(times)
+                nxt = heappop(times)
+                if nxt not in buckets:  # an instant cancellation emptied
+                    continue
+                self.now = nxt
                 lane.extend(buckets.pop(nxt))
                 if nxt == self._memo_when:
                     self._memo_when = -1.0

@@ -11,7 +11,7 @@ and §IV-A device models.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.core import Event, SimError, Simulator, abandon, settle
 
@@ -23,6 +23,13 @@ def abandon_wait(stage: Event, done: Event) -> None:
     settle(done)
     stage.callbacks.clear()
     abandon(stage)
+
+
+def abandon_queued(resource: Resource, fn: Callable[[], None], done: Event) -> None:
+    """:func:`abandon_wait` for a chain queued as ``fn``
+    (:meth:`Resource.request_call`)."""
+    settle(done)
+    resource.withdraw(fn)
 
 
 def abandon_grant(resource: Resource, done: Event) -> None:
@@ -44,6 +51,9 @@ class Resource:
             ...
         finally:
             resource.release()
+
+    A flat chain queues its continuation itself (:meth:`request_call`), in
+    the one FIFO with the request events.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
@@ -53,7 +63,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[Event | Callable[[], None]] = deque()
         self._acq_name = "acquire:" + name  # precomputed: request() is hot
         self._abandon_cb = self._abandon_request  # bound once: request() is hot
         # The engine decides, once: see Simulator.inline_grants.
@@ -89,6 +99,26 @@ class Resource:
         else:
             self._waiters.remove(ev)
 
+    def request_call(self, fn: Callable[[], None]) -> None:
+        """:meth:`request` for a flat chain: ``fn()`` runs, holding the
+        slot, by ``sim.call_soon`` — where the request event would fire."""
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
+            self.sim.call_soon(fn)
+        else:
+            self._waiters.append(fn)
+
+    def withdraw(self, fn: Callable[[], None]) -> None:
+        """:meth:`_abandon_request` for ``fn``: queued, it leaves (found by
+        identity); granted, the slot is released now, and ``fn`` must do
+        nothing when it runs."""
+        waiters = self._waiters
+        for i, waiter in enumerate(waiters):
+            if waiter is fn:
+                del waiters[i]
+                return
+        self.release()
+
     def try_acquire(self) -> bool:
         """Take a slot synchronously if one is free *and* nobody is queued.
 
@@ -110,7 +140,10 @@ class Resource:
             raise SimError(f"release of idle resource {self.name!r}")
         if self._waiters:
             nxt = self._waiters.popleft()
-            nxt.succeed()
+            if nxt.__class__ is Event:
+                nxt.succeed()
+            else:
+                self.sim.call_soon(nxt)
         else:
             self._in_use -= 1
 

@@ -12,6 +12,7 @@ Paper correspondence: none — determinism substrate (named streams keep
 from __future__ import annotations
 
 import hashlib
+from itertools import chain, repeat, starmap
 
 import numpy as np
 
@@ -19,9 +20,12 @@ import numpy as np
 class RngStreams:
     """A factory of independent, name-keyed ``numpy`` generators."""
 
+    BLOCK = 256  # jitter factors drawn per refill of a stream's buffer
+
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
+        self._draws: dict[str, chain] = {}  # jitter, per stream name
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the generator for ``name``."""
@@ -41,22 +45,27 @@ class RngStreams:
         """
         if sigma <= 0.0:
             return 1.0
-        # mean of lognormal(mu, sigma) is exp(mu + sigma^2/2); choose mu so
-        # the mean is 1 and jitter never biases average throughput.
-        mu = -0.5 * sigma * sigma
-        return float(self.stream(name).lognormal(mu, sigma))
+        return self.lognormal_fn(name, sigma)()
 
     def lognormal_fn(self, name: str, sigma: float):
         """Zero-arg callable form of :meth:`lognormal_factor`.
 
-        The stream lookup and ``mu`` are resolved once; each call then draws
-        from the same generator object the per-call form would use, so the
-        sequence is identical.  Hot per-I/O jitter sites cache the callable
-        instead of rebuilding the stream name and re-deriving ``mu`` on
-        every service-time computation.
+        Every callable for ``name`` (and :meth:`lognormal_factor`) takes the
+        next factor of one buffer per name, refilled ``BLOCK`` at a time —
+        the scalar sequence exactly (``tests/sim/test_rng.py`` pins it), at
+        a fraction of the cost.  Such a stream is drawn no other way, nor
+        with another ``sigma``.  Hot per-I/O jitter sites cache the callable.
         """
         if sigma <= 0.0:
             return lambda: 1.0
-        mu = -0.5 * sigma * sigma
-        lognormal = self.stream(name).lognormal
-        return lambda: float(lognormal(mu, sigma))
+        draws = self._draws.get(name)
+        if draws is None:
+            # mean of lognormal(mu, sigma) is exp(mu + sigma^2/2); choose mu
+            # so the mean is 1 and jitter never biases average throughput.
+            mu = -0.5 * sigma * sigma
+            lognormal = self.stream(name).lognormal
+            blocks = starmap(lognormal, repeat((mu, sigma, self.BLOCK)))
+            # The buffer: an endless iterator over the blocks' floats, all C.
+            draws = chain.from_iterable(map(np.ndarray.tolist, blocks))
+            self._draws[name] = draws
+        return draws.__next__

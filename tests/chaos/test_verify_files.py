@@ -122,8 +122,10 @@ def test_the_conservation_check_stops_a_translated_memo_hit(pr14_bug):
 
 def test_verify_files_names_the_run_a_translated_memo_hit_drops(pr14_bug, monkeypatch):
     monkeypatch.setattr(ext2ph, "_check_conservation", lambda fd, call: None)
-    result = run_fault_experiment(IOR_TWO_SEGMENTS)
+    result = run_fault_experiment(IOR_TWO_SEGMENTS)  # its own reference: one run
     assert not result.integrity_ok
-    for k in range(2):
-        path = f"/global/fault_ior_baseline_enabled_{k}"
-        assert f"{path}: missing run [524288, 1048576)" in result.integrity_violations
+    path = "/global/fault_ior_baseline_enabled_1"  # the first file planned afresh
+    assert result.integrity_violations == [
+        f"{path}: missing run [524288, 1048576)",
+        f"{path}: size 524288 != 1048576 covered",
+    ]

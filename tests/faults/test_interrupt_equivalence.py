@@ -82,7 +82,9 @@ PHASES = {
     "device service",
 }
 #: Crash instants that between them catch a sync thread in every phase of
-#: ``PHASES``, with the watchdog and without (found by scanning the flush).
+#: ``PHASES``, with the watchdog and without (found by scanning the flush on
+#: the stream SSD: the phase-coverage test pins that tier, since another
+#: SSD model moves every phase's timing).
 INSTANTS = (8.3e-5, 2.5e-4, 4.25e-3, 4.333e-3, 4.417e-3, 10.42e-3, 31.17e-3)
 
 
@@ -95,12 +97,12 @@ def phase(proc) -> str:
     return WAITS[gen.gi_code.co_name, target.name.split(":")[0]]
 
 
-def crashed_flush(reference: bool, crash_at: float, watchdog: bool):
+def crashed_flush(reference: bool, crash_at: float, watchdog: bool, ssd_kind=None):
     """Three sync threads flushing under a stall, crashed at ``crash_at``,
     then a recovery job that replays their journals.  Returns what the
     stacks must agree on, and (reference stack) the phase each sync thread
     was in."""
-    cfg = small_testbed(num_nodes=2, procs_per_node=2)
+    cfg = small_testbed(num_nodes=2, procs_per_node=2, ssd_kind=ssd_kind)
     cfg = cfg.scaled(
         pfs=replace(
             cfg.pfs, num_server_workers=1, server_cache_bytes=16 * KiB, server_drain_chunk=16 * KiB
@@ -168,9 +170,9 @@ def crashed_flush(reference: bool, crash_at: float, watchdog: bool):
     return observed, phases
 
 
-def assert_stacks_agree(crash_at: float, watchdog: bool) -> set:
-    reference, phases = crashed_flush(True, crash_at, watchdog)
-    production, _ = crashed_flush(False, crash_at, watchdog)
+def assert_stacks_agree(crash_at: float, watchdog: bool, ssd_kind=None) -> set:
+    reference, phases = crashed_flush(True, crash_at, watchdog, ssd_kind)
+    production, _ = crashed_flush(False, crash_at, watchdog, ssd_kind)
     for what in reference:
         assert production[what] == reference[what], (what, crash_at, watchdog, phases)
     assert reference["verdict"] == []
@@ -181,7 +183,7 @@ def assert_stacks_agree(crash_at: float, watchdog: bool) -> set:
 def test_a_crash_in_every_phase_of_a_flush(watchdog):
     seen = set()
     for crash_at in INSTANTS:
-        seen |= assert_stacks_agree(crash_at, watchdog)
+        seen |= assert_stacks_agree(crash_at, watchdog, ssd_kind="stream")
     assert PHASES <= seen, PHASES - seen
 
 

@@ -16,6 +16,9 @@ from repro.config import small_testbed
 from repro.experiments.faultsweep import (
     FaultExperimentSpec,
     FaultFreeReference,
+    _file_prefix,
+    build_fault_workload,
+    fault_free_reference,
     fault_matrix_specs,
     reference_key,
     reference_memo,
@@ -23,6 +26,7 @@ from repro.experiments.faultsweep import (
     run_fault_experiment,
 )
 from repro.faults import FaultSpec
+from repro.machine import Machine
 from repro.sim.profile import SimProfiler
 from repro.units import KiB
 
@@ -108,6 +112,36 @@ class TestFaultMatrix:
         assert (reference_memo.hits, reference_memo.misses) == (1, 1)
         assert again.events == first.events > 0
         assert again.bw_faulted == first.bw_faulted == first.bw_ref
+
+    def test_a_baseline_point_is_its_own_reference(self, monkeypatch):
+        """With nothing memoised, a fault-free point builds one machine — the
+        reference it would have simulated first is the very same run — and
+        memoises it for the next scenario of its shape; both results equal
+        those of simulating the reference first."""
+        specs = fault_matrix_specs(scenarios=("baseline", "ssd_flaky"), scale=0.25)
+        baseline, flaky = specs
+        built = []
+        init = Machine.__init__
+
+        def counting(machine, *args, **kwargs):
+            built.append(kwargs.get("faults"))
+            init(machine, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Machine, "__init__", counting)
+            own = run_fault_experiment(baseline)
+            assert built == [None]
+            assert (reference_memo.hits, reference_memo.misses) == (0, 1)
+            recalled = run_fault_experiment(flaky)
+            assert len(built) == 2 and built[1] is not None
+            assert (reference_memo.hits, reference_memo.misses) == (1, 1)
+        assert own.bw_ref == own.bw_faulted == recalled.bw_ref
+        reference_memo.clear()  # the reference simulated first, as it used to be
+        cfg = resolve_fault_config(baseline)
+        workload = build_fault_workload(baseline, cfg.num_ranks)
+        fault_free_reference(baseline, cfg, workload, _file_prefix(baseline))
+        simulated = [run_fault_experiment(spec).to_dict() for spec in specs]
+        assert simulated == [own.to_dict(), recalled.to_dict()]
 
     def test_an_explicit_config_is_part_of_the_key(self):
         spec = fault_matrix_specs(scenarios=("baseline",), scale=0.25)[0]

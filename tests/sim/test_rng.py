@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from repro.sim.rng import RngStreams
 
@@ -49,3 +50,32 @@ class TestRngStreams:
     def test_lognormal_positive(self):
         r = RngStreams(3)
         assert all(r.lognormal_factor("j", 1.0) > 0 for _ in range(100))
+
+
+class TestBlockDraws:
+    """Jitter is drawn ``RngStreams.BLOCK`` factors at a time; the sequence
+    must be the scalar one, draw for draw.  If a numpy upgrade breaks the
+    equality of one ``size=n`` call and ``n`` scalar calls, this fails —
+    and every jittered timing of the simulator would move with it."""
+
+    @pytest.mark.parametrize("seed", [0, 2016, 31337])
+    def test_block_draws_are_the_scalar_sequence(self, seed):
+        sigma = 0.3
+        mu = -0.5 * sigma * sigma
+        n = 3 * RngStreams.BLOCK + 17  # across refills
+        scalar = RngStreams(seed).stream("srv0.rpc")
+        want = [float(scalar.lognormal(mu, sigma)) for _ in range(n)]
+        draw = RngStreams(seed).lognormal_fn("srv0.rpc", sigma)
+        assert [draw() for _ in range(n)] == want
+
+    def test_every_drawer_of_a_name_shares_one_buffer(self):
+        sigma = 0.35
+        one = RngStreams(7)
+        want = [one.lognormal_fn("srv1.raid.jitter", sigma)() for _ in range(600)]
+        two = RngStreams(7)
+        drawers = [two.lognormal_fn("srv1.raid.jitter", sigma) for _ in range(2)]
+        drawers.append(lambda: two.lognormal_factor("srv1.raid.jitter", sigma))
+        # Interleaved: two cached callables and the per-call form.
+        assert [drawers[i % 3]() for i in range(600)] == want
+        other = RngStreams(7).lognormal_fn("srv2.raid.jitter", sigma)
+        assert [other() for _ in range(5)] != want[:5]  # names keep their own

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim.core import SlottedSimulator
 from tests.conftest import ENGINES
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "profile_sweep.py"
@@ -59,6 +60,28 @@ def test_event_kinds_account_for_every_event_and_move_nothing(tool, engine, tmp_
     assert all(kind.count(" : ") == 2 for kind in tally["event_kinds"])
     out = capsys.readouterr().out
     assert f"event kinds ({tally['events_fired']:,d} events fired)" in out
+
+
+def test_event_kinds_skip_the_instants_cancellation_emptied(tool, tmp_path, monkeypatch):
+    """An IOR point with its cache on: the fabric takes superseded wakes off
+    the event list, some of them the only item of their instant.  The tally's
+    peek at the head of the event list passes over such an instant as
+    ``step()`` does, and still accounts for every event fired."""
+    emptied = []
+    cancel = SlottedSimulator.cancel
+
+    def noting(sim, handle):
+        removed = cancel(sim, handle)
+        if removed and handle.when not in sim._buckets:
+            emptied.append(handle.when)
+        return removed
+
+    monkeypatch.setattr(SlottedSimulator, "cancel", noting)
+    point = ["--benchmark", "ior", "--aggregators", "8", "--scale", "0.005"]
+    assert tool.main(point + ["--events", "4", "--json", str(tmp_path / "t.json")]) == 0
+    tally = json.loads((tmp_path / "t.json").read_text())
+    assert tally["spec"]["cache_mode"] == "enabled" and emptied
+    assert sum(tally["event_kinds"].values()) == tally["events_fired"]
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

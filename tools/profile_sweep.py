@@ -60,6 +60,7 @@ import argparse
 import contextlib
 import cProfile
 import functools
+import heapq
 import json
 import pstats
 import re
@@ -208,9 +209,10 @@ def _next_event(sim):
     if sim.kind == "slotted":
         if sim._lane:
             return sim.now, sim._lane[0]
-        if sim._times:
-            return sim._times[0], sim._buckets[sim._times[0]][0]
-        return None
+        times, buckets = sim._times, sim._buckets
+        while times and times[0] not in buckets:
+            heapq.heappop(times)  # an instant cancellation emptied: step() skips it too
+        return (times[0], buckets[times[0]][0]) if times else None
     return (sim._heap[0][0], sim._heap[0][2]) if sim._heap else None
 
 
