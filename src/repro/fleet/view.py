@@ -86,7 +86,6 @@ class JobView:
         self.pfs = machine.pfs
         self.nodes = machine.nodes  # full physical list (indexed by node id)
         self.local_fs = machine.local_fs  # ditto
-        self.reference = machine.reference
         self.flush_batch = machine.flush_batch
         self.faults = machine.faults
         # Job-scoped state.

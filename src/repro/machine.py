@@ -19,13 +19,15 @@ replay that flush through :func:`repro.reference.flush_batch`'s generators
 — and must agree with production on every simulated quantity; only the
 diagnostic ``events`` count may differ (tier-1 asserts it in
 ``tests/integration/test_golden_digests.py``).  This module is the only one
-that imports :mod:`repro.reference`: it picks the engine, the fabric and
-the flush step (``flush_batch``), and the components take what they need
-from those — a device or server grants inline where the engine allows it
-(``Simulator.inline_grants``), a PFS client bundles runs where the fabric
-does (``Fabric.bundles``).  ``machine.reference`` itself is read only by
-the collective layers that still fork in place (``Transport.coalesce``,
-``ModelCollectives.shared_release``, ``ext2ph.call_paths``).  A
+that imports :mod:`repro.reference`, and the only one that reads
+``machine.reference``: it picks the engine, the fabric and the flush step
+(``flush_batch``), and the components take what they need from those — a
+device or server grants inline, and a model collective releases its ranks
+through one event (so a collective write may run on its clock and ranks
+may run as classes), where the engine allows it
+(``Simulator.inline_grants``, ``Simulator.shared_releases``); a PFS
+client and the MPI transport bundle identical transfers where the fabric
+does (``Fabric.bundles``).  A
 :class:`~repro.faults.spec.FaultSchedule` only arms the hooks of the
 components it targets (:class:`~repro.faults.injector.FaultInjector`).
 
@@ -72,7 +74,7 @@ class Machine:
                 raise SimError(
                     f"{name}={os.environ[name]!r} is set, but {name} was "
                     "retired in PR 22: pass `reference=True` for the original "
-                    "stack (heapq engine, naive fabric, chunked data plane)"
+                    "stack (heapq engine, naive fabric, generator flush)"
                 )
         self.config = config
         #: The original stack as a unit (module docstring), or what the

@@ -1,8 +1,7 @@
 """Collective operations.
 
-Two interchangeable engines:
-
-* :class:`ModelCollectives` — arrival-synchronised cost models.  Every rank
+* :class:`ModelCollectives` — arrival-synchronised cost models, the one
+  engine a :class:`~repro.mpi.comm.Communicator` runs.  Every rank
   entering its *n*-th collective joins slot *n*; when the last rank arrives,
   the slot computes the result and a LogGP-style duration, then releases all
   ranks together.  This preserves the property the paper's analysis hinges
@@ -12,10 +11,9 @@ Two interchangeable engines:
 
 * :class:`AlgorithmicCollectives` — the real message-passing algorithms
   (binomial bcast, recursive-doubling allreduce/barrier, pairwise-exchange
-  alltoall) over the point-to-point transport.  Used at small scale to
-  validate that the model engine's results and orderings are faithful.
-
-Both return identical values; tests assert it.
+  alltoall) over the point-to-point transport: the value oracle.  No
+  communicator runs it; tests drive it over a world's transport and
+  assert that it returns what the model engine returns.
 
 **Rank classes** (:meth:`ModelCollectives.set_classes`): one rank may
 arrive for a whole class of ranks that only ever follow (the
@@ -127,7 +125,7 @@ class _Slot:
     arrivals: dict[int, Any] = field(default_factory=dict)  # value slots only
     release: dict[int, Event] = field(default_factory=dict)
     extra: dict[str, Any] = field(default_factory=dict)
-    shared: Optional[Event] = None  # production stack: one release for all ranks
+    shared: Optional[Event] = None  # Simulator.shared_releases: one release for all ranks
 
 
 # The collectives whose result differs from rank to rank; every other one
@@ -138,7 +136,8 @@ _PER_RANK = frozenset(("allgather", "alltoall"))
 class ModelCollectives:
     """Arrival-synchronised collectives with analytic durations.
 
-    ``shared_release`` (the production stack) releases every rank through one
+    Where the engine allows it (``Simulator.shared_releases``: the slotted
+    engine, not the heapq one) every rank of a slot is released through one
     shared event instead of one event per rank.  Per-rank release events are
     scheduled back-to-back in arrival order by :meth:`_complete`, so they
     fire consecutively with nothing interleaved; the shared event resumes
@@ -147,17 +146,12 @@ class ModelCollectives:
     collective instead of O(P).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        nprocs: int,
-        costs: CollectiveCosts,
-        shared_release: bool = False,
-    ):
+    def __init__(self, sim: Simulator, nprocs: int, costs: CollectiveCosts):
         self.sim = sim
         self.nprocs = nprocs
         self.costs = costs
-        self.shared_release = shared_release
+        # The engine decides, once: see Simulator.shared_releases.
+        self.shared_release = sim.shared_releases
         self._slot_index = [0] * nprocs
         # Rank classes: the other ranks each rank's arrivals stand for, and
         # the rank that arrives for each rank (itself, unless it only follows).
@@ -179,7 +173,9 @@ class ModelCollectives:
         if self.clock is not None:
             raise SimError(f"rank classes cannot change while {self.clock} runs on its clock")
         if not self.shared_release and any(len(ranks) > 1 for ranks in classes):
-            raise SimError("rank classes: per-rank (non-shared) release is per rank")
+            raise SimError(
+                f"rank classes: the {self.sim.kind} engine releases every rank on its own event"
+            )
         slot_index = self._slot_index
         for rep, members in enumerate(self.members):
             for rank in members:

@@ -1,9 +1,14 @@
 """The communicator: point-to-point plus collectives behind one object.
 
-A :class:`Communicator` binds the transport, a collective engine, and the
-rank-to-node map.  All blocking calls are generators (``yield from``); the
+A :class:`Communicator` binds the transport, the one collective engine
+(:class:`~repro.mpi.collectives.ModelCollectives`), and the rank-to-node
+map.  What either depends on the stack is a property of the engine or the
+fabric it is built on (``Simulator.shared_releases``, ``Fabric.bundles``),
+never an argument.  All blocking calls are generators (``yield from``); the
 nonblocking ones return :class:`~repro.mpi.request.Request` handles
-compatible with :func:`~repro.mpi.request.waitall`.
+compatible with :func:`~repro.mpi.request.waitall`.  The real
+message-passing algorithms (:class:`~repro.mpi.collectives.AlgorithmicCollectives`)
+are an oracle tests drive over the transport, not a mode of this class.
 
 Paper correspondence: MPI substrate (§II background); the per-rank
 endpoint the §II-A shuffle runs over.
@@ -12,16 +17,10 @@ endpoint the §II-A shuffle runs over.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.mpi import request as req_mod
-from repro.mpi.collectives import (
-    AlgorithmicCollectives,
-    CollectiveCosts,
-    ModelCollectives,
-    Op,
-    op_sum,
-)
+from repro.mpi.collectives import CollectiveCosts, ModelCollectives, Op, op_sum
 from repro.mpi.request import GeneralizedRequest, Request
 from repro.net.message import ANY_SOURCE, ANY_TAG, Transport
 from repro.sim.core import SimError, Simulator
@@ -30,25 +29,12 @@ from repro.sim.core import SimError, Simulator
 class Communicator:
     """An MPI communicator over ``nprocs`` simulated ranks."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        transport: Transport,
-        nprocs: int,
-        costs: CollectiveCosts,
-        collective_mode: str = "model",
-        payload_nbytes: Optional[Callable[[Any], int]] = None,
-        shared_release: bool = False,
-    ):
-        if collective_mode not in ("model", "algorithmic"):
-            raise SimError(f"unknown collective mode {collective_mode!r}")
+    def __init__(self, sim: Simulator, transport: Transport, nprocs: int, costs: CollectiveCosts):
         self.sim = sim
         self.transport = transport
         self.nprocs = nprocs
-        self.collective_mode = collective_mode
         self.rank_to_node = transport.rank_to_node
-        self._model = ModelCollectives(sim, nprocs, costs, shared_release=shared_release)
-        self._algo = AlgorithmicCollectives(sim, transport, nprocs, payload_nbytes)
+        self._model = ModelCollectives(sim, nprocs, costs)
         #: Rank classes: the other ranks each rank's arrivals stand for
         #: (``()`` for a rank on its own; see ModelCollectives.set_classes).
         self.members = self._model.members
@@ -76,8 +62,6 @@ class Communicator:
         """Partition the ranks into classes whose first member arrives at
         every model collective for all (``MPIWorld.spawn`` runs one process
         per class)."""
-        if self.collective_mode != "model" and any(len(c) > 1 for c in classes):
-            raise SimError("rank classes need the model collectives")
         self._model.set_classes(classes)
 
     def alone(self, rank: int, path: str) -> None:
@@ -111,32 +95,22 @@ class Communicator:
     # -- collectives ------------------------------------------------------------
     # Each wrapper returns the engine's generator directly (callers drive it
     # with ``yield from``) instead of re-yielding through a one-level
-    # trampoline frame — same values, one less generator per call.  The
-    # model-only ``timed`` has no result and returns its release event.
+    # trampoline frame — same values, one less generator per call.
+    # ``timed`` has no result and returns its release event.
     def barrier(self, rank: int):
-        if self.collective_mode == "model":
-            return self._model.barrier(rank)
-        return self._algo.barrier(rank)
+        return self._model.barrier(rank)
 
     def allreduce(self, rank: int, value: Any, op: Op = op_sum, nbytes: int = 8):
-        if self.collective_mode == "model":
-            return self._model.allreduce(rank, value, op, nbytes)
-        return self._algo.allreduce(rank, value, op)
+        return self._model.allreduce(rank, value, op, nbytes)
 
     def allgather(self, rank: int, value: Any, nbytes: int = 8):
-        if self.collective_mode == "model":
-            return self._model.allgather(rank, value, nbytes)
-        return self._algo.allgather(rank, value)
+        return self._model.allgather(rank, value, nbytes)
 
     def alltoall(self, rank: int, values: list[Any], per_pair_bytes: int = 16):
-        if self.collective_mode == "model":
-            return self._model.alltoall(rank, values, per_pair_bytes)
-        return self._algo.alltoall(rank, values)
+        return self._model.alltoall(rank, values, per_pair_bytes)
 
     def bcast(self, rank: int, value: Any, root: int = 0, nbytes: int = 8):
-        if self.collective_mode == "model":
-            return self._model.bcast(rank, value, root, nbytes)
-        return self._algo.bcast(rank, value, root)
+        return self._model.bcast(rank, value, root, nbytes)
 
     def timed(self, rank: int, duration: float, label: str = "timed"):
         """Pre-costed synchronisation point: the release Event, to ``yield``

@@ -62,20 +62,15 @@ class MPIContext:
 class MPIWorld:
     """Builds the transport + communicator for a machine and runs rank bodies."""
 
-    def __init__(self, machine: Any, collective_mode: str = "model"):
+    def __init__(self, machine: Any):
         self.machine = machine
         cfg = machine.config
         nprocs = cfg.num_ranks
         # Rank-to-node placement goes through the machine so a fleet
         # JobView can place a job's ranks on its allocated physical nodes.
         rank_to_node = [machine.node_of_rank(r) for r in range(nprocs)]
-        fast = not machine.reference
         self.transport = Transport(
-            machine.sim,
-            machine.fabric,
-            rank_to_node,
-            cfg.network.per_message_overhead,
-            coalesce=fast,
+            machine.sim, machine.fabric, rank_to_node, cfg.network.per_message_overhead
         )
         costs = CollectiveCosts(
             alpha=cfg.network.alpha_collective,
@@ -84,14 +79,7 @@ class MPIWorld:
             procs_per_node=cfg.procs_per_node,
             shm_beta_inv=1.0 / cfg.network.shm_bw,
         )
-        self.comm = Communicator(
-            machine.sim,
-            self.transport,
-            nprocs,
-            costs,
-            collective_mode=collective_mode,
-            shared_release=fast,
-        )
+        self.comm = Communicator(machine.sim, self.transport, nprocs, costs)
 
     def spawn(self, rank_body: RankBody) -> list:
         """Start every rank, one kernel process per class the body declares

@@ -81,7 +81,9 @@ def _by_msg_seq(member: tuple[Message, Event]) -> int:
 class Transport:
     """Moves messages between ranks over the fabric.
 
-    With ``coalesce`` (the production stack) same-instant sends between the same
+    On a fabric that bundles (``Fabric.bundles``: the production allocator,
+    not :class:`~repro.reference.NaiveFabric`), exactly where a PFS client
+    bundles its stripe runs, same-instant sends between the same
     node pair with the same byte count join one weighted fabric flow (see
     :meth:`~repro.net.fabric.Fabric.grow_flow`) instead of each starting
     their own.  Identical flows complete at the same timestamp either way.
@@ -99,13 +101,13 @@ class Transport:
         fabric: Fabric,
         rank_to_node: list[int],
         per_message_overhead: float,
-        coalesce: bool = False,
     ):
         self.sim = sim
         self.fabric = fabric
         self.rank_to_node = list(rank_to_node)
         self.per_message_overhead = float(per_message_overhead)
-        self.coalesce = coalesce
+        # The fabric decides, once: see Fabric.bundles.
+        self.coalesce = fabric.bundles
         # Per-job accounting tag (fleet): credited to every fabric flow this
         # transport starts.  None (the single-job default) costs nothing.
         self.tag: str | None = None

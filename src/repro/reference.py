@@ -3,8 +3,11 @@
 ``Machine(config, reference=True)`` builds the original stack as a unit,
 and tier-1 holds production to it field for field.  Most of that stack is
 the production code with its shortcuts not taken: the heapq engine grants
-no resource inline (``Simulator.inline_grants``), :class:`NaiveFabric`
-takes one flow per stripe run (``bundles``).  What the production modules
+no resource inline (``Simulator.inline_grants``) and releases every rank of
+a collective on its own event (``Simulator.shared_releases``), so every
+collective write walks round by round, one process per rank;
+:class:`NaiveFabric` takes one flow per stripe run and per MPI send
+(``bundles``).  What the production modules
 do not contain at all is here, and only :mod:`repro.machine` imports it:
 
 * :class:`NaiveFabric` — the original full-recompute allocator.

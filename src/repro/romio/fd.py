@@ -57,8 +57,7 @@ class CollectiveCallState:
     alltoall_cost: float = 0.0  # each round's dissemination alltoall
     a2a_label: str = ""
     x_label: str = ""
-    bulk: bool = False  # production stack: fused assembly delays
-    park: bool = False  # ... and the call runs on one clock: only writers wake
+    park: bool = False  # the call runs on one clock: only writers wake (ext2ph.call_paths)
     clock: Optional[Any] = None  # ext2ph.CallClock, while the call runs on it
     # all ranks' accesses as one table (ext2ph gathers it after step 1)
     table: Optional[AccessTable] = None

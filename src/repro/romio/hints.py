@@ -46,6 +46,16 @@ _CACHE_MODES = ("enable", "disable", "coherent")
 # used to measure the theoretical bandwidth (TBW) series of Figs. 4/7/9.
 _FLUSH_FLAGS = ("flush_immediate", "flush_onclose", "flush_none")
 _ONOFF = ("enable", "disable")
+#: The domain of every string-valued choice hint, checked however the
+#: object was built (``Hints.validate``).
+_CHOICES = {
+    "romio_cb_write": _TRISTATE,
+    "romio_cb_read": _TRISTATE,
+    "e10_cache": _CACHE_MODES,
+    "e10_cache_flush_flag": _FLUSH_FLAGS,
+    "e10_cache_discard_flag": _ONOFF,
+    "e10_cache_kind": CACHE_KINDS,
+}
 
 
 @dataclass
@@ -99,12 +109,11 @@ class Hints:
         h = cls()
         if not info:
             return h
+        values = h.__dict__
         for key, raw in info.items():
             value = str(raw)
-            if key == "romio_cb_write":
-                h.romio_cb_write = _choice(key, value, _TRISTATE)
-            elif key == "romio_cb_read":
-                h.romio_cb_read = _choice(key, value, _TRISTATE)
+            if key in _CHOICES:
+                values[key] = _choice(key, value, _CHOICES[key])
             elif key == "cb_buffer_size":
                 h.cb_buffer_size = _size(key, value)
             elif key == "cb_nodes":
@@ -117,26 +126,19 @@ class Hints:
                 h.striping_unit = _size(key, value)
             elif key == "ind_wr_buffer_size":
                 h.ind_wr_buffer_size = _size(key, value)
-            elif key == "e10_cache":
-                h.e10_cache = _choice(key, value, _CACHE_MODES)
             elif key == "e10_cache_path":
                 if not value.strip():
                     raise HintError(
                         f"hint e10_cache_path={value!r}: must be a non-empty path"
                     )
                 h.e10_cache_path = value
-            elif key == "e10_cache_flush_flag":
-                h.e10_cache_flush_flag = _choice(key, value, _FLUSH_FLAGS)
-            elif key == "e10_cache_discard_flag":
-                h.e10_cache_discard_flag = _choice(key, value, _ONOFF)
-            elif key == "e10_cache_kind":
-                h.e10_cache_kind = _choice(key, value, CACHE_KINDS)
             else:
                 h.unknown[key] = value  # MPI says: ignore, but keep for inspection
         return h.validate()
 
     def validate(self) -> "Hints":
-        """Cross-field sanity checks; returns self so calls chain.
+        """Cross-field sanity checks, and every choice hint against the
+        domain ``from_info`` parses it against; returns self so calls chain.
 
         ``from_info`` validates each hint as it parses, but hints objects are
         also built directly by tests and experiment code — this catches
@@ -157,11 +159,12 @@ class Hints:
                 f"hint e10_cache_path={self.e10_cache_path!r}: must be a "
                 "non-empty path when e10_cache is enabled"
             )
-        if self.e10_cache_kind not in CACHE_KINDS:
-            raise HintError(
-                f"hint e10_cache_kind={self.e10_cache_kind!r}: expected one "
-                f"of {CACHE_KINDS}"
-            )
+        values = self.__dict__  # every open validates: no call per field
+        for key in _CHOICES:
+            if values[key] not in _CHOICES[key]:
+                raise HintError(
+                    f"hint {key}={values[key]!r}: expected one of {_CHOICES[key]}"
+                )
         return self
 
     def to_info(self) -> dict[str, str]:

@@ -536,6 +536,10 @@ class Simulator:
     #: Whether a free Resource may grant in its requester's callback
     #: (``Resource.try_acquire``); never here: every grant is an event.
     inline_grants = False
+    #: Whether a model collective releases all its ranks through one event
+    #: (``ModelCollectives``), which rank classes and a collective write's
+    #: call clock need; never here: every rank is released by its own.
+    shared_releases = False
 
     # Kicks recycled beyond this depth are simply dropped; the pool only has
     # to absorb the steady-state resume churn, not a worst-case burst.
@@ -746,6 +750,7 @@ class SlottedSimulator(Simulator):
 
     kind = "slotted"
     inline_grants = True
+    shared_releases = True
 
     # Each pool is bounded so a teardown burst cannot pin a run's worth of
     # events; steady-state churn fits comfortably.

@@ -142,7 +142,7 @@ def multi_phase_body(
         if (
             len(followers) < 2
             or wrapper is not None
-            or not call_paths(layer.machine, comm, layer.exchange_mode, parsed)[1]
+            or not call_paths(comm, layer.exchange_mode, parsed)
             or layer.machine.recovery.has_orphans()
         ):
             return None

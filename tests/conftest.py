@@ -43,16 +43,11 @@ def quiet_faults(config) -> FaultSchedule:
 def walking():
     """Refuse every collective write its clock, as ``romio_cb_write=automatic``
     does: ``ext2ph.call_paths`` (and the name ``workloads.phases`` imported)
-    answers ``clock=False``, so on the production stack every rank is a
-    process of its own that walks each call round by round — the live walk
-    the clock and the rank classes are tested against."""
-    real = ext2ph.call_paths
-
-    def refused(machine, comm, exchange_mode, hints):
-        return real(machine, comm, exchange_mode, hints)[0], False
-
-    with mock.patch.object(ext2ph, "call_paths", refused), mock.patch.object(
-        phases, "call_paths", refused
+    answers False, so on the production stack every rank is a process of
+    its own that walks each call round by round — the live walk the clock
+    and the rank classes are tested against."""
+    with mock.patch.object(ext2ph, "call_paths", lambda *a: False), mock.patch.object(
+        phases, "call_paths", lambda *a: False
     ):
         yield
 

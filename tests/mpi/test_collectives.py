@@ -5,20 +5,33 @@ import pytest
 
 from repro.config import small_testbed
 from repro.machine import Machine
-from repro.mpi.collectives import CollectiveCosts, ModelCollectives, op_max, op_min
+from repro.mpi.collectives import (
+    AlgorithmicCollectives,
+    CollectiveCosts,
+    ModelCollectives,
+    op_max,
+    op_min,
+)
 from repro.mpi.process import MPIWorld
 from repro.romio.profiling import Profiler
-from repro.sim.core import SimError, create_simulator
+from repro.sim.core import SimError, Simulator, create_simulator
 
 
 def run_both_modes(body_factory, num_nodes=4, procs_per_node=2):
-    """Run the same SPMD body under both collective engines."""
-    out = {}
-    for mode in ("model", "algorithmic"):
-        machine = Machine(small_testbed(num_nodes, procs_per_node))
-        world = MPIWorld(machine, collective_mode=mode)
-        out[mode] = world.run(body_factory())
-    return out["model"], out["algorithmic"]
+    """Run the same SPMD body on the communicator's model collectives and
+    on the real algorithms driven over a world's transport."""
+    model = MPIWorld(Machine(small_testbed(num_nodes, procs_per_node))).run(body_factory())
+    machine = Machine(small_testbed(num_nodes, procs_per_node))
+    world = MPIWorld(machine)
+    algo = AlgorithmicCollectives(machine.sim, world.transport, world.comm.size)
+    algo.size = algo.nprocs  # what ctx.nprocs reads
+    body = body_factory()
+
+    def on_algorithms(ctx):
+        ctx.comm = algo
+        return body(ctx)
+
+    return model, world.run(on_algorithms)
 
 
 class TestEquivalence:
@@ -94,12 +107,8 @@ class TestEquivalence:
 
             return body
 
-        out = {}
-        for mode in ("model", "algorithmic"):
-            machine = Machine(small_testbed(3, 2))  # 6 ranks
-            world = MPIWorld(machine, collective_mode=mode)
-            out[mode] = world.run(factory())
-        assert out["model"] == out["algorithmic"] == [15] * 6
+        model, algo = run_both_modes(factory, 3, 2)  # 6 ranks
+        assert model == algo == [15] * 6
 
 
 class TestSynchronisation:
@@ -191,8 +200,8 @@ class TestCostModel:
 
 
 # ---------------------------------------------------------------------------
-# Timed slots, walked round by round (what the reference stack, fault machines
-# and ``romio_cb_write=automatic`` do; on production a collective write runs on
+# Timed slots, walked round by round (what the reference stack and
+# ``romio_cb_write=automatic`` do; on production a collective write runs on
 # its clock instead: tests/romio/test_call_clock.py)
 # ---------------------------------------------------------------------------
 
@@ -214,7 +223,7 @@ THINK = {0: 0.3, 1: 1.1000000000000001}
 def slot_model():
     sim = create_simulator()
     costs = CollectiveCosts(alpha=1e-6, beta_inv=1e-9, per_message=1e-7)
-    return sim, ModelCollectives(sim, NPROCS, costs, shared_release=True)
+    return sim, ModelCollectives(sim, NPROCS, costs)
 
 
 def walk(sim, model, rank, prof, think=0.0):
@@ -408,16 +417,17 @@ class TestRankClasses:
         assert model._slot_index == [1] * NPROCS
         assert model.members == [(3,), (4,), (5,), (), (), ()]
 
-    def test_classes_need_shared_release_and_the_model_engine(self):
-        sim = create_simulator()
+    def test_classes_are_refused_on_the_heapq_engine(self):
+        """The heapq engine releases every rank on its own event, so no
+        rank can arrive for others there: the refusal names the engine."""
         costs = CollectiveCosts(alpha=1e-6, beta_inv=1e-9, per_message=1e-7)
-        model = ModelCollectives(sim, NPROCS, costs, shared_release=False)
-        with pytest.raises(SimError, match=r"per-rank \(non-shared\) release is per rank"):
+        model = ModelCollectives(Simulator(), NPROCS, costs)
+        assert not model.shared_release
+        with pytest.raises(
+            SimError, match="rank classes: the heapq engine releases every rank on its own event"
+        ):
             model.set_classes(CLASSES)
         model.set_classes(SINGLES)
-        world = MPIWorld(Machine(small_testbed()), collective_mode="algorithmic")
-        with pytest.raises(SimError, match="rank classes need the model collectives"):
-            world.comm.set_classes([(0, 1), (2, 3), (4, 5), (6, 7)])
 
     def test_alone_names_rank_and_path(self):
         _, model = slot_model()

@@ -367,9 +367,10 @@ def test_a_class_is_refused_recovery_replay():
 
 
 def test_a_class_is_refused_per_rank_release():
-    """The reference stack releases every rank through an event of its own."""
+    """The reference stack's heapq engine releases every rank through an
+    event of its own (``Simulator.shared_releases``)."""
     world = MPIWorld(Machine(small_testbed(), reference=True))
-    with pytest.raises(SimError, match=r"per-rank \(non-shared\) release is per rank"):
+    with pytest.raises(SimError, match="the heapq engine releases every rank on its own event"):
         world.comm.set_classes(FOLLOWERS)
     world.comm.set_classes([(r,) for r in range(8)])  # every rank on its own: fine
 

@@ -1,19 +1,33 @@
+"""MPI-style matching and ordering over both transports: the bundling one
+(production ``Fabric``: same-instant sends between a node pair join one
+flow) and the per-send one (``NaiveFabric``: one flow per send).  Every
+matching test runs on both (``TestMatching`` / ``TestMatchingPerSend``),
+and the same traffic delivers the same payloads in the same order at the
+same instants on either."""
+
 import pytest
 
 from repro.net.fabric import Fabric
 from repro.net.message import ANY_SOURCE, ANY_TAG, Transport
+from repro.reference import NaiveFabric
 from repro.sim.core import Simulator
 
 
-@pytest.fixture
-def setup():
+def build(fabric_class):
     sim = Simulator()
-    fabric = Fabric(sim, num_nodes=2, nic_bw=1e6, latency=1e-4)
+    fabric = fabric_class(sim, num_nodes=2, nic_bw=1e6, latency=1e-4)
     transport = Transport(sim, fabric, rank_to_node=[0, 0, 1, 1], per_message_overhead=1e-6)
     return sim, transport
 
 
+@pytest.fixture
+def setup(request):
+    """The transport over the test class's fabric (``FABRIC``)."""
+    return build(request.cls.FABRIC)
+
+
 class TestMatching:
+    FABRIC = Fabric
     def test_send_recv(self, setup):
         sim, tp = setup
 
@@ -141,3 +155,43 @@ class TestMatching:
 def iter_recv(tp, sim):
     yield tp.post_recv(2)
     yield tp.post_recv(3)
+
+
+class TestMatchingPerSend(TestMatching):
+    FABRIC = NaiveFabric
+
+
+def burst(fabric_class):
+    """Same-instant sends between both node pairs, some of one size (a
+    bundle on a bundling fabric), received out of send order: what each
+    receive got, when, and how many sends joined a bundle."""
+    sim, tp = build(fabric_class)
+    got = []
+
+    def sender(rank, dest):
+        sends = [tp.send(rank, dest, tag, (rank, tag), 4096) for tag in range(3)]
+        sends.append(tp.send(rank, dest, 3, (rank, 3), 100))
+        yield sim.all_of(sends)
+
+    def receiver(rank):
+        for source, tag in ((ANY_SOURCE, 2), (ANY_SOURCE, ANY_TAG), (0, 0), (1, ANY_TAG)):
+            msg = yield tp.post_recv(rank, source, tag)
+            got.append((sim.now, rank, msg.source, msg.tag, msg.payload, msg.seq))
+        for _ in range(4):
+            msg = yield tp.post_recv(rank, ANY_SOURCE, ANY_TAG)
+            got.append((sim.now, rank, msg.source, msg.tag, msg.payload, msg.seq))
+
+    for rank in (0, 1):
+        sim.process(sender(rank, 2 + rank))
+        sim.process(sender(rank, 3 - rank))
+    for rank in (2, 3):
+        sim.process(receiver(rank))
+    sim.run()
+    return got, tp.sends_coalesced
+
+
+def test_bundling_changes_no_payload_order_or_instant():
+    bundled, coalesced = burst(Fabric)
+    per_send, none = burst(NaiveFabric)
+    assert len(bundled) == 16 and bundled == per_send
+    assert coalesced > 0 and none == 0

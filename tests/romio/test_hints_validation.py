@@ -55,6 +55,24 @@ class TestValidateMethod:
         with pytest.raises(ValueError):
             Hints(cb_buffer_size=-1).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("romio_cb_write", "enabled"),
+            ("romio_cb_read", "always"),
+            ("e10_cache", "enabled"),
+            ("e10_cache_flush_flag", "flush_later"),
+            ("e10_cache_discard_flag", "on"),
+        ],
+    )
+    def test_direct_out_of_domain_choice(self, field, value):
+        """A choice outside the domain ``from_info`` parses against is
+        refused, not run as whatever its default branch does (an
+        ``e10_cache="enabled"`` would otherwise run uncached)."""
+        h = Hints(**{field: value})
+        with pytest.raises(HintError, match=rf"hint {field}='{value}': expected one of"):
+            h.validate()
+
 
 class TestMessagesNameFieldAndValue:
     """Every rejection names the offending hint key and its value."""

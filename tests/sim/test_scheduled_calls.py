@@ -276,7 +276,7 @@ class TestFlowCompletions:
     def test_transports_flow_keeps_its_event(self):
         sim = SlottedSimulator()
         fabric = Fabric(sim, num_nodes=2, nic_bw=1e9, latency=1e-6)
-        transport = Transport(sim, fabric, [0, 1], 1e-6, coalesce=True)
+        transport = Transport(sim, fabric, [0, 1], 1e-6)
         sent = [transport.send(0, 1, 0, None, nbytes=4096) for _ in range(3)]
         ((flow_done, flow),) = fabric._done_to_flow.items()  # one bundle, grown twice
         assert flow_done.name == "flow:0->1" and flow.weight == 3

@@ -68,6 +68,8 @@ class TestReferenceStack:
         world = MPIWorld(m)
         assert not world.comm._model.shared_release and not world.transport.coalesce
         assert not m.pfs_client(0)._bulk
+        production = MPIWorld(Machine(small_testbed()))  # engine and fabric decide
+        assert production.comm._model.shared_release and production.transport.coalesce
 
     @pytest.mark.parametrize("name", ["REPRO_ENGINE", "REPRO_FABRIC", "REPRO_DATAPLANE"])
     @pytest.mark.parametrize("reference", [False, True])

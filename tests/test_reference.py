@@ -59,6 +59,24 @@ def test_only_the_machine_imports_the_reference_module():
     assert importers == {"repro.machine"}
 
 
+def test_only_the_machine_reads_which_stack_it_is():
+    """No module but :mod:`repro.machine` loads an attribute named
+    ``reference``: a component takes the stack from the engine and the
+    fabric it is built on (``Simulator.inline_grants``,
+    ``Simulator.shared_releases``, ``Fabric.bundles``), never from
+    ``machine.reference`` or a copy of it."""
+    readers = sorted(
+        (name, node.lineno)
+        for name, tree in modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "reference"
+        and isinstance(node.ctx, ast.Load)
+        and name != "repro.machine"
+    )
+    assert readers == []
+
+
 def test_no_production_module_defines_reference_code():
     for name, tree in modules().items():
         if name == "repro.reference":

@@ -25,10 +25,13 @@ Usage::
     PYTHONPATH=src python tools/profile_sweep.py --reference --json prof.json
 
 The stack under profile is the one production runs unless ``--reference``
-asks for the reference stack (``Machine(reference=True)``: heapq engine,
-naive fabric, every chunk an event): compare the two to see the recompute
-work and the per-chunk event traffic the production fast paths remove
-(docs/PERFORMANCE.md walks through both).  ``--events N`` names the N
+asks for the reference stack (``Machine(reference=True)``): the heapq
+engine, on which every grant and every rank's collective release is an
+event (so every collective write walks round by round, one process per
+rank); the naive fabric, with one flow per MPI send and per stripe run and
+a full recompute per change; and the generator flush step.  Compare the
+two to see the recompute work and the event traffic the production fast
+paths remove (docs/PERFORMANCE.md walks through both).  ``--events N`` names the N
 most-fired event kinds — which waits, grants and chain steps the event count
 is made of; ``--resumes N`` names who was resumed — process resumes by name
 stem, with the number of processes behind each stem and of ranks each stands
@@ -108,8 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--reference",
         action="store_true",
-        help="profile the reference stack (heapq engine, naive fabric, chunked "
-        "data plane) instead of the one production runs",
+        help="profile the reference stack instead of the one production runs: "
+        "the heapq engine (every grant and every rank's release an event), the "
+        "naive fabric (one flow per send and per stripe run) and the generator "
+        "flush",
     )
     p.add_argument(
         "--cprofile",
@@ -489,9 +494,10 @@ def print_top(snapshot: dict, n: int, pfs: dict) -> None:
     print(f"PFS client RPCs: {pfs['rpcs']} issued")
     # How the rank-calls of the collective writes crossed them: on one
     # resume (everyone but the writers of a call that runs on its clock), or
-    # live (the writers; everybody on the reference stack, or under
-    # romio_cb_write=automatic/disable) — "why was this point
-    # slow" starts with the share that fell back to the live path.
+    # live (the writers; every rank of a call ext2ph.call_paths refuses its
+    # clock: the reference stack's heapq engine, flow fidelity, any
+    # romio_cb_write but enable) — "why was this point slow" starts with
+    # the share that fell back to the live path.
     single, live = (counters.get(f"ext2ph.park_{k}", 0) for k in ("single", "live"))
     print("collective-write rank-calls:")
     print(
