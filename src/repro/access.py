@@ -628,20 +628,3 @@ def merge_extent_arrays(
     keep = lengths > 0
     starts, lengths = starts[keep], lengths[keep]
     return _merge_runs(starts, starts + lengths)
-
-
-def coverage_in_window(
-    merged_starts: np.ndarray, merged_ends: np.ndarray, lo: int, hi: int
-) -> list[tuple[int, int]]:
-    """Clip merged coverage runs to ``[lo, hi)`` — the aggregator's write list."""
-    if hi <= lo or len(merged_starts) == 0:
-        return []
-    i = int(np.searchsorted(merged_ends, lo, side="right"))
-    j = int(np.searchsorted(merged_starts, hi, side="left"))
-    out = []
-    for k in range(i, j):
-        s = max(int(merged_starts[k]), lo)
-        e = min(int(merged_ends[k]), hi)
-        if s < e:
-            out.append((s, e))
-    return out

@@ -16,6 +16,7 @@ Paper correspondence: §III-A cache-file management on the aggregators.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,8 @@ from repro.faults.recovery import CacheJournal
 from repro.intervals import IntervalSet
 from repro.localfs.ext4 import LocalFileSystem
 from repro.mpi.request import GeneralizedRequest
+from repro.sim.core import Event, settle
+from repro.sim.resources import abandon_wait
 
 
 class CacheOpenError(OSError):
@@ -100,84 +103,11 @@ class CacheState:
         return self.localfs.fallocate(self.local_file, offset, nbytes)
 
     # -- the write path (called from ADIOI_GEN_WriteContig) ---------------------
-    def write_through_cache(self, offset: int, nbytes: int, data: Optional[np.ndarray]):
-        """Generator: write an extent into the cache file and create its
-        synchronisation request.  Returns the generalized request handle."""
-        stripes: tuple[int, ...] = ()
-        if self.policy.coherent:
-            layout = self.global_file.layout
-            held = []
-            for s in layout.stripes_covered(offset, nbytes):
-                if self._stripe_refs.get(s, 0) == 0:
-                    yield from self.machine.pfs.locks.acquire(
-                        self.global_file.file_id, s, exclusive=True
-                    )
-                self._stripe_refs[s] = self._stripe_refs.get(s, 0) + 1
-                held.append(s)
-            stripes = tuple(held)
-        try:
-            yield from self._backend_write(offset, nbytes, data)
-        except OSError:
-            # ENOSPC or a lost device: undo coherent locks before
-            # propagating — the caller falls back to a direct global write.
-            for s in stripes:
-                self.release_stripe(s)
-            raise
-        self.cached.add(offset, offset + nbytes)
-        self.bytes_cached += nbytes
-        io_stats = self.machine.io_stats
-        io_stats["bytes_cached"] += nbytes
-        if self.policy.flush_never:
-            # These bytes will never be persisted by policy; account the
-            # discard now so conservation closes without waiting for the
-            # unlink.
-            io_stats["bytes_discarded"] += nbytes
-        greq = GeneralizedRequest(self.machine.sim, meta={"offset": offset, "nbytes": nbytes})
-        request = SyncRequest(offset, nbytes, greq, stripes=stripes)
-        if self.policy.flush_never:
-            # Evaluation aid (TBW series): the data stays in the cache;
-            # complete the request so close never waits.  Coherent locks are
-            # released immediately — nothing will ever be persisted.
-            for s in stripes:
-                self.release_stripe(s)
-            greq.complete()
-            return greq
-        self.outstanding.append(greq)
-        if self.policy.flush_immediate:
-            self.sync_thread.submit(request)
-        else:
-            self.pending.append(request)
-        return greq
-
-    def _backend_write(self, offset: int, nbytes: int, data: Optional[np.ndarray]):
-        """Store one extent in the active backend (dispatch; see
-        :meth:`allocate` for why this is not itself a generator).
-
-        Extent mode delegates to the local FS; NVMM mode appends to the
-        write-ahead log, retrying torn appends (a torn record was never
-        acknowledged, so re-appending is safe) with the sync thread's
-        backoff schedule before letting the error degrade the cache.
-        """
-        if self.wal is None:
-            return self.localfs.write(self.local_file, offset, nbytes, data)
-        return self._wal_write(offset, nbytes, data)
-
-    def _wal_write(self, offset: int, nbytes: int, data: Optional[np.ndarray]):
-        attempts = 0
-        while True:
-            try:
-                yield from self.wal.append(offset, nbytes, data)
-                return
-            except TornWriteError:
-                attempts += 1
-                stats = self.machine.cache_stats
-                stats["wal_torn"] = stats.get("wal_torn", 0) + 1
-                if attempts > self.policy.sync_retry_limit:
-                    raise
-                backoff = self.policy.sync_backoff_base * (
-                    self.policy.sync_backoff_factor ** (attempts - 1)
-                )
-                yield self.machine.sim.timeout(backoff)
+    def write_through_cache(self, offset: int, nbytes: int, data: Optional[np.ndarray]) -> Event:
+        """Write an extent into the cache file and create its sync request:
+        a callback chain (:class:`_CachedWrite`) whose Event fires inline
+        with the generalized request handle."""
+        return _CachedWrite(self, offset, nbytes, data)
 
     def degrade(self, reason: str) -> None:
         """Enter degraded mode: new writes bypass the cache, in-flight
@@ -229,3 +159,125 @@ class CacheState:
             self.machine.recovery.unregister(self.journal)
             self.journal = None
         self.closed = True
+
+
+class _CachedWrite(Event):
+    """One :meth:`CacheState.write_through_cache` in flight, its own event:
+    the coherent stripe locks one at a time, the backend write — the extent
+    file's buffered write, or the NVMM WAL's append, a torn one retried after
+    the sync thread's backoff schedule (a torn record was never acknowledged,
+    so re-appending is safe) — then the bookkeeping.  ENOSPC or a lost device
+    (raised at once, or failing the event) first gives back the coherent
+    locks: the caller falls back to a direct global write."""
+
+    __slots__ = ("state", "offset", "nbytes", "data", "stripes", "held", "attempts")
+
+    def __init__(self, state: CacheState, offset: int, nbytes: int, data):
+        Event.__init__(self, state.machine.sim, "cache-write")
+        self.state, self.offset, self.nbytes, self.data = state, offset, nbytes, data
+        self.held: list[int] = []
+        self.attempts = 0
+        try:
+            if state.policy.coherent:
+                self.stripes = iter(state.global_file.layout.stripes_covered(offset, nbytes))
+                self._lock()
+            else:
+                self._store()
+        except OSError:
+            self._release()
+            raise
+
+    def _step(self, fn, *args) -> None:
+        """A step run from a callback: what it raises fails the chain."""
+        try:
+            fn(*args)
+        except Exception as exc:
+            self._fail(exc)
+
+    def _fail(self, exc: BaseException) -> None:
+        if isinstance(exc, OSError):
+            self._release()
+        self.abandon = None
+        self._fire_inline(exc, ok=False)
+
+    def _release(self) -> None:
+        for s in self.held:
+            self.state.release_stripe(s)
+
+    def _lock(self, got: Optional[int] = None, _ev: Optional[Event] = None) -> None:
+        state = self.state
+        refs = state._stripe_refs
+        if got is not None:
+            refs[got] = refs.get(got, 0) + 1
+            self.held.append(got)
+        for s in self.stripes:
+            if refs.get(s, 0) == 0:
+                acquired = state.machine.pfs.locks.acquire(state.global_file.file_id, s)
+                self.abandon = partial(abandon_wait, acquired)
+                acquired.callbacks.append(partial(self._step, self._lock, s))
+                return
+            refs[s] += 1
+            self.held.append(s)
+        self._store()
+
+    def _store(self) -> None:
+        state = self.state
+        if self._triggered:  # abandoned in a torn append's backoff
+            return
+        if state.wal is None:
+            written = state.localfs.write(state.local_file, self.offset, self.nbytes, self.data)
+            if written is None:  # no bytes
+                self._stored()
+                return
+            then = self._stored
+        else:
+            written, then = state.wal.append(self.offset, self.nbytes, self.data), self._appended
+        self.abandon = partial(abandon_wait, written)
+        written.callbacks.append(then)
+
+    def _appended(self, appended: Event) -> None:
+        if appended._ok:
+            self._stored()
+            return
+        exc, policy = appended._value, self.state.policy
+        if isinstance(exc, TornWriteError):
+            self.attempts += 1
+            stats = self.state.machine.cache_stats
+            stats["wal_torn"] = stats.get("wal_torn", 0) + 1
+            if self.attempts <= policy.sync_retry_limit:
+                self.abandon = settle
+                backoff = policy.sync_backoff_base * policy.sync_backoff_factor ** (self.attempts - 1)
+                self.state.machine.sim.call_later(backoff, partial(self._step, self._store))
+                return
+        self._fail(exc)
+
+    def _stored(self, _ev: Optional[Event] = None) -> None:
+        state, offset, nbytes = self.state, self.offset, self.nbytes
+        stripes = tuple(self.held)
+        state.cached.add(offset, offset + nbytes)
+        state.bytes_cached += nbytes
+        policy = state.policy
+        io_stats = state.machine.io_stats
+        io_stats["bytes_cached"] += nbytes
+        if policy.flush_never:
+            # These bytes will never be persisted by policy; account the
+            # discard now so conservation closes without waiting for the
+            # unlink.
+            io_stats["bytes_discarded"] += nbytes
+        greq = GeneralizedRequest(state.machine.sim, meta={"offset": offset, "nbytes": nbytes})
+        request = SyncRequest(offset, nbytes, greq, stripes=stripes)
+        if policy.flush_never:
+            # Evaluation aid (TBW series): the data stays in the cache;
+            # complete the request so close never waits.  Coherent locks are
+            # released immediately — nothing will ever be persisted.
+            for s in stripes:
+                state.release_stripe(s)
+            greq.complete()
+        else:
+            state.outstanding.append(greq)
+            if policy.flush_immediate:
+                state.sync_thread.submit(request)
+            else:
+                state.pending.append(request)
+        self.abandon = None
+        self._fire_inline(greq)

@@ -11,8 +11,8 @@ load at memory speed from the mapped region.
 Record semantics:
 
 * A record is **durable** only once its persistence barrier completes;
-  ``CacheState.bytes_cached`` is counted after the ``append`` generator
-  returns, so acknowledged bytes and durable bytes are the same set.
+  ``CacheState.bytes_cached`` is counted once the ``append`` chain
+  completes, so acknowledged bytes and durable bytes are the same set.
 * A **torn** record (``nvmm_torn_write`` fault: the power-glitch model of
   a store stream stopping mid-record) is physically present in the log
   with a bad CRC, was never acknowledged to the writer, and is skipped by
@@ -43,13 +43,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from repro.faults.errors import DeviceLostError
 from repro.localfs.ext4 import ENOSPC
-from repro.sim.core import Event
+from repro.sim.core import Event, settle
 
 
 @dataclass
@@ -114,13 +115,15 @@ class NVMMWriteLog:
             )
 
     # -- the append path ----------------------------------------------------------
-    def append(self, offset: int, nbytes: int, data: Optional[np.ndarray]):
-        """Generator: append one record and drain the persistence barrier.
+    def append(self, offset: int, nbytes: int, data: Optional[np.ndarray]) -> Event:
+        """Append one record and drain the persistence barrier: a callback
+        chain whose Event fires inline once the record is durable (a full or
+        read-only region raises here; abandoned, it takes no later step).
 
-        Raises :class:`~repro.faults.errors.TornWriteError` when an armed
-        ``nvmm_torn_write`` window tears the record: roughly half the
-        payload lands (charged at device speed), the torn record stays in
-        the log unacknowledged, and the caller retries the append.
+        The Event fails with :class:`~repro.faults.errors.TornWriteError`
+        when an armed ``nvmm_torn_write`` window tears the record: roughly
+        half the payload lands (charged at device speed), the torn record
+        stays in the log unacknowledged, and the caller retries the append.
         """
         self._check_writable()
         dev = self.device
@@ -130,37 +133,45 @@ class NVMMWriteLog:
                 f"NVMM log region full on node {self.node_id}: "
                 f"{dev.log_used + total} > {dev.capacity_bytes}"
             )
+        done = Event(self.sim, name="wal-append")
         inj = self._injector
-        if inj is not None and inj.wal_tear_decision(self.node_id, offset, nbytes):
-            # The store stream stops mid-record: the slot is consumed (a
-            # real log cannot reuse it without breaking the CRC chain walk)
-            # but only part of the payload was transferred, and no barrier
-            # ran — the writer never sees an acknowledgement.
-            dev.log_used += total
-            self.reserved += total
-            torn_span = self.header + nbytes // 2
-            yield from dev.write(self._tail, torn_span)
-            self._tail += total
-            self.records.append(
-                WALRecord(next(self._seq), offset, nbytes, None, torn=True)
-            )
-            self.torn_records += 1
-            self.torn_bytes += nbytes
-            raise inj.torn_write_error(self.node_id, offset, nbytes)
+        # A torn record: the store stream stops mid-record.  The slot is
+        # consumed (a real log cannot reuse it without breaking the CRC
+        # chain walk) but only part of the payload was transferred, and no
+        # barrier ran — the writer never sees an acknowledgement.
+        torn = inj is not None and inj.wal_tear_decision(self.node_id, offset, nbytes)
         dev.log_used += total
         self.reserved += total
-        yield from dev.write(self._tail, total)
-        self._tail += total
-        yield self.sim.timeout(dev.persist_barrier)
+        landed = partial(self._landed, torn, offset, nbytes, data, done)
+        dev.write_flat(self._tail, self.header + nbytes // 2 if torn else total, landed, done)
+        return done
+
+    def _landed(self, torn: bool, offset: int, nbytes: int, data, done: Event) -> None:
+        self._tail += self.header + nbytes
+        if torn:
+            self.records.append(WALRecord(next(self._seq), offset, nbytes, None, torn=True))
+            self.torn_records += 1
+            self.torn_bytes += nbytes
+            done.abandon = None
+            error = self._injector.torn_write_error(self.node_id, offset, nbytes)
+            done._fire_inline(error, ok=False)
+            return
+        done.abandon = settle
+        durable = partial(self._durable, offset, nbytes, data, done)
+        self.sim.call_later(self.device.persist_barrier, durable)
+
+    def _durable(self, offset: int, nbytes: int, data, done: Event) -> None:
+        if done._triggered:
+            return
         payload = None
         if data is not None:
             arr = np.asarray(data, dtype=np.uint8)
             payload = arr.copy() if len(arr) == nbytes else arr[:nbytes].copy()
-        self.records.append(
-            WALRecord(next(self._seq), offset, nbytes, payload, durable=True)
-        )
+        self.records.append(WALRecord(next(self._seq), offset, nbytes, payload, durable=True))
         self.durable_records += 1
         self.bytes_appended += nbytes
+        done.abandon = None
+        done._fire_inline()
 
     # -- read-back (sync thread / recovery replay) --------------------------------
     def read_event(self, pos: int, blen: int) -> Event:

@@ -276,7 +276,7 @@ class InvariantMonitor:
                 if rec.durable:
                     durable.add(rec.offset, rec.offset + rec.nbytes)
             for start, end in journal.unflushed():
-                missing = durable.gaps(start, end).total
+                missing = durable.gap_bytes(start, end)
                 if missing:
                     self._violate(
                         f"WAL coherence: journal r{journal.rank} holds "

@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.faults.errors import FaultError
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Resource, abandon_grant, abandon_queued
+from repro.sim.resources import Resource, abandon_grant, abandon_held, abandon_queued
 
 
 class StorageDevice:
@@ -110,15 +110,24 @@ class StorageDevice:
     # service-time draw, stream-table update, the injector's hooks, counters,
     # release — runs in the *same event callback* as the generator's, so the
     # two are schedule-identical.
-    def write_flat(self, offset: int, nbytes: int, on_done) -> None:
-        """A write for a chain nothing abandons (the write-back drains):
-        ``on_done()`` is invoked where the generator's caller would resume."""
+    def write_flat(self, offset: int, nbytes: int, on_done, done: Optional[Event] = None):
+        """A write inside a callback chain: ``on_done()`` is invoked where
+        the generator's caller would resume.  Abandoning ``done``, the
+        chain's event (none for the write-back drains), leaves the queue at
+        once, or gives the slot back at the interrupt kick."""
         if self.queue.try_acquire():
-            self._write_serve(offset, nbytes, on_done)
+            self._write_serve(offset, nbytes, on_done, done)
             return
-        self.queue.request_call(partial(self._write_serve, offset, nbytes, on_done))
+        granted = partial(self._write_serve, offset, nbytes, on_done, done)
+        self.queue.request_call(granted)
+        if done is not None:
+            done.abandon = partial(abandon_queued, self.queue, granted)
 
-    def _write_serve(self, offset: int, nbytes: int, on_done) -> None:
+    def _write_serve(self, offset: int, nbytes: int, on_done, done: Optional[Event]) -> None:
+        if done is not None:
+            if done._triggered:  # abandoned while queued: the slot went back then
+                return
+            done.abandon = partial(abandon_held, self.queue)
         dt = self.service_time(offset, nbytes, True)
         if self.injector is not None:
             # GC-pressure windows stretch writes (never raise).
@@ -127,6 +136,8 @@ class StorageDevice:
         self._account(nbytes, True)
 
         def _served():
+            if done is not None and done._triggered:
+                return
             self.queue.release()
             on_done()
 

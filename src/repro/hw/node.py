@@ -17,11 +17,12 @@ cache, local SSD).
 from __future__ import annotations
 
 from functools import partial
+from typing import Callable, Optional
 
 from repro.config import ClusterConfig
 from repro.hw.devices import SSDDevice
 from repro.hw.flash import NVMMDevice, create_node_ssd
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Event, Simulator, settle
 from repro.units import MiB
 
 
@@ -49,31 +50,17 @@ class PageCache:
         # service time and event sequence are unchanged); the FTL tier
         # needs them to see the overwrite pattern cache files produce.
         self._dirty_extents: dict[int, list[tuple[int, int]]] = {}
-        self._throttle_waiters: list[Event] = []
+        self._throttle_waiters: list[Callable[[], None]] = []
         self._flush_waiters: list[tuple[int, Event]] = []  # (file_id, event)
         self._daemon_running = False
         self._writing = (0, 0)  # (file_id, bytes) of the writeback step in flight
         self._wb_offset = 0
 
-    def buffered_write(self, file_id: int, nbytes: int, offset: int = 0):
-        """Generator: absorb ``nbytes`` into the page cache, throttling if full."""
-        remaining = int(nbytes)
-        pos = int(offset)
-        while remaining > 0:
-            room = self.dirty_limit - self.dirty
-            if room <= 0:
-                ev = Event(self.sim, name="dirty-throttle")
-                self._throttle_waiters.append(ev)
-                yield ev
-                continue
-            chunk = min(remaining, room)
-            yield self.sim.timeout(chunk / self.memcpy_bw)
-            self.dirty += chunk
-            self._dirty_by_file[file_id] = self._dirty_by_file.get(file_id, 0) + chunk
-            self._dirty_extents.setdefault(file_id, []).append((pos, chunk))
-            pos += chunk
-            remaining -= chunk
-            self._ensure_daemon()
+    def buffered_write(self, file_id: int, nbytes: int, offset: int = 0) -> Optional[Event]:
+        """Absorb ``nbytes`` into the page cache, throttling while it is
+        full: a callback chain whose Event fires inline once the last byte
+        is in (None for no bytes).  Abandoned, it takes no later step."""
+        return _BufferedWrite(self, file_id, int(nbytes), int(offset)) if nbytes > 0 else None
 
     def fsync(self, file_id: int):
         """Generator: wait until this file has no dirty pages."""
@@ -151,17 +138,57 @@ class PageCache:
                     still.append((file_id, ev))
             self._flush_waiters = still
 
-    def _wake_throttled(self, waiters: list[Event]) -> None:
+    def _wake_throttled(self, waiters: list[Callable[[], None]]) -> None:
         """Resume throttled writers in FIFO order while there is room; the
         unwoken tail goes back behind whoever queued since the step (see
         ``repro.pfs.server.WriteBackCache._wake``, the same rule)."""
         woken = 0
-        for ev in waiters:
+        for resume in waiters:
             if self.dirty_limit - self.dirty <= 0:
                 self._throttle_waiters += waiters[woken:]
                 return
             woken += 1
-            ev._fire_inline()
+            resume()
+
+
+class _BufferedWrite(Event):
+    """One :meth:`PageCache.buffered_write` in flight, its own completion
+    event: a chunk at a time, as much as there is room for, each copied in
+    at memory speed, or a place in the throttle FIFO while there is none."""
+
+    __slots__ = ("cache", "file_id", "remaining", "pos", "chunk")
+
+    def __init__(self, cache: PageCache, file_id: int, nbytes: int, pos: int):
+        Event.__init__(self, cache.sim, "buffered-write")
+        self.abandon = settle
+        self.cache, self.file_id, self.remaining, self.pos = cache, file_id, nbytes, pos
+        self._next()
+
+    def _next(self) -> None:
+        if self._triggered:  # abandoned while throttled
+            return
+        cache = self.cache
+        room = cache.dirty_limit - cache.dirty
+        if room <= 0:
+            cache._throttle_waiters.append(self._next)
+            return
+        self.chunk = chunk = min(self.remaining, room)
+        cache.sim.call_later(chunk / cache.memcpy_bw, self._copied)
+
+    def _copied(self) -> None:
+        if self._triggered:
+            return
+        cache, file_id, chunk = self.cache, self.file_id, self.chunk
+        cache.dirty += chunk
+        cache._dirty_by_file[file_id] = cache._dirty_by_file.get(file_id, 0) + chunk
+        cache._dirty_extents.setdefault(file_id, []).append((self.pos, chunk))
+        self.pos += chunk
+        self.remaining -= chunk
+        cache._ensure_daemon()
+        if self.remaining > 0:
+            self._next()
+        else:
+            self._fire_inline()
 
 
 class ComputeNode:

@@ -152,19 +152,31 @@ class IntervalSet:
         """The complement of the set within ``[start, end)``."""
         out = IntervalSet()
         pos = start
-        for s, e in self:
-            if e <= start:
-                continue
+        starts, ends = self._starts, self._ends
+        for i in range(bisect_right(ends, start), len(starts)):
+            s = starts[i]
             if s >= end:
                 break
             if s > pos:
-                out.add(pos, min(s, end))
-            pos = max(pos, e)
+                out.add(pos, s)
+            pos = ends[i]
             if pos >= end:
-                break
+                return out
         if pos < end:
             out.add(pos, end)
         return out
+
+    def gap_bytes(self, start: int, end: int) -> int:
+        """``gaps(start, end).total``, without building the set."""
+        if end <= start:
+            return 0
+        starts, ends = self._starts, self._ends
+        lo = bisect_right(ends, start)
+        hi = bisect_left(starts, end)
+        covered = 0
+        for i in range(lo, hi):
+            covered += min(ends[i], end) - max(starts[i], start)
+        return (end - start) - covered
 
     def copy(self) -> "IntervalSet":
         new = IntervalSet()

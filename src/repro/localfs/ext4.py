@@ -143,7 +143,7 @@ class LocalFileSystem:
 
     def _charge_range(self, f: LocalFile, start: int, end: int) -> int:
         """Charge the uncovered part of ``[start, end)``; returns new bytes."""
-        grow = f.space.gaps(start, end).total
+        grow = f.space.gap_bytes(start, end)
         if grow == 0:
             return 0
         if self.used + grow > self.capacity:
@@ -156,13 +156,14 @@ class LocalFileSystem:
         return grow
 
     # -- I/O -------------------------------------------------------------------
-    def write(self, f: LocalFile, offset: int, nbytes: int, data: Optional[np.ndarray] = None):
+    def write(
+        self, f: LocalFile, offset: int, nbytes: int, data: Optional[np.ndarray] = None
+    ) -> Optional[Event]:
         """Buffered write (page cache, dirty throttling).
 
-        Dispatch, not a generator: the eager checks/charges run at call
-        time (the same instant a ``yield from`` would start the frame) and
-        the page-cache generator is returned directly — one frame less on
-        the hot cached-write chain.
+        The checks and the space charge run at call time (a full or
+        read-only partition raises here); what follows is the page cache's
+        chain, whose Event is returned (None for no bytes).
         """
         if nbytes < 0:
             raise SimError("negative write size")

@@ -6,9 +6,9 @@ Two write paths mirror the two ways ROMIO drives the file system:
   per-target contiguous runs; all RPCs are issued concurrently and the call
   returns when the slowest completes.  Throughput is bounded by the client
   streaming channel, the NICs, each server's ingest stage and its RAID
-  target — all shared max-min fairly.  The RPCs run as one callback chain
-  (``_issue_writes``), not a process per RPC: the caller waits on a single
-  completion event.
+  target — all shared max-min fairly.  The write is one callback chain —
+  stripe locks, client overhead, then the RPCs (``_PipelinedWrite``), not a
+  process per RPC: the caller waits on a single completion event.
 
 * :meth:`write_sync_flat` — the synchronous independent path used by the
   cache sync thread (a blocking ``pwrite`` loop in one pthread): one
@@ -36,7 +36,7 @@ import numpy as np
 from repro.faults.errors import PFSTimeoutError
 from repro.pfs.filesystem import ParallelFileSystem, PFSFile
 from repro.pfs.layout import pipelined_plan, sync_plan
-from repro.sim.core import Event, SimError, settle
+from repro.sim.core import Event, SimError, at_kick, settle
 from repro.sim.resources import abandon_wait
 
 
@@ -88,74 +88,16 @@ class PFSClient:
         nbytes: int,
         data: Optional[np.ndarray] = None,
         locking: bool = True,
-    ):
-        """Generator: striped, pipelined write of one contiguous extent."""
+    ) -> Optional[Event]:
+        """Striped, pipelined write of one contiguous extent: a callback
+        chain (:class:`_PipelinedWrite`) whose Event fires inline once every
+        RPC is served (None for no bytes)."""
         shift, nruns, groups = pipelined_plan(
             f.layout, offset, nbytes, len(self.pfs.servers), self._bulk
         )
         if nbytes == 0:
-            return
-        # Acquisition happens INSIDE the try so an interrupt that lands
-        # mid-loop (aggregator crash) releases exactly the stripes acquired
-        # so far instead of leaking them.
-        held: list[int] = []
-        try:
-            if locking:
-                for s in f.layout.stripes_covered(offset, nbytes):
-                    yield from self.pfs.locks.acquire(f.file_id, s, exclusive=True)
-                    held.append(s)
-            yield self.sim.timeout(self.pfs.cfg.client_rpc_overhead * nruns)
-            yield self._issue_writes(shift, nruns, groups)
-        finally:
-            for s in held:
-                self.pfs.locks.release(f.file_id, s, exclusive=True)
-        f.record_write(offset, nbytes, data)
-        self.bytes_written += nbytes
-
-    def _issue_writes(self, shift: int, nruns: int, groups: tuple) -> Event:
-        """Issue every RPC of a planned write; the returned event fires
-        inline in the callback of the last transfer or server RPC to finish.
-
-        Per group, after its pipeline-fill latency: one flow of the group's
-        weight and one server RPC per member run, proceeding concurrently
-        (the server writes out data as it arrives), so an RPC costs
-        ~max(network, device) plus the fill — not their sum.  Nothing here
-        belongs to the waiting process: if it is interrupted the chain still
-        runs out, releasing every server worker it took.
-        """
-        sim = self.sim
-        pfs = self.pfs
-        done = Event(sim, name="write")
-        self.rpcs += nruns
-        pending = nruns + len(groups)
-
-        def _child(_ev: Optional[Event] = None) -> None:
-            nonlocal pending
-            pending -= 1
-            if not pending:
-                done._fire_inline()
-
-        def _start(server, total: int, offsets: tuple) -> None:
-            pfs.fabric.start_flow(
-                self.node_id,
-                server.fabric_node,
-                total,
-                extra_links=(self.channel, pfs.ingest_link(server.server_id)),
-                weight=len(offsets),
-                tag=self.tag,
-                on_done=_child,
-            )
-            for t_off in offsets:
-                server.serve_write_event(t_off + shift, total, tag=self.tag).callbacks.append(
-                    _child
-                )
-
-        for si, total, offsets in groups:
-            sim.call_later(
-                min(total, 512 * 1024) / pfs.cfg.per_client_max_bw,
-                partial(_start, pfs.servers[si], total, offsets),
-            )
-        return done
+            return None
+        return _PipelinedWrite(self, f, offset, nbytes, data, locking, (shift, nruns, groups))
 
     # -- data: synchronous independent path (the sync thread's loop) ----------------
     def write_sync_flat(
@@ -195,7 +137,7 @@ class PFSClient:
         held: list[int] = []
         try:
             for s in stripes:
-                yield from self.pfs.locks.acquire(f.file_id, s, exclusive=False)
+                yield self.pfs.locks.acquire(f.file_id, s, exclusive=False)
                 held.append(s)
             yield self.sim.timeout(self.pfs.cfg.client_rpc_overhead * nruns)
             yield self.sim.all_of(
@@ -229,6 +171,93 @@ class PFSClient:
                 self.sim.process(server.serve_read(t_off + shift, total, tag=self.tag), name="srv-r")
             )
         yield self.sim.all_of(waits)
+
+
+class _PipelinedWrite(Event):
+    """One :meth:`PFSClient.write` in flight, its own event: the stripe
+    locks one at a time, the per-run client overhead, then every RPC at once
+    (:meth:`_issue`) — per group, after its pipeline-fill latency, one flow
+    of the group's weight and one server RPC per member run, proceeding
+    concurrently (the server writes out data as it arrives), so an RPC costs
+    ~max(network, device) plus the fill, not their sum.  It completes in the
+    callback of the last of them to finish.  Abandoned, it gives the stripes
+    back at the interrupt kick, where the generator's ``finally`` did; the
+    RPCs already issued run out, releasing every server worker they took."""
+
+    __slots__ = ("client", "f", "offset", "nbytes", "data", "plan", "stripes", "held", "pending")
+
+    def __init__(self, client: PFSClient, f: PFSFile, offset, nbytes, data, locking, plan):
+        Event.__init__(self, client.sim, "pfs-write")
+        self.client, self.f, self.offset, self.nbytes, self.data = client, f, offset, nbytes, data
+        self.plan = plan  # (shift, nruns, groups): pfs.layout.pipelined_plan
+        self.held: list[int] = []
+        self.stripes = iter(f.layout.stripes_covered(offset, nbytes) if locking else ())
+        self._lock()
+
+    def _lock(self, got: Optional[int] = None, _ev: Optional[Event] = None) -> None:
+        if got is not None:
+            self.held.append(got)
+        for s in self.stripes:
+            acquired = self.client.pfs.locks.acquire(self.f.file_id, s, exclusive=True)
+            self.abandon = partial(self._abandon, acquired)
+            acquired.callbacks.append(partial(self._lock, s))
+            return
+        client = self.client
+        self.abandon = partial(self._abandon, None)
+        client.sim.call_later(client.pfs.cfg.client_rpc_overhead * self.plan[1], self._issue)
+
+    def _issue(self) -> None:
+        if self._triggered:
+            return
+        client = self.client
+        pfs = client.pfs
+        _, nruns, groups = self.plan
+        client.rpcs += nruns
+        self.pending = nruns + len(groups)
+        for si, total, offsets in groups:
+            client.sim.call_later(
+                min(total, 512 * 1024) / pfs.cfg.per_client_max_bw,
+                partial(self._start, pfs.servers[si], total, offsets),
+            )
+
+    def _start(self, server, total: int, offsets: tuple) -> None:
+        client = self.client
+        pfs, shift, tag = client.pfs, self.plan[0], client.tag
+        pfs.fabric.start_flow(
+            client.node_id,
+            server.fabric_node,
+            total,
+            extra_links=(client.channel, pfs.ingest_link(server.server_id)),
+            weight=len(offsets),
+            tag=tag,
+            on_done=self._child,
+        )
+        for t_off in offsets:
+            server.serve_write_event(t_off + shift, total, tag=tag).callbacks.append(self._child)
+
+    def _child(self, _ev: Optional[Event] = None) -> None:
+        self.pending -= 1
+        if self.pending or self._triggered:
+            return
+        if self.held:
+            self._release()
+        self.f.record_write(self.offset, self.nbytes, self.data)
+        self.client.bytes_written += self.nbytes
+        self.abandon = None
+        self._fire_inline()
+
+    def _release(self) -> None:
+        locks, file_id = self.client.pfs.locks, self.f.file_id
+        for s in self.held:
+            locks.release(file_id, s, exclusive=True)
+
+    def _abandon(self, lock: Optional[Event], _self: Event) -> None:
+        if lock is None:
+            settle(self)
+        else:
+            abandon_wait(lock, self)
+        if self.held:
+            at_kick(self.client.sim, self._release)
 
 
 def timeout_error(server_id: int, timeout: float) -> PFSTimeoutError:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.sim.core import Event, SimError, Simulator
+from repro.sim.core import Event, SimError, Simulator, settle
 
 
 @dataclass
@@ -51,24 +52,32 @@ class LockManager:
             lock = self._locks[key] = _StripeLock()
         return lock
 
-    def acquire(self, file_id: int, stripe: int, exclusive: bool = True):
-        """Generator: obtain the lock (one RPC, plus queueing if contended)."""
-        yield self.sim.timeout(self.lock_rpc_time)
+    def acquire(self, file_id: int, stripe: int, exclusive: bool = True) -> Event:
+        """Obtain the lock: one RPC, plus queueing if contended.  A callback
+        chain whose Event fires once the lock is held: inline, or when
+        :meth:`_wake` grants it, as the queued waiter it is.  Abandoned, it
+        takes no later step (:meth:`_abandon_waiter`)."""
+        done = Event(self.sim, name=f"lock:{file_id}:{stripe}")
+        done.abandon = settle
+        self.sim.call_later(
+            self.lock_rpc_time, partial(self._request, file_id, stripe, exclusive, done)
+        )
+        return done
+
+    def _request(self, file_id: int, stripe: int, exclusive: bool, done: Event) -> None:
+        if done._triggered:
+            return
         lock = self._slot(file_id, stripe)
         self.acquires += 1
         if self._grantable(lock, exclusive) and not lock.queue:
             self._grant(lock, exclusive)
+            done.abandon = None
+            done._fire_inline()
             return
         self.contended_acquires += 1
-        ev = Event(self.sim, name=f"lock:{file_id}:{stripe}")
-        waiter = _Waiter(exclusive, ev)
+        waiter = _Waiter(exclusive, done)
         lock.queue.append(waiter)
-        # Interrupt hook: if the waiting process is torn down (crash faults),
-        # drop the queue entry — or revoke the grant if _wake already handed
-        # the lock to the dying waiter.  Without this an aggregator crash
-        # while queued leaves the stripe permanently held by a dead event.
-        ev.abandon = lambda _ev, lock=lock, waiter=waiter: self._abandon_waiter(lock, waiter)
-        yield ev
+        done.abandon = partial(self._abandon_waiter, lock, waiter)
 
     def release(self, file_id: int, stripe: int, exclusive: bool = True) -> None:
         lock = self._slot(file_id, stripe)
@@ -123,8 +132,12 @@ class LockManager:
         else:
             lock.readers += 1
 
-    def _abandon_waiter(self, lock: _StripeLock, waiter: _Waiter) -> None:
-        if waiter.event._triggered:
+    def _abandon_waiter(self, lock: _StripeLock, waiter: _Waiter, done: Event) -> None:
+        # The waiting aggregator crashed: drop the queue entry — or revoke
+        # the grant if _wake already handed the lock to the dying waiter.
+        # Without this a crash while queued leaves the stripe held forever.
+        done.callbacks.clear()
+        if done._triggered:
             # Granted but never consumed: revoke and pass the lock on.
             if waiter.exclusive:
                 lock.writer = False
@@ -132,6 +145,7 @@ class LockManager:
                 lock.readers -= 1
             self._wake(lock)
         else:
+            settle(done)
             lock.queue.remove(waiter)
 
     def _wake(self, lock: _StripeLock) -> None:

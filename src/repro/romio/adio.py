@@ -2,8 +2,11 @@
 
 ROMIO reaches each file system through an ADIO driver; the paper's cache
 layer lives in the generic UFS driver and a BeeGFS driver adds
-stripe-aligned file domains (footnote 1).  Driver methods are generators
-run inside rank processes.
+stripe-aligned file domains (footnote 1).  A contiguous write is a callback
+chain (:meth:`ADIODriver.write_contig`): a rank process yields the Event it
+returns, and a collective write's clock runs it with no process at all
+(``ext2ph.CallClock``).  Open, flush and close are generators run inside
+rank processes.
 
 Paper correspondence: §II background — ROMIO's ADIO layering, the seam
 the E10 cache (§III) hooks into.
@@ -11,6 +14,7 @@ the E10 cache (§III) hooks into.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -19,7 +23,8 @@ from repro.cache.cachefile import CacheOpenError, CacheState
 from repro.cache.policy import CachePolicy
 from repro.romio.aggregation import FileDomain, partition_even, partition_stripe_aligned
 from repro.romio.fd import ADIOFile
-from repro.sim.core import SimError
+from repro.sim.core import Event, SimError
+from repro.sim.resources import abandon_wait
 
 
 class ADIODriver:
@@ -69,33 +74,54 @@ class ADIODriver:
         offset: int,
         nbytes: int,
         data: Optional[np.ndarray] = None,
-    ):
-        """Generator: write one contiguous extent.
+    ) -> Optional[Event]:
+        """Write one contiguous extent: a callback chain whose Event fires
+        inline once it is written (None for no bytes).
 
         Cache enabled: write to the cache file and register a sync request
         (falling back to the direct path if the cache is full).  Cache
         disabled: pipelined striped write to the global file.
         """
         if nbytes <= 0:
-            return
-        io_stats = fd.machine.io_stats
-        state = fd.cache_state(rank)
+            return None
+        state = fd.cache_states.get(rank)
         if state is not None and not state.degraded:
             try:
-                yield from state.write_through_cache(offset, nbytes, data)
-                io_stats["bytes_app"] += nbytes
-                return
+                cached = state.write_through_cache(offset, nbytes, data)
             except OSError as exc:
-                # ENOSPC on the scratch partition or a lost cache device:
-                # degrade — this and subsequent extents go directly to the
-                # global file, while extents already cached keep draining
-                # through the sync thread (dropping the state here would
-                # orphan their generalized requests and hang close).
                 state.degrade(str(exc))
+            else:
+                done = Event(fd.machine.sim, name="write-contig")
+                done.abandon = partial(abandon_wait, cached)
+                cached.callbacks.append(partial(self._cached, fd, rank, offset, nbytes, data, done))
+                return done
         client = fd.machine.pfs_client(rank)
-        yield from client.write(fd.pfs_file, offset, nbytes, data=data, locking=self.write_locking(fd))
-        io_stats["bytes_app"] += nbytes
-        io_stats["bytes_direct"] += nbytes
+        written = client.write(fd.pfs_file, offset, nbytes, data=data, locking=self.write_locking(fd))
+        written.callbacks.append(partial(_count_direct, fd.machine.io_stats, nbytes))
+        return written
+
+    def _cached(self, fd: ADIOFile, rank: int, offset, nbytes, data, done: Event, cached: Event):
+        if cached._ok:
+            fd.machine.io_stats["bytes_app"] += nbytes
+            done.abandon = None
+            done._fire_inline()
+        elif isinstance(cached._value, OSError):
+            # ENOSPC on the scratch partition or a lost cache device:
+            # degrade — this and subsequent extents go directly to the
+            # global file, while extents already cached keep draining
+            # through the sync thread (dropping the state here would
+            # orphan their generalized requests and hang close).
+            fd.cache_states[rank].degrade(str(cached._value))
+            try:
+                direct = self.write_contig(fd, rank, offset, nbytes, data)
+            except Exception as exc:
+                done.abandon = None
+                done._fire_inline(exc, ok=False)
+            else:
+                done.abandon = partial(abandon_wait, direct)
+                direct.callbacks.append(partial(_forward, done))
+        else:
+            _forward(done, cached)
 
     def write_locking(self, fd: ADIOFile) -> bool:
         """Whether plain writes take stripe extent locks (POSIX-ish FS: yes)."""
@@ -153,6 +179,18 @@ class BeeGFSDriver(ADIODriver):
         # BeeGFS does not lock byte ranges for plain writes; coherence for
         # cached extents is handled by the cache layer when requested.
         return False
+
+
+def _count_direct(io_stats: dict, nbytes: int, written: Event) -> None:
+    if written._ok:
+        io_stats["bytes_app"] += nbytes
+        io_stats["bytes_direct"] += nbytes
+
+
+def _forward(done: Event, ev: Event) -> None:
+    """``done`` fires as ``ev`` did (a failed ``ev`` fails it)."""
+    done.abandon = None
+    done._fire_inline(ev._value, ev._ok)
 
 
 _DRIVERS = {d.name: d for d in (UFSDriver(), BeeGFSDriver())}

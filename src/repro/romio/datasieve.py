@@ -48,7 +48,9 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
             t0 = prof.mark()
             for off, length in zip(ws.offsets.tolist(), ws.lengths.tolist()):
                 data = None if key is None else payload_bytes(key, off, length)
-                yield from fd.driver.write_contig(fd, rank, off, length, data)
+                wrote = fd.driver.write_contig(fd, rank, off, length, data)
+                if wrote is not None:
+                    yield wrote
                 written += length
             prof.lap("write", t0)
         else:
@@ -58,9 +60,7 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
             held = []
             try:
                 for s in stripes:
-                    yield from fd.machine.pfs.locks.acquire(
-                        fd.pfs_file.file_id, s, exclusive=True
-                    )
+                    yield fd.machine.pfs.locks.acquire(fd.pfs_file.file_id, s, exclusive=True)
                     held.append(s)
                 old = yield from client.read(fd.pfs_file, pos, window)
                 merged = None
@@ -70,9 +70,7 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
                         merged[off - pos : off - pos + length] = payload_bytes(
                             key, off, length
                         )
-                yield from client.write(
-                    fd.pfs_file, pos, window, data=merged, locking=False
-                )
+                yield client.write(fd.pfs_file, pos, window, data=merged, locking=False)
                 written += ws.nbytes
                 io_stats = fd.machine.io_stats
                 io_stats["bytes_app"] += ws.nbytes
@@ -88,7 +86,9 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
 def write_contig_independent(fd: ADIOFile, rank: int, offset: int, nbytes: int, data, prof: Profiler):
     """Generator: plain independent contiguous write (``MPI_File_write_at``)."""
     t0 = prof.mark()
-    yield from fd.driver.write_contig(fd, rank, offset, nbytes, data)
+    wrote = fd.driver.write_contig(fd, rank, offset, nbytes, data)
+    if wrote is not None:
+        yield wrote
     prof.lap("write", t0)
     return nbytes
 

@@ -75,6 +75,7 @@ class CollectiveCallState:
     writers: tuple[dict[int, tuple[int, int]], ...] = ()  # ... as ext2ph.CallClock reads them
     rounds_left: dict[int, int] = field(default_factory=dict)
     merged_cov: Optional[tuple[np.ndarray, np.ndarray]] = None
+    merged_runs: Optional[tuple[list[int], list[int]]] = None  # ... as lists (ext2ph._round_writes)
     written: int = 0  # bytes the aggregators handed to write_contig
 
 

@@ -182,6 +182,11 @@ class Event:
         self._triggered = True
         return self
 
+    def __iter__(self):
+        """``yield from event`` is ``yield event`` (for callers written for
+        the generators callback chains replaced)."""
+        return (yield self)
+
     def _fire_inline(self, value: Any = None, ok: bool = True) -> None:
         """Fire this event synchronously, inside the current callback.
 
@@ -229,6 +234,17 @@ def settle(event: Event) -> None:
     and every later step of the chain, reading ``_triggered``, does nothing
     (what the interrupted generator would not have done)."""
     event._triggered = True
+
+
+def at_kick(sim: "Simulator", fn: Callable[[], None]) -> None:
+    """Run ``fn()`` where an interrupted generator's ``finally`` runs: at the
+    interrupt kick of the process whose wait the ``abandon`` hooks are
+    giving up (outside an interrupt, now) — no event of its own."""
+    kick = sim.unwinding
+    if kick is None:
+        fn()
+    else:
+        kick.callbacks.append(lambda _ev: fn())
 
 
 class _Kick(Event):
@@ -352,14 +368,20 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered or self._defunct:
             return
-        # Detach from whatever the process was waiting on.
+        sim = self.sim
+        kick = sim._kick("interrupt")
+        # Detach from whatever the process was waiting on; what the hooks
+        # give back ``at_kick`` runs before the throw, as a ``finally`` would.
         target = self._target
         if target is not None:
             if self._resume in target.callbacks:
                 target.callbacks.remove(self._resume)
-            abandon(target)
+            sim.unwinding = kick
+            try:
+                abandon(target)
+            finally:
+                sim.unwinding = None
         self._target = None
-        kick = self.sim._kick("interrupt")
         kick.callbacks.append(lambda ev: self._step(throw=Interrupt(cause)))
         kick.succeed()
 
@@ -529,6 +551,7 @@ class Simulator:
         "_kick_pool",
         "profiler",
         "process_registry",
+        "unwinding",
     )
 
     #: Engine name, for reports.
@@ -559,6 +582,8 @@ class Simulator:
         # is attached before processes are created, every Process registers
         # itself and deadlock reports can name who is blocked and on what.
         self.process_registry: Optional[dict] = None
+        # The interrupt kick under way while abandon hooks run (see at_kick).
+        self.unwinding: Optional[Event] = None
 
     # -- construction helpers ------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -860,6 +885,14 @@ class SlottedSimulator(Simulator):
             bucket.append(c)
         self._memo_when = when
         self._memo_bucket = bucket
+        return c
+
+    def call_at(self, when: float, fn: Callable[[], None]) -> _Call:
+        """:meth:`call_later` at the absolute instant ``when``: no ``now +
+        delay`` rounding (see :class:`Deadline`)."""
+        c = self._call_pool.pop() if self._call_pool else _Call()
+        c.fn, c.when = fn, when
+        self._schedule_at(c, when)
         return c
 
     def cancel(self, handle: _Call) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.sim.core import Event, SimError, Simulator, abandon, settle
+from repro.sim.core import Event, SimError, Simulator, abandon, at_kick, settle
 
 
 def abandon_wait(stage: Event, done: Event) -> None:
@@ -38,6 +38,14 @@ def abandon_grant(resource: Resource, done: Event) -> None:
     kick, where the interrupted generator's ``finally`` would."""
     settle(done)
     resource.sim.call_soon(resource.release)
+
+
+def abandon_held(resource: Resource, done: Event) -> None:
+    """:func:`abandon_grant` for a grant a chain holds in place of a frame
+    of the waiting process itself: given back at that process's interrupt
+    kick (:func:`~repro.sim.core.at_kick`), where its ``finally`` ran."""
+    settle(done)
+    at_kick(resource.sim, resource.release)
 
 
 class Resource:

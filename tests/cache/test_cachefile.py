@@ -49,7 +49,7 @@ class TestWriteThroughCache:
         state, pfs_file = make_state(machine, world)
 
         def proc():
-            greq = yield from state.write_through_cache(0, 64 * KiB, None)
+            greq = yield state.write_through_cache(0, 64 * KiB, None)
             yield from greq.wait()
 
         drive(machine, proc())
@@ -61,7 +61,7 @@ class TestWriteThroughCache:
         state, pfs_file = make_state(machine, world, flush_mode="flush_onclose")
 
         def proc():
-            yield from state.write_through_cache(0, 64 * KiB, None)
+            yield state.write_through_cache(0, 64 * KiB, None)
             yield machine.sim.timeout(10.0)
             before = pfs_file.persisted.total
             yield from state.flush()
@@ -77,7 +77,7 @@ class TestWriteThroughCache:
         data = np.arange(8 * KiB, dtype=np.uint64).astype(np.uint8)
 
         def proc():
-            greq = yield from state.write_through_cache(4 * KiB, 8 * KiB, data)
+            greq = yield state.write_through_cache(4 * KiB, 8 * KiB, data)
             yield from greq.wait()
 
         drive(machine, proc())
@@ -89,8 +89,8 @@ class TestWriteThroughCache:
         state, _ = make_state(machine, world, flush_mode="flush_onclose")
 
         def proc():
-            yield from state.write_through_cache(0, KiB, None)
-            yield from state.write_through_cache(4 * KiB, KiB, None)
+            yield state.write_through_cache(0, KiB, None)
+            yield state.write_through_cache(4 * KiB, KiB, None)
 
         drive(machine, proc())
         assert state.cached.total == 2 * KiB
@@ -101,7 +101,7 @@ class TestWriteThroughCache:
         state, _ = make_state(machine, world, flush_mode="flush_onclose")
 
         def proc():
-            yield from state.write_through_cache(0, KiB, None)
+            yield state.write_through_cache(0, KiB, None)
             pending = state.sync_complete
             yield from state.flush()
             return pending
@@ -117,7 +117,7 @@ class TestClose:
         state, pfs_file = make_state(machine, world, flush_mode="flush_onclose")
 
         def proc():
-            yield from state.write_through_cache(0, 64 * KiB, None)
+            yield state.write_through_cache(0, 64 * KiB, None)
             yield from state.close()
 
         drive(machine, proc())

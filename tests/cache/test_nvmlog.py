@@ -42,7 +42,7 @@ class AlwaysTear:
 class TestAppend:
     def test_durable_append_charges_log_and_barrier(self, machine, wal):
         def proc():
-            yield from wal.append(0, 1024, payload(1024, 7))
+            yield wal.append(0, 1024, payload(1024, 7))
 
         run(machine, proc())
         dev = wal.device
@@ -58,7 +58,7 @@ class TestAppend:
         buf = payload(64, 1)
 
         def proc():
-            yield from wal.append(0, 64, buf)
+            yield wal.append(0, 64, buf)
 
         run(machine, proc())
         buf[:] = 9  # caller reuses its buffer
@@ -66,8 +66,8 @@ class TestAppend:
 
     def test_gather_overlays_in_append_order(self, machine, wal):
         def proc():
-            yield from wal.append(0, 100, payload(100, 1))
-            yield from wal.append(50, 100, payload(100, 2))
+            yield wal.append(0, 100, payload(100, 1))
+            yield wal.append(50, 100, payload(100, 2))
 
         run(machine, proc())
         out = wal.gather(0, 150)
@@ -76,7 +76,7 @@ class TestAppend:
 
     def test_gather_none_without_payloads(self, machine, wal):
         def proc():
-            yield from wal.append(0, 128, None)  # virtual run: no data kept
+            yield wal.append(0, 128, None)  # virtual run: no data kept
 
         run(machine, proc())
         assert wal.durable_records == 1
@@ -84,7 +84,7 @@ class TestAppend:
 
     def test_read_charges_device_time(self, machine, wal):
         def proc():
-            yield from wal.append(0, 4096, payload(4096, 3))
+            yield wal.append(0, 4096, payload(4096, 3))
             t0 = machine.sim.now
             data = yield wal.read_event(0, 4096)
             return data, machine.sim.now - t0
@@ -100,7 +100,7 @@ class TestTornAppend:
 
         def proc():
             with pytest.raises(TornWriteError):
-                yield from wal.append(0, 1000, payload(1000, 5))
+                yield wal.append(0, 1000, payload(1000, 5))
 
         run(machine, proc())
         rec = wal.records[0]
@@ -115,7 +115,7 @@ class TestTornAppend:
 
         def proc():
             try:
-                yield from wal.append(0, 1000, payload(1000, 5))
+                yield wal.append(0, 1000, payload(1000, 5))
             except TornWriteError:
                 pass
 
@@ -127,11 +127,11 @@ class TestTornAppend:
 
         def proc():
             try:
-                yield from wal.append(0, 256, payload(256, 4))
+                yield wal.append(0, 256, payload(256, 4))
             except TornWriteError:
                 pass
             wal._injector = None  # window closes: the retry goes through
-            yield from wal.append(0, 256, payload(256, 4))
+            yield wal.append(0, 256, payload(256, 4))
 
         run(machine, proc())
         assert wal.torn_records == 1 and wal.durable_records == 1
@@ -143,9 +143,9 @@ class TestCapacity:
         wal.device.capacity_bytes = wal.header + 512
 
         def proc():
-            yield from wal.append(0, 512, payload(512, 1))
+            yield wal.append(0, 512, payload(512, 1))
             with pytest.raises(ENOSPC):
-                yield from wal.append(512, 1, payload(1, 1))
+                yield wal.append(512, 1, payload(1, 1))
 
         run(machine, proc())
 
@@ -162,7 +162,7 @@ class TestCapacity:
 
     def test_discard_releases_region(self, machine, wal):
         def proc():
-            yield from wal.append(0, 2048, payload(2048, 6))
+            yield wal.append(0, 2048, payload(2048, 6))
 
         run(machine, proc())
         assert wal.device.log_used > 0
@@ -175,8 +175,8 @@ class TestCapacity:
         b = NVMMWriteLog(machine, 0, "b")
 
         def proc():
-            yield from a.append(0, 100, None)
-            yield from b.append(0, 200, None)
+            yield a.append(0, 100, None)
+            yield b.append(0, 200, None)
 
         run(machine, proc())
         assert a.device is b.device
@@ -191,6 +191,6 @@ class TestCapacity:
             with pytest.raises(DeviceLostError):
                 yield from wal.reserve(0, 10)
             with pytest.raises(DeviceLostError):
-                yield from wal.append(0, 10, None)
+                yield wal.append(0, 10, None)
 
         run(machine, proc())

@@ -31,7 +31,7 @@ class TestChunking:
         client = state.sync_thread.client
 
         def proc():
-            greq = yield from state.write_through_cache(0, 256 * KiB, None)
+            greq = yield state.write_through_cache(0, 256 * KiB, None)
             yield from greq.wait()
 
         drive(machine, proc())
@@ -47,7 +47,7 @@ class TestChunking:
         s2, _ = setup(machine2, world2)
 
         def proc(state, machine):
-            greq = yield from state.write_through_cache(0, 256 * KiB, None)
+            greq = yield state.write_through_cache(0, 256 * KiB, None)
             yield from greq.wait()
             return machine.sim.now
 
@@ -63,8 +63,8 @@ class TestChunking:
         order = []
 
         def proc():
-            g1 = yield from state.write_through_cache(0, 32 * KiB, None)
-            g2 = yield from state.write_through_cache(MiB, 32 * KiB, None)
+            g1 = yield state.write_through_cache(0, 32 * KiB, None)
+            g2 = yield state.write_through_cache(MiB, 32 * KiB, None)
             g1.event.callbacks.append(lambda e: order.append("first"))
             g2.event.callbacks.append(lambda e: order.append("second"))
             yield from g2.wait()
@@ -77,7 +77,7 @@ class TestChunking:
         state, _ = setup(machine, world)
 
         def proc():
-            greq = yield from state.write_through_cache(0, 128 * KiB, None)
+            greq = yield state.write_through_cache(0, 128 * KiB, None)
             yield from greq.wait()
 
         drive(machine, proc())
@@ -103,7 +103,7 @@ class TestOverlap:
         state, pfs_file = setup(machine, world)
 
         def proc():
-            yield from state.write_through_cache(0, MiB, None)
+            yield state.write_through_cache(0, MiB, None)
             t_write_done = machine.sim.now
             yield machine.sim.timeout(5.0)  # 'compute'
             persisted_during_compute = pfs_file.persisted.total
@@ -121,7 +121,7 @@ class TestOverlap:
         state, _ = setup(machine, world)
 
         def proc():
-            greq = yield from state.write_through_cache(0, MiB, None)
+            greq = yield state.write_through_cache(0, MiB, None)
             yield from greq.wait()
 
         drive(machine, proc())

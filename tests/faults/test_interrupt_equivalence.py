@@ -124,7 +124,7 @@ def crashed_flush(reference: bool, crash_at: float, watchdog: bool, ssd_kind=Non
 
     def writer(state):
         for k in range(2):
-            yield from state.write_through_cache((2 * state.rank + k) * EXTENT, EXTENT, None)
+            yield state.write_through_cache((2 * state.rank + k) * EXTENT, EXTENT, None)
 
     for state in states:
         sim.process(writer(state))

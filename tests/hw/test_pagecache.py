@@ -18,7 +18,7 @@ class TestPageCache:
         pc = node.page_cache
 
         def proc():
-            yield from pc.buffered_write(1, 4 * MiB)
+            yield pc.buffered_write(1, 4 * MiB)
 
         sim.run(until=sim.process(proc()))
         expected = 4 * MiB / node.config.ram.memcpy_bw
@@ -30,8 +30,8 @@ class TestPageCache:
         pc = node.page_cache
 
         def proc():
-            yield from pc.buffered_write(1, MiB)
-            yield from pc.buffered_write(2, 2 * MiB)
+            yield pc.buffered_write(1, MiB)
+            yield pc.buffered_write(2, 2 * MiB)
 
         sim.process(proc())
         sim.run(until=1e-4)  # before much writeback happens
@@ -42,7 +42,7 @@ class TestPageCache:
         pc = node.page_cache
 
         def proc():
-            yield from pc.buffered_write(1, 8 * MiB)
+            yield pc.buffered_write(1, 8 * MiB)
 
         sim.process(proc())
         sim.run()
@@ -54,7 +54,7 @@ class TestPageCache:
         pc = node.page_cache
 
         def proc():
-            yield from pc.buffered_write(7, 16 * MiB)
+            yield pc.buffered_write(7, 16 * MiB)
             t0 = sim.now
             yield from pc.fsync(7)
             return sim.now - t0
@@ -87,7 +87,7 @@ class TestPageCache:
         pc = node.page_cache
 
         def proc():
-            yield from pc.buffered_write(1, 64 * MiB)  # 5x the dirty limit
+            yield pc.buffered_write(1, 64 * MiB)  # 5x the dirty limit
             return sim.now
 
         p = sim.process(proc())

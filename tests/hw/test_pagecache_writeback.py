@@ -18,7 +18,7 @@ from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.hw.devices import SSDDevice
 from repro.hw.node import PageCache
 from repro.machine import Machine
-from repro.sim.core import Interrupt
+from repro.sim.core import Event, Interrupt
 from tests.conftest import ENGINES
 
 KiB = 1024
@@ -26,7 +26,28 @@ MiB = 1024 * KiB
 
 
 class HerdPageCache(PageCache):
-    """Wake-everyone reference: a process per burst, an event per waiter."""
+    """Wake-everyone reference: a process per burst, an event per waiter,
+    and the generator every writer ran (``yield from`` drives it and the
+    production chain's Event alike)."""
+
+    def buffered_write(self, file_id, nbytes, offset=0):
+        remaining = int(nbytes)
+        pos = int(offset)
+        while remaining > 0:
+            room = self.dirty_limit - self.dirty
+            if room <= 0:
+                ev = Event(self.sim, name="dirty-throttle")
+                self._throttle_waiters.append(ev)
+                yield ev
+                continue
+            chunk = min(remaining, room)
+            yield self.sim.timeout(chunk / self.memcpy_bw)
+            self.dirty += chunk
+            self._dirty_by_file[file_id] = self._dirty_by_file.get(file_id, 0) + chunk
+            self._dirty_extents.setdefault(file_id, []).append((pos, chunk))
+            pos += chunk
+            remaining -= chunk
+            self._ensure_daemon()
 
     def _ensure_daemon(self):
         if not self._daemon_running and self.dirty > 0:

@@ -4,7 +4,7 @@ import pytest
 from repro.config import small_testbed
 from repro.hw.node import ComputeNode
 from repro.localfs.ext4 import ENOSPC, LocalFileSystem
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.units import GiB, KiB, MiB
 
 
@@ -19,8 +19,11 @@ def make_fs(supports_fallocate=True, ssd_capacity=None):
     return sim, LocalFileSystem(node, supports_fallocate=supports_fallocate)
 
 
-def drive(sim, gen):
-    return sim.run(until=sim.process(gen))
+def drive(sim, work):
+    """Run a generator as a process, or a chain to its Event, to the end."""
+    if isinstance(work, Event):
+        return sim.run(until=work)
+    return sim.run(until=sim.process(work))
 
 
 class TestNamespace:
@@ -108,7 +111,7 @@ class TestDataPath:
         data = np.arange(256, dtype=np.uint8)
 
         def proc():
-            yield from fs.write(f, 1000, 256, data)
+            yield fs.write(f, 1000, 256, data)
             got = yield fs.read_event(f, 1000, 256)
             return got
 
@@ -121,7 +124,7 @@ class TestDataPath:
         data = np.full(100, 7, dtype=np.uint8)
 
         def proc():
-            yield from fs.write(f, 100, 100, data)
+            yield fs.write(f, 100, 100, data)
             got = yield fs.read_event(f, 50, 200)
             return got
 
@@ -134,7 +137,7 @@ class TestDataPath:
         f = fs.open("/scratch/a")
 
         def proc():
-            yield from fs.write(f, 0, 1024)  # no payload
+            yield fs.write(f, 0, 1024)  # no payload
             got = yield fs.read_event(f, 0, 1024)
             return got
 
@@ -145,7 +148,7 @@ class TestDataPath:
         f = fs.open("/scratch/a")
 
         def proc():
-            yield from fs.write(f, 0, 8 * MiB)
+            yield fs.write(f, 0, 8 * MiB)
             yield from fs.fsync(f)
             t0 = sim.now
             yield fs.read_event(f, 0, 8 * MiB)

@@ -46,7 +46,7 @@ class TestWrite:
 
         def proc():
             f = yield from client.create("/g/a", stripe_size=64 * KiB, stripe_count=4)
-            yield from client.write(f, 0, MiB)
+            yield client.write(f, 0, MiB)
             return f
 
         f = drive(machine, proc())
@@ -59,7 +59,7 @@ class TestWrite:
 
         def proc():
             f = yield from client.create("/g/a")
-            yield from client.write(f, 1000, 200, data=data)
+            yield client.write(f, 1000, 200, data=data)
             got = yield from client.read(f, 1000, 200)
             return got
 
@@ -82,7 +82,7 @@ class TestWrite:
             client = machine.pfs_client(rank)
             f = yield from client.create(path)
             t0 = machine.sim.now
-            yield from client.write(f, 0, 256 * MiB)
+            yield client.write(f, 0, 256 * MiB)
             out.append(machine.sim.now - t0)
 
         # 6 clients × 0.58 GiB/s channel demand ≈ 3.5 GiB/s, well above the
@@ -106,7 +106,7 @@ class TestWrite:
         def proc():
             f = yield from client.create("/g/a")
             t0 = machine.sim.now
-            yield from client.write(f, 0, 8 * MiB)
+            yield client.write(f, 0, 8 * MiB)
             pipelined = machine.sim.now - t0
             t0 = machine.sim.now
             yield from reference.write_sync(client, f, 8 * MiB, 8 * MiB, rpc_count=16)
@@ -134,7 +134,7 @@ class TestWrite:
 
         def proc():
             f = yield from client.create("/g/a")
-            yield from client.write(f, 0, 0)
+            assert client.write(f, 0, 0) is None  # nothing to wait for
             return f
 
         f = drive(machine, proc())

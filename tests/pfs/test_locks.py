@@ -17,7 +17,7 @@ def locks(sim):
 class TestExclusive:
     def test_acquire_release(self, sim, locks):
         def proc():
-            yield from locks.acquire(1, 0)
+            yield locks.acquire(1, 0)
             assert locks.held(1, 0) == "write"
             locks.release(1, 0)
             assert locks.held(1, 0) == "free"
@@ -28,7 +28,7 @@ class TestExclusive:
         order = []
 
         def user(name, hold):
-            yield from locks.acquire(1, 5)
+            yield locks.acquire(1, 5)
             order.append((name, sim.now))
             yield sim.timeout(hold)
             locks.release(1, 5)
@@ -43,7 +43,7 @@ class TestExclusive:
         times = []
 
         def user(stripe):
-            yield from locks.acquire(1, stripe)
+            yield locks.acquire(1, stripe)
             yield sim.timeout(1.0)
             locks.release(1, stripe)
             times.append(sim.now)
@@ -55,8 +55,8 @@ class TestExclusive:
 
     def test_different_files_independent(self, sim, locks):
         def proc():
-            yield from locks.acquire(1, 0)
-            yield from locks.acquire(2, 0)
+            yield locks.acquire(1, 0)
+            yield locks.acquire(2, 0)
             locks.release(1, 0)
             locks.release(2, 0)
 
@@ -68,7 +68,7 @@ class TestExclusive:
 
     def test_lock_rpc_cost_charged(self, sim, locks):
         def proc():
-            yield from locks.acquire(1, 0)
+            yield locks.acquire(1, 0)
             locks.release(1, 0)
 
         sim.run(until=sim.process(proc()))
@@ -78,7 +78,7 @@ class TestExclusive:
 class TestSharedReaders:
     def test_readers_coexist(self, sim, locks):
         def reader():
-            yield from locks.acquire(1, 0, exclusive=False)
+            yield locks.acquire(1, 0, exclusive=False)
             yield sim.timeout(1.0)
             locks.release(1, 0, exclusive=False)
             return sim.now
@@ -90,13 +90,13 @@ class TestSharedReaders:
 
     def test_writer_blocks_readers(self, sim, locks):
         def writer():
-            yield from locks.acquire(1, 0)
+            yield locks.acquire(1, 0)
             yield sim.timeout(2.0)
             locks.release(1, 0)
 
         def reader():
             yield sim.timeout(0.1)
-            yield from locks.acquire(1, 0, exclusive=False)
+            yield locks.acquire(1, 0, exclusive=False)
             locks.release(1, 0, exclusive=False)
             return sim.now
 
@@ -107,13 +107,13 @@ class TestSharedReaders:
 
     def test_readers_block_writer(self, sim, locks):
         def reader():
-            yield from locks.acquire(1, 0, exclusive=False)
+            yield locks.acquire(1, 0, exclusive=False)
             yield sim.timeout(3.0)
             locks.release(1, 0, exclusive=False)
 
         def writer():
             yield sim.timeout(0.1)
-            yield from locks.acquire(1, 0)
+            yield locks.acquire(1, 0)
             locks.release(1, 0)
             return sim.now
 
@@ -128,14 +128,14 @@ class TestSharedReaders:
 
         def reader(name, start):
             yield sim.timeout(start)
-            yield from locks.acquire(1, 0, exclusive=False)
+            yield locks.acquire(1, 0, exclusive=False)
             order.append(name)
             yield sim.timeout(1.0)
             locks.release(1, 0, exclusive=False)
 
         def writer():
             yield sim.timeout(0.5)
-            yield from locks.acquire(1, 0)
+            yield locks.acquire(1, 0)
             order.append("w")
             locks.release(1, 0)
 
@@ -147,13 +147,13 @@ class TestSharedReaders:
 
     def test_contended_counter(self, sim, locks):
         def a():
-            yield from locks.acquire(1, 0)
+            yield locks.acquire(1, 0)
             yield sim.timeout(1.0)
             locks.release(1, 0)
 
         def b():
             yield sim.timeout(0.1)
-            yield from locks.acquire(1, 0)
+            yield locks.acquire(1, 0)
             locks.release(1, 0)
 
         sim.process(a())

@@ -41,7 +41,7 @@ class TestClosedForm:
 
         def proc():
             t0 = machine.sim.now
-            yield from client.write(f, 0, nbytes, locking=False)
+            yield client.write(f, 0, nbytes, locking=False)
             return machine.sim.now - t0
 
         return machine.sim.run(until=machine.sim.process(proc()))
@@ -120,7 +120,7 @@ def same_instant_writers(monkeypatch, generator_serve):
     def writer(rank):
         client = machine.pfs_client(rank)
         client.tag = f"r{rank}"
-        yield from client.write(f, rank * 16 * MiB, 16 * MiB)
+        yield client.write(f, rank * 16 * MiB, 16 * MiB)
         finished[rank] = machine.sim.now
 
     for rank in range(64):
@@ -163,7 +163,11 @@ class TestStalledServer:
 
         monkeypatch.setattr(type(machine.sim), "process", process)
         client = machine.pfs_client(0)
-        machine.sim.run(until=machine.sim.process(client.write(f, 0, 16 * MiB)))
+
+        def writer():
+            yield client.write(f, 0, 16 * MiB)
+
+        machine.sim.run(until=machine.sim.process(writer()))
         return machine, client, served, names
 
     def test_only_the_stalled_servers_rpc_waits(self, monkeypatch):
@@ -211,7 +215,7 @@ def test_interrupted_waiter_leaves_nothing_held(monkeypatch):
 
     def writer():
         try:
-            yield from client.write(f, 0, 16 * MiB, locking=True)
+            yield client.write(f, 0, 16 * MiB, locking=True)
         except Interrupt as exc:
             seen["cause"] = exc.cause
 
@@ -238,5 +242,5 @@ def test_interrupted_waiter_leaves_nothing_held(monkeypatch):
     assert f.size == 0 and f.persisted.total == 0 and client.bytes_written == 0
 
     monkeypatch.undo()
-    sim.run(until=sim.process(client.write(f, 0, 16 * MiB, locking=True)))
+    sim.run(until=client.write(f, 0, 16 * MiB, locking=True))
     assert f.persisted.covers(0, 16 * MiB)

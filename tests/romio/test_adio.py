@@ -76,7 +76,7 @@ class TestCacheHookPoints:
             fh = yield from layer.open(ctx.rank, "/g/t", {})
             if ctx.rank == 3:  # a non-aggregator-style direct write
                 data = np.arange(100, dtype=np.uint8)
-                yield from fh.fd.driver.write_contig(fh.fd, 3, 0, 100, data)
+                yield fh.fd.driver.write_contig(fh.fd, 3, 0, 100, data)
             yield from fh.close()
 
         world.run(body)

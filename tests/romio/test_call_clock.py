@@ -29,6 +29,7 @@ from repro.config import small_testbed
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.romio import ext2ph
+from repro.romio.adio import ADIODriver
 from repro.romio.file import MPIFileHandle, MPIIOLayer
 from repro.sim.core import Process, SimError, SlottedSimulator
 from repro.units import KiB
@@ -72,17 +73,17 @@ def assert_clock_equals_live(workload, info, processes=None, **kwargs):
 
 @pytest.fixture
 def wake_instants(monkeypatch):
-    """The instants the clocks schedule their writers' wake events at, in
-    scheduling order — the order a bucket of equal instants fires in."""
+    """The instants the clocks schedule their writers' rounds at
+    (``CallClock._write``, by ``call_at``), in scheduling order — the order
+    a bucket of equal instants fires in."""
     wakes = []
-    schedule_at = SlottedSimulator._schedule_at
+    call_at = SlottedSimulator.call_at
 
-    def spy(sim, event, when):
-        if event.name == "write_all:wake":
-            wakes.append(when)
-        schedule_at(sim, event, when)
+    def spy(sim, when, fn):
+        wakes.append(when)
+        return call_at(sim, when, fn)
 
-    monkeypatch.setattr(SlottedSimulator, "_schedule_at", spy)
+    monkeypatch.setattr(SlottedSimulator, "call_at", spy)
     return wakes
 
 
@@ -322,11 +323,21 @@ def collective_resumes(monkeypatch, kind, workload, info, **kwargs):
     """Run the job; count, by process name, the resumes that found the
     process waiting in the collective write itself (its offset exchange, its
     rounds, its assembly deadline, its post-write allreduce) — not in the
-    I/O it does there, nor in open, close or compute."""
+    I/O it does there (the events ``write_contig`` returns), nor in open,
+    close or compute."""
     tally = Counter()
     resume = Process._resume
+    write_contig, io = ADIODriver.write_contig, set()
+
+    def tracked(driver, *args):
+        written = write_contig(driver, *args)
+        io.add(written)
+        return written
 
     def counted(proc, event):
+        if event in io:
+            resume(proc, event)
+            return
         gen, inside = proc.gen, False
         while getattr(gen.gi_yieldfrom, "gi_code", None) is not None:
             inside = inside or gen.gi_code.co_filename.endswith("ext2ph.py")
@@ -338,42 +349,44 @@ def collective_resumes(monkeypatch, kind, workload, info, **kwargs):
 
     with monkeypatch.context() as patch:
         patch.setattr(Process, "_resume", counted)
+        patch.setattr(ADIODriver, "write_contig", tracked)
         run_job(kind, workload, info, **kwargs)
     return tally
 
 
 def test_resume_arithmetic_when_every_aggregator_writes_every_round(monkeypatch):
     """IOR, 4 aggregators, 2 rounds a call, 2 calls a file, 2 files.  On the
-    clock an aggregator is resumed once per round it writes and once when
-    the call is over, the class of followers once a call.  The live loop
-    resumes each of them at the offset exchange, twice a round (``a2a``,
-    ``x``), at its deadline and at the post-write allreduce:
-    ``saved = aggregator_calls + 2 * writer_rounds``."""
+    clock an aggregator is resumed once a call — its clock writes its rounds
+    — like the class of followers.  The live loop resumes each of them at
+    the offset exchange, twice a round (``a2a``, ``x``), at its deadline and
+    at the post-write allreduce:
+    ``saved = aggregator_calls + 3 * writer_rounds``."""
     workload = ior_workload(8, block_bytes=16 * KiB, segments=2)
     info = hints(cb_nodes=4)
     clock = collective_resumes(monkeypatch, "production", workload, info, num_files=2)
     live = collective_resumes(monkeypatch, "production", workload, info, num_files=2, walk=True)
     aggregators = [f"rank{r}" for r in (0, 2, 4, 6)]
     calls, rounds = 2 * 2, 2
-    assert clock == {**{name: calls * (rounds + 1) for name in aggregators}, "rank1+3": calls}
+    assert clock == {**{name: calls for name in aggregators}, "rank1+3": calls}
     assert all(live[name] == calls * (1 + 3 * rounds + 1) for name in aggregators)
     aggregator_calls, writer_rounds = 4 * calls, 4 * calls * rounds
     saved = sum(live[name] - clock[name] for name in aggregators)
-    assert saved == aggregator_calls + 2 * writer_rounds
+    assert saved == aggregator_calls + 3 * writer_rounds
 
 
 def test_resume_arithmetic_with_idle_aggregators(monkeypatch):
     """Flash-IO shaped, 8 ranks, 2 aggregators of which one receives in a
-    call: the idle one is resumed once a call, like every process that only
-    waits; the live loop walks it through the exchange, both slots of the
-    one round and the allreduce."""
+    call: each is resumed once a call, like every process that only waits —
+    the writer's round is its clock's; the live loop walks them through the
+    exchange, both slots of the one round (the writer its deadline too) and
+    the allreduce."""
     workload = flashio_workload(8, blocks_per_proc=1, zones_per_dim=4)
     info = hints(cb_nodes=2)
     clock = collective_resumes(monkeypatch, "production", workload, info)
     live = collective_resumes(monkeypatch, "production", workload, info, walk=True)
-    assert clock["rank1+5"] == 24 and clock["rank0"] + clock["rank4"] == 24 * (2 + 1)
+    assert clock["rank1+5"] == 24 and clock["rank0"] + clock["rank4"] == 24 * 2
     assert live["rank0"] + live["rank4"] == 24 * (4 + 5)
-    assert sum(clock.values()) == 24 * 3 + 24  # processes x calls + writer rounds
+    assert sum(clock.values()) == 24 * 3  # processes x calls
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +412,6 @@ def run_body(per_rank=None):
     body.rank_classes = lambda: FOLLOWERS
     world.run(body)
     return world
-
-
-def test_a_report_from_a_round_the_rank_does_not_write_is_refused(monkeypatch):
-    report = ext2ph.CallClock.report
-    monkeypatch.setattr(ext2ph.CallClock, "report", lambda clock, rank, r: report(clock, rank, r + 1))
-    with pytest.raises(
-        SimError,
-        match=r"collective call 0 of /g/f: rank [04] reports back from round 1, which it "
-        r"does not write \(the clock is at round 0\)",
-    ):
-        run_body()
-    monkeypatch.setattr(ext2ph.CallClock, "report", lambda clock, rank, r: report(clock, 1, r))
-    with pytest.raises(SimError, match="call 0 of /g/f: rank 1 reports back from round 0"):
-        run_body()
 
 
 def test_a_rank_arriving_twice_at_one_call_is_refused():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.access import RankAccess
-from repro.romio.ext2ph import is_interleaved
+from repro.romio.aggregation import FileDomain
+from repro.romio.ext2ph import _round_writes, is_interleaved
+from repro.romio.fd import CollectiveCallState
 from repro.units import KiB
 from tests.conftest import expected_image, file_payload, make_cluster
 
@@ -33,6 +35,17 @@ def strided_patterns(nprocs, block=4 * KiB, reps=4):
         offs = np.array([r * block + k * nprocs * block for k in range(reps)])
         out.append(RankAccess(offs, np.full(reps, block)))
     return out
+
+
+def test_round_writes_clip():
+    """A round's write list: the merged coverage clipped to the round's
+    window of the aggregator's domain."""
+    call = CollectiveCallState(index=0)
+    call.merged_cov = (np.array([0, 20, 40], dtype=np.int64), np.array([10, 30, 50], dtype=np.int64))
+    assert _round_writes(call, FileDomain(0, 5, 45), 0, 40) == [(5, 10), (20, 30), (40, 45)]
+    assert _round_writes(call, FileDomain(0, 0, 45), 1, 10) == []  # [10, 20)
+    assert _round_writes(call, FileDomain(0, 100, 200), 0, 100) == []
+    assert _round_writes(call, FileDomain(0, 0, 45), 4, 10) == [(40, 45)]  # cut at the domain's end
 
 
 class TestInterleaveDetection:

@@ -265,7 +265,7 @@ class TestFlowCompletions:
         f = sim.run(until=sim.process(client.create("/g/a")))
 
         def writes():
-            yield from client.write(f, 0, 4 * MiB, locking=False)
+            yield client.write(f, 0, 4 * MiB, locking=False)
             yield client.write_sync_flat(f, 4 * MiB, 256 * KiB)
 
         sim.run(until=sim.process(writes()))

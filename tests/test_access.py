@@ -7,7 +7,6 @@ import repro.access
 from repro.access import (
     AccessTable,
     RankAccess,
-    coverage_in_window,
     merge_extent_arrays,
     ranks_interleaved,
 )
@@ -177,14 +176,6 @@ def test_merge_extent_arrays_matches_pointset(rank_lists):
     # runs strictly increasing and disjoint
     for i in range(1, len(starts)):
         assert starts[i] > ends[i - 1]
-
-
-def test_coverage_in_window_clips():
-    starts = np.array([0, 20, 40], dtype=np.int64)
-    ends = np.array([10, 30, 50], dtype=np.int64)
-    assert coverage_in_window(starts, ends, 5, 45) == [(5, 10), (20, 30), (40, 45)]
-    assert coverage_in_window(starts, ends, 10, 20) == []
-    assert coverage_in_window(starts, ends, 100, 200) == []
 
 
 # -- the all-ranks table ----------------------------------------------------------

@@ -108,7 +108,7 @@ def _run_faulted_sync(reference):
     state = CacheState(machine, 0, pfs_file, policy, world.comm)
 
     def proc():
-        greq = yield from state.write_through_cache(0, 256 * KiB, None)
+        greq = yield state.write_through_cache(0, 256 * KiB, None)
         try:
             yield from greq.wait()
         except SyncFailedError:

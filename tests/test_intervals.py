@@ -170,6 +170,21 @@ def test_gaps_complement(pairs, window):
     assert gap_points == set(range(lo, hi)) - inside
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ranges, max_size=8), st.integers(-20, 220), st.integers(-20, 220))
+def test_gaps_and_gap_bytes_match_a_byte_set(pairs, lo, hi):
+    """``gaps`` (bisected to the first run that reaches ``lo``) and
+    ``gap_bytes`` against brute force, windows before, across, between and
+    past the runs included — and an inverted window is empty."""
+    s = IntervalSet(pairs)
+    missing = set(range(lo, hi)) - reference(pairs)
+    gaps = s.gaps(lo, hi)
+    assert points_of(gaps) == missing
+    assert s.gap_bytes(lo, hi) == gaps.total == len(missing)
+    runs = list(gaps)
+    assert all(a < b for a, b in runs) and all(b1 < a2 for (_, b1), (a2, _) in zip(runs, runs[1:]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(ranges, max_size=8), ranges)
 def test_intersect_consistent_with_covers(pairs, window):

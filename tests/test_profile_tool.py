@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,13 @@ def test_resumes_add_up_and_move_nothing(tool, engine, tmp_path, capsys):
     if engine == "slotted":
         assert ranked == {"rank x1": 8, "rank+ x504": 1}
         assert kinds["rank+ x504"]["resumes"] < kinds["rank x1"]["resumes"] / 8
+        # The clock writes: nobody is resumed to write a round, every
+        # process once a call by its own event.
+        waited = Counter()
+        for row in kinds.values():
+            waited.update({what: w["resumes"] for what, w in row["waited_on"].items()})
+        assert not any("write_all:wake" in what or "write_all:post" in what for what in waited)
+        assert waited["Event : write_all:done"] == (8 + 1) * 2
     else:
         assert ranked == {"rank x1": 512}
     out = capsys.readouterr().out
@@ -135,9 +143,9 @@ FLASH_IO_POINT = [  # the Flash-IO unit of ``noncontig_grid4``
 def test_resumes_name_who_wakes_for_what(tool, engine, tmp_path, capsys):
     """Under every process kind, the event kinds it waited on.  On the
     production stack a collective write runs on its clock: no rank is resumed
-    by a ``coll:timed:`` slot, the 64 aggregators wake for the rounds they
-    write and once a call, the class of 448 once a call; on the reference
-    stack every rank walks every slot."""
+    by a ``coll:timed:`` slot, the 64 aggregators and the class of 448 once a
+    call, by their own events — the clock writes the rounds; on the
+    reference stack every rank walks every slot."""
     out_json = tmp_path / "flash.json"
     point = FLASH_IO_POINT + stack_flags(engine)
     assert tool.main(point + ["--resumes", "6", "--json", str(out_json)]) == 0
@@ -159,15 +167,12 @@ def test_resumes_name_who_wakes_for_what(tool, engine, tmp_path, capsys):
         return
     assert not timed
     calls = 2 * 24
-    assert ranks["rank+ x448"]["Event : write_all:wake"]["resumes"] == calls
+    assert ranks["rank+ x448"]["Event : write_all:done"]["resumes"] == calls
     aggregators = ranks["rank x1"]
-    idle_and_writer_rounds = aggregators["Event : write_all:wake"]["resumes"]
-    last_reports = aggregators["Event : write_all:post_write"]["resumes"]
-    # an aggregator wakes once a call (idle: by its wake event, a writer: by
-    # the post-write release) and once more for every round it writes
-    assert idle_and_writer_rounds == 64 * calls
-    assert 0 < last_reports < 64 * calls
-    assert f"{idle_and_writer_rounds:>9,d}" in out and "Event : write_all:wake" in out
+    once_a_call = aggregators["Event : write_all:done"]["resumes"]
+    assert once_a_call == 64 * calls
+    assert not any("write_all:" in what for what in aggregators if "write_all:done" not in what)
+    assert f"{once_a_call:>9,d}" in out and "Event : write_all:done" in out
 
 
 def test_tables_lists_what_each_table_holds_and_moves_nothing(tool, tmp_path, capsys):

@@ -41,7 +41,9 @@ often, and the host microseconds those resumes took, everything the process
 went on to do included.  One shared release is one event however many
 processes it resumes, so only the second table shows a cost that grows with
 ranks; on the production stack no rank is resumed by a ``coll:timed:`` slot
-(a collective write runs on its clock: ``write_all:wake``, ``write_all:post_write``).  ``--tables`` lists every
+nor by a write: a collective write runs on its clock, which writes the
+rounds itself, and resumes every process once a call, by its
+``write_all:done`` event.  ``--tables`` lists every
 distinct access table the point's collective writes planned from: whether it
 is a descriptor (``strided k levels``) or CSR arrays, the extents it
 describes against the bytes it holds, whether anything flattened it, and how
