@@ -12,8 +12,8 @@ from repro.experiments.report import render_bandwidth_table, shape_checks_bandwi
 
 
 def test_fig4_collperf_bandwidth(benchmark, figure_sweep):
-    aggs, cbs = figure_sweep
-    data = run_once(benchmark, lambda: fig4_collperf_bandwidth(aggs, cbs))
+    aggs, cbs, scale = figure_sweep
+    data = run_once(benchmark, lambda: fig4_collperf_bandwidth(aggs, cbs, scale))
     print()
     print(render_bandwidth_table("Fig. 4: coll_perf perceived bandwidth", data))
     checks = shape_checks_bandwidth(data)

@@ -11,8 +11,8 @@ from repro.experiments.report import render_breakdown_table
 
 
 def test_fig5_collperf_breakdown_cache(benchmark, figure_sweep):
-    aggs, cbs = figure_sweep
-    data = run_once(benchmark, lambda: fig5_collperf_breakdown_cache(aggs, cbs))
+    aggs, cbs, scale = figure_sweep
+    data = run_once(benchmark, lambda: fig5_collperf_breakdown_cache(aggs, cbs, scale))
     print()
     print(render_breakdown_table("Fig. 5: coll_perf breakdown (cache enabled)", data))
     # not_hidden_sync must be present at 8 aggregators and absent at 64.

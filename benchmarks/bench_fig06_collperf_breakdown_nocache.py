@@ -14,11 +14,13 @@ from repro.experiments.report import render_breakdown_table
 
 
 def test_fig6_collperf_breakdown_nocache(benchmark, figure_sweep):
-    aggs, cbs = figure_sweep
-    data = run_once(benchmark, lambda: fig6_collperf_breakdown_nocache(aggs, cbs))
+    aggs, cbs, scale = figure_sweep
+    data = run_once(
+        benchmark, lambda: fig6_collperf_breakdown_nocache(aggs, cbs, scale)
+    )
     print()
     print(render_breakdown_table("Fig. 6: coll_perf breakdown (cache disabled)", data))
-    cached = fig5_collperf_breakdown_cache(aggs, cbs)  # memoised
+    cached = fig5_collperf_breakdown_cache(aggs, cbs, scale)  # memoised
     # Global sync terms shrink with the cache, configuration by configuration.
     reduced = 0
     for label, row in data.items():

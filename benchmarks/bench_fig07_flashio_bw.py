@@ -11,8 +11,8 @@ from repro.experiments.report import render_bandwidth_table, shape_checks_bandwi
 
 
 def test_fig7_flashio_bandwidth(benchmark, figure_sweep):
-    aggs, cbs = figure_sweep
-    data = run_once(benchmark, lambda: fig7_flashio_bandwidth(aggs, cbs))
+    aggs, cbs, scale = figure_sweep
+    data = run_once(benchmark, lambda: fig7_flashio_bandwidth(aggs, cbs, scale))
     print()
     print(render_bandwidth_table("Fig. 7: Flash-IO perceived bandwidth", data))
     checks = shape_checks_bandwidth(data)

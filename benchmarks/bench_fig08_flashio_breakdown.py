@@ -12,8 +12,8 @@ from repro.experiments.report import render_breakdown_table
 
 
 def test_fig8_flashio_breakdown(benchmark, figure_sweep):
-    aggs, cbs = figure_sweep
-    data = run_once(benchmark, lambda: fig8_flashio_breakdown(aggs, cbs))
+    aggs, cbs, scale = figure_sweep
+    data = run_once(benchmark, lambda: fig8_flashio_breakdown(aggs, cbs, scale))
     print()
     print(render_breakdown_table("Fig. 8: Flash-IO breakdown (cache enabled)", data))
     eight = {k: v for k, v in data.items() if k.startswith("8_")}

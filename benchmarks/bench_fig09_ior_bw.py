@@ -12,8 +12,8 @@ from repro.experiments.report import render_bandwidth_table
 
 
 def test_fig9_ior_bandwidth(benchmark, figure_sweep):
-    aggs, cbs = figure_sweep
-    data = run_once(benchmark, lambda: fig9_ior_bandwidth(aggs, cbs))
+    aggs, cbs, scale = figure_sweep
+    data = run_once(benchmark, lambda: fig9_ior_bandwidth(aggs, cbs, scale))
     print()
     print(render_bandwidth_table("Fig. 9: IOR perceived bandwidth (incl. last phase)", data))
     for label, row in data.items():

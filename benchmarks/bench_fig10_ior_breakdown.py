@@ -10,8 +10,8 @@ from repro.experiments.report import render_breakdown_table
 
 
 def test_fig10_ior_breakdown(benchmark, figure_sweep):
-    aggs, cbs = figure_sweep
-    data = run_once(benchmark, lambda: fig10_ior_breakdown(aggs, cbs))
+    aggs, cbs, scale = figure_sweep
+    data = run_once(benchmark, lambda: fig10_ior_breakdown(aggs, cbs, scale))
     print()
     print(render_breakdown_table("Fig. 10: IOR breakdown (cache enabled)", data))
     # every configuration carries the unhidden last-phase sync

@@ -8,38 +8,58 @@ across modules (one pytest session) *and* persisted in ``.repro_cache/``
 across sessions — a re-run of the figure benches on a warm cache performs
 zero simulations.
 
-Environment knobs:
+Options (``pytest benchmarks/ --scale 1 --full-sweep`` is the paper size):
 
-* ``REPRO_SCALE``       — data-volume scale (default 0.125; 1.0 = the paper's
+* ``--scale``      — data-volume scale (default 0.125; 1.0 = the paper's
   32 GB files; compute delay scales with it).
-* ``REPRO_FULL_SWEEP=1`` — run the paper's full 4×5 aggregator×buffer grid
+* ``--full-sweep`` — run the paper's full 4×5 aggregator×buffer grid
   instead of the 4×3 quick grid.
-* ``REPRO_JOBS``        — parallel sweep workers (default 1).
-* ``REPRO_CACHE=0``     — disable the on-disk result cache (force fresh
-  simulation); ``REPRO_CACHE_DIR`` relocates it.
-"""
 
-import os
+Environment (``repro.options``): ``REPRO_JOBS`` — parallel sweep workers
+(default 1); ``REPRO_CACHE=0`` — disable the on-disk result cache (force
+fresh simulation); ``REPRO_CACHE_DIR`` relocates it.
+"""
 
 import pytest
 
+from repro import options
 from repro.experiments.figures import (
     FULL_SWEEP,
     QUICK_AGGREGATORS,
     QUICK_CB_SIZES,
     get_default_runner,
 )
+from repro.experiments.runner import DEFAULT_SCALE
 
 
-def sweep():
-    if os.environ.get("REPRO_FULL_SWEEP", "0") == "1":
-        return FULL_SWEEP
-    return QUICK_AGGREGATORS, QUICK_CB_SIZES
+def pytest_addoption(parser):
+    parser.addoption(
+        "--scale",
+        type=float,
+        default=DEFAULT_SCALE,
+        help="data-volume scale of the figure benches (1.0 = paper)",
+    )
+    parser.addoption(
+        "--full-sweep",
+        action="store_true",
+        help="run the paper's full 4x5 aggregator x buffer grid",
+    )
+
+
+def pytest_configure(config):
+    refusal = options.refusal()
+    if refusal is not None:
+        raise pytest.UsageError(refusal)
 
 
 @pytest.fixture(scope="session")
-def figure_sweep():
-    return sweep()
+def figure_sweep(pytestconfig):
+    """``(aggregators, cb_sizes, scale)`` for the seven ``bench_fig*`` modules."""
+    if pytestconfig.getoption("full_sweep"):
+        aggs, cbs = FULL_SWEEP
+    else:
+        aggs, cbs = QUICK_AGGREGATORS, QUICK_CB_SIZES
+    return aggs, cbs, pytestconfig.getoption("scale")
 
 
 @pytest.fixture(scope="session")

@@ -11,16 +11,16 @@ with the cache enabled (including non-hidden sync), and the theoretical
 bandwidth TBW.  At 8 aggregators the flush from too few SSDs cannot hide
 inside the compute phase, and the cached run loses to the plain one.
 
-Run:  python examples/aggregator_tuning.py          (quick, 1/8 scale)
-      REPRO_SCALE=1 python examples/aggregator_tuning.py   (paper scale)
+Run:  python examples/aggregator_tuning.py   (1/8 scale; set ``scale = 1.0``
+      in ``main`` for the paper's full 32 GiB files)
 """
 
-from repro.experiments.runner import ExperimentSpec, default_scale, run_experiment
+from repro.experiments.runner import DEFAULT_SCALE, ExperimentSpec, run_experiment
 from repro.units import GiB, MiB
 
 
 def main() -> None:
-    scale = default_scale()
+    scale = DEFAULT_SCALE
     print(f"IOR, 512 ranks, scale={scale:g} (x the paper's 32 GiB files)\n")
     print(f"{'aggregators':>11s}  {'BW disabled':>12s}  {'BW cached':>12s}  "
           f"{'TBW':>8s}  {'non-hidden sync':>15s}")

@@ -37,9 +37,8 @@ from repro.chaos.generate import ChaosConfig, generate_schedule
 from repro.chaos.invariants import InvariantMonitor
 from repro.config import ClusterConfig, small_testbed
 from repro.experiments.faultsweep import (
-    FAULT_BENCHMARKS,
-    FAULT_CACHE_MODES,
     FaultExperimentSpec,
+    FaultPoint,
     build_fault_workload,
     fault_free_reference,
     integrity_violations,
@@ -47,7 +46,6 @@ from repro.experiments.faultsweep import (
 )
 from repro.faults import FaultSchedule, FaultSpec, JobAborted
 from repro.faults.errors import FaultError, SyncFailedError
-from repro.romio.hints import CACHE_KINDS
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.romio.file import MPIIOLayer
@@ -63,7 +61,7 @@ MAX_RECOVERY_ATTEMPTS = 5
 
 
 @dataclass(frozen=True)
-class ChaosTrialSpec:
+class ChaosTrialSpec(FaultPoint):
     """One chaos point: workload shape + schedule seed (or explicit faults)."""
 
     seed: int
@@ -85,15 +83,7 @@ class ChaosTrialSpec:
     sync_rpc_timeout: float = 0.0
     generate: bool = True
 
-    def __post_init__(self):
-        if self.benchmark not in FAULT_BENCHMARKS:
-            raise ValueError(f"unknown benchmark {self.benchmark!r}")
-        if self.cache_mode not in FAULT_CACHE_MODES:
-            raise ValueError(f"unknown cache mode {self.cache_mode!r}")
-        if self.cache_kind not in CACHE_KINDS:
-            raise ValueError(f"unknown cache kind {self.cache_kind!r}")
-        if not isinstance(self.faults, tuple):
-            object.__setattr__(self, "faults", tuple(self.faults))
+    _zero_ok = ("workload_seed",)
 
     @property
     def label(self) -> str:

@@ -15,12 +15,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import cache, partial
 
+from repro import options
 from repro.units import GiB, KiB, MiB, USEC
-
-#: Recognised node-SSD model kinds (``ClusterConfig.ssd_kind``, REPRO_SSD).
-SSD_KINDS = ("stream", "ftl")
 
 
 def is_whole(value) -> bool:
@@ -265,12 +263,11 @@ class ClusterConfig(Checked):
     ram: RAMConfig = field(default_factory=RAMConfig)
     pfs: PFSConfig = field(default_factory=PFSConfig)
     seed: int = 2016
-    # Node-local device tier: None defers to REPRO_SSD (default "stream",
-    # the seek+stream SSDDevice — byte-identical to pre-FTL results);
-    # "ftl" selects the page/block/LUN flash model (repro.hw.flash).
-    # An explicit value wins over the environment, and participates in the
-    # result-cache fingerprint like every other config field.
-    ssd_kind: str | None = None
+    # Node-local device tier: "stream" is the seek+stream SSDDevice
+    # (byte-identical to pre-FTL results), "ftl" the page/block/LUN flash
+    # model (repro.hw.flash).  Unless given, REPRO_SSD picks it when the
+    # config is built; the result-cache fingerprint includes it.
+    ssd_kind: str = field(default_factory=partial(options.get, "REPRO_SSD"))
     # Fidelity knob: the cache sync thread flushes in ind_wr_buffer_size
     # chunks; simulating each 512 KiB chunk as its own event is exact but
     # slow at 32 GiB scale, so chunks may be coalesced into batches whose
@@ -281,9 +278,9 @@ class ClusterConfig(Checked):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.ssd_kind is not None and self.ssd_kind not in SSD_KINDS:
+        if self.ssd_kind not in options.SSD_KINDS:
             raise ValueError(
-                f"ClusterConfig.ssd_kind={self.ssd_kind!r}: must be one of {SSD_KINDS} or None"
+                f"ClusterConfig.ssd_kind={self.ssd_kind!r}: must be one of {options.SSD_KINDS}"
             )
 
     @property

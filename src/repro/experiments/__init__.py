@@ -13,9 +13,9 @@ from repro.experiments.resultcache import (
     default_cache,
 )
 from repro.experiments.runner import (
+    DEFAULT_SCALE,
     ExperimentResult,
     ExperimentSpec,
-    default_scale,
     resolve_config,
     run_experiment,
     run_experiment_cached,
@@ -23,6 +23,7 @@ from repro.experiments.runner import (
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "DEFAULT_SCALE",
     "ExperimentResult",
     "ExperimentSpec",
     "ResultCache",
@@ -32,7 +33,6 @@ __all__ = [
     "config_fingerprint",
     "default_cache",
     "default_jobs",
-    "default_scale",
     "resolve_config",
     "run_experiment",
     "run_experiment_cached",

@@ -33,14 +33,14 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.analysis.bandwidth import perceived_bandwidth
-from repro.config import ClusterConfig, small_testbed
+from repro.config import Checked, ClusterConfig, small_testbed
 from repro.experiments.resultcache import cache_key
 from repro.faults import FaultSchedule, FaultSpec, JobAborted
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.payload import payload_key
 from repro.romio.file import MPIIOLayer
-from repro.romio.hints import CACHE_KINDS
+from repro.options import CACHE_KINDS
 from repro.sim.core import DeadlockError, Interrupt
 from repro.units import KiB
 from repro.workloads import small_workload
@@ -62,8 +62,27 @@ SCENARIOS = (
 )
 
 
+class FaultPoint(Checked):
+    """What a fault-matrix point and a chaos trial check alike: their
+    numbers (``scale`` > 0), and a benchmark, cache mode and cache kind the
+    fault harness runs."""
+
+    _positive = ("scale",)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.benchmark not in FAULT_BENCHMARKS:
+            raise ValueError(f"unknown benchmark {self.benchmark!r}")
+        if self.cache_mode not in FAULT_CACHE_MODES:
+            raise ValueError(f"unknown cache mode {self.cache_mode!r}")
+        if self.cache_kind not in CACHE_KINDS:
+            raise ValueError(f"unknown cache kind {self.cache_kind!r}")
+        if not isinstance(self.faults, tuple):
+            object.__setattr__(self, "faults", tuple(self.faults))
+
+
 @dataclass(frozen=True)
-class FaultExperimentSpec:
+class FaultExperimentSpec(FaultPoint):
     """One fault-matrix point: a workload config plus a fault schedule."""
 
     benchmark: str
@@ -83,15 +102,7 @@ class FaultExperimentSpec:
     scale: float = 1.0
     seed: int = 2016
 
-    def __post_init__(self):
-        if self.benchmark not in FAULT_BENCHMARKS:
-            raise ValueError(f"unknown benchmark {self.benchmark!r}")
-        if self.cache_mode not in FAULT_CACHE_MODES:
-            raise ValueError(f"unknown cache mode {self.cache_mode!r}")
-        if self.cache_kind not in CACHE_KINDS:
-            raise ValueError(f"unknown cache kind {self.cache_kind!r}")
-        if not isinstance(self.faults, tuple):
-            object.__setattr__(self, "faults", tuple(self.faults))
+    _zero_ok = ("seed",)
 
     @property
     def label(self) -> str:

@@ -31,16 +31,17 @@ from typing import Optional, Sequence
 
 from repro.experiments.parallel import SweepRunner, default_jobs
 from repro.experiments.runner import (
+    DEFAULT_SCALE,
     PAPER_AGGREGATORS,
     PAPER_CB_SIZES,
     ExperimentResult,
     ExperimentSpec,
-    default_scale,
 )
 from repro.units import GiB, MiB
 
 # A reduced sweep that keeps the paper's corners and the 8-aggregator story;
-# the full 4×5 grid is used when REPRO_FULL_SWEEP=1 (see bench modules).
+# the full 4×5 grid is used with ``--full-sweep`` (the sweep CLI, the bench
+# modules and tools/generate_experiments_md.py).
 QUICK_AGGREGATORS = (8, 16, 32, 64)
 QUICK_CB_SIZES = (4 * MiB, 16 * MiB, 64 * MiB)
 
@@ -71,11 +72,12 @@ def _sweep(
     modes: Sequence[str],
     aggregators: Sequence[int],
     cb_sizes: Sequence[int],
-    scale: float,
+    scale: Optional[float],
     runner: Optional[SweepRunner],
 ) -> dict[tuple[str, str], ExperimentResult]:
     """One deduplicated sweep over (label, mode); results keyed the same."""
     runner = get_default_runner() if runner is None else runner
+    scale = DEFAULT_SCALE if scale is None else scale
     specs = [
         ExperimentSpec(
             benchmark,
@@ -100,7 +102,6 @@ def _bandwidth_figure(
     scale: Optional[float],
     runner: Optional[SweepRunner] = None,
 ) -> dict[str, dict[str, float]]:
-    scale = default_scale() if scale is None else scale
     modes = tuple(_MODE_OF[s] for s in SERIES)
     by_point = _sweep(benchmark, modes, aggregators, cb_sizes, scale, runner)
     out: dict[str, dict[str, float]] = {}
@@ -125,7 +126,6 @@ def _breakdown_figure(
     scale: Optional[float],
     runner: Optional[SweepRunner] = None,
 ) -> dict[str, dict[str, float]]:
-    scale = default_scale() if scale is None else scale
     by_point = _sweep(benchmark, (cache_mode,), aggregators, cb_sizes, scale, runner)
     return {
         label: dict(by_point[(label, cache_mode)].breakdown)

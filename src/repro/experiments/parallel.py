@@ -32,11 +32,11 @@ measurement grid over worker processes.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Callable, Iterable, Optional, Sequence
 
+from repro import options
 from repro.config import ClusterConfig
 from repro.experiments.resultcache import ResultCache, cache_key, default_cache
 from repro.experiments.runner import (
@@ -72,18 +72,9 @@ def _run_point(spec: ExperimentSpec, config: Optional[ClusterConfig]):
     return run_experiment(spec, config)
 
 
-def env_jobs() -> Optional[int]:
-    """``REPRO_JOBS``, the worker count the environment asks for (None when
-    unset), which must be a whole number >= 1."""
-    raw = os.environ.get("REPRO_JOBS")
-    if raw is not None and not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ValueError(f"REPRO_JOBS={raw!r}: must be a whole number of workers >= 1")
-    return None if raw is None else int(raw)
-
-
 def default_jobs() -> int:
     """Library worker count: ``REPRO_JOBS``, default 1 (serial)."""
-    return env_jobs() or 1
+    return options.get("REPRO_JOBS") or 1
 
 
 class SweepRunner:

@@ -11,9 +11,10 @@ touching spec or config.
 
 Records are single JSON files under ``.repro_cache/<key[:2]>/<key>.json``
 (override the root with ``REPRO_CACHE_DIR``; disable the default cache
-entirely with ``REPRO_CACHE=0``).  Writes are atomic (tmp file + rename) so
-concurrent sweep processes cannot corrupt each other; a corrupt or truncated
-record is treated as a miss, never as an error.
+entirely with ``REPRO_CACHE=0``; :mod:`repro.options` reads both).  Writes
+are atomic (tmp file + rename) so concurrent sweep processes cannot corrupt
+each other; a corrupt or truncated record is treated as a miss, never as an
+error.
 
 Paper correspondence: none (harness infrastructure); it memoises §IV
 measurement points across runs.
@@ -29,6 +30,8 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from repro import options
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.config import ClusterConfig
     from repro.experiments.runner import ExperimentResult, ExperimentSpec
@@ -39,18 +42,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # read again.
 # v2: fault results gained invariant_violations and drain-to-quiescence
 # (shifts the diagnostic event count); chaos trial results joined the cache.
-# v3: the key gained the *resolved* device tier — REPRO_SSD / REPRO_CACHE_KIND
-# select different device models without touching spec or config, so the
-# environment defaults must be baked into the address or an ftl-mode run
-# would alias a stream-mode entry.
+# v3: the key gained the cache backend — REPRO_CACHE_KIND selects a different
+# device model without touching spec or config, so the environment default
+# must be baked into the address or an nvmm-mode run would alias an
+# extent-mode entry.  (The node-SSD model is ``ClusterConfig.ssd_kind``,
+# resolved when the config is built, so the config fingerprint carries it.)
 # v4: fleet results carry one ``stack`` diagnostic (was ``engine`` +
 # ``dataplane``) and chaos results compare stacks, not planes
 # (``stacks_match``, ``events_production``/``events_reference``).
 # v5: fault and chaos results carry ``integrity_violations`` (checked against
 # the access tables) in place of per-file ``checksums``.
 CACHE_SCHEMA_VERSION = 5
-
-DEFAULT_CACHE_DIR = ".repro_cache"
 
 
 def _canonical_json(obj) -> str:
@@ -72,19 +74,14 @@ def cache_key(spec: "ExperimentSpec", config: "ClusterConfig") -> str:
     memo bug where the config was ignored and two different clusters could
     alias to one result.
     """
-    from repro.hw.flash import default_ssd_kind
-    from repro.romio.hints import default_cache_kind
-
     payload = _canonical_json(
         {
             "schema": CACHE_SCHEMA_VERSION,
             "spec": dataclasses.asdict(spec),
             "config": config_fingerprint(config),
-            # Device-tier selections that default through the environment:
-            # an explicit config/hint value already fingerprints via spec or
-            # config, but the env-resolved defaults must be keyed here.
-            "ssd_kind": config.ssd_kind or default_ssd_kind(),
-            "cache_kind": default_cache_kind(),
+            # The cache backend's default comes from the environment, and
+            # neither spec nor config carries it.
+            "cache_kind": options.get("REPRO_CACHE_KIND"),
         }
     )
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -106,7 +103,7 @@ class ResultCache:
         result_cls: Optional[type] = None,
     ):
         if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+            root = options.get("REPRO_CACHE_DIR")
         self.root = Path(root)
         self.enabled = enabled
         # The record type deserialised on a hit.  Defaults to
@@ -216,5 +213,5 @@ class ResultCache:
 
 def default_cache(result_cls: Optional[type] = None) -> ResultCache:
     """The process-default cache: ``.repro_cache/`` unless ``REPRO_CACHE=0``."""
-    enabled = os.environ.get("REPRO_CACHE", "1") != "0"
+    enabled = options.get("REPRO_CACHE") == "1"
     return ResultCache(enabled=enabled, result_cls=result_cls)

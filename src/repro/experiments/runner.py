@@ -6,20 +6,18 @@ paper's fixed conditions: 512 ranks on 64 nodes, four equal files per run,
 
 ``scale`` shrinks the data volume (and the compute delay with it) so the
 full figure sweeps run in CI time; all bandwidth ratios are preserved
-because every relevant cost is bandwidth-dominated.  ``REPRO_SCALE=1``
+because every relevant cost is bandwidth-dominated.  ``--scale 1``
 reproduces the paper's full 32 GB files.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from repro.analysis.bandwidth import perceived_bandwidth
 from repro.analysis.breakdown import breakdown_from_profiles, merge_breakdowns
-from repro.config import ClusterConfig, deep_er_testbed
+from repro.config import Checked, ClusterConfig, deep_er_testbed
 from repro.experiments.resultcache import ResultCache, cache_key, default_cache
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
@@ -35,22 +33,12 @@ CACHE_MODES = ("disabled", "enabled", "theoretical")
 PAPER_AGGREGATORS = (8, 16, 32, 64)
 PAPER_CB_SIZES = (4 * MiB, 8 * MiB, 16 * MiB, 32 * MiB, 64 * MiB)
 
-
-def default_scale() -> float:
-    """Experiment scale factor; override with REPRO_SCALE (1.0 = paper size),
-    which must be a positive number."""
-    raw = os.environ.get("REPRO_SCALE", "0.125")
-    try:
-        scale = float(raw)
-    except ValueError:
-        scale = math.nan
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"REPRO_SCALE={raw!r}: must be a positive number (1.0 = paper size)")
-    return scale
+#: The harnesses' data-volume scale (1.0 = the paper's 32 GB files).
+DEFAULT_SCALE = 0.125
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Checked):
     benchmark: str
     aggregators: int = 64
     cb_buffer: int = 16 * MiB
@@ -61,7 +49,13 @@ class ExperimentSpec:
     flush_batch_chunks: int = 16
     seed: int = 2016
 
+    _zero_ok = ("seed",)
+    # A scale shrinks the paper's volume: 1.0, its 32 GB files, is the top
+    # (sizes derived from a huge one overflow).
+    _positive = _fractions = ("scale",)
+
     def __post_init__(self):
+        super().__post_init__()
         if self.benchmark not in BENCHMARKS:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
         if self.cache_mode not in CACHE_MODES:

@@ -9,7 +9,7 @@ Examples::
     python -m repro.experiments.sweep --benchmark ior --full-sweep --no-cache
 
     # regenerate the bandwidth figure tables the way CI does
-    REPRO_SCALE=0.03125 python -m repro.experiments.sweep \\
+    python -m repro.experiments.sweep --scale 0.03125 \\
         --figures fig4 fig7 fig9 --jobs 4 --output-dir sweep-tables
 
 Without ``--figures`` the CLI runs the raw benchmark × grid × cache-mode
@@ -46,25 +46,23 @@ import sys
 import time
 from pathlib import Path
 
-from repro import chaos
+from repro import chaos, options
 from repro import fleet as fleetmod
 from repro.experiments import faultsweep, figures
-from repro.experiments.parallel import SweepError, SweepRunner, env_jobs
+from repro.experiments.parallel import SweepError, SweepRunner
 from repro.experiments.report import (
     render_bandwidth_table,
     render_breakdown_table,
     shape_checks_bandwidth,
 )
 from repro.experiments.resultcache import ResultCache, default_cache
-from repro.experiments.runner import BENCHMARKS, default_scale
-from repro.hw import flash
-from repro.romio import hints
+from repro.experiments.runner import BENCHMARKS, DEFAULT_SCALE
 from repro.units import MiB
 
 
 def default_cli_jobs() -> int:
     """CLI worker default: ``REPRO_JOBS`` wins, else all cores but one."""
-    return env_jobs() or max(1, (os.cpu_count() or 1) - 1)
+    return options.get("REPRO_JOBS") or max(1, (os.cpu_count() or 1) - 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,14 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=default_cli_jobs(),
+        default=None,
         help="parallel workers (default: REPRO_JOBS or cpu_count - 1)",
     )
     p.add_argument(
         "--scale",
         type=float,
-        default=None,
-        help="data-volume scale (default: REPRO_SCALE or 0.125; 1.0 = paper)",
+        default=DEFAULT_SCALE,
+        help="data-volume scale (default: %(default)s; 1.0 = paper)",
     )
     p.add_argument(
         "--full-sweep",
@@ -184,22 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="first chaos seed (with --chaos; default: 0)",
     )
-    p.add_argument(
-        "--ssd",
-        choices=flash.SSD_KINDS,
-        default=None,
-        help="node-SSD device model (sets REPRO_SSD; default: stream — "
-        "ftl is the FTL-aware flash tier, see docs/DEVICES.md)",
-    )
-    p.add_argument(
-        "--cache-kind",
-        choices=hints.CACHE_KINDS,
-        default=None,
-        help="cache backend (sets REPRO_CACHE_KIND; default: extent — "
-        "nvmm is the byte-addressable write-ahead log)",
-    )
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return p
+
+
+def result_cache(args: argparse.Namespace, result_cls=None) -> ResultCache:
+    """The cache ``--no-cache``/``--cache-dir`` ask for, else the default."""
+    if args.no_cache:
+        return ResultCache.disabled(result_cls=result_cls)
+    if args.cache_dir:
+        return ResultCache(root=args.cache_dir, result_cls=result_cls)
+    return default_cache(result_cls=result_cls)
 
 
 def make_runner(
@@ -216,14 +209,6 @@ def make_runner(
         result_cls = faultsweep.FaultExperimentResult
     else:
         result_cls = None
-    if args.no_cache:
-        cache = ResultCache.disabled(result_cls=result_cls)
-    elif args.cache_dir:
-        cache = ResultCache(root=args.cache_dir, result_cls=result_cls)
-    elif result_cls is not None:
-        cache = ResultCache(result_cls=result_cls)
-    else:
-        cache = None
     progress = None
     if not args.quiet:
 
@@ -250,6 +235,7 @@ def make_runner(
             worker=faultsweep._run_fault_point,
             resolver=faultsweep.resolve_fault_config,
         )
+    cache = result_cache(args, result_cls)
     return SweepRunner(
         jobs=args.jobs, cache=cache, timeout=args.timeout, progress=progress, **kwargs
     )
@@ -287,11 +273,10 @@ def run_figures(args: argparse.Namespace, runner: SweepRunner) -> int:
 def run_raw(args: argparse.Namespace, runner: SweepRunner) -> int:
     aggs, cbs = grid(args)
     benchmarks = args.benchmark or list(BENCHMARKS)
-    scale = args.scale
     for benchmark in benchmarks:
         include_last = benchmark == "ior"  # the paper's IOR measurement
         data = figures._bandwidth_figure(
-            benchmark, include_last, aggs, cbs, scale, runner
+            benchmark, include_last, aggs, cbs, args.scale, runner
         )
         print(render_bandwidth_table(f"{benchmark} perceived bandwidth", data))
         print()
@@ -301,9 +286,8 @@ def run_raw(args: argparse.Namespace, runner: SweepRunner) -> int:
 def run_faults(args: argparse.Namespace, runner: SweepRunner) -> int:
     benchmarks = tuple(args.benchmark or ("ior",))
     scenarios = tuple(args.fault_scenario or faultsweep.SCENARIOS)
-    scale = args.scale if args.scale is not None else default_scale()
     specs = faultsweep.fault_matrix_specs(
-        benchmarks=benchmarks, scenarios=scenarios, scale=scale
+        benchmarks=benchmarks, scenarios=scenarios, scale=args.scale
     )
     results = runner.run(specs)
     print(faultsweep.render_fault_table(results))
@@ -335,9 +319,8 @@ def run_faults(args: argparse.Namespace, runner: SweepRunner) -> int:
 
 
 def run_fleet_sweep(args: argparse.Namespace, runner: SweepRunner) -> int:
-    scale = args.scale if args.scale is not None else default_scale()
     sizes = args.fleet_size or [64]
-    specs = [fleetmod.FleetSpec(fleet_size=n, scale=scale) for n in sizes]
+    specs = [fleetmod.FleetSpec(fleet_size=n, scale=args.scale) for n in sizes]
     results = runner.run(specs)
     table = fleetmod.render_fleet_table(results)
     if args.output_dir:
@@ -356,19 +339,13 @@ def run_fleet_sweep(args: argparse.Namespace, runner: SweepRunner) -> int:
 
 
 def run_fleet_chaos_sweep(args: argparse.Namespace) -> int:
-    scale = args.scale if args.scale is not None else default_scale()
     status = 0
-    if args.no_cache:
-        row_cache = ResultCache.disabled(result_cls=fleetmod.FleetJobResult)
-    elif args.cache_dir:
-        row_cache = ResultCache(root=args.cache_dir, result_cls=fleetmod.FleetJobResult)
-    else:
-        row_cache = default_cache(result_cls=fleetmod.FleetJobResult)
+    row_cache = result_cache(args, fleetmod.FleetJobResult)
     for seed in range(args.base_seed, args.base_seed + args.seeds):
         r = fleetmod.run_fleet_chaos(
             fleet_size=8,
             seed=seed,
-            scale=scale,
+            scale=args.scale,
             crash_probability=args.crash_probability,
             max_restarts=args.max_restarts,
             row_cache=row_cache,
@@ -391,7 +368,7 @@ def run_fleet_chaos_sweep(args: argparse.Namespace) -> int:
             print(
                 f"  repro: PYTHONPATH=src python -m repro.experiments.sweep "
                 f"--fleet-chaos --base-seed {seed} --seeds 1 "
-                f"--scale {scale} "
+                f"--scale {args.scale} "
                 f"--crash-probability {args.crash_probability} "
                 f"--max-restarts {args.max_restarts}",
                 file=sys.stderr,
@@ -400,12 +377,13 @@ def run_fleet_chaos_sweep(args: argparse.Namespace) -> int:
 
 
 def run_chaos(args: argparse.Namespace, runner: SweepRunner) -> int:
-    scale = args.scale if args.scale is not None else default_scale()
     benchmarks = tuple(args.benchmark or ("ior",))
     seeds = range(args.base_seed, args.base_seed + args.seeds)
     specs = []
     for benchmark in benchmarks:
-        specs.extend(chaos.chaos_trial_specs(seeds, scale=scale, benchmark=benchmark))
+        specs.extend(
+            chaos.chaos_trial_specs(seeds, scale=args.scale, benchmark=benchmark)
+        )
     results = runner.run(specs)
     print(chaos.render_chaos_table(results))
     failing = [r for r in results if not r.ok]
@@ -449,13 +427,18 @@ def run_chaos(args: argparse.Namespace, runner: SweepRunner) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # Device-tier selection travels as environment so pool workers (and the
-    # result-cache fingerprint, which resolves both kinds) see one truth.
-    if args.ssd is not None:
-        os.environ["REPRO_SSD"] = args.ssd
-    if args.cache_kind is not None:
-        os.environ["REPRO_CACHE_KIND"] = args.cache_kind
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    refusal = options.refusal()
+    if refusal is not None:
+        parser.error(refusal)
+    try:
+        for name in options.LIVE:
+            options.get(name)  # a bad value fails here by name, not mid-sweep
+        if args.jobs is None:
+            args.jobs = default_cli_jobs()
+    except ValueError as err:
+        parser.error(str(err))
     if args.jobs > 1 and (os.cpu_count() or 1) == 1:
         # Measured on a single-CPU host: 410.9s serial vs 485.0s --jobs 4 —
         # pool overhead with no parallelism to pay for it.
@@ -467,7 +450,6 @@ def main(argv=None) -> int:
     runner = make_runner(
         args, faults=args.faults, chaos_mode=args.chaos, fleet_mode=args.fleet
     )
-    scale = args.scale if args.scale is not None else default_scale()
     aggs, cbs = grid(args)
     t0 = time.monotonic()
     try:
@@ -489,7 +471,7 @@ def main(argv=None) -> int:
     wall = time.monotonic() - t0
     stats = runner.cache.stats()
     print(
-        f"sweep done in {wall:.1f}s: scale={scale:g} grid={list(aggs)}x"
+        f"sweep done in {wall:.1f}s: scale={args.scale:g} grid={list(aggs)}x"
         f"{[c // MiB for c in cbs]}M jobs={runner.jobs} "
         f"simulated={runner.simulated} cache_hits={stats['hits']} "
         f"cache_stores={stats['stores']}",

@@ -5,13 +5,7 @@ RAID6 server targets, node RAM).
 """
 
 from repro.hw.devices import SSDDevice, StorageDevice
-from repro.hw.flash import (
-    SSD_KINDS,
-    FlashSSDDevice,
-    NVMMDevice,
-    create_node_ssd,
-    default_ssd_kind,
-)
+from repro.hw.flash import FlashSSDDevice, NVMMDevice, create_node_ssd
 from repro.hw.node import ComputeNode
 
 __all__ = [
@@ -19,8 +13,6 @@ __all__ = [
     "FlashSSDDevice",
     "NVMMDevice",
     "SSDDevice",
-    "SSD_KINDS",
     "StorageDevice",
     "create_node_ssd",
-    "default_ssd_kind",
 ]

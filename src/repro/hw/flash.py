@@ -21,9 +21,9 @@ module adds the realistic tier:
   ``cache_kind=nvmm`` write-ahead-log medium): load/store bandwidth with a
   per-record persistence-barrier cost, no pages, no GC.
 
-Device selection: ``REPRO_SSD``
-picks ``stream`` (default, byte-identical to the pre-FTL model) or ``ftl``;
-an explicit ``ClusterConfig.ssd_kind`` wins over the environment.
+Device selection: ``ClusterConfig.ssd_kind`` is ``stream`` (byte-identical
+to the pre-FTL model) or ``ftl``; unless given, ``REPRO_SSD`` picks it when
+the config is built (:mod:`repro.options`, default ``stream``).
 
 Calibration sources: Liu et al., "Performance characterization of NVMe
 flash devices" (arXiv:1705.03598) for flash timing constants and the
@@ -37,26 +37,16 @@ item 4).
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from repro.config import SSD_KINDS, ClusterConfig, FlashConfig, NVMMConfig
+from repro.config import ClusterConfig, FlashConfig, NVMMConfig
 from repro.hw.devices import SSDDevice, StorageDevice
 from repro.sim.core import Simulator
 
 
-def default_ssd_kind() -> str:
-    """The REPRO_SSD environment selection (default: stream)."""
-    kind = os.environ.get("REPRO_SSD", "stream")
-    if kind not in SSD_KINDS:
-        raise ValueError(f"REPRO_SSD={kind!r}: expected one of {SSD_KINDS}")
-    return kind
-
-
 def create_node_ssd(sim: Simulator, node_id: int, config: ClusterConfig) -> StorageDevice:
-    """Build one node's scratch SSD per ``config.ssd_kind`` / ``REPRO_SSD``."""
-    kind = config.ssd_kind if config.ssd_kind is not None else default_ssd_kind()
-    if kind == "ftl":
+    """Build one node's scratch SSD per ``config.ssd_kind``."""
+    if config.ssd_kind == "ftl":
         return FlashSSDDevice(
             sim,
             name=f"ssd{node_id}",

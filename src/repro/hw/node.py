@@ -198,7 +198,7 @@ class ComputeNode:
         self.sim = sim
         self.node_id = node_id
         self.config = config
-        # Device tier (ClusterConfig.ssd_kind / REPRO_SSD): the stream
+        # Device tier (ClusterConfig.ssd_kind): the stream
         # SSDDevice by default (byte-identical to pre-FTL results), or the
         # page/block/LUN flash model — see repro.hw.flash and docs/DEVICES.md.
         self.ssd = create_node_ssd(sim, node_id, config)

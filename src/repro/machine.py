@@ -37,9 +37,9 @@ object.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
+from repro import options
 from repro import reference as reference_stack
 from repro.cache.syncthread import flush_batch
 from repro.config import ClusterConfig
@@ -56,8 +56,6 @@ from repro.sim.profile import SimProfiler
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
 
-_RETIRED_ENV = ("REPRO_ENGINE", "REPRO_FABRIC", "REPRO_DATAPLANE")
-
 
 class Machine:
     def __init__(
@@ -68,14 +66,9 @@ class Machine:
         profiler: Optional[SimProfiler] = None,
         reference: bool = False,
     ):
-        for name in _RETIRED_ENV:
-            if name in os.environ:
-                # An old A/B script must not go silently green on production.
-                raise SimError(
-                    f"{name}={os.environ[name]!r} is set, but {name} was "
-                    "retired in PR 22: pass `reference=True` for the original "
-                    "stack (heapq engine, naive fabric, generator flush)"
-                )
+        refusal = options.refusal()
+        if refusal is not None:
+            raise SimError(refusal)
         self.config = config
         #: The original stack as a unit (module docstring), or what the
         #: benchmark measures.

@@ -12,32 +12,16 @@ extensions).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Any, Mapping, Optional
 
+from repro import options
 from repro.units import KiB, MiB, parse_size
 
 
 class HintError(ValueError):
     """An understood hint was given a value outside its domain."""
-
-
-#: Recognised cache backends (the ``e10_cache_kind`` hint / REPRO_CACHE_KIND
-#: values): ``extent`` = sparse file on the scratch SSD (the paper's design),
-#: ``nvmm`` = write-ahead log on byte-addressable persistent memory
-#: (:mod:`repro.cache.nvmlog`).
-CACHE_KINDS = ("extent", "nvmm")
-
-
-def default_cache_kind() -> str:
-    """The REPRO_CACHE_KIND environment selection (default: extent)."""
-    kind = os.environ.get("REPRO_CACHE_KIND", "extent")
-    if kind not in CACHE_KINDS:
-        raise ValueError(
-            f"REPRO_CACHE_KIND={kind!r}: expected one of {CACHE_KINDS}"
-        )
-    return kind
 
 
 _TRISTATE = ("enable", "disable", "automatic")
@@ -54,7 +38,7 @@ _CHOICES = {
     "e10_cache": _CACHE_MODES,
     "e10_cache_flush_flag": _FLUSH_FLAGS,
     "e10_cache_discard_flag": _ONOFF,
-    "e10_cache_kind": CACHE_KINDS,
+    "e10_cache_kind": options.CACHE_KINDS,
 }
 
 
@@ -81,7 +65,9 @@ class Hints:
     e10_cache_path: str = "/scratch"
     e10_cache_flush_flag: str = "flush_onclose"
     e10_cache_discard_flag: str = "enable"
-    e10_cache_kind: str = field(default_factory=default_cache_kind)
+    e10_cache_kind: str = field(
+        default_factory=partial(options.get, "REPRO_CACHE_KIND")
+    )
 
     unknown: dict[str, str] = field(default_factory=dict)
 

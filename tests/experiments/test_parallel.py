@@ -9,6 +9,7 @@ import pytest
 from repro.experiments.parallel import SweepError, SweepRunner, default_jobs
 from repro.experiments.resultcache import ResultCache
 from repro.experiments.runner import ExperimentSpec
+from repro.experiments import sweep
 from repro.experiments.sweep import default_cli_jobs
 from tests.experiments.test_resultcache import fake_result
 
@@ -147,8 +148,8 @@ class TestFailureHandling:
 
 
 class TestJobsVariable:
-    """``REPRO_JOBS`` is read once (``parallel.env_jobs``) for both
-    defaults: one worker for the library, all cores but one for the CLI."""
+    """``REPRO_JOBS`` is read through ``repro.options`` for both defaults:
+    one worker for the library, all cores but one for the CLI."""
 
     def test_unset_keeps_each_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -172,3 +173,18 @@ class TestJobsVariable:
         for default in (default_jobs, default_cli_jobs):
             with pytest.raises(ValueError, match=f"REPRO_JOBS={raw!r}: must be a whole number"):
                 default()
+
+    def test_the_cli_reports_a_bad_value_in_one_line(self, monkeypatch, capsys):
+        """The CLI resolves its worker count after parsing: ``--help`` still
+        works, and a run stops with a usage error (exit 2) naming the
+        variable, not a traceback."""
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        with pytest.raises(SystemExit) as help_exit:
+            sweep.main(["--help"])
+        assert help_exit.value.code == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as run_exit:
+            sweep.main(["--no-cache"])
+        assert run_exit.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()[-1:]
+        assert line.endswith("error: REPRO_JOBS='two': must be a whole number >= 1")

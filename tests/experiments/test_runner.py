@@ -9,7 +9,6 @@ from repro.experiments.runner import (
     ExperimentSpec,
     build_workload,
     clear_memo,
-    default_scale,
     hints_for,
     run_experiment,
     run_experiment_cached,
@@ -135,23 +134,3 @@ class TestCachedRunnerConfigKey:
         )
         assert second == first
         assert second is not first  # round-tripped through JSON, not the memo
-
-
-class TestScaleVariable:
-    def test_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert default_scale() == 0.125
-        monkeypatch.setenv("REPRO_SCALE", "1")
-        assert default_scale() == 1.0
-
-    @pytest.mark.parametrize("raw", ["eighth", "", "nan"])
-    def test_a_value_that_is_no_number_is_refused_by_name(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SCALE", raw)
-        with pytest.raises(ValueError, match=f"REPRO_SCALE={raw!r}: must be a positive number"):
-            default_scale()
-
-    @pytest.mark.parametrize("raw", ["0", "-0.5", "inf"])
-    def test_a_scale_that_is_not_positive_and_finite_is_refused_by_name(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SCALE", raw)
-        with pytest.raises(ValueError, match=f"REPRO_SCALE={raw!r}: must be a positive number"):
-            default_scale()

@@ -102,8 +102,9 @@ def crashed_flush(reference: bool, crash_at: float, watchdog: bool, ssd_kind=Non
     then a recovery job that replays their journals.  Returns what the
     stacks must agree on, and (reference stack) the phase each sync thread
     was in."""
-    cfg = small_testbed(num_nodes=2, procs_per_node=2, ssd_kind=ssd_kind)
+    cfg = small_testbed(num_nodes=2, procs_per_node=2)
     cfg = cfg.scaled(
+        ssd_kind=ssd_kind or cfg.ssd_kind,
         pfs=replace(
             cfg.pfs, num_server_workers=1, server_cache_bytes=16 * KiB, server_drain_chunk=16 * KiB
         )

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import options
 from repro.config import FlashConfig, SSDConfig, small_testbed
 from repro.hw.devices import SSDDevice
-from repro.hw.flash import FlashSSDDevice, SSD_KINDS, create_node_ssd, default_ssd_kind
+from repro.hw.flash import FlashSSDDevice, create_node_ssd
 from repro.sim.core import Simulator
 
 #: 512 B pages, 8-page blocks, 2 LUNs, generous OP: tiny but structurally
@@ -54,32 +55,34 @@ def check_ftl_consistency(dev):
 
 class TestKindSelection:
     def test_kinds(self):
-        assert SSD_KINDS == ("stream", "ftl")
+        assert options.SSD_KINDS == ("stream", "ftl")
 
     def test_default_is_stream(self, monkeypatch):
         monkeypatch.delenv("REPRO_SSD", raising=False)
-        assert default_ssd_kind() == "stream"
+        assert options.get("REPRO_SSD") == "stream"
+        assert small_testbed().ssd_kind == "stream"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_SSD", "ftl")
-        assert default_ssd_kind() == "ftl"
+        assert options.get("REPRO_SSD") == "ftl"
 
     def test_unknown_kind_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SSD", "optane")
-        with pytest.raises(ValueError):
-            default_ssd_kind()
+        with pytest.raises(ValueError, match="REPRO_SSD='optane': must be one of"):
+            small_testbed()
 
     def test_create_node_ssd_dispatch(self, monkeypatch):
+        """The tier is resolved when the config is built: a config built
+        under ``REPRO_SSD=ftl`` is ftl, and an explicit value wins."""
         monkeypatch.delenv("REPRO_SSD", raising=False)
         sim = Simulator()
-        cfg = small_testbed()
-        assert isinstance(create_node_ssd(sim, 0, cfg), SSDDevice)
+        assert isinstance(create_node_ssd(sim, 0, small_testbed()), SSDDevice)
         monkeypatch.setenv("REPRO_SSD", "ftl")
+        cfg = small_testbed()
+        assert cfg.ssd_kind == "ftl"
         assert isinstance(create_node_ssd(sim, 0, cfg), FlashSSDDevice)
-        # An explicit config value wins over the environment.
-        monkeypatch.setenv("REPRO_SSD", "stream")
-        ftl = create_node_ssd(sim, 1, cfg.scaled(ssd_kind="ftl"))
-        assert isinstance(ftl, FlashSSDDevice)
+        stream = create_node_ssd(sim, 1, small_testbed(ssd_kind="stream"))
+        assert type(stream) is SSDDevice
 
     def test_explicit_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -60,19 +60,19 @@ differential that used to be four CI legs of the whole suite.
 
 import hashlib
 import json
-import os
 
 import pytest
 
+from repro import options
 from repro.experiments.faultsweep import fault_matrix_specs, run_fault_experiment
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.fleet.runner import FleetSpec, run_fleet
 from repro.units import MiB
 
-# Device-tier switches move timings by design (docs/DEVICES.md).
+# Device-tier switches move timings by design (docs/DEVICES.md); a value
+# outside a variable's domain fails here rather than skipping.
 pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_SSD", "stream") != "stream"
-    or os.environ.get("REPRO_CACHE_KIND", "extent") != "extent",
+    options.get("REPRO_SSD") != "stream" or options.get("REPRO_CACHE_KIND") != "extent",
     reason="golden digests are recorded on the default device tier",
 )
 

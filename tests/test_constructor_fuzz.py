@@ -11,13 +11,17 @@ constructor accepts must construct; whatever it rejects must be a
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.runner import ChaosTrialSpec, resolve_chaos_config, schedule_for
 from repro.config import ClusterConfig, small_testbed
+from repro.experiments.faultsweep import FaultExperimentSpec, resolve_fault_config
+from repro.experiments.runner import ExperimentSpec, resolve_config
 from repro.faults.spec import FAULT_KINDS, FaultSchedule, FaultSpec
 from repro.fleet import FleetSpec, fleet_job_specs, resolve_fleet_config
 from repro.machine import Machine
@@ -143,3 +147,42 @@ def test_fleet_spec(field, value):
         resolve_fleet_config(spec)
 
     rejected_by_name(build, field)
+
+
+# -- experiment, fault-matrix and chaos specs ----------------------------------
+
+#: Each point spec, with what it needs besides the field under test, and
+#: what a run derives from it first.
+POINT_SPECS = {
+    ExperimentSpec: ({"benchmark": "ior"}, resolve_config),
+    FaultExperimentSpec: ({"benchmark": "ior"}, resolve_fault_config),
+    ChaosTrialSpec: (
+        {"seed": 0},
+        lambda spec: schedule_for(spec, resolve_chaos_config(spec)),
+    ),
+}
+#: Their numbers (scale, counts, seeds, delays): ``config.Checked`` fields.
+POINT_FIELDS = [
+    (cls, f.name)
+    for cls in POINT_SPECS
+    for f in dataclasses.fields(cls)
+    if type(f.default) in (int, float)
+]
+
+
+@FUZZ
+@given(point=st.sampled_from(POINT_FIELDS), value=WILD)
+def test_point_spec(point, value):
+    cls, field = point
+    required, derive = POINT_SPECS[cls]
+    rejected_by_name(lambda: derive(cls(**required, **{field: value})), field)
+
+
+@pytest.mark.parametrize("cls", [*POINT_SPECS, FleetSpec], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("scale", [0, 0.0, -0.5, math.nan, math.inf])
+def test_a_scale_is_a_positive_finite_number(cls, scale):
+    """What a fuzzed value may do is fail by name; a scale outside its
+    domain must fail, whatever derives from the spec afterwards."""
+    required = POINT_SPECS[cls][0] if cls in POINT_SPECS else {}
+    with pytest.raises(ValueError, match=f"{cls.__name__}.scale="):
+        cls(**required, scale=scale)

@@ -71,13 +71,21 @@ class TestReferenceStack:
         production = MPIWorld(Machine(small_testbed()))  # engine and fabric decide
         assert production.comm._model.shared_release and production.transport.coalesce
 
-    @pytest.mark.parametrize("name", ["REPRO_ENGINE", "REPRO_FABRIC", "REPRO_DATAPLANE"])
+    @pytest.mark.parametrize(
+        "name",
+        ["REPRO_ENGINE", "REPRO_FABRIC", "REPRO_DATAPLANE", "REPRO_SCALE", "REPRO_FULL_SWEEP"],
+    )
     @pytest.mark.parametrize("reference", [False, True])
     def test_a_retired_switch_is_refused_by_name(self, name, reference, monkeypatch):
         """An old A/B script must not go silently green on production —
-        whatever the variable says, even the value that was the default."""
+        whatever the variable says, even the value that was the default —
+        nor an old sweep script at the default scale or grid."""
         monkeypatch.setenv(name, "slotted")
-        message = f"{name}='slotted' is set, but {name} was retired in PR 22: pass `reference=True`"
+        replacement = {
+            "REPRO_SCALE": "retired: pass `--scale` instead",
+            "REPRO_FULL_SWEEP": "retired: pass `--full-sweep` instead",
+        }.get(name, "retired in PR 22: pass `reference=True`")
+        message = f"{name}='slotted' is set, but {name} was {replacement}"
         with pytest.raises(SimError, match=message):
             Machine(small_testbed(), reference=reference)
 

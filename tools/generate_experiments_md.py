@@ -2,7 +2,7 @@
 """Regenerate EXPERIMENTS.md: run every figure and record paper-vs-measured.
 
 Usage:  python tools/generate_experiments_md.py [--jobs N] [--no-cache] [output]
-        REPRO_SCALE=1 REPRO_FULL_SWEEP=1 python tools/...  (paper-size run)
+        python tools/generate_experiments_md.py --scale 1 --full-sweep  (paper size)
 
 Figures are produced through the shared SweepRunner, so ``--jobs`` fans the
 measurement points over worker processes and a warm ``.repro_cache/`` makes
@@ -15,10 +15,15 @@ import random
 import sys
 import time
 
-from repro import fleet
+from repro import fleet, options
 from repro.config import FlashConfig
 from repro.experiments import faultsweep, figures
-from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.experiments.runner import (
+    DEFAULT_SCALE,
+    ExperimentSpec,
+    resolve_config,
+    run_experiment,
+)
 from repro.units import GiB
 from repro.experiments.parallel import SweepRunner, default_jobs
 from repro.experiments.report import (
@@ -27,7 +32,6 @@ from repro.experiments.report import (
     shape_checks_bandwidth,
 )
 from repro.experiments.resultcache import ResultCache
-from repro.experiments.runner import default_scale
 from repro.hw.flash import FlashSSDDevice
 from repro.sim.core import Simulator
 from repro.units import MiB
@@ -91,8 +95,19 @@ def parse_args():
     p.add_argument(
         "--jobs",
         type=int,
-        default=default_jobs(),
+        default=None,
         help="parallel sweep workers (default: REPRO_JOBS or 1)",
+    )
+    p.add_argument(
+        "--scale",
+        type=float,
+        default=DEFAULT_SCALE,
+        help="data-volume scale (default: %(default)s; 1.0 = paper)",
+    )
+    p.add_argument(
+        "--full-sweep",
+        action="store_true",
+        help="use the paper's full 4x5 aggregator x buffer grid",
     )
     p.add_argument(
         "--no-cache",
@@ -114,7 +129,16 @@ def parse_args():
         action="store_true",
         help="skip the device-tier (stream/FTL/NVMM) section",
     )
-    return p.parse_args()
+    args = p.parse_args()
+    refusal = options.refusal()
+    if refusal is not None:
+        p.error(refusal)
+    if args.jobs is None:
+        try:
+            args.jobs = default_jobs()
+        except ValueError as err:
+            p.error(str(err))
+    return args
 
 
 def fault_section(args, scale) -> list[str]:
@@ -229,9 +253,10 @@ def flash_aging_microbench(writes: int, seed: int = 2016) -> dict:
 def device_section(scale) -> list[str]:
     """Run the same IOR point on every device tier and render the comparison.
 
-    Points run through :func:`run_experiment` directly (always live — the
-    tier is selected through the same environment knobs users reach for),
-    plus the seeded flash-aging microbench for the FTL's exact counters.
+    Points run through :func:`run_experiment` directly (always live): the
+    stream and ftl rows set ``ClusterConfig.ssd_kind``, the nvmm row the
+    ``REPRO_CACHE_KIND`` default the cache layer's hints take.  The seeded
+    flash-aging microbench adds the FTL's exact counters.
     """
     spec = ExperimentSpec(
         benchmark="ior", aggregators=64, cache_mode="enabled", scale=scale
@@ -241,19 +266,20 @@ def device_section(scale) -> list[str]:
             benchmark="ior", aggregators=64, cache_mode="disabled", scale=scale
         )
     )
-    rows = []
-    for tier, env in (
-        ("stream", {}),
-        ("ftl", {"REPRO_SSD": "ftl"}),
-        ("nvmm", {"REPRO_CACHE_KIND": "nvmm"}),
-    ):
-        saved = {k: os.environ.get(k) for k in env}
-        os.environ.update(env)
-        try:
-            rows.append((tier, run_experiment(spec)))
-        finally:
-            for k, v in saved.items():
-                os.environ.pop(k, None) if v is None else os.environ.__setitem__(k, v)
+    config = resolve_config(spec)
+    rows = [
+        (kind, run_experiment(spec, config.scaled(ssd_kind=kind)))
+        for kind in options.SSD_KINDS
+    ]
+    saved = os.environ.get("REPRO_CACHE_KIND")
+    os.environ["REPRO_CACHE_KIND"] = "nvmm"
+    try:
+        rows.append(("nvmm", run_experiment(spec)))
+    finally:
+        if saved is None:
+            del os.environ["REPRO_CACHE_KIND"]
+        else:
+            os.environ["REPRO_CACHE_KIND"] = saved
 
     aging = flash_aging_microbench(writes=4096)
     table = [
@@ -279,7 +305,7 @@ def device_section(scale) -> list[str]:
         "write amplification appear only once the partition cycles, which "
         "the aging microbench below pins exactly.  The NVMM row runs the "
         "cache as a write-ahead log on persistent memory instead of extent "
-        "files on the SSD (`REPRO_SSD=ftl`, `REPRO_CACHE_KIND=nvmm`).\n",
+        "files on the SSD (`ssd_kind=\"ftl\"`, `REPRO_CACHE_KIND=nvmm`).\n",
         "**Measured (this reproduction).**\n",
         "```",
         "\n".join(table),
@@ -296,11 +322,11 @@ def device_section(scale) -> list[str]:
 
 def main() -> None:
     args = parse_args()
-    if os.environ.get("REPRO_FULL_SWEEP", "0") == "1":
+    if args.full_sweep:
         aggs, cbs = figures.FULL_SWEEP
     else:
         aggs, cbs = figures.QUICK_AGGREGATORS, figures.QUICK_CB_SIZES
-    scale = default_scale()
+    scale = args.scale
     cache = ResultCache.disabled() if args.no_cache else None
     runner = SweepRunner(jobs=args.jobs, cache=cache)
     t_start = time.time()
@@ -365,7 +391,7 @@ Breakdown columns are the per-phase seconds of the collective write path
    by 5-25x depending on the benchmark (paper: ~10x for coll_perf, ~20x for
    Flash-IO at peak).  Peak simulated numbers run higher than the paper's at
    small scale because fixed software overheads amortise differently; at
-   `REPRO_SCALE=1` coll_perf peaks ≈ 25-35 GiB/s (paper ≈ 20 GB/s) and
+   `--scale 1` coll_perf peaks ≈ 25-35 GiB/s (paper ≈ 20 GB/s) and
    Flash-IO ≈ 45-55 GiB/s (paper ≈ 40 GB/s).
 3. At 8 aggregators the flush (≈ 95 MB/s per sync thread) exceeds the
    compute window: not_hidden_sync appears and the cached run falls *below*
