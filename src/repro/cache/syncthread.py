@@ -113,12 +113,9 @@ class SyncThread:
         self._proc = self.sim.process(self._run(), name=f"syncthread.r{rank}")
         if machine.faults is not None:
             machine.faults.register_daemon(self._proc, job_tag=machine.job_label)
-        # Fleet job teardown: a JobView collects its daemons so an aborted
-        # job's parked sync threads can be interrupted when its nodes are
-        # released (a plain Machine has no such list).
-        daemons = getattr(machine, "daemons", None)
-        if daemons is not None:
-            daemons.append(self._proc)
+        # Job teardown: an aborted job's parked sync threads are interrupted
+        # from the list of its machine (or fleet JobView).
+        machine.daemons.append(self._proc)
 
     def submit(self, request: SyncRequest) -> None:
         self.queue.put(request)

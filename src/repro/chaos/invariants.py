@@ -238,6 +238,19 @@ class InvariantMonitor:
         if blocked:
             raise self._deadlock(blocked)
 
+    def audit(self) -> bool:
+        """The end of a job: :meth:`drain` to quiescence, record a deadlock
+        as a violation, then :meth:`check_quiescent`.  Returns whether the
+        drain deadlocked."""
+        try:
+            self.drain()
+            deadlocked = False
+        except DeadlockError as exc:
+            self.record(f"deadlock: {exc}")
+            deadlocked = True
+        self.check_quiescent()
+        return deadlocked
+
     # -- running invariants (hold at every event boundary) -------------------------
     def check_running(self) -> None:
         for message in byte_conservation(self.machine.io_stats):

@@ -8,13 +8,14 @@ A :class:`ChaosTrialSpec` names a workload shape and a seed; the runner
    (once per workload shape and process: the reference does not depend on
    the seed, see :data:`repro.experiments.faultsweep.reference_memo`),
 3. runs the *same* workload under the schedule on **both** stacks
-   (production and ``Machine(reference=True)``), each with an attached
-   :class:`~repro.chaos.invariants.InvariantMonitor`, recovering from
-   injected crashes (repeatedly — cascades can kill the recovery job too)
-   until the job converges or the attempt budget runs out,
-4. drains each machine to quiescence, audits the conservation / coherence
+   (production and ``Machine(reference=True)``) through the fault matrix's
+   job lifecycle (:func:`~repro.experiments.faultsweep.run_job`, with the
+   no-progress watchdog armed): it tears a failed phase down, recovers
+   from injected crashes (repeatedly — cascades can kill the recovery job
+   too) until the job converges or the attempt budget runs out, drains
+   each machine to quiescence and audits the conservation / coherence
    invariants, and
-5. asserts the two stacks agree on *every* simulated quantity (only the
+4. asserts the two stacks agree on *every* simulated quantity (only the
    diagnostic event counts may differ) and that each persisted file holds
    exactly what the workload's access tables cover, stored bytes equal to
    the payload function (:func:`~repro.chaos.invariants.verify_files`) —
@@ -34,30 +35,20 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.chaos.generate import ChaosConfig, generate_schedule
-from repro.chaos.invariants import InvariantMonitor
 from repro.config import ClusterConfig, small_testbed
 from repro.experiments.faultsweep import (
     FaultExperimentSpec,
     FaultPoint,
     build_fault_workload,
     fault_free_reference,
-    integrity_violations,
-    phase_body,
+    fault_schedule,
+    run_job,
 )
-from repro.faults import FaultSchedule, FaultSpec, JobAborted
-from repro.faults.errors import FaultError, SyncFailedError
+from repro.faults import FaultSchedule, FaultSpec
 from repro.machine import Machine
-from repro.mpi.process import MPIWorld
-from repro.romio.file import MPIIOLayer
-from repro.sim.core import DeadlockError, Interrupt
 
 #: Cache modes cycled across seeds by :func:`chaos_trial_specs`.
 CHAOS_CACHE_MODES = ("enabled", "coherent", "disabled")
-
-#: Recovery attempts before a trial is declared unrecovered.  Cascades kill
-#: at most one recovery job per armed spec, so two would do; the margin
-#: covers transient fault windows that outlive the first recovery too.
-MAX_RECOVERY_ATTEMPTS = 5
 
 
 @dataclass(frozen=True)
@@ -173,13 +164,7 @@ def resolve_chaos_config(
 def schedule_for(spec: ChaosTrialSpec, cfg: ClusterConfig) -> FaultSchedule:
     """The schedule a spec runs: generated from the seed, or pinned."""
     if not spec.generate:
-        return FaultSchedule(
-            faults=spec.faults, sync_rpc_timeout=spec.sync_rpc_timeout
-        ).validate(
-            num_nodes=cfg.num_nodes,
-            num_servers=cfg.pfs.num_data_servers,
-            num_ranks=cfg.num_ranks,
-        )
+        return fault_schedule(spec, cfg)
     chaos_cfg = ChaosConfig(
         num_nodes=cfg.num_nodes,
         num_servers=cfg.pfs.num_data_servers,
@@ -214,33 +199,6 @@ def _fault_spec_view(spec: ChaosTrialSpec, schedule: FaultSchedule) -> FaultExpe
 
 
 # -- one stack ----------------------------------------------------------------
-def _run_phase(world: MPIWorld, body) -> str:
-    """Run one job phase; classify how it ended.
-
-    When a single rank dies of an uncaught error mid-collective, the
-    surviving ranks of the phase are torn down like a real ``mpirun``
-    would do — otherwise they wait on the dead rank's barrier forever and
-    the no-progress watchdog reports a (correct but useless) deadlock.
-    """
-    sim = world.machine.sim
-    procs = world.spawn(body)
-    try:
-        sim.run(until=sim.all_of(procs))
-        return "ok"
-    except Interrupt as exc:
-        if isinstance(exc.cause, JobAborted):
-            return "crash"  # the injector already interrupted every rank
-        raise
-    except SyncFailedError as exc:
-        status, cause = "loss", exc
-    except FaultError as exc:
-        status, cause = "fault", exc
-    for proc in procs:
-        if proc.is_alive:
-            proc.interrupt(JobAborted(cause))
-    return status
-
-
 def _run_stack(
     cfg: ClusterConfig,
     schedule: FaultSchedule,
@@ -248,11 +206,11 @@ def _run_stack(
     workload,
     fspec: FaultExperimentSpec,
     prefix: str,
-    paths: list[str],
     trace: bool = False,
     profiler=None,
 ) -> tuple[dict, int, object]:
-    """One full faulted job (+ recoveries) on one stack.
+    """One full faulted job (+ recoveries) on one stack, watchdog armed
+    (:func:`~repro.experiments.faultsweep.run_job`).
 
     Returns ``(snapshot, events_fired, machine)`` — the snapshot holds every
     simulated quantity the stacks must agree on; the diagnostic event count
@@ -265,70 +223,7 @@ def _run_stack(
         profiler=profiler,
         reference=reference,
     )
-    monitor = InvariantMonitor(machine)
-    world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
-    body = phase_body(fspec, layer, workload, prefix)
-    crashes = 0
-    data_loss = False
-    attempts = 0
-    monitor.watch()
-    status = _run_phase(world, body)
-    if status == "loss":
-        data_loss = True
-    if status == "fault":
-        # The main write path has its own degradation fallbacks; a FaultError
-        # escaping it is a bug, not a legitimate outcome.
-        monitor.record("FaultError escaped the main write phase")
-    while status == "crash" and attempts < MAX_RECOVERY_ATTEMPTS:
-        crashes += 1
-        attempts += 1
-        # Recovery job on the same machine: the cluster survives, only the
-        # MPI job died.  Re-opening each surviving file replays orphaned
-        # cache extents; a cascade crash can kill this job too, in which
-        # case we simply run another one.
-        live = [p for p in paths if machine.pfs.exists(p)]
-        rec_world = MPIWorld(machine)
-        rec_layer = MPIIOLayer(
-            machine, rec_world.comm, driver="beegfs", exchange_mode="model"
-        )
-
-        def recovery_body(ctx, _layer=rec_layer, _live=live):
-            for path in _live:
-                fh = yield from _layer.open(ctx.rank, path, {})
-                yield from fh.close()
-
-        monitor.watch()
-        status = _run_phase(rec_world, recovery_body)
-        if status == "loss":
-            data_loss = True
-        if status == "fault":
-            # A transient window outlived the crash and hit the replay's
-            # unguarded reads; the window is bounded, so another recovery
-            # attempt (later in simulated time) gets through.
-            status = "crash"
-            crashes -= 1  # not a new crash, just a retry
-    unrecovered = status == "crash"
-    deadlocked = False
-    try:
-        monitor.drain()
-    except DeadlockError as exc:
-        deadlocked = True
-        monitor.record(f"deadlock: {exc}")
-    monitor.check_quiescent()
-    snapshot = {
-        "integrity": integrity_violations(machine, workload, paths),
-        "io_stats": dict(machine.io_stats),
-        "cache_stats": dict(machine.cache_stats),
-        "recovery": machine.recovery.stats(),
-        "crashes": crashes,
-        "recovery_attempts": attempts,
-        "data_loss": data_loss,
-        "unrecovered": unrecovered,
-        "deadlock": deadlocked,
-        "faults_injected": machine.faults.injected if machine.faults else 0,
-        "violations": list(monitor.violations),
-    }
+    _, snapshot = run_job(machine, fspec, workload, prefix, watchdog=True)
     return snapshot, machine.sim.events_fired, machine
 
 
@@ -343,14 +238,15 @@ def run_chaos_trial(
     schedule = schedule_for(spec, cfg)
     fspec = _fault_spec_view(spec, schedule)
     prefix = f"/global/chaos_{spec.benchmark}_{spec.cache_mode}_s{spec.seed}_"
-    paths = [f"{prefix}{k}" for k in range(spec.num_files)]
     workload = build_fault_workload(fspec, cfg.num_ranks)
 
     # Fault-free twin: production stack, same invariant audit —
     # shared by every seed of this workload shape, unless the trial is traced
     # or profiled: those simulate the whole trial, whatever ran before.
     ref_machine = Machine(cfg, trace=trace) if trace or profiler is not None else None
-    ref = fault_free_reference(fspec, cfg, workload, prefix, audit=True, machine=ref_machine)
+    ref = fault_free_reference(
+        fspec, cfg, workload, prefix, watchdog=True, machine=ref_machine
+    )
 
     snaps: dict[str, dict] = {}
     events: dict[str, int] = {}
@@ -363,7 +259,6 @@ def run_chaos_trial(
             workload,
             fspec,
             prefix,
-            paths,
             trace=trace,
             profiler=profiler if kind == "production" else None,
         )

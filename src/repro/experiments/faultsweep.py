@@ -7,14 +7,17 @@ reference does not depend on the scenario, so a process simulates it once
 per workload shape and recalls it for every other scenario of that shape
 (:data:`reference_memo`); the run under the schedule is always simulated,
 and a production ``baseline`` run (an empty schedule: the reference's very
-machine) is memoised as the reference when none is.  If the faulted job is
-killed by an injected aggregator crash, a follow-up *recovery job* re-opens
-every file on the same machine — the collective open replays orphaned cache
-extents — and the point reports recovery time and bytes replayed.
-End-to-end integrity is checked against the workload itself
-(:func:`~repro.chaos.invariants.verify_files`): every global file of the
-recovered (or degraded) job must persist exactly the bytes its access
-tables cover, and any bytes it stores must be the payload function's.
+machine) is memoised as the reference when none is.  Every run — the
+reference, the faulted run and a chaos trial's runs alike — is one job
+lifecycle, :func:`run_job`: if the faulted job is killed by an injected
+aggregator crash, *recovery jobs* re-open every file on the same machine —
+the collective open replays orphaned cache extents — until one converges
+(a cascade can kill a recovery job too), and the point reports recovery
+time and bytes replayed.  End-to-end integrity is checked against the
+workload itself (:func:`~repro.chaos.invariants.verify_files`): every
+global file of the recovered (or degraded) job must persist exactly the
+bytes its access tables cover, and any bytes it stores must be the payload
+function's.
 
 Workloads here are deliberately tiny (tens of KiB per rank); the point is
 correctness under faults, not the paper's bandwidth figures.  Results flow
@@ -35,19 +38,26 @@ from typing import Optional
 from repro.analysis.bandwidth import perceived_bandwidth
 from repro.config import Checked, ClusterConfig, small_testbed
 from repro.experiments.resultcache import cache_key
-from repro.faults import FaultSchedule, FaultSpec, JobAborted
+from repro.faults import FaultSchedule, FaultSpec
+from repro.faults.errors import abort_job, phase_status
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.payload import payload_key
 from repro.romio.file import MPIIOLayer
 from repro.options import CACHE_KINDS
-from repro.sim.core import DeadlockError, Interrupt
+from repro.sim.core import Interrupt
 from repro.units import KiB
 from repro.workloads import small_workload
 from repro.workloads.phases import multi_phase_body
 
 FAULT_BENCHMARKS = ("coll_perf", "flash_io", "ior")
 FAULT_CACHE_MODES = ("disabled", "enabled", "coherent")
+
+#: Recovery jobs a crashed run gets before it is declared unrecovered.
+#: Cascades kill at most one recovery job per armed spec, so two would do;
+#: the margin covers transient fault windows that outlive the first
+#: recovery too.
+MAX_RECOVERY_ATTEMPTS = 5
 
 #: The default fault matrix, in presentation order.
 SCENARIOS = (
@@ -119,7 +129,7 @@ class FaultExperimentResult:
     spec: FaultExperimentSpec
     integrity_ok: bool  # faulted/recovered files hold what the workload wrote
     crashed: bool  # the faulted job was killed by an injected crash
-    recovered: bool  # a recovery job ran (implies crashed)
+    recovered: bool  # converged within MAX_RECOVERY_ATTEMPTS (implies crashed)
     bw_ref: float  # fault-free perceived bandwidth [B/s]
     bw_faulted: float  # perceived bandwidth under faults (0.0 if crashed)
     recovery_time: float  # sim seconds spent replaying orphaned extents
@@ -193,27 +203,13 @@ def _file_prefix(spec: FaultExperimentSpec) -> str:
     return f"/global/fault_{spec.benchmark}_{spec.scenario}_{spec.cache_mode}_"
 
 
-def integrity_violations(machine: Machine, workload, paths: list[str]) -> list[str]:
-    """:func:`~repro.chaos.invariants.verify_files` over a run's files: each
-    must hold ``workload``'s coverage, its stored bytes the payload of the
-    machine's seed and its path."""
-    from repro.chaos.invariants import verify_files  # circular at top
-
-    seed = machine.config.seed
-    return verify_files(
-        machine.pfs,
-        dict.fromkeys(paths, workload.coverage),
-        lambda path: payload_key(seed, path),
-    )
-
-
 # -- the fault-free reference ------------------------------------------------
 @dataclass(frozen=True)
 class FaultFreeReference:
     """What a point keeps of its fault-free twin."""
 
     bw: float  # perceived bandwidth [B/s]
-    violations: tuple = ()  # the invariant monitor's, audited references only
+    violations: tuple = ()  # the invariant monitor's
 
 
 class _ReferenceMemo:
@@ -275,49 +271,153 @@ def phase_body(spec: FaultExperimentSpec, layer, workload, prefix: str):
     )
 
 
+def recovery_body(layer, paths: list[str]):
+    """The rank body of a recovery job: re-open each of ``paths``
+    collectively — the open replays orphaned cache extents — then close."""
+
+    def body(ctx):
+        for path in paths:
+            fh = yield from layer.open(ctx.rank, path, {})
+            yield from fh.close()
+
+    return body
+
+
+def fault_schedule(spec, cfg: ClusterConfig) -> FaultSchedule:
+    """A point's explicit schedule, validated against the cluster and the
+    workload's files before any machine is built (a bad target or a
+    ``write_done`` anchor past the last file fails fast as ValueError)."""
+    return FaultSchedule(
+        faults=spec.faults, sync_rpc_timeout=spec.sync_rpc_timeout
+    ).validate(
+        num_nodes=cfg.num_nodes,
+        num_servers=cfg.pfs.num_data_servers,
+        num_ranks=cfg.num_ranks,
+        num_files=spec.num_files,
+    )
+
+
+def run_job(
+    machine: Machine,
+    spec: FaultExperimentSpec,
+    workload,
+    prefix: str,
+    watchdog: bool = False,
+) -> tuple[Optional[list], dict]:
+    """Run a point's job on ``machine``: spawn its phase body, classify how
+    the phase ended (:func:`~repro.faults.errors.phase_status`), tear a
+    ``loss`` or ``fault`` down (:func:`~repro.faults.errors.abort_job`),
+    after a crash run recovery jobs on the same machine (the cluster
+    survives, only the MPI job died) until one converges or
+    :data:`MAX_RECOVERY_ATTEMPTS` are spent, then audit
+    (:meth:`~repro.chaos.invariants.InvariantMonitor.audit`) and check the
+    files (:func:`~repro.chaos.invariants.verify_files`: each holds the
+    workload's coverage, its stored bytes the payload of the machine's seed
+    and its path).  Returns ``(timings, snapshot)``: the phase's per-rank
+    timings (None unless it ended ``ok``) and every simulated quantity two
+    stacks must agree on.  ``watchdog`` arms the no-progress watchdog
+    before each phase (the chaos harness): diagnostic events only.
+    """
+    from repro.chaos.invariants import InvariantMonitor, verify_files  # circular at top
+
+    sim = machine.sim
+    monitor = InvariantMonitor(machine)
+    paths = [f"{prefix}{k}" for k in range(spec.num_files)]
+
+    def phase(body_of):
+        world = MPIWorld(machine)
+        body = body_of(
+            MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
+        )
+        if watchdog:
+            monitor.watch()
+        procs = world.spawn(body)
+        try:
+            return "ok", world.per_rank(sim.run(until=sim.all_of(procs)))
+        except (Interrupt, OSError) as exc:  # what phase_status classifies
+            status = phase_status(exc)
+            if status is None:
+                raise
+            if status != "crash":  # the injector tore a crashed job down
+                teardown = abort_job(procs, machine.daemons, exc)
+                sim.run(until=sim.process(teardown, name="teardown"))
+        return status, None
+
+    status, timings = phase(lambda layer: phase_body(spec, layer, workload, prefix))
+    data_loss = status == "loss"
+    if status == "fault":
+        # The main write path has its own degradation fallbacks; a FaultError
+        # escaping it is a bug, not a legitimate outcome.
+        monitor.record("FaultError escaped the main write phase")
+    crashes = attempts = 0
+    while status == "crash" and attempts < MAX_RECOVERY_ATTEMPTS:
+        crashes += 1
+        attempts += 1
+        live = [p for p in paths if machine.pfs.exists(p)]
+        status, _ = phase(lambda layer: recovery_body(layer, live))
+        data_loss = data_loss or status == "loss"
+        if status == "fault":
+            # A transient window outlived the crash and hit the replay's
+            # reads; the window is bounded, so a later attempt gets through.
+            status = "crash"
+            crashes -= 1  # not a new crash, just a retry
+    deadlock = monitor.audit()
+    snapshot = {
+        "integrity": verify_files(
+            machine.pfs,
+            dict.fromkeys(paths, workload.coverage),
+            lambda path: payload_key(machine.config.seed, path),
+        ),
+        "io_stats": dict(machine.io_stats),
+        "cache_stats": dict(machine.cache_stats),
+        "recovery": machine.recovery.stats(),
+        "crashes": crashes,
+        "recovery_attempts": attempts,
+        "data_loss": data_loss,
+        "unrecovered": status == "crash",
+        "deadlock": deadlock,
+        "faults_injected": machine.faults.injected if machine.faults else 0,
+        "violations": list(monitor.violations),
+    }
+    return timings, snapshot
+
+
+def _bandwidth(timings: Optional[list], workload) -> float:
+    """Perceived bandwidth of a run's timings (0.0 for a run that died)."""
+    if timings is None:
+        return 0.0
+    return perceived_bandwidth(timings, workload.file_size, include_last_phase=True)
+
+
 def fault_free_reference(
     spec: FaultExperimentSpec,
     cfg: ClusterConfig,
     workload,
     prefix: str,
-    audit: bool = False,
+    watchdog: bool = False,
     machine: Optional[Machine] = None,
     reference: bool = False,
 ) -> FaultFreeReference:
-    """The same point, fault-free, on an identical fresh cluster.
+    """The same point, fault-free, on an identical fresh cluster
+    (:func:`run_job`).
 
-    ``audit`` runs it under an :class:`~repro.chaos.invariants.InvariantMonitor`
-    and drains to quiescence first (the chaos harness's reference); audited
-    and plain references are memoised apart.  A caller that passes its own
-    fresh ``machine`` wants the run itself (a traced or profiled trial):
-    the reference is then always simulated, on that machine, and not kept.
-    ``reference`` builds the machine as the reference *stack*
-    (:class:`~repro.machine.Machine`), memoised apart as well.
+    References with and without the ``watchdog`` (the chaos harness's) are
+    memoised apart.  A caller that passes its own fresh ``machine`` wants
+    the run itself (a traced or profiled trial): the reference is then
+    always simulated, on that machine, and not kept.  ``reference`` builds
+    the machine as the reference *stack* (:class:`~repro.machine.Machine`),
+    memoised apart as well.
     """
     key = None
     if machine is None:
-        key = (reference_key(spec, cfg), audit, reference)
+        key = (reference_key(spec, cfg), watchdog, reference)
         ref = reference_memo.get(key)
         if ref is not None:
             return ref
         machine = Machine(cfg, reference=reference)
-    world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
-    monitor = None
-    if audit:
-        # Imported here, not at module top: repro.chaos.runner builds on this
-        # module's helpers, so a top-level import either way would be circular.
-        from repro.chaos.invariants import InvariantMonitor
-
-        monitor = InvariantMonitor(machine)
-        monitor.watch()
-    timings = world.run(phase_body(spec, layer, workload, prefix))
-    if monitor is not None:
-        monitor.drain()
-        monitor.check_quiescent()
+    timings, snapshot = run_job(machine, spec, workload, prefix, watchdog=watchdog)
     ref = FaultFreeReference(
-        bw=perceived_bandwidth(timings, workload.file_size, include_last_phase=True),
-        violations=tuple(monitor.violations) if monitor is not None else (),
+        bw=_bandwidth(timings, workload), violations=tuple(snapshot["violations"])
     )
     if key is not None:
         reference_memo.put(key, ref)
@@ -334,16 +434,8 @@ def run_fault_experiment(
     both on the production stack, or both on the reference stack."""
     cfg = resolve_fault_config(spec, config)
     prefix = _file_prefix(spec)
-    paths = [f"{prefix}{k}" for k in range(spec.num_files)]
     workload = build_fault_workload(spec, cfg.num_ranks)
-    # Validate the schedule against the actual cluster shape before any
-    # machine is built — a bad target fails fast as ValueError.
-    schedule = FaultSchedule(faults=spec.faults, sync_rpc_timeout=spec.sync_rpc_timeout)
-    schedule.validate(
-        num_nodes=cfg.num_nodes,
-        num_servers=cfg.pfs.num_data_servers,
-        num_ranks=cfg.num_ranks,
-    )
+    schedule = fault_schedule(spec, cfg)
     if schedule or reference:
         ref = fault_free_reference(spec, cfg, workload, prefix, reference=reference)
     else:
@@ -352,63 +444,21 @@ def run_fault_experiment(
         ref_key = (reference_key(spec, cfg), False, False)
         ref = reference_memo.get(ref_key)
 
-    from repro.chaos.invariants import InvariantMonitor  # circular at top
-
     machine = Machine(cfg, faults=schedule if schedule else None, reference=reference)
-    monitor = InvariantMonitor(machine)
-    world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
-    crashed = False
-    recovered = False
-    bw_faulted = 0.0
-    try:
-        timings = world.run(phase_body(spec, layer, workload, prefix))
-        bw_faulted = perceived_bandwidth(
-            timings, workload.file_size, include_last_phase=True
-        )
-    except Interrupt as exc:
-        if not isinstance(exc.cause, JobAborted):
-            raise
-        crashed = True
+    timings, snap = run_job(machine, spec, workload, prefix)
+    bw_faulted = _bandwidth(timings, workload)
     if ref is None:
-        ref = FaultFreeReference(bw=bw_faulted)
+        ref = FaultFreeReference(bw=bw_faulted, violations=tuple(snap["violations"]))
         reference_memo.put(ref_key, ref)
 
-    if crashed:
-        # Recovery job on the *same machine* (the cluster survives; only the
-        # MPI job died): re-open every file collectively — the open path
-        # replays orphaned cache extents — then close.
-        live = [p for p in paths if machine.pfs.exists(p)]
-        rec_world = MPIWorld(machine)
-        rec_layer = MPIIOLayer(
-            machine, rec_world.comm, driver="beegfs", exchange_mode="model"
-        )
-
-        def recovery_body(ctx):
-            for path in live:
-                fh = yield from rec_layer.open(ctx.rank, path, {})
-                yield from fh.close()
-
-        rec_world.run(recovery_body)
-        recovered = True
-
-    # Drain background activity to quiescence, then audit the global
-    # invariants (byte conservation, journal/lock coherence) — a scheduled
-    # fault scenario must uphold them exactly like a chaos schedule.
-    try:
-        monitor.drain()
-    except DeadlockError as exc:
-        monitor.record(f"deadlock: {exc}")
-    monitor.check_quiescent()
-
-    integrity = integrity_violations(machine, workload, paths)
-    rec_stats = machine.recovery.stats()
-    cache_stats = machine.cache_stats
+    crashed = snap["recovery_attempts"] > 0
+    rec_stats = snap["recovery"]
+    cache_stats = snap["cache_stats"]
     return FaultExperimentResult(
         spec=spec,
-        integrity_ok=not integrity,
+        integrity_ok=not snap["integrity"],
         crashed=crashed,
-        recovered=recovered,
+        recovered=crashed and not snap["unrecovered"],
         bw_ref=ref.bw,
         bw_faulted=bw_faulted,
         recovery_time=rec_stats["recovery_time"],
@@ -418,10 +468,10 @@ def run_fault_experiment(
         requeues=cache_stats.get("requeues", 0),
         sync_failures=cache_stats.get("sync_failures", 0),
         degraded=cache_stats.get("degraded", 0),
-        faults_injected=machine.faults.injected if machine.faults else 0,
-        integrity_violations=integrity,
+        faults_injected=snap["faults_injected"],
+        integrity_violations=snap["integrity"],
         events=machine.sim.events_fired,
-        invariant_violations=list(monitor.violations),
+        invariant_violations=snap["violations"],
     )
 
 

@@ -12,7 +12,9 @@ Paper correspondence: none (fault-injection extension, see
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
+
+from repro.sim.core import Interrupt
 
 
 class FaultError(OSError):
@@ -58,3 +60,34 @@ class JobAborted(RuntimeError):
     def __init__(self, spec: Any):
         super().__init__(f"job aborted by fault {spec!r}")
         self.spec = spec
+
+
+def phase_status(exc: BaseException) -> Optional[str]:
+    """How ``exc`` ended a job phase: ``"crash"`` (a :class:`JobAborted`
+    interrupt), ``"loss"`` (:class:`SyncFailedError`), ``"fault"`` (another
+    :class:`FaultError`), or None — a bug, for the caller to re-raise."""
+    if isinstance(exc, Interrupt):
+        return "crash" if isinstance(exc.cause, JobAborted) else None
+    if isinstance(exc, SyncFailedError):
+        return "loss"
+    if isinstance(exc, FaultError):
+        return "fault"
+    return None
+
+
+def abort_job(procs, daemons, cause: BaseException):
+    """Generator: tear a job down like ``mpirun`` when a rank dies of
+    ``cause``: interrupt its live ranks, wait for each to end, then
+    interrupt its live sync-thread ``daemons`` — or the survivors wait on
+    the dead rank, and the sync threads on their queues, for ever."""
+    for proc in procs:
+        if proc.is_alive:
+            proc.interrupt(JobAborted(cause))
+    for proc in procs:
+        try:
+            yield proc  # already-fired processes re-kick; failures raise
+        except Exception:
+            pass
+    for daemon in daemons:
+        if daemon.is_alive:
+            daemon.interrupt(JobAborted(cause))

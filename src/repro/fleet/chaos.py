@@ -44,7 +44,6 @@ from repro.chaos.invariants import InvariantMonitor, byte_conservation
 from repro.config import ClusterConfig
 from repro.fleet.metrics import evaluate_job_slo
 from repro.fleet.runner import FleetResult, FleetSpec, resolve_fleet_config, run_fleet
-from repro.sim.core import DeadlockError
 
 
 @dataclass
@@ -156,11 +155,8 @@ def run_fleet_chaos(
         on_machine=on_machine,
     )
     monitor = state["monitor"]
-    try:
-        monitor.drain()
-    except DeadlockError as exc:
-        violations.append(f"deadlock during drain: {exc}")
-    violations.extend(monitor.check_quiescent())
+    monitor.audit()
+    violations.extend(monitor.violations)
     crashed_jobs = 0
     restarts = 0
     for label, view, row in finished:

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 from repro.analysis.bandwidth import perceived_bandwidth
 from repro.config import Checked, ClusterConfig, is_finite, is_whole, small_testbed
 from repro.experiments.resultcache import ResultCache, default_cache
-from repro.faults.errors import FaultError, JobAborted, SyncFailedError
+from repro.faults.errors import abort_job, phase_status
 from repro.faults.spec import FaultSchedule
 from repro.fleet.arrivals import arrival_times
 from repro.fleet.job import (
@@ -295,10 +295,11 @@ def resolve_fleet_config(
 def _job_body(view: JobView, job: FleetJobSpec):
     """Generator: run one job inside its view; returns (status, bandwidth).
 
-    Mirrors the chaos harness's phase supervision: wait on every rank, and
-    on failure classify it (sync loss vs. injected fault), interrupt the
-    survivors with :class:`JobAborted`, and drain them so the job's nodes
-    are genuinely idle when the caller releases them.
+    Supervises the job like :func:`repro.experiments.faultsweep.run_job`:
+    wait on every rank, and on failure classify it
+    (:func:`~repro.faults.errors.phase_status`), interrupt the survivors
+    with :class:`JobAborted`, and drain them so the job's nodes are
+    genuinely idle when the caller releases them.
     """
     sim = view.sim
     world = MPIWorld(view)
@@ -317,17 +318,14 @@ def _job_body(view: JobView, job: FleetJobSpec):
     procs = world.spawn(body)
     try:
         timings = yield sim.all_of(procs)
-    except Interrupt as exc:
-        if not isinstance(exc.cause, JobAborted):
+    except (Interrupt, OSError) as exc:  # what phase_status classifies
+        status = phase_status(exc)
+        if status is None:
             raise
-        # The injector's crash router already tore down exactly this job's
-        # ranks and daemons; classify and let the supervisor decide whether
-        # the restart budget covers a resubmission.
-        status, cause = "crash", exc.cause
-    except SyncFailedError as exc:
-        status, cause = "loss", exc
-    except FaultError as exc:
-        status, cause = "fault", exc
+        # On a crash the injector's crash router already tore down exactly
+        # this job's ranks and daemons; the supervisor decides whether the
+        # restart budget covers a resubmission.
+        cause = exc.cause if status == "crash" else exc
     else:
         bandwidth = perceived_bandwidth(
             timings,  # one entry per class of ranks: the maxima are the ranks'
@@ -335,19 +333,7 @@ def _job_body(view: JobView, job: FleetJobSpec):
             include_last_phase=job.benchmark == "ior",
         )
         return "ok", bandwidth
-    for proc in procs:
-        if proc.is_alive:
-            proc.interrupt(JobAborted(cause))
-    for proc in procs:
-        try:
-            yield proc  # already-fired processes re-kick; failures raise
-        except Exception:
-            pass
-    # Parked sync threads of files the abort left open would otherwise
-    # wait on their queues forever; they exit cleanly on Interrupt.
-    for daemon in view.daemons:
-        if daemon.is_alive:
-            daemon.interrupt(JobAborted(cause))
+    yield from abort_job(procs, view.daemons, cause)
     return status, 0.0
 
 

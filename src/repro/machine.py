@@ -114,6 +114,9 @@ class Machine:
             "bytes_lost": 0,  # reported lost via SyncFailedError
         }
         self.faults = FaultInjector(self, faults) if faults else None
+        #: Background daemons (sync threads) spawned on this machine; an
+        #: aborted job interrupts the live ones (``faultsweep.run_job``).
+        self.daemons: list = []
         # Multi-job runs (repro.fleet) wrap this machine in per-job views
         # that override job_label and node_of_rank; single-job code paths
         # see the defaults below and behave exactly as before.
