@@ -349,18 +349,20 @@ def run_job(
         # The main write path has its own degradation fallbacks; a FaultError
         # escaping it is a bug, not a legitimate outcome.
         monitor.record("FaultError escaped the main write phase")
-    crashes = attempts = 0
+    crashes = int(status == "crash")  # phases that ended in a crash
+    attempts = 0
     while status == "crash" and attempts < MAX_RECOVERY_ATTEMPTS:
-        crashes += 1
         attempts += 1
         live = [p for p in paths if machine.pfs.exists(p)]
         status, _ = phase(lambda layer: recovery_body(layer, live))
         data_loss = data_loss or status == "loss"
         if status == "fault":
             # A transient window outlived the crash and hit the replay's
-            # reads; the window is bounded, so a later attempt gets through.
+            # reads: not a new crash, just a retry (a bounded window lets a
+            # later attempt through).
             status = "crash"
-            crashes -= 1  # not a new crash, just a retry
+        elif status == "crash":
+            crashes += 1
     deadlock = monitor.audit()
     snapshot = {
         "integrity": verify_files(

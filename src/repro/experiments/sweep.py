@@ -44,6 +44,7 @@ import argparse
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from repro import chaos, options
@@ -342,25 +343,32 @@ def run_fleet_chaos_sweep(args: argparse.Namespace) -> int:
     status = 0
     row_cache = result_cache(args, fleetmod.FleetJobResult)
     for seed in range(args.base_seed, args.base_seed + args.seeds):
-        r = fleetmod.run_fleet_chaos(
-            fleet_size=8,
-            seed=seed,
-            scale=args.scale,
-            crash_probability=args.crash_probability,
-            max_restarts=args.max_restarts,
-            row_cache=row_cache,
-        )
-        slo_violations = r.fleet.summary["slo_violations"]
-        line = (
-            f"fleet-chaos seed {seed}: faults={r.faults_injected} "
-            f"jobs={r.statuses} crashed={r.crashed_jobs} "
-            f"restarts={r.restarts} slo_violations={slo_violations} "
-            f"{'OK' if r.ok else 'FAIL'}"
-        )
+        try:
+            r = fleetmod.run_fleet_chaos(
+                fleet_size=8,
+                seed=seed,
+                scale=args.scale,
+                crash_probability=args.crash_probability,
+                max_restarts=args.max_restarts,
+                row_cache=row_cache,
+            )
+        except Exception as exc:  # a trial that raises is a FAIL row
+            at = traceback.extract_tb(exc.__traceback__)[-1]
+            ok, violations = False, [f"at {at.filename}:{at.lineno} ({at.name})"]
+            line = f"fleet-chaos seed {seed}: raised {type(exc).__name__}: {exc} FAIL"
+        else:
+            ok, violations = r.ok, r.violations
+            slo_violations = r.fleet.summary["slo_violations"]
+            line = (
+                f"fleet-chaos seed {seed}: faults={r.faults_injected} "
+                f"jobs={r.statuses} crashed={r.crashed_jobs} "
+                f"restarts={r.restarts} slo_violations={slo_violations} "
+                f"{'OK' if ok else 'FAIL'}"
+            )
         print(line, file=sys.stderr, flush=True)
-        if not r.ok:
+        if not ok:
             status = 1
-            for v in r.violations[:10]:
+            for v in violations[:10]:
                 print(f"  {v}", file=sys.stderr)
             # A fleet-chaos schedule is fully determined by (config, seed):
             # the seed + CLI flags are the repro artifact (generate.py

@@ -49,8 +49,8 @@ flush.  The filling loop itself is the *array kernel*:
   closed-form min over the flow's own links.
 * **Pooled flush/wake callables.**  The coalesced flush and the wake
   re-arm are pooled callable objects scheduled via
-  ``sim.call_soon``/``sim.call_later`` — the slotted engine's ``_Call``
-  fast path — invalidated by a generation stamp carried *on the armed
+  ``sim.call_soon``/``sim.call_later`` — the slotted engine stores the
+  callable itself — invalidated by a generation stamp carried *on the armed
   object* (a stamp on the fabric alone would let a superseded-but-pending
   callable pass the check once re-armed).  A re-arm cancels the superseded
   wake (``sim.cancel``); the stamp still stops one already due.  A flow a

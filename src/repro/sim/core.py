@@ -25,12 +25,13 @@ Two engines implement the same contract:
 * :class:`SlottedSimulator` — what every production
   :class:`~repro.machine.Machine` (and :func:`create_simulator`) builds:
   exact-timestamp buckets over a heap of the *distinct* future instants,
-  with an O(1) same-instant fast lane (most production events are
-  zero-delay) and pooled/recycled ``Timeout``/``Deadline``/``Event``
-  objects.  The firing order is provably identical to the heap's
-  ``(time, seq)`` order: the lane is FIFO over events due *now*, and
-  advancing the clock moves one exact-timestamp bucket (FIFO in scheduling
-  order) onto the lane.
+  a same-instant lane (most production events are zero-delay), scheduled
+  calls stored as the bare callables, and pooled/recycled
+  ``Timeout``/``Deadline``/``Event`` objects.  One loop fires the lane, or
+  the next instant's bucket, as a batch; what a batch schedules for *now*
+  is the next batch.  The firing order is provably identical to the
+  heap's ``(time, seq)`` order: a bucket is in scheduling order, and
+  everything due now fires in the order it was scheduled.
 * :class:`Simulator` — the historical binary-heap event list.  Kept as
   the engine of the reference stack (``Machine(reference=True)``), against
   which tier-1 asserts the production stack to the byte.
@@ -42,7 +43,6 @@ equality argument.
 from __future__ import annotations
 
 import sys
-from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -97,6 +97,12 @@ class Interrupt(Exception):
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
+
+
+#: Every Event class (filled by ``Event.__init_subclass__``): the slotted
+#: loop tells an event from a scheduled callable by ``__class__``
+#: membership here, without a call per item.
+_EVENT_CLASSES: set[type] = set()
 
 
 class Event:
@@ -214,10 +220,17 @@ class Event:
         elif not ok:
             raise value
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _EVENT_CLASSES.add(cls)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self._fired else ("triggered" if self._triggered else "pending")
         label = f" {self.name}" if self.name else ""
         return f"<{type(self).__name__}{label} {state}>"
+
+
+_EVENT_CLASSES.add(Event)
 
 
 def abandon(event: Event) -> None:
@@ -264,25 +277,6 @@ class _Kick(Event):
         self._ok = None
         self._triggered = False
         self._fired = False
-
-
-class _Call:
-    """A bare scheduled callback — the cheapest thing the engine dispatches.
-
-    No Event identity: no waiters, no payload, no success/failure.  Flattened
-    fast paths use :meth:`Simulator.call_soon` / :meth:`Simulator.call_later`
-    for their internal chain steps — the hops no generator ever awaits —
-    turning a pooled Timeout + callbacks-list dispatch into a single
-    ``fn()``.  A future call is its own :meth:`SlottedSimulator.cancel`
-    handle, which its owner drops once it has fired (so the pool needs no
-    refcount guard).
-    """
-
-    __slots__ = ("fn", "when")
-
-    def __init__(self) -> None:
-        self.fn = None
-        self.when = 0.0
 
 
 class Timeout(Event):
@@ -730,6 +724,38 @@ class Simulator:
         return len(self._heap)
 
 
+class _Handle:
+    """A future call, as :meth:`SlottedSimulator.call_later` returns it for
+    :meth:`~SlottedSimulator.cancel`: its instant and the callable."""
+
+    __slots__ = ("when", "fn")
+
+
+class _Never:
+    """The sentinel of a run with none: never fires."""
+
+    __slots__ = ()
+    _fired = False
+
+
+class _Once:
+    """:meth:`SlottedSimulator.step`'s sentinel: fired once one more item has."""
+
+    __slots__ = ("sim", "start")
+
+    def __init__(self, sim: "SlottedSimulator"):
+        self.sim = sim
+        self.start = sim._event_count
+
+    @property
+    def _fired(self) -> bool:
+        return self.sim._event_count != self.start
+
+
+_NEVER = _Never()
+_INF = float("inf")
+
+
 class SlottedSimulator(Simulator):
     """The slotted, allocation-free engine (the production one).
 
@@ -737,38 +763,43 @@ class SlottedSimulator(Simulator):
     the firing order (``tests/sim/test_engine.py`` and the two-stack golden
     digests enforce byte-identical results):
 
-    * **Same-instant fast lane.**  Events due at the current instant go on
-      a FIFO deque; scheduling and firing one is O(1) with no comparisons.
+    * **Same-instant lane, walked as a batch.**  Events due at the current
+      instant go on a plain list; the loop takes the whole lane (swapping in
+      a fresh one) or, once it is dry, the next instant's bucket, and fires
+      it with a ``for`` loop.  What the batch schedules for *now* lands on
+      the fresh lane — the next batch — exactly where a FIFO would put it.
       Most events in a production run are zero-delay (grants, kicks,
-      collective releases), so this lane carries the bulk of the traffic.
+      collective releases), so the lane carries the bulk of the traffic.
     * **Bucketed time spine.**  Future events land in an exact-timestamp
       FIFO bucket (``dict``); only *distinct* timestamps enter the spine, a
       ``heapq`` of bare floats (two C calls per instant, and distinct keys
       have one pop order, so no tie-break is needed).  Advancing the clock
-      pops the nearest timestamp and moves its whole bucket onto the lane —
-      bucket FIFO order is scheduling order, and later same-instant arrivals
-      append behind it, which is exactly the heap engine's ``(time, seq)``
-      order.
+      pops the nearest timestamp and fires its whole bucket — bucket order
+      is scheduling order, and same-instant arrivals queue on the lane
+      behind it, which is exactly the heap engine's ``(time, seq)`` order.
     * **Event pooling.**  Fired ``Timeout``/``Deadline``/``Event`` objects
       (exact types only) are recycled through free lists when nothing else
-      references them (``sys.getrefcount == 2`` at the recycle point), the
+      references them (``sys.getrefcount == 3`` at the recycle point), the
       way ``_Kick`` always was.  ``sim.timeout()`` then costs a pop and a
       re-arm instead of an allocation.
 
-    What no process waits on is a bare ``_Call`` in the slot its Event would
-    take (flat chain steps, flow completions, queued grants).  A future call
-    can be taken off the event list again (:meth:`cancel`); the loop skips an
-    instant left empty without advancing the clock to it.
+    What no process waits on is the bare callable itself, in the slot its
+    Event would take (flat chain steps, flow completions, queued grants):
+    the loop tells the two apart by ``__class__`` membership in the Event
+    classes.  A future call can be taken off the event list again
+    (:meth:`cancel`); the loop skips an instant left empty without
+    advancing the clock to it.
     """
 
     __slots__ = (
         "_lane",
         "_buckets",
         "_times",
+        "_batch",
+        "_base",
         "_timeout_pool",
         "_deadline_pool",
         "_event_pool",
-        "_call_pool",
         "_memo_when",
         "_memo_bucket",
     )
@@ -784,19 +815,21 @@ class SlottedSimulator(Simulator):
     def __init__(self):
         super().__init__()
         self._heap = None  # poison: any heap-engine codepath fails loudly
-        self._lane: deque[Event | _Call] = deque()
-        self._buckets: dict[float, list[Event | _Call]] = {}
+        self._lane: list = []
+        self._buckets: dict[float, list] = {}
         self._times: list[float] = []  # heap of the distinct bucket instants
+        # The batch under way and the event count it started at: its
+        # unfired tail is still due now (``pending``, the profiler's depth).
+        self._batch: list = []
+        self._base = 0
         self._timeout_pool: list[Timeout] = []
         self._deadline_pool: list[Deadline] = []
         self._event_pool: list[Event] = []
-        self._call_pool: list[_Call] = []
         # One-entry interned-timestamp memo: the most recently touched
         # future bucket.  Shuffle waves and fabric wakes schedule dozens of
         # events at one exact instant; the memo turns those repeat appends
         # into a float compare + list append, skipping the dict probe.
-        # Invalidated at every bucket-pop site so a drained instant can
-        # never swallow a new append — see step()/run() (KEEP IN SYNC).
+        # Dropped where a bucket leaves ``_buckets`` (the loop, ``cancel``).
         self._memo_when: float = -1.0
         self._memo_bucket: Optional[list] = None
 
@@ -842,68 +875,54 @@ class SlottedSimulator(Simulator):
         return Deadline(self, when, value)
 
     def call_soon(self, fn: Callable[[], None]) -> None:
-        pool = self._call_pool
-        if pool:
-            c = pool.pop()
-            if self.profiler is not None:
-                self.profiler.count("sim.call_pool_reused")
-        else:
-            c = _Call()
-            if self.profiler is not None:
-                self.profiler.count("sim.call_pool_alloc")
-        c.fn = fn
-        self._lane.append(c)
+        self._lane.append(fn)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Optional[_Call]:
+    def call_later(self, delay: float, fn: Callable[[], None]) -> Optional[_Handle]:
         when = self.now + delay
         if when <= self.now:
             if delay < 0.0:
                 raise SimError(f"cannot schedule in the past (delay={delay})")
             # Zero, or absorbed by the clock's magnitude: due now, so on the
             # lane (a bucket keyed ``now`` would fire behind the whole lane).
-            self.call_soon(fn)
+            self._lane.append(fn)
             return None
-        pool = self._call_pool
-        if pool:
-            c = pool.pop()
-            if self.profiler is not None:
-                self.profiler.count("sim.call_pool_reused")
-        else:
-            c = _Call()
-            if self.profiler is not None:
-                self.profiler.count("sim.call_pool_alloc")
-        c.fn = fn
-        c.when = when
         if when == self._memo_when:
-            self._memo_bucket.append(c)
-            return c
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = bucket = [c]
-            heappush(self._times, when)
+            self._memo_bucket.append(fn)
         else:
-            bucket.append(c)
-        self._memo_when = when
-        self._memo_bucket = bucket
-        return c
+            bucket = self._buckets.get(when)
+            if bucket is None:
+                self._buckets[when] = bucket = [fn]
+                heappush(self._times, when)
+            else:
+                bucket.append(fn)
+            self._memo_when = when
+            self._memo_bucket = bucket
+        handle = _Handle()
+        handle.when = when
+        handle.fn = fn
+        return handle
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> _Call:
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """:meth:`call_later` at the absolute instant ``when``: no ``now +
-        delay`` rounding (see :class:`Deadline`)."""
-        c = self._call_pool.pop() if self._call_pool else _Call()
-        c.fn, c.when = fn, when
-        self._schedule_at(c, when)
-        return c
+        delay`` rounding (see :class:`Deadline`), and no handle."""
+        self._schedule_at(fn, when)
 
-    def cancel(self, handle: _Call) -> bool:
+    def cancel(self, handle: _Handle) -> bool:
         """Take a :meth:`call_later` call off the event list; False, leaving
         it, once its instant has come (its owner's guard must stop it).  An
         emptied bucket goes, and the memo with it; its instant stays on the
-        spine for the loop to skip."""
+        spine for the loop to skip.  Cancel a handle once: the call is found
+        by identity, and the same callable may be due again at its instant."""
         bucket = self._buckets.get(handle.when)
         if bucket is None:
             return False
-        bucket.remove(handle)
+        fn = handle.fn
+        for i, item in enumerate(bucket):
+            if item is fn:
+                del bucket[i]
+                break
+        else:
+            return False
         if not bucket:
             del self._buckets[handle.when]
             if bucket is self._memo_bucket:
@@ -919,238 +938,159 @@ class SlottedSimulator(Simulator):
         else:
             raise SimError(f"cannot schedule in the past (delay={delay})")
         if self.profiler is not None:
-            self.profiler.heap_sample(len(self._lane) + len(self._buckets))
+            # The lane, the unfired tail of the batch under way, the buckets.
+            due = len(self._lane) + len(self._batch) - (self._event_count - self._base)
+            self.profiler.heap_sample(due + len(self._buckets))
 
-    def _schedule_at(self, event: Event, when: float) -> None:
+    def _schedule_at(self, item, when: float) -> None:
         if when <= self.now:
             if when < self.now:
                 raise SimError(f"cannot schedule in the past (when={when})")
-            self._lane.append(event)
+            self._lane.append(item)
             return
         if when == self._memo_when:
-            self._memo_bucket.append(event)
+            self._memo_bucket.append(item)
             return
         bucket = self._buckets.get(when)
         if bucket is None:
-            self._buckets[when] = bucket = [event]
+            self._buckets[when] = bucket = [item]
             heappush(self._times, when)
         else:
-            bucket.append(event)
+            bucket.append(item)
         self._memo_when = when
         self._memo_bucket = bucket
 
     # -- the loop -------------------------------------------------------------
     def step(self) -> None:
-        """Fire the single next event."""
-        lane = self._lane
-        if not lane:
-            when = heappop(self._times)  # IndexError when truly empty
-            while when not in self._buckets:  # an instant cancellation emptied
-                when = heappop(self._times)
-            if when < self.now:
-                raise SimError("event list corrupted: time went backwards")
-            self.now = when
-            # No local keeps the bucket: the pools' refcount guard would fail.
-            lane.extend(self._buckets.pop(when))
-            if when == self._memo_when:
-                self._memo_when = -1.0
-                self._memo_bucket = None
-        event = lane.popleft()
-        if event.__class__ is _Call:
-            fn = event.fn
-            event.fn = None
-            if len(self._call_pool) < self._EVENT_POOL_MAX:
-                self._call_pool.append(event)
-            self._event_count += 1
-            fn()
-            return
-        event._fired = True
-        self._event_count += 1
-        callbacks = event.callbacks
-        if callbacks:
-            if len(callbacks) == 1:
-                # Keep the (now empty) list on the event: a recycled event
-                # reuses it, saving a list allocation per fire.
-                cb = callbacks[0]
-                callbacks.clear()
-                cb(event)
-            else:
-                event.callbacks = []
-                for cb in callbacks:
-                    cb(event)
-        elif not event._ok:
-            raise event._value
-        # Recycle (exact types only — subclasses carry extra identity).  The
-        # refcount guard proves nothing else holds the object: 2 == the
-        # `event` local plus the getrefcount argument itself.
-        cls = event.__class__
-        if cls is Timeout:
-            pool = self._timeout_pool
-        elif cls is Event:
-            pool = self._event_pool
-        elif cls is _Kick:
-            if len(self._kick_pool) < self._KICK_POOL_MAX:
-                event._value = None
-                self._kick_pool.append(event)
-            return
-        elif cls is Deadline:
-            pool = self._deadline_pool
-        else:
-            return
-        if len(pool) < self._EVENT_POOL_MAX and _refcount(event) == 2:
-            # Scrub to factory state (payload refs dropped now, not at reuse).
-            event._value = None
-            event._ok = None
-            event._triggered = False
-            event._fired = False
-            event.abandon = None
-            pool.append(event)
+        """Fire the single next item (IndexError when there is none)."""
+        once = _Once(self)
+        self._dispatch(once, _INF)
+        if not once._fired:
+            raise IndexError("step() on an empty event list")
 
     def run(self, until: Optional[float | Event] = None) -> Any:
-        # Hot state bound to locals: the per-event self-attribute lookups
-        # and the step() call itself are measurable at grid event volumes.
-        # The loop bodies below are step() inlined — KEEP THEM IN SYNC.
-        lane = self._lane
+        if isinstance(until, Event):
+            self._dispatch(until, _INF)
+            if not until._fired:
+                raise self._deadlock(until)
+            if until._ok:
+                return until._value
+            raise until._value
+        deadline = _INF if until is None else float(until)
+        self._dispatch(_NEVER, deadline)
+        if until is not None and self.now < deadline:
+            self.now = deadline
+        return None
+
+    def _dispatch(self, sentinel, deadline: float) -> None:
+        """The one dispatch loop, behind :meth:`step` and both :meth:`run`
+        modes: fire batches — the lane, else the bucket of the next instant
+        not past ``deadline`` — until none is left or ``sentinel`` has
+        fired.  Stopped mid-batch by the sentinel or by a raising callback,
+        it puts the unfired tail back at the head of the lane first.  Not
+        re-entrant: a callback must not run the engine it is called from."""
+        # Hot state bound to locals: per-item attribute lookups are
+        # measurable at grid event volumes.
         buckets = self._buckets
         times = self._times
+        event_classes = _EVENT_CLASSES
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         deadline_pool = self._deadline_pool
         kick_pool = self._kick_pool
         kick_max = self._KICK_POOL_MAX
         pool_max = self._EVENT_POOL_MAX
-        call_pool = self._call_pool
 
-        if isinstance(until, Event):
-            sentinel = until
-            while not sentinel._fired:
-                if not lane:
-                    if not buckets:
-                        raise self._deadlock(sentinel)
-                    when = heappop(times)
-                    if when not in buckets:  # an instant cancellation emptied
-                        continue
-                    if when < self.now:
-                        raise SimError("event list corrupted: time went backwards")
-                    self.now = when
-                    lane.extend(buckets.pop(when))
-                    if when == self._memo_when:
-                        self._memo_when = -1.0
-                        self._memo_bucket = None
-                event = lane.popleft()
-                if event.__class__ is _Call:
-                    fn = event.fn
-                    event.fn = None
-                    if len(call_pool) < pool_max:
-                        call_pool.append(event)
-                    self._event_count += 1
-                    fn()
-                    continue
-                event._fired = True
-                self._event_count += 1
-                callbacks = event.callbacks
-                if callbacks:
-                    if len(callbacks) == 1:
-                        cb = callbacks[0]
-                        callbacks.clear()
-                        cb(event)
-                    else:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                elif not event._ok:
-                    raise event._value
-                cls = event.__class__
-                if cls is Timeout:
-                    pool = timeout_pool
-                elif cls is Event:
-                    pool = event_pool
-                elif cls is _Kick:
-                    if len(kick_pool) < kick_max:
-                        event._value = None
-                        kick_pool.append(event)
-                    continue
-                elif cls is Deadline:
-                    pool = deadline_pool
-                else:
-                    continue
-                if len(pool) < pool_max and _refcount(event) == 2:
-                    event._value = None
-                    event._ok = None
-                    event._triggered = False
-                    event._fired = False
-                    event.abandon = None
-                    pool.append(event)
-            if sentinel._ok:
-                return sentinel._value
-            raise sentinel._value
-
-        deadline = float("inf") if until is None else float(until)
-        while True:
-            if not lane:
+        while not sentinel._fired:
+            batch = self._lane
+            if batch:
+                if self.now > deadline:
+                    return
+                self._lane = []
+            else:
                 if not times or times[0] > deadline:
-                    break
-                nxt = heappop(times)
-                if nxt not in buckets:  # an instant cancellation emptied
+                    return
+                when = heappop(times)
+                batch = buckets.pop(when, None)
+                if batch is None:  # an instant cancellation emptied
                     continue
-                self.now = nxt
-                lane.extend(buckets.pop(nxt))
-                if nxt == self._memo_when:
+                self.now = when
+                if when == self._memo_when:
                     self._memo_when = -1.0
                     self._memo_bucket = None
-            elif self.now > deadline:
-                break
-            event = lane.popleft()
-            if event.__class__ is _Call:
-                fn = event.fn
-                event.fn = None
-                if len(call_pool) < pool_max:
-                    call_pool.append(event)
-                self._event_count += 1
-                fn()
-                continue
-            event._fired = True
-            self._event_count += 1
-            callbacks = event.callbacks
-            if callbacks:
-                if len(callbacks) == 1:
-                    cb = callbacks[0]
-                    callbacks.clear()
-                    cb(event)
+            self._batch = batch
+            self._base = base = self._event_count
+            try:
+                for event in batch:
+                    if sentinel._fired:
+                        break
+                    self._event_count += 1
+                    cls = event.__class__
+                    if cls not in event_classes:
+                        event()  # a scheduled call
+                        continue
+                    event._fired = True
+                    callbacks = event.callbacks
+                    if callbacks:
+                        if len(callbacks) == 1:
+                            # Keep the (now empty) list on the event: a
+                            # recycled event reuses it, saving a list
+                            # allocation per fire.
+                            cb = callbacks[0]
+                            callbacks.clear()
+                            cb(event)
+                        else:
+                            event.callbacks = []
+                            for cb in callbacks:
+                                cb(event)
+                    elif not event._ok:
+                        # Unhandled failure: a bare event or a crashed
+                        # process nobody waited on — propagate it.
+                        raise event._value
+                    # Recycle (exact types only — subclasses carry extra
+                    # identity).  The refcount guard proves nothing else
+                    # holds the object: 3 == the batch's slot, the `event`
+                    # local and the getrefcount argument itself.
+                    if cls is Timeout:
+                        pool = timeout_pool
+                    elif cls is Event:
+                        pool = event_pool
+                    elif cls is _Kick:
+                        if len(kick_pool) < kick_max:
+                            event._value = None
+                            kick_pool.append(event)
+                        continue
+                    elif cls is Deadline:
+                        pool = deadline_pool
+                    else:
+                        continue
+                    if len(pool) < pool_max and _refcount(event) == 3:
+                        # Scrub to factory state (payload refs dropped now).
+                        event._value = None
+                        event._ok = None
+                        event._triggered = False
+                        event._fired = False
+                        event.abandon = None
+                        pool.append(event)
                 else:
-                    event.callbacks = []
-                    for cb in callbacks:
-                        cb(event)
-            elif not event._ok:
-                raise event._value
-            cls = event.__class__
-            if cls is Timeout:
-                pool = timeout_pool
-            elif cls is Event:
-                pool = event_pool
-            elif cls is _Kick:
-                if len(kick_pool) < kick_max:
-                    event._value = None
-                    kick_pool.append(event)
-                continue
-            elif cls is Deadline:
-                pool = deadline_pool
-            else:
-                continue
-            if len(pool) < pool_max and _refcount(event) == 2:
-                event._value = None
-                event._ok = None
-                event._triggered = False
-                event._fired = False
-                event.abandon = None
-                pool.append(event)
-        if until is not None and self.now < deadline:
-            self.now = deadline
-        return None
+                    continue
+            except BaseException:
+                self._requeue(batch, base)
+                raise
+            self._requeue(batch, base)
+
+    def _requeue(self, batch: list, base: int) -> None:
+        """Put what ``batch`` has not fired back at the head of the lane."""
+        tail = batch[self._event_count - base :]
+        tail += self._lane
+        self._lane = tail
+        self._batch = []
+        self._base = self._event_count
 
     @property
     def pending(self) -> int:
-        return len(self._lane) + sum(len(b) for b in self._buckets.values())
+        due = len(self._lane) + len(self._batch) - (self._event_count - self._base)
+        return due + sum(len(b) for b in self._buckets.values())
 
 
 def create_simulator() -> SlottedSimulator:

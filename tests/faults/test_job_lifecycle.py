@@ -118,3 +118,12 @@ def test_an_anchor_past_the_last_file_is_rejected(run):
     beyond = (FaultSpec("aggregator_crash", on_event="write_done:5", delay=2e-3),)
     with pytest.raises(ValueError, match="write_done:5"):
         run(beyond)
+
+
+def test_crashes_count_the_phases_that_crashed_not_the_retries():
+    """The write phase crashes once; every replay after it hits the dead
+    SSD and ends in a ``fault``, a retry and not a crash."""
+    r = run_chaos_trial(trial(UNREPLAYABLE))
+    assert r.outcome == "unrecovered"
+    assert r.recovery_attempts == faultsweep.MAX_RECOVERY_ATTEMPTS
+    assert r.crashes == 1

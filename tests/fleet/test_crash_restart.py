@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments import sweep
 from repro.faults import FaultSchedule, FaultSpec
 from repro.fleet import (
     FleetSpec,
@@ -210,3 +211,21 @@ class TestChaosCrashTrial:
         assert result.crashed_jobs >= 1
         assert result.restarts == 0
         assert result.statuses.get("failed", 0) == result.crashed_jobs
+
+
+def test_a_trial_that_raises_is_a_fail_row_of_the_sweep(tmp_path, capsys, monkeypatch):
+    """Seed 8's cascade crash raises ``FileNotFoundError`` out of
+    ``run_fleet_chaos`` (two orphaned journals of one extent cache file
+    replayed as if independent): the sweep reports it as a FAIL row with its
+    repro line and exits 1 instead of dying with a traceback."""
+    monkeypatch.setenv("REPRO_CACHE_KIND", "extent")  # not the CI leg's
+    status = sweep.main(
+        ["--fleet-chaos", "--base-seed", "8", "--seeds", "1", "--scale", str(QUICK)]
+        + ["--cache-dir", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert status == 1
+    assert "fleet-chaos seed 8: raised FileNotFoundError" in err and " FAIL" in err
+    repro = "repro: PYTHONPATH=src python -m repro.experiments.sweep --fleet-chaos"
+    assert f"{repro} --base-seed 8 --seeds 1 --scale {QUICK}" in err
+    assert "Traceback" not in err

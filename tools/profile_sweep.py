@@ -81,7 +81,7 @@ from repro.chaos.runner import CHAOS_CACHE_MODES
 from repro.experiments.runner import BENCHMARKS, CACHE_MODES, ExperimentSpec, run_experiment
 from repro.pfs.client import PFSClient
 from repro.pfs.layout import plan_memo_info
-from repro.sim.core import Event, Process, Simulator, SlottedSimulator, _Call
+from repro.sim.core import Event, Process, Simulator, SlottedSimulator
 from repro.sim.profile import SimProfiler
 from repro.units import MiB
 
@@ -203,15 +203,17 @@ def event_kind(event) -> str:
 
     The stem is the event's name with its digits dropped (``acquire:srv3.workers``
     and ``acquire:srv0.workers`` are one kind); the callback is what the fire
-    will run first — the resumed process, the chain step, or nothing.
+    will run first — the resumed process, the chain step, or nothing.  A
+    scheduled call is the callable itself: ``call : - : <its qualname>``.
     """
-    if event.__class__ is _Call:
-        name, fn = "", event.fn
+    if isinstance(event, Event):
+        kind, name = type(event).__name__, event.name
+        fn = event.callbacks[0] if event.callbacks else None
     else:
-        name, fn = event.name, (event.callbacks[0] if event.callbacks else None)
+        kind, name, fn = "call", "", event
     fn = getattr(fn, "func", fn)  # a partial names the function it binds
     what = getattr(fn, "__qualname__", "-" if fn is None else type(fn).__name__)
-    return f"{type(event).__name__} : {name_stem(name)} : {what}"
+    return f"{kind} : {name_stem(name)} : {what}"
 
 
 def _next_event(sim):
