@@ -19,7 +19,10 @@ graph actually touched by an arrival, departure, or capacity change is
 re-rated; flows whose bottleneck structure is disjoint keep their frozen
 rates.  Same-timestamp arrivals (a collective shuffle wave starts dozens of
 flows at ``sim.now``) are coalesced into one recompute by a zero-delay
-flush.  The filling loop itself is the *array kernel*:
+flush; a flow started alone on its links with no flush pending — a sync
+thread's one blocking RPC, most flows under co-tenancy — is its own
+component and is rated where it starts, with no flush.  The filling loop
+itself is the *array kernel*:
 
 * **Flat arrays instead of dict churn.**  ``_fill`` lowers the touched
   component into parallel lists indexed by local flow/link ids
@@ -47,14 +50,14 @@ flush.  The filling loop itself is the *array kernel*:
   Single-flow components — a third of all fills on cache-enabled sweep
   points — bypass the signature and cache entirely: their fill is a
   closed-form min over the flow's own links.
-* **Pooled flush/wake callables.**  The coalesced flush and the wake
-  re-arm are pooled callable objects scheduled via
-  ``sim.call_soon``/``sim.call_later`` — the slotted engine stores the
-  callable itself — invalidated by a generation stamp carried *on the armed
-  object* (a stamp on the fabric alone would let a superseded-but-pending
-  callable pass the check once re-armed).  A re-arm cancels the superseded
-  wake (``sim.cancel``); the stamp still stops one already due.  A flow a
-  flat chain starts (``on_done``) completes by a scheduled call, no Event.
+* **Flush/wake partials.**  The coalesced flush and the wake re-arm are
+  ``partial(self._flush_due, gen)`` / ``partial(self._wake_due, gen)``
+  scheduled via ``sim.call_soon``/``sim.call_later`` — the slotted engine
+  stores the partial itself — each bound to the generation that armed it,
+  so one a forced flush or a re-arm superseded does nothing when it
+  drains.  A re-arm also cancels the superseded wake (``sim.cancel``).  A
+  flow a flat chain starts (``on_done``) completes by a scheduled call, no
+  Event.
 
 The full recompute re-runs the dict filling loop over all active flows on
 every change; the two give the same rates and the same completion
@@ -69,11 +72,14 @@ through membership counts.  Within one component the filling order is
 fixed by iterating flows in ascending ``fid`` (creation order), which is
 precisely the order the full recompute visits them in, so every float
 operation — including tie-breaks between equal fair shares — is performed
-on the same operands in the same order.
+on the same operands in the same order.  A lone flow rated where it starts
+is that component, rated at the instant the flush would rate it, before the
+clock can move.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count
 from operator import attrgetter
 from time import perf_counter
@@ -154,52 +160,6 @@ class Flow:
         self.threshold = max(1e-6, _EPS * self.nbytes)
 
 
-class _FlushCall:
-    """Pooled zero-delay flush callback, validity-checked by generation.
-
-    The generation stamp lives on this object, not (only) on the fabric:
-    each arm pops a *fresh* object from the pool, so a pending-but-stale
-    callable can never be confused with the currently armed one.
-    """
-
-    __slots__ = ("fabric", "gen")
-
-    def __init__(self, fabric: "Fabric"):
-        self.fabric = fabric
-        self.gen = -1
-
-    def __call__(self) -> None:
-        fabric = self.fabric
-        pool = fabric._flush_pool
-        if len(pool) < 8:
-            # Recycle first: at most one queue entry references this object,
-            # and ``self.gen`` is read before any re-arm can repurpose it.
-            pool.append(self)
-        if self.gen == fabric._flush_gen and fabric._flush_armed:
-            fabric._flush_armed = False
-            fabric._flush()
-
-
-class _WakeCall:
-    """Pooled wake-up callback; same generation scheme as :class:`_FlushCall`."""
-
-    __slots__ = ("fabric", "gen")
-
-    def __init__(self, fabric: "Fabric"):
-        self.fabric = fabric
-        self.gen = -1
-
-    def __call__(self) -> None:
-        fabric = self.fabric
-        pool = fabric._wake_pool
-        if len(pool) < 8:
-            pool.append(self)
-        if self.gen == fabric._wake_gen and fabric._wake_armed:
-            fabric._wake_armed = False
-            fabric._wake_handle = None
-            fabric._wake_body()
-
-
 class Fabric:
     """The cluster interconnect: per-node NIC in/out links plus loopback.
 
@@ -214,8 +174,10 @@ class Fabric:
       every change).
     * ``recomputes_skipped`` — changes proven unable to alter any share
       (e.g. a capacity change on links with no flows).
-    * ``batched_starts`` — flow starts coalesced into an already-pending
-      same-timestamp flush instead of triggering their own recompute.
+    * ``batched_starts`` — changes coalesced into an already-pending
+      same-timestamp flush instead of triggering their own recompute (a
+      flow started alone on its links with no flush pending is neither:
+      it is rated at once).
     * ``wake_events`` — wake events actually armed (regression guard for
       the alloc-on-every-change churn this class replaced).
     * ``rate_cache_hits`` / ``rate_cache_misses`` — multi-flow fills served
@@ -247,17 +209,13 @@ class Fabric:
         self._fid = count()
         self._last_update = 0.0
         # Links touched since the last recompute, in touch order, applied by
-        # one zero-delay flush; flush and wake are pooled callables, each
-        # armed object stamped with the generation that makes it current.
+        # one zero-delay flush; flush and wake are scheduled as partials
+        # bound to the generation that made them current.
         self._dirty: dict[Link, None] = {}
         self._flush_armed = False
         self._flush_gen = 0
-        self._flush_pool: list[_FlushCall] = []
-        self._wake_armed = False
         self._wake_gen = 0
-        self._wake_pool: list[_WakeCall] = []
-        self._wake_call: Optional[_WakeCall] = None  # the armed one, and
-        self._wake_handle = None  # its cancel handle until it fires
+        self._wake_handle = None  # the armed wake's cancel handle until it fires
         self._rate_cache: dict[tuple, tuple[float, ...]] = {}
         self.bytes_moved = 0.0
         # Per-tag byte accounting (fleet: one tag per job).  Untagged flows
@@ -318,14 +276,17 @@ class Fabric:
         self._flows[flow] = None
         if done is not None:
             self._done_to_flow[done] = flow
+        lone = flow
         for link in links:
+            if link.flows:
+                lone = None
             link.flows[flow] = None
         self.bytes_moved += nbytes * weight
         if tag is not None:
             self.bytes_moved_by_tag[tag] = (
                 self.bytes_moved_by_tag.get(tag, 0.0) + nbytes * weight
             )
-        self._change(links)
+        self._change(links, lone)
         return done
 
     def grow_flow(self, flow_done: Event, nbytes: float) -> bool:
@@ -378,31 +339,45 @@ class Fabric:
         return {f.fid: f.rate for f in self._flows}
 
     # -- change application ------------------------------------------------------
-    def _change(self, links: Iterable[Link]) -> None:
+    def _change(self, links: Iterable[Link], flow: Optional[Flow] = None) -> None:
         """A topology change touched ``links``: coalesce into one flush.
 
         All deferral stays within the current timestamp — the flush has
         zero delay, so it fires before the clock can advance — which is
         why batching cannot alter any simulated timestamp: the rates in
         effect over every interval of positive length are unchanged.
+
+        ``flow`` is a flow just started alone on every link it crosses:
+        with no flush pending it is its own component, so it is rated here
+        and now — advance, refill, arm — which is what the full recompute
+        does at every change, and the flush is not needed.
         """
         if self._flush_armed:
             self.batched_starts += 1
+        elif flow is not None:
+            self._advance()
+            self._refill((flow,))
+            self._arm_wake()
+            return
+        else:
+            self._flush_armed = True
+            self.sim.call_soon(partial(self._flush_due, self._flush_gen))
         dirty = self._dirty
         for link in links:
             dirty[link] = None
-        if not self._flush_armed:
-            pool = self._flush_pool
-            call = pool.pop() if pool else _FlushCall(self)
-            call.gen = self._flush_gen
-            self._flush_armed = True
-            self.sim.call_soon(call)
+
+    def _flush_due(self, gen: int) -> None:
+        """The zero-delay flush, unless :meth:`_force_flush` superseded it
+        (only the armed flush carries the current generation)."""
+        if gen == self._flush_gen:
+            self._flush_armed = False
+            self._flush()
 
     def _force_flush(self) -> None:
         """Apply pending changes now; the armed flush becomes a no-op."""
         if self._flush_armed:
-            # Invalidate the pending callable: bump the generation so it
-            # fails its stamp check when it eventually drains.
+            # Invalidate the pending partial: bump the generation so it
+            # fails its check when it eventually drains.
             self._flush_armed = False
             self._flush_gen += 1
         self._flush()
@@ -452,33 +427,37 @@ class Fabric:
                         if other not in seen:
                             seen[other] = None
                             order += (other,)
-        self.recomputes += 1
-        self.recompute_flows += len(touched)
         # Refill in ascending-fid order — identical to the full recompute's
         # visit order restricted to this component, so tie-breaks (and hence
         # every float) match the full recompute exactly.
-        profiler = self.sim.profiler
-        if profiler is None:
-            self._fill(sorted(touched, key=_by_fid))
-        else:
-            with profiler.timer("fabric.recompute"):
-                self._fill(sorted(touched, key=_by_fid))
-            profiler.count("fabric.recompute_flows", len(touched))
+        self._refill(sorted(touched, key=_by_fid))
         return True
 
-    # -- wake arming (pooled-callable wake) -------------------------------------
+    def _refill(self, flows: list[Flow] | tuple[Flow, ...]) -> None:
+        """One filling pass over a whole component, ``flows`` in ascending
+        fid order, counted (and timed when profiling)."""
+        self.recomputes += 1
+        self.recompute_flows += len(flows)
+        profiler = self.sim.profiler
+        if profiler is None:
+            self._fill(flows)
+        else:
+            with profiler.timer("fabric.recompute"):
+                self._fill(flows)
+            profiler.count("fabric.recompute_flows", len(flows))
+
+    # -- wake arming ------------------------------------------------------------
     def _arm_wake(self) -> None:
         """Arm a wake-up at the next flow completion (none when nothing
         can complete: ``soonest == inf``)."""
-        # Invalidate any previously armed wake-up unconditionally; cancelled,
-        # its callable will never run and is the one to re-arm.
+        # Invalidate any previously armed wake-up unconditionally: the new
+        # generation stops it if it is already due, and a cancel takes it
+        # off the event list if it is not.
         self._wake_gen += 1
-        call = None
         handle = self._wake_handle
         if handle is not None:
             self._wake_handle = None
-            if self.sim.cancel(handle):
-                call = self._wake_call
+            self.sim.cancel(handle)
         soonest = _INF
         for flow in self._flows:
             if flow.remaining <= flow.threshold:
@@ -490,21 +469,22 @@ class Fabric:
                 if t < soonest:
                     soonest = t
         if soonest is _INF:
-            self._wake_armed = False
             return
-        if call is None:
-            pool = self._wake_pool
-            call = pool.pop() if pool else _WakeCall(self)
-        call.gen = self._wake_gen
-        self._wake_armed = True
         self.wake_events += 1
-        self._wake_call = call
         # Floor at one nanosecond so a pathological rate can never stall
         # the simulation clock (livelock guard); delay-0 wakes land in the
         # same same-instant lane slot an Event ``succeed()`` would.
         self._wake_handle = self.sim.call_later(
-            max(1e-9, soonest) if soonest > 0.0 else 0.0, call
+            max(1e-9, soonest) if soonest > 0.0 else 0.0,
+            partial(self._wake_due, self._wake_gen),
         )
+
+    def _wake_due(self, gen: int) -> None:
+        """The wake-up, unless a re-arm superseded it (every
+        :meth:`_arm_wake` moves the generation on)."""
+        if gen == self._wake_gen:
+            self._wake_handle = None
+            self._wake_body()
 
     # -- the array kernel -------------------------------------------------------
     def _fill(self, flows: Iterable[Flow]) -> None:

@@ -52,7 +52,7 @@ class NaiveFabric(Fabric):
     bundles = False
     _wake: Optional[Event] = None  # the armed wake; a superseded one is ignored
 
-    def _change(self, links: Iterable[Link]) -> None:
+    def _change(self, links: Iterable[Link], flow: Optional[Flow] = None) -> None:
         self._advance()
         self._recompute()
         self._arm_wake()

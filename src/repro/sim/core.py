@@ -24,13 +24,14 @@ Two engines implement the same contract:
 
 * :class:`SlottedSimulator` — what every production
   :class:`~repro.machine.Machine` (and :func:`create_simulator`) builds:
-  exact-timestamp buckets over a heap of the *distinct* future instants,
-  a same-instant lane (most production events are zero-delay), scheduled
-  calls stored as the bare callables, and pooled/recycled
-  ``Timeout``/``Deadline``/``Event`` objects.  One loop fires the lane, or
-  the next instant's bucket, as a batch; what a batch schedules for *now*
-  is the next batch.  The firing order is provably identical to the
-  heap's ``(time, seq)`` order: a bucket is in scheduling order, and
+  one heap of ``[when, seq, bucket]`` instant entries (a bucket gathers
+  what is scheduled for its instant back to back), a same-instant lane
+  (most production events are zero-delay), scheduled calls stored as the
+  bare callables, and pooled/recycled ``Timeout``/``Deadline``/``Event``
+  objects.  One loop fires the lane, or the next instant's buckets, as a
+  batch; what a batch schedules for *now* is the next batch.  The firing
+  order is provably identical to the heap's ``(time, seq)`` order: a
+  bucket is in scheduling order, ``seq`` orders an instant's buckets, and
   everything due now fires in the order it was scheduled.
 * :class:`Simulator` — the historical binary-heap event list.  Kept as
   the engine of the reference stack (``Machine(reference=True)``), against
@@ -532,7 +533,7 @@ class Simulator:
 
     This is the ``heapq`` engine: a binary heap of ``(time, seq, event)``
     tuples, the reference stack's.  :class:`SlottedSimulator` subclasses it
-    with a bucketed event list and object pooling, and is what
+    with instant entries, a same-instant lane and object pooling, and is what
     :func:`create_simulator` builds.
     """
 
@@ -724,13 +725,6 @@ class Simulator:
         return len(self._heap)
 
 
-class _Handle:
-    """A future call, as :meth:`SlottedSimulator.call_later` returns it for
-    :meth:`~SlottedSimulator.cancel`: its instant and the callable."""
-
-    __slots__ = ("when", "fn")
-
-
 class _Never:
     """The sentinel of a run with none: never fires."""
 
@@ -765,18 +759,20 @@ class SlottedSimulator(Simulator):
 
     * **Same-instant lane, walked as a batch.**  Events due at the current
       instant go on a plain list; the loop takes the whole lane (swapping in
-      a fresh one) or, once it is dry, the next instant's bucket, and fires
+      a fresh one) or, once it is dry, the next instant's buckets, and fires
       it with a ``for`` loop.  What the batch schedules for *now* lands on
       the fresh lane — the next batch — exactly where a FIFO would put it.
       Most events in a production run are zero-delay (grants, kicks,
       collective releases), so the lane carries the bulk of the traffic.
-    * **Bucketed time spine.**  Future events land in an exact-timestamp
-      FIFO bucket (``dict``); only *distinct* timestamps enter the spine, a
-      ``heapq`` of bare floats (two C calls per instant, and distinct keys
-      have one pop order, so no tie-break is needed).  Advancing the clock
-      pops the nearest timestamp and fires its whole bucket — bucket order
-      is scheduling order, and same-instant arrivals queue on the lane
-      behind it, which is exactly the heap engine's ``(time, seq)`` order.
+    * **One heap of instant entries.**  The future is a ``heapq`` of
+      ``[when, seq, bucket]`` entries; a one-entry memo appends what is
+      scheduled for the last entry's instant to its bucket, and anything
+      else pushes a new entry (so an instant holding one item costs one push
+      and one pop).  Advancing the clock pops the head entry and merges
+      every further entry of the same instant into the batch, in ``seq``
+      order — each bucket is in scheduling order and ``seq`` orders the
+      buckets, and same-instant arrivals queue on the lane behind the
+      batch, which is exactly the heap engine's ``(time, seq)`` order.
     * **Event pooling.**  Fired ``Timeout``/``Deadline``/``Event`` objects
       (exact types only) are recycled through free lists when nothing else
       references them (``sys.getrefcount == 3`` at the recycle point), the
@@ -793,15 +789,14 @@ class SlottedSimulator(Simulator):
 
     __slots__ = (
         "_lane",
-        "_buckets",
-        "_times",
+        "_future",
         "_batch",
         "_base",
         "_timeout_pool",
         "_deadline_pool",
         "_event_pool",
         "_memo_when",
-        "_memo_bucket",
+        "_memo",
     )
 
     kind = "slotted"
@@ -816,8 +811,7 @@ class SlottedSimulator(Simulator):
         super().__init__()
         self._heap = None  # poison: any heap-engine codepath fails loudly
         self._lane: list = []
-        self._buckets: dict[float, list] = {}
-        self._times: list[float] = []  # heap of the distinct bucket instants
+        self._future: list[list] = []  # heap of [when, seq, bucket] entries
         # The batch under way and the event count it started at: its
         # unfired tail is still due now (``pending``, the profiler's depth).
         self._batch: list = []
@@ -825,13 +819,13 @@ class SlottedSimulator(Simulator):
         self._timeout_pool: list[Timeout] = []
         self._deadline_pool: list[Deadline] = []
         self._event_pool: list[Event] = []
-        # One-entry interned-timestamp memo: the most recently touched
-        # future bucket.  Shuffle waves and fabric wakes schedule dozens of
-        # events at one exact instant; the memo turns those repeat appends
-        # into a float compare + list append, skipping the dict probe.
-        # Dropped where a bucket leaves ``_buckets`` (the loop, ``cancel``).
+        # One-entry memo: the most recently pushed entry.  Shuffle waves and
+        # fabric wakes schedule dozens of events at one exact instant; the
+        # memo turns those repeat schedules into a float compare + list
+        # append.  Dropped where its entry leaves the heap (the loop) or is
+        # emptied (``cancel``).
         self._memo_when: float = -1.0
-        self._memo_bucket: Optional[list] = None
+        self._memo: Optional[list] = None
 
     # -- pooled construction --------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -877,56 +871,51 @@ class SlottedSimulator(Simulator):
     def call_soon(self, fn: Callable[[], None]) -> None:
         self._lane.append(fn)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Optional[_Handle]:
+    def call_later(self, delay: float, fn: Callable[[], None]) -> Optional[tuple]:
+        """As :meth:`Simulator.call_later`; the handle is ``(entry, fn)``,
+        the heap entry holding the call and the callable (None when the
+        call is due now, on the lane)."""
         when = self.now + delay
         if when <= self.now:
             if delay < 0.0:
                 raise SimError(f"cannot schedule in the past (delay={delay})")
             # Zero, or absorbed by the clock's magnitude: due now, so on the
-            # lane (a bucket keyed ``now`` would fire behind the whole lane).
+            # lane (an entry for ``now`` would fire behind the whole lane).
             self._lane.append(fn)
             return None
         if when == self._memo_when:
-            self._memo_bucket.append(fn)
+            entry = self._memo
+            entry[2].append(fn)
         else:
-            bucket = self._buckets.get(when)
-            if bucket is None:
-                self._buckets[when] = bucket = [fn]
-                heappush(self._times, when)
-            else:
-                bucket.append(fn)
+            self._seq += 1
+            self._memo = entry = [when, self._seq, [fn]]
             self._memo_when = when
-            self._memo_bucket = bucket
-        handle = _Handle()
-        handle.when = when
-        handle.fn = fn
-        return handle
+            heappush(self._future, entry)
+        return entry, fn
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """:meth:`call_later` at the absolute instant ``when``: no ``now +
         delay`` rounding (see :class:`Deadline`), and no handle."""
         self._schedule_at(fn, when)
 
-    def cancel(self, handle: _Handle) -> bool:
+    def cancel(self, handle: tuple) -> bool:
         """Take a :meth:`call_later` call off the event list; False, leaving
         it, once its instant has come (its owner's guard must stop it).  An
-        emptied bucket goes, and the memo with it; its instant stays on the
-        spine for the loop to skip.  Cancel a handle once: the call is found
-        by identity, and the same callable may be due again at its instant."""
-        bucket = self._buckets.get(handle.when)
-        if bucket is None:
+        emptied entry stays on the heap for the loop to skip, and drops the
+        memo.  Cancel a handle once: the call is found by identity, and the
+        same callable may be due again at its instant."""
+        entry, fn = handle
+        if entry[0] <= self.now:  # popped: every entry left is in the future
             return False
-        fn = handle.fn
+        bucket = entry[2]
         for i, item in enumerate(bucket):
             if item is fn:
                 del bucket[i]
                 break
         else:
             return False
-        if not bucket:
-            del self._buckets[handle.when]
-            if bucket is self._memo_bucket:
-                self._memo_when, self._memo_bucket = -1.0, None
+        if not bucket and entry is self._memo:
+            self._memo_when, self._memo = -1.0, None
         return True
 
     # -- scheduling -----------------------------------------------------------
@@ -938,9 +927,9 @@ class SlottedSimulator(Simulator):
         else:
             raise SimError(f"cannot schedule in the past (delay={delay})")
         if self.profiler is not None:
-            # The lane, the unfired tail of the batch under way, the buckets.
+            # The lane, the unfired tail of the batch under way, the entries.
             due = len(self._lane) + len(self._batch) - (self._event_count - self._base)
-            self.profiler.heap_sample(due + len(self._buckets))
+            self.profiler.heap_sample(due + len(self._future))
 
     def _schedule_at(self, item, when: float) -> None:
         if when <= self.now:
@@ -949,16 +938,12 @@ class SlottedSimulator(Simulator):
             self._lane.append(item)
             return
         if when == self._memo_when:
-            self._memo_bucket.append(item)
+            self._memo[2].append(item)
             return
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = bucket = [item]
-            heappush(self._times, when)
-        else:
-            bucket.append(item)
+        self._seq += 1
+        self._memo = entry = [when, self._seq, [item]]
         self._memo_when = when
-        self._memo_bucket = bucket
+        heappush(self._future, entry)
 
     # -- the loop -------------------------------------------------------------
     def step(self) -> None:
@@ -984,15 +969,14 @@ class SlottedSimulator(Simulator):
 
     def _dispatch(self, sentinel, deadline: float) -> None:
         """The one dispatch loop, behind :meth:`step` and both :meth:`run`
-        modes: fire batches — the lane, else the bucket of the next instant
+        modes: fire batches — the lane, else the buckets of the next instant
         not past ``deadline`` — until none is left or ``sentinel`` has
         fired.  Stopped mid-batch by the sentinel or by a raising callback,
         it puts the unfired tail back at the head of the lane first.  Not
         re-entrant: a callback must not run the engine it is called from."""
         # Hot state bound to locals: per-item attribute lookups are
         # measurable at grid event volumes.
-        buckets = self._buckets
-        times = self._times
+        future = self._future
         event_classes = _EVENT_CLASSES
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
@@ -1008,16 +992,18 @@ class SlottedSimulator(Simulator):
                     return
                 self._lane = []
             else:
-                if not times or times[0] > deadline:
+                if not future or future[0][0] > deadline:
                     return
-                when = heappop(times)
-                batch = buckets.pop(when, None)
-                if batch is None:  # an instant cancellation emptied
-                    continue
-                self.now = when
+                when, _, batch = heappop(future)
+                # The instant's later entries (memo misses), in seq order.
+                while future and future[0][0] == when:
+                    batch += heappop(future)[2]
                 if when == self._memo_when:
                     self._memo_when = -1.0
-                    self._memo_bucket = None
+                    self._memo = None
+                if not batch:  # an instant cancellation emptied
+                    continue
+                self.now = when
             self._batch = batch
             self._base = base = self._event_count
             try:
@@ -1090,7 +1076,7 @@ class SlottedSimulator(Simulator):
     @property
     def pending(self) -> int:
         due = len(self._lane) + len(self._batch) - (self._event_count - self._base)
-        return due + sum(len(b) for b in self._buckets.values())
+        return due + sum(len(entry[2]) for entry in self._future)
 
 
 def create_simulator() -> SlottedSimulator:

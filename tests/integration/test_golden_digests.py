@@ -42,7 +42,15 @@ exactly the wakes its machine cancelled: ``coll_perf-enabled`` 5765 → 5399,
 ``flash_io-enabled`` 4676 → 4576, ``ior agg8-enabled`` 31027 → 29079,
 ``agg64-enabled`` 33111 → 30262, ``fleet_of_eight`` 4632 → 4581,
 ``flash_io/agg_crash`` 2700 → 2690 (the cases without a sync thread cancel
-none; the reference column is unchanged).
+none; the reference column is unchanged).  And once more when a flow
+started alone on its links began to be rated where it starts, without a
+zero-delay flush — each count falls by the flushes those starts no longer
+fire (``tools/profile_sweep.py --events``: IOR agg8 2,990 → 814 flushes,
+Flash-IO 275 → 6, wakes unchanged): ``coll_perf-enabled``
+5399 → 5291, ``flash_io-enabled`` 4576 → 4307, ``ior agg8-enabled`` 29079 →
+26903, ``agg64-enabled`` 30262 → 29271, ``fleet_of_eight`` 4581 → 4164,
+``flash_io/agg_crash`` 2690 → 2432 (digests and the reference column are
+unchanged).
 
 First instalment of ROADMAP item 1a's golden digests (grid + fleet + fault
 point); the sizes are the ``noncontig_grid4`` / ``faults_payload24`` ones
@@ -93,7 +101,7 @@ GRID = {
         "1699b6529e27d2dd781f3ba61653bf11a29b3b8d0651fadfe5685e59dd354cff",
     ),
     ("coll_perf", "enabled", 0.03125): (
-        (5399, 14588),
+        (5291, 14588),
         "7deeddef1c491237652183bd7ce805e71ba84284b8205f500d63b40607b44d07",
     ),
     ("coll_perf", "theoretical", 0.03125): (
@@ -101,7 +109,7 @@ GRID = {
         "025f3f11af8d80e1a29007d5387b0f32344b14f39012ae2e7ae8415c2a08a8ba",
     ),
     ("flash_io", "enabled", 0.0125): (
-        (4576, 107254),
+        (4307, 107254),
         "9e69c71f23e281a152a3bf146a17ee764bc490e93829bba3ca6e9b3369ba75fe",
     ),
 }
@@ -129,11 +137,11 @@ IOR_GRID6 = {
     # (aggregators, cache mode) of ``ior_grid6``: 16 MiB buffers, scale
     # 0.125, 3 files, seed 2016: ((production, reference) events, digest)
     (8, "enabled"): (
-        (29079, 145527),
+        (26903, 145527),
         "7e9b43acb8deb4d10000c95d7f6bc5b58a362c8ca820817792c685c997fb1ecd",
     ),
     (64, "enabled"): (
-        (30262, 60396),
+        (29271, 60396),
         "1a1a08d73660f715cc5232a43198d9e5f16cd3c198c2f1fa21195ee156c85366",
     ),
     (64, "disabled"): (
@@ -169,7 +177,7 @@ def test_ior_grid6_point(point):
 
 
 # ((production, reference) events, digest of FleetResult.identity())
-FLEET = ((4581, 8709), "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
+FLEET = ((4164, 8709), "8030563a0dfbbc8fcdf009a13ff1620127876d2fdd0eda3892829a2540b68614")
 
 
 def test_fleet_of_eight():
@@ -181,7 +189,7 @@ def test_fleet_of_eight():
 
 
 # flash_io / agg_crash at scale 0.5
-FAULT = ((2690, 4849), "2e3794b3c5d0fbb667550f779c9d5f03fcdf9b4dcff955bee0675dca32545d88")
+FAULT = ((2432, 4849), "2e3794b3c5d0fbb667550f779c9d5f03fcdf9b4dcff955bee0675dca32545d88")
 
 
 def test_flash_io_agg_crash():

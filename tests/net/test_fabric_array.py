@@ -6,8 +6,9 @@ departures, bundle growth, mid-transfer capacity changes, and 500-step
 randomized churn, and on every component it fills exactly (``==``) the rates
 of the readable dict loop (:meth:`NaiveFabric._fill`).  The converged-rate
 memoization must be a pure lookup — hits may never change a single float.
-The wake schedule is pinned to what the Event-based incremental allocator
-this kernel replaced produced (PR 22 deleted it).
+The wake schedule is pinned: the Event-based incremental allocator this
+kernel replaced recorded it, and rating a lone flow where it starts moved it
+by exactly the flushes those starts no longer arm.
 """
 
 import random
@@ -56,24 +57,27 @@ def test_randomized_differential_three_way(seed, bundles):
             assert got[fid] == pytest.approx(want[fid], rel=1e-9, abs=1e-9)
 
 
-# What the Event-based incremental allocator did on this churn, recorded at
-# the commit before PR 22 deleted it: (end, wake_events, recomputes,
+# What the allocator does on this churn: (end, wake_events, recomputes,
 # recompute_flows, recomputes_skipped, batched_starts, events fired).  The
-# events are per engine, (heapq, slotted): the slotted engine takes a
-# superseded wake off its event list (39 and 47 of them) instead of firing
-# it as a no-op, which the heap engine still does.
+# end instants and skips are those the Event-based incremental allocator
+# this kernel replaced recorded; a flow started alone on its links is rated
+# where it starts (its own recompute and wake, no flush), which moved the
+# other counters (146/158 wakes, 130/146 recomputes, 5633/5766 flows, 104/87
+# batched starts and (309, 270)/(321, 274) events before).  The events are
+# per engine, (heapq, slotted): the slotted engine takes a superseded wake
+# off its event list (47 and 52 of them) instead of firing it as a no-op,
+# which the heap engine still does.
 INCREMENTAL = {
-    7: (float.fromhex("0x1.9efaeffb77bf7p+7"), 146, 130, 5633, 16, 104, (309, 270)),
-    8: (float.fromhex("0x1.4132455419537p+7"), 158, 146, 5766, 12, 87, (321, 274)),
+    7: (float.fromhex("0x1.9efaeffb77bf7p+7"), 154, 138, 5634, 16, 96, (316, 269)),
+    8: (float.fromhex("0x1.4132455419537p+7"), 163, 151, 5767, 12, 82, (325, 273)),
 }
 
 
 @pytest.mark.parametrize("seed", [7, 8])
 def test_wake_schedule_identical_to_incremental(seed):
-    """Same churn ⇒ same number of armed wakes and recompute structure, and
-    the pooled flush/wake callables fire event for event what the flush and
-    wake Events did — on the heap engine; the slotted one fires exactly the
-    wakes it cancelled fewer."""
+    """Same churn ⇒ same number of armed wakes and recompute structure on
+    both engines; the slotted one fires exactly the wakes it cancelled
+    fewer."""
     fired = []
     for sim_cls in (Simulator, SlottedSimulator):
 
@@ -172,7 +176,7 @@ def test_mid_flight_bw_factor_identical():
 
 
 def test_array_on_slotted_engine_matches_heapq():
-    """The pooled-callable flush/wake path is engine-independent."""
+    """The flush/wake partials are engine-independent."""
 
     def scenario(sim, fabric):
         times = {}

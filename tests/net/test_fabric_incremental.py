@@ -9,12 +9,13 @@ through identical seeded schedules and compare.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.net.fabric import Fabric
 from repro.reference import NaiveFabric
-from repro.sim.core import Simulator
+from repro.sim.core import Simulator, SlottedSimulator
 
 BW = 1000.0
 LAT = 0.0005
@@ -152,7 +153,9 @@ def test_coalesced_same_timestamp_starts_single_recompute():
         fabric.start_flow(0, 1, 500)
     sim.run()
     assert fabric.active_flows == 0
-    assert fabric.batched_starts == 19  # 19 starts joined the pending flush
+    # The first start is alone on its links and rated at once; the second
+    # arms the flush the other 18 join.
+    assert fabric.batched_starts == 18
     # One coalesced recompute for the burst, then one per completion wave;
     # all 20 finish together, so that second wave is also a single event.
     assert fabric.recomputes <= 2
@@ -235,3 +238,67 @@ def test_flow_rates_flushes_pending_batch():
     assert rates == {0: pytest.approx(BW / 2), 1: pytest.approx(BW / 2)}
     sim.run()
     assert fabric.active_flows == 0
+
+
+def test_a_lone_flow_is_rated_where_it_starts():
+    """A flow started on an idle fabric is its own component: rated inside
+    ``start_flow``, it fires exactly its wake and its delivery — no flush —
+    counts one recompute, and lands when the full recompute's does."""
+    ends = []
+    for cls, sim in ((Fabric, SlottedSimulator()), (NaiveFabric, Simulator())):
+        fabric = cls(sim, num_nodes=4, nic_bw=BW, latency=LAT)
+        done = fabric.start_flow(0, 1, 5000)
+        assert fabric.recomputes == 1 and not fabric._flush_armed
+        sim.run()
+        assert done.fired and fabric.recomputes == 1 and fabric.wake_events == 1
+        ends.append(sim.now)
+        if cls is Fabric:
+            assert sim.events_fired == 2  # the wake, the delivery
+            assert fabric.batched_starts == 0
+    assert ends[0] == ends[1]
+
+
+def test_churn_over_disjoint_pairs_matches_naive():
+    """Flows on three disjoint node pairs, some started together on one
+    pair: most start alone on their links and are rated where they start,
+    the rest go through the flush, and every completion lands on the
+    instant the full recompute gives."""
+
+    class Counting(Fabric):
+        flushes = 0
+
+        def _flush_due(self, gen):
+            Counting.flushes += 1
+            super()._flush_due(gen)
+
+    def run(cls, sim):
+        rng = random.Random(11)
+        fabric = cls(sim, num_nodes=NODES, nic_bw=BW, latency=LAT)
+        completions: dict[int, float] = {}
+
+        def note(i):
+            completions[i] = sim.now
+
+        started = 0
+        for _ in range(300):
+            if rng.random() < 0.6:
+                pair = rng.randrange(3)
+                src, dst = (2 * pair, 2 * pair + 1)[:: rng.choice((1, -1))]
+                for _ in range(rng.choice((1, 1, 1, 2))):
+                    nbytes = rng.choice([1, 50, 200, 400]) * rng.uniform(0.5, 1.5)
+                    if rng.random() < 0.5:
+                        on_done = partial(note, started)
+                        fabric.start_flow(src, dst, nbytes, on_done=on_done)
+                    else:
+                        event = fabric.start_flow(src, dst, nbytes)
+                        event.callbacks.append(lambda _ev, i=started: note(i))
+                    started += 1
+            else:
+                sim.run(until=sim.now + rng.uniform(0.0, 0.5))
+        sim.run()
+        assert fabric.active_flows == 0 and len(completions) == started
+        return completions, sim.now, started
+
+    got = run(Counting, SlottedSimulator())
+    assert got == run(NaiveFabric, Simulator())
+    assert 0 < Counting.flushes < got[2] / 4

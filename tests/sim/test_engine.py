@@ -4,8 +4,9 @@ The behavioural tests run against both engines (production's slotted one
 and the reference stack's ``heapq``) — the identity contract says any
 observable difference between them is a bug.  The differential tests run one
 seeded program on both and compare the full trace, including the schedules
-the slotted engine's time spine is most exposed to (far-future horizons,
-sub-nanosecond gaps).
+the slotted engine's heap of instant entries is most exposed to
+(far-future horizons, sub-nanosecond gaps, an instant scheduled again after
+another).
 """
 
 import cProfile
@@ -291,13 +292,49 @@ class TestDifferentialEngines:
             sim.at(2.0).callbacks.append(lambda _ev, i=i: fired.append(("d", i)))
         sim.timeout(2.0 + 2e-10)
         sim.timeout(7e9)
-        assert sorted(sim._times) == [2.0, 2.0 + 2e-10, 7e9]
+        assert sorted(entry[0] for entry in sim._future) == [2.0, 2.0 + 2e-10, 7e9]
         assert sim.pending == 17
         sim.run(until=2.0)
         assert fired == [(k, i) for i in range(5) for k in ("t", "c", "d")]
-        assert sim._times[0] == 2.0 + 2e-10 and len(sim._times) == 2
+        assert sim._future[0][0] == 2.0 + 2e-10 and len(sim._future) == 2
         sim.run()
-        assert sim.now == 7e9 and not sim._times and not sim._buckets
+        assert sim.now == 7e9 and not sim._future
+
+    def test_an_instant_scheduled_again_after_a_memo_miss_fires_as_one_batch(self):
+        """Scheduled at T, then T', then T again: the slotted engine holds T
+        in two heap entries (its memo had moved on to T') and fires them as
+        one batch in scheduling order — what the batch schedules for now runs
+        behind both — as the heap engine does; cancel reaches a call in
+        either entry."""
+
+        def run(kind):
+            sim = ENGINES[kind]()
+            fired = []
+
+            def item(tag):
+                def fire():
+                    fired.append((sim.now, tag))
+                    sim.call_soon(lambda: fired.append((sim.now, tag + "'")))
+
+                return fire
+
+            schedule = (("a", 1.0), ("b", 1.0), ("x", 2.0), ("c", 1.0), ("d", 1.0))
+            handles = {tag: sim.call_later(when, item(tag)) for tag, when in schedule}
+            sim.timeout(1.0).callbacks.append(lambda _ev: fired.append((sim.now, "t")))
+            if kind == "slotted":
+                assert sorted(entry[0] for entry in sim._future) == [1.0, 1.0, 2.0]
+            assert sim.cancel(handles["b"]) and sim.cancel(handles["d"])
+            if kind == "slotted":
+                assert sim.pending == 4
+            sim.run()
+            return fired
+
+        fired = run("slotted")
+        assert fired == run("heapq")
+        assert fired == [
+            (1.0, "a"), (1.0, "c"), (1.0, "t"), (1.0, "a'"), (1.0, "c'"),
+            (2.0, "x"), (2.0, "x'"),
+        ]  # fmt: skip
 
     def test_step_on_an_empty_slotted_engine_raises_index_error(self):
         with pytest.raises(IndexError):
@@ -420,10 +457,48 @@ def call_budget_load(sim):
 
 
 #: cProfile calls per dispatched event of ``call_budget_load`` on the slotted
-#: engine (143,393 calls / 19,232 events; 10.49 when the lane was a deque of
-#: pooled call objects), and the 5 % the gate allows on top.
-CALLS_PER_EVENT = 7.456
+#: engine (141,855 calls / 19,232 events; 7.456 when the future was a dict of
+#: buckets over a heap of distinct instants, 10.49 when the lane was a deque
+#: of pooled call objects), and the 5 % the gate allows on top.
+CALLS_PER_EVENT = 7.376
 CALL_BUDGET = CALLS_PER_EVENT * 1.05
+
+
+def singleton_load(sim):
+    """64 chains of 200 hops each, every hop one period after the last and
+    each chain offset by a distinct fraction of the period, so no two items
+    ever share an instant: half ``call_later`` chains, half timeouts."""
+    period = 1e-6
+
+    def calls(left):
+        def hop():
+            nonlocal left
+            left -= 1
+            if left:
+                sim.call_later(period, hop)
+
+        return hop
+
+    def timeouts(left):
+        def hop(_ev):
+            nonlocal left
+            left -= 1
+            if left:
+                sim.timeout(period).callbacks.append(hop)
+
+        return hop
+
+    for i in range(64):
+        offset = period * (i + 1) / 65
+        if i % 2:
+            sim.call_later(offset, calls(200))
+        else:
+            sim.timeout(offset).callbacks.append(timeouts(200))
+
+
+#: cProfile calls per dispatched event of ``singleton_load`` (114,916 calls /
+#: 12,800 events; 10.97 when every instant also paid a dict probe and pop).
+SINGLETON_CALLS_PER_EVENT = 8.978
 
 
 def test_dispatch_stays_within_its_call_budget():
@@ -446,3 +521,27 @@ def test_dispatch_stays_within_its_call_budget():
         if name == "__init__" and path.endswith("core.py")
     )
     assert inits < 200
+
+
+def test_one_item_instants_cost_one_push_and_one_pop():
+    """An instant holding one item — what a sync thread's lone RPCs leave on
+    the event list — costs a heap push and a heap pop, nothing keyed by its
+    instant: gated at the measured calls per event + 5 %."""
+    sim = SlottedSimulator()
+    singleton_load(sim)
+    profile = cProfile.Profile()
+    profile.enable()
+    sim.run()
+    profile.disable()
+    calls = pstats.Stats(profile).total_calls
+    assert sim.events_fired == 12_800
+    budget = SINGLETON_CALLS_PER_EVENT * 1.05
+    assert calls / sim.events_fired <= budget, f"{calls:,d} calls"
+
+    sim = SlottedSimulator()
+    singleton_load(sim)
+    instants = []
+    while sim.pending:
+        sim.step()
+        instants.append(sim.now)
+    assert len(set(instants)) == len(instants) == 12_800  # no two share one

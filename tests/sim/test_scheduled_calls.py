@@ -99,7 +99,7 @@ class TestCancel:
             sim.run()
             expected = ["between", "timeout", "wake"]
             assert fired == (expected if emptied else ["before", *expected])
-            assert sim.now == start + 1.0 and not sim._buckets
+            assert sim.now == start + 1.0 and not sim._future
 
     def test_pending_excludes_cancelled_items(self):
         sim = SlottedSimulator()

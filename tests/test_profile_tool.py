@@ -73,8 +73,9 @@ def test_event_kinds_skip_the_instants_cancellation_emptied(tool, tmp_path, monk
 
     def noting(sim, handle):
         removed = cancel(sim, handle)
-        if removed and handle.when not in sim._buckets:
-            emptied.append(handle.when)
+        entry, _fn = handle
+        if removed and not entry[2]:
+            emptied.append(entry[0])
         return removed
 
     monkeypatch.setattr(SlottedSimulator, "cancel", noting)

@@ -221,10 +221,10 @@ def _next_event(sim):
     if sim.kind == "slotted":
         if sim._lane:
             return sim.now, sim._lane[0]
-        times, buckets = sim._times, sim._buckets
-        while times and times[0] not in buckets:
-            heapq.heappop(times)  # an instant cancellation emptied: step() skips it too
-        return (times[0], buckets[times[0]][0]) if times else None
+        future = sim._future
+        while future and not future[0][2]:
+            heapq.heappop(future)  # an entry cancellation emptied: step() skips it too
+        return (future[0][0], future[0][2][0]) if future else None
     return (sim._heap[0][0], sim._heap[0][2]) if sim._heap else None
 
 
