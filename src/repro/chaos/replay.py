@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.chaos.runner import resolve_chaos_config, run_chaos_trial
+from repro.chaos.runner import run_chaos_trial
 from repro.chaos.shrink import load_repro_artifact
 from repro.experiments.resultcache import config_fingerprint
 
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     spec, schedule, payload = load_repro_artifact(args.artifact)
-    fingerprint = config_fingerprint(resolve_chaos_config(spec, None))
+    fingerprint = config_fingerprint(spec.cluster())
     if fingerprint != payload.get("config_fingerprint"):
         print(
             "warning: cluster-config fingerprint differs from the artifact "

@@ -39,13 +39,13 @@ from repro.config import ClusterConfig, small_testbed
 from repro.experiments.faultsweep import (
     FaultExperimentSpec,
     FaultPoint,
-    build_fault_workload,
     fault_free_reference,
     fault_schedule,
     run_job,
 )
 from repro.faults import FaultSchedule, FaultSpec
 from repro.machine import Machine
+from repro.workloads import small_workload
 
 #: Cache modes cycled across seeds by :func:`chaos_trial_specs`.
 CHAOS_CACHE_MODES = ("enabled", "coherent", "disabled")
@@ -80,8 +80,18 @@ class ChaosTrialSpec(FaultPoint):
     def label(self) -> str:
         return f"seed{self.seed}"
 
-    def scaled(self, **kw) -> "ChaosTrialSpec":
-        return replace(self, **kw)
+    def cluster(self, config: Optional[ClusterConfig] = None) -> ClusterConfig:
+        """The cluster the trial runs on (an explicit config wins unchanged)."""
+        if config is not None:
+            return config
+        return small_testbed(
+            num_nodes=self.num_nodes,
+            procs_per_node=self.procs_per_node,
+            seed=self.workload_seed,
+        )
+
+    def run(self, config: Optional[ClusterConfig] = None) -> "ChaosTrialResult":
+        return run_chaos_trial(self, config)
 
     def pinned(self, schedule: FaultSchedule) -> "ChaosTrialSpec":
         """The same spec with the schedule made explicit (replayable as-is)."""
@@ -148,19 +158,11 @@ class ChaosTrialResult:
         return cls(**fields_)
 
 
-# -- schedule / config resolution ---------------------------------------------
-def resolve_chaos_config(
-    spec: ChaosTrialSpec, config: Optional[ClusterConfig] = None
-) -> ClusterConfig:
-    if config is not None:
-        return config
-    return small_testbed(
-        num_nodes=spec.num_nodes,
-        procs_per_node=spec.procs_per_node,
-        seed=spec.workload_seed,
-    )
+# What ChaosTrialSpec.run returns, and what the result cache decodes.
+ChaosTrialSpec.record_type = ChaosTrialResult
 
 
+# -- the schedule -------------------------------------------------------------
 def schedule_for(spec: ChaosTrialSpec, cfg: ClusterConfig) -> FaultSchedule:
     """The schedule a spec runs: generated from the seed, or pinned."""
     if not spec.generate:
@@ -198,35 +200,6 @@ def _fault_spec_view(spec: ChaosTrialSpec, schedule: FaultSchedule) -> FaultExpe
     )
 
 
-# -- one stack ----------------------------------------------------------------
-def _run_stack(
-    cfg: ClusterConfig,
-    schedule: FaultSchedule,
-    reference: bool,
-    workload,
-    fspec: FaultExperimentSpec,
-    prefix: str,
-    trace: bool = False,
-    profiler=None,
-) -> tuple[dict, int, object]:
-    """One full faulted job (+ recoveries) on one stack, watchdog armed
-    (:func:`~repro.experiments.faultsweep.run_job`).
-
-    Returns ``(snapshot, events_fired, machine)`` — the snapshot holds every
-    simulated quantity the stacks must agree on; the diagnostic event count
-    stays outside it.
-    """
-    machine = Machine(
-        cfg,
-        trace=trace,
-        faults=schedule if schedule else None,
-        profiler=profiler,
-        reference=reference,
-    )
-    _, snapshot = run_job(machine, fspec, workload, prefix, watchdog=True)
-    return snapshot, machine.sim.events_fired, machine
-
-
 # -- the trial ----------------------------------------------------------------
 def run_chaos_trial(
     spec: ChaosTrialSpec,
@@ -234,11 +207,11 @@ def run_chaos_trial(
     trace: bool = False,
     profiler=None,
 ) -> ChaosTrialResult:
-    cfg = resolve_chaos_config(spec, config)
+    cfg = spec.cluster(config)
     schedule = schedule_for(spec, cfg)
     fspec = _fault_spec_view(spec, schedule)
     prefix = f"/global/chaos_{spec.benchmark}_{spec.cache_mode}_s{spec.seed}_"
-    workload = build_fault_workload(fspec, cfg.num_ranks)
+    workload = small_workload(spec.benchmark, cfg.num_ranks, spec.scale)
 
     # Fault-free twin: production stack, same invariant audit —
     # shared by every seed of this workload shape, unless the trial is traced
@@ -252,17 +225,19 @@ def run_chaos_trial(
     events: dict[str, int] = {}
     tracers: dict[str, object] = {"ref": ref_machine and ref_machine.tracer}
     for kind in ("production", "reference"):
-        snaps[kind], events[kind], m = _run_stack(
+        # One full faulted job (+ recoveries) per stack, watchdog armed: the
+        # snapshot holds every simulated quantity the stacks must agree on,
+        # the diagnostic event count stays outside it.
+        machine = Machine(
             cfg,
-            schedule,
-            kind == "reference",
-            workload,
-            fspec,
-            prefix,
             trace=trace,
+            faults=schedule if schedule else None,
             profiler=profiler if kind == "production" else None,
+            reference=kind == "reference",
         )
-        tracers[kind] = m.tracer
+        _, snaps[kind] = run_job(machine, fspec, workload, prefix, watchdog=True)
+        events[kind] = machine.sim.events_fired
+        tracers[kind] = machine.tracer
 
     prod, refstack = snaps["production"], snaps["reference"]
     mismatched = sorted(k for k in prod if prod[k] != refstack[k])
@@ -316,11 +291,6 @@ def run_chaos_trial(
         # not a dataclass field, so it never enters the result cache.
         result.tracers = tracers
     return result
-
-
-def _run_chaos_point(spec: ChaosTrialSpec, config: Optional[ClusterConfig]):
-    """Module-level so the process pool can pickle it by reference."""
-    return run_chaos_trial(spec, config)
 
 
 # -- spec batches / reporting -------------------------------------------------

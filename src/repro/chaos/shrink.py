@@ -86,8 +86,6 @@ def write_repro_artifact(
     copy is *pinned* (schedule explicit, generation off) so the artifact
     replays the exact same faults even if the generator changes.
     """
-    from repro.chaos.runner import resolve_chaos_config
-
     pinned = spec.pinned(schedule)
     payload = {
         "version": ARTIFACT_VERSION,
@@ -95,7 +93,7 @@ def write_repro_artifact(
         "reason": reason,
         "spec": asdict(pinned),
         "schedule": schedule.to_dict(),
-        "config_fingerprint": config_fingerprint(resolve_chaos_config(spec, config)),
+        "config_fingerprint": config_fingerprint(spec.cluster(config)),
         "replay": f"PYTHONPATH=src python -m repro.chaos.replay {path}",
     }
     if result is not None:

@@ -10,13 +10,11 @@ from repro.experiments.resultcache import (
     ResultCache,
     cache_key,
     config_fingerprint,
-    default_cache,
 )
 from repro.experiments.runner import (
     DEFAULT_SCALE,
     ExperimentResult,
     ExperimentSpec,
-    resolve_config,
     run_experiment,
     run_experiment_cached,
 )
@@ -31,9 +29,7 @@ __all__ = [
     "SweepRunner",
     "cache_key",
     "config_fingerprint",
-    "default_cache",
     "default_jobs",
-    "resolve_config",
     "run_experiment",
     "run_experiment_cached",
 ]

@@ -47,7 +47,7 @@ from repro.romio.file import MPIIOLayer
 from repro.options import CACHE_KINDS
 from repro.sim.core import Interrupt
 from repro.units import KiB
-from repro.workloads import small_workload
+from repro.workloads import small_hints, small_workload
 from repro.workloads.phases import multi_phase_body
 
 FAULT_BENCHMARKS = ("coll_perf", "flash_io", "ior")
@@ -121,6 +121,17 @@ class FaultExperimentSpec(FaultPoint):
     def scaled(self, **kw) -> "FaultExperimentSpec":
         return replace(self, **kw)
 
+    def cluster(self, config: Optional[ClusterConfig] = None) -> ClusterConfig:
+        """The cluster the point runs on (an explicit config wins unchanged)."""
+        if config is not None:
+            return config
+        return small_testbed(
+            num_nodes=self.num_nodes, procs_per_node=self.procs_per_node, seed=self.seed
+        )
+
+    def run(self, config: Optional[ClusterConfig] = None) -> "FaultExperimentResult":
+        return run_fault_experiment(self, config)
+
 
 @dataclass
 class FaultExperimentResult:
@@ -163,42 +174,11 @@ class FaultExperimentResult:
         return cls(**fields_)
 
 
-# -- workload / config -------------------------------------------------------
-def build_fault_workload(spec: FaultExperimentSpec, nprocs: int):
-    """The point's tiny workload."""
-    return small_workload(spec.benchmark, nprocs, spec.scale)
+# What FaultExperimentSpec.run returns, and what the result cache decodes.
+FaultExperimentSpec.record_type = FaultExperimentResult
 
 
-def fault_hints_for(spec: FaultExperimentSpec) -> dict[str, str]:
-    hints = {
-        "cb_nodes": str(spec.aggregators),
-        "cb_buffer_size": str(spec.cb_buffer),
-        "romio_cb_write": "enable",
-        "striping_unit": str(256 * KiB),
-        "striping_factor": "4",
-        "ind_wr_buffer_size": str(spec.sync_chunk),
-    }
-    if spec.cache_mode in ("enabled", "coherent"):
-        hints.update(
-            e10_cache="enable" if spec.cache_mode == "enabled" else "coherent",
-            e10_cache_flush_flag=spec.flush_flag,
-            e10_cache_discard_flag="enable",
-            e10_cache_kind=spec.cache_kind,
-        )
-    return hints
-
-
-def resolve_fault_config(
-    spec: FaultExperimentSpec, config: Optional[ClusterConfig] = None
-) -> ClusterConfig:
-    """The cluster a fault point runs on (explicit config wins unchanged)."""
-    if config is not None:
-        return config
-    return small_testbed(
-        num_nodes=spec.num_nodes, procs_per_node=spec.procs_per_node, seed=spec.seed
-    )
-
-
+# -- the job ---------------------------------------------------------------
 def _file_prefix(spec: FaultExperimentSpec) -> str:
     return f"/global/fault_{spec.benchmark}_{spec.scenario}_{spec.cache_mode}_"
 
@@ -263,7 +243,14 @@ def phase_body(spec: FaultExperimentSpec, layer, workload, prefix: str):
     return multi_phase_body(
         layer,
         workload,
-        fault_hints_for(spec),
+        small_hints(
+            spec.aggregators,
+            spec.cb_buffer,
+            spec.sync_chunk,
+            spec.cache_mode,
+            spec.flush_flag,
+            spec.cache_kind,
+        ),
         num_files=spec.num_files,
         compute_delay=spec.compute_delay,
         deferred_close=spec.cache_mode != "disabled",
@@ -434,9 +421,9 @@ def run_fault_experiment(
 ) -> FaultExperimentResult:
     """One fault point: the fault-free twin, then the faulted run (+ recovery),
     both on the production stack, or both on the reference stack."""
-    cfg = resolve_fault_config(spec, config)
+    cfg = spec.cluster(config)
     prefix = _file_prefix(spec)
-    workload = build_fault_workload(spec, cfg.num_ranks)
+    workload = small_workload(spec.benchmark, cfg.num_ranks, spec.scale)
     schedule = fault_schedule(spec, cfg)
     if schedule or reference:
         ref = fault_free_reference(spec, cfg, workload, prefix, reference=reference)
@@ -475,11 +462,6 @@ def run_fault_experiment(
         events=machine.sim.events_fired,
         invariant_violations=snap["violations"],
     )
-
-
-def _run_fault_point(spec: FaultExperimentSpec, config: Optional[ClusterConfig]):
-    """Module-level so the process pool can pickle it by reference."""
-    return run_fault_experiment(spec, config)
 
 
 # -- the matrix --------------------------------------------------------------

@@ -38,13 +38,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro import options
 from repro.config import ClusterConfig
-from repro.experiments.resultcache import ResultCache, cache_key, default_cache
-from repro.experiments.runner import (
-    ExperimentResult,
-    ExperimentSpec,
-    resolve_config,
-    run_experiment,
-)
+from repro.experiments.resultcache import ResultCache, cache_key
 
 # Progress-callback sources, in the order a point can encounter them.
 SOURCE_CACHE = "cache"  # served from the on-disk result cache
@@ -52,13 +46,13 @@ SOURCE_RUN = "run"  # simulated (pool worker or inline serial path)
 SOURCE_RETRY = "retry"  # simulated inline after a crash/timeout
 SOURCE_DUP = "dup"  # duplicate of an earlier spec in the same sweep
 
-ProgressFn = Callable[[int, int, ExperimentSpec, str], None]
+ProgressFn = Callable[[int, int, object, str], None]
 
 
 class SweepError(RuntimeError):
     """One or more measurement points failed even after the inline retry."""
 
-    def __init__(self, failures: Sequence[tuple[ExperimentSpec, BaseException]]):
+    def __init__(self, failures: Sequence[tuple[object, BaseException]]):
         self.failures = list(failures)
         detail = "; ".join(
             f"{spec.benchmark}/{spec.label}/{spec.cache_mode}: {err!r}"
@@ -67,9 +61,9 @@ class SweepError(RuntimeError):
         super().__init__(f"{len(self.failures)} sweep point(s) failed: {detail}")
 
 
-def _run_point(spec: ExperimentSpec, config: Optional[ClusterConfig]):
-    """Module-level so the process pool can pickle it by reference."""
-    return run_experiment(spec, config)
+def run_point(spec, config: Optional[ClusterConfig]):
+    """Run any point spec: module-level, so the pool pickles it by reference."""
+    return spec.run(config)
 
 
 def default_jobs() -> int:
@@ -78,7 +72,15 @@ def default_jobs() -> int:
 
 
 class SweepRunner:
-    """Run a list of :class:`ExperimentSpec`s, possibly in parallel.
+    """Run a list of point specs, possibly in parallel.
+
+    A point spec — :class:`ExperimentSpec`,
+    :class:`~repro.experiments.faultsweep.FaultExperimentSpec`,
+    :class:`~repro.chaos.runner.ChaosTrialSpec` or
+    :class:`~repro.fleet.runner.FleetSpec` — names its cluster
+    (``spec.cluster(config)``, which the cache key fingerprints), its run
+    (``spec.run(config)``) and its record type (``record_type``, which the
+    cache decodes a hit as), so one runner takes any of them, mixed too.
 
     Parameters
     ----------
@@ -88,7 +90,7 @@ class SweepRunner:
     cache:
         A :class:`ResultCache`; ``None`` selects the process default
         (``.repro_cache/``, honouring ``REPRO_CACHE``/``REPRO_CACHE_DIR``).
-        Pass ``ResultCache.disabled()`` to force every point to simulate.
+        Pass ``ResultCache(enabled=False)`` to force every point to simulate.
     timeout:
         Per-point seconds before a pool worker is declared hung.
     retries:
@@ -97,13 +99,9 @@ class SweepRunner:
         ``f(done, total, spec, source)`` called once per point as it
         resolves; ``source`` is one of the ``SOURCE_*`` constants.
     worker:
-        The per-point function ``(spec, config) -> ExperimentResult``.
-        Overridable for tests; must be picklable when ``jobs > 1``.
-    resolver:
-        ``(spec, config) -> ClusterConfig``: the config a spec actually runs
-        on, used for cache keying.  Defaults to the Table-II sweep's
-        :func:`~repro.experiments.runner.resolve_config`; the fault sweep
-        passes its own.
+        The per-point function ``(spec, config) -> record``, by default
+        :func:`run_point` (the spec's own run).  A seam for tests that
+        substitute a fake; must be picklable when ``jobs > 1``.
     """
 
     def __init__(
@@ -113,27 +111,25 @@ class SweepRunner:
         timeout: Optional[float] = None,
         retries: int = 1,
         progress: Optional[ProgressFn] = None,
-        worker: Callable = _run_point,
-        resolver: Callable = resolve_config,
+        worker: Callable = run_point,
     ):
         self.jobs = max(1, int(jobs))
-        self.cache = default_cache() if cache is None else cache
+        self.cache = ResultCache() if cache is None else cache
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.progress = progress
         self.worker = worker
-        self.resolver = resolver
         self.simulated = 0  # points actually run (pool + inline + retries)
 
-    def _report(self, done: int, total: int, spec: ExperimentSpec, source: str):
+    def _report(self, done: int, total: int, spec, source: str):
         if self.progress is not None:
             self.progress(done, total, spec, source)
 
     def run(
         self,
-        specs: Iterable[ExperimentSpec],
+        specs: Iterable,
         config: Optional[ClusterConfig] = None,
-    ) -> list[ExperimentResult]:
+    ) -> list:
         """Resolve every spec to a result, preserving input order.
 
         A fresh result is stored in the cache the moment it resolves, so a
@@ -142,15 +138,16 @@ class SweepRunner:
         simulates exactly the rest."""
         specs = list(specs)
         total = len(specs)
-        results: list[Optional[ExperimentResult]] = [None] * total
+        cfgs = [spec.cluster(config) for spec in specs]
+        results: list = [None] * total
         done = 0
 
-        def resolved(i: int, result: ExperimentResult, source: str) -> None:
+        def resolved(i: int, result, source: str) -> None:
             nonlocal done
             results[i] = result
             self.simulated += 1
             done += 1
-            self.cache.put(specs[i], self.resolver(specs[i], config), result)
+            self.cache.put(specs[i], cfgs[i], result)
             self._report(done, total, specs[i], source)
 
         # Classify: cache hit, first occurrence (simulate), or duplicate.
@@ -158,12 +155,12 @@ class SweepRunner:
         dup_of: dict[int, int] = {}
         to_run: list[int] = []
         for i, spec in enumerate(specs):
-            key = cache_key(spec, self.resolver(spec, config))
+            key = cache_key(spec, cfgs[i])
             if key in first_of:
                 dup_of[i] = first_of[key]
                 continue
             first_of[key] = i
-            hit = self.cache.get(spec, self.resolver(spec, config))
+            hit = self.cache.get(spec, cfgs[i])
             if hit is not None:
                 results[i] = hit
                 done += 1
@@ -203,7 +200,7 @@ class SweepRunner:
                 pool.shutdown(wait=not hung, cancel_futures=True)
 
         # Inline retry: a fresh, traceable attempt in this process.
-        still_failed: list[tuple[ExperimentSpec, BaseException]] = []
+        still_failed: list[tuple[object, BaseException]] = []
         for i, err in failures:
             if self.retries > 0:
                 try:

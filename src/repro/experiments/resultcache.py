@@ -1,6 +1,6 @@
 """Content-addressed on-disk cache for experiment results.
 
-A measurement point is fully determined by its :class:`ExperimentSpec` *and*
+A measurement point is fully determined by its spec (of any point type) *and*
 the :class:`~repro.config.ClusterConfig` it runs on (the simulation is
 deterministic), so a result can be reused across processes and sessions as
 long as both are part of the cache key.  The key is the SHA-256 of the
@@ -88,7 +88,15 @@ def cache_key(spec: "ExperimentSpec", config: "ClusterConfig") -> str:
 
 
 class ResultCache:
-    """Durable spec+config → :class:`ExperimentResult` store.
+    """Durable spec+config → result store, for every kind of point.
+
+    A point spec names its record type at class level (``record_type``:
+    :class:`~repro.experiments.runner.ExperimentResult` for an
+    :class:`~repro.experiments.runner.ExperimentSpec`, and so on), and
+    ``get`` decodes a hit with the spec's, so one cache holds figure
+    points, fault points, chaos trials, fleets and fleet rows side by side.
+    ``root`` defaults to ``REPRO_CACHE_DIR``; ``enabled`` to on, except for
+    the process default (no ``root``) under ``REPRO_CACHE=0``.
 
     ``get``/``put`` never raise on cache-file problems: a missing, corrupt,
     mismatched, or unreadable record is a miss (counted in ``corrupt`` when
@@ -97,35 +105,18 @@ class ResultCache:
     """
 
     def __init__(
-        self,
-        root: Optional[str | Path] = None,
-        enabled: bool = True,
-        result_cls: Optional[type] = None,
+        self, root: Optional[str | Path] = None, enabled: Optional[bool] = None
     ):
+        if enabled is None:
+            enabled = root is not None or options.get("REPRO_CACHE") == "1"
         if root is None:
             root = options.get("REPRO_CACHE_DIR")
         self.root = Path(root)
         self.enabled = enabled
-        # The record type deserialised on a hit.  Defaults to
-        # ExperimentResult (resolved lazily: import cycle); the fault sweep
-        # stores FaultExperimentResult records in its own cache instance.
-        self._result_cls = result_cls
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
-
-    @classmethod
-    def disabled(cls, result_cls: Optional[type] = None) -> "ResultCache":
-        """A no-op cache: every get misses, every put is dropped."""
-        return cls(enabled=False, result_cls=result_cls)
-
-    def _record_cls(self) -> type:
-        if self._result_cls is None:
-            from repro.experiments.runner import ExperimentResult
-
-            self._result_cls = ExperimentResult
-        return self._result_cls
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -150,7 +141,7 @@ class ResultCache:
         try:
             if record["schema"] != CACHE_SCHEMA_VERSION or record["key"] != key:
                 raise ValueError("stale or mismatched record")
-            result = self._record_cls().from_dict(record["result"])
+            result = spec.record_type.from_dict(record["result"])
         except (KeyError, TypeError, ValueError):
             self.corrupt += 1
             self.misses += 1
@@ -209,9 +200,3 @@ class ResultCache:
             "stores": self.stores,
             "corrupt": self.corrupt,
         }
-
-
-def default_cache(result_cls: Optional[type] = None) -> ResultCache:
-    """The process-default cache: ``.repro_cache/`` unless ``REPRO_CACHE=0``."""
-    enabled = options.get("REPRO_CACHE") == "1"
-    return ResultCache(enabled=enabled, result_cls=result_cls)

@@ -18,7 +18,7 @@ from typing import Optional
 from repro.analysis.bandwidth import perceived_bandwidth
 from repro.analysis.breakdown import breakdown_from_profiles, merge_breakdowns
 from repro.config import Checked, ClusterConfig, deep_er_testbed
-from repro.experiments.resultcache import ResultCache, cache_key, default_cache
+from repro.experiments.resultcache import ResultCache, cache_key
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.romio.file import MPIIOLayer
@@ -66,8 +66,30 @@ class ExperimentSpec(Checked):
         """The paper's x-axis label: <aggregators>_<coll_bufsize>."""
         return f"{self.aggregators}_{self.cb_buffer // MiB}M"
 
-    def scaled(self, **kw) -> "ExperimentSpec":
-        return replace(self, **kw)
+    def cluster(self, config: Optional[ClusterConfig] = None) -> ClusterConfig:
+        """The cluster the point runs on, and the one its cache key
+        fingerprints.  An explicit config wins unchanged; otherwise the
+        testbed, its fixed-size buffers shrunk with the data volume."""
+        if config is not None:
+            return config
+        cfg = deep_er_testbed(
+            flush_batch_chunks=self.flush_batch_chunks, seed=self.seed
+        )
+        if self.scale != 1.0:
+            # Fixed-size buffers must shrink with the data volume or they
+            # absorb a disproportionate share of a scaled-down run.
+            cfg = cfg.scaled(
+                pfs=replace(
+                    cfg.pfs,
+                    server_cache_bytes=max(
+                        64 * MiB, int(cfg.pfs.server_cache_bytes * self.scale)
+                    ),
+                )
+            )
+        return cfg
+
+    def run(self, config: Optional[ClusterConfig] = None) -> "ExperimentResult":
+        return run_experiment(self, config)
 
 
 @dataclass
@@ -100,6 +122,10 @@ class ExperimentResult:
         fields = dict(d)
         fields["spec"] = ExperimentSpec(**fields["spec"])
         return cls(**fields)
+
+
+# What ExperimentSpec.run returns, and what the result cache decodes a hit as.
+ExperimentSpec.record_type = ExperimentResult
 
 
 def build_workload(spec: ExperimentSpec, nprocs: int):
@@ -149,32 +175,6 @@ def hints_for(spec: ExperimentSpec) -> dict[str, str]:
     return hints
 
 
-def resolve_config(
-    spec: ExperimentSpec, config: Optional[ClusterConfig] = None
-) -> ClusterConfig:
-    """The cluster a spec actually runs on.
-
-    An explicit config wins unchanged.  Otherwise the testbed is derived from
-    the spec exactly as :func:`run_experiment` has always done — shared here
-    so cache keys fingerprint the *same* config the simulation uses.
-    """
-    if config is not None:
-        return config
-    cfg = deep_er_testbed(flush_batch_chunks=spec.flush_batch_chunks, seed=spec.seed)
-    if spec.scale != 1.0:
-        # Fixed-size buffers must shrink with the data volume or they
-        # absorb a disproportionate share of a scaled-down run.
-        cfg = cfg.scaled(
-            pfs=replace(
-                cfg.pfs,
-                server_cache_bytes=max(
-                    64 * MiB, int(cfg.pfs.server_cache_bytes * spec.scale)
-                ),
-            )
-        )
-    return cfg
-
-
 def run_experiment(
     spec: ExperimentSpec,
     config: Optional[ClusterConfig] = None,
@@ -193,7 +193,7 @@ def run_experiment(
     keys do not name the stack and would serve one stack's ``events`` count
     to a caller of the other.
     """
-    cfg = resolve_config(spec, config)
+    cfg = spec.cluster(config)
     machine = Machine(cfg, profiler=profiler, reference=reference)
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
@@ -268,13 +268,13 @@ def run_experiment_cached(
     :class:`ResultCache` (pass ``cache`` to control placement, or set
     ``REPRO_CACHE=0`` to keep everything in memory).
     """
-    cfg = resolve_config(spec, config)
+    cfg = spec.cluster(config)
     key = cache_key(spec, cfg)
     result = _MEMO.get(key)
     if result is not None:
         return result
     if cache is None:
-        cache = default_cache()
+        cache = ResultCache()
     result = cache.get(spec, cfg)
     if result is None:
         result = run_experiment(spec, cfg)

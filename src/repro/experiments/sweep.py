@@ -56,7 +56,7 @@ from repro.experiments.report import (
     render_breakdown_table,
     shape_checks_bandwidth,
 )
-from repro.experiments.resultcache import ResultCache, default_cache
+from repro.experiments.resultcache import ResultCache
 from repro.experiments.runner import BENCHMARKS, DEFAULT_SCALE
 from repro.units import MiB
 
@@ -187,29 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def result_cache(args: argparse.Namespace, result_cls=None) -> ResultCache:
+def result_cache(args: argparse.Namespace) -> ResultCache:
     """The cache ``--no-cache``/``--cache-dir`` ask for, else the default."""
     if args.no_cache:
-        return ResultCache.disabled(result_cls=result_cls)
-    if args.cache_dir:
-        return ResultCache(root=args.cache_dir, result_cls=result_cls)
-    return default_cache(result_cls=result_cls)
+        return ResultCache(enabled=False)
+    return ResultCache(root=args.cache_dir or None)
 
 
-def make_runner(
-    args: argparse.Namespace,
-    faults: bool = False,
-    chaos_mode: bool = False,
-    fleet_mode: bool = False,
-) -> SweepRunner:
-    if fleet_mode:
-        result_cls = fleetmod.FleetResult
-    elif chaos_mode:
-        result_cls = chaos.ChaosTrialResult
-    elif faults:
-        result_cls = faultsweep.FaultExperimentResult
-    else:
-        result_cls = None
+def make_runner(args: argparse.Namespace) -> SweepRunner:
+    """The runner every sweep mode shares: each spec names its own cluster,
+    run and record type."""
     progress = None
     if not args.quiet:
 
@@ -220,25 +207,11 @@ def make_runner(
             )
             print(line, file=sys.stderr, flush=True)
 
-    kwargs = {}
-    if fleet_mode:
-        kwargs.update(
-            worker=fleetmod.runner._run_fleet_point,
-            resolver=fleetmod.resolve_fleet_config,
-        )
-    elif chaos_mode:
-        kwargs.update(
-            worker=chaos.runner._run_chaos_point,
-            resolver=chaos.runner.resolve_chaos_config,
-        )
-    elif faults:
-        kwargs.update(
-            worker=faultsweep._run_fault_point,
-            resolver=faultsweep.resolve_fault_config,
-        )
-    cache = result_cache(args, result_cls)
     return SweepRunner(
-        jobs=args.jobs, cache=cache, timeout=args.timeout, progress=progress, **kwargs
+        jobs=args.jobs,
+        cache=result_cache(args),
+        timeout=args.timeout,
+        progress=progress,
     )
 
 
@@ -341,7 +314,7 @@ def run_fleet_sweep(args: argparse.Namespace, runner: SweepRunner) -> int:
 
 def run_fleet_chaos_sweep(args: argparse.Namespace) -> int:
     status = 0
-    row_cache = result_cache(args, fleetmod.FleetJobResult)
+    row_cache = result_cache(args)
     for seed in range(args.base_seed, args.base_seed + args.seeds):
         try:
             r = fleetmod.run_fleet_chaos(
@@ -416,7 +389,7 @@ def run_chaos(args: argparse.Namespace, runner: SweepRunner) -> int:
         or ("stack mismatch: " + ",".join(first.mismatched))
         or first.outcome
     )
-    schedule = chaos.runner.schedule_for(spec, chaos.runner.resolve_chaos_config(spec))
+    schedule = chaos.runner.schedule_for(spec, spec.cluster())
 
     def still_fails(candidate):
         return not chaos.run_chaos_trial(spec.pinned(candidate)).ok
@@ -455,9 +428,7 @@ def main(argv=None) -> int:
             "slower than --jobs 1 (process-pool overhead, no parallelism)",
             file=sys.stderr,
         )
-    runner = make_runner(
-        args, faults=args.faults, chaos_mode=args.chaos, fleet_mode=args.fleet
-    )
+    runner = make_runner(args)
     aggs, cbs = grid(args)
     t0 = time.monotonic()
     try:

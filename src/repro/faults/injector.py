@@ -87,7 +87,6 @@ class FaultInjector:
         self.tracer = machine.tracer
         self.schedule = schedule
         self.sync_rpc_timeout = float(schedule.sync_rpc_timeout)
-        self.crashed: Optional[JobAborted] = None  # the untagged scope's crash
         self.crash_time: Optional[float] = None  # most recent crash teardown
         self.injected = 0  # count of fault effects actually delivered
         # Job-scoped crash registries: tag -> _JobEntry.  Single-job runs
@@ -213,8 +212,6 @@ class FaultInjector:
         if recovery is not None:
             entry.recovery = recovery
         entry.crashed = None
-        if job_tag is None:
-            self.crashed = None
 
     def deregister_job(self, job_tag: Optional[str]) -> None:
         """Drop a job's crash scope on teardown (its arrival index survives,
@@ -320,8 +317,6 @@ class FaultInjector:
         if entry is None or entry.crashed is not None:
             return  # no such scope, or one teardown per registration
         entry.crashed = JobAborted(spec)
-        if tag is None:
-            self.crashed = entry.crashed
         self.crash_time = self.sim.now
         self.injected += 1
         self._emit("aggregator_crash", target=spec.target, job=tag)

@@ -162,14 +162,20 @@ class CacheRecoveryRegistry:
             finally:
                 if local_file is not None:
                     localfs.close(local_file)
-            if wal is not None:
-                if journal.policy.discard_on_close:
-                    wal.discard()
-            elif journal.policy.discard_on_close and localfs.writable:
-                if localfs.exists(journal.local_path):
-                    localfs.unlink(journal.local_path)
             self.unregister(journal)
             self.files_recovered += 1
+            # A cascade leaves several journals naming one cache file, and a
+            # restarted incarnation's live journal names it too: the last of
+            # them to let go discards it.
+            if not journal.policy.discard_on_close or any(
+                j.node_id == node_id and j.local_path == journal.local_path
+                for j in self._journals
+            ):
+                continue
+            if wal is not None:
+                wal.discard()
+            elif localfs.writable and localfs.exists(journal.local_path):
+                localfs.unlink(journal.local_path)
         self.recovery_time += sim.now - t0
         self.machine.tracer.emit(
             sim.now,

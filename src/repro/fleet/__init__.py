@@ -13,7 +13,7 @@ single-job §IV measurements to a multi-tenant cluster.
 
 from repro.fleet.arrivals import arrival_times
 from repro.fleet.chaos import FleetChaosResult, fleet_chaos_schedule, run_fleet_chaos
-from repro.fleet.job import FleetJobSpec, build_job_workload, job_hints
+from repro.fleet.job import FleetJobSpec
 from repro.fleet.metrics import (
     DEFAULT_RECOVERY_SLO,
     evaluate_job_slo,
@@ -27,7 +27,6 @@ from repro.fleet.runner import (
     FleetSpec,
     fleet_job_specs,
     render_fleet_table,
-    resolve_fleet_config,
     run_fleet,
 )
 from repro.fleet.scheduler import FleetScheduler
@@ -44,14 +43,11 @@ __all__ = [
     "FleetSpec",
     "JobView",
     "arrival_times",
-    "build_job_workload",
     "evaluate_job_slo",
     "fleet_chaos_schedule",
     "fleet_job_specs",
-    "job_hints",
     "percentile",
     "render_fleet_table",
-    "resolve_fleet_config",
     "run_fleet",
     "run_fleet_chaos",
     "summarize_jobs",

@@ -43,7 +43,7 @@ from repro.chaos.generate import ChaosConfig, generate_schedule
 from repro.chaos.invariants import InvariantMonitor, byte_conservation
 from repro.config import ClusterConfig
 from repro.fleet.metrics import evaluate_job_slo
-from repro.fleet.runner import FleetResult, FleetSpec, resolve_fleet_config, run_fleet
+from repro.fleet.runner import FleetResult, FleetSpec, run_fleet
 
 
 @dataclass
@@ -123,7 +123,7 @@ def run_fleet_chaos(
         seed=fleet_seed,
         max_restarts=max_restarts,
     )
-    cfg = resolve_fleet_config(spec, config)
+    cfg = spec.cluster(config)
     schedule = fleet_chaos_schedule(
         spec, cfg, seed, max_faults=max_faults, crash_probability=crash_probability
     )

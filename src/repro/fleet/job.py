@@ -5,9 +5,11 @@ mode and workload sizing.  Jobs are generated deterministically from the
 fleet spec by cycling the configured axes (node counts, cache modes,
 benchmarks), so two fleets with the same spec contain byte-identical jobs.
 
-Workload and hint construction mirrors the fault sweep's tiny-but-real
-configurations (:mod:`repro.experiments.faultsweep`); fleet conservation
-audits use the per-job byte ledgers.
+A job's workload and hints come from the rules the fault sweep's points
+use too (:func:`~repro.workloads.small_workload`,
+:func:`~repro.workloads.sizing.small_hints`: one aggregator per job node,
+the cache backend left to ``REPRO_CACHE_KIND``); fleet conservation audits
+use the per-job byte ledgers.
 
 Paper correspondence: §IV benchmarks (IOR, coll_perf, Flash-IO) as the job
 mix; Table I/II hints per job.
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.units import KiB
-from repro.workloads import small_workload
 
 #: Benchmarks a fleet job may run; "mixed" in a FleetSpec cycles these.
 JOB_BENCHMARKS = ("ior", "coll_perf", "flash_io")
@@ -78,27 +79,3 @@ class FleetJobSpec:
             self.scale,
             self.seed,
         )
-
-
-def build_job_workload(job: FleetJobSpec, nprocs: int):
-    """The job's per-file recipe (no data payloads; ledgers audit bytes)."""
-    return small_workload(job.benchmark, nprocs, job.scale)
-
-
-def job_hints(job: FleetJobSpec) -> dict[str, str]:
-    """Table I/II hint strings for one job (one aggregator per job node)."""
-    hints = {
-        "cb_nodes": str(job.nodes),
-        "cb_buffer_size": str(job.cb_buffer),
-        "romio_cb_write": "enable",
-        "striping_unit": str(256 * KiB),
-        "striping_factor": "4",
-        "ind_wr_buffer_size": str(job.sync_chunk),
-    }
-    if job.cache_mode == "enabled":
-        hints.update(
-            e10_cache="enable",
-            e10_cache_flush_flag=job.flush_flag,
-            e10_cache_discard_flag="enable",
-        )
-    return hints

@@ -37,17 +37,11 @@ from typing import Callable, Optional
 
 from repro.analysis.bandwidth import perceived_bandwidth
 from repro.config import Checked, ClusterConfig, is_finite, is_whole, small_testbed
-from repro.experiments.resultcache import ResultCache, default_cache
+from repro.experiments.resultcache import ResultCache
 from repro.faults.errors import abort_job, phase_status
 from repro.faults.spec import FaultSchedule
 from repro.fleet.arrivals import arrival_times
-from repro.fleet.job import (
-    FleetJobSpec,
-    JOB_BENCHMARKS,
-    JOB_CACHE_MODES,
-    build_job_workload,
-    job_hints,
-)
+from repro.fleet.job import FleetJobSpec, JOB_BENCHMARKS, JOB_CACHE_MODES
 from repro.fleet.metrics import evaluate_job_slo, summarize_jobs
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.view import JobView
@@ -55,6 +49,7 @@ from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.romio.file import MPIIOLayer
 from repro.sim.core import Event, Interrupt
+from repro.workloads import small_hints, small_workload
 from repro.workloads.phases import multi_phase_body
 
 
@@ -126,6 +121,18 @@ class FleetSpec(Checked):
     def label(self) -> str:
         return f"f{self.fleet_size}"
 
+    def cluster(self, config: Optional[ClusterConfig] = None) -> ClusterConfig:
+        """The cluster the fleet runs on (an explicit config wins unchanged)."""
+        if config is not None:
+            return config
+        return small_testbed(
+            num_nodes=self.num_nodes, procs_per_node=self.procs_per_node, seed=self.seed
+        )
+
+    def run(self, config: Optional[ClusterConfig] = None) -> "FleetResult":
+        """The fleet, its rows streamed to the process-default cache."""
+        return run_fleet(self, config, row_cache=ResultCache())
+
 
 @dataclass(frozen=True)
 class FleetRowSpec:
@@ -140,19 +147,6 @@ class FleetRowSpec:
     job_id: int
     faults: tuple = ()
     sync_rpc_timeout: float = 0.0
-
-    # The sweep progress printer reads these off any spec it reports.
-    @property
-    def benchmark(self) -> str:
-        return self.fleet.benchmark
-
-    @property
-    def cache_mode(self) -> str:
-        return self.fleet.cache_mode
-
-    @property
-    def label(self) -> str:
-        return f"{self.fleet.label}.j{self.job_id}"
 
 
 @dataclass
@@ -260,6 +254,12 @@ class FleetResult:
         return cls(**fields_)
 
 
+# What a fleet's run returns and what streams per job: the records the
+# result cache decodes for each spec.
+FleetSpec.record_type = FleetResult
+FleetRowSpec.record_type = FleetJobResult
+
+
 # -- spec expansion ----------------------------------------------------------
 def fleet_job_specs(spec: FleetSpec) -> list[FleetJobSpec]:
     """The deterministic job list for a fleet (axes cycled per job id)."""
@@ -280,17 +280,6 @@ def fleet_job_specs(spec: FleetSpec) -> list[FleetJobSpec]:
     ]
 
 
-def resolve_fleet_config(
-    spec: FleetSpec, config: Optional[ClusterConfig] = None
-) -> ClusterConfig:
-    """The cluster a fleet spec runs on (also keys the result cache)."""
-    if config is not None:
-        return config
-    return small_testbed(
-        num_nodes=spec.num_nodes, procs_per_node=spec.procs_per_node, seed=spec.seed
-    )
-
-
 # -- job execution -----------------------------------------------------------
 def _job_body(view: JobView, job: FleetJobSpec):
     """Generator: run one job inside its view; returns (status, bandwidth).
@@ -305,11 +294,15 @@ def _job_body(view: JobView, job: FleetJobSpec):
     world = MPIWorld(view)
     world.transport.tag = view.job_label
     layer = MPIIOLayer(view, world.comm, driver="beegfs", exchange_mode="model")
-    workload = build_job_workload(job, view.config.num_ranks)
+    workload = small_workload(job.benchmark, view.config.num_ranks, job.scale)
+    # One aggregator per job node; the backend is left to REPRO_CACHE_KIND.
+    hints = small_hints(
+        job.nodes, job.cb_buffer, job.sync_chunk, job.cache_mode, job.flush_flag
+    )
     body = multi_phase_body(
         layer,
         workload,
-        job_hints(job),
+        hints,
         num_files=job.num_files,
         compute_delay=job.compute_delay,
         deferred_close=job.cache_mode == "enabled",
@@ -377,7 +370,7 @@ def run_fleet(
     the fleet chaos smoke uses both to attach its invariant monitor and
     run its per-job byte-conservation audit.
     """
-    cfg = resolve_fleet_config(spec, config)
+    cfg = spec.cluster(config)
     jobs = fleet_job_specs(spec)
     if faults is not None:
         faults.validate(
@@ -563,13 +556,6 @@ def run_fleet(
     result.backfilled = scheduler.backfilled
     result.events = sim.events_fired
     return result
-
-
-def _run_fleet_point(spec: FleetSpec, config: Optional[ClusterConfig] = None):
-    """Module-level sweep worker (picklable); streams rows to the cache."""
-    return run_fleet(
-        spec, config=config, row_cache=default_cache(result_cls=FleetJobResult)
-    )
 
 
 # -- reporting ---------------------------------------------------------------

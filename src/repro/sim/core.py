@@ -483,9 +483,6 @@ class _Condition(Event):
                 ev.callbacks.append(self._on_child)
                 self._pending += 1
 
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
 
 class AllOf(_Condition):
     """Fires once every child event has fired; value is the list of values.

@@ -11,7 +11,7 @@ and §IV-A device models.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.core import Event, SimError, Simulator, abandon, at_kick, settle
 
@@ -195,9 +195,3 @@ class Store:
                 self._getters.popleft().succeed(self._items.popleft())
         else:
             self._getters.remove(ev)
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking pop; None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

@@ -37,24 +37,17 @@ class RngStreams:
             self._streams[name] = gen
         return gen
 
-    def lognormal_factor(self, name: str, sigma: float) -> float:
-        """Draw a mean-1 lognormal multiplier — the standard service-jitter model.
-
-        ``sigma`` is the shape parameter; ``sigma == 0`` returns exactly 1.0,
-        letting callers disable jitter without branching.
-        """
-        if sigma <= 0.0:
-            return 1.0
-        return self.lognormal_fn(name, sigma)()
-
     def lognormal_fn(self, name: str, sigma: float):
-        """Zero-arg callable form of :meth:`lognormal_factor`.
+        """A zero-arg callable drawing mean-1 lognormal multipliers — the
+        standard service-jitter model.  ``sigma`` is the shape parameter;
+        ``sigma <= 0`` draws exactly 1.0, so callers disable jitter without
+        branching.
 
-        Every callable for ``name`` (and :meth:`lognormal_factor`) takes the
-        next factor of one buffer per name, refilled ``BLOCK`` at a time —
-        the scalar sequence exactly (``tests/sim/test_rng.py`` pins it), at
-        a fraction of the cost.  Such a stream is drawn no other way, nor
-        with another ``sigma``.  Hot per-I/O jitter sites cache the callable.
+        Every callable for ``name`` takes the next factor of one buffer per
+        name, refilled ``BLOCK`` at a time — the scalar sequence exactly
+        (``tests/sim/test_rng.py`` pins it), at a fraction of the cost.  Such
+        a stream is drawn no other way, nor with another ``sigma``.  Hot
+        per-I/O jitter sites cache the callable.
         """
         if sigma <= 0.0:
             return lambda: 1.0

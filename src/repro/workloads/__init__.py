@@ -12,7 +12,7 @@ from repro.workloads.base import IOStep, Workload
 from repro.workloads.collperf import collperf_workload
 from repro.workloads.flashio import flashio_workload
 from repro.workloads.ior import ior_workload
-from repro.workloads.sizing import small_workload
+from repro.workloads.sizing import small_hints, small_workload
 
 __all__ = [
     "IOStep",
@@ -20,5 +20,6 @@ __all__ = [
     "collperf_workload",
     "flashio_workload",
     "ior_workload",
+    "small_hints",
     "small_workload",
 ]

@@ -15,7 +15,7 @@ from repro.chaos import (
     write_repro_artifact,
 )
 from repro.chaos import replay as chaos_replay
-from repro.chaos.runner import CHAOS_CACHE_MODES, schedule_for, resolve_chaos_config
+from repro.chaos.runner import CHAOS_CACHE_MODES, schedule_for
 from repro.experiments import sweep
 from repro.faults.recovery import CacheRecoveryRegistry
 from repro.faults.spec import FaultSchedule, FaultSpec
@@ -135,7 +135,7 @@ class TestShrinkAndReplay:
         assert not result.ok
         assert any("orphaned lock" in v for v in result.violations)
 
-        schedule = schedule_for(spec, resolve_chaos_config(spec))
+        schedule = schedule_for(spec, spec.cluster())
         runs = []
 
         def still_fails(candidate):
@@ -162,7 +162,7 @@ class TestShrinkAndReplay:
     def test_replay_passes_once_the_bug_is_fixed(self, tmp_path):
         # ... and certifies the fix (exit 0) with the real _revoke_locks.
         spec = ChaosTrialSpec(seed=4, cache_mode="coherent", scale=SCALE)
-        schedule = schedule_for(spec, resolve_chaos_config(spec))
+        schedule = schedule_for(spec, spec.cluster())
         artifact = tmp_path / "repro.json"
         write_repro_artifact(artifact, spec, schedule, "orphaned lock")
         assert chaos_replay.main([str(artifact)]) == 0

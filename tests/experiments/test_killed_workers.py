@@ -19,8 +19,8 @@ import pytest
 
 from repro.experiments.parallel import SweepError, SweepRunner
 from repro.experiments.resultcache import ResultCache
-from repro.experiments.runner import ExperimentSpec, resolve_config
-from repro.fleet import FleetJobResult, FleetRowSpec, resolve_fleet_config, run_fleet
+from repro.experiments.runner import ExperimentSpec
+from repro.fleet import FleetRowSpec, run_fleet
 from tests.experiments.test_resultcache import fake_result
 from tests.fleet.test_fleet import SMOKE
 
@@ -61,7 +61,7 @@ def test_a_killed_pool_worker_leaves_only_complete_rows(tmp_path):
     assert VICTIM in failed
 
     cache = ResultCache(root=tmp_path)
-    cached = [s for s in SPECS if cache.get(s, resolve_config(s)) is not None]
+    cached = [s for s in SPECS if cache.get(s, s.cluster()) is not None]
     assert cache.corrupt == 0
     assert sorted(cached + failed, key=SPECS.index) == SPECS
     assert SPECS[:2] == cached[:2]  # cut in the middle of the stream
@@ -94,7 +94,7 @@ def _fleet_killed_in_row(root: str, row: int) -> None:
         rename(src, dst)
 
     os.replace = replace  # this forked child only
-    run_fleet(SMOKE, row_cache=ResultCache(root=root, result_cls=FleetJobResult))
+    run_fleet(SMOKE, row_cache=ResultCache(root=root))
 
 
 def test_a_fleet_killed_while_streaming_rows_keeps_only_complete_rows(tmp_path):
@@ -105,18 +105,18 @@ def test_a_fleet_killed_while_streaming_rows_keeps_only_complete_rows(tmp_path):
     child.join(timeout=120)
     assert not child.is_alive() and child.exitcode == -signal.SIGKILL
 
-    cfg = resolve_fleet_config(SMOKE)
+    cfg = SMOKE.cluster()
     keys = [FleetRowSpec(SMOKE, job) for job in range(SMOKE.fleet_size)]
-    cache = ResultCache(root=tmp_path, result_cls=FleetJobResult)
+    cache = ResultCache(root=tmp_path)
     kept = {key.job_id: cache.get(key, cfg) for key in keys}
     kept = {job: row for job, row in kept.items() if row is not None}
     assert len(kept) == 3 and cache.corrupt == 0
     complete, leftovers = records(tmp_path)
     assert len(complete) == 3 and len(leftovers) == 1  # the row the kill cut
 
-    result = run_fleet(SMOKE, row_cache=ResultCache(root=tmp_path, result_cls=FleetJobResult))
+    result = run_fleet(SMOKE, row_cache=ResultCache(root=tmp_path))
     assert result.streamed_rows == SMOKE.fleet_size
-    refilled = ResultCache(root=tmp_path, result_cls=FleetJobResult)
+    refilled = ResultCache(root=tmp_path)
     assert all(refilled.get(key, cfg) is not None for key in keys)
     for job, row in kept.items():
         assert row.to_dict() == result.jobs[job].to_dict()

@@ -51,15 +51,17 @@ def _sleepy_worker(spec, config):
 
 class TestDeterminism:
     def test_parallel_matches_serial_bit_for_bit(self, tmp_path):
-        serial = SweepRunner(jobs=1, cache=ResultCache.disabled())
-        parallel = SweepRunner(jobs=2, cache=ResultCache.disabled())
+        serial = SweepRunner(jobs=1, cache=ResultCache(enabled=False))
+        parallel = SweepRunner(jobs=2, cache=ResultCache(enabled=False))
         a = serial.run(SPECS)
         b = parallel.run(SPECS)
         assert dumps(a) == dumps(b)
         assert serial.simulated == parallel.simulated == len(SPECS)
 
     def test_results_keep_input_order(self):
-        runner = SweepRunner(jobs=2, cache=ResultCache.disabled(), worker=_fake_worker)
+        runner = SweepRunner(
+            jobs=2, cache=ResultCache(enabled=False), worker=_fake_worker
+        )
         results = runner.run(list(reversed(SPECS)))
         assert [r.spec for r in results] == list(reversed(SPECS))
 
@@ -112,7 +114,7 @@ class TestFailureHandling:
         sources = []
         runner = SweepRunner(
             jobs=2,
-            cache=ResultCache.disabled(),
+            cache=ResultCache(enabled=False),
             worker=_crash_in_child,
             progress=lambda d, t, s, src: sources.append(src),
         )
@@ -121,7 +123,9 @@ class TestFailureHandling:
         assert dumps(results) == dumps([fake_result(s) for s in SPECS[:2]])
 
     def test_exhausted_retries_raise_sweep_error(self):
-        runner = SweepRunner(jobs=1, cache=ResultCache.disabled(), worker=_always_crash)
+        runner = SweepRunner(
+            jobs=1, cache=ResultCache(enabled=False), worker=_always_crash
+        )
         with pytest.raises(SweepError) as err:
             runner.run(SPECS[:2])
         assert len(err.value.failures) == 2
@@ -129,7 +133,7 @@ class TestFailureHandling:
 
     def test_no_retries_surfaces_first_failure(self):
         runner = SweepRunner(
-            jobs=2, cache=ResultCache.disabled(), worker=_crash_in_child, retries=0
+            jobs=2, cache=ResultCache(enabled=False), worker=_crash_in_child, retries=0
         )
         with pytest.raises(SweepError):
             runner.run(SPECS[:2])
@@ -137,7 +141,7 @@ class TestFailureHandling:
     def test_timeout_is_a_retryable_failure(self):
         runner = SweepRunner(
             jobs=2,
-            cache=ResultCache.disabled(),
+            cache=ResultCache(enabled=False),
             worker=_sleepy_worker,
             timeout=0.2,
             retries=0,

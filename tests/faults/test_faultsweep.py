@@ -93,30 +93,15 @@ class TestResultRoundTrip:
 class TestRunnerIntegration:
     def test_serial_equals_parallel(self):
         specs = [_spec("baseline"), _spec("ssd_loss")]
-        serial = SweepRunner(
-            jobs=1,
-            cache=ResultCache.disabled(result_cls=FaultExperimentResult),
-            worker=faultsweep._run_fault_point,
-            resolver=faultsweep.resolve_fault_config,
-        ).run(specs)
-        para = SweepRunner(
-            jobs=2,
-            cache=ResultCache.disabled(result_cls=FaultExperimentResult),
-            worker=faultsweep._run_fault_point,
-            resolver=faultsweep.resolve_fault_config,
-        ).run(specs)
+        serial = SweepRunner(jobs=1, cache=ResultCache(enabled=False)).run(specs)
+        para = SweepRunner(jobs=2, cache=ResultCache(enabled=False)).run(specs)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in para]
 
     def test_result_cache_round_trip(self, tmp_path):
         spec = _spec("baseline")
 
         def runner():
-            return SweepRunner(
-                jobs=1,
-                cache=ResultCache(root=tmp_path, result_cls=FaultExperimentResult),
-                worker=faultsweep._run_fault_point,
-                resolver=faultsweep.resolve_fault_config,
-            )
+            return SweepRunner(jobs=1, cache=ResultCache(root=tmp_path))
 
         cold = runner()
         first = cold.run([spec])

@@ -17,17 +17,16 @@ from repro.experiments.faultsweep import (
     FaultExperimentSpec,
     FaultFreeReference,
     _file_prefix,
-    build_fault_workload,
     fault_free_reference,
     fault_matrix_specs,
     reference_key,
     reference_memo,
-    resolve_fault_config,
     run_fault_experiment,
 )
 from repro.faults import FaultSpec
 from repro.machine import Machine
 from repro.sim.profile import SimProfiler
+from repro.workloads import small_workload
 from repro.units import KiB
 
 
@@ -137,15 +136,15 @@ class TestFaultMatrix:
             assert (reference_memo.hits, reference_memo.misses) == (1, 1)
         assert own.bw_ref == own.bw_faulted == recalled.bw_ref
         reference_memo.clear()  # the reference simulated first, as it used to be
-        cfg = resolve_fault_config(baseline)
-        workload = build_fault_workload(baseline, cfg.num_ranks)
+        cfg = baseline.cluster()
+        workload = small_workload(baseline.benchmark, cfg.num_ranks, baseline.scale)
         fault_free_reference(baseline, cfg, workload, _file_prefix(baseline))
         simulated = [run_fault_experiment(spec).to_dict() for spec in specs]
         assert simulated == [own.to_dict(), recalled.to_dict()]
 
     def test_an_explicit_config_is_part_of_the_key(self):
         spec = fault_matrix_specs(scenarios=("baseline",), scale=0.25)[0]
-        cfg = resolve_fault_config(spec)
+        cfg = spec.cluster()
         slow = cfg.scaled(pfs=replace(cfg.pfs, server_ingest_bw=cfg.pfs.server_ingest_bw / 8))
         fast_bw = run_fault_experiment(spec, cfg).bw_ref
         slow_bw = run_fault_experiment(spec, slow).bw_ref

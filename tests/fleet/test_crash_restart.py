@@ -18,10 +18,10 @@ import pytest
 
 from repro.experiments import sweep
 from repro.faults import FaultSchedule, FaultSpec
+from repro.faults.recovery import CacheRecoveryRegistry
 from repro.fleet import (
     FleetSpec,
     evaluate_job_slo,
-    resolve_fleet_config,
     run_fleet,
     run_fleet_chaos,
 )
@@ -167,7 +167,7 @@ class TestCrashDeterminism:
     def test_injector_scoped_fallback_matches(self, reference):
         """The crashes plus windows that never open on every device and
         server: hooks armed everywhere, and nothing else changes."""
-        quiet = quiet_faults(resolve_fleet_config(AB))
+        quiet = quiet_faults(AB.cluster())
         scoped = replace(AB_CRASHES, faults=AB_CRASHES.faults + quiet.faults)
         assert identity_json(run_fleet(AB, faults=scoped)) == reference
 
@@ -214,11 +214,16 @@ class TestChaosCrashTrial:
 
 
 def test_a_trial_that_raises_is_a_fail_row_of_the_sweep(tmp_path, capsys, monkeypatch):
-    """Seed 8's cascade crash raises ``FileNotFoundError`` out of
-    ``run_fleet_chaos`` (two orphaned journals of one extent cache file
-    replayed as if independent): the sweep reports it as a FAIL row with its
-    repro line and exits 1 instead of dying with a traceback."""
-    monkeypatch.setenv("REPRO_CACHE_KIND", "extent")  # not the CI leg's
+    """A ``FileNotFoundError`` planted in the journal replay of seed 8 (one
+    crash, then a second during the replay) escapes ``run_fleet_chaos``: the
+    sweep reports it as a FAIL row with its repro line and exits 1 instead
+    of dying with a traceback."""
+
+    def planted(self, fd, rank):
+        raise FileNotFoundError(f"planted: no cache file for {fd.path}")
+        yield
+
+    monkeypatch.setattr(CacheRecoveryRegistry, "replay", planted)
     status = sweep.main(
         ["--fleet-chaos", "--base-seed", "8", "--seeds", "1", "--scale", str(QUICK)]
         + ["--cache-dir", str(tmp_path)]
@@ -229,3 +234,29 @@ def test_a_trial_that_raises_is_a_fail_row_of_the_sweep(tmp_path, capsys, monkey
     repro = "repro: PYTHONPATH=src python -m repro.experiments.sweep --fleet-chaos"
     assert f"{repro} --base-seed 8 --seeds 1 --scale {QUICK}" in err
     assert "Traceback" not in err
+
+
+#: Seeds whose schedule crashes a job, then crashes its restart during the
+#: replay: two orphaned journals then name one cache file.
+CASCADE_SEEDS = (8, 13, 31)
+
+
+def test_fleet_chaos_seeds_0_to_39_hold_on_production():
+    """Every one of 40 seeded fleet-chaos trials upholds every invariant and
+    recovery SLO: the journals a cascade leaves for one cache file replay
+    in turn, and the file goes only with the last of them (live or
+    orphaned)."""
+    failing = {}
+    for seed in range(40):
+        result = run_fleet_chaos(fleet_size=8, seed=seed, scale=QUICK)
+        if not result.ok:
+            failing[seed] = result.violations[:3]
+    assert failing == {}
+
+
+@pytest.mark.parametrize("seed", CASCADE_SEEDS)
+def test_a_cascade_replays_identically_on_both_stacks(seed):
+    production = run_fleet_chaos(fleet_size=8, seed=seed, scale=QUICK)
+    reference = run_fleet_chaos(fleet_size=8, seed=seed, scale=QUICK, reference=True)
+    assert production.ok and reference.ok
+    assert production.fleet.identity() == reference.fleet.identity()

@@ -22,7 +22,6 @@ from repro.fleet import (
     FleetRowSpec,
     FleetSpec,
     fleet_job_specs,
-    resolve_fleet_config,
     run_fleet,
     run_fleet_chaos,
 )
@@ -36,11 +35,6 @@ AB = FleetSpec(fleet_size=64, scale=QUICK)
 
 def identity_json(result) -> str:
     return json.dumps(result.identity(), sort_keys=True)
-
-
-def _fleet_worker(spec, config):
-    """Module-level (picklable) sweep worker without a row cache."""
-    return run_fleet(spec, config=config)
 
 
 class TestFleetSmoke:
@@ -89,26 +83,23 @@ class TestFleetDeterminism:
     def test_injector_scoped_fallback_matches(self, reference):
         """Production with every device and server armed by a fault
         schedule that never fires: armed hooks change nothing."""
-        quiet = quiet_faults(resolve_fleet_config(AB))
+        quiet = quiet_faults(AB.cluster())
         assert identity_json(run_fleet(AB, faults=quiet)) == reference
 
-    def test_pool_matches_serial(self, reference):
-        runner = SweepRunner(
-            jobs=2,
-            cache=ResultCache.disabled(),
-            worker=_fleet_worker,
-            resolver=resolve_fleet_config,
-        )
+    def test_pool_matches_serial(self, reference, tmp_path, monkeypatch):
+        # A fleet's run streams its rows to the default cache: keep it here.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runner = SweepRunner(jobs=2, cache=ResultCache(enabled=False))
         (result,) = runner.run([AB])
         assert identity_json(result) == reference
 
 
 class TestRowStreaming:
     def test_rows_stream_to_the_cache_as_jobs_complete(self, tmp_path):
-        cache = ResultCache(root=tmp_path, result_cls=FleetJobResult)
+        cache = ResultCache(root=tmp_path)
         result = run_fleet(SMOKE, row_cache=cache)
         assert result.streamed_rows == 8
-        cfg = resolve_fleet_config(SMOKE)
+        cfg = SMOKE.cluster()
         row = cache.get(FleetRowSpec(SMOKE, 3), cfg)
         assert isinstance(row, FleetJobResult)
         assert row.job_id == 3

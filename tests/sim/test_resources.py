@@ -108,10 +108,3 @@ class TestStore:
 
         sim.run(until=sim.process(getter()))
         assert got == [0, 1, 2, 3, 4]
-
-    def test_try_get(self, sim):
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put(1)
-        assert store.try_get() == 1
-        assert len(store) == 0

@@ -39,17 +39,19 @@ class TestRngStreams:
 
     def test_lognormal_factor_mean_one(self):
         r = RngStreams(42)
-        draws = [r.lognormal_factor("jitter", 0.35) for _ in range(20000)]
+        draw = r.lognormal_fn("jitter", 0.35)
+        draws = [draw() for _ in range(20000)]
         assert abs(np.mean(draws) - 1.0) < 0.02
 
     def test_lognormal_sigma_zero_is_exact_one(self):
         r = RngStreams(42)
-        assert r.lognormal_factor("x", 0.0) == 1.0
-        assert r.lognormal_factor("x", -1.0) == 1.0
+        assert r.lognormal_fn("x", 0.0)() == 1.0
+        assert r.lognormal_fn("x", -1.0)() == 1.0
 
     def test_lognormal_positive(self):
         r = RngStreams(3)
-        assert all(r.lognormal_factor("j", 1.0) > 0 for _ in range(100))
+        draw = r.lognormal_fn("j", 1.0)
+        assert all(draw() > 0 for _ in range(100))
 
 
 class TestBlockDraws:
@@ -74,8 +76,8 @@ class TestBlockDraws:
         want = [one.lognormal_fn("srv1.raid.jitter", sigma)() for _ in range(600)]
         two = RngStreams(7)
         drawers = [two.lognormal_fn("srv1.raid.jitter", sigma) for _ in range(2)]
-        drawers.append(lambda: two.lognormal_factor("srv1.raid.jitter", sigma))
-        # Interleaved: two cached callables and the per-call form.
+        drawers.append(lambda: two.lognormal_fn("srv1.raid.jitter", sigma)())
+        # Interleaved: two cached callables and one made per draw.
         assert [drawers[i % 3]() for i in range(600)] == want
         other = RngStreams(7).lognormal_fn("srv2.raid.jitter", sigma)
         assert [other() for _ in range(5)] != want[:5]  # names keep their own

@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.runner import ChaosTrialSpec, resolve_chaos_config, schedule_for
+from repro.chaos.runner import ChaosTrialSpec, schedule_for
 from repro.config import ClusterConfig, small_testbed
-from repro.experiments.faultsweep import FaultExperimentSpec, resolve_fault_config
-from repro.experiments.runner import ExperimentSpec, resolve_config
+from repro.experiments.faultsweep import FaultExperimentSpec
+from repro.experiments.runner import ExperimentSpec
 from repro.faults.spec import FAULT_KINDS, FaultSchedule, FaultSpec
-from repro.fleet import FleetSpec, fleet_job_specs, resolve_fleet_config
+from repro.fleet import FleetSpec, fleet_job_specs
 from repro.machine import Machine
 from repro.romio.hints import Hints
 from repro.units import MiB
@@ -144,7 +144,7 @@ def test_fleet_spec(field, value):
     def build():
         spec = FleetSpec(**{"fleet_size": 4, "num_nodes": 4, field: value})
         fleet_job_specs(spec)
-        resolve_fleet_config(spec)
+        spec.cluster()
 
     rejected_by_name(build, field)
 
@@ -154,12 +154,9 @@ def test_fleet_spec(field, value):
 #: Each point spec, with what it needs besides the field under test, and
 #: what a run derives from it first.
 POINT_SPECS = {
-    ExperimentSpec: ({"benchmark": "ior"}, resolve_config),
-    FaultExperimentSpec: ({"benchmark": "ior"}, resolve_fault_config),
-    ChaosTrialSpec: (
-        {"seed": 0},
-        lambda spec: schedule_for(spec, resolve_chaos_config(spec)),
-    ),
+    ExperimentSpec: ({"benchmark": "ior"}, lambda spec: spec.cluster()),
+    FaultExperimentSpec: ({"benchmark": "ior"}, lambda spec: spec.cluster()),
+    ChaosTrialSpec: ({"seed": 0}, lambda spec: schedule_for(spec, spec.cluster())),
 }
 #: Their numbers (scale, counts, seeds, delays): ``config.Checked`` fields.
 POINT_FIELDS = [

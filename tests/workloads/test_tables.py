@@ -197,19 +197,18 @@ class TestSharedDatalessMemo:
             assert isinstance(step.table(), AccessTable)
 
     def test_fleet_and_fault_sizing_meet_in_the_memo(self):
-        from repro.experiments.faultsweep import (
-            FaultExperimentSpec,
-            build_fault_workload,
-        )
-        from repro.fleet.job import FleetJobSpec, build_job_workload
+        from repro.experiments.faultsweep import FaultExperimentSpec
+        from repro.fleet.job import FleetJobSpec
 
+        # Both harnesses size a job as small_workload(benchmark, ranks, scale).
         for bench in ("ior", "coll_perf", "flash_io"):
             job_a = FleetJobSpec(1, benchmark=bench, scale=0.5, seed=1)
             job_b = FleetJobSpec(2, benchmark=bench, scale=0.5, seed=2)
-            a, b = build_job_workload(job_a, 8), build_job_workload(job_b, 8)
+            a, b = (small_workload(j.benchmark, 8, j.scale) for j in (job_a, job_b))
             assert a is b is small_workload(bench, 8, 0.5)
             # the fault harness carries no buffers either: one recipe for all
-            assert build_fault_workload(FaultExperimentSpec(bench, scale=0.5), 8) is a
+            point = FaultExperimentSpec(bench, scale=0.5)
+            assert small_workload(point.benchmark, 8, point.scale) is a
         with pytest.raises(ValueError, match="unknown benchmark 'hacc'"):
             small_workload("hacc", 8, 1.0)
 

@@ -18,12 +18,7 @@ import time
 from repro import fleet, options
 from repro.config import FlashConfig
 from repro.experiments import faultsweep, figures
-from repro.experiments.runner import (
-    DEFAULT_SCALE,
-    ExperimentSpec,
-    resolve_config,
-    run_experiment,
-)
+from repro.experiments.runner import DEFAULT_SCALE, ExperimentSpec, run_experiment
 from repro.units import GiB
 from repro.experiments.parallel import SweepRunner, default_jobs
 from repro.experiments.report import (
@@ -141,19 +136,8 @@ def parse_args():
     return args
 
 
-def fault_section(args, scale) -> list[str]:
+def fault_section(runner, scale) -> list[str]:
     """Run the fault matrix (IOR x every scenario) and render its table."""
-    cache = (
-        ResultCache.disabled(result_cls=faultsweep.FaultExperimentResult)
-        if args.no_cache
-        else ResultCache(result_cls=faultsweep.FaultExperimentResult)
-    )
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache=cache,
-        worker=faultsweep._run_fault_point,
-        resolver=faultsweep.resolve_fault_config,
-    )
     specs = faultsweep.fault_matrix_specs(benchmarks=("ior",), scale=scale)
     results = runner.run(specs)
     ok = all(r.integrity_ok for r in results)
@@ -179,19 +163,8 @@ def fault_section(args, scale) -> list[str]:
     return out
 
 
-def fleet_section(args, scale) -> list[str]:
+def fleet_section(runner, scale) -> list[str]:
     """Run small fleets through the scheduler and render interference stats."""
-    cache = (
-        ResultCache.disabled(result_cls=fleet.FleetResult)
-        if args.no_cache
-        else ResultCache(result_cls=fleet.FleetResult)
-    )
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache=cache,
-        worker=fleet.runner._run_fleet_point,
-        resolver=fleet.resolve_fleet_config,
-    )
     specs = [fleet.FleetSpec(fleet_size=n, scale=scale) for n in (16, 64)]
     results = runner.run(specs)
     out = [
@@ -266,7 +239,7 @@ def device_section(scale) -> list[str]:
             benchmark="ior", aggregators=64, cache_mode="disabled", scale=scale
         )
     )
-    config = resolve_config(spec)
+    config = spec.cluster()
     rows = [
         (kind, run_experiment(spec, config.scaled(ssd_kind=kind)))
         for kind in options.SSD_KINDS
@@ -327,7 +300,9 @@ def main() -> None:
     else:
         aggs, cbs = figures.QUICK_AGGREGATORS, figures.QUICK_CB_SIZES
     scale = args.scale
-    cache = ResultCache.disabled() if args.no_cache else None
+    # One runner for every section: each spec names its cluster, run and
+    # record type.
+    cache = ResultCache(enabled=False) if args.no_cache else None
     runner = SweepRunner(jobs=args.jobs, cache=cache)
     t_start = time.time()
     sections = []
@@ -354,11 +329,11 @@ def main() -> None:
 
     if not args.no_faults:
         print("fault matrix ...", flush=True)
-        sections.extend(fault_section(args, scale))
+        sections.extend(fault_section(runner, scale))
 
     if args.fleet:
         print("fleet interference ...", flush=True)
-        sections.extend(fleet_section(args, scale))
+        sections.extend(fleet_section(runner, scale))
 
     if not args.no_devices:
         print("device tier ...", flush=True)
