@@ -90,7 +90,7 @@ class ChaosTrialSpec(FaultPoint):
             seed=self.workload_seed,
         )
 
-    def run(self, config: Optional[ClusterConfig] = None) -> "ChaosTrialResult":
+    def run(self, config: Optional[ClusterConfig] = None, cache=None) -> "ChaosTrialResult":
         return run_chaos_trial(self, config)
 
     def pinned(self, schedule: FaultSchedule) -> "ChaosTrialSpec":

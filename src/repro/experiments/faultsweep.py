@@ -129,7 +129,7 @@ class FaultExperimentSpec(FaultPoint):
             num_nodes=self.num_nodes, procs_per_node=self.procs_per_node, seed=self.seed
         )
 
-    def run(self, config: Optional[ClusterConfig] = None) -> "FaultExperimentResult":
+    def run(self, config: Optional[ClusterConfig] = None, cache=None) -> "FaultExperimentResult":
         return run_fault_experiment(self, config)
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro import options
@@ -61,9 +62,9 @@ class SweepError(RuntimeError):
         super().__init__(f"{len(self.failures)} sweep point(s) failed: {detail}")
 
 
-def run_point(spec, config: Optional[ClusterConfig]):
+def run_point(spec, config: Optional[ClusterConfig], cache: Optional[ResultCache] = None):
     """Run any point spec: module-level, so the pool pickles it by reference."""
-    return spec.run(config)
+    return spec.run(config, cache)
 
 
 def default_jobs() -> int:
@@ -79,8 +80,9 @@ class SweepRunner:
     :class:`~repro.chaos.runner.ChaosTrialSpec` or
     :class:`~repro.fleet.runner.FleetSpec` — names its cluster
     (``spec.cluster(config)``, which the cache key fingerprints), its run
-    (``spec.run(config)``) and its record type (``record_type``, which the
-    cache decodes a hit as), so one runner takes any of them, mixed too.
+    (``spec.run(config, cache)``: a fleet streams its rows to ``cache``) and
+    its record type (``record_type``, which the cache decodes a hit as), so
+    one runner takes any of them, mixed too.
 
     Parameters
     ----------
@@ -100,8 +102,8 @@ class SweepRunner:
         resolves; ``source`` is one of the ``SOURCE_*`` constants.
     worker:
         The per-point function ``(spec, config) -> record``, by default
-        :func:`run_point` (the spec's own run).  A seam for tests that
-        substitute a fake; must be picklable when ``jobs > 1``.
+        :func:`run_point` over ``cache`` (the spec's own run).  A seam for
+        tests that substitute a fake; must be picklable when ``jobs > 1``.
     """
 
     def __init__(
@@ -111,14 +113,14 @@ class SweepRunner:
         timeout: Optional[float] = None,
         retries: int = 1,
         progress: Optional[ProgressFn] = None,
-        worker: Callable = run_point,
+        worker: Optional[Callable] = None,
     ):
         self.jobs = max(1, int(jobs))
         self.cache = ResultCache() if cache is None else cache
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.progress = progress
-        self.worker = worker
+        self.worker = partial(run_point, cache=self.cache) if worker is None else worker
         self.simulated = 0  # points actually run (pool + inline + retries)
 
     def _report(self, done: int, total: int, spec, source: str):

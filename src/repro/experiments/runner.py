@@ -88,7 +88,7 @@ class ExperimentSpec(Checked):
             )
         return cfg
 
-    def run(self, config: Optional[ClusterConfig] = None) -> "ExperimentResult":
+    def run(self, config: Optional[ClusterConfig] = None, cache=None) -> "ExperimentResult":
         return run_experiment(self, config)
 
 

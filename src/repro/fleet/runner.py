@@ -129,9 +129,9 @@ class FleetSpec(Checked):
             num_nodes=self.num_nodes, procs_per_node=self.procs_per_node, seed=self.seed
         )
 
-    def run(self, config: Optional[ClusterConfig] = None) -> "FleetResult":
-        """The fleet, its rows streamed to the process-default cache."""
-        return run_fleet(self, config, row_cache=ResultCache())
+    def run(self, config: Optional[ClusterConfig] = None, cache=None) -> "FleetResult":
+        """The fleet, its rows streamed to ``cache`` (none without one)."""
+        return run_fleet(self, config, row_cache=cache)
 
 
 @dataclass(frozen=True)

@@ -69,11 +69,14 @@ class StorageDevice:
             self.bytes_written += nbytes
         else:
             self.bytes_read += nbytes
+        if self.job_tag is not None:
+            self._account_tag(nbytes, is_write)
+
+    def _account_tag(self, nbytes: int, is_write: bool) -> None:
         tag = self.job_tag
-        if tag is not None:
-            self.requests_by_tag[tag] = self.requests_by_tag.get(tag, 0) + 1
-            ledger = self.bytes_written_by_tag if is_write else self.bytes_read_by_tag
-            ledger[tag] = ledger.get(tag, 0) + nbytes
+        self.requests_by_tag[tag] = self.requests_by_tag.get(tag, 0) + 1
+        ledger = self.bytes_written_by_tag if is_write else self.bytes_read_by_tag
+        ledger[tag] = ledger.get(tag, 0) + nbytes
 
     # generator API --------------------------------------------------------------
     def write(self, offset: int, nbytes: int):
@@ -133,7 +136,10 @@ class StorageDevice:
             # GC-pressure windows stretch writes (never raise).
             dt += self.injector.on_device_write(self, offset, nbytes, dt)
         self.busy_time += dt
-        self._account(nbytes, True)
+        self.requests_served += 1  # _account's untagged half, inline
+        self.bytes_written += nbytes
+        if self.job_tag is not None:
+            self._account_tag(nbytes, True)
 
         def _served():
             if done is not None and done._triggered:

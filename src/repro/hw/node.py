@@ -81,8 +81,9 @@ class PageCache:
             self.sim.call_soon(self._writeback_step)
 
     def _writeback_step(self) -> None:
-        # Pick the file with the most dirty pages (approximates Linux's
-        # per-inode round robin; exactness does not matter for timing).
+        # The daemon's first step (:meth:`_written_back` issues the rest) on
+        # the file with the most dirty pages (approximates Linux's per-inode
+        # round robin; exactness does not matter for timing).
         file_id = max(self._dirty_by_file, key=self._dirty_by_file.get)
         chunk = min(self.writeback_chunk, self._dirty_by_file[file_id])
         self._writing = (file_id, chunk)
@@ -90,17 +91,23 @@ class PageCache:
 
     def _written_back(self) -> None:
         file_id, chunk = self._writing
-        self.dirty -= chunk
+        self.dirty = dirty = self.dirty - chunk
         left = self._dirty_by_file[file_id] - chunk
         if left > 0:
             self._dirty_by_file[file_id] = left
         else:
             del self._dirty_by_file[file_id]
-        self._wake_waiters()
-        if self.dirty > 0:
-            self._writeback_step()
-        else:
+        if self._throttle_waiters or self._flush_waiters:
+            self._wake_waiters()
+        if dirty <= 0:
             self._daemon_running = False
+            return
+        if left != dirty:  # not the one dirty file (``dirty`` sums the ledger)
+            file_id = max(self._dirty_by_file, key=self._dirty_by_file.get)
+            left = self._dirty_by_file[file_id]
+        chunk = self.writeback_chunk if self.writeback_chunk < left else left
+        self._writing = (file_id, chunk)
+        self.device.write_flat(self._pop_extent(file_id, chunk), chunk, self._written_back)
 
     def _pop_extent(self, file_id: int, chunk: int) -> int:
         """Consume ``chunk`` dirty bytes of ``file_id``'s extent FIFO and

@@ -52,6 +52,8 @@ class PFSClient:
         # The client's streaming channel: kernel + transport window that caps
         # a single client's rate regardless of NIC headroom.
         self.channel = pfs.fabric.make_link(f"{self.name}.chan", cfg.per_client_max_bw)
+        # Each server's route: every flow to it crosses (channel, its ingest).
+        self.routes = [(self.channel, pfs.ingest_link(si)) for si in range(len(pfs.servers))]
         self.bytes_written = 0
         self.bytes_read = 0
         self.rpcs = 0
@@ -161,7 +163,7 @@ class PFSClient:
                 server.fabric_node,
                 self.node_id,
                 total,
-                extra_links=(self.channel, self.pfs.ingest_link(si)),
+                extra_links=self.routes[si],
                 weight=len(offsets),
                 tag=self.tag,
             )
@@ -227,7 +229,7 @@ class _PipelinedWrite(Event):
             client.node_id,
             server.fabric_node,
             total,
-            extra_links=(client.channel, pfs.ingest_link(server.server_id)),
+            extra_links=client.routes[server.server_id],
             weight=len(offsets),
             tag=tag,
             on_done=self._child,
@@ -300,7 +302,7 @@ class _SyncWrite:
             client.node_id,
             client.pfs.servers[si].fabric_node,
             self.plan[i][2],
-            extra_links=(client.channel, client.pfs.ingest_link(si)),
+            extra_links=client.routes[si],
             tag=client.tag,
             on_done=partial(self._serve, i, raced),
         )

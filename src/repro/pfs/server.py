@@ -109,18 +109,20 @@ class WriteBackCache:
             self.sim.call_soon(self._drain_step)
 
     def _drain_step(self) -> None:
+        """The daemon's first step; :meth:`_drained` issues every later one."""
         self._draining = chunk = min(self.drain_chunk, self.dirty)
         self.target.write_flat(self._drain_pos, chunk, self._drained)
 
     def _drained(self) -> None:
         chunk = self._draining
         self._drain_pos += chunk
-        self.dirty -= chunk
+        self.dirty = dirty = self.dirty - chunk
         if self._waiters:
             waiters, self._waiters = self._waiters, []
             self.sim.call_soon(partial(self._wake, waiters))
-        if self.dirty > 0:
-            self._drain_step()
+        if dirty > 0:
+            self._draining = chunk = self.drain_chunk if self.drain_chunk < dirty else dirty
+            self.target.write_flat(self._drain_pos, chunk, self._drained)
         else:
             self._daemon_running = False
 
@@ -230,7 +232,7 @@ class DataServer:
                         wait, partial(self._serve_write_overhead, done, nbytes, rpc_count, tag)
                     )
                 return
-        overhead = self.cfg.rpc_overhead * max(1, rpc_count)
+        overhead = self.cfg.rpc_overhead * (rpc_count if rpc_count > 1 else 1)
         if self.rng is not None and self.cfg.jitter_sigma > 0:
             overhead *= self._draw_rpc_jitter()
         self.sim.call_later(
@@ -255,11 +257,12 @@ class DataServer:
                     partial(self._serve_write_absorb, done, nbytes, rpc_count, remaining, tag)
                 )
                 return
-            chunk = min(remaining, room)
+            chunk = remaining if remaining < room else room
             cache.dirty += chunk
             remaining -= chunk
-            cache._ensure_daemon()
-        self.rpcs_served += max(1, rpc_count)
+            if not cache._daemon_running:
+                cache._ensure_daemon()
+        self.rpcs_served += rpc_count if rpc_count > 1 else 1
         self._account(tag, nbytes, rpc_count)
         self.workers.release()
         done._fire_inline()

@@ -213,11 +213,8 @@ class Event:
         callbacks = self.callbacks
         if callbacks:
             self.callbacks = []
-            if len(callbacks) == 1:
-                callbacks[0](self)
-            else:
-                for cb in callbacks:
-                    cb(self)
+            for cb in callbacks:
+                cb(self)
         elif not ok:
             raise value
 
@@ -412,7 +409,7 @@ class Process(Event):
             self.fail(exc)
             return
         sim.active_process = None
-        if isinstance(target, Event):
+        if target.__class__ in _EVENT_CLASSES:
             if target._fired:
                 kick = sim._kick("rekick")
                 kick.adopt(target._ok, target._value)

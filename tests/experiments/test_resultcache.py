@@ -166,14 +166,6 @@ def record_of(spec):
     return fake_result() if spec is SPEC else spec.run()
 
 
-@pytest.fixture
-def row_cache_dir(tmp_path, monkeypatch):
-    """A fleet's run streams its rows to the process-default cache: keep
-    that under the test's directory."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
-
-
-@pytest.mark.usefixtures("row_cache_dir")
 @pytest.mark.parametrize("spec", POINTS, ids=lambda spec: type(spec).__name__)
 class TestEveryPointType:
     def test_a_record_round_trips_through_a_fresh_cache(self, spec, tmp_path):

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments import sweep
 from repro.experiments.parallel import SweepRunner
 from repro.experiments.resultcache import ResultCache
 from repro.fleet import (
@@ -86,9 +87,7 @@ class TestFleetDeterminism:
         quiet = quiet_faults(AB.cluster())
         assert identity_json(run_fleet(AB, faults=quiet)) == reference
 
-    def test_pool_matches_serial(self, reference, tmp_path, monkeypatch):
-        # A fleet's run streams its rows to the default cache: keep it here.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_pool_matches_serial(self, reference):
         runner = SweepRunner(jobs=2, cache=ResultCache(enabled=False))
         (result,) = runner.run([AB])
         assert identity_json(result) == reference
@@ -104,6 +103,29 @@ class TestRowStreaming:
         assert isinstance(row, FleetJobResult)
         assert row.job_id == 3
         assert row.to_dict() == result.jobs[3].to_dict()
+
+    @pytest.mark.parametrize("flag", ["--cache-dir", "--no-cache"])
+    def test_a_sweeps_rows_follow_its_cache(self, flag, tmp_path, monkeypatch):
+        """``sweep --fleet`` streams a fleet's rows to the cache the sweep
+        was given, beside the fleet's own record, and nowhere under
+        ``--no-cache``: never to the process default."""
+        default, given = tmp_path / "default", tmp_path / "given"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+        spec = FleetSpec(fleet_size=4, scale=QUICK)
+        args = ["--fleet", "--fleet-size", "4", "--scale", str(QUICK), "--quiet"]
+        args += ["--output-dir", str(tmp_path / "out"), flag]
+        if flag == "--cache-dir":
+            args.append(str(given))
+        assert sweep.main(args) == 0
+        assert not default.exists()
+        if flag == "--no-cache":
+            assert not given.exists()
+            return
+        cache, cfg = ResultCache(root=given), spec.cluster()
+        rows = [cache.get(FleetRowSpec(spec, job), cfg) for job in range(4)]
+        assert [row.job_id for row in rows] == [0, 1, 2, 3]
+        assert cache.get(spec, cfg).jobs == rows
+        assert len(list(given.rglob("*.json"))) == 5  # the rows and the fleet
 
 
 class TestFleetChaos:

@@ -15,6 +15,7 @@ gives back at the interrupt kick what their ``finally`` gave back.
 from __future__ import annotations
 
 import contextlib
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -25,14 +26,15 @@ from repro.config import small_testbed
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.faults import FaultSchedule, FaultSpec
 from repro.hw import devices
-from repro.hw.devices import StorageDevice
+from repro.hw.devices import SSDDevice, StorageDevice
+from repro.hw.flash import FlashSSDDevice, NVMMDevice
 from repro.hw.node import _BufferedWrite
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.pfs import client as pfs_client
 from repro.pfs.client import _PipelinedWrite
 from repro.pfs.locks import LockManager
-from repro.pfs.server import DataServer
+from repro.pfs.server import DataServer, RaidTarget
 from repro.romio.adio import ADIODriver
 from repro.romio.file import MPIIOLayer
 from repro.sim.core import Process, SimError
@@ -44,6 +46,7 @@ from tests.conftest import grant_events, walking
 from tests.romio.test_call_clock import assert_clock_equals_live, windows
 from tests.romio.test_park_once import CACHE_HINTS, hints, strided, workload_of
 
+DEVICES = (SSDDevice, FlashSSDDevice, NVMMDevice, RaidTarget)  # each concrete service time
 WORKLOAD = workload_of([strided(8, block=8 * KiB, reps=3), strided(8, base=256 * KiB)], 8)
 
 
@@ -62,11 +65,15 @@ def run(kind, crash_at=None, *, info, cfg=None, faults=(), driver="beegfs", work
     if kind == "walk":
         grant_events(machine)
     requests = []
-    device_account, server_account = StorageDevice._account, DataServer._account
+    server_account = DataServer._account
 
-    def device(dev, nbytes, is_write):
-        requests.append((sim.now, dev.name, nbytes, is_write))
-        device_account(dev, nbytes, is_write)
+    def device(service_time):
+        def recorded(dev, offset, nbytes, is_write):
+            dt = service_time(dev, offset, nbytes, is_write)
+            requests.append((sim.now, dev.name, nbytes, is_write))
+            return dt
+
+        return recorded
 
     def server(srv, tag, nbytes, rpc_count):
         requests.append((sim.now, srv.server_id, nbytes, rpc_count))
@@ -77,7 +84,8 @@ def run(kind, crash_at=None, *, info, cfg=None, faults=(), driver="beegfs", work
     body = multi_phase_body(layer, workload, info, num_files=1, file_prefix="/g/f")
     with contextlib.ExitStack() as stack:
         patch = stack.enter_context(pytest.MonkeyPatch.context())
-        patch.setattr(StorageDevice, "_account", device)
+        for cls in DEVICES:  # every device request draws its service time
+            patch.setattr(cls, "service_time", device(cls.service_time))
         patch.setattr(DataServer, "_account", server)
         if kind == "walk":
             stack.enter_context(walking())
@@ -146,6 +154,24 @@ def assert_crash_mid_chain_like_the_walk(stage, probe, landed, **kwargs):
 
 
 CACHED = {**hints(cb_nodes=2), **CACHE_HINTS, "e10_cache_kind": "extent"}  # a page-cache write
+
+
+def test_the_recorder_sees_the_write_back_drains():
+    """The requests the clock and the walk are compared on include the
+    write-back stages' device writes: every server's RAID drain writes back
+    the bytes its RPCs absorbed, and every node's SSD the bytes its page
+    cache took in — the drains keep their device ledger inline, so the
+    recorder sits on each concrete service time instead."""
+    got = run("clock", info=CACHED)
+    written = Counter()
+    for _now, who, nbytes, what in got["requests"]:
+        if isinstance(who, int):  # a server RPC: (now, server id, bytes, rpc count)
+            written["rpc"] += nbytes
+        elif what:  # a device write: (now, name, bytes, is_write)
+            written[re.sub(r"\d+", "*", who)] += nbytes
+    assert set(written) == {"rpc", "srv*.raid", "ssd*"}
+    assert written["srv*.raid"] == written["rpc"] == got["io_stats"]["bytes_flushed"] > 0
+    assert written["ssd*"] == got["io_stats"]["bytes_cached"] > 0
 
 
 def test_a_crash_in_the_page_cache_memcpy():

@@ -15,6 +15,10 @@ import random
 
 import pytest
 
+from repro.config import PFSConfig
+from repro.hw.devices import SSDDevice
+from repro.hw.node import PageCache
+from repro.pfs.server import DataServer
 from repro.sim.core import (
     Interrupt,
     SimError,
@@ -22,6 +26,7 @@ from repro.sim.core import (
     SlottedSimulator,
     create_simulator,
 )
+from repro.sim.rng import RngStreams
 from tests.conftest import ENGINES
 
 
@@ -457,10 +462,11 @@ def call_budget_load(sim):
 
 
 #: cProfile calls per dispatched event of ``call_budget_load`` on the slotted
-#: engine (141,855 calls / 19,232 events; 7.456 when the future was a dict of
-#: buckets over a heap of distinct instants, 10.49 when the lane was a deque
-#: of pooled call objects), and the 5 % the gate allows on top.
-CALLS_PER_EVENT = 7.376
+#: engine (135,455 calls / 19,232 events; 7.376 when a process resume called
+#: ``isinstance`` and an inline fire ``len``, 7.456 when the future was a dict
+#: of buckets over a heap of distinct instants, 10.49 when the lane was a
+#: deque of pooled call objects), and the 5 % the gate allows on top.
+CALLS_PER_EVENT = 7.043
 CALL_BUDGET = CALLS_PER_EVENT * 1.05
 
 
@@ -545,3 +551,98 @@ def test_one_item_instants_cost_one_push_and_one_pop():
         sim.step()
         instants.append(sim.now)
     assert len(set(instants)) == len(instants) == 12_800  # no two share one
+
+
+# ---------------------------------------------------------------------------
+# The storage tier's call budget
+# ---------------------------------------------------------------------------
+
+KiB = 1024
+STEPS = 2_000  # drain steps, RPCs and writeback steps of each load
+
+#: cProfile calls of one step of each storage-tier load, the engine's
+#: dispatch included, and the 5 % the gate allows on top:
+#: - a server's write-back drain step: 20,023 calls / 2,000 steps (13.01 when
+#:   each step hopped through ``_drain_step``, ``min`` and the device's
+#:   ``_account``);
+#: - a page cache's writeback step of its one dirty file: 24,008 / 2,000
+#:   (17.00 with ``_writeback_step``, ``max``, ``min`` and ``_wake_waiters``
+#:   on every step);
+#: - an untagged RPC through a throttling cache, beyond the drain step it
+#:   causes: 53,978 / 2,000 − 10.01 (20.98 with ``max`` twice, ``min``, an
+#:   ``_ensure_daemon`` per absorb and ``len`` in its inline fire).
+CALLS_PER_DRAIN_STEP = 10.012
+CALLS_PER_WRITEBACK_STEP = 12.004
+CALLS_PER_RPC = 16.978
+
+
+def data_server(sim):
+    """One jittered server whose write-back cache holds 4 drain chunks."""
+    cfg = PFSConfig(jitter_sigma=0.35, server_cache_bytes=4 * 64 * KiB, server_drain_chunk=64 * KiB)
+    return DataServer(sim, 0, 0, cfg, rng=RngStreams(2016))
+
+
+def drain_load(sim):
+    """``STEPS`` chunks dirty in a server's cache, nothing else."""
+    server = data_server(sim)
+    server.cache.dirty = STEPS * server.cache.drain_chunk
+    server.cache._ensure_daemon()
+    return server.target
+
+
+def writeback_load(sim):
+    """``STEPS`` chunks of one file dirty in a node's page cache."""
+    ssd = SSDDevice(sim, "ssd", 1 << 20, 1 << 20, latency=1e-4, capacity_bytes=1 << 40)
+    cache = PageCache(sim, ssd, memcpy_bw=1 << 30, dirty_limit=1 << 40, writeback_chunk=64 * KiB)
+    nbytes = STEPS * cache.writeback_chunk
+    cache.dirty = cache._dirty_by_file[0] = nbytes
+    cache._dirty_extents[0] = [(0, nbytes)]
+    cache._ensure_daemon()
+    return ssd
+
+
+def rpc_load(sim):
+    """``STEPS`` one-chunk RPCs issued at once: 4 hold the workers, the
+    rest queue for them, and every absorb past the fourth throttles."""
+    server = data_server(sim)
+    for _ in range(STEPS):
+        server.serve_write_event(0, server.cache.drain_chunk)
+    return server.target
+
+
+def profiled(load):
+    """``load`` run on a fresh engine under cProfile, after one run without
+    (which pays the one-off imports of a jitter stream's first draw)."""
+    sim = SlottedSimulator()
+    load(sim)
+    sim.run()
+    sim = SlottedSimulator()
+    device = load(sim)
+    profile = cProfile.Profile()
+    profile.enable()
+    sim.run()
+    profile.disable()
+    assert device.requests_served == STEPS  # one device write a step or RPC
+    return pstats.Stats(profile), sim.events_fired
+
+
+def test_a_storage_step_stays_within_its_call_budget():
+    """The write-back drain, the page-cache writeback and the server RPC
+    each cost a fixed number of calls per step on a fixed synthetic load,
+    gated at the measured value + 5 %; the event counts are pinned too, so a
+    cheaper run cannot come from fewer events."""
+    stats, events = profiled(drain_load)
+    assert events == STEPS + 1
+    per_drain_step = stats.total_calls / STEPS
+    assert per_drain_step <= CALLS_PER_DRAIN_STEP * 1.05, f"{stats.total_calls:,d} calls"
+
+    stats, events = profiled(writeback_load)
+    assert events == STEPS + 1
+    assert stats.total_calls / STEPS <= CALLS_PER_WRITEBACK_STEP * 1.05, f"{stats.total_calls:,d}"
+
+    stats, events = profiled(rpc_load)
+    assert events == 7_993
+    wakes = sum(row[1] for (_path, _line, name), row in stats.stats.items() if name == "_wake")
+    assert wakes == STEPS - 4  # the cache throttled
+    per_rpc = stats.total_calls / STEPS - per_drain_step
+    assert per_rpc <= CALLS_PER_RPC * 1.05, f"{stats.total_calls:,d} calls"
