@@ -55,9 +55,11 @@ itself is the *array kernel*:
   scheduled via ``sim.call_soon``/``sim.call_later`` — the slotted engine
   stores the partial itself — each bound to the generation that armed it,
   so one a forced flush or a re-arm superseded does nothing when it
-  drains.  A re-arm also cancels the superseded wake (``sim.cancel``).  A
-  flow a flat chain starts (``on_done``) completes by a scheduled call, no
-  Event.
+  drains; a re-arm also cancels the superseded wake (``sim.cancel``).
+  Each does its whole job in its own callback: the wake advances the
+  flows, retires the finished ones (``del`` from every dict holding them)
+  and re-rates what they leave.  A flow a flat chain starts (``on_done``)
+  completes by a scheduled call, no Event.
 
 The full recompute re-runs the dict filling loop over all active flows on
 every change; the two give the same rates and the same completion
@@ -80,7 +82,6 @@ clock can move.
 from __future__ import annotations
 
 from functools import partial
-from itertools import count
 from operator import attrgetter
 from time import perf_counter
 from typing import Callable, Iterable, Optional
@@ -156,8 +157,10 @@ class Flow:
         self.weight = weight
         self.tag = tag
         # Finish threshold (sub-byte residue counts as done), precomputed:
-        # every wake arm/scan tests it against every active flow.
-        self.threshold = max(1e-6, _EPS * self.nbytes)
+        # every wake arm/scan tests it against every active flow.  This is
+        # ``max(1e-6, _EPS * nbytes)``, written as the comparison max makes.
+        threshold = _EPS * self.nbytes
+        self.threshold = threshold if threshold > 1e-6 else 1e-6
 
 
 class Fabric:
@@ -206,7 +209,7 @@ class Fabric:
         self._loop = [Link(f"node{n}.loop", self.loopback_bw) for n in range(num_nodes)]
         self._flows: dict[Flow, None] = {}  # ordered set, see Link.flows
         self._done_to_flow: dict[Event, Flow] = {}  # active flows by done event
-        self._fid = count()
+        self._next_fid = 0  # the next flow's fid
         self._last_update = 0.0
         # Links touched since the last recompute, in touch order, applied by
         # one zero-delay flush; flush and wake are scheduled as partials
@@ -254,8 +257,18 @@ class Fabric:
         (see :class:`Flow`); the event fires when the bundle's last byte
         lands.  A flat chain passes ``on_done`` instead: no Event (None is
         returned; the flow cannot be grown), and ``on_done()`` runs by
-        ``sim.call_later(latency, on_done)``, in the event's slot.
+        ``sim.call_later(latency, on_done)``, in the event's slot.  A bad
+        endpoint, weight or size raises a :class:`SimError` naming it.
         """
+        # Comparisons only, no calls: ``not x < y`` also refuses a NaN.
+        if not 0 <= src_node < self.num_nodes:
+            raise SimError(f"start_flow: no such src_node {src_node!r}")
+        if not 0 <= dst_node < self.num_nodes:
+            raise SimError(f"start_flow: no such dst_node {dst_node!r}")
+        if not weight >= 1:
+            raise SimError(f"start_flow: weight must be >= 1: {weight!r}")
+        if not 0 <= nbytes < _INF:
+            raise SimError(f"start_flow: nbytes must be finite and >= 0: {nbytes!r}")
         done = None
         if on_done is None:
             done = self.sim.event(name=f"flow:{src_node}->{dst_node}")
@@ -266,13 +279,12 @@ class Fabric:
             self.sim.call_later(self.latency, on_done)
             return None
         if src_node == dst_node:
-            links = [self._loop[src_node]]
+            links = [self._loop[src_node], *extra_links]
         else:
-            links = [self._out[src_node], self._in[dst_node]]
-        links.extend(extra_links)
-        flow = Flow(
-            next(self._fid), links, nbytes, on_done or done, weight=weight, tag=tag
-        )
+            links = [self._out[src_node], self._in[dst_node], *extra_links]
+        fid = self._next_fid
+        self._next_fid = fid + 1
+        flow = Flow(fid, links, nbytes, on_done or done, weight=weight, tag=tag)
         self._flows[flow] = None
         if done is not None:
             self._done_to_flow[done] = flow
@@ -300,6 +312,8 @@ class Fabric:
         or a different per-member size), in which case the caller starts a
         separate flow.
         """
+        if not 0 <= nbytes < _INF:
+            raise SimError(f"grow_flow: nbytes must be finite and >= 0: {nbytes!r}")
         flow = self._done_to_flow.get(flow_done)
         if flow is None or flow.nbytes != float(nbytes):
             return False
@@ -335,7 +349,7 @@ class Fabric:
         """Current rate per flow id (after a fresh recompute) — for tests."""
         self._force_flush()
         self._advance()
-        self._fill(self._flows)
+        self._fill([*self._flows])
         return {f.fid: f.rate for f in self._flows}
 
     # -- change application ------------------------------------------------------
@@ -356,7 +370,7 @@ class Fabric:
             self.batched_starts += 1
         elif flow is not None:
             self._advance()
-            self._refill((flow,))
+            self._refill((flow,), 1)
             self._arm_wake()
             return
         else:
@@ -367,22 +381,12 @@ class Fabric:
             dirty[link] = None
 
     def _flush_due(self, gen: int) -> None:
-        """The zero-delay flush, unless :meth:`_force_flush` superseded it
-        (only the armed flush carries the current generation)."""
-        if gen == self._flush_gen:
-            self._flush_armed = False
-            self._flush()
-
-    def _force_flush(self) -> None:
-        """Apply pending changes now; the armed flush becomes a no-op."""
-        if self._flush_armed:
-            # Invalidate the pending partial: bump the generation so it
-            # fails its check when it eventually drains.
-            self._flush_armed = False
-            self._flush_gen += 1
-        self._flush()
-
-    def _flush(self) -> None:
+        """The zero-delay flush: apply the pending changes, unless
+        :meth:`_force_flush` superseded it (only the armed flush carries the
+        current generation)."""
+        if gen != self._flush_gen:
+            return
+        self._flush_armed = False
         if not self._dirty:
             return
         self._advance()
@@ -390,6 +394,14 @@ class Fabric:
         if self._recompute_touched(dirty):
             self._arm_wake()
         # else: no share could have changed, the armed wake (if any) stands.
+
+    def _force_flush(self) -> None:
+        """Apply pending changes now; the armed flush becomes a no-op."""
+        if self._flush_armed:
+            # Invalidate the pending partial: bump the generation so it
+            # fails its check when it eventually drains.
+            self._flush_gen += 1
+        self._flush_due(self._flush_gen)
 
     # -- internals --------------------------------------------------------------
     def _advance(self) -> None:
@@ -408,43 +420,47 @@ class Fabric:
         every touched link is flowless — in which case no filling runs and
         the caller keeps the existing wake-up.
         """
-        seeds = [link for link in dirty if link.flows]
-        if not seeds:
+        order = []
+        for link in dirty:
+            if link.flows:
+                order += (link,)
+        if not order:
             self.recomputes_skipped += 1
             return False
         # Breadth-first over the link-flow graph; ``order`` grows while it
-        # is walked.  Dict membership and in-place list growth only — no
-        # method calls — and the visit order does not matter: the refill
-        # below sorts by fid.
+        # is walked, and ``dirty`` (ours now) doubles as the set of links
+        # seen: a flowless link in it is reachable from no flow.  Dict
+        # membership and in-place list growth only — no calls — and the
+        # visit order does not matter: the refill below sorts by fid.
         touched: dict[Flow, None] = {}
-        seen = dict.fromkeys(seeds)
-        order = seeds
+        nflows = 0
         for link in order:
             for flow in link.flows:
                 if flow not in touched:
                     touched[flow] = None
+                    nflows += 1
                     for other in flow.links:
-                        if other not in seen:
-                            seen[other] = None
+                        if other not in dirty:
+                            dirty[other] = None
                             order += (other,)
         # Refill in ascending-fid order — identical to the full recompute's
         # visit order restricted to this component, so tie-breaks (and hence
         # every float) match the full recompute exactly.
-        self._refill(sorted(touched, key=_by_fid))
+        self._refill(sorted(touched, key=_by_fid), nflows)
         return True
 
-    def _refill(self, flows: list[Flow] | tuple[Flow, ...]) -> None:
-        """One filling pass over a whole component, ``flows`` in ascending
-        fid order, counted (and timed when profiling)."""
+    def _refill(self, flows: Iterable[Flow], nflows: int) -> None:
+        """One filling pass over a whole component, ``flows`` (``nflows``
+        of them) in ascending fid order, counted (and timed when profiling)."""
         self.recomputes += 1
-        self.recompute_flows += len(flows)
+        self.recompute_flows += nflows
         profiler = self.sim.profiler
         if profiler is None:
             self._fill(flows)
         else:
             with profiler.timer("fabric.recompute"):
                 self._fill(flows)
-            profiler.count("fabric.recompute_flows", len(flows))
+            profiler.count("fabric.recompute_flows", nflows)
 
     # -- wake arming ------------------------------------------------------------
     def _arm_wake(self) -> None:
@@ -471,23 +487,58 @@ class Fabric:
         if soonest is _INF:
             return
         self.wake_events += 1
-        # Floor at one nanosecond so a pathological rate can never stall
-        # the simulation clock (livelock guard); delay-0 wakes land in the
-        # same same-instant lane slot an Event ``succeed()`` would.
+        # Floor at one nanosecond, ``max(1e-9, soonest)`` by comparison, so
+        # a pathological rate can never stall the simulation clock (livelock
+        # guard); delay-0 wakes land in the same same-instant lane slot an
+        # Event ``succeed()`` would.
         self._wake_handle = self.sim.call_later(
-            max(1e-9, soonest) if soonest > 0.0 else 0.0,
+            soonest if soonest > 1e-9 else (1e-9 if soonest > 0.0 else 0.0),
             partial(self._wake_due, self._wake_gen),
         )
 
     def _wake_due(self, gen: int) -> None:
         """The wake-up, unless a re-arm superseded it (every
-        :meth:`_arm_wake` moves the generation on)."""
-        if gen == self._wake_gen:
-            self._wake_handle = None
-            self._wake_body()
+        :meth:`_arm_wake` moves the generation on): deliver the completions
+        due now, then re-rate what they leave, folding in any pending
+        batched changes."""
+        if gen != self._wake_gen:
+            return
+        self._wake_handle = None
+        # Advance every flow to now, as :meth:`_advance`, and collect the
+        # ones due in the same pass.
+        now = self.sim.now
+        dt = now - self._last_update
+        self._last_update = now
+        flows, dirty = self._flows, self._dirty
+        finished = []
+        for flow in flows:
+            if dt > 0:
+                flow.remaining -= flow.rate * dt
+            if flow.remaining <= flow.threshold:
+                finished += (flow,)
+        sim, latency = self.sim, self.latency
+        for flow in finished:
+            # Each retired flow is in these dicts exactly once: ``del``.
+            del flows[flow]
+            for link in flow.links:
+                del link.flows[flow]
+                dirty[link] = None
+            # Completion is delivered after the propagation latency.
+            done = flow.done
+            if done.__class__ is Event:
+                del self._done_to_flow[done]
+                done.succeed(delay=latency)
+            else:
+                sim.call_later(latency, done)
+        self._dirty = {}
+        if flows:
+            self._recompute_touched(dirty)
+            # The wake just fired (or is now stale), so always re-arm — even
+            # if the recompute was skipped, surviving flows still need one.
+            self._arm_wake()
 
     # -- the array kernel -------------------------------------------------------
-    def _fill(self, flows: Iterable[Flow]) -> None:
+    def _fill(self, flows: list[Flow] | tuple[Flow, ...]) -> None:
         """Progressive filling over flat arrays, memoized by topology signature.
 
         ``flows`` arrives in ascending-``fid`` order (component refills are
@@ -496,11 +547,10 @@ class Fabric:
         list built here matches the insertion order of the full recompute's
         dict ``live`` sets exactly.
         """
-        flow_list = list(flows)
-        nflows = len(flow_list)
-        if not nflows:
+        if not flows:
             return
-        if nflows == 1:
+        flow = flows[0]
+        if flow is flows[-1]:  # its first flow is its last: no len() call
             # Single-flow component — point-to-point RPC traffic between
             # otherwise idle endpoints, about a third of all fills on
             # cache-enabled sweep points.  Progressive filling reduces to
@@ -510,16 +560,16 @@ class Fabric:
             # tie-break and the same final clamp as the general loop, so
             # the result is bit-identical and the signature build and
             # cache are skipped outright.
-            flow = flow_list[0]
             weight = flow.weight
             best_share = _INF
             for link in flow.links:
                 share = link.capacity / weight
                 if share < best_share:
                     best_share = share
-            # A linkless flow is never frozen by the general loop and
-            # keeps the 0.0 it was initialized with.
-            flow.rate = 0.0 if best_share is _INF else max(best_share, 0.0)
+            # A linkless flow is never frozen by the general loop and keeps
+            # the 0.0 it was initialized with; the clamp is ``max(best_share,
+            # 0.0)`` by comparison (a -0.0 survives it, as there).
+            flow.rate = 0.0 if best_share is _INF or best_share < 0.0 else best_share
             return
         # One flat signature: per flow a ``-2`` and its weight, then per link
         # either the local id of an already-seen link or a ``-1`` followed by
@@ -532,7 +582,7 @@ class Fabric:
         lids: dict[Link, int] = {}
         key: list = []
         nlinks = 0
-        for flow in flow_list:
+        for flow in flows:
             key += (-2, flow.weight)
             for link in flow.links:
                 if link in lids:
@@ -548,7 +598,7 @@ class Fabric:
             self.rate_cache_hits += 1
             if profiler is not None:
                 profiler.count("fabric.rate_cache_hits")
-            for fi, flow in enumerate(flow_list):
+            for fi, flow in enumerate(flows):
                 flow.rate = cached[fi]
             return
         self.rate_cache_misses += 1
@@ -559,22 +609,18 @@ class Fabric:
 
         # Miss path only: lower the component into parallel lists indexed
         # by local flow/link ids (membership as ascending-``fi`` lists).
-        weights = [flow.weight for flow in flow_list]
-        flinks = [[lids[link] for link in flow.links] for flow in flow_list]
+        weights = [flow.weight for flow in flows]
+        flinks = [[lids[link] for link in flow.links] for flow in flows]
         members: list[list[int]] = [[] for _ in range(nlinks)]
+        wsums = [0] * nlinks
         for fi, local in enumerate(flinks):
             for li in local:
-                members[li].append(fi)
+                members[li] += (fi,)
+                wsums[li] += weights[fi]
         residual = [link.capacity for link in lids]
-        wsums = []
-        for li in range(nlinks):
-            total = 0
-            for fi in members[li]:
-                total += weights[fi]
-            wsums.append(total)
+        nflows = remaining = len(flows)
         rates = [0.0] * nflows
         frozen = bytearray(nflows)
-        remaining = nflows
         while remaining:
             best_li = -1
             best_share = _INF
@@ -589,10 +635,11 @@ class Fabric:
                     best_li = li
             if best_li < 0:
                 break
-            # Clamp accumulated float drift, verbatim from the dict loop
-            # (max returns its *first* argument on ties, so -0.0 survives
-            # exactly as it does there).
-            best_share = max(best_share, 0.0)
+            # Clamp accumulated float drift: the dict loop's ``max(best_share,
+            # 0.0)`` as the comparison max makes (its *first* argument wins
+            # ties, so -0.0 survives exactly as it does there).
+            if best_share < 0.0:
+                best_share = 0.0
             for fi in members[best_li]:
                 if frozen[fi]:
                     continue
@@ -602,15 +649,14 @@ class Fabric:
                 weight = weights[fi]
                 for li in flinks[fi]:
                     if li != best_li:
-                        if weight == 1:
-                            residual[li] = max(0.0, residual[li] - best_share)
-                        else:
-                            # One clamped subtraction per bundle member,
-                            # exactly as the dict implementation does.
-                            r = residual[li]
-                            for _ in range(weight):
-                                r = max(0.0, r - best_share)
-                            residual[li] = r
+                        # One clamped subtraction per bundle member, exactly
+                        # as the dict loop's ``max(0.0, r - best_share)``.
+                        r = residual[li]
+                        for _ in range(weight):
+                            r -= best_share
+                            if not r > 0.0:
+                                r = 0.0
+                        residual[li] = r
                         wsums[li] -= weight
             wsums[best_li] = 0
 
@@ -623,40 +669,8 @@ class Fabric:
             # prints shows this against fabric.recompute, making the
             # memoization win (recompute mostly = cache hits) measurable.
             profiler.lap("fabric.fill_solve", t_solve)
-        for fi, flow in enumerate(flow_list):
+        for fi, flow in enumerate(flows):
             flow.rate = rates[fi]
-
-    def _wake_body(self) -> None:
-        """Deliver completions at the wake instant (validity already checked)."""
-        self._advance()
-        finished = [f for f in self._flows if f.remaining <= f.threshold]
-        sim, latency = self.sim, self.latency
-        for flow in finished:
-            self._flows.pop(flow, None)
-            for link in flow.links:
-                link.flows.pop(flow, None)
-            # Completion is delivered after the propagation latency.
-            done = flow.done
-            if done.__class__ is Event:
-                self._done_to_flow.pop(done, None)
-                done.succeed(delay=latency)
-            else:
-                sim.call_later(latency, done)
-        self._departures(finished)
-
-    def _departures(self, finished: list[Flow]) -> None:
-        """Re-rate after completions, folding in any pending batched changes."""
-        if not self._flows:
-            self._dirty.clear()
-            return
-        for flow in finished:
-            for link in flow.links:
-                self._dirty[link] = None
-        dirty, self._dirty = self._dirty, {}
-        self._recompute_touched(dirty)
-        # The wake just fired (or is now stale), so always re-arm — even if
-        # the recompute was skipped, surviving flows still need a wake-up.
-        self._arm_wake()
 
 
 def create_fabric(

@@ -54,27 +54,16 @@ class NaiveFabric(Fabric):
 
     def _change(self, links: Iterable[Link], flow: Optional[Flow] = None) -> None:
         self._advance()
-        self._recompute()
+        self._recompute_touched(self._dirty)
         self._arm_wake()
 
     def _force_flush(self) -> None:  # nothing is ever deferred
         pass
 
-    def _recompute(self) -> None:
-        self.recomputes += 1
-        self.recompute_flows += len(self._flows)
-        profiler = self.sim.profiler
-        if profiler is None:
-            self._fill(self._flows)
-        else:
-            with profiler.timer("fabric.recompute"):
-                self._fill(self._flows)
-            profiler.count("fabric.recompute_flows", len(self._flows))
-
-    def _departures(self, finished: list[Flow]) -> None:
-        if self._flows:
-            self._recompute()
-            self._arm_wake()
+    def _recompute_touched(self, dirty: dict[Link, None]) -> bool:
+        """Every change, a departure included, re-rates every active flow."""
+        self._refill(self._flows, len(self._flows))
+        return True
 
     def _fill(self, flows: Iterable[Flow]) -> None:
         """Max-min fair allocation of ``flows`` by progressive filling.
@@ -150,7 +139,7 @@ class NaiveFabric(Fabric):
         if event is not self._wake:
             return  # superseded by a newer reschedule
         self._wake = None
-        self._wake_body()
+        self._wake_due(self._wake_gen)
 
 
 # -- the sync thread's flush, as generators ----------------------------------

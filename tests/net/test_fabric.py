@@ -1,7 +1,7 @@
 import pytest
 
 from repro.net.fabric import Fabric
-from repro.sim.core import Simulator
+from repro.sim.core import SimError, Simulator
 
 BW = 1000.0  # bytes/sec — round numbers make assertions exact
 LAT = 0.001
@@ -111,3 +111,48 @@ class TestAccounting:
         run_transfer(sim, fabric, flows)
         assert fabric.active_flows == 0
         assert sim.now < 10.0
+
+
+class TestBadInput:
+    """``start_flow`` and ``grow_flow`` refuse what would misroute, divide by
+    zero, never finish or finish at once, with a ``SimError`` naming it."""
+
+    def test_negative_src_node(self, fabric):
+        # An index of -1 would route over the last node's NIC.
+        with pytest.raises(SimError, match="src_node -1"):
+            fabric.start_flow(-1, 0, 100)
+
+    def test_dst_node_past_the_last(self, fabric):
+        with pytest.raises(SimError, match="dst_node 5"):
+            fabric.start_flow(0, 5, 100)
+
+    def test_zero_weight(self, fabric):
+        with pytest.raises(SimError, match="weight"):
+            fabric.start_flow(0, 1, 100, weight=0)
+
+    def test_nan_nbytes(self, fabric):
+        # It would never complete, and the run would deadlock later.
+        with pytest.raises(SimError, match="nbytes"):
+            fabric.start_flow(0, 1, float("nan"))
+
+    def test_infinite_nbytes(self, fabric):
+        # Its finish threshold would be inf: it would "complete" at once.
+        with pytest.raises(SimError, match="nbytes"):
+            fabric.start_flow(0, 1, float("inf"))
+
+    def test_negative_nbytes(self, fabric):
+        with pytest.raises(SimError, match="nbytes"):
+            fabric.start_flow(0, 1, -1, on_done=lambda: None)
+
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf"), -100])
+    def test_grow_flow_nbytes(self, fabric, nbytes):
+        done = fabric.start_flow(0, 1, 100)
+        with pytest.raises(SimError, match="nbytes"):
+            fabric.grow_flow(done, nbytes)
+        assert fabric.grow_flow(done, 100)
+
+    def test_refused_input_starts_nothing(self, sim, fabric):
+        with pytest.raises(SimError):
+            fabric.start_flow(0, 4, 100)
+        assert fabric.active_flows == 0 and fabric.bytes_moved == 0
+        assert not sim.pending
