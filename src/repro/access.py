@@ -426,7 +426,7 @@ class AccessTable:
         table = next(iter(accesses.values())).table if accesses else None
         stood_for = len(accesses)
         if members is not None:
-            stood_for += sum([len(members[r]) for r in accesses])
+            stood_for += sum(map(len, map(members.__getitem__, accesses)))
         if (
             table is not None
             and table.nranks == nranks == stood_for

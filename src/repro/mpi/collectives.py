@@ -28,9 +28,8 @@ A ``timed:`` slot — a pre-costed synchronisation — files nothing: it keeps
 a count and the longest duration passed.  On the production stack only a
 collective write's offset exchange is one; its rounds run on the call's
 clock (``romio.ext2ph.CallClock``), which :meth:`ModelCollectives.set_classes`
-knows of so that classes cannot change under it.  The timed ladder that
-used to carry ranks through per-round slots is history
-(docs/PERFORMANCE.md, "Plan once, park once").
+knows of so that classes cannot change under it (no rank is carried
+through per-round slots).
 
 Paper correspondence: the collectives the §II-A algorithm leans on
 (alltoall dissemination, allreduce epilogue, barrier-style sync).

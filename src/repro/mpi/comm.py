@@ -35,6 +35,8 @@ class Communicator:
         self.nprocs = nprocs
         self.rank_to_node = transport.rank_to_node
         self._model = ModelCollectives(sim, nprocs, costs)
+        #: ``ModelCollectives.arrive``, bound: one hop to a rank's next slot
+        self.arrive = self._model.arrive
         #: Rank classes: the other ranks each rank's arrivals stand for
         #: (``()`` for a rank on its own; see ModelCollectives.set_classes).
         self.members = self._model.members
@@ -56,7 +58,10 @@ class Communicator:
         per-node sums (the two-phase model's hot-spot bytes) is the same
         for two communicators of equal placement."""
         labels: dict[int, int] = {}
-        return tuple(labels.setdefault(n, len(labels)) for n in self.rank_to_node)
+        for n in self.rank_to_node:
+            if n not in labels:
+                labels[n] = len(labels)
+        return tuple([labels[n] for n in self.rank_to_node])
 
     def set_classes(self, classes) -> None:
         """Partition the ranks into classes whose first member arrives at
@@ -116,7 +121,7 @@ class Communicator:
         """Pre-costed synchronisation point: the release Event, to ``yield``
         (see ModelCollectives.timed; arrives directly — this is the round
         loop's hot call)."""
-        return self._model.arrive(rank, f"timed:{label}", duration)
+        return self.arrive(rank, f"timed:{label}", duration)
 
     def hold_classes(self, clock) -> None:
         """A collective write starts running on its own clock between two

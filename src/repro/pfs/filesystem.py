@@ -127,15 +127,14 @@ class ParallelFileSystem:
         """Immediate create (the MDS op is charged by the client)."""
         if path in self._files:
             raise FileExistsError(path)
-        count = stripe_count or self.cfg.default_stripe_count
+        # None means "the default"; StripeLayout refuses a bad value, 0 included.
+        size = self.cfg.default_stripe_size if stripe_size is None else stripe_size
+        count = self.cfg.default_stripe_count if stripe_count is None else stripe_count
+        layout = StripeLayout(stripe_size=size, stripe_count=count)
         if count > self.cfg.num_data_servers:
             raise SimError(
                 f"stripe_count {count} exceeds {self.cfg.num_data_servers} data servers"
             )
-        layout = StripeLayout(
-            stripe_size=stripe_size or self.cfg.default_stripe_size,
-            stripe_count=count,
-        )
         f = PFSFile(path, layout)
         self._files[path] = f
         return f

@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from repro.sim.core import SimError
+from repro.units import check_count
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,10 @@ class StripeLayout:
     first_target: int = 0
 
     def __post_init__(self):
-        if self.stripe_size <= 0:
-            raise ValueError(f"stripe_size must be positive, got {self.stripe_size}")
-        if self.stripe_count <= 0:
-            raise ValueError(f"stripe_count must be positive, got {self.stripe_count}")
+        size, count = self.stripe_size, self.stripe_count
+        if not (size.__class__ is count.__class__ is int and size > 0 and count > 0):
+            check_count("stripe_size", size)
+            check_count("stripe_count", count)
 
     def stripe_of(self, offset: int) -> int:
         return offset // self.stripe_size

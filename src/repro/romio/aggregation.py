@@ -84,26 +84,23 @@ def partition_stripe_aligned(
     """
     if stripe_size <= 0:
         raise ValueError(f"stripe_size must be positive, got {stripe_size}")
-    total = end_inclusive - start + 1
-    if total <= 0:
+    end = end_inclusive + 1
+    if end <= start:
         return [FileDomain(a, 0, 0) for a in aggregators]
-    n = len(aggregators)
     first_stripe = start // stripe_size
-    last_stripe = end_inclusive // stripe_size
-    nstripes = last_stripe - first_stripe + 1
-    base = nstripes // n
-    rem = nstripes % n
+    nstripes = end_inclusive // stripe_size - first_stripe + 1
+    base, rem = divmod(nstripes, len(aggregators))
     domains = []
     stripe_pos = first_stripe
     for i, agg in enumerate(aggregators):
-        count = base + (1 if i < rem else 0)
-        lo = max(start, stripe_pos * stripe_size)
-        hi = min(end_inclusive + 1, (stripe_pos + count) * stripe_size)
+        count = base + 1 if i < rem else base
         if count == 0:
             domains.append(FileDomain(agg, 0, 0))
-        else:
-            domains.append(FileDomain(agg, lo, hi))
+            continue
+        lo = stripe_pos * stripe_size if i else start  # the first starts unaligned
         stripe_pos += count
+        hi = stripe_pos * stripe_size
+        domains.append(FileDomain(agg, lo, hi if hi < end else end))
     return domains
 
 

@@ -101,6 +101,8 @@ class ADIOFile:
         self.pfs_file = pfs_file
         self.aggregators = aggregators
         self.agg_index = {a: i for i, a in enumerate(aggregators)}
+        # Each aggregator's compute node, where its buffer is pinned.
+        self.agg_nodes = [machine.nodes[comm.rank_to_node[a]] for a in aggregators]
         self.exchange_mode = exchange_mode
         # In rank order; the ranks of a class lap in lock-step, into one
         # (``class_profilers``: each once, for whoever wants every distinct one).

@@ -69,7 +69,7 @@ class MPIIOLayer:
             )
         fd = slots[-1]
         fd.opened += 1 + len(self.comm.members[rank])
-        prof = fd.profiler(rank)
+        prof = fd.profilers[rank]
         t0 = prof.mark()
         if rank == 0:
             client = self.machine.pfs_client(0)
@@ -132,8 +132,10 @@ class MPIFileHandle:
     # less generator — a measurable slice of full-grid wall time.
     def write_all(self, access: RankAccess):
         """``MPI_File_write_all`` over a flattened file view (generator)."""
-        self._check_open()
-        return ext2ph.write_strided_coll(self.fd, self.rank, access, self.prof)
+        if self.closed:
+            self._check_open()  # raises
+        fd = self.fd
+        return ext2ph.write_strided_coll(fd, self.rank, access, fd.profilers[self.rank])
 
     def write_at(self, offset: int, nbytes: int, data: Optional[np.ndarray] = None):
         """Independent contiguous write, ``MPI_File_write_at`` (generator)."""

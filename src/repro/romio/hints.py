@@ -17,7 +17,7 @@ from functools import partial
 from typing import Any, Mapping, Optional
 
 from repro import options
-from repro.units import KiB, MiB, parse_size
+from repro.units import KiB, MiB, check_count, parse_size
 
 
 class HintError(ValueError):
@@ -40,6 +40,10 @@ _CHOICES = {
     "e10_cache_discard_flag": _ONOFF,
     "e10_cache_kind": options.CACHE_KINDS,
 }
+#: The size and count hints, each a positive integer; the ``_UNSET`` ones
+#: may also be None (the file system's or ROMIO's default).
+_UNSET = ("cb_nodes", "striping_factor", "striping_unit")
+_COUNTS = ("cb_buffer_size", "ind_wr_buffer_size", *_UNSET)
 
 
 @dataclass
@@ -130,22 +134,22 @@ class Hints:
         also built directly by tests and experiment code — this catches
         nonsense values regardless of how the object was constructed.
         """
-        if self.cb_buffer_size <= 0:
+        values = self.__dict__  # every open validates: no call per good field
+        for key in _COUNTS:
+            value = values[key]
+            if value.__class__ is int and value > 0:
+                continue
+            if value is not None or key not in _UNSET:
+                check_count(f"hint {key}", value, HintError)
+        if self.cb_config_spread.__class__ is not bool:
             raise HintError(
-                f"hint cb_buffer_size={self.cb_buffer_size}: must be positive"
+                f"hint cb_config_spread={self.cb_config_spread!r}: must be a bool"
             )
-        if self.ind_wr_buffer_size <= 0:
-            raise HintError(
-                f"hint ind_wr_buffer_size={self.ind_wr_buffer_size}: must be positive"
-            )
-        if self.cb_nodes is not None and self.cb_nodes <= 0:
-            raise HintError(f"hint cb_nodes={self.cb_nodes}: must be positive")
         if self.cache_enabled and not self.e10_cache_path.strip():
             raise HintError(
                 f"hint e10_cache_path={self.e10_cache_path!r}: must be a "
                 "non-empty path when e10_cache is enabled"
             )
-        values = self.__dict__  # every open validates: no call per field
         for key in _CHOICES:
             if values[key] not in _CHOICES[key]:
                 raise HintError(

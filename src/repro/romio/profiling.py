@@ -66,17 +66,9 @@ class PhaseProfile:
 
 
 class Profiler:
-    """Per-rank phase timer bound to the simulation clock.
-
-    Usage inside a rank generator::
-
-        with prof.phase("write") as _:
-            ...  # not possible with generators; use explicit marks instead
-
-        t0 = prof.mark()
-        yield from ...
-        prof.lap("write", t0)
-    """
+    """Per-rank phase timer on the simulation clock: ``t0 = prof.mark()``,
+    then ``prof.lap("write", t0)``.  A phase appears with its first lap and
+    not before, so profiles compare equal with ``==``, keys included."""
 
     def __init__(self, sim, rank: int):
         self.sim = sim
@@ -88,12 +80,10 @@ class Profiler:
 
     def lap(self, phase: str, t0: float) -> float:
         dt = self.sim.now - t0
-        # Inlined PhaseProfile.add: lap runs twice per rank per exchange
-        # round, so the extra call and the .get() lookup are measurable.
-        if dt < 0:
+        if dt < 0:  # PhaseProfile.add, inlined
             raise ValueError(f"negative duration {dt} for {phase}")
         seconds = self.profile.seconds
-        seconds[phase] = seconds.get(phase, 0.0) + dt
+        seconds[phase] = seconds[phase] + dt if phase in seconds else dt
         return dt
 
 

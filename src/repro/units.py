@@ -12,6 +12,7 @@ in these units).
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 # Binary size units (bytes).
 KiB = 1024
@@ -77,6 +78,18 @@ def parse_size(value: int | str) -> int:
     if scalar < 0:
         raise ValueError(f"negative size: {value!r}")
     return int(round(scalar * _SUFFIXES[suffix]))
+
+
+def check_count(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` and ``value`` unless ``value`` is a
+    positive integer (a bool is not one).  A hot caller skips the call for
+    a positive plain ``int``."""
+    if value.__class__ is not int and (
+        value.__class__ is bool or not isinstance(value, Integral)
+    ):
+        raise error(f"{name}={value!r}: must be an integer")
+    if value <= 0:
+        raise error(f"{name}={value!r}: must be positive")
 
 
 def fmt_size(nbytes: float) -> str:

@@ -61,7 +61,10 @@ class IOStep:
 
     def access_fn(self, rank: int, profiler=None) -> RankAccess:
         """Rank ``rank``'s access for this step."""
-        return self.table(profiler).rank(rank)
+        table = self._table
+        if table is None:
+            table = self.table(profiler)
+        return table.rank(rank)
 
 
 @dataclass(frozen=True)

@@ -72,31 +72,31 @@ def multi_phase_body(
     def body(ctx: MPIContext):
         timings: list[PhaseTiming] = []
         prev_handle = None
-        profiler = ctx.sim.profiler
+        rank, sim = ctx.rank, ctx.sim
+        profiler = sim.profiler
         for k in range(num_files):
             path = f"{file_prefix}{k}"
             if prev_handle is not None:
-                t0 = ctx.now
+                t0 = sim.now
                 yield from prev_handle.close()
-                timings[-1].close_wait = ctx.now - t0
+                timings[-1].close_wait = sim.now - t0
                 prev_handle = None
-            t0 = ctx.now
+            t0 = sim.now
             if wrapper is not None:
-                fh = yield from wrapper.file_open(ctx.rank, path, hints)
+                fh = yield from wrapper.file_open(rank, path, hints)
             else:
-                fh = yield from layer.open(ctx.rank, path, hints)
-            timing = PhaseTiming(open_time=ctx.now - t0)
-            t0 = ctx.now
+                fh = yield from layer.open(rank, path, hints)
+            timing = PhaseTiming(open_time=sim.now - t0)
+            t0 = sim.now
             for step in workload.steps:
                 if step.kind == "collective":
-                    acc = step.access_fn(ctx.rank, profiler)
-                    yield from fh.write_all(acc)
+                    yield from fh.write_all(step.access_fn(rank, profiler))
                 elif step.kind == "rank0":
-                    if ctx.rank == 0:
+                    if rank == 0:
                         yield from fh.write_at(step.offset, step.nbytes)
                 else:  # pragma: no cover - recipe construction guards this
                     raise ValueError(f"unknown step kind {step.kind!r}")
-            timing.write_time = ctx.now - t0
+            timing.write_time = sim.now - t0
             if ctx.machine.faults is not None:
                 # Milestone for event-triggered faults (e.g. an aggregator
                 # crash "just after writing file k").  First arrival fires
@@ -105,30 +105,30 @@ def multi_phase_body(
                 ctx.machine.faults.notify(f"write_done:{k}", job=ctx.machine.job_label)
             timings.append(timing)
             if wrapper is not None:
-                t0 = ctx.now
+                t0 = sim.now
                 yield from fh.close()  # may be deferred by the wrapper
-                timing.close_wait = ctx.now - t0
+                timing.close_wait = sim.now - t0
             elif deferred_close:
                 prev_handle = fh
             else:
-                t0 = ctx.now
+                t0 = sim.now
                 yield from fh.close()
-                timing.close_wait = ctx.now - t0
+                timing.close_wait = sim.now - t0
             if k < num_files - 1:
                 # Compute phases sit *between* I/O phases; there is nothing
                 # after the last write to hide its synchronisation behind
                 # (the paper's C(k+1) = 0 for the final phase).
-                t0 = ctx.now
+                t0 = sim.now
                 yield from ctx.compute(compute_delay)
-                timing.compute_time = ctx.now - t0
+                timing.compute_time = sim.now - t0
         if prev_handle is not None:
-            t0 = ctx.now
+            t0 = sim.now
             yield from prev_handle.close()
-            timings[-1].close_wait = ctx.now - t0
+            timings[-1].close_wait = sim.now - t0
         if wrapper is not None:
-            t0 = ctx.now
-            yield from wrapper.finalize(ctx.rank)
-            timings[-1].close_wait += ctx.now - t0
+            t0 = sim.now
+            yield from wrapper.finalize(rank)
+            timings[-1].close_wait += sim.now - t0
         return timings
 
     def rank_classes():
@@ -138,7 +138,7 @@ def multi_phase_body(
         replays them on open, the lowest rank of each node for its node."""
         comm, parsed = layer.comm, Hints.from_info(hints)
         leaders = {0, *layer.aggregators(parsed)}
-        followers = tuple(r for r in range(comm.size) if r not in leaders)
+        followers = tuple([r for r in range(comm.size) if r not in leaders])
         if (
             len(followers) < 2
             or wrapper is not None

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,15 @@ from repro.workloads import phases
 #: Both event-loop engines by name, for tests that build one directly (the
 #: reference stack's heapq engine and production's slotted one).
 ENGINES = {"heapq": Simulator, "slotted": SlottedSimulator}
+
+
+def load_tool(name: str):
+    """``tools/<name>.py`` as a module (``tools/`` is a script directory)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def quiet_faults(config) -> FaultSchedule:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from repro.config import small_testbed
+from repro.machine import Machine
 from repro.pfs.filesystem import PFSFile
 from repro.pfs.layout import StripeLayout
 
@@ -60,3 +62,33 @@ class TestPersistedTracking:
         f.record_write(50, 100, None)
         assert f.persisted.total == 150
 
+
+class TestCreateLayout:
+    """``create`` takes None for "the default" and refuses a bad value,
+    zero included, instead of falling back to the default."""
+
+    @pytest.fixture
+    def pfs(self):
+        return Machine(small_testbed()).pfs
+
+    def test_none_is_the_default(self, pfs):
+        layout = pfs.create("/g/a").layout
+        cfg = pfs.cfg
+        assert (layout.stripe_size, layout.stripe_count) == (
+            cfg.default_stripe_size,
+            cfg.default_stripe_count,
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"stripe_size": 0}, "stripe_size=0: must be positive"),
+            ({"stripe_count": 0}, "stripe_count=0: must be positive"),
+            ({"stripe_size": 1.5}, "stripe_size=1.5: must be an integer"),
+            ({"stripe_count": 2.5}, "stripe_count=2.5: must be an integer"),
+        ],
+    )
+    def test_bad_layout_refused(self, pfs, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            pfs.create("/g/a", **kwargs)
+        assert not pfs.exists("/g/a")

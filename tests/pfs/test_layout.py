@@ -13,6 +13,18 @@ class TestBasics:
         with pytest.raises(ValueError):
             StripeLayout(4 * MiB, 0)
 
+    @pytest.mark.parametrize(
+        "size, count, field",
+        [
+            (1.5, 4, "stripe_size"),
+            (4 * MiB, 2.5, "stripe_count"),
+            (True, 4, "stripe_size"),
+        ],
+    )
+    def test_non_integer_params(self, size, count, field):
+        with pytest.raises(ValueError, match=rf"{field}=.*: must be an integer"):
+            StripeLayout(size, count)
+
     def test_stripe_of(self):
         lay = StripeLayout(100, 4)
         assert lay.stripe_of(0) == 0

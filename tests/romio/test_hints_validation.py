@@ -1,5 +1,6 @@
 """Hint validation: nonsense values must fail fast, however constructed."""
 
+import numpy as np
 import pytest
 
 from repro.romio.hints import HintError, Hints
@@ -72,6 +73,45 @@ class TestValidateMethod:
         h = Hints(**{field: value})
         with pytest.raises(HintError, match=rf"hint {field}='{value}': expected one of"):
             h.validate()
+
+
+class TestSizesAndCounts:
+    """A size or count hint is a positive integer (or unset, where unset
+    means a default), and ``cb_config_spread`` a bool, however the object
+    was built."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("striping_unit", 0, "must be positive"),
+            ("striping_unit", -4096, "must be positive"),
+            ("striping_unit", 4096.0, "must be an integer"),
+            ("striping_factor", 0, "must be positive"),
+            ("striping_factor", 2.5, "must be an integer"),
+            ("striping_factor", True, "must be an integer"),
+            ("cb_buffer_size", 1.5, "must be an integer"),
+            ("ind_wr_buffer_size", "512k", "must be an integer"),
+            ("cb_nodes", 2.0, "must be an integer"),
+        ],
+    )
+    def test_direct_bad_size_or_count(self, field, value, message):
+        with pytest.raises(HintError, match=rf"hint {field}={value!r}: {message}"):
+            Hints(**{field: value}).validate()
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_direct_non_bool_spread(self, value):
+        message = rf"hint cb_config_spread={value!r}: must be a bool"
+        with pytest.raises(HintError, match=message):
+            Hints(cb_config_spread=value).validate()
+
+    def test_unset_layout_and_numpy_integers_pass(self):
+        Hints(striping_unit=None, striping_factor=None, cb_nodes=None).validate()
+        Hints(striping_unit=np.int64(4096), striping_factor=np.int32(4)).validate()
+
+    @pytest.mark.parametrize("field", ["striping_unit", "striping_factor"])
+    def test_parsed_zero_layout_refused(self, field):
+        with pytest.raises(HintError, match=field):
+            Hints.from_info({field: "0"})
 
 
 class TestMessagesNameFieldAndValue:
