@@ -209,12 +209,3 @@ class NVMMWriteLog:
         self.reserved = 0
         self._tail = 0
         self.records.clear()
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "durable_records": self.durable_records,
-            "torn_records": self.torn_records,
-            "bytes_appended": self.bytes_appended,
-            "torn_bytes": self.torn_bytes,
-            "log_bytes": self.reserved,
-        }

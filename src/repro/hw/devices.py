@@ -18,10 +18,11 @@ scratch partition and the servers' RAID6 SAS targets.
 from __future__ import annotations
 
 from functools import partial
+from math import inf
 from typing import Optional
 
 from repro.faults.errors import FaultError
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Event, SimError, Simulator
 from repro.sim.resources import Resource, abandon_grant, abandon_held, abandon_queued
 
 
@@ -87,6 +88,8 @@ class StorageDevice:
         return self._io(offset, nbytes, False)
 
     def _io(self, offset: int, nbytes: int, is_write: bool):
+        if not 0 <= nbytes < inf:  # comparisons only: a NaN fails them too
+            raise SimError(f"{self.name}: nbytes must be finite and >= 0, got {nbytes!r}")
         # A free queue may grant synchronously, skipping the grant event
         # (Resource.try_acquire).  All device state (head position, stream
         # table, RNG jitter, the injector's draws) is touched under the slot
@@ -112,25 +115,32 @@ class StorageDevice:
     # Callback twins of :meth:`_io`: every accounting step — grant,
     # service-time draw, stream-table update, the injector's hooks, counters,
     # release — runs in the *same event callback* as the generator's, so the
-    # two are schedule-identical.
+    # two are schedule-identical.  The slot is taken and given back in place
+    # (queued hand-offs and the idle-release error stay ``Resource``'s), and
+    # every request refuses a negative, infinite or NaN ``nbytes``.
     def write_flat(self, offset: int, nbytes: int, on_done, done: Optional[Event] = None):
         """A write inside a callback chain: ``on_done()`` is invoked where
         the generator's caller would resume.  Abandoning ``done``, the
         chain's event (none for the write-back drains), leaves the queue at
         once, or gives the slot back at the interrupt kick."""
-        if self.queue.try_acquire():
+        if not 0 <= nbytes < inf:
+            raise SimError(f"{self.name}: nbytes must be finite and >= 0, got {nbytes!r}")
+        queue = self.queue
+        if queue.inline_grants and queue._in_use < queue.capacity and not queue._waiters:
+            queue._in_use += 1
             self._write_serve(offset, nbytes, on_done, done)
             return
         granted = partial(self._write_serve, offset, nbytes, on_done, done)
-        self.queue.request_call(granted)
+        queue.request_call(granted)
         if done is not None:
-            done.abandon = partial(abandon_queued, self.queue, granted)
+            done.abandon = partial(abandon_queued, queue, granted)
 
     def _write_serve(self, offset: int, nbytes: int, on_done, done: Optional[Event]) -> None:
+        queue = self.queue
         if done is not None:
             if done._triggered:  # abandoned while queued: the slot went back then
                 return
-            done.abandon = partial(abandon_held, self.queue)
+            done.abandon = partial(abandon_held, queue)
         dt = self.service_time(offset, nbytes, True)
         if self.injector is not None:
             # GC-pressure windows stretch writes (never raise).
@@ -144,7 +154,10 @@ class StorageDevice:
         def _served():
             if done is not None and done._triggered:
                 return
-            self.queue.release()
+            if queue._waiters or not queue._in_use:
+                queue.release()
+            else:
+                queue._in_use -= 1
             on_done()
 
         self.sim.call_later(dt, _served)
@@ -157,32 +170,40 @@ class StorageDevice:
         Abandoned, a queued request leaves the queue, a slot in service is
         released where the ``Interrupt`` would reach the ``finally``.
         """
-        if self.queue.try_acquire():
+        if not 0 <= nbytes < inf:
+            raise SimError(f"{self.name}: nbytes must be finite and >= 0, got {nbytes!r}")
+        queue = self.queue
+        if queue.inline_grants and queue._in_use < queue.capacity and not queue._waiters:
+            queue._in_use += 1
             self._read_serve(offset, nbytes, done, value)
             return
         granted = partial(self._read_serve, offset, nbytes, done, value)
-        self.queue.request_call(granted)
-        done.abandon = partial(abandon_queued, self.queue, granted)
+        queue.request_call(granted)
+        done.abandon = partial(abandon_queued, queue, granted)
 
     def _read_serve(self, offset: int, nbytes: int, done: Event, value) -> None:
         if done._triggered:  # abandoned while queued: the slot went back then
             return
+        queue = self.queue
         if self.injector is not None:
             try:
                 self.injector.on_device_read(self, offset, nbytes)
             except FaultError as exc:
-                self.queue.release()
+                queue.release()
                 done._fire_inline(exc, ok=False)
                 return
         dt = self.service_time(offset, nbytes, False)
         self.busy_time += dt
         self._account(nbytes, False)
-        done.abandon = partial(abandon_grant, self.queue)
+        done.abandon = partial(abandon_grant, queue)
 
         def _served():
             if done._triggered:
                 return
-            self.queue.release()
+            if queue._waiters or not queue._in_use:
+                queue.release()
+            else:
+                queue._in_use -= 1
             done._fire_inline(value())
 
         self.sim.call_later(dt, _served)

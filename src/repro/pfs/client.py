@@ -235,9 +235,9 @@ class _PipelinedWrite(Event):
             on_done=self._child,
         )
         for t_off in offsets:
-            server.serve_write_event(t_off + shift, total, tag=tag).callbacks.append(self._child)
+            server.serve_write(t_off + shift, total, self._child, tag=tag)
 
-    def _child(self, _ev: Optional[Event] = None) -> None:
+    def _child(self) -> None:
         self.pending -= 1
         if self.pending or self._triggered:
             return
@@ -312,16 +312,12 @@ class _SyncWrite:
         if done._triggered and not raced:
             return
         si, t_off, total, run_rpcs = self.plan[i]
-        ev = self.client.pfs.servers[si].serve_write_event(
-            t_off + self.shift, total, rpc_count=run_rpcs, tag=self.client.tag
+        on_done = partial(self._finished if raced else self._next, i)
+        self.client.pfs.servers[si].serve_write(
+            t_off + self.shift, total, on_done, None if raced else done, run_rpcs, self.client.tag
         )
-        if raced:
-            ev.callbacks.append(partial(self._finished, i))
-        else:
-            done.abandon = partial(abandon_wait, ev)
-            ev.callbacks.append(partial(self._next, i))
 
-    def _next(self, i: int, _ev: Optional[Event] = None) -> None:
+    def _next(self, i: int) -> None:
         done = self.done
         if i + 1 < len(self.plan):
             done.abandon = settle
@@ -339,7 +335,7 @@ class _SyncWrite:
             sim.call_soon(partial(self._rpc, i, True))
             sim.call_later(self.watchdog, partial(self._decide, i, True))
 
-    def _finished(self, i: int, _ev: Event) -> None:
+    def _finished(self, i: int) -> None:
         # The raced RPC is served: its process completes one hop later ...
         self.client.sim.call_soon(partial(self._decide, i, False))
 

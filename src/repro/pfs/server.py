@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.config import PFSConfig
 from repro.hw.devices import StorageDevice
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Event, SimError, Simulator
 from repro.sim.resources import Resource, abandon_grant, abandon_queued
 from repro.sim.rng import RngStreams
 
@@ -191,81 +191,93 @@ class DataServer:
             self.rpcs_by_tag[tag] = self.rpcs_by_tag.get(tag, 0) + max(1, rpc_count)
             self.bytes_by_tag[tag] = self.bytes_by_tag.get(tag, 0) + int(nbytes)
 
-    def serve_write_event(
-        self, target_offset: int, nbytes: int, rpc_count: int = 1, tag: Optional[str] = None
-    ) -> Event:
+    def serve_write(
+        self, target_offset: int, nbytes: int, on_done, done=None, rpc_count=1, tag=None
+    ) -> None:
         """Process one write RPC — worker, stall gate, overhead, cache
-        absorb — as a callback chain; the returned Event fires *inline* when
-        the worker is released.
+        absorb — as a callback chain that calls ``on_done()`` where the
+        worker is released (``StorageDevice.write_flat``'s contract).
 
         ``rpc_count > 1`` accounts for a batch of logical RPCs coalesced by
         the caller: per-RPC overhead is charged for each.  Every step lands
-        in the event callback where an RPC written as a generator would take
-        it: the worker grant, the stall gate (a stalled server parks the RPC
-        while holding the worker: head-of-line blocking), the post-grant
-        jitter draw, the absorb/throttle loop and the release before the
-        resume.  The RPC runs out whatever becomes of its caller unless the
-        caller abandons it: then a queued worker request leaves the queue, a
-        held worker is released at the interrupt kick, and no later step
-        runs.
+        in the event callback where :func:`repro.reference.serve_write`
+        takes it: the worker grant, the stall gate (a stalled server parks
+        the RPC while holding the worker: head-of-line blocking), the
+        post-grant jitter draw, the absorb/throttle loop and the release.
+        Without ``done`` the RPC runs out whatever becomes of its caller;
+        abandoning ``done``, the caller's chain event, withdraws a queued
+        worker request or releases a held worker at the interrupt kick, and
+        stops every later step.  A negative or NaN ``nbytes`` and an
+        ``rpc_count`` below one raise a :class:`SimError` naming them.
         """
-        done = Event(self.sim, name=f"srv{self.server_id}-w")
-        if self.workers.try_acquire():
-            self._serve_write_overhead(done, nbytes, rpc_count, tag)
-        else:
-            granted = partial(self._serve_write_overhead, done, nbytes, rpc_count, tag)
-            self.workers.request_call(granted)
-            done.abandon = partial(abandon_queued, self.workers, granted)
-        return done
+        if not 0 <= nbytes < math.inf:
+            raise SimError(f"serve_write: nbytes must be finite and >= 0, got {nbytes!r}")
+        if not rpc_count >= 1:
+            raise SimError(f"serve_write: rpc_count must be >= 1, got {rpc_count!r}")
+        workers = self.workers
+        if workers.inline_grants and workers._in_use < workers.capacity and not workers._waiters:
+            workers._in_use += 1
+            self._serve_write_overhead(nbytes, on_done, done, rpc_count, tag)
+            return
+        granted = partial(self._serve_write_overhead, nbytes, on_done, done, rpc_count, tag)
+        workers.request_call(granted)
+        if done is not None:
+            done.abandon = partial(abandon_queued, workers, granted)
 
     def _serve_write_overhead(
-        self, done: Event, nbytes: int, rpc_count: int, tag: Optional[str] = None
+        self, nbytes: int, on_done, done: Optional[Event], rpc_count: int, tag: Optional[str]
     ) -> None:
-        if done._triggered:
-            return
-        done.abandon = partial(abandon_grant, self.workers)
+        if done is not None:
+            if done._triggered:  # abandoned while queued: the worker went back then
+                return
+            done.abandon = partial(abandon_grant, self.workers)
         if self.injector is not None:
             wait = self.injector.stall_wait(self.server_id)
             if wait > 0.0:
                 if wait < math.inf:
                     self.sim.call_later(
-                        wait, partial(self._serve_write_overhead, done, nbytes, rpc_count, tag)
+                        wait,
+                        partial(self._serve_write_overhead, nbytes, on_done, done, rpc_count, tag),
                     )
                 return
-        overhead = self.cfg.rpc_overhead * (rpc_count if rpc_count > 1 else 1)
+        overhead = self.cfg.rpc_overhead * rpc_count
         if self.rng is not None and self.cfg.jitter_sigma > 0:
             overhead *= self._draw_rpc_jitter()
         self.sim.call_later(
             overhead,
-            partial(self._serve_write_absorb, done, nbytes, rpc_count, int(nbytes), tag),
+            partial(self._serve_write_absorb, nbytes, on_done, done, rpc_count, int(nbytes), tag),
         )
 
     def _serve_write_absorb(
-        self, done: Event, nbytes: int, rpc_count: int, remaining: int, tag: Optional[str]
+        self, nbytes: int, on_done, done: Optional[Event], rpc_count: int, left: int, tag
     ) -> None:
         # Account the RPC's bytes dirty, continued across throttle waits by
         # queueing this call's continuation on the cache's waiter FIFO.
         # An abandoned RPC's continuation, woken, takes no room: the wake
         # passes over it as over an interrupted generator's event.
-        if done._triggered:
+        if done is not None and done._triggered:
             return
         cache = self.cache
-        while remaining > 0:
+        while left > 0:
             room = cache.limit - cache.dirty
             if room <= 0:
                 cache._waiters.append(
-                    partial(self._serve_write_absorb, done, nbytes, rpc_count, remaining, tag)
+                    partial(self._serve_write_absorb, nbytes, on_done, done, rpc_count, left, tag)
                 )
                 return
-            chunk = remaining if remaining < room else room
+            chunk = left if left < room else room
             cache.dirty += chunk
-            remaining -= chunk
+            left -= chunk
             if not cache._daemon_running:
                 cache._ensure_daemon()
-        self.rpcs_served += rpc_count if rpc_count > 1 else 1
+        self.rpcs_served += rpc_count
         self._account(tag, nbytes, rpc_count)
-        self.workers.release()
-        done._fire_inline()
+        workers = self.workers
+        if workers._waiters or not workers._in_use:
+            workers.release()
+        else:
+            workers._in_use -= 1
+        on_done()
 
     def serve_read(self, target_offset: int, nbytes: int, tag: Optional[str] = None):
         """Generator: process one read RPC — worker, stall gate, overhead,

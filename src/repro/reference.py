@@ -18,8 +18,8 @@ do not contain at all is here, and only :mod:`repro.machine` imports it:
   :func:`serve_write` → :func:`absorb`.  Each takes every step — grant,
   timeout, flow start, jitter draw, watchdog race, release — in the event
   callback where its production chain (``CacheJournal.read_back_event``,
-  ``PFSClient.write_sync_flat``, ``DataServer.serve_write_event``) takes
-  it, so only the number of events differs.  Entered with ``yield from``,
+  ``PFSClient.write_sync_flat``, ``DataServer.serve_write``) takes it, so
+  only the number of events differs.  Entered with ``yield from``,
   a generator adds a frame but no event.
 
 Paper correspondence: §III's sync thread (read back, then a synchronous
@@ -226,8 +226,7 @@ def serve_write(
     server, target_offset: int, nbytes: int, rpc_count: int = 1, tag: Optional[str] = None
 ):
     """Generator: ``server`` processes one write RPC — worker, stall gate,
-    overhead, cache absorb (``DataServer.serve_write_event`` has the
-    contract)."""
+    overhead, cache absorb (``DataServer.serve_write`` has the contract)."""
     workers = server.workers
     if not workers.try_acquire():
         yield workers.request()

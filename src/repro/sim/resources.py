@@ -128,16 +128,11 @@ class Resource:
         self.release()
 
     def try_acquire(self) -> bool:
-        """Take a slot synchronously if one is free *and* nobody is queued.
-
-        This is exactly the condition under which :meth:`request` grants
-        immediately; the only difference is that the caller skips the
-        zero-delay grant event and continues in the same simulator turn.
-        FIFO fairness is preserved: with waiters present the method always
-        fails, so a caller can never overtake the queue.  It always fails on
-        an engine without ``inline_grants`` (the heapq one), whose caller
-        then takes the grant event.
-        """
+        """Take a slot synchronously if one is free *and* nobody is queued:
+        :meth:`request`'s immediate grant without its event, so no caller
+        overtakes the queue; never on an engine without ``inline_grants``
+        (the heapq one).  The flat chains (``StorageDevice.write_flat``,
+        ``read_flat``, ``DataServer.serve_write``) test this in place."""
         if self.inline_grants and self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
             return True

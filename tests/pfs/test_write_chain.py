@@ -106,12 +106,13 @@ def same_instant_writers(monkeypatch, generator_serve):
     monkeypatch.setattr(DataServer, "_account", account)
     if generator_serve:
 
-        def as_process(self, target_offset, nbytes, rpc_count=1, tag=None):
-            return self.sim.process(
+        def as_process(self, target_offset, nbytes, on_done, done=None, rpc_count=1, tag=None):
+            proc = self.sim.process(
                 reference.serve_write(self, target_offset, nbytes, rpc_count, tag), name="srv-w"
             )
+            proc.callbacks.append(lambda _ev: on_done())
 
-        monkeypatch.setattr(DataServer, "serve_write_event", as_process)
+        monkeypatch.setattr(DataServer, "serve_write", as_process)
 
     machine = Machine(small_testbed(num_nodes=8, procs_per_node=8))
     f = create(machine)

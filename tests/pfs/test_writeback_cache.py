@@ -63,7 +63,7 @@ class HerdServer(DataServer):
         super().__init__(sim, server_id, fabric_node, cfg, rng, num_workers)
         self.cache = HerdCache(sim, self.target, cfg.server_cache_bytes, cfg.server_drain_chunk)
 
-    def _serve_write_absorb(self, done, nbytes, rpc_count, remaining, tag):
+    def _serve_write_absorb(self, nbytes, on_done, done, rpc_count, remaining, tag):
         cache = self.cache
         while remaining > 0:
             room = cache.limit - cache.dirty
@@ -72,7 +72,7 @@ class HerdServer(DataServer):
                 cache._waiters.append(ev)
                 ev.callbacks.append(
                     lambda _ev, left=remaining: self._serve_write_absorb(
-                        done, nbytes, rpc_count, left, tag
+                        nbytes, on_done, done, rpc_count, left, tag
                     )
                 )
                 return
@@ -83,7 +83,7 @@ class HerdServer(DataServer):
         self.rpcs_served += max(1, rpc_count)
         self._account(tag, nbytes, rpc_count)
         self.workers.release()
-        done._fire_inline()
+        on_done()
 
 
 class Rig:
@@ -123,8 +123,7 @@ class Rig:
         server._draw_rpc_jitter = draw_rpc_jitter
 
     def flat(self, rpc, nbytes):
-        done = self.server.serve_write_event(0, nbytes)
-        done.callbacks.append(lambda _ev: self.done.__setitem__(rpc, self.sim.now))
+        self.server.serve_write(0, nbytes, lambda: self.done.__setitem__(rpc, self.sim.now))
 
     def generator(self, rpc, nbytes):
         def body():
@@ -220,9 +219,9 @@ class TestNamedCases:
         resumed = []
         absorb = rig.server._serve_write_absorb
 
-        def counting(done, nbytes, *rest):
+        def counting(nbytes, *rest):
             resumed.append(nbytes)
-            absorb(done, nbytes, *rest)
+            absorb(nbytes, *rest)
 
         rig.server._serve_write_absorb = counting
         rig.flat("fill", 64 * KiB)
@@ -354,7 +353,7 @@ class TestNamedCases:
                 # The step has freed its chunk and taken the FIFO; the wake
                 # has not run yet (it would have given the room to "second").
                 assert rig.cache.dirty == 16 * KiB and not rig.cache._waiters
-                rig.server._serve_write_absorb(rig.barger, 16 * KiB, 1, 16 * KiB, None)
+                rig.server._serve_write_absorb(16 * KiB, rig.barger, None, 1, 16 * KiB, None)
 
             def on_step(step, dt):
                 if step == 2:
@@ -366,8 +365,7 @@ class TestNamedCases:
                     )
 
             rig.on_drain_step = on_step
-            rig.barger = Event(rig.sim, name="barger")
-            rig.barger.callbacks.append(lambda _ev: rig.done.__setitem__("barger", rig.sim.now))
+            rig.barger = lambda: rig.done.__setitem__("barger", rig.sim.now)
             rig.server.workers.request()  # the worker barge()'s release returns
             rig.flat("fill", 32 * KiB)
             rig.flat("first", 16 * KiB)

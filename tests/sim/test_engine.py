@@ -562,18 +562,18 @@ STEPS = 2_000  # drain steps, RPCs and writeback steps of each load
 
 #: cProfile calls of one step of each storage-tier load, the engine's
 #: dispatch included, and the 5 % the gate allows on top:
-#: - a server's write-back drain step: 20,023 calls / 2,000 steps (13.01 when
-#:   each step hopped through ``_drain_step``, ``min`` and the device's
-#:   ``_account``);
-#: - a page cache's writeback step of its one dirty file: 24,008 / 2,000
-#:   (17.00 with ``_writeback_step``, ``max``, ``min`` and ``_wake_waiters``
-#:   on every step);
+#: - a server's write-back drain step: 16,024 calls / 2,000 steps (10.01
+#:   when its device write took and gave back the queue slot through
+#:   ``Resource.try_acquire`` and ``Resource.release``);
+#: - a page cache's writeback step of its one dirty file: 20,009 / 2,000
+#:   (12.00 with the same two hops);
 #: - an untagged RPC through a throttling cache, beyond the drain step it
-#:   causes: 53,978 / 2,000 − 10.01 (20.98 with ``max`` twice, ``min``, an
-#:   ``_ensure_daemon`` per absorb and ``len`` in its inline fire).
-CALLS_PER_DRAIN_STEP = 10.012
-CALLS_PER_WRITEBACK_STEP = 12.004
-CALLS_PER_RPC = 16.978
+#:   causes: 49,975 / 2,000 − 8.01 (16.98 when it acked its caller through
+#:   an Event of its own; all but four of the load's RPCs queue for a
+#:   worker, so their releases hand it on through ``Resource.release``).
+CALLS_PER_DRAIN_STEP = 8.012
+CALLS_PER_WRITEBACK_STEP = 10.005
+CALLS_PER_RPC = 16.976
 
 
 def data_server(sim):
@@ -601,12 +601,16 @@ def writeback_load(sim):
     return ssd
 
 
+def acked():
+    """An RPC's caller, doing nothing (the flat caller's ``on_done``)."""
+
+
 def rpc_load(sim):
     """``STEPS`` one-chunk RPCs issued at once: 4 hold the workers, the
     rest queue for them, and every absorb past the fourth throttles."""
     server = data_server(sim)
     for _ in range(STEPS):
-        server.serve_write_event(0, server.cache.drain_chunk)
+        server.serve_write(0, server.cache.drain_chunk, acked)
     return server.target
 
 

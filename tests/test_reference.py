@@ -18,7 +18,9 @@ SRC = Path(repro.__file__).parent
 
 #: Defined in repro.reference and nowhere else (not ``flush_batch``, the
 #: name of production's flat step too, nor ``read_back``, a plain method of
-#: ``PFSFile``: the read-backs are checked class by class below).
+#: ``PFSFile``: the read-backs are checked class by class below).  A name in
+#: ``FLAT_NAMESAKES`` is also a production chain's, which must not be a
+#: generator.
 REFERENCE_ONLY = {
     "NaiveFabric",
     "read_local",
@@ -28,6 +30,7 @@ REFERENCE_ONLY = {
     "serve_write",
     "absorb",
 }
+FLAT_NAMESAKES = {"serve_write"}  # DataServer's write RPC, a callback chain
 
 
 def modules():
@@ -77,12 +80,18 @@ def test_only_the_machine_reads_which_stack_it_is():
     assert readers == []
 
 
+def is_generator(fn: ast.FunctionDef) -> bool:
+    return any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn))
+
+
 def test_no_production_module_defines_reference_code():
     for name, tree in modules().items():
         if name == "repro.reference":
             continue
         for node in ast.walk(tree):
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            if isinstance(node, ast.FunctionDef) and node.name in FLAT_NAMESAKES:
+                assert not is_generator(node), (name, node.name, node.lineno)
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                 assert node.name not in REFERENCE_ONLY, (name, node.name, node.lineno)
 
 
