@@ -42,6 +42,7 @@ outlook anticipates (ROADMAP item 4).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -50,7 +51,7 @@ import numpy as np
 
 from repro.faults.errors import DeviceLostError
 from repro.localfs.ext4 import ENOSPC
-from repro.sim.core import Event, settle
+from repro.sim.core import Event, SimError, settle
 
 
 @dataclass
@@ -124,7 +125,11 @@ class NVMMWriteLog:
         when an armed ``nvmm_torn_write`` window tears the record: roughly
         half the payload lands (charged at device speed), the torn record
         stays in the log unacknowledged, and the caller retries the append.
+        A negative, NaN or infinite ``nbytes`` raises a :class:`SimError`
+        naming it before anything is charged.
         """
+        if not 0 <= nbytes < math.inf:
+            raise SimError(f"{self.name}: append nbytes must be finite and >= 0, got {nbytes!r}")
         self._check_writable()
         dev = self.device
         total = self.header + nbytes

@@ -8,28 +8,31 @@ system.  Experiments construct a Machine from a
 on top, then run rank bodies.
 
 **The stack and its reference.**  ``Machine(config)`` builds the production
-stack — what the benchmark measures: the slotted engine, the array fabric
-kernel, fused device operations, coalesced flows, shared collective
-releases, callback-chain sync threads and one process per rank *class*.
+stack — what the benchmark measures: the slotted engine
+(:class:`~repro.sim.core.Simulator`), the array fabric kernel, fused
+device operations, coalesced flows, shared collective releases,
+callback-chain sync threads and one process per rank *class*.
 ``Machine(config, reference=True)`` builds the original stack as a unit —
-the heapq :class:`~repro.sim.core.Simulator` (every grant its own event),
-:class:`~repro.reference.NaiveFabric` (one flow per stripe run), per-rank
-collective release, one process per rank, and sync threads and crash
-replay that flush through :func:`repro.reference.flush_batch`'s generators
-— and must agree with production on every simulated quantity; only the
-diagnostic ``events`` count may differ (tier-1 asserts it in
-``tests/integration/test_golden_digests.py``).  This module is the only one
-that imports :mod:`repro.reference`, and the only one that reads
-``machine.reference``: it picks the engine, the fabric and the flush step
-(``flush_batch``), and the components take what they need from those — a
-device or server grants inline, and a model collective releases its ranks
-through one event (so a collective write may run on its clock and ranks
-may run as classes), where the engine allows it
-(``Simulator.inline_grants``, ``Simulator.shared_releases``); a PFS
+:class:`~repro.reference.HeapSimulator` (every grant its own event),
+:class:`~repro.reference.NaiveFabric` (one flow per stripe run, full
+recompute), per-rank collective release, one process per rank, and sync
+threads and crash replay that flush through
+:func:`repro.reference.flush_batch`'s generators — and must agree with
+production on every simulated quantity; only the diagnostic ``events``
+count may differ (tier-1 asserts it in
+``tests/integration/test_golden_digests.py``).  The reference engine and
+fabric share no code with production's, only the Event classes and the
+fabric's public surface.  This module is the only one that imports
+:mod:`repro.reference`, and the only one that reads ``machine.reference``:
+it picks the engine, the fabric and the flush step (``flush_batch``), and
+the components take what they need from those — a device or server grants
+inline, and a model collective releases its ranks through one event (so a
+collective write may run on its clock and ranks may run as classes), where
+the engine allows it (``inline_grants``, ``shared_releases``); a PFS
 client and the MPI transport bundle identical transfers where the fabric
-does (``Fabric.bundles``).  A
-:class:`~repro.faults.spec.FaultSchedule` only arms the hooks of the
-components it targets (:class:`~repro.faults.injector.FaultInjector`).
+does (``bundles``).  A :class:`~repro.faults.spec.FaultSchedule` only arms
+the hooks of the components it targets
+(:class:`~repro.faults.injector.FaultInjector`).
 
 Paper correspondence: §IV-A — the assembled DEEP-ER SDV testbed as one
 object.
@@ -51,7 +54,7 @@ from repro.localfs.ext4 import LocalFileSystem
 from repro.net.fabric import Fabric
 from repro.pfs.client import PFSClient
 from repro.pfs.filesystem import ParallelFileSystem
-from repro.sim.core import SimError, Simulator, SlottedSimulator
+from repro.sim.core import SimError, Simulator
 from repro.sim.profile import SimProfiler
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
@@ -73,7 +76,7 @@ class Machine:
         #: The original stack as a unit (module docstring), or what the
         #: benchmark measures.
         self.reference = reference
-        self.sim = Simulator() if reference else SlottedSimulator()
+        self.sim = reference_stack.HeapSimulator() if reference else Simulator()
         self.sim.profiler = profiler
         self.rng = RngStreams(config.seed)
         self.tracer = Tracer(enabled=trace)

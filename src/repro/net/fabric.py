@@ -33,7 +33,7 @@ itself is the *array kernel*:
   operation — shares, the ``max(best_share, 0.0)`` clamp, the
   per-bundle-member clamped residual subtractions — are performed on the
   same operands in the same order as the readable dict loop of the full
-  recompute (:class:`repro.reference.NaiveFabric`), which is why the
+  recompute (:func:`repro.reference.fill_rates`), which is why the
   result is bit-identical.
 * **Converged-rate memoization.**  The filled rates are a pure function
   of the component's *topology signature*: per-flow weights and, per link
@@ -61,10 +61,10 @@ itself is the *array kernel*:
   and re-rates what they leave.  A flow a flat chain starts (``on_done``)
   completes by a scheduled call, no Event.
 
-The full recompute re-runs the dict filling loop over all active flows on
-every change; the two give the same rates and the same completion
-timestamps, which ``tests/net`` asserts on randomized churn and the
-two-stack golden digests on whole runs.
+The full recompute (:class:`repro.reference.NaiveFabric`, sharing no code
+with this module) re-fills all active flows on every change; the two give
+the same rates and completion timestamps (``tests/net`` on randomized
+churn, the golden digests on whole runs).
 
 Why the incremental result is *exactly* (bit-for-bit) the full result:
 progressive filling only ever moves capacity between a flow and the links

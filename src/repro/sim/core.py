@@ -1,44 +1,21 @@
 """Event loop and generator-coroutine processes (the substrate under §IV).
 
-The engine follows the classic event-list design: a binary heap of
-``(time, sequence, event)`` entries.  Processes are generators; yielding an
-:class:`Event` suspends the process until the event succeeds (the event's
-value is sent back into the generator) or fails (the failure exception is
-thrown into it).  ``yield from`` composes sub-routines, which is how the
-whole ROMIO port is written.
+Processes are generators; yielding an :class:`Event` suspends the process
+until the event succeeds (the event's value is sent back into the
+generator) or fails (the failure exception is thrown into it).  ``yield
+from`` composes sub-routines, which is how the whole ROMIO port is written.
 
 Determinism: two events scheduled for the same timestamp fire in scheduling
-order (the monotonically increasing sequence number breaks ties), so a run
+order (a monotonically increasing sequence number breaks ties), so a run
 with a fixed RNG seed is exactly reproducible.
 
-Hot-path notes (measured by ``sim.probe_dispatch_ns_per_event``): the engine
-recycles its internal *kick* events — the bootstrap, re-kick, and interrupt
-events that exist only to resume a process — through a small free list
-instead of allocating one per resume, and :meth:`Simulator.step` fast-paths
-the overwhelmingly common single-waiter case.  An opt-in
-:class:`~repro.sim.profile.SimProfiler` attached as ``Simulator.profiler``
-counts events, heap pressure, and kick-pool reuse without costing anything
-when absent.
-
-Two engines implement the same contract:
-
-* :class:`SlottedSimulator` — what every production
-  :class:`~repro.machine.Machine` (and :func:`create_simulator`) builds:
-  one heap of ``[when, seq, bucket]`` instant entries (a bucket gathers
-  what is scheduled for its instant back to back), a same-instant lane
-  (most production events are zero-delay), scheduled calls stored as the
-  bare callables, and pooled/recycled ``Timeout``/``Deadline``/``Event``
-  objects.  One loop fires the lane, or the next instant's buckets, as a
-  batch; what a batch schedules for *now* is the next batch.  The firing
-  order is provably identical to the heap's ``(time, seq)`` order: a
-  bucket is in scheduling order, ``seq`` orders an instant's buckets, and
-  everything due now fires in the order it was scheduled.
-* :class:`Simulator` — the historical binary-heap event list.  Kept as
-  the engine of the reference stack (``Machine(reference=True)``), against
-  which tier-1 asserts the production stack to the byte.
-
-See docs/PERFORMANCE.md ("The slotted scheduler") for the design and the
-equality argument.
+This module has one engine, :class:`Simulator` (its docstring has the
+design), which every production :class:`~repro.machine.Machine` builds; an
+opt-in :class:`~repro.sim.profile.SimProfiler` attached as its ``profiler``
+counts events, queue depth and pool reuse.  Its firing order is that of a
+plain ``(time, seq, event)`` heap: the reference stack's engine,
+:class:`repro.reference.HeapSimulator`, which shares only the Event classes
+and their protocol with it (docs/PERFORMANCE.md, "The slotted scheduler").
 """
 
 from __future__ import annotations
@@ -522,203 +499,6 @@ class AnyOf(_Condition):
             self.fail(event._value)
 
 
-class Simulator:
-    """The event loop.  One instance per simulated cluster run.
-
-    This is the ``heapq`` engine: a binary heap of ``(time, seq, event)``
-    tuples, the reference stack's.  :class:`SlottedSimulator` subclasses it
-    with instant entries, a same-instant lane and object pooling, and is what
-    :func:`create_simulator` builds.
-    """
-
-    __slots__ = (
-        "now",
-        "_heap",
-        "_seq",
-        "active_process",
-        "_event_count",
-        "_kick_pool",
-        "profiler",
-        "process_registry",
-        "unwinding",
-    )
-
-    #: Engine name, for reports.
-    kind = "heapq"
-    #: Whether a free Resource may grant in its requester's callback
-    #: (``Resource.try_acquire``); never here: every grant is an event.
-    inline_grants = False
-    #: Whether a model collective releases all its ranks through one event
-    #: (``ModelCollectives``), which rank classes and a collective write's
-    #: call clock need; never here: every rank is released by its own.
-    shared_releases = False
-
-    # Kicks recycled beyond this depth are simply dropped; the pool only has
-    # to absorb the steady-state resume churn, not a worst-case burst.
-    _KICK_POOL_MAX = 256
-
-    def __init__(self):
-        self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
-        self._seq = 0
-        self.active_process: Optional[Process] = None
-        self._event_count = 0
-        self._kick_pool: list[_Kick] = []
-        # Opt-in engine instrumentation (see repro.sim.profile.SimProfiler);
-        # a plain attribute so attaching costs nothing when unused.
-        self.profiler = None
-        # Opt-in process registry (ordered dict used as a set).  When a dict
-        # is attached before processes are created, every Process registers
-        # itself and deadlock reports can name who is blocked and on what.
-        self.process_registry: Optional[dict] = None
-        # The interrupt kick under way while abandon hooks run (see at_kick).
-        self.unwinding: Optional[Event] = None
-
-    # -- construction helpers ------------------------------------------------
-    def event(self, name: str = "") -> Event:
-        return Event(self, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
-    def at(self, when: float, value: Any = None) -> Deadline:
-        """An event firing at the absolute instant ``when`` (see Deadline)."""
-        return Deadline(self, when, value)
-
-    def call_soon(self, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` at the current instant, after everything already
-        scheduled for it — the fire-and-forget form of a zero-delay timeout
-        with one callback (and dispatched at exactly that lane position)."""
-        self.call_later(0.0, fn)
-
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Optional[Any]:
-        """Run ``fn()`` after ``delay``, at the position a timeout scheduled
-        now for the same instant would fire.  Returns a handle for
-        :meth:`cancel` (None where the engine will not cancel the call)."""
-        t = Timeout(self, delay)
-        t.callbacks.append(lambda _ev: fn())
-        return t
-
-    def cancel(self, handle) -> bool:
-        """Stop a :meth:`call_later` call from running (True: it will not);
-        here it still fires, as a no-op, so the event count stays put."""
-        handle.callbacks.clear()
-        return True
-
-    def process(self, gen: ProcGen, name: str = "") -> Process:
-        return Process(self, gen, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    # -- scheduling ----------------------------------------------------------
-    def _kick(self, name: str) -> _Kick:
-        """A recycled internal resume event (see :class:`_Kick`)."""
-        pool = self._kick_pool
-        if pool:
-            kick = pool.pop()
-            kick._reset(name)
-            if self.profiler is not None:
-                self.profiler.count("sim.kick_reused")
-            return kick
-        return _Kick(self, name=name)
-
-    def _schedule(self, event: Event, delay: float) -> None:
-        if delay < 0:
-            raise SimError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        heappush(self._heap, (self.now + delay, self._seq, event))
-        if self.profiler is not None:
-            self.profiler.heap_sample(len(self._heap))
-
-    def _schedule_at(self, event: Event, when: float) -> None:
-        """Schedule at an absolute timestamp (no ``now + delay`` rounding)."""
-        self._seq += 1
-        heappush(self._heap, (when, self._seq, event))
-        if self.profiler is not None:
-            self.profiler.heap_sample(len(self._heap))
-
-    def step(self) -> None:
-        """Fire the single next event."""
-        when, _, event = heappop(self._heap)
-        if when < self.now:
-            raise SimError("event list corrupted: time went backwards")
-        self.now = when
-        event._fired = True
-        self._event_count += 1
-        callbacks = event.callbacks
-        if callbacks:
-            event.callbacks = []
-            if len(callbacks) == 1:
-                # Fast path: almost every event has exactly one waiter (the
-                # process that yielded it), so skip the loop machinery.
-                callbacks[0](event)
-            else:
-                for cb in callbacks:
-                    cb(event)
-        elif not event._ok:
-            # Unhandled failure: a bare event or a crashed process nobody
-            # waited on — propagate instead of losing the error silently.
-            raise event._value
-        if type(event) is _Kick and len(self._kick_pool) < self._KICK_POOL_MAX:
-            event._value = None  # drop any payload reference
-            self._kick_pool.append(event)
-
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run until the event list drains, a deadline passes, or an event fires.
-
-        ``until`` may be a timestamp or an Event (e.g. a Process); when it is
-        an event, its value is returned.
-        """
-        if isinstance(until, Event):
-            sentinel = until
-            while not sentinel._fired:
-                if not self._heap:
-                    raise self._deadlock(sentinel)
-                self.step()
-            if sentinel._ok:
-                return sentinel._value
-            raise sentinel._value
-        deadline = float("inf") if until is None else float(until)
-        while self._heap and self._heap[0][0] <= deadline:
-            self.step()
-        if until is not None and self.now < deadline:
-            self.now = deadline
-        return None
-
-    def _deadlock(self, sentinel: Event) -> SimError:
-        """Build the error for an empty event list with ``sentinel`` unfired.
-
-        With a process registry attached this is a diagnosed
-        :class:`DeadlockError` naming each blocked process and its wait
-        target; without one, the historical bare :class:`SimError`.
-        """
-        msg = f"deadlock: event list empty but {sentinel!r} never fired"
-        if self.process_registry is None:
-            return SimError(msg)
-        blocked = describe_blocked(self.process_registry)
-        if blocked:
-            detail = "; ".join(f"{name}: {reason}" for name, reason in blocked)
-            msg = f"{msg} — blocked processes: {detail}"
-        return DeadlockError(msg, blocked)
-
-    @property
-    def events_fired(self) -> int:
-        return self._event_count
-
-    @property
-    def pending(self) -> int:
-        """Number of scheduled-but-unfired events (engine-agnostic).
-
-        External observers (the chaos invariant monitor, teardown drains)
-        use this instead of poking at engine internals like ``_heap``.
-        """
-        return len(self._heap)
-
-
 class _Never:
     """The sentinel of a run with none: never fires."""
 
@@ -727,11 +507,11 @@ class _Never:
 
 
 class _Once:
-    """:meth:`SlottedSimulator.step`'s sentinel: fired once one more item has."""
+    """:meth:`Simulator.step`'s sentinel: fired once one more item has."""
 
     __slots__ = ("sim", "start")
 
-    def __init__(self, sim: "SlottedSimulator"):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.start = sim._event_count
 
@@ -744,12 +524,14 @@ _NEVER = _Never()
 _INF = float("inf")
 
 
-class SlottedSimulator(Simulator):
-    """The slotted, allocation-free engine (the production one).
+class Simulator:
+    """The event loop.  One instance per simulated cluster run.
 
-    Three structural changes against the heap engine, none of which alter
-    the firing order (``tests/sim/test_engine.py`` and the two-stack golden
-    digests enforce byte-identical results):
+    The future is a binary heap, but of *instants*, not of events; three
+    structural choices keep the firing order that of a plain ``(time,
+    seq, event)`` heap (the reference stack's
+    :class:`~repro.reference.HeapSimulator`, against which the two-stack
+    golden digests and ``tests/sim/test_engine.py`` hold it):
 
     * **Same-instant lane, walked as a batch.**  Events due at the current
       instant go on a plain list; the loop takes the whole lane (swapping in
@@ -766,11 +548,11 @@ class SlottedSimulator(Simulator):
       every further entry of the same instant into the batch, in ``seq``
       order — each bucket is in scheduling order and ``seq`` orders the
       buckets, and same-instant arrivals queue on the lane behind the
-      batch, which is exactly the heap engine's ``(time, seq)`` order.
+      batch, which is exactly the ``(time, seq)`` order.
     * **Event pooling.**  Fired ``Timeout``/``Deadline``/``Event`` objects
       (exact types only) are recycled through free lists when nothing else
-      references them (``sys.getrefcount == 3`` at the recycle point), the
-      way ``_Kick`` always was.  ``sim.timeout()`` then costs a pop and a
+      references them (``sys.getrefcount == 3`` at the recycle point), and
+      ``_Kick`` always is.  ``sim.timeout()`` then costs a pop and a
       re-arm instead of an allocation.
 
     What no process waits on is the bare callable itself, in the slot its
@@ -782,6 +564,14 @@ class SlottedSimulator(Simulator):
     """
 
     __slots__ = (
+        "now",
+        "_seq",
+        "active_process",
+        "_event_count",
+        "_kick_pool",
+        "profiler",
+        "process_registry",
+        "unwinding",
         "_lane",
         "_future",
         "_batch",
@@ -793,23 +583,42 @@ class SlottedSimulator(Simulator):
         "_memo",
     )
 
+    #: Engine name, for reports.
     kind = "slotted"
+    #: Whether a free Resource may grant in its requester's callback
+    #: (``Resource.try_acquire``) rather than through a grant event.
     inline_grants = True
+    #: Whether a model collective releases all its ranks through one event
+    #: (``ModelCollectives``), which rank classes and a collective write's
+    #: call clock need, rather than each rank through its own.
     shared_releases = True
 
     # Each pool is bounded so a teardown burst cannot pin a run's worth of
     # events; steady-state churn fits comfortably.
+    _KICK_POOL_MAX = 256
     _EVENT_POOL_MAX = 512
 
     def __init__(self):
-        super().__init__()
-        self._heap = None  # poison: any heap-engine codepath fails loudly
+        self.now: float = 0.0
+        self._seq = 0
+        self.active_process: Optional[Process] = None
+        self._event_count = 0
+        # Opt-in engine instrumentation (see repro.sim.profile.SimProfiler);
+        # a plain attribute so attaching costs nothing when unused.
+        self.profiler = None
+        # Opt-in process registry (ordered dict used as a set).  When a dict
+        # is attached before processes are created, every Process registers
+        # itself and deadlock reports can name who is blocked and on what.
+        self.process_registry: Optional[dict] = None
+        # The interrupt kick under way while abandon hooks run (see at_kick).
+        self.unwinding: Optional[Event] = None
         self._lane: list = []
         self._future: list[list] = []  # heap of [when, seq, bucket] entries
         # The batch under way and the event count it started at: its
         # unfired tail is still due now (``pending``, the profiler's depth).
         self._batch: list = []
         self._base = 0
+        self._kick_pool: list[_Kick] = []
         self._timeout_pool: list[Timeout] = []
         self._deadline_pool: list[Deadline] = []
         self._event_pool: list[Event] = []
@@ -863,12 +672,16 @@ class SlottedSimulator(Simulator):
         return Deadline(self, when, value)
 
     def call_soon(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` at the current instant, after everything already
+        scheduled for it — the fire-and-forget form of a zero-delay timeout
+        with one callback (and dispatched at exactly that lane position)."""
         self._lane.append(fn)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> Optional[tuple]:
-        """As :meth:`Simulator.call_later`; the handle is ``(entry, fn)``,
-        the heap entry holding the call and the callable (None when the
-        call is due now, on the lane)."""
+        """Run ``fn()`` after ``delay``, at the position a timeout scheduled
+        now for the same instant would fire.  The handle, for
+        :meth:`cancel`, is ``(entry, fn)``: the heap entry holding the call
+        and the callable (None when the call is due now, on the lane)."""
         when = self.now + delay
         if when <= self.now:
             if delay < 0.0:
@@ -912,7 +725,27 @@ class SlottedSimulator(Simulator):
             self._memo_when, self._memo = -1.0, None
         return True
 
+    def process(self, gen: ProcGen, name: str = "") -> Process:
+        return Process(self, gen, name=name)
+
+    def all_of(self, events: Iterable[Event]) -> AllOf:
+        return AllOf(self, events)
+
+    def any_of(self, events: Iterable[Event]) -> AnyOf:
+        return AnyOf(self, events)
+
     # -- scheduling -----------------------------------------------------------
+    def _kick(self, name: str) -> _Kick:
+        """A recycled internal resume event (see :class:`_Kick`)."""
+        pool = self._kick_pool
+        if pool:
+            kick = pool.pop()
+            kick._reset(name)
+            if self.profiler is not None:
+                self.profiler.count("sim.kick_reused")
+            return kick
+        return _Kick(self, name=name)
+
     def _schedule(self, event: Event, delay: float) -> None:
         if delay == 0.0:
             self._lane.append(event)
@@ -948,6 +781,11 @@ class SlottedSimulator(Simulator):
             raise IndexError("step() on an empty event list")
 
     def run(self, until: Optional[float | Event] = None) -> Any:
+        """Run until the event list drains, a deadline passes, or an event fires.
+
+        ``until`` may be a timestamp or an Event (e.g. a Process); when it is
+        an event, its value is returned.
+        """
         if isinstance(until, Event):
             self._dispatch(until, _INF)
             if not until._fired:
@@ -1067,12 +905,34 @@ class SlottedSimulator(Simulator):
         self._batch = []
         self._base = self._event_count
 
+    def _deadlock(self, sentinel: Event) -> SimError:
+        """Build the error for an empty event list with ``sentinel`` unfired.
+
+        With a process registry attached this is a diagnosed
+        :class:`DeadlockError` naming each blocked process and its wait
+        target; without one, the historical bare :class:`SimError`.
+        """
+        msg = f"deadlock: event list empty but {sentinel!r} never fired"
+        if self.process_registry is None:
+            return SimError(msg)
+        blocked = describe_blocked(self.process_registry)
+        if blocked:
+            detail = "; ".join(f"{name}: {reason}" for name, reason in blocked)
+            msg = f"{msg} — blocked processes: {detail}"
+        return DeadlockError(msg, blocked)
+
+    @property
+    def events_fired(self) -> int:
+        return self._event_count
+
     @property
     def pending(self) -> int:
+        """Number of scheduled-but-unfired items: what the chaos invariant
+        monitor and teardown drains read instead of engine internals."""
         due = len(self._lane) + len(self._batch) - (self._event_count - self._base)
         return due + sum(len(entry[2]) for entry in self._future)
 
 
-def create_simulator() -> SlottedSimulator:
+def create_simulator() -> Simulator:
     """The production event-loop engine."""
-    return SlottedSimulator()
+    return Simulator()

@@ -1,6 +1,8 @@
 """NVMM write-ahead log: append/barrier semantics, torn records, capacity
 accounting, and read-back overlay order."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.faults.errors import DeviceLostError, TornWriteError
 from repro.localfs.ext4 import ENOSPC
 from repro.machine import Machine
 from repro.cache.nvmlog import NVMMWriteLog
+from repro.sim.core import SimError
 
 
 @pytest.fixture
@@ -183,6 +186,14 @@ class TestCapacity:
         assert a.device.log_used == a.header + 100 + b.header + 200
         a.discard()
         assert b.device.log_used == b.header + 200
+
+    @pytest.mark.parametrize("nbytes", [-4096, -1, math.nan, math.inf])
+    def test_a_bad_size_is_refused_before_anything_is_charged(self, wal, nbytes):
+        """The refusal names the caller's size, not the record's, and
+        leaves the region and the log's reservation as they were."""
+        with pytest.raises(SimError, match=f"got {nbytes!r}$"):
+            wal.append(0, nbytes, None)
+        assert wal.device.log_used == wal.reserved == 0
 
     def test_read_only_device_rejects_appends(self, machine, wal):
         wal.device.read_only = True

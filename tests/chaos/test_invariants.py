@@ -5,7 +5,8 @@ import pytest
 from repro.chaos.invariants import InvariantMonitor, InvariantViolation
 from repro.config import small_testbed
 from repro.machine import Machine
-from repro.sim.core import DeadlockError, Simulator
+from repro.reference import HeapSimulator
+from repro.sim.core import DeadlockError
 
 
 def _stuck(sim, name="stuck"):
@@ -20,7 +21,7 @@ def _stuck(sim, name="stuck"):
 
 class TestKernelDiagnosis:
     def test_run_until_names_blocked_processes(self):
-        sim = Simulator()
+        sim = HeapSimulator()
         sim.process_registry = {}
         proc = _stuck(sim)
         with pytest.raises(DeadlockError) as err:
@@ -29,7 +30,7 @@ class TestKernelDiagnosis:
         assert "stuck" in str(err.value)
 
     def test_without_registry_stays_a_bare_simerror(self):
-        sim = Simulator()
+        sim = HeapSimulator()
         proc = _stuck(sim)
         with pytest.raises(Exception) as err:
             sim.run(until=proc)

@@ -15,14 +15,15 @@ from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.payload import payload_bytes, payload_key
+from repro.reference import HeapSimulator
 from repro.romio import ext2ph
 from repro.romio.file import MPIIOLayer
-from repro.sim.core import Simulator, SlottedSimulator
+from repro.sim.core import Simulator
 from repro.workloads import phases
 
 #: Both event-loop engines by name, for tests that build one directly (the
 #: reference stack's heapq engine and production's slotted one).
-ENGINES = {"heapq": Simulator, "slotted": SlottedSimulator}
+ENGINES = {"heapq": HeapSimulator, "slotted": Simulator}
 
 
 def load_tool(name: str):

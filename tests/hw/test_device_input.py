@@ -7,7 +7,8 @@ import math
 import pytest
 
 from repro.hw.devices import SSDDevice
-from repro.sim.core import SimError, Simulator, SlottedSimulator
+from repro.reference import HeapSimulator
+from repro.sim.core import SimError, Simulator
 
 BAD_SIZES = [-4096, -1, math.nan, math.inf]
 
@@ -29,7 +30,7 @@ def untouched(dev):
 
 @pytest.mark.parametrize("nbytes", BAD_SIZES)
 def test_flat_requests_refuse_a_bad_size(nbytes):
-    sim = SlottedSimulator()
+    sim = Simulator()
     dev = ssd(sim)
     with pytest.raises(SimError, match="nbytes"):
         dev.write_flat(0, nbytes, lambda: None)
@@ -41,7 +42,7 @@ def test_flat_requests_refuse_a_bad_size(nbytes):
 
 @pytest.mark.parametrize("nbytes", BAD_SIZES)
 def test_generator_requests_refuse_a_bad_size(nbytes):
-    sim = SlottedSimulator()
+    sim = Simulator()
     dev = ssd(sim)
     for request in (dev.write, dev.read):
         proc = sim.process(request(0, nbytes))
@@ -51,7 +52,7 @@ def test_generator_requests_refuse_a_bad_size(nbytes):
 
 
 def test_an_empty_request_is_served():
-    sim = SlottedSimulator()
+    sim = Simulator()
     dev = ssd(sim)
     served = []
     dev.write_flat(0, 0, lambda: served.append(sim.now))
@@ -60,7 +61,7 @@ def test_an_empty_request_is_served():
     assert dev.queue.in_use == 0
 
 
-@pytest.mark.parametrize("engine", [Simulator, SlottedSimulator], ids=["heapq", "slotted"])
+@pytest.mark.parametrize("engine", [HeapSimulator, Simulator], ids=["heapq", "slotted"])
 def test_a_free_queue_grants_in_place_only_on_the_slotted_engine(engine):
     """The slotted engine serves a request on a free queue inside the call;
     the heapq engine (the reference stack's) never grants inline, so the
@@ -69,13 +70,13 @@ def test_a_free_queue_grants_in_place_only_on_the_slotted_engine(engine):
     dev = ssd(sim)
     dev.write_flat(0, 4096, lambda: None)
     assert dev.queue.in_use == 1
-    assert dev.requests_served == (1 if engine is SlottedSimulator else 0)
+    assert dev.requests_served == (1 if engine is Simulator else 0)
     sim.run()
     assert dev.requests_served == 1 and dev.queue.in_use == 0
 
 
 def test_queued_requests_are_handed_the_slot_in_order():
-    sim = SlottedSimulator()
+    sim = Simulator()
     dev = ssd(sim)
     order = []
     for k in range(3):
@@ -89,7 +90,7 @@ def test_queued_requests_are_handed_the_slot_in_order():
 def test_giving_back_an_idle_slot_is_still_an_error():
     """A request whose slot was already given back reaches
     ``Resource.release``, which refuses an idle queue by name."""
-    sim = SlottedSimulator()
+    sim = Simulator()
     dev = ssd(sim)
     dev.write_flat(0, 4096, lambda: None)
     dev.queue._in_use = 0

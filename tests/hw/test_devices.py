@@ -3,13 +3,13 @@ import pytest
 from repro.config import PFSConfig
 from repro.hw.devices import SSDDevice
 from repro.pfs.server import RaidTarget
-from repro.sim.core import Simulator
+from repro.reference import HeapSimulator
 from repro.sim.rng import RngStreams
 
 
 @pytest.fixture
 def sim():
-    return Simulator()
+    return HeapSimulator()
 
 
 def no_jitter_cfg():
@@ -87,7 +87,7 @@ class TestRaidTarget:
 
     def test_jitter_deterministic_per_seed(self):
         def one(seed):
-            sim = Simulator()
+            sim = HeapSimulator()
             rng = RngStreams(seed)
             t = RaidTarget(sim, "r", PFSConfig(jitter_sigma=0.35), rng)
             return [t.service_time(i * 10**6, 4096, True) for i in range(10)]

@@ -15,7 +15,7 @@ from repro import options
 from repro.config import FlashConfig, SSDConfig, small_testbed
 from repro.hw.devices import SSDDevice
 from repro.hw.flash import FlashSSDDevice, create_node_ssd
-from repro.sim.core import Simulator
+from repro.reference import HeapSimulator
 
 #: 512 B pages, 8-page blocks, 2 LUNs, generous OP: tiny but structurally
 #: identical to the real geometry.
@@ -32,7 +32,7 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "generate_experiments_md.
 
 
 def make(flash=TINY, capacity=CAPACITY):
-    return FlashSSDDevice(Simulator(), "f", flash=flash, capacity_bytes=capacity)
+    return FlashSSDDevice(HeapSimulator(), "f", flash=flash, capacity_bytes=capacity)
 
 
 def check_ftl_consistency(dev):
@@ -75,7 +75,7 @@ class TestKindSelection:
         """The tier is resolved when the config is built: a config built
         under ``REPRO_SSD=ftl`` is ftl, and an explicit value wins."""
         monkeypatch.delenv("REPRO_SSD", raising=False)
-        sim = Simulator()
+        sim = HeapSimulator()
         assert isinstance(create_node_ssd(sim, 0, small_testbed()), SSDDevice)
         monkeypatch.setenv("REPRO_SSD", "ftl")
         cfg = small_testbed()
@@ -86,7 +86,7 @@ class TestKindSelection:
 
     def test_explicit_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            create_node_ssd(Simulator(), 0, small_testbed(ssd_kind="slc"))
+            create_node_ssd(HeapSimulator(), 0, small_testbed(ssd_kind="slc"))
 
 
 class TestFreshDevice:

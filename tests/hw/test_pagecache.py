@@ -2,12 +2,12 @@ import pytest
 
 from repro.config import small_testbed
 from repro.hw.node import ComputeNode
-from repro.sim.core import Simulator
+from repro.reference import HeapSimulator
 from repro.units import MiB
 
 
 def make_node(**overrides):
-    sim = Simulator()
+    sim = HeapSimulator()
     cfg = small_testbed(**overrides)
     return sim, ComputeNode(sim, 0, cfg)
 
@@ -80,7 +80,7 @@ class TestPageCache:
         # Tiny RAM: dirty limit = 0.2 * 64 MiB ≈ 12.8 MiB.
         from dataclasses import replace
 
-        sim = Simulator()
+        sim = HeapSimulator()
         cfg = small_testbed()
         cfg = cfg.scaled(ram=replace(cfg.ram, capacity=64 * MiB))
         node = ComputeNode(sim, 0, cfg)

@@ -4,12 +4,13 @@ import pytest
 from repro.config import small_testbed
 from repro.hw.node import ComputeNode
 from repro.localfs.ext4 import ENOSPC, LocalFileSystem
-from repro.sim.core import Event, Simulator
+from repro.reference import HeapSimulator
+from repro.sim.core import Event
 from repro.units import GiB, KiB, MiB
 
 
 def make_fs(supports_fallocate=True, ssd_capacity=None):
-    sim = Simulator()
+    sim = HeapSimulator()
     cfg = small_testbed()
     if ssd_capacity is not None:
         from dataclasses import replace

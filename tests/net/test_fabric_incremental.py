@@ -14,8 +14,8 @@ from functools import partial
 import pytest
 
 from repro.net.fabric import Fabric
-from repro.reference import NaiveFabric
-from repro.sim.core import Simulator, SlottedSimulator
+from repro.reference import HeapSimulator, NaiveFabric
+from repro.sim.core import Simulator
 
 BW = 1000.0
 LAT = 0.0005
@@ -32,7 +32,7 @@ def churn(fabric_cls, seed, steps=500, bundles=False):
     of a PFS client's bundled RPCs (channel + server ingest).
     """
     rng = random.Random(seed)
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = fabric_cls(sim, num_nodes=NODES, nic_bw=BW, latency=LAT)
     aux = [fabric.make_link(f"aux{i}", BW / 2) for i in range(2)]
     completions: dict[int, float] = {}
@@ -82,7 +82,7 @@ def _run_both(scenario):
     """Run a scenario against both allocators, return both observations."""
     out = []
     for cls in (Fabric, NaiveFabric):
-        sim = Simulator()
+        sim = HeapSimulator()
         fabric = cls(sim, num_nodes=4, nic_bw=BW, latency=LAT)
         out.append(scenario(sim, fabric))
     return out
@@ -147,7 +147,7 @@ def test_degrade_then_recover_mid_transfer():
 
 def test_coalesced_same_timestamp_starts_single_recompute():
     """A burst of same-instant starts costs one filling pass, not N."""
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     for _ in range(20):
         fabric.start_flow(0, 1, 500)
@@ -160,7 +160,7 @@ def test_coalesced_same_timestamp_starts_single_recompute():
     # all 20 finish together, so that second wave is also a single event.
     assert fabric.recomputes <= 2
 
-    ref_sim = Simulator()
+    ref_sim = HeapSimulator()
     ref = NaiveFabric(ref_sim, num_nodes=4, nic_bw=BW, latency=LAT)
     for _ in range(20):
         ref.start_flow(0, 1, 500)
@@ -173,7 +173,7 @@ def test_coalesced_same_timestamp_starts_single_recompute():
 
 def test_disjoint_components_skip_recompute():
     """Changes in one component never re-rate flows of another."""
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     fabric.start_flow(0, 1, 10_000)
     sim.run(until=0.001)
@@ -196,7 +196,7 @@ def test_wake_event_churn_regression():
     event allocated on *every* change — so the counters document exactly
     the churn the fix removes.
     """
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     dead = fabric.make_link("dead", 1e-15)  # share below _EPS: never completes
     for _ in range(10):
@@ -204,7 +204,7 @@ def test_wake_event_churn_regression():
     sim.run()
     assert fabric.wake_events == 0  # soonest == inf: nothing armed
 
-    ref_sim = Simulator()
+    ref_sim = HeapSimulator()
     ref = NaiveFabric(ref_sim, num_nodes=4, nic_bw=BW, latency=LAT)
     dead = ref.make_link("dead", 1e-15)
     for _ in range(10):
@@ -214,12 +214,12 @@ def test_wake_event_churn_regression():
 
 
 def test_wake_events_far_fewer_under_batching():
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     for i in range(30):
         fabric.start_flow(i % 4, (i + 1) % 4, 400)
     sim.run()
-    ref_sim = Simulator()
+    ref_sim = HeapSimulator()
     ref = NaiveFabric(ref_sim, num_nodes=4, nic_bw=BW, latency=LAT)
     for i in range(30):
         ref.start_flow(i % 4, (i + 1) % 4, 400)
@@ -230,7 +230,7 @@ def test_wake_events_far_fewer_under_batching():
 
 def test_flow_rates_flushes_pending_batch():
     """Rates queried in the same instant as a start must include it."""
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     fabric.start_flow(0, 1, 500)
     fabric.start_flow(0, 2, 500)
@@ -245,10 +245,10 @@ def test_a_lone_flow_is_rated_where_it_starts():
     ``start_flow``, it fires exactly its wake and its delivery — no flush —
     counts one recompute, and lands when the full recompute's does."""
     ends = []
-    for cls, sim in ((Fabric, SlottedSimulator()), (NaiveFabric, Simulator())):
+    for cls, sim in ((Fabric, Simulator()), (NaiveFabric, HeapSimulator())):
         fabric = cls(sim, num_nodes=4, nic_bw=BW, latency=LAT)
         done = fabric.start_flow(0, 1, 5000)
-        assert fabric.recomputes == 1 and not fabric._flush_armed
+        assert fabric.recomputes == 1 and sim.pending == 1  # its wake, no flush
         sim.run()
         assert done.fired and fabric.recomputes == 1 and fabric.wake_events == 1
         ends.append(sim.now)
@@ -299,6 +299,6 @@ def test_churn_over_disjoint_pairs_matches_naive():
         assert fabric.active_flows == 0 and len(completions) == started
         return completions, sim.now, started
 
-    got = run(Counting, SlottedSimulator())
-    assert got == run(NaiveFabric, Simulator())
+    got = run(Counting, Simulator())
+    assert got == run(NaiveFabric, HeapSimulator())
     assert 0 < Counting.flushes < got[2] / 4

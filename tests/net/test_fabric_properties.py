@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.fabric import Fabric
-from repro.sim.core import Simulator
+from repro.reference import HeapSimulator
 
 BW = 1000.0
 LAT = 0.0  # keep completion-time arithmetic exact
@@ -19,7 +19,7 @@ flows_strategy = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(flows_strategy)
 def test_all_flows_complete_and_respect_capacity(flows):
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     done = [fabric.start_flow(s, d, n) for s, d, n in flows]
     times = {}
@@ -48,7 +48,7 @@ def test_all_flows_complete_and_respect_capacity(flows):
 @settings(max_examples=50, deadline=None)
 @given(flows_strategy)
 def test_byte_accounting(flows):
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     for s, d, n in flows:
         fabric.start_flow(s, d, n)
@@ -60,7 +60,7 @@ def test_byte_accounting(flows):
 @given(st.lists(st.integers(1, 2000), min_size=2, max_size=8))
 def test_identical_flows_finish_together(sizes):
     """Equal flows over the same links share fairly: same size -> same time."""
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=BW, latency=LAT)
     n = max(sizes)
     done = [fabric.start_flow(0, 1, n) for _ in range(3)]

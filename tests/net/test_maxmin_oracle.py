@@ -18,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 from repro.net.fabric import Fabric
-from repro.reference import NaiveFabric
-from repro.sim.core import Simulator, SlottedSimulator
+from repro.reference import HeapSimulator, NaiveFabric
+from repro.sim.core import Simulator
 
 BW = 1000.0
 BIG = 1e15  # bytes per member: nothing completes while rates are sampled
@@ -127,7 +127,7 @@ def assert_close(got, want):
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize(
     "cls, sim_cls",
-    [(Fabric, SlottedSimulator), (NaiveFabric, Simulator)],
+    [(Fabric, Simulator), (NaiveFabric, HeapSimulator)],
     ids=["fabric", "naive"],
 )
 def test_rates_match_exact_water_filling(cls, sim_cls, seed):

@@ -9,12 +9,11 @@ import pytest
 
 from repro.net.fabric import Fabric
 from repro.net.message import ANY_SOURCE, ANY_TAG, Transport
-from repro.reference import NaiveFabric
-from repro.sim.core import Simulator
+from repro.reference import HeapSimulator, NaiveFabric
 
 
 def build(fabric_class):
-    sim = Simulator()
+    sim = HeapSimulator()
     fabric = fabric_class(sim, num_nodes=2, nic_bw=1e6, latency=1e-4)
     transport = Transport(sim, fabric, rank_to_node=[0, 0, 1, 1], per_message_overhead=1e-6)
     return sim, transport

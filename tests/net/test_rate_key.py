@@ -15,7 +15,7 @@ import random
 from itertools import combinations
 
 from repro.net.fabric import Fabric, Flow, Link
-from repro.sim.core import Simulator
+from repro.reference import HeapSimulator
 
 
 def flat_key(flow_list):
@@ -44,7 +44,7 @@ class _Spy(dict):
 
 
 def new_key(flow_list):
-    fabric = Fabric(Simulator(), num_nodes=2, nic_bw=1.0, latency=0.0)
+    fabric = Fabric(HeapSimulator(), num_nodes=2, nic_bw=1.0, latency=0.0)
     fabric._rate_cache = spy = _Spy()
     fabric._fill(flow_list)
     return spy.sig

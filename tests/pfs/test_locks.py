@@ -1,12 +1,13 @@
 import pytest
 
 from repro.pfs.locks import LockManager
-from repro.sim.core import SimError, Simulator
+from repro.reference import HeapSimulator
+from repro.sim.core import SimError
 
 
 @pytest.fixture
 def sim():
-    return Simulator()
+    return HeapSimulator()
 
 
 @pytest.fixture

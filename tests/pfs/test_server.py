@@ -2,20 +2,20 @@
 from repro import reference
 from repro.config import PFSConfig
 from repro.pfs.server import DataServer, WriteBackCache, RaidTarget
-from repro.sim.core import Simulator
+from repro.reference import HeapSimulator
 from repro.units import MiB
 from tests.pfs.test_writeback_cache import drain_all
 
 
 def make_server(**cfg_overrides):
-    sim = Simulator()
+    sim = HeapSimulator()
     cfg = PFSConfig(jitter_sigma=0.0, **cfg_overrides)
     return sim, DataServer(sim, 0, 0, cfg)
 
 
 class TestWriteBackCache:
     def test_absorb_under_limit_is_instant(self):
-        sim = Simulator()
+        sim = HeapSimulator()
         target = RaidTarget(sim, "t", PFSConfig(jitter_sigma=0.0))
         cache = WriteBackCache(sim, target, limit=100 * MiB, drain_chunk=4 * MiB)
 
@@ -28,7 +28,7 @@ class TestWriteBackCache:
         assert p.value == 0.0
 
     def test_drain_empties(self):
-        sim = Simulator()
+        sim = HeapSimulator()
         target = RaidTarget(sim, "t", PFSConfig(jitter_sigma=0.0))
         cache = WriteBackCache(sim, target, limit=100 * MiB, drain_chunk=4 * MiB)
 
@@ -41,7 +41,7 @@ class TestWriteBackCache:
         assert target.bytes_written == 20 * MiB
 
     def test_throttles_when_full(self):
-        sim = Simulator()
+        sim = HeapSimulator()
         cfg = PFSConfig(jitter_sigma=0.0)
         target = RaidTarget(sim, "t", cfg)
         cache = WriteBackCache(sim, target, limit=8 * MiB, drain_chunk=4 * MiB)
@@ -120,7 +120,7 @@ class TestDataServer:
         from repro.sim.rng import RngStreams
 
         def one(seed):
-            sim = Simulator()
+            sim = HeapSimulator()
             srv = DataServer(sim, 0, 0, PFSConfig(), rng=RngStreams(seed))
 
             def proc():

@@ -31,7 +31,7 @@ from repro.mpi.process import MPIWorld
 from repro.romio import ext2ph
 from repro.romio.adio import ADIODriver
 from repro.romio.file import MPIFileHandle, MPIIOLayer
-from repro.sim.core import Process, SimError, SlottedSimulator
+from repro.sim.core import Process, SimError, Simulator
 from repro.units import KiB
 from repro.workloads import collperf_workload, flashio_workload, ior_workload
 from repro.workloads.base import IOStep, Workload
@@ -77,13 +77,13 @@ def wake_instants(monkeypatch):
     (``CallClock._write``, by ``call_at``), in scheduling order — the order
     a bucket of equal instants fires in."""
     wakes = []
-    call_at = SlottedSimulator.call_at
+    call_at = Simulator.call_at
 
     def spy(sim, when, fn):
         wakes.append(when)
         return call_at(sim, when, fn)
 
-    monkeypatch.setattr(SlottedSimulator, "call_at", spy)
+    monkeypatch.setattr(Simulator, "call_at", spy)
     return wakes
 
 

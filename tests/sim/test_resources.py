@@ -1,12 +1,13 @@
 import pytest
 
-from repro.sim.core import SimError, Simulator
+from repro.reference import HeapSimulator
+from repro.sim.core import SimError
 from repro.sim.resources import Resource, Store
 
 
 @pytest.fixture
 def sim():
-    return Simulator()
+    return HeapSimulator()
 
 
 class TestResource:

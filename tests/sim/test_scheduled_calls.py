@@ -1,6 +1,6 @@
 """Only a waiting process gets an Event: the primitives behind the rule.
 
-* :meth:`SlottedSimulator.cancel` takes a future-instant call off the event
+* :meth:`Simulator.cancel` takes a future-instant call off the event
   list; the loop skips an instant that cancellation left empty — in
   ``step()``, ``run(until=t)`` and ``run(until=event)`` alike — without
   advancing the clock to it.  The heap engine's ``cancel`` leaves a no-op in
@@ -21,7 +21,8 @@ from repro.config import small_testbed
 from repro.machine import Machine
 from repro.net.fabric import Fabric
 from repro.net.message import Transport
-from repro.sim.core import SimError, Simulator, SlottedSimulator
+from repro.reference import HeapSimulator
+from repro.sim.core import SimError, Simulator
 from repro.sim.resources import Resource
 from repro.units import KiB, MiB
 from tests.conftest import ENGINES
@@ -38,7 +39,7 @@ def note(fired, tag):
 
 class TestCancel:
     def test_cancelled_only_item_is_skipped_by_step(self):
-        sim = SlottedSimulator()
+        sim = Simulator()
         fired = []
         handle = sim.call_later(1.0, note(fired, "cancelled"))
         sim.call_later(2.0, note(fired, "kept"))
@@ -49,7 +50,7 @@ class TestCancel:
             sim.step()
 
     def test_cancelled_only_item_is_skipped_by_run_until_a_time(self):
-        sim = SlottedSimulator()
+        sim = Simulator()
         fired = []
         sim.cancel(sim.call_later(1.0, note(fired, "cancelled")))
         sim.run(until=1.5)
@@ -59,7 +60,7 @@ class TestCancel:
         assert fired == [] and sim.now == 1.5  # the clock is not moved to 2.5
 
     def test_cancelled_only_item_is_skipped_by_run_until_an_event(self):
-        sim = SlottedSimulator()
+        sim = Simulator()
         fired = []
         sim.cancel(sim.call_later(1.0, note(fired, "cancelled")))
         sentinel = sim.timeout(3.0, value="done")
@@ -71,7 +72,7 @@ class TestCancel:
         assert sim.now == 3.0
 
     def test_cancelling_one_of_several_keeps_the_rest_in_order(self):
-        sim = SlottedSimulator()
+        sim = Simulator()
         fired = []
         sim.call_later(1.0, note(fired, "a"))
         victim = sim.call_later(1.0, note(fired, "b"))
@@ -84,7 +85,7 @@ class TestCancel:
         assert sim.events_fired == 4
 
     def test_rearmed_at_the_same_instant_lands_behind_what_came_between(self):
-        sim = SlottedSimulator()
+        sim = Simulator()
         fired = []
         for emptied in (True, False):  # the bucket left empty, or not
             start = sim.now
@@ -102,7 +103,7 @@ class TestCancel:
             assert sim.now == start + 1.0 and not sim._future
 
     def test_pending_excludes_cancelled_items(self):
-        sim = SlottedSimulator()
+        sim = Simulator()
         handles = [sim.call_later(d, lambda: None) for d in (1.0, 1.0, 2.0)]
         sim.call_soon(lambda: None)
         assert sim.pending == 4
@@ -115,7 +116,7 @@ class TestCancel:
     def test_a_call_whose_instant_has_come_is_not_cancelled(self):
         """Due now, the call is on the lane: ``cancel`` says so and leaves it
         to its owner's guard (the fabric's generation stamp)."""
-        sim = SlottedSimulator()
+        sim = Simulator()
         fired = []
         late = []
         sim.call_later(1.0, lambda: late.append(sim.cancel(handle)))
@@ -125,7 +126,7 @@ class TestCancel:
         assert sim.call_later(0.0, lambda: None) is None  # due now: no handle
 
     def test_the_heap_engine_fires_a_cancelled_call_as_a_no_op(self):
-        sim = Simulator()
+        sim = HeapSimulator()
         fired = []
         assert sim.cancel(sim.call_later(1.0, note(fired, "cancelled")))
         sim.run()
@@ -246,7 +247,7 @@ class TestFlowCompletions:
         entry, and the same completion instants as an Event flow."""
         machine = Machine(small_testbed())
         names, started = [], []
-        make = SlottedSimulator.event
+        make = Simulator.event
         start_flow = Fabric.start_flow
 
         def event(sim, name=""):
@@ -258,7 +259,7 @@ class TestFlowCompletions:
             started.append((done, len(fabric._done_to_flow)))
             return done
 
-        monkeypatch.setattr(SlottedSimulator, "event", event)
+        monkeypatch.setattr(Simulator, "event", event)
         monkeypatch.setattr(Fabric, "start_flow", tracked)
         client = machine.pfs_client(0)
         sim = machine.sim
@@ -274,7 +275,7 @@ class TestFlowCompletions:
         assert f.persisted.total == 4 * MiB + 256 * KiB
 
     def test_transports_flow_keeps_its_event(self):
-        sim = SlottedSimulator()
+        sim = Simulator()
         fabric = Fabric(sim, num_nodes=2, nic_bw=1e9, latency=1e-6)
         transport = Transport(sim, fabric, [0, 1], 1e-6)
         sent = [transport.send(0, 1, 0, None, nbytes=4096) for _ in range(3)]

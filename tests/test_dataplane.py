@@ -20,7 +20,7 @@ from repro.faults.errors import SyncFailedError
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.net.fabric import Fabric
-from repro.sim.core import SimError, SlottedSimulator
+from repro.sim.core import SimError, Simulator
 from repro.units import KiB
 
 TINY = dict(scale=0.02, num_files=2, flush_batch_chunks=16)
@@ -36,7 +36,7 @@ class TestKindSelection:
     def test_default_is_bulk(self):
         m = Machine(small_testbed())
         assert not m.reference
-        assert type(m.sim) is SlottedSimulator and type(m.fabric) is Fabric
+        assert type(m.sim) is Simulator and type(m.fabric) is Fabric
 
     def test_env_override(self, monkeypatch):
         """The environment overrides nothing any more, and says so."""

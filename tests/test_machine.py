@@ -5,8 +5,8 @@ from repro.config import deep_er_testbed, small_testbed
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.pfs.filesystem import ParallelFileSystem
-from repro.reference import NaiveFabric
-from repro.sim.core import SimError, Simulator
+from repro.reference import HeapSimulator, NaiveFabric
+from repro.sim.core import SimError
 
 
 class TestMachine:
@@ -56,11 +56,11 @@ class TestMachine:
 
 class TestReferenceStack:
     def test_reference_builds_the_original_stack_as_a_unit(self):
-        """heapq ``Simulator`` + ``NaiveFabric`` + no inline grant anywhere,
+        """heapq ``HeapSimulator`` + ``NaiveFabric`` + no inline grant anywhere,
         per-rank collective release, no coalesced sends, generator flush."""
         m = Machine(small_testbed(), reference=True)
         assert m.reference
-        assert type(m.sim) is Simulator and type(m.fabric) is NaiveFabric
+        assert type(m.sim) is HeapSimulator and type(m.fabric) is NaiveFabric
         assert m.flush_batch is reference.flush_batch
         queues = [dev.queue for node in m.nodes for dev in (node.ssd, node.nvmm)]
         queues += [q for s in m.pfs.servers for q in (s.workers, s.target.queue)]

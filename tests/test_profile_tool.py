@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.core import SlottedSimulator
+from repro.sim.core import Simulator
 from tests.conftest import ENGINES
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "profile_sweep.py"
@@ -69,7 +69,7 @@ def test_event_kinds_skip_the_instants_cancellation_emptied(tool, tmp_path, monk
     peek at the head of the event list passes over such an instant as
     ``step()`` does, and still accounts for every event fired."""
     emptied = []
-    cancel = SlottedSimulator.cancel
+    cancel = Simulator.cancel
 
     def noting(sim, handle):
         removed = cancel(sim, handle)
@@ -78,7 +78,7 @@ def test_event_kinds_skip_the_instants_cancellation_emptied(tool, tmp_path, monk
             emptied.append(entry[0])
         return removed
 
-    monkeypatch.setattr(SlottedSimulator, "cancel", noting)
+    monkeypatch.setattr(Simulator, "cancel", noting)
     point = ["--benchmark", "ior", "--aggregators", "8", "--scale", "0.005"]
     assert tool.main(point + ["--events", "4", "--json", str(tmp_path / "t.json")]) == 0
     tally = json.loads((tmp_path / "t.json").read_text())

@@ -3,8 +3,12 @@
 Everything only ``Machine(reference=True)`` runs that the production modules
 do not contain is :mod:`repro.reference`, and :mod:`repro.machine` is the
 only module that imports it; the production modules hold one implementation
-per behaviour and do not know which stack they are on.  Read off the source
-(``ast``), so a forbidden import is caught whether or not it is reached.
+per behaviour and do not know which stack they are on.  The other way round,
+the reference is a client of production's public surface, not a subclass of
+its internals: its engine and fabric derive from nothing, it imports no
+private name, and the private attributes it touches are one allow-list, the
+Event protocol and the storage chain's.  Read off the source (``ast``), so
+a forbidden import is caught whether or not it is reached.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ SRC = Path(repro.__file__).parent
 #: ``FLAT_NAMESAKES`` is also a production chain's, which must not be a
 #: generator.
 REFERENCE_ONLY = {
+    "HeapSimulator",
     "NaiveFabric",
+    "fill_rates",
     "read_local",
     "read_log",
     "write_sync",
@@ -128,3 +134,76 @@ def test_the_machine_sets_no_attribute_on_a_component():
             if isinstance(target, ast.Attribute):
                 owner = ast.unparse(target.value)
                 assert owner == "self" or ast.unparse(target) == "self.sim.profiler", owner
+
+
+#: The only ``_``-prefixed attributes :mod:`repro.reference` touches on
+#: anything but ``self``, each with its reason.  No fabric or engine
+#: internal is here: the reference engine and fabric are clients of the
+#: Event protocol and of the fabric's public surface.
+ALLOWED_PRIVATE = {
+    # The Event protocol: the outcome an engine fires and a waiter reads.
+    "_fired": "an engine marks the event it fires",
+    "_ok": "an engine and a waiter read the outcome",
+    "_value": "an engine and a waiter read the outcome",
+    "_triggered": "an engine and a waiter read the outcome",
+    # The storage chain the generator flush step walks over the production
+    # server and its write-back cache.
+    "_draw_rpc_jitter": "the server's RPC jitter stream, drawn where production draws it",
+    "_account": "the server's per-tag RPC and byte ledger",
+    "_waiters": "the write-back cache's throttle FIFO a blocked absorb joins",
+    "_ensure_daemon": "the write-back cache's drain, started where production starts it",
+}
+
+
+def reference_tree() -> ast.Module:
+    return modules()["repro.reference"]
+
+
+def test_the_reference_subclasses_no_production_class_but_events():
+    """A reference class derives from nothing, or from an Event class: its
+    engine and fabric share no code with production's."""
+    from repro import reference
+    from repro.sim.core import Event
+
+    for node in ast.walk(reference_tree()):
+        if isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                cls = eval(ast.unparse(base), vars(reference))  # a name it imported
+                assert issubclass(cls, Event), (node.name, ast.unparse(base))
+
+
+def test_the_reference_imports_no_private_name():
+    for node in ast.walk(reference_tree()):
+        if isinstance(node, ast.ImportFrom):
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, (node.module, private)
+
+
+def test_the_reference_touches_only_allowed_private_attributes():
+    touched = {
+        node.attr
+        for node in ast.walk(reference_tree())
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    }
+    assert touched <= ALLOWED_PRIVATE.keys(), touched - ALLOWED_PRIVATE.keys()
+
+
+def test_production_has_one_engine():
+    """``repro.sim.core`` defines one class with an event loop, and nothing
+    there names a heap of events (``_heap``)."""
+    tree = modules()["repro.sim.core"]
+    engines = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(n, ast.FunctionDef) and n.name == "run" for n in node.body)
+    ]
+    assert engines == ["Simulator"]
+    assert not [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_heap"
+    ]

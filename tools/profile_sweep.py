@@ -81,7 +81,8 @@ from repro.chaos.runner import CHAOS_CACHE_MODES
 from repro.experiments.runner import BENCHMARKS, CACHE_MODES, ExperimentSpec, run_experiment
 from repro.pfs.client import PFSClient
 from repro.pfs.layout import plan_memo_info
-from repro.sim.core import Event, Process, Simulator, SlottedSimulator
+from repro.reference import HeapSimulator
+from repro.sim.core import Event, Process, Simulator
 from repro.sim.profile import SimProfiler
 from repro.units import MiB
 
@@ -257,7 +258,7 @@ def event_kinds():
             sim.now = deadline
         return None
 
-    saved = {cls: cls.run for cls in (Simulator, SlottedSimulator)}
+    saved = {cls: cls.run for cls in (HeapSimulator, Simulator)}
     for cls in saved:
         cls.run = run
     try:
