@@ -10,9 +10,9 @@ The package provides:
 * a simulated MPI layer (:class:`repro.mpi.MPIWorld`) with point-to-point,
   collectives and generalized requests;
 * a faithful port of ROMIO's extended two-phase collective write
-  (:class:`repro.romio.MPIIOLayer`), extended with the paper's E10
-  persistent-cache hints (``e10_cache``, ``e10_cache_path``,
-  ``e10_cache_flush_flag``, ``e10_cache_discard_flag``,
+  (:class:`repro.romio.MPIIOLayer`; writes only, as in the paper),
+  extended with the paper's E10 persistent-cache hints (``e10_cache``,
+  ``e10_cache_path``, ``e10_cache_flush_flag``, ``e10_cache_discard_flag``,
   ``ind_wr_buffer_size``);
 * the MPIWRAP deferred-close wrapper (:class:`repro.mpiwrap.MPIWrap`);
 * the paper's three benchmarks (:mod:`repro.workloads`) and the experiment
@@ -25,7 +25,7 @@ Quickstart::
 
     machine = Machine(small_testbed())
     world = MPIWorld(machine)
-    romio = MPIIOLayer(machine, world.comm)
+    romio = MPIIOLayer(machine, world.comm)  # model exchange (exchange_mode="model")
 
     def app(ctx):
         fh = yield from romio.open(ctx.rank, "/global/data", {"e10_cache": "enable"})

@@ -91,17 +91,6 @@ class CacheState:
             )
             machine.recovery.register(self.journal)
 
-    # -- space management (ADIOI_Cache_alloc) ----------------------------------
-    def allocate(self, offset: int, nbytes: int):
-        """Reserve cache space via fallocate; ENOSPC propagates.
-
-        Dispatch, not a generator: returns the backend's generator directly
-        so callers drive one frame less (``yield from`` semantics are
-        unchanged — first-resume exceptions surface at the same point)."""
-        if self.wal is not None:
-            return self.wal.reserve(offset, nbytes)
-        return self.localfs.fallocate(self.local_file, offset, nbytes)
-
     # -- the write path (called from ADIOI_GEN_WriteContig) ---------------------
     def write_through_cache(self, offset: int, nbytes: int, data: Optional[np.ndarray]) -> Event:
         """Write an extent into the cache file and create its sync request:

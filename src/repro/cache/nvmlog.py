@@ -4,7 +4,7 @@ In extent mode the aggregator cache is a sparse file on the scratch SSD;
 in NVMM mode it is a log on DIMM-attached persistent memory: every cached
 extent is *appended* as one CRC-protected record (header + payload) and
 made durable by a persistence barrier (CLWB + SFENCE drain).  There is no
-file system underneath — no namespace, no fallocate, no page cache — so a
+file system underneath — no namespace, no extent tree, no page cache — so a
 cache write costs the record store plus one barrier, and read-back is a
 load at memory speed from the mapped region.
 
@@ -89,25 +89,6 @@ class NVMMWriteLog:
         self.bytes_appended = 0  # payload bytes made durable
         self.torn_bytes = 0  # payload bytes lost to torn appends (retried)
         self._injector = machine.faults
-
-    # -- space management ---------------------------------------------------------
-    def reserve(self, offset: int, nbytes: int):
-        """Generator: capacity check for an upcoming append.
-
-        The log is append-only — there is no extent tree to pre-populate —
-        so reservation is free; it exists to fail an oversized collective
-        write with ENOSPC *before* any stripe locks are taken, mirroring
-        the extent backend's ``fallocate`` contract.
-        """
-        self._check_writable()
-        if self.device.log_used + self.header + nbytes > self.device.capacity_bytes:
-            raise ENOSPC(
-                f"NVMM log region full on node {self.node_id}: "
-                f"{self.device.log_used + self.header + nbytes} > "
-                f"{self.device.capacity_bytes}"
-            )
-        return
-        yield  # pragma: no cover - makes this a generator for `yield from`
 
     def _check_writable(self) -> None:
         if self.device.read_only:

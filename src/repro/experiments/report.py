@@ -49,19 +49,6 @@ def render_breakdown_table(title: str, data: Mapping[str, Mapping[str, float]]) 
     return "\n".join(lines)
 
 
-def render_bars(
-    title: str, data: Mapping[str, Mapping[str, float]], series: str, width: int = 50
-) -> str:
-    """A quick ASCII bar chart of one series (e.g. 'BW Cache Enable')."""
-    values = {label: row[series] for label, row in data.items()}
-    peak = max(values.values()) or 1.0
-    lines = [f"{title} — {series}", ""]
-    for label, value in values.items():
-        bar = "#" * max(1, int(round(width * value / peak)))
-        lines.append(f"{label:>9s} | {bar} {value:.2f}")
-    return "\n".join(lines)
-
-
 def shape_checks_bandwidth(data: Mapping[str, Mapping[str, float]]) -> dict[str, bool]:
     """The paper's qualitative claims, checkable on any bandwidth figure."""
     labels = list(data)

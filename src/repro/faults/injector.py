@@ -12,7 +12,7 @@ calls a narrow hook, so a machine without faults pays one ``is None`` test):
 * :meth:`on_device_read` — raised into SSD reads (the sync thread's
   read-back path) as :class:`~repro.faults.errors.TransientIOError`.
 * ``ssd_device_loss`` — flips the node's SSD to ``read_only``; the local FS
-  turns subsequent writes/fallocates into
+  turns subsequent writes into
   :class:`~repro.faults.errors.DeviceLostError` (EROFS semantics) while
   reads keep working, which is the realistic SSD end-of-life mode and
   exactly what lets the sync thread drain already-cached extents.

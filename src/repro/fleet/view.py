@@ -46,10 +46,6 @@ class _JobTracer:
         self._tracer = tracer
         self._job = job
 
-    @property
-    def enabled(self) -> bool:
-        return self._tracer.enabled
-
     def emit(self, time, component, event, **detail) -> None:
         detail.setdefault("job", self._job)
         self._tracer.emit(time, component, event, **detail)
@@ -129,7 +125,3 @@ class JobView:
 
     def local_fs_of_rank(self, rank: int):
         return self.local_fs[self.node_of_rank(rank)]
-
-    @property
-    def now(self) -> float:
-        return self.sim.now

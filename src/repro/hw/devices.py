@@ -59,10 +59,6 @@ class StorageDevice:
         self.io_errors_injected = 0
         self.injected_stall_time = 0.0  # ssd_gc_pressure windows (injected)
 
-    # subclass hooks -----------------------------------------------------------
-    def service_time(self, offset: int, nbytes: int, is_write: bool) -> float:
-        raise NotImplementedError
-
     # accounting -----------------------------------------------------------------
     def _account(self, nbytes: int, is_write: bool) -> None:
         self.requests_served += 1

@@ -71,31 +71,6 @@ class IntervalSet:
         starts.insert(lo, start)
         ends.insert(lo, end)
 
-    def remove(self, start: int, end: int) -> None:
-        """Delete ``[start, end)`` from the set (splitting runs as needed)."""
-        if end < start:
-            raise ValueError(f"interval end {end} before start {start}")
-        if end == start:
-            return
-        starts, ends = self._starts, self._ends
-        lo = bisect_right(ends, start)
-        hi = bisect_left(starts, end)
-        if lo >= hi:
-            return
-        keep: list[tuple[int, int]] = []
-        if starts[lo] < start:
-            keep.append((starts[lo], start))
-        if ends[hi - 1] > end:
-            keep.append((end, ends[hi - 1]))
-        for i in range(lo, hi):
-            self._total -= ends[i] - starts[i]
-        del starts[lo:hi]
-        del ends[lo:hi]
-        for idx, (s, e) in enumerate(keep):
-            starts.insert(lo + idx, s)
-            ends.insert(lo + idx, e)
-            self._total += e - s
-
     def clear(self) -> None:
         self._starts.clear()
         self._ends.clear()
@@ -132,22 +107,6 @@ class IntervalSet:
         idx = bisect_right(self._starts, start) - 1
         return idx >= 0 and self._ends[idx] >= end
 
-    def overlaps(self, start: int, end: int) -> bool:
-        if end <= start:
-            return False
-        lo = bisect_right(self._ends, start)
-        return lo < len(self._starts) and self._starts[lo] < end
-
-    def intersect(self, start: int, end: int) -> "IntervalSet":
-        out = IntervalSet()
-        lo = bisect_right(self._ends, start)
-        for i in range(lo, len(self._starts)):
-            s, e = self._starts[i], self._ends[i]
-            if s >= end:
-                break
-            out.add(max(s, start), min(e, end))
-        return out
-
     def gaps(self, start: int, end: int) -> "IntervalSet":
         """The complement of the set within ``[start, end)``."""
         out = IntervalSet()
@@ -177,10 +136,3 @@ class IntervalSet:
         for i in range(lo, hi):
             covered += min(ends[i], end) - max(starts[i], start)
         return (end - start) - covered
-
-    def copy(self) -> "IntervalSet":
-        new = IntervalSet()
-        new._starts = list(self._starts)
-        new._ends = list(self._ends)
-        new._total = self._total
-        return new

@@ -3,11 +3,7 @@
 Models exactly what the E10 cache layer needs from ext4:
 
 * a namespace (create/open/unlink) with capacity accounting against the
-  30 GB partition,
-* ``fallocate`` — instant extent reservation (the fast path
-  ``ADIOI_Cache_alloc`` relies on) versus ``write_zeros`` fallback for file
-  systems without it (charged at device speed, reproducing footnote 2 of
-  the paper),
+  30 GB partition (a write past it raises ENOSPC),
 * buffered writes through the node's page cache with dirty throttling,
 * reads at SSD read speed (the sync thread's read-back path), and
 * ``fsync`` draining dirty pages.
@@ -71,10 +67,9 @@ class LocalFile:
 class LocalFileSystem:
     """One node's scratch FS: namespace + capacity + timed I/O paths."""
 
-    def __init__(self, node: ComputeNode, supports_fallocate: bool = True):
+    def __init__(self, node: ComputeNode):
         self.node = node
         self.sim = node.sim
-        self.supports_fallocate = supports_fallocate
         self.capacity = node.ssd.capacity_bytes
         self.used = 0
         self._files: dict[str, LocalFile] = {}
@@ -125,22 +120,7 @@ class LocalFileSystem:
         f.space.clear()
         f.extents.clear()
 
-    # -- allocation ---------------------------------------------------------------
-    def fallocate(self, f: LocalFile, offset: int, nbytes: int):
-        """Generator: reserve ``[offset, offset+nbytes)``.  Instant when
-        supported; otherwise the implementation 'physically writes zeros to
-        the file' (paper, footnote 2).
-        """
-        self._check_writable()
-        grow = self._charge_range(f, offset, offset + nbytes)
-        if grow == 0:
-            return
-        if self.supports_fallocate:
-            yield self.sim.timeout(50e-6)  # one syscall + extent-tree update
-        else:
-            yield from self.node.ssd.write(offset, grow)
-        f.size = max(f.size, offset + nbytes)
-
+    # -- space ------------------------------------------------------------------
     def _charge_range(self, f: LocalFile, start: int, end: int) -> int:
         """Charge the uncovered part of ``[start, end)``; returns new bytes."""
         grow = f.space.gap_bytes(start, end)

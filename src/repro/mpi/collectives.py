@@ -10,7 +10,7 @@
   O(P log P) messages.
 
 * :class:`AlgorithmicCollectives` — the real message-passing algorithms
-  (binomial bcast, recursive-doubling allreduce/barrier, pairwise-exchange
+  (binomial bcast, recursive-doubling allreduce, pairwise-exchange
   alltoall) over the point-to-point transport: the value oracle.  No
   communicator runs it; tests drive it over a world's transport and
   assert that it returns what the model engine returns.
@@ -349,9 +349,6 @@ class AlgorithmicCollectives:
         # 16 bits of phase space keeps pairwise alltoall steps collision-free
         # up to 64k ranks.
         return self.TAG_BASE + (self._epoch[rank] << 16) + phase
-
-    def barrier(self, rank: int):
-        yield from self.allreduce(rank, 0, op_sum)
 
     def allreduce(self, rank: int, value: Any, op: Op = op_sum):
         """Recursive doubling (power-of-two ranks fold the remainder first)."""

@@ -32,20 +32,6 @@ class WrapHandle:
         n = yield from self.inner.write_all(access)
         return n
 
-    def write_at(self, offset: int, nbytes: int, data=None):
-        self._check()
-        n = yield from self.inner.write_at(offset, nbytes, data)
-        return n
-
-    def read_at(self, offset: int, nbytes: int):
-        self._check()
-        data = yield from self.inner.read_at(offset, nbytes)
-        return data
-
-    def sync(self):
-        self._check()
-        yield from self.inner.sync()
-
     # the interposed close --------------------------------------------------------
     def close(self):
         """Generator: defer or really close, per the matched config section."""

@@ -128,26 +128,19 @@ class PFSClient:
         return _SyncWrite(self, f, offset, nbytes, data, rpc_count).done
 
     # -- reads -----------------------------------------------------------------
-    def read(self, f: PFSFile, offset: int, nbytes: int, locking: bool = False):
-        """Generator: striped pipelined read; returns data (or None if virtual)."""
+    def read(self, f: PFSFile, offset: int, nbytes: int):
+        """Generator: striped pipelined read, the read half of data sieving's
+        read-modify-write (its caller holds the window's stripe locks);
+        returns data (or None if virtual)."""
         shift, nruns, groups = pipelined_plan(
             f.layout, offset, nbytes, len(self.pfs.servers), self._bulk
         )
         if nbytes == 0:
             return None
-        stripes = f.layout.stripes_covered(offset, nbytes) if locking else ()
-        held: list[int] = []
-        try:
-            for s in stripes:
-                yield self.pfs.locks.acquire(f.file_id, s, exclusive=False)
-                held.append(s)
-            yield self.sim.timeout(self.pfs.cfg.client_rpc_overhead * nruns)
-            yield self.sim.all_of(
-                [self.sim.process(self._rpc_read(shift, *group), name="rpc-r") for group in groups]
-            )
-        finally:
-            for s in held:
-                self.pfs.locks.release(f.file_id, s, exclusive=False)
+        yield self.sim.timeout(self.pfs.cfg.client_rpc_overhead * nruns)
+        yield self.sim.all_of(
+            [self.sim.process(self._rpc_read(shift, *group), name="rpc-r") for group in groups]
+        )
         self.bytes_read += nbytes
         return f.read_back(offset, nbytes)
 

@@ -41,7 +41,6 @@ from repro.pfs.layout import sync_plan
 from repro.sim.core import (
     AllOf,
     AnyOf,
-    Deadline,
     DeadlockError,
     Event,
     Process,
@@ -78,9 +77,6 @@ class HeapSimulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def at(self, when: float, value: Any = None) -> Deadline:
-        return Deadline(self, when, value)
-
     def process(self, gen, name: str = "") -> Process:
         return Process(self, gen, name=name)
 
@@ -98,6 +94,11 @@ class HeapSimulator:
         timeout.callbacks.append(lambda _ev: fn())
         return timeout
 
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        event = Event(self, name="call").adopt(True, None)
+        event.callbacks.append(lambda _ev: fn())
+        self._schedule_at(event, when)
+
     def cancel(self, handle: Timeout) -> bool:
         """The call will not run; its event still fires, as a no-op."""
         handle.callbacks.clear()
@@ -108,11 +109,13 @@ class HeapSimulator:
         return Event(self, name=name)
 
     def _schedule(self, event: Event, delay: float) -> None:
-        if delay < 0:
-            raise SimError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            raise SimError(f"cannot schedule before now or at NaN (delay={delay})")
         self._schedule_at(event, self.now + delay)
 
     def _schedule_at(self, event: Event, when: float) -> None:
+        if not when >= self.now:
+            raise SimError(f"cannot schedule before now or at NaN (when={when})")
         self._seq += 1
         heappush(self._heap, (when, self._seq, event))
         if self.profiler is not None:
@@ -145,6 +148,8 @@ class HeapSimulator:
                 return until._value
             raise until._value
         deadline = math.inf if until is None else float(until)
+        if deadline != deadline:
+            raise SimError(f"cannot run until NaN (until={until!r})")
         while self._heap and self._heap[0][0] <= deadline:
             self.step()
         if until is not None and self.now < deadline:

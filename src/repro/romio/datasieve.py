@@ -91,54 +91,3 @@ def write_contig_independent(fd: ADIOFile, rank: int, offset: int, nbytes: int, 
         yield wrote
     prof.lap("write", t0)
     return nbytes
-
-
-def read_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
-    """Generator: independent strided read with data sieving
-    (``ADIOI_GEN_ReadStrided``).
-
-    Reads always target the *global* file — the paper does not support reads
-    from the cache (Section III-B).  Sparse windows are sieved: one large
-    read covers the window and the rank's pieces are gathered from it.
-    Returns the assembled flat buffer (``None`` when the file is virtual).
-
-    In ``e10_cache=coherent`` mode the underlying PFS reads take shared
-    stripe locks, so extents still in transit from someone's cache block
-    until persistent.
-    """
-    if access.empty:
-        return None
-    sieve = fd.hints.ind_wr_buffer_size
-    client = fd.machine.pfs_client(rank)
-    coherent = fd.hints.cache_coherent
-    out = np.zeros(access.total_bytes, dtype=np.uint8)
-    have_data = False
-    pos = access.start_offset
-    end = access.end_offset + 1
-    t0 = prof.mark()
-    while pos < end:
-        hi = min(end, pos + sieve)
-        ws = access.slice_window(pos, hi)
-        if ws.nbytes == 0:
-            pos = hi
-            continue
-        window = hi - pos
-        dense = ws.nbytes == window
-        if dense or ws.count == 1:
-            for off, length, buf in zip(ws.offsets, ws.lengths, ws.buffer_starts):
-                got = yield from client.read(
-                    fd.pfs_file, int(off), int(length), locking=coherent
-                )
-                if got is not None:
-                    out[int(buf) : int(buf) + int(length)] = got
-                    have_data = True
-        else:
-            got = yield from client.read(fd.pfs_file, pos, window, locking=coherent)
-            if got is not None:
-                for off, length, buf in zip(ws.offsets, ws.lengths, ws.buffer_starts):
-                    o, l, b = int(off), int(length), int(buf)
-                    out[b : b + l] = got[o - pos : o - pos + l]
-                have_data = True
-        pos = hi
-    prof.lap("other", t0)
-    return out if have_data else None

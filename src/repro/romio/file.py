@@ -29,12 +29,10 @@ from repro.sim.core import SimError
 class MPIIOLayer:
     """ROMIO instance bound to a machine and a communicator."""
 
-    def __init__(self, machine, comm, driver: str = "beegfs", exchange_mode: str = "auto"):
+    def __init__(self, machine, comm, driver: str = "beegfs", exchange_mode: str = "model"):
         self.machine = machine
         self.comm = comm
         self.driver = get_driver(driver)
-        if exchange_mode == "auto":
-            exchange_mode = "flow" if comm.size <= 32 else "model"
         if exchange_mode not in ("flow", "model"):
             raise SimError(f"unknown exchange mode {exchange_mode!r}")
         self.exchange_mode = exchange_mode
@@ -117,10 +115,6 @@ class MPIFileHandle:
     def prof(self):
         return self.fd.profiler(self.rank)
 
-    @property
-    def hints(self) -> Hints:
-        return self.fd.hints
-
     def get_info(self) -> dict[str, str]:
         """``MPI_File_get_info``."""
         return self.fd.hints.to_info()
@@ -148,42 +142,6 @@ class MPIFileHandle:
         """Independent strided write, data sieving (generator)."""
         self._check_open(alone="write_strided")
         return datasieve.write_strided(self.fd, self.rank, access, self.prof)
-
-    # -- reads -----------------------------------------------------------------------
-    def read_all(self, access: RankAccess):
-        """Generator: ``MPI_File_read_all``.
-
-        Collective semantics (all ranks arrive, all leave together) with the
-        data path delegated to sieved independent reads of the global file.
-        Reads from the cache are unsupported — exactly the restriction the
-        paper states in Section III-B — so two-phase read aggregation (a
-        ROMIO feature orthogonal to the paper's contribution) is not
-        modelled; with ``e10_cache=coherent``, reads block on extents still
-        in transit.
-        """
-        self._check_open(alone="read_all")
-        prof = self.prof
-        t0 = prof.mark()
-        yield from self.fd.comm.barrier(self.rank)
-        data = yield from datasieve.read_strided(self.fd, self.rank, access, prof)
-        yield from self.fd.comm.barrier(self.rank)
-        prof.lap("other", t0)
-        return data
-
-    def read_strided(self, access: RankAccess):
-        """Independent strided read, data sieving (generator)."""
-        self._check_open(alone="read_strided")
-        return datasieve.read_strided(self.fd, self.rank, access, self.prof)
-
-    def read_at(self, offset: int, nbytes: int):
-        """Generator: independent read — always from the global file (reads
-        from the cache are unsupported, paper Section III-B).  In coherent
-        mode the read blocks on stripes whose data is still in transit."""
-        self._check_open(alone="read_at")
-        client = self.layer.machine.pfs_client(self.rank)
-        coherent = self.fd.hints.cache_coherent
-        data = yield from client.read(self.fd.pfs_file, offset, nbytes, locking=coherent)
-        return data
 
     # -- synchronisation ---------------------------------------------------------------
     def sync(self):

@@ -34,7 +34,6 @@ _ONOFF = ("enable", "disable")
 #: object was built (``Hints.validate``).
 _CHOICES = {
     "romio_cb_write": _TRISTATE,
-    "romio_cb_read": _TRISTATE,
     "e10_cache": _CACHE_MODES,
     "e10_cache_flush_flag": _FLUSH_FLAGS,
     "e10_cache_discard_flag": _ONOFF,
@@ -55,7 +54,6 @@ class Hints:
 
     # --- Table I: collective I/O hints -------------------------------------
     romio_cb_write: str = "automatic"
-    romio_cb_read: str = "automatic"
     cb_buffer_size: int = 16 * MiB  # ROMIO default
     cb_nodes: Optional[int] = None  # default: one aggregator per node
     cb_config_spread: bool = True  # place aggregators evenly across nodes

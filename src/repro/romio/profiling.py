@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import methodcaller
-from typing import Iterator
 
 PHASES = (
     "open",
@@ -54,15 +53,6 @@ class PhaseProfile:
     @property
     def total(self) -> float:
         return sum(self.seconds.values())
-
-    def merged_with(self, other: "PhaseProfile") -> "PhaseProfile":
-        out = PhaseProfile(dict(self.seconds))
-        for phase, dt in other.seconds.items():
-            out.add(phase, dt)
-        return out
-
-    def items(self) -> Iterator[tuple[str, float]]:
-        return iter(self.seconds.items())
 
 
 class Profiler:

@@ -158,8 +158,8 @@ class Event:
         outcome but without the one-shot guard or the scheduling side
         effect of :meth:`succeed`/:meth:`fail`.  Used by the re-kick path
         (re-delivering an already-fired target to a process) and by the
-        slotted engine's Timeout/Deadline/Event pools when re-arming a
-        recycled object.  Callers schedule the event themselves.
+        slotted engine's Timeout/Event pools when re-arming a recycled
+        object.  Callers schedule the event themselves.
         """
         self._ok = ok
         self._value = value
@@ -260,8 +260,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimError(f"negative timeout {delay}")
+        if not delay >= 0:
+            raise SimError(f"negative or NaN timeout (delay={delay})")
         # Static name: formatting a per-instance label would cost more than
         # the rest of construction combined on the hot path; the repr below
         # carries the delay for debugging.
@@ -275,34 +275,6 @@ class Timeout(Event):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self._fired else "triggered"
         return f"<Timeout({self.delay:g}) {state}>"
-
-
-class Deadline(Event):
-    """An event that fires at an **absolute** simulated instant.
-
-    Like :class:`Timeout` but scheduled at ``when`` rather than ``now +
-    delay``: when a caller has computed a completion timestamp through a
-    chain of float additions, rescheduling via a delay (``when - now``)
-    would re-round and land on a slightly different instant.  The bulk
-    data-plane fast path uses this to charge a fused sequence of timeouts
-    as one event at *exactly* the timestamp the unfused sequence reaches.
-    """
-
-    __slots__ = ("when",)
-
-    def __init__(self, sim: "Simulator", when: float, value: Any = None):
-        if when < sim.now:
-            raise SimError(f"deadline {when} is in the past (now={sim.now})")
-        super().__init__(sim, name="deadline")
-        self.when = when
-        self._triggered = True
-        self._ok = True
-        self._value = value
-        sim._schedule_at(self, when)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "fired" if self._fired else "triggered"
-        return f"<Deadline({self.when:g}) {state}>"
 
 
 class Process(Event):
@@ -549,7 +521,7 @@ class Simulator:
       order — each bucket is in scheduling order and ``seq`` orders the
       buckets, and same-instant arrivals queue on the lane behind the
       batch, which is exactly the ``(time, seq)`` order.
-    * **Event pooling.**  Fired ``Timeout``/``Deadline``/``Event`` objects
+    * **Event pooling.**  Fired ``Timeout``/``Event`` objects
       (exact types only) are recycled through free lists when nothing else
       references them (``sys.getrefcount == 3`` at the recycle point), and
       ``_Kick`` always is.  ``sim.timeout()`` then costs a pop and a
@@ -577,7 +549,6 @@ class Simulator:
         "_batch",
         "_base",
         "_timeout_pool",
-        "_deadline_pool",
         "_event_pool",
         "_memo_when",
         "_memo",
@@ -620,7 +591,6 @@ class Simulator:
         self._base = 0
         self._kick_pool: list[_Kick] = []
         self._timeout_pool: list[Timeout] = []
-        self._deadline_pool: list[Deadline] = []
         self._event_pool: list[Event] = []
         # One-entry memo: the most recently pushed entry.  Shuffle waves and
         # fabric wakes schedule dozens of events at one exact instant; the
@@ -657,20 +627,6 @@ class Simulator:
             self.profiler.count("sim.event_pool_alloc")
         return Timeout(self, delay, value)
 
-    def at(self, when: float, value: Any = None) -> Deadline:
-        pool = self._deadline_pool
-        if pool and when >= self.now:
-            d = pool.pop()
-            d.when = when
-            d.adopt(True, value)
-            self._schedule_at(d, when)
-            if self.profiler is not None:
-                self.profiler.count("sim.event_pool_reused")
-            return d
-        if self.profiler is not None:
-            self.profiler.count("sim.event_pool_alloc")
-        return Deadline(self, when, value)
-
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at the current instant, after everything already
         scheduled for it — the fire-and-forget form of a zero-delay timeout
@@ -683,9 +639,9 @@ class Simulator:
         :meth:`cancel`, is ``(entry, fn)``: the heap entry holding the call
         and the callable (None when the call is due now, on the lane)."""
         when = self.now + delay
-        if when <= self.now:
-            if delay < 0.0:
-                raise SimError(f"cannot schedule in the past (delay={delay})")
+        if not when > self.now:
+            if not delay >= 0.0:
+                raise SimError(f"cannot schedule before now or at NaN (delay={delay})")
             # Zero, or absorbed by the clock's magnitude: due now, so on the
             # lane (an entry for ``now`` would fire behind the whole lane).
             self._lane.append(fn)
@@ -702,7 +658,9 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """:meth:`call_later` at the absolute instant ``when``: no ``now +
-        delay`` rounding (see :class:`Deadline`), and no handle."""
+        delay`` rounding (a completion instant computed through a chain of
+        float additions lands exactly where it was computed), and no
+        handle."""
         self._schedule_at(fn, when)
 
     def cancel(self, handle: tuple) -> bool:
@@ -731,9 +689,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling -----------------------------------------------------------
     def _kick(self, name: str) -> _Kick:
         """A recycled internal resume event (see :class:`_Kick`)."""
@@ -752,16 +707,16 @@ class Simulator:
         elif delay > 0.0:
             self._schedule_at(event, self.now + delay)
         else:
-            raise SimError(f"cannot schedule in the past (delay={delay})")
+            raise SimError(f"cannot schedule before now or at NaN (delay={delay})")
         if self.profiler is not None:
             # The lane, the unfired tail of the batch under way, the entries.
             due = len(self._lane) + len(self._batch) - (self._event_count - self._base)
             self.profiler.heap_sample(due + len(self._future))
 
     def _schedule_at(self, item, when: float) -> None:
-        if when <= self.now:
-            if when < self.now:
-                raise SimError(f"cannot schedule in the past (when={when})")
+        if not when > self.now:
+            if when != self.now:
+                raise SimError(f"cannot schedule before now or at NaN (when={when})")
             self._lane.append(item)
             return
         if when == self._memo_when:
@@ -794,6 +749,8 @@ class Simulator:
                 return until._value
             raise until._value
         deadline = _INF if until is None else float(until)
+        if deadline != deadline:
+            raise SimError(f"cannot run until NaN (until={until!r})")
         self._dispatch(_NEVER, deadline)
         if until is not None and self.now < deadline:
             self.now = deadline
@@ -812,7 +769,6 @@ class Simulator:
         event_classes = _EVENT_CLASSES
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
-        deadline_pool = self._deadline_pool
         kick_pool = self._kick_pool
         kick_max = self._KICK_POOL_MAX
         pool_max = self._EVENT_POOL_MAX
@@ -878,8 +834,6 @@ class Simulator:
                             event._value = None
                             kick_pool.append(event)
                         continue
-                    elif cls is Deadline:
-                        pool = deadline_pool
                     else:
                         continue
                     if len(pool) < pool_max and _refcount(event) == 3:

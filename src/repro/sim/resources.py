@@ -162,9 +162,6 @@ class Store:
         self._get_name = "get:" + name
         self._abandon_cb = self._abandon_get  # bound once: get() is hot
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def put(self, item: Any) -> None:
         if self._getters:
             self._getters.popleft().succeed(item)

@@ -78,9 +78,6 @@ class Workload:
     file_size: int
     detail: dict = field(default_factory=dict)
 
-    def total_bytes(self) -> int:
-        return self.file_size
-
     @cached_property
     def coverage(self) -> tuple[np.ndarray, np.ndarray]:
         """The bytes one file of this recipe holds once written, as merged

@@ -45,11 +45,6 @@ class PhaseTiming:
     close_wait: float = 0.0
     compute_time: float = 0.0
 
-    @property
-    def io_time(self) -> float:
-        """Eq. (1) denominator contribution: T_c(k) + max(0, T_s - C)."""
-        return self.open_time + self.write_time + self.close_wait
-
 
 def multi_phase_body(
     layer,

@@ -3,7 +3,7 @@ import numpy as np
 from repro.cache.cachefile import CacheState
 from repro.cache.policy import CachePolicy
 from repro.romio.hints import Hints
-from repro.units import KiB, MiB
+from repro.units import KiB
 from tests.conftest import make_cluster
 
 
@@ -125,14 +125,3 @@ class TestClose:
         assert pfs_file.persisted.total == 64 * KiB
         assert machine.local_fs[0].used == 0  # discarded
         assert not state.sync_thread.alive  # thread shut down
-
-    def test_allocate_uses_fallocate(self):
-        machine, world, layer = make_cluster()
-        state, _ = make_state(machine, world)
-
-        def proc():
-            yield from state.allocate(0, MiB)
-
-        drive(machine, proc())
-        assert state.local_file.allocated == MiB
-        assert machine.sim.now < 1e-3  # fallocate, not zero-writing

@@ -152,17 +152,6 @@ class TestCapacity:
 
         run(machine, proc())
 
-    def test_reserve_checks_without_charging(self, machine, wal):
-        wal.device.capacity_bytes = wal.header + 512
-
-        def proc():
-            yield from wal.reserve(0, 512)  # fits
-            with pytest.raises(ENOSPC):
-                yield from wal.reserve(0, 513)
-
-        run(machine, proc())
-        assert wal.device.log_used == 0  # reservation never charges
-
     def test_discard_releases_region(self, machine, wal):
         def proc():
             yield wal.append(0, 2048, payload(2048, 6))
@@ -199,8 +188,6 @@ class TestCapacity:
         wal.device.read_only = True
 
         def proc():
-            with pytest.raises(DeviceLostError):
-                yield from wal.reserve(0, 10)
             with pytest.raises(DeviceLostError):
                 yield wal.append(0, 10, None)
 

@@ -1,6 +1,5 @@
 from repro.experiments.report import (
     render_bandwidth_table,
-    render_bars,
     render_breakdown_table,
     shape_checks_bandwidth,
 )
@@ -34,11 +33,6 @@ class TestRendering:
         out = render_breakdown_table("Fig 5", BD_DATA)
         lines = [l for l in out.splitlines() if l.startswith("64_4M")]
         assert "0.000" in lines[0]  # 64_4M has no not_hidden_sync
-
-    def test_bars(self):
-        out = render_bars("Fig 4", BW_DATA, "BW Cache Enable")
-        assert out.count("|") == 2
-        assert "#" in out
 
 
 class TestShapeChecks:

@@ -9,7 +9,7 @@ from repro.sim.core import Event
 from repro.units import GiB, KiB, MiB
 
 
-def make_fs(supports_fallocate=True, ssd_capacity=None):
+def make_fs(ssd_capacity=None):
     sim = HeapSimulator()
     cfg = small_testbed()
     if ssd_capacity is not None:
@@ -17,7 +17,7 @@ def make_fs(supports_fallocate=True, ssd_capacity=None):
 
         cfg = cfg.scaled(ssd=replace(cfg.ssd, capacity=ssd_capacity))
     node = ComputeNode(sim, 0, cfg)
-    return sim, LocalFileSystem(node, supports_fallocate=supports_fallocate)
+    return sim, LocalFileSystem(node)
 
 
 def drive(sim, work):
@@ -60,25 +60,11 @@ class TestNamespace:
 
 
 class TestAllocation:
-    def test_fallocate_fast(self):
-        sim, fs = make_fs(supports_fallocate=True)
-        f = fs.open("/scratch/a")
-        drive(sim, fs.fallocate(f, 0, 16 * MiB))
-        assert sim.now < 1e-3  # basically instant
-        assert f.allocated == 16 * MiB
-
-    def test_fallocate_fallback_writes_zeros(self):
-        sim, fs = make_fs(supports_fallocate=False)
-        f = fs.open("/scratch/a")
-        drive(sim, fs.fallocate(f, 0, 16 * MiB))
-        # footnote 2: physically writes zeros, at device speed
-        assert sim.now >= 16 * MiB / fs.node.config.ssd.write_bw * 0.9
-
-    def test_fallocate_idempotent(self):
+    def test_rewrite_charges_once(self):
         sim, fs = make_fs()
         f = fs.open("/scratch/a")
-        drive(sim, fs.fallocate(f, 0, MiB))
-        drive(sim, fs.fallocate(f, 0, MiB))
+        drive(sim, fs.write(f, 0, MiB))
+        drive(sim, fs.write(f, 0, MiB))
         assert f.allocated == MiB
         assert fs.used == MiB
 

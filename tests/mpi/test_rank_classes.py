@@ -332,11 +332,8 @@ def test_a_class_is_refused_an_access_that_is_not_a_table_view():
     [
         lambda fh, acc: fh.write_at(0, 16),
         lambda fh, acc: fh.write_strided(acc),
-        lambda fh, acc: fh.read_all(acc),
-        lambda fh, acc: fh.read_strided(acc),
-        lambda fh, acc: fh.read_at(0, 16),
     ],
-    ids=["write_at", "write_strided", "read_all", "read_strided", "read_at"],
+    ids=["write_at", "write_strided"],
 )
 def test_a_class_is_refused_independent_io(operation, request):
     machine, world, layer = production_cluster()

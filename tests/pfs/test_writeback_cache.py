@@ -361,7 +361,7 @@ class TestNamedCases:
                     # the device's own completion for the same instant.
                     when = rig.sim.now + dt
                     rig.sim.call_soon(
-                        lambda: rig.sim.at(when).callbacks.append(lambda _ev: barge())
+                        lambda: rig.sim.call_at(when, barge)
                     )
 
             rig.on_drain_step = on_step

@@ -96,7 +96,7 @@ class TestIndependentIO:
             if ctx.rank == 0:
                 yield from fh.write_at(50, 100, data)
             yield from fh.sync()  # makes it visible + synchronises ranks
-            got = yield from fh.read_at(50, 100)
+            got = fh.fd.pfs_file.read_back(50, 100)
             yield from fh.close()
             return got
 

@@ -60,7 +60,6 @@ class TestValidateMethod:
         "field, value",
         [
             ("romio_cb_write", "enabled"),
-            ("romio_cb_read", "always"),
             ("e10_cache", "enabled"),
             ("e10_cache_flush_flag", "flush_later"),
             ("e10_cache_discard_flag", "on"),

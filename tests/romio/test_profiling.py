@@ -25,14 +25,6 @@ class TestPhaseProfile:
     def test_missing_phase_zero(self):
         assert PhaseProfile().get("comm") == 0.0
 
-    def test_merge(self):
-        a = PhaseProfile({"write": 1.0})
-        b = PhaseProfile({"write": 2.0, "comm": 3.0})
-        merged = a.merged_with(b)
-        assert merged.get("write") == 3.0
-        assert merged.get("comm") == 3.0
-        assert a.get("write") == 1.0  # originals untouched
-
 
 class TestProfiler:
     def test_lap_measures_sim_time(self):

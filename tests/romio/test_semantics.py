@@ -3,6 +3,10 @@
 Cached data becomes globally visible only after (a) flush-immediate sync
 completion, (b) MPI_File_close() return, or (c) MPI_File_sync() return; the
 ``coherent`` mode additionally locks in-transit extents against readers.
+Reads are not modelled (the paper covers collective writes only): a test
+looks at the global file itself — ``PFSFile.persisted`` and ``read_back``
+— at the instant a reader would, and a coherent reader is one that takes
+the shared stripe lock first.
 """
 
 import numpy as np
@@ -111,14 +115,19 @@ class TestCoherentMode:
             yield from fh.write_all(rank_pattern(ctx.rank))
             t0 = ctx.now
             if ctx.rank == 3:  # a non-aggregator reads while flush in flight
-                got = yield from fh.read_at(0, 4 * KiB)
-                read_times.append((ctx.now - t0, got))
+                f = fh.fd.pfs_file
+                (stripe,) = f.layout.stripes_covered(0, 4 * KiB)
+                yield machine.pfs.locks.acquire(f.file_id, stripe, exclusive=False)
+                got = f.read_back(0, 4 * KiB)
+                read_times.append((ctx.now - t0, f.persisted.covers(0, 4 * KiB), got))
+                machine.pfs.locks.release(f.file_id, stripe, exclusive=False)
             yield from fh.close()
 
         world.run(body)
-        waited, got = read_times[0]
-        # The read had to wait for the lock held over the in-transit extent
-        # and then saw the persisted (correct) data.
+        waited, persisted, got = read_times[0]
+        # The reader had to wait for the lock held over the in-transit
+        # extent, and then saw the persisted (correct) data.
+        assert waited > machine.pfs.locks.lock_rpc_time and persisted
         assert np.array_equal(got, file_payload(machine, "/g/t", 0, 4 * KiB))
         f = machine.pfs.lookup("/g/t")
         assert f.persisted.covers(0, 4 * KiB)
@@ -131,8 +140,7 @@ class TestCoherentMode:
             fh = yield from layer.open(ctx.rank, "/g/t", CACHE_HINTS)
             yield from fh.write_all(rank_pattern(ctx.rank))
             if ctx.rank == 3:
-                got = yield from fh.read_at(7 * 4 * KiB, 4 * KiB)
-                stale.append(got)
+                stale.append(fh.fd.pfs_file.read_back(7 * 4 * KiB, 4 * KiB))
             yield from fh.close()
 
         world.run(body)

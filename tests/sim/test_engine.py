@@ -10,6 +10,7 @@ another).
 """
 
 import cProfile
+import math
 import pstats
 import random
 
@@ -108,19 +109,14 @@ class TestPastScheduling:
         sim.run(until=5.0)
         assert sim.now == 5.0
         with pytest.raises(SimError):
-            sim.at(4.999)
+            sim.call_at(4.999, lambda: None)
 
     def test_deadline_at_now_fires_immediately(self, sim):
         sim.run(until=5.0)
-        d = sim.at(5.0, value="on-time")
-
-        def body():
-            got = yield d
-            return (got, sim.now)
-
-        p = sim.process(body())
+        fired = []
+        sim.call_at(5.0, lambda: fired.append(("on-time", sim.now)))
         sim.run()
-        assert p.value == ("on-time", 5.0)
+        assert fired == [("on-time", 5.0)]
 
     def test_negative_timeout_raises(self, sim):
         with pytest.raises(SimError):
@@ -129,6 +125,29 @@ class TestPastScheduling:
     def test_negative_call_later_raises(self, sim):
         with pytest.raises(SimError):
             sim.call_later(-1e-9, lambda: None)
+
+    @pytest.mark.parametrize(
+        "schedule, name",
+        [
+            (lambda sim: sim.call_later(math.nan, lambda: None), "delay"),
+            (lambda sim: sim.call_at(math.nan, lambda: None), "when"),
+            (lambda sim: sim.timeout(math.nan), "delay"),
+            (lambda sim: sim.run(until=math.nan), "until"),
+        ],
+        ids=["call_later", "call_at", "timeout", "run_until"],
+    )
+    def test_nan_time_is_refused_by_name(self, sim, schedule, name):
+        """A NaN delay, instant or horizon is no time at all: refused with
+        the argument named, leaving the event list and the clock as they
+        were (a NaN entry would fire out of order with ``sim.now`` NaN)."""
+        fired = []
+        sim.call_later(1.0, lambda: fired.append(sim.now))
+        sim.call_later(2.0, lambda: fired.append(sim.now))
+        with pytest.raises(SimError, match=f"{name}.*nan"):
+            schedule(sim)
+        assert sim.pending == 2 and sim.now == 0.0
+        sim.run()
+        assert fired == [1.0, 2.0] and sim.events_fired == 2
 
 
 class TestInterruptRaces:
@@ -267,7 +286,9 @@ class TestDifferentialEngines:
                             when = rng.choice(later)
                     seen.append(when)
                     sim.call_later(gap, note(("call", wid, s)))
-                    yield sim.at(when)
+                    wake = sim.event()
+                    sim.call_at(when, wake.succeed)
+                    yield wake
                     trace.append((sim.now, "at", wid, s))
                 return wid
 
@@ -294,7 +315,7 @@ class TestDifferentialEngines:
         for i in range(5):
             sim.timeout(2.0).callbacks.append(lambda _ev, i=i: fired.append(("t", i)))
             sim.call_later(2.0, lambda i=i: fired.append(("c", i)))
-            sim.at(2.0).callbacks.append(lambda _ev, i=i: fired.append(("d", i)))
+            sim.call_at(2.0, lambda i=i: fired.append(("d", i)))
         sim.timeout(2.0 + 2e-10)
         sim.timeout(7e9)
         assert sorted(entry[0] for entry in sim._future) == [2.0, 2.0 + 2e-10, 7e9]
@@ -347,10 +368,10 @@ class TestDifferentialEngines:
 
 
 def one_instant(sim, fired, delay, boom=""):
-    """Five items due ``delay`` from now — calls, a Timeout, a Deadline —
-    each noting itself and what is still ``pending`` as it fires, then
-    scheduling a follow-up for its instant; the one tagged ``boom`` raises
-    after that.  Returns the Timeout (item "b")."""
+    """Five items due ``delay`` from now — calls, a Timeout, a call at the
+    absolute instant — each noting itself and what is still ``pending`` as
+    it fires, then scheduling a follow-up for its instant; the one tagged
+    ``boom`` raises after that.  Returns the Timeout (item "b")."""
 
     def item(tag):
         def fire(*_event):
@@ -365,7 +386,7 @@ def one_instant(sim, fired, delay, boom=""):
     timeout = sim.timeout(delay, value="b")
     timeout.callbacks.append(item("b"))
     sim.call_later(delay, item("c"))
-    sim.at(sim.now + delay).callbacks.append(item("d"))
+    sim.call_at(sim.now + delay, item("d"))
     sim.call_later(delay, item("e"))
     return timeout
 

@@ -78,7 +78,7 @@ class TestCancel:
         victim = sim.call_later(1.0, note(fired, "b"))
         sim.timeout(1.0).callbacks.append(note(fired, "timeout"))
         sim.call_later(1.0, note(fired, "c"))
-        sim.at(1.0).callbacks.append(note(fired, "deadline"))
+        sim.call_at(1.0, note(fired, "deadline"))
         assert sim.cancel(victim)
         sim.run()
         assert fired == ["a", "timeout", "c", "deadline"]
