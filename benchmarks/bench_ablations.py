@@ -208,7 +208,7 @@ class TestStripeAlignment:
         def run(driver):
             machine = Machine(small_testbed(8, 2))
             world = MPIWorld(machine)
-            layer = MPIIOLayer(machine, world.comm, driver=driver, exchange_mode="flow")
+            layer = MPIIOLayer(machine, world.comm, driver=driver)
             wl = ior_workload(16, block_bytes=256 * KiB, segments=2)
             hints = {
                 "cb_nodes": "4",

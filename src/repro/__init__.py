@@ -7,10 +7,11 @@ The package provides:
 * a discrete-event simulated HPC cluster (:class:`repro.machine.Machine`)
   modelled on the DEEP-ER testbed — nodes with local SSDs and page caches,
   an InfiniBand-like fabric, and a BeeGFS-like parallel file system;
-* a simulated MPI layer (:class:`repro.mpi.MPIWorld`) with point-to-point,
-  collectives and generalized requests;
+* a simulated MPI layer (:class:`repro.mpi.MPIWorld`) with
+  arrival-synchronised collectives and generalized requests;
 * a faithful port of ROMIO's extended two-phase collective write
-  (:class:`repro.romio.MPIIOLayer`; writes only, as in the paper),
+  (:class:`repro.romio.MPIIOLayer`; writes only, as in the paper, with the
+  shuffle costed in closed form rather than simulated message by message),
   extended with the paper's E10 persistent-cache hints (``e10_cache``,
   ``e10_cache_path``, ``e10_cache_flush_flag``, ``e10_cache_discard_flag``,
   ``ind_wr_buffer_size``);
@@ -25,7 +26,7 @@ Quickstart::
 
     machine = Machine(small_testbed())
     world = MPIWorld(machine)
-    romio = MPIIOLayer(machine, world.comm)  # model exchange (exchange_mode="model")
+    romio = MPIIOLayer(machine, world.comm)
 
     def app(ctx):
         fh = yield from romio.open(ctx.rank, "/global/data", {"e10_cache": "enable"})

@@ -378,7 +378,7 @@ class AccessTable:
 
     @cached_property
     def ends(self) -> np.ndarray:
-        """``offsets + lengths``; derived on first use — flow-fidelity
+        """``offsets + lengths``; derived on first use — data sieving's
         windows and the CSR coverage merge read it, the model's sums do not."""
         return _frozen(self.offsets + self.lengths)
 

@@ -253,7 +253,7 @@ class _CachedWrite(Event):
             # discard now so conservation closes without waiting for the
             # unlink.
             io_stats["bytes_discarded"] += nbytes
-        greq = GeneralizedRequest(state.machine.sim, meta={"offset": offset, "nbytes": nbytes})
+        greq = GeneralizedRequest(state.machine.sim)
         request = SyncRequest(offset, nbytes, greq, stripes=stripes)
         if policy.flush_never:
             # Evaluation aid (TBW series): the data stays in the cache;

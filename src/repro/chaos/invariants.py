@@ -103,9 +103,9 @@ def verify_files(
     once written (:attr:`repro.workloads.base.Workload.coverage`).  Per
     file: its persisted runs and size equal that coverage (the first
     missing and the first extra run are named), and every byte it stores
-    (flow fidelity stores them; model fidelity stores none) equals the
-    payload function of ``key_of(path)`` at its offset (the first bad
-    offset is named).  No reference run is needed: the access tables say
+    (a payload-carrying driver stores them; the production drivers store
+    none) equals the payload function of ``key_of(path)`` at its offset
+    (the first bad offset is named).  No reference run is needed: the access tables say
     where bytes belong and :mod:`repro.payload` what they are.
     """
     out: list[str] = []

@@ -314,7 +314,7 @@ def run_job(
     def phase(body_of):
         world = MPIWorld(machine)
         body = body_of(
-            MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
+            MPIIOLayer(machine, world.comm, driver="beegfs")
         )
         if watchdog:
             monitor.watch()

@@ -196,7 +196,7 @@ def run_experiment(
     cfg = spec.cluster(config)
     machine = Machine(cfg, profiler=profiler, reference=reference)
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
+    layer = MPIIOLayer(machine, world.comm, driver="beegfs")
     workload = build_workload(spec, cfg.num_ranks)
     # The compute delay must shrink by the *achieved* data scale (workload
     # granularity floors — e.g. one IOR segment — can make it coarser than

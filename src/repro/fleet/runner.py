@@ -292,8 +292,7 @@ def _job_body(view: JobView, job: FleetJobSpec):
     """
     sim = view.sim
     world = MPIWorld(view)
-    world.transport.tag = view.job_label
-    layer = MPIIOLayer(view, world.comm, driver="beegfs", exchange_mode="model")
+    layer = MPIIOLayer(view, world.comm, driver="beegfs")
     workload = small_workload(job.benchmark, view.config.num_ranks, job.scale)
     # One aggregator per job node; the backend is left to REPRO_CACHE_KIND.
     hints = small_hints(

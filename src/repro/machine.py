@@ -29,8 +29,8 @@ the components take what they need from those — a device or server grants
 inline, and a model collective releases its ranks through one event (so a
 collective write may run on its clock and ranks may run as classes), where
 the engine allows it (``inline_grants``, ``shared_releases``); a PFS
-client and the MPI transport bundle identical transfers where the fabric
-does (``bundles``).  A :class:`~repro.faults.spec.FaultSchedule` only arms
+client bundles identical stripe transfers where the fabric does
+(``bundles``).  A :class:`~repro.faults.spec.FaultSchedule` only arms
 the hooks of the components it targets
 (:class:`~repro.faults.injector.FaultInjector`).
 

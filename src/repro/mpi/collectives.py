@@ -1,19 +1,15 @@
 """Collective operations.
 
-* :class:`ModelCollectives` — arrival-synchronised cost models, the one
-  engine a :class:`~repro.mpi.comm.Communicator` runs.  Every rank
-  entering its *n*-th collective joins slot *n*; when the last rank arrives,
-  the slot computes the result and a LogGP-style duration, then releases all
-  ranks together.  This preserves the property the paper's analysis hinges
-  on — a collective costs each rank ``(t_last_arrival - t_my_arrival) +
-  t_algorithm`` — while firing O(P) events per collective instead of
-  O(P log P) messages.
-
-* :class:`AlgorithmicCollectives` — the real message-passing algorithms
-  (binomial bcast, recursive-doubling allreduce, pairwise-exchange
-  alltoall) over the point-to-point transport: the value oracle.  No
-  communicator runs it; tests drive it over a world's transport and
-  assert that it returns what the model engine returns.
+:class:`ModelCollectives` — arrival-synchronised cost models, the one
+engine a :class:`~repro.mpi.comm.Communicator` runs.  Every rank entering
+its *n*-th collective joins slot *n*; when the last rank arrives, the slot
+computes the result and a LogGP-style duration, then releases all ranks
+together.  This preserves the property the paper's analysis hinges on — a
+collective costs each rank ``(t_last_arrival - t_my_arrival) +
+t_algorithm`` — while firing O(P) events per collective instead of
+O(P log P) messages.  There is no message-passing engine: the values each
+collective returns are pinned by literal expectations in
+``tests/mpi/test_collectives.py``.
 
 **Rank classes** (:meth:`ModelCollectives.set_classes`): one rank may
 arrive for a whole class of ranks that only ever follow (the
@@ -42,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.net.message import Transport
 from repro.sim.core import Event, SimError, Simulator
 
 Op = Callable[[Any, Any], Any]
@@ -127,9 +122,9 @@ class _Slot:
     shared: Optional[Event] = None  # Simulator.shared_releases: one release for all ranks
 
 
-# The collectives whose result differs from rank to rank; every other one
+# The collective whose result differs from rank to rank; every other one
 # releases all ranks with the same object, which the release event carries.
-_PER_RANK = frozenset(("allgather", "alltoall"))
+_PER_RANK = "alltoall"
 
 
 class ModelCollectives:
@@ -252,7 +247,7 @@ class ModelCollectives:
     def enter(self, rank: int, op_name: str, value: Any = None, **extra):
         """Generator: :meth:`arrive`, wait for release, return this rank's result."""
         results = yield self.arrive(rank, op_name, value, **extra)
-        return results[rank] if op_name in _PER_RANK else results
+        return results[rank] if op_name == _PER_RANK else results
 
     # individual operations -------------------------------------------------
     def barrier(self, rank: int):
@@ -260,9 +255,6 @@ class ModelCollectives:
 
     def allreduce(self, rank: int, value: Any, op: Op = op_sum, nbytes: int = 8):
         return self.enter(rank, "allreduce", value, reduce_op=op, nbytes=nbytes)
-
-    def allgather(self, rank: int, value: Any, nbytes: int = 8):
-        return self.enter(rank, "allgather", value, nbytes=nbytes)
 
     def alltoall(self, rank: int, values: list[Any], per_pair_bytes: int = 16):
         if len(values) != self.nprocs:
@@ -296,11 +288,6 @@ class ModelCollectives:
                 acc = v if acc is None else reduce_op(acc, v)
             duration = costs.small_collective(self.nprocs, nbytes)
             results = acc
-        elif op == "allgather":
-            gathered = [slot.arrivals[r] for r in range(self.nprocs)]
-            nbytes = next(iter(slot.extra["nbytes"].values()))
-            duration = costs.small_collective(self.nprocs, nbytes * self.nprocs)
-            results = {r: list(gathered) for r in slot.arrivals}
         elif op == "alltoall":
             nbytes = next(iter(slot.extra["nbytes"].values()))
             results = {
@@ -325,116 +312,3 @@ class ModelCollectives:
             for ev in slot.release.values():
                 ev.succeed(results, delay=duration)
         del self._slots[idx]
-
-
-class AlgorithmicCollectives:
-    """Real message-passing collective algorithms over the transport.
-
-    Only usable from inside rank processes; each operation is a generator.
-    Tags are drawn from a reserved high range so they never collide with
-    application traffic.
-    """
-
-    TAG_BASE = 1 << 24
-
-    def __init__(self, sim: Simulator, transport: Transport, nprocs: int, payload_nbytes: Callable[[Any], int] = None):
-        self.sim = sim
-        self.transport = transport
-        self.nprocs = nprocs
-        self._epoch = [0] * nprocs
-        self.payload_nbytes = payload_nbytes or (lambda v: 16)
-
-    def _tag(self, rank: int, phase: int) -> int:
-        # Per-collective-epoch, per-phase tag; epoch advances per call site.
-        # 16 bits of phase space keeps pairwise alltoall steps collision-free
-        # up to 64k ranks.
-        return self.TAG_BASE + (self._epoch[rank] << 16) + phase
-
-    def allreduce(self, rank: int, value: Any, op: Op = op_sum):
-        """Recursive doubling (power-of-two ranks fold the remainder first)."""
-        n = self.nprocs
-        epoch_tag = self._tag(rank, 0)
-        self._epoch[rank] += 1
-        pof2 = 1 << (n.bit_length() - 1) if n & (n - 1) else n
-        rem = n - pof2
-        acc = value
-        newrank = rank
-        if rank < 2 * rem:
-            if rank % 2 == 0:  # even ranks in the remainder send and sit out
-                yield self.transport.send(rank, rank + 1, epoch_tag, acc, self.payload_nbytes(acc))
-                msg = yield self.transport.post_recv(rank, rank + 1, epoch_tag + 1)
-                return msg.payload
-            else:
-                msg = yield self.transport.post_recv(rank, rank - 1, epoch_tag)
-                acc = op(msg.payload, acc)
-                newrank = rank // 2
-        else:
-            newrank = rank - rem
-        mask = 1
-        while mask < pof2:
-            peer_new = newrank ^ mask
-            peer = peer_new * 2 + 1 if peer_new < rem else peer_new + rem
-            send_ev = self.transport.send(rank, peer, epoch_tag, acc, self.payload_nbytes(acc))
-            recv_ev = self.transport.post_recv(rank, peer, epoch_tag)
-            yield self.sim.all_of([send_ev, recv_ev])
-            other = recv_ev.value.payload
-            # commutative-op ordering: lower rank contributes first
-            acc = op(other, acc) if peer < rank else op(acc, other)
-            mask <<= 1
-        if rank < 2 * rem and rank % 2 == 1:
-            yield self.transport.send(rank, rank - 1, epoch_tag + 1, acc, self.payload_nbytes(acc))
-        return acc
-
-    def bcast(self, rank: int, value: Any, root: int = 0):
-        """Binomial tree broadcast (the MPICH schedule)."""
-        n = self.nprocs
-        tag = self._tag(rank, 2)
-        self._epoch[rank] += 1
-        vrank = (rank - root) % n
-        got = value if rank == root else None
-        # Climb the mask until our set bit is found: that is our parent edge.
-        mask = 1
-        while mask < n:
-            if vrank & mask:
-                parent = ((vrank - mask) + root) % n
-                msg = yield self.transport.post_recv(rank, parent, tag)
-                got = msg.payload
-                break
-            mask <<= 1
-        # Descend, forwarding to children below our edge.
-        mask >>= 1
-        while mask > 0:
-            if vrank + mask < n:
-                child = ((vrank + mask) + root) % n
-                yield self.transport.send(rank, child, tag, got, self.payload_nbytes(got))
-            mask >>= 1
-        return got
-
-    def alltoall(self, rank: int, values: list[Any]):
-        """Pairwise exchange (XOR schedule for power-of-two, ring otherwise)."""
-        n = self.nprocs
-        tag = self._tag(rank, 3)
-        self._epoch[rank] += 1
-        if len(values) != n:
-            raise SimError(f"alltoall needs {n} values")
-        result: list[Any] = [None] * n
-        result[rank] = values[rank]
-        for step in range(1, n):
-            if n & (n - 1) == 0:
-                peer = rank ^ step
-            else:
-                peer = (rank + step) % n
-                # ring schedule: receive from (rank - step) % n
-            if n & (n - 1) == 0:
-                send_to = recv_from = peer
-            else:
-                send_to = (rank + step) % n
-                recv_from = (rank - step) % n
-            send_ev = self.transport.send(rank, send_to, tag + step, values[send_to], self.payload_nbytes(values[send_to]))
-            recv_ev = self.transport.post_recv(rank, recv_from, tag + step)
-            yield self.sim.all_of([send_ev, recv_ev])
-            result[recv_from] = recv_ev.value.payload
-        return result
-
-    def allgather(self, rank: int, value: Any):
-        return self.alltoall(rank, [value] * self.nprocs)

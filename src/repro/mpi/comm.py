@@ -1,39 +1,34 @@
-"""The communicator: point-to-point plus collectives behind one object.
+"""The communicator: the collectives and the rank-to-node map behind one object.
 
-A :class:`Communicator` binds the transport, the one collective engine
-(:class:`~repro.mpi.collectives.ModelCollectives`), and the rank-to-node
-map.  What either depends on the stack is a property of the engine or the
-fabric it is built on (``Simulator.shared_releases``, ``Fabric.bundles``),
-never an argument.  All blocking calls are generators (``yield from``); the
-nonblocking ones return :class:`~repro.mpi.request.Request` handles
-compatible with :func:`~repro.mpi.request.waitall`.  The real
-message-passing algorithms (:class:`~repro.mpi.collectives.AlgorithmicCollectives`)
-are an oracle tests drive over the transport, not a mode of this class.
+A :class:`Communicator` binds the one collective engine
+(:class:`~repro.mpi.collectives.ModelCollectives`) to the rank-to-node
+map.  What the engine does differently per stack is a property of the
+simulator it is built on (``Simulator.shared_releases``), never an
+argument.  The blocking collectives are generators (``yield from``);
+``timed`` returns its release Event.  There is no point-to-point: the
+§II-A shuffle is costed in closed form (``romio.ext2ph``) and charged
+through ``timed`` slots, so no rank sends a message.
 
 Paper correspondence: MPI substrate (§II background); the per-rank
-endpoint the §II-A shuffle runs over.
+endpoint the §II-A shuffle is charged to.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Optional
+from typing import Any
 
-from repro.mpi import request as req_mod
 from repro.mpi.collectives import CollectiveCosts, ModelCollectives, Op, op_sum
-from repro.mpi.request import GeneralizedRequest, Request
-from repro.net.message import ANY_SOURCE, ANY_TAG, Transport
-from repro.sim.core import SimError, Simulator
+from repro.sim.core import Simulator
 
 
 class Communicator:
     """An MPI communicator over ``nprocs`` simulated ranks."""
 
-    def __init__(self, sim: Simulator, transport: Transport, nprocs: int, costs: CollectiveCosts):
+    def __init__(self, sim: Simulator, rank_to_node: list[int], costs: CollectiveCosts):
         self.sim = sim
-        self.transport = transport
-        self.nprocs = nprocs
-        self.rank_to_node = transport.rank_to_node
+        self.rank_to_node = list(rank_to_node)
+        self.nprocs = nprocs = len(self.rank_to_node)
         self._model = ModelCollectives(sim, nprocs, costs)
         #: ``ModelCollectives.arrive``, bound: one hop to a rank's next slot
         self.arrive = self._model.arrive
@@ -73,30 +68,6 @@ class Communicator:
         """Raise unless ``rank`` stands for itself only: ``path`` is per rank."""
         self._model.alone(rank, path)
 
-    # -- point to point -------------------------------------------------------
-    def isend(self, source: int, dest: int, tag: int, payload: Any, nbytes: int) -> Request:
-        if not (0 <= dest < self.nprocs):
-            raise SimError(f"isend to invalid rank {dest}")
-        ev = self.transport.send(source, dest, tag, payload, nbytes)
-        return Request(ev, kind="isend", meta={"dest": dest, "tag": tag, "nbytes": nbytes})
-
-    def irecv(self, rank: int, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        ev = self.transport.post_recv(rank, source, tag)
-        return Request(ev, kind="irecv", meta={"source": source, "tag": tag})
-
-    def send(self, source: int, dest: int, tag: int, payload: Any, nbytes: int):
-        yield self.transport.send(source, dest, tag, payload, nbytes)
-
-    def recv(self, rank: int, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        msg = yield self.transport.post_recv(rank, source, tag)
-        return msg
-
-    def waitall(self, requests: list[Request]):
-        return req_mod.waitall(self.sim, requests)
-
-    def grequest_start(self, meta: Optional[dict] = None) -> GeneralizedRequest:
-        return GeneralizedRequest(self.sim, meta=meta)
-
     # -- collectives ------------------------------------------------------------
     # Each wrapper returns the engine's generator directly (callers drive it
     # with ``yield from``) instead of re-yielding through a one-level
@@ -107,9 +78,6 @@ class Communicator:
 
     def allreduce(self, rank: int, value: Any, op: Op = op_sum, nbytes: int = 8):
         return self._model.allreduce(rank, value, op, nbytes)
-
-    def allgather(self, rank: int, value: Any, nbytes: int = 8):
-        return self._model.allgather(rank, value, nbytes)
 
     def alltoall(self, rank: int, values: list[Any], per_pair_bytes: int = 16):
         return self._model.alltoall(rank, values, per_pair_bytes)

@@ -24,7 +24,6 @@ from typing import Any, Callable, Generator
 
 from repro.mpi.comm import Communicator
 from repro.mpi.collectives import CollectiveCosts
-from repro.net.message import Transport
 from repro.sim.core import Simulator
 
 RankBody = Callable[["MPIContext"], Generator]
@@ -60,18 +59,14 @@ class MPIContext:
 
 
 class MPIWorld:
-    """Builds the transport + communicator for a machine and runs rank bodies."""
+    """Builds the communicator for a machine and runs rank bodies."""
 
     def __init__(self, machine: Any):
         self.machine = machine
         cfg = machine.config
-        nprocs = cfg.num_ranks
         # Rank-to-node placement goes through the machine so a fleet
         # JobView can place a job's ranks on its allocated physical nodes.
-        rank_to_node = [machine.node_of_rank(r) for r in range(nprocs)]
-        self.transport = Transport(
-            machine.sim, machine.fabric, rank_to_node, cfg.network.per_message_overhead
-        )
+        rank_to_node = [machine.node_of_rank(r) for r in range(cfg.num_ranks)]
         costs = CollectiveCosts(
             alpha=cfg.network.alpha_collective,
             beta_inv=1.0 / cfg.network.nic_bw,
@@ -79,7 +74,7 @@ class MPIWorld:
             procs_per_node=cfg.procs_per_node,
             shm_beta_inv=1.0 / cfg.network.shm_bw,
         )
-        self.comm = Communicator(machine.sim, self.transport, nprocs, costs)
+        self.comm = Communicator(machine.sim, rank_to_node, costs)
 
     def spawn(self, rank_body: RankBody) -> list:
         """Start every rank, one kernel process per class the body declares

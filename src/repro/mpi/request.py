@@ -1,29 +1,26 @@
-"""MPI request objects.
+"""MPI generalized requests (MPI-3 §12.2).
 
-:class:`Request` wraps a kernel event and provides ``test``/``wait``
-semantics.  :class:`GeneralizedRequest` reproduces MPI generalized requests
-(MPI-3 §12.2): created by user-level code (here: the E10 cache layer, one
-per written extent) and completed asynchronously by a service thread calling
+A :class:`GeneralizedRequest` wraps a kernel event: created by user-level
+code (here: the E10 cache layer, one per written extent) and completed
+asynchronously by a service thread calling
 :meth:`GeneralizedRequest.complete` — the simulated analogue of
-``MPI_Grequest_complete()``.
+``MPI_Grequest_complete()``.  Waiters get ``test``/``wait`` semantics.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from repro.sim.core import Event, SimError, Simulator
+from repro.sim.core import Event, Simulator
 
 
-class Request:
-    """Handle to an in-flight nonblocking operation."""
+class GeneralizedRequest:
+    """A request completed by external (non-MPI-progress) activity."""
 
-    __slots__ = ("event", "kind", "meta")
+    __slots__ = ("event",)
 
-    def __init__(self, event: Event, kind: str = "p2p", meta: Optional[dict] = None):
-        self.event = event
-        self.kind = kind
-        self.meta = meta or {}
+    def __init__(self, sim: Simulator):
+        self.event = Event(sim, name="grequest")
 
     @property
     def complete_now(self) -> bool:
@@ -39,20 +36,6 @@ class Request:
         value = yield self.event
         return value
 
-    def result(self) -> Any:
-        if not self.event.fired:
-            raise SimError("request not complete")
-        return self.event.value
-
-
-class GeneralizedRequest(Request):
-    """A request completed by external (non-MPI-progress) activity."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: Simulator, meta: Optional[dict] = None):
-        super().__init__(Event(sim, name="grequest"), kind="grequest", meta=meta)
-
     def complete(self, value: Any = None) -> None:
         """MPI_Grequest_complete: mark the operation finished (idempotent
         completion is an error, matching MPI semantics)."""
@@ -60,19 +43,3 @@ class GeneralizedRequest(Request):
 
     def fail(self, exc: BaseException) -> None:
         self.event.fail(exc)
-
-
-def waitall(sim: Simulator, requests: list[Request]):
-    """MPI_Waitall — generator yielding until every request completes.
-
-    Returns the list of request values in order.  A failed request raises.
-    """
-    pending = [r.event for r in requests if not r.event.fired]
-    if pending:
-        yield sim.all_of(pending)
-    out = []
-    for r in requests:
-        if not r.event.ok:
-            raise r.event.value
-        out.append(r.event.value)
-    return out

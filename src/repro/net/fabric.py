@@ -17,11 +17,11 @@ The production allocator, :class:`Fabric` (see docs/PERFORMANCE.md),
 recomputes **incrementally**: only the connected component of the link–flow
 graph actually touched by an arrival, departure, or capacity change is
 re-rated; flows whose bottleneck structure is disjoint keep their frozen
-rates.  Same-timestamp arrivals (a collective shuffle wave starts dozens of
-flows at ``sim.now``) are coalesced into one recompute by a zero-delay
-flush; a flow started alone on its links with no flush pending — a sync
-thread's one blocking RPC, most flows under co-tenancy — is its own
-component and is rated where it starts, with no flush.  The filling loop
+rates.  Same-timestamp arrivals (a round of aggregator writes starts
+dozens of stripe flows at ``sim.now``) are coalesced into one recompute by
+a zero-delay flush; a flow started alone on its links with no flush
+pending — a sync thread's one blocking RPC, most flows under co-tenancy —
+is its own component and is rated where it starts, with no flush.  The filling loop
 itself is the *array kernel*:
 
 * **Flat arrays instead of dict churn.**  ``_fill`` lowers the touched
@@ -208,7 +208,6 @@ class Fabric:
         self._in = [Link(f"node{n}.in", nic_bw) for n in range(num_nodes)]
         self._loop = [Link(f"node{n}.loop", self.loopback_bw) for n in range(num_nodes)]
         self._flows: dict[Flow, None] = {}  # ordered set, see Link.flows
-        self._done_to_flow: dict[Event, Flow] = {}  # active flows by done event
         self._next_fid = 0  # the next flow's fid
         self._last_update = 0.0
         # Links touched since the last recompute, in touch order, applied by
@@ -256,9 +255,9 @@ class Fabric:
         bundle of that many identical member transfers of ``nbytes`` each
         (see :class:`Flow`); the event fires when the bundle's last byte
         lands.  A flat chain passes ``on_done`` instead: no Event (None is
-        returned; the flow cannot be grown), and ``on_done()`` runs by
-        ``sim.call_later(latency, on_done)``, in the event's slot.  A bad
-        endpoint, weight or size raises a :class:`SimError` naming it.
+        returned), and ``on_done()`` runs by ``sim.call_later(latency,
+        on_done)``, in the event's slot.  A bad endpoint, weight or size
+        raises a :class:`SimError` naming it.
         """
         # Comparisons only, no calls: ``not x < y`` also refuses a NaN.
         if not 0 <= src_node < self.num_nodes:
@@ -286,8 +285,6 @@ class Fabric:
         self._next_fid = fid + 1
         flow = Flow(fid, links, nbytes, on_done or done, weight=weight, tag=tag)
         self._flows[flow] = None
-        if done is not None:
-            self._done_to_flow[done] = flow
         lone = flow
         for link in links:
             if link.flows:
@@ -300,31 +297,6 @@ class Fabric:
             )
         self._change(links, lone)
         return done
-
-    def grow_flow(self, flow_done: Event, nbytes: float) -> bool:
-        """Add one member of ``nbytes`` to the bundle completing at ``flow_done``.
-
-        Only valid at the instant the bundle was started (the caller
-        guarantees this — intra-instant growth is indistinguishable from
-        having started the larger bundle, because a zero-length interval
-        moves no bytes and a flow can never finish within its start
-        instant).  Returns False when the flow cannot be grown (not active,
-        or a different per-member size), in which case the caller starts a
-        separate flow.
-        """
-        if not 0 <= nbytes < _INF:
-            raise SimError(f"grow_flow: nbytes must be finite and >= 0: {nbytes!r}")
-        flow = self._done_to_flow.get(flow_done)
-        if flow is None or flow.nbytes != float(nbytes):
-            return False
-        flow.weight += 1
-        self.bytes_moved += nbytes
-        if flow.tag is not None:
-            self.bytes_moved_by_tag[flow.tag] = (
-                self.bytes_moved_by_tag.get(flow.tag, 0.0) + nbytes
-            )
-        self._change(flow.links)
-        return True
 
     def set_node_bw_factor(self, node: int, factor: float) -> None:
         """Scale one endpoint's NIC capacity (both directions) by ``factor``.
@@ -526,7 +498,6 @@ class Fabric:
             # Completion is delivered after the propagation latency.
             done = flow.done
             if done.__class__ is Event:
-                del self._done_to_flow[done]
                 done.succeed(delay=latency)
             else:
                 sim.call_later(latency, done)

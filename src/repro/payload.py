@@ -5,10 +5,12 @@ file offset, so a reader verifies what it reads without a reference copy.
 Here every 8-byte-aligned word of a file is a keyed splitmix64 mix of its
 word index, and the key is the run's seed and the file's path
 (:func:`payload_key`).  Nothing holds a rank's buffer: what moves bytes —
-the flow-fidelity shuffle, data sieving, tests — asks :func:`payload_bytes`
-for the file range it is moving, and an integrity check compares what a
-file stores with the same function
-(:func:`repro.chaos.invariants.verify_files`).
+an ADIO driver whose ``payload`` flag is set (the tests' driver fills every
+``write_contig`` with them; data sieving's read-modify-write then merges
+them) — asks :func:`payload_bytes` for the file range it is moving, and an
+integrity check compares what a file stores with the same function
+(:func:`repro.chaos.invariants.verify_files`).  The production drivers move
+none: the harnesses check sizes and coverage, not bytes.
 
 Paper correspondence: none (data verification for the §III cache).
 """
@@ -43,10 +45,3 @@ def payload_bytes(key: int, offset: int, nbytes: int) -> np.ndarray:
     z ^= z >> np.uint64(31)
     head = offset & 7
     return z.astype("<u8", copy=False).view(np.uint8)[head : head + nbytes]
-
-
-def gather_payload(key: int, offsets, lengths) -> np.ndarray:
-    """The payload of the extents ``(offsets, lengths)``, concatenated in
-    order: a rank's flat buffer for that part of its file view."""
-    parts = [payload_bytes(key, int(o), int(n)) for o, n in zip(offsets, lengths)]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)

@@ -40,7 +40,6 @@ from repro.pfs.client import timeout_error
 from repro.pfs.layout import sync_plan
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     DeadlockError,
     Event,
     Process,
@@ -50,6 +49,31 @@ from repro.sim.core import (
 )
 
 # -- the engine ---------------------------------------------------------------
+
+
+class AnyOf(Event):
+    """Fires when the first of ``events`` fires; its value is that event (a
+    failing first fails it).  Built on the public Event protocol only: the
+    watchdog race of :func:`write_sync` is its one user."""
+
+    __slots__ = ("events",)
+
+    def __init__(self, sim, events):
+        super().__init__(sim, name="AnyOf")
+        self.events = list(events)
+        for ev in self.events:
+            if ev.fired:
+                self._on_child(ev)
+            else:
+                ev.callbacks.append(self._on_child)
+
+    def _on_child(self, event: Event) -> None:
+        if self.triggered:
+            return
+        if event.ok:
+            self.succeed(event)
+        else:
+            self.fail(event.value)
 
 
 class HeapSimulator:

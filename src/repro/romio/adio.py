@@ -31,6 +31,10 @@ class ADIODriver:
     """Base driver: generic behaviour, hook points for FS-specific logic."""
 
     name = "abstract"
+    #: Whether writes carry the file's payload bytes (:mod:`repro.payload`):
+    #: data sieving merges them into its read-modify-write.  The production
+    #: drivers carry none; the tests' driver fills every ``write_contig``.
+    payload = False
 
     # ---- file domain partitioning ------------------------------------------------
     def partition_domains(

@@ -7,9 +7,11 @@ non-contiguous extents are *sieved*: the rank reads an
 whole window back — one large I/O instead of many tiny ones, at the cost of
 a read-modify-write and exclusive stripe locks over the window (POSIX
 semantics).  Windows whose extents fully cover them (or contain a single
-extent) skip the read.  At flow fidelity the writes carry the file's
-payload bytes (:mod:`repro.payload`) for the offsets they cover; at model
-fidelity they carry none.
+extent) skip the read.  A direct write hands ``write_contig`` no data,
+as the collective path does; a sieved window bypasses it, so under a
+driver that moves payload bytes (``ADIODriver.payload``) the window carries
+the file's payload (:mod:`repro.payload`) for the offsets it covers,
+merged into what the read brought back.  The production drivers move none.
 
 Paper correspondence: §III-B — independent writes against cached files,
 and the sieving fallback for sparse windows.
@@ -31,7 +33,7 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
         return 0
     sieve = fd.hints.ind_wr_buffer_size
     client = fd.machine.pfs_client(rank)
-    key = fd.payload_key if fd.exchange_mode == "flow" else None
+    key = fd.payload_key if fd.driver.payload else None
     written = 0
     pos = access.start_offset
     end = access.end_offset + 1
@@ -47,8 +49,7 @@ def write_strided(fd: ADIOFile, rank: int, access: RankAccess, prof: Profiler):
             # No holes (or one extent): write the covered range(s) directly.
             t0 = prof.mark()
             for off, length in zip(ws.offsets.tolist(), ws.lengths.tolist()):
-                data = None if key is None else payload_bytes(key, off, length)
-                wrote = fd.driver.write_contig(fd, rank, off, length, data)
+                wrote = fd.driver.write_contig(fd, rank, off, length, None)
                 if wrote is not None:
                     yield wrote
                 written += length

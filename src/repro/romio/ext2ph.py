@@ -7,41 +7,35 @@ Port of the algorithm the paper describes in Section II-A, step for step:
 3. every rank derives which aggregators its data maps to,
 4. per round (``collective buffer size`` worth of each domain):
    a dissemination ``MPI_Alltoall`` (who sends how much this round),
-   the data exchange (``MPI_Isend``/``Irecv``/``Waitall``),
+   the data exchange (ROMIO's ``MPI_Isend``/``Irecv``/``Waitall``),
    aggregator assembly into the collective buffer (memcpy),
    and ``ADIO_WriteContig`` of the covered segments,
 5. a final ``MPI_Allreduce`` of error codes (``post_write``).
 
-Two exchange fidelities share this control flow:
+The exchange is a model: per-round costs are precomputed vectorised over
+all rounds (per-NIC hot-spot bytes, message counts) and charged through
+arrival-synchronised ``timed`` collectives, so no message is simulated
+and no rank holds a buffer — an aggregator hands ``write_contig`` its
+round's segments with ``data=None`` (a driver that moves payload bytes
+fills them in: :mod:`repro.payload`).  The global synchronisation
+structure is kept: every round begins with an all-ranks collective, so a
+slow aggregator (device jitter, cache flush backlog) stalls everyone — the
+effect the paper measures as ``shuffle_all2all``/``post_write`` cost.  The
+call counts the bytes its aggregators hand to ``write_contig``: a call that
+completes must have handed over its table's coverage, each byte once, or it
+raises (:func:`_check_conservation`).
 
-* ``flow`` — every message is simulated individually and real payload bytes
-  (:mod:`repro.payload`, generated by each sender for the file offsets it
-  sends) are shuffled and assembled, so the written file is verifiable
-  byte-for-byte.  Used at test scale.
-* ``model`` — per-round costs are precomputed vectorised over all rounds
-  (per-NIC hot-spot bytes, message counts) and charged through
-  arrival-synchronised ``timed`` collectives.  Used at the paper's
-  512-rank scale where per-message simulation would be prohibitive.
-
-Both preserve the global synchronisation structure: every round begins with
-an all-ranks collective, so a slow aggregator (device jitter, cache flush
-backlog) stalls everyone — the effect the paper measures as
-``shuffle_all2all``/``post_write`` cost.  Both count the bytes their
-aggregators hand to ``write_contig``: a call that completes must have handed
-over its table's coverage, each byte once, or it raises
-(:func:`_check_conservation`).
-
-**Only writers wake** (model fidelity; docs/PERFORMANCE.md has the argument
-and the numbers).  ROMIO derives a call's plan once and every process reads
+**Only writers wake** (docs/PERFORMANCE.md has the argument and the
+numbers).  ROMIO derives a call's plan once and every process reads
 it; so here: the first rank to arrive fills in the call's constants
 (:func:`_open_call`), the offset exchange's release the table, domains and
 per-round costs — the latter from a process-wide memo keyed by the call's
 *shape* (:class:`_ModelMemo`), so the files of a run, the points of a sweep
 and the jobs of a fleet share one plan.  Only an aggregator that receives
 bytes in a round decides anything in it.  Where the path is certain before
-any offset is known (:func:`call_paths`) — model exchange on an engine that
-releases a slot through one event (``Simulator.shared_releases``: the
-slotted engine), ``romio_cb_write=enable`` — every rank arrives at the
+any offset is known (:func:`call_paths`) — an engine that releases a slot
+through one event (``Simulator.shared_releases``: the slotted engine),
+``romio_cb_write=enable`` — every rank arrives at the
 offset exchange once and waits, and the call runs on one clock
 (:class:`CallClock`) that advances round by round in closed form and, at the
 instant a writer's buffer is assembled, writes its round itself through
@@ -53,12 +47,12 @@ links and device errors act below ``write_contig``, which the clock calls
 live, and a crash tears the whole job down: the clock lets go of what the
 call holds (:meth:`CallClock.abort`), and a writer's own interrupt abandons
 the write its round is in.  Everything else — the reference stack's heapq
-engine (``Machine(reference=True)``), flow fidelity,
-``romio_cb_write=automatic`` — walks round by round, one process per rank,
-and is the oracle the clock is tested against
-(tests/romio/test_call_clock.py, tests/mpi/test_rank_classes.py).  The
-walk is one implementation on either stack: an aggregator assembles its
-buffer in two hops, the per-piece scatter cost and then the memcpy.
+engine (``Machine(reference=True)``), ``romio_cb_write=automatic`` — walks
+round by round, one process per rank (:func:`_rounds_model`), and is the
+oracle the clock is tested against (tests/romio/test_call_clock.py,
+tests/mpi/test_rank_classes.py).  The walk is one implementation on either
+stack: an aggregator assembles its buffer in two hops, the per-piece
+scatter cost and then the memcpy.
 """
 
 from __future__ import annotations
@@ -70,14 +64,10 @@ from typing import Optional
 import numpy as np
 
 from repro.access import AccessTable, RankAccess, ranks_interleaved
-from repro.intervals import IntervalSet
 from repro.mpi.collectives import op_max
-from repro.payload import gather_payload
 from repro.romio.fd import ADIOFile, CollectiveCallState
 from repro.romio.profiling import Profiler
 from repro.sim.core import Event, SimError, abandon
-
-_TAG_DATA = 1 << 20  # below the collective tag range, above user tags
 
 
 def is_interleaved(pairs) -> bool:
@@ -100,8 +90,6 @@ def write_strided_coll(fd: ADIOFile, rank: int, access: RankAccess, prof: Profil
         # A class that only follows; each member's view is the table's own.
         if fd.is_aggregator(rank):
             comm.alone(rank, "an aggregator's part in write_all")
-        if fd.exchange_mode == "flow":
-            comm.alone(rank, "the flow-fidelity allgather of offsets")
         if access.table is None:
             comm.alone(rank, "a write_all access that is not a table view")
     if rank in call.accesses:
@@ -134,10 +122,7 @@ def _write_live(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profile
     comm = fd.comm
     # ---- step 1: offset exchange -------------------------------------------------
     t0 = prof.mark()
-    if fd.exchange_mode == "flow":
-        yield from comm.allgather(rank, (access.start_offset, access.end_offset), nbytes=16)
-    else:
-        yield comm.timed(rank, call.offset_cost, "offset_exch")
+    yield comm.timed(rank, call.offset_cost, "offset_exch")
     prof.lap("offset_exch", t0)
     profiler = comm.sim.profiler
     if profiler is not None:
@@ -174,10 +159,7 @@ def _write_live(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profile
         node.pin_memory(fd.hints.cb_buffer_size)
 
     try:
-        if fd.exchange_mode == "flow":
-            yield from _rounds_flow(fd, rank, access, call, prof)
-        else:
-            yield from _rounds_model(fd, rank, call, prof)
+        yield from _rounds_model(fd, rank, call, prof)
     finally:
         if node is not None:
             node.unpin_memory(fd.hints.cb_buffer_size)
@@ -192,19 +174,15 @@ def _write_live(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profile
     return access.total_bytes
 
 
-def call_paths(comm, exchange_mode: str, hints) -> bool:
+def call_paths(comm, hints) -> bool:
     """Whether a file's collective writes run on their clock.  Known before
     any call is made, so a program can ask up front (``workloads.phases``
     runs the ranks that never write in a call on its clock as one process).
-    A clock needs model exchange, the one release event per slot of an engine
-    with ``shared_releases``, and certainty, before any offset is known,
-    that the call takes the collective path (no waiting for the
-    interleaving test)."""
-    return (
-        exchange_mode == "model"
-        and comm.sim.shared_releases
-        and hints.romio_cb_write == "enable"
-    )
+    A clock needs the one release event per slot of an engine with
+    ``shared_releases``, and certainty, before any offset is known, that
+    the call takes the collective path (no waiting for the interleaving
+    test)."""
+    return comm.sim.shared_releases and hints.romio_cb_write == "enable"
 
 
 def _open_call(fd: ADIOFile, call: CollectiveCallState) -> None:
@@ -213,9 +191,7 @@ def _open_call(fd: ADIOFile, call: CollectiveCallState) -> None:
     whether the call runs on its clock."""
     call.opened = True
     comm = fd.comm
-    call.park = call_paths(comm, fd.exchange_mode, fd.hints)
-    if fd.exchange_mode != "model":
-        return
+    call.park = call_paths(comm, fd.hints)
     costs = comm.costs
     call.offset_cost = costs.small_collective(comm.size, 16)
     call.alltoall_cost = costs.alltoall(comm.size, 16)
@@ -596,97 +572,7 @@ def _partition(fd: ADIOFile, call: CollectiveCallState) -> None:
 
 
 # ---------------------------------------------------------------------------------
-# flow fidelity: every message simulated, payload bytes really shuffled
-# ---------------------------------------------------------------------------------
-
-
-def _rounds_flow(fd: ADIOFile, rank: int, access: RankAccess, call, prof: Profiler):
-    comm = fd.comm
-    cb = fd.hints.cb_buffer_size
-    key = fd.payload_key
-    written = 0
-    for r in range(call.ntimes):
-        # -- dissemination alltoall ------------------------------------------------
-        send_sizes = [0] * comm.size
-        slices = {}
-        for d in call.domains:
-            if d.size <= 0:
-                continue
-            lo = d.start + r * cb
-            hi = min(d.end, lo + cb)
-            if lo >= hi:
-                continue
-            ws = access.slice_window(lo, hi)
-            if ws.nbytes > 0:
-                slices[d.aggregator_rank] = ws
-                send_sizes[d.aggregator_rank] = ws.nbytes
-        t0 = prof.mark()
-        counts = yield from comm.alltoall(rank, send_sizes, per_pair_bytes=16)
-        prof.lap("shuffle_all2all", t0)
-
-        # -- data exchange ------------------------------------------------------------
-        send_reqs = []
-        for dst, ws in slices.items():
-            payload = (ws.offsets, ws.lengths, gather_payload(key, ws.offsets, ws.lengths))
-            send_reqs.append(comm.isend(rank, dst, _TAG_DATA + r, payload, ws.nbytes))
-        recv_reqs = []
-        if fd.is_aggregator(rank):
-            recv_reqs = [
-                comm.irecv(rank, source=src, tag=_TAG_DATA + r)
-                for src, c in enumerate(counts)
-                if c > 0
-            ]
-        t0 = prof.mark()
-        yield from comm.waitall(recv_reqs + send_reqs)
-        prof.lap("comm", t0)
-
-        # -- assembly + write ------------------------------------------------------------
-        if fd.is_aggregator(rank) and recv_reqs:
-            pieces = [req.result().payload for req in recv_reqs]
-            total = sum(int(ls.sum()) for _, ls, _ in pieces)
-            if total > 0:
-                t0 = prof.mark()
-                yield from fd.machine.nodes[comm.node_of(rank)].memcpy(total)
-                prof.lap("memcpy", t0)
-            segments, seg_data = _assemble(pieces)
-            t0 = prof.mark()
-            for (s, e), data in zip(segments, seg_data):
-                wrote = fd.driver.write_contig(fd, rank, s, e - s, data)
-                if wrote is not None:
-                    yield wrote
-                written += e - s
-            prof.lap("write", t0)
-    call.written += written
-    return written
-
-
-def _assemble(
-    pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
-    """Merge received (offsets, lengths, payload) pieces into contiguous
-    segments with assembled data."""
-    cover = IntervalSet()
-    for offs, lens, _ in pieces:
-        for o, l in zip(offs, lens):
-            cover.add(int(o), int(o) + int(l))
-    segments = list(cover)
-    buffers = [np.zeros(e - s, dtype=np.uint8) for s, e in segments]
-    for offs, lens, payload in pieces:
-        pos = 0
-        for o, l in zip(offs, lens):
-            o, l = int(o), int(l)
-            for (s, e), buf in zip(segments, buffers):
-                if s <= o and o + l <= e:
-                    buf[o - s : o - s + l] = payload[pos : pos + l]
-                    break
-            else:  # pragma: no cover - assembly invariant
-                raise SimError("received extent not inside any merged segment")
-            pos += l
-    return segments, buffers
-
-
-# ---------------------------------------------------------------------------------
-# model fidelity: vectorised per-round costs, arrival-synchronised charging
+# the model exchange: vectorised per-round costs, arrival-synchronised charging
 # ---------------------------------------------------------------------------------
 
 

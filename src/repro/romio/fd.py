@@ -66,7 +66,7 @@ class CollectiveCallState:
     interleaved: bool = True
     domains: Optional[list[FileDomain]] = None
     ntimes: int = 0
-    # model-fidelity precomputations (filled by ext2ph._prepare_model)
+    # the model exchange's precomputations (filled by ext2ph._prepare_model)
     prepared: bool = False
     shuffle_durations: Optional[np.ndarray] = None  # [round]
     round_durations: list[float] = field(default_factory=list)  # ... as floats
@@ -91,7 +91,6 @@ class ADIOFile:
         driver,
         pfs_file,
         aggregators: list[int],
-        exchange_mode: str = "model",
     ):
         self.machine = machine
         self.comm = comm
@@ -103,7 +102,6 @@ class ADIOFile:
         self.agg_index = {a: i for i, a in enumerate(aggregators)}
         # Each aggregator's compute node, where its buffer is pinned.
         self.agg_nodes = [machine.nodes[comm.rank_to_node[a]] for a in aggregators]
-        self.exchange_mode = exchange_mode
         # In rank order; the ranks of a class lap in lock-step, into one
         # (``class_profilers``: each once, for whoever wants every distinct one).
         self.profilers: dict[int, Profiler] = dict.fromkeys(range(comm.size))

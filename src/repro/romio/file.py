@@ -33,9 +33,10 @@ class MPIIOLayer:
         self.machine = machine
         self.comm = comm
         self.driver = get_driver(driver)
-        if exchange_mode not in ("flow", "model"):
-            raise SimError(f"unknown exchange mode {exchange_mode!r}")
-        self.exchange_mode = exchange_mode
+        # The one exchange is the model (``romio.ext2ph``); the argument is
+        # kept for callers that still name it, and any other value refused.
+        if exchange_mode != "model":
+            raise SimError(f"unknown exchange mode {exchange_mode!r}: the exchange is 'model'")
         self._open_slots: dict[str, list[ADIOFile]] = {}
 
     def aggregators(self, hints: Hints) -> list[int]:
@@ -62,7 +63,6 @@ class MPIIOLayer:
                     self.driver,
                     pfs_file=None,
                     aggregators=self.aggregators(hints),
-                    exchange_mode=self.exchange_mode,
                 )
             )
         fd = slots[-1]

@@ -12,7 +12,6 @@ real cluster so the §IV evaluation can run anywhere.
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -26,7 +25,6 @@ from repro.sim.rng import RngStreams
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "Process",

@@ -410,37 +410,23 @@ class Process(Event):
         self._target = target
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
-
-    __slots__ = ("events", "_pending")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name=type(self).__name__)
-        self.events = list(events)
-        self._pending = 0
-        if not self.events:
-            self.succeed([])
-            return
-        for ev in self.events:
-            if ev._fired:
-                self._on_child(ev)
-            else:
-                ev.callbacks.append(self._on_child)
-                self._pending += 1
-
-
-class AllOf(_Condition):
+class AllOf(Event):
     """Fires once every child event has fired; value is the list of values.
 
     A failing child fails the condition with the child's exception.
     """
 
-    __slots__ = ("_done",)
+    __slots__ = ("events", "_done")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        super().__init__(sim, name="AllOf")
+        self.events = list(events)
         self._done = 0
-        super().__init__(sim, events)
+        for ev in self.events:
+            if ev._fired:
+                self._on_child(ev)
+            else:
+                ev.callbacks.append(self._on_child)
         self._check()
 
     def _on_child(self, event: Event) -> None:
@@ -455,20 +441,6 @@ class AllOf(_Condition):
     def _check(self) -> None:
         if not self._triggered and self._done == len(self.events):
             self.succeed([ev._value for ev in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first child fires; value is that child's value."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._ok:
-            self.succeed(event)
-        else:
-            self.fail(event._value)
 
 
 class _Never:

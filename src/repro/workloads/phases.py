@@ -137,7 +137,7 @@ def multi_phase_body(
         if (
             len(followers) < 2
             or wrapper is not None
-            or not call_paths(comm, layer.exchange_mode, parsed)
+            or not call_paths(comm, parsed)
             or layer.machine.recovery.has_orphans()
         ):
             return None

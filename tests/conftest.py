@@ -17,6 +17,7 @@ from repro.mpi.process import MPIWorld
 from repro.payload import payload_bytes, payload_key
 from repro.reference import HeapSimulator
 from repro.romio import ext2ph
+from repro.romio.adio import BeeGFSDriver, UFSDriver
 from repro.romio.file import MPIIOLayer
 from repro.sim.core import Simulator
 from repro.workloads import phases
@@ -74,6 +75,36 @@ def grant_events(machine) -> None:
         server.workers.inline_grants = server.target.queue.inline_grants = False
 
 
+class PayloadBytes:
+    """An ADIO driver whose writes carry the file's payload bytes: every
+    ``write_contig`` handed no data (the collective write's model exchange
+    hands none) writes :func:`~repro.payload.payload_bytes` of its range,
+    and data sieving merges them into its read-modify-write (``payload``).
+    The written file can then be compared byte for byte with the payload
+    function (:func:`expected_image`, ``verify_files``)."""
+
+    payload = True
+
+    def write_contig(self, fd, rank, offset, nbytes, data=None):
+        if data is None and nbytes > 0:
+            data = payload_bytes(fd.payload_key, offset, nbytes)
+        return super().write_contig(fd, rank, offset, nbytes, data)
+
+
+#: The production drivers with payload bytes, by name.
+PAYLOAD_DRIVERS = {
+    cls.name: type(f"Payload{cls.__name__}", (PayloadBytes, cls), {})()
+    for cls in (UFSDriver, BeeGFSDriver)
+}
+
+
+def payload_layer(machine, comm, driver: str = "beegfs") -> MPIIOLayer:
+    """ROMIO over ``comm`` whose writes carry payload bytes (:class:`PayloadBytes`)."""
+    layer = MPIIOLayer(machine, comm, driver=driver)
+    layer.driver = PAYLOAD_DRIVERS[driver]
+    return layer
+
+
 @pytest.fixture
 def machine():
     """A 4-node × 2-rank cluster with exact (unbatched) flush simulation."""
@@ -87,8 +118,9 @@ def world(machine):
 
 @pytest.fixture
 def romio(machine, world):
-    """Flow-fidelity ROMIO over the small machine (data verification works)."""
-    return MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="flow")
+    """ROMIO over the small machine whose writes carry payload bytes, so a
+    written file can be checked byte for byte (:class:`PayloadBytes`)."""
+    return payload_layer(machine, world.comm)
 
 
 @pytest.fixture
@@ -101,12 +133,12 @@ def spmd(machine, world):
     return run
 
 
-def make_cluster(num_nodes=4, procs_per_node=2, driver="beegfs", exchange="flow", **overrides):
-    """Non-fixture helper for tests needing custom cluster shapes."""
+def make_cluster(num_nodes=4, procs_per_node=2, driver="beegfs", **overrides):
+    """Non-fixture helper for tests needing custom cluster shapes (its
+    ROMIO writes payload bytes, as the ``romio`` fixture's)."""
     machine = Machine(small_testbed(num_nodes, procs_per_node, **overrides))
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver=driver, exchange_mode=exchange)
-    return machine, world, layer
+    return machine, world, payload_layer(machine, world.comm, driver)
 
 
 def file_payload(machine, path: str, offset: int, nbytes: int) -> np.ndarray:

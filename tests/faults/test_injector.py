@@ -7,10 +7,10 @@ from repro.config import small_testbed
 from repro.faults import FaultSchedule, FaultSpec, TransientIOError
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
-from repro.romio.file import MPIIOLayer
 from repro.sim.core import SimError
 from repro.units import KiB
 from repro.workloads import ior_workload
+from tests.conftest import payload_layer
 from tests.integration.test_end_to_end import expected
 
 CACHE_HINTS = {
@@ -28,7 +28,7 @@ def run_ior(schedule, hints=CACHE_HINTS):
     """One collective IOR file under a fault schedule; returns (machine, wl)."""
     machine = Machine(small_testbed(), faults=schedule)
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="flow")
+    layer = payload_layer(machine, world.comm)
     wl = ior_workload(8, block_bytes=8 * KiB, segments=2)
 
     def body(ctx):
@@ -154,9 +154,13 @@ class TestServerStall:
 
 class TestLinkDegrade:
     def test_degraded_link_slows_run(self):
+        """The traffic that crosses node 0's NIC is its aggregator's PFS
+        stream (the two-phase shuffle is costed from the configured NIC
+        rate, not carried by the fabric), so the NIC is degraded below
+        that stream's rate."""
         baseline, _ = run_ior(None, hints=NOCACHE_HINTS)
         sched = FaultSchedule.of(
-            FaultSpec("link_degrade", target=0, start=0.0, factor=0.05)
+            FaultSpec("link_degrade", target=0, start=0.0, factor=0.001)
         )
         slow, wl = run_ior(sched, hints=NOCACHE_HINTS)
         assert slow.sim.now > baseline.sim.now

@@ -37,9 +37,9 @@ from repro.faults import FaultSchedule, FaultSpec
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.payload import payload_key
+from repro.reference import AnyOf
 from repro.romio import ext2ph
 from repro.romio.file import MPIIOLayer
-from repro.sim.core import AnyOf
 from repro.units import KiB
 from repro.workloads.phases import multi_phase_body
 from tests.conftest import grant_events, walking
@@ -148,7 +148,7 @@ def crashed_flush(reference: bool, crash_at: float, watchdog: bool, ssd_kind=Non
     sim.run()
     persisted_at_crash = list(pfs_file.persisted)
     recovery = MPIWorld(machine)
-    layer = MPIIOLayer(machine, recovery.comm, exchange_mode="model")
+    layer = MPIIOLayer(machine, recovery.comm)
 
     def replay(ctx):
         fh = yield from layer.open(ctx.rank, "/g/f", {})
@@ -211,7 +211,7 @@ def crashed_call(kind: str, crash_at: float):
     if kind == "walk":
         grant_events(machine)
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, exchange_mode="model")
+    layer = MPIIOLayer(machine, world.comm)
     body = multi_phase_body(layer, WORKLOAD, CALL_HINTS, num_files=1, file_prefix="/g/f")
     with walking() if kind == "walk" else contextlib.nullcontext():
         procs = world.spawn(body)
@@ -250,7 +250,7 @@ def call_instants():
         patch.setattr(ext2ph.CallClock, "_finish", finished)
         machine = Machine(small_testbed())
         world = MPIWorld(machine)
-        layer = MPIIOLayer(machine, world.comm, exchange_mode="model")
+        layer = MPIIOLayer(machine, world.comm)
         world.run(multi_phase_body(layer, WORKLOAD, CALL_HINTS, num_files=1, file_prefix="/g/f"))
     assert seen["arrival"] < seen["release"] < seen["post_write"]
     return seen

@@ -4,9 +4,10 @@ A fault schedule only arms faults; ``Machine(reference=True)`` alone builds
 the reference stack, whose own code is :mod:`repro.reference`.  Every point
 of the fault matrix of ``tests/faults/test_stack_identity.py`` (3 benchmarks
 x 8 scenarios) runs here on the production stack with everything in
-:mod:`repro.reference` made to raise — the heap engine, the naive fabric
-and its filling loop, the generator flush step, read-backs, sync write,
-sync RPC, server RPC and absorb — and the round-by-round model walk.
+:mod:`repro.reference` made to raise — the heap engine and its watchdog
+race (``AnyOf``), the naive fabric and its filling loop, the generator
+flush step, read-backs, sync write, sync RPC, server RPC and absorb — and
+the round-by-round model walk.
 Each point must still equal the reference stack's unpatched run field for
 field (only ``events`` may differ), and its faulted job must cross
 collective writes on their clock.
@@ -26,6 +27,7 @@ from tests.faults.test_stack_identity import MATRIX, comparable
 #: What only ``Machine(reference=True)`` may run.
 TWINS = (
     (reference, "HeapSimulator"),
+    (reference, "AnyOf"),
     (reference, "NaiveFabric"),
     (reference, "fill_rates"),
     (reference, "_Link"),

@@ -8,11 +8,11 @@ from repro.config import small_testbed
 from repro.faults import CacheJournal, FaultSchedule, FaultSpec, JobAborted
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
-from repro.romio.file import MPIIOLayer
 from repro.sim.core import Interrupt
 from repro.units import KiB
 from repro.workloads import ior_workload
 from repro.workloads.phases import multi_phase_body
+from tests.conftest import payload_layer
 from tests.integration.test_end_to_end import expected
 
 HINTS = {
@@ -39,7 +39,7 @@ def crash_schedule():
 def build(faults=None):
     machine = Machine(small_testbed(), faults=faults)
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="flow")
+    layer = payload_layer(machine, world.comm)
     return machine, world, layer
 
 
@@ -62,7 +62,7 @@ def make_wl():
 def run_recovery(machine):
     """Second MPI job on the surviving machine: open + close every file."""
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="flow")
+    layer = payload_layer(machine, world.comm)
     paths = [
         f"{PREFIX}{k}" for k in range(NUM_FILES) if machine.pfs.exists(f"{PREFIX}{k}")
     ]

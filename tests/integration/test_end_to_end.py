@@ -5,6 +5,7 @@ the payload function over the workload's extents."""
 
 import numpy as np
 
+from repro.access import RankAccess
 from repro.chaos.invariants import verify_files
 from repro.mpiwrap.config import WrapConfig
 from repro.payload import payload_key
@@ -16,15 +17,16 @@ from tests.conftest import expected_image, make_cluster
 
 
 def expected(machine, path, workload, nprocs=8):
-    """The file's flat oracle, and no violation from the table-driven check."""
+    """The file's flat oracle, and no violation from the table-driven check.
+    Rank 0's independent writes (FLASH-IO's headers) carry payload too."""
     key = payload_key(machine.config.seed, path)
     assert verify_files(machine.pfs, {path: workload.coverage}, lambda _: key) == []
-    accesses = [
-        step.access_fn(r)
-        for step in workload.steps
-        if step.kind == "collective"
-        for r in range(nprocs)
-    ]
+    accesses = []
+    for step in workload.steps:
+        if step.kind == "collective":
+            accesses += [step.access_fn(r) for r in range(nprocs)]
+        else:
+            accesses.append(RankAccess.contiguous(step.offset, step.nbytes))
     return expected_image(machine, path, accesses, workload.file_size)
 
 
@@ -73,7 +75,6 @@ class TestCacheTransparency:
     def test_flashio(self):
         wl = flashio_workload(8, blocks_per_proc=2, zones_per_dim=4)
         machine, f = run_workload(wl, CACHE)
-        # headers are written without payload: zeros in image and oracle
         assert np.array_equal(f.data_image(), expected(machine, f.path, wl))
 
     def test_flush_onclose_same_content(self):

@@ -6,9 +6,12 @@ vector per rank, a nested vector (each rank a 3-D subarray), and ranks
 interleaved block by block — at any block length, aligned or not, with or
 without holes, and writes them with the cache off, on the extent cache and
 on the NVMM log; one fixed pattern also goes through a mid-run aggregator
-crash and its replay.  At flow fidelity the global file must equal a flat
-``bytearray`` filled from the payload function over the workload's
-coverage; at both fidelities ``verify_files`` must find nothing.
+crash and its replay, on either cache.  The write is the one every harness
+runs — the model exchange on its clock (``romio_cb_write=enable``) — under
+the tests' driver, which hands ``write_contig`` the payload bytes of each
+range it writes (``tests.conftest.PayloadBytes``).  Each global file must
+equal a flat ``bytearray`` filled from the payload function over the
+workload's coverage, and ``verify_files`` must find nothing.
 """
 
 import numpy as np
@@ -23,10 +26,10 @@ from repro.faults import FaultSchedule, FaultSpec
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.payload import payload_bytes, payload_key
-from repro.romio.file import MPIIOLayer
 from repro.sim.core import Interrupt
 from repro.workloads.base import IOStep, Workload
 from repro.workloads.phases import multi_phase_body
+from tests.conftest import payload_layer
 
 NPROCS = 8  # small_testbed: 4 nodes x 2 ranks
 PREFIX = "/g/oracle_"
@@ -75,12 +78,12 @@ def workload_of(table):
     return Workload("oracle", NPROCS, (IOStep.collective(lambda: table),), 0, 0)
 
 
-def run(workload, hints, exchange, num_files=1, faults=None):
+def run(workload, hints, num_files=1, faults=None):
     """``workload`` written to ``num_files`` files; a crashed job is
     followed by a recovery job that re-opens every file (the replay)."""
     machine = Machine(small_testbed(), faults=faults)
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode=exchange)
+    layer = payload_layer(machine, world.comm)
     body = multi_phase_body(
         layer,
         workload,
@@ -95,7 +98,7 @@ def run(workload, hints, exchange, num_files=1, faults=None):
     except Interrupt:
         assert faults is not None
         rec_world = MPIWorld(machine)
-        rec_layer = MPIIOLayer(machine, rec_world.comm, driver="beegfs", exchange_mode=exchange)
+        rec_layer = payload_layer(machine, rec_world.comm)
 
         def recovery(ctx):
             for k in range(num_files):
@@ -104,17 +107,17 @@ def run(workload, hints, exchange, num_files=1, faults=None):
 
         rec_world.run(recovery)
         assert machine.recovery.stats()["bytes_replayed"] > 0
+    calls = [call for fds in layer._open_slots.values() for fd in fds for call in fd._calls]
+    assert calls and all(call.park for call in calls)  # every write ran on its clock
     return machine
 
 
-def assert_whole(machine, workload, num_files=1, flow=True):
-    """``verify_files`` clean; at flow fidelity, each file == the flat oracle."""
+def assert_whole(machine, workload, num_files=1):
+    """``verify_files`` clean, and each file == the flat oracle."""
     paths = [f"{PREFIX}{k}" for k in range(num_files)]
     seed = machine.config.seed
     expected = dict.fromkeys(paths, workload.coverage)
     assert verify_files(machine.pfs, expected, lambda path: payload_key(seed, path)) == []
-    if not flow:
-        return
     starts, ends = workload.coverage
     for path in paths:
         key = payload_key(seed, path)
@@ -137,24 +140,23 @@ def test_every_pattern_lands_whole(cache, table, cb_nodes, cb_buffer):
         **CACHES[cache],
     }
     workload = workload_of(table)
-    assert_whole(run(workload, hints, "flow"), workload)
-    assert_whole(run(workload, hints, "model"), workload, flow=False)
+    assert_whole(run(workload, hints), workload)
 
 
-@pytest.mark.parametrize("exchange", ["flow", "model"])
-def test_a_crash_mid_run_replays_whole(exchange):
+@pytest.mark.parametrize("cache", ["extent", "nvmm"])
+def test_a_crash_mid_run_replays_whole(cache):
     """The job dies while the last file's cached extents are in flight; the
     recovery job's replay must leave every file whole."""
     hints = {
         "cb_nodes": "4",
         "cb_buffer_size": "16k",
         "romio_cb_write": "enable",
-        "e10_cache": "enable",
         "e10_cache_flush_flag": "flush_onclose",
         "ind_wr_buffer_size": "8k",
+        **CACHES[cache],
     }
     crash = FaultSchedule.of(FaultSpec("aggregator_crash", on_event="write_done:1", delay=2e-3))
     workload = workload_of(nested_vector(1000, 48, 3, 2))
-    machine = run(workload, hints, exchange, num_files=2, faults=crash)
+    machine = run(workload, hints, num_files=2, faults=crash)
     assert machine.faults.injected == 1
-    assert_whole(machine, workload, num_files=2, flow=exchange == "flow")
+    assert_whole(machine, workload, num_files=2)

@@ -5,38 +5,21 @@ import pytest
 
 from repro.config import small_testbed
 from repro.machine import Machine
-from repro.mpi.collectives import (
-    AlgorithmicCollectives,
-    CollectiveCosts,
-    ModelCollectives,
-    op_max,
-    op_min,
-)
+from repro.mpi.collectives import CollectiveCosts, ModelCollectives, op_max, op_min
 from repro.mpi.process import MPIWorld
 from repro.reference import HeapSimulator
 from repro.romio.profiling import Profiler
 from repro.sim.core import SimError, create_simulator
 
 
-def run_both_modes(body_factory, num_nodes=4, procs_per_node=2):
-    """Run the same SPMD body on the communicator's model collectives and
-    on the real algorithms driven over a world's transport."""
-    model = MPIWorld(Machine(small_testbed(num_nodes, procs_per_node))).run(body_factory())
-    machine = Machine(small_testbed(num_nodes, procs_per_node))
-    world = MPIWorld(machine)
-    algo = AlgorithmicCollectives(machine.sim, world.transport, world.comm.size)
-    algo.size = algo.nprocs  # what ctx.nprocs reads
-    body = body_factory()
-
-    def on_algorithms(ctx):
-        ctx.comm = algo
-        return body(ctx)
-
-    return model, world.run(on_algorithms)
+def run_model(body_factory, num_nodes=4, procs_per_node=2):
+    """Run an SPMD body on the communicator's model collectives."""
+    return MPIWorld(Machine(small_testbed(num_nodes, procs_per_node))).run(body_factory())
 
 
 class TestEquivalence:
-    """The model engine must return exactly what the real algorithms return."""
+    """The model engine returns what MPI defines each collective to return,
+    written out as literals."""
 
     def test_allreduce_sum(self):
         def factory():
@@ -46,8 +29,7 @@ class TestEquivalence:
 
             return body
 
-        model, algo = run_both_modes(factory)
-        assert model == algo == [36] * 8
+        assert run_model(factory) == [36] * 8
 
     def test_allreduce_max_min(self):
         def factory():
@@ -58,8 +40,7 @@ class TestEquivalence:
 
             return body
 
-        model, algo = run_both_modes(factory)
-        assert model == algo == [(7, 0)] * 8
+        assert run_model(factory) == [(7, 0)] * 8
 
     def test_alltoall(self):
         def factory():
@@ -71,8 +52,7 @@ class TestEquivalence:
 
             return body
 
-        model, algo = run_both_modes(factory)
-        assert model == algo
+        model = run_model(factory)
         for r, row in enumerate(model):
             assert row == [s * 100 + r for s in range(8)]
 
@@ -86,19 +66,7 @@ class TestEquivalence:
 
             return body
 
-        model, algo = run_both_modes(factory)
-        assert model == algo == ["from5"] * 8
-
-    def test_allgather(self):
-        def factory():
-            def body(ctx):
-                vals = yield from ctx.comm.allgather(ctx.rank, ctx.rank**2)
-                return vals
-
-            return body
-
-        model, algo = run_both_modes(factory)
-        assert model == algo == [[r**2 for r in range(8)]] * 8
+        assert run_model(factory) == ["from5"] * 8
 
     def test_non_power_of_two_allreduce(self):
         def factory():
@@ -108,8 +76,7 @@ class TestEquivalence:
 
             return body
 
-        model, algo = run_both_modes(factory, 3, 2)  # 6 ranks
-        assert model == algo == [15] * 6
+        assert run_model(factory, 3, 2) == [15] * 6  # 6 ranks
 
 
 class TestSynchronisation:
@@ -298,12 +265,12 @@ class TestTimedLadder:
         got = {}
 
         def body(rank):
-            got[rank] = yield from model.allgather(rank, rank * rank)
+            got[rank] = yield from model.alltoall(rank, [10 * rank + d for d in range(NPROCS)])
 
         for rank in range(NPROCS):
             sim.process(body(rank))
         sim.run()
-        assert all(got[r] == [0, 1, 4, 9, 16, 25] for r in range(NPROCS))
+        assert all(got[r] == [r, 10 + r, 20 + r, 30 + r, 40 + r, 50 + r] for r in range(NPROCS))
         assert len({id(v) for v in got.values()}) == NPROCS  # each its own list
 
 
@@ -327,7 +294,7 @@ def program(sim, model, rank, prof, out):
     out.append((sim.now, ev.value))
     total = yield from model.allreduce(rank, 1 if follows else 10 * (rank + 1))
     out.append((sim.now, total))
-    gathered = yield from model.allgather(rank, 7 if follows else rank)
+    gathered = yield from model.alltoall(rank, [7 if follows else rank] * NPROCS)
     out.append((sim.now, gathered))
     yield from model.enter(rank, "timed:gen", 0.125)
     out.append(sim.now)
@@ -352,9 +319,9 @@ def run_program(classes):
 
 class TestRankClasses:
     def test_a_class_arrives_for_every_member(self):
-        """Barrier, bcast, allreduce, allgather, timed (generator and flat),
+        """Barrier, bcast, allreduce, alltoall, timed (generator and flat),
         the round loop and the post-write allreduce: same release instants,
-        same results — the allgather's with an entry for every member — and
+        same results — the alltoall's with an entry for every member — and
         same laps as when every rank arrives for itself."""
         alone, end, events = run_program(SINGLES)
         classed, class_end, class_events = run_program(CLASSES)

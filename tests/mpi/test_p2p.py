@@ -1,79 +1,18 @@
+"""Generalized requests (``MPI_Grequest_start``/``MPI_Grequest_complete``),
+the requests the E10 cache's sync thread completes.  The simulated MPI has
+no point-to-point: these are its only nonblocking requests."""
+
 import pytest
 
 from repro.config import small_testbed
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
-from repro.sim.core import SimError
+from repro.mpi.request import GeneralizedRequest
 
 
 @pytest.fixture
 def world():
     return MPIWorld(Machine(small_testbed()))
-
-
-class TestSendRecv:
-    def test_blocking_pair(self, world):
-        def body(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.send(0, 1, 7, {"k": 1}, 128)
-                return None
-            if ctx.rank == 1:
-                msg = yield from ctx.comm.recv(1, source=0, tag=7)
-                return msg.payload
-            return None
-
-        res = world.run(body)
-        assert res[1] == {"k": 1}
-
-    def test_isend_irecv_waitall(self, world):
-        def body(ctx):
-            P = ctx.nprocs
-            reqs = [
-                ctx.comm.isend(ctx.rank, (ctx.rank + 1) % P, 3, ctx.rank, 64)
-            ]
-            recv = ctx.comm.irecv(ctx.rank, source=(ctx.rank - 1) % P, tag=3)
-            yield from ctx.comm.waitall(reqs + [recv])
-            return recv.result().payload
-
-        res = world.run(body)
-        assert res == [(r - 1) % 8 for r in range(8)]
-
-    def test_waitall_empty(self, world):
-        def body(ctx):
-            out = yield from ctx.comm.waitall([])
-            return out
-
-        assert world.run(body) == [[]] * 8
-
-    def test_isend_invalid_rank(self, world):
-        def body(ctx):
-            if ctx.rank == 0:
-                with pytest.raises(SimError):
-                    ctx.comm.isend(0, 99, 0, None, 1)
-            yield ctx.sim.timeout(0)
-
-        world.run(body)
-
-    def test_bigger_messages_take_longer(self, world):
-        def body(ctx):
-            if ctx.rank == 0:
-                t0 = ctx.now
-                yield from ctx.comm.send(0, 2, 1, None, 1024)
-                small = ctx.now - t0
-                t0 = ctx.now
-                yield from ctx.comm.send(0, 2, 2, None, 1024 * 1024)
-                big = ctx.now - t0
-                return (small, big)
-            if ctx.rank == 2:
-                yield from ctx.comm.recv(2, tag=1)
-                yield from ctx.comm.recv(2, tag=2)
-            else:
-                yield ctx.sim.timeout(0)
-            return None
-
-        res = world.run(body)
-        small, big = res[0]
-        assert big > small
 
 
 class TestGeneralizedRequests:
@@ -82,7 +21,7 @@ class TestGeneralizedRequests:
             if ctx.rank != 0:
                 yield ctx.sim.timeout(0)
                 return None
-            greq = ctx.comm.grequest_start(meta={"what": "sync"})
+            greq = GeneralizedRequest(ctx.sim)
 
             def completer():
                 yield ctx.sim.timeout(2.0)
@@ -98,7 +37,7 @@ class TestGeneralizedRequests:
     def test_wait_after_complete_returns_immediately(self, world):
         def body(ctx):
             yield ctx.sim.timeout(0)
-            greq = ctx.comm.grequest_start()
+            greq = GeneralizedRequest(ctx.sim)
             greq.complete(41)
             v = yield from greq.wait()
             return v
@@ -110,7 +49,7 @@ class TestGeneralizedRequests:
             yield ctx.sim.timeout(0)
             if ctx.rank != 0:
                 return "ok"
-            greq = ctx.comm.grequest_start()
+            greq = GeneralizedRequest(ctx.sim)
             greq.fail(OSError("flush failed"))
             with pytest.raises(OSError):
                 yield from greq.wait()
@@ -121,7 +60,7 @@ class TestGeneralizedRequests:
     def test_complete_now_flag(self, world):
         def body(ctx):
             yield ctx.sim.timeout(0)
-            greq = ctx.comm.grequest_start()
+            greq = GeneralizedRequest(ctx.sim)
             before = greq.complete_now
             greq.complete()
             yield ctx.sim.timeout(0)

@@ -3,7 +3,7 @@
 A phased workload runs the ranks that only follow — neither rank 0 nor an
 aggregator — as *one* process where it is certain before the run that they
 would park on every collective write (production stack,
-``romio_cb_write=enable``, model exchange, no wrapper, no journal left to
+``romio_cb_write=enable``, no wrapper, no journal left to
 replay); everywhere else every rank is a process of its own.  The two are
 the same code (a rank on its own is a class of one), selected by the gates
 that already exist, so the oracle for the class path is the same program on
@@ -223,7 +223,6 @@ def test_a_class_run_flattens_no_table(monkeypatch):
 
 
 GATES = {
-    "flow_fidelity": {"exchange": "flow"},
     "clock_refused": {"walk": True},
     "heapq_engine": {"kind": "reference"},
     "cb_write_automatic": {"info": hints(cb_nodes=2, romio_cb_write="automatic")},
@@ -272,7 +271,7 @@ FOLLOWERS = [(0,), (1, 3, 5, 6, 7), (2,), (4,)]  # aggregators of cb_nodes=2: 0 
 def production_cluster(nodes=4, ppn=2):
     machine = Machine(small_testbed(nodes, ppn))
     world = MPIWorld(machine)
-    return machine, world, MPIIOLayer(machine, world.comm, exchange_mode="model")
+    return machine, world, MPIIOLayer(machine, world.comm)
 
 
 def test_forced_classes_follow_like_declared_ones():
@@ -284,12 +283,6 @@ def test_forced_classes_follow_like_declared_ones():
 
 
 REFUSED = {
-    "flow_allgather": (
-        {"exchange": "flow"},
-        {},
-        r"rank 1 stands for 4 more ranks, which may only follow: "
-        r"the flow-fidelity allgather of offsets is per rank",
-    ),
     "data_sieving": (
         {},
         {"romio_cb_write": "disable"},

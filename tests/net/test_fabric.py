@@ -115,8 +115,8 @@ class TestAccounting:
 
 
 class TestBadInput:
-    """``start_flow`` and ``grow_flow`` refuse what would misroute, divide by
-    zero, never finish or finish at once, with a ``SimError`` naming it."""
+    """``start_flow`` refuses what would misroute, divide by zero, never
+    finish or finish at once, with a ``SimError`` naming it."""
 
     def test_negative_src_node(self, fabric):
         # An index of -1 would route over the last node's NIC.
@@ -144,13 +144,6 @@ class TestBadInput:
     def test_negative_nbytes(self, fabric):
         with pytest.raises(SimError, match="nbytes"):
             fabric.start_flow(0, 1, -1, on_done=lambda: None)
-
-    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf"), -100])
-    def test_grow_flow_nbytes(self, fabric, nbytes):
-        done = fabric.start_flow(0, 1, 100)
-        with pytest.raises(SimError, match="nbytes"):
-            fabric.grow_flow(done, nbytes)
-        assert fabric.grow_flow(done, 100)
 
     def test_refused_input_starts_nothing(self, sim, fabric):
         with pytest.raises(SimError):

@@ -124,33 +124,6 @@ def _drive_pair(scenario, ref_cls=NaiveFabric, sim_cls=HeapSimulator):
     return out
 
 
-def test_grow_flow_bundles_identical():
-    """A bundle grown (grow_flow) at the instant it starts shares and
-    finishes as the reference's bundle started whole (the reference never
-    grows a flow: it does not bundle)."""
-
-    def scenario(sim, fabric):
-        times = {}
-        if isinstance(fabric, Fabric):
-            ev = fabric.start_flow(0, 1, 1000)
-            for _ in range(3):
-                assert fabric.grow_flow(ev, 1000)
-            assert not fabric.grow_flow(ev, 999)  # different member size
-        else:
-            ev = fabric.start_flow(0, 1, 1000, weight=4)
-        other = fabric.start_flow(0, 2, 1000)
-        for i, e in enumerate((ev, other)):
-            e.callbacks.append(lambda _e, i=i: times.__setitem__(i, sim.now))
-        sim.run()
-        assert fabric.active_flows == 0
-        if isinstance(fabric, Fabric):
-            assert not fabric.grow_flow(ev, 1000)  # inactive flow
-        return times
-
-    arr, ref = _drive_pair(scenario)
-    assert arr == ref
-
-
 def test_zero_byte_flows_complete_after_latency():
     def scenario(sim, fabric):
         times = {}

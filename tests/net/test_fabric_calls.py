@@ -99,10 +99,9 @@ def test_a_flow_stays_within_its_call_budget():
 
 
 def test_retiring_a_flow_leaves_no_entry_behind():
-    """A retired flow leaves ``_flows``, each of its links and
-    ``_done_to_flow`` exactly once: a grown bundle retiring at the instant a
-    capacity change on its sender's NIC also ran, a loopback flow with extra
-    links, and both delivery kinds."""
+    """A retired flow leaves ``_flows`` and each of its links exactly once:
+    a bundle retiring at the instant a capacity change on its sender's NIC
+    also ran, a loopback flow with extra links, and both delivery kinds."""
     sim = Simulator()
     fabric = Fabric(sim, num_nodes=4, nic_bw=1000.0, latency=LAT)
     aux = [fabric.make_link(f"aux{i}", 2000.0) for i in range(2)]
@@ -113,9 +112,7 @@ def test_retiring_a_flow_leaves_no_entry_behind():
         changed.append(sim.now)
 
     sim.call_later(1.0, slow_node0)  # before the wake due at 1.0
-    bundle = fabric.start_flow(0, 1, 250, extra_links=(aux[0],))
-    for _ in range(2):
-        assert fabric.grow_flow(bundle, 250)
+    bundle = fabric.start_flow(0, 1, 250, extra_links=(aux[0],), weight=3)
     loop = fabric.start_flow(
         2, 2, 5000, extra_links=tuple(aux), on_done=lambda: landed.append(sim.now)
     )
@@ -126,6 +123,6 @@ def test_retiring_a_flow_leaves_no_entry_behind():
     sim.run()
     assert loop is None and other.fired
     assert changed == [1.0] and landed[0] == 1.0 + LAT and len(landed) == 2
-    assert not fabric._flows and not fabric._done_to_flow
+    assert not fabric._flows
     links = [*fabric._out, *fabric._in, *fabric._loop, *aux]
     assert not any(link.flows for link in links)

@@ -237,7 +237,7 @@ def test_a_second_program_with_another_class_partition():
         if walk:
             grant_events(machine)
         world = MPIWorld(machine)
-        layer = MPIIOLayer(machine, world.comm, exchange_mode="model")
+        layer = MPIIOLayer(machine, world.comm)
         timings, partitions = [], []
         for prefix, cb_nodes in (("/g/a", 2), ("/g/b", 4), ("/g/c", 2)):
             body = multi_phase_body(

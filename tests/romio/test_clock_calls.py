@@ -72,7 +72,7 @@ def load(aggregators: int, calls: int, profiler=None):
     workload = Workload("clock", NODES * PPN, steps, bytes_per_rank=0, file_size=0)
     machine = Machine(small_testbed(NODES, PPN), profiler=profiler)
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
+    layer = MPIIOLayer(machine, world.comm, driver="beegfs")
     hints = {**HINTS, "cb_nodes": str(aggregators)}
     body = multi_phase_body(layer, workload, hints, num_files=1, file_prefix="/g/clock")
     return machine, world, body

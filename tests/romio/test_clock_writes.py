@@ -80,7 +80,7 @@ def run(kind, crash_at=None, *, info, cfg=None, faults=(), driver="beegfs", work
         server_account(srv, tag, nbytes, rpc_count)
 
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver=driver, exchange_mode="model")
+    layer = MPIIOLayer(machine, world.comm, driver=driver)
     body = multi_phase_body(layer, workload, info, num_files=1, file_prefix="/g/f")
     with contextlib.ExitStack() as stack:
         patch = stack.enter_context(pytest.MonkeyPatch.context())
@@ -352,7 +352,7 @@ def test_an_aggregator_is_resumed_once_a_call(monkeypatch):
     monkeypatch.setattr(ADIODriver, "write_contig", tracked)
     machine = Machine(small_testbed())
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, driver="beegfs", exchange_mode="model")
+    layer = MPIIOLayer(machine, world.comm, driver="beegfs")
     workload = ior_workload(8, block_bytes=16 * KiB, segments=2)
     info = {**hints(cb_nodes=4), **CACHE_HINTS}
     world.run(multi_phase_body(layer, workload, info, num_files=2, file_prefix="/g/f"))

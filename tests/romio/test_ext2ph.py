@@ -1,6 +1,7 @@
-"""Correctness of the two-phase collective write at flow fidelity.
+"""Correctness of the two-phase collective write.
 
-Every test writes real payload bytes through the full stack and verifies
+Every test writes real payload bytes through the full stack (the model
+exchange under the tests' payload driver, ``tests.conftest.PayloadBytes``) and verifies
 the final global-file image byte-for-byte against an independently computed
 expectation: zeros, with the payload function over every rank's extents.
 """

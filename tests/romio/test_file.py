@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repro.access import RankAccess
+from repro.romio.file import MPIIOLayer
 from repro.sim.core import SimError
 from repro.units import KiB
 from tests.conftest import file_payload, make_cluster
@@ -84,6 +85,15 @@ class TestOpenClose:
         world.run(body)
         assert max(exits) - min(exits) < 1e-6
         assert min(exits) >= 0.5
+
+
+    def test_the_one_exchange_mode_is_model(self):
+        """The exchange is the model: the argument is accepted with that
+        value only, and any other is refused by name."""
+        machine, world, _ = make_cluster()
+        assert MPIIOLayer(machine, world.comm, exchange_mode="model").driver.name == "beegfs"
+        with pytest.raises(SimError, match="unknown exchange mode 'flow'"):
+            MPIIOLayer(machine, world.comm, exchange_mode="flow")
 
 
 class TestIndependentIO:

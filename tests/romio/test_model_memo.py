@@ -51,7 +51,7 @@ def write_once(machine, hints=HINTS, path="/g/t", table=None):
     """One collective write on ``machine`` (a Machine or a JobView); returns
     the call's state and the profiler counters so far."""
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, exchange_mode="model")
+    layer = MPIIOLayer(machine, world.comm)
     table = table if table is not None else strided_table(world.comm.size)
 
     def body(ctx):

@@ -113,7 +113,6 @@ def run_job(
     driver=None,
     num_files=1,
     deferred_close=False,
-    exchange="model",
     placement=None,
     wrap=None,
     classes=None,
@@ -142,7 +141,7 @@ def run_job(
     if placement is not None:
         target = JobView(machine, 3, placement)
     world = MPIWorld(target)
-    layer = MPIIOLayer(target, world.comm, driver="beegfs", exchange_mode=exchange)
+    layer = MPIIOLayer(target, world.comm, driver="beegfs")
     if driver is not None:
         layer.driver = driver
     trace = {}
@@ -344,7 +343,7 @@ def test_machines_that_keep_the_round_by_round_path(walk):
     profiler = SimProfiler()
     machine = Machine(small_testbed(), profiler=profiler, reference=not walk)
     world = MPIWorld(machine)
-    layer = MPIIOLayer(machine, world.comm, exchange_mode="model")
+    layer = MPIIOLayer(machine, world.comm)
     workload = workload_of([strided(8)], 8)
     with walking() if walk else contextlib.nullcontext():
         world.run(multi_phase_body(layer, workload, hints(cb_nodes=2), num_files=1))

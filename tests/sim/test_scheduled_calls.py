@@ -9,8 +9,7 @@
   (:meth:`Resource.request_call`): granted FIFO among Event waiters, in the
   lane slot an Event's ``succeed()`` takes, and withdrawn like an
   interrupted request.
-* A flat chain's flow completes by a scheduled call, not an Event;
-  ``Transport``'s, which grows its flows and is waited on, keeps the Event.
+* A flat chain's flow completes by a scheduled call, not an Event.
 """
 
 from functools import partial
@@ -20,7 +19,6 @@ import pytest
 from repro.config import small_testbed
 from repro.machine import Machine
 from repro.net.fabric import Fabric
-from repro.net.message import Transport
 from repro.reference import HeapSimulator
 from repro.sim.core import SimError, Simulator
 from repro.sim.resources import Resource
@@ -243,8 +241,8 @@ class TestCallableWaiters:
 class TestFlowCompletions:
     def test_a_flat_chains_flow_allocates_no_event(self, monkeypatch):
         """``PFSClient.write``'s RPCs and the sync write's complete their
-        flows by scheduled calls: no ``flow:`` Event, no ``_done_to_flow``
-        entry, and the same completion instants as an Event flow."""
+        flows by scheduled calls: no ``flow:`` Event, and the same
+        completion instants as an Event flow."""
         machine = Machine(small_testbed())
         names, started = [], []
         make = Simulator.event
@@ -256,7 +254,7 @@ class TestFlowCompletions:
 
         def tracked(fabric, *args, **kwargs):
             done = start_flow(fabric, *args, **kwargs)
-            started.append((done, len(fabric._done_to_flow)))
+            started.append(done)
             return done
 
         monkeypatch.setattr(Simulator, "event", event)
@@ -270,20 +268,9 @@ class TestFlowCompletions:
             yield client.write_sync_flat(f, 4 * MiB, 256 * KiB)
 
         sim.run(until=sim.process(writes()))
-        assert started and started == [(None, 0)] * len(started)
+        assert started and started == [None] * len(started)
         assert not any(name.startswith("flow:") for name in names)
         assert f.persisted.total == 4 * MiB + 256 * KiB
-
-    def test_transports_flow_keeps_its_event(self):
-        sim = Simulator()
-        fabric = Fabric(sim, num_nodes=2, nic_bw=1e9, latency=1e-6)
-        transport = Transport(sim, fabric, [0, 1], 1e-6)
-        sent = [transport.send(0, 1, 0, None, nbytes=4096) for _ in range(3)]
-        ((flow_done, flow),) = fabric._done_to_flow.items()  # one bundle, grown twice
-        assert flow_done.name == "flow:0->1" and flow.weight == 3
-        got = sim.run(until=sim.process(recv_all(transport, 3)))
-        assert [msg.seq for msg in got] == [1, 2, 3] and all(ev.fired for ev in sent)
-        assert not fabric._done_to_flow
 
     def test_on_done_fires_where_the_event_would(self, sim):
         """Same churn, one flow of each kind per pair: the callable and the
@@ -304,11 +291,3 @@ class TestFlowCompletions:
         events, calls = fired[0::2], fired[1::2]
         assert {e[0] for e in events} == {"event"} and {c[0] for c in calls} == {"call"}
         assert [e[1:] for e in events] == [c[1:] for c in calls] and len(calls) == 4
-
-
-def recv_all(transport, n):
-    got = []
-    for _ in range(n):
-        msg = yield transport.post_recv(1)
-        got.append(msg)
-    return got

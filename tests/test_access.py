@@ -10,7 +10,7 @@ from repro.access import (
     merge_extent_arrays,
     ranks_interleaved,
 )
-from repro.payload import gather_payload
+from repro.payload import payload_bytes
 
 
 def access_of(*pairs):
@@ -102,9 +102,12 @@ class TestWindows:
         # A window's payload is the rank's flat buffer at ``buffer_starts``.
         a = access_of((0, 10), (20, 10))
         ws = a.slice_window(5, 25)
-        flat = gather_payload(7, a.offsets, a.lengths)
+        def gather(offsets, lengths):  # the extents' payload, concatenated
+            return np.concatenate([payload_bytes(7, o, n) for o, n in zip(offsets, lengths)])
+
+        flat = gather(a.offsets.tolist(), a.lengths.tolist())
         pieces = [flat[b : b + n] for b, n in zip(ws.buffer_starts, ws.lengths)]
-        assert gather_payload(7, ws.offsets, ws.lengths).tolist() == np.concatenate(pieces).tolist()
+        assert gather(ws.offsets.tolist(), ws.lengths.tolist()).tolist() == np.concatenate(pieces).tolist()
 
     def test_cum_bytes_matches_windows(self):
         a = access_of((3, 7), (15, 5), (30, 10))

@@ -57,7 +57,7 @@ class TestMachine:
 class TestReferenceStack:
     def test_reference_builds_the_original_stack_as_a_unit(self):
         """heapq ``HeapSimulator`` + ``NaiveFabric`` + no inline grant anywhere,
-        per-rank collective release, no coalesced sends, generator flush."""
+        per-rank collective release, no bundled stripe runs, generator flush."""
         m = Machine(small_testbed(), reference=True)
         assert m.reference
         assert type(m.sim) is HeapSimulator and type(m.fabric) is NaiveFabric
@@ -66,10 +66,10 @@ class TestReferenceStack:
         queues += [q for s in m.pfs.servers for q in (s.workers, s.target.queue)]
         assert not any(q.inline_grants or q.try_acquire() for q in queues)
         world = MPIWorld(m)
-        assert not world.comm._model.shared_release and not world.transport.coalesce
+        assert not world.comm._model.shared_release
         assert not m.pfs_client(0)._bulk
         production = MPIWorld(Machine(small_testbed()))  # engine and fabric decide
-        assert production.comm._model.shared_release and production.transport.coalesce
+        assert production.comm._model.shared_release
 
     @pytest.mark.parametrize(
         "name",

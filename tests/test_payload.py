@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.payload import gather_payload, payload_bytes, payload_key
+from repro.payload import payload_bytes, payload_key
 
 MASK = (1 << 64) - 1
 
@@ -39,13 +39,6 @@ def test_a_range_is_the_slice_of_any_range_around_it(lo, length, pad):
     whole = payload_bytes(3, lo, length + pad)
     assert np.array_equal(payload_bytes(3, lo, length), whole[:length])
     assert np.array_equal(payload_bytes(3, lo + pad, length), payload_bytes(3, lo, length + pad)[pad:])
-
-
-def test_gather_concatenates_the_extents_in_order():
-    got = gather_payload(11, [100, 7, 4096], [5, 0, 13])
-    want = np.concatenate([payload_bytes(11, 100, 5), payload_bytes(11, 4096, 13)])
-    assert np.array_equal(got, want)
-    assert gather_payload(11, [], []).dtype == np.uint8
 
 
 def test_the_key_is_the_seed_and_the_path():

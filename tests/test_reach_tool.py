@@ -22,7 +22,7 @@ def test_every_allow_list_entry_names_a_production_function():
 def test_functions_are_named_by_file_and_qualname_without_the_reference_module():
     names = {name for name, _lines in reach.production_functions().values()}
     assert "repro/sim/core.py:Simulator.call_at" in names
-    assert "repro/net/message.py:Transport.send.<locals>._arrived" in names
+    assert "repro/romio/ext2ph.py:CallClock._start" in names
     assert not any(name.startswith("repro/reference.py:") for name in names)
 
 
@@ -30,11 +30,11 @@ def test_an_oracle_whose_test_names_neither_it_nor_a_caller_is_refused(tmp_path,
     allow = tmp_path / "allow.txt"
     allow.write_text(
         "repro/access.py:RankAccess.bytes_in_window oracle tests/test_intervals.py\n"
-        "repro/net/message.py:_by_msg_seq oracle tests/net/test_message.py via send\n"
-        "repro/net/message.py:_matches oracle tests/net/test_message.py via post_recv\n"
+        "repro/mpi/collectives.py:op_min oracle tests/mpi/test_collectives.py via alltoall\n"
+        "repro/mpi/collectives.py:op_sum oracle tests/mpi/test_collectives.py via allreduce\n"
         "repro/access.py:RankAccess.ends\n"
     )
     monkeypatch.setattr(reach, "ALLOW", allow)
     entries, bad = reach.allow_list()
     assert [line.split(":")[0] for line in bad] == ["line 1", "line 2", "line 4"]
-    assert "repro/net/message.py:_matches" in entries
+    assert "repro/mpi/collectives.py:op_sum" in entries

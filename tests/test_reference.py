@@ -27,6 +27,7 @@ SRC = Path(repro.__file__).parent
 #: generator.
 REFERENCE_ONLY = {
     "HeapSimulator",
+    "AnyOf",
     "NaiveFabric",
     "fill_rates",
     "read_local",

@@ -500,8 +500,8 @@ def print_top(snapshot: dict, n: int, pfs: dict) -> None:
     # How the rank-calls of the collective writes crossed them: on one
     # resume (everyone but the writers of a call that runs on its clock), or
     # live (the writers; every rank of a call ext2ph.call_paths refuses its
-    # clock: the reference stack's heapq engine, flow fidelity, any
-    # romio_cb_write but enable) — "why was this point slow" starts with
+    # clock: the reference stack's heapq engine, any romio_cb_write but
+    # enable) — "why was this point slow" starts with
     # the share that fell back to the live path.
     single, live = (counters.get(f"ext2ph.park_{k}", 0) for k in ("single", "live"))
     print("collective-write rank-calls:")
