@@ -196,7 +196,10 @@ class TestDeviceTier:
 
 class TestStripeAlignment:
     """Even (UFS) vs stripe-aligned (BeeGFS) file domains: alignment avoids
-    extent-lock false sharing on POSIX-locking file systems (footnote 1)."""
+    extent-lock false sharing on POSIX-locking file systems (footnote 1).
+    The file (16 ranks x 80 KiB x 2 segments = 2.5 MiB) splits into even
+    domains of 640 KiB, 2.5 stripes each, so adjacent UFS aggregators share
+    a stripe; aligned domains share none."""
 
     def test_alignment_avoids_lock_contention(self, benchmark):
         from repro.machine import Machine
@@ -209,7 +212,7 @@ class TestStripeAlignment:
             machine = Machine(small_testbed(8, 2))
             world = MPIWorld(machine)
             layer = MPIIOLayer(machine, world.comm, driver=driver)
-            wl = ior_workload(16, block_bytes=256 * KiB, segments=2)
+            wl = ior_workload(16, block_bytes=80 * KiB, segments=2)
             hints = {
                 "cb_nodes": "4",
                 "cb_buffer_size": "256k",
@@ -231,4 +234,5 @@ class TestStripeAlignment:
         beegfs_contention = run("beegfs")
         print(f"\ncontended lock acquires: ufs(even) {ufs_contention} vs "
               f"beegfs(aligned) {beegfs_contention}")
+        assert ufs_contention > 0
         assert beegfs_contention <= ufs_contention

@@ -89,8 +89,6 @@ class WindowSlice:
     lengths: np.ndarray
     nbytes: int
     count: int
-    # byte positions (into the rank's flat buffer) where each sub-extent starts
-    buffer_starts: np.ndarray
 
 
 class RankAccess:
@@ -177,28 +175,26 @@ class RankAccess:
         return inner - head - tail
 
     def slice_window(self, lo: int, hi: int) -> WindowSlice:
-        """Sub-extents of this access inside ``[lo, hi)`` with buffer mapping."""
+        """Sub-extents of this access inside ``[lo, hi)``."""
         if hi <= lo or self.empty:
             z = np.empty(0, dtype=np.int64)
-            return WindowSlice(z, z, 0, 0, z)
+            return WindowSlice(z, z, 0, 0)
         i = int(np.searchsorted(self.ends, lo, side="right"))
         j = int(np.searchsorted(self.offsets, hi, side="left"))
         if i >= j:
             z = np.empty(0, dtype=np.int64)
-            return WindowSlice(z, z, 0, 0, z)
+            return WindowSlice(z, z, 0, 0)
         offs = self.offsets[i:j].copy()
         lens = self.lengths[i:j].copy()
-        bufs = self.prefix[i:j].copy()
         head = lo - int(offs[0])
         if head > 0:
             offs[0] += head
             lens[0] -= head
-            bufs[0] += head
         tail = int(offs[-1] + lens[-1]) - hi
         if tail > 0:
             lens[-1] -= tail
         nbytes = int(lens.sum())
-        return WindowSlice(offs, lens, nbytes, int(len(offs)), bufs)
+        return WindowSlice(offs, lens, nbytes, int(len(offs)))
 
     @classmethod
     def contiguous(cls, offset: int, nbytes: int) -> "RankAccess":

@@ -160,18 +160,10 @@ class NVMMWriteLog:
         done._fire_inline()
 
     # -- read-back (sync thread / recovery replay) --------------------------------
-    def read_event(self, pos: int, blen: int) -> Event:
-        """Read ``[pos, pos+blen)`` back: one device-speed load where the
-        region wraps it to.  The returned Event's value is :meth:`gather`'s
-        (None if no payloads were stored; torn records are CRC-skipped);
-        injected read errors and abandonment as in
-        :meth:`~repro.localfs.ext4.LocalFileSystem.read_event`.  Requires
-        ``blen > 0``."""
-        done = Event(self.sim, name="wal-read")
-        self.device.read_flat(
-            pos % self.device.capacity_bytes, blen, done, lambda: self.gather(pos, blen)
-        )
-        return done
+    def read_flat(self, pos: int, blen: int, on_done, done: Event) -> None:
+        """Read ``[pos, pos+blen)`` back where the region wraps it to
+        (``StorageDevice.read_flat``'s contract); :meth:`gather` has the bytes."""
+        self.device.read_flat(pos % self.device.capacity_bytes, blen, on_done, done)
 
     def gather(self, pos: int, blen: int) -> Optional[np.ndarray]:
         """Overlay durable records (append order) over ``[pos, pos+blen)``."""

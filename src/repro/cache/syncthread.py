@@ -8,9 +8,8 @@ file through the *synchronous* independent-write client path, then calls
 ``MPI_Grequest_complete`` on the request's handle.
 
 The loop over an extent — batch, read back, write sync, retry with backoff
-— is :func:`flush`, which crash-recovery replay drives too.  It takes each
-batch's step from the machine (``machine.flush_batch``): :func:`flush_batch`,
-the callback chains, on production, faults or not.
+— is the machine's ``flush``, which crash-recovery replay drives too:
+:class:`Flush`, one callback chain, on production, faults or not.
 
 ``flush_batch_chunks`` (a simulation fidelity knob, not a semantic one)
 coalesces several chunks into one macro-operation whose cost is the sum of
@@ -36,7 +35,7 @@ from typing import Optional
 
 from repro.faults.errors import FaultError, SyncFailedError
 from repro.mpi.request import GeneralizedRequest
-from repro.sim.core import Interrupt
+from repro.sim.core import Event, Interrupt, settle
 from repro.sim.resources import Store
 
 
@@ -54,45 +53,70 @@ class SyncRequest:
 _SHUTDOWN = SyncRequest(0, 0, None)
 
 
-def flush_batch(client, pfs_file, journal, pos: int, blen: int, nchunks: int):
-    """Generator: one batch of :func:`flush` — ``[pos, pos + blen)`` read
-    back from ``journal``'s cache, then written to ``pfs_file`` with one
-    synchronous RPC per ``nchunks`` chunk."""
-    data = yield journal.read_back_event(pos, blen)
-    yield client.write_sync_flat(pfs_file, pos, blen, data=data, rpc_count=nchunks)
+class Flush(Event):
+    """The loop over ``[pos, end)`` as one chain, an Event valued ``(end,
+    None)`` or the position and error of the batch that spent the retry
+    budget (:func:`repro.reference.flush`, the generator, has the contract).
+    A batch's read-back (``journal.read_flat``) and sync write
+    (``client.write_sync_flat``) call back into it and hang their abandon
+    hooks on it, so a batch allocates no Event; the last write fires it."""
 
+    __slots__ = ("machine", "client", "pfs_file", "journal", "pos", "end", "ledger", "faulted",
+                 "chunk", "batch", "blen", "attempts")
 
-def flush(machine, client, pfs_file, journal, pos: int, end: int, ledger: str, faulted=None):
-    """Generator: copy ``[pos, end)`` from ``journal``'s cache file to
-    ``pfs_file`` batch by batch — ``machine.flush_batch``, then note the
-    batch in ``journal.synced`` and ``machine.io_stats[ledger]`` — retrying
-    a :class:`FaultError` (``faulted()`` is told) with the journal policy's
-    backoff.  Returns ``(end, None)``, or the position of the batch that
-    spent the retry budget and the error that did."""
-    step = machine.flush_batch
-    policy = journal.policy
-    chunk = policy.sync_chunk
-    batch = chunk * max(1, machine.config.flush_batch_chunks)
-    attempts = 0
-    while pos < end:
-        blen = min(batch, end - pos)
-        try:
-            yield from step(client, pfs_file, journal, pos, blen, -(-blen // chunk))
-        except FaultError as exc:
-            attempts += 1
-            if faulted is not None:
-                faulted()
-            if attempts > policy.sync_retry_limit:
-                return pos, exc
-            yield machine.sim.timeout(
-                policy.sync_backoff_base * (policy.sync_backoff_factor ** (attempts - 1))
-            )
-            continue
-        attempts = 0
-        journal.synced.add(pos, pos + blen)
-        machine.io_stats[ledger] += blen
-        pos += blen
-    return pos, None
+    def __init__(self, machine, client, pfs_file, journal, pos, end, ledger, faulted=None):
+        Event.__init__(self, machine.sim, "flush")
+        self.machine, self.client, self.pfs_file, self.journal = machine, client, pfs_file, journal
+        self.pos, self.end, self.ledger, self.faulted = pos, end, ledger, faulted
+        self.chunk = journal.policy.sync_chunk
+        self.batch = self.chunk * machine.config.flush_batch_chunks
+        self.blen = self.attempts = 0
+        self._next()
+
+    def _next(self, error: Optional[FaultError] = None) -> None:
+        # The sync write's ``on_done``; the start of the first or a retried batch (blen 0).
+        if error is not None:
+            self._fault(error)
+            return
+        if self._triggered:  # abandoned in the backoff
+            return
+        pos, blen = self.pos, self.blen
+        if blen:
+            self.attempts = 0
+            self.journal.synced.add(pos, pos + blen)
+            self.machine.io_stats[self.ledger] += blen
+            self.pos = pos = pos + blen
+        left = self.end - pos
+        if left <= 0:
+            self._fire_inline((pos, None))
+            return
+        self.blen = blen = self.batch if self.batch < left else left
+        self.journal.read_flat(pos, blen, self._write, self)
+
+    def _write(self, error: Optional[FaultError]) -> None:
+        if error is not None:
+            self._fault(error)
+            return
+        pos, blen = self.pos, self.blen
+        self.client.write_sync_flat(
+            self.pfs_file, pos, blen, self._next, self,
+            data=self.journal.gather(pos, blen), rpc_count=-(-blen // self.chunk),
+        )
+
+    def _fault(self, exc: FaultError) -> None:
+        self.attempts = attempts = self.attempts + 1
+        if self.faulted is not None:
+            self.faulted()
+        policy = self.journal.policy
+        if attempts > policy.sync_retry_limit:
+            self.abandon = None
+            self._fire_inline((self.pos, exc))
+            return
+        self.blen = 0
+        self.abandon = settle  # the backoff: call_later takes the Timeout's slot
+        self.machine.sim.call_later(
+            policy.sync_backoff_base * (policy.sync_backoff_factor ** (attempts - 1)), self._next
+        )
 
 
 class SyncThread:
@@ -129,7 +153,7 @@ class SyncThread:
 
     # -- the thread body ---------------------------------------------------------
     def _run(self):
-        """Take requests off the queue and :func:`flush` each; a request
+        """Take requests off the queue and flush each (``machine.flush``); a request
         whose flush spent its retry budget is given up (:meth:`_give_up`)."""
         try:
             while True:
@@ -140,7 +164,7 @@ class SyncThread:
                 end = req.offset + req.nbytes
                 try:
                     state = self.cache_state
-                    pos, error = yield from flush(
+                    pos, error = yield from self.machine.flush(
                         self.machine, self.client, state.global_file, state.journal,
                         req.offset, end, "bytes_flushed", self._retried,
                     )

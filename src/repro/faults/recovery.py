@@ -23,7 +23,8 @@ Replay is idempotent by construction: a sync request that was mid-flight at
 crash time may have persisted some chunks already, but rewriting the whole
 extent stores identical bytes, so the recovered global file is byte-identical
 to a fault-free run.  Replay rewrites through the sync thread's own flush
-loop (:func:`repro.cache.syncthread.flush`), so transient faults that
+loop (the machine's ``flush``: :class:`repro.cache.syncthread.Flush` on
+production), so transient faults that
 outlive the crash into the recovery window (flaky reads, a stalled server
 tripping the sync-RPC watchdog) are retried in place under the cache's
 policy before the error is allowed to abort the recovering rank.
@@ -79,12 +80,19 @@ class CacheJournal:
         return sum(e - s for s, e in self.unflushed())
 
     # -- read-back (the flush loop: sync thread and replay) ----------------------
-    def read_back_event(self, pos: int, blen: int):
-        """An Event valued with the cached bytes of ``[pos, pos+blen)``,
-        read back from the log or the cache file."""
+    def read_flat(self, pos: int, blen: int, on_done, done) -> None:
+        """Read ``[pos, pos+blen)`` back from the log or the cache file
+        (``StorageDevice.read_flat``'s contract)."""
         if self.wal is not None:
-            return self.wal.read_event(pos, blen)
-        return self.local_file.fs.read_event(self.local_file, pos, blen)
+            self.wal.read_flat(pos, blen, on_done, done)
+        else:
+            self.local_file.fs.read_flat(self.local_file, pos, blen, on_done, done)
+
+    def gather(self, pos: int, blen: int):
+        """The cached bytes of ``[pos, pos+blen)`` (None: no payloads)."""
+        if self.wal is not None:
+            return self.wal.gather(pos, blen)
+        return self.local_file.fs.gather(self.local_file, pos, blen)
 
 
 class CacheRecoveryRegistry:
@@ -124,11 +132,9 @@ class CacheRecoveryRegistry:
         Runs on the lowest rank of each node (the rank that would own the
         node's cache files); other ranks fall straight through and meet the
         replaying ranks at the barrier the caller places after this.  Each
-        unflushed extent goes through the sync thread's
-        :func:`~repro.cache.syncthread.flush`; a spent retry budget raises.
+        unflushed extent goes through the sync thread's flush
+        (``machine.flush``); a spent retry budget raises.
         """
-        from repro.cache.syncthread import flush  # local import to avoid a cycle
-
         if rank % self.machine.config.procs_per_node != 0:
             return
         node_id = self.machine.node_of_rank(rank)
@@ -153,7 +159,7 @@ class CacheRecoveryRegistry:
                 local_file = localfs.open(journal.local_path, create=False)
             try:
                 for start, end in journal.unflushed():
-                    _, error = yield from flush(
+                    _, error = yield from self.machine.flush(
                         self.machine, client, fd.pfs_file, journal, start, end, "bytes_replayed"
                     )
                     if error is not None:

@@ -82,7 +82,7 @@ class JobView:
         self.pfs = machine.pfs
         self.nodes = machine.nodes  # full physical list (indexed by node id)
         self.local_fs = machine.local_fs  # ditto
-        self.flush_batch = machine.flush_batch
+        self.flush = machine.flush
         self.faults = machine.faults
         # Job-scoped state.
         self.tracer = _JobTracer(machine.tracer, self.job_label)

@@ -158,26 +158,24 @@ class StorageDevice:
 
         self.sim.call_later(dt, _served)
 
-    def read_flat(self, offset: int, nbytes: int, done: Event, value) -> None:
-        """The device read of a chain that ``done`` completes: ``done`` fires
-        with ``value()`` where the generator's caller would resume.  An
-        injected read error releases the slot and fails ``done`` (raising
-        out of this call on a synchronous grant, as :meth:`_io` would).
-        Abandoned, a queued request leaves the queue, a slot in service is
-        released where the ``Interrupt`` would reach the ``finally``.
-        """
+    def read_flat(self, offset: int, nbytes: int, on_done, done: Event) -> None:
+        """A read inside a callback chain whose event is ``done``:
+        ``on_done(error)`` where the generator's caller would resume — None,
+        or an injected read error once the slot is released (at once on a
+        synchronous grant, where :meth:`_io` raises).  Abandoning ``done``
+        leaves the queue, or releases the slot by a ``call_soon``."""
         if not 0 <= nbytes < inf:
             raise SimError(f"{self.name}: nbytes must be finite and >= 0, got {nbytes!r}")
         queue = self.queue
         if queue.inline_grants and queue._in_use < queue.capacity and not queue._waiters:
             queue._in_use += 1
-            self._read_serve(offset, nbytes, done, value)
+            self._read_serve(offset, nbytes, on_done, done)
             return
-        granted = partial(self._read_serve, offset, nbytes, done, value)
+        granted = partial(self._read_serve, offset, nbytes, on_done, done)
         queue.request_call(granted)
         done.abandon = partial(abandon_queued, queue, granted)
 
-    def _read_serve(self, offset: int, nbytes: int, done: Event, value) -> None:
+    def _read_serve(self, offset: int, nbytes: int, on_done, done: Event) -> None:
         if done._triggered:  # abandoned while queued: the slot went back then
             return
         queue = self.queue
@@ -186,7 +184,7 @@ class StorageDevice:
                 self.injector.on_device_read(self, offset, nbytes)
             except FaultError as exc:
                 queue.release()
-                done._fire_inline(exc, ok=False)
+                on_done(exc)
                 return
         dt = self.service_time(offset, nbytes, False)
         self.busy_time += dt
@@ -200,7 +198,7 @@ class StorageDevice:
                 queue.release()
             else:
                 queue._in_use -= 1
-            done._fire_inline(value())
+            on_done(None)
 
         self.sim.call_later(dt, _served)
 

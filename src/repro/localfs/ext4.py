@@ -169,35 +169,29 @@ class LocalFileSystem:
         cached = int(nbytes * frac_cached)
         return cached, nbytes - cached
 
-    def read_event(self, f: LocalFile, offset: int, nbytes: int) -> Event:
-        """Read ``[offset, offset + nbytes)`` (:meth:`read_split`).
-
-        Returns an Event whose value is the requested bytes (None for
-        virtual files), fired inline when the last byte is in, or failed by
-        an injected SSD read error; abandoned, it takes no further step.
-        Requires ``nbytes > 0``.
-        """
+    def read_flat(self, f: LocalFile, offset: int, nbytes: int, on_done, done: Event) -> None:
+        """Read ``[offset, offset + nbytes)`` (:meth:`read_split`): the
+        page-cached part at memory speed, then the rest off the SSD, with
+        ``StorageDevice.read_flat``'s contract; :meth:`gather` has the bytes.
+        Requires ``nbytes > 0``."""
         cached, uncached = self.read_split(f, offset, nbytes)
         if not cached and not uncached:
-            raise SimError("read_event requires nbytes > 0")
-        done = Event(self.sim, name="lfs-read")
+            raise SimError("read_flat requires nbytes > 0")
         ssd = self.node.ssd
-        value = lambda: self.gather(f, offset, nbytes)  # noqa: E731
         if not cached:
-            ssd.read_flat(offset, uncached, done, value)
-            return done
+            ssd.read_flat(offset, uncached, on_done, done)
+            return
 
         def _copied():
             if done._triggered:
                 return
             if uncached:
-                ssd.read_flat(offset + cached, uncached, done, value)
+                ssd.read_flat(offset + cached, uncached, on_done, done)
             else:
-                done._fire_inline(value())
+                on_done(None)
 
         done.abandon = settle
         self.sim.call_later(cached / self.node.config.ram.memcpy_bw, _copied)
-        return done
 
     def fsync(self, f: LocalFile):
         return self.node.page_cache.fsync(f.file_id)

@@ -16,15 +16,15 @@ callback-chain sync threads and one process per rank *class*.
 :class:`~repro.reference.HeapSimulator` (every grant its own event),
 :class:`~repro.reference.NaiveFabric` (one flow per stripe run, full
 recompute), per-rank collective release, one process per rank, and sync
-threads and crash replay that flush through
-:func:`repro.reference.flush_batch`'s generators — and must agree with
+threads and crash replay that flush through the generators of
+:func:`repro.reference.flush` — and must agree with
 production on every simulated quantity; only the diagnostic ``events``
 count may differ (tier-1 asserts it in
 ``tests/integration/test_golden_digests.py``).  The reference engine and
 fabric share no code with production's, only the Event classes and the
 fabric's public surface.  This module is the only one that imports
 :mod:`repro.reference`, and the only one that reads ``machine.reference``:
-it picks the engine, the fabric and the flush step (``flush_batch``), and
+it picks the engine, the fabric and the flush (``flush``), and
 the components take what they need from those — a device or server grants
 inline, and a model collective releases its ranks through one event (so a
 collective write may run on its clock and ranks may run as classes), where
@@ -44,7 +44,7 @@ from typing import Optional
 
 from repro import options
 from repro import reference as reference_stack
-from repro.cache.syncthread import flush_batch
+from repro.cache.syncthread import Flush
 from repro.config import ClusterConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import CacheRecoveryRegistry
@@ -88,9 +88,9 @@ class Machine:
             latency=config.network.latency,
             loopback_bw=config.network.shm_bw,
         )
-        #: One batch of the sync thread's flush (``cache.syncthread.flush``):
-        #: read back, then write sync.
-        self.flush_batch = reference_stack.flush_batch if reference else flush_batch
+        #: The flush loop the sync threads and crash replay run over a cached
+        #: extent (``cache.syncthread.Flush``'s signature and value).
+        self.flush = reference_stack.flush if reference else Flush
         self.nodes = [
             ComputeNode(self.sim, n, config, tracer=self.tracer) for n in range(config.num_nodes)
         ]

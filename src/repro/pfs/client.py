@@ -16,7 +16,8 @@ Two write paths mirror the two ways ROMIO drives the file system:
   (``sync_client_rtt``) on top of transfer and server time, raced against
   the fault schedule's sync-RPC watchdog when one is armed.  This is what
   limits a single flushing aggregator to ≈105 MB/s with 512 KiB chunks.
-  It too is a callback chain; the caller waits on its completion event.
+  It too is a callback chain, a step of its caller's: it calls the
+  caller's ``on_done`` and hangs its abandon hooks on the caller's event.
 
 Every entry point reads its stripe plan (runs, bulk groups, sync RPC split)
 from the process-wide memo in :mod:`repro.pfs.layout`, which also rejects
@@ -102,30 +103,19 @@ class PFSClient:
         return _PipelinedWrite(self, f, offset, nbytes, data, locking, (shift, nruns, groups))
 
     # -- data: synchronous independent path (the sync thread's loop) ----------------
-    def write_sync_flat(
-        self,
-        f: PFSFile,
-        offset: int,
-        nbytes: int,
-        data: Optional[np.ndarray] = None,
-        rpc_count: Optional[int] = None,
-    ) -> Event:
-        """Blocking write, no locking — one RPC at a time, each after a full
-        RTT, its transfer and the server's processing back to back (no
-        pipelining on the synchronous path).  The returned Event fires
-        inline when the last RPC is served, or fails with
-        :class:`PFSTimeoutError` when an armed watchdog wins a run's race.
-
-        ``rpc_count`` (default: one per target run) lets a caller that has
-        coalesced several logical chunks into this extent charge the
-        per-chunk round trips and server overheads for all of them, keeping
-        batched simulation cost-faithful.  On a timeout the server RPC is
-        abandoned, not cancelled — whatever it persists is rewritten
-        identically by the caller's retry.  Abandoned itself, the chain
-        takes no later step; a flow already started or a raced RPC runs
-        out, and an unraced server RPC is abandoned with it.
-        """
-        return _SyncWrite(self, f, offset, nbytes, data, rpc_count).done
+    def write_sync_flat(self, f: PFSFile, offset: int, nbytes: int, on_done, done: Event,
+                        data: Optional[np.ndarray] = None, rpc_count: Optional[int] = None):
+        """The blocking write, no locking, one RPC at a time (module
+        docstring), as a step of the chain whose event is ``done``:
+        ``on_done(None)`` when the last RPC is served, ``on_done(exc)`` with
+        a :class:`PFSTimeoutError` when an armed watchdog wins a run's race
+        (the server RPC is abandoned, not cancelled: the caller's retry
+        rewrites its bytes identically).  ``rpc_count`` (default: one per
+        target run) charges the round trips and server overheads of that
+        many coalesced chunks.  Abandoning ``done``, the write takes no
+        later step; a started flow or a raced RPC runs out, and an unraced
+        server RPC is abandoned with it."""
+        _SyncWrite(self, f, offset, nbytes, data, rpc_count, on_done, done)
 
     # -- reads -----------------------------------------------------------------
     def read(self, f: PFSFile, offset: int, nbytes: int):
@@ -265,17 +255,17 @@ def timeout_error(server_id: int, timeout: float) -> PFSTimeoutError:
 class _SyncWrite:
     """One :meth:`PFSClient.write_sync_flat` in flight, its runs one at a
     time.  Only the callbacks it schedules hold it, so it leaves no
-    reference cycle behind once its ``done`` Event fires."""
+    reference cycle behind once it has called ``on_done``."""
 
-    def __init__(self, client: PFSClient, f: PFSFile, offset, nbytes, data, rpc_count):
+    def __init__(self, client, f, offset, nbytes, data, rpc_count, on_done, done):
         self.client, self.f, self.offset, self.nbytes, self.data = client, f, offset, nbytes, data
         self.shift, self.plan = sync_plan(
             f.layout, offset, nbytes, len(client.pfs.servers), rpc_count
         )
         if nbytes == 0:
             raise SimError("write_sync_flat requires nbytes > 0")
-        self.done = Event(client.sim, name="write-sync")
-        self.done.abandon = settle  # while no server RPC of ours is waited on
+        self.on_done, self.done = on_done, done
+        done.abandon = settle  # while no server RPC of ours is waited on
         inj = client.pfs.injector  # attached only with the sync-RPC watchdog armed
         self.watchdog = inj.sync_rpc_timeout if inj is not None else 0.0
         self.decided: set[int] = set()  # the runs whose race has a winner
@@ -319,7 +309,7 @@ class _SyncWrite:
             done.abandon = None
             self.f.record_write(self.offset, self.nbytes, self.data)
             self.client.bytes_written += self.nbytes
-            done._fire_inline()
+            self.on_done(None)
 
     # -- the watchdog race (write_sync's ``any_of``), one per run -----------------
     def _race(self, i: int) -> None:
@@ -344,6 +334,6 @@ class _SyncWrite:
             return
         if timed_out:
             done.abandon = None
-            done._fire_inline(timeout_error(self.plan[i][0], self.watchdog), ok=False)
+            self.on_done(timeout_error(self.plan[i][0], self.watchdog))
         else:
             self._next(i)

@@ -98,12 +98,12 @@ class WriteBackCache:
         self.limit = int(limit)
         self.drain_chunk = int(drain_chunk)
         self.dirty = 0
-        self._waiters: list = []  # FIFO of Events and flat continuations
+        self.waiters: list = []  # FIFO of Events and flat continuations
         self._daemon_running = False
         self._drain_pos = 0
         self._draining = 0  # bytes of the drain step in flight
 
-    def _ensure_daemon(self) -> None:
+    def ensure_daemon(self) -> None:
         if not self._daemon_running and self.dirty > 0:
             self._daemon_running = True
             self.sim.call_soon(self._drain_step)
@@ -117,8 +117,8 @@ class WriteBackCache:
         chunk = self._draining
         self._drain_pos += chunk
         self.dirty = dirty = self.dirty - chunk
-        if self._waiters:
-            waiters, self._waiters = self._waiters, []
+        if self.waiters:
+            waiters, self.waiters = self.waiters, []
             self.sim.call_soon(partial(self._wake, waiters))
         if dirty > 0:
             self._draining = chunk = self.drain_chunk if self.drain_chunk < dirty else dirty
@@ -130,7 +130,7 @@ class WriteBackCache:
         """Resume ``waiters`` in FIFO order while the cache has room.
 
         A resumed waiter that is still short re-queues itself on the (new)
-        ``_waiters`` list; the unwoken tail goes back behind those, which is
+        ``waiters`` list; the unwoken tail goes back behind those, which is
         the order everyone re-queueing for themselves would have produced.
         A waiter for the cache to empty takes no room and may be left in the
         tail: the tail only exists while ``dirty >= limit > 0``, when it
@@ -139,7 +139,7 @@ class WriteBackCache:
         woken = 0
         for waiter in waiters:
             if self.limit - self.dirty <= 0:
-                self._waiters += waiters[woken:]
+                self.waiters += waiters[woken:]
                 return
             woken += 1
             if waiter.__class__ is Event:
@@ -178,7 +178,7 @@ class DataServer:
         self.injector = None  # set by repro.faults when a stall targets us
         self._rpc_jitter = None  # cached draw callable (lazy: rng may be swapped)
 
-    def _draw_rpc_jitter(self) -> float:
+    def draw_rpc_jitter(self) -> float:
         jitter = self._rpc_jitter
         if jitter is None:
             jitter = self._rpc_jitter = self.rng.lognormal_fn(
@@ -186,7 +186,7 @@ class DataServer:
             )
         return jitter()
 
-    def _account(self, tag, nbytes: int, rpc_count: int) -> None:
+    def account(self, tag, nbytes: int, rpc_count: int) -> None:
         if tag is not None:
             self.rpcs_by_tag[tag] = self.rpcs_by_tag.get(tag, 0) + max(1, rpc_count)
             self.bytes_by_tag[tag] = self.bytes_by_tag.get(tag, 0) + int(nbytes)
@@ -242,7 +242,7 @@ class DataServer:
                 return
         overhead = self.cfg.rpc_overhead * rpc_count
         if self.rng is not None and self.cfg.jitter_sigma > 0:
-            overhead *= self._draw_rpc_jitter()
+            overhead *= self.draw_rpc_jitter()
         self.sim.call_later(
             overhead,
             partial(self._serve_write_absorb, nbytes, on_done, done, rpc_count, int(nbytes), tag),
@@ -261,7 +261,7 @@ class DataServer:
         while left > 0:
             room = cache.limit - cache.dirty
             if room <= 0:
-                cache._waiters.append(
+                cache.waiters.append(
                     partial(self._serve_write_absorb, nbytes, on_done, done, rpc_count, left, tag)
                 )
                 return
@@ -269,9 +269,9 @@ class DataServer:
             cache.dirty += chunk
             left -= chunk
             if not cache._daemon_running:
-                cache._ensure_daemon()
+                cache.ensure_daemon()
         self.rpcs_served += rpc_count
-        self._account(tag, nbytes, rpc_count)
+        self.account(tag, nbytes, rpc_count)
         workers = self.workers
         if workers._waiters or not workers._in_use:
             workers.release()
@@ -290,6 +290,6 @@ class DataServer:
             yield self.sim.timeout(self.cfg.rpc_overhead)
             yield from self.target.read(target_offset, nbytes)
             self.rpcs_served += 1
-            self._account(tag, nbytes, 1)
+            self.account(tag, nbytes, 1)
         finally:
             self.workers.release()

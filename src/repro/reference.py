@@ -15,13 +15,15 @@ and per MPI send (``bundles``).  Only :mod:`repro.machine` imports this:
 * :class:`HeapSimulator` — a binary heap of ``(time, seq, event)``.
 * :class:`NaiveFabric` — progressive filling (:func:`fill_rates`) of every
   flow at every change.
-* :func:`flush_batch` — one batch of the sync thread's flush
-  (:func:`repro.cache.syncthread.flush`) as generators over the production
-  objects: :func:`read_back` (:func:`read_local` from the cache file or
+* :func:`flush` — the sync thread's and crash replay's flush loop
+  (production's flat chain is ``cache.syncthread.Flush``), batch by batch
+  (:func:`flush_batch`), as generators over the production objects:
+  :func:`read_back` (:func:`read_local` from the cache file or
   :func:`read_log`), then :func:`write_sync` → :func:`_sync_rpc` →
-  :func:`serve_write` → :func:`absorb`.  Each takes every step — grant,
-  timeout, flow start, jitter draw, watchdog race, release — in the event
-  callback where its production chain (``CacheJournal.read_back_event``,
+  :func:`serve_write` → :func:`absorb`, a fault retried after a
+  ``Timeout``.  Each takes every step — grant, timeout, flow start, jitter
+  draw, watchdog race, release, backoff — in the event callback where its
+  production chain (``Flush``, ``CacheJournal.read_flat``,
   ``PFSClient.write_sync_flat``, ``DataServer.serve_write``) takes it, so
   only the number of events differs.  Entered with ``yield from``,
   a generator adds a frame but no event.
@@ -36,6 +38,7 @@ import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
+from repro.faults.errors import FaultError
 from repro.pfs.client import timeout_error
 from repro.pfs.layout import sync_plan
 from repro.sim.core import (
@@ -401,8 +404,40 @@ class NaiveFabric:
 # -- the sync thread's flush, as generators ----------------------------------
 
 
+def flush(machine, client, pfs_file, journal, pos: int, end: int, ledger: str, faulted=None):
+    """Generator: copy ``[pos, end)`` from ``journal``'s cache file to
+    ``pfs_file`` batch by batch — :func:`flush_batch`, then note the batch
+    in ``journal.synced`` and ``machine.io_stats[ledger]`` — retrying a
+    :class:`FaultError` (``faulted()`` is told) with the journal policy's
+    backoff.  Returns ``(end, None)``, or the position of the batch that
+    spent the retry budget and the error that did."""
+    policy = journal.policy
+    chunk = policy.sync_chunk
+    batch = chunk * machine.config.flush_batch_chunks
+    attempts = 0
+    while pos < end:
+        blen = min(batch, end - pos)
+        try:
+            yield from flush_batch(client, pfs_file, journal, pos, blen, -(-blen // chunk))
+        except FaultError as exc:
+            attempts += 1
+            if faulted is not None:
+                faulted()
+            if attempts > policy.sync_retry_limit:
+                return pos, exc
+            yield machine.sim.timeout(
+                policy.sync_backoff_base * (policy.sync_backoff_factor ** (attempts - 1))
+            )
+            continue
+        attempts = 0
+        journal.synced.add(pos, pos + blen)
+        machine.io_stats[ledger] += blen
+        pos += blen
+    return pos, None
+
+
 def flush_batch(client, pfs_file, journal, pos: int, blen: int, nchunks: int):
-    """Generator: one batch of the flush — ``[pos, pos + blen)`` read back
+    """Generator: one batch of :func:`flush` — ``[pos, pos + blen)`` read back
     from ``journal``'s cache, then written to ``pfs_file`` with one
     synchronous RPC per ``nchunks`` chunk."""
     data = yield from read_back(journal, pos, blen)
@@ -496,11 +531,11 @@ def serve_write(
             yield from server.injector.server_gate(server.server_id)
         overhead = server.cfg.rpc_overhead * rpc_count
         if server.rng is not None and server.cfg.jitter_sigma > 0:
-            overhead *= server._draw_rpc_jitter()
+            overhead *= server.draw_rpc_jitter()
         yield server.sim.timeout(overhead)
         yield from absorb(server.cache, nbytes)
         server.rpcs_served += rpc_count
-        server._account(tag, nbytes, rpc_count)
+        server.account(tag, nbytes, rpc_count)
     finally:
         workers.release()
 
@@ -513,10 +548,10 @@ def absorb(cache, nbytes: int):
         room = cache.limit - cache.dirty
         if room <= 0:
             ev = Event(cache.sim, name="srvcache-throttle")
-            cache._waiters.append(ev)
+            cache.waiters.append(ev)
             yield ev
             continue
         chunk = min(remaining, room)
         cache.dirty += chunk
         remaining -= chunk
-        cache._ensure_daemon()
+        cache.ensure_daemon()

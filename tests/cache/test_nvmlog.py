@@ -12,6 +12,7 @@ from repro.localfs.ext4 import ENOSPC
 from repro.machine import Machine
 from repro.cache.nvmlog import NVMMWriteLog
 from repro.sim.core import SimError
+from tests.conftest import flat_read
 
 
 @pytest.fixture
@@ -89,7 +90,7 @@ class TestAppend:
         def proc():
             yield wal.append(0, 4096, payload(4096, 3))
             t0 = machine.sim.now
-            data = yield wal.read_event(0, 4096)
+            data = yield flat_read(machine.sim, wal, 0, 4096)
             return data, machine.sim.now - t0
 
         data, took = run(machine, proc())

@@ -19,7 +19,7 @@ from repro.reference import HeapSimulator
 from repro.romio import ext2ph
 from repro.romio.adio import BeeGFSDriver, UFSDriver
 from repro.romio.file import MPIIOLayer
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.workloads import phases
 
 #: Both event-loop engines by name, for tests that build one directly (the
@@ -73,6 +73,36 @@ def grant_events(machine) -> None:
         node.ssd.queue.inline_grants = node.nvmm.queue.inline_grants = False
     for server in machine.pfs.servers:
         server.workers.inline_grants = server.target.queue.inline_grants = False
+
+
+def flat_read(sim, reader, *where) -> Event:
+    """``reader.read_flat(*where, on_done, done)`` (a local file system, an
+    NVMM log or a cache journal) as an Event a generator can wait on: it
+    fires with ``reader.gather(*where)``, or fails with the read's fault;
+    interrupted, its waiter abandons the read."""
+    done = Event(sim, name="read")
+
+    def served(error):
+        if error is None:
+            done._fire_inline(reader.gather(*where))
+        else:
+            done._fire_inline(error, ok=False)
+
+    reader.read_flat(*where, served, done)
+    return done
+
+
+def sync_write(client, f, offset: int, nbytes: int, **kwargs) -> Event:
+    """``client.write_sync_flat`` as an Event a generator can wait on: it
+    fires when the last RPC is served, or fails with the watchdog's
+    timeout; interrupted, its waiter abandons the write."""
+    done = Event(client.sim, name="write-sync")
+
+    def written(error):
+        done._fire_inline(error, ok=error is None)
+
+    client.write_sync_flat(f, offset, nbytes, written, done, **kwargs)
+    return done
 
 
 class PayloadBytes:

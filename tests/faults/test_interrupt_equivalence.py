@@ -8,12 +8,14 @@ generator's interrupted frame would, and a call clock aborts
 (``CallClock.abort``).  Crashed at the same instant, the two stacks must
 agree:
 
-* a flushing sync thread — in its RTT wait, its flow, a server's worker
-  queue, stall gate, RPC overhead or absorb throttle, an SSD's queue or
-  service, with and without the sync-RPC watchdog — on every server's worker
-  and every SSD's queue occupancy and every server's dirty bytes at the crash
-  instant, then on the persisted runs, the replay statistics and the
-  integrity verdict once a recovery job has replayed the journals;
+* a flushing sync thread — in its read-back (the page-cache copy, an SSD's
+  queue or service), its RTT wait, its flow, a server's worker queue, stall
+  gate, RPC overhead or absorb throttle, or the backoff after a failed read
+  or a timed-out RPC, with and without the sync-RPC watchdog — on every
+  server's worker and every SSD's queue occupancy and every server's dirty
+  bytes at the crash instant, then on the persisted runs, the replay
+  statistics and the integrity verdict once a recovery job has replayed the
+  journals;
 * a collective write on its clock, crashed before and after its offset
   exchange releases, on every node's pinned bytes and every rank's phase
   seconds at the crash instant — against the live walk too.
@@ -51,7 +53,8 @@ from tests.romio.test_park_once import hints, strided, workload_of
 
 #: Two aggregators' caches on node 0 (they share its SSD with its page-cache
 #: writeback) and one on node 1; one worker and a one-chunk write-back cache
-#: per server; server 0 stalls for 6 ms while they flush.
+#: per server; node 1's SSD fails every read for its first 0.3 ms (its sync
+#: thread backs off) and server 0 stalls for 6 ms while they flush.
 RANKS = (0, 1, 2)
 EXTENT = 48 * KiB  # each rank caches two, back to back: [0, 288 KiB) in all
 WATCHDOG = 4e-3
@@ -72,6 +75,8 @@ WAITS = {
     ("_run", "get"): "idle",
 }
 PHASES = {
+    "page-cache copy",
+    "backoff",
     "rtt",
     "flow",
     "worker queue",
@@ -84,8 +89,10 @@ PHASES = {
 #: Crash instants that between them catch a sync thread in every phase of
 #: ``PHASES``, with the watchdog and without (found by scanning the flush on
 #: the stream SSD: the phase-coverage test pins that tier, since another
-#: SSD model moves every phase's timing).
-INSTANTS = (8.3e-5, 2.5e-4, 4.25e-3, 4.333e-3, 4.417e-3, 10.42e-3, 31.17e-3)
+#: SSD model moves every phase's timing).  The page-cache copy of a
+#: read-back lasts from 11.5 to 13.3 us; the SSD read-back's waits are the
+#: device queue and service.
+INSTANTS = (1.25e-5, 2e-4, 4.33e-3, 9e-3, 10.5e-3, 31.5e-3)
 
 
 def phase(proc) -> str:
@@ -111,6 +118,7 @@ def crashed_flush(reference: bool, crash_at: float, watchdog: bool, ssd_kind=Non
     )
     schedule = FaultSchedule(
         faults=(
+            FaultSpec("ssd_io_error", target=1, start=1e-5, duration=3e-4, rate=1.0),
             FaultSpec("server_stall", target=0, start=4e-3, duration=6e-3),
             FaultSpec("aggregator_crash", start=crash_at),
         ),

@@ -6,8 +6,8 @@ of the fault matrix of ``tests/faults/test_stack_identity.py`` (3 benchmarks
 x 8 scenarios) runs here on the production stack with everything in
 :mod:`repro.reference` made to raise — the heap engine and its watchdog
 race (``AnyOf``), the naive fabric and its filling loop, the generator
-flush step, read-backs, sync write, sync RPC, server RPC and absorb — and
-the round-by-round model walk.
+flush loop and its batch step, read-backs, sync write, sync RPC, server RPC
+and absorb — and the round-by-round model walk.
 Each point must still equal the reference stack's unpatched run field for
 field (only ``events`` may differ), and its faulted job must cross
 collective writes on their clock.
@@ -32,6 +32,7 @@ TWINS = (
     (reference, "fill_rates"),
     (reference, "_Link"),
     (reference, "_Flow"),
+    (reference, "flush"),
     (reference, "flush_batch"),
     (reference, "read_back"),
     (reference, "read_local"),

@@ -35,7 +35,7 @@ def test_flat_requests_refuse_a_bad_size(nbytes):
     with pytest.raises(SimError, match="nbytes"):
         dev.write_flat(0, nbytes, lambda: None)
     with pytest.raises(SimError, match="nbytes"):
-        dev.read_flat(0, nbytes, sim.event(), lambda: None)
+        dev.read_flat(0, nbytes, lambda _error: None, sim.event())
     sim.run()
     assert untouched(dev)
 

@@ -7,6 +7,7 @@ from repro.localfs.ext4 import ENOSPC, LocalFileSystem
 from repro.reference import HeapSimulator
 from repro.sim.core import Event
 from repro.units import GiB, KiB, MiB
+from tests.conftest import flat_read
 
 
 def make_fs(ssd_capacity=None):
@@ -99,7 +100,7 @@ class TestDataPath:
 
         def proc():
             yield fs.write(f, 1000, 256, data)
-            got = yield fs.read_event(f, 1000, 256)
+            got = yield flat_read(sim, fs, f, 1000, 256)
             return got
 
         got = drive(sim, proc())
@@ -112,7 +113,7 @@ class TestDataPath:
 
         def proc():
             yield fs.write(f, 100, 100, data)
-            got = yield fs.read_event(f, 50, 200)
+            got = yield flat_read(sim, fs, f, 50, 200)
             return got
 
         got = drive(sim, proc())
@@ -125,7 +126,7 @@ class TestDataPath:
 
         def proc():
             yield fs.write(f, 0, 1024)  # no payload
-            got = yield fs.read_event(f, 0, 1024)
+            got = yield flat_read(sim, fs, f, 0, 1024)
             return got
 
         assert drive(sim, proc()) is None
@@ -138,7 +139,7 @@ class TestDataPath:
             yield fs.write(f, 0, 8 * MiB)
             yield from fs.fsync(f)
             t0 = sim.now
-            yield fs.read_event(f, 0, 8 * MiB)
+            yield flat_read(sim, fs, f, 0, 8 * MiB)
             return sim.now - t0
 
         dt = drive(sim, proc())

@@ -25,6 +25,7 @@ from repro.pfs.layout import (
     sync_plan,
 )
 from repro.sim.core import SimError
+from tests.conftest import sync_write
 
 
 def cold_runs(layout, offset, nbytes, nservers):
@@ -156,7 +157,7 @@ def _entry_points(machine):
     client = machine.pfs_client(0)
 
     def flat(f, offset, nbytes):
-        yield client.write_sync_flat(f, offset, nbytes)
+        yield sync_write(client, f, offset, nbytes)
 
     return {
         "write": client.write,
@@ -193,7 +194,7 @@ def test_zero_length_extents_keep_their_old_meaning(machine):
         got = yield from client.read(f, 0, 0)
         assert got is None
         with pytest.raises(SimError, match="requires nbytes > 0"):
-            client.write_sync_flat(f, 0, 0)
+            sync_write(client, f, 0, 0)
         return f
 
     f = machine.sim.run(until=machine.sim.process(proc()))

@@ -1,6 +1,6 @@
 """A sync write abandoned while its server RPC waits for, or holds, a worker.
 
-``PFSClient.write_sync_flat`` hands its own completion event to
+``PFSClient.write_sync_flat`` hands its caller's chain event to
 ``DataServer.serve_write`` as the RPC's ``done``: abandoning the write
 withdraws the RPC's queued worker request at once, or gives a held worker
 back at the interrupt kick, and the RPC takes no later step.  The reference
@@ -19,6 +19,7 @@ from repro.config import small_testbed
 from repro.machine import Machine
 from repro.sim.core import Interrupt
 from repro.units import KiB, MiB
+from tests.conftest import sync_write
 
 #: Where the victim's RPC is when it is interrupted: ``(workers.in_use,
 #: workers.queue_len, holder finished)`` on its server, polled every 50 µs.
@@ -59,7 +60,7 @@ def interrupted_sync_write(reference_stack: bool, phase: str) -> dict:
             if reference_stack:
                 yield from reference.write_sync(client, f, 512 * KiB, 32 * KiB)
             else:
-                yield client.write_sync_flat(f, 512 * KiB, 32 * KiB)
+                yield sync_write(client, f, 512 * KiB, 32 * KiB)
         except Interrupt:
             finished["victim"] = ("interrupted", sim.now)
 

@@ -91,7 +91,7 @@ def same_instant_writers(monkeypatch, generator_serve):
     """64 ranks write 16 MiB each at one instant; returns every observable
     of the order in which their RPCs were served."""
     draws, served = [], []
-    real_draw, real_account = DataServer._draw_rpc_jitter, DataServer._account
+    real_draw, real_account = DataServer.draw_rpc_jitter, DataServer.account
 
     def draw(self):
         value = real_draw(self)
@@ -102,8 +102,8 @@ def same_instant_writers(monkeypatch, generator_serve):
         served.append((self.server_id, tag, self.sim.now))
         real_account(self, tag, nbytes, rpc_count)
 
-    monkeypatch.setattr(DataServer, "_draw_rpc_jitter", draw)
-    monkeypatch.setattr(DataServer, "_account", account)
+    monkeypatch.setattr(DataServer, "draw_rpc_jitter", draw)
+    monkeypatch.setattr(DataServer, "account", account)
     if generator_serve:
 
         def as_process(self, target_offset, nbytes, on_done, done=None, rpc_count=1, tag=None):
@@ -147,13 +147,13 @@ class TestStalledServer:
 
     def run(self, monkeypatch, faults):
         served, names = {}, []
-        real_account = DataServer._account
+        real_account = DataServer.account
 
         def account(self, tag, nbytes, rpc_count):
             served[self.server_id] = self.sim.now
             real_account(self, tag, nbytes, rpc_count)
 
-        monkeypatch.setattr(DataServer, "_account", account)
+        monkeypatch.setattr(DataServer, "account", account)
         machine = Machine(small_testbed(), faults=faults)
         f = create(machine)
         real_process = type(machine.sim).process

@@ -31,14 +31,14 @@ def drain_all(cache):
     """Generator: wait in ``cache``'s FIFO until it is empty."""
     while cache.dirty > 0:
         ev = Event(cache.sim, name="srvcache-drainwait")
-        cache._waiters.append(ev)
+        cache.waiters.append(ev)
         yield ev
 
 
 class HerdCache(WriteBackCache):
     """Wake-everyone reference: a process per burst, an event per waiter."""
 
-    def _ensure_daemon(self):
+    def ensure_daemon(self):
         if not self._daemon_running and self.dirty > 0:
             self._daemon_running = True
             self.sim.process(self._drain(), name="srv-drain")
@@ -49,8 +49,8 @@ class HerdCache(WriteBackCache):
             yield from self.target.write(self._drain_pos, chunk)
             self._drain_pos += chunk
             self.dirty -= chunk
-            if self._waiters:
-                waiters, self._waiters = self._waiters, []
+            if self.waiters:
+                waiters, self.waiters = self.waiters, []
                 for ev in waiters:
                     ev.succeed()
         self._daemon_running = False
@@ -69,7 +69,7 @@ class HerdServer(DataServer):
             room = cache.limit - cache.dirty
             if room <= 0:
                 ev = Event(self.sim, name="srvcache-throttle")
-                cache._waiters.append(ev)
+                cache.waiters.append(ev)
                 ev.callbacks.append(
                     lambda _ev, left=remaining: self._serve_write_absorb(
                         nbytes, on_done, done, rpc_count, left, tag
@@ -79,9 +79,9 @@ class HerdServer(DataServer):
             chunk = min(remaining, room)
             cache.dirty += chunk
             remaining -= chunk
-            cache._ensure_daemon()
+            cache.ensure_daemon()
         self.rpcs_served += max(1, rpc_count)
-        self._account(tag, nbytes, rpc_count)
+        self.account(tag, nbytes, rpc_count)
         self.workers.release()
         on_done()
 
@@ -104,7 +104,7 @@ class Rig:
         self.done: dict = {}  # rpc id -> completion instant, in completion order
         self.on_drain_step = None  # test hook: (step index, dt)
         self.steps = 0
-        service, draw = server.target.service_time, server._draw_rpc_jitter
+        service, draw = server.target.service_time, server.draw_rpc_jitter
 
         def service_time(offset, nbytes, is_write):
             dt = service(offset, nbytes, is_write)
@@ -120,7 +120,7 @@ class Rig:
             return value
 
         server.target.service_time = service_time
-        server._draw_rpc_jitter = draw_rpc_jitter
+        server.draw_rpc_jitter = draw_rpc_jitter
 
     def flat(self, rpc, nbytes):
         self.server.serve_write(0, nbytes, lambda: self.done.__setitem__(rpc, self.sim.now))
@@ -150,7 +150,7 @@ class Rig:
 
     def observed(self):
         cache = self.cache
-        assert not cache._waiters and not cache._daemon_running
+        assert not cache.waiters and not cache._daemon_running
         return self.log, list(self.done.items()), cache.dirty, self.server.rpcs_served
 
 
@@ -277,7 +277,7 @@ class TestNamedCases:
             rig.sim.call_later(2e-4, arm)
             rig.sim.call_later(2.5e-3, partial(rig.flat, ("flat", "late"), 40 * KiB))
             rig.sim.call_later(
-                3e-3, lambda: queued.extend(type(w).__name__ for w in rig.cache._waiters)
+                3e-3, lambda: queued.extend(type(w).__name__ for w in rig.cache.waiters)
             )
             rig.sim.run()
             return rig.observed(), queued
@@ -303,7 +303,7 @@ class TestNamedCases:
 
             def kill():
                 assert victim._target.name == "srvcache-throttle"
-                assert rig.cache._waiters[1] is victim._target
+                assert rig.cache.waiters[1] is victim._target
                 victim.interrupt("gone")
 
             rig.sim.call_later(1e-3, kill)
@@ -352,7 +352,7 @@ class TestNamedCases:
             def barge():
                 # The step has freed its chunk and taken the FIFO; the wake
                 # has not run yet (it would have given the room to "second").
-                assert rig.cache.dirty == 16 * KiB and not rig.cache._waiters
+                assert rig.cache.dirty == 16 * KiB and not rig.cache.waiters
                 rig.server._serve_write_absorb(16 * KiB, rig.barger, None, 1, 16 * KiB, None)
 
             def on_step(step, dt):

@@ -65,7 +65,7 @@ def run(kind, crash_at=None, *, info, cfg=None, faults=(), driver="beegfs", work
     if kind == "walk":
         grant_events(machine)
     requests = []
-    server_account = DataServer._account
+    server_account = DataServer.account
 
     def device(service_time):
         def recorded(dev, offset, nbytes, is_write):
@@ -86,7 +86,7 @@ def run(kind, crash_at=None, *, info, cfg=None, faults=(), driver="beegfs", work
         patch = stack.enter_context(pytest.MonkeyPatch.context())
         for cls in DEVICES:  # every device request draws its service time
             patch.setattr(cls, "service_time", device(cls.service_time))
-        patch.setattr(DataServer, "_account", server)
+        patch.setattr(DataServer, "account", server)
         if kind == "walk":
             stack.enter_context(walking())
         procs = world.spawn(body)

@@ -23,7 +23,7 @@ from repro.reference import HeapSimulator
 from repro.sim.core import SimError, Simulator
 from repro.sim.resources import Resource
 from repro.units import KiB, MiB
-from tests.conftest import ENGINES
+from tests.conftest import ENGINES, sync_write
 
 
 @pytest.fixture(params=sorted(ENGINES))
@@ -265,7 +265,7 @@ class TestFlowCompletions:
 
         def writes():
             yield client.write(f, 0, 4 * MiB, locking=False)
-            yield client.write_sync_flat(f, 4 * MiB, 256 * KiB)
+            yield sync_write(client, f, 4 * MiB, 256 * KiB)
 
         sim.run(until=sim.process(writes()))
         assert started and started == [None] * len(started)

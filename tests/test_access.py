@@ -91,7 +91,6 @@ class TestWindows:
         assert list(ws.offsets) == [5, 20]
         assert list(ws.lengths) == [5, 5]
         assert ws.nbytes == 10
-        assert list(ws.buffer_starts) == [5, 10]
 
     def test_slice_empty_window(self):
         a = access_of((0, 10))
@@ -99,14 +98,18 @@ class TestWindows:
         assert ws.nbytes == 0 and ws.count == 0
 
     def test_payload_for(self):
-        # A window's payload is the rank's flat buffer at ``buffer_starts``.
+        # A window's payload is the rank's flat buffer where each of its
+        # sub-extents starts: the extent's ``prefix`` plus the trimmed head.
         a = access_of((0, 10), (20, 10))
         ws = a.slice_window(5, 25)
         def gather(offsets, lengths):  # the extents' payload, concatenated
             return np.concatenate([payload_bytes(7, o, n) for o, n in zip(offsets, lengths)])
 
         flat = gather(a.offsets.tolist(), a.lengths.tolist())
-        pieces = [flat[b : b + n] for b, n in zip(ws.buffer_starts, ws.lengths)]
+        extent = np.searchsorted(a.ends, ws.offsets, side="right")
+        starts = a.prefix[extent] + ws.offsets - a.offsets[extent]
+        assert starts.tolist() == [5, 10]
+        pieces = [flat[b : b + n] for b, n in zip(starts, ws.lengths)]
         assert gather(ws.offsets.tolist(), ws.lengths.tolist()).tolist() == np.concatenate(pieces).tolist()
 
     def test_cum_bytes_matches_windows(self):

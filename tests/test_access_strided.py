@@ -121,7 +121,7 @@ def test_every_view_equals_the_csr_view(data, descriptor):
         )
         assert view.bytes_in_window(lo, hi) == ref.bytes_in_window(lo, hi)
         got, want = view.slice_window(lo, hi), ref.slice_window(lo, hi)
-        for name in ("offsets", "lengths", "buffer_starts"):
+        for name in ("offsets", "lengths"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert (got.nbytes, got.count) == (want.nbytes, want.count)
     # The views built their own arrays; the table is still a descriptor ...

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cache.cachefile import CacheState
 from repro.cache.policy import CachePolicy
-from repro.cache.syncthread import flush_batch
+from repro.cache.syncthread import Flush
 from repro.config import small_testbed
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.faults import FaultSchedule, FaultSpec
@@ -49,7 +49,7 @@ class TestKindSelection:
         the engine does, and clients bundle because the fabric does."""
         m = Machine(small_testbed())
         assert all(q.inline_grants for q in queues(m))
-        assert m.pfs_client(0)._bulk and m.flush_batch is flush_batch
+        assert m.pfs_client(0)._bulk and m.flush is Flush
 
     def test_faults_arm_their_targets_and_keep_every_fast_path(self):
         """A fault schedule attaches its injector to the components it
@@ -65,14 +65,14 @@ class TestKindSelection:
         assert all(node.ssd.injector is None for node in m.nodes[1:])
         assert all(s.injector is None for s in m.pfs.servers if s.server_id != 1)
         assert all(q.inline_grants for q in queues(m))
-        assert m.pfs_client(0)._bulk and m.flush_batch is flush_batch
+        assert m.pfs_client(0)._bulk and m.flush is Flush
 
     def test_explicit_dataplane_argument(self):
         """``reference=True`` is the only way left to the chunked plane."""
         m = Machine(small_testbed(), reference=True)
         assert m.reference
         assert not any(q.inline_grants for q in queues(m))
-        assert not m.pfs_client(0)._bulk and m.flush_batch is not flush_batch
+        assert not m.pfs_client(0)._bulk and m.flush is not Flush
 
 
 class TestEquivalence:

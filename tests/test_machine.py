@@ -61,7 +61,7 @@ class TestReferenceStack:
         m = Machine(small_testbed(), reference=True)
         assert m.reference
         assert type(m.sim) is HeapSimulator and type(m.fabric) is NaiveFabric
-        assert m.flush_batch is reference.flush_batch
+        assert m.flush is reference.flush
         queues = [dev.queue for node in m.nodes for dev in (node.ssd, node.nvmm)]
         queues += [q for s in m.pfs.servers for q in (s.workers, s.target.queue)]
         assert not any(q.inline_grants or q.try_acquire() for q in queues)

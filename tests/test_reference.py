@@ -6,8 +6,8 @@ only module that imports it; the production modules hold one implementation
 per behaviour and do not know which stack they are on.  The other way round,
 the reference is a client of production's public surface, not a subclass of
 its internals: its engine and fabric derive from nothing, it imports no
-private name, and the private attributes it touches are one allow-list, the
-Event protocol and the storage chain's.  Read off the source (``ast``), so
+private name, and the only private attributes it touches are the Event
+protocol's.  Read off the source (``ast``), so
 a forbidden import is caught whether or not it is reached.
 """
 
@@ -20,8 +20,8 @@ import repro
 
 SRC = Path(repro.__file__).parent
 
-#: Defined in repro.reference and nowhere else (not ``flush_batch``, the
-#: name of production's flat step too, nor ``read_back``, a plain method of
+#: Defined in repro.reference and nowhere else (not ``flush``, the name of
+#: production's cache flushes too, nor ``read_back``, a plain method of
 #: ``PFSFile``: the read-backs are checked class by class below).  A name in
 #: ``FLAT_NAMESAKES`` is also a production chain's, which must not be a
 #: generator.
@@ -30,6 +30,7 @@ REFERENCE_ONLY = {
     "AnyOf",
     "NaiveFabric",
     "fill_rates",
+    "flush_batch",
     "read_local",
     "read_log",
     "write_sync",
@@ -138,21 +139,16 @@ def test_the_machine_sets_no_attribute_on_a_component():
 
 
 #: The only ``_``-prefixed attributes :mod:`repro.reference` touches on
-#: anything but ``self``, each with its reason.  No fabric or engine
-#: internal is here: the reference engine and fabric are clients of the
-#: Event protocol and of the fabric's public surface.
+#: anything but ``self``, each with its reason: the Event protocol.  No
+#: fabric, engine or storage-chain internal is here: the reference engine
+#: and fabric are clients of the Event protocol and of the fabric's public
+#: surface, and the generator flush walks the server and its write-back
+#: cache through their public methods.
 ALLOWED_PRIVATE = {
-    # The Event protocol: the outcome an engine fires and a waiter reads.
     "_fired": "an engine marks the event it fires",
     "_ok": "an engine and a waiter read the outcome",
     "_value": "an engine and a waiter read the outcome",
     "_triggered": "an engine and a waiter read the outcome",
-    # The storage chain the generator flush step walks over the production
-    # server and its write-back cache.
-    "_draw_rpc_jitter": "the server's RPC jitter stream, drawn where production draws it",
-    "_account": "the server's per-tag RPC and byte ledger",
-    "_waiters": "the write-back cache's throttle FIFO a blocked absorb joins",
-    "_ensure_daemon": "the write-back cache's drain, started where production starts it",
 }
 
 
