@@ -21,44 +21,34 @@ rates.  Same-timestamp arrivals (a round of aggregator writes starts
 dozens of stripe flows at ``sim.now``) are coalesced into one recompute by
 a zero-delay flush; a flow started alone on its links with no flush
 pending — a sync thread's one blocking RPC, most flows under co-tenancy —
-is its own component and is rated where it starts, with no flush.  The filling loop
-itself is the *array kernel*:
+is its own component and is rated where it starts, in closed form (a min
+over its own links).  The filling loop itself is the *array kernel*:
 
 * **Flat arrays instead of dict churn.**  ``_fill`` lowers the touched
-  component into parallel lists indexed by local flow/link ids
-  (capacities, integer weight sums, membership as ascending-``fi`` int
-  lists) and runs progressive filling over those, with lazy freezing (a
-  byte flag per flow, a weight-sum decrement per link) instead of
-  per-round dict removals.  The scan order, tie-breaks, and every float
-  operation — shares, the ``max(best_share, 0.0)`` clamp, the
-  per-bundle-member clamped residual subtractions — are performed on the
-  same operands in the same order as the readable dict loop of the full
-  recompute (:func:`repro.reference.fill_rates`), which is why the
-  result is bit-identical.
+  component into parallel lists indexed by local flow/link ids and runs
+  progressive filling over those, with lazy freezing (a byte flag per
+  flow, a weight-sum decrement per link).  The scan order, tie-breaks and
+  every float operation — shares, the ``max(best_share, 0.0)`` clamp, the
+  per-bundle-member clamped residual subtractions — match the readable
+  dict loop of the full recompute (:func:`repro.reference.fill_rates`),
+  which is why the result is bit-identical.
 * **Converged-rate memoization.**  The filled rates are a pure function
-  of the component's *topology signature*: per-flow weights and, per link
-  crossing, either the local id of an already-seen link or the capacity
-  of a first-touch link — one flat tuple (see ``_fill``), built by a loop
-  that grows a list in place and makes no calls, because the key build
-  is the whole cost of a cache hit.  They do not depend on
-  ``remaining``/``nbytes`` (filling never reads them) or on flow/link
-  identity.  The sweep's shuffle waves re-rate the same few shapes
-  thousands of times, so a bounded signature→rates cache turns the
-  filling loop into a key build + dict hit (``rate_cache_hits`` /
-  ``rate_cache_misses`` counters; surfaced via ``SimProfiler`` as
-  ``fabric.rate_cache_hits``/``..._misses`` when profiling).
-  Single-flow components — a third of all fills on cache-enabled sweep
-  points — bypass the signature and cache entirely: their fill is a
-  closed-form min over the flow's own links.
-* **Flush/wake partials.**  The coalesced flush and the wake re-arm are
-  ``partial(self._flush_due, gen)`` / ``partial(self._wake_due, gen)``
-  scheduled via ``sim.call_soon``/``sim.call_later`` — the slotted engine
-  stores the partial itself — each bound to the generation that armed it,
-  so one a forced flush or a re-arm superseded does nothing when it
-  drains; a re-arm also cancels the superseded wake (``sim.cancel``).
-  Each does its whole job in its own callback: the wake advances the
-  flows, retires the finished ones (``del`` from every dict holding them)
-  and re-rates what they leave.  A flow a flat chain starts (``on_done``)
+  of the component's *topology signature* — per-flow weights and, per link
+  crossing, the local id of an already-seen link or the capacity of a
+  first-touch link, one flat tuple built with no calls (the key build is
+  the whole cost of a hit) — not of ``remaining``/``nbytes`` or identity.
+  The sweep's shuffle waves re-rate the same few shapes thousands of
+  times, so a bounded signature→rates cache turns filling into a key build
+  + dict hit (``rate_cache_hits``/``rate_cache_misses``).
+* **One step per change.**  A lone start, the flush and the wake each call
+  ``_rate`` once: advance, count, rate (timed by ``SimProfiler.lap`` when
+  profiling), re-arm the wake.  The flush and the wake are
+  ``partial(self._flush_due, gen)`` / ``partial(self._wake_due, gen)``,
+  each bound to the generation that armed it, so one a forced flush or a
+  re-arm superseded does nothing when it drains (a re-arm also
+  ``sim.cancel``s it).  The wake retires the finished flows (``del`` from
+  every dict holding them) and hands all their completions to the engine
+  in one ``sim.call_all_later``; a flow a flat chain starts (``on_done``)
   completes by a scheduled call, no Event.
 
 The full recompute (:class:`repro.reference.NaiveFabric`, sharing no code
@@ -84,7 +74,7 @@ from __future__ import annotations
 from functools import partial
 from operator import attrgetter
 from time import perf_counter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.sim.core import Event, SimError, Simulator
 
@@ -171,20 +161,14 @@ class Fabric:
     connected component; the per-change work is proportional to the touched
     component, not to the whole fabric.
     Counters (always on — plain int bumps) feed the benchmark harness:
-
-    * ``recomputes`` / ``recompute_flows`` — filling passes run and flows
-      re-rated by them (a full recompute re-rates every active flow on
-      every change).
-    * ``recomputes_skipped`` — changes proven unable to alter any share
-      (e.g. a capacity change on links with no flows).
-    * ``batched_starts`` — changes coalesced into an already-pending
-      same-timestamp flush instead of triggering their own recompute (a
-      flow started alone on its links with no flush pending is neither:
-      it is rated at once).
-    * ``wake_events`` — wake events actually armed (regression guard for
-      the alloc-on-every-change churn this class replaced).
-    * ``rate_cache_hits`` / ``rate_cache_misses`` — multi-flow fills served
-      from / added to the signature→rates memo.
+    ``recomputes``/``recompute_flows`` (filling passes and the flows they
+    re-rated; a full recompute re-rates every flow on every change),
+    ``recomputes_skipped`` (changes proven unable to alter any share, e.g.
+    a capacity change on flowless links), ``batched_starts`` (changes
+    coalesced into a pending same-timestamp flush; a lone start rated at
+    once is not one), ``wake_events`` (wakes armed) and
+    ``rate_cache_hits``/``rate_cache_misses`` (multi-flow fills served
+    from / added to the signature→rates memo).
     """
 
     #: Whether clients start identical same-server transfers as one
@@ -285,17 +269,29 @@ class Fabric:
         self._next_fid = fid + 1
         flow = Flow(fid, links, nbytes, on_done or done, weight=weight, tag=tag)
         self._flows[flow] = None
-        lone = flow
+        lone = True
         for link in links:
             if link.flows:
-                lone = None
+                lone = False
             link.flows[flow] = None
         self.bytes_moved += nbytes * weight
         if tag is not None:
             self.bytes_moved_by_tag[tag] = (
                 self.bytes_moved_by_tag.get(tag, 0.0) + nbytes * weight
             )
-        self._change(links, lone)
+        # Batched into the armed flush; else, alone on its links, the flow
+        # is its own component, rated here and now; else it arms the flush.
+        if self._flush_armed:
+            self.batched_starts += 1
+        elif lone:
+            self._rate((flow,))
+            return done
+        else:
+            self._flush_armed = True
+            self.sim.call_soon(partial(self._flush_due, self._flush_gen))
+        dirty = self._dirty
+        for link in links:
+            dirty[link] = None
         return done
 
     def set_node_bw_factor(self, node: int, factor: float) -> None:
@@ -309,49 +305,32 @@ class Fabric:
             raise SimError(f"bw factor must be > 0, got {factor}")
         if not 0 <= node < self.num_nodes:
             raise SimError(f"no such fabric endpoint {node}")
-        self._out[node].capacity = self.nic_bw * factor
-        self._in[node].capacity = self.nic_bw * factor
-        self._change((self._out[node], self._in[node]))
+        out, into = self._out[node], self._in[node]
+        out.capacity = into.capacity = self.nic_bw * factor
+        if self._flush_armed:
+            self.batched_starts += 1
+        else:
+            self._flush_armed = True
+            self.sim.call_soon(partial(self._flush_due, self._flush_gen))
+        self._dirty[out] = self._dirty[into] = None
 
     @property
     def active_flows(self) -> int:
         return len(self._flows)
 
     def flow_rates(self) -> dict[int, float]:
-        """Current rate per flow id (after a fresh recompute) — for tests."""
+        """Current rate per flow id, after a fresh fill of them all (a lone
+        flow is its own component, already rated in closed form) — for tests."""
         self._force_flush()
         self._advance()
-        self._fill([*self._flows])
-        return {f.fid: f.rate for f in self._flows}
+        flows = [*self._flows]
+        if len(flows) > 1:
+            self._fill(flows)
+        return {f.fid: f.rate for f in flows}
 
     # -- change application ------------------------------------------------------
-    def _change(self, links: Iterable[Link], flow: Optional[Flow] = None) -> None:
-        """A topology change touched ``links``: coalesce into one flush.
-
-        All deferral stays within the current timestamp — the flush has
-        zero delay, so it fires before the clock can advance — which is
-        why batching cannot alter any simulated timestamp: the rates in
-        effect over every interval of positive length are unchanged.
-
-        ``flow`` is a flow just started alone on every link it crosses:
-        with no flush pending it is its own component, so it is rated here
-        and now — advance, refill, arm — which is what the full recompute
-        does at every change, and the flush is not needed.
-        """
-        if self._flush_armed:
-            self.batched_starts += 1
-        elif flow is not None:
-            self._advance()
-            self._refill((flow,), 1)
-            self._arm_wake()
-            return
-        else:
-            self._flush_armed = True
-            self.sim.call_soon(partial(self._flush_due, self._flush_gen))
-        dirty = self._dirty
-        for link in links:
-            dirty[link] = None
-
+    # The flush has zero delay, so batching cannot alter any timestamp: the
+    # rates in effect over every interval of positive length are unchanged.
     def _flush_due(self, gen: int) -> None:
         """The zero-delay flush: apply the pending changes, unless
         :meth:`_force_flush` superseded it (only the armed flush carries the
@@ -361,11 +340,12 @@ class Fabric:
         self._flush_armed = False
         if not self._dirty:
             return
-        self._advance()
         dirty, self._dirty = self._dirty, {}
-        if self._recompute_touched(dirty):
-            self._arm_wake()
-        # else: no share could have changed, the armed wake (if any) stands.
+        flows = self._recompute_touched(dirty)
+        if flows:
+            self._rate(flows)
+        else:  # no share could have changed, the armed wake (if any) stands
+            self._advance()
 
     def _force_flush(self) -> None:
         """Apply pending changes now; the armed flush becomes a no-op."""
@@ -385,25 +365,21 @@ class Fabric:
                 flow.remaining -= flow.rate * dt
         self._last_update = now
 
-    def _recompute_touched(self, dirty: dict[Link, None]) -> bool:
-        """Re-rate the connected component(s) of the touched links.
-
-        Returns False when the change provably cannot alter any share —
-        every touched link is flowless — in which case no filling runs and
-        the caller keeps the existing wake-up.
-        """
+    def _recompute_touched(self, dirty: dict[Link, None]) -> Sequence[Flow]:
+        """The connected component of the touched links in ascending fid,
+        ``(flow,)`` if one flow, or ``()`` (counted as skipped) when no share
+        can change: every touched link is flowless."""
         order = []
         for link in dirty:
             if link.flows:
                 order += (link,)
         if not order:
             self.recomputes_skipped += 1
-            return False
+            return ()
         # Breadth-first over the link-flow graph; ``order`` grows while it
         # is walked, and ``dirty`` (ours now) doubles as the set of links
         # seen: a flowless link in it is reachable from no flow.  Dict
-        # membership and in-place list growth only — no calls — and the
-        # visit order does not matter: the refill below sorts by fid.
+        # membership and in-place list growth only — no calls.
         touched: dict[Flow, None] = {}
         nflows = 0
         for link in order:
@@ -415,29 +391,54 @@ class Fabric:
                         if other not in dirty:
                             dirty[other] = None
                             order += (other,)
-        # Refill in ascending-fid order — identical to the full recompute's
-        # visit order restricted to this component, so tie-breaks (and hence
+        if nflows == 1:
+            return (flow,)  # the one flow every touched link holds
+        # Ascending-fid order — identical to the full recompute's visit
+        # order restricted to this component, so tie-breaks (and hence
         # every float) match the full recompute exactly.
-        self._refill(sorted(touched, key=_by_fid), nflows)
-        return True
+        return sorted(touched, key=_by_fid)
 
-    def _refill(self, flows: Iterable[Flow], nflows: int) -> None:
-        """One filling pass over a whole component, ``flows`` (``nflows``
-        of them) in ascending fid order, counted (and timed when profiling)."""
-        self.recomputes += 1
-        self.recompute_flows += nflows
-        profiler = self.sim.profiler
-        if profiler is None:
-            self._fill(flows)
-        else:
-            with profiler.timer("fabric.recompute"):
+    def _rate(self, flows: Sequence[Flow]) -> None:
+        """The one rating step: advance every flow to now, rate ``flows`` —
+        one whole component in ascending fid, counted and, when profiling,
+        timed as ``fabric.recompute`` — and re-arm the wake at the next
+        completion (none when nothing can complete).  An empty ``flows``
+        only re-arms: a wake that left flows but no component."""
+        sim = self.sim
+        now = sim.now
+        dt = now - self._last_update
+        if dt > 0:
+            for flow in self._flows:
+                flow.remaining -= flow.rate * dt
+        self._last_update = now
+        if flows:
+            self.recomputes += 1
+            profiler = sim.profiler
+            if profiler is not None:
+                t0 = perf_counter()
+            flow = flows[0]
+            if flow is flows[-1]:  # its first flow is its last: no len() call
+                # One flow: progressive filling reduces to the minimum
+                # capacity/weight share over its links — the general loop's
+                # divisions, scan order, first-wins tie-break and clamp, so
+                # bit-identical, with no signature and no cache.
+                nflows = 1
+                weight = flow.weight
+                best_share = _INF
+                for link in flow.links:
+                    share = link.capacity / weight
+                    if share < best_share:
+                        best_share = share
+                # A linkless flow keeps its 0.0; the clamp is ``max(best_share,
+                # 0.0)`` by comparison (a -0.0 survives it, as there).
+                flow.rate = 0.0 if best_share is _INF or best_share < 0.0 else best_share
+            else:
+                nflows = len(flows)
                 self._fill(flows)
-            profiler.count("fabric.recompute_flows", nflows)
-
-    # -- wake arming ------------------------------------------------------------
-    def _arm_wake(self) -> None:
-        """Arm a wake-up at the next flow completion (none when nothing
-        can complete: ``soonest == inf``)."""
+            self.recompute_flows += nflows
+            if profiler is not None:
+                profiler.lap("fabric.recompute", t0)
+                profiler.count("fabric.recompute_flows", nflows)
         # Invalidate any previously armed wake-up unconditionally: the new
         # generation stops it if it is already due, and a cancel takes it
         # off the event list if it is not.
@@ -445,7 +446,7 @@ class Fabric:
         handle = self._wake_handle
         if handle is not None:
             self._wake_handle = None
-            self.sim.cancel(handle)
+            sim.cancel(handle)
         soonest = _INF
         for flow in self._flows:
             if flow.remaining <= flow.threshold:
@@ -463,21 +464,19 @@ class Fabric:
         # a pathological rate can never stall the simulation clock (livelock
         # guard); delay-0 wakes land in the same same-instant lane slot an
         # Event ``succeed()`` would.
-        self._wake_handle = self.sim.call_later(
+        self._wake_handle = sim.call_later(
             soonest if soonest > 1e-9 else (1e-9 if soonest > 0.0 else 0.0),
             partial(self._wake_due, self._wake_gen),
         )
 
     def _wake_due(self, gen: int) -> None:
-        """The wake-up, unless a re-arm superseded it (every
-        :meth:`_arm_wake` moves the generation on): deliver the completions
-        due now, then re-rate what they leave, folding in any pending
-        batched changes."""
+        """The wake-up, unless a re-arm superseded it (every rating moves
+        the generation on): deliver the completions due now, then re-rate
+        what they leave, folding in any pending batched changes."""
         if gen != self._wake_gen:
             return
         self._wake_handle = None
-        # Advance every flow to now, as :meth:`_advance`, and collect the
-        # ones due in the same pass.
+        # Advance every flow to now and collect the ones due in one pass.
         now = self.sim.now
         dt = now - self._last_update
         self._last_update = now
@@ -488,60 +487,36 @@ class Fabric:
                 flow.remaining -= flow.rate * dt
             if flow.remaining <= flow.threshold:
                 finished += (flow,)
-        sim, latency = self.sim, self.latency
+        dones = []
         for flow in finished:
             # Each retired flow is in these dicts exactly once: ``del``.
             del flows[flow]
             for link in flow.links:
                 del link.flows[flow]
                 dirty[link] = None
-            # Completion is delivered after the propagation latency.
             done = flow.done
             if done.__class__ is Event:
-                done.succeed(delay=latency)
-            else:
-                sim.call_later(latency, done)
+                done.adopt(True, None)  # what ``succeed()`` would set
+            dones += (done,)
+        # Delivered after the propagation latency, in retire order.
+        self.sim.call_all_later(self.latency, dones)
         self._dirty = {}
         if flows:
-            self._recompute_touched(dirty)
             # The wake just fired (or is now stale), so always re-arm — even
-            # if the recompute was skipped, surviving flows still need one.
-            self._arm_wake()
+            # if no component is left to rate, surviving flows need one.
+            self._rate(self._recompute_touched(dirty))
 
     # -- the array kernel -------------------------------------------------------
     def _fill(self, flows: list[Flow] | tuple[Flow, ...]) -> None:
         """Progressive filling over flat arrays, memoized by topology signature.
 
-        ``flows`` arrives in ascending-``fid`` order (component refills are
-        sorted; ``self._flows`` iterates in creation order), so local flow
+        ``flows`` (two or more; :meth:`_rate` rates one in closed form)
+        arrives in ascending-``fid`` order (components are sorted;
+        ``self._flows`` iterates in creation order), so local flow
         ids ``fi`` enumerate ascending ``fid`` and every per-link member
         list built here matches the insertion order of the full recompute's
         dict ``live`` sets exactly.
         """
-        if not flows:
-            return
-        flow = flows[0]
-        if flow is flows[-1]:  # its first flow is its last: no len() call
-            # Single-flow component — point-to-point RPC traffic between
-            # otherwise idle endpoints, about a third of all fills on
-            # cache-enabled sweep points.  Progressive filling reduces to
-            # the minimum capacity/weight share over the flow's own links:
-            # the same divisions on the same operands in the same scan
-            # order (first-touch == flow.links order), the same first-wins
-            # tie-break and the same final clamp as the general loop, so
-            # the result is bit-identical and the signature build and
-            # cache are skipped outright.
-            weight = flow.weight
-            best_share = _INF
-            for link in flow.links:
-                share = link.capacity / weight
-                if share < best_share:
-                    best_share = share
-            # A linkless flow is never frozen by the general loop and keeps
-            # the 0.0 it was initialized with; the clamp is ``max(best_share,
-            # 0.0)`` by comparison (a -0.0 survives it, as there).
-            flow.rate = 0.0 if best_share is _INF or best_share < 0.0 else best_share
-            return
         # One flat signature: per flow a ``-2`` and its weight, then per link
         # either the local id of an already-seen link or a ``-1`` followed by
         # the capacity of a first-touch link.  Local ids enumerate first-touch

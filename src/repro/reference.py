@@ -121,6 +121,13 @@ class HeapSimulator:
         timeout.callbacks.append(lambda _ev: fn())
         return timeout
 
+    def call_all_later(self, delay: float, items: list) -> None:
+        for item in items:
+            if isinstance(item, Event):
+                self._schedule(item, delay)
+            else:
+                self.call_later(delay, item)
+
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         event = Event(self, name="call").adopt(True, None)
         event.callbacks.append(lambda _ev: fn())

@@ -628,6 +628,31 @@ class Simulator:
             heappush(self._future, entry)
         return entry, fn
 
+    def call_all_later(self, delay: float, items: list) -> None:
+        """``items`` (callables, and Events given their outcome by ``adopt``)
+        after ``delay``, in one call: each in the slot, and at the event
+        count, of its own :meth:`call_later` or ``succeed(delay=...)``."""
+        when = self.now + delay
+        lane = not when > self.now
+        if lane:
+            if not delay >= 0.0:
+                raise SimError(f"cannot schedule before now or at NaN (delay={delay})")
+            self._lane += items
+        elif when == self._memo_when:
+            self._memo[2] += items
+        elif items:
+            self._seq += 1
+            self._memo = [when, self._seq, [*items]]
+            self._memo_when = when
+            heappush(self._future, self._memo)
+        if self.profiler is not None:
+            # The depth the last Event's own schedule would have sampled.
+            for back, item in enumerate(reversed(items)):
+                if item.__class__ in _EVENT_CLASSES:
+                    due = len(self._lane) + len(self._batch) - (self._event_count - self._base)
+                    self.profiler.heap_sample(due + len(self._future) - lane * back)
+                    break
+
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """:meth:`call_later` at the absolute instant ``when``: no ``now +
         delay`` rounding (a completion instant computed through a chain of

@@ -6,8 +6,8 @@ while the run executes:
 
 * **counters** — monotone integers bumped by instrumented components
   (events scheduled, fabric recomputes, flows re-rated, kick-pool reuse);
-* **timers** — cumulative wall-clock seconds inside a component, via the
-  :meth:`timer` context manager (``with prof.timer("fabric.recompute"):``);
+* **timers** — cumulative wall-clock seconds inside a component: :meth:`lap`
+  at hot sites (``fabric.recompute``), else the :meth:`timer` context manager;
 * **heap stats** — peak event-list depth, sampled on every schedule.
 
 Everything is plain-dict state with no background machinery, so profiling

@@ -1,10 +1,11 @@
 """The fabric's call budget: host cost per flow as an exact number.
 
 A flow costs the calls of its start, its rating and its retirement; the
-gate runs a fixed synthetic load under cProfile (no ``SimProfiler``) and
-holds calls per flow at the measured value + 5 %.  The allocator's counters
-and the engine's event count are pinned beside it, so a cheaper run cannot
-come from fewer recomputes, wakes or events.
+gate runs a fixed synthetic load under cProfile, without and with a
+``SimProfiler`` attached, and holds calls per flow at the measured value +
+5 %.  The allocator's counters and the engine's event count are pinned
+beside it, so a cheaper run cannot come from fewer recomputes, wakes or
+events.
 """
 
 import cProfile
@@ -12,6 +13,7 @@ import pstats
 
 from repro.net.fabric import Fabric
 from repro.sim.core import Simulator
+from repro.sim.profile import SimProfiler
 
 KiB = 1024
 BW = 1e9
@@ -23,11 +25,18 @@ WAVE_PERIOD = 5e-3
 FLOWS = CHAINS * CHAIN_FLOWS + WAVES * 64
 
 #: cProfile calls per flow of ``fabric_load``, the engine's dispatch
-#: included: 12,096 calls / 720 flows (29.30 when a retired flow left each
-#: dict by ``pop``, a wake hopped through ``_wake_body``, ``_advance`` and
+#: included: 9,392 calls / 720 flows (17.02 when a start, a flush and a wake
+#: each hopped through ``_change``/``_advance``/``_refill``/``_fill``/
+#: ``_arm_wake`` and a wake scheduled each completion by its own
+#: ``call_later`` or ``succeed``; 29.30 when a retired flow left each dict by
+#: ``pop``, a wake hopped through ``_wake_body``, ``_advance`` and
 #: ``_departures``, a fill paid ``list`` and two ``len``, and a start paid
 #: ``max``, ``next`` and ``list.extend``).
-CALLS_PER_FLOW = 16.8
+CALLS_PER_FLOW = 13.05
+
+#: The same with a ``SimProfiler`` attached: 13,507 calls / 720 flows (27.62
+#: when every rating opened a ``profiler.timer`` context manager).
+PROFILED_CALLS_PER_FLOW = 18.76
 
 #: (events fired, wake_events, recomputes, recomputes_skipped,
 #: batched_starts) of ``fabric_load``.
@@ -80,22 +89,40 @@ def counts(sim, fabric):
     )
 
 
-def test_a_flow_stays_within_its_call_budget():
-    """Lone flows rated where they start, a funnel wave coalesced into one
-    flush, and every completion: gated calls per flow, pinned counters."""
+def profiled_run(profiler=None):
+    """``fabric_load`` under cProfile: the simulator, the fabric and the
+    calls it made."""
     sim = Simulator()
     fabric_load(sim)
     sim.run()  # pays the one-off costs of a first run
     sim = Simulator()
+    sim.profiler = profiler
     fabric = fabric_load(sim)
     profile = cProfile.Profile()
     profile.enable()
     sim.run()
     profile.disable()
-    calls = pstats.Stats(profile).total_calls
     assert fabric.active_flows == 0
     assert counts(sim, fabric) == COUNTS
+    return sim, fabric, pstats.Stats(profile).total_calls
+
+
+def test_a_flow_stays_within_its_call_budget():
+    """Lone flows rated where they start, a funnel wave coalesced into one
+    flush, and every completion: gated calls per flow, pinned counters."""
+    _, _, calls = profiled_run()
     assert calls / FLOWS <= CALLS_PER_FLOW * 1.05, f"{calls:,d} calls"
+
+
+def test_a_profiled_flow_stays_within_its_call_budget():
+    """Under a ``SimProfiler`` every rating is timed once, by two clock
+    reads and a ``lap``, and counted: the same budget check, and the
+    profiler's tallies equal to the fabric's own counters."""
+    profiler = SimProfiler()
+    _, fabric, calls = profiled_run(profiler)
+    assert calls / FLOWS <= PROFILED_CALLS_PER_FLOW * 1.05, f"{calls:,d} calls"
+    assert profiler.timer_calls["fabric.recompute"] == fabric.recomputes
+    assert profiler.counters["fabric.recompute_flows"] == fabric.recompute_flows
 
 
 def test_retiring_a_flow_leaves_no_entry_behind():
