@@ -197,8 +197,7 @@ class FleetJobResult:
     slo_violations: tuple = ()
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["placement"] = list(self.placement)
+        d = {**self.__dict__, "placement": list(self.placement)}  # all else is a scalar
         d["slo_violations"] = list(self.slo_violations)
         return d
 

@@ -2,9 +2,10 @@
 
 Devices are FIFO servers: requests queue and are served one at a time (a
 RAID group and an SSD both present a single logical stream at this
-granularity) — through the generator :meth:`StorageDevice._io` or its
-callback twins :meth:`~StorageDevice.write_flat` (the write-back drains) and
-:meth:`~StorageDevice.read_flat` (the flat read-back).  Subclasses supply
+granularity) — through the generator :meth:`StorageDevice._io`, its callback
+twins :meth:`~StorageDevice.write_flat` (the NVMM WAL append) and
+:meth:`~StorageDevice.read_flat` (the flat read-back), or the write-back chain
+:meth:`~StorageDevice.write_back` (both write-back caches).  Subclasses supply
 the service time: :class:`SSDDevice` here, the node-local SATA SSD
 (constant per-request latency plus streaming time; no seek term, no jitter
 worth modelling), the FTL and NVMM tiers in :mod:`repro.hw.flash`, and the
@@ -115,10 +116,10 @@ class StorageDevice:
     # (queued hand-offs and the idle-release error stay ``Resource``'s), and
     # every request refuses a negative, infinite or NaN ``nbytes``.
     def write_flat(self, offset: int, nbytes: int, on_done, done: Optional[Event] = None):
-        """A write inside a callback chain: ``on_done()`` is invoked where
-        the generator's caller would resume.  Abandoning ``done``, the
-        chain's event (none for the write-back drains), leaves the queue at
-        once, or gives the slot back at the interrupt kick."""
+        """A write inside a callback chain (the NVMM WAL append):
+        ``on_done()`` is invoked where the generator's caller would resume.
+        Abandoning ``done``, the chain's event, leaves the queue at once, or
+        gives the slot back at the interrupt kick."""
         if not 0 <= nbytes < inf:
             raise SimError(f"{self.name}: nbytes must be finite and >= 0, got {nbytes!r}")
         queue = self.queue
@@ -146,17 +147,51 @@ class StorageDevice:
         self.bytes_written += nbytes
         if self.job_tag is not None:
             self._account_tag(nbytes, True)
+        self.sim.call_later(dt, partial(self._served, done, on_done))
 
-        def _served():
-            if done is not None and done._triggered:
+    def _served(self, done: Optional[Event], on_done, *error) -> None:
+        # A flat request's completion, unless its chain was abandoned.
+        if done is not None and done._triggered:
+            return
+        queue = self.queue
+        if queue._waiters or not queue._in_use:
+            queue.release()
+        else:
+            queue._in_use -= 1
+        on_done(*error)
+
+    def write_back(self, retire, nbytes: int = 0, offset: Optional[int] = None) -> None:
+        """A write-back chain, started as ``write_back(retire)``: ``retire(0)``
+        returns the first chunk ``(offset, nbytes)``.  Each chunk is one
+        scheduled call, handed the ``nbytes`` written: the slot goes back,
+        ``retire(nbytes)`` books them, wakes the owner's waiters and returns
+        the next chunk (None once nothing is dirty), which takes the slot and
+        is served here, or queues for it (granted, ``offset`` is passed)."""
+        queue = self.queue
+        if offset is None:
+            if nbytes:
+                if queue._waiters or not queue._in_use:
+                    queue.release()
+                else:
+                    queue._in_use -= 1
+            chunk = retire(nbytes)
+            if chunk is None:
                 return
-            if queue._waiters or not queue._in_use:
-                queue.release()
-            else:
-                queue._in_use -= 1
-            on_done()
-
-        self.sim.call_later(dt, _served)
+            offset, nbytes = chunk
+            if not (queue.inline_grants and queue._in_use < queue.capacity and not queue._waiters):
+                queue.request_call(partial(self.write_back, retire, nbytes, offset))
+                return
+            queue._in_use += 1
+        dt = self.service_time(offset, nbytes, True)
+        if self.injector is not None:
+            # GC-pressure windows stretch writes (never raise).
+            dt += self.injector.on_device_write(self, offset, nbytes, dt)
+        self.busy_time += dt
+        self.requests_served += 1  # _account's untagged half, inline
+        self.bytes_written += nbytes
+        if self.job_tag is not None:
+            self._account_tag(nbytes, True)
+        self.sim.call_later(dt, partial(self.write_back, retire, nbytes))
 
     def read_flat(self, offset: int, nbytes: int, on_done, done: Event) -> None:
         """A read inside a callback chain whose event is ``done``:
@@ -190,17 +225,7 @@ class StorageDevice:
         self.busy_time += dt
         self._account(nbytes, False)
         done.abandon = partial(abandon_grant, queue)
-
-        def _served():
-            if done._triggered:
-                return
-            if queue._waiters or not queue._in_use:
-                queue.release()
-            else:
-                queue._in_use -= 1
-            on_done(None)
-
-        self.sim.call_later(dt, _served)
+        self.sim.call_later(dt, partial(self._served, done, on_done, None))
 
 
 class SSDDevice(StorageDevice):

@@ -2,10 +2,11 @@
 
 The piece that matters for the paper is the node's *buffered write path*:
 collective-buffer-sized writes into the local ext4 scratch partition land in
-the page cache at memory-copy speed and are drained to the SSD by a
-writeback chain (one callback per device write while anything is dirty),
-exactly like Linux dirty throttling.  A writer that would push dirty bytes
-past ``dirty_ratio * ram`` waits in a FIFO until a writeback step resumes it,
+the page cache at memory-copy speed and are drained to the SSD by the
+device's write-back chain (``StorageDevice.write_back``: one scheduled
+call per device write while anything is dirty), exactly like Linux dirty
+throttling.  A writer that would push dirty bytes past ``dirty_ratio * ram``
+waits in a FIFO until a written chunk resumes it,
 so sustained over-capacity writes degrade to device speed — and short
 checkpoint bursts (the paper's workloads) complete at near-memory speed,
 which is where the 10–20× aggregate cache bandwidth comes from.
@@ -53,8 +54,7 @@ class PageCache:
         self._throttle_waiters: list[Callable[[], None]] = []
         self._flush_waiters: list[tuple[int, Event]] = []  # (file_id, event)
         self._daemon_running = False
-        self._writing = (0, 0)  # (file_id, bytes) of the writeback step in flight
-        self._wb_offset = 0
+        self._writing = 0  # the file whose chunk is in flight
 
     def buffered_write(self, file_id: int, nbytes: int, offset: int = 0) -> Optional[Event]:
         """Absorb ``nbytes`` into the page cache, throttling while it is
@@ -78,59 +78,48 @@ class PageCache:
     def _ensure_daemon(self) -> None:
         if not self._daemon_running and self.dirty > 0:
             self._daemon_running = True
-            self.sim.call_soon(self._writeback_step)
+            self.sim.call_soon(partial(self.device.write_back, self._retire))
 
-    def _writeback_step(self) -> None:
-        # The daemon's first step (:meth:`_written_back` issues the rest) on
-        # the file with the most dirty pages (approximates Linux's per-inode
-        # round robin; exactness does not matter for timing).
-        file_id = max(self._dirty_by_file, key=self._dirty_by_file.get)
-        chunk = min(self.writeback_chunk, self._dirty_by_file[file_id])
-        self._writing = (file_id, chunk)
-        self.device.write_flat(self._pop_extent(file_id, chunk), chunk, self._written_back)
-
-    def _written_back(self) -> None:
-        file_id, chunk = self._writing
-        self.dirty = dirty = self.dirty - chunk
-        left = self._dirty_by_file[file_id] - chunk
-        if left > 0:
-            self._dirty_by_file[file_id] = left
-        else:
-            del self._dirty_by_file[file_id]
-        if self._throttle_waiters or self._flush_waiters:
-            self._wake_waiters()
+    def _retire(self, chunk: int) -> Optional[tuple[int, int]]:
+        """``StorageDevice.write_back``'s ``retire``: the next chunk is of the
+        file with the most dirty pages (approximates Linux's per-inode round
+        robin), at the offset its extent FIFO starts at."""
+        by_file = self._dirty_by_file
+        left = 0
+        if chunk:
+            file_id = self._writing
+            self.dirty -= chunk
+            left = by_file[file_id] - chunk
+            if left > 0:
+                by_file[file_id] = left
+            else:
+                del by_file[file_id]
+            if self._throttle_waiters or self._flush_waiters:
+                self._wake_waiters()
+        dirty = self.dirty
         if dirty <= 0:
             self._daemon_running = False
-            return
-        if left != dirty:  # not the one dirty file (``dirty`` sums the ledger)
-            file_id = max(self._dirty_by_file, key=self._dirty_by_file.get)
-            left = self._dirty_by_file[file_id]
+            return None
+        if left != dirty:  # first chunk, or not the one dirty file (``dirty`` sums the ledger)
+            self._writing = file_id = max(by_file, key=by_file.get)
+            left = by_file[file_id]
         chunk = self.writeback_chunk if self.writeback_chunk < left else left
-        self._writing = (file_id, chunk)
-        self.device.write_flat(self._pop_extent(file_id, chunk), chunk, self._written_back)
-
-    def _pop_extent(self, file_id: int, chunk: int) -> int:
-        """Consume ``chunk`` dirty bytes of ``file_id``'s extent FIFO and
-        return the device offset to write them at (the first piece's file
-        offset; one coalesced device write per chunk, as before)."""
-        extents = self._dirty_extents.get(file_id)
-        if not extents:  # defensive: ledger and extents should agree
-            off = self._wb_offset
-            self._wb_offset += chunk
-            return off
-        dev_off = extents[0][0]
+        # One coalesced device write off the extent FIFO, which covers the
+        # ledger's bytes (``_BufferedWrite._copied`` writes both).
+        extents = self._dirty_extents[file_id]
+        offset = extents[0][0]
         need = chunk
-        while need > 0 and extents:
+        while need:
             off, size = extents[0]
             if size <= need:
-                extents.pop(0)
+                del extents[0]
                 need -= size
             else:
                 extents[0] = (off + need, size - need)
-                need = 0
+                break
         if not extents:
-            self._dirty_extents.pop(file_id, None)
-        return dev_off
+            del self._dirty_extents[file_id]
+        return offset, chunk
 
     def _wake_waiters(self) -> None:
         if self.dirty < self.dirty_limit and self._throttle_waiters:

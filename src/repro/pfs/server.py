@@ -76,8 +76,8 @@ class RaidTarget(StorageDevice):
 class WriteBackCache:
     """Server-side dirty buffer: absorbs acked writes, drains to the target.
 
-    A write RPC completes once its bytes fit under the dirty limit; one
-    drain chain streams dirty data to the RAID target in ``drain_chunk``
+    A write RPC completes once its bytes fit under the dirty limit; the
+    target's write-back chain streams dirty data to it in ``drain_chunk``
     units (the elevator makes the drain effectively sequential).  When the
     cache is full, writers block until the drain frees room — sustained load
     therefore settles to the disk rate while bursts and round-synchronised
@@ -85,7 +85,7 @@ class WriteBackCache:
 
     Blocked writers wait in one FIFO: a ``DataServer._serve_write_absorb``
     continuation is a bare callable, a waiting generator the ``Event`` it
-    yielded.  A drain step that finds waiters takes the list and schedules
+    yielded.  A written chunk that finds waiters takes the list and schedules
     one :meth:`_wake`, which resumes them *in place* and in order for as
     long as there is room, and puts the rest back unwoken — so a waiter that
     could not have taken a byte is never resumed to find that out
@@ -101,30 +101,25 @@ class WriteBackCache:
         self.waiters: list = []  # FIFO of Events and flat continuations
         self._daemon_running = False
         self._drain_pos = 0
-        self._draining = 0  # bytes of the drain step in flight
 
     def ensure_daemon(self) -> None:
         if not self._daemon_running and self.dirty > 0:
             self._daemon_running = True
-            self.sim.call_soon(self._drain_step)
+            self.sim.call_soon(partial(self.target.write_back, self._retire))
 
-    def _drain_step(self) -> None:
-        """The daemon's first step; :meth:`_drained` issues every later one."""
-        self._draining = chunk = min(self.drain_chunk, self.dirty)
-        self.target.write_flat(self._drain_pos, chunk, self._drained)
-
-    def _drained(self) -> None:
-        chunk = self._draining
-        self._drain_pos += chunk
-        self.dirty = dirty = self.dirty - chunk
-        if self.waiters:
-            waiters, self.waiters = self.waiters, []
-            self.sim.call_soon(partial(self._wake, waiters))
+    def _retire(self, chunk: int) -> Optional[tuple[int, int]]:
+        """``StorageDevice.write_back``'s ``retire``: waiters go to one :meth:`_wake`."""
+        if chunk:
+            self._drain_pos += chunk
+            self.dirty -= chunk
+            if self.waiters:
+                waiters, self.waiters = self.waiters, []
+                self.sim.call_soon(partial(self._wake, waiters))
+        dirty = self.dirty
         if dirty > 0:
-            self._draining = chunk = self.drain_chunk if self.drain_chunk < dirty else dirty
-            self.target.write_flat(self._drain_pos, chunk, self._drained)
-        else:
-            self._daemon_running = False
+            return self._drain_pos, self.drain_chunk if self.drain_chunk < dirty else dirty
+        self._daemon_running = False
+        return None
 
     def _wake(self, waiters: list) -> None:
         """Resume ``waiters`` in FIFO order while the cache has room.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -154,3 +154,17 @@ class TestEvaluateJobSlo:
             "job 0: time_to_restart 0.050000s > budget 0.02s",
             "job 0: bytes_lost 4096 > budget 0 for cached writes",
         ]
+
+
+def test_a_row_dict_is_the_asdict_form_with_lists():
+    """``FleetJobResult.to_dict`` (a flat copy) equals the recursive
+    ``dataclasses.asdict`` form, key order included, and round-trips."""
+    row = crashed_row(time_to_restart=9.9)
+    row.placement = (3, 1, 2)
+    row.slo_violations = tuple(evaluate_job_slo(row))
+    assert row.slo_violations  # both tuples carry something
+    want = asdict(row)
+    want["placement"], want["slo_violations"] = [3, 1, 2], list(row.slo_violations)
+    got = row.to_dict()
+    assert got == want and list(got) == list(want)
+    assert FleetJobResult.from_dict(got) == row

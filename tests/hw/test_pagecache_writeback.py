@@ -25,6 +25,26 @@ KiB = 1024
 MiB = 1024 * KiB
 
 
+def pop_extent(dirty_extents, file_id, chunk):
+    """Consume ``chunk`` dirty bytes of ``file_id``'s extent FIFO and return
+    the device offset to write them at (the first piece's file offset) —
+    the reference's own copy, sharing no code with the production chain."""
+    extents = dirty_extents[file_id]
+    dev_off = extents[0][0]
+    need = chunk
+    while need > 0 and extents:
+        off, size = extents[0]
+        if size <= need:
+            extents.pop(0)
+            need -= size
+        else:
+            extents[0] = (off + need, size - need)
+            need = 0
+    if not extents:
+        dirty_extents.pop(file_id, None)
+    return dev_off
+
+
 class HerdPageCache(PageCache):
     """Wake-everyone reference: a process per burst, an event per waiter,
     and the generator every writer ran (``yield from`` drives it and the
@@ -58,7 +78,7 @@ class HerdPageCache(PageCache):
         while self.dirty > 0:
             file_id = max(self._dirty_by_file, key=self._dirty_by_file.get)
             chunk = min(self.writeback_chunk, self._dirty_by_file[file_id])
-            yield from self.device.write(self._pop_extent(file_id, chunk), chunk)
+            yield from self.device.write(pop_extent(self._dirty_extents, file_id, chunk), chunk)
             self.dirty -= chunk
             left = self._dirty_by_file[file_id] - chunk
             if left > 0:
@@ -240,3 +260,61 @@ def test_gc_pressure_stretches_flat_writeback_by_what_the_generator_charged(
     assert injected == len(log) > 0  # every writeback step was inside the window
     assert busy == pytest.approx(3 * sum(dt for *_, dt in log), rel=1e-12)
     assert stall == pytest.approx(busy * 2 / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_read_queued_mid_writeback_takes_the_slot_at_the_chunk_boundary(engine):
+    """A read issued while writeback chunk ``k`` is in service starts at the
+    instant chunk ``k`` completes, and chunk ``k + 1`` starts at the instant
+    the read completes: the SSD's one slot is handed on at every chunk
+    boundary.  Every size and rate is a power of two, so the instants worked
+    out here are exact."""
+    sim = ENGINES[engine]()
+    latency, write_bw, read_bw, memcpy_bw = 2.0**-10, 2.0**20, 2.0**21, 2.0**30
+    chunk, chunks, k, read_bytes = 64 * KiB, 5, 2, 32 * KiB
+    ssd = SSDDevice(
+        sim, "ssd", write_bw=write_bw, read_bw=read_bw, latency=latency, capacity_bytes=1 << 40
+    )
+    cache = PageCache(sim, ssd, memcpy_bw=memcpy_bw, dirty_limit=1 << 30, writeback_chunk=chunk)
+    starts = []  # (instant, write?) of every request, as the device serves it
+    service = ssd.service_time
+
+    def service_time(offset, nbytes, is_write):
+        starts.append((sim.now, is_write))
+        return service(offset, nbytes, is_write)
+
+    ssd.service_time = service_time
+    landed = chunks * chunk / memcpy_bw  # the one copy lands, writeback starts
+    write = latency + chunk / write_bw  # one chunk's service
+    read = latency + read_bytes / read_bw  # the read's service
+    read_done = []
+
+    def issue_read():
+        ssd.read_flat(0, read_bytes, lambda error: read_done.append((sim.now, error)), sim.event())
+
+    sim.call_at(landed + (k + 0.5) * write, issue_read)
+    cache.buffered_write(1, chunks * chunk)
+    sim.run()
+
+    boundary = landed + (k + 1) * write
+    assert starts == (
+        [(landed + j * write, True) for j in range(k + 1)]
+        + [(boundary, False)]
+        + [(landed + j * write + read, True) for j in range(k + 1, chunks)]
+    )
+    assert read_done == [(boundary + read, None)]
+    assert cache.dirty == 0 and ssd.bytes_written == chunks * chunk
+
+
+def test_dirty_bytes_without_extents_fail_loudly():
+    """The ledger and the extent FIFO are written together, so a dirty file
+    with no extents is a broken invariant: the writeback raises rather than
+    invent a device offset."""
+    sim = ENGINES["slotted"]()
+    ssd = SSDDevice(sim, "ssd", write_bw=MiB, read_bw=MiB, latency=1e-4, capacity_bytes=1 << 40)
+    cache = PageCache(sim, ssd, memcpy_bw=1024 * MiB, dirty_limit=MiB, writeback_chunk=4 * KiB)
+    cache.dirty = cache._dirty_by_file[1] = 4 * KiB
+    cache._ensure_daemon()
+    with pytest.raises(KeyError):
+        sim.run()
+    assert ssd.requests_served == 0

@@ -587,21 +587,24 @@ STEPS = 2_000  # drain steps, RPCs and writeback steps of each load
 
 #: cProfile calls of one step of each storage-tier load, the engine's
 #: dispatch included, and the 5 % the gate allows on top:
-#: - a server's write-back drain step: 16,024 calls / 2,000 steps (10.01
-#:   when its device write took and gave back the queue slot through
+#: - a server's write-back drain step: 12,024 calls / 2,000 steps (8.01
+#:   when a completion closure handed the chunk to the cache, which issued
+#:   the next one through ``StorageDevice.write_flat``; 10.01 when that
+#:   device write took and gave back the queue slot through
 #:   ``Resource.try_acquire`` and ``Resource.release``);
-#: - a page cache's writeback step of its one dirty file: 20,009 / 2,000
-#:   (12.00 with the same two hops);
+#: - a page cache's writeback step of its one dirty file: 12,007 / 2,000
+#:   (10.00 through ``write_flat`` and an extent pop of its own, 12.00 with
+#:   the same two hops);
 #: - an untagged RPC through a throttling cache, beyond the drain step it
-#:   causes: 49,975 / 2,000 − 8.01 (16.98 when it acked its caller through
+#:   causes: 45,975 / 2,000 − 6.01 (16.98 when it acked its caller through
 #:   an Event of its own; all but four of the load's RPCs queue for a
 #:   worker, so their releases hand it on through ``Resource.release``);
 #: - an untagged RPC issued onto a free worker, nothing queued or
-#:   throttled, beyond the drain step it causes: 34,045 / 2,000 − 8.01
+#:   throttled, beyond the drain step it causes: 30,045 / 2,000 − 6.01
 #:   (what the contended load cannot see: the RPC's own grant, release and
 #:   ack).
-CALLS_PER_DRAIN_STEP = 8.012
-CALLS_PER_WRITEBACK_STEP = 10.005
+CALLS_PER_DRAIN_STEP = 6.012
+CALLS_PER_WRITEBACK_STEP = 6.004
 CALLS_PER_RPC = 16.976
 CALLS_PER_LONE_RPC = 9.011
 
