@@ -57,16 +57,18 @@ class Flush(Event):
     """The loop over ``[pos, end)`` as one chain, an Event valued ``(end,
     None)`` or the position and error of the batch that spent the retry
     budget (:func:`repro.reference.flush`, the generator, has the contract).
-    A batch's read-back (``journal.read_flat``) and sync write
-    (``client.write_sync_flat``) call back into it and hang their abandon
-    hooks on it, so a batch allocates no Event; the last write fires it."""
+    A batch's read-back (the log's or the cache file's ``read_flat``, bound
+    once by ``journal.reader()``) and sync write (``client.write_sync_flat``)
+    call back into it and hang their abandon hooks on it, so a batch
+    allocates no Event; the last write fires it."""
 
     __slots__ = ("machine", "client", "pfs_file", "journal", "pos", "end", "ledger", "faulted",
-                 "chunk", "batch", "blen", "attempts")
+                 "read", "gather", "chunk", "batch", "blen", "attempts")
 
     def __init__(self, machine, client, pfs_file, journal, pos, end, ledger, faulted=None):
         Event.__init__(self, machine.sim, "flush")
         self.machine, self.client, self.pfs_file, self.journal = machine, client, pfs_file, journal
+        self.read, self.gather = journal.reader()
         self.pos, self.end, self.ledger, self.faulted = pos, end, ledger, faulted
         self.chunk = journal.policy.sync_chunk
         self.batch = self.chunk * machine.config.flush_batch_chunks
@@ -91,7 +93,7 @@ class Flush(Event):
             self._fire_inline((pos, None))
             return
         self.blen = blen = self.batch if self.batch < left else left
-        self.journal.read_flat(pos, blen, self._write, self)
+        self.read(pos, blen, self._write, self)
 
     def _write(self, error: Optional[FaultError]) -> None:
         if error is not None:
@@ -100,7 +102,7 @@ class Flush(Event):
         pos, blen = self.pos, self.blen
         self.client.write_sync_flat(
             self.pfs_file, pos, blen, self._next, self,
-            data=self.journal.gather(pos, blen), rpc_count=-(-blen // self.chunk),
+            data=self.gather(pos, blen), rpc_count=-(-blen // self.chunk),
         )
 
     def _fault(self, exc: FaultError) -> None:

@@ -36,6 +36,7 @@ for its §III cache (journal + replay on next collective open).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.intervals import IntervalSet
@@ -80,19 +81,15 @@ class CacheJournal:
         return sum(e - s for s, e in self.unflushed())
 
     # -- read-back (the flush loop: sync thread and replay) ----------------------
-    def read_flat(self, pos: int, blen: int, on_done, done) -> None:
-        """Read ``[pos, pos+blen)`` back from the log or the cache file
-        (``StorageDevice.read_flat``'s contract)."""
+    def reader(self):
+        """``(read_flat, gather)`` of the log or the cache file, bound once a
+        flush: ``read_flat(pos, blen, on_done, done)`` reads ``[pos,
+        pos+blen)`` back (``StorageDevice.read_flat``'s contract) and
+        ``gather(pos, blen)`` has its cached bytes (None: no payloads)."""
         if self.wal is not None:
-            self.wal.read_flat(pos, blen, on_done, done)
-        else:
-            self.local_file.fs.read_flat(self.local_file, pos, blen, on_done, done)
-
-    def gather(self, pos: int, blen: int):
-        """The cached bytes of ``[pos, pos+blen)`` (None: no payloads)."""
-        if self.wal is not None:
-            return self.wal.gather(pos, blen)
-        return self.local_file.fs.gather(self.local_file, pos, blen)
+            return self.wal.read_flat, self.wal.gather
+        f = self.local_file
+        return partial(f.fs.read_flat, f), partial(f.fs.gather, f)
 
 
 class CacheRecoveryRegistry:

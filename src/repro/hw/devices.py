@@ -115,11 +115,11 @@ class StorageDevice:
     # two are schedule-identical.  The slot is taken and given back in place
     # (queued hand-offs and the idle-release error stay ``Resource``'s), and
     # every request refuses a negative, infinite or NaN ``nbytes``.
-    def write_flat(self, offset: int, nbytes: int, on_done, done: Optional[Event] = None):
-        """A write inside a callback chain (the NVMM WAL append):
-        ``on_done()`` is invoked where the generator's caller would resume.
-        Abandoning ``done``, the chain's event, leaves the queue at once, or
-        gives the slot back at the interrupt kick."""
+    def write_flat(self, offset: int, nbytes: int, on_done, done: Event):
+        """A write inside a callback chain (the NVMM WAL append) whose event
+        is ``done``: ``on_done()`` is invoked where the generator's caller
+        would resume.  Abandoning ``done`` leaves the queue at once, or gives
+        the slot back at the interrupt kick."""
         if not 0 <= nbytes < inf:
             raise SimError(f"{self.name}: nbytes must be finite and >= 0, got {nbytes!r}")
         queue = self.queue
@@ -129,15 +129,12 @@ class StorageDevice:
             return
         granted = partial(self._write_serve, offset, nbytes, on_done, done)
         queue.request_call(granted)
-        if done is not None:
-            done.abandon = partial(abandon_queued, queue, granted)
+        done.abandon = partial(abandon_queued, queue, granted)
 
-    def _write_serve(self, offset: int, nbytes: int, on_done, done: Optional[Event]) -> None:
-        queue = self.queue
-        if done is not None:
-            if done._triggered:  # abandoned while queued: the slot went back then
-                return
-            done.abandon = partial(abandon_held, queue)
+    def _write_serve(self, offset: int, nbytes: int, on_done, done: Event) -> None:
+        if done._triggered:  # abandoned while queued: the slot went back then
+            return
+        done.abandon = partial(abandon_held, self.queue)
         dt = self.service_time(offset, nbytes, True)
         if self.injector is not None:
             # GC-pressure windows stretch writes (never raise).
@@ -149,9 +146,9 @@ class StorageDevice:
             self._account_tag(nbytes, True)
         self.sim.call_later(dt, partial(self._served, done, on_done))
 
-    def _served(self, done: Optional[Event], on_done, *error) -> None:
+    def _served(self, done: Event, on_done, *error) -> None:
         # A flat request's completion, unless its chain was abandoned.
-        if done is not None and done._triggered:
+        if done._triggered:
             return
         queue = self.queue
         if queue._waiters or not queue._in_use:
@@ -193,27 +190,27 @@ class StorageDevice:
             self._account_tag(nbytes, True)
         self.sim.call_later(dt, partial(self.write_back, retire, nbytes))
 
-    def read_flat(self, offset: int, nbytes: int, on_done, done: Event) -> None:
+    def read_flat(self, offset: int, nbytes: int, on_done, done: Event, granted: bool = False):
         """A read inside a callback chain whose event is ``done``:
         ``on_done(error)`` where the generator's caller would resume — None,
         or an injected read error once the slot is released (at once on a
-        synchronous grant, where :meth:`_io` raises).  Abandoning ``done``
-        leaves the queue, or releases the slot by a ``call_soon``."""
-        if not 0 <= nbytes < inf:
+        synchronous grant, where :meth:`_io` raises).  A free slot is taken
+        and the read served in place; a busy one is queued for, and the
+        grant comes back here (``granted``).  Abandoning ``done`` leaves the
+        queue, or releases the slot by a ``call_soon``."""
+        queue = self.queue
+        if granted:
+            if done._triggered:  # abandoned while queued: the slot went back then
+                return
+        elif not 0 <= nbytes < inf:
             raise SimError(f"{self.name}: nbytes must be finite and >= 0, got {nbytes!r}")
-        queue = self.queue
-        if queue.inline_grants and queue._in_use < queue.capacity and not queue._waiters:
+        elif queue.inline_grants and queue._in_use < queue.capacity and not queue._waiters:
             queue._in_use += 1
-            self._read_serve(offset, nbytes, on_done, done)
+        else:
+            grant = partial(self.read_flat, offset, nbytes, on_done, done, True)
+            queue.request_call(grant)
+            done.abandon = partial(abandon_queued, queue, grant)
             return
-        granted = partial(self._read_serve, offset, nbytes, on_done, done)
-        queue.request_call(granted)
-        done.abandon = partial(abandon_queued, queue, granted)
-
-    def _read_serve(self, offset: int, nbytes: int, on_done, done: Event) -> None:
-        if done._triggered:  # abandoned while queued: the slot went back then
-            return
-        queue = self.queue
         if self.injector is not None:
             try:
                 self.injector.on_device_read(self, offset, nbytes)
@@ -223,7 +220,10 @@ class StorageDevice:
                 return
         dt = self.service_time(offset, nbytes, False)
         self.busy_time += dt
-        self._account(nbytes, False)
+        self.requests_served += 1  # _account's untagged half, inline
+        self.bytes_read += nbytes
+        if self.job_tag is not None:
+            self._account_tag(nbytes, False)
         done.abandon = partial(abandon_grant, queue)
         self.sim.call_later(dt, partial(self._served, done, on_done, None))
 

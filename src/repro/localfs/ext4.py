@@ -164,9 +164,9 @@ class LocalFileSystem:
         the sync thread's sequential read-back) and those off the SSD."""
         if offset + nbytes > f.size and not f.extents and f.size == 0:
             raise SimError(f"read past EOF of empty file {f.path}")
-        dirty = self.node.page_cache.dirty_of(f.file_id)
-        frac_cached = min(1.0, dirty / max(1, f.space.total or f.size))
-        cached = int(nbytes * frac_cached)
+        size = f.space.total or f.size
+        frac_cached = self.node.page_cache.dirty_of(f.file_id) / (size if size > 1 else 1)
+        cached = int(nbytes * (frac_cached if frac_cached < 1.0 else 1.0))
         return cached, nbytes - cached
 
     def read_flat(self, f: LocalFile, offset: int, nbytes: int, on_done, done: Event) -> None:

@@ -114,8 +114,22 @@ class PFSClient:
         target run) charges the round trips and server overheads of that
         many coalesced chunks.  Abandoning ``done``, the write takes no
         later step; a started flow or a raced RPC runs out, and an unraced
-        server RPC is abandoned with it."""
-        _SyncWrite(self, f, offset, nbytes, data, rpc_count, on_done, done)
+        server RPC is refused or abandoned with it."""
+        shift, plan = sync_plan(f.layout, offset, nbytes, len(self.pfs.servers), rpc_count)
+        if nbytes == 0:
+            raise SimError("write_sync_flat requires nbytes > 0")
+        w = _SyncWrite()
+        w.client, w.f, w.offset, w.nbytes, w.data = self, f, offset, nbytes, data
+        w.shift, w.plan, w.on_done, w.done = shift, plan, on_done, done
+        done.abandon = settle  # while no server RPC of ours is waited on
+        inj = self.pfs.injector  # attached only with the sync-RPC watchdog armed
+        w.watchdog = inj.sync_rpc_timeout if inj is not None else 0.0
+        w.decided = set()  # the runs whose race has a winner
+        run_rpcs = plan[0][3]  # the first run: its round trip, then its RPC
+        self.rpcs += run_rpcs
+        self.sim.call_later(
+            self.pfs.cfg.sync_client_rtt * run_rpcs, partial(w._race if w.watchdog else w._rpc, 0)
+        )
 
     # -- reads -----------------------------------------------------------------
     def read(self, f: PFSFile, offset: int, nbytes: int):
@@ -254,57 +268,43 @@ def timeout_error(server_id: int, timeout: float) -> PFSTimeoutError:
 
 class _SyncWrite:
     """One :meth:`PFSClient.write_sync_flat` in flight, its runs one at a
-    time.  Only the callbacks it schedules hold it, so it leaves no
-    reference cycle behind once it has called ``on_done``."""
+    time; that method fills it in and starts the first run.  Only the
+    callbacks it schedules hold it, so it leaves no reference cycle behind
+    once it has called ``on_done``."""
 
-    def __init__(self, client, f, offset, nbytes, data, rpc_count, on_done, done):
-        self.client, self.f, self.offset, self.nbytes, self.data = client, f, offset, nbytes, data
-        self.shift, self.plan = sync_plan(
-            f.layout, offset, nbytes, len(client.pfs.servers), rpc_count
-        )
-        if nbytes == 0:
-            raise SimError("write_sync_flat requires nbytes > 0")
-        self.on_done, self.done = on_done, done
-        done.abandon = settle  # while no server RPC of ours is waited on
-        inj = client.pfs.injector  # attached only with the sync-RPC watchdog armed
-        self.watchdog = inj.sync_rpc_timeout if inj is not None else 0.0
-        self.decided: set[int] = set()  # the runs whose race has a winner
-        self._start(0)
-
-    def _start(self, i: int) -> None:
-        client, run_rpcs = self.client, self.plan[i][3]
-        client.rpcs += run_rpcs
-        step = self._race if self.watchdog else self._rpc
-        client.sim.call_later(client.pfs.cfg.sync_client_rtt * run_rpcs, partial(step, i))
+    __slots__ = ("client", "f", "offset", "nbytes", "data", "shift", "plan", "on_done", "done",
+                 "watchdog", "decided")
 
     def _rpc(self, i: int, raced: bool = False) -> None:
-        if self.done._triggered and not raced:
-            return
-        client, si = self.client, self.plan[i][0]
-        client.pfs.fabric.start_flow(
-            client.node_id,
-            client.pfs.servers[si].fabric_node,
-            self.plan[i][2],
-            extra_links=client.routes[si],
-            tag=client.tag,
-            on_done=partial(self._serve, i, raced),
-        )
-
-    def _serve(self, i: int, raced: bool) -> None:
         done = self.done
         if done._triggered and not raced:
             return
-        si, t_off, total, run_rpcs = self.plan[i]
-        on_done = partial(self._finished if raced else self._next, i)
-        self.client.pfs.servers[si].serve_write(
-            t_off + self.shift, total, on_done, None if raced else done, run_rpcs, self.client.tag
+        client, (si, t_off, total, run_rpcs) = self.client, self.plan[i]
+        server = client.pfs.servers[si]
+        # The flow's end is the server RPC: refused there if ``done`` was abandoned.
+        client.pfs.fabric.start_flow(
+            client.node_id,
+            server.fabric_node,
+            total,
+            extra_links=client.routes[si],
+            tag=client.tag,
+            on_done=partial(
+                server.serve_write, t_off + self.shift, total,
+                partial(self._finished if raced else self._next, i),
+                None if raced else done, run_rpcs, client.tag,
+            ),
         )
 
     def _next(self, i: int) -> None:
         done = self.done
         if i + 1 < len(self.plan):
             done.abandon = settle
-            self._start(i + 1)
+            client, run_rpcs = self.client, self.plan[i + 1][3]
+            client.rpcs += run_rpcs
+            client.sim.call_later(
+                client.pfs.cfg.sync_client_rtt * run_rpcs,
+                partial(self._race if self.watchdog else self._rpc, i + 1),
+            )
         else:
             done.abandon = None
             self.f.record_write(self.offset, self.nbytes, self.data)

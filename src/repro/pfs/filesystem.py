@@ -44,8 +44,9 @@ class PFSFile:
         self.open_count = 0
 
     def record_write(self, offset: int, nbytes: int, data: Optional[np.ndarray]) -> None:
-        self.size = max(self.size, offset + nbytes)
-        self.persisted.add(offset, offset + nbytes)
+        end = offset + nbytes
+        self.size = end if end > self.size else self.size
+        self.persisted.add(offset, end)
         if data is not None:
             arr = np.asarray(data, dtype=np.uint8)
             if len(arr) != nbytes:

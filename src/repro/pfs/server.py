@@ -186,9 +186,8 @@ class DataServer:
             self.rpcs_by_tag[tag] = self.rpcs_by_tag.get(tag, 0) + max(1, rpc_count)
             self.bytes_by_tag[tag] = self.bytes_by_tag.get(tag, 0) + int(nbytes)
 
-    def serve_write(
-        self, target_offset: int, nbytes: int, on_done, done=None, rpc_count=1, tag=None
-    ) -> None:
+    def serve_write(self, target_offset: int, nbytes: int, on_done, done=None, rpc_count=1,
+                    tag=None, granted: bool = False) -> None:
         """Process one write RPC — worker, stall gate, overhead, cache
         absorb — as a callback chain that calls ``on_done()`` where the
         worker is released (``StorageDevice.write_flat``'s contract).
@@ -199,41 +198,42 @@ class DataServer:
         takes it: the worker grant, the stall gate (a stalled server parks
         the RPC while holding the worker: head-of-line blocking), the
         post-grant jitter draw, the absorb/throttle loop and the release.
-        Without ``done`` the RPC runs out whatever becomes of its caller;
-        abandoning ``done``, the caller's chain event, withdraws a queued
-        worker request or releases a held worker at the interrupt kick, and
-        stops every later step.  A negative or NaN ``nbytes`` and an
-        ``rpc_count`` below one raise a :class:`SimError` naming them.
+        A free worker is taken and the overhead charged in place; a queued
+        grant and a stalled RPC's re-check of the gate come back here
+        (``granted``).  Without ``done`` the RPC runs out whatever becomes
+        of its caller.  An RPC whose ``done`` has fired is refused; abandoning
+        ``done``, the caller's chain event, withdraws a queued worker request
+        or releases a held worker at the interrupt kick, and stops every
+        later step.  A negative or NaN ``nbytes`` and an ``rpc_count`` below
+        one raise a :class:`SimError` naming them.
         """
-        if not 0 <= nbytes < math.inf:
-            raise SimError(f"serve_write: nbytes must be finite and >= 0, got {nbytes!r}")
-        if not rpc_count >= 1:
-            raise SimError(f"serve_write: rpc_count must be >= 1, got {rpc_count!r}")
         workers = self.workers
-        if workers.inline_grants and workers._in_use < workers.capacity and not workers._waiters:
-            workers._in_use += 1
-            self._serve_write_overhead(nbytes, on_done, done, rpc_count, tag)
-            return
-        granted = partial(self._serve_write_overhead, nbytes, on_done, done, rpc_count, tag)
-        workers.request_call(granted)
-        if done is not None:
-            done.abandon = partial(abandon_queued, workers, granted)
-
-    def _serve_write_overhead(
-        self, nbytes: int, on_done, done: Optional[Event], rpc_count: int, tag: Optional[str]
-    ) -> None:
-        if done is not None:
-            if done._triggered:  # abandoned while queued: the worker went back then
+        if granted:
+            if done is not None and done._triggered:  # abandoned while queued or stalled
                 return
-            done.abandon = partial(abandon_grant, self.workers)
+        elif not 0 <= nbytes < math.inf:
+            raise SimError(f"serve_write: nbytes must be finite and >= 0, got {nbytes!r}")
+        elif not rpc_count >= 1:
+            raise SimError(f"serve_write: rpc_count must be >= 1, got {rpc_count!r}")
+        elif done is not None and done._triggered:  # refused: its caller was abandoned
+            return
+        elif workers.inline_grants and workers._in_use < workers.capacity and not workers._waiters:
+            workers._in_use += 1
+        else:
+            grant = partial(self.serve_write, target_offset, nbytes, on_done, done, rpc_count,
+                            tag, True)
+            workers.request_call(grant)
+            if done is not None:
+                done.abandon = partial(abandon_queued, workers, grant)
+            return
+        if done is not None:
+            done.abandon = partial(abandon_grant, workers)
         if self.injector is not None:
             wait = self.injector.stall_wait(self.server_id)
             if wait > 0.0:
                 if wait < math.inf:
-                    self.sim.call_later(
-                        wait,
-                        partial(self._serve_write_overhead, nbytes, on_done, done, rpc_count, tag),
-                    )
+                    self.sim.call_later(wait, partial(self.serve_write, target_offset, nbytes,
+                                                      on_done, done, rpc_count, tag, True))
                 return
         overhead = self.cfg.rpc_overhead * rpc_count
         if self.rng is not None and self.cfg.jitter_sigma > 0:

@@ -23,7 +23,7 @@ and per MPI send (``bundles``).  Only :mod:`repro.machine` imports this:
   :func:`serve_write` → :func:`absorb`, a fault retried after a
   ``Timeout``.  Each takes every step — grant, timeout, flow start, jitter
   draw, watchdog race, release, backoff — in the event callback where its
-  production chain (``Flush``, ``CacheJournal.read_flat``,
+  production chain (``Flush``, the read-back ``CacheJournal.reader`` binds,
   ``PFSClient.write_sync_flat``, ``DataServer.serve_write``) takes it, so
   only the number of events differs.  Entered with ``yield from``,
   a generator adds a frame but no event.

@@ -76,8 +76,8 @@ def grant_events(machine) -> None:
 
 
 def flat_read(sim, reader, *where) -> Event:
-    """``reader.read_flat(*where, on_done, done)`` (a local file system, an
-    NVMM log or a cache journal) as an Event a generator can wait on: it
+    """``reader.read_flat(*where, on_done, done)`` (a local file system or
+    an NVMM log) as an Event a generator can wait on: it
     fires with ``reader.gather(*where)``, or fails with the read's fault;
     interrupted, its waiter abandons the read."""
     done = Event(sim, name="read")

@@ -33,7 +33,7 @@ def test_flat_requests_refuse_a_bad_size(nbytes):
     sim = Simulator()
     dev = ssd(sim)
     with pytest.raises(SimError, match="nbytes"):
-        dev.write_flat(0, nbytes, lambda: None)
+        dev.write_flat(0, nbytes, lambda: None, sim.event())
     with pytest.raises(SimError, match="nbytes"):
         dev.read_flat(0, nbytes, lambda _error: None, sim.event())
     sim.run()
@@ -55,7 +55,7 @@ def test_an_empty_request_is_served():
     sim = Simulator()
     dev = ssd(sim)
     served = []
-    dev.write_flat(0, 0, lambda: served.append(sim.now))
+    dev.write_flat(0, 0, lambda: served.append(sim.now), sim.event())
     sim.run()
     assert served == [pytest.approx(1e-4)] and dev.requests_served == 1
     assert dev.queue.in_use == 0
@@ -68,7 +68,7 @@ def test_a_free_queue_grants_in_place_only_on_the_slotted_engine(engine):
     service starts on the grant's scheduled call."""
     sim = engine()
     dev = ssd(sim)
-    dev.write_flat(0, 4096, lambda: None)
+    dev.write_flat(0, 4096, lambda: None, sim.event())
     assert dev.queue.in_use == 1
     assert dev.requests_served == (1 if engine is Simulator else 0)
     sim.run()
@@ -80,7 +80,9 @@ def test_queued_requests_are_handed_the_slot_in_order():
     dev = ssd(sim)
     order = []
     for k in range(3):
-        dev.write_flat(k * 4096, 4096, lambda k=k: order.append((k, dev.queue.queue_len)))
+        dev.write_flat(
+            k * 4096, 4096, lambda k=k: order.append((k, dev.queue.queue_len)), sim.event()
+        )
     assert (dev.queue.in_use, dev.queue.queue_len) == (1, 2)
     sim.run()
     assert order == [(0, 1), (1, 0), (2, 0)]
@@ -92,7 +94,7 @@ def test_giving_back_an_idle_slot_is_still_an_error():
     ``Resource.release``, which refuses an idle queue by name."""
     sim = Simulator()
     dev = ssd(sim)
-    dev.write_flat(0, 4096, lambda: None)
+    dev.write_flat(0, 4096, lambda: None, sim.event())
     dev.queue._in_use = 0
     with pytest.raises(SimError, match="idle resource 'dev:ssd'"):
         sim.run()
